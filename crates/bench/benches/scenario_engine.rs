@@ -29,7 +29,7 @@ fn bench_direct_dispatch(c: &mut Criterion) {
     group.bench_function("direct_generic", |b| {
         b.iter(|| {
             let mut agent = MoreAgent::new(topo.clone(), MoreConfig::default());
-            agent.add_flow(1, NodeId(0), NodeId(3), PACKETS);
+            agent.add_flow(1, NodeId(0), &[NodeId(3)], PACKETS);
             let mut sim = Simulator::new(topo.clone(), SimConfig::default(), agent, 1);
             sim.kick(NodeId(0));
             sim.run_until(600 * SEC, |a: &MoreAgent| a.all_done());
@@ -40,7 +40,7 @@ fn bench_direct_dispatch(c: &mut Criterion) {
     group.bench_function("erased_dyn", |b| {
         b.iter(|| {
             let mut agent = MoreAgent::new(topo.clone(), MoreConfig::default());
-            agent.add_flow(1, NodeId(0), NodeId(3), PACKETS);
+            agent.add_flow(1, NodeId(0), &[NodeId(3)], PACKETS);
             let boxed: Box<dyn ErasedFlowAgent> = Box::new(Erased(agent));
             let mut sim = Simulator::new(topo.clone(), SimConfig::default(), boxed, 1);
             sim.kick(NodeId(0));
@@ -68,7 +68,7 @@ fn bench_channel_models(c: &mut Criterion) {
         group.bench_function(name, |b| {
             b.iter(|| {
                 let mut agent = MoreAgent::new(topo.clone(), MoreConfig::default());
-                agent.add_flow(1, NodeId(0), NodeId(3), PACKETS);
+                agent.add_flow(1, NodeId(0), &[NodeId(3)], PACKETS);
                 let mut sim =
                     Simulator::with_channel(topo.clone(), SimConfig::default(), &spec, agent, 1);
                 sim.kick(NodeId(0));
@@ -97,7 +97,7 @@ fn bench_queue_disciplines(c: &mut Criterion) {
         group.bench_function(name, |b| {
             b.iter(|| {
                 let mut agent = MoreAgent::new(topo.clone(), MoreConfig::default());
-                agent.add_flow(1, NodeId(0), NodeId(3), PACKETS);
+                agent.add_flow(1, NodeId(0), &[NodeId(3)], PACKETS);
                 let mut sim = Simulator::with_queue(
                     topo.clone(),
                     SimConfig::default(),

@@ -1,9 +1,9 @@
 //! The MORE node agent: source / forwarder / destination control flow
 //! (thesis §3.3.3, Fig 3-2) over the simulator's MAC callbacks.
 
-// xtask: allow(panic_path, file) -- per-batch vectors are sized k_b when a batch opens and row indices are bounded by the tracker's rank checks; decoded-batch verification asserts a deterministic-testfile invariant.
+// xtask: allow(panic_path, file) -- per-node and per-batch vectors are sized at add_flow / when a batch opens, and row indices are bounded by the tracker's rank checks; decoded-batch verification asserts a deterministic-testfile invariant.
 
-use crate::flow::{BatchState, FlowId, FlowProgress, MoreFlow, NodeFlowState};
+use crate::flow::{BatchState, Destination, FlowId, FlowProgress, MoreFlow, NodeFlowState};
 use crate::header::MorePayload;
 use crate::{native_byte, ForwarderMetric, MoreConfig};
 use mesh_metrics::etx::LinkCost;
@@ -28,10 +28,10 @@ pub struct MoreAgent {
     /// backlogged flow by round-robin").
     rr: Vec<usize>,
     /// Batch ACKs each node has handed to the MAC, oldest first, as
-    /// `(flow index, batch)`. A FIFO rather than a slot because a
+    /// `(flow index, batch, origin)`. A FIFO rather than a slot because a
     /// bounded transmit queue may poll several frames before the first
     /// outcome arrives; outcomes come back in poll order.
-    ack_outstanding: Vec<VecDeque<(usize, u32)>>,
+    ack_outstanding: Vec<VecDeque<(usize, u32, NodeId)>>,
 }
 
 impl MoreAgent {
@@ -52,57 +52,76 @@ impl MoreAgent {
         &self.cfg
     }
 
-    /// Registers a `src → dst` transfer of `total_packets` native packets.
+    /// Registers a transfer of `total_packets` native packets from `src`
+    /// to every node in `dsts` (one = unicast, several = multicast).
     ///
-    /// Computes the ETX tables, the Algorithm-1 forwarder plan with
-    /// pruning, and the reverse path for batch ACKs. Returns the flow's
-    /// index for [`Self::progress`]. Callers must `kick(src)` on the
-    /// simulator to start the source's MAC.
+    /// Computes, per destination, the metric table and the Algorithm-1
+    /// forwarder plan with pruning, and the reverse path for batch ACKs.
+    /// Returns the flow's index for [`Self::progress`]. Callers must
+    /// `kick(src)` on the simulator to start the source's MAC.
     pub fn add_flow(
         &mut self,
         id: FlowId,
         src: NodeId,
-        dst: NodeId,
+        dsts: &[NodeId],
         total_packets: usize,
     ) -> usize {
         assert!(total_packets > 0, "empty transfer");
+        assert!(!dsts.is_empty(), "a flow needs a destination");
+        assert!(
+            (1..dsts.len()).all(|i| !dsts[..i].contains(&dsts[i])),
+            "destination listed twice: {dsts:?}"
+        );
         let n = self.topo.n();
-        // Forwarder ordering metric: ETX in the shipped protocol, EOTX
-        // for the §5.7 variant.
-        let metric: Vec<f64> = match self.cfg.metric {
-            ForwarderMetric::Etx => EtxTable::compute(&self.topo, dst, LinkCost::Forward)
-                .distances()
-                .to_vec(),
-            ForwarderMetric::Eotx => mesh_metrics::EotxTable::compute(&self.topo, dst)
-                .distances()
-                .to_vec(),
-        };
-        let plan = ForwarderPlan::compute(&self.topo, src, dst, &metric, &self.cfg.plan);
-        let mut rank_of = vec![None; n];
-        for (r, &node) in plan.order.iter().enumerate() {
-            rank_of[node.0] = Some(r as u32);
-        }
+        let mut tx_credit = vec![0.0f64; n];
+        let dsts = dsts
+            .iter()
+            .map(|&dst| {
+                // Forwarder ordering metric: ETX in the shipped protocol,
+                // EOTX for the §5.7 variant.
+                let metric: Vec<f64> = match self.cfg.metric {
+                    ForwarderMetric::Etx => EtxTable::compute(&self.topo, dst, LinkCost::Forward)
+                        .distances()
+                        .to_vec(),
+                    ForwarderMetric::Eotx => mesh_metrics::EotxTable::compute(&self.topo, dst)
+                        .distances()
+                        .to_vec(),
+                };
+                let plan = ForwarderPlan::compute(&self.topo, src, dst, &metric, &self.cfg.plan);
+                let mut rank_of = vec![None; n];
+                for (r, &node) in plan.order.iter().enumerate() {
+                    rank_of[node.0] = Some(r as u32);
+                    tx_credit[node.0] = tx_credit[node.0].max(plan.tx_credit[node.0]);
+                }
+                Destination {
+                    node: dst,
+                    plan,
+                    rank_of,
+                    acked: vec![0; n],
+                    decoded_batches: 0,
+                    delivered_packets: 0,
+                    completed_at: None,
+                }
+            })
+            .collect();
         // ACKs go to the source over its ETX shortest path (§3.2.2);
         // they are reliable unicasts, so the path metric accounts for the
         // MAC ACK's reverse trip.
         let to_src = EtxTable::compute(&self.topo, src, LinkCost::ForwardReverse);
         let ack_next_hop = (0..n).map(|i| to_src.next_hop(NodeId(i))).collect();
-        let flow = MoreFlow {
+        self.flows.push(MoreFlow {
             id,
             src,
-            dst,
+            dsts,
             total_packets,
-            plan,
-            rank_of,
+            tx_credit,
             ack_next_hop,
             nodes: (0..n).map(|_| NodeFlowState::new()).collect(),
             src_batch: 0,
             encoder: None,
             progress: FlowProgress::default(),
-            dst_completed: None,
             halted: false,
-        };
-        self.flows.push(flow);
+        });
         self.flows.len() - 1
     }
 
@@ -137,12 +156,7 @@ impl MoreAgent {
     }
 
     /// Makes sure the node's batch state matches its role and batch K.
-    pub(crate) fn ensure_batch_state(
-        cfg: &MoreConfig,
-        ns: &mut NodeFlowState,
-        is_dst: bool,
-        k: usize,
-    ) {
+    fn ensure_batch_state(cfg: &MoreConfig, ns: &mut NodeFlowState, is_dst: bool, k: usize) {
         let needs_init = matches!(ns.batch, BatchState::Empty);
         if !needs_init {
             return;
@@ -159,11 +173,7 @@ impl MoreAgent {
     /// zero-copy hand-off: coded stores bump the refcount on the frame's
     /// flat buffer, tracker stores read the vector head in place. Returns
     /// `(innovative, rank_after)`.
-    pub(crate) fn absorb(
-        ns: &mut NodeFlowState,
-        p: &CodedPacket,
-        rng: &mut impl Rng,
-    ) -> (bool, usize) {
+    fn absorb(ns: &mut NodeFlowState, p: &CodedPacket, rng: &mut impl Rng) -> (bool, usize) {
         match &mut ns.batch {
             BatchState::Empty => unreachable!("batch state initialized before absorb"),
             BatchState::Tracker(t) | BatchState::DstTracker(t) => {
@@ -183,11 +193,7 @@ impl MoreAgent {
 
     /// A forwarder's outgoing coded packet: random combination of what it
     /// holds (pre-coded when payloads are tracked).
-    pub(crate) fn emit_from(
-        ns: &mut NodeFlowState,
-        k: usize,
-        rng: &mut impl Rng,
-    ) -> Option<CodedPacket> {
+    fn emit_from(ns: &mut NodeFlowState, k: usize, rng: &mut impl Rng) -> Option<CodedPacket> {
         match &mut ns.batch {
             BatchState::Empty => None,
             BatchState::Tracker(t) => {
@@ -209,7 +215,7 @@ impl MoreAgent {
                 Some(CodedPacket::from_flat(k, buf.freeze()))
             }
             BatchState::Coded(b) => b.emit(rng),
-            // The destination never forwards data.
+            // A destination never forwards data.
             BatchState::DstTracker(_) | BatchState::DstDecoder(_) => None,
         }
     }
@@ -236,59 +242,57 @@ impl NodeAgent for MoreAgent {
     type Payload = MorePayload;
 
     fn on_receive(&mut self, node: NodeId, frame: &Frame<MorePayload>, ctx: &mut Ctx<'_>) {
+        let Some(fi) = self.flow_index(frame.payload.flow()) else {
+            return;
+        };
+        let cfg = self.cfg;
+        let f = &mut self.flows[fi];
         match &frame.payload {
             MorePayload::Data {
                 flow,
                 batch,
                 packet,
-                sender_rank,
             } => {
-                let Some(fi) = self.flow_index(*flow) else {
-                    return;
-                };
-                let cfg = self.cfg;
-                let f = &mut self.flows[fi];
                 // "When a node hears a packet, it checks whether it is in
-                // the packet's forwarder list" (§3.1.2).
-                let Some(rank) = f.rank_of[node.0] else {
-                    return;
-                };
-                if f.is_done(&cfg) {
+                // the packet's forwarder list" (§3.1.2) — any
+                // destination's. The source only pumps; it stores nothing.
+                if !f.participates(node) || f.is_done(&cfg) || node == f.src {
                     return;
                 }
-                let is_dst = node == f.dst;
-                let is_src = node == f.src;
+                if *batch < f.nodes[node.0].current_batch {
+                    return; // stale batch (§3.3.3)
+                }
+                let dst = f.dsts.iter().position(|d| d.node == node);
+                let upstream = f.from_upstream(node, frame.from);
                 let k_b = f.k_of(&cfg, *batch);
                 let total_batches = f.n_batches(&cfg);
                 let ns = &mut f.nodes[node.0];
-                if *batch < ns.current_batch {
-                    return; // stale batch (§3.3.3)
-                }
                 ns.flush_to(*batch);
                 // Credit: "for each packet arrival from a node with higher
                 // ETX, the forwarder increments the counter" (§3.3.2).
-                if !is_src && !is_dst && *sender_rank > rank {
-                    ns.credit += f.plan.tx_credit[node.0];
+                if dst.is_none() && upstream {
+                    ns.credit += f.tx_credit[node.0];
                 }
-                if is_src {
-                    return; // the source only pumps; it stores nothing
-                }
-                Self::ensure_batch_state(&cfg, ns, is_dst, k_b);
+                Self::ensure_batch_state(&cfg, ns, dst.is_some(), k_b);
                 let (innovative, rank_after) = Self::absorb(ns, packet, ctx.rng());
-                if is_dst {
+                if let Some(di) = dst {
                     if innovative && rank_after == k_b {
                         // Full batch: ACK before decoding (§3.2.2).
                         if let BatchState::DstDecoder(d) = &ns.batch {
                             Self::verify_decoded(d, *flow, *batch, k_b);
                         }
-                        ns.pending_acks.push_back(*batch);
+                        ns.pending_acks.push_back((*batch, node));
                         ns.flush_to(*batch + 1);
-                        let p = &mut f.progress;
-                        p.decoded_batches += 1;
-                        p.delivered_packets += k_b;
-                        f.dst_completed = Some(*batch);
+                        let d = &mut f.dsts[di];
+                        d.decoded_batches += 1;
+                        d.delivered_packets += k_b;
+                        f.progress.decoded_batches += 1;
+                        f.progress.delivered_packets += k_b;
                         if *batch + 1 == total_batches {
-                            p.completed_at = Some(ctx.now());
+                            d.completed_at = Some(ctx.now());
+                            if f.dsts.iter().all(|d| d.completed_at.is_some()) {
+                                f.progress.completed_at = Some(ctx.now());
+                            }
                         }
                         ctx.mark_backlogged(node);
                     }
@@ -298,28 +302,38 @@ impl NodeAgent for MoreAgent {
                     ctx.mark_backlogged(node);
                 }
             }
-            MorePayload::Ack { flow, batch, .. } => {
-                let Some(fi) = self.flow_index(*flow) else {
-                    return;
-                };
-                let cfg = self.cfg;
-                let f = &mut self.flows[fi];
+            MorePayload::Ack { batch, origin, .. } => {
                 if f.halted {
                     return; // a withdrawn flow relays nothing
                 }
-                // Overhearers purge the acked batch (§3.3.4).
-                if f.rank_of[node.0].is_some() {
-                    f.nodes[node.0].flush_to(*batch + 1);
+                let addressed = frame.dst == Some(node);
+                // The source acts only on the reliably delivered copy.
+                if node == f.src && !addressed {
+                    return;
                 }
-                if frame.dst != Some(node) {
+                let Some(di) = f.dsts.iter().position(|d| d.node == *origin) else {
+                    return;
+                };
+                // Everyone in the flow who hears the ACK — overhearers and
+                // the relays it is addressed to — notes it, and purges the
+                // batches every destination has ACKed (§3.3.4).
+                if f.participates(node) {
+                    let heard = &mut f.dsts[di].acked[node.0];
+                    *heard = (*heard).max(*batch + 1);
+                    let purge_to = f.acked_by_all(node);
+                    f.nodes[node.0].flush_to(purge_to);
+                }
+                if !addressed {
                     return;
                 }
                 if node == f.src {
-                    // Source advances to the next batch (§3.2.2).
-                    if *batch >= f.src_batch {
-                        f.src_batch = *batch + 1;
+                    // Source advances to the earliest batch some
+                    // destination still needs (§3.2.2).
+                    let next = f.acked_by_all(node);
+                    if next > f.src_batch {
+                        f.src_batch = next;
                         f.encoder = None;
-                        f.progress.acked_batches = f.src_batch;
+                        f.progress.acked_batches = next;
                         if f.is_done(&cfg) {
                             f.progress.done = true;
                         } else {
@@ -328,7 +342,7 @@ impl NodeAgent for MoreAgent {
                     }
                 } else {
                     // Relay the ACK toward the source, prioritized.
-                    f.nodes[node.0].pending_acks.push_back(*batch);
+                    f.nodes[node.0].pending_acks.push_back((*batch, *origin));
                     ctx.mark_backlogged(node);
                 }
             }
@@ -347,9 +361,10 @@ impl NodeAgent for MoreAgent {
                 // Batch ACKs are delivered reliably: re-queue at the front
                 // and try again (§3.2.2 "reliably delivered using local
                 // retransmission at each hop").
-                if let Some((fi, batch)) = self.ack_outstanding[node.0].pop_front() {
-                    if !self.flows[fi].halted {
-                        self.flows[fi].nodes[node.0].pending_acks.push_front(batch);
+                if let Some((fi, batch, origin)) = self.ack_outstanding[node.0].pop_front() {
+                    let f = &mut self.flows[fi];
+                    if !f.halted {
+                        f.nodes[node.0].pending_acks.push_front((batch, origin));
                     }
                 }
                 ctx.mark_backlogged(node);
@@ -360,37 +375,29 @@ impl NodeAgent for MoreAgent {
     fn poll_tx(&mut self, node: NodeId, ctx: &mut Ctx<'_>) -> Option<OutFrame<MorePayload>> {
         // 1. Batch ACKs first: "ACKs are given priority over data packets
         //    at every node" (§3.1.3).
-        for fi in 0..self.flows.len() {
-            let f = &self.flows[fi];
-            let ns = &f.nodes[node.0];
-            if let Some(&batch) = ns.pending_acks.front() {
-                if node == f.src {
-                    // Shouldn't happen; drop defensively.
-                    self.flows[fi].nodes[node.0].pending_acks.pop_front();
-                    continue;
-                }
-                let Some(nh) = f.ack_next_hop[node.0] else {
-                    self.flows[fi].nodes[node.0].pending_acks.pop_front();
-                    continue;
-                };
-                let (id, origin) = (f.id, f.dst);
-                // Popped now (not on MAC ack): once handed to the MAC the
-                // frame's fate comes back via on_tx_done/on_queue_drop,
-                // both of which consult ack_outstanding.
-                self.flows[fi].nodes[node.0].pending_acks.pop_front();
-                self.ack_outstanding[node.0].push_back((fi, batch));
-                return Some(OutFrame {
-                    dst: Some(nh),
-                    bytes: ACK_BYTES,
-                    bitrate: None,
-                    flow: Some(id),
-                    payload: MorePayload::Ack {
-                        flow: id,
-                        batch,
-                        origin,
-                    },
-                });
-            }
+        for (fi, f) in self.flows.iter_mut().enumerate() {
+            // Popped now (not on MAC ack): once handed to the MAC the
+            // frame's fate comes back via on_tx_done/on_queue_drop, both
+            // of which consult ack_outstanding.
+            let Some((batch, origin)) = f.nodes[node.0].pending_acks.pop_front() else {
+                continue;
+            };
+            // Only the source has no next hop, and it queues no ACKs.
+            let Some(nh) = f.ack_next_hop[node.0] else {
+                continue;
+            };
+            self.ack_outstanding[node.0].push_back((fi, batch, origin));
+            return Some(OutFrame {
+                dst: Some(nh),
+                bytes: ACK_BYTES,
+                bitrate: None,
+                flow: Some(f.id),
+                payload: MorePayload::Ack {
+                    flow: f.id,
+                    batch,
+                    origin,
+                },
+            });
         }
 
         // 2. Data, round-robin across flows (§3.3.3).
@@ -406,10 +413,7 @@ impl NodeAgent for MoreAgent {
             if f.is_done(&cfg) {
                 continue;
             }
-            let Some(rank) = f.rank_of[node.0] else {
-                continue;
-            };
-            if node == f.src {
+            let (batch, k_b, packet) = if node == f.src {
                 let batch = f.src_batch;
                 let k_b = f.k_of(&cfg, batch);
                 let packet = if cfg.track_payloads {
@@ -425,40 +429,23 @@ impl NodeAgent for MoreAgent {
                     ctx.rng().fill(&mut buf[..]);
                     CodedPacket::from_flat(k_b, buf.freeze())
                 };
-                if f.dst_completed.is_some_and(|c| c >= batch) {
-                    f.progress.spurious_tx += 1;
+                (batch, k_b, packet)
+            } else {
+                // Forwarder: positive credit and something to say
+                // (§3.2.1). Destinations and nodes outside the forwarder
+                // lists never earn credit.
+                let batch = f.nodes[node.0].current_batch;
+                if f.nodes[node.0].credit <= 0.0 || batch >= f.n_batches(&cfg) {
+                    continue;
                 }
-                self.rr[node.0] = fi + 1;
-                return Some(OutFrame {
-                    dst: None,
-                    bytes: cfg.header_bytes + k_b + cfg.packet_bytes,
-                    bitrate: None,
-                    flow: Some(f.id),
-                    payload: MorePayload::Data {
-                        flow: f.id,
-                        batch,
-                        packet,
-                        sender_rank: rank,
-                    },
-                });
-            }
-            if node == f.dst {
-                continue;
-            }
-            // Forwarder: positive credit and something to say (§3.2.1).
-            let batch = f.nodes[node.0].current_batch;
-            if batch >= f.n_batches(&cfg) {
-                continue;
-            }
-            let k_b = f.k_of(&cfg, batch);
-            if f.nodes[node.0].credit <= 0.0 {
-                continue;
-            }
-            let Some(packet) = Self::emit_from(&mut f.nodes[node.0], k_b, ctx.rng()) else {
-                continue;
+                let k_b = f.k_of(&cfg, batch);
+                let Some(packet) = Self::emit_from(&mut f.nodes[node.0], k_b, ctx.rng()) else {
+                    continue;
+                };
+                f.nodes[node.0].credit -= 1.0;
+                (batch, k_b, packet)
             };
-            f.nodes[node.0].credit -= 1.0;
-            if f.dst_completed.is_some_and(|c| c >= batch) {
+            if f.dsts.iter().all(|d| d.decoded_batches > batch) {
                 f.progress.spurious_tx += 1;
             }
             self.rr[node.0] = fi + 1;
@@ -471,7 +458,6 @@ impl NodeAgent for MoreAgent {
                     flow: f.id,
                     batch,
                     packet,
-                    sender_rank: rank,
                 },
             });
         }
@@ -489,14 +475,19 @@ impl NodeAgent for MoreAgent {
             // A dropped batch ACK must not be lost: retract the
             // outstanding entry and put the batch back at the head of the
             // pending queue (§3.2.2 reliable delivery).
-            MorePayload::Ack { flow, batch, .. } => {
+            MorePayload::Ack {
+                flow,
+                batch,
+                origin,
+            } => {
                 if let Some(fi) = self.flow_index(flow) {
                     let out = &mut self.ack_outstanding[node.0];
-                    if let Some(pos) = out.iter().rposition(|&(i, b)| i == fi && b == batch) {
+                    if let Some(pos) = out.iter().rposition(|&e| e == (fi, batch, origin)) {
                         out.remove(pos);
                     }
-                    if !self.flows[fi].halted {
-                        self.flows[fi].nodes[node.0].pending_acks.push_front(batch);
+                    let f = &mut self.flows[fi];
+                    if !f.halted {
+                        f.nodes[node.0].pending_acks.push_front((batch, origin));
                         ctx.mark_backlogged(node);
                     }
                 }
@@ -536,13 +527,8 @@ impl mesh_sim::FlowAgent for MoreAgent {
     }
 
     fn add_flow(&mut self, desc: &mesh_sim::FlowDesc) -> usize {
-        assert_eq!(
-            desc.dsts.len(),
-            1,
-            "unicast MORE cannot accept a multicast arrival"
-        );
         let id = self.flows.iter().map(|f| f.id).max().unwrap_or(0) + 1;
-        MoreAgent::add_flow(self, id, desc.src, desc.dsts[0], desc.packets)
+        MoreAgent::add_flow(self, id, desc.src, &desc.dsts, desc.packets)
     }
 
     fn end_flow(&mut self, index: usize) {
@@ -560,12 +546,13 @@ mod test {
         topo: Topology,
         cfg: MoreConfig,
         src: usize,
-        dst: usize,
+        dsts: &[usize],
         packets: usize,
         seed: u64,
     ) -> (Simulator<MoreAgent>, usize) {
         let mut agent = MoreAgent::new(topo.clone(), cfg);
-        let fi = agent.add_flow(1, NodeId(src), NodeId(dst), packets);
+        let dsts: Vec<NodeId> = dsts.iter().map(|&d| NodeId(d)).collect();
+        let fi = agent.add_flow(1, NodeId(src), &dsts, packets);
         let mut sim = Simulator::new(topo, SimConfig::default(), agent, seed);
         sim.kick(NodeId(src));
         sim.run_until(600 * SEC, |a: &MoreAgent| a.all_done());
@@ -575,7 +562,7 @@ mod test {
     #[test]
     fn one_hop_transfer_completes() {
         let topo = generate::line(1, 0.8, 0.0, 20.0);
-        let (sim, fi) = run_flow(topo, MoreConfig::default(), 0, 1, 64, 1);
+        let (sim, fi) = run_flow(topo, MoreConfig::default(), 0, &[1], 64, 1);
         let p = sim.agent.progress(fi);
         assert!(p.done, "flow did not finish");
         assert_eq!(p.delivered_packets, 64);
@@ -585,7 +572,7 @@ mod test {
     #[test]
     fn relay_chain_transfer_completes() {
         let topo = generate::line(3, 0.7, 0.3, 25.0);
-        let (sim, fi) = run_flow(topo, MoreConfig::default(), 0, 3, 32, 2);
+        let (sim, fi) = run_flow(topo, MoreConfig::default(), 0, &[3], 32, 2);
         let p = sim.agent.progress(fi);
         assert!(p.done);
         assert_eq!(p.delivered_packets, 32);
@@ -602,7 +589,7 @@ mod test {
             track_payloads: true,
             ..MoreConfig::default()
         };
-        let (sim, fi) = run_flow(topo, cfg, 0, 2, 24, 3);
+        let (sim, fi) = run_flow(topo, cfg, 0, &[2], 24, 3);
         assert!(sim.agent.progress(fi).done);
         assert_eq!(sim.agent.progress(fi).delivered_packets, 24);
     }
@@ -614,7 +601,7 @@ mod test {
             k: 32,
             ..MoreConfig::default()
         };
-        let (sim, fi) = run_flow(topo, cfg, 0, 1, 40, 4); // 32 + 8
+        let (sim, fi) = run_flow(topo, cfg, 0, &[1], 40, 4); // 32 + 8
         let p = sim.agent.progress(fi);
         assert!(p.done);
         assert_eq!(p.delivered_packets, 40);
@@ -624,10 +611,15 @@ mod test {
     #[test]
     fn testbed_transfer_and_stopping_rule() {
         let topo = generate::testbed(1);
-        let (mut sim, fi) = run_flow(topo, MoreConfig::default(), 0, 19, 64, 5);
+        let (mut sim, fi) = run_flow(topo, MoreConfig::default(), 0, &[19], 64, 5);
         let p = *sim.agent.progress(fi);
         assert!(p.done, "testbed flow stuck");
         assert_eq!(p.delivered_packets, 64);
+        // Unicast is the one-destination case of the same flow state.
+        let dsts = &sim.agent.flows()[fi].dsts;
+        assert_eq!(dsts.len(), 1);
+        assert_eq!(dsts[0].delivered_packets, 64);
+        assert_eq!(dsts[0].completed_at, p.completed_at);
         // Stopping rule: after completion, (almost) no more data frames.
         let tx_before = sim.stats.total_tx();
         let t = sim.now();
@@ -642,7 +634,7 @@ mod test {
     #[test]
     fn spurious_transmissions_are_bounded() {
         let topo = generate::testbed(2);
-        let (sim, fi) = run_flow(topo, MoreConfig::default(), 3, 16, 96, 6);
+        let (sim, fi) = run_flow(topo, MoreConfig::default(), 3, &[16], 96, 6);
         let p = sim.agent.progress(fi);
         assert!(p.done);
         // A few spurious sends happen between batch completion and the ACK
@@ -659,8 +651,8 @@ mod test {
     fn multiflow_roundrobin_completes_both() {
         let topo = generate::testbed(3);
         let mut agent = MoreAgent::new(topo.clone(), MoreConfig::default());
-        let f1 = agent.add_flow(1, NodeId(0), NodeId(19), 32);
-        let f2 = agent.add_flow(2, NodeId(5), NodeId(12), 32);
+        let f1 = agent.add_flow(1, NodeId(0), &[NodeId(19)], 32);
+        let f2 = agent.add_flow(2, NodeId(5), &[NodeId(12)], 32);
         let mut sim = Simulator::new(topo, SimConfig::default(), agent, 7);
         sim.kick(NodeId(0));
         sim.kick(NodeId(5));
@@ -676,14 +668,111 @@ mod test {
         let topo = generate::testbed(4);
         let agent = {
             let mut a = MoreAgent::new(topo.clone(), MoreConfig::default());
-            a.add_flow(1, NodeId(0), NodeId(19), 32);
+            a.add_flow(1, NodeId(0), &[NodeId(19)], 32);
             a
         };
-        let f = &agent.flows()[0];
+        let plan = &agent.flows()[0].dsts[0].plan;
         assert!(
-            f.plan.forwarders().len() <= 10,
+            plan.forwarders().len() <= 10,
             "forwarder cap exceeded: {}",
-            f.plan.forwarders().len()
+            plan.forwarders().len()
         );
+    }
+
+    #[test]
+    fn two_destinations_both_complete() {
+        let topo = generate::testbed(1);
+        let (sim, fi) = run_flow(topo, MoreConfig::default(), 0, &[19, 12], 64, 2);
+        let p = sim.agent.progress(fi);
+        assert!(p.done, "2-dst multicast stuck");
+        assert_eq!(p.delivered_packets, 2 * 64);
+        let dsts = &sim.agent.flows()[fi].dsts;
+        assert!(dsts.iter().all(|d| d.delivered_packets == 64));
+        let last = dsts
+            .iter()
+            .map(|d| d.completed_at.expect("completed"))
+            .max();
+        assert_eq!(p.completed_at, last);
+    }
+
+    #[test]
+    fn three_destinations_share_transmissions() {
+        // Multicast should cost fewer transmissions than three unicasts.
+        let topo = generate::testbed(1);
+        let cfg = MoreConfig::default();
+        let (mc_sim, fi) = run_flow(topo.clone(), cfg, 0, &[19, 12, 7], 64, 3);
+        assert!(mc_sim.agent.progress(fi).done);
+        let mc_tx = mc_sim.stats.total_tx();
+        let mut uni_tx = 0;
+        for (i, d) in [19, 12, 7].into_iter().enumerate() {
+            let (sim, fi) = run_flow(topo.clone(), cfg, 0, &[d], 64, 4 + i as u64);
+            assert!(sim.agent.progress(fi).done);
+            uni_tx += sim.stats.total_tx();
+        }
+        assert!(
+            (mc_tx as f64) < 0.9 * uni_tx as f64,
+            "multicast {mc_tx} tx should beat 3 unicasts {uni_tx} tx"
+        );
+    }
+
+    #[test]
+    fn three_destination_payloads_decode_correctly() {
+        // Every destination runs its batches through verify_decoded.
+        let cfg = MoreConfig {
+            k: 8,
+            packet_bytes: 256,
+            track_payloads: true,
+            ..MoreConfig::default()
+        };
+        let (sim, fi) = run_flow(generate::testbed(1), cfg, 0, &[19, 12, 7], 24, 3);
+        assert!(sim.agent.progress(fi).done);
+        assert_eq!(sim.agent.progress(fi).delivered_packets, 3 * 24);
+    }
+
+    #[test]
+    fn eotx_metric_orders_every_destinations_forwarders() {
+        let topo = generate::testbed(1);
+        let plans = |metric| {
+            let cfg = MoreConfig {
+                metric,
+                ..MoreConfig::default()
+            };
+            let mut agent = MoreAgent::new(topo.clone(), cfg);
+            agent.add_flow(1, NodeId(0), &[NodeId(19), NodeId(12), NodeId(7)], 32);
+            let orders = agent.flows()[0].dsts.iter().map(|d| d.plan.order.clone());
+            orders.collect::<Vec<_>>()
+        };
+        let eotx = plans(ForwarderMetric::Eotx);
+        for (order, dst) in eotx.iter().zip([19, 12, 7]) {
+            let table = mesh_metrics::EotxTable::compute(&topo, NodeId(dst));
+            let plan_cfg = MoreConfig::default().plan;
+            let (src, dst_node) = (NodeId(0), NodeId(dst));
+            let want = ForwarderPlan::compute(&topo, src, dst_node, table.distances(), &plan_cfg);
+            assert_eq!(*order, want.order, "destination {dst}");
+        }
+        assert_ne!(eotx, plans(ForwarderMetric::Etx), "the metric is ignored");
+    }
+
+    #[test]
+    fn multicast_and_unicast_from_one_source_interleave() {
+        let topo = generate::testbed(1);
+        let mut agent = MoreAgent::new(topo.clone(), MoreConfig::default());
+        let mc = agent.add_flow(1, NodeId(0), &[NodeId(5), NodeId(9)], 256);
+        let uni = agent.add_flow(2, NodeId(0), &[NodeId(19)], 256);
+        let mut sim = Simulator::new(topo, SimConfig::default(), agent, 8);
+        sim.kick(NodeId(0));
+        sim.run_until(600 * SEC, |a: &MoreAgent| a.progress(mc).done);
+        assert!(sim.agent.progress(mc).done, "multicast flow stuck");
+        assert!(
+            sim.agent.progress(uni).delivered_packets > 0,
+            "the source served the multicast flow alone until it finished"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "needs a destination")]
+    fn empty_destination_list_rejected() {
+        let mut agent = MoreAgent::new(generate::testbed(1), MoreConfig::default());
+        agent.add_flow(1, NodeId(0), &[], 32);
     }
 }

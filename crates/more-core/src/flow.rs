@@ -10,20 +10,21 @@ use std::collections::VecDeque;
 /// Flow identifier (the header's flow id).
 pub type FlowId = u32;
 
-/// What a harness reads to measure a flow.
+/// What a harness reads to measure a flow. Counts are summed over the
+/// flow's destinations; [`MoreFlow::dsts`] has the per-destination detail.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FlowProgress {
-    /// Native packets delivered (decoded) at the destination.
+    /// Native packets delivered (decoded) at the destinations.
     pub delivered_packets: usize,
-    /// Batches fully decoded at the destination.
+    /// Batches fully decoded at the destinations.
     pub decoded_batches: u32,
-    /// Batches whose ACK reached the source.
+    /// Batches whose ACK reached the source from every destination.
     pub acked_batches: u32,
-    /// Simulated time when the last packet was decoded.
+    /// Simulated time when the last destination decoded the last packet.
     pub completed_at: Option<Time>,
-    /// The source has received the final batch ACK.
+    /// The source has received the final batch ACK of every destination.
     pub done: bool,
-    /// Data transmissions made for batches the destination had already
+    /// Data transmissions made for batches every destination had already
     /// fully received (the Fig 4-7 "spurious transmissions").
     pub spurious_tx: u64,
 }
@@ -69,9 +70,10 @@ pub struct NodeFlowState {
     pub credit: f64,
     /// Coding state for `current_batch`.
     pub batch: BatchState,
-    /// Batch ACKs queued for forwarding toward the source (ACKs are
-    /// "given priority over data packets at every node", §3.1.3).
-    pub pending_acks: VecDeque<u32>,
+    /// Batch ACKs queued for forwarding toward the source, as `(batch,
+    /// originating destination)` (ACKs are "given priority over data
+    /// packets at every node", §3.1.3).
+    pub pending_acks: VecDeque<(u32, NodeId)>,
 }
 
 impl NodeFlowState {
@@ -100,31 +102,58 @@ impl Default for NodeFlowState {
     }
 }
 
-/// A unicast `src → dst` file transfer.
+/// One destination of a flow: the forwarder plan toward it, and what it
+/// has decoded and ACKed.
+#[derive(Debug)]
+pub struct Destination {
+    pub node: NodeId,
+    /// Forwarder plan (Algorithm 1 + pruning) toward this destination.
+    pub plan: ForwarderPlan,
+    /// `rank_of[node]` — position in the plan's ascending-metric order
+    /// (0 = this destination), `None` for non-participants.
+    pub rank_of: Vec<Option<u32>>,
+    /// `acked[node]` — the ACK frontier as `node` has heard it: this
+    /// destination ACKed every batch below it. The source advances on
+    /// `acked[src]`, everyone else purges on theirs (§3.3.4).
+    pub acked: Vec<u32>,
+    /// Batches fully decoded here.
+    pub decoded_batches: u32,
+    /// Native packets delivered (decoded) here.
+    pub delivered_packets: usize,
+    /// Simulated time when the last packet was decoded here.
+    pub completed_at: Option<Time>,
+}
+
+impl Destination {
+    /// `node`'s position in this destination's forwarder order.
+    pub fn rank(&self, node: NodeId) -> Option<u32> {
+        self.rank_of.get(node.0).copied().flatten()
+    }
+}
+
+/// A `src → {dst, …}` file transfer; unicast is the one-destination case.
 #[derive(Debug)]
 pub struct MoreFlow {
     pub id: FlowId,
     pub src: NodeId,
-    pub dst: NodeId,
+    /// The destinations, in the order given to `add_flow`.
+    pub dsts: Vec<Destination>,
     /// Total native packets in the file.
     pub total_packets: usize,
-    /// Forwarder plan (Algorithm 1 + pruning) under the ETX metric.
-    pub plan: ForwarderPlan,
-    /// `rank_of[node]` — position in the ascending-metric order (0 = dst),
-    /// `None` for non-participants.
-    pub rank_of: Vec<Option<u32>>,
+    /// `tx_credit[node]` — the largest of the per-destination TX credits:
+    /// one coded broadcast serves every downstream destination at once.
+    pub tx_credit: Vec<f64>,
     /// Next hop toward the source for batch ACKs (ETX shortest path).
     pub ack_next_hop: Vec<Option<NodeId>>,
     /// Per-node protocol state.
     pub nodes: Vec<NodeFlowState>,
-    /// The batch the source currently pumps.
+    /// The batch the source currently pumps: the earliest one some
+    /// destination has not ACKed.
     pub src_batch: u32,
     /// Source-side encoder for the current batch (payload-tracking runs).
     pub encoder: Option<rlnc::SourceEncoder>,
     /// Measurements.
     pub progress: FlowProgress,
-    /// Batch the destination has fully received (for spurious-tx stats).
-    pub dst_completed: Option<u32>,
     /// The flow was withdrawn mid-run by the workload (dynamic traffic
     /// departure): sources and forwarders go silent, and the flow counts
     /// as resolved for the stop condition.
@@ -148,10 +177,29 @@ impl MoreFlow {
         }
     }
 
-    /// True once every batch has been ACKed to the source (or the flow
-    /// was withdrawn by a dynamic workload).
+    /// True once every batch has been ACKed to the source by every
+    /// destination (or the flow was withdrawn by a dynamic workload).
     pub fn is_done(&self, cfg: &MoreConfig) -> bool {
         self.halted || self.src_batch >= self.n_batches(cfg)
+    }
+
+    /// Is `node` in some destination's forwarder list (source and
+    /// destinations included)?
+    pub fn participates(&self, node: NodeId) -> bool {
+        self.dsts.iter().any(|d| d.rank(node).is_some())
+    }
+
+    /// Is `from` farther than `node` from some destination both serve?
+    pub fn from_upstream(&self, node: NodeId, from: NodeId) -> bool {
+        self.dsts.iter().any(
+            |d| matches!((d.rank(node), d.rank(from)), (Some(mine), Some(theirs)) if theirs > mine),
+        )
+    }
+
+    /// The earliest batch `node` has not heard every destination ACK.
+    pub fn acked_by_all(&self, node: NodeId) -> u32 {
+        let heard = self.dsts.iter().filter_map(|d| d.acked.get(node.0));
+        heard.min().copied().unwrap_or(0)
     }
 }
 

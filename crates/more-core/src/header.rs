@@ -36,10 +36,6 @@ pub enum MorePayload {
         /// receiver of a broadcast is O(1). The payload region is empty
         /// when payload tracking is off.
         packet: CodedPacket,
-        /// Position of the sender in the flow's forwarder order (smaller =
-        /// closer to the destination); receivers use it to decide whether
-        /// the packet came "from upstream" for crediting.
-        sender_rank: u32,
     },
     /// A batch ACK travelling back to the source. `origin` is the
     /// destination that generated it (multicast flows have several).

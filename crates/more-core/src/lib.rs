@@ -16,14 +16,28 @@
 //!   by incremental Gaussian elimination, and pushes native packets up;
 //! * **batch ACKs** travel back to the source as prioritized, reliably
 //!   retransmitted unicasts along the ETX shortest path; every node that
-//!   overhears one purges the batch (§3.3.4).
+//!   hears one purges the batch (§3.3.4).
+//!
+//! **Multicast** is the same protocol with more destinations, which is
+//! the point of trading ExOR's structured scheduler for random coding
+//! (§1): a coded packet is useful to every destination at once. A flow
+//! holds one [`Destination`] per receiver, each with its own forwarder
+//! plan and ACK frontier. A node's TX credit is the largest of its
+//! per-destination credits, a packet counts as "from upstream" if its
+//! sender is farther from some destination both serve, and the source
+//! pumps the earliest batch some destination has not ACKed. There is one
+//! purge rule: a participant that hears a batch ACK — overheard or
+//! addressed to it for relaying — notes it against the destination it
+//! came from and drops every batch all destinations have ACKed. With one
+//! destination that is the paper's unicast protocol exactly.
 //!
 //! The forwarder set, transmission counts `z_i`, TX credits, and the 10 %
 //! pruning rule come from [`mesh_metrics::ForwarderPlan`] — exactly the
 //! Algorithm 1 pipeline of §3.2.1.
 //!
 //! Because MORE never touches the MAC, the same agent works unmodified for
-//! one flow or many ([`MoreAgent::add_flow`]), at any bit-rate, with
+//! one flow or many, unicast and multicast mixed
+//! ([`MoreAgent::add_flow`]), at any bit-rate, with
 //! spatial reuse falling out of the 802.11 model rather than protocol
 //! machinery — the property the paper trades ExOR's structure for.
 
@@ -32,12 +46,10 @@
 pub mod agent;
 pub mod flow;
 pub mod header;
-pub mod multicast;
 
 pub use agent::MoreAgent;
-pub use flow::{FlowId, FlowProgress};
+pub use flow::{Destination, FlowId, FlowProgress, MoreFlow};
 pub use header::MorePayload;
-pub use multicast::{MulticastMoreAgent, MulticastProgress};
 
 use mesh_metrics::PlanConfig;
 

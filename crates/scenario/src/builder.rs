@@ -15,6 +15,7 @@
 
 use crate::exec;
 use crate::manifest::{cell_key, Manifest};
+use crate::protocols::reject_multicast;
 use crate::record::{time_to_s, FlowRecord, RunRecord};
 use crate::registry::{BuildError, ProtocolRegistry};
 use crate::sink::{Collect, RunSink};
@@ -974,6 +975,9 @@ impl ScenarioBuilder {
             // meshes — must surface as grid errors, not ETX/EOTX panics
             // inside the factory.
             validate_endpoints(routing_topo, &windows)?;
+            if !factory.supports_multicast() {
+                reject_multicast(proto_name, windows.iter().map(|w| &w.spec))?;
+            }
             // Flows arriving at t = 0 are installed at construction — the
             // legacy path, byte-identical for static workloads; the rest
             // are injected mid-run through the agent's lifecycle hooks.
@@ -1014,13 +1018,14 @@ impl ScenarioBuilder {
     }
 }
 
-/// Rejects flows no protocol can route: endpoints outside the topology,
-/// self-flows, and (src, dst) pairs with no `p > 0` path in the routing
-/// topology. ETX/EOTX table and forwarder-plan extraction assume a
-/// finite-cost path; without this check a degenerate single-node mesh,
-/// a partitioned city layout, or a probe window that lost the last link
-/// to a destination panics deep inside a worker thread instead of
-/// surfacing a [`BuildError`] from the grid.
+/// Rejects flows no protocol can route: empty or repeating destination
+/// lists, endpoints outside the topology, self-flows, and (src, dst)
+/// pairs with no `p > 0` path in the routing topology. ETX/EOTX table
+/// and forwarder-plan extraction assume a finite-cost path; without this
+/// check a degenerate single-node mesh, a partitioned city layout, or a
+/// probe window that lost the last link to a destination panics deep
+/// inside a worker thread instead of surfacing a [`BuildError`] from the
+/// grid.
 fn validate_endpoints(topo: &Topology, windows: &[FlowWindow]) -> Result<(), BuildError> {
     let n = topo.n();
     // One BFS per distinct source, shared across its flows.
@@ -1033,10 +1038,22 @@ fn validate_endpoints(topo: &Topology, windows: &[FlowWindow]) -> Result<(), Bui
                 f.src, topo.name
             )));
         }
+        if f.dsts.is_empty() {
+            return Err(BuildError::Unsupported(format!(
+                "flow from {} has no destination",
+                f.src
+            )));
+        }
         let hops = reach
             .entry(f.src.0)
             .or_insert_with(|| topo.hops_from(f.src));
-        for &d in &f.dsts {
+        for (i, &d) in f.dsts.iter().enumerate() {
+            if f.dsts[..i].contains(&d) {
+                return Err(BuildError::Unsupported(format!(
+                    "flow {} -> {:?} lists destination {d} twice",
+                    f.src, f.dsts
+                )));
+            }
             if d.0 >= n {
                 return Err(BuildError::Unsupported(format!(
                     "flow destination {d} is outside topology {} ({n} nodes)",
@@ -1622,6 +1639,35 @@ mod test {
             BuildError::Unsupported(msg) => assert!(msg.contains("no nodes"), "{msg}"),
             other => panic!("expected Unsupported, got {other:?}"),
         }
+    }
+
+    fn multicast_error(dsts: Vec<NodeId>) -> String {
+        let err = Scenario::named("bad-dsts")
+            .testbed(1)
+            .traffic(TrafficSpec::Multicast {
+                src: NodeId(0),
+                dsts,
+            })
+            .protocol("MORE")
+            .packets(4)
+            .try_run()
+            .expect_err("a degenerate destination list must be rejected");
+        match err {
+            BuildError::Unsupported(msg) => msg,
+            other => panic!("expected Unsupported, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn empty_destination_list_is_a_build_error_not_a_panic() {
+        let msg = multicast_error(Vec::new());
+        assert!(msg.contains("no destination"), "{msg}");
+    }
+
+    #[test]
+    fn duplicate_destination_is_a_build_error_not_a_stall() {
+        let msg = multicast_error(vec![NodeId(5), NodeId(5)]);
+        assert!(msg.contains("twice"), "{msg}");
     }
 
     #[test]

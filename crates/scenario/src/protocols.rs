@@ -8,10 +8,10 @@ use crate::spec::{ExpConfig, FlowSpec};
 use baselines::{ExorAgent, ExorConfig, SrcrAgent, SrcrConfig};
 use mesh_sim::{Erased, ErasedFlowAgent};
 use mesh_topology::Topology;
-use more_core::{MoreAgent, MoreConfig, MulticastMoreAgent};
+use more_core::{MoreAgent, MoreConfig};
 
-/// MORE (and, transparently, MORE multicast when a flow has several
-/// destinations — coded broadcast is destination-count agnostic).
+/// MORE, unicast and multicast alike — coded broadcast is
+/// destination-count agnostic.
 #[must_use]
 pub struct MoreFactory {
     /// Base protocol config; `k` is overridden by [`ExpConfig::k`] at
@@ -55,19 +55,28 @@ impl ProtocolFactory for MoreFactory {
             k: cfg.k,
             ..self.cfg
         };
-        if flows.iter().any(FlowSpec::is_multicast) {
-            let mut agent = MulticastMoreAgent::new(topo.clone(), mcfg);
-            for (i, f) in flows.iter().enumerate() {
-                agent.add_flow(i as u32 + 1, f.src, f.dsts.clone(), f.packets);
-            }
-            Ok(Box::new(Erased(agent)))
-        } else {
-            let mut agent = MoreAgent::new(topo.clone(), mcfg);
-            for (i, f) in flows.iter().enumerate() {
-                agent.add_flow(i as u32 + 1, f.src, f.dst(), f.packets);
-            }
-            Ok(Box::new(Erased(agent)))
+        let mut agent = MoreAgent::new(topo.clone(), mcfg);
+        for (i, f) in flows.iter().enumerate() {
+            agent.add_flow(i as u32 + 1, f.src, &f.dsts, f.packets);
         }
+        Ok(Box::new(Erased(agent)))
+    }
+}
+
+/// The refusal of a strictly unicast protocol, if `flows` holds a
+/// multicast flow.
+pub(crate) fn reject_multicast<'a>(
+    protocol: &str,
+    mut flows: impl Iterator<Item = &'a FlowSpec>,
+) -> Result<(), BuildError> {
+    match flows.find(|f| f.is_multicast()) {
+        Some(mc) => Err(BuildError::Unsupported(format!(
+            "{protocol} is strictly unicast; flow {} -> {:?} has {} destinations",
+            mc.src,
+            mc.dsts,
+            mc.dsts.len()
+        ))),
+        None => Ok(()),
     }
 }
 
@@ -103,20 +112,17 @@ impl ProtocolFactory for ExorFactory {
         &self.name
     }
 
+    fn supports_multicast(&self) -> bool {
+        false
+    }
+
     fn build(
         &self,
         topo: &Topology,
         flows: &[FlowSpec],
         cfg: &ExpConfig,
     ) -> Result<Box<dyn ErasedFlowAgent>, BuildError> {
-        if let Some(mc) = flows.iter().find(|f| f.is_multicast()) {
-            return Err(BuildError::Unsupported(format!(
-                "ExOR's scheduler is strictly unicast; flow {} -> {:?} has {} destinations",
-                mc.src,
-                mc.dsts,
-                mc.dsts.len()
-            )));
-        }
+        reject_multicast(&self.name, flows.iter())?;
         let ecfg = ExorConfig {
             k: cfg.k,
             ..self.cfg
@@ -172,20 +178,17 @@ impl ProtocolFactory for SrcrFactory {
         &self.name
     }
 
+    fn supports_multicast(&self) -> bool {
+        false
+    }
+
     fn build(
         &self,
         topo: &Topology,
         flows: &[FlowSpec],
         cfg: &ExpConfig,
     ) -> Result<Box<dyn ErasedFlowAgent>, BuildError> {
-        if let Some(mc) = flows.iter().find(|f| f.is_multicast()) {
-            return Err(BuildError::Unsupported(format!(
-                "Srcr routes along a single best path; flow {} -> {:?} has {} destinations",
-                mc.src,
-                mc.dsts,
-                mc.dsts.len()
-            )));
-        }
+        reject_multicast(&self.name, flows.iter())?;
         let mut agent = SrcrAgent::new(topo.clone(), self.cfg, cfg.bitrate);
         for (i, f) in flows.iter().enumerate() {
             agent.add_flow(i as u32 + 1, f.src, f.dst(), f.packets);
@@ -200,13 +203,16 @@ mod test {
     use mesh_topology::{generate, NodeId};
 
     #[test]
-    fn multicast_routes_to_the_multicast_agent_for_more_only() {
+    fn a_mixed_flow_set_builds_on_more_only() {
         let topo = generate::testbed(1);
-        let flows = vec![FlowSpec {
-            src: NodeId(0),
-            dsts: vec![NodeId(5), NodeId(9)],
-            packets: 32,
-        }];
+        let flows = vec![
+            FlowSpec::unicast(NodeId(0), NodeId(19), 32),
+            FlowSpec {
+                src: NodeId(0),
+                dsts: vec![NodeId(5), NodeId(9)],
+                packets: 32,
+            },
+        ];
         let cfg = ExpConfig::default();
         assert!(MoreFactory::default().build(&topo, &flows, &cfg).is_ok());
         assert!(matches!(

@@ -62,6 +62,14 @@ pub trait ProtocolFactory: Send + Sync {
     /// Registry key and display name ("MORE", "Srcr-autorate", …).
     fn name(&self) -> &str;
 
+    /// Can the protocol carry a flow with several destinations? The
+    /// engine asks before building, for every flow of the schedule — the
+    /// ones arriving mid-run never pass through [`Self::build`] — and
+    /// turns a `false` into [`BuildError::Unsupported`].
+    fn supports_multicast(&self) -> bool {
+        true
+    }
+
     /// Constructs the agent with all flows installed.
     fn build(
         &self,

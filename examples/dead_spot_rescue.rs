@@ -32,8 +32,8 @@ fn srcr_throughput(topo: &more_repro::topology::Topology, s: NodeId, d: NodeId) 
 
 fn more_throughput(topo: &more_repro::topology::Topology, s: NodeId, d: NodeId) -> (f64, usize) {
     let mut agent = MoreAgent::new(topo.clone(), MoreConfig::default());
-    let flow = agent.add_flow(1, s, d, PACKETS);
-    let n_forwarders = agent.flows()[flow].plan.forwarders().len();
+    let flow = agent.add_flow(1, s, &[d], PACKETS);
+    let n_forwarders = agent.flows()[flow].dsts[0].plan.forwarders().len();
     let mut sim = Simulator::new(topo.clone(), SimConfig::default(), agent, 9);
     sim.kick(s);
     let deadline = 240 * SEC;

@@ -10,7 +10,7 @@
 //! cargo run --release --example multicast_distribution
 //! ```
 
-use more_repro::more::{MoreAgent, MoreConfig, MulticastMoreAgent};
+use more_repro::more::{MoreAgent, MoreConfig};
 use more_repro::sim::{SimConfig, Simulator, SEC};
 use more_repro::topology::{generate, NodeId};
 
@@ -22,19 +22,20 @@ fn main() {
     let dsts = vec![NodeId(19), NodeId(12), NodeId(7)];
 
     // Multicast: one flow, three destinations.
-    let mut agent = MulticastMoreAgent::new(topo.clone(), MoreConfig::default());
-    let fi = agent.add_flow(1, src, dsts.clone(), PACKETS);
+    let mut agent = MoreAgent::new(topo.clone(), MoreConfig::default());
+    let fi = agent.add_flow(1, src, &dsts, PACKETS);
     let mut sim = Simulator::new(topo.clone(), SimConfig::default(), agent, 5);
     sim.kick(src);
-    sim.run_until(900 * SEC, |a: &MulticastMoreAgent| a.all_done());
-    let p = sim.agent.progress(fi);
-    assert!(p.done);
+    sim.run_until(900 * SEC, |a: &MoreAgent| a.all_done());
+    assert!(sim.agent.progress(fi).done);
     let mc_tx = sim.stats.total_tx();
     println!("multicast {src} -> {dsts:?}: {PACKETS} packets each");
-    for (d, (got, at)) in dsts.iter().zip(p.delivered.iter().zip(&p.completed_at)) {
+    for d in &sim.agent.flows()[fi].dsts {
         println!(
-            "  {d}: {got} packets in {:.2} s",
-            at.expect("completed") as f64 / SEC as f64
+            "  {}: {} packets in {:.2} s",
+            d.node,
+            d.delivered_packets,
+            d.completed_at.expect("completed") as f64 / SEC as f64
         );
     }
     println!("  total network transmissions: {mc_tx}\n");
@@ -43,7 +44,7 @@ fn main() {
     let mut uni_tx = 0;
     for (i, &d) in dsts.iter().enumerate() {
         let mut agent = MoreAgent::new(topo.clone(), MoreConfig::default());
-        let fi = agent.add_flow(1, src, d, PACKETS);
+        let fi = agent.add_flow(1, src, &[d], PACKETS);
         let mut sim = Simulator::new(topo.clone(), SimConfig::default(), agent, 6 + i as u64);
         sim.kick(src);
         sim.run_until(900 * SEC, |a: &MoreAgent| a.all_done());

@@ -8,7 +8,7 @@ use more_repro::topology::{generate, NodeId, Topology};
 
 fn more_run(topo: &Topology, s: usize, d: usize, packets: usize, seed: u64) -> (bool, usize, u64) {
     let mut agent = MoreAgent::new(topo.clone(), MoreConfig::default());
-    let fi = agent.add_flow(1, NodeId(s), NodeId(d), packets);
+    let fi = agent.add_flow(1, NodeId(s), &[NodeId(d)], packets);
     let mut sim = Simulator::new(topo.clone(), SimConfig::default(), agent, seed);
     sim.kick(NodeId(s));
     sim.run_until(600 * SEC, |a: &MoreAgent| a.all_done());
@@ -43,7 +43,7 @@ fn more_payload_integrity_over_lossy_multihop() {
         ..MoreConfig::default()
     };
     let mut agent = MoreAgent::new(topo.clone(), cfg);
-    let fi = agent.add_flow(1, NodeId(0), NodeId(19), 48);
+    let fi = agent.add_flow(1, NodeId(0), &[NodeId(19)], 48);
     let mut sim = Simulator::new(topo, SimConfig::default(), agent, 11);
     sim.kick(NodeId(0));
     sim.run_until(600 * SEC, |a: &MoreAgent| a.all_done());
@@ -88,7 +88,7 @@ fn identical_seeds_give_identical_runs() {
 fn stopping_rule_silences_the_network() {
     let topo = generate::testbed(1);
     let mut agent = MoreAgent::new(topo.clone(), MoreConfig::default());
-    let fi = agent.add_flow(1, NodeId(2), NodeId(17), 64);
+    let fi = agent.add_flow(1, NodeId(2), &[NodeId(17)], 64);
     let mut sim = Simulator::new(topo, SimConfig::default(), agent, 5);
     sim.kick(NodeId(2));
     sim.run_until(600 * SEC, |a: &MoreAgent| a.all_done());
@@ -109,7 +109,7 @@ fn concurrent_flows_all_protocols() {
 
     let mut ma = MoreAgent::new(topo.clone(), MoreConfig::default());
     for (i, &(s, d)) in flows.iter().enumerate() {
-        ma.add_flow(i as u32 + 1, s, d, 32);
+        ma.add_flow(i as u32 + 1, s, &[d], 32);
     }
     let mut msim = Simulator::new(topo.clone(), SimConfig::default(), ma, 3);
     for &(s, _) in &flows {
@@ -144,7 +144,7 @@ fn batch_sizes_all_work() {
             ..MoreConfig::default()
         };
         let mut agent = MoreAgent::new(topo.clone(), cfg);
-        let fi = agent.add_flow(1, NodeId(0), NodeId(2), 2 * k + k / 2 + 1);
+        let fi = agent.add_flow(1, NodeId(0), &[NodeId(2)], 2 * k + k / 2 + 1);
         let mut sim = Simulator::new(topo.clone(), SimConfig::default(), agent, 4);
         sim.kick(NodeId(0));
         sim.run_until(600 * SEC, |a: &MoreAgent| a.all_done());

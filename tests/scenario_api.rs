@@ -3,11 +3,11 @@
 //! crates, exactly as a downstream user would.
 
 use more_repro::scenario::{
-    record, BuildError, ExpConfig, FlowSpec, ProtocolFactory, Scenario, Sweep, TopologySpec,
-    TrafficSpec,
+    record, BuildError, ExpConfig, FlowEvent, FlowSpec, ProtocolFactory, Scenario, ScenarioBuilder,
+    Sweep, TopologySpec, TrafficModel, TrafficModelSpec, TrafficSpec,
 };
 use more_repro::sim::{Ctx, Erased, ErasedFlowAgent, Frame, NodeAgent, OutFrame, TxOutcome};
-use more_repro::sim::{FlowAgent, FlowProgressView, Time};
+use more_repro::sim::{FlowAgent, FlowProgressView, Time, SEC};
 use more_repro::topology::{generate, NodeId, Topology};
 use std::sync::Arc;
 
@@ -262,6 +262,64 @@ fn unsupported_traffic_surfaces_as_an_error() {
         .try_run()
         .expect_err("Srcr cannot multicast");
     assert!(matches!(err, BuildError::Unsupported(_)));
+}
+
+/// A unicast flow from t = 0, then a multicast flow from the same source
+/// arriving two seconds into the run.
+struct LateMulticast;
+
+impl TrafficModel for LateMulticast {
+    fn schedules(&self, _: &Topology, _: u64, packets: usize, _: Time) -> Vec<Vec<FlowEvent>> {
+        vec![vec![
+            FlowEvent::Start {
+                flow: FlowSpec::unicast(NodeId(0), NodeId(19), packets),
+                at: 0,
+            },
+            FlowEvent::Start {
+                flow: FlowSpec {
+                    src: NodeId(0),
+                    dsts: vec![NodeId(5), NodeId(9)],
+                    packets,
+                },
+                at: 2 * SEC,
+            },
+        ]]
+    }
+}
+
+fn late_multicast(protocol: &str) -> ScenarioBuilder {
+    Scenario::named("late_multicast")
+        .testbed(1)
+        .traffic_model(TrafficModelSpec::Custom(Arc::new(LateMulticast)))
+        .protocol(protocol)
+        .packets(64)
+        .deadline(120)
+}
+
+/// The multicast check covers flows that arrive mid-run, which never
+/// pass through `ProtocolFactory::build`.
+#[test]
+fn late_multicast_arrival_is_an_error_on_unicast_protocols() {
+    for protocol in ["Srcr", "ExOR"] {
+        let err = late_multicast(protocol)
+            .try_run()
+            .expect_err("a unicast protocol cannot take a multicast arrival");
+        assert!(
+            matches!(err, BuildError::Unsupported(_)),
+            "{protocol}: {err}"
+        );
+    }
+}
+
+/// MORE takes the same schedule: unicast and multicast flows share one
+/// agent whenever they arrive.
+#[test]
+fn late_multicast_arrival_completes_on_more() {
+    let records = late_multicast("MORE").run();
+    let r = &records[0];
+    assert!(r.all_completed(), "mixed dynamic flows incomplete: {r:?}");
+    assert_eq!(r.flows[0].delivered, 64);
+    assert_eq!(r.flows[1].delivered, 2 * 64);
 }
 
 /// Multicast through the same builder works for MORE (coded broadcast is
