@@ -332,64 +332,6 @@ impl ExorAgent {
         self.flows.iter().all(|f| f.progress.done || f.halted)
     }
 
-    /// Debug: for every packet the destination misses, who holds it and
-    /// what the maps say: (seq, [(rank, holds, map, direct_sent)]).
-    #[allow(clippy::type_complexity)]
-    pub fn debug_missing(&self, index: usize) -> Vec<(u32, Vec<(u8, bool, u8, bool)>)> {
-        let f = &self.flows[index];
-        let dst_ns = &f.nodes[f.dst.0];
-        let mut out = Vec::new();
-        for p in 0..dst_ns.holds.len() {
-            if dst_ns.holds[p] {
-                continue;
-            }
-            let view = f
-                .plan
-                .order
-                .iter()
-                .enumerate()
-                .map(|(r, &n)| {
-                    let ns = &f.nodes[n.0];
-                    (
-                        r as u8,
-                        ns.holds.get(p).copied().unwrap_or(false),
-                        ns.map.get(p).copied().unwrap_or(255),
-                        ns.direct_sent.get(p).copied().unwrap_or(false),
-                    )
-                })
-                .collect();
-            out.push((p as u32, view));
-        }
-        out
-    }
-
-    /// Debug: next hops toward the destination per participant.
-    pub fn debug_to_dst(&self, index: usize) -> Vec<(NodeId, Option<NodeId>)> {
-        let f = &self.flows[index];
-        f.plan.order.iter().map(|&n| (n, f.to_dst[n.0])).collect()
-    }
-
-    /// Debug: per-node (speaker, in_turn, holds count, dst_has, queues).
-    #[allow(clippy::type_complexity)]
-    pub fn debug_flow(&self, index: usize) -> Vec<(u8, bool, usize, usize, usize, usize)> {
-        let f = &self.flows[index];
-        f.plan
-            .order
-            .iter()
-            .map(|&n| {
-                let ns = &f.nodes[n.0];
-                (
-                    ns.speaker,
-                    ns.in_turn,
-                    ns.holds.iter().filter(|&&h| h).count(),
-                    ns.dst_has(),
-                    ns.direct_queue.len(),
-                    ns.done_queue.len(),
-                )
-            })
-            .collect()
-    }
-
     fn flow_index(&self, id: u32) -> Option<usize> {
         self.flows.iter().position(|f| f.id == id)
     }

@@ -207,17 +207,6 @@ impl SrcrAgent {
         self.flows.iter().all(|f| f.progress.done || f.halted)
     }
 
-    /// Debug: (per-hop queue lengths along the path, in-network count,
-    /// next_seq) of a flow.
-    pub fn debug_flow(&self, index: usize) -> (Vec<usize>, usize, u32) {
-        let f = &self.flows[index];
-        (
-            f.queues.iter().map(|q| q.len()).collect(),
-            f.in_flight,
-            f.next_seq,
-        )
-    }
-
     fn rate_for(&mut self, node: NodeId, nh: NodeId) -> Option<Bitrate> {
         if !self.cfg.autorate {
             return Some(self.default_rate);

@@ -13,7 +13,7 @@
 //! `cargo run --release -p more-bench --bin ablation_eotx`
 
 use mesh_topology::generate;
-use more_bench::common::{banner, threads};
+use more_bench::common::banner;
 use more_bench::{random_pairs, RunRecord};
 use more_core::{ForwarderMetric, MoreConfig};
 use more_scenario::{MoreFactory, ProtocolRegistry, Scenario, TopologySpec, TrafficSpec};
@@ -61,7 +61,6 @@ fn main() {
         .registry(orderings())
         .packets(96)
         .deadline(600)
-        .threads(threads())
         .run();
     let by = |proto: &str| -> Vec<&RunRecord> {
         let mut rs: Vec<&RunRecord> = records.iter().filter(|r| r.protocol == proto).collect();
@@ -100,7 +99,6 @@ fn main() {
             .packets(96)
             .deadline(600)
             .seeds([2])
-            .threads(threads())
             .run();
         let find = |proto: &str| recs.iter().find(|r| r.protocol == proto).expect("ran");
         match (cost(find("MORE-etx")), cost(find("MORE-eotx"))) {

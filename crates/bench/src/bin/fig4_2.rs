@@ -7,7 +7,7 @@
 //!
 //! `cargo run --release -p more-bench --bin fig4_2 -- --pairs 200 --packets 384`
 
-use more_bench::common::{banner, threads, Args};
+use more_bench::common::{banner, Args};
 use more_bench::stats::{median, print_cdf, quantile};
 use more_bench::{throughputs_by_protocol, RunRecord, ALL3};
 use more_scenario::{Scenario, TrafficSpec};
@@ -36,7 +36,6 @@ fn main() {
         .protocols(ALL3)
         .packets(packets)
         .seeds([seed])
-        .threads(threads())
         .run();
 
     if records.is_empty() {

@@ -5,7 +5,7 @@
 //!
 //! `cargo run --release -p more-bench --bin fig4_3 -- --pairs 60`
 
-use more_bench::common::{banner, threads, Args};
+use more_bench::common::{banner, Args};
 use more_bench::{stats, RunRecord, ALL3};
 use more_scenario::{Scenario, TrafficSpec};
 
@@ -29,7 +29,6 @@ fn main() {
         .protocols(ALL3)
         .packets(packets)
         .seeds([seed])
-        .threads(threads())
         .run();
 
     if records.is_empty() {

@@ -10,7 +10,7 @@
 //! `cargo run --release -p more-bench --bin fig4_4 -- --runs 20`
 
 use mesh_topology::NodeId;
-use more_bench::common::{banner, threads, Args};
+use more_bench::common::{banner, Args};
 use more_bench::stats::{median, quantile};
 use more_bench::ALL3;
 use more_scenario::{Scenario, TopologySpec};
@@ -38,7 +38,6 @@ fn main() {
         .protocols(ALL3)
         .packets(packets)
         .seeds(1..=runs)
-        .threads(threads())
         .run();
 
     if records.is_empty() {

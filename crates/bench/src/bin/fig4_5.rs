@@ -5,7 +5,7 @@
 //!
 //! `cargo run --release -p more-bench --bin fig4_5 -- --runs 40`
 
-use more_bench::common::{banner, threads, Args};
+use more_bench::common::{banner, Args};
 use more_bench::stats::{mean, std_dev};
 use more_bench::ALL3;
 use more_scenario::{Scenario, Sweep, TrafficSpec};
@@ -40,7 +40,6 @@ fn main() {
         .sweep(Sweep::Flows(vec![1, 2, 3, 4]))
         .packets(packets)
         .seeds(1..=runs)
-        .threads(threads())
         .run();
 
     if records.is_empty() {

@@ -8,7 +8,7 @@
 //! `cargo run --release -p more-bench --bin fig4_6 -- --pairs 40`
 
 use mesh_sim::Bitrate;
-use more_bench::common::{banner, threads, Args};
+use more_bench::common::{banner, Args};
 use more_bench::stats::{median, quantile};
 use more_bench::throughputs_by_protocol;
 use more_scenario::{Scenario, TrafficSpec};
@@ -34,7 +34,6 @@ fn main() {
         .bitrate(Bitrate::B11)
         .packets(packets)
         .seeds([seed])
-        .threads(threads())
         .run();
 
     if records.is_empty() {

@@ -8,7 +8,7 @@
 //!
 //! `cargo run --release -p more-bench --bin fig4_7 -- --pairs 40`
 
-use more_bench::common::{banner, threads, Args};
+use more_bench::common::{banner, Args};
 use more_bench::stats::median;
 use more_scenario::{Scenario, Sweep, TrafficSpec};
 
@@ -33,7 +33,6 @@ fn main() {
         .sweep(Sweep::K(ks.to_vec()))
         .packets(256)
         .seeds([seed])
-        .threads(threads())
         .run();
 
     if records.is_empty() {

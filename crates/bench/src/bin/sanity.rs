@@ -3,7 +3,6 @@
 //! the raw records to JSONL/CSV under results/ as the grid runs. Use
 //! before the full figure sweeps.
 
-use more_bench::common::threads;
 use more_bench::{stats, throughputs_by_protocol, ALL3};
 use more_scenario::sink::{Collect, CsvAppend, JsonLines, Tee};
 use more_scenario::{Scenario, TrafficSpec};
@@ -29,7 +28,6 @@ fn main() {
             .protocols(ALL3)
             .packets(128)
             .deadline(180)
-            .threads(threads())
             .run_with_sink(&mut sink);
     }
     let records = collect.into_records();

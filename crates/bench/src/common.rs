@@ -25,11 +25,6 @@ impl Args {
         Args { map }
     }
 
-    /// True when `--key` was passed at all (with or without a value).
-    pub fn has(&self, key: &str) -> bool {
-        self.map.contains_key(key)
-    }
-
     /// Typed lookup with default.
     pub fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
         self.map
@@ -37,13 +32,6 @@ impl Args {
             .and_then(|v| v.parse().ok())
             .unwrap_or(default)
     }
-}
-
-/// Worker-thread count for parallel sweeps.
-pub fn threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
 }
 
 /// Standard figure banner.

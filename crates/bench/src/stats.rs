@@ -81,15 +81,6 @@ pub fn cdf_lines(values: &[f64], max_rows: usize) -> Vec<String> {
     out
 }
 
-/// Renders a CDF as a fixed-grid ASCII table of the requested quantiles.
-pub fn cdf_table(label: &str, values: &[f64], quantiles: &[f64]) -> String {
-    let mut out = format!("{label:>14} |");
-    for &q in quantiles {
-        out.push_str(&format!(" p{:02.0}={:8.1}", q * 100.0, quantile(values, q)));
-    }
-    out
-}
-
 #[cfg(test)]
 mod test {
     use super::*;

@@ -17,8 +17,7 @@
 //! 16-entry nibble half-tables ([`tables::MUL_LO`] / [`tables::MUL_HI`])
 //! and streams 32/16/8 bytes per step (AVX2 / SSSE3 / `u64` SWAR, detected
 //! at runtime). [`slice_ops`] dispatches between them — wide by default,
-//! scalar behind the `scalar` cargo feature or a
-//! [`slice_ops::set_kernel`] override — and adds the multi-source
+//! scalar under a [`slice_ops::set_kernel`] override — and adds the multi-source
 //! [`slice_ops::axpy_many`] pass that the coding hot path batches through.
 //!
 //! The field is GF(2⁸) with the AES reduction polynomial

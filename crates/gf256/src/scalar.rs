@@ -4,10 +4,9 @@
 //! [`MUL`] for the scalar once, then process one byte
 //! per step. They are kept as the permanent baseline — the wide kernels in
 //! [`wide`](crate::wide) must produce byte-identical output (property-tested
-//! in `tests/kernel_equivalence.rs`), the coding micro-benches report their
-//! speedup against this module, and building the crate with the `scalar`
-//! feature routes the dispatching [`slice_ops`](crate::slice_ops) entry
-//! points back here.
+//! in `tests/kernel_equivalence.rs`), and
+//! [`set_kernel(Kernel::Scalar)`](crate::slice_ops::set_kernel) routes the
+//! dispatching [`slice_ops`](crate::slice_ops) entry points back here.
 
 // xtask: allow(panic_path, file) -- the 256-entry log/exp tables are indexed by u8 values (and EXP by log sums < 510, within its padded length), which cannot overrun.
 

@@ -11,13 +11,12 @@
 //!   per step (AVX2 / SSSE3 / `u64` SWAR, detected at runtime) — the
 //!   default;
 //! * [`crate::scalar`] — the original byte-at-a-time 64 KiB table walk,
-//!   kept as the measured baseline and as the fallback behind the `scalar`
-//!   cargo feature.
+//!   kept as the reference the wide family is tested against.
 //!
 //! The functions here dispatch between the two; [`set_kernel`] overrides
-//! the choice process-wide (used by benches and by the scalar-vs-wide
-//! equivalence tests — both families compute identical bytes, so switching
-//! kernels never changes results, only speed).
+//! the choice process-wide (used by the scalar-vs-wide equivalence tests
+//! — both families compute identical bytes, so switching kernels never
+//! changes results, only speed).
 //!
 //! ```
 //! use more_gf256::{slice_ops, Gf256};
@@ -43,8 +42,7 @@ use crate::tables::MUL;
 /// Which kernel family the dispatching slice kernels run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Kernel {
-    /// Resolve automatically: [`Kernel::Wide`] unless the crate was built
-    /// with the `scalar` feature.
+    /// The default: resolves to [`Kernel::Wide`].
     Auto,
     /// Force the byte-at-a-time reference kernels ([`crate::scalar`]).
     Scalar,
@@ -75,13 +73,7 @@ pub fn active_kernel() -> Kernel {
     match KERNEL.load(Ordering::Relaxed) {
         1 => Kernel::Scalar,
         2 => Kernel::Wide,
-        _ => {
-            if cfg!(feature = "scalar") {
-                Kernel::Scalar
-            } else {
-                Kernel::Wide
-            }
-        }
+        _ => Kernel::Wide,
     }
 }
 

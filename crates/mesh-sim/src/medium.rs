@@ -234,32 +234,17 @@ impl Medium {
     ///
     /// Delivery probabilities — the frame's own and each interferer's in
     /// the capture rule — are the channel model's instantaneous values at
-    /// the frame's end time. Returns the receiver set; draws per-receiver
-    /// Bernoulli losses from `rng`. `collisions`/`captures` counters are
-    /// incremented for the stats module.
-    #[allow(clippy::too_many_arguments)]
-    pub fn evaluate_reception(
-        &mut self,
-        id: u64,
-        chan: &dyn ChannelModel,
-        cfg: &SimConfig,
-        rng: &mut impl Rng,
-        collisions: &mut u64,
-        captures: &mut u64,
-    ) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        self.evaluate_reception_into(id, chan, cfg, rng, collisions, captures, &mut out);
-        out
-    }
-
-    /// [`Medium::evaluate_reception`] writing the receiver set into a
-    /// caller-supplied vector (cleared first), so the engine's hot path
-    /// reuses one allocation per run instead of one per transmission. The
-    /// transmissions overlapping the frame are gathered once into a
-    /// persistent scratch and shared by the half-duplex and interferer
-    /// checks of every receiver. Same receivers, same counter increments,
-    /// and — critically — the same RNG draws in the same order as the
-    /// per-receiver scan it replaces.
+    /// the frame's end time. Draws per-receiver Bernoulli losses from
+    /// `rng`; `collisions`/`captures` counters are incremented for the
+    /// stats module.
+    ///
+    /// The receiver set is written into a caller-supplied vector (cleared
+    /// first), so the engine's hot path reuses one allocation per run
+    /// instead of one per transmission. The transmissions overlapping the
+    /// frame are gathered once into a persistent scratch and shared by
+    /// the half-duplex and interferer checks of every receiver. Same
+    /// receivers, same counter increments, and — critically — the same
+    /// RNG draws in the same order as the per-receiver scan it replaces.
     #[allow(clippy::too_many_arguments)]
     pub fn evaluate_reception_into(
         &mut self,
@@ -387,6 +372,23 @@ mod test {
     /// The static channel over `t`, as the engine would build it.
     fn chan(t: &Topology) -> Box<dyn ChannelModel> {
         ChannelSpec::Static.build(t, 0)
+    }
+
+    impl Medium {
+        /// [`Medium::evaluate_reception_into`] returning a fresh vector.
+        fn evaluate_reception(
+            &mut self,
+            id: u64,
+            chan: &dyn ChannelModel,
+            cfg: &SimConfig,
+            rng: &mut impl Rng,
+            collisions: &mut u64,
+            captures: &mut u64,
+        ) -> Vec<NodeId> {
+            let mut out = Vec::new();
+            self.evaluate_reception_into(id, chan, cfg, rng, collisions, captures, &mut out);
+            out
+        }
     }
 
     fn line5() -> Topology {

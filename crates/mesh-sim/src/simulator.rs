@@ -315,22 +315,6 @@ impl<A: NodeAgent> Simulator<A> {
         layer.auto_pace = Some(cfg);
     }
 
-    /// Current transmit-queue depth at `node` (0 when unbounded).
-    pub fn queue_depth(&self, node: NodeId) -> usize {
-        self.queues
-            .as_ref()
-            .and_then(|l| l.nodes.get(node.0))
-            .map_or(0, |q| q.frames.len())
-    }
-
-    /// Current AIMD pacing rate of `flow`, if it is paced.
-    pub fn pacer_rate(&self, flow: u32) -> Option<f64> {
-        self.queues
-            .as_ref()
-            .and_then(|l| l.pacers.get(&flow))
-            .map(AimdPacer::rate_pps)
-    }
-
     /// Builds a simulator over a caller-constructed channel model — the
     /// escape hatch for loss processes [`ChannelSpec`] cannot express.
     pub fn with_channel_model(
@@ -407,21 +391,6 @@ impl<A: NodeAgent> Simulator<A> {
     /// Kick a node's MAC from outside the event loop (e.g. flow start).
     pub fn kick(&mut self, node: NodeId) {
         self.kick_at(node, self.now);
-    }
-
-    /// Debug view of a node's MAC state name.
-    pub fn mac_state_name(&self, node: NodeId) -> &'static str {
-        match self.states[node.0] {
-            MacState::Idle => "Idle",
-            MacState::Waiting => "Waiting",
-            MacState::Transmitting => "Transmitting",
-            MacState::AwaitAck { .. } => "AwaitAck",
-        }
-    }
-
-    /// Number of events waiting in the queue (debugging aid).
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
     }
 
     fn kick_at(&mut self, node: NodeId, at: Time) {

@@ -19,7 +19,9 @@ use crate::protocols::reject_multicast;
 use crate::record::{time_to_s, FlowRecord, RunRecord};
 use crate::registry::{BuildError, ProtocolRegistry};
 use crate::sink::{Collect, RunSink};
-use crate::spec::{scale_loss, ExpConfig, FlowSpec, Sweep, TopologySpec, TrafficSpec};
+use crate::spec::{
+    scale_loss, swept_traffic, ExpConfig, FlowSpec, Sweep, TopologySpec, TrafficSpec,
+};
 use crate::traffic::{flow_windows, validate_schedule, FlowWindow, TrafficModelSpec};
 use mesh_sim::{
     AimdConfig, Bitrate, ChannelSpec, ErasedFlowAgent, FlowAgent, FlowDesc, QueueSpec, SimConfig,
@@ -29,12 +31,6 @@ use mesh_topology::estimator::LinkEstimator;
 use mesh_topology::{NodeId, Topology};
 use std::collections::BTreeMap;
 use std::ops::ControlFlow;
-
-/// An owned sink as stored by [`ScenarioBuilder::sink`]: `Send + Sync`
-/// so the builder stays shareable with the executor's worker threads
-/// (borrowed sinks via [`ScenarioBuilder::try_run_with_sink`] carry no
-/// such bound — they never cross a thread).
-pub type BoxedSink = Box<dyn RunSink + Send + Sync>;
 
 /// A progress callback as stored by [`ScenarioBuilder::on_run_complete`].
 pub type ProgressFn = Box<dyn FnMut(&RunRecord, Progress) + Send + Sync>;
@@ -123,7 +119,6 @@ pub struct ScenarioBuilder {
     probe: Option<(LinkEstimator, u64)>,
     threads: Option<usize>,
     registry: ProtocolRegistry,
-    sink: Option<BoxedSink>,
     on_complete: Option<ProgressFn>,
     checkpoint_dir: Option<String>,
 }
@@ -140,7 +135,6 @@ impl std::fmt::Debug for ScenarioBuilder {
             .field("channel", &self.channel)
             .field("queue", &self.queue)
             .field("congestion", &self.congestion)
-            .field("sink", &self.sink.as_ref().map(|_| ".."))
             .field("checkpoint_dir", &self.checkpoint_dir)
             .finish_non_exhaustive()
     }
@@ -165,7 +159,6 @@ impl ScenarioBuilder {
             probe: None,
             threads: None,
             registry: ProtocolRegistry::with_defaults(),
-            sink: None,
             on_complete: None,
             checkpoint_dir: None,
         }
@@ -403,36 +396,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Streams records into `sink` instead of collecting them:
-    /// [`ScenarioBuilder::try_run`] then returns an **empty** `Vec` and
-    /// the records live wherever the sink put them. Borrow-friendly
-    /// alternative: [`ScenarioBuilder::try_run_with_sink`].
-    ///
-    /// ```
-    /// use mesh_topology::NodeId;
-    /// use more_scenario::sink::Aggregate;
-    /// use more_scenario::{Scenario, TopologySpec};
-    ///
-    /// let records = Scenario::named("sink-doc")
-    ///     .topology(TopologySpec::Line {
-    ///         hops: 1,
-    ///         p_adj: 0.9,
-    ///         skip_decay: 0.0,
-    ///         spacing: 20.0,
-    ///     })
-    ///     .pair(NodeId(0), NodeId(1))
-    ///     .protocol("MORE")
-    ///     .packets(16)
-    ///     .deadline(60)
-    ///     .sink(Aggregate::new())
-    ///     .run();
-    /// assert!(records.is_empty(), "records streamed into the sink");
-    /// ```
-    pub fn sink(mut self, sink: impl RunSink + Send + Sync + 'static) -> Self {
-        self.sink = Some(Box::new(sink));
-        self
-    }
-
     /// Registers a progress callback invoked once per emitted record, in
     /// deterministic grid order, with a [`Progress`] snapshot — the hook
     /// long sweeps use for live status lines.
@@ -465,9 +428,7 @@ impl ScenarioBuilder {
 
     /// Executes the grid, panicking on configuration errors (unknown
     /// protocol, unsupported traffic). Records arrive sorted by
-    /// (protocol, sweep point, seed, traffic index). With a configured
-    /// [`ScenarioBuilder::sink`] the returned `Vec` is empty — the
-    /// records streamed into the sink instead.
+    /// (protocol, sweep point, seed, traffic index).
     pub fn run(self) -> Vec<RunRecord> {
         match self.try_run() {
             Ok(records) => records,
@@ -484,97 +445,29 @@ impl ScenarioBuilder {
         }
     }
 
-    /// Executes the grid, streaming every record into `sink`, surfacing
-    /// configuration and I/O errors. The sink receives records in the
-    /// same deterministic order [`ScenarioBuilder::run`] returns them;
-    /// any sink configured via [`ScenarioBuilder::sink`] is ignored in
-    /// favor of the argument.
-    pub fn try_run_with_sink(mut self, sink: &mut dyn RunSink) -> Result<RunSummary, BuildError> {
-        self.sink = None;
-        self.stream_into(sink)
-    }
-
     /// Checks that the declared sweep can be applied to the declared
     /// traffic model and that the model's parameters (at every sweep
     /// point) are valid, so mismatches fail at build time — before any
     /// worker thread spawns — like channel-spec validation does.
     fn validate_sweep_traffic(&self) -> Result<(), BuildError> {
-        match (&self.sweep, &self.traffic) {
-            (
-                Some(Sweep::Flows(_)),
-                TrafficModelSpec::Static(TrafficSpec::RandomConcurrent { .. })
-                | TrafficModelSpec::Staggered { .. },
-            ) => {}
-            (Some(Sweep::Flows(_)), other) => {
-                return Err(BuildError::Unsupported(format!(
-                    "Sweep::Flows requires TrafficSpec::RandomConcurrent or \
-                     TrafficModelSpec::Staggered traffic, got {other:?}"
-                )))
-            }
-            (Some(Sweep::Load(_)), TrafficModelSpec::Poisson { .. }) => {}
-            (Some(Sweep::Load(_)), other) => {
-                return Err(BuildError::Unsupported(format!(
-                    "Sweep::Load sweeps the arrival rate of TrafficModelSpec::Poisson \
-                     traffic, got {other:?}"
-                )))
-            }
-            _ => {}
-        }
         let deadline_s = self.base.deadline_s;
-        // When the sweep overrides one of the model's parameters, the base
-        // value never runs — only the substituted configurations below do,
-        // so validating the base spec would spuriously reject valid sweeps
-        // (e.g. a placeholder n_flows too large for the deadline).
-        let sweep_overrides_model = matches!(
-            (&self.sweep, &self.traffic),
-            (Some(Sweep::Load(_)), TrafficModelSpec::Poisson { .. })
-                | (Some(Sweep::Flows(_)), TrafficModelSpec::Staggered { .. })
-        );
-        if !sweep_overrides_model {
-            self.traffic
+        match &self.sweep {
+            // Only the substituted configurations run, so only they are
+            // validated: the swept parameter's base value is a placeholder
+            // (e.g. an n_flows too large for the deadline).
+            Some(sweep @ (Sweep::Flows(_) | Sweep::Load(_))) => {
+                for i in 0..sweep.len() {
+                    swept_traffic(sweep, i, &self.traffic)?
+                        .validate(deadline_s)
+                        .map_err(BuildError::Unsupported)?;
+                }
+                Ok(())
+            }
+            _ => self
+                .traffic
                 .validate(deadline_s)
-                .map_err(BuildError::Unsupported)?;
+                .map_err(BuildError::Unsupported),
         }
-        // Every sweep point substitutes a parameter into the model; each
-        // substituted configuration must be valid too.
-        match (&self.sweep, &self.traffic) {
-            (
-                Some(Sweep::Load(v)),
-                TrafficModelSpec::Poisson {
-                    mean_hold_s,
-                    max_active,
-                    ..
-                },
-            ) => {
-                for &rate_per_s in v {
-                    TrafficModelSpec::Poisson {
-                        rate_per_s,
-                        mean_hold_s: *mean_hold_s,
-                        max_active: *max_active,
-                    }
-                    .validate(deadline_s)
-                    .map_err(BuildError::Unsupported)?;
-                }
-            }
-            (
-                Some(Sweep::Flows(v)),
-                TrafficModelSpec::Staggered {
-                    gap_ms, hold_ms, ..
-                },
-            ) => {
-                for &n_flows in v {
-                    TrafficModelSpec::Staggered {
-                        n_flows,
-                        gap_ms: *gap_ms,
-                        hold_ms: *hold_ms,
-                    }
-                    .validate(deadline_s)
-                    .map_err(BuildError::Unsupported)?;
-                }
-            }
-            _ => {}
-        }
-        Ok(())
     }
 
     /// Checks the queue discipline and congestion-control parameters (at
@@ -607,31 +500,43 @@ impl ScenarioBuilder {
         Ok(())
     }
 
-    /// Executes the grid, surfacing configuration errors. With a
-    /// configured [`ScenarioBuilder::sink`] the returned `Vec` is empty —
-    /// the records streamed into the sink instead; otherwise a default
-    /// [`Collect`] sink reproduces the legacy materialize-everything
-    /// behavior byte for byte.
-    pub fn try_run(mut self) -> Result<Vec<RunRecord>, BuildError> {
-        match self.sink.take() {
-            Some(mut sink) => {
-                self.stream_into(sink.as_mut())?;
-                Ok(Vec::new())
-            }
-            None => {
-                let mut collect = Collect::new();
-                self.stream_into(&mut collect)?;
-                Ok(collect.into_records())
-            }
-        }
+    /// Executes the grid, surfacing configuration errors: a [`Collect`]
+    /// sink handed to [`ScenarioBuilder::try_run_with_sink`].
+    pub fn try_run(self) -> Result<Vec<RunRecord>, BuildError> {
+        let mut collect = Collect::new();
+        self.try_run_with_sink(&mut collect)?;
+        Ok(collect.into_records())
     }
 
     /// The streaming core under every `run` flavor: executes the grid on
     /// the sharded executor, restores deterministic grid order with a
-    /// bounded reorder buffer, and feeds `sink` one record at a time —
-    /// checkpointing each completed cell when
-    /// [`ScenarioBuilder::checkpoint`] is set.
-    fn stream_into(mut self, sink: &mut dyn RunSink) -> Result<RunSummary, BuildError> {
+    /// bounded reorder buffer, and feeds `sink` one record at a time (the
+    /// order [`ScenarioBuilder::run`] returns them in), surfacing
+    /// configuration and I/O errors — checkpointing each completed cell
+    /// when [`ScenarioBuilder::checkpoint`] is set.
+    ///
+    /// ```
+    /// use mesh_topology::NodeId;
+    /// use more_scenario::sink::Aggregate;
+    /// use more_scenario::{Scenario, TopologySpec};
+    ///
+    /// let mut sink = Aggregate::new();
+    /// let summary = Scenario::named("sink-doc")
+    ///     .topology(TopologySpec::Line {
+    ///         hops: 1,
+    ///         p_adj: 0.9,
+    ///         skip_decay: 0.0,
+    ///         spacing: 20.0,
+    ///     })
+    ///     .pair(NodeId(0), NodeId(1))
+    ///     .protocol("MORE")
+    ///     .packets(16)
+    ///     .deadline(60)
+    ///     .try_run_with_sink(&mut sink)
+    ///     .expect("valid scenario");
+    /// assert_eq!(summary.records, 1, "the record streamed into the sink");
+    /// ```
+    pub fn try_run_with_sink(mut self, sink: &mut dyn RunSink) -> Result<RunSummary, BuildError> {
         self.validate_sweep_traffic()?;
         self.validate_queue()?;
         let mut on_complete = self.on_complete.take();
@@ -874,52 +779,8 @@ impl ScenarioBuilder {
                     Sweep::LossScale(v) => topo = scale_loss(&topo, v[i]),
                     Sweep::Channel(v) => chan = v[i].clone(),
                     Sweep::Queue(v) => queue = v[i].clone(),
-                    Sweep::Flows(v) => {
-                        traffic = match traffic {
-                            TrafficModelSpec::Static(TrafficSpec::RandomConcurrent {
-                                seed_offset,
-                                distinct_sources,
-                                ..
-                            }) => TrafficModelSpec::Static(TrafficSpec::RandomConcurrent {
-                                n_flows: v[i],
-                                seed_offset,
-                                distinct_sources,
-                            }),
-                            TrafficModelSpec::Staggered {
-                                gap_ms, hold_ms, ..
-                            } => TrafficModelSpec::Staggered {
-                                n_flows: v[i],
-                                gap_ms,
-                                hold_ms,
-                            },
-                            // Unreachable through try_run (validated up
-                            // front), kept for direct run_cell callers.
-                            other => {
-                                return Err(BuildError::Unsupported(format!(
-                                    "Sweep::Flows requires TrafficSpec::RandomConcurrent or \
-                                     TrafficModelSpec::Staggered traffic, got {other:?}"
-                                )))
-                            }
-                        };
-                    }
-                    Sweep::Load(v) => {
-                        traffic = match traffic {
-                            TrafficModelSpec::Poisson {
-                                mean_hold_s,
-                                max_active,
-                                ..
-                            } => TrafficModelSpec::Poisson {
-                                rate_per_s: v[i],
-                                mean_hold_s,
-                                max_active,
-                            },
-                            other => {
-                                return Err(BuildError::Unsupported(format!(
-                                    "Sweep::Load sweeps the arrival rate of \
-                                     TrafficModelSpec::Poisson traffic, got {other:?}"
-                                )))
-                            }
-                        };
+                    Sweep::Flows(_) | Sweep::Load(_) => {
+                        traffic = swept_traffic(sweep, i, &self.traffic)?;
                     }
                 }
                 (Some(sweep.label()), Some(sweep.value(i)))
@@ -1397,6 +1258,41 @@ mod test {
             .try_run()
             .expect_err("swept ramp exceeds the deadline");
         assert!(matches!(err, BuildError::Unsupported(_)));
+    }
+
+    /// `n_flows` concurrent random flows on the 20-node testbed.
+    fn random_concurrent(n_flows: usize, distinct_sources: bool) -> ScenarioBuilder {
+        Scenario::named("too-many-flows")
+            .testbed(1)
+            .traffic(TrafficSpec::RandomConcurrent {
+                n_flows,
+                seed_offset: 0,
+                distinct_sources,
+            })
+            .protocol("Srcr")
+            .packets(8)
+    }
+
+    #[test]
+    fn infeasible_random_concurrent_is_an_error_not_a_worker_panic() {
+        // 20 nodes cannot source 30 distinct-source flows.
+        // Nor 500 flows out of at most 20 x 19 ordered pairs, and the
+        // flow-set expansion cannot stop at a count of zero.
+        for (n_flows, distinct_sources) in [(30, true), (500, false), (0, true)] {
+            let err = random_concurrent(n_flows, distinct_sources)
+                .try_run()
+                .expect_err("infeasible flow count");
+            assert!(matches!(err, BuildError::Unsupported(_)), "{err}");
+        }
+    }
+
+    #[test]
+    fn oversized_flows_sweep_point_is_an_error_not_a_worker_panic() {
+        let err = random_concurrent(1, true)
+            .sweep(Sweep::Flows(vec![2, 30]))
+            .try_run()
+            .expect_err("the second sweep point cannot be hosted");
+        assert!(matches!(err, BuildError::Unsupported(_)), "{err}");
     }
 
     #[test]

@@ -277,25 +277,6 @@ pub fn to_csv(records: &[RunRecord]) -> String {
     out
 }
 
-/// Writes records as JSON to `path` (creating parent directories).
-pub fn write_json(path: &str, records: &[RunRecord]) -> std::io::Result<()> {
-    write_with(path, to_json(records))
-}
-
-/// Writes records as CSV to `path` (creating parent directories).
-pub fn write_csv(path: &str, records: &[RunRecord]) -> std::io::Result<()> {
-    write_with(path, to_csv(records))
-}
-
-fn write_with(path: &str, contents: String) -> std::io::Result<()> {
-    if let Some(parent) = std::path::Path::new(path).parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    std::fs::write(path, contents)
-}
-
 /// Converts a completion time to seconds.
 pub fn time_to_s(t: mesh_sim::Time) -> f64 {
     t as f64 / SEC as f64

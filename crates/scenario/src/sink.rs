@@ -515,7 +515,6 @@ impl CellAgg {
 #[must_use]
 pub struct Aggregate {
     cells: BTreeMap<(String, Option<&'static str>, String, String), CellAgg>,
-    out: Option<String>,
 }
 
 impl Aggregate {
@@ -523,15 +522,6 @@ impl Aggregate {
     /// [`Aggregate::summaries`] or [`Aggregate::summary_json`].
     pub fn new() -> Self {
         Aggregate::default()
-    }
-
-    /// Also writes [`Aggregate::summary_json`] to `path` on
-    /// [`RunSink::finish`].
-    pub fn with_output(path: &str) -> Self {
-        Aggregate {
-            cells: BTreeMap::new(),
-            out: Some(path.to_string()),
-        }
     }
 
     /// The summaries accumulated so far, in key order.
@@ -626,17 +616,6 @@ impl RunSink for Aggregate {
         Ok(())
     }
     fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-    fn finish(&mut self) -> io::Result<()> {
-        if let Some(path) = &self.out {
-            if let Some(parent) = std::path::Path::new(path).parent() {
-                if !parent.as_os_str().is_empty() {
-                    std::fs::create_dir_all(parent)?;
-                }
-            }
-            std::fs::write(path, self.summary_json())?;
-        }
         Ok(())
     }
 }

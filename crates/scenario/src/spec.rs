@@ -3,6 +3,8 @@
 
 // xtask: allow(panic_path, file) -- FlowSpec validation guarantees a non-empty destination list, and Sweep::value(i) is only called with i < len() by the sweep driver iterating 0..len().
 
+use crate::registry::BuildError;
+use crate::traffic::TrafficModelSpec;
 use mesh_sim::{Bitrate, ChannelSpec, QueueSpec};
 use mesh_topology::{generate, NodeId, Topology};
 use rand::seq::SliceRandom;
@@ -418,6 +420,62 @@ impl Sweep {
             Sweep::Load(v) => v[i],
             Sweep::Queue(_) => i as f64,
         }
+    }
+}
+
+/// The traffic model sweep point `i` runs: `base` with the swept
+/// parameter substituted ([`Sweep::Flows`] sets the flow count,
+/// [`Sweep::Load`] the Poisson arrival rate), `base` itself under every
+/// other axis.
+pub(crate) fn swept_traffic(
+    sweep: &Sweep,
+    i: usize,
+    base: &TrafficModelSpec,
+) -> Result<TrafficModelSpec, BuildError> {
+    match (sweep, base) {
+        (
+            Sweep::Flows(v),
+            TrafficModelSpec::Static(TrafficSpec::RandomConcurrent {
+                seed_offset,
+                distinct_sources,
+                ..
+            }),
+        ) => Ok(TrafficModelSpec::Static(TrafficSpec::RandomConcurrent {
+            n_flows: v[i],
+            seed_offset: *seed_offset,
+            distinct_sources: *distinct_sources,
+        })),
+        (
+            Sweep::Flows(v),
+            TrafficModelSpec::Staggered {
+                gap_ms, hold_ms, ..
+            },
+        ) => Ok(TrafficModelSpec::Staggered {
+            n_flows: v[i],
+            gap_ms: *gap_ms,
+            hold_ms: *hold_ms,
+        }),
+        (Sweep::Flows(_), other) => Err(BuildError::Unsupported(format!(
+            "Sweep::Flows requires TrafficSpec::RandomConcurrent or \
+             TrafficModelSpec::Staggered traffic, got {other:?}"
+        ))),
+        (
+            Sweep::Load(v),
+            TrafficModelSpec::Poisson {
+                mean_hold_s,
+                max_active,
+                ..
+            },
+        ) => Ok(TrafficModelSpec::Poisson {
+            rate_per_s: v[i],
+            mean_hold_s: *mean_hold_s,
+            max_active: *max_active,
+        }),
+        (Sweep::Load(_), other) => Err(BuildError::Unsupported(format!(
+            "Sweep::Load sweeps the arrival rate of TrafficModelSpec::Poisson \
+             traffic, got {other:?}"
+        ))),
+        _ => Ok(base.clone()),
     }
 }
 

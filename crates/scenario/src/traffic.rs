@@ -529,7 +529,6 @@ impl TrafficModelSpec {
     /// for direct trait use.
     pub fn validate_for(&self, topo: &Topology) -> Result<(), String> {
         match self {
-            TrafficModelSpec::Static(_) | TrafficModelSpec::Custom(_) => Ok(()),
             TrafficModelSpec::Poisson { .. } => {
                 // A reachable ordered pair exists iff any `p > 0` link
                 // does — O(1), where counting the pool would be O(n²)
@@ -539,20 +538,30 @@ impl TrafficModelSpec {
                 }
                 Ok(())
             }
-            TrafficModelSpec::OnOff { n_flows, .. } => {
+            TrafficModelSpec::OnOff { n_flows, .. }
+            | TrafficModelSpec::Static(TrafficSpec::RandomConcurrent {
+                n_flows,
+                distinct_sources: false,
+                ..
+            }) => {
                 let pairs = PairPool::new(topo).len();
                 if pairs < *n_flows {
                     return Err(format!(
                         "topology {} has {pairs} reachable pairs, fewer than the \
-                         {n_flows} on-off sources requested",
+                         {n_flows} flows requested",
                         topo.name
                     ));
                 }
                 Ok(())
             }
-            TrafficModelSpec::Staggered { n_flows, .. } => {
-                // The ramp needs n_flows distinct sources, each with at
-                // least one reachable destination.
+            TrafficModelSpec::Staggered { n_flows, .. }
+            | TrafficModelSpec::Static(TrafficSpec::RandomConcurrent {
+                n_flows,
+                distinct_sources: true,
+                ..
+            }) => {
+                // Both need n_flows distinct sources, each with at least
+                // one reachable destination.
                 let sources = PairPool::new(topo).sources_with_destinations();
                 if sources < *n_flows {
                     return Err(format!(
@@ -563,6 +572,7 @@ impl TrafficModelSpec {
                 }
                 Ok(())
             }
+            TrafficModelSpec::Static(_) | TrafficModelSpec::Custom(_) => Ok(()),
         }
     }
 
@@ -578,6 +588,9 @@ impl TrafficModelSpec {
             }
         }
         match self {
+            TrafficModelSpec::Static(TrafficSpec::RandomConcurrent { n_flows: 0, .. }) => {
+                Err("RandomConcurrent needs at least one flow".into())
+            }
             TrafficModelSpec::Static(_) | TrafficModelSpec::Custom(_) => Ok(()),
             TrafficModelSpec::Poisson {
                 rate_per_s,
