@@ -18,6 +18,17 @@
 //! are a superset of the channel's delivery support and skipped nodes
 //! consumed no randomness, runs are byte-identical to the dense scan.
 //!
+//! Bookkeeping costs what is physically near a node, not what the run
+//! has sent: frames live in an **on-air set** until the clock passes
+//! their end, then in a **history** ordered by `end` that keeps a record
+//! exactly as long as some frame still on the air started before it
+//! ended (the only frames it can still have overlapped). Carrier sense
+//! and the half-duplex guard are one comparison against per-node
+//! latest-end marks that [`Medium::begin`] raises over the transmitter's
+//! sense list. This rests on the engine's clock: every frame begins at
+//! the current instant, so `begin`, `prune` and the `now` of every query
+//! never go back in time.
+//!
 //! Reception is evaluated when a transmission ends:
 //!
 //! 1. half-duplex — a node that transmitted during any part of the frame
@@ -38,6 +49,7 @@ use crate::{SimConfig, Time};
 use mesh_topology::spatial::CellGrid;
 use mesh_topology::{NodeId, Topology};
 use rand::Rng;
+use std::collections::VecDeque;
 
 /// Vertical meters per floor in 3D range computations (matches
 /// `channel`'s constant).
@@ -71,13 +83,23 @@ pub struct Medium {
     /// `None` when the channel promises no structure
     /// ([`ReachHint::AllPairs`]): every node is then a candidate.
     reach: Option<Vec<Vec<u32>>>,
-    /// All transmissions whose `end` is within the retention horizon.
-    active: Vec<Transmission>,
-    horizon: Time,
-    /// Scratch: indices into `active` of the transmissions overlapping the
-    /// frame being judged, computed once per [`Medium::evaluate_reception_into`]
-    /// call instead of once per (receiver × transmission) pair.
-    overlap_idx: Vec<usize>,
+    /// Frames begun whose `end` the clock has not passed, in `begin`
+    /// order — the first started earliest. A frame ending exactly at the
+    /// clock is still here, waiting to be judged.
+    air: Vec<Transmission>,
+    /// Frames that ended before the clock, ascending by `end`; a record
+    /// stays while some frame in `air` started before it ended.
+    history: VecDeque<Transmission>,
+    /// Latest instant seen by [`Medium::begin`] / [`Medium::prune`].
+    clock: Time,
+    /// `busy_end[b]`: latest `end` of any frame begun by a node `b` senses.
+    busy_end: Vec<Time>,
+    /// `own_end[a]`: latest `end` of any frame begun by `a` itself.
+    own_end: Vec<Time>,
+    /// `stamp[a] == generation`: `a` transmitted during the frame being
+    /// judged. Bumping `generation` clears every stamp at once.
+    stamp: Vec<u64>,
+    generation: u64,
 }
 
 impl Medium {
@@ -174,14 +196,22 @@ impl Medium {
             row.sort_unstable();
             row.dedup();
         }
+        // Reception looks interferers up from the receiver's side, which
+        // is the same relation only because every rule above adds a pair
+        // in both directions.
+        debug_assert!(is_symmetric(&interfere), "interference is mutual");
         Medium {
             n,
             sense,
             interfere,
             reach,
-            active: Vec::new(),
-            horizon: 100 * crate::MS,
-            overlap_idx: Vec::new(),
+            air: Vec::new(),
+            history: VecDeque::new(),
+            clock: 0,
+            busy_end: vec![0; n],
+            own_end: vec![0; n],
+            stamp: vec![0; n],
+            generation: 0,
         }
     }
 
@@ -202,27 +232,54 @@ impl Medium {
         self.interfere[a.0].binary_search(&(r.0 as u32)).is_ok()
     }
 
-    /// Registers a transmission starting now.
+    /// Registers a transmission starting now: `t.start` is the caller's
+    /// current instant, no earlier than any previous `begin` or `prune`.
     pub fn begin(&mut self, t: Transmission) {
         debug_assert!(t.start <= t.end);
-        self.active.push(t);
+        debug_assert!(t.start >= self.clock, "frames begin at the clock");
+        self.prune(t.start);
+        raise(&mut self.own_end, t.tx.0, t.end);
+        for &b in self.sense.get(t.tx.0).into_iter().flatten() {
+            raise(&mut self.busy_end, b as usize, t.end);
+        }
+        self.air.push(t);
     }
 
-    /// Drops records older than the retention horizon.
+    /// Advances the clock to `now`: frames that ended before it leave the
+    /// on-air set for the history, and the history drops every record
+    /// that ended before the oldest frame still on the air started (with
+    /// nothing on the air, all of it). [`Medium::begin`] does this itself;
+    /// a frame can be judged until the clock passes its end.
     pub fn prune(&mut self, now: Time) {
-        let horizon = self.horizon;
-        self.active.retain(|t| t.end + horizon >= now);
+        self.clock = self.clock.max(now);
+        let history = &mut self.history;
+        self.air.retain(|t| {
+            let on_air = t.end >= now;
+            if !on_air {
+                // Keep `history` ascending by end; almost always an append.
+                let at = history.iter().rposition(|h| h.end <= t.end);
+                history.insert(at.map_or(0, |i| i + 1), t.clone());
+            }
+            on_air
+        });
+        let oldest_start = self.air.first().map_or(now, |t| t.start);
+        while history.front().is_some_and(|h| h.end <= oldest_start) {
+            history.pop_front();
+        }
+    }
+
+    /// `(on-air set, history)` sizes, for the engine's retention test.
+    #[cfg(test)]
+    pub(crate) fn retained(&self) -> (usize, usize) {
+        (self.air.len(), self.history.len())
     }
 
     /// Latest end time among transmissions currently on the air that
-    /// `node` senses; `None` if the medium is idle at `node`.
+    /// `node` senses; `None` if the medium is idle at `node`. `now` is the
+    /// caller's current instant (see [`Medium::begin`]).
     pub fn busy_until(&self, node: NodeId, now: Time) -> Option<Time> {
-        self.active
-            .iter()
-            .filter(|t| t.start <= now && now < t.end && t.tx != node)
-            .filter(|t| self.senses(t.tx, node))
-            .map(|t| t.end)
-            .max()
+        debug_assert!(now >= self.clock, "queries do not look back in time");
+        self.busy_end.get(node.0).copied().filter(|&end| end > now)
     }
 
     /// True when `node` senses an ongoing transmission.
@@ -240,11 +297,18 @@ impl Medium {
     ///
     /// The receiver set is written into a caller-supplied vector (cleared
     /// first), so the engine's hot path reuses one allocation per run
-    /// instead of one per transmission. The transmissions overlapping the
-    /// frame are gathered once into a persistent scratch and shared by
-    /// the half-duplex and interferer checks of every receiver. Same
-    /// receivers, same counter increments, and — critically — the same
-    /// RNG draws in the same order as the per-receiver scan it replaces.
+    /// instead of one per transmission. The nodes that transmitted during
+    /// the frame are stamped once, from the on-air set and the tail of
+    /// the history; half-duplex is then one load per receiver and the
+    /// strongest interferer a walk over the receiver's own interference
+    /// list. Same receivers, same counter increments, and — critically —
+    /// the same RNG draws in the same order as a scan of every retained
+    /// transmission per receiver.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `id` is not on the air: never begun, or the clock has
+    /// passed its end (see [`Medium::prune`]).
     #[allow(clippy::too_many_arguments)]
     pub fn evaluate_reception_into(
         &mut self,
@@ -258,22 +322,23 @@ impl Medium {
     ) {
         out.clear();
         let f = self
-            .active
+            .air
             .iter()
             .find(|t| t.id == id)
-            .expect("evaluating unknown transmission")
+            .expect("evaluating a transmission that is not on the air")
             .clone();
         let now = f.end;
-        // One pass over the air instead of two per receiver.
-        let mut overlap_idx = std::mem::take(&mut self.overlap_idx);
-        overlap_idx.clear();
-        overlap_idx.extend(
-            self.active
-                .iter()
-                .enumerate()
-                .filter(|(_, t)| t.id != f.id && overlaps(t, &f))
-                .map(|(i, _)| i),
-        );
+        self.generation += 1;
+        let generation = self.generation;
+        let ended_during = self.history.iter().rev().take_while(|h| h.end > f.start);
+        for t in self.air.iter().chain(ended_during) {
+            if t.id != f.id && overlaps(t, &f) {
+                if let Some(stamp) = self.stamp.get_mut(t.tx.0) {
+                    *stamp = generation;
+                }
+            }
+        }
+        let transmitted = |node: usize| self.stamp.get(node) == Some(&generation);
         // Walk the transmitter's reception-candidate list (sorted, so the
         // same ascending order as the historical 0..n scan). Nodes not on
         // the list have `p = 0` at every instant — the dense scan skipped
@@ -292,25 +357,22 @@ impl Medium {
             }
         };
         for r in candidates {
-            let r = NodeId(r);
-            if r == f.tx {
+            if r == f.tx.0 {
                 continue;
             }
-            let p = chan.delivery(f.tx, r, now);
+            let p = chan.delivery(f.tx, NodeId(r), now);
             if p <= 0.0 {
                 continue;
             }
             // Half-duplex: r transmitting during any part of f's airtime.
-            let r_was_transmitting = overlap_idx.iter().any(|&i| self.active[i].tx == r);
-            if r_was_transmitting {
+            if transmitted(r) {
                 continue;
             }
             // Strongest overlapping interferer at r.
-            let strongest: f64 = overlap_idx
+            let strongest: f64 = self.interfere[r]
                 .iter()
-                .map(|&i| &self.active[i])
-                .filter(|t| t.tx != r && self.interferes(t.tx, r))
-                .map(|t| chan.delivery(t.tx, r, now).max(0.05))
+                .filter(|&&a| transmitted(a as usize))
+                .map(|&a| chan.delivery(NodeId(a as usize), NodeId(r), now).max(0.05))
                 .fold(0.0, f64::max);
             if strongest > 0.0 {
                 *collisions += 1;
@@ -320,21 +382,17 @@ impl Medium {
                 *captures += 1;
             }
             if rng.gen::<f64>() < p {
-                out.push(r);
+                out.push(NodeId(r));
             }
         }
-        self.overlap_idx = overlap_idx;
-    }
-
-    /// The record for a transmission id, if still retained.
-    pub fn transmission(&self, id: u64) -> Option<&Transmission> {
-        self.active.iter().find(|t| t.id == id)
     }
 
     /// Total µs of overlap between `[start, end)` and other nodes'
     /// transmissions currently on the air — the spatial-reuse indicator.
+    /// `start` is the caller's current instant (see [`Medium::begin`]).
     pub fn overlap_with(&self, node: NodeId, start: Time, end: Time) -> Time {
-        self.active
+        debug_assert!(start >= self.clock, "queries do not look back in time");
+        self.air
             .iter()
             .filter(|t| t.tx != node && t.start < end && start < t.end)
             .map(|t| t.end.min(end) - t.start.max(start))
@@ -342,19 +400,34 @@ impl Medium {
     }
 
     /// End time of `node`'s own in-air transmission, if any (half-duplex
-    /// guard for the MAC).
+    /// guard for the MAC). `now` is the caller's current instant (see
+    /// [`Medium::begin`]).
     pub fn own_tx_until(&self, node: NodeId, now: Time) -> Option<Time> {
-        self.active
-            .iter()
-            .filter(|t| t.tx == node && t.start <= now && now < t.end)
-            .map(|t| t.end)
-            .max()
+        debug_assert!(now >= self.clock, "queries do not look back in time");
+        self.own_end.get(node.0).copied().filter(|&end| end > now)
+    }
+}
+
+/// `ends[node] = max(ends[node], end)`.
+fn raise(ends: &mut [Time], node: usize, end: Time) {
+    if let Some(e) = ends.get_mut(node) {
+        *e = (*e).max(end);
     }
 }
 
 #[inline]
 fn overlaps(a: &Transmission, b: &Transmission) -> bool {
     a.start < b.end && b.start < a.end
+}
+
+/// Is `b` in `rows[a]` exactly when `a` is in `rows[b]`?
+fn is_symmetric(rows: &[Vec<u32>]) -> bool {
+    rows.iter().enumerate().all(|(a, row)| {
+        row.iter().all(|&b| {
+            rows.get(b as usize)
+                .is_some_and(|back| back.binary_search(&(a as u32)).is_ok())
+        })
+    })
 }
 
 #[cfg(test)]
@@ -786,19 +859,41 @@ mod test {
     }
 
     #[test]
-    fn prune_retains_recent() {
-        let t = generate::line(1, 1.0, 0.0, 20.0);
+    fn history_keeps_only_what_a_frame_on_the_air_can_have_overlapped() {
+        let t = line5();
         let ch = chan(&t);
         let mut m = Medium::new(&t, &cfg(), ch.as_ref());
-        m.begin(Transmission {
-            id: 1,
-            tx: NodeId(0),
-            start: 0,
-            end: 100,
-        });
-        m.prune(50 * crate::MS);
-        assert!(m.transmission(1).is_some());
-        m.prune(200 * crate::MS);
-        assert!(m.transmission(1).is_none());
+        let mut id = 0;
+        let mut begin = |m: &mut Medium, tx: usize, start: Time, end: Time| {
+            id += 1;
+            m.begin(Transmission {
+                id,
+                tx: NodeId(tx),
+                start,
+                end,
+            });
+        };
+        let ends = |m: &Medium| m.history.iter().map(|h| h.end).collect::<Vec<_>>();
+        begin(&mut m, 0, 0, 100);
+        begin(&mut m, 2, 50, 300);
+        begin(&mut m, 4, 150, 250);
+        // [0, 100) ended, but [50, 300) is on the air and overlapped it.
+        assert_eq!((m.air.len(), ends(&m)), (2, vec![100]));
+        m.prune(300);
+        // A frame ending exactly at the clock still awaits its verdict.
+        assert_eq!((m.air.len(), ends(&m)), (1, vec![100, 250]));
+        m.prune(301);
+        assert_eq!(
+            (m.air.len(), ends(&m)),
+            (0, vec![]),
+            "idle air: nothing kept"
+        );
+        begin(&mut m, 0, 400, 500);
+        begin(&mut m, 2, 450, 600);
+        begin(&mut m, 4, 550, 700);
+        assert_eq!((m.air.len(), ends(&m)), (2, vec![500]));
+        m.prune(601);
+        // [400, 500) ended before [550, 700) began; [450, 600) did not.
+        assert_eq!((m.air.len(), ends(&m)), (1, vec![600]));
     }
 }

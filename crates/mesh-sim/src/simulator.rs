@@ -47,8 +47,9 @@ enum EventKind {
     TxEnd { id: u64 },
     /// Unicast ACK wait expired (stale unless `seq` matches).
     AckTimeout { node: NodeId, seq: u64 },
-    /// A receiver emits its MAC ACK (SIFS after the data frame).
-    StartMacAck { node: NodeId, data_id: u64 },
+    /// A receiver emits its MAC ACK to the data frame's sender `to`
+    /// (SIFS after the data frame).
+    StartMacAck { node: NodeId, to: NodeId },
     /// Protocol timer.
     Timer { node: NodeId, token: u64 },
 }
@@ -434,9 +435,6 @@ impl<A: NodeAgent> Simulator<A> {
             if stop(&self.agent) {
                 break;
             }
-            if self.stats.events.is_multiple_of(4096) {
-                self.medium.prune(self.now);
-            }
         }
         self.now
     }
@@ -451,7 +449,7 @@ impl<A: NodeAgent> Simulator<A> {
             EventKind::TryTx { node } => self.on_try_tx(node),
             EventKind::TxEnd { id } => self.on_tx_end(id),
             EventKind::AckTimeout { node, seq } => self.on_ack_timeout(node, seq),
-            EventKind::StartMacAck { node, data_id } => self.on_start_mac_ack(node, data_id),
+            EventKind::StartMacAck { node, to } => self.on_start_mac_ack(node, to),
             EventKind::Timer { node, token } => {
                 let mut ctx = Ctx {
                     now: self.now,
@@ -730,7 +728,7 @@ impl<A: NodeAgent> Simulator<A> {
                                 self.now + self.cfg.sifs_us,
                                 EventKind::StartMacAck {
                                     node: dst,
-                                    data_id: id,
+                                    to: sender,
                                 },
                             );
                         }
@@ -761,16 +759,12 @@ impl<A: NodeAgent> Simulator<A> {
         self.scratch_receivers = receivers;
     }
 
-    fn on_start_mac_ack(&mut self, node: NodeId, data_id: u64) {
+    fn on_start_mac_ack(&mut self, node: NodeId, to: NodeId) {
         // Half-duplex: if this node started transmitting in the meantime,
         // the ACK is silently skipped (the sender will retry).
         if matches!(self.states[node.0], MacState::Transmitting) {
             return;
         }
-        let Some(data) = self.medium.transmission(data_id) else {
-            return;
-        };
-        let to = data.tx;
         let air = self.cfg.ack_bitrate.airtime(self.cfg.mac_ack_bytes);
         let id = self.next_tx_id;
         self.next_tx_id += 1;
@@ -895,9 +889,6 @@ impl<A: FlowAgent> Simulator<A> {
             if self.traffic_drained(deadline) && stop(&self.agent) {
                 break;
             }
-            if self.stats.events.is_multiple_of(4096) {
-                self.medium.prune(self.now);
-            }
         }
         self.now
     }
@@ -926,5 +917,73 @@ impl<A: FlowAgent> Simulator<A> {
             }
             TrafficAction::Stop(index) => self.agent.end_flow(index),
         }
+    }
+}
+
+#[cfg(test)]
+mod test {
+    use super::*;
+    use mesh_topology::generate;
+
+    /// Every node with a neighbour is saturated, alternating broadcasts
+    /// with unicasts (so MAC ACKs are on the air too).
+    struct Chatter {
+        next_hop: Vec<Option<NodeId>>,
+        sent: Vec<u32>,
+    }
+
+    impl NodeAgent for Chatter {
+        type Payload = ();
+
+        fn on_receive(&mut self, _node: NodeId, _f: &Frame<()>, _ctx: &mut Ctx<'_>) {}
+
+        fn on_tx_done(&mut self, _node: NodeId, _outcome: TxOutcome, _ctx: &mut Ctx<'_>) {}
+
+        fn poll_tx(&mut self, node: NodeId, _ctx: &mut Ctx<'_>) -> Option<OutFrame<()>> {
+            let next_hop = self.next_hop[node.0]?;
+            self.sent[node.0] += 1;
+            Some(OutFrame {
+                dst: self.sent[node.0].is_multiple_of(2).then_some(next_hop),
+                bytes: 1500,
+                bitrate: None,
+                flow: None,
+                payload: (),
+            })
+        }
+    }
+
+    #[test]
+    fn medium_retains_what_is_on_the_air_not_what_was_sent() {
+        // Retention tracks the air, not a time window (100 ms of this
+        // run is ~20 000 frames): the history holds only frames that
+        // ended while the oldest frame still on the air was being sent —
+        // those on the air with it when it began, plus the shorter ones
+        // (MAC ACKs) that came and went since.
+        let topo = generate::city_mesh(2000, 5);
+        let next_hop: Vec<_> = topo.nodes().map(|a| topo.neighbors(a).next()).collect();
+        let agent = Chatter {
+            sent: vec![0; topo.n()],
+            next_hop,
+        };
+        let mut sim = Simulator::new(topo, SimConfig::default(), agent, 5);
+        for node in sim.topo.nodes() {
+            sim.kick(node);
+        }
+        let (mut air_hw, mut history_hw) = (0, 0);
+        while sim.next_tx_id < 50_000 {
+            let until = sim.now + 50;
+            sim.run_until(until, |_| false);
+            let (air, history) = sim.medium.retained();
+            air_hw = air_hw.max(air);
+            history_hw = history_hw.max(history);
+        }
+        assert!(
+            air_hw > 20,
+            "a busy mesh: {air_hw} frames on the air at once"
+        );
+        assert!(
+            history_hw <= 2 * air_hw + 16,
+            "history {history_hw} records against {air_hw} on the air"
+        );
     }
 }

@@ -46,7 +46,7 @@ pub(crate) struct PairPool<'a> {
 /// Component labels and sizes of the undirected support graph, or `None`
 /// when some link lacks a `p > 0` reverse (reachability is then truly
 /// directed and components would over-count).
-fn symmetric_components(topo: &Topology) -> Option<(Vec<u32>, Vec<usize>)> {
+pub(crate) fn symmetric_components(topo: &Topology) -> Option<(Vec<u32>, Vec<usize>)> {
     for l in topo.links() {
         if topo.delivery(l.to, l.from) <= 0.0 {
             return None;
