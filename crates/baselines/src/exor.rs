@@ -263,8 +263,10 @@ impl ExorAgent {
         }
     }
 
-    /// Registers a transfer; returns its index. Kick `src` to start.
-    pub fn add_flow(&mut self, id: u32, src: NodeId, dst: NodeId, total: usize) -> usize {
+    /// Registers a transfer under the next flow id (index + 1) and arms
+    /// the source with its first batch; returns the flow's index. Kick
+    /// `src` to start.
+    pub fn add_flow(&mut self, src: NodeId, dst: NodeId, total: usize) -> usize {
         assert!(total > 0, "empty transfer");
         let n = self.topo.n();
         let etx = EtxTable::compute(&self.topo, dst, LinkCost::Forward);
@@ -289,12 +291,14 @@ impl ExorAgent {
         for ns in &mut nodes {
             ns.speaker = src_rank; // the source opens the batch
         }
-        // The source holds everything.
+        // The source holds everything, and opens with a turn over it.
         let src_state = &mut nodes[src.0];
         src_state.holds = vec![true; k0];
         src_state.map = vec![src_rank; k0];
+        src_state.turn_queue = (0..k0 as u32).collect();
+        src_state.in_turn = true;
         self.flows.push(ExorFlow {
-            id,
+            id: self.flows.len() as u32 + 1,
             src,
             dst,
             total,
@@ -838,18 +842,6 @@ impl ExorAgent {
         ns.speaker = src_rank;
         Self::begin_turn(f, cfg, srcid, src_rank, ctx);
     }
-
-    /// Starts flow `index`'s first batch (call once, then kick the source
-    /// on the simulator).
-    pub fn start(&mut self, index: usize) {
-        let cfg = self.cfg;
-        let f = &mut self.flows[index];
-        let srcid = f.src;
-        let k = f.k_of(&cfg, 0);
-        let ns = &mut f.nodes[srcid.0];
-        ns.turn_queue = (0..k as u32).collect();
-        ns.in_turn = true;
-    }
 }
 
 impl mesh_sim::FlowAgent for ExorAgent {
@@ -876,10 +868,7 @@ impl mesh_sim::FlowAgent for ExorAgent {
             1,
             "ExOR's scheduler is strictly unicast; multicast arrivals are unsupported"
         );
-        let id = self.flows.iter().map(|f| f.id).max().unwrap_or(0) + 1;
-        let fi = ExorAgent::add_flow(self, id, desc.src, desc.dsts[0], desc.packets);
-        self.start(fi);
-        fi
+        ExorAgent::add_flow(self, desc.src, desc.dst(), desc.packets)
     }
 
     fn end_flow(&mut self, index: usize) {
@@ -902,8 +891,7 @@ mod test {
         seed: u64,
     ) -> (Simulator<ExorAgent>, usize) {
         let mut agent = ExorAgent::new(topo.clone(), cfg);
-        let fi = agent.add_flow(1, NodeId(src), NodeId(dst), total);
-        agent.start(fi);
+        let fi = agent.add_flow(NodeId(src), NodeId(dst), total);
         let mut sim = Simulator::new(topo, SimConfig::default(), agent, seed);
         sim.kick(NodeId(src));
         sim.run_until(900 * SEC, |a: &ExorAgent| a.all_done());

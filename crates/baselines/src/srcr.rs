@@ -119,10 +119,6 @@ pub struct SrcrAgent {
     topo: Topology,
     default_rate: Bitrate,
     flows: Vec<SrcrFlow>,
-    /// Flow index by wire id. `on_receive` runs once per decoded frame;
-    /// a linear scan over every flow ever admitted would cost O(arrivals)
-    /// per event on long Poisson runs.
-    by_id: BTreeMap<u32, usize>,
     /// Per-node round-robin cursor over flows.
     rr: Vec<usize>,
     /// Flow indices whose path crosses each node, ascending. `poll_tx`
@@ -149,7 +145,6 @@ impl SrcrAgent {
             topo,
             default_rate,
             flows: Vec::new(),
-            by_id: BTreeMap::new(),
             rr: vec![0; n],
             node_flows: vec![Vec::new(); n],
             outstanding: vec![VecDeque::new(); n],
@@ -157,8 +152,9 @@ impl SrcrAgent {
         }
     }
 
-    /// Registers a transfer; returns its index. Kick `src` to start.
-    pub fn add_flow(&mut self, id: u32, src: NodeId, dst: NodeId, total: usize) -> usize {
+    /// Registers a transfer under the next flow id (index + 1); returns
+    /// its index. Kick `src` to start.
+    pub fn add_flow(&mut self, src: NodeId, dst: NodeId, total: usize) -> usize {
         assert!(total > 0, "empty transfer");
         let etx = EtxTable::compute(&self.topo, dst, self.cfg.link_cost);
         assert!(etx.dist(src).is_finite(), "source cannot reach destination");
@@ -168,10 +164,8 @@ impl SrcrAgent {
         for &node in &path[..path.len() - 1] {
             self.node_flows[node.0].push(fi);
         }
-        let previous = self.by_id.insert(id, fi);
-        assert!(previous.is_none(), "duplicate flow id {id}");
         self.flows.push(SrcrFlow {
-            id,
+            id: fi as u32 + 1,
             src,
             dst,
             total,
@@ -220,8 +214,11 @@ impl SrcrAgent {
         )
     }
 
+    /// Flow index by wire id: ids are handed out as index + 1.
     fn flow_index(&self, id: u32) -> Option<usize> {
-        self.by_id.get(&id).copied()
+        (id as usize)
+            .checked_sub(1)
+            .filter(|&fi| fi < self.flows.len())
     }
 
     /// A packet left the network (delivered or dropped): update pacing and
@@ -443,8 +440,7 @@ impl mesh_sim::FlowAgent for SrcrAgent {
             1,
             "Srcr routes along a single best path; multicast arrivals are unsupported"
         );
-        let id = self.by_id.keys().next_back().copied().unwrap_or(0) + 1;
-        SrcrAgent::add_flow(self, id, desc.src, desc.dsts[0], desc.packets)
+        SrcrAgent::add_flow(self, desc.src, desc.dst(), desc.packets)
     }
 
     fn end_flow(&mut self, index: usize) {
@@ -467,7 +463,7 @@ mod test {
         seed: u64,
     ) -> (Simulator<SrcrAgent>, usize) {
         let mut agent = SrcrAgent::new(topo.clone(), cfg, Bitrate::B5_5);
-        let fi = agent.add_flow(1, NodeId(src), NodeId(dst), total);
+        let fi = agent.add_flow(NodeId(src), NodeId(dst), total);
         let mut sim = Simulator::new(topo, SimConfig::default(), agent, seed);
         sim.kick(NodeId(src));
         sim.run_until(600 * SEC, |a: &SrcrAgent| a.all_done());
@@ -527,8 +523,8 @@ mod test {
     fn multiflow_shares_the_medium() {
         let topo = generate::testbed(2);
         let mut agent = SrcrAgent::new(topo.clone(), SrcrConfig::default(), Bitrate::B5_5);
-        let f1 = agent.add_flow(1, NodeId(0), NodeId(19), 60);
-        let f2 = agent.add_flow(2, NodeId(7), NodeId(11), 60);
+        let f1 = agent.add_flow(NodeId(0), NodeId(19), 60);
+        let f2 = agent.add_flow(NodeId(7), NodeId(11), 60);
         let mut sim = Simulator::new(topo, SimConfig::default(), agent, 5);
         sim.kick(NodeId(0));
         sim.kick(NodeId(7));
@@ -545,7 +541,7 @@ mod test {
             ..SrcrConfig::default()
         };
         let mut agent = SrcrAgent::new(topo.clone(), cfg, Bitrate::B11);
-        let fi = agent.add_flow(1, NodeId(0), NodeId(1), 400);
+        let fi = agent.add_flow(NodeId(0), NodeId(1), 400);
         let mut sim = Simulator::new(topo, SimConfig::default(), agent, 6);
         sim.kick(NodeId(0));
         sim.run_until(600 * SEC, |a: &SrcrAgent| a.all_done());

@@ -75,19 +75,6 @@ mod test {
     }
 
     #[test]
-    fn random_pairs_are_deterministic_and_reachable() {
-        let topo = generate::testbed(2);
-        let a = random_pairs(&topo, 30, 7);
-        let b = random_pairs(&topo, 30, 7);
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 30);
-        for (s, d) in a {
-            assert_ne!(s, d);
-            assert!(topo.hop_count(s, d).is_some());
-        }
-    }
-
-    #[test]
     fn throughputs_group_in_protocol_order() {
         let topo = generate::line(2, 0.9, 0.3, 25.0);
         let records = Scenario::named("t")

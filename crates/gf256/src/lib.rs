@@ -13,11 +13,11 @@
 //!
 //! Two kernel families implement the slice operations: [`scalar`] walks the
 //! 64 KiB table one byte at a time (the paper's formulation, kept as the
-//! measured baseline), and [`wide`] splits each multiplication across two
-//! 16-entry nibble half-tables ([`tables::MUL_LO`] / [`tables::MUL_HI`])
-//! and streams 32/16/8 bytes per step (AVX2 / SSSE3 / `u64` SWAR, detected
-//! at runtime). [`slice_ops`] dispatches between them — wide by default,
-//! scalar under a [`slice_ops::set_kernel`] override — and adds the multi-source
+//! reference the tests compare against), and [`wide`] splits each
+//! multiplication across two 16-entry nibble half-tables
+//! ([`tables::MUL_LO`] / [`tables::MUL_HI`]) and streams 32/16/8 bytes per
+//! step (AVX2 / SSSE3 / `u64` SWAR, detected at runtime). [`slice_ops`]
+//! re-exports the wide kernels and adds the multi-source
 //! [`slice_ops::axpy_many`] pass that the coding hot path batches through.
 //!
 //! The field is GF(2⁸) with the AES reduction polynomial

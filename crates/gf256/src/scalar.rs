@@ -2,11 +2,9 @@
 //!
 //! These are the original table-walk kernels: fetch the 256-byte row of
 //! [`MUL`] for the scalar once, then process one byte
-//! per step. They are kept as the permanent baseline — the wide kernels in
+//! per step. They are kept as the permanent reference — the wide kernels in
 //! [`wide`](crate::wide) must produce byte-identical output (property-tested
-//! in `tests/kernel_equivalence.rs`), and
-//! [`set_kernel(Kernel::Scalar)`](crate::slice_ops::set_kernel) routes the
-//! dispatching [`slice_ops`](crate::slice_ops) entry points back here.
+//! in `tests/kernel_equivalence.rs`). No production call reaches them.
 
 // xtask: allow(panic_path, file) -- the 256-entry log/exp tables are indexed by u8 values (and EXP by log sums < 510, within its padded length), which cannot overrun.
 

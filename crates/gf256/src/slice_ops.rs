@@ -5,18 +5,12 @@
 //! sources, and decoding is row reduction built from [`mul_assign`],
 //! [`mul_into`], and [`mul_add_assign`].
 //!
-//! Two kernel families implement this API:
-//!
-//! * [`crate::wide`] — nibble split-table kernels that stream 32/16/8 bytes
-//!   per step (AVX2 / SSSE3 / `u64` SWAR, detected at runtime) — the
-//!   default;
-//! * [`crate::scalar`] — the original byte-at-a-time 64 KiB table walk,
-//!   kept as the reference the wide family is tested against.
-//!
-//! The functions here dispatch between the two; [`set_kernel`] overrides
-//! the choice process-wide (used by the scalar-vs-wide equivalence tests
-//! — both families compute identical bytes, so switching kernels never
-//! changes results, only speed).
+//! The single-source kernels ([`add_assign`], [`mul_assign`],
+//! [`mul_add_assign`], [`mul_into`]) are the [`crate::wide`] nibble
+//! split-table kernels, re-exported: 32/16/8 bytes per step (AVX2 / SSSE3 /
+//! `u64` SWAR, detected at runtime). [`crate::scalar`] — the original
+//! byte-at-a-time 64 KiB table walk — is the reference they are tested
+//! against byte for byte; nothing routes production calls to it.
 //!
 //! ```
 //! use more_gf256::{slice_ops, Gf256};
@@ -34,105 +28,10 @@
 
 // xtask: allow(panic_path, file) -- the MUL table is 256x256 indexed by a pair of u8; chunk bounds come from split_at arithmetic on equal-length slices.
 
-use crate::{scalar, wide, Gf256};
-use core::sync::atomic::{AtomicU8, Ordering};
-
 use crate::tables::MUL;
+use crate::Gf256;
 
-/// Which kernel family the dispatching slice kernels run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Kernel {
-    /// The default: resolves to [`Kernel::Wide`].
-    Auto,
-    /// Force the byte-at-a-time reference kernels ([`crate::scalar`]).
-    Scalar,
-    /// Force the chunked kernels ([`crate::wide`]).
-    Wide,
-}
-
-/// Process-wide kernel override; 0 = auto, 1 = scalar, 2 = wide.
-static KERNEL: AtomicU8 = AtomicU8::new(0);
-
-/// Overrides kernel selection for the whole process.
-///
-/// Both families compute identical bytes, so this changes performance only
-/// — it exists for A/B benchmarking and for the scalar-vs-wide equivalence
-/// tests. Pass [`Kernel::Auto`] to restore the default.
-pub fn set_kernel(k: Kernel) {
-    let v = match k {
-        Kernel::Auto => 0,
-        Kernel::Scalar => 1,
-        Kernel::Wide => 2,
-    };
-    KERNEL.store(v, Ordering::SeqCst);
-}
-
-/// The kernel family the dispatching entry points currently resolve to
-/// (never [`Kernel::Auto`]).
-pub fn active_kernel() -> Kernel {
-    match KERNEL.load(Ordering::Relaxed) {
-        1 => Kernel::Scalar,
-        2 => Kernel::Wide,
-        _ => Kernel::Wide,
-    }
-}
-
-#[inline]
-fn wide_active() -> bool {
-    matches!(active_kernel(), Kernel::Wide)
-}
-
-/// `dst[i] ^= src[i]` — add (XOR) `src` into `dst`.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-#[inline]
-pub fn add_assign(dst: &mut [u8], src: &[u8]) {
-    if wide_active() {
-        wide::add_assign(dst, src);
-    } else {
-        scalar::add_assign(dst, src);
-    }
-}
-
-/// `dst[i] = c * dst[i]` — scale a slice in place.
-#[inline]
-pub fn mul_assign(dst: &mut [u8], c: Gf256) {
-    if wide_active() {
-        wide::mul_assign(dst, c);
-    } else {
-        scalar::mul_assign(dst, c);
-    }
-}
-
-/// `dst[i] ^= c * src[i]` — the multiply-accumulate at the heart of coding.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-#[inline]
-pub fn mul_add_assign(dst: &mut [u8], src: &[u8], c: Gf256) {
-    if wide_active() {
-        wide::mul_add_assign(dst, src, c);
-    } else {
-        scalar::mul_add_assign(dst, src, c);
-    }
-}
-
-/// `out[i] = c * src[i]` — scale into a fresh output slice.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-#[inline]
-pub fn mul_into(out: &mut [u8], src: &[u8], c: Gf256) {
-    if wide_active() {
-        wide::mul_into(out, src, c);
-    } else {
-        scalar::mul_into(out, src, c);
-    }
-}
+pub use crate::wide::{add_assign, mul_add_assign, mul_assign, mul_into};
 
 /// Bytes of `dst` kept hot per block while [`axpy_many`] folds every
 /// source into it. Half a typical L1 data cache, so block + one source
@@ -349,22 +248,6 @@ mod test {
         mul_add_assign(&mut unfused, &s1, Gf256(0x35));
         mul_add_assign(&mut unfused, &s2, Gf256(0xC2));
         assert_eq!(fused, unfused);
-    }
-
-    #[test]
-    fn kernel_override_roundtrip() {
-        // Exercise both dispatch targets through the public entry points.
-        let src: Vec<u8> = (0..=255).collect();
-        let mut results = Vec::new();
-        for k in [Kernel::Scalar, Kernel::Wide] {
-            set_kernel(k);
-            assert_eq!(active_kernel(), k);
-            let mut dst = vec![0xA5u8; 256];
-            mul_add_assign(&mut dst, &src, Gf256(0x7B));
-            results.push(dst);
-        }
-        set_kernel(Kernel::Auto);
-        assert_eq!(results[0], results[1], "kernel families disagree");
     }
 
     #[test]

@@ -90,22 +90,20 @@ pub trait ChannelModel: Send {
     /// candidates per transmitter instead of scanning every node.
     fn may_reach(&self, tx: NodeId, rx: NodeId) -> bool;
 
-    /// Structural promise about the [`ChannelModel::may_reach`] relation,
-    /// letting the medium enumerate reachable pairs without an O(n²)
-    /// scan on city-scale meshes. The default is the conservative
-    /// [`ReachHint::AllPairs`]; models should override it when they can.
-    fn reach_hint(&self) -> ReachHint {
-        ReachHint::AllPairs
-    }
+    /// How the medium and the probing helpers enumerate the
+    /// [`ChannelModel::may_reach`] relation without an O(n²) pair scan.
+    /// Every model states one: a model whose support leaves the
+    /// topology's matrix must carry node positions and bound its reach
+    /// ([`ReachHint::WithinDistance`]); there is no unstructured mode.
+    fn reach_hint(&self) -> ReachHint;
 }
 
 /// How a channel's [`ChannelModel::may_reach`] relation is shaped.
 ///
 /// The medium and the probing helpers use this to *enumerate* the pairs
-/// that could ever carry energy: from the topology's link set alone, from
-/// a spatial-index query, or — when nothing is promised — by scanning
-/// every pair. A hint only narrows the enumeration; `may_reach` itself
-/// stays the source of truth for each candidate.
+/// that could ever carry energy: from the topology's link set alone, or
+/// from a spatial-index query. A hint only narrows the enumeration;
+/// `may_reach` itself stays the source of truth for each candidate.
 #[derive(Clone, Copy, Debug, PartialEq)]
 #[must_use]
 pub enum ReachHint {
@@ -119,9 +117,6 @@ pub enum ReachHint {
     /// A 2D spatial-index query with this radius therefore yields a
     /// candidate superset, confirmed pair by pair with `may_reach`.
     WithinDistance(f64),
-    /// No structure promised; every pair must be checked. The safe
-    /// default for external [`ChannelModel`] implementations.
-    AllPairs,
 }
 
 /// Serializable description of a channel model; builds a fresh
@@ -726,8 +721,7 @@ fn gauss(rng: &mut ChaCha8Rng) -> f64 {
 /// Uses the model's [`ChannelModel::reach_hint`] so sparse meshes
 /// enumerate O(links) or O(geometric-neighborhood) pairs: matrix-backed
 /// channels yield exactly the topology's links, distance-bounded channels
-/// query a spatial index and confirm with [`ChannelModel::may_reach`],
-/// and unhinted channels fall back to every ordered pair.
+/// query a spatial index and confirm with [`ChannelModel::may_reach`].
 ///
 /// # Panics
 ///
@@ -735,7 +729,6 @@ fn gauss(rng: &mut ChaCha8Rng) -> f64 {
 /// topology carries no node positions (such models cannot be built over
 /// position-less topologies in the first place).
 pub fn reach_candidates(topo: &Topology, chan: &dyn ChannelModel) -> Vec<(NodeId, NodeId)> {
-    let n = topo.n();
     match chan.reach_hint() {
         ReachHint::MatrixOnly => topo.links().map(|l| (l.from, l.to)).collect(),
         ReachHint::WithinDistance(d) => {
@@ -757,13 +750,6 @@ pub fn reach_candidates(topo: &Topology, chan: &dyn ChannelModel) -> Vec<(NodeId
             }
             out
         }
-        ReachHint::AllPairs => (0..n)
-            .flat_map(|i| {
-                (0..n)
-                    .filter(move |&j| j != i)
-                    .map(move |j| (NodeId(i), NodeId(j)))
-            })
-            .collect(),
     }
 }
 

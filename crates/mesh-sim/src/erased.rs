@@ -35,9 +35,9 @@ use std::rc::Rc;
 /// parallelize across simulations, never within one).
 pub type DynPayload = Rc<dyn Any>;
 
-/// Description of a flow handed to a protocol mid-run (the engine-level
-/// mirror of the scenario layer's `FlowSpec`, so `mesh-sim` stays free of
-/// a dependency on the scenario crate).
+/// One transfer: a source, one or more destinations (several =
+/// multicast), and a packet count. The scenario layer re-exports it as
+/// `FlowSpec`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[must_use]
 pub struct FlowDesc {
@@ -50,13 +50,28 @@ pub struct FlowDesc {
 }
 
 impl FlowDesc {
-    /// A unicast flow description.
+    /// A single-destination flow.
     pub fn unicast(src: NodeId, dst: NodeId, packets: usize) -> Self {
         FlowDesc {
             src,
             dsts: vec![dst],
             packets,
         }
+    }
+
+    /// More than one destination?
+    pub fn is_multicast(&self) -> bool {
+        self.dsts.len() > 1
+    }
+
+    /// The single destination of a unicast flow.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty destination list.
+    pub fn dst(&self) -> NodeId {
+        // xtask: allow(panic_path) -- documented "# Panics" contract; the scenario layer rejects empty destination lists before any protocol sees the flow
+        self.dsts[0]
     }
 }
 
@@ -95,10 +110,10 @@ pub trait FlowAgent: NodeAgent {
         false
     }
 
-    /// Installs `desc` as a new flow while the simulation is running and
-    /// returns its index (flows are indexed in the order they were added,
-    /// counting the ones installed at construction). The caller is
-    /// responsible for kicking the source's MAC afterwards.
+    /// Installs `desc` as a new flow — before the run or in the middle of
+    /// it — and returns its index (flows are indexed in the order they
+    /// were added). The caller is responsible for kicking the source's
+    /// MAC afterwards.
     ///
     /// # Panics
     ///

@@ -14,9 +14,9 @@
 //! the channel's [`ReachHint`], and a spatial index over node positions —
 //! so a 10k-node city mesh costs O(nodes + pairs-in-range), not O(n²),
 //! to build and to query. Reception evaluation walks the transmitter's
-//! reachable-candidate list instead of every node; because candidates
-//! are a superset of the channel's delivery support and skipped nodes
-//! consumed no randomness, runs are byte-identical to the dense scan.
+//! reachable-candidate list instead of every node; candidates are a
+//! superset of the channel's delivery support, and a node outside it
+//! has `p = 0` and consumes no randomness.
 //!
 //! Bookkeeping costs what is physically near a node, not what the run
 //! has sent: frames live in an **on-air set** until the clock passes
@@ -80,9 +80,7 @@ pub struct Medium {
     interfere: Vec<Vec<u32>>,
     /// `reach[t]`: sorted reception candidates for transmitter `t` — a
     /// superset of every node the channel can deliver `t`'s frames to.
-    /// `None` when the channel promises no structure
-    /// ([`ReachHint::AllPairs`]): every node is then a candidate.
-    reach: Option<Vec<Vec<u32>>>,
+    reach: Vec<Vec<u32>>,
     /// Frames begun whose `end` the clock has not passed, in `begin`
     /// order — the first started earliest. A frame ending exactly at the
     /// clock is still here, waiting to be judged.
@@ -111,47 +109,24 @@ impl Medium {
         let n = topo.n();
         // The symmetric "linked" relation: some direction of the pair
         // carries matrix delivery or channel reachability. Enumerated
-        // from the topology's link set plus the channel's reach hint; the
-        // historical O(n²) pair scan remains only for channels that
-        // promise no structure.
-        let hint = chan.reach_hint();
+        // from the topology's link set plus the channel's reach hint.
         let mut linked: Vec<Vec<u32>> = vec![Vec::new(); n];
-        match hint {
-            ReachHint::MatrixOnly | ReachHint::WithinDistance(_) => {
-                for l in topo.links() {
-                    linked[l.from.0].push(l.to.0 as u32);
-                    linked[l.to.0].push(l.from.0 as u32);
-                }
-                if let ReachHint::WithinDistance(d) = hint {
-                    let pos = topo
-                        .positions()
-                        .expect("WithinDistance reach hint requires node positions");
-                    let grid = CellGrid::from_positions(pos, d);
-                    for (a, row) in linked.iter_mut().enumerate() {
-                        grid.for_each_candidate(pos[a].x, pos[a].y, d, |b| {
-                            let (na, nb) = (NodeId(a), NodeId(b as usize));
-                            if b as usize != a && (chan.may_reach(na, nb) || chan.may_reach(nb, na))
-                            {
-                                row.push(b);
-                            }
-                        });
+        for l in topo.links() {
+            linked[l.from.0].push(l.to.0 as u32);
+            linked[l.to.0].push(l.from.0 as u32);
+        }
+        if let ReachHint::WithinDistance(d) = chan.reach_hint() {
+            let pos = topo
+                .positions()
+                .expect("WithinDistance reach hint requires node positions");
+            let grid = CellGrid::from_positions(pos, d);
+            for (a, row) in linked.iter_mut().enumerate() {
+                grid.for_each_candidate(pos[a].x, pos[a].y, d, |b| {
+                    let (na, nb) = (NodeId(a), NodeId(b as usize));
+                    if b as usize != a && (chan.may_reach(na, nb) || chan.may_reach(nb, na)) {
+                        row.push(b);
                     }
-                }
-            }
-            ReachHint::AllPairs => {
-                for a in 0..n {
-                    for b in (a + 1)..n {
-                        let (na, nb) = (NodeId(a), NodeId(b));
-                        if topo.delivery(na, nb) > 0.0
-                            || topo.delivery(nb, na) > 0.0
-                            || chan.may_reach(na, nb)
-                            || chan.may_reach(nb, na)
-                        {
-                            linked[a].push(b as u32);
-                            linked[b].push(a as u32);
-                        }
-                    }
-                }
+                });
             }
         }
         for row in &mut linked {
@@ -160,12 +135,8 @@ impl Medium {
         }
         // Reception candidates per transmitter: the linked relation is a
         // superset of the channel's delivery support in either direction,
-        // so it serves unchanged. With no hint the evaluator scans all
-        // nodes, exactly as before.
-        let reach = match hint {
-            ReachHint::AllPairs => None,
-            _ => Some(linked.clone()),
-        };
+        // so it serves unchanged.
+        let reach = linked.clone();
         // Range-based extension from node positions: pairs within
         // carrier-sense range defer, pairs within interference range jam,
         // decodable or not.
@@ -339,24 +310,11 @@ impl Medium {
             }
         }
         let transmitted = |node: usize| self.stamp.get(node) == Some(&generation);
-        // Walk the transmitter's reception-candidate list (sorted, so the
-        // same ascending order as the historical 0..n scan). Nodes not on
-        // the list have `p = 0` at every instant — the dense scan skipped
-        // them before touching the RNG, so the draw sequence is
-        // byte-identical.
-        let mut sparse_iter;
-        let mut dense_iter;
-        let candidates: &mut dyn Iterator<Item = usize> = match self.reach.as_ref() {
-            Some(rows) => {
-                sparse_iter = rows[f.tx.0].iter().map(|&r| r as usize);
-                &mut sparse_iter
-            }
-            None => {
-                dense_iter = 0..self.n;
-                &mut dense_iter
-            }
-        };
-        for r in candidates {
+        // Walk the transmitter's reception-candidate list in ascending
+        // node order — the order the per-receiver draws are made in.
+        // Nodes not on the list have `p = 0` at every instant and touch
+        // no randomness.
+        for r in self.reach[f.tx.0].iter().map(|&r| r as usize) {
             if r == f.tx.0 {
                 continue;
             }
@@ -717,31 +675,43 @@ mod test {
         }
     }
 
-    /// A channel with no structural promise: every distinct pair reaches.
-    struct Omni;
-    impl ChannelModel for Omni {
+    /// A channel outside the matrix, as the [`ChannelModel`] contract asks
+    /// of one: it carries the node positions and bounds its reach.
+    struct Ranged {
+        pos: Vec<mesh_topology::Position>,
+        reach_m: f64,
+    }
+    impl ChannelModel for Ranged {
         fn delivery(&self, tx: NodeId, rx: NodeId, _now: Time) -> f64 {
-            if tx == rx {
-                0.0
-            } else {
+            if self.may_reach(tx, rx) {
                 0.3
+            } else {
+                0.0
             }
         }
         fn may_reach(&self, tx: NodeId, rx: NodeId) -> bool {
-            tx != rx
+            tx != rx && self.pos[tx.0].distance(&self.pos[rx.0], FLOOR_HEIGHT_M) <= self.reach_m
         }
-        // reach_hint deliberately left at the AllPairs default.
+        fn reach_hint(&self) -> ReachHint {
+            ReachHint::WithinDistance(self.reach_m)
+        }
     }
 
     #[test]
-    fn unhinted_channel_falls_back_to_all_pairs() {
+    fn distance_bounded_channel_reaches_pairs_the_matrix_lacks() {
         let t = line5();
-        let mut m = Medium::new(&t, &cfg(), &Omni);
-        // may_reach links even the 120 m pair the matrix lacks.
-        assert!(m.senses(NodeId(0), NodeId(4)));
-        assert!(m.interferes(NodeId(4), NodeId(0)));
-        // Reception still considers every node: over enough trials the
-        // far end of the line must decode something.
+        let ranged = Ranged {
+            pos: t.positions().expect("line has positions").to_vec(),
+            reach_m: 100.0,
+        };
+        let mut m = Medium::new(&t, &cfg(), &ranged);
+        // 90 m: no matrix link, outside both fixed ranges, inside the
+        // channel's reach. 120 m: outside that too.
+        assert!(m.senses(NodeId(0), NodeId(3)));
+        assert!(m.interferes(NodeId(3), NodeId(0)));
+        assert!(!m.senses(NodeId(0), NodeId(4)));
+        // Reception considers every node the channel can reach, and no
+        // other: over enough trials node 3 decodes, node 4 never does.
         m.begin(Transmission {
             id: 1,
             tx: NodeId(0),
@@ -750,12 +720,13 @@ mod test {
         });
         let mut rng = ChaCha8Rng::seed_from_u64(42);
         let (mut col, mut cap) = (0, 0);
-        let mut far_heard = false;
+        let mut heard = [false; 5];
         for _ in 0..100 {
-            let rx = m.evaluate_reception(1, &Omni, &cfg(), &mut rng, &mut col, &mut cap);
-            far_heard |= rx.contains(&NodeId(4));
+            for r in m.evaluate_reception(1, &ranged, &cfg(), &mut rng, &mut col, &mut cap) {
+                heard[r.0] = true;
+            }
         }
-        assert!(far_heard, "all-pairs fallback must reach node 4");
+        assert_eq!(heard, [false, true, true, true, false]);
     }
 
     #[test]

@@ -232,7 +232,33 @@ impl<A: NodeAgent> Simulator<A> {
         seed: u64,
     ) -> Self {
         let channel = spec.build(&topo, seed);
-        Simulator::with_channel_model(topo, cfg, channel, agent, seed)
+        let n = topo.n();
+        let medium = Medium::new(&topo, &cfg, channel.as_ref());
+        Simulator {
+            topo,
+            cfg,
+            agent,
+            now: 0,
+            seq: 0,
+            queue: BinaryHeap::new(),
+            rng: ChaCha8Rng::seed_from_u64(seed),
+            medium,
+            channel,
+            states: (0..n).map(|_| MacState::Idle).collect(),
+            current: (0..n).map(|_| None).collect(),
+            ack_seq: vec![0; n],
+            in_flight: std::collections::BTreeMap::new(),
+            next_tx_id: 0,
+            traffic: Vec::new(),
+            traffic_seq: 0,
+            pending_starts: 0,
+            start_times_desc: Vec::new(),
+            scratch_timers: Vec::new(),
+            scratch_kicks: Vec::new(),
+            scratch_receivers: Vec::new(),
+            queues: None,
+            stats: SimStats::new(n),
+        }
     }
 
     /// Builds a simulator with both the channel and the transmit-queue
@@ -263,11 +289,11 @@ impl<A: NodeAgent> Simulator<A> {
             return;
         }
         let nodes = (0..self.topo.n())
-            .filter_map(|_| {
-                spec.build_node().map(|disc| NodeQueue {
-                    frames: VecDeque::new(),
-                    disc,
-                })
+            .map(|_| NodeQueue {
+                frames: VecDeque::new(),
+                disc: spec
+                    .build_node()
+                    .expect("a bounded spec builds a discipline"),
             })
             .collect();
         self.queues = Some(QueueLayer {
@@ -314,44 +340,6 @@ impl<A: NodeAgent> Simulator<A> {
             panic!("source pacing requires a bounded QueueSpec (use Simulator::with_queue)");
         };
         layer.auto_pace = Some(cfg);
-    }
-
-    /// Builds a simulator over a caller-constructed channel model — the
-    /// escape hatch for loss processes [`ChannelSpec`] cannot express.
-    pub fn with_channel_model(
-        topo: Topology,
-        cfg: SimConfig,
-        channel: Box<dyn ChannelModel>,
-        agent: A,
-        seed: u64,
-    ) -> Self {
-        let n = topo.n();
-        let medium = Medium::new(&topo, &cfg, channel.as_ref());
-        Simulator {
-            topo,
-            cfg,
-            agent,
-            now: 0,
-            seq: 0,
-            queue: BinaryHeap::new(),
-            rng: ChaCha8Rng::seed_from_u64(seed),
-            medium,
-            channel,
-            states: (0..n).map(|_| MacState::Idle).collect(),
-            current: (0..n).map(|_| None).collect(),
-            ack_seq: vec![0; n],
-            in_flight: std::collections::BTreeMap::new(),
-            next_tx_id: 0,
-            traffic: Vec::new(),
-            traffic_seq: 0,
-            pending_starts: 0,
-            start_times_desc: Vec::new(),
-            scratch_timers: Vec::new(),
-            scratch_kicks: Vec::new(),
-            scratch_receivers: Vec::new(),
-            queues: None,
-            stats: SimStats::new(n),
-        }
     }
 
     /// Schedules a dynamic-workload action for simulated time `at`.
@@ -425,7 +413,7 @@ impl<A: NodeAgent> Simulator<A> {
         while let Some(Reverse((at, _, ev))) = self.queue.pop() {
             if at > deadline {
                 // Leave the event for a future run; time stops at deadline.
-                self.push_back(at, ev);
+                self.push(at, ev);
                 self.now = deadline;
                 break;
             }
@@ -439,11 +427,6 @@ impl<A: NodeAgent> Simulator<A> {
         self.now
     }
 
-    fn push_back(&mut self, at: Time, ev: EventKind) {
-        self.seq += 1;
-        self.queue.push(Reverse((at, self.seq, ev)));
-    }
-
     fn dispatch(&mut self, ev: EventKind) {
         match ev {
             EventKind::TryTx { node } => self.on_try_tx(node),
@@ -451,17 +434,25 @@ impl<A: NodeAgent> Simulator<A> {
             EventKind::AckTimeout { node, seq } => self.on_ack_timeout(node, seq),
             EventKind::StartMacAck { node, to } => self.on_start_mac_ack(node, to),
             EventKind::Timer { node, token } => {
-                let mut ctx = Ctx {
-                    now: self.now,
-                    rng: &mut self.rng,
-                    timers: std::mem::take(&mut self.scratch_timers),
-                    kicks: std::mem::take(&mut self.scratch_kicks),
-                };
-                self.agent.on_timer(node, token, &mut ctx);
-                let Ctx { timers, kicks, .. } = ctx;
-                self.apply_ctx(timers, kicks);
+                self.callback(|agent, ctx| agent.on_timer(node, token, ctx));
             }
         }
+    }
+
+    /// The one gateway into the protocol: runs `call` on the agent with a
+    /// fresh [`Ctx`] over the reused scratch vectors, then applies the
+    /// timers and kicks it queued before anything else happens.
+    fn callback<R>(&mut self, call: impl FnOnce(&mut A, &mut Ctx<'_>) -> R) -> R {
+        let mut ctx = Ctx {
+            now: self.now,
+            rng: &mut self.rng,
+            timers: std::mem::take(&mut self.scratch_timers),
+            kicks: std::mem::take(&mut self.scratch_kicks),
+        };
+        let result = call(&mut self.agent, &mut ctx);
+        let Ctx { timers, kicks, .. } = ctx;
+        self.apply_ctx(timers, kicks);
+        result
     }
 
     /// Applies queued callback mutations, then parks the (now empty)
@@ -510,16 +501,7 @@ impl<A: NodeAgent> Simulator<A> {
                     }
                 }
             } else {
-                let mut ctx = Ctx {
-                    now: self.now,
-                    rng: &mut self.rng,
-                    timers: std::mem::take(&mut self.scratch_timers),
-                    kicks: std::mem::take(&mut self.scratch_kicks),
-                };
-                let polled = self.agent.poll_tx(node, &mut ctx);
-                let Ctx { timers, kicks, .. } = ctx;
-                self.apply_ctx(timers, kicks);
-                polled
+                self.callback(|agent, ctx| agent.poll_tx(node, ctx))
             };
             match polled {
                 Some(frame) => {
@@ -583,6 +565,9 @@ impl<A: NodeAgent> Simulator<A> {
             pacer_src,
             ..
         } = &mut layer;
+        // One `Ctx` across the whole fill loop, not `callback` per poll:
+        // applying kicks between polls would draw their backoffs from the
+        // main stream in between MORE's coefficient draws and reorder both.
         let mut ctx = Ctx {
             now: self.now,
             rng: &mut self.rng,
@@ -701,15 +686,7 @@ impl<A: NodeAgent> Simulator<A> {
                 // receiver's callback, exactly as they always have.
                 for &r in &receivers {
                     self.stats.rx_frames[r.0] += 1;
-                    let mut ctx = Ctx {
-                        now: self.now,
-                        rng: &mut self.rng,
-                        timers: std::mem::take(&mut self.scratch_timers),
-                        kicks: std::mem::take(&mut self.scratch_kicks),
-                    };
-                    self.agent.on_receive(r, &frame, &mut ctx);
-                    let Ctx { timers, kicks, .. } = ctx;
-                    self.apply_ctx(timers, kicks);
+                    self.callback(|agent, ctx| agent.on_receive(r, &frame, ctx));
                 }
                 match frame.dst {
                     None => {
@@ -815,15 +792,7 @@ impl<A: NodeAgent> Simulator<A> {
 
     /// Reports an outcome and re-arms the MAC for the next frame.
     fn finish_tx(&mut self, node: NodeId, outcome: TxOutcome) {
-        let mut ctx = Ctx {
-            now: self.now,
-            rng: &mut self.rng,
-            timers: std::mem::take(&mut self.scratch_timers),
-            kicks: std::mem::take(&mut self.scratch_kicks),
-        };
-        self.agent.on_tx_done(node, outcome, &mut ctx);
-        let Ctx { timers, kicks, .. } = ctx;
-        self.apply_ctx(timers, kicks);
+        self.callback(|agent, ctx| agent.on_tx_done(node, outcome, ctx));
         self.states[node.0] = MacState::Waiting;
         let d = self.backoff_delay(self.cfg.cw_min);
         self.push(self.now + d, EventKind::TryTx { node });
@@ -879,7 +848,7 @@ impl<A: FlowAgent> Simulator<A> {
                 break;
             };
             if at > deadline {
-                self.push_back(at, ev);
+                self.push(at, ev);
                 self.now = deadline;
                 break;
             }

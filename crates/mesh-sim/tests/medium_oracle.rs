@@ -7,10 +7,10 @@
 //! time never goes back — and must give identical answers, receiver
 //! lists, counters and RNG state.
 
-use mesh_sim::channel::{ChannelModel, ChannelSpec};
+use mesh_sim::channel::{ChannelModel, ChannelSpec, ReachHint};
 use mesh_sim::medium::Transmission;
 use mesh_sim::{Medium, SimConfig, Time, MS};
-use mesh_topology::{generate, NodeId, Topology};
+use mesh_topology::{generate, NodeId, Position, Topology};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -378,27 +378,39 @@ fn shadowing_channel_matches_the_scan() {
     assert_exercised(&drive(&topo, chan, &hot, 3000, 5));
 }
 
-/// No structural promise (`ReachHint::AllPairs`): every pair reaches, at
+/// A channel outside the matrix: every pair within `reach_m` reaches, at
 /// a strength that depends on the pair so capture goes both ways.
-struct Omni;
-impl ChannelModel for Omni {
+struct Ranged {
+    pos: Vec<Position>,
+    reach_m: f64,
+}
+impl ChannelModel for Ranged {
     fn delivery(&self, tx: NodeId, rx: NodeId, _now: Time) -> f64 {
-        if tx == rx {
-            0.0
-        } else {
+        if self.may_reach(tx, rx) {
             0.05 + 0.9 * ((tx.0 * 7 + rx.0 * 3) % 10) as f64 / 10.0
+        } else {
+            0.0
         }
     }
     fn may_reach(&self, tx: NodeId, rx: NodeId) -> bool {
-        tx != rx
+        tx != rx && self.pos[tx.0].distance(&self.pos[rx.0], 10.0) <= self.reach_m
+    }
+    fn reach_hint(&self) -> ReachHint {
+        ReachHint::WithinDistance(self.reach_m)
     }
 }
 
 #[test]
-fn all_pairs_channel_matches_the_scan() {
+fn distance_bounded_channel_matches_the_scan() {
+    // 330 m of line under a 200 m reach: most pairs reach without a
+    // matrix link, the far ones do not.
     let topo = generate::line(11, 0.9, 0.0, 30.0);
     let hot: Vec<NodeId> = topo.nodes().collect();
-    assert_exercised(&drive(&topo, Box::new(Omni), &hot, 3000, 9));
+    let chan = Ranged {
+        pos: topo.positions().expect("line has positions").to_vec(),
+        reach_m: 200.0,
+    };
+    assert_exercised(&drive(&topo, Box::new(chan), &hot, 3000, 9));
 }
 
 #[test]

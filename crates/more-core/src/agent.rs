@@ -57,15 +57,10 @@ impl MoreAgent {
     ///
     /// Computes, per destination, the metric table and the Algorithm-1
     /// forwarder plan with pruning, and the reverse path for batch ACKs.
-    /// Returns the flow's index for [`Self::progress`]. Callers must
-    /// `kick(src)` on the simulator to start the source's MAC.
-    pub fn add_flow(
-        &mut self,
-        id: FlowId,
-        src: NodeId,
-        dsts: &[NodeId],
-        total_packets: usize,
-    ) -> usize {
+    /// The flow takes the next id (index + 1). Returns the flow's index
+    /// for [`Self::progress`]. Callers must `kick(src)` on the simulator
+    /// to start the source's MAC.
+    pub fn add_flow(&mut self, src: NodeId, dsts: &[NodeId], total_packets: usize) -> usize {
         assert!(total_packets > 0, "empty transfer");
         assert!(!dsts.is_empty(), "a flow needs a destination");
         assert!(
@@ -110,7 +105,7 @@ impl MoreAgent {
         let to_src = EtxTable::compute(&self.topo, src, LinkCost::ForwardReverse);
         let ack_next_hop = (0..n).map(|i| to_src.next_hop(NodeId(i))).collect();
         self.flows.push(MoreFlow {
-            id,
+            id: self.flows.len() as FlowId + 1,
             src,
             dsts,
             total_packets,
@@ -527,8 +522,7 @@ impl mesh_sim::FlowAgent for MoreAgent {
     }
 
     fn add_flow(&mut self, desc: &mesh_sim::FlowDesc) -> usize {
-        let id = self.flows.iter().map(|f| f.id).max().unwrap_or(0) + 1;
-        MoreAgent::add_flow(self, id, desc.src, &desc.dsts, desc.packets)
+        MoreAgent::add_flow(self, desc.src, &desc.dsts, desc.packets)
     }
 
     fn end_flow(&mut self, index: usize) {
@@ -552,7 +546,7 @@ mod test {
     ) -> (Simulator<MoreAgent>, usize) {
         let mut agent = MoreAgent::new(topo.clone(), cfg);
         let dsts: Vec<NodeId> = dsts.iter().map(|&d| NodeId(d)).collect();
-        let fi = agent.add_flow(1, NodeId(src), &dsts, packets);
+        let fi = agent.add_flow(NodeId(src), &dsts, packets);
         let mut sim = Simulator::new(topo, SimConfig::default(), agent, seed);
         sim.kick(NodeId(src));
         sim.run_until(600 * SEC, |a: &MoreAgent| a.all_done());
@@ -651,8 +645,8 @@ mod test {
     fn multiflow_roundrobin_completes_both() {
         let topo = generate::testbed(3);
         let mut agent = MoreAgent::new(topo.clone(), MoreConfig::default());
-        let f1 = agent.add_flow(1, NodeId(0), &[NodeId(19)], 32);
-        let f2 = agent.add_flow(2, NodeId(5), &[NodeId(12)], 32);
+        let f1 = agent.add_flow(NodeId(0), &[NodeId(19)], 32);
+        let f2 = agent.add_flow(NodeId(5), &[NodeId(12)], 32);
         let mut sim = Simulator::new(topo, SimConfig::default(), agent, 7);
         sim.kick(NodeId(0));
         sim.kick(NodeId(5));
@@ -668,7 +662,7 @@ mod test {
         let topo = generate::testbed(4);
         let agent = {
             let mut a = MoreAgent::new(topo.clone(), MoreConfig::default());
-            a.add_flow(1, NodeId(0), &[NodeId(19)], 32);
+            a.add_flow(NodeId(0), &[NodeId(19)], 32);
             a
         };
         let plan = &agent.flows()[0].dsts[0].plan;
@@ -738,7 +732,7 @@ mod test {
                 ..MoreConfig::default()
             };
             let mut agent = MoreAgent::new(topo.clone(), cfg);
-            agent.add_flow(1, NodeId(0), &[NodeId(19), NodeId(12), NodeId(7)], 32);
+            agent.add_flow(NodeId(0), &[NodeId(19), NodeId(12), NodeId(7)], 32);
             let orders = agent.flows()[0].dsts.iter().map(|d| d.plan.order.clone());
             orders.collect::<Vec<_>>()
         };
@@ -757,8 +751,8 @@ mod test {
     fn multicast_and_unicast_from_one_source_interleave() {
         let topo = generate::testbed(1);
         let mut agent = MoreAgent::new(topo.clone(), MoreConfig::default());
-        let mc = agent.add_flow(1, NodeId(0), &[NodeId(5), NodeId(9)], 256);
-        let uni = agent.add_flow(2, NodeId(0), &[NodeId(19)], 256);
+        let mc = agent.add_flow(NodeId(0), &[NodeId(5), NodeId(9)], 256);
+        let uni = agent.add_flow(NodeId(0), &[NodeId(19)], 256);
         let mut sim = Simulator::new(topo, SimConfig::default(), agent, 8);
         sim.kick(NodeId(0));
         sim.run_until(600 * SEC, |a: &MoreAgent| a.progress(mc).done);
@@ -773,6 +767,6 @@ mod test {
     #[should_panic(expected = "needs a destination")]
     fn empty_destination_list_rejected() {
         let mut agent = MoreAgent::new(generate::testbed(1), MoreConfig::default());
-        agent.add_flow(1, NodeId(0), &[], 32);
+        agent.add_flow(NodeId(0), &[], 32);
     }
 }

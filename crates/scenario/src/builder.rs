@@ -25,8 +25,8 @@ use crate::spec::{
 };
 use crate::traffic::{flow_windows, validate_schedule, FlowWindow, TrafficModelSpec};
 use mesh_sim::{
-    AimdConfig, Bitrate, ChannelSpec, ErasedFlowAgent, FlowAgent, FlowDesc, QueueSpec, SimConfig,
-    Simulator, TrafficAction, SEC, TICK,
+    AimdConfig, Bitrate, ChannelSpec, ErasedFlowAgent, FlowAgent, QueueSpec, SimConfig, Simulator,
+    TrafficAction, SEC, TICK,
 };
 use mesh_topology::estimator::LinkEstimator;
 use mesh_topology::{NodeId, Topology};
@@ -336,10 +336,9 @@ impl ScenarioBuilder {
     }
 
     /// Sets the per-node transmit queue discipline every run uses
-    /// (default: [`QueueSpec::Unbounded`], the legacy pull-on-demand
-    /// engine — byte-identical output, no `queue` key in the records).
-    /// Bounded disciplines surface per-flow drops, whole-run drop totals,
-    /// and Jain's fairness index in each record.
+    /// (default: [`QueueSpec::Unbounded`], the pull-on-demand engine).
+    /// Bounded disciplines surface per-flow drops and whole-run drop
+    /// totals in each record.
     ///
     /// ```
     /// use mesh_sim::QueueSpec;
@@ -840,9 +839,9 @@ impl ScenarioBuilder {
             if !factory.supports_multicast() {
                 reject_multicast(proto_name, windows.iter().map(|w| &w.spec))?;
             }
-            // Flows arriving at t = 0 are installed at construction — the
-            // legacy path, byte-identical for static workloads; the rest
-            // are injected mid-run through the agent's lifecycle hooks.
+            // Flows arriving at t = 0 are installed by the factory before
+            // the run, the rest by the simulator's traffic queue mid-run —
+            // both through `FlowAgent::add_flow`.
             let initial: Vec<FlowSpec> = windows
                 .iter()
                 .filter(|w| w.start == 0)
@@ -983,9 +982,8 @@ fn reachable_destinations(topo: &Topology, windows: &[FlowWindow]) -> Vec<Vec<bo
 ///
 /// Flows starting at t = 0 are pre-installed in `agent` and kicked, the
 /// rest are injected through the simulator's traffic queue; per-flow
-/// arrival/departure/latency is recorded for dynamic schedules (and
-/// omitted for static ones, which stay byte-identical to the
-/// pre-traffic-model engine). A bounded `queue` installs the queueing
+/// arrival/departure/latency is recorded for dynamic schedules (`None`
+/// for static ones). A bounded `queue` installs the queueing
 /// layer; `congestion` then paces every flow's source (flow ids are
 /// `1..=windows.len()` in window order — the factory contract — and
 /// dynamically arriving flows are auto-paced via the traffic hook).
@@ -1023,14 +1021,7 @@ fn run_one(
         if w.start == 0 {
             sim.kick(w.spec.src);
         } else {
-            sim.schedule_traffic(
-                w.start,
-                TrafficAction::Start(FlowDesc {
-                    src: w.spec.src,
-                    dsts: w.spec.dsts.clone(),
-                    packets: w.spec.packets,
-                }),
-            );
+            sim.schedule_traffic(w.start, TrafficAction::Start(w.spec.clone()));
         }
         if let Some(stop) = w.stop {
             sim.schedule_traffic(stop, TrafficAction::Stop(i));

@@ -6,7 +6,7 @@
 use crate::registry::{BuildError, ProtocolFactory};
 use crate::spec::{ExpConfig, FlowSpec};
 use baselines::{ExorAgent, ExorConfig, SrcrAgent, SrcrConfig};
-use mesh_sim::{Erased, ErasedFlowAgent};
+use mesh_sim::{Erased, ErasedFlowAgent, FlowAgent};
 use mesh_topology::Topology;
 use more_core::{MoreAgent, MoreConfig};
 
@@ -56,8 +56,8 @@ impl ProtocolFactory for MoreFactory {
             ..self.cfg
         };
         let mut agent = MoreAgent::new(topo.clone(), mcfg);
-        for (i, f) in flows.iter().enumerate() {
-            agent.add_flow(i as u32 + 1, f.src, &f.dsts, f.packets);
+        for f in flows {
+            FlowAgent::add_flow(&mut agent, f);
         }
         Ok(Box::new(Erased(agent)))
     }
@@ -128,9 +128,8 @@ impl ProtocolFactory for ExorFactory {
             ..self.cfg
         };
         let mut agent = ExorAgent::new(topo.clone(), ecfg);
-        for (i, f) in flows.iter().enumerate() {
-            let fi = agent.add_flow(i as u32 + 1, f.src, f.dst(), f.packets);
-            agent.start(fi);
+        for f in flows {
+            FlowAgent::add_flow(&mut agent, f);
         }
         Ok(Box::new(Erased(agent)))
     }
@@ -190,8 +189,8 @@ impl ProtocolFactory for SrcrFactory {
     ) -> Result<Box<dyn ErasedFlowAgent>, BuildError> {
         reject_multicast(&self.name, flows.iter())?;
         let mut agent = SrcrAgent::new(topo.clone(), self.cfg, cfg.bitrate);
-        for (i, f) in flows.iter().enumerate() {
-            agent.add_flow(i as u32 + 1, f.src, f.dst(), f.packets);
+        for f in flows {
+            FlowAgent::add_flow(&mut agent, f);
         }
         Ok(Box::new(Erased(agent)))
     }

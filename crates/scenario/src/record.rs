@@ -2,6 +2,8 @@
 
 use mesh_sim::SEC;
 use mesh_topology::NodeId;
+use std::borrow::Cow;
+use std::fmt::Write;
 
 /// One flow's outcome within a run.
 #[derive(Clone, Debug, PartialEq)]
@@ -16,18 +18,15 @@ pub struct FlowRecord {
     /// the deadline as the denominator — the Figs 4-2…4-7 convention).
     pub throughput_pps: f64,
     /// Frames of this flow dropped by transmit queues anywhere in the
-    /// mesh. Always 0 (and the JSON key omitted) for the unbounded
-    /// default, which has no queues to drop from.
+    /// mesh. Always 0 for the unbounded default, which has no queues to
+    /// drop from.
     pub queue_drops: u64,
     /// The transfer finished before the deadline.
     pub completed: bool,
     /// Completion time in simulated seconds, when completed.
     pub completed_at_s: Option<f64>,
     /// When the flow arrived, simulated seconds. `None` for static
-    /// workloads (every flow starts at 0), and the `started_at_s` /
-    /// `stopped_at_s` / `latency_s` JSON keys are omitted entirely so
-    /// static output stays byte-identical to the pre-traffic-model
-    /// engine.
+    /// workloads (every flow starts at 0).
     pub started_at_s: Option<f64>,
     /// When the traffic model withdrew the flow mid-run, simulated
     /// seconds; `None` when it ran to completion or deadline.
@@ -48,14 +47,10 @@ pub struct RunRecord {
     /// Topology the run used.
     pub topology: String,
     /// Channel-model label ([`mesh_sim::ChannelSpec::label`]); `"static"`
-    /// for the default §5.3.1 air. Omitted from JSON when static so
-    /// static output stays byte-identical to the pre-channel engine.
+    /// for the default §5.3.1 air.
     pub channel: String,
     /// Queue-discipline label ([`mesh_sim::QueueSpec::label`]);
-    /// `"unbounded"` for the default pull-on-demand engine. Omitted from
-    /// JSON — together with the `queue_drops` and `fairness` keys — when
-    /// unbounded, so default output stays byte-identical to the pre-queue
-    /// engine (enforced by `tests/queue_equivalence.rs`).
+    /// `"unbounded"` for the default pull-on-demand engine.
     pub queue: String,
     /// Sweep parameter name, when the scenario sweeps one.
     pub param: Option<&'static str>,
@@ -104,95 +99,55 @@ impl RunRecord {
 
     /// The record as a single JSON object — one JSON-Lines line, exactly
     /// the array element [`to_json`] emits (the contract the
-    /// [`crate::sink::JsonLines`] sink streams under).
+    /// [`crate::sink::JsonLines`] sink streams under). Every key is
+    /// always written, `null` where a value does not apply — the same
+    /// fixed shape as [`RunRecord::CSV_HEADER`].
     pub fn to_json_line(&self) -> String {
-        // Queue keys only exist for bounded disciplines: the unbounded
-        // default must stay byte-identical to the pre-queue engine
-        // (tests/queue_equivalence.rs), like the channel and lifecycle
-        // keys below.
-        let queued = self.queue != "unbounded";
-        let flows: Vec<String> = self
-            .flows
-            .iter()
-            .map(|f| {
-                let dsts: Vec<String> = f.dsts.iter().map(|d| d.0.to_string()).collect();
-                // Flow-lifecycle keys only exist for dynamic workloads:
-                // static runs must stay byte-identical to the
-                // pre-traffic-model engine (tests/traffic_equivalence.rs).
-                let lifecycle = match f.started_at_s {
-                    None => String::new(),
-                    Some(start) => format!(
-                        ", \"started_at_s\": {}, \"stopped_at_s\": {}, \"latency_s\": {}",
-                        fmt_f64(start),
-                        f.stopped_at_s
-                            .map(fmt_f64)
-                            .unwrap_or_else(|| "null".to_string()),
-                        f.latency_s
-                            .map(fmt_f64)
-                            .unwrap_or_else(|| "null".to_string()),
-                    ),
-                };
-                let qdrops = if queued {
-                    format!(", \"queue_drops\": {}", f.queue_drops)
-                } else {
-                    String::new()
-                };
-                format!(
-                    "{{\"src\": {}, \"dsts\": [{}], \"delivered\": {}, \
-                     \"throughput_pps\": {}, \"completed\": {}, \"completed_at_s\": {}{}{}}}",
-                    f.src.0,
-                    dsts.join(", "),
-                    f.delivered,
-                    fmt_f64(f.throughput_pps),
-                    f.completed,
-                    f.completed_at_s
-                        .map(fmt_f64)
-                        .unwrap_or_else(|| "null".to_string()),
-                    lifecycle,
-                    qdrops,
-                )
-            })
-            .collect();
-        // The channel key is omitted for the default static air: static
-        // runs must serialize byte-identically to the pre-channel engine
-        // (enforced by tests/channel_equivalence.rs).
-        let channel = if self.channel == "static" {
-            String::new()
-        } else {
-            format!("\"channel\": {}, ", esc(&self.channel))
-        };
-        let queue = if queued {
-            format!(
-                "\"queue\": {}, \"queue_drops\": {}, \"fairness\": {}, ",
-                esc(&self.queue),
-                self.queue_drops,
-                fmt_f64(self.fairness),
-            )
-        } else {
-            String::new()
-        };
-        format!(
-            "{{\"scenario\": {}, \"protocol\": {}, \"topology\": {}, {}{}\
-             \"param\": {}, \"value\": {}, \"seed\": {}, \"traffic_index\": {}, \
-             \"total_tx\": {}, \"concurrency\": {}, \"sim_time_s\": {}, \"flows\": [{}]}}",
+        let mut out = String::with_capacity(320 + 240 * self.flows.len());
+        // Writing to a `String` cannot fail.
+        let _ = write!(
+            out,
+            "{{\"scenario\": {}, \"protocol\": {}, \"topology\": {}, \"channel\": {}, \
+             \"queue\": {}, \"queue_drops\": {}, \"fairness\": {}, \"param\": {}, \
+             \"value\": {}, \"seed\": {}, \"traffic_index\": {}, \"total_tx\": {}, \
+             \"concurrency\": {}, \"sim_time_s\": {}, \"flows\": [",
             esc(&self.scenario),
             esc(&self.protocol),
             esc(&self.topology),
-            channel,
-            queue,
-            self.param
-                .map(|p| format!("\"{p}\""))
-                .unwrap_or_else(|| "null".to_string()),
-            self.value
-                .map(fmt_f64)
-                .unwrap_or_else(|| "null".to_string()),
+            esc(&self.channel),
+            esc(&self.queue),
+            self.queue_drops,
+            fmt_f64(self.fairness),
+            self.param.map_or_else(|| "null".to_string(), esc),
+            fmt_opt(self.value),
             self.seed,
             self.traffic_index,
             self.total_tx,
             fmt_f64(self.concurrency),
             fmt_f64(self.sim_time_s),
-            flows.join(", "),
-        )
+        );
+        for (i, f) in self.flows.iter().enumerate() {
+            let dsts: Vec<String> = f.dsts.iter().map(|d| d.0.to_string()).collect();
+            let _ = write!(
+                out,
+                "{}{{\"src\": {}, \"dsts\": [{}], \"delivered\": {}, \"throughput_pps\": {}, \
+                 \"completed\": {}, \"completed_at_s\": {}, \"started_at_s\": {}, \
+                 \"stopped_at_s\": {}, \"latency_s\": {}, \"queue_drops\": {}}}",
+                if i == 0 { "" } else { ", " },
+                f.src.0,
+                dsts.join(", "),
+                f.delivered,
+                fmt_f64(f.throughput_pps),
+                f.completed,
+                fmt_opt(f.completed_at_s),
+                fmt_opt(f.started_at_s),
+                fmt_opt(f.stopped_at_s),
+                fmt_opt(f.latency_s),
+                f.queue_drops,
+            );
+        }
+        out.push_str("]}");
+        out
     }
 
     /// The CSV header matching [`RunRecord::to_csv_rows`]. One CSV row
@@ -202,10 +157,8 @@ impl RunRecord {
          completed_at_s,started_at_s,stopped_at_s,latency_s,total_tx,total_queue_drops,fairness,\
          concurrency,sim_time_s";
 
-    /// One CSV row per flow, matching [`RunRecord::CSV_HEADER`]. Unlike
-    /// JSON, the queue columns always exist (CSV has no optional keys);
-    /// unbounded runs carry `unbounded`, zero drops, and the fairness
-    /// index.
+    /// One CSV row per flow, matching [`RunRecord::CSV_HEADER`]; absent
+    /// values are empty fields.
     pub fn to_csv_rows(&self) -> Vec<String> {
         self.flows
             .iter()
@@ -282,12 +235,18 @@ pub fn time_to_s(t: mesh_sim::Time) -> f64 {
     t as f64 / SEC as f64
 }
 
-fn fmt_f64(v: f64) -> String {
+fn fmt_f64(v: f64) -> Cow<'static, str> {
     if v.is_finite() {
-        format!("{v}")
+        v.to_string().into()
     } else {
-        "null".to_string()
+        "null".into()
     }
+}
+
+/// `null` for an absent (or non-finite) value — borrowed, since a static
+/// run writes several per flow.
+fn fmt_opt(v: Option<f64>) -> Cow<'static, str> {
+    v.map_or("null".into(), fmt_f64)
 }
 
 fn esc(s: &str) -> String {
@@ -376,32 +335,31 @@ mod test {
     }
 
     #[test]
-    fn channel_key_omitted_when_static_present_otherwise() {
-        // Static: byte-compat with the pre-channel engine, no channel key.
-        assert!(!to_json(&[sample()]).contains("\"channel\""));
-        // Non-static: the label is surfaced.
+    fn channel_key_is_written_for_every_channel() {
         let mut r = sample();
-        r.channel = "ge(good=1.25;bad=0;to_bad=0.05;to_good=0.2;epoch=10ms)".into();
-        let json = to_json(&[r.clone()]);
-        let v = mesh_topology::json::parse(&json).expect("valid JSON");
-        assert_eq!(
-            v.as_arr().unwrap()[0].get("channel").unwrap().as_str(),
-            Some(r.channel.as_str())
-        );
-        // CSV always carries the column.
+        for label in [
+            "static",
+            "ge(good=1.25;bad=0;to_bad=0.05;to_good=0.2;epoch=10ms)",
+        ] {
+            r.channel = label.into();
+            let v = mesh_topology::json::parse(&to_json(&[r.clone()])).expect("valid JSON");
+            assert_eq!(
+                v.as_arr().unwrap()[0].get("channel").unwrap().as_str(),
+                Some(label)
+            );
+            assert!(to_csv(&[r.clone()]).contains(label));
+        }
         assert!(RunRecord::CSV_HEADER.contains(",channel,"));
-        let csv = to_csv(&[r.clone()]);
-        assert!(csv.contains(&r.channel));
     }
 
     #[test]
-    fn queue_keys_omitted_when_unbounded_present_otherwise() {
-        // Unbounded: byte-compat with the pre-queue engine — none of the
-        // queue-subsystem keys exist.
-        let json = to_json(&[sample()]);
-        for key in ["\"queue\"", "\"queue_drops\"", "\"fairness\""] {
-            assert!(!json.contains(key), "unexpected {key} in {json}");
-        }
+    fn queue_keys_are_written_for_every_discipline() {
+        // Unbounded: the label, zero drops and the fairness index.
+        let v = mesh_topology::json::parse(&to_json(&[sample()])).expect("valid JSON");
+        let obj = &v.as_arr().unwrap()[0];
+        assert_eq!(obj.get("queue").unwrap().as_str(), Some("unbounded"));
+        assert_eq!(obj.get("queue_drops").unwrap().as_f64(), Some(0.0));
+        assert_eq!(obj.get("fairness").unwrap().as_f64(), Some(1.0));
         // Bounded: label, drop counts, and the fairness index surface at
         // both the run and flow level.
         let mut r = sample();
@@ -417,7 +375,6 @@ mod test {
         assert_eq!(obj.get("fairness").unwrap().as_f64(), Some(0.5));
         let flow = &obj.get("flows").unwrap().as_arr().unwrap()[0];
         assert_eq!(flow.get("queue_drops").unwrap().as_f64(), Some(7.0));
-        // CSV always carries the columns.
         for col in [
             ",queue,",
             ",queue_drops,",
@@ -431,25 +388,30 @@ mod test {
     }
 
     #[test]
-    fn lifecycle_keys_omitted_for_static_flows_present_otherwise() {
-        // Static flow (started_at_s = None): byte-compat, no lifecycle keys.
-        assert!(!to_json(&[sample()]).contains("started_at_s"));
-        // Dynamic flow: all three keys appear.
+    fn lifecycle_keys_are_null_for_static_flows_and_valued_otherwise() {
+        let flow_of = |r: RunRecord| {
+            let v = mesh_topology::json::parse(&to_json(&[r])).expect("valid JSON");
+            v.as_arr().unwrap()[0]
+                .get("flows")
+                .unwrap()
+                .as_arr()
+                .unwrap()[0]
+                .clone()
+        };
+        // Static flow (started_at_s = None): the keys exist and are null.
+        let flow = flow_of(sample());
+        for key in ["started_at_s", "stopped_at_s", "latency_s"] {
+            assert_eq!(flow.get(key), Some(&mesh_topology::json::Value::Null));
+        }
+        // Dynamic flow: all three carry their values.
         let mut r = sample();
         r.flows[0].started_at_s = Some(1.5);
         r.flows[0].stopped_at_s = Some(9.0);
         r.flows[0].latency_s = Some(1.04);
-        let json = to_json(&[r]);
-        let v = mesh_topology::json::parse(&json).expect("valid JSON");
-        let flow = &v.as_arr().unwrap()[0]
-            .get("flows")
-            .unwrap()
-            .as_arr()
-            .unwrap()[0];
+        let flow = flow_of(r);
         assert_eq!(flow.get("started_at_s").unwrap().as_f64(), Some(1.5));
         assert_eq!(flow.get("stopped_at_s").unwrap().as_f64(), Some(9.0));
         assert_eq!(flow.get("latency_s").unwrap().as_f64(), Some(1.04));
-        // CSV always carries the columns.
         for col in ["started_at_s", "stopped_at_s", "latency_s"] {
             assert!(RunRecord::CSV_HEADER.contains(col), "missing {col}");
         }

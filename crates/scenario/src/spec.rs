@@ -1,12 +1,12 @@
 //! Declarative scenario ingredients: topology, traffic, parameters, and
 //! sweeps.
 
-// xtask: allow(panic_path, file) -- FlowSpec validation guarantees a non-empty destination list, and Sweep::value(i) is only called with i < len() by the sweep driver iterating 0..len().
+// xtask: allow(panic_path, file) -- Sweep::value(i) is only called with i < len() by the sweep driver iterating 0..len().
 
 use crate::registry::BuildError;
 use crate::traffic::TrafficModelSpec;
 use mesh_sim::{Bitrate, ChannelSpec, QueueSpec};
-use mesh_topology::{generate, NodeId, Topology};
+use mesh_topology::{generate, Link, NodeId, Topology};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -42,39 +42,9 @@ impl Default for ExpConfig {
     }
 }
 
-/// One transfer: a source, one or more destinations (several =
-/// multicast), and a packet count.
-#[derive(Clone, Debug, PartialEq, Eq)]
-#[must_use]
-pub struct FlowSpec {
-    /// Source node.
-    pub src: NodeId,
-    /// One destination (unicast) or several (multicast).
-    pub dsts: Vec<NodeId>,
-    /// Packet budget of the transfer.
-    pub packets: usize,
-}
-
-impl FlowSpec {
-    /// A single-destination flow.
-    pub fn unicast(src: NodeId, dst: NodeId, packets: usize) -> Self {
-        FlowSpec {
-            src,
-            dsts: vec![dst],
-            packets,
-        }
-    }
-
-    /// More than one destination?
-    pub fn is_multicast(&self) -> bool {
-        self.dsts.len() > 1
-    }
-
-    /// The single destination of a unicast flow.
-    pub fn dst(&self) -> NodeId {
-        self.dsts[0]
-    }
-}
+/// One transfer — the engine's flow description under the scenario
+/// layer's name for it.
+pub use mesh_sim::FlowDesc as FlowSpec;
 
 /// How the topology of a run is produced.
 #[derive(Clone)]
@@ -208,18 +178,18 @@ impl TopologySpec {
 /// `p` becomes `1 − min(1, (1 − p) · factor)`. `factor` 1.0 is identity;
 /// 0.0 makes every existing link perfect; larger values degrade.
 pub fn scale_loss(topo: &Topology, factor: f64) -> Topology {
-    let n = topo.n();
-    let mut m = vec![vec![0.0; n]; n];
-    for (i, row) in m.iter_mut().enumerate() {
-        for (j, cell) in row.iter_mut().enumerate() {
-            let p = topo.delivery(NodeId(i), NodeId(j));
-            if i != j && p > 0.0 {
-                *cell = (1.0 - (1.0 - p) * factor).clamp(0.0, 1.0);
-            }
-        }
-    }
+    // Link by link, never through an n × n matrix: a 10k-node city mesh
+    // has ~10⁵ links and 10⁸ pairs. A link scaled to 0 is no link.
+    let links = topo
+        .links()
+        .map(|l| Link {
+            delivery: (1.0 - (1.0 - l.delivery) * factor).clamp(0.0, 1.0),
+            ..l
+        })
+        .filter(|l| l.delivery > 0.0)
+        .collect();
     let name = format!("{}*loss{factor}", topo.name);
-    let scaled = Topology::from_matrix(name, m);
+    let scaled = Topology::from_links(name, topo.n(), links);
     match topo.positions() {
         Some(pos) => scaled.with_positions(pos.to_vec()),
         None => scaled,
@@ -512,6 +482,25 @@ mod test {
         for l in topo.links() {
             assert!((same.delivery(l.from, l.to) - l.delivery).abs() < 1e-12);
         }
+        // A factor that clamps a link's delivery to 0 removes the link.
+        let gone = scale_loss(&topo, 1e9);
+        assert_eq!(gone.link_count(), 0);
+        assert_eq!(gone.positions(), topo.positions());
+    }
+
+    #[test]
+    fn loss_scaling_maps_links_without_densifying() {
+        // 2 000 nodes would be a 32 MB matrix; the sparse map touches
+        // only the ~20 000 links and keeps name suffix and positions.
+        let topo = generate::city_mesh(2000, 4);
+        let same = scale_loss(&topo, 1.0);
+        assert_eq!(same.link_count(), topo.link_count());
+        for (a, b) in topo.links().zip(same.links()) {
+            assert_eq!((a.from, a.to), (b.from, b.to));
+            assert!((a.delivery - b.delivery).abs() < 1e-12, "{a:?} vs {b:?}");
+        }
+        assert_eq!(same.positions(), topo.positions());
+        assert_eq!(same.name, format!("{}*loss1", topo.name));
     }
 
     /// Two disconnected cliques: pairs across the gap are unreachable.

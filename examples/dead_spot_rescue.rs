@@ -20,7 +20,7 @@ const PACKETS: usize = 96;
 
 fn srcr_throughput(topo: &more_repro::topology::Topology, s: NodeId, d: NodeId) -> f64 {
     let mut agent = SrcrAgent::new(topo.clone(), SrcrConfig::default(), Bitrate::B5_5);
-    let flow = agent.add_flow(1, s, d, PACKETS);
+    let flow = agent.add_flow(s, d, PACKETS);
     let mut sim = Simulator::new(topo.clone(), SimConfig::default(), agent, 9);
     sim.kick(s);
     let deadline = 240 * SEC;
@@ -32,7 +32,7 @@ fn srcr_throughput(topo: &more_repro::topology::Topology, s: NodeId, d: NodeId) 
 
 fn more_throughput(topo: &more_repro::topology::Topology, s: NodeId, d: NodeId) -> (f64, usize) {
     let mut agent = MoreAgent::new(topo.clone(), MoreConfig::default());
-    let flow = agent.add_flow(1, s, &[d], PACKETS);
+    let flow = agent.add_flow(s, &[d], PACKETS);
     let n_forwarders = agent.flows()[flow].dsts[0].plan.forwarders().len();
     let mut sim = Simulator::new(topo.clone(), SimConfig::default(), agent, 9);
     sim.kick(s);

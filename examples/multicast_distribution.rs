@@ -23,7 +23,7 @@ fn main() {
 
     // Multicast: one flow, three destinations.
     let mut agent = MoreAgent::new(topo.clone(), MoreConfig::default());
-    let fi = agent.add_flow(1, src, &dsts, PACKETS);
+    let fi = agent.add_flow(src, &dsts, PACKETS);
     let mut sim = Simulator::new(topo.clone(), SimConfig::default(), agent, 5);
     sim.kick(src);
     sim.run_until(900 * SEC, |a: &MoreAgent| a.all_done());
@@ -44,7 +44,7 @@ fn main() {
     let mut uni_tx = 0;
     for (i, &d) in dsts.iter().enumerate() {
         let mut agent = MoreAgent::new(topo.clone(), MoreConfig::default());
-        let fi = agent.add_flow(1, src, &[d], PACKETS);
+        let fi = agent.add_flow(src, &[d], PACKETS);
         let mut sim = Simulator::new(topo.clone(), SimConfig::default(), agent, 6 + i as u64);
         sim.kick(src);
         sim.run_until(900 * SEC, |a: &MoreAgent| a.all_done());

@@ -78,8 +78,8 @@ fn measured_run() -> (u64, usize) {
         ..MoreConfig::default()
     };
     let mut agent = MoreAgent::new(topo.clone(), cfg);
-    let f1 = agent.add_flow(1, NodeId(0), &[NodeId(19)], 32);
-    let f2 = agent.add_flow(2, NodeId(5), &[NodeId(12)], 32);
+    let f1 = agent.add_flow(NodeId(0), &[NodeId(19)], 32);
+    let f2 = agent.add_flow(NodeId(5), &[NodeId(12)], 32);
     let mut sim = Simulator::new(topo, SimConfig::default(), agent, 1);
     sim.kick(NodeId(0));
     sim.kick(NodeId(5));

@@ -1,70 +1,35 @@
-//! Channel-API equivalence: the redesigned loss layer, run with the
-//! default [`ChannelSpec::Static`], must emit **byte-identical**
-//! `RunRecord` JSON to the pre-redesign engine (captured in
-//! `tests/golden/channel_static_run.json` before `ChannelModel` existed).
-//!
-//! This is the same pattern as `tests/coding_equivalence.rs`: the 2-flow
-//! coded MORE scenario exercises the whole stack — CSMA/CA, collisions,
-//! capture, per-receiver losses, RLNC encode/decode — so a single changed
-//! RNG draw or reordered branch in the channel plumbing would shift every
-//! downstream number. Bursty channels must instead be deterministic per
-//! seed and visibly different from static air.
+//! Channel-API equivalence: the default [`ChannelSpec::Static`] is the
+//! golden run (see `tests/common/mod.rs`), said or unsaid; bursty
+//! channels must instead be deterministic per seed and visibly different
+//! from static air.
 
-use more_repro::more::MoreConfig;
-use more_repro::scenario::{record, ChannelSpec, MoreFactory, Scenario, TrafficSpec};
-use more_repro::topology::NodeId;
+mod common;
 
-/// The golden scenario, on the channel the builder is told about
-/// (`None` = builder default, which must be the static channel).
-fn run_coded_scenario(channel: Option<ChannelSpec>) -> String {
-    let coded = MoreFactory::named(
-        "MORE-coded",
-        MoreConfig {
-            track_payloads: true,
-            packet_bytes: 256,
-            ..MoreConfig::default()
-        },
-    );
-    let mut builder = Scenario::named("channel_equivalence")
-        .testbed(1)
-        .traffic(TrafficSpec::Concurrent(vec![
-            (NodeId(0), NodeId(19)),
-            (NodeId(5), NodeId(12)),
-        ]))
-        .register(coded)
-        .k(8)
-        .packets(32)
-        .deadline(180)
-        .seeds([1]);
-    if let Some(spec) = channel {
-        builder = builder.channel(spec);
-    }
-    record::to_json(&builder.run())
-}
+use common::{coded_2flow, GOLDEN};
+use more_repro::scenario::{record, ChannelSpec};
 
 #[test]
 fn static_channel_reproduces_the_pre_redesign_run_byte_for_byte() {
-    let golden = include_str!("golden/channel_static_run.json");
-    let default_json = run_coded_scenario(None);
+    let default_json = record::to_json(&coded_2flow().run());
     assert_eq!(
-        default_json, golden,
-        "the default channel diverged from the pre-redesign engine"
+        default_json, GOLDEN,
+        "the default channel diverged from the golden run"
     );
     // Saying `Static` explicitly is the same as saying nothing.
-    assert_eq!(run_coded_scenario(Some(ChannelSpec::Static)), default_json);
+    let explicit = coded_2flow().channel(ChannelSpec::Static).run();
+    assert_eq!(record::to_json(&explicit), default_json);
 }
 
 #[test]
 fn bursty_channel_is_deterministic_per_seed_and_distinct_from_static() {
-    let spec = ChannelSpec::bursty_matched(0.0, 0.05, 0.2, 10);
-    let a = run_coded_scenario(Some(spec.clone()));
-    let b = run_coded_scenario(Some(spec));
-    assert_eq!(a, b, "same seed + same channel must replay exactly");
-    assert_ne!(
-        a,
-        run_coded_scenario(None),
-        "bursty air must change the run"
-    );
+    let bursty = || {
+        let spec = ChannelSpec::bursty_matched(0.0, 0.05, 0.2, 10);
+        record::to_json(&coded_2flow().seeds([1]).channel(spec).run())
+    };
+    let a = bursty();
+    assert_eq!(a, bursty(), "same seed + same channel must replay exactly");
+    let static_air = record::to_json(&coded_2flow().seeds([1]).run());
+    assert_ne!(a, static_air, "bursty air must change the run");
     // And the channel is surfaced in the output.
     assert!(a.contains("\"channel\": \"ge("), "channel key missing: {a}");
 }

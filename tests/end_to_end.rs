@@ -8,7 +8,7 @@ use more_repro::topology::{generate, NodeId, Topology};
 
 fn more_run(topo: &Topology, s: usize, d: usize, packets: usize, seed: u64) -> (bool, usize, u64) {
     let mut agent = MoreAgent::new(topo.clone(), MoreConfig::default());
-    let fi = agent.add_flow(1, NodeId(s), &[NodeId(d)], packets);
+    let fi = agent.add_flow(NodeId(s), &[NodeId(d)], packets);
     let mut sim = Simulator::new(topo.clone(), SimConfig::default(), agent, seed);
     sim.kick(NodeId(s));
     sim.run_until(600 * SEC, |a: &MoreAgent| a.all_done());
@@ -43,7 +43,7 @@ fn more_payload_integrity_over_lossy_multihop() {
         ..MoreConfig::default()
     };
     let mut agent = MoreAgent::new(topo.clone(), cfg);
-    let fi = agent.add_flow(1, NodeId(0), &[NodeId(19)], 48);
+    let fi = agent.add_flow(NodeId(0), &[NodeId(19)], 48);
     let mut sim = Simulator::new(topo, SimConfig::default(), agent, 11);
     sim.kick(NodeId(0));
     sim.run_until(600 * SEC, |a: &MoreAgent| a.all_done());
@@ -56,8 +56,7 @@ fn exor_and_srcr_complete_on_the_testbed() {
     let topo = generate::testbed(2);
     // ExOR
     let mut ea = ExorAgent::new(topo.clone(), ExorConfig::default());
-    let efi = ea.add_flow(1, NodeId(5), NodeId(14), 64);
-    ea.start(efi);
+    let efi = ea.add_flow(NodeId(5), NodeId(14), 64);
     let mut esim = Simulator::new(topo.clone(), SimConfig::default(), ea, 2);
     esim.kick(NodeId(5));
     esim.run_until(600 * SEC, |a: &ExorAgent| a.all_done());
@@ -65,7 +64,7 @@ fn exor_and_srcr_complete_on_the_testbed() {
     assert_eq!(esim.agent.progress(efi).delivered, 64);
     // Srcr
     let mut sa = SrcrAgent::new(topo.clone(), SrcrConfig::default(), Bitrate::B5_5);
-    let sfi = sa.add_flow(1, NodeId(5), NodeId(14), 64);
+    let sfi = sa.add_flow(NodeId(5), NodeId(14), 64);
     let mut ssim = Simulator::new(topo, SimConfig::default(), sa, 2);
     ssim.kick(NodeId(5));
     ssim.run_until(600 * SEC, |a: &SrcrAgent| a.all_done());
@@ -88,7 +87,7 @@ fn identical_seeds_give_identical_runs() {
 fn stopping_rule_silences_the_network() {
     let topo = generate::testbed(1);
     let mut agent = MoreAgent::new(topo.clone(), MoreConfig::default());
-    let fi = agent.add_flow(1, NodeId(2), &[NodeId(17)], 64);
+    let fi = agent.add_flow(NodeId(2), &[NodeId(17)], 64);
     let mut sim = Simulator::new(topo, SimConfig::default(), agent, 5);
     sim.kick(NodeId(2));
     sim.run_until(600 * SEC, |a: &MoreAgent| a.all_done());
@@ -108,8 +107,8 @@ fn concurrent_flows_all_protocols() {
     let flows = [(NodeId(0), NodeId(19)), (NodeId(7), NodeId(12))];
 
     let mut ma = MoreAgent::new(topo.clone(), MoreConfig::default());
-    for (i, &(s, d)) in flows.iter().enumerate() {
-        ma.add_flow(i as u32 + 1, s, &[d], 32);
+    for &(s, d) in &flows {
+        ma.add_flow(s, &[d], 32);
     }
     let mut msim = Simulator::new(topo.clone(), SimConfig::default(), ma, 3);
     for &(s, _) in &flows {
@@ -121,9 +120,8 @@ fn concurrent_flows_all_protocols() {
     }
 
     let mut ea = ExorAgent::new(topo.clone(), ExorConfig::default());
-    for (i, &(s, d)) in flows.iter().enumerate() {
-        let fi = ea.add_flow(i as u32 + 1, s, d, 32);
-        ea.start(fi);
+    for &(s, d) in &flows {
+        ea.add_flow(s, d, 32);
     }
     let mut esim = Simulator::new(topo, SimConfig::default(), ea, 3);
     for &(s, _) in &flows {
@@ -144,7 +142,7 @@ fn batch_sizes_all_work() {
             ..MoreConfig::default()
         };
         let mut agent = MoreAgent::new(topo.clone(), cfg);
-        let fi = agent.add_flow(1, NodeId(0), &[NodeId(2)], 2 * k + k / 2 + 1);
+        let fi = agent.add_flow(NodeId(0), &[NodeId(2)], 2 * k + k / 2 + 1);
         let mut sim = Simulator::new(topo.clone(), SimConfig::default(), agent, 4);
         sim.kick(NodeId(0));
         sim.run_until(600 * SEC, |a: &MoreAgent| a.all_done());

@@ -1,63 +1,32 @@
 //! Packet-path equivalence: the zero-copy packet memory model (refcounted
 //! payload buffers, flat coded-packet layout, buffer pooling, batched
-//! delivery) must emit **byte-identical** `RunRecord` JSON to the
-//! pre-rewrite engine, captured in `tests/golden/packet_path_run.json`
-//! before any of it existed.
-//!
-//! Same pattern as `tests/channel_equivalence.rs`: the 2-flow coded MORE
-//! scenario with `track_payloads` exercises the whole packet path —
-//! source encode, forwarder pre-coding, destination decode, per-receiver
-//! delivery, payload verification — so a single reordered RNG draw, a
+//! delivery) reproduces the golden run (see `tests/common/mod.rs`) — a
 //! buffer reused while still referenced, or a changed delivery order in
-//! the batched medium pass would shift every downstream number.
+//! the batched medium pass, would shift every downstream number.
 //!
-//! Regenerate (only when an *intentional* engine change lands) with:
+//! This suite is the golden file's one writer. Regenerate (only when an
+//! *intentional* engine or schema change lands) with:
 //! `UPDATE_GOLDEN=1 cargo test --test packet_path_equivalence`.
 
-use more_repro::more::MoreConfig;
-use more_repro::scenario::{record, MoreFactory, Scenario, TrafficSpec};
-use more_repro::topology::NodeId;
+mod common;
 
-/// The golden scenario: two concurrent coded flows crossing the 20-node
-/// testbed, real payloads carried and verified end-to-end.
-fn run_packet_path_scenario() -> String {
-    let coded = MoreFactory::named(
-        "MORE-coded",
-        MoreConfig {
-            track_payloads: true,
-            packet_bytes: 256,
-            ..MoreConfig::default()
-        },
-    );
-    let builder = Scenario::named("packet_path")
-        .testbed(1)
-        .traffic(TrafficSpec::Concurrent(vec![
-            (NodeId(0), NodeId(19)),
-            (NodeId(5), NodeId(12)),
-        ]))
-        .register(coded)
-        .k(8)
-        .packets(32)
-        .deadline(180)
-        .seeds([1, 3]);
-    record::to_json(&builder.run())
-}
+use common::{coded_2flow, GOLDEN};
+use more_repro::scenario::record;
 
 #[test]
 fn zero_copy_path_reproduces_the_pre_rewrite_run_byte_for_byte() {
-    let json = run_packet_path_scenario();
+    let json = record::to_json(&coded_2flow().run());
     if std::env::var("UPDATE_GOLDEN").is_ok() {
         let path = concat!(
             env!("CARGO_MANIFEST_DIR"),
-            "/tests/golden/packet_path_run.json"
+            "/tests/golden/coded_2flow_run.json"
         );
         std::fs::write(path, &json).expect("write golden");
         return;
     }
-    let golden = include_str!("golden/packet_path_run.json");
     assert_eq!(
-        json, golden,
-        "the zero-copy packet path diverged from the pre-rewrite engine"
+        json, GOLDEN,
+        "the zero-copy packet path diverged from the golden run"
     );
 }
 
@@ -65,7 +34,7 @@ fn zero_copy_path_reproduces_the_pre_rewrite_run_byte_for_byte() {
 fn repeated_runs_share_buffers_but_stay_identical() {
     // Back-to-back runs on one thread reuse pooled buffers from the
     // previous run; recycling must be invisible to the simulation.
-    let a = run_packet_path_scenario();
-    let b = run_packet_path_scenario();
+    let a = record::to_json(&coded_2flow().run());
+    let b = record::to_json(&coded_2flow().run());
     assert_eq!(a, b, "pooled-buffer reuse changed a deterministic run");
 }

@@ -1,79 +1,44 @@
-//! Queue-subsystem equivalence: the engine run with the default
-//! [`QueueSpec::Unbounded`] must emit **byte-identical** `RunRecord` JSON
-//! to the pre-queue engine (captured in
-//! `tests/golden/queue_default_run.json` before the queueing layer
-//! existed).
-//!
-//! Same pattern as `tests/channel_equivalence.rs`: the 2-flow coded MORE
-//! scenario plus the Srcr and ExOR baselines exercise every agent whose
-//! transmit path was rebuilt around the queue pump (pop-at-poll
-//! outstanding FIFOs), so a single extra poll, re-queued frame, or RNG
-//! draw would shift every downstream number. Bounded disciplines must
-//! instead be deterministic per seed, diverge across seeds, and surface
-//! the `queue` key in the output.
+//! Queue-subsystem equivalence: the default [`QueueSpec::Unbounded`] —
+//! the pull-on-demand transmit path — is the golden run (see
+//! `tests/common/mod.rs`), said or unsaid. The run includes the Srcr and
+//! ExOR baselines because every agent's transmit path is shared with the
+//! queue pump (pop-at-poll outstanding FIFOs): a single extra poll,
+//! re-queued frame, or RNG draw would shift every downstream number.
+//! Bounded disciplines must instead be deterministic per seed, diverge
+//! across seeds, and surface their label in the `queue` key.
 
-use more_repro::more::MoreConfig;
-use more_repro::scenario::{record, MoreFactory, QueueSpec, Scenario, TrafficSpec};
-use more_repro::topology::NodeId;
+mod common;
 
-/// The golden scenario, on the queue discipline the builder is told
-/// about (`None` = builder default, which must be the unbounded legacy
-/// path).
-fn run_coded_scenario(queue: Option<QueueSpec>, seed: u64) -> String {
-    let coded = MoreFactory::named(
-        "MORE-coded",
-        MoreConfig {
-            track_payloads: true,
-            packet_bytes: 256,
-            ..MoreConfig::default()
-        },
-    );
-    let mut builder = Scenario::named("queue_equivalence")
-        .testbed(1)
-        .traffic(TrafficSpec::Concurrent(vec![
-            (NodeId(0), NodeId(19)),
-            (NodeId(5), NodeId(12)),
-        ]))
-        .register(coded)
-        .protocols(["Srcr", "ExOR"])
-        .k(8)
-        .packets(32)
-        .deadline(180)
-        .seeds([seed]);
-    if let Some(spec) = queue {
-        builder = builder.queue(spec);
-    }
-    record::to_json(&builder.run())
-}
+use common::{coded_2flow, GOLDEN};
+use more_repro::scenario::{record, QueueSpec};
 
 #[test]
 fn unbounded_queue_reproduces_the_pre_queue_run_byte_for_byte() {
-    let golden = include_str!("golden/queue_default_run.json");
-    let default_json = run_coded_scenario(None, 1);
+    let default_json = record::to_json(&coded_2flow().run());
     assert_eq!(
-        default_json, golden,
-        "the default (unbounded) path diverged from the pre-queue engine"
+        default_json, GOLDEN,
+        "the default (unbounded) path diverged from the golden run"
     );
     // Saying `Unbounded` explicitly is the same as saying nothing.
-    assert_eq!(
-        run_coded_scenario(Some(QueueSpec::Unbounded), 1),
-        default_json
-    );
+    let explicit = coded_2flow().queue(QueueSpec::Unbounded).run();
+    assert_eq!(record::to_json(&explicit), default_json);
 }
 
 #[test]
 fn bounded_disciplines_are_deterministic_and_distinct() {
-    let unbounded = run_coded_scenario(None, 1);
+    let run = |spec: &QueueSpec, seed: u64| {
+        record::to_json(&coded_2flow().seeds([seed]).queue(spec.clone()).run())
+    };
+    let unbounded = run(&QueueSpec::Unbounded, 1);
     for spec in [
         QueueSpec::drop_tail(4),
         QueueSpec::red(8),
         QueueSpec::choke(8),
     ] {
-        let a = run_coded_scenario(Some(spec.clone()), 1);
-        let b = run_coded_scenario(Some(spec.clone()), 1);
+        let a = run(&spec, 1);
         assert_eq!(
             a,
-            b,
+            run(&spec, 1),
             "{}: same seed + same queue must replay exactly",
             spec.label()
         );
@@ -88,7 +53,7 @@ fn bounded_disciplines_are_deterministic_and_distinct() {
         // not only of the discipline.
         assert_ne!(
             a,
-            run_coded_scenario(Some(spec.clone()), 2),
+            run(&spec, 2),
             "{}: different seeds must not replay identically",
             spec.label()
         );

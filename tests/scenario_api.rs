@@ -343,3 +343,61 @@ fn multicast_scenario_runs_on_more() {
     // Both destinations got the whole transfer.
     assert_eq!(r.flows[0].delivered, 2 * 32);
 }
+
+/// One record schema: whatever the channel, queue and traffic model, a
+/// record serializes with the same keys in the same order — a consumer
+/// never infers the configuration from which keys are missing — and
+/// every line is valid JSON.
+#[test]
+fn every_configuration_serializes_with_the_same_keys() {
+    use more_repro::scenario::{ChannelSpec, QueueSpec};
+    use more_repro::topology::json::{self, Value};
+
+    let base = |name: &str| {
+        Scenario::named(name)
+            .testbed(1)
+            .protocol("MORE")
+            .k(8)
+            .packets(16)
+            .deadline(60)
+    };
+    let pair = TrafficSpec::SinglePair {
+        src: NodeId(0),
+        dst: NodeId(19),
+    };
+    let runs = [
+        base("static").traffic(pair.clone()).run(),
+        base("bursty_choke")
+            .traffic(pair)
+            .channel(ChannelSpec::bursty_matched(0.0, 0.05, 0.2, 10))
+            .queue(QueueSpec::choke(8))
+            .run(),
+        base("poisson")
+            .traffic_model(TrafficModelSpec::Poisson {
+                rate_per_s: 0.2,
+                mean_hold_s: 15.0,
+                max_active: 3,
+            })
+            .run(),
+    ];
+    let keys = |v: &Value| match v {
+        Value::Obj(pairs) => pairs.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>(),
+        other => panic!("not an object: {other:?}"),
+    };
+    let mut shapes = Vec::new();
+    for r in runs.iter().flatten() {
+        let line = json::parse(&r.to_json_line()).expect("every line parses");
+        let flows = line.get("flows").and_then(Value::as_arr).expect("flows");
+        assert!(!flows.is_empty(), "{}: a run without flows", r.scenario);
+        for f in flows {
+            shapes.push((keys(&line), keys(f)));
+        }
+    }
+    assert!(shapes.len() >= 3);
+    assert!(
+        shapes.windows(2).all(|w| w[0] == w[1]),
+        "key sets differ between configurations: {shapes:?}"
+    );
+    assert_eq!(shapes[0].0.len(), 15, "run-level keys: {:?}", shapes[0].0);
+    assert_eq!(shapes[0].1.len(), 10, "flow-level keys: {:?}", shapes[0].1);
+}

@@ -15,7 +15,7 @@ fn line4() -> more_repro::topology::Topology {
 fn more_overlap(seed: u64) -> (f64, f64) {
     let topo = line4();
     let mut agent = MoreAgent::new(topo.clone(), MoreConfig::default());
-    let fi = agent.add_flow(1, NodeId(0), &[NodeId(4)], 192);
+    let fi = agent.add_flow(NodeId(0), &[NodeId(4)], 192);
     let mut sim = Simulator::new(topo, SimConfig::default(), agent, seed);
     sim.kick(NodeId(0));
     sim.run_until(600 * SEC, |a: &MoreAgent| a.all_done());
@@ -28,8 +28,7 @@ fn more_overlap(seed: u64) -> (f64, f64) {
 fn exor_overlap(seed: u64) -> (f64, f64) {
     let topo = line4();
     let mut agent = ExorAgent::new(topo.clone(), ExorConfig::default());
-    let fi = agent.add_flow(1, NodeId(0), NodeId(4), 192);
-    agent.start(fi);
+    let fi = agent.add_flow(NodeId(0), NodeId(4), 192);
     let mut sim = Simulator::new(topo, SimConfig::default(), agent, seed);
     sim.kick(NodeId(0));
     sim.run_until(900 * SEC, |a: &ExorAgent| a.all_done());
