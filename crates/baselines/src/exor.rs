@@ -336,8 +336,11 @@ impl ExorAgent {
         self.flows.iter().all(|f| f.progress.done || f.halted)
     }
 
+    /// Flow index by wire id: ids are handed out as index + 1.
     fn flow_index(&self, id: u32) -> Option<usize> {
-        self.flows.iter().position(|f| f.id == id)
+        (id as usize)
+            .checked_sub(1)
+            .filter(|&fi| fi < self.flows.len())
     }
 
     /// Timer token packing: flow index in the high bits, generation low.

@@ -13,12 +13,13 @@
 //!
 //! Two kernel families implement the slice operations: [`scalar`] walks the
 //! 64 KiB table one byte at a time (the paper's formulation, kept as the
-//! reference the tests compare against), and [`wide`] splits each
-//! multiplication across two 16-entry nibble half-tables
-//! ([`tables::MUL_LO`] / [`tables::MUL_HI`]) and streams 32/16/8 bytes per
-//! step (AVX2 / SSSE3 / `u64` SWAR, detected at runtime). [`slice_ops`]
-//! re-exports the wide kernels and adds the multi-source
-//! [`slice_ops::axpy_many`] pass that the coding hot path batches through.
+//! reference the tests compare against), and [`wide`] is one fused
+//! `dst ← s·dst ⊕ Σ cⱼ·srcⱼ` per SIMD tier — GFNI + AVX-512 (`vgf2p8mulb`,
+//! 64-byte lanes), AVX2 (two `vpshufb` over the 16-entry nibble half-tables
+//! [`tables::MUL_LO`] / [`tables::MUL_HI`], 32-byte lanes) or a portable
+//! table walk, picked by the CPU at runtime. [`slice_ops`] re-exports the
+//! wide kernels, among them the multi-source [`slice_ops::axpy_many`] pass
+//! that the coding hot path batches through.
 //!
 //! The field is GF(2⁸) with the AES reduction polynomial
 //! x⁸ + x⁴ + x³ + x + 1 (0x11B). Addition is XOR; subtraction equals

@@ -5,12 +5,12 @@
 //! sources, and decoding is row reduction built from [`mul_assign`],
 //! [`mul_into`], and [`mul_add_assign`].
 //!
-//! The single-source kernels ([`add_assign`], [`mul_assign`],
-//! [`mul_add_assign`], [`mul_into`]) are the [`crate::wide`] nibble
-//! split-table kernels, re-exported: 32/16/8 bytes per step (AVX2 / SSSE3 /
-//! `u64` SWAR, detected at runtime). [`crate::scalar`] — the original
-//! byte-at-a-time 64 KiB table walk — is the reference they are tested
-//! against byte for byte; nothing routes production calls to it.
+//! All of them are the [`crate::wide`] kernels re-exported — one fused
+//! `dst ← s·dst ⊕ Σ cⱼ·srcⱼ` per SIMD tier (GFNI + AVX-512 / AVX2 / `u64`
+//! SWAR, the CPU picks), of which the single-source kernels are the
+//! one-term cases. [`crate::scalar`] — the original byte-at-a-time 64 KiB
+//! table walk — is the reference they are tested against byte for byte;
+//! nothing routes production calls to it.
 //!
 //! ```
 //! use more_gf256::{slice_ops, Gf256};
@@ -26,61 +26,12 @@
 //! assert_eq!(coded, vec![byte.0; 8]);
 //! ```
 
-// xtask: allow(panic_path, file) -- the MUL table is 256x256 indexed by a pair of u8; chunk bounds come from split_at arithmetic on equal-length slices.
+// xtask: allow(panic_path, file) -- the MUL table is 256x256 indexed by a pair of u8.
 
 use crate::tables::MUL;
 use crate::Gf256;
 
-pub use crate::wide::{add_assign, mul_add_assign, mul_assign, mul_into};
-
-/// Bytes of `dst` kept hot per block while [`axpy_many`] folds every
-/// source into it. Half a typical L1 data cache, so block + one source
-/// stream fit comfortably.
-const AXPY_BLOCK: usize = 16 * 1024;
-
-/// `dst += Σ cⱼ·srcⱼ` — multi-source multiply-accumulate in one pass.
-///
-/// This is the batching contract the coding hot path is built on: producing
-/// a coded packet `Σ cᵢ·pᵢ` is **one** call, not K separate
-/// [`mul_add_assign`] passes. `dst` is walked in L1-sized blocks and every
-/// source is folded into the resident block before moving on, so `dst` is
-/// read and written once per block regardless of how many sources there
-/// are. Zero coefficients are skipped for free.
-///
-/// ```
-/// use more_gf256::{slice_ops, Gf256};
-///
-/// let sources = [[7u8; 4], [9u8; 4]];
-/// let mut fused = vec![0u8; 4];
-/// slice_ops::axpy_many(
-///     &mut fused,
-///     &[(Gf256(2), &sources[0]), (Gf256(3), &sources[1])],
-/// );
-///
-/// let mut unfused = vec![0u8; 4];
-/// for (c, s) in [(Gf256(2), &sources[0]), (Gf256(3), &sources[1])] {
-///     slice_ops::mul_add_assign(&mut unfused, s, c);
-/// }
-/// assert_eq!(fused, unfused);
-/// ```
-///
-/// # Panics
-///
-/// Panics if any source length differs from `dst`.
-pub fn axpy_many(dst: &mut [u8], terms: &[(Gf256, &[u8])]) {
-    for (_, src) in terms {
-        assert_eq!(dst.len(), src.len(), "slice length mismatch");
-    }
-    let n = dst.len();
-    let mut off = 0;
-    while off < n {
-        let end = (off + AXPY_BLOCK).min(n);
-        for &(c, src) in terms {
-            mul_add_assign(&mut dst[off..end], &src[off..end], c);
-        }
-        off = end;
-    }
-}
+pub use crate::wide::{add_assign, axpy as axpy_many, mul_add_assign, mul_assign, mul_into};
 
 /// Dot product of two equal-length byte slices over GF(2⁸).
 ///
@@ -95,21 +46,6 @@ pub fn dot(a: &[u8], b: &[u8]) -> Gf256 {
         acc ^= MUL[x as usize][y as usize];
     }
     Gf256(acc)
-}
-
-/// Linear combination: `out = Σ coeffs[j] * rows[j]`, all rows equal length.
-///
-/// Zeroes `out` first, then runs one [`axpy_many`] pass.
-///
-/// # Panics
-///
-/// Panics if `coeffs.len() != rows.len()` or any row length differs from
-/// `out`.
-pub fn linear_combination(out: &mut [u8], rows: &[&[u8]], coeffs: &[Gf256]) {
-    assert_eq!(rows.len(), coeffs.len(), "rows/coeffs length mismatch");
-    out.fill(0);
-    let terms: Vec<(Gf256, &[u8])> = coeffs.iter().zip(rows).map(|(&c, &r)| (c, r)).collect();
-    axpy_many(out, &terms);
 }
 
 #[cfg(test)]
@@ -184,20 +120,6 @@ mod test {
     }
 
     #[test]
-    fn linear_combination_two_rows() {
-        let r1 = [1u8, 0, 0, 7];
-        let r2 = [0u8, 1, 0, 9];
-        let mut out = [0u8; 4];
-        linear_combination(&mut out, &[&r1, &r2], &[Gf256(3), Gf256(5)]);
-        for i in 0..4 {
-            assert_eq!(
-                Gf256(out[i]),
-                Gf256(r1[i]) * Gf256(3) + Gf256(r2[i]) * Gf256(5)
-            );
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "length mismatch")]
     fn length_mismatch_panics() {
         let mut a = [0u8; 3];
@@ -233,20 +155,6 @@ mod test {
         for (&c, s) in coeffs.iter().zip(&sources) {
             mul_add_assign(&mut unfused, s, c);
         }
-        assert_eq!(fused, unfused);
-    }
-
-    #[test]
-    fn axpy_many_crosses_block_boundary() {
-        // Longer than AXPY_BLOCK so the blocked walk takes several strides.
-        let len = AXPY_BLOCK * 2 + 17;
-        let s1: Vec<u8> = (0..len).map(|i| (i % 255) as u8).collect();
-        let s2: Vec<u8> = (0..len).map(|i| ((i * 3 + 1) % 253) as u8).collect();
-        let mut fused = vec![0u8; len];
-        axpy_many(&mut fused, &[(Gf256(0x35), &s1), (Gf256(0xC2), &s2)]);
-        let mut unfused = vec![0u8; len];
-        mul_add_assign(&mut unfused, &s1, Gf256(0x35));
-        mul_add_assign(&mut unfused, &s2, Gf256(0xC2));
         assert_eq!(fused, unfused);
     }
 

@@ -146,8 +146,11 @@ impl MoreAgent {
         &self.flows
     }
 
+    /// Flow index by wire id: ids are handed out as index + 1.
     fn flow_index(&self, id: FlowId) -> Option<usize> {
-        self.flows.iter().position(|f| f.id == id)
+        (id as usize)
+            .checked_sub(1)
+            .filter(|&fi| fi < self.flows.len())
     }
 
     /// Makes sure the node's batch state matches its role and batch K.

@@ -12,36 +12,36 @@
 //! "2NS multiplications per packet" instead of a cubic batch-end
 //! elimination.
 //!
-//! Payload arithmetic is batched: the row operations of one `receive` are
-//! composed on the (cheap, K-byte) code-vector side first, then applied to
-//! the payload as a single fused [`axpy_chunked`] pass. Dependent packets
-//! are rejected from the vector reduction alone, without reading their
-//! payload bytes at all. Row storage — working vectors and decoded
-//! payloads alike — cycles through [`crate::pool`], so a steady-state
-//! destination decodes without touching the allocator.
+//! Rows are stored flat, `[vector | payload]` in one buffer like the packets
+//! themselves, and the arithmetic is batched. Because the stored rows are
+//! kept *fully* reduced (a stored pivot column is zero in every other row),
+//! reducing an arrival against them never changes a coefficient a later
+//! step reads, so the whole reduce → normalize → reduce sequence is one
+//! linear combination with coefficients read off the arriving vector:
+//! `row = inv · (packet + Σᵢ vᵢ · rowᵢ)` over the stored rows `i`. The
+//! K-byte vector part is one fused [`axpy_chunked`] pass and decides
+//! innovativeness — a dependent packet is rejected there, without reading
+//! its payload bytes at all — and the payload part is a second. Row storage
+//! cycles through [`crate::pool`], so a steady-state destination decodes
+//! without touching the allocator.
 
 // xtask: allow(panic_path, file) -- Gaussian elimination is index arithmetic by
-// nature: every row/vector index here is bounded by k == rows.len() ==
-// vector.len(), pinned by Decoder::new and the receive() length asserts.
+// nature: every row index here is bounded by k == rows.len() == the vector
+// length, pinned by Decoder::new and the receive() length asserts, and every
+// stored row is k + payload_len long.
 
 use crate::packet::{axpy_chunked, CodedPacket};
 use crate::{pool, CodingError};
 use gf256::{slice_ops, Gf256};
-
-/// One stored row: a normalized code vector and its matching payload.
-#[derive(Clone, Debug)]
-struct Row {
-    vector: Vec<u8>,
-    payload: Vec<u8>,
-}
 
 /// Incremental reduced-row-echelon decoder for one batch.
 #[derive(Clone, Debug)]
 pub struct Decoder {
     k: usize,
     payload_len: usize,
-    /// `rows[i]` has pivot at column `i` with coefficient 1.
-    rows: Vec<Option<Row>>,
+    /// `rows[i]` is the flat `[vector | payload]` row with pivot at column
+    /// `i` (coefficient 1) and zeros at every other stored pivot column.
+    rows: Vec<Option<Vec<u8>>>,
     rank: usize,
 }
 
@@ -80,24 +80,30 @@ impl Decoder {
         self.rank == self.k
     }
 
+    /// The stored rows a vector `v` reduces against, each with its
+    /// coefficient `v[i]` (zero coefficients skipped).
+    fn reducers<'a>(&'a self, v: &'a [u8]) -> impl Iterator<Item = (Gf256, &'a [u8])> {
+        self.rows
+            .iter()
+            .zip(v)
+            .filter(|(_, &c)| c != 0)
+            .filter_map(|(row, &c)| Some((Gf256(c), &row.as_ref()?[..])))
+    }
+
+    /// `out = v + Σ vᵢ·rowᵢ[..k]`: `v` reduced against every stored row in
+    /// one pass. The result is zero at every stored pivot column, so it is
+    /// zero everywhere iff `v` is dependent, and its first non-zero column
+    /// is the pivot `v` would fill.
+    fn reduce_vector(&self, v: &[u8], out: &mut [u8]) {
+        out.copy_from_slice(v);
+        axpy_chunked(out, self.reducers(v).map(|(c, row)| (c, &row[..self.k])));
+    }
+
     /// Non-destructively checks whether `p` would be innovative.
     pub fn is_innovative(&self, p: &CodedPacket) -> bool {
         let mut u = pool::acquire_vec(self.k);
-        u.copy_from_slice(p.vector());
-        let mut innovative = false;
-        for i in 0..self.k {
-            let ui = Gf256(u[i]);
-            if ui.is_zero() {
-                continue;
-            }
-            match &self.rows[i] {
-                Some(row) => slice_ops::mul_add_assign(&mut u, &row.vector, ui),
-                None => {
-                    innovative = true;
-                    break;
-                }
-            }
-        }
+        self.reduce_vector(p.vector(), &mut u);
+        let innovative = u.iter().any(|&b| b != 0);
         pool::release_vec(u);
         innovative
     }
@@ -115,95 +121,38 @@ impl Decoder {
             "packet payload length mismatch"
         );
 
-        // Forward-eliminate the code vector alone first: a dependent packet
-        // is detected — and discarded — without touching a single payload
-        // byte.
-        let orig = p.vector();
-        let mut vec = pool::acquire_vec(self.k);
-        vec.copy_from_slice(orig);
-        let mut pivot = None;
-        for i in 0..self.k {
-            let ui = Gf256(vec[i]);
-            if ui.is_zero() {
-                continue;
-            }
-            match &self.rows[i] {
-                Some(row) => {
-                    // Stored rows are fully reduced (each stored pivot
-                    // column is zero in every other row), so reducing here
-                    // never changes a coefficient this loop later reads at
-                    // a stored pivot column.
-                    debug_assert_eq!(ui.0, orig[i], "stored rows not fully reduced");
-                    slice_ops::mul_add_assign(&mut vec, &row.vector, ui);
-                }
-                None => {
-                    pivot = Some(i);
-                    break;
-                }
-            }
-        }
-        let Some(pivot) = pivot else {
-            pool::release_vec(vec);
+        // The code vector alone first: a dependent packet is detected — and
+        // discarded — without touching a single payload byte.
+        let mut row = pool::acquire_vec(self.k + self.payload_len);
+        let (vector, payload) = row.split_at_mut(self.k);
+        self.reduce_vector(p.vector(), vector);
+        let Some(pivot) = vector.iter().position(|&b| b != 0) else {
+            pool::release_vec(row);
             return false; // dependent: discard
         };
+        debug_assert!(self.rows[pivot].is_none(), "stored rows not fully reduced");
 
-        // Normalize the pivot to 1.
-        let lead = Gf256(vec[pivot]);
-        debug_assert!(!lead.is_zero());
-        let inv = lead.inv();
-        slice_ops::mul_assign(&mut vec, inv);
-        debug_assert_eq!(vec[pivot], Gf256::ONE.0);
-
-        // Forward-reduce the remainder of the new row against existing rows
-        // so it is fully reduced too.
-        for i in (pivot + 1)..self.k {
-            let ci = Gf256(vec[i]);
-            if ci.is_zero() {
-                continue;
-            }
-            if let Some(row) = &self.rows[i] {
-                debug_assert_eq!(ci, inv * Gf256(orig[i]), "stored rows not fully reduced");
-                slice_ops::mul_add_assign(&mut vec, &row.vector, ci);
-            }
-        }
-
-        // The payload gets the same row operations, composed into one
-        // batched pass: reduce→normalize→reduce collapses to
-        //     inv·payload  +  Σ_{i≠pivot}  inv·origᵢ · rows[i].payload
-        // because every reduction coefficient above was read at a stored
-        // pivot column, which the fully-reduced stored rows never alter
-        // (the debug_asserts check exactly that).
-        let mut payload = pool::acquire_vec(self.payload_len);
-        slice_ops::mul_into(&mut payload, p.payload(), inv);
-        let rows = &self.rows;
+        // Normalize the pivot to 1; the payload gets the same combination,
+        // scaled, in its own fused pass.
+        let inv = Gf256(vector[pivot]).inv();
+        slice_ops::mul_assign(vector, inv);
         axpy_chunked(
-            &mut payload,
-            (0..self.k).filter(|&i| i != pivot).filter_map(|i| {
-                rows[i].as_ref().and_then(|row| {
-                    let c = inv * Gf256(orig[i]);
-                    (!c.is_zero()).then_some((c, &row.payload[..]))
-                })
-            }),
+            payload,
+            std::iter::once((inv, p.payload())).chain(
+                self.reducers(p.vector())
+                    .map(|(c, row)| (inv * c, &row[self.k..])),
+            ),
         );
 
         // Back-eliminate the new pivot column from every stored row.
-        for i in 0..self.k {
-            if i == pivot {
-                continue;
-            }
-            if let Some(row) = &mut self.rows[i] {
-                let c = Gf256(row.vector[pivot]);
-                if !c.is_zero() {
-                    slice_ops::mul_add_assign(&mut row.vector, &vec, c);
-                    slice_ops::mul_add_assign(&mut row.payload, &payload, c);
-                }
+        for stored in self.rows.iter_mut().flatten() {
+            let c = Gf256(stored[pivot]);
+            if !c.is_zero() {
+                slice_ops::mul_add_assign(stored, &row, c);
             }
         }
 
-        self.rows[pivot] = Some(Row {
-            vector: vec,
-            payload,
-        });
+        self.rows[pivot] = Some(row);
         self.rank += 1;
         true
     }
@@ -214,7 +163,7 @@ impl Decoder {
         if !self.is_complete() {
             return None;
         }
-        self.rows[i].as_ref().map(|r| &r.payload[..])
+        self.rows[i].as_ref().map(|row| &row[self.k..])
     }
 
     /// Rank recomputed from storage rather than the counter — a complete
@@ -239,7 +188,7 @@ impl Decoder {
             .rows
             .iter()
             .flatten()
-            .map(|row| row.payload.clone())
+            .map(|row| row[self.k..].to_vec())
             .collect())
     }
 
@@ -257,9 +206,9 @@ impl Decoder {
         Ok(rows
             .into_iter()
             .flatten()
-            .map(|row| {
-                pool::release_vec(row.vector);
-                row.payload
+            .map(|mut row| {
+                row.drain(..self.k);
+                row
             })
             .collect())
     }
@@ -268,8 +217,7 @@ impl Decoder {
     pub fn reset(&mut self) {
         for r in &mut self.rows {
             if let Some(row) = r.take() {
-                pool::release_vec(row.vector);
-                pool::release_vec(row.payload);
+                pool::release_vec(row);
             }
         }
         self.rank = 0;
@@ -359,29 +307,58 @@ mod test {
         ));
     }
 
+    /// Each stored row leads with a 1 at its pivot and is zero at every
+    /// other stored pivot column.
+    fn assert_fully_reduced(dec: &Decoder) {
+        let stored = |i: usize| dec.rows[i].as_deref();
+        for (i, row) in (0..dec.k).filter_map(|i| Some((i, stored(i)?))) {
+            assert!(row[..i].iter().all(|&b| b == 0), "row {i} leads early");
+            for j in (0..dec.k).filter(|&j| stored(j).is_some()) {
+                assert_eq!(row[j], u8::from(i == j), "row {i} at pivot column {j}");
+            }
+        }
+    }
+
     #[test]
-    fn decode_through_recoding_forwarder() {
-        // src -> forwarder (recodes) -> dst must still decode correctly.
+    fn agrees_with_the_tracker_packet_by_packet_behind_a_recoding_forwarder() {
+        // src -> forwarder (recodes) -> dst. The forwarder emits twice per
+        // packet it hears, so about half of what the destination receives
+        // is dependent.
         use crate::buffer::ForwarderBuffer;
-        let k = 16;
-        let data = natives(k, 100);
-        let enc = SourceEncoder::new(data.clone()).unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(42);
-        let mut fwd = ForwarderBuffer::new(k, 100);
-        let mut dec = Decoder::new(k, 100);
-        // Forwarder hears only some source packets; destination hears only
-        // forwarder output.
-        while fwd.rank() < k {
-            fwd.receive(&enc.encode(&mut rng), &mut rng);
+        use crate::tracker::InnovationTracker;
+        // Interpreted, K = 128 alone takes minutes; the smaller batches walk
+        // the same code.
+        let ks: &[usize] = if cfg!(miri) {
+            &[1, 8]
+        } else {
+            &[1, 8, 32, 128]
+        };
+        for &k in ks {
+            let data = natives(k, 100);
+            let enc = SourceEncoder::new(data.clone()).unwrap();
+            let mut rng = ChaCha8Rng::seed_from_u64(42 + k as u64);
+            let mut fwd = ForwarderBuffer::new(k, 100);
+            let mut dec = Decoder::new(k, 100);
+            let mut tracker = InnovationTracker::new(k);
+            let (mut heard, mut dependent) = (0, 0);
+            while !dec.is_complete() {
+                fwd.receive(&enc.encode(&mut rng), &mut rng);
+                heard += 1;
+                assert!(heard < 20 * k + 20, "relay decode not converging");
+                for _ in 0..2 {
+                    let p = fwd.emit(&mut rng).unwrap();
+                    let predicted = dec.is_innovative(&p);
+                    let innovative = dec.receive(&p);
+                    assert_eq!(predicted, innovative, "is_innovative vs receive");
+                    assert_eq!(tracker.absorb(p.vector()), innovative, "tracker vs receive");
+                    assert_eq!(dec.rank(), tracker.rank());
+                    assert_fully_reduced(&dec);
+                    dependent += usize::from(!innovative);
+                }
+            }
+            assert!(dependent > 0, "no dependent arrival exercised at K = {k}");
+            assert_eq!(dec.take_natives().unwrap(), data, "K = {k}");
         }
-        let mut sent = 0;
-        while !dec.is_complete() {
-            let p = fwd.emit(&mut rng).unwrap();
-            dec.receive(&p);
-            sent += 1;
-            assert!(sent < 20 * k, "relay decode not converging");
-        }
-        assert_eq!(dec.take_natives().unwrap(), data);
     }
 
     #[test]
