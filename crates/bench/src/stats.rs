@@ -1,4 +1,4 @@
-//! Small statistics helpers for the figure harnesses.
+//! Small statistics helpers for printing the paper's series.
 
 /// Sorted copy of the input.
 fn sorted(values: &[f64]) -> Vec<f64> {
@@ -48,20 +48,10 @@ pub fn cdf(values: &[f64]) -> Vec<(f64, f64)> {
         .collect()
 }
 
-/// Prints a CDF as `value  fraction` rows, downsampled to about
-/// `max_rows` evenly spaced points with the final point always included
-/// (so the series visibly reaches 1.0).
-///
-/// Guarded against the historical `step_by(len / 12)` pattern: empty
-/// input prints a placeholder instead of panicking, and short inputs
-/// print every point instead of nothing.
-pub fn print_cdf(values: &[f64], max_rows: usize) {
-    for line in cdf_lines(values, max_rows) {
-        println!("{line}");
-    }
-}
-
-/// The rows [`print_cdf`] prints (separated for testability).
+/// A CDF as `value  fraction` rows, downsampled to about `max_rows`
+/// evenly spaced points with the final point always included (so the
+/// series visibly reaches 1.0). Empty input gives a placeholder row, and
+/// fewer than `max_rows` points give every point.
 pub fn cdf_lines(values: &[f64], max_rows: usize) -> Vec<String> {
     if values.is_empty() {
         return vec!["  (no data)".to_string()];

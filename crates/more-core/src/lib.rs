@@ -57,8 +57,8 @@ use mesh_metrics::PlanConfig;
 ///
 /// The shipped MORE uses ETX because it pre-dates EOTX; §5.7 argues
 /// "future incarnations of both protocols should use the theoretically
-/// exact EOTX". Both are offered; the `ablation_eotx` harness measures
-/// the difference.
+/// exact EOTX". Both are offered; `paper ablation_eotx` measures the
+/// difference.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum ForwarderMetric {
     /// ETX ordering, as in the paper's evaluation (§3.2.1).
