@@ -23,13 +23,21 @@
 //!
 //! ## Determinism
 //!
-//! A model instance draws its state evolution (initial Gilbert–Elliott
-//! states, shadowing redraws, random-walk steps) from its **own** ChaCha8
-//! stream derived from the run seed, while per-frame delivery verdicts are
-//! drawn by the engine from the run's main stream — exactly where the
-//! static engine drew them. Runs therefore stay a pure function of
-//! `(topology, agent, seed, channel)`, and a static channel consumes the
-//! main stream identically to the pre-channel engine.
+//! A model instance draws its state evolution (Gilbert–Elliott states
+//! and sojourns, shadowing redraws, random-walk steps) from its **own**
+//! ChaCha8 stream derived from the run seed, while per-frame delivery
+//! verdicts are drawn by the engine from the run's main stream — exactly
+//! where the static engine drew them. Runs therefore stay a pure function
+//! of `(topology, agent, seed, channel)`, and a static channel consumes
+//! the main stream identically to the pre-channel engine.
+//!
+//! A model's sample path does not depend on when [`ChannelModel::tick`]
+//! is called: every model consumes its stream in an order fixed by
+//! `(topology, spec, seed)` alone — epoch-major, then link (or pair)
+//! order — so ticking to `T` in one call, epoch by epoch, or at the
+//! instants some protocol's frames happen to end leaves the same air.
+//! Two protocols run at one seed therefore face identical channels
+//! (`tests/channel_oracle.rs` holds this for every ticking model).
 //!
 //! ```
 //! use mesh_sim::channel::ChannelSpec;
@@ -45,8 +53,6 @@
 //! let p = ge.delivery(NodeId(0), NodeId(1), 5_000_000);
 //! assert!((0.0..=1.0).contains(&p));
 //! ```
-
-// xtask: allow(panic_path, file) -- per-link channel state is sized to the validated topology's link set at build; build() panicking on an invalid spec is its documented contract (validate() is the fallible form).
 
 use crate::Time;
 use mesh_topology::{NodeId, Position, Topology};
@@ -67,7 +73,10 @@ const FLOOR_HEIGHT_M: f64 = 10.0;
 /// Between two [`ChannelModel::tick`] calls the model must behave as a
 /// pure function of `(tx, rx, now)` — all randomness happens inside
 /// `tick`, which the simulator invokes (monotonically, possibly repeatedly
-/// at the same instant) before evaluating each reception.
+/// at the same instant) before evaluating each reception. What `tick`
+/// leaves behind must depend on the instant reached, never on the calls
+/// that led there: the state at `now` is the same after one call as after
+/// any monotone sequence of calls ending at `now`.
 pub trait ChannelModel: Send {
     /// Instantaneous delivery probability of the directed link `(tx, rx)`
     /// at time `now`, in `[0, 1]`; `0` where no energy arrives.
@@ -250,10 +259,12 @@ impl ChannelSpec {
         matches!(self, ChannelSpec::Static)
     }
 
-    /// Checks that `topo` can host this channel (e.g. shadowing needs
-    /// node positions, epochs must be non-zero).
+    /// Checks that `topo` can host this channel and that every parameter
+    /// is usable: shadowing needs node positions, real-valued parameters
+    /// must be finite and inside their ranges, epochs and periods must be
+    /// non-zero and fit [`Time`] once converted to microseconds.
     pub fn validate(&self, topo: &Topology) -> Result<(), String> {
-        match self {
+        match *self {
             ChannelSpec::Static => Ok(()),
             ChannelSpec::GilbertElliott {
                 good_scale,
@@ -262,18 +273,15 @@ impl ChannelSpec {
                 to_good,
                 epoch_ms,
             } => {
-                if *epoch_ms == 0 {
-                    return Err("GilbertElliott epoch_ms must be > 0".into());
-                }
+                check_interval("GilbertElliott epoch_ms", epoch_ms)?;
                 for (name, v) in [("to_bad", to_bad), ("to_good", to_good)] {
-                    if !(0.0..=1.0).contains(v) {
+                    // Written so that NaN fails the range test.
+                    if !(0.0..=1.0).contains(&v) {
                         return Err(format!("GilbertElliott {name} = {v} outside [0,1]"));
                     }
                 }
-                if *good_scale < 0.0 || *bad_scale < 0.0 {
-                    return Err("GilbertElliott scales must be non-negative".into());
-                }
-                Ok(())
+                check_at_least_zero("GilbertElliott good_scale", good_scale)?;
+                check_at_least_zero("GilbertElliott bad_scale", bad_scale)
             }
             ChannelSpec::Shadowing {
                 path_loss_exp,
@@ -287,13 +295,15 @@ impl ChannelSpec {
                         topo.name
                     ));
                 }
-                if *epoch_ms == 0 {
-                    return Err("Shadowing epoch_ms must be > 0".into());
+                check_interval("Shadowing epoch_ms", epoch_ms)?;
+                for (name, v) in [("path_loss_exp", path_loss_exp), ("midpoint_m", midpoint_m)] {
+                    if !(v.is_finite() && v > 0.0) {
+                        return Err(format!(
+                            "Shadowing {name} = {v} must be finite and positive"
+                        ));
+                    }
                 }
-                if *path_loss_exp <= 0.0 || *sigma_db < 0.0 || *midpoint_m <= 0.0 {
-                    return Err("Shadowing parameters must be positive".into());
-                }
-                Ok(())
+                check_at_least_zero("Shadowing sigma_db", sigma_db)
             }
             ChannelSpec::TimeVarying {
                 amplitude,
@@ -301,13 +311,10 @@ impl ChannelSpec {
                 walk_sigma,
                 epoch_ms,
             } => {
-                if *epoch_ms == 0 || *period_ms == 0 {
-                    return Err("TimeVarying epochs/period must be > 0".into());
-                }
-                if *amplitude < 0.0 || *walk_sigma < 0.0 {
-                    return Err("TimeVarying amplitude/walk_sigma must be non-negative".into());
-                }
-                Ok(())
+                check_interval("TimeVarying epoch_ms", epoch_ms)?;
+                check_interval("TimeVarying period_ms", period_ms)?;
+                check_at_least_zero("TimeVarying amplitude", amplitude)?;
+                check_at_least_zero("TimeVarying walk_sigma", walk_sigma)
             }
         }
     }
@@ -321,6 +328,7 @@ impl ChannelSpec {
     /// want an error value validate first).
     pub fn build(&self, topo: &Topology, seed: u64) -> Box<dyn ChannelModel> {
         if let Err(e) = self.validate(topo) {
+            // xtask: allow(panic_path) -- the documented contract above; validate() is the fallible form.
             panic!("invalid channel spec: {e}");
         }
         let rng = ChaCha8Rng::seed_from_u64(seed ^ CHANNEL_STREAM);
@@ -360,6 +368,25 @@ impl ChannelSpec {
     }
 }
 
+/// Rejects an interval of `ms` milliseconds that is zero (`tick` divides
+/// by it) or does not fit [`Time`] in microseconds (it would wrap).
+fn check_interval(what: &str, ms: u64) -> Result<(), String> {
+    match ms.checked_mul(crate::MS) {
+        Some(0) => Err(format!("{what} must be > 0")),
+        Some(_) => Ok(()),
+        None => Err(format!("{what} = {ms} overflows the engine's µs clock")),
+    }
+}
+
+/// Rejects a parameter that is NaN, infinite or negative.
+fn check_at_least_zero(what: &str, v: f64) -> Result<(), String> {
+    if v.is_finite() && v >= 0.0 {
+        Ok(())
+    } else {
+        Err(format!("{what} = {v} must be finite and non-negative"))
+    }
+}
+
 /// The paper's static channel: delivery is the topology's matrix.
 pub struct StaticChannel {
     topo: Topology,
@@ -380,21 +407,63 @@ impl ChannelModel for StaticChannel {
 }
 
 /// Two-state burst-loss channel (see [`ChannelSpec::GilbertElliott`]).
+///
+/// A two-state Markov chain spends geometric sojourns in each state, so a
+/// link is evolved by *when it next flips* instead of being asked every
+/// epoch whether it does: entering a state draws how many epochs the link
+/// stays there, and `tick` applies only the flips that have come due —
+/// epoch by epoch and, within an epoch, in link order, all from the one
+/// channel stream. Cost is one draw per state change, not one per link
+/// per epoch, and the sample path is the same however `tick` is called.
 pub struct GilbertElliottChannel {
-    n: usize,
-    to_bad: f64,
-    to_good: f64,
+    /// Resolves `(tx, rx)` to a link slot.
+    topo: Topology,
     epoch: Time,
-    /// Per-directed-link delivery in the good state, row-major `n × n`.
-    good_p: Vec<f64>,
-    /// Per-directed-link delivery in the bad state, row-major `n × n`.
-    bad_p: Vec<f64>,
-    /// Row-major `n × n`; `true` = link currently in the bad state.
-    bad: Vec<bool>,
-    /// Flat indices of directed links (`p > 0`), row-major.
-    links: Vec<usize>,
+    /// `ln(1 − to_bad)`: what a sojourn in the good state is drawn from.
+    ln_stay_good: f64,
+    /// `ln(1 − to_good)`, likewise for the bad state.
+    ln_stay_bad: f64,
+    /// Per link slot, the epoch at which the link next changes state;
+    /// `u64::MAX` where it never does. Apart from `links` so the per-epoch
+    /// scan for due flips walks nothing else.
+    next_flip: Vec<u64>,
+    /// Per link slot, the state and what it delivers.
+    links: Vec<GeLink>,
     epochs_done: u64,
     rng: ChaCha8Rng,
+}
+
+/// One directed link of a [`GilbertElliottChannel`].
+struct GeLink {
+    /// Delivery in the good state.
+    good_p: f64,
+    /// Delivery in the bad state.
+    bad_p: f64,
+    bad: bool,
+}
+
+impl GeLink {
+    fn delivery(&self) -> f64 {
+        if self.bad {
+            self.bad_p
+        } else {
+            self.good_p
+        }
+    }
+}
+
+/// Epochs a link spends in a state it leaves with per-epoch probability
+/// `q`, given `ln_stay = ln(1 − q)`: geometric on `1, 2, …` by inversion,
+/// `1 + ⌊ln(1 − U) / ln(1 − q)⌋`. `q = 0` never leaves (`u64::MAX`, no
+/// draw); `q = 1` leaves at the next epoch.
+fn sojourn(rng: &mut ChaCha8Rng, ln_stay: f64) -> u64 {
+    if ln_stay == 0.0 {
+        return u64::MAX;
+    }
+    let u: f64 = rng.gen();
+    // `1 − u` lies in (0, 1], so the quotient is ≥ 0 (and 0 under
+    // `ln_stay = −∞`); the cast floors it and saturates.
+    (((1.0 - u).ln() / ln_stay) as u64).saturating_add(1)
 }
 
 impl GilbertElliottChannel {
@@ -407,14 +476,14 @@ impl GilbertElliottChannel {
         epoch_ms: u64,
         mut rng: ChaCha8Rng,
     ) -> Self {
-        let n = topo.n();
-        let links: Vec<usize> = topo.links().map(|l| l.from.0 * n + l.to.0).collect();
         let pi_bad = if to_bad + to_good > 0.0 {
             to_bad / (to_bad + to_good)
         } else {
             0.0
         };
         let pi_good = 1.0 - pi_bad;
+        // `ln_1p` keeps rates below f64's epsilon from rounding to "never".
+        let (ln_stay_good, ln_stay_bad) = ((-to_bad).ln_1p(), (-to_good).ln_1p());
         // Per-link state deliveries. Strong links saturate: `p ×
         // good_scale` can exceed 1, and simply clamping it would silently
         // lower the link's stationary mean (breaking `bursty_matched`'s
@@ -423,53 +492,59 @@ impl GilbertElliottChannel {
         // weighted by the state occupancies, so each link's mean stays
         // `π_g·good_scale·p + π_b·bad_scale·p` whenever that is
         // achievable — strong links degrade in bursts rather than die.
-        let mut good_p = vec![0.0; n * n];
-        let mut bad_p = vec![0.0; n * n];
-        for &idx in &links {
-            let p = topo.delivery(NodeId(idx / n), NodeId(idx % n));
-            let raw_good = p * good_scale;
-            let g = raw_good.min(1.0);
-            let excess = raw_good - g;
-            let b = if pi_bad > 0.0 {
-                (p * bad_scale + excess * pi_good / pi_bad).clamp(0.0, 1.0)
-            } else {
-                (p * bad_scale).clamp(0.0, 1.0)
-            };
-            good_p[idx] = g;
-            bad_p[idx] = b;
-        }
-        let mut bad = vec![false; n * n];
-        for &idx in &links {
-            bad[idx] = rng.gen::<f64>() < pi_bad;
-        }
+        //
+        // Each link then draws, in link order, its initial state from the
+        // stationary distribution and how long it stays there.
+        let mut next_flip = Vec::with_capacity(topo.link_count());
+        let links = topo
+            .links()
+            .map(|l| {
+                let p = l.delivery;
+                let raw_good = p * good_scale;
+                let good_p = raw_good.min(1.0);
+                let excess = raw_good - good_p;
+                // Guarded so that `0 × ∞` (no excess, vanishing π_bad)
+                // cannot put a NaN into the table.
+                let moved = if excess > 0.0 && pi_bad > 0.0 {
+                    excess * pi_good / pi_bad
+                } else {
+                    0.0
+                };
+                let bad = rng.gen::<f64>() < pi_bad;
+                let ln_stay = if bad { ln_stay_bad } else { ln_stay_good };
+                next_flip.push(sojourn(&mut rng, ln_stay));
+                GeLink {
+                    good_p,
+                    bad_p: (p * bad_scale + moved).clamp(0.0, 1.0),
+                    bad,
+                }
+            })
+            .collect();
         GilbertElliottChannel {
-            n,
-            to_bad,
-            to_good,
+            topo: topo.clone(),
             epoch: epoch_ms * crate::MS,
-            good_p,
-            bad_p,
-            bad,
+            ln_stay_good,
+            ln_stay_bad,
+            next_flip,
             links,
             epochs_done: 0,
             rng,
         }
     }
+
+    fn link(&self, tx: NodeId, rx: NodeId) -> Option<&GeLink> {
+        self.links.get(self.topo.link_slot(tx, rx)?)
+    }
 }
 
 impl ChannelModel for GilbertElliottChannel {
     fn delivery(&self, tx: NodeId, rx: NodeId, _now: Time) -> f64 {
-        let idx = tx.0 * self.n + rx.0;
-        if self.bad[idx] {
-            self.bad_p[idx]
-        } else {
-            self.good_p[idx]
-        }
+        self.link(tx, rx).map_or(0.0, GeLink::delivery)
     }
 
     fn may_reach(&self, tx: NodeId, rx: NodeId) -> bool {
-        let idx = tx.0 * self.n + rx.0;
-        self.good_p[idx] > 0.0 || self.bad_p[idx] > 0.0
+        self.link(tx, rx)
+            .is_some_and(|l| l.good_p > 0.0 || l.bad_p > 0.0)
     }
 
     fn reach_hint(&self) -> ReachHint {
@@ -480,23 +555,32 @@ impl ChannelModel for GilbertElliottChannel {
     fn tick(&mut self, now: Time) {
         let target = now / self.epoch;
         while self.epochs_done < target {
-            for &idx in &self.links {
-                let u = self.rng.gen::<f64>();
-                let flip = if self.bad[idx] {
-                    u < self.to_good
-                } else {
-                    u < self.to_bad
-                };
-                if flip {
-                    self.bad[idx] = !self.bad[idx];
+            self.epochs_done += 1;
+            let e = self.epochs_done;
+            // A sojourn is ≥ 1 epoch, so a link flips at most once here.
+            for (due, link) in self.next_flip.iter_mut().zip(&mut self.links) {
+                if *due == e {
+                    link.bad = !link.bad;
+                    let ln_stay = if link.bad {
+                        self.ln_stay_bad
+                    } else {
+                        self.ln_stay_good
+                    };
+                    *due = e.saturating_add(sojourn(&mut self.rng, ln_stay));
                 }
             }
-            self.epochs_done += 1;
         }
     }
 }
 
 /// Geometry-driven channel (see [`ChannelSpec::Shadowing`]).
+///
+/// Unlike the matrix-backed models, whose state is one entry per link of
+/// the topology, this one is keyed by geometry: any pair of nodes within
+/// reach can carry energy, whatever the matrix says, so its shadow table
+/// is `n × n` and every epoch redraws all `n(n−1)/2` pairs. That bounds
+/// it to testbed-sized meshes; a table over in-reach pairs only would
+/// draw a different stream and is left for a change of its own.
 pub struct ShadowingChannel {
     positions: Vec<Position>,
     path_loss_exp: f64,
@@ -533,10 +617,8 @@ impl ShadowingChannel {
         epoch_ms: u64,
         mut rng: ChaCha8Rng,
     ) -> Self {
-        let positions = topo
-            .positions()
-            .expect("validated: shadowing needs positions")
-            .to_vec();
+        // xtask: allow(panic_path) -- build() validated the spec, and validate() rejects a topology without positions.
+        let positions = topo.positions().expect("validated").to_vec();
         let n = positions.len();
         let mut shadow_db = vec![0.0; n * n];
         redraw_shadows(&mut shadow_db, n, sigma_db, &mut rng);
@@ -564,29 +646,38 @@ fn shadow_reach_m(path_loss_exp: f64, sigma_db: f64, midpoint_m: f64) -> f64 {
 }
 
 fn redraw_shadows(shadow_db: &mut [f64], n: usize, sigma_db: f64, rng: &mut ChaCha8Rng) {
-    for i in 0..n {
-        for j in (i + 1)..n {
-            shadow_db[i * n + j] = gauss(rng) * sigma_db;
+    // Row `i` of the `n × n` table, entries right of the diagonal.
+    for (i, row) in shadow_db.chunks_mut(n.max(1)).enumerate() {
+        for shadow in row.iter_mut().skip(i + 1) {
+            *shadow = gauss(rng) * sigma_db;
         }
+    }
+}
+
+impl ShadowingChannel {
+    /// Distance between two distinct nodes if they are within reach of
+    /// each other, floored at 0.1 m; `None` for a node and itself, a pair
+    /// beyond `reach_m`, or an id outside the topology.
+    fn reach_distance(&self, tx: NodeId, rx: NodeId) -> Option<f64> {
+        if tx == rx {
+            return None;
+        }
+        let (a, b) = (self.positions.get(tx.0)?, self.positions.get(rx.0)?);
+        Some(a.distance(b, FLOOR_HEIGHT_M).max(0.1)).filter(|&d| d <= self.reach_m)
     }
 }
 
 impl ChannelModel for ShadowingChannel {
     fn delivery(&self, tx: NodeId, rx: NodeId, _now: Time) -> f64 {
-        if tx == rx {
-            return 0.0;
-        }
-        let d = self.positions[tx.0]
-            .distance(&self.positions[rx.0], FLOOR_HEIGHT_M)
-            .max(0.1);
         // Beyond the reach radius delivery is clamped to 0 even when the
         // (unbounded Box–Muller) shadow draw exceeds +3σ, keeping
         // `may_reach` a strict superset of the delivery support — the
         // contract the medium's candidate lists depend on.
-        if d > self.reach_m {
+        let Some(d) = self.reach_distance(tx, rx) else {
             return 0.0;
-        }
+        };
         let (lo, hi) = (tx.0.min(rx.0), tx.0.max(rx.0));
+        // xtask: allow(panic_path) -- reach_distance found both ids among the n positions, so lo·n + hi < n², the table's length.
         let shadow = self.shadow_db[lo * self.n + hi];
         // Link margin: positive inside the midpoint, sign-flipped by the
         // log-distance path loss, perturbed by the shadow.
@@ -608,17 +699,11 @@ impl ChannelModel for ShadowingChannel {
     }
 
     fn may_reach(&self, tx: NodeId, rx: NodeId) -> bool {
-        if tx == rx {
-            return false;
-        }
         // Best plausible shadow: +3σ. Pairs that could decode under it
         // must be sensed by, and interfere with, each other's radios;
         // `reach_m` is exactly the distance where that best case drops
         // below `MIN_DELIVERY`.
-        let d = self.positions[tx.0]
-            .distance(&self.positions[rx.0], FLOOR_HEIGHT_M)
-            .max(0.1);
-        d <= self.reach_m
+        self.reach_distance(tx, rx).is_some()
     }
 
     fn reach_hint(&self) -> ReachHint {
@@ -628,18 +713,26 @@ impl ChannelModel for ShadowingChannel {
 
 /// Slow per-link drift channel (see [`ChannelSpec::TimeVarying`]).
 pub struct TimeVaryingChannel {
+    /// Resolves `(tx, rx)` to a link slot.
     topo: Topology,
     amplitude: f64,
     period: Time,
     walk_sigma: f64,
     epoch: Time,
-    /// Per-directed-link sinusoid phase in turns, row-major `n × n`.
-    phase: Vec<f64>,
-    /// Per-directed-link random-walk offset, row-major `n × n`.
-    walk: Vec<f64>,
-    links: Vec<usize>,
+    /// Per link slot: the mean it drifts around, its phase and its walk.
+    links: Vec<DriftLink>,
     epochs_done: u64,
     rng: ChaCha8Rng,
+}
+
+/// One directed link of a [`TimeVaryingChannel`].
+struct DriftLink {
+    /// The topology's delivery probability.
+    mean: f64,
+    /// Sinusoid phase in turns.
+    phase: f64,
+    /// Random-walk offset.
+    walk: f64,
 }
 
 impl TimeVaryingChannel {
@@ -651,20 +744,20 @@ impl TimeVaryingChannel {
         epoch_ms: u64,
         mut rng: ChaCha8Rng,
     ) -> Self {
-        let n = topo.n();
-        let links: Vec<usize> = topo.links().map(|l| l.from.0 * n + l.to.0).collect();
-        let mut phase = vec![0.0; n * n];
-        for &idx in &links {
-            phase[idx] = rng.gen::<f64>();
-        }
+        let links = topo
+            .links()
+            .map(|l| DriftLink {
+                mean: l.delivery,
+                phase: rng.gen::<f64>(),
+                walk: 0.0,
+            })
+            .collect();
         TimeVaryingChannel {
             topo: topo.clone(),
             amplitude,
             period: period_ms * crate::MS,
             walk_sigma,
             epoch: epoch_ms * crate::MS,
-            phase,
-            walk: vec![0.0; n * n],
             links,
             epochs_done: 0,
             rng,
@@ -674,34 +767,36 @@ impl TimeVaryingChannel {
 
 impl ChannelModel for TimeVaryingChannel {
     fn delivery(&self, tx: NodeId, rx: NodeId, now: Time) -> f64 {
-        let p = self.topo.delivery(tx, rx);
-        if p <= 0.0 {
+        // Where the matrix has no link, drift does not invent one.
+        let Some(l) = self
+            .topo
+            .link_slot(tx, rx)
+            .and_then(|slot| self.links.get(slot))
+        else {
             return 0.0;
-        }
-        let idx = tx.0 * self.topo.n() + rx.0;
-        let turns = now as f64 / self.period as f64 + self.phase[idx];
+        };
+        let turns = now as f64 / self.period as f64 + l.phase;
         let wave = self.amplitude * (std::f64::consts::TAU * turns).sin();
-        (p + wave + self.walk[idx]).clamp(0.0, 1.0)
+        (l.mean + wave + l.walk).clamp(0.0, 1.0)
     }
 
     fn tick(&mut self, now: Time) {
         let target = now / self.epoch;
         while self.epochs_done < target {
-            for &idx in &self.links {
+            for l in &mut self.links {
                 let step = gauss(&mut self.rng) * self.walk_sigma;
-                self.walk[idx] = (self.walk[idx] + step).clamp(-1.0, 1.0);
+                l.walk = (l.walk + step).clamp(-1.0, 1.0);
             }
             self.epochs_done += 1;
         }
     }
 
     fn may_reach(&self, tx: NodeId, rx: NodeId) -> bool {
-        self.topo.delivery(tx, rx) > 0.0
+        self.topo.link_slot(tx, rx).is_some()
     }
 
     fn reach_hint(&self) -> ReachHint {
-        // Drift modulates matrix entries and `delivery` zeroes out
-        // non-links explicitly.
+        // Drift modulates matrix entries; non-links stay silent.
         ReachHint::MatrixOnly
     }
 }
@@ -732,9 +827,8 @@ pub fn reach_candidates(topo: &Topology, chan: &dyn ChannelModel) -> Vec<(NodeId
     match chan.reach_hint() {
         ReachHint::MatrixOnly => topo.links().map(|l| (l.from, l.to)).collect(),
         ReachHint::WithinDistance(d) => {
-            let positions = topo
-                .positions()
-                .expect("WithinDistance reach hint requires node positions");
+            // xtask: allow(panic_path) -- the documented contract above: a distance-bounded model is only ever built over positions.
+            let positions = topo.positions().expect("WithinDistance needs positions");
             let grid = mesh_topology::spatial::CellGrid::from_positions(positions, d);
             let mut out = Vec::new();
             for (i, pos) in positions.iter().enumerate() {
@@ -1103,20 +1197,74 @@ mod test {
     #[test]
     fn validate_rejects_nonsense() {
         let topo = generate::line(1, 0.9, 0.0, 30.0);
-        let bad = ChannelSpec::GilbertElliott {
-            good_scale: 1.0,
-            bad_scale: 0.0,
-            to_bad: 1.5,
-            to_good: 0.2,
-            epoch_ms: 10,
+        let ge = |good_scale, bad_scale, to_bad, to_good, epoch_ms| ChannelSpec::GilbertElliott {
+            good_scale,
+            bad_scale,
+            to_bad,
+            to_good,
+            epoch_ms,
         };
-        assert!(bad.validate(&topo).is_err());
-        let zero_epoch = ChannelSpec::TimeVarying {
-            amplitude: 0.1,
-            period_ms: 0,
-            walk_sigma: 0.0,
-            epoch_ms: 10,
+        let shadow = |path_loss_exp, sigma_db, midpoint_m, epoch_ms| ChannelSpec::Shadowing {
+            path_loss_exp,
+            sigma_db,
+            midpoint_m,
+            epoch_ms,
         };
-        assert!(zero_epoch.validate(&topo).is_err());
+        let drift = |amplitude, period_ms, walk_sigma, epoch_ms| ChannelSpec::TimeVarying {
+            amplitude,
+            period_ms,
+            walk_sigma,
+            epoch_ms,
+        };
+        // The longest interval `validate` lets through; one epoch of it
+        // reaches the end of the clock.
+        let max_ms = u64::MAX / crate::MS;
+        for (good, horizon) in [
+            (ge(1.25, 0.0, 0.05, 0.2, 10), crate::SEC),
+            (ge(0.0, 0.0, 0.0, 0.0, 1), crate::SEC),
+            (ge(2.0, 0.0, 5e-324, 1.0, 10), crate::SEC),
+            (ge(f64::MAX, f64::MAX, 1.0, 1.0, max_ms), u64::MAX),
+            (shadow(3.0, 0.0, 35.0, 100), crate::SEC),
+            (drift(0.0, 1, 0.0, max_ms), u64::MAX),
+        ] {
+            assert_eq!(good.validate(&topo), Ok(()), "{good:?}");
+            // A spec `validate` passes builds and ticks without panicking
+            // and never reports a delivery outside [0, 1].
+            let mut c = good.build(&topo, 1);
+            for now in [0, 1, 999, 10 * crate::MS, horizon] {
+                c.tick(now);
+                let p = c.delivery(NodeId(0), NodeId(1), now);
+                assert!((0.0..=1.0).contains(&p), "{good:?}: delivery {p} at {now}");
+            }
+        }
+        // Wrapping and zero intervals: `1 << 61` ms is 0 µs modulo 2^64.
+        for ms in [0, 1 << 61, max_ms + 1, u64::MAX] {
+            for bad in [
+                ge(1.0, 0.0, 0.05, 0.2, ms),
+                shadow(3.0, 6.0, 35.0, ms),
+                drift(0.1, 1_000, 0.0, ms),
+                drift(0.1, ms, 0.0, 10),
+            ] {
+                assert!(bad.validate(&topo).is_err(), "{bad:?}");
+            }
+        }
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+            for bad in [
+                ge(x, 0.0, 0.05, 0.2, 10),
+                ge(1.0, x, 0.05, 0.2, 10),
+                ge(1.0, 0.0, x, 0.2, 10),
+                ge(1.0, 0.0, 0.05, x, 10),
+                shadow(x, 6.0, 35.0, 100),
+                shadow(3.0, x, 35.0, 100),
+                shadow(3.0, 6.0, x, 100),
+                drift(x, 1_000, 0.0, 10),
+                drift(0.1, 1_000, x, 10),
+            ] {
+                assert!(bad.validate(&topo).is_err(), "{bad:?}");
+            }
+        }
+        assert!(ge(1.0, 0.0, 1.5, 0.2, 10).validate(&topo).is_err());
+        assert!(shadow(0.0, 6.0, 35.0, 100).validate(&topo).is_err());
+        assert!(shadow(3.0, 6.0, 0.0, 100).validate(&topo).is_err());
     }
 }

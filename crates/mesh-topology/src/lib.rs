@@ -263,16 +263,23 @@ impl Topology {
         (0..self.n).map(NodeId)
     }
 
-    /// Delivery probability `p_ij`; zero when no link exists.
+    /// Position of the directed link `(i, j)` in [`Topology::links`]
+    /// order, in `0..link_count()`; `None` when no link exists. Keys
+    /// per-link state kept outside the topology (channel models) in
+    /// O(links) instead of an `n × n` table.
     #[inline]
-    pub fn delivery(&self, i: NodeId, j: NodeId) -> f64 {
+    pub fn link_slot(&self, i: NodeId, j: NodeId) -> Option<usize> {
         debug_assert!(j.0 < self.n, "receiver {j} out of range");
         let s = self.out_start[i.0] as usize;
         let e = self.out_start[i.0 + 1] as usize;
-        match self.out_nbr[s..e].binary_search(&(j.0 as u32)) {
-            Ok(k) => self.out_p[s + k],
-            Err(_) => 0.0,
-        }
+        let k = self.out_nbr[s..e].binary_search(&(j.0 as u32)).ok()?;
+        Some(s + k)
+    }
+
+    /// Delivery probability `p_ij`; zero when no link exists.
+    #[inline]
+    pub fn delivery(&self, i: NodeId, j: NodeId) -> f64 {
+        self.link_slot(i, j).map_or(0.0, |k| self.out_p[k])
     }
 
     /// Loss probability `ε_ij = 1 − p_ij`.
@@ -727,6 +734,12 @@ mod test {
         let nbrs: Vec<_> = t.neighbors(NodeId(0)).collect();
         assert_eq!(nbrs, vec![NodeId(1), NodeId(2)]);
         assert_eq!(t.links().count(), 3);
+        // Slots number the links in `links()` order; non-links have none.
+        for (k, l) in t.links().enumerate() {
+            assert_eq!(t.link_slot(l.from, l.to), Some(k));
+        }
+        assert_eq!(t.link_slot(NodeId(2), NodeId(0)), None);
+        assert_eq!(t.link_slot(NodeId(1), NodeId(1)), None);
     }
 
     #[test]
