@@ -82,6 +82,26 @@ pub trait ChannelModel: Send {
     /// at time `now`, in `[0, 1]`; `0` where no energy arrives.
     fn delivery(&self, tx: NodeId, rx: NodeId, now: Time) -> f64;
 
+    /// [`ChannelModel::delivery`] from `tx` to each of `candidates` at
+    /// `now`, written to `out` (cleared first) in candidate order — what
+    /// the medium asks once per finished frame, over its whole
+    /// reception-candidate list. `candidates` holds node ids in
+    /// **strictly ascending** order; it may include `tx` itself and nodes
+    /// `tx` cannot reach, which read `0`.
+    ///
+    /// An override **must equal `delivery` per candidate**, bit for bit;
+    /// it exists so that a matrix-backed model can walk `tx`'s link row
+    /// alongside the list once instead of searching it per receiver
+    /// (`tests/channel_oracle.rs` holds every model in this crate to it).
+    fn delivery_row(&self, tx: NodeId, candidates: &[u32], now: Time, out: &mut Vec<f64>) {
+        out.clear();
+        out.extend(
+            candidates
+                .iter()
+                .map(|&rx| self.delivery(tx, NodeId(rx as usize), now)),
+        );
+    }
+
     /// Advances the model's internal state to `now` (µs). Must be
     /// idempotent for repeated calls with the same `now` and is never
     /// called with a smaller `now` than before. Static models do nothing.
@@ -387,6 +407,43 @@ fn check_at_least_zero(what: &str, v: f64) -> Result<(), String> {
     }
 }
 
+/// The shared body of the matrix-backed models' [`ChannelModel::delivery_row`]:
+/// one merge-walk of `tx`'s out-links (ascending by receiver, as
+/// [`Topology::neighbors_out`] yields them) against the ascending
+/// `candidates`. A candidate with a link gets `on_link(k, p)` — `k` the
+/// link's position in `tx`'s row, `p` its matrix entry — and any other `0`.
+fn merge_row(
+    topo: &Topology,
+    tx: NodeId,
+    candidates: &[u32],
+    out: &mut Vec<f64>,
+    mut on_link: impl FnMut(usize, f64) -> f64,
+) {
+    debug_assert!(candidates.is_sorted_by(|a, b| a < b), "ascending");
+    out.clear();
+    let mut row = topo.neighbors_out(tx).enumerate().peekable();
+    out.extend(candidates.iter().map(|&rx| {
+        let rx = rx as usize;
+        while row.next_if(|&(_, (to, _))| to.0 < rx).is_some() {}
+        row.next_if(|&(_, (to, _))| to.0 == rx)
+            .map_or(0.0, |(k, (_, p))| on_link(k, p))
+    }));
+}
+
+/// Where each transmitter's row starts in [`Topology::links`] order
+/// (`n + 1` offsets): link `k` of `tx`'s row has slot `starts[tx] + k`,
+/// the slot [`Topology::link_slot`] finds by search.
+fn row_starts(topo: &Topology) -> Vec<u32> {
+    let mut starts = Vec::with_capacity(topo.n() + 1);
+    let mut at = 0u32;
+    starts.push(at);
+    for i in topo.nodes() {
+        at += topo.neighbors(i).count() as u32;
+        starts.push(at);
+    }
+    starts
+}
+
 /// The paper's static channel: delivery is the topology's matrix.
 pub struct StaticChannel {
     topo: Topology,
@@ -395,6 +452,10 @@ pub struct StaticChannel {
 impl ChannelModel for StaticChannel {
     fn delivery(&self, tx: NodeId, rx: NodeId, _now: Time) -> f64 {
         self.topo.delivery(tx, rx)
+    }
+
+    fn delivery_row(&self, tx: NodeId, candidates: &[u32], _now: Time, out: &mut Vec<f64>) {
+        merge_row(&self.topo, tx, candidates, out, |_, p| p);
     }
 
     fn may_reach(&self, tx: NodeId, rx: NodeId) -> bool {
@@ -418,6 +479,8 @@ impl ChannelModel for StaticChannel {
 pub struct GilbertElliottChannel {
     /// Resolves `(tx, rx)` to a link slot.
     topo: Topology,
+    /// See [`row_starts`].
+    row_start: Vec<u32>,
     epoch: Time,
     /// `ln(1 − to_bad)`: what a sojourn in the good state is drawn from.
     ln_stay_good: f64,
@@ -522,6 +585,7 @@ impl GilbertElliottChannel {
             .collect();
         GilbertElliottChannel {
             topo: topo.clone(),
+            row_start: row_starts(topo),
             epoch: epoch_ms * crate::MS,
             ln_stay_good,
             ln_stay_bad,
@@ -540,6 +604,13 @@ impl GilbertElliottChannel {
 impl ChannelModel for GilbertElliottChannel {
     fn delivery(&self, tx: NodeId, rx: NodeId, _now: Time) -> f64 {
         self.link(tx, rx).map_or(0.0, GeLink::delivery)
+    }
+
+    fn delivery_row(&self, tx: NodeId, candidates: &[u32], _now: Time, out: &mut Vec<f64>) {
+        let row = self.row_start.get(tx.0).map_or(0, |&s| s as usize);
+        merge_row(&self.topo, tx, candidates, out, |k, _| {
+            self.links.get(row + k).map_or(0.0, GeLink::delivery)
+        });
     }
 
     fn may_reach(&self, tx: NodeId, rx: NodeId) -> bool {
@@ -715,6 +786,8 @@ impl ChannelModel for ShadowingChannel {
 pub struct TimeVaryingChannel {
     /// Resolves `(tx, rx)` to a link slot.
     topo: Topology,
+    /// See [`row_starts`].
+    row_start: Vec<u32>,
     amplitude: f64,
     period: Time,
     walk_sigma: f64,
@@ -754,6 +827,7 @@ impl TimeVaryingChannel {
             .collect();
         TimeVaryingChannel {
             topo: topo.clone(),
+            row_start: row_starts(topo),
             amplitude,
             period: period_ms * crate::MS,
             walk_sigma,
@@ -763,21 +837,31 @@ impl TimeVaryingChannel {
             rng,
         }
     }
+
+    /// What link `l` delivers at `now`: its mean, the wave, the walk.
+    fn drifted(&self, l: &DriftLink, now: Time) -> f64 {
+        let turns = now as f64 / self.period as f64 + l.phase;
+        let wave = self.amplitude * (std::f64::consts::TAU * turns).sin();
+        (l.mean + wave + l.walk).clamp(0.0, 1.0)
+    }
 }
 
 impl ChannelModel for TimeVaryingChannel {
     fn delivery(&self, tx: NodeId, rx: NodeId, now: Time) -> f64 {
         // Where the matrix has no link, drift does not invent one.
-        let Some(l) = self
-            .topo
+        self.topo
             .link_slot(tx, rx)
             .and_then(|slot| self.links.get(slot))
-        else {
-            return 0.0;
-        };
-        let turns = now as f64 / self.period as f64 + l.phase;
-        let wave = self.amplitude * (std::f64::consts::TAU * turns).sin();
-        (l.mean + wave + l.walk).clamp(0.0, 1.0)
+            .map_or(0.0, |l| self.drifted(l, now))
+    }
+
+    fn delivery_row(&self, tx: NodeId, candidates: &[u32], now: Time, out: &mut Vec<f64>) {
+        let row = self.row_start.get(tx.0).map_or(0, |&s| s as usize);
+        merge_row(&self.topo, tx, candidates, out, |k, _| {
+            self.links
+                .get(row + k)
+                .map_or(0.0, |l| self.drifted(l, now))
+        });
     }
 
     fn tick(&mut self, now: Time) {

@@ -98,6 +98,9 @@ pub struct Medium {
     /// judged. Bumping `generation` clears every stamp at once.
     stamp: Vec<u64>,
     generation: u64,
+    /// Scratch for the judged frame's delivery probabilities, parallel to
+    /// its transmitter's `reach` row.
+    deliveries: Vec<f64>,
 }
 
 impl Medium {
@@ -183,6 +186,7 @@ impl Medium {
             own_end: vec![0; n],
             stamp: vec![0; n],
             generation: 0,
+            deliveries: Vec::new(),
         }
     }
 
@@ -268,13 +272,19 @@ impl Medium {
     ///
     /// The receiver set is written into a caller-supplied vector (cleared
     /// first), so the engine's hot path reuses one allocation per run
-    /// instead of one per transmission. The nodes that transmitted during
-    /// the frame are stamped once, from the on-air set and the tail of
-    /// the history; half-duplex is then one load per receiver and the
-    /// strongest interferer a walk over the receiver's own interference
-    /// list. Same receivers, same counter increments, and — critically —
-    /// the same RNG draws in the same order as a scan of every retained
-    /// transmission per receiver.
+    /// instead of one per transmission. The frame's delivery
+    /// probabilities come from one [`ChannelModel::delivery_row`] call
+    /// over the transmitter's candidate list. The nodes that transmitted
+    /// during the frame are stamped once, from the on-air set and the
+    /// tail of the history; if there were none — most frames have the air
+    /// to themselves — no receiver is half-duplex-blocked or interfered
+    /// with, and that is all there is to know. Otherwise half-duplex is
+    /// one load per receiver and the strongest interferer a walk over the
+    /// receiver's own interference list (not over the overlapping
+    /// transmitters: a large mesh has dozens of those on the air, most of
+    /// them nowhere near this receiver). Same receivers, same counter
+    /// increments, and — critically — the same RNG draws in the same
+    /// order as a scan of every retained transmission per receiver.
     ///
     /// # Panics
     ///
@@ -302,8 +312,11 @@ impl Medium {
         self.generation += 1;
         let generation = self.generation;
         let ended_during = self.history.iter().rev().take_while(|h| h.end > f.start);
+        // Did anything else occupy the air during the frame?
+        let mut contended = false;
         for t in self.air.iter().chain(ended_during) {
             if t.id != f.id && overlaps(t, &f) {
+                contended = true;
                 if let Some(stamp) = self.stamp.get_mut(t.tx.0) {
                     *stamp = generation;
                 }
@@ -314,24 +327,27 @@ impl Medium {
         // node order — the order the per-receiver draws are made in.
         // Nodes not on the list have `p = 0` at every instant and touch
         // no randomness.
-        for r in self.reach[f.tx.0].iter().map(|&r| r as usize) {
-            if r == f.tx.0 {
+        let candidates = &self.reach[f.tx.0];
+        chan.delivery_row(f.tx, candidates, now, &mut self.deliveries);
+        debug_assert_eq!(self.deliveries.len(), candidates.len());
+        for (r, &p) in candidates.iter().map(|&r| r as usize).zip(&self.deliveries) {
+            if r == f.tx.0 || p <= 0.0 {
                 continue;
             }
-            let p = chan.delivery(f.tx, NodeId(r), now);
-            if p <= 0.0 {
-                continue;
-            }
-            // Half-duplex: r transmitting during any part of f's airtime.
-            if transmitted(r) {
-                continue;
-            }
-            // Strongest overlapping interferer at r.
-            let strongest: f64 = self.interfere[r]
-                .iter()
-                .filter(|&&a| transmitted(a as usize))
-                .map(|&a| chan.delivery(NodeId(a as usize), NodeId(r), now).max(0.05))
-                .fold(0.0, f64::max);
+            let strongest: f64 = if contended {
+                // Half-duplex: r transmitting during any part of f's airtime.
+                if transmitted(r) {
+                    continue;
+                }
+                // Strongest overlapping interferer at r.
+                self.interfere[r]
+                    .iter()
+                    .filter(|&&a| transmitted(a as usize))
+                    .map(|&a| chan.delivery(NodeId(a as usize), NodeId(r), now).max(0.05))
+                    .fold(0.0, f64::max)
+            } else {
+                0.0
+            };
             if strongest > 0.0 {
                 *collisions += 1;
                 if p < cfg.capture_ratio * strongest {

@@ -182,7 +182,11 @@ pub struct Simulator<A: NodeAgent> {
     current: Vec<Option<CurrentTx<A::Payload>>>,
     /// Generation counters for ACK timeouts.
     ack_seq: Vec<u64>,
-    in_flight: std::collections::BTreeMap<u64, InFlight<A::Payload>>,
+    /// What is on the air, by transmission id. Ids are issued in sequence
+    /// and a frame leaves when it ends, so this is a ring: its slots are
+    /// ids `next_tx_id − len .. next_tx_id`, a slot is emptied when its
+    /// frame ends, and empty slots leave from the front.
+    in_flight: VecDeque<Option<InFlight<A::Payload>>>,
     next_tx_id: u64,
     /// Pending dynamic-workload actions, kept sorted descending by
     /// `(time, seq)` so the earliest is popped from the back.
@@ -247,7 +251,7 @@ impl<A: NodeAgent> Simulator<A> {
             states: (0..n).map(|_| MacState::Idle).collect(),
             current: (0..n).map(|_| None).collect(),
             ack_seq: vec![0; n],
-            in_flight: std::collections::BTreeMap::new(),
+            in_flight: VecDeque::new(),
             next_tx_id: 0,
             traffic: Vec::new(),
             traffic_seq: 0,
@@ -521,8 +525,6 @@ impl<A: NodeAgent> Simulator<A> {
         let rate = current.frame.bitrate.unwrap_or(self.cfg.bitrate);
         let bytes = current.frame.bytes;
         let air = rate.airtime(bytes);
-        let id = self.next_tx_id;
-        self.next_tx_id += 1;
         let frame = Frame {
             from: node,
             dst: current.frame.dst,
@@ -532,17 +534,37 @@ impl<A: NodeAgent> Simulator<A> {
         };
         // Spatial-reuse accounting: overlap with other in-air data frames.
         self.account_concurrency(node, air);
+        self.states[node.0] = MacState::Transmitting;
+        self.stats.tx_frames[node.0] += 1;
+        self.begin_tx(node, air, InFlight::Data { frame });
+    }
+
+    /// Puts a transmission by `node` on the air for `air` µs: issues its
+    /// id, registers it with the medium, and schedules its end.
+    fn begin_tx(&mut self, node: NodeId, air: Time, what: InFlight<A::Payload>) {
+        let id = self.next_tx_id;
+        self.next_tx_id += 1;
+        self.in_flight.push_back(Some(what));
         self.medium.begin(Transmission {
             id,
             tx: node,
             start: self.now,
             end: self.now + air,
         });
-        self.in_flight.insert(id, InFlight::Data { frame });
-        self.states[node.0] = MacState::Transmitting;
-        self.stats.tx_frames[node.0] += 1;
         self.stats.airtime[node.0] += air;
         self.push(self.now + air, EventKind::TxEnd { id });
+    }
+
+    /// Takes what transmission `id` carried off the ring; `None` for an id
+    /// never issued or already taken.
+    fn end_tx(&mut self, id: u64) -> Option<InFlight<A::Payload>> {
+        let oldest = self.next_tx_id - self.in_flight.len() as u64;
+        let slot = usize::try_from(id.checked_sub(oldest)?).ok()?;
+        let what = self.in_flight.get_mut(slot)?.take();
+        while let Some(None) = self.in_flight.front() {
+            self.in_flight.pop_front();
+        }
+        what
     }
 
     /// Runs one transmit opportunity at `node` through its bounded
@@ -658,7 +680,7 @@ impl<A: NodeAgent> Simulator<A> {
     }
 
     fn on_tx_end(&mut self, id: u64) {
-        let Some(in_flight) = self.in_flight.remove(&id) else {
+        let Some(in_flight) = self.end_tx(id) else {
             return;
         };
         // Let the channel evolve to the frame's end before judging it.
@@ -743,21 +765,11 @@ impl<A: NodeAgent> Simulator<A> {
             return;
         }
         let air = self.cfg.ack_bitrate.airtime(self.cfg.mac_ack_bytes);
-        let id = self.next_tx_id;
-        self.next_tx_id += 1;
-        self.medium.begin(Transmission {
-            id,
-            tx: node,
-            start: self.now,
-            end: self.now + air,
-        });
-        self.in_flight.insert(id, InFlight::MacAck { to });
         // The ACK briefly occupies this node's radio. If the node was
         // Waiting, its pending TryTx will see the medium busy (or its own
         // half-duplex conflict resolves against it) and re-defer naturally.
         self.stats.tx_mac_acks[node.0] += 1;
-        self.stats.airtime[node.0] += air;
-        self.push(self.now + air, EventKind::TxEnd { id });
+        self.begin_tx(node, air, InFlight::MacAck { to });
     }
 
     fn on_ack_timeout(&mut self, node: NodeId, seq: u64) {
@@ -938,13 +950,14 @@ mod test {
         for node in sim.topo.nodes() {
             sim.kick(node);
         }
-        let (mut air_hw, mut history_hw) = (0, 0);
+        let (mut air_hw, mut history_hw, mut ring_hw) = (0, 0, 0);
         while sim.next_tx_id < 50_000 {
             let until = sim.now + 50;
             sim.run_until(until, |_| false);
             let (air, history) = sim.medium.retained();
             air_hw = air_hw.max(air);
             history_hw = history_hw.max(history);
+            ring_hw = ring_hw.max(sim.in_flight.len());
         }
         assert!(
             air_hw > 20,
@@ -953,6 +966,12 @@ mod test {
         assert!(
             history_hw <= 2 * air_hw + 16,
             "history {history_hw} records against {air_hw} on the air"
+        );
+        // The engine's in-flight ring spans the ids issued since the
+        // oldest frame still on the air: the same frames, no more.
+        assert!(
+            ring_hw <= air_hw + history_hw + 16,
+            "ring of {ring_hw} slots against {air_hw} on the air, {history_hw} kept"
         );
     }
 }

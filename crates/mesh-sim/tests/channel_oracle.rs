@@ -17,6 +17,13 @@
 //! epoch by epoch and on a random schedule, and must report bit-equal
 //! deliveries on every link.
 //!
+//! **Row.** [`ChannelModel::delivery_row`] is what the medium asks once
+//! per finished frame; the matrix-backed models answer it by walking the
+//! transmitter's link row alongside the candidate list instead of
+//! searching per receiver. Whatever the list — the medium's own, one with
+//! strangers and the transmitter itself in it, all nodes, none — the row
+//! must be `delivery` per candidate, bit for bit, for every model.
+//!
 //! Mutations tried against this file (each reverted):
 //!
 //! * sojourn `⌊ln(1−U)/ln(1−q)⌋` without the `1 +` — a zero-length
@@ -30,7 +37,11 @@
 //! * flips applied link-major (each link run forward to the target
 //!   before the next) instead of epoch-major — the law holds, and
 //!   `path_ignores_tick_schedule` fails at the first instant checked
-//!   ("epoch-by-epoch ticking left different air", seed 1, 26 195 µs).
+//!   ("epoch-by-epoch ticking left different air", seed 1, 26 195 µs);
+//! * `delivery_row` reading link state at `row + k + 1` (the next link's)
+//!   in the Gilbert–Elliott channel, and the merge-walk stepping past a
+//!   link equal to the candidate (`<=` for `<`) — each fails
+//!   `row_is_delivery_per_candidate` on the first transmitter checked.
 
 use mesh_sim::channel::{ChannelModel, ChannelSpec, ReachHint};
 use mesh_sim::{Time, MS};
@@ -447,4 +458,131 @@ fn path_ignores_tick_schedule() {
         check_path(&city, &bursty, 10, seed);
         check_path(&city, &drift, 20, seed);
     }
+}
+
+// ---------------------------------------------------------------------
+// (c) The row.
+// ---------------------------------------------------------------------
+
+/// The medium's reception-candidate list for `tx`: every node linked to it
+/// in either direction, by the matrix or under the channel.
+fn medium_candidates(topo: &Topology, chan: &dyn ChannelModel, tx: NodeId) -> Vec<u32> {
+    topo.nodes()
+        .filter(|&r| {
+            r != tx
+                && (topo.delivery(tx, r) > 0.0
+                    || topo.delivery(r, tx) > 0.0
+                    || chan.may_reach(tx, r)
+                    || chan.may_reach(r, tx))
+        })
+        .map(|r| r.0 as u32)
+        .collect()
+}
+
+/// Holds `chan.delivery_row` to `chan.delivery` at `now`, for `txs` and
+/// four kinds of candidate list each. Returns how many candidates read a
+/// positive delivery (so a caller can tell the check was not vacuous).
+fn check_rows(
+    what: &str,
+    topo: &Topology,
+    chan: &dyn ChannelModel,
+    txs: &[NodeId],
+    now: Time,
+    lists: &mut ChaCha8Rng,
+) -> usize {
+    let n = topo.n() as u32;
+    // Stale contents: the row must clear them.
+    let mut row = vec![f64::NAN; 3];
+    let mut positive = 0;
+    for &tx in txs {
+        let own = medium_candidates(topo, chan, tx);
+        // Strangers, neighbours and `tx` itself, ascending.
+        let mut mixed: Vec<u32> = (0..n).filter(|_| lists.gen_range(0..8u32) == 0).collect();
+        mixed.extend(own.iter().filter(|_| lists.gen_bool(0.5)));
+        mixed.push(tx.0 as u32);
+        mixed.sort_unstable();
+        mixed.dedup();
+        let all: Vec<u32> = (0..n).collect();
+        for cands in [&own, &mixed, &all, &Vec::new()] {
+            chan.delivery_row(tx, cands, now, &mut row);
+            let want: Vec<f64> = cands
+                .iter()
+                .map(|&r| chan.delivery(tx, NodeId(r as usize), now))
+                .collect();
+            assert!(
+                row.iter()
+                    .map(|p| p.to_bits())
+                    .eq(want.iter().map(|p| p.to_bits())),
+                "{what}: row of {tx} at {now} µs over {} candidates:\n{row:?}\nvs\n{want:?}",
+                cands.len()
+            );
+            positive += want.iter().filter(|&&p| p > 0.0).count();
+        }
+    }
+    positive
+}
+
+#[test]
+fn row_is_delivery_per_candidate() {
+    let specs = [
+        ChannelSpec::Static,
+        ChannelSpec::bursty_matched(0.2, 0.05, 0.25, 10),
+        ChannelSpec::TimeVarying {
+            amplitude: 0.2,
+            period_ms: 3_000,
+            walk_sigma: 0.02,
+            epoch_ms: 20,
+        },
+        ChannelSpec::Shadowing {
+            path_loss_exp: 3.0,
+            sigma_db: 6.0,
+            midpoint_m: 35.0,
+            epoch_ms: 50,
+        },
+    ];
+    let testbed = generate::testbed(1);
+    let city = generate::city_mesh(2_000, 1);
+    for (topo, tx_count) in [(&testbed, testbed.n()), (&city, 60)] {
+        for spec in &specs {
+            if topo.n() > 100 && matches!(spec, ChannelSpec::Shadowing { .. }) {
+                continue; // its pair table is n × n: testbed-sized meshes only
+            }
+            let what = format!("{} on {}", spec.label(), topo.name);
+            let mut script = ChaCha8Rng::seed_from_u64(7);
+            let mut chan = spec.build(topo, 3);
+            let mut now: Time = 0;
+            let mut positive = 0;
+            // At build, then after random ticks: sub-epoch steps and jumps.
+            for _ in 0..6 {
+                let txs: Vec<NodeId> = (0..tx_count)
+                    .map(|_| NodeId(script.gen_range(0..topo.n())))
+                    .collect();
+                positive += check_rows(&what, topo, chan.as_ref(), &txs, now, &mut script);
+                now += script.gen_range(1..400 * MS);
+                chan.tick(now);
+            }
+            assert!(positive > 1_000, "{what}: only {positive} live candidates");
+        }
+    }
+}
+
+#[test]
+fn a_model_without_its_own_row_gets_the_per_pair_loop() {
+    // The provided method, through a model that does not override it.
+    let topo = generate::testbed(1);
+    let spec = ChannelSpec::bursty_matched(0.0, 0.05, 0.2, 10);
+    let mut chan = PerEpochGe::new(&topo, &spec, 1);
+    chan.tick(500 * MS);
+    let txs: Vec<NodeId> = topo.nodes().collect();
+    let mut script = ChaCha8Rng::seed_from_u64(1);
+    assert!(
+        check_rows(
+            "per-epoch oracle",
+            &topo,
+            &chan,
+            &txs,
+            500 * MS,
+            &mut script
+        ) > 0
+    );
 }

@@ -151,6 +151,44 @@ struct Both {
 }
 
 impl Both {
+    fn new(topo: &Topology, chan: Box<dyn ChannelModel>, seed: u64) -> Self {
+        let cfg = SimConfig::default();
+        let medium = Medium::new(topo, &cfg, chan.as_ref());
+        Both {
+            scan: Scan {
+                relations: medium.clone(),
+                active: Vec::new(),
+            },
+            medium,
+            cfg,
+            chan,
+            indexed: Verdicts::new(seed),
+            scanned: Verdicts::new(seed),
+            pending: Vec::new(),
+            receivers: Vec::new(),
+        }
+    }
+
+    /// Judges what is pending, in order of end, and returns the clock.
+    fn judge_all(&mut self) -> Time {
+        let mut now = 0;
+        while let Some(end) = self.next_end() {
+            now = end;
+            self.judge(now);
+        }
+        now
+    }
+
+    /// Same verdict streams on both sides when the run is over.
+    fn assert_same_streams(&mut self) {
+        let (a, b) = (&mut self.indexed, &mut self.scanned);
+        assert_eq!(
+            (a.collisions, a.captures, a.rng.gen::<u64>()),
+            (b.collisions, b.captures, b.rng.gen::<u64>()),
+            "counters and RNG state after the run"
+        );
+    }
+
     fn begin(&mut self, t: Transmission) {
         self.medium.begin(t.clone());
         self.scan.active.push(t.clone());
@@ -232,21 +270,7 @@ fn drive(
     frames: u64,
     seed: u64,
 ) -> Coverage {
-    let cfg = SimConfig::default();
-    let medium = Medium::new(topo, &cfg, chan.as_ref());
-    let mut both = Both {
-        scan: Scan {
-            relations: medium.clone(),
-            active: Vec::new(),
-        },
-        medium,
-        cfg,
-        chan,
-        indexed: Verdicts::new(seed ^ 0xA1),
-        scanned: Verdicts::new(seed ^ 0xA1),
-        pending: Vec::new(),
-        receivers: Vec::new(),
-    };
+    let mut both = Both::new(topo, chan, seed ^ 0xA1);
     let n = topo.n();
     let mut script = ChaCha8Rng::seed_from_u64(seed);
     let mut cover = Coverage::default();
@@ -314,14 +338,9 @@ fn drive(
             None => hop,
         };
     }
-    let (a, b) = (&mut both.indexed, &mut both.scanned);
-    assert_eq!(
-        (a.collisions, a.captures, a.rng.gen::<u64>()),
-        (b.collisions, b.captures, b.rng.gen::<u64>()),
-        "counters and RNG state after the run"
-    );
-    cover.collisions = a.collisions;
-    cover.captures = a.captures;
+    both.assert_same_streams();
+    cover.collisions = both.indexed.collisions;
+    cover.captures = both.indexed.captures;
     cover
 }
 
@@ -492,4 +511,128 @@ fn a_finished_frame_judged_again_gives_the_same_receivers() {
     }
     assert_eq!(verdicts[0], verdicts[1]);
     assert!(verdicts[0].1 > 0, "frame 1 overlapped it: {verdicts:?}");
+}
+
+#[test]
+fn lone_frames_and_crowds_alternate() {
+    // The medium judges a frame nothing overlapped without looking at an
+    // interference list. Both arms against the scan, back to back: a frame
+    // alone on the air, then 8–64 frames piled onto each other, again and
+    // again — so a lone frame is judged with the crowd before it still in
+    // the history and its stamps still on the nodes.
+    let testbed = generate::testbed(1);
+    let city = generate::city_mesh(2000, 3);
+    let bursty = ChannelSpec::bursty_matched(0.2, 0.05, 0.25, 10);
+    for (topo, spec, seed) in [
+        (&testbed, ChannelSpec::Static, 21),
+        (&testbed, bursty, 22),
+        (&testbed, shadowing(), 23),
+        (&city, ChannelSpec::Static, 24),
+    ] {
+        let chan = spec.build(topo, seed);
+        // Crowds gather where they can hear each other.
+        let hot = neighbourhood(topo, chan.as_ref(), NodeId(topo.n() / 3));
+        assert!(hot.len() > 3, "{hot:?}");
+        let mut both = Both::new(topo, chan, seed);
+        let mut script = ChaCha8Rng::seed_from_u64(seed);
+        let (mut id, mut now) = (0, 0);
+        let (mut lone_heard, mut crowded) = (0, 0);
+        for _round in 0..40 {
+            // Alone: begun after everything before it has ended.
+            now += script.gen_range(1..500u64);
+            let tx = hot[script.gen_range(0..hot.len())];
+            both.begin(Transmission {
+                id,
+                tx,
+                start: now,
+                end: now + 2374,
+            });
+            id += 1;
+            let collisions = both.indexed.collisions;
+            now = both.judge_all();
+            assert_eq!(both.indexed.collisions, collisions, "a lone frame collided");
+            lone_heard += both.receivers.len();
+            // A crowd: each begins before the first of them ends.
+            let first_end = now + 2374;
+            for _ in 0..script.gen_range(8..=64u32) {
+                let tx = match script.gen_range(0..4u32) {
+                    0 => NodeId(script.gen_range(0..topo.n())),
+                    _ => hot[script.gen_range(0..hot.len())],
+                };
+                let air = [248, 2374][script.gen_range(0..2usize)];
+                both.begin(Transmission {
+                    id,
+                    tx,
+                    start: now,
+                    end: now + air,
+                });
+                id += 1;
+                crowded += 1;
+                now = (now + script.gen_range(0..60u64)).min(first_end - 1);
+                // Frames of the crowd that end on the way are judged there.
+                while both.next_end().is_some_and(|end| end <= now) {
+                    let end = both.next_end().expect("just seen");
+                    both.judge(end);
+                }
+            }
+            now = both.judge_all();
+        }
+        both.assert_same_streams();
+        let what = format!("{} on {}", spec.label(), topo.name);
+        assert!(lone_heard > 10, "{what}: lone frames reached {lone_heard}");
+        assert!(crowded > 40 * 8, "{what}: {crowded}");
+        assert!(
+            both.indexed.collisions > 100,
+            "{what}: the crowds collided {} times",
+            both.indexed.collisions
+        );
+    }
+}
+
+#[test]
+fn the_only_overlapper_is_the_receiver_itself() {
+    // One frame, and during it one transmission — by a node the frame
+    // would otherwise reach. That node is half-duplex-deaf to the frame,
+    // and its neighbours hear it as interference; nothing else is on the
+    // air, before or after.
+    let topo = generate::testbed(1);
+    let chan = ChannelSpec::Static.build(&topo, 1);
+    let (a, b, _) = topo
+        .nodes()
+        .flat_map(|a| topo.neighbors_out(a).map(move |(b, p)| (a, b, p)))
+        .max_by(|x, y| x.2.total_cmp(&y.2))
+        .expect("the testbed has links");
+    let mut both = Both::new(&topo, chan, 31);
+    let mut heard_when_silent = 0;
+    for (round, b_transmits) in [true, false].into_iter().cycle().take(200).enumerate() {
+        let start = round as Time * 10_000;
+        let id = 2 * round as u64;
+        both.begin(Transmission {
+            id,
+            tx: a,
+            start,
+            end: start + 2374,
+        });
+        if b_transmits {
+            both.begin(Transmission {
+                id: id + 1,
+                tx: b,
+                start: start + 100,
+                end: start + 348,
+            });
+            both.judge(start + 348);
+        }
+        both.judge(start + 2374);
+        if b_transmits {
+            assert!(!both.receivers.contains(&b), "{b} heard {a} while sending");
+        } else {
+            heard_when_silent += usize::from(both.receivers.contains(&b));
+        }
+    }
+    both.assert_same_streams();
+    assert!(
+        heard_when_silent > 50,
+        "{a} -> {b} is the best link there is"
+    );
+    assert!(both.indexed.collisions > 0, "{b}'s neighbours were jammed");
 }

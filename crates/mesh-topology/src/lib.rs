@@ -394,21 +394,19 @@ impl Topology {
     /// row of distances is needed (connectivity checks, reachable-pair
     /// enumeration).
     pub fn hops_from(&self, src: NodeId) -> Vec<Option<usize>> {
-        let mut dist = vec![usize::MAX; self.n];
+        let mut dist = vec![None; self.n];
         let mut queue = std::collections::VecDeque::new();
-        dist[src.0] = 0;
-        queue.push_back(src);
-        while let Some(u) = queue.pop_front() {
+        dist[src.0] = Some(0);
+        queue.push_back((src, 0));
+        while let Some((u, hops)) = queue.pop_front() {
             for v in self.neighbors(u) {
-                if dist[v.0] == usize::MAX {
-                    dist[v.0] = dist[u.0] + 1;
-                    queue.push_back(v);
+                if dist[v.0].is_none() {
+                    dist[v.0] = Some(hops + 1);
+                    queue.push_back((v, hops + 1));
                 }
             }
         }
-        dist.into_iter()
-            .map(|d| (d != usize::MAX).then_some(d))
-            .collect()
+        dist
     }
 
     /// True when every node can reach every other node over `p > 0` links.
