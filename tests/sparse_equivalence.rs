@@ -21,19 +21,26 @@
 use more_repro::topology::{generate, NodeId, Topology};
 use proptest::prelude::*;
 
-/// Every built-in generator, at sizes small enough to sweep pairwise.
-fn generator_zoo() -> Vec<Topology> {
+/// Every built-in generator, at sizes small enough to sweep pairwise,
+/// with the stem of its golden file `tests/golden/topology_<stem>.json`.
+fn generator_zoo() -> Vec<(&'static str, Topology)> {
     vec![
-        generate::motivating(),
-        generate::motivating_symmetric(),
-        generate::line(4, 0.85, 0.2, 25.0),
-        generate::diamond(4, 0.5),
-        generate::diamond_symmetricized(4, 0.5),
-        generate::grid(4, 3, 0.8, 0.5, 30.0),
-        generate::testbed(1),
-        generate::testbed_sized(12, 3),
-        generate::random_mesh(24, 120.0, 80.0, 7),
-        generate::city_mesh(200, 1),
+        ("motivating", generate::motivating()),
+        ("motivating_symmetric", generate::motivating_symmetric()),
+        ("line4", generate::line(4, 0.85, 0.2, 25.0)),
+        ("diamond4", generate::diamond(4, 0.5)),
+        (
+            "diamond_symmetricized4",
+            generate::diamond_symmetricized(4, 0.5),
+        ),
+        ("grid4x3", generate::grid(4, 3, 0.8, 0.5, 30.0)),
+        ("testbed1", generate::testbed(1)),
+        ("testbed12_s3", generate::testbed_sized(12, 3)),
+        (
+            "random_mesh24_s7",
+            generate::random_mesh(24, 120.0, 80.0, 7),
+        ),
+        ("city200_s1", generate::city_mesh(200, 1)),
     ]
 }
 
@@ -54,7 +61,7 @@ fn assert_matrix_bits_eq(a: &[Vec<f64>], b: &[Vec<f64>], what: &str) {
 
 #[test]
 fn from_matrix_round_trip_is_bit_exact_for_every_generator() {
-    for topo in generator_zoo() {
+    for (_, topo) in generator_zoo() {
         let dense = topo.matrix();
         let rebuilt = Topology::from_matrix(topo.name.clone(), dense.clone());
         assert_eq!(rebuilt.n(), topo.n(), "{}: node count", topo.name);
@@ -74,7 +81,7 @@ fn from_matrix_round_trip_is_bit_exact_for_every_generator() {
 
 #[test]
 fn dense_accessors_agree_with_the_matrix_view() {
-    for topo in generator_zoo() {
+    for (_, topo) in generator_zoo() {
         let dense = topo.matrix();
         for i in topo.nodes() {
             for j in topo.nodes() {
@@ -100,7 +107,7 @@ fn dense_accessors_agree_with_the_matrix_view() {
 
 #[test]
 fn both_json_forms_round_trip_byte_identically() {
-    for topo in generator_zoo() {
+    for (_, topo) in generator_zoo() {
         let dense = topo.to_json();
         let sparse = topo.to_json_sparse();
         let from_dense = Topology::from_json(&dense)
@@ -126,37 +133,70 @@ fn both_json_forms_round_trip_byte_identically() {
     }
 }
 
-/// Compares (or, under `UPDATE_GOLDEN=1`, rewrites) a golden file.
-fn check_golden(rel: &str, golden: &str, actual: &str) {
+/// Compares (or, under `UPDATE_GOLDEN=1`, rewrites) the golden file
+/// `tests/golden/topology_<stem>.json`.
+fn check_golden(stem: &str, actual: &str) {
+    let path = format!(
+        "{}/tests/golden/topology_{stem}.json",
+        env!("CARGO_MANIFEST_DIR")
+    );
     if std::env::var("UPDATE_GOLDEN").is_ok() {
-        let path = format!("{}/tests/{rel}", env!("CARGO_MANIFEST_DIR"));
         std::fs::write(&path, actual).expect("write golden");
         eprintln!("updated {path}");
         return;
     }
+    let golden = std::fs::read_to_string(&path).expect("read golden");
     assert_eq!(
         actual, golden,
-        "{rel} diverged — if intentional, regenerate with \
+        "{path} diverged — if intentional, regenerate with \
          UPDATE_GOLDEN=1 cargo test --test sparse_equivalence"
     );
 }
 
+/// Every generator's output, pinned byte for byte: a changed link weight,
+/// a reordered row or float-formatting drift fails here before it can
+/// shift the run-level goldens.
+#[test]
+fn every_generator_matches_its_golden_sparse_json() {
+    for (stem, topo) in generator_zoo() {
+        check_golden(stem, &topo.to_json_sparse());
+    }
+}
+
+/// `topology_diamond4.json` as it stood in the dense `delivery` form.
+const DENSE_DIAMOND4: &str = r#"{
+  "name": "diamond4",
+  "delivery": [
+    [0, 0.5, 1, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0, 0, 0, 1],
+    [0, 0, 0, 0.5, 0.5, 0.5, 0.5, 0],
+    [0, 0, 0, 0, 0, 0, 0, 1],
+    [0, 0, 0, 0, 0, 0, 0, 1],
+    [0, 0, 0, 0, 0, 0, 0, 1],
+    [0, 0, 0, 0, 0, 0, 0, 1],
+    [0, 0, 0, 0, 0, 0, 0, 0]
+  ],
+  "positions": null
+}"#;
+
+/// The reader still takes the dense form: the diamond's old golden
+/// document parses to exactly the links its sparse golden holds.
 #[test]
 fn diamond_dense_json_matches_golden_bytes() {
-    check_golden(
-        "golden/topology_diamond4.json",
-        include_str!("golden/topology_diamond4.json"),
-        &generate::diamond(4, 0.5).to_json(),
+    assert_eq!(generate::diamond(4, 0.5).to_json(), DENSE_DIAMOND4);
+    let dense = Topology::from_json(DENSE_DIAMOND4).expect("dense parse");
+    let golden = include_str!("golden/topology_diamond4.json");
+    assert_eq!(dense.to_json_sparse(), golden);
+    let sparse = Topology::from_json(golden).expect("sparse parse");
+    assert_eq!(
+        dense.links().collect::<Vec<_>>(),
+        sparse.links().collect::<Vec<_>>()
     );
 }
 
 #[test]
 fn testbed_sparse_json_matches_golden_bytes() {
-    check_golden(
-        "golden/topology_testbed1.json",
-        include_str!("golden/topology_testbed1.json"),
-        &generate::testbed(1).to_json_sparse(),
-    );
+    check_golden("testbed1", &generate::testbed(1).to_json_sparse());
 }
 
 /// Builds an arbitrary sparse delivery matrix from raw proptest words:
