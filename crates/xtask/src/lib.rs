@@ -66,7 +66,8 @@
 //! Test code (paths under `tests/`/`benches/`/`examples/`, and
 //! `#[cfg(test)]` regions) is exempt from the determinism and
 //! panic-path lints: tests may pin literal seeds and unwrap freely. The
-//! unsafe audit applies everywhere.
+//! unsafe audit applies everywhere, vendored crates under `vendor/`
+//! included; every other lint skips them.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -664,29 +665,40 @@ fn resolve(findings: Vec<Finding>, allows: &mut [AllowEntry], report: &mut Repor
 // Driver.
 // ---------------------------------------------------------------------
 
-/// Analyzes every tracked `.rs` file under `root`.
+/// Analyzes every tracked `.rs` file under `root`; the `.rs` files under
+/// `root/vendor` get the unsafe audit alone.
 pub fn analyze_root(root: &Path) -> io::Result<Report> {
+    let rel = |path: &Path| {
+        path.strip_prefix(root)
+            .unwrap_or(path)
+            .to_string_lossy()
+            .replace('\\', "/")
+    };
     let mut files = Vec::new();
     collect_rs_files(&root.to_path_buf(), &mut files)?;
     files.sort();
+    let mut vendored = Vec::new();
+    let vendor = root.join("vendor");
+    if vendor.is_dir() {
+        collect_rs_files(&vendor, &mut vendored)?;
+        vendored.sort();
+    }
 
     let mut entries = Vec::with_capacity(files.len());
     for path in &files {
-        let text = fs::read_to_string(path)?;
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        let view = lexer::lex(&text);
+        let view = lexer::lex(&fs::read_to_string(path)?);
         let parsed = parser::parse(tokens::tokenize(&view));
-        entries.push(FileEntry { rel, view, parsed });
+        entries.push(FileEntry {
+            rel: rel(path),
+            view,
+            parsed,
+        });
     }
 
     let (ctx, ctx_findings) = build_ctx(&entries);
 
     let mut report = Report {
-        files_scanned: entries.len(),
+        files_scanned: entries.len() + vendored.len(),
         ..Report::default()
     };
     let mut leftover_ctx = ctx_findings;
@@ -706,6 +718,14 @@ pub fn analyze_root(root: &Path) -> io::Result<Report> {
         report.allows.extend(allows);
     }
     report.findings.extend(leftover_ctx);
+    for path in &vendored {
+        let (rel, view) = (rel(path), lexer::lex(&fs::read_to_string(path)?));
+        let mut findings = Vec::new();
+        lints::run_unsafe_audit(&rel, &view, &mut findings, &mut report);
+        let mut allows = parse_allows(&rel, &view, &mut findings);
+        resolve(findings, &mut allows, &mut report);
+        report.allows.extend(allows);
+    }
 
     report
         .findings
