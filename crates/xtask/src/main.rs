@@ -6,7 +6,9 @@
 //!
 //! `ratchet` compares the run's per-lint counts (suppressed findings
 //! included) against the committed `xtask-baseline.json`: any rise fails,
-//! any fall rewrites the baseline so the improvement locks in.
+//! any fall rewrites the baseline so the improvement locks in — or, under
+//! `--check`, fails too, so a baseline looser than the tree cannot sit in
+//! CI unnoticed.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -33,7 +35,7 @@ against the committed baseline: a rise fails, a fall tightens the file.
 --root DIR       analyze DIR instead of the enclosing workspace root
 --format FMT     analyze output: text (default), json, github annotations
 --baseline FILE  ratchet against FILE instead of <root>/xtask-baseline.json
---check          read-only ratchet: fail on rises, never rewrite the file
+--check          read-only ratchet: fail on any rise or fall, never rewrite the file
 ";
 
 fn fail_usage(message: &str) -> ExitCode {
@@ -162,17 +164,21 @@ fn main() -> ExitCode {
             }
             for d in &result.falls {
                 println!(
-                    "xtask ratchet: `{}` fell {} -> {}{}",
-                    d.key,
-                    d.baseline,
-                    d.current,
-                    if check { " (would tighten)" } else { "" }
+                    "xtask ratchet: `{}` fell {} -> {}",
+                    d.key, d.baseline, d.current
                 );
             }
             if !result.passed() {
                 return ExitCode::FAILURE;
             }
-            if !result.falls.is_empty() && !check {
+            if !result.falls.is_empty() {
+                if check {
+                    println!(
+                        "xtask ratchet: baseline looser than the tree: run \
+                         `cargo run -p xtask -- ratchet` and commit"
+                    );
+                    return ExitCode::FAILURE;
+                }
                 if let Err(e) = fs::write(&path, current.render()) {
                     eprintln!("xtask ratchet: cannot tighten {}: {e}", path.display());
                     return ExitCode::from(2);

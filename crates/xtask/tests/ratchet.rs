@@ -1,6 +1,6 @@
 //! The ratchet binary end to end: bootstrap, steady state, a deliberate
-//! regression failing `--check`, and a fall tightening the baseline —
-//! plus the analyze output formats CI consumes.
+//! regression failing `--check`, a fall tightening the baseline (and
+//! failing `--check`) — plus the analyze output formats CI consumes.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -94,6 +94,30 @@ fn ratchet_tightens_the_baseline_when_counts_fall() {
     assert!(stdout.contains("baseline tightened"), "{stdout}");
     let text = fs::read_to_string(&baseline).expect("baseline rewritten");
     assert!(text.contains("\"panic_path\": 1"), "{text}");
+}
+
+#[test]
+fn ratchet_check_fails_when_the_baseline_is_looser_than_the_tree() {
+    let baseline = tmp_baseline("ratchet-loose.json");
+    let loose = "{\n  \"schema\": 1,\n  \"counts\": {\n    \"panic_path\": 2\n  }\n}\n";
+    fs::write(&baseline, loose).expect("write loose baseline");
+
+    // A fall is slack a later finding could take back for free: --check
+    // fails on it and says how to lock it in, without rewriting the file.
+    let out = run_ratchet(&fixture("ratchet"), &baseline, true);
+    assert!(!out.status.success(), "a count fall must fail --check");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("`panic_path` fell 2 -> 1"), "{stdout}");
+    assert!(
+        stdout.contains(
+            "baseline looser than the tree: run `cargo run -p xtask -- ratchet` and commit"
+        ),
+        "{stdout}"
+    );
+    assert_eq!(
+        fs::read_to_string(&baseline).expect("baseline intact"),
+        loose
+    );
 }
 
 #[test]
