@@ -696,8 +696,9 @@ fn best_path_losses(topo: &Topology) -> Vec<f64> {
 }
 
 fn max_hops(topo: &Topology) -> usize {
-    let pairs = topo.nodes().flat_map(|a| topo.nodes().map(move |b| (a, b)));
-    let hops = pairs.filter_map(|(a, b)| topo.hop_count(a, b));
+    let hops = topo
+        .nodes()
+        .flat_map(|a| topo.hops_from(a).into_iter().flatten());
     hops.max().unwrap_or(0)
 }
 

@@ -256,6 +256,18 @@ mod test {
     use crate::etx::{EtxTable, LinkCost};
     use mesh_topology::generate;
 
+    /// An `n`-node topology from `(from, to, p)` triples.
+    fn topo(name: &str, n: usize, links: &[(usize, usize, f64)]) -> mesh_topology::Topology {
+        let links = links
+            .iter()
+            .map(|&(from, to, delivery)| mesh_topology::Link {
+                from: mesh_topology::NodeId(from),
+                to: mesh_topology::NodeId(to),
+                delivery,
+            });
+        mesh_topology::Topology::from_links(name, n, links.collect())
+    }
+
     fn plan_for(topo: &Topology, src: usize, dst: usize, cfg: &PlanConfig) -> ForwarderPlan {
         let etx = EtxTable::compute(topo, NodeId(dst), LinkCost::Forward);
         ForwarderPlan::compute(topo, NodeId(src), NodeId(dst), etx.distances(), cfg)
@@ -263,7 +275,7 @@ mod test {
 
     #[test]
     fn single_perfect_link() {
-        let t = mesh_topology::Topology::from_matrix("pair", vec![vec![0.0, 1.0], vec![0.0, 0.0]]);
+        let t = topo("pair", 2, &[(0, 1, 1.0)]);
         let p = plan_for(&t, 0, 1, &PlanConfig::unpruned());
         assert!((p.z[0] - 1.0).abs() < 1e-9);
         assert!((p.load[1] - 1.0).abs() < 1e-9);
@@ -273,7 +285,7 @@ mod test {
 
     #[test]
     fn single_lossy_link_costs_inverse_p() {
-        let t = mesh_topology::Topology::from_matrix("pair", vec![vec![0.0, 0.25], vec![0.0, 0.0]]);
+        let t = topo("pair", 2, &[(0, 1, 0.25)]);
         let p = plan_for(&t, 0, 1, &PlanConfig::unpruned());
         assert!((p.z[0] - 4.0).abs() < 1e-9, "z_src = 1/p");
         assert!((p.load[1] - 1.0).abs() < 1e-9, "delivered flow = 1");

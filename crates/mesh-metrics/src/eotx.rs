@@ -223,6 +223,18 @@ mod test {
     use crate::etx::{EtxTable, LinkCost};
     use mesh_topology::generate;
 
+    /// An `n`-node topology from `(from, to, p)` triples.
+    fn topo(name: &str, n: usize, links: &[(usize, usize, f64)]) -> mesh_topology::Topology {
+        let links = links
+            .iter()
+            .map(|&(from, to, delivery)| mesh_topology::Link {
+                from: mesh_topology::NodeId(from),
+                to: mesh_topology::NodeId(to),
+                delivery,
+            });
+        mesh_topology::Topology::from_links(name, n, links.collect())
+    }
+
     fn assert_close(a: f64, b: f64, tol: f64, msg: &str) {
         if a.is_infinite() && b.is_infinite() {
             return;
@@ -243,7 +255,7 @@ mod test {
 
     #[test]
     fn single_link_eotx_is_inverse_probability() {
-        let t = mesh_topology::Topology::from_matrix("pair", vec![vec![0.0, 0.25], vec![0.0, 0.0]]);
+        let t = topo("pair", 2, &[(0, 1, 0.25)]);
         let table = EotxTable::compute(&t, NodeId(1));
         assert_close(table.dist(NodeId(0)), 4.0, 1e-9, "1/p");
     }
@@ -307,14 +319,7 @@ mod test {
 
     #[test]
     fn unreachable_nodes_are_infinite() {
-        let t = mesh_topology::Topology::from_matrix(
-            "islands",
-            vec![
-                vec![0.0, 0.9, 0.0],
-                vec![0.9, 0.0, 0.0],
-                vec![0.0, 0.0, 0.0],
-            ],
-        );
+        let t = topo("islands", 3, &[(0, 1, 0.9), (1, 0, 0.9)]);
         let table = EotxTable::compute(&t, NodeId(0));
         assert!(table.dist(NodeId(2)).is_infinite());
         assert!(table.dist(NodeId(1)).is_finite());
@@ -331,21 +336,16 @@ mod test {
     #[test]
     fn more_forwarders_reduce_eotx() {
         // Adding an extra relay can only lower (or keep) the source's EOTX.
-        let two = mesh_topology::Topology::from_matrix(
-            "sparse",
-            vec![
-                vec![0.0, 0.5, 0.3],
-                vec![0.0, 0.0, 0.9],
-                vec![0.0, 0.0, 0.0],
-            ],
-        );
-        let three = mesh_topology::Topology::from_matrix(
+        let two = topo("sparse", 3, &[(0, 1, 0.5), (0, 2, 0.3), (1, 2, 0.9)]);
+        let three = topo(
             "dense",
-            vec![
-                vec![0.0, 0.5, 0.5, 0.3],
-                vec![0.0, 0.0, 0.0, 0.9],
-                vec![0.0, 0.0, 0.0, 0.9],
-                vec![0.0, 0.0, 0.0, 0.0],
+            4,
+            &[
+                (0, 1, 0.5),
+                (0, 2, 0.5),
+                (0, 3, 0.3),
+                (1, 3, 0.9),
+                (2, 3, 0.9),
             ],
         );
         let d2 = EotxTable::compute(&two, NodeId(2)).dist(NodeId(0));

@@ -154,6 +154,18 @@ mod test {
     use super::*;
     use mesh_topology::generate;
 
+    /// An `n`-node topology from `(from, to, p)` triples.
+    fn topo(name: &str, n: usize, links: &[(usize, usize, f64)]) -> mesh_topology::Topology {
+        let links = links
+            .iter()
+            .map(|&(from, to, delivery)| mesh_topology::Link {
+                from: mesh_topology::NodeId(from),
+                to: mesh_topology::NodeId(to),
+                delivery,
+            });
+        mesh_topology::Topology::from_links(name, n, links.collect())
+    }
+
     #[test]
     fn motivating_example_etx() {
         // §2.1.1: path src→R→dst has ETX 2; direct link 1/0.49 = 2.04.
@@ -178,14 +190,7 @@ mod test {
 
     #[test]
     fn direct_wins_when_better() {
-        let t = mesh_topology::Topology::from_matrix(
-            "direct",
-            vec![
-                vec![0.0, 1.0, 0.8],
-                vec![0.0, 0.0, 1.0],
-                vec![0.0, 0.0, 0.0],
-            ],
-        );
+        let t = topo("direct", 3, &[(0, 1, 1.0), (0, 2, 0.8), (1, 2, 1.0)]);
         let table = EtxTable::compute(&t, NodeId(2), LinkCost::Forward);
         // Direct: 1/0.8 = 1.25 < 2.0 two-hop.
         assert!((table.dist(NodeId(0)) - 1.25).abs() < 1e-9);
@@ -197,7 +202,7 @@ mod test {
 
     #[test]
     fn unreachable_is_infinite() {
-        let t = mesh_topology::Topology::from_matrix("split", vec![vec![0.0, 0.0], vec![0.0, 0.0]]);
+        let t = topo("split", 2, &[]);
         let table = EtxTable::compute(&t, NodeId(1), LinkCost::Forward);
         assert!(table.dist(NodeId(0)).is_infinite());
         assert!(table.path_from(NodeId(0)).is_none());
@@ -206,7 +211,7 @@ mod test {
     #[test]
     fn forward_reverse_accounts_for_ack_loss() {
         // Symmetric 0.8 link: fwd-only ETX = 1.25, fwd·rev = 1/(0.64) ≈ 1.5625.
-        let t = mesh_topology::Topology::from_matrix("sym", vec![vec![0.0, 0.8], vec![0.8, 0.0]]);
+        let t = topo("sym", 2, &[(0, 1, 0.8), (1, 0, 0.8)]);
         let f = EtxTable::compute(&t, NodeId(1), LinkCost::Forward);
         let fr = EtxTable::compute(&t, NodeId(1), LinkCost::ForwardReverse);
         assert!((f.dist(NodeId(0)) - 1.25).abs() < 1e-9);
@@ -216,8 +221,7 @@ mod test {
     #[test]
     fn asymmetric_link_unusable_with_ack() {
         // Forward link exists but no reverse: unusable under ForwardReverse.
-        let t =
-            mesh_topology::Topology::from_matrix("oneway", vec![vec![0.0, 0.9], vec![0.0, 0.0]]);
+        let t = topo("oneway", 2, &[(0, 1, 0.9)]);
         let fr = EtxTable::compute(&t, NodeId(1), LinkCost::ForwardReverse);
         assert!(fr.dist(NodeId(0)).is_infinite());
     }

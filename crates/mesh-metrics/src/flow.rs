@@ -132,6 +132,18 @@ mod test {
     use crate::etx::{EtxTable, LinkCost};
     use mesh_topology::generate;
 
+    /// An `n`-node topology from `(from, to, p)` triples.
+    fn topo(name: &str, n: usize, links: &[(usize, usize, f64)]) -> mesh_topology::Topology {
+        let links = links
+            .iter()
+            .map(|&(from, to, delivery)| mesh_topology::Link {
+                from: mesh_topology::NodeId(from),
+                to: mesh_topology::NodeId(to),
+                delivery,
+            });
+        mesh_topology::Topology::from_links(name, n, links.collect())
+    }
+
     /// Participants under a metric, ascending, source last (mirrors
     /// ForwarderPlan's eligibility rule).
     fn order_for(topo: &mesh_topology::Topology, metric: &[f64], src: usize) -> Vec<NodeId> {
@@ -216,7 +228,7 @@ mod test {
 
     #[test]
     fn two_node_flow() {
-        let t = mesh_topology::Topology::from_matrix("pair", vec![vec![0.0, 0.5], vec![0.0, 0.0]]);
+        let t = topo("pair", 2, &[(0, 1, 0.5)]);
         let order = vec![NodeId(1), NodeId(0)];
         let sol = FlowSolution::compute(&t, &order, NodeId(0));
         assert!((sol.z[0] - 2.0).abs() < 1e-9);

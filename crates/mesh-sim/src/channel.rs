@@ -17,7 +17,7 @@
 //!   probabilities).
 //! * [`ChannelSpec::Shadowing`] — distance-based path loss plus log-normal
 //!   shadowing re-drawn per epoch; requires node positions and *ignores*
-//!   the topology's delivery matrix (the geometry is the channel).
+//!   the topology's links (the geometry is the channel).
 //! * [`ChannelSpec::TimeVarying`] — slow sinusoidal plus random-walk drift
 //!   of each link's delivery around the topology's mean.
 //!
@@ -44,7 +44,7 @@
 //! use mesh_topology::{generate, NodeId};
 //!
 //! let topo = generate::line(2, 0.8, 0.0, 30.0);
-//! // The default channel reports exactly the topology's matrix…
+//! // The default channel reports exactly the topology's links…
 //! let stat = ChannelSpec::Static.build(&topo, 1);
 //! assert_eq!(stat.delivery(NodeId(0), NodeId(1), 0), 0.8);
 //! // …while a bursty channel modulates it over time.
@@ -149,7 +149,8 @@ pub enum ReachHint {
 }
 
 /// Serializable description of a channel model; builds a fresh
-/// [`ChannelModel`] instance per run via [`ChannelSpec::build`].
+/// [`ChannelModel`] instance per run via [`ChannelSpec::build`]. Each
+/// non-static variant holds its model's parameter struct.
 ///
 /// `Static` is the default and reproduces the engine's historical
 /// behaviour byte-for-byte.
@@ -160,57 +161,155 @@ pub enum ChannelSpec {
     /// probability. The default.
     #[default]
     Static,
-    /// Two-state Gilbert–Elliott burst loss, independently per directed
-    /// link. In the *good* state a link delivers at `good_scale ×` its
-    /// static probability, in the *bad* state at `bad_scale ×`. Where the
-    /// good-state product saturates at 1, the clamped excess is
-    /// redistributed into the bad state (weighted by state occupancy) so
-    /// each link's stationary mean stays at the unclamped
-    /// `π_g·good_scale·p + π_b·bad_scale·p` whenever achievable — strong
-    /// links degrade in bursts instead of silently losing mean. Every
-    /// `epoch_ms` each link flips good→bad with probability `to_bad` and
-    /// bad→good with `to_good`; initial states are drawn from the
-    /// stationary distribution.
-    GilbertElliott {
-        /// Delivery multiplier in the good state (≥ 1 compensates bursts).
-        good_scale: f64,
-        /// Delivery multiplier in the bad state (0 = outage).
-        bad_scale: f64,
-        /// Per-epoch probability of entering the bad state.
-        to_bad: f64,
-        /// Per-epoch probability of leaving the bad state.
-        to_good: f64,
-        /// State-transition epoch in milliseconds.
-        epoch_ms: u64,
-    },
-    /// Distance-based path loss plus log-normal shadowing, re-drawn per
-    /// epoch and symmetric per node pair. Requires node positions; the
-    /// topology's delivery matrix is ignored (the geometry *is* the
-    /// channel), which is what lets scenarios separate "what routing
-    /// believes" from "what the air does".
-    Shadowing {
-        /// Path-loss exponent (2 free space … 4 indoor).
-        path_loss_exp: f64,
-        /// Standard deviation of the log-normal shadowing term, dB.
-        sigma_db: f64,
-        /// Distance in meters at which un-shadowed delivery is 50%.
-        midpoint_m: f64,
-        /// Shadowing redraw epoch in milliseconds.
-        epoch_ms: u64,
-    },
-    /// Slow drift of each link's delivery around the topology's mean: a
-    /// per-link-phase sinusoid of the given amplitude plus a per-epoch
-    /// Gaussian random walk, clamped to `[0, 1]`.
-    TimeVarying {
-        /// Peak sinusoidal deviation from the static probability.
-        amplitude: f64,
-        /// Sinusoid period in milliseconds.
-        period_ms: u64,
-        /// Per-epoch standard deviation of the random-walk step.
-        walk_sigma: f64,
-        /// Random-walk epoch in milliseconds.
-        epoch_ms: u64,
-    },
+    /// Two-state burst loss per directed link.
+    GilbertElliott(GilbertElliott),
+    /// Geometry-driven path loss with log-normal shadowing.
+    Shadowing(Shadowing),
+    /// Slow drift of each link around the topology's probability.
+    TimeVarying(TimeVarying),
+}
+
+/// Two-state Gilbert–Elliott burst loss, independently per directed
+/// link. In the *good* state a link delivers at `good_scale ×` its static
+/// probability, in the *bad* state at `bad_scale ×`. Where the good-state
+/// product saturates at 1, the clamped excess is redistributed into the
+/// bad state (weighted by state occupancy) so each link's stationary mean
+/// stays at the unclamped `π_g·good_scale·p + π_b·bad_scale·p` whenever
+/// achievable — strong links degrade in bursts instead of silently losing
+/// mean. Every `epoch_ms` each link flips good→bad with probability
+/// `to_bad` and bad→good with `to_good`; initial states are drawn from
+/// the stationary distribution.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct GilbertElliott {
+    /// Delivery multiplier in the good state (≥ 1 compensates bursts).
+    pub good_scale: f64,
+    /// Delivery multiplier in the bad state (0 = outage).
+    pub bad_scale: f64,
+    /// Per-epoch probability of entering the bad state.
+    pub to_bad: f64,
+    /// Per-epoch probability of leaving the bad state.
+    pub to_good: f64,
+    /// State-transition epoch in milliseconds.
+    pub epoch_ms: u64,
+}
+
+impl GilbertElliott {
+    fn label(&self) -> String {
+        let GilbertElliott {
+            good_scale,
+            bad_scale,
+            to_bad,
+            to_good,
+            epoch_ms,
+        } = self;
+        format!("ge(good={good_scale};bad={bad_scale};to_bad={to_bad};to_good={to_good};epoch={epoch_ms}ms)")
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        check_interval("GilbertElliott epoch_ms", self.epoch_ms)?;
+        for (name, v) in [("to_bad", self.to_bad), ("to_good", self.to_good)] {
+            // Written so that NaN fails the range test.
+            if !(0.0..=1.0).contains(&v) {
+                return Err(format!("GilbertElliott {name} = {v} outside [0,1]"));
+            }
+        }
+        check_at_least_zero("GilbertElliott good_scale", self.good_scale)?;
+        check_at_least_zero("GilbertElliott bad_scale", self.bad_scale)
+    }
+}
+
+/// Distance-based path loss plus log-normal shadowing, re-drawn per epoch
+/// and symmetric per node pair. Requires node positions; the topology's
+/// links are ignored (the geometry *is* the channel), which is what lets
+/// scenarios separate "what routing believes" from "what the air does".
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Shadowing {
+    /// Path-loss exponent (2 free space … 4 indoor).
+    pub path_loss_exp: f64,
+    /// Standard deviation of the log-normal shadowing term, dB.
+    pub sigma_db: f64,
+    /// Distance in meters at which un-shadowed delivery is 50%.
+    pub midpoint_m: f64,
+    /// Shadowing redraw epoch in milliseconds.
+    pub epoch_ms: u64,
+}
+
+impl Shadowing {
+    fn label(&self) -> String {
+        let Shadowing {
+            path_loss_exp,
+            sigma_db,
+            midpoint_m,
+            epoch_ms,
+        } = self;
+        format!(
+            "shadow(ple={path_loss_exp};sigma={sigma_db}dB;mid={midpoint_m}m;epoch={epoch_ms}ms)"
+        )
+    }
+
+    fn validate(&self, topo: &Topology) -> Result<(), String> {
+        if topo.positions().is_none() {
+            return Err(format!(
+                "Shadowing channel requires node positions; topology {:?} has none",
+                topo.name
+            ));
+        }
+        check_interval("Shadowing epoch_ms", self.epoch_ms)?;
+        for (name, v) in [
+            ("path_loss_exp", self.path_loss_exp),
+            ("midpoint_m", self.midpoint_m),
+        ] {
+            if !(v.is_finite() && v > 0.0) {
+                return Err(format!(
+                    "Shadowing {name} = {v} must be finite and positive"
+                ));
+            }
+        }
+        check_at_least_zero("Shadowing sigma_db", self.sigma_db)
+    }
+
+    /// Distance at which even a +3σ shadow leaves delivery below
+    /// [`MIN_DELIVERY`]: `p ≥ MIN_DELIVERY` ⟺ `margin ≥ −softness ·
+    /// ln((1−MIN)/MIN)`, and the margin falls with `10·ple·log₁₀(mid/d)`.
+    fn reach_m(&self) -> f64 {
+        let margin_floor = -SHADOW_SOFTNESS_DB * ((1.0 - MIN_DELIVERY) / MIN_DELIVERY).ln();
+        self.midpoint_m
+            * 10f64.powf((3.0 * self.sigma_db - margin_floor) / (10.0 * self.path_loss_exp))
+    }
+}
+
+/// Slow drift of each link's delivery around the topology's mean: a
+/// per-link-phase sinusoid of the given amplitude plus a per-epoch
+/// Gaussian random walk, clamped to `[0, 1]`.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct TimeVarying {
+    /// Peak sinusoidal deviation from the static probability.
+    pub amplitude: f64,
+    /// Sinusoid period in milliseconds.
+    pub period_ms: u64,
+    /// Per-epoch standard deviation of the random-walk step.
+    pub walk_sigma: f64,
+    /// Random-walk epoch in milliseconds.
+    pub epoch_ms: u64,
+}
+
+impl TimeVarying {
+    fn label(&self) -> String {
+        let TimeVarying {
+            amplitude,
+            period_ms,
+            walk_sigma,
+            epoch_ms,
+        } = self;
+        format!("drift(amp={amplitude};period={period_ms}ms;walk={walk_sigma};epoch={epoch_ms}ms)")
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        check_interval("TimeVarying epoch_ms", self.epoch_ms)?;
+        check_interval("TimeVarying period_ms", self.period_ms)?;
+        check_at_least_zero("TimeVarying amplitude", self.amplitude)?;
+        check_at_least_zero("TimeVarying walk_sigma", self.walk_sigma)
+    }
 }
 
 impl ChannelSpec {
@@ -218,15 +317,14 @@ impl ChannelSpec {
     /// topology: given the bad-state scale and the transition
     /// probabilities, the good-state scale is solved from the stationary
     /// distribution so that `π_good·good + π_bad·bad = 1`. Per-link
-    /// saturation redistribution (see [`ChannelSpec::GilbertElliott`])
-    /// keeps the match exact even on links whose static delivery exceeds
-    /// `1 / good_scale`.
+    /// saturation redistribution (see [`GilbertElliott`]) keeps the match
+    /// exact even on links whose static delivery exceeds `1 / good_scale`.
     ///
     /// ```
     /// use mesh_sim::channel::ChannelSpec;
     /// let spec = ChannelSpec::bursty_matched(0.0, 0.05, 0.2, 10);
-    /// if let ChannelSpec::GilbertElliott { good_scale, .. } = spec {
-    ///     assert!((good_scale - 1.25).abs() < 1e-12); // π_good = 0.8
+    /// if let ChannelSpec::GilbertElliott(ge) = spec {
+    ///     assert!((ge.good_scale - 1.25).abs() < 1e-12); // π_good = 0.8
     /// } else {
     ///     unreachable!();
     /// }
@@ -238,13 +336,13 @@ impl ChannelSpec {
         );
         let pi_bad = to_bad / (to_bad + to_good);
         let pi_good = 1.0 - pi_bad;
-        ChannelSpec::GilbertElliott {
+        ChannelSpec::GilbertElliott(GilbertElliott {
             good_scale: (1.0 - pi_bad * bad_scale) / pi_good,
             bad_scale,
             to_bad,
             to_good,
             epoch_ms,
-        }
+        })
     }
 
     /// Short, comma-free identifier used as the `channel` key in scenario
@@ -252,25 +350,9 @@ impl ChannelSpec {
     pub fn label(&self) -> String {
         match self {
             ChannelSpec::Static => "static".to_string(),
-            ChannelSpec::GilbertElliott {
-                good_scale,
-                bad_scale,
-                to_bad,
-                to_good,
-                epoch_ms,
-            } => format!("ge(good={good_scale};bad={bad_scale};to_bad={to_bad};to_good={to_good};epoch={epoch_ms}ms)"),
-            ChannelSpec::Shadowing {
-                path_loss_exp,
-                sigma_db,
-                midpoint_m,
-                epoch_ms,
-            } => format!("shadow(ple={path_loss_exp};sigma={sigma_db}dB;mid={midpoint_m}m;epoch={epoch_ms}ms)"),
-            ChannelSpec::TimeVarying {
-                amplitude,
-                period_ms,
-                walk_sigma,
-                epoch_ms,
-            } => format!("drift(amp={amplitude};period={period_ms}ms;walk={walk_sigma};epoch={epoch_ms}ms)"),
+            ChannelSpec::GilbertElliott(ge) => ge.label(),
+            ChannelSpec::Shadowing(sh) => sh.label(),
+            ChannelSpec::TimeVarying(tv) => tv.label(),
         }
     }
 
@@ -284,58 +366,11 @@ impl ChannelSpec {
     /// must be finite and inside their ranges, epochs and periods must be
     /// non-zero and fit [`Time`] once converted to microseconds.
     pub fn validate(&self, topo: &Topology) -> Result<(), String> {
-        match *self {
+        match self {
             ChannelSpec::Static => Ok(()),
-            ChannelSpec::GilbertElliott {
-                good_scale,
-                bad_scale,
-                to_bad,
-                to_good,
-                epoch_ms,
-            } => {
-                check_interval("GilbertElliott epoch_ms", epoch_ms)?;
-                for (name, v) in [("to_bad", to_bad), ("to_good", to_good)] {
-                    // Written so that NaN fails the range test.
-                    if !(0.0..=1.0).contains(&v) {
-                        return Err(format!("GilbertElliott {name} = {v} outside [0,1]"));
-                    }
-                }
-                check_at_least_zero("GilbertElliott good_scale", good_scale)?;
-                check_at_least_zero("GilbertElliott bad_scale", bad_scale)
-            }
-            ChannelSpec::Shadowing {
-                path_loss_exp,
-                sigma_db,
-                midpoint_m,
-                epoch_ms,
-            } => {
-                if topo.positions().is_none() {
-                    return Err(format!(
-                        "Shadowing channel requires node positions; topology {:?} has none",
-                        topo.name
-                    ));
-                }
-                check_interval("Shadowing epoch_ms", epoch_ms)?;
-                for (name, v) in [("path_loss_exp", path_loss_exp), ("midpoint_m", midpoint_m)] {
-                    if !(v.is_finite() && v > 0.0) {
-                        return Err(format!(
-                            "Shadowing {name} = {v} must be finite and positive"
-                        ));
-                    }
-                }
-                check_at_least_zero("Shadowing sigma_db", sigma_db)
-            }
-            ChannelSpec::TimeVarying {
-                amplitude,
-                period_ms,
-                walk_sigma,
-                epoch_ms,
-            } => {
-                check_interval("TimeVarying epoch_ms", epoch_ms)?;
-                check_interval("TimeVarying period_ms", period_ms)?;
-                check_at_least_zero("TimeVarying amplitude", amplitude)?;
-                check_at_least_zero("TimeVarying walk_sigma", walk_sigma)
-            }
+            ChannelSpec::GilbertElliott(ge) => ge.validate(),
+            ChannelSpec::Shadowing(sh) => sh.validate(topo),
+            ChannelSpec::TimeVarying(tv) => tv.validate(),
         }
     }
 
@@ -354,36 +389,9 @@ impl ChannelSpec {
         let rng = ChaCha8Rng::seed_from_u64(seed ^ CHANNEL_STREAM);
         match *self {
             ChannelSpec::Static => Box::new(StaticChannel { topo: topo.clone() }),
-            ChannelSpec::GilbertElliott {
-                good_scale,
-                bad_scale,
-                to_bad,
-                to_good,
-                epoch_ms,
-            } => Box::new(GilbertElliottChannel::new(
-                topo, good_scale, bad_scale, to_bad, to_good, epoch_ms, rng,
-            )),
-            ChannelSpec::Shadowing {
-                path_loss_exp,
-                sigma_db,
-                midpoint_m,
-                epoch_ms,
-            } => Box::new(ShadowingChannel::new(
-                topo,
-                path_loss_exp,
-                sigma_db,
-                midpoint_m,
-                epoch_ms,
-                rng,
-            )),
-            ChannelSpec::TimeVarying {
-                amplitude,
-                period_ms,
-                walk_sigma,
-                epoch_ms,
-            } => Box::new(TimeVaryingChannel::new(
-                topo, amplitude, period_ms, walk_sigma, epoch_ms, rng,
-            )),
+            ChannelSpec::GilbertElliott(ge) => Box::new(GilbertElliottChannel::new(topo, ge, rng)),
+            ChannelSpec::Shadowing(sh) => Box::new(ShadowingChannel::new(topo, sh, rng)),
+            ChannelSpec::TimeVarying(tv) => Box::new(TimeVaryingChannel::new(topo, tv, rng)),
         }
     }
 }
@@ -444,7 +452,7 @@ fn row_starts(topo: &Topology) -> Vec<u32> {
     starts
 }
 
-/// The paper's static channel: delivery is the topology's matrix.
+/// The paper's static channel: delivery is the topology's links.
 pub struct StaticChannel {
     topo: Topology,
 }
@@ -467,7 +475,7 @@ impl ChannelModel for StaticChannel {
     }
 }
 
-/// Two-state burst-loss channel (see [`ChannelSpec::GilbertElliott`]).
+/// Two-state burst-loss channel (see [`GilbertElliott`]).
 ///
 /// A two-state Markov chain spends geometric sojourns in each state, so a
 /// link is evolved by *when it next flips* instead of being asked every
@@ -530,15 +538,14 @@ fn sojourn(rng: &mut ChaCha8Rng, ln_stay: f64) -> u64 {
 }
 
 impl GilbertElliottChannel {
-    fn new(
-        topo: &Topology,
-        good_scale: f64,
-        bad_scale: f64,
-        to_bad: f64,
-        to_good: f64,
-        epoch_ms: u64,
-        mut rng: ChaCha8Rng,
-    ) -> Self {
+    fn new(topo: &Topology, params: GilbertElliott, mut rng: ChaCha8Rng) -> Self {
+        let GilbertElliott {
+            good_scale,
+            bad_scale,
+            to_bad,
+            to_good,
+            epoch_ms,
+        } = params;
         let pi_bad = if to_bad + to_good > 0.0 {
             to_bad / (to_bad + to_good)
         } else {
@@ -644,7 +651,7 @@ impl ChannelModel for GilbertElliottChannel {
     }
 }
 
-/// Geometry-driven channel (see [`ChannelSpec::Shadowing`]).
+/// Geometry-driven channel (see [`Shadowing`]).
 ///
 /// Unlike the matrix-backed models, whose state is one entry per link of
 /// the topology, this one is keyed by geometry: any pair of nodes within
@@ -654,10 +661,7 @@ impl ChannelModel for GilbertElliottChannel {
 /// draw a different stream and is left for a change of its own.
 pub struct ShadowingChannel {
     positions: Vec<Position>,
-    path_loss_exp: f64,
-    sigma_db: f64,
-    midpoint_m: f64,
-    epoch: Time,
+    params: Shadowing,
     /// Symmetric shadow per unordered pair, row-major upper triangle
     /// addressed as `min·n + max`.
     shadow_db: Vec<f64>,
@@ -680,40 +684,22 @@ const SHADOW_SOFTNESS_DB: f64 = 3.0;
 const MIN_DELIVERY: f64 = 0.01;
 
 impl ShadowingChannel {
-    fn new(
-        topo: &Topology,
-        path_loss_exp: f64,
-        sigma_db: f64,
-        midpoint_m: f64,
-        epoch_ms: u64,
-        mut rng: ChaCha8Rng,
-    ) -> Self {
+    fn new(topo: &Topology, params: Shadowing, mut rng: ChaCha8Rng) -> Self {
         // xtask: allow(panic_path) -- build() validated the spec, and validate() rejects a topology without positions.
         let positions = topo.positions().expect("validated").to_vec();
         let n = positions.len();
         let mut shadow_db = vec![0.0; n * n];
-        redraw_shadows(&mut shadow_db, n, sigma_db, &mut rng);
+        redraw_shadows(&mut shadow_db, n, params.sigma_db, &mut rng);
         ShadowingChannel {
             positions,
-            path_loss_exp,
-            sigma_db,
-            midpoint_m,
-            epoch: epoch_ms * crate::MS,
+            params,
             shadow_db,
-            reach_m: shadow_reach_m(path_loss_exp, sigma_db, midpoint_m),
+            reach_m: params.reach_m(),
             n,
             epochs_done: 0,
             rng,
         }
     }
-}
-
-/// Distance at which even a +3σ shadow leaves delivery below
-/// [`MIN_DELIVERY`]: `p ≥ MIN_DELIVERY` ⟺ `margin ≥ −softness ·
-/// ln((1−MIN)/MIN)`, and the margin falls with `10·ple·log₁₀(mid/d)`.
-fn shadow_reach_m(path_loss_exp: f64, sigma_db: f64, midpoint_m: f64) -> f64 {
-    let margin_floor = -SHADOW_SOFTNESS_DB * ((1.0 - MIN_DELIVERY) / MIN_DELIVERY).ln();
-    midpoint_m * 10f64.powf((3.0 * sigma_db - margin_floor) / (10.0 * path_loss_exp))
 }
 
 fn redraw_shadows(shadow_db: &mut [f64], n: usize, sigma_db: f64, rng: &mut ChaCha8Rng) {
@@ -752,7 +738,12 @@ impl ChannelModel for ShadowingChannel {
         let shadow = self.shadow_db[lo * self.n + hi];
         // Link margin: positive inside the midpoint, sign-flipped by the
         // log-distance path loss, perturbed by the shadow.
-        let margin = 10.0 * self.path_loss_exp * (self.midpoint_m / d).log10() + shadow;
+        let Shadowing {
+            path_loss_exp,
+            midpoint_m,
+            ..
+        } = self.params;
+        let margin = 10.0 * path_loss_exp * (midpoint_m / d).log10() + shadow;
         let p = 1.0 / (1.0 + (-margin / SHADOW_SOFTNESS_DB).exp());
         if p < MIN_DELIVERY {
             0.0
@@ -762,9 +753,14 @@ impl ChannelModel for ShadowingChannel {
     }
 
     fn tick(&mut self, now: Time) {
-        let target = now / self.epoch;
+        let target = now / (self.params.epoch_ms * crate::MS);
         while self.epochs_done < target {
-            redraw_shadows(&mut self.shadow_db, self.n, self.sigma_db, &mut self.rng);
+            redraw_shadows(
+                &mut self.shadow_db,
+                self.n,
+                self.params.sigma_db,
+                &mut self.rng,
+            );
             self.epochs_done += 1;
         }
     }
@@ -782,16 +778,13 @@ impl ChannelModel for ShadowingChannel {
     }
 }
 
-/// Slow per-link drift channel (see [`ChannelSpec::TimeVarying`]).
+/// Slow per-link drift channel (see [`TimeVarying`]).
 pub struct TimeVaryingChannel {
     /// Resolves `(tx, rx)` to a link slot.
     topo: Topology,
     /// See [`row_starts`].
     row_start: Vec<u32>,
-    amplitude: f64,
-    period: Time,
-    walk_sigma: f64,
-    epoch: Time,
+    params: TimeVarying,
     /// Per link slot: the mean it drifts around, its phase and its walk.
     links: Vec<DriftLink>,
     epochs_done: u64,
@@ -809,14 +802,7 @@ struct DriftLink {
 }
 
 impl TimeVaryingChannel {
-    fn new(
-        topo: &Topology,
-        amplitude: f64,
-        period_ms: u64,
-        walk_sigma: f64,
-        epoch_ms: u64,
-        mut rng: ChaCha8Rng,
-    ) -> Self {
+    fn new(topo: &Topology, params: TimeVarying, mut rng: ChaCha8Rng) -> Self {
         let links = topo
             .links()
             .map(|l| DriftLink {
@@ -828,10 +814,7 @@ impl TimeVaryingChannel {
         TimeVaryingChannel {
             topo: topo.clone(),
             row_start: row_starts(topo),
-            amplitude,
-            period: period_ms * crate::MS,
-            walk_sigma,
-            epoch: epoch_ms * crate::MS,
+            params,
             links,
             epochs_done: 0,
             rng,
@@ -840,8 +823,9 @@ impl TimeVaryingChannel {
 
     /// What link `l` delivers at `now`: its mean, the wave, the walk.
     fn drifted(&self, l: &DriftLink, now: Time) -> f64 {
-        let turns = now as f64 / self.period as f64 + l.phase;
-        let wave = self.amplitude * (std::f64::consts::TAU * turns).sin();
+        let period = self.params.period_ms * crate::MS;
+        let turns = now as f64 / period as f64 + l.phase;
+        let wave = self.params.amplitude * (std::f64::consts::TAU * turns).sin();
         (l.mean + wave + l.walk).clamp(0.0, 1.0)
     }
 }
@@ -865,10 +849,10 @@ impl ChannelModel for TimeVaryingChannel {
     }
 
     fn tick(&mut self, now: Time) {
-        let target = now / self.epoch;
+        let target = now / (self.params.epoch_ms * crate::MS);
         while self.epochs_done < target {
             for l in &mut self.links {
-                let step = gauss(&mut self.rng) * self.walk_sigma;
+                let step = gauss(&mut self.rng) * self.params.walk_sigma;
                 l.walk = (l.walk + step).clamp(-1.0, 1.0);
             }
             self.epochs_done += 1;
@@ -962,7 +946,7 @@ pub fn probe_topology(
 ) -> Topology {
     let mut model = spec.build(topo, seed);
     let candidates = reach_candidates(topo, model.as_ref());
-    est.estimate_live_candidates(topo, seed, interval_us, &candidates, |tx, rx, now| {
+    est.estimate_live(topo, seed, interval_us, &candidates, |tx, rx, now| {
         model.tick(now);
         model.delivery(tx, rx, now)
     })
@@ -971,7 +955,15 @@ pub fn probe_topology(
 #[cfg(test)]
 mod test {
     use super::*;
-    use mesh_topology::generate;
+    use mesh_topology::{generate, Link};
+
+    fn link(from: usize, to: usize, delivery: f64) -> Link {
+        Link {
+            from: NodeId(from),
+            to: NodeId(to),
+            delivery,
+        }
+    }
 
     fn mean_delivery(model: &mut dyn ChannelModel, tx: NodeId, rx: NodeId, epoch: Time) -> f64 {
         let rounds = 20_000u64;
@@ -1053,18 +1045,18 @@ mod test {
         let topo = generate::testbed(1);
         for spec in [
             ChannelSpec::bursty_matched(0.1, 0.05, 0.2, 10),
-            ChannelSpec::Shadowing {
+            ChannelSpec::Shadowing(Shadowing {
                 path_loss_exp: 3.0,
                 sigma_db: 6.0,
                 midpoint_m: 35.0,
                 epoch_ms: 100,
-            },
-            ChannelSpec::TimeVarying {
+            }),
+            ChannelSpec::TimeVarying(TimeVarying {
                 amplitude: 0.2,
                 period_ms: 30_000,
                 walk_sigma: 0.02,
                 epoch_ms: 1_000,
-            },
+            }),
         ] {
             let mut a = spec.build(&topo, 42);
             let mut b = spec.build(&topo, 42);
@@ -1090,31 +1082,31 @@ mod test {
     #[test]
     fn shadowing_decays_with_distance_and_requires_positions() {
         let topo = generate::line(4, 0.9, 0.0, 25.0);
-        let spec = ChannelSpec::Shadowing {
+        let spec = ChannelSpec::Shadowing(Shadowing {
             path_loss_exp: 3.0,
             sigma_db: 0.0,
             midpoint_m: 35.0,
             epoch_ms: 100,
-        };
+        });
         let c = spec.build(&topo, 1);
         let near = c.delivery(NodeId(0), NodeId(1), 0); // 25 m
         let far = c.delivery(NodeId(0), NodeId(3), 0); // 75 m
         assert!(near > 0.8, "25 m link should be strong, got {near}");
         assert!(far < near, "delivery must decay with distance");
 
-        let no_pos = Topology::from_matrix("bare", vec![vec![0.0, 0.9], vec![0.9, 0.0]]);
+        let no_pos = Topology::from_links("bare", 2, vec![link(0, 1, 0.9), link(1, 0, 0.9)]);
         assert!(spec.validate(&no_pos).is_err());
     }
 
     #[test]
     fn shadowing_redraws_per_epoch() {
         let topo = generate::line(1, 0.9, 0.0, 30.0);
-        let spec = ChannelSpec::Shadowing {
+        let spec = ChannelSpec::Shadowing(Shadowing {
             path_loss_exp: 3.0,
             sigma_db: 8.0,
             midpoint_m: 35.0,
             epoch_ms: 100,
-        };
+        });
         let mut c = spec.build(&topo, 5);
         let p0 = c.delivery(NodeId(0), NodeId(1), 0);
         c.tick(150 * crate::MS);
@@ -1130,12 +1122,12 @@ mod test {
     #[test]
     fn time_varying_oscillates_within_bounds() {
         let topo = generate::line(1, 0.5, 0.0, 30.0);
-        let spec = ChannelSpec::TimeVarying {
+        let spec = ChannelSpec::TimeVarying(TimeVarying {
             amplitude: 0.3,
             period_ms: 1_000,
             walk_sigma: 0.0,
             epoch_ms: 1_000,
-        };
+        });
         let c = spec.build(&topo, 9);
         let (mut lo, mut hi) = (1.0f64, 0.0f64);
         for k in 0..100u64 {
@@ -1147,7 +1139,7 @@ mod test {
         assert!(hi - lo > 0.3, "sinusoid must actually swing ({lo}..{hi})");
 
         // Where the matrix has no link, drift must not invent one.
-        let one_way = Topology::from_matrix("1way", vec![vec![0.0, 0.5], vec![0.0, 0.0]]);
+        let one_way = Topology::from_links("1way", 2, vec![link(0, 1, 0.5)]);
         let c = spec.build(&one_way, 9);
         assert_eq!(c.delivery(NodeId(1), NodeId(0), 0), 0.0, "no reverse link");
     }
@@ -1157,18 +1149,18 @@ mod test {
         let specs = [
             ChannelSpec::Static,
             ChannelSpec::bursty_matched(0.0, 0.05, 0.2, 10),
-            ChannelSpec::Shadowing {
+            ChannelSpec::Shadowing(Shadowing {
                 path_loss_exp: 3.0,
                 sigma_db: 6.0,
                 midpoint_m: 35.0,
                 epoch_ms: 100,
-            },
-            ChannelSpec::TimeVarying {
+            }),
+            ChannelSpec::TimeVarying(TimeVarying {
                 amplitude: 0.2,
                 period_ms: 30_000,
                 walk_sigma: 0.02,
                 epoch_ms: 1_000,
-            },
+            }),
         ];
         let labels: Vec<String> = specs.iter().map(|s| s.label()).collect();
         for (i, a) in labels.iter().enumerate() {
@@ -1186,12 +1178,12 @@ mod test {
         for spec in [
             ChannelSpec::Static,
             ChannelSpec::bursty_matched(0.1, 0.05, 0.2, 10),
-            ChannelSpec::TimeVarying {
+            ChannelSpec::TimeVarying(TimeVarying {
                 amplitude: 0.2,
                 period_ms: 30_000,
                 walk_sigma: 0.02,
                 epoch_ms: 1_000,
-            },
+            }),
         ] {
             assert_eq!(
                 spec.build(&t, 0).reach_hint(),
@@ -1199,12 +1191,12 @@ mod test {
                 "{spec:?}"
             );
         }
-        let shadow = ChannelSpec::Shadowing {
+        let shadow = ChannelSpec::Shadowing(Shadowing {
             path_loss_exp: 3.0,
             sigma_db: 6.0,
             midpoint_m: 35.0,
             epoch_ms: 100,
-        }
+        })
         .build(&t, 0);
         match shadow.reach_hint() {
             ReachHint::WithinDistance(d) => assert!(d > 35.0, "radius {d} too tight"),
@@ -1219,12 +1211,12 @@ mod test {
         // extreme, may deliver — the clamp keeps `may_reach` a strict
         // superset of the delivery support.
         let t = generate::line(1, 0.9, 0.0, 200.0);
-        let spec = ChannelSpec::Shadowing {
+        let spec = ChannelSpec::Shadowing(Shadowing {
             path_loss_exp: 3.0,
             sigma_db: 2.0,
             midpoint_m: 30.0,
             epoch_ms: 100,
-        };
+        });
         let mut c = spec.build(&t, 17);
         assert!(!c.may_reach(NodeId(0), NodeId(1)));
         for k in 0..500u64 {
@@ -1241,18 +1233,18 @@ mod test {
         for spec in [
             ChannelSpec::Static,
             ChannelSpec::bursty_matched(0.1, 0.05, 0.2, 10),
-            ChannelSpec::Shadowing {
+            ChannelSpec::Shadowing(Shadowing {
                 path_loss_exp: 3.0,
                 sigma_db: 6.0,
                 midpoint_m: 35.0,
                 epoch_ms: 100,
-            },
-            ChannelSpec::TimeVarying {
+            }),
+            ChannelSpec::TimeVarying(TimeVarying {
                 amplitude: 0.2,
                 period_ms: 30_000,
                 walk_sigma: 0.02,
                 epoch_ms: 1_000,
-            },
+            }),
         ] {
             let mut c = spec.build(&t, 3);
             let cands = reach_candidates(&t, c.as_ref());
@@ -1281,24 +1273,30 @@ mod test {
     #[test]
     fn validate_rejects_nonsense() {
         let topo = generate::line(1, 0.9, 0.0, 30.0);
-        let ge = |good_scale, bad_scale, to_bad, to_good, epoch_ms| ChannelSpec::GilbertElliott {
-            good_scale,
-            bad_scale,
-            to_bad,
-            to_good,
-            epoch_ms,
+        let ge = |good_scale, bad_scale, to_bad, to_good, epoch_ms| {
+            ChannelSpec::GilbertElliott(GilbertElliott {
+                good_scale,
+                bad_scale,
+                to_bad,
+                to_good,
+                epoch_ms,
+            })
         };
-        let shadow = |path_loss_exp, sigma_db, midpoint_m, epoch_ms| ChannelSpec::Shadowing {
-            path_loss_exp,
-            sigma_db,
-            midpoint_m,
-            epoch_ms,
+        let shadow = |path_loss_exp, sigma_db, midpoint_m, epoch_ms| {
+            ChannelSpec::Shadowing(Shadowing {
+                path_loss_exp,
+                sigma_db,
+                midpoint_m,
+                epoch_ms,
+            })
         };
-        let drift = |amplitude, period_ms, walk_sigma, epoch_ms| ChannelSpec::TimeVarying {
-            amplitude,
-            period_ms,
-            walk_sigma,
-            epoch_ms,
+        let drift = |amplitude, period_ms, walk_sigma, epoch_ms| {
+            ChannelSpec::TimeVarying(TimeVarying {
+                amplitude,
+                period_ms,
+                walk_sigma,
+                epoch_ms,
+            })
         };
         // The longest interval `validate` lets through; one epoch of it
         // reaches the end of the clock.

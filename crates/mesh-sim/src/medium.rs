@@ -2,7 +2,7 @@
 //! and which receivers decode a finished transmission.
 //!
 //! Sensing and interference relations are precomputed from the topology
-//! and the run's channel model: any directed link (`p > 0` in the matrix,
+//! and the run's channel model: any directed link (`p > 0` in the topology,
 //! or reachable under the channel per [`ChannelModel::may_reach`], either
 //! direction) is both sensable and interfering; when node positions are
 //! known, the carrier-sense and interference *ranges* extend those
@@ -412,6 +412,18 @@ mod test {
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
+    /// An `n`-node topology from `(from, to, p)` triples.
+    fn topo(name: &str, n: usize, links: &[(usize, usize, f64)]) -> mesh_topology::Topology {
+        let links = links
+            .iter()
+            .map(|&(from, to, delivery)| mesh_topology::Link {
+                from: mesh_topology::NodeId(from),
+                to: mesh_topology::NodeId(to),
+                delivery,
+            });
+        mesh_topology::Topology::from_links(name, n, links.collect())
+    }
+
     fn cfg() -> SimConfig {
         SimConfig::default()
     }
@@ -501,13 +513,10 @@ mod test {
     #[test]
     fn overlapping_equal_strength_frames_collide() {
         // Nodes 0 and 2 both linked to 1 with equal probability: no capture.
-        let t = mesh_topology::Topology::from_matrix(
+        let t = topo(
             "y",
-            vec![
-                vec![0.0, 0.9, 0.0],
-                vec![0.9, 0.0, 0.9],
-                vec![0.0, 0.9, 0.0],
-            ],
+            3,
+            &[(0, 1, 0.9), (1, 0, 0.9), (1, 2, 0.9), (2, 1, 0.9)],
         );
         let ch = chan(&t);
         let mut rng = ChaCha8Rng::seed_from_u64(2);
@@ -537,13 +546,10 @@ mod test {
     fn capture_lets_much_stronger_frame_survive() {
         // Node 1 hears node 0 at 0.95 and node 2 at 0.2: 0.95 > 1.8 × 0.2,
         // so node 0's frame captures.
-        let t = mesh_topology::Topology::from_matrix(
+        let t = topo(
             "cap",
-            vec![
-                vec![0.0, 0.95, 0.0],
-                vec![0.95, 0.0, 0.2],
-                vec![0.0, 0.2, 0.0],
-            ],
+            3,
+            &[(0, 1, 0.95), (1, 0, 0.95), (1, 2, 0.2), (2, 1, 0.2)],
         );
         let ch = chan(&t);
         let mut rng = ChaCha8Rng::seed_from_u64(3);
@@ -634,12 +640,12 @@ mod test {
         let m = Medium::new(&t, &cfg(), static_ch.as_ref());
         assert!(!m.senses(NodeId(0), NodeId(2)), "static: out of range");
 
-        let shadow = ChannelSpec::Shadowing {
+        let shadow = ChannelSpec::Shadowing(crate::channel::Shadowing {
             path_loss_exp: 3.0,
             sigma_db: 8.0,
             midpoint_m: 40.0,
             epoch_ms: 100,
-        }
+        })
         .build(&t, 0);
         assert!(shadow.may_reach(NodeId(0), NodeId(2)));
         let m = Medium::new(&t, &cfg(), shadow.as_ref());
@@ -653,12 +659,12 @@ mod test {
         // formula for every pair, for matrix-backed and geometry-driven
         // channels alike.
         let t = generate::testbed(1);
-        let shadow = ChannelSpec::Shadowing {
+        let shadow = ChannelSpec::Shadowing(crate::channel::Shadowing {
             path_loss_exp: 3.0,
             sigma_db: 8.0,
             midpoint_m: 40.0,
             epoch_ms: 100,
-        }
+        })
         .build(&t, 0);
         let cfg = cfg();
         for ch in [chan(&t), shadow] {
@@ -749,13 +755,10 @@ mod test {
     fn capture_ratio_boundary_is_inclusive() {
         // Destruction requires p < ratio × strongest, so a frame sitting
         // exactly on the boundary survives (and counts as a capture).
-        let t = mesh_topology::Topology::from_matrix(
+        let t = topo(
             "edge",
-            vec![
-                vec![0.0, 1.0, 0.0],
-                vec![1.0, 0.0, 0.5],
-                vec![0.0, 0.5, 0.0],
-            ],
+            3,
+            &[(0, 1, 1.0), (1, 0, 1.0), (1, 2, 0.5), (2, 1, 0.5)],
         );
         let ch = chan(&t);
         let mut cfg = cfg();
@@ -790,13 +793,10 @@ mod test {
     #[test]
     fn one_microsecond_of_overlap_collides() {
         // Intervals are half-open: [0, 100) and [99, 199) share 1 µs.
-        let t = mesh_topology::Topology::from_matrix(
+        let t = topo(
             "y",
-            vec![
-                vec![0.0, 0.9, 0.0],
-                vec![0.9, 0.0, 0.9],
-                vec![0.0, 0.9, 0.0],
-            ],
+            3,
+            &[(0, 1, 0.9), (1, 0, 0.9), (1, 2, 0.9), (2, 1, 0.9)],
         );
         let ch = chan(&t);
         let mut rng = ChaCha8Rng::seed_from_u64(7);

@@ -174,33 +174,87 @@ pub enum QueueSpec {
         capacity: usize,
     },
     /// Random Early Detection (EWMA average-depth marking).
-    Red {
-        /// Hard queue capacity in frames (overflow drops past it).
-        capacity: usize,
-        /// No early drops while the EWMA depth is below this.
-        min_th: f64,
-        /// All arrivals drop once the EWMA depth reaches this.
-        max_th: f64,
-        /// Early-drop probability as the EWMA depth reaches `max_th`.
-        max_p: f64,
-        /// EWMA weight per arrival (classic RED uses ~0.002).
-        weight: f64,
-    },
+    Red(Aqm),
     /// CHOKe: RED plus random-peek flow matching — past `min_th`, each
     /// arrival is compared with one uniformly chosen queued frame and a
     /// flow match drops both, no per-flow state required.
-    Choke {
-        /// Hard queue capacity in frames.
-        capacity: usize,
-        /// No peek/early drops while the EWMA depth is below this.
-        min_th: f64,
-        /// All (unmatched) arrivals drop once the EWMA depth reaches this.
-        max_th: f64,
-        /// Early-drop probability as the EWMA depth reaches `max_th`.
-        max_p: f64,
-        /// EWMA weight per arrival.
-        weight: f64,
-    },
+    Choke(Aqm),
+}
+
+/// RED's parameters, which CHOKe shares: a hard capacity, an EWMA of the
+/// queue depth, and an early-drop probability that rises linearly from 0
+/// at `min_th` to `max_p` at `max_th`.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Aqm {
+    /// Hard queue capacity in frames (overflow drops past it).
+    pub capacity: usize,
+    /// No early drops (and, for CHOKe, no peeks) while the EWMA depth is
+    /// below this.
+    pub min_th: f64,
+    /// All (unmatched) arrivals drop once the EWMA depth reaches this.
+    pub max_th: f64,
+    /// Early-drop probability as the EWMA depth reaches `max_th`.
+    pub max_p: f64,
+    /// EWMA weight per arrival (classic RED uses ~0.002).
+    pub weight: f64,
+}
+
+impl Aqm {
+    /// The classic parameterization for a queue of `capacity` frames:
+    /// thresholds at 25% / 75%, `max_p` 0.1, weight 0.002.
+    fn classic(capacity: usize) -> Self {
+        Aqm {
+            capacity,
+            min_th: capacity as f64 * 0.25,
+            max_th: capacity as f64 * 0.75,
+            max_p: 0.1,
+            weight: 0.002,
+        }
+    }
+
+    /// `kind(cap=…;min=…;max=…;p=…;w=…)`.
+    fn label(&self, kind: &str) -> String {
+        let Aqm {
+            capacity,
+            min_th,
+            max_th,
+            max_p,
+            weight,
+        } = self;
+        format!("{kind}(cap={capacity};min={min_th};max={max_th};p={max_p};w={weight})")
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        let Aqm {
+            capacity,
+            min_th,
+            max_th,
+            max_p,
+            weight,
+        } = *self;
+        check_capacity(capacity)?;
+        if !(min_th >= 0.0 && max_th > min_th && max_th <= capacity as f64) {
+            return Err(format!(
+                "thresholds must satisfy 0 <= min_th < max_th <= capacity \
+                 (got min_th={min_th} max_th={max_th} capacity={capacity})"
+            ));
+        }
+        if !(max_p > 0.0 && max_p <= 1.0) {
+            return Err(format!("max_p must be in (0, 1], got {max_p}"));
+        }
+        if !(weight > 0.0 && weight <= 1.0) {
+            return Err(format!("EWMA weight must be in (0, 1], got {weight}"));
+        }
+        Ok(())
+    }
+}
+
+fn check_capacity(capacity: usize) -> Result<(), String> {
+    if capacity == 0 {
+        Err("queue capacity must be at least 1".to_string())
+    } else {
+        Ok(())
+    }
 }
 
 impl QueueSpec {
@@ -214,25 +268,13 @@ impl QueueSpec {
     /// frames: thresholds at 25% / 75%, `max_p` 0.1, weight 0.002.
     #[must_use]
     pub fn red(capacity: usize) -> Self {
-        QueueSpec::Red {
-            capacity,
-            min_th: capacity as f64 * 0.25,
-            max_th: capacity as f64 * 0.75,
-            max_p: 0.1,
-            weight: 0.002,
-        }
+        QueueSpec::Red(Aqm::classic(capacity))
     }
 
     /// CHOKe with the same default parameterization as [`QueueSpec::red`].
     #[must_use]
     pub fn choke(capacity: usize) -> Self {
-        QueueSpec::Choke {
-            capacity,
-            min_th: capacity as f64 * 0.25,
-            max_th: capacity as f64 * 0.75,
-            max_p: 0.1,
-            weight: 0.002,
-        }
+        QueueSpec::Choke(Aqm::classic(capacity))
     }
 
     /// No queue configured — the byte-compat default.
@@ -246,67 +288,18 @@ impl QueueSpec {
         match self {
             QueueSpec::Unbounded => "unbounded".to_string(),
             QueueSpec::DropTail { capacity } => format!("droptail(cap={capacity})"),
-            QueueSpec::Red {
-                capacity,
-                min_th,
-                max_th,
-                max_p,
-                weight,
-            } => format!("red(cap={capacity};min={min_th};max={max_th};p={max_p};w={weight})"),
-            QueueSpec::Choke {
-                capacity,
-                min_th,
-                max_th,
-                max_p,
-                weight,
-            } => format!("choke(cap={capacity};min={min_th};max={max_th};p={max_p};w={weight})"),
+            QueueSpec::Red(aqm) => aqm.label("red"),
+            QueueSpec::Choke(aqm) => aqm.label("choke"),
         }
     }
 
     /// Checks the parameters, returning a description of the first
     /// problem found.
     pub fn validate(&self) -> Result<(), String> {
-        let aqm = |capacity: usize, min_th: f64, max_th: f64, max_p: f64, weight: f64| {
-            if capacity == 0 {
-                return Err("queue capacity must be at least 1".to_string());
-            }
-            if !(min_th >= 0.0 && max_th > min_th && max_th <= capacity as f64) {
-                return Err(format!(
-                    "thresholds must satisfy 0 <= min_th < max_th <= capacity \
-                     (got min_th={min_th} max_th={max_th} capacity={capacity})"
-                ));
-            }
-            if !(max_p > 0.0 && max_p <= 1.0) {
-                return Err(format!("max_p must be in (0, 1], got {max_p}"));
-            }
-            if !(weight > 0.0 && weight <= 1.0) {
-                return Err(format!("EWMA weight must be in (0, 1], got {weight}"));
-            }
-            Ok(())
-        };
-        match *self {
+        match self {
             QueueSpec::Unbounded => Ok(()),
-            QueueSpec::DropTail { capacity } => {
-                if capacity == 0 {
-                    Err("queue capacity must be at least 1".to_string())
-                } else {
-                    Ok(())
-                }
-            }
-            QueueSpec::Red {
-                capacity,
-                min_th,
-                max_th,
-                max_p,
-                weight,
-            }
-            | QueueSpec::Choke {
-                capacity,
-                min_th,
-                max_th,
-                max_p,
-                weight,
-            } => aqm(capacity, min_th, max_th, max_p, weight),
+            QueueSpec::DropTail { capacity } => check_capacity(*capacity),
+            QueueSpec::Red(aqm) | QueueSpec::Choke(aqm) => aqm.validate(),
         }
     }
 
@@ -323,46 +316,22 @@ impl QueueSpec {
             // xtask: allow(panic_path) -- documented "# Panics" contract, mirroring ChannelSpec::build: validate() is the error-value path
             panic!("invalid QueueSpec: {e}");
         }
+        let aqm = |params, choke| {
+            Some(Box::new(AqmQueue {
+                params,
+                choke,
+                avg: 0.0,
+                keys: VecDeque::new(),
+            }) as Box<dyn QueueDiscipline>)
+        };
         match *self {
             QueueSpec::Unbounded => None,
             QueueSpec::DropTail { capacity } => Some(Box::new(DropTail {
                 capacity,
                 keys: VecDeque::new(),
             })),
-            QueueSpec::Red {
-                capacity,
-                min_th,
-                max_th,
-                max_p,
-                weight,
-            } => Some(Box::new(RedQueue {
-                core: AqmCore {
-                    capacity,
-                    min_th,
-                    max_th,
-                    max_p,
-                    weight,
-                    avg: 0.0,
-                    keys: VecDeque::new(),
-                },
-            })),
-            QueueSpec::Choke {
-                capacity,
-                min_th,
-                max_th,
-                max_p,
-                weight,
-            } => Some(Box::new(ChokeQueue {
-                core: AqmCore {
-                    capacity,
-                    min_th,
-                    max_th,
-                    max_p,
-                    weight,
-                    avg: 0.0,
-                    keys: VecDeque::new(),
-                },
-            })),
+            QueueSpec::Red(params) => aqm(params, false),
+            QueueSpec::Choke(params) => aqm(params, true),
         }
     }
 }
@@ -391,35 +360,35 @@ impl QueueDiscipline for DropTail {
     }
 }
 
-/// Shared RED machinery: the key mirror plus the EWMA depth estimate.
-struct AqmCore {
-    capacity: usize,
-    min_th: f64,
-    max_th: f64,
-    max_p: f64,
-    weight: f64,
+/// RED, or with `choke` CHOKe: the key mirror plus the EWMA depth
+/// estimate.
+struct AqmQueue {
+    params: Aqm,
+    /// Peek at a random queued frame for a flow match (CHOKe).
+    choke: bool,
     avg: f64,
     keys: VecDeque<u64>,
 }
 
-impl AqmCore {
-    /// Folds an arrival into the EWMA depth estimate. Called exactly
-    /// once per `offer`, before any verdict is taken.
-    fn arrive(&mut self) {
-        self.avg = (1.0 - self.weight) * self.avg + self.weight * self.keys.len() as f64;
-    }
-
+impl AqmQueue {
     /// The RED verdict for an arrival (overflow / early-drop / admit)
     /// at the current EWMA, without touching the mirror.
     fn red_decision(&mut self, rng: &mut ChaCha8Rng) -> Option<DropCause> {
-        if self.keys.len() >= self.capacity {
+        let Aqm {
+            capacity,
+            min_th,
+            max_th,
+            max_p,
+            ..
+        } = self.params;
+        if self.keys.len() >= capacity {
             return Some(DropCause::Overflow);
         }
-        if self.avg >= self.max_th {
+        if self.avg >= max_th {
             return Some(DropCause::Early);
         }
-        if self.avg >= self.min_th {
-            let p = self.max_p * (self.avg - self.min_th) / (self.max_th - self.min_th);
+        if self.avg >= min_th {
+            let p = max_p * (self.avg - min_th) / (max_th - min_th);
             if rng.gen::<f64>() < p {
                 return Some(DropCause::Early);
             }
@@ -428,63 +397,35 @@ impl AqmCore {
     }
 }
 
-/// Random Early Detection.
-struct RedQueue {
-    core: AqmCore,
-}
-
-impl QueueDiscipline for RedQueue {
+impl QueueDiscipline for AqmQueue {
     fn offer(&mut self, key: u64, _now: Time, rng: &mut ChaCha8Rng) -> QueueVerdict {
-        self.core.arrive();
-        if let Some(cause) = self.core.red_decision(rng) {
-            return QueueVerdict::DropIncoming(cause);
-        }
-        self.core.keys.push_back(key);
-        QueueVerdict::Accept
-    }
-
-    fn dequeue(&mut self, _now: Time) {
-        self.core.keys.pop_front();
-    }
-
-    fn depth(&self) -> usize {
-        self.core.keys.len()
-    }
-}
-
-/// CHOKe: RED plus the random-peek flow match.
-struct ChokeQueue {
-    core: AqmCore,
-}
-
-impl QueueDiscipline for ChokeQueue {
-    fn offer(&mut self, key: u64, _now: Time, rng: &mut ChaCha8Rng) -> QueueVerdict {
-        // The peek happens past min_th, *before* the RED coin flip — the
-        // CHOKe paper's ordering. Draw order per arrival is fixed:
-        // EWMA update, [peek], [marking draw].
-        self.core.arrive();
-        let len = self.core.keys.len();
-        if len > 0 && self.core.avg >= self.core.min_th {
+        // Draw order per arrival is fixed: EWMA update, [CHOKe peek],
+        // [marking draw]. The peek happens past min_th, *before* the RED
+        // coin flip — the CHOKe paper's ordering.
+        let weight = self.params.weight;
+        self.avg = (1.0 - weight) * self.avg + weight * self.keys.len() as f64;
+        let len = self.keys.len();
+        if self.choke && len > 0 && self.avg >= self.params.min_th {
             let idx = rng.gen_range(0..len);
-            if self.core.keys.get(idx).copied() == Some(key) {
+            if self.keys.get(idx).copied() == Some(key) {
                 // Flow match: drop the queued victim and the arrival.
-                self.core.keys.remove(idx);
+                self.keys.remove(idx);
                 return QueueVerdict::DropMatched { index: idx };
             }
         }
-        if let Some(cause) = self.core.red_decision(rng) {
+        if let Some(cause) = self.red_decision(rng) {
             return QueueVerdict::DropIncoming(cause);
         }
-        self.core.keys.push_back(key);
+        self.keys.push_back(key);
         QueueVerdict::Accept
     }
 
     fn dequeue(&mut self, _now: Time) {
-        self.core.keys.pop_front();
+        self.keys.pop_front();
     }
 
     fn depth(&self) -> usize {
-        self.core.keys.len()
+        self.keys.len()
     }
 }
 
@@ -650,13 +591,13 @@ mod test {
     fn red_drops_early_under_sustained_load() {
         // Weight 1.0 makes the EWMA track the instantaneous depth, so
         // the early-drop region is reached deterministically.
-        let spec = QueueSpec::Red {
+        let spec = QueueSpec::Red(Aqm {
             capacity: 10,
             min_th: 2.0,
             max_th: 6.0,
             max_p: 1.0,
             weight: 1.0,
-        };
+        });
         let mut q = spec.build_node().expect("bounded");
         let mut r = rng(2);
         let mut early = 0;
@@ -677,13 +618,13 @@ mod test {
 
     #[test]
     fn choke_matches_the_dominant_flow() {
-        let spec = QueueSpec::Choke {
+        let spec = QueueSpec::Choke(Aqm {
             capacity: 20,
             min_th: 1.0,
             max_th: 20.0,
             max_p: 0.0001,
             weight: 1.0,
-        };
+        });
         let mut q = spec.build_node().expect("bounded");
         let mut r = rng(3);
         let mut matched = 0;
@@ -702,13 +643,13 @@ mod test {
 
     #[test]
     fn choke_never_matches_across_flows() {
-        let spec = QueueSpec::Choke {
+        let spec = QueueSpec::Choke(Aqm {
             capacity: 8,
             min_th: 0.0,
             max_th: 8.0,
             max_p: 0.0001,
             weight: 1.0,
-        };
+        });
         let mut q = spec.build_node().expect("bounded");
         let mut r = rng(4);
         // Alternating distinct flows: every queued key differs from the
@@ -726,20 +667,20 @@ mod test {
         // average depth inside [min_th, max_th), where verdicts actually
         // consume random draws (a full queue tail-drops deterministically).
         for spec in [
-            QueueSpec::Red {
+            QueueSpec::Red(Aqm {
                 capacity: 16,
                 min_th: 2.0,
                 max_th: 15.0,
                 max_p: 0.5,
                 weight: 0.5,
-            },
-            QueueSpec::Choke {
+            }),
+            QueueSpec::Choke(Aqm {
                 capacity: 16,
                 min_th: 2.0,
                 max_th: 15.0,
                 max_p: 0.5,
                 weight: 0.5,
-            },
+            }),
         ] {
             let run = |seed: u64| {
                 let mut q = spec.build_node().expect("bounded");
@@ -762,22 +703,22 @@ mod test {
     #[test]
     fn spec_validation_rejects_nonsense() {
         assert!(QueueSpec::drop_tail(0).validate().is_err());
-        assert!(QueueSpec::Red {
+        assert!(QueueSpec::Red(Aqm {
             capacity: 10,
             min_th: 8.0,
             max_th: 4.0,
             max_p: 0.1,
             weight: 0.002,
-        }
+        })
         .validate()
         .is_err());
-        assert!(QueueSpec::Choke {
+        assert!(QueueSpec::Choke(Aqm {
             capacity: 10,
             min_th: 1.0,
             max_th: 20.0,
             max_p: 0.1,
             weight: 0.002,
-        }
+        })
         .validate()
         .is_err());
         assert!(QueueSpec::red(50).validate().is_ok());

@@ -215,7 +215,7 @@ pub struct Simulator<A: NodeAgent> {
 
 impl<A: NodeAgent> Simulator<A> {
     /// Builds a simulator over `topo` for `agent`, deterministic in `seed`,
-    /// with the paper's static channel (the topology's delivery matrix).
+    /// with the paper's static channel (the topology's links).
     pub fn new(topo: Topology, cfg: SimConfig, agent: A, seed: u64) -> Self {
         Simulator::with_channel(topo, cfg, &ChannelSpec::Static, agent, seed)
     }

@@ -43,7 +43,9 @@
 //!   link equal to the candidate (`<=` for `<`) — each fails
 //!   `row_is_delivery_per_candidate` on the first transmitter checked.
 
-use mesh_sim::channel::{ChannelModel, ChannelSpec, ReachHint};
+use mesh_sim::channel::{
+    ChannelModel, ChannelSpec, GilbertElliott, ReachHint, Shadowing, TimeVarying,
+};
 use mesh_sim::{Time, MS};
 use mesh_topology::streams::CHANNEL_STREAM;
 use mesh_topology::{generate, Link, NodeId, Topology};
@@ -67,13 +69,13 @@ struct PerEpochGe {
 
 impl PerEpochGe {
     fn new(topo: &Topology, spec: &ChannelSpec, seed: u64) -> Self {
-        let ChannelSpec::GilbertElliott {
+        let ChannelSpec::GilbertElliott(GilbertElliott {
             good_scale,
             bad_scale,
             to_bad,
             to_good,
             epoch_ms,
-        } = *spec
+        }) = *spec
         else {
             panic!("not a Gilbert–Elliott spec: {spec:?}");
         };
@@ -297,13 +299,13 @@ fn check_law(name: &str, build: impl Fn(&Topology, &ChannelSpec, u64) -> Box<dyn
     let links: Vec<Link> = topo.links().collect();
     assert!(links.len() >= 150);
     for (i, &(to_bad, to_good)) in RATES.iter().enumerate() {
-        let spec = ChannelSpec::GilbertElliott {
+        let spec = ChannelSpec::GilbertElliott(GilbertElliott {
             good_scale: 1.0,
             bad_scale: 0.0,
             to_bad,
             to_good,
             epoch_ms: EPOCH_MS,
-        };
+        });
         let tag = format!("{name} ({to_bad}, {to_good})");
         let pi_bad = if to_bad + to_good > 0.0 {
             to_bad / (to_bad + to_good)
@@ -436,18 +438,18 @@ fn check_path(topo: &Topology, spec: &ChannelSpec, epoch_ms: u64, seed: u64) {
 #[test]
 fn path_ignores_tick_schedule() {
     let bursty = ChannelSpec::bursty_matched(0.2, 0.05, 0.25, 10);
-    let drift = ChannelSpec::TimeVarying {
+    let drift = ChannelSpec::TimeVarying(TimeVarying {
         amplitude: 0.2,
         period_ms: 3_000,
         walk_sigma: 0.02,
         epoch_ms: 20,
-    };
-    let shadow = ChannelSpec::Shadowing {
+    });
+    let shadow = ChannelSpec::Shadowing(Shadowing {
         path_loss_exp: 3.0,
         sigma_db: 6.0,
         midpoint_m: 35.0,
         epoch_ms: 50,
-    };
+    });
     let testbed = generate::testbed(1);
     let city = generate::city_mesh(2_000, 1);
     for seed in [1, 2, 3] {
@@ -527,24 +529,24 @@ fn row_is_delivery_per_candidate() {
     let specs = [
         ChannelSpec::Static,
         ChannelSpec::bursty_matched(0.2, 0.05, 0.25, 10),
-        ChannelSpec::TimeVarying {
+        ChannelSpec::TimeVarying(TimeVarying {
             amplitude: 0.2,
             period_ms: 3_000,
             walk_sigma: 0.02,
             epoch_ms: 20,
-        },
-        ChannelSpec::Shadowing {
+        }),
+        ChannelSpec::Shadowing(Shadowing {
             path_loss_exp: 3.0,
             sigma_db: 6.0,
             midpoint_m: 35.0,
             epoch_ms: 50,
-        },
+        }),
     ];
     let testbed = generate::testbed(1);
     let city = generate::city_mesh(2_000, 1);
     for (topo, tx_count) in [(&testbed, testbed.n()), (&city, 60)] {
         for spec in &specs {
-            if topo.n() > 100 && matches!(spec, ChannelSpec::Shadowing { .. }) {
+            if topo.n() > 100 && matches!(spec, ChannelSpec::Shadowing(_)) {
                 continue; // its pair table is n × n: testbed-sized meshes only
             }
             let what = format!("{} on {}", spec.label(), topo.name);

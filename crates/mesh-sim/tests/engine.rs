@@ -3,6 +3,18 @@
 use mesh_sim::{Ctx, Frame, NodeAgent, OutFrame, SimConfig, Simulator, TxOutcome, SEC};
 use mesh_topology::{generate, NodeId};
 
+/// An `n`-node topology from `(from, to, p)` triples.
+fn topo(name: &str, n: usize, links: &[(usize, usize, f64)]) -> mesh_topology::Topology {
+    let links = links
+        .iter()
+        .map(|&(from, to, delivery)| mesh_topology::Link {
+            from: NodeId(from),
+            to: NodeId(to),
+            delivery,
+        });
+    mesh_topology::Topology::from_links(name, n, links.collect())
+}
+
 /// Broadcasts `remaining` frames from node 0 and counts receptions
 /// anywhere.
 struct Broadcaster {
@@ -143,7 +155,7 @@ fn unicast_retransmission_masks_loss() {
 
 #[test]
 fn unicast_on_dead_link_fails_cleanly() {
-    let topo = mesh_topology::Topology::from_matrix("dead", vec![vec![0.0, 0.02], vec![0.02, 0.0]]);
+    let topo = topo("dead", 2, &[(0, 1, 0.02), (1, 0, 0.02)]);
     let agent = Unicaster {
         remaining: 20,
         acked: 0,

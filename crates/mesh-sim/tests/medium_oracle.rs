@@ -7,7 +7,7 @@
 //! time never goes back — and must give identical answers, receiver
 //! lists, counters and RNG state.
 
-use mesh_sim::channel::{ChannelModel, ChannelSpec, ReachHint};
+use mesh_sim::channel::{ChannelModel, ChannelSpec, ReachHint, Shadowing, TimeVarying};
 use mesh_sim::medium::Transmission;
 use mesh_sim::{Medium, SimConfig, Time, MS};
 use mesh_topology::{generate, NodeId, Position, Topology};
@@ -353,12 +353,12 @@ fn neighbourhood(topo: &Topology, chan: &dyn ChannelModel, center: NodeId) -> Ve
 }
 
 fn shadowing() -> ChannelSpec {
-    ChannelSpec::Shadowing {
+    ChannelSpec::Shadowing(Shadowing {
         path_loss_exp: 3.0,
         sigma_db: 8.0,
         midpoint_m: 40.0,
         epoch_ms: 100,
-    }
+    })
 }
 
 fn assert_exercised(c: &Coverage) {
@@ -449,12 +449,12 @@ fn sense_and_interfere_are_symmetric_on_every_builtin_pair() {
         ChannelSpec::Static,
         ChannelSpec::bursty_matched(0.0, 0.05, 0.2, 10),
         shadowing(),
-        ChannelSpec::TimeVarying {
+        ChannelSpec::TimeVarying(TimeVarying {
             amplitude: 0.2,
             period_ms: 500,
             walk_sigma: 0.02,
             epoch_ms: 50,
-        },
+        }),
     ];
     let cfg = SimConfig::default();
     for topo in &topologies {

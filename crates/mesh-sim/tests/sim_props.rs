@@ -7,6 +7,18 @@ use mesh_sim::{Ctx, Frame, NodeAgent, OutFrame, SimConfig, Simulator, TxOutcome,
 use mesh_topology::{generate, NodeId};
 use proptest::prelude::*;
 
+/// An `n`-node topology from `(from, to, p)` triples.
+fn topo(name: &str, n: usize, links: &[(usize, usize, f64)]) -> mesh_topology::Topology {
+    let links = links
+        .iter()
+        .map(|&(from, to, delivery)| mesh_topology::Link {
+            from: NodeId(from),
+            to: NodeId(to),
+            delivery,
+        });
+    mesh_topology::Topology::from_links(name, n, links.collect())
+}
+
 /// An agent where a configurable set of saturated broadcasters and one
 /// unicaster exercise the MAC, recording invariants as it goes.
 struct Mixed {
@@ -154,14 +166,7 @@ proptest! {
     #[test]
     fn no_reception_without_links(sim_seed in 0u64..500) {
         // Two islands: 0-1 linked, 2 isolated.
-        let topo = mesh_topology::Topology::from_matrix(
-            "islands",
-            vec![
-                vec![0.0, 0.9, 0.0],
-                vec![0.9, 0.0, 0.0],
-                vec![0.0, 0.0, 0.0],
-            ],
-        );
+        let topo = topo("islands", 3, &[(0, 1, 0.9), (1, 0, 0.9)]);
         let agent = Mixed {
             broadcasters: vec![NodeId(0)],
             unicaster: None,

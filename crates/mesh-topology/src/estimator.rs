@@ -7,12 +7,12 @@
 //! success rate of `probes` Bernoulli trials at the true probability —
 //! binomially distributed noise, exactly what a real prober sees.
 //!
-//! [`LinkEstimator::estimate`] probes a *static* truth matrix.
+//! [`LinkEstimator::estimate`] probes a *static* truth topology.
 //! [`LinkEstimator::estimate_live`] is the windowed-probe mode: probe
 //! rounds are spaced in time and each round samples an
 //! instantaneous-delivery callback, so ETX/EOTX inputs can be measured
 //! from a live, time-varying channel (`mesh_sim::channel`) rather than
-//! read off the matrix — separating what the routing layer *believes*
+//! read off the topology — separating what the routing layer *believes*
 //! from what the air *does*.
 
 // xtask: allow(panic_path, file) -- probe-window tallies are sized to the topology's node count and indexed by validated NodeIds.
@@ -84,15 +84,21 @@ impl LinkEstimator {
 
     /// Windowed probing of a live channel: `probes` rounds, one every
     /// `interval_us` simulated microseconds, each sampling
-    /// `delivery_at(tx, rx, now)` for every ordered node pair (a real
-    /// prober broadcasts and everyone listens — channels like shadowing
-    /// can carry links the static matrix never had) and drawing one
-    /// Bernoulli probe at that instantaneous probability.
+    /// `delivery_at(tx, rx, now)` for every ordered pair in `candidates`
+    /// (distinct pairs, probed in slice order) and drawing one Bernoulli
+    /// probe at that instantaneous probability.
+    ///
+    /// The caller passes every pair the channel could ever deliver on —
+    /// a real prober broadcasts and everyone in range listens, so a
+    /// channel like shadowing can carry links the truth topology lacks;
+    /// a pair left out is never heard, as a real prober never hears a
+    /// node outside radio range. That keeps a window at
+    /// O(candidates · probes) draws on sparse meshes.
     ///
     /// The estimate of a link is its success rate over the whole window —
-    /// a bursty channel that averages to the static matrix yields the same
-    /// beliefs in expectation, while a drifting one leaves routing behind
-    /// the truth. Deterministic in `seed`; probe draws use their own
+    /// a bursty channel that averages to the static topology yields the
+    /// same beliefs in expectation, while a drifting one leaves routing
+    /// behind the truth. Deterministic in `seed`; probe draws use their own
     /// stream (`seed ^ PROBE_STREAM`), independent of both the run's main
     /// RNG and whatever stream the callback's channel model owns. Links
     /// estimated below `min_delivery` are dropped, as in
@@ -104,8 +110,9 @@ impl LinkEstimator {
     ///
     /// let truth = generate::line(2, 0.8, 0.0, 30.0);
     /// let est = LinkEstimator { probes: 2000, min_delivery: 0.05 };
+    /// let pairs: Vec<_> = truth.links().map(|l| (l.from, l.to)).collect();
     /// // A static closure reduces to the classic estimator's behaviour.
-    /// let believed = est.estimate_live(&truth, 7, 1_000, |tx, rx, _now| {
+    /// let believed = est.estimate_live(&truth, 7, 1_000, &pairs, |tx, rx, _now| {
     ///     truth.delivery(tx, rx)
     /// });
     /// assert!((believed.delivery(0.into(), 1.into()) - 0.8).abs() < 0.05);
@@ -113,42 +120,8 @@ impl LinkEstimator {
     ///
     /// # Panics
     ///
-    /// Panics when `probes` is zero.
-    pub fn estimate_live(
-        &self,
-        truth: &Topology,
-        seed: u64,
-        interval_us: u64,
-        delivery_at: impl FnMut(NodeId, NodeId, u64) -> f64,
-    ) -> Topology {
-        let n = truth.n();
-        let pairs: Vec<(NodeId, NodeId)> = (0..n)
-            .flat_map(|i| {
-                (0..n)
-                    .filter(move |&j| j != i)
-                    .map(move |j| (NodeId(i), NodeId(j)))
-            })
-            .collect();
-        self.estimate_live_candidates(truth, seed, interval_us, &pairs, delivery_at)
-    }
-
-    /// Windowed probing restricted to the given ordered `candidates`
-    /// (distinct pairs; any order — each round probes them in slice
-    /// order).
-    ///
-    /// This is the sparse-mesh fast path: when the channel can say which
-    /// pairs *might* ever deliver (its static links plus `may_reach`
-    /// extensions), probing only those keeps the window at
-    /// O(candidates · probes) draws. The caller must pass a superset of
-    /// every pair the callback can report non-zero for — unprobed pairs
-    /// are simply never heard, exactly as a real prober never hears a
-    /// node outside radio range. With the full ordered-pair list this is
-    /// [`LinkEstimator::estimate_live`], draw for draw.
-    ///
-    /// # Panics
-    ///
     /// Panics when `probes` is zero or a candidate pair repeats.
-    pub fn estimate_live_candidates(
+    pub fn estimate_live(
         &self,
         truth: &Topology,
         seed: u64,
@@ -233,9 +206,10 @@ mod test {
         let e = LinkEstimator::default();
         let a = e.estimate(&truth, 5);
         let b = e.estimate(&truth, 5);
-        assert_eq!(a.matrix(), b.matrix());
+        let links = |t: &Topology| t.links().collect::<Vec<_>>();
+        assert_eq!(links(&a), links(&b));
         let c = e.estimate(&truth, 6);
-        assert_ne!(a.matrix(), c.matrix());
+        assert_ne!(links(&a), links(&c));
     }
 
     #[test]
@@ -262,14 +236,15 @@ mod test {
             probes: 4000,
             min_delivery: 0.05,
         };
-        let believed = est.estimate_live(&truth, 3, 1_000_000, |_, _, now| {
+        let pairs = [(NodeId(0), NodeId(1))];
+        let believed = est.estimate_live(&truth, 3, 1_000_000, &pairs, |_, _, now| {
             if (now / 1_000_000).is_multiple_of(2) {
                 1.0
             } else {
                 0.0
             }
         });
-        let e = believed.delivery(crate::NodeId(0), crate::NodeId(1));
+        let e = believed.delivery(NodeId(0), NodeId(1));
         assert!((e - 0.5).abs() < 0.02, "windowed mean {e} should be ≈ 0.5");
     }
 
@@ -280,25 +255,37 @@ mod test {
             probes: 120,
             min_delivery: 0.05,
         };
-        let probe =
-            |t: &Topology, seed| est.estimate_live(t, seed, 1_000, |tx, rx, _| t.delivery(tx, rx));
+        let pairs: Vec<_> = truth.links().map(|l| (l.from, l.to)).collect();
+        let probe = |t: &Topology, seed| {
+            est.estimate_live(t, seed, 1_000, &pairs, |tx, rx, _| t.delivery(tx, rx))
+        };
         let a = probe(&truth, 9);
         let b = probe(&truth, 9);
         let c = probe(&truth, 10);
-        assert_eq!(a.matrix(), b.matrix());
-        assert_ne!(a.matrix(), c.matrix());
+        let links = |t: &Topology| t.links().collect::<Vec<_>>();
+        assert_eq!(links(&a), links(&b));
+        assert_ne!(links(&a), links(&c));
     }
 
     #[test]
-    fn windowed_probing_hears_links_beyond_the_matrix() {
-        // The live channel carries a link the static matrix lacks.
-        let truth = Topology::from_matrix("bare", vec![vec![0.0, 0.9], vec![0.0, 0.0]]);
+    fn windowed_probing_hears_links_beyond_the_topology() {
+        // The live channel carries a link the truth topology lacks.
+        let truth = Topology::from_links(
+            "bare",
+            2,
+            vec![Link {
+                from: NodeId(0),
+                to: NodeId(1),
+                delivery: 0.9,
+            }],
+        );
         let est = LinkEstimator {
             probes: 400,
             min_delivery: 0.05,
         };
-        let believed = est.estimate_live(&truth, 1, 1_000, |_, _, _| 0.8);
-        assert!(believed.delivery(crate::NodeId(1), crate::NodeId(0)) > 0.7);
+        let pairs = [(NodeId(0), NodeId(1)), (NodeId(1), NodeId(0))];
+        let believed = est.estimate_live(&truth, 1, 1_000, &pairs, |_, _, _| 0.8);
+        assert!(believed.delivery(NodeId(1), NodeId(0)) > 0.7);
     }
 
     #[test]
@@ -309,8 +296,8 @@ mod test {
             min_delivery: 0.05,
         };
         let cands = vec![(NodeId(0), NodeId(1))];
-        let believed = est
-            .estimate_live_candidates(&truth, 3, 1_000, &cands, |tx, rx, _| truth.delivery(tx, rx));
+        let believed =
+            est.estimate_live(&truth, 3, 1_000, &cands, |tx, rx, _| truth.delivery(tx, rx));
         assert!(believed.delivery(NodeId(0), NodeId(1)) > 0.7);
         // Pairs outside the candidate set are never probed, even though
         // the callback would report them as live.

@@ -20,33 +20,39 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
+/// The directed link `from → to`.
+fn link(from: usize, to: usize, delivery: f64) -> Link {
+    Link {
+        from: NodeId(from),
+        to: NodeId(to),
+        delivery,
+    }
+}
+
+/// The topology of `links` over `n` nodes, a zero delivery meaning no
+/// link.
+fn build(name: String, n: usize, links: impl IntoIterator<Item = Link>) -> Topology {
+    let links = links.into_iter().filter(|l| l.delivery > 0.0).collect();
+    Topology::from_links(name, n, links)
+}
+
 /// The Fig 1-1 motivating example: src(0) → R(1) → dst(2).
 ///
 /// §2.1.1 fixes the numbers: the two-hop path has ETX 2, the direct link
 /// has delivery 0.49 (ETX 2.04).
 pub fn motivating() -> Topology {
-    Topology::from_matrix(
-        "motivating",
-        vec![
-            vec![0.0, 1.0, 0.49],
-            vec![0.0, 0.0, 1.0],
-            vec![0.0, 0.0, 0.0],
-        ],
-    )
+    let links = [link(0, 1, 1.0), link(0, 2, 0.49), link(1, 2, 1.0)];
+    build("motivating".into(), 3, links)
 }
 
 /// The Fig 1-1 example with symmetric links, for protocols that need a
 /// reverse path (MAC ACKs, batch ACKs). Same ETX structure: two perfect
 /// hops vs a 0.49 direct link.
 pub fn motivating_symmetric() -> Topology {
-    Topology::from_matrix(
-        "motivating-sym",
-        vec![
-            vec![0.0, 1.0, 0.49],
-            vec![1.0, 0.0, 1.0],
-            vec![0.49, 1.0, 0.0],
-        ],
-    )
+    let links = [(0, 1, 1.0), (0, 2, 0.49), (1, 2, 1.0)]
+        .into_iter()
+        .flat_map(|(i, j, p)| [link(i, j, p), link(j, i, p)]);
+    build("motivating-sym".into(), 3, links)
 }
 
 /// An `hops`-hop chain: node 0 is the source, node `hops` the destination.
@@ -56,25 +62,17 @@ pub fn motivating_symmetric() -> Topology {
 /// Positions are laid out on a line with `spacing` meters per hop so the
 /// simulator's carrier-sense range determines which hops can fire
 /// concurrently (the Fig 4-4 scenario).
-#[allow(clippy::needless_range_loop)] // index pairs (i,j) address a square matrix
 pub fn line(hops: usize, p_adj: f64, skip_decay: f64, spacing: f64) -> Topology {
     assert!(hops >= 1, "need at least one hop");
     assert!((0.0..=1.0).contains(&p_adj));
     assert!((0.0..=1.0).contains(&skip_decay));
     let n = hops + 1;
-    let mut m = vec![vec![0.0; n]; n];
-    for i in 0..n {
-        for j in 0..n {
-            if i == j {
-                continue;
-            }
-            let span = i.abs_diff(j);
-            let p = p_adj * skip_decay.powi(span as i32 - 1);
-            if p >= 0.02 {
-                m[i][j] = p;
-            }
-        }
-    }
+    let links = (0..n).flat_map(|i| (0..n).filter(move |&j| j != i).map(move |j| (i, j)));
+    let links = links.filter_map(|(i, j)| {
+        let span = i.abs_diff(j);
+        let p = p_adj * skip_decay.powi(span as i32 - 1);
+        (p >= 0.02).then(|| link(i, j, p))
+    });
     let positions = (0..n)
         .map(|i| Position {
             x: i as f64 * spacing,
@@ -82,7 +80,7 @@ pub fn line(hops: usize, p_adj: f64, skip_decay: f64, spacing: f64) -> Topology 
             floor: 0,
         })
         .collect();
-    Topology::from_matrix(format!("line{hops}"), m).with_positions(positions)
+    build(format!("line{hops}"), n, links).with_positions(positions)
 }
 
 /// The Fig 5-1 "unbounded cost gap" diamond.
@@ -96,41 +94,32 @@ pub fn line(hops: usize, p_adj: f64, skip_decay: f64, spacing: f64) -> Topology 
 /// ETX ranks B with the source (ETX = 1/p + 1), so ETX-ordered forwarding
 /// "will always discard B as a forwarder"; EOTX exploits the k independent
 /// C-forwarders and drives the cost ratio to k as p → 0.
-#[allow(clippy::needless_range_loop)] // index pairs (i,j) address a square matrix
 pub fn diamond(k: usize, p: f64) -> Topology {
     assert!(k >= 1, "need at least one C node");
     assert!((0.0..=1.0).contains(&p));
     let n = k + 4; // src, A, B, C1..Ck, dst
-    let src = 0;
-    let a = 1;
-    let b = 2;
-    let dst = n - 1;
-    let mut m = vec![vec![0.0; n]; n];
-    m[src][a] = p;
-    m[a][dst] = 1.0;
-    m[src][b] = 1.0;
-    for c in 3..3 + k {
-        m[b][c] = p;
-        m[c][dst] = 1.0;
-    }
-    Topology::from_matrix(format!("diamond{k}"), m)
+    let (src, a, b, dst) = (0, 1, 2, n - 1);
+    let fixed = [link(src, a, p), link(a, dst, 1.0), link(src, b, 1.0)];
+    let cs = (3..3 + k).flat_map(|c| [link(b, c, p), link(c, dst, 1.0)]);
+    build(format!("diamond{k}"), n, fixed.into_iter().chain(cs))
 }
 
 /// The Fig 5-1 diamond with every link mirrored (same delivery both
 /// ways), for protocols that need reverse paths (MAC ACKs, batch ACKs).
 /// Forward metric structure — and hence the ETX-vs-EOTX ordering story —
 /// is unchanged.
-#[allow(clippy::needless_range_loop)] // index pairs (i,j) address a square matrix
 pub fn diamond_symmetricized(k: usize, p: f64) -> Topology {
     let base = diamond(k, p);
     let n = base.n();
-    let bm = base.matrix();
-    let mut m = vec![vec![0.0; n]; n];
-    for i in 0..n {
-        for j in 0..n {
-            m[i][j] = bm[i][j].max(bm[j][i]);
-        }
-    }
+    // The diamond is a DAG: no pair has a link both ways to merge.
+    let links = base.links().flat_map(|l| {
+        let back = Link {
+            from: l.to,
+            to: l.from,
+            ..l
+        };
+        [l, back]
+    });
     // One collision domain: the Chapter-5 model assumes transmissions do
     // not interfere, which CSMA approximates only when everyone senses
     // everyone. Cluster the nodes well inside carrier-sense range.
@@ -144,7 +133,7 @@ pub fn diamond_symmetricized(k: usize, p: f64) -> Topology {
             }
         })
         .collect();
-    Topology::from_matrix(format!("diamond-sym{k}"), m).with_positions(positions)
+    build(format!("diamond-sym{k}"), n, links).with_positions(positions)
 }
 
 /// Node ids of the named diamond roles, in the order
@@ -210,14 +199,15 @@ fn approx_normal<R: Rng>(rng: &mut R) -> f64 {
     (0..12).map(|_| rng.gen::<f64>()).sum::<f64>() - 6.0
 }
 
-/// Builds a delivery matrix from positions and a radio model.
-pub fn matrix_from_positions(
+/// The links `model` draws between `positions`, pair by pair in `(i, j)`
+/// order, `i < j`.
+fn links_from_positions(
     positions: &[Position],
     model: &RadioModel,
     rng: &mut impl Rng,
-) -> Vec<Vec<f64>> {
+) -> Vec<Link> {
     let n = positions.len();
-    let mut m = vec![vec![0.0; n]; n];
+    let mut links = Vec::new();
     for i in 0..n {
         for j in (i + 1)..n {
             // Symmetric shadowing per node pair plus small per-direction
@@ -235,12 +225,11 @@ pub fn matrix_from_positions(
             // drops links whose reverse probe rate is too low — a one-way
             // link is unusable under 802.11's ACK'd unicast anyway).
             if pij >= model.min_delivery && pji >= model.min_delivery {
-                m[i][j] = pij;
-                m[j][i] = pji;
+                links.extend([link(i, j, pij), link(j, i, pji)]);
             }
         }
     }
-    m
+    links
 }
 
 /// Scatters `n` nodes over `floors` storeys of a `width × depth` meter
@@ -333,9 +322,8 @@ pub fn testbed_sized(n: usize, seed: u64) -> Topology {
         let mut rng =
             ChaCha8Rng::seed_from_u64(seed ^ attempt.wrapping_mul(TESTBED_ATTEMPT_STREAM));
         let positions = scatter_positions(n, 3, 56.0, 36.0, 6.0, &mut rng);
-        let m = matrix_from_positions(&positions, &model, &mut rng);
-        let topo =
-            Topology::from_matrix(format!("testbed{n}-s{seed}"), m).with_positions(positions);
+        let links = links_from_positions(&positions, &model, &mut rng);
+        let topo = build(format!("testbed{n}-s{seed}"), n, links).with_positions(positions);
         if !topo.is_connected() {
             continue;
         }
@@ -362,8 +350,8 @@ pub fn random_mesh(n: usize, width: f64, depth: f64, seed: u64) -> Topology {
     for attempt in 0..512u64 {
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ attempt.wrapping_mul(MESH_ATTEMPT_STREAM));
         let positions = scatter_positions(n, 1, width, depth, 4.0, &mut rng);
-        let m = matrix_from_positions(&positions, &model, &mut rng);
-        let topo = Topology::from_matrix(format!("mesh{n}-s{seed}"), m).with_positions(positions);
+        let links = links_from_positions(&positions, &model, &mut rng);
+        let topo = build(format!("mesh{n}-s{seed}"), n, links).with_positions(positions);
         if topo.is_connected() {
             return topo;
         }
@@ -403,8 +391,8 @@ fn max_link_distance(model: &RadioModel) -> f64 {
 /// A city-scale single-floor mesh: `n` nodes at ~1250 m² per node, links
 /// drawn from the default [`RadioModel`] with *per-pair* RNG streams.
 ///
-/// Unlike [`random_mesh`], this generator never materializes an `n × n`
-/// matrix and never retries for connectivity — sparse city meshes
+/// Unlike [`random_mesh`], this generator never visits all `n²` pairs
+/// and never retries for connectivity — sparse city meshes
 /// legitimately contain dead spots, and at 10k+ nodes a connectivity
 /// requirement would reject almost every layout. Candidate pairs come
 /// from a [`CellGrid`] query bounded by the model's maximum plausible
@@ -441,20 +429,11 @@ pub fn city_mesh(n: usize, seed: u64) -> Topology {
             let pij = (p * asym).clamp(0.0, model.max_delivery);
             let pji = (p / asym).clamp(0.0, model.max_delivery);
             if pij >= model.min_delivery && pji >= model.min_delivery {
-                links.push(Link {
-                    from: NodeId(i),
-                    to: NodeId(j),
-                    delivery: pij,
-                });
-                links.push(Link {
-                    from: NodeId(j),
-                    to: NodeId(i),
-                    delivery: pji,
-                });
+                links.extend([link(i, j, pij), link(j, i, pji)]);
             }
         });
     }
-    Topology::from_links(format!("city{n}-s{seed}"), n, links).with_positions(positions)
+    build(format!("city{n}-s{seed}"), n, links).with_positions(positions)
 }
 
 /// A `w × h` grid with adjacent delivery `p_adj` and diagonal delivery
@@ -463,14 +442,11 @@ pub fn grid(w: usize, h: usize, p_adj: f64, p_diag: f64, spacing: f64) -> Topolo
     assert!(w >= 1 && h >= 1);
     let n = w * h;
     let idx = |x: usize, y: usize| y * w + x;
-    let mut m = vec![vec![0.0; n]; n];
+    let mut links = Vec::new();
     for y in 0..h {
         for x in 0..w {
             let i = idx(x, y);
-            let mut put = |j: usize, p: f64| {
-                m[i][j] = p;
-                m[j][i] = p;
-            };
+            let mut put = |j: usize, p: f64| links.extend([link(i, j, p), link(j, i, p)]);
             if x + 1 < w {
                 put(idx(x + 1, y), p_adj);
             }
@@ -492,7 +468,7 @@ pub fn grid(w: usize, h: usize, p_adj: f64, p_diag: f64, spacing: f64) -> Topolo
             floor: 0,
         })
         .collect();
-    Topology::from_matrix(format!("grid{w}x{h}"), m).with_positions(positions)
+    build(format!("grid{w}x{h}"), n, links).with_positions(positions)
 }
 
 #[cfg(test)]
@@ -508,22 +484,26 @@ mod test {
         for seed in 0..8u64 {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let positions = scatter_positions(20, 3, 56.0, 36.0, 6.0, &mut rng);
-            let m = matrix_from_positions(&positions, &model, &mut rng);
-            let topo = Topology::from_matrix("diag", m).with_positions(positions);
+            let links = links_from_positions(&positions, &model, &mut rng);
+            let topo = build("diag".into(), 20, links).with_positions(positions);
             let connected = topo.is_connected();
             let loss = topo.mean_link_loss();
-            let max_hops = topo
-                .nodes()
-                .flat_map(|a| topo.nodes().map(move |b| (a, b)))
-                .filter(|(a, b)| a != b)
-                .filter_map(|(a, b)| topo.hop_count(a, b))
-                .max()
-                .unwrap_or(0);
+            let max_hops = max_hops(&topo);
             println!(
                 "seed {seed}: connected={connected} links={} mean_loss={loss:.3} max_hops={max_hops}",
                 topo.links().count()
             );
         }
+    }
+
+    /// The longest shortest path, in hops, between any reachable pair.
+    fn max_hops(t: &Topology) -> usize {
+        let hops = t.nodes().flat_map(|a| t.hops_from(a).into_iter().flatten());
+        hops.max().unwrap_or(0)
+    }
+
+    fn links(t: &Topology) -> Vec<Link> {
+        t.links().collect()
     }
 
     #[test]
@@ -593,13 +573,7 @@ mod test {
         assert!(lo < 0.15, "even the best link is lossy: {lo}");
         assert!(hi > 0.5, "no challenged links at all: {hi}");
         // Paths reach 4+ hops somewhere.
-        let max_hops = t
-            .nodes()
-            .flat_map(|a| t.nodes().map(move |b| (a, b)))
-            .filter(|(a, b)| a != b)
-            .filter_map(|(a, b)| t.hop_count(a, b))
-            .max()
-            .unwrap();
+        let max_hops = max_hops(&t);
         assert!((4..=7).contains(&max_hops), "max hops {max_hops}");
     }
 
@@ -607,9 +581,9 @@ mod test {
     fn testbed_is_deterministic_in_seed() {
         let a = testbed(3);
         let b = testbed(3);
-        assert_eq!(a.matrix(), b.matrix());
+        assert_eq!(links(&a), links(&b));
         let c = testbed(4);
-        assert_ne!(a.matrix(), c.matrix());
+        assert_ne!(links(&a), links(&c));
     }
 
     #[test]
@@ -636,8 +610,8 @@ mod test {
     fn city_mesh_deterministic_and_sparse() {
         let a = city_mesh(200, 9);
         let b = city_mesh(200, 9);
-        assert_eq!(a.matrix(), b.matrix());
-        assert_ne!(a.matrix(), city_mesh(200, 10).matrix());
+        assert_eq!(links(&a), links(&b));
+        assert_ne!(links(&a), links(&city_mesh(200, 10)));
         assert_eq!(a.n(), 200);
         assert!(a.positions().is_some());
         // ~1250 m²/node with a ~57 m link radius keeps degree bounded:

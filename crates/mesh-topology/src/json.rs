@@ -1,7 +1,7 @@
 //! Minimal hand-rolled JSON support for topology (de)serialization.
 //!
 //! The build environment has no serde, and a topology file is a simple
-//! shape — a name, a delivery matrix, optional positions — so a ~150-line
+//! shape — a name, a link list, optional positions — so a ~150-line
 //! recursive-descent parser covers everything [`crate::Topology::from_json`]
 //! needs. Writing happens directly in `to_json` (no intermediate value).
 

@@ -7,16 +7,16 @@
 //! the loss-independence assumption the thesis adopts from prior
 //! measurement studies.
 //!
-//! The link set is stored sparsely: CSR (compressed sparse row) adjacency
-//! grouped by transmitter *and* by receiver, each row sorted by neighbor
-//! id, so city-scale meshes (10k+ nodes, bounded degree) cost O(n + E)
-//! memory instead of the O(n²) a dense matrix would. Dense matrices
-//! survive as compatibility constructors/views ([`Topology::from_matrix`],
-//! [`Topology::matrix`]).
+//! Only the links with `p_ij > 0` exist: a topology is built from a link
+//! list ([`Topology::from_links`]) and stored as CSR (compressed sparse
+//! row) adjacency grouped by transmitter *and* by receiver, each row
+//! sorted by neighbor id, so city-scale meshes (10k+ nodes, bounded
+//! degree) cost O(n + E) memory. [`Topology::delivery`] reads `0` for a
+//! pair with no link.
 //!
 //! Nodes may carry physical [`Position`]s (used by the testbed generator,
 //! the simulator's carrier-sense/interference ranges, and the Fig 4-1 map);
-//! matrix-only topologies (e.g. the Fig 5-1 diamond) work without them.
+//! link-only topologies (e.g. the Fig 5-1 diamond) work without them.
 //!
 //! Generators for every topology the paper uses live in [`generate`]; the
 //! probing-based link estimator that stands in for Roofnet's ETX
@@ -115,91 +115,64 @@ pub struct Topology {
     positions: Option<Vec<Position>>,
 }
 
-/// First invalid link in `links` for an `n`-node mesh, as a message.
-fn link_error(n: usize, links: &[Link]) -> Option<String> {
-    for l in links {
+/// `links` checked for an `n`-node mesh and sorted by `(from, to)`, or
+/// the first problem found: a node count past the `u32` index space, an
+/// endpoint out of range, a self-loop, a delivery probability outside
+/// `(0, 1]`, an ordered pair listed twice.
+fn checked_links(n: usize, mut links: Vec<Link>) -> Result<Vec<Link>, String> {
+    if n >= u32::MAX as usize {
+        return Err(format!("node count {n} exceeds the u32 index space"));
+    }
+    for l in &links {
         if l.from.0 >= n || l.to.0 >= n {
-            return Some(format!(
+            return Err(format!(
                 "link {} -> {} out of range for n = {n}",
                 l.from, l.to
             ));
         }
         if l.from == l.to {
-            return Some(format!("self-loop at {}", l.from));
+            return Err(format!("self-loop at {}", l.from));
         }
         if !(l.delivery > 0.0 && l.delivery <= 1.0) {
-            return Some(format!(
+            return Err(format!(
                 "link {} -> {} delivery {} outside (0,1]",
                 l.from, l.to, l.delivery
             ));
         }
     }
-    None
+    links.sort_by_key(|l| (l.from.0, l.to.0));
+    match links
+        .windows(2)
+        .find(|w| (w[0].from, w[0].to) == (w[1].from, w[1].to))
+    {
+        Some(w) => Err(format!("duplicate link {} -> {}", w[0].from, w[0].to)),
+        None => Ok(links),
+    }
 }
 
-/// First duplicated ordered pair in `(from, to)`-sorted `links`.
-fn dup_error(sorted: &[Link]) -> Option<String> {
-    sorted.windows(2).find_map(|w| {
-        ((w[0].from, w[0].to) == (w[1].from, w[1].to))
-            .then(|| format!("duplicate link {} -> {}", w[0].from, w[0].to))
-    })
+/// `v` as a node index, if it is a non-negative integer below `u32::MAX`.
+fn as_index(v: f64) -> Option<usize> {
+    (v >= 0.0 && v.fract() == 0.0 && v < u32::MAX as f64).then_some(v as usize)
 }
 
 impl Topology {
-    /// Builds a topology from a dense delivery matrix (compatibility
-    /// constructor; internally converts to CSR).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrix is not square, probabilities fall outside
-    /// `[0, 1]`, or a diagonal entry is non-zero.
-    pub fn from_matrix(name: impl Into<String>, delivery: Vec<Vec<f64>>) -> Self {
-        let n = delivery.len();
-        let mut links = Vec::new();
-        for (i, row) in delivery.iter().enumerate() {
-            assert_eq!(row.len(), n, "delivery matrix is not square");
-            for (j, &p) in row.iter().enumerate() {
-                assert!(
-                    (0.0..=1.0).contains(&p),
-                    "delivery[{i}][{j}] = {p} outside [0,1]"
-                );
-                if i == j {
-                    assert_eq!(p, 0.0, "diagonal delivery[{i}][{i}] must be 0");
-                }
-                if p > 0.0 {
-                    links.push(Link {
-                        from: NodeId(i),
-                        to: NodeId(j),
-                        delivery: p,
-                    });
-                }
-            }
-        }
-        // Row-major matrix order is already CSR order.
-        Self::from_sorted_links(name.into(), n, links)
-    }
-
-    /// Builds a topology directly from a sparse link list (any order).
+    /// Builds a topology from a link list (any order).
     ///
     /// # Panics
     ///
     /// Panics if an endpoint is out of range, a delivery probability is
-    /// outside `(0, 1]`, a link is a self-loop, or the same ordered pair
-    /// appears twice.
-    pub fn from_links(name: impl Into<String>, n: usize, mut links: Vec<Link>) -> Self {
-        if let Some(e) = link_error(n, &links) {
-            panic!("{e}");
+    /// outside `(0, 1]`, a link is a self-loop, the same ordered pair
+    /// appears twice, or `n` does not fit the `u32` index space.
+    pub fn from_links(name: impl Into<String>, n: usize, links: Vec<Link>) -> Self {
+        match checked_links(n, links) {
+            Ok(links) => Self::from_sorted_links(name.into(), n, links),
+            Err(e) => panic!("{e}"),
         }
-        links.sort_by_key(|l| (l.from.0, l.to.0));
-        if let Some(e) = dup_error(&links) {
-            panic!("{e}");
-        }
-        Self::from_sorted_links(name.into(), n, links)
     }
 
     /// CSR assembly from links already sorted by `(from, to)`.
     fn from_sorted_links(name: String, n: usize, links: Vec<Link>) -> Self {
-        assert!(n < u32::MAX as usize, "node count exceeds u32 index space");
+        debug_assert!(n < u32::MAX as usize, "node count exceeds u32 index space");
         let m = links.len();
         let mut out_start = vec![0u32; n + 1];
         let mut in_start = vec![0u32; n + 1];
@@ -288,19 +261,6 @@ impl Topology {
         1.0 - self.delivery(i, j)
     }
 
-    /// The delivery matrix, densified from the CSR rows.
-    ///
-    /// Compatibility view: allocates `n × n` floats every call, so prefer
-    /// [`Topology::neighbors_out`] / [`Topology::delivery`] at scale.
-    #[must_use = "densifying allocates an n × n matrix"]
-    pub fn matrix(&self) -> Vec<Vec<f64>> {
-        let mut m = vec![vec![0.0; self.n]; self.n];
-        for l in self.links() {
-            m[l.from.0][l.to.0] = l.delivery;
-        }
-        m
-    }
-
     /// Physical positions, if the topology has them.
     pub fn positions(&self) -> Option<&[Position]> {
         self.positions.as_deref()
@@ -363,36 +323,8 @@ impl Topology {
         }
     }
 
-    /// Minimum hop count from `src` to `dst` (BFS over links with `p > 0`),
-    /// or `None` if unreachable.
-    pub fn hop_count(&self, src: NodeId, dst: NodeId) -> Option<usize> {
-        if src == dst {
-            return Some(0);
-        }
-        let n = self.n();
-        let mut dist = vec![usize::MAX; n];
-        let mut queue = std::collections::VecDeque::new();
-        dist[src.0] = 0;
-        queue.push_back(src);
-        while let Some(u) = queue.pop_front() {
-            for v in self.neighbors(u) {
-                if dist[v.0] == usize::MAX {
-                    dist[v.0] = dist[u.0] + 1;
-                    if v == dst {
-                        return Some(dist[v.0]);
-                    }
-                    queue.push_back(v);
-                }
-            }
-        }
-        None
-    }
-
-    /// BFS hop distances from `src` to every node (`None` = unreachable).
-    ///
-    /// One call replaces `n` [`Topology::hop_count`] probes when a whole
-    /// row of distances is needed (connectivity checks, reachable-pair
-    /// enumeration).
+    /// BFS hop distances from `src` to every node over `p > 0` links
+    /// (`None` = unreachable).
     pub fn hops_from(&self, src: NodeId) -> Vec<Option<usize>> {
         let mut dist = vec![None; self.n];
         let mut queue = std::collections::VecDeque::new();
@@ -446,37 +378,9 @@ impl Topology {
         visited == self.n
     }
 
-    /// Serializes to pretty JSON in the dense `delivery`-matrix form
-    /// (hand-rolled; see [`json`]). Byte-identical to the output of the
-    /// historical dense-matrix implementation.
+    /// Serializes to pretty JSON: `{"name", "n", "links": [{"from", "to",
+    /// "p"}, …], "positions"}` (hand-rolled; see [`json`]), O(E) on disk.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"name\": \"{}\",\n", json::escape(&self.name)));
-        out.push_str("  \"delivery\": [\n");
-        let mut row = vec![0.0f64; self.n];
-        for i in 0..self.n {
-            for (j, p) in self.neighbors_out(NodeId(i)) {
-                row[j.0] = p;
-            }
-            let cells: Vec<String> = row.iter().map(|p| format_f64(*p)).collect();
-            out.push_str(&format!("    [{}]", cells.join(", ")));
-            out.push_str(if i + 1 < self.n { ",\n" } else { "\n" });
-            for (j, _) in self.neighbors_out(NodeId(i)) {
-                row[j.0] = 0.0;
-            }
-        }
-        out.push_str("  ],\n");
-        self.push_positions_json(&mut out);
-        out.push('}');
-        out
-    }
-
-    /// Serializes to the sparse `links`-array JSON form: `{"name", "n",
-    /// "links": [{"from", "to", "p"}, …], "positions"}`. Reading
-    /// auto-detects either form ([`Topology::from_json`]); this one stays
-    /// O(E) on disk for city-scale meshes.
-    pub fn to_json_sparse(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
         out.push_str(&format!("  \"name\": \"{}\",\n", json::escape(&self.name)));
@@ -493,13 +397,6 @@ impl Topology {
             out.push_str(if k + 1 < m { ",\n" } else { "\n" });
         }
         out.push_str("  ],\n");
-        self.push_positions_json(&mut out);
-        out.push('}');
-        out
-    }
-
-    /// The shared `"positions"` tail of both JSON forms.
-    fn push_positions_json(&self, out: &mut String) {
         match &self.positions {
             None => out.push_str("  \"positions\": null\n"),
             Some(pos) => {
@@ -516,14 +413,18 @@ impl Topology {
                 out.push_str("  ]\n");
             }
         }
+        out.push('}');
+        out
     }
 
-    /// Deserializes from JSON produced by [`Topology::to_json`] (dense
-    /// `delivery` matrix) or [`Topology::to_json_sparse`] (`links` array);
-    /// the form is auto-detected by which key is present.
+    /// Deserializes the JSON [`Topology::to_json`] writes, or the dense
+    /// form older files carry — a `"delivery"` matrix in place of `"n"`
+    /// and `"links"`, row `i` column `j` holding `p_ij`, zero for no
+    /// link. The form is detected by which key is present.
     ///
-    /// Validates as the constructors do, but reports malformed input as a
-    /// [`json::JsonError`] instead of panicking.
+    /// Checks what [`Topology::from_links`] asserts, plus that numbers
+    /// meant as indices and floors are integers in range and coordinates
+    /// are finite; malformed input is a [`json::JsonError`], never a panic.
     pub fn from_json(s: &str) -> Result<Self, json::JsonError> {
         let bad = |msg: &str| json::JsonError {
             offset: 0,
@@ -535,16 +436,13 @@ impl Topology {
             .and_then(|n| n.as_str())
             .ok_or_else(|| bad("missing \"name\""))?
             .to_string();
-        let mut topo = if let Some(links_v) = v.get("links") {
-            let n_f = v
+        let (n, links) = if let Some(links_v) = v.get("links") {
+            let n = v
                 .get("n")
                 .and_then(|x| x.as_f64())
                 .ok_or_else(|| bad("sparse form missing \"n\""))?;
-            if n_f < 0.0 || n_f.fract() != 0.0 {
-                return Err(bad("\"n\" is not a non-negative integer"));
-            }
-            let n = n_f as usize;
-            let mut links: Vec<Link> = links_v
+            let n = as_index(n).ok_or_else(|| bad("\"n\" is not an integer in [0, 2^32 - 1)"))?;
+            let links = links_v
                 .as_arr()
                 .ok_or_else(|| bad("\"links\" is not an array"))?
                 .iter()
@@ -555,11 +453,8 @@ impl Topology {
                             .ok_or_else(|| bad("link missing \"from\"/\"to\"/\"p\""))
                     };
                     let idx = |key: &str| {
-                        let v = num(key)?;
-                        if v < 0.0 || v.fract() != 0.0 {
-                            return Err(bad("link endpoint is not a non-negative integer"));
-                        }
-                        Ok(v as usize)
+                        as_index(num(key)?)
+                            .ok_or_else(|| bad("link endpoint is not a non-negative integer"))
                     };
                     Ok(Link {
                         from: NodeId(idx("from")?),
@@ -568,47 +463,39 @@ impl Topology {
                     })
                 })
                 .collect::<Result<_, json::JsonError>>()?;
-            if let Some(e) = link_error(n, &links) {
-                return Err(bad(&e));
-            }
-            links.sort_by_key(|l| (l.from.0, l.to.0));
-            if let Some(e) = dup_error(&links) {
-                return Err(bad(&e));
-            }
-            Topology::from_sorted_links(name, n, links)
+            (n, links)
         } else {
-            let delivery: Vec<Vec<f64>> = v
+            let rows = v
                 .get("delivery")
                 .and_then(|d| d.as_arr())
-                .ok_or_else(|| bad("missing \"delivery\""))?
-                .iter()
-                .map(|row| {
-                    row.as_arr()
-                        .ok_or_else(|| bad("delivery row is not an array"))?
-                        .iter()
-                        .map(|c| {
-                            c.as_f64()
-                                .ok_or_else(|| bad("delivery cell is not a number"))
-                        })
-                        .collect()
-                })
-                .collect::<Result<_, _>>()?;
-            let n = delivery.len();
-            for (i, row) in delivery.iter().enumerate() {
-                if row.len() != n {
+                .ok_or_else(|| bad("missing \"delivery\""))?;
+            let mut links = Vec::new();
+            for (i, row) in rows.iter().enumerate() {
+                let row = row
+                    .as_arr()
+                    .ok_or_else(|| bad("delivery row is not an array"))?;
+                if row.len() != rows.len() {
                     return Err(bad("delivery matrix is not square"));
                 }
-                for (j, &p) in row.iter().enumerate() {
-                    if !(0.0..=1.0).contains(&p) {
-                        return Err(bad("delivery probability outside [0,1]"));
-                    }
-                    if i == j && p != 0.0 {
-                        return Err(bad("diagonal delivery must be 0"));
+                for (j, cell) in row.iter().enumerate() {
+                    let p = cell
+                        .as_f64()
+                        .ok_or_else(|| bad("delivery cell is not a number"))?;
+                    // Any non-zero cell is a link; `checked_links` rejects
+                    // one outside (0, 1] or on the diagonal.
+                    if p != 0.0 {
+                        links.push(Link {
+                            from: NodeId(i),
+                            to: NodeId(j),
+                            delivery: p,
+                        });
                     }
                 }
             }
-            Topology::from_matrix(name, delivery)
+            (rows.len(), links)
         };
+        let links = checked_links(n, links).map_err(|e| bad(&e))?;
+        let mut topo = Topology::from_sorted_links(name, n, links);
         match v.get("positions") {
             None | Some(json::Value::Null) => {}
             Some(p) => {
@@ -622,10 +509,18 @@ impl Topology {
                                 .and_then(|x| x.as_f64())
                                 .ok_or_else(|| bad("position missing coordinate"))
                         };
+                        let (x, y, floor) = (coord("x")?, coord("y")?, coord("floor")?);
+                        if !(x.is_finite() && y.is_finite()) {
+                            return Err(bad("position coordinate is not finite"));
+                        }
+                        let floors = i32::MIN as f64..=i32::MAX as f64;
+                        if floor.fract() != 0.0 || !floors.contains(&floor) {
+                            return Err(bad("position floor is not a 32-bit integer"));
+                        }
                         Ok(Position {
-                            x: coord("x")?,
-                            y: coord("y")?,
-                            floor: coord("floor")? as i32,
+                            x,
+                            y,
+                            floor: floor as i32,
                         })
                     })
                     .collect::<Result<_, json::JsonError>>()?;
@@ -649,7 +544,7 @@ impl Topology {
         let mut out = String::new();
         for floor in floors {
             out.push_str(&format!("floor {floor}:\n"));
-            let mut grid = vec![vec![b'.'; cols]; rows];
+            let mut grid = vec![b'.'; cols * rows];
             for (i, p) in pos.iter().enumerate() {
                 if p.floor != floor {
                     continue;
@@ -661,10 +556,10 @@ impl Topology {
                 } else {
                     b'a' + (i - 10) as u8
                 };
-                grid[cy][cx] = label;
+                grid[cy * cols + cx] = label;
             }
-            for row in grid {
-                out.push_str(&String::from_utf8_lossy(&row));
+            for row in grid.chunks(cols.max(1)) {
+                out.push_str(&String::from_utf8_lossy(row));
                 out.push('\n');
             }
         }
@@ -709,16 +604,42 @@ fn scale(v: f64, lo: f64, hi: f64, cells: usize) -> usize {
 mod test {
     use super::*;
 
+    /// An `n`-node topology from `(from, to, p)` triples.
+    fn topo(name: &str, n: usize, links: &[(usize, usize, f64)]) -> Topology {
+        let links = links
+            .iter()
+            .map(|&(from, to, delivery)| Link {
+                from: NodeId(from),
+                to: NodeId(to),
+                delivery,
+            })
+            .collect();
+        Topology::from_links(name, n, links)
+    }
+
+    /// src(0) -> R(1) -> dst(2), plus a weak direct link.
     fn tri() -> Topology {
-        // src(0) -> R(1) -> dst(2), plus a weak direct link.
-        Topology::from_matrix(
-            "tri",
-            vec![
-                vec![0.0, 1.0, 0.49],
-                vec![0.0, 0.0, 1.0],
-                vec![0.0, 0.0, 0.0],
-            ],
-        )
+        topo("tri", 3, &[(0, 1, 1.0), (0, 2, 0.49), (1, 2, 1.0)])
+    }
+
+    fn positions3() -> Vec<Position> {
+        vec![
+            Position {
+                x: 0.0,
+                y: 0.0,
+                floor: 0,
+            },
+            Position {
+                x: 10.0,
+                y: 0.0,
+                floor: 0,
+            },
+            Position {
+                x: 20.0,
+                y: 5.0,
+                floor: 1,
+            },
+        ]
     }
 
     #[test]
@@ -751,153 +672,57 @@ mod test {
     }
 
     #[test]
-    fn from_links_matches_from_matrix() {
-        let dense = tri();
+    fn from_links_sorts_any_order() {
         // Deliberately shuffled link order: construction sorts.
-        let sparse = Topology::from_links(
-            "tri",
-            3,
-            vec![
-                Link {
-                    from: NodeId(1),
-                    to: NodeId(2),
-                    delivery: 1.0,
-                },
-                Link {
-                    from: NodeId(0),
-                    to: NodeId(2),
-                    delivery: 0.49,
-                },
-                Link {
-                    from: NodeId(0),
-                    to: NodeId(1),
-                    delivery: 1.0,
-                },
-            ],
+        let shuffled = topo("tri", 3, &[(1, 2, 1.0), (0, 2, 0.49), (0, 1, 1.0)]);
+        assert_eq!(
+            shuffled.links().collect::<Vec<_>>(),
+            tri().links().collect::<Vec<_>>()
         );
-        assert_eq!(dense.matrix(), sparse.matrix());
-        assert_eq!(dense.to_json(), sparse.to_json());
+        assert_eq!(shuffled.to_json(), tri().to_json());
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn from_links_rejects_out_of_range() {
-        Topology::from_links(
-            "bad",
-            2,
-            vec![Link {
-                from: NodeId(0),
-                to: NodeId(2),
-                delivery: 0.5,
-            }],
-        );
+        topo("bad", 2, &[(0, 2, 0.5)]);
     }
 
     #[test]
     #[should_panic(expected = "duplicate link")]
     fn from_links_rejects_duplicates() {
-        let l = Link {
-            from: NodeId(0),
-            to: NodeId(1),
-            delivery: 0.5,
-        };
-        Topology::from_links("bad", 2, vec![l, l]);
+        topo("bad", 2, &[(0, 1, 0.5), (0, 1, 0.5)]);
     }
 
     #[test]
     #[should_panic(expected = "self-loop")]
     fn from_links_rejects_self_loop() {
-        Topology::from_links(
-            "bad",
-            2,
-            vec![Link {
-                from: NodeId(1),
-                to: NodeId(1),
-                delivery: 0.5,
-            }],
-        );
+        topo("bad", 2, &[(1, 1, 0.5)]);
     }
 
     #[test]
-    #[should_panic(expected = "not square")]
-    fn rejects_non_square() {
-        Topology::from_matrix("bad", vec![vec![0.0, 1.0], vec![0.0]]);
+    #[should_panic(expected = "outside (0,1]")]
+    fn from_links_rejects_bad_probability() {
+        topo("bad", 2, &[(0, 1, 1.5)]);
     }
 
     #[test]
-    #[should_panic(expected = "outside [0,1]")]
-    fn rejects_bad_probability() {
-        Topology::from_matrix("bad", vec![vec![0.0, 1.5], vec![0.0, 0.0]]);
-    }
-
-    #[test]
-    #[should_panic(expected = "diagonal")]
-    fn rejects_self_link() {
-        Topology::from_matrix("bad", vec![vec![0.5]]);
-    }
-
-    #[test]
-    fn hop_counts() {
+    fn hops_from_is_directed() {
         let t = tri();
-        assert_eq!(t.hop_count(NodeId(0), NodeId(0)), Some(0));
-        assert_eq!(t.hop_count(NodeId(0), NodeId(2)), Some(1)); // direct weak link
-        assert_eq!(t.hop_count(NodeId(2), NodeId(0)), None); // directed
-        assert!(!t.is_connected());
-    }
-
-    #[test]
-    fn hops_from_matches_hop_count() {
-        let t = tri();
-        let hops = t.hops_from(NodeId(0));
-        for d in t.nodes() {
-            assert_eq!(hops[d.0], t.hop_count(NodeId(0), d), "dst {d}");
-        }
+        // The weak direct link makes dst one hop away.
+        assert_eq!(t.hops_from(NodeId(0)), vec![Some(0), Some(1), Some(1)]);
         assert_eq!(t.hops_from(NodeId(2)), vec![None, None, Some(0)]);
+        assert!(!t.is_connected());
     }
 
     #[test]
     fn connectivity_is_strong() {
         // A directed ring is strongly connected; cut one arc and it isn't.
-        let ring = Topology::from_links(
-            "ring",
-            3,
-            vec![
-                Link {
-                    from: NodeId(0),
-                    to: NodeId(1),
-                    delivery: 0.9,
-                },
-                Link {
-                    from: NodeId(1),
-                    to: NodeId(2),
-                    delivery: 0.9,
-                },
-                Link {
-                    from: NodeId(2),
-                    to: NodeId(0),
-                    delivery: 0.9,
-                },
-            ],
-        );
+        let ring = topo("ring", 3, &[(0, 1, 0.9), (1, 2, 0.9), (2, 0, 0.9)]);
         assert!(ring.is_connected());
-        let cut = Topology::from_links(
-            "cut",
-            3,
-            vec![
-                Link {
-                    from: NodeId(0),
-                    to: NodeId(1),
-                    delivery: 0.9,
-                },
-                Link {
-                    from: NodeId(1),
-                    to: NodeId(2),
-                    delivery: 0.9,
-                },
-            ],
-        );
+        let cut = topo("cut", 3, &[(0, 1, 0.9), (1, 2, 0.9)]);
         assert!(!cut.is_connected());
-        assert!(Topology::from_links("lonely", 1, vec![]).is_connected());
+        assert!(topo("lonely", 1, &[]).is_connected());
     }
 
     #[test]
@@ -909,117 +734,75 @@ mod test {
 
     #[test]
     fn json_roundtrip() {
-        let t = tri().with_positions(vec![
-            Position {
-                x: 0.0,
-                y: 0.0,
-                floor: 0,
-            },
-            Position {
-                x: 10.0,
-                y: 0.0,
-                floor: 0,
-            },
-            Position {
-                x: 20.0,
-                y: 5.0,
-                floor: 1,
-            },
-        ]);
+        let t = tri().with_positions(positions3());
         let s = t.to_json();
         let back = Topology::from_json(&s).unwrap();
-        assert_eq!(back.n(), 3);
-        assert_eq!(back.delivery(NodeId(0), NodeId(2)), 0.49);
-        assert_eq!(back.positions().unwrap()[2].floor, 1);
-    }
-
-    #[test]
-    fn sparse_json_roundtrip() {
-        let t = tri().with_positions(vec![
-            Position {
-                x: 0.0,
-                y: 0.0,
-                floor: 0,
-            },
-            Position {
-                x: 10.0,
-                y: 0.0,
-                floor: 0,
-            },
-            Position {
-                x: 20.0,
-                y: 5.0,
-                floor: 1,
-            },
-        ]);
-        let s = t.to_json_sparse();
-        let back = Topology::from_json(&s).unwrap();
-        assert_eq!(back.matrix(), t.matrix());
-        assert_eq!(back.positions().unwrap()[2].floor, 1);
-        // Re-serializing the reread topology is byte-stable in both forms.
-        assert_eq!(back.to_json_sparse(), s);
-        assert_eq!(back.to_json(), t.to_json());
-    }
-
-    #[test]
-    fn sparse_json_isolated_node() {
-        // "n" carries nodes the link list never mentions.
-        let t = Topology::from_links(
-            "island",
-            3,
-            vec![Link {
-                from: NodeId(0),
-                to: NodeId(1),
-                delivery: 0.7,
-            }],
+        assert_eq!(
+            back.links().collect::<Vec<_>>(),
+            t.links().collect::<Vec<_>>()
         );
-        let back = Topology::from_json(&t.to_json_sparse()).unwrap();
+        assert_eq!(back.positions().unwrap()[2].floor, 1);
+        // Re-serializing the reread topology is byte-stable.
+        assert_eq!(back.to_json(), s);
+    }
+
+    #[test]
+    fn dense_json_reads_nonzero_cells_as_links() {
+        let dense = r#"{"name": "tri", "delivery": [[0, 1, 0.49], [0, 0, 1], [0, 0, 0]],
+            "positions": null}"#;
+        assert_eq!(
+            Topology::from_json(dense).unwrap().to_json(),
+            tri().to_json()
+        );
+    }
+
+    #[test]
+    fn json_isolated_node() {
+        // "n" carries nodes the link list never mentions.
+        let t = topo("island", 3, &[(0, 1, 0.7)]);
+        let back = Topology::from_json(&t.to_json()).unwrap();
         assert_eq!(back.n(), 3);
         assert_eq!(back.neighbors(NodeId(2)).count(), 0);
     }
 
     #[test]
-    fn sparse_json_rejects_malformed() {
-        // Missing "n".
-        assert!(Topology::from_json(r#"{"name": "x", "links": []}"#).is_err());
-        // Link out of range.
-        assert!(Topology::from_json(
-            r#"{"name": "x", "n": 2, "links": [{"from": 0, "to": 5, "p": 0.5}]}"#
-        )
-        .is_err());
-        // Probability outside (0,1].
-        assert!(Topology::from_json(
-            r#"{"name": "x", "n": 2, "links": [{"from": 0, "to": 1, "p": 1.5}]}"#
-        )
-        .is_err());
-        // Self-loop.
-        assert!(Topology::from_json(
-            r#"{"name": "x", "n": 2, "links": [{"from": 1, "to": 1, "p": 0.5}]}"#
-        )
-        .is_err());
-        // Duplicate ordered pair.
-        assert!(Topology::from_json(
-            r#"{"name": "x", "n": 2, "links": [{"from": 0, "to": 1, "p": 0.5}, {"from": 0, "to": 1, "p": 0.6}]}"#
-        )
-        .is_err());
-        // Fractional endpoint.
-        assert!(Topology::from_json(
-            r#"{"name": "x", "n": 2, "links": [{"from": 0.5, "to": 1, "p": 0.5}]}"#
-        )
-        .is_err());
-        // Missing link field.
-        assert!(
-            Topology::from_json(r#"{"name": "x", "n": 2, "links": [{"from": 0, "to": 1}]}"#)
-                .is_err()
-        );
-        // Dense-form errors now surface as Err, not panics.
-        assert!(Topology::from_json(r#"{"name": "x", "delivery": [[0, 2.0], [0, 0]]}"#).is_err());
-        assert!(Topology::from_json(r#"{"name": "x", "delivery": [[0, 1.0], [0]]}"#).is_err());
-        // Positions length mismatch.
-        assert!(Topology::from_json(
-            r#"{"name": "x", "n": 2, "links": [], "positions": [{"x": 0, "y": 0, "floor": 0}]}"#
-        )
-        .is_err());
+    fn json_rejects_malformed() {
+        for bad in [
+            // Missing "n".
+            r#"{"name": "x", "links": []}"#,
+            // "n" fractional, negative, or past the u32 index space.
+            r#"{"name": "x", "n": 2.5, "links": []}"#,
+            r#"{"name": "x", "n": -1, "links": []}"#,
+            r#"{"name": "x", "n": 4294967295, "links": []}"#,
+            r#"{"name": "x", "n": 1e400, "links": []}"#,
+            // Link out of range.
+            r#"{"name": "x", "n": 2, "links": [{"from": 0, "to": 5, "p": 0.5}]}"#,
+            // Probability outside (0,1].
+            r#"{"name": "x", "n": 2, "links": [{"from": 0, "to": 1, "p": 1.5}]}"#,
+            r#"{"name": "x", "n": 2, "links": [{"from": 0, "to": 1, "p": 1e400}]}"#,
+            // Self-loop.
+            r#"{"name": "x", "n": 2, "links": [{"from": 1, "to": 1, "p": 0.5}]}"#,
+            // Duplicate ordered pair.
+            r#"{"name": "x", "n": 2, "links": [{"from": 0, "to": 1, "p": 0.5}, {"from": 0, "to": 1, "p": 0.6}]}"#,
+            // Fractional endpoint.
+            r#"{"name": "x", "n": 2, "links": [{"from": 0.5, "to": 1, "p": 0.5}]}"#,
+            // Missing link field.
+            r#"{"name": "x", "n": 2, "links": [{"from": 0, "to": 1}]}"#,
+            // Dense form: out of range, negative, diagonal, ragged.
+            r#"{"name": "x", "delivery": [[0, 2.0], [0, 0]]}"#,
+            r#"{"name": "x", "delivery": [[0, -0.5], [0, 0]]}"#,
+            r#"{"name": "x", "delivery": [[0.5, 0], [0, 0]]}"#,
+            r#"{"name": "x", "delivery": [[0, 1.0], [0]]}"#,
+            // Positions: length mismatch, fractional or huge floor,
+            // infinite coordinate.
+            r#"{"name": "x", "n": 2, "links": [], "positions": [{"x": 0, "y": 0, "floor": 0}]}"#,
+            r#"{"name": "x", "n": 1, "links": [], "positions": [{"x": 0, "y": 0, "floor": 2.5}]}"#,
+            r#"{"name": "x", "n": 1, "links": [], "positions": [{"x": 0, "y": 0, "floor": 1e12}]}"#,
+            r#"{"name": "x", "n": 1, "links": [], "positions": [{"x": 1e400, "y": 0, "floor": 0}]}"#,
+            r#"{"name": "x", "n": 1, "links": [], "positions": [{"x": 0, "y": -1e400, "floor": 0}]}"#,
+        ] {
+            assert!(Topology::from_json(bad).is_err(), "accepted {bad}");
+        }
     }
 
     #[test]

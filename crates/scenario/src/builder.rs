@@ -192,7 +192,7 @@ impl ScenarioBuilder {
     /// and completion latency land in each record's flow rows.
     ///
     /// ```
-    /// use more_scenario::{Scenario, TopologySpec, TrafficModelSpec};
+    /// use more_scenario::{Scenario, StaggeredModel, TopologySpec, TrafficModelSpec};
     ///
     /// let records = Scenario::named("ramp-doc")
     ///     .topology(TopologySpec::Line {
@@ -201,11 +201,11 @@ impl ScenarioBuilder {
     ///         skip_decay: 0.3,
     ///         spacing: 25.0,
     ///     })
-    ///     .traffic_model(TrafficModelSpec::Staggered {
+    ///     .traffic_model(TrafficModelSpec::Staggered(StaggeredModel {
     ///         n_flows: 2,
     ///         gap_ms: 1_000,
     ///         hold_ms: None,
-    ///     })
+    ///     }))
     ///     .protocol("MORE")
     ///     .packets(8)
     ///     .deadline(60)
@@ -1118,6 +1118,19 @@ fn run_one(
 #[cfg(test)]
 mod test {
     use super::*;
+    use crate::traffic::{PoissonModel, StaggeredModel};
+
+    /// An `n`-node topology from `(from, to, p)` triples.
+    fn topo(name: &str, n: usize, links: &[(usize, usize, f64)]) -> mesh_topology::Topology {
+        let links = links
+            .iter()
+            .map(|&(from, to, delivery)| mesh_topology::Link {
+                from: mesh_topology::NodeId(from),
+                to: mesh_topology::NodeId(to),
+                delivery,
+            });
+        mesh_topology::Topology::from_links(name, n, links.collect())
+    }
 
     #[test]
     fn unknown_protocol_fails_before_running() {
@@ -1159,11 +1172,11 @@ mod test {
         // mid-run, surfaced per flow in the records.
         let records = Scenario::named("load")
             .testbed(1)
-            .traffic_model(TrafficModelSpec::Poisson {
+            .traffic_model(TrafficModelSpec::Poisson(PoissonModel {
                 rate_per_s: 0.1,
                 mean_hold_s: 20.0,
                 max_active: 2,
-            })
+            }))
             .protocols(["MORE", "ExOR", "Srcr"])
             .sweep(Sweep::Load(vec![0.1, 0.3]))
             .k(8)
@@ -1204,10 +1217,12 @@ mod test {
     fn bad_traffic_parameters_fail_at_build_time() {
         // A zero arrival rate must be rejected before any worker thread
         // could panic on it — whether set directly or via the sweep.
-        let poisson = |rate| TrafficModelSpec::Poisson {
-            rate_per_s: rate,
-            mean_hold_s: 10.0,
-            max_active: 2,
+        let poisson = |rate| {
+            TrafficModelSpec::Poisson(PoissonModel {
+                rate_per_s: rate,
+                mean_hold_s: 10.0,
+                max_active: 2,
+            })
         };
         let direct = Scenario::named("bad-rate")
             .traffic_model(poisson(0.0))
@@ -1228,11 +1243,11 @@ mod test {
         // error from the grid, not panic inside a worker thread.
         let infeasible = Scenario::named("bad-sources")
             .testbed(1)
-            .traffic_model(TrafficModelSpec::Staggered {
+            .traffic_model(TrafficModelSpec::Staggered(StaggeredModel {
                 n_flows: 25, // testbed has 20 nodes
                 gap_ms: 10,
                 hold_ms: None,
-            })
+            }))
             .protocol("MORE")
             .packets(8)
             .try_run()
@@ -1241,11 +1256,11 @@ mod test {
         // A staggered ramp reaching past the deadline would silently drop
         // its tail; reject it instead.
         let ramp = Scenario::named("bad-ramp")
-            .traffic_model(TrafficModelSpec::Staggered {
+            .traffic_model(TrafficModelSpec::Staggered(StaggeredModel {
                 n_flows: 10,
                 gap_ms: 20_000,
                 hold_ms: None,
-            })
+            }))
             .protocol("MORE")
             .packets(8)
             .deadline(60)
@@ -1261,11 +1276,11 @@ mod test {
         // swept values may be validated.
         let records = Scenario::named("swept-ramp")
             .testbed(1)
-            .traffic_model(TrafficModelSpec::Staggered {
+            .traffic_model(TrafficModelSpec::Staggered(StaggeredModel {
                 n_flows: 64,
                 gap_ms: 10_000,
                 hold_ms: None,
-            })
+            }))
             .protocol("Srcr")
             .sweep(Sweep::Flows(vec![1, 2]))
             .packets(8)
@@ -1276,11 +1291,11 @@ mod test {
         // And an invalid *swept* value is still rejected up front.
         let err = Scenario::named("swept-ramp-bad")
             .testbed(1)
-            .traffic_model(TrafficModelSpec::Staggered {
+            .traffic_model(TrafficModelSpec::Staggered(StaggeredModel {
                 n_flows: 2,
                 gap_ms: 10_000,
                 hold_ms: None,
-            })
+            }))
             .protocol("Srcr")
             .sweep(Sweep::Flows(vec![1, 64]))
             .packets(8)
@@ -1337,11 +1352,11 @@ mod test {
                 skip_decay: 0.3,
                 spacing: 25.0,
             })
-            .traffic_model(TrafficModelSpec::Staggered {
+            .traffic_model(TrafficModelSpec::Staggered(StaggeredModel {
                 n_flows: 1,
                 gap_ms: 0,
                 hold_ms: Some(60_000),
-            })
+            }))
             .protocol("MORE")
             .packets(16)
             .deadline(120)
@@ -1360,11 +1375,11 @@ mod test {
     fn staggered_departures_cut_flows_short() {
         let records = Scenario::named("ramp")
             .testbed(1)
-            .traffic_model(TrafficModelSpec::Staggered {
+            .traffic_model(TrafficModelSpec::Staggered(StaggeredModel {
                 n_flows: 2,
                 gap_ms: 500,
                 hold_ms: Some(1_000),
-            })
+            }))
             .protocol("Srcr")
             .packets(100_000) // far more than 1 s can carry
             .deadline(30)
@@ -1434,24 +1449,21 @@ mod test {
 
     #[test]
     fn shadowing_without_positions_is_an_error_not_a_panic() {
-        let bare = Topology::from_matrix(
+        let bare = topo(
             "bare",
-            vec![
-                vec![0.0, 0.9, 0.0],
-                vec![0.9, 0.0, 0.9],
-                vec![0.0, 0.9, 0.0],
-            ],
+            3,
+            &[(0, 1, 0.9), (1, 0, 0.9), (1, 2, 0.9), (2, 1, 0.9)],
         );
         let err = Scenario::named("no-positions")
             .topology(TopologySpec::Fixed(std::sync::Arc::new(bare)))
             .pair(NodeId(0), NodeId(2))
             .protocol("Srcr")
-            .channel(ChannelSpec::Shadowing {
+            .channel(ChannelSpec::Shadowing(mesh_sim::channel::Shadowing {
                 path_loss_exp: 3.0,
                 sigma_db: 6.0,
                 midpoint_m: 35.0,
                 epoch_ms: 100,
-            })
+            }))
             .packets(4)
             .try_run()
             .expect_err("shadowing needs positions");
@@ -1512,12 +1524,11 @@ mod test {
 
     /// Two disconnected 2-cliques.
     fn split_topology() -> Topology {
-        let mut m = vec![vec![0.0; 4]; 4];
-        m[0][1] = 0.9;
-        m[1][0] = 0.9;
-        m[2][3] = 0.9;
-        m[3][2] = 0.9;
-        Topology::from_matrix("split", m)
+        topo(
+            "split",
+            4,
+            &[(0, 1, 0.9), (1, 0, 0.9), (2, 3, 0.9), (3, 2, 0.9)],
+        )
     }
 
     #[test]
@@ -1525,14 +1536,8 @@ mod test {
         // The reachability pass visits windows grouped by source (or not
         // at all, under symmetric support); the error reported must still
         // be the earliest window's, and within it the earliest check's.
-        let one_way = {
-            // 0 -> 1 -> 2 -> 3, no way back.
-            let mut m = vec![vec![0.0; 4]; 4];
-            m[0][1] = 0.9;
-            m[1][2] = 0.9;
-            m[2][3] = 0.9;
-            Topology::from_matrix("one-way", m)
-        };
+        // 0 -> 1 -> 2 -> 3, no way back.
+        let one_way = topo("one-way", 4, &[(0, 1, 0.9), (1, 2, 0.9), (2, 3, 0.9)]);
         let window = |src: usize, dsts: &[usize]| FlowWindow {
             spec: FlowSpec {
                 src: NodeId(src),
@@ -1613,7 +1618,7 @@ mod test {
 
     #[test]
     fn single_node_self_flow_is_a_build_error_not_a_panic() {
-        let lone = Topology::from_matrix("lone", vec![vec![0.0]]);
+        let lone = topo("lone", 1, &[]);
         let err = Scenario::named("lone")
             .topology(TopologySpec::Fixed(std::sync::Arc::new(lone)))
             .pair(NodeId(0), NodeId(0))
@@ -1629,7 +1634,7 @@ mod test {
 
     #[test]
     fn empty_topology_is_a_build_error_not_a_panic() {
-        let none = Topology::from_matrix("none", Vec::new());
+        let none = topo("none", 0, &[]);
         let err = Scenario::named("empty")
             .topology(TopologySpec::Fixed(std::sync::Arc::new(none)))
             .pair(NodeId(0), NodeId(1))

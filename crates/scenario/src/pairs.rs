@@ -174,13 +174,26 @@ mod test {
     use super::*;
     use mesh_topology::generate;
 
-    /// The historical definition: a BFS reachability test per ordered
-    /// pair, in node order.
+    /// An `n`-node topology from `(from, to, p)` triples.
+    fn topo(name: &str, n: usize, links: &[(usize, usize, f64)]) -> mesh_topology::Topology {
+        let links = links
+            .iter()
+            .map(|&(from, to, delivery)| mesh_topology::Link {
+                from: mesh_topology::NodeId(from),
+                to: mesh_topology::NodeId(to),
+                delivery,
+            });
+        mesh_topology::Topology::from_links(name, n, links.collect())
+    }
+
+    /// The historical definition: every ordered pair a BFS from its
+    /// source reaches, in node order.
     fn naive_pairs(topo: &Topology) -> Vec<(NodeId, NodeId)> {
         let mut all = Vec::new();
         for s in topo.nodes() {
+            let hops = topo.hops_from(s);
             for d in topo.nodes() {
-                if s != d && topo.hop_count(s, d).is_some() {
+                if s != d && hops[d.0].is_some() {
                     all.push((s, d));
                 }
             }
@@ -210,10 +223,7 @@ mod test {
     fn pool_matches_naive_enumeration_directed() {
         // A one-way chain plus an isolated node: support is asymmetric,
         // forcing the per-source BFS fallback.
-        let mut m = vec![vec![0.0; 4]; 4];
-        m[0][1] = 0.9;
-        m[1][2] = 0.8;
-        let topo = Topology::from_matrix("oneway", m);
+        let topo = topo("oneway", 4, &[(0, 1, 0.9), (1, 2, 0.8)]);
         let mut pool = PairPool::new(&topo);
         assert!(
             pool.comp.is_none(),
@@ -246,13 +256,12 @@ mod test {
 
     #[test]
     fn split_topology_spans_components() {
-        let mut m = vec![vec![0.0; 5]; 5];
-        m[0][1] = 0.9;
-        m[1][0] = 0.9;
-        m[2][3] = 0.9;
-        m[3][2] = 0.9;
         // Node 4 is isolated.
-        let topo = Topology::from_matrix("split", m);
+        let topo = topo(
+            "split",
+            5,
+            &[(0, 1, 0.9), (1, 0, 0.9), (2, 3, 0.9), (3, 2, 0.9)],
+        );
         let mut pool = PairPool::new(&topo);
         assert_eq!(pool.len(), 4);
         assert_eq!(pool.sources_with_destinations(), 4);
@@ -261,9 +270,9 @@ mod test {
 
     #[test]
     fn empty_and_single_node_pools() {
-        let empty = Topology::from_matrix("none", Vec::new());
+        let empty = topo("none", 0, &[]);
         assert_eq!(PairPool::new(&empty).len(), 0);
-        let one = Topology::from_matrix("lone", vec![vec![0.0]]);
+        let one = topo("lone", 1, &[]);
         let pool = PairPool::new(&one);
         assert_eq!(pool.len(), 0);
         assert_eq!(pool.sources_with_destinations(), 0);

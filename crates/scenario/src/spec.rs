@@ -4,7 +4,7 @@
 // xtask: allow(panic_path, file) -- Sweep::value(i) is only called with i < len() by the sweep driver iterating 0..len().
 
 use crate::registry::BuildError;
-use crate::traffic::TrafficModelSpec;
+use crate::traffic::{PoissonModel, StaggeredModel, TrafficModelSpec};
 use mesh_sim::{Bitrate, ChannelSpec, QueueSpec};
 use mesh_topology::{generate, Link, NodeId, Topology};
 use rand::seq::SliceRandom;
@@ -415,32 +415,22 @@ pub(crate) fn swept_traffic(
             seed_offset: *seed_offset,
             distinct_sources: *distinct_sources,
         })),
-        (
-            Sweep::Flows(v),
-            TrafficModelSpec::Staggered {
-                gap_ms, hold_ms, ..
-            },
-        ) => Ok(TrafficModelSpec::Staggered {
-            n_flows: v[i],
-            gap_ms: *gap_ms,
-            hold_ms: *hold_ms,
-        }),
+        (Sweep::Flows(v), TrafficModelSpec::Staggered(m)) => {
+            Ok(TrafficModelSpec::Staggered(StaggeredModel {
+                n_flows: v[i],
+                ..*m
+            }))
+        }
         (Sweep::Flows(_), other) => Err(BuildError::Unsupported(format!(
             "Sweep::Flows requires TrafficSpec::RandomConcurrent or \
              TrafficModelSpec::Staggered traffic, got {other:?}"
         ))),
-        (
-            Sweep::Load(v),
-            TrafficModelSpec::Poisson {
-                mean_hold_s,
-                max_active,
-                ..
-            },
-        ) => Ok(TrafficModelSpec::Poisson {
-            rate_per_s: v[i],
-            mean_hold_s: *mean_hold_s,
-            max_active: *max_active,
-        }),
+        (Sweep::Load(v), TrafficModelSpec::Poisson(m)) => {
+            Ok(TrafficModelSpec::Poisson(PoissonModel {
+                rate_per_s: v[i],
+                ..*m
+            }))
+        }
         (Sweep::Load(_), other) => Err(BuildError::Unsupported(format!(
             "Sweep::Load sweeps the arrival rate of TrafficModelSpec::Poisson \
              traffic, got {other:?}"
@@ -453,6 +443,18 @@ pub(crate) fn swept_traffic(
 mod test {
     use super::*;
 
+    /// An `n`-node topology from `(from, to, p)` triples.
+    fn topo(name: &str, n: usize, links: &[(usize, usize, f64)]) -> mesh_topology::Topology {
+        let links = links
+            .iter()
+            .map(|&(from, to, delivery)| mesh_topology::Link {
+                from: mesh_topology::NodeId(from),
+                to: mesh_topology::NodeId(to),
+                delivery,
+            });
+        mesh_topology::Topology::from_links(name, n, links.collect())
+    }
+
     #[test]
     fn random_pairs_are_deterministic_and_reachable() {
         let topo = generate::testbed(2);
@@ -462,7 +464,7 @@ mod test {
         assert_eq!(a.len(), 30);
         for (s, d) in a {
             assert_ne!(s, d);
-            assert!(topo.hop_count(s, d).is_some());
+            assert!(topo.hops_from(s)[d.0].is_some());
         }
     }
 
@@ -505,12 +507,11 @@ mod test {
 
     /// Two disconnected cliques: pairs across the gap are unreachable.
     fn split_topology() -> Topology {
-        let mut m = vec![vec![0.0; 4]; 4];
-        m[0][1] = 0.9;
-        m[1][0] = 0.9;
-        m[2][3] = 0.9;
-        m[3][2] = 0.9;
-        Topology::from_matrix("split", m)
+        topo(
+            "split",
+            4,
+            &[(0, 1, 0.9), (1, 0, 0.9), (2, 3, 0.9), (3, 2, 0.9)],
+        )
     }
 
     #[test]
@@ -522,7 +523,7 @@ mod test {
         let pairs = random_pairs(&topo, 100, 3);
         assert_eq!(pairs.len(), 4, "only the intra-component pairs exist");
         for (s, d) in &pairs {
-            assert!(topo.hop_count(*s, *d).is_some(), "{s}->{d} unreachable");
+            assert!(topo.hops_from(*s)[d.0].is_some(), "{s}->{d} unreachable");
         }
         let sets = TrafficSpec::RandomPairs {
             count: 100,

@@ -34,6 +34,7 @@ use mesh_topology::{NodeId, Topology};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::fmt;
 use std::sync::Arc;
 
 pub use mesh_topology::streams::TRAFFIC_STREAM;
@@ -204,6 +205,15 @@ fn events_from_intervals(mut intervals: Vec<(FlowSpec, Time, Option<Time>)>) -> 
     events.into_iter().map(|(_, ev)| ev).collect()
 }
 
+/// `Ok` when `v` is positive and finite.
+fn positive(v: f64, what: &str) -> Result<(), String> {
+    if v.is_finite() && v > 0.0 {
+        Ok(())
+    } else {
+        Err(format!("{what} must be positive and finite, got {v}"))
+    }
+}
+
 /// Draws exponentially-distributed µs with the given mean (in seconds).
 fn exp_us(rng: &mut ChaCha8Rng, mean_s: f64) -> Time {
     let u: f64 = rng.gen::<f64>().max(1e-12);
@@ -239,6 +249,7 @@ impl TrafficModel for StaticModel {
 /// exponential inter-arrival times at `rate_per_s`, exponential lifetimes
 /// of mean `mean_hold_s`, and at most `max_active` simultaneous flows
 /// (arrivals that would exceed the cap are dropped, M/M/c/c-style).
+#[derive(Clone, Copy, PartialEq)]
 pub struct PoissonModel {
     /// Mean flow arrivals per simulated second.
     pub rate_per_s: f64,
@@ -247,6 +258,31 @@ pub struct PoissonModel {
     pub mean_hold_s: f64,
     /// Cap on simultaneously active flows.
     pub max_active: usize,
+}
+
+impl PoissonModel {
+    fn validate(&self) -> Result<(), String> {
+        positive(self.rate_per_s, "Poisson arrival rate")?;
+        positive(self.mean_hold_s, "Poisson mean hold time")?;
+        if self.max_active == 0 {
+            return Err("Poisson max_active must be at least 1".into());
+        }
+        Ok(())
+    }
+}
+
+impl fmt::Debug for PoissonModel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let PoissonModel {
+            rate_per_s,
+            mean_hold_s,
+            max_active,
+        } = self;
+        write!(
+            f,
+            "Poisson{{rate:{rate_per_s}/s,hold:{mean_hold_s}s,max:{max_active}}}"
+        )
+    }
 }
 
 impl TrafficModel for PoissonModel {
@@ -299,6 +335,7 @@ impl TrafficModel for PoissonModel {
 /// A fixed set of endpoint pairs, each alternating exponential ON
 /// (talking) and OFF (silent) periods — the streaming-source shape. Every
 /// ON period arrives as a fresh flow and departs when the period ends.
+#[derive(Clone, Copy, PartialEq)]
 pub struct OnOffModel {
     /// Number of on-off sources (distinct pairs sampled per run seed).
     pub n_flows: usize,
@@ -306,6 +343,33 @@ pub struct OnOffModel {
     pub mean_on_s: f64,
     /// Mean silence-period length, simulated seconds.
     pub mean_off_s: f64,
+}
+
+impl OnOffModel {
+    fn validate(&self) -> Result<(), String> {
+        if self.n_flows == 0 {
+            return Err("OnOff needs at least one source".into());
+        }
+        positive(self.mean_on_s, "OnOff mean talk period")?;
+        let off = self.mean_off_s;
+        if !off.is_finite() || off < 0.0 {
+            return Err(format!(
+                "OnOff mean silence period must be non-negative and finite, got {off}"
+            ));
+        }
+        Ok(())
+    }
+}
+
+impl fmt::Debug for OnOffModel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let OnOffModel {
+            n_flows,
+            mean_on_s,
+            mean_off_s,
+        } = self;
+        write!(f, "OnOff{{n:{n_flows},on:{mean_on_s}s,off:{mean_off_s}s}}")
+    }
 }
 
 impl TrafficModel for OnOffModel {
@@ -348,6 +412,7 @@ impl TrafficModel for OnOffModel {
 /// A deterministic arrival ramp for scaling studies: flow *i* (endpoints
 /// sampled per run seed, distinct sources) starts at `i × gap_ms` and
 /// optionally departs `hold_ms` later.
+#[derive(Clone, Copy, PartialEq)]
 pub struct StaggeredModel {
     /// Number of flows in the ramp.
     pub n_flows: usize,
@@ -355,6 +420,43 @@ pub struct StaggeredModel {
     pub gap_ms: u64,
     /// Lifetime of each flow, milliseconds; `None` runs to completion.
     pub hold_ms: Option<u64>,
+}
+
+impl StaggeredModel {
+    fn validate(&self, deadline_s: u64) -> Result<(), String> {
+        let StaggeredModel {
+            n_flows, gap_ms, ..
+        } = *self;
+        if n_flows == 0 {
+            return Err("Staggered needs at least one flow".into());
+        }
+        // The whole ramp must fit the deadline, otherwise the tail of the
+        // ramp would be silently dropped and a Flows sweep would report
+        // flow counts that never ran.
+        let last_start = (n_flows as Time - 1) * gap_ms * mesh_sim::MS;
+        let horizon = deadline_s * SEC;
+        if last_start >= horizon {
+            return Err(format!(
+                "Staggered ramp of {n_flows} flows every {gap_ms} ms ends at \
+                 {last_start} µs, at or beyond the {deadline_s} s deadline"
+            ));
+        }
+        Ok(())
+    }
+}
+
+impl fmt::Debug for StaggeredModel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let StaggeredModel {
+            n_flows,
+            gap_ms,
+            hold_ms,
+        } = self;
+        write!(
+            f,
+            "Staggered{{n:{n_flows},gap:{gap_ms}ms,hold:{hold_ms:?}}}"
+        )
+    }
 }
 
 impl TrafficModel for StaggeredModel {
@@ -415,33 +517,12 @@ impl TrafficModel for StaggeredModel {
 pub enum TrafficModelSpec {
     /// The legacy workload (see [`StaticModel`]). The default.
     Static(TrafficSpec),
-    /// Poisson arrivals (see [`PoissonModel`]).
-    Poisson {
-        /// Mean flow arrivals per simulated second.
-        rate_per_s: f64,
-        /// Mean flow lifetime, simulated seconds.
-        mean_hold_s: f64,
-        /// Cap on simultaneously active flows.
-        max_active: usize,
-    },
-    /// On-off streaming sources (see [`OnOffModel`]).
-    OnOff {
-        /// Number of on-off sources.
-        n_flows: usize,
-        /// Mean talk-period length, simulated seconds.
-        mean_on_s: f64,
-        /// Mean silence-period length, simulated seconds.
-        mean_off_s: f64,
-    },
-    /// A deterministic arrival ramp (see [`StaggeredModel`]).
-    Staggered {
-        /// Number of flows in the ramp.
-        n_flows: usize,
-        /// Gap between consecutive arrivals, milliseconds.
-        gap_ms: u64,
-        /// Lifetime of each flow, milliseconds; `None` runs to completion.
-        hold_ms: Option<u64>,
-    },
+    /// Poisson arrivals.
+    Poisson(PoissonModel),
+    /// On-off streaming sources.
+    OnOff(OnOffModel),
+    /// A deterministic arrival ramp.
+    Staggered(StaggeredModel),
     /// A caller-supplied model — the escape hatch for workload shapes the
     /// built-ins cannot express.
     Custom(Arc<dyn TrafficModel>),
@@ -456,31 +537,13 @@ impl Default for TrafficModelSpec {
     }
 }
 
-impl std::fmt::Debug for TrafficModelSpec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl fmt::Debug for TrafficModelSpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TrafficModelSpec::Static(spec) => write!(f, "Static({spec:?})"),
-            TrafficModelSpec::Poisson {
-                rate_per_s,
-                mean_hold_s,
-                max_active,
-            } => write!(
-                f,
-                "Poisson{{rate:{rate_per_s}/s,hold:{mean_hold_s}s,max:{max_active}}}"
-            ),
-            TrafficModelSpec::OnOff {
-                n_flows,
-                mean_on_s,
-                mean_off_s,
-            } => write!(f, "OnOff{{n:{n_flows},on:{mean_on_s}s,off:{mean_off_s}s}}"),
-            TrafficModelSpec::Staggered {
-                n_flows,
-                gap_ms,
-                hold_ms,
-            } => write!(
-                f,
-                "Staggered{{n:{n_flows},gap:{gap_ms}ms,hold:{hold_ms:?}}}"
-            ),
+            TrafficModelSpec::Poisson(m) => m.fmt(f),
+            TrafficModelSpec::OnOff(m) => m.fmt(f),
+            TrafficModelSpec::Staggered(m) => m.fmt(f),
             TrafficModelSpec::Custom(_) => write!(f, "Custom(..)"),
         }
     }
@@ -491,33 +554,9 @@ impl TrafficModelSpec {
     pub fn build(&self) -> Arc<dyn TrafficModel> {
         match self {
             TrafficModelSpec::Static(spec) => Arc::new(StaticModel(spec.clone())),
-            TrafficModelSpec::Poisson {
-                rate_per_s,
-                mean_hold_s,
-                max_active,
-            } => Arc::new(PoissonModel {
-                rate_per_s: *rate_per_s,
-                mean_hold_s: *mean_hold_s,
-                max_active: *max_active,
-            }),
-            TrafficModelSpec::OnOff {
-                n_flows,
-                mean_on_s,
-                mean_off_s,
-            } => Arc::new(OnOffModel {
-                n_flows: *n_flows,
-                mean_on_s: *mean_on_s,
-                mean_off_s: *mean_off_s,
-            }),
-            TrafficModelSpec::Staggered {
-                n_flows,
-                gap_ms,
-                hold_ms,
-            } => Arc::new(StaggeredModel {
-                n_flows: *n_flows,
-                gap_ms: *gap_ms,
-                hold_ms: *hold_ms,
-            }),
+            TrafficModelSpec::Poisson(m) => Arc::new(*m),
+            TrafficModelSpec::OnOff(m) => Arc::new(*m),
+            TrafficModelSpec::Staggered(m) => Arc::new(*m),
             TrafficModelSpec::Custom(model) => model.clone(),
         }
     }
@@ -529,7 +568,7 @@ impl TrafficModelSpec {
     /// for direct trait use.
     pub fn validate_for(&self, topo: &Topology) -> Result<(), String> {
         match self {
-            TrafficModelSpec::Poisson { .. } => {
+            TrafficModelSpec::Poisson(_) => {
                 // A reachable ordered pair exists iff any `p > 0` link
                 // does — O(1), where counting the pool would be O(n²)
                 // at city scale.
@@ -538,7 +577,7 @@ impl TrafficModelSpec {
                 }
                 Ok(())
             }
-            TrafficModelSpec::OnOff { n_flows, .. }
+            TrafficModelSpec::OnOff(OnOffModel { n_flows, .. })
             | TrafficModelSpec::Static(TrafficSpec::RandomConcurrent {
                 n_flows,
                 distinct_sources: false,
@@ -554,7 +593,7 @@ impl TrafficModelSpec {
                 }
                 Ok(())
             }
-            TrafficModelSpec::Staggered { n_flows, .. }
+            TrafficModelSpec::Staggered(StaggeredModel { n_flows, .. })
             | TrafficModelSpec::Static(TrafficSpec::RandomConcurrent {
                 n_flows,
                 distinct_sources: true,
@@ -580,66 +619,14 @@ impl TrafficModelSpec {
     /// so bad configurations fail at build time instead of panicking
     /// inside a sweep worker. `Custom` models validate themselves.
     pub fn validate(&self, deadline_s: u64) -> Result<(), String> {
-        fn positive(v: f64, what: &str) -> Result<(), String> {
-            if v.is_finite() && v > 0.0 {
-                Ok(())
-            } else {
-                Err(format!("{what} must be positive and finite, got {v}"))
-            }
-        }
         match self {
             TrafficModelSpec::Static(TrafficSpec::RandomConcurrent { n_flows: 0, .. }) => {
                 Err("RandomConcurrent needs at least one flow".into())
             }
             TrafficModelSpec::Static(_) | TrafficModelSpec::Custom(_) => Ok(()),
-            TrafficModelSpec::Poisson {
-                rate_per_s,
-                mean_hold_s,
-                max_active,
-            } => {
-                positive(*rate_per_s, "Poisson arrival rate")?;
-                positive(*mean_hold_s, "Poisson mean hold time")?;
-                if *max_active == 0 {
-                    return Err("Poisson max_active must be at least 1".into());
-                }
-                Ok(())
-            }
-            TrafficModelSpec::OnOff {
-                n_flows,
-                mean_on_s,
-                mean_off_s,
-            } => {
-                if *n_flows == 0 {
-                    return Err("OnOff needs at least one source".into());
-                }
-                positive(*mean_on_s, "OnOff mean talk period")?;
-                if !mean_off_s.is_finite() || *mean_off_s < 0.0 {
-                    return Err(format!(
-                        "OnOff mean silence period must be non-negative and finite, \
-                         got {mean_off_s}"
-                    ));
-                }
-                Ok(())
-            }
-            TrafficModelSpec::Staggered {
-                n_flows, gap_ms, ..
-            } => {
-                if *n_flows == 0 {
-                    return Err("Staggered needs at least one flow".into());
-                }
-                // The whole ramp must fit the deadline, otherwise the tail
-                // of the ramp would be silently dropped and a Flows sweep
-                // would report flow counts that never ran.
-                let last_start = (*n_flows as Time - 1) * gap_ms * mesh_sim::MS;
-                let horizon = deadline_s * SEC;
-                if last_start >= horizon {
-                    return Err(format!(
-                        "Staggered ramp of {n_flows} flows every {gap_ms} ms ends at \
-                         {last_start} µs, at or beyond the {deadline_s} s deadline"
-                    ));
-                }
-                Ok(())
-            }
+            TrafficModelSpec::Poisson(m) => m.validate(),
+            TrafficModelSpec::OnOff(m) => m.validate(),
+            TrafficModelSpec::Staggered(m) => m.validate(deadline_s),
         }
     }
 }

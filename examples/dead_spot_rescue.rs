@@ -53,8 +53,9 @@ fn main() {
     println!("probing for the testbed's dead spot (worst Srcr pair)...");
     let mut worst: Option<(NodeId, NodeId, f64)> = None;
     for s in topo.nodes().step_by(2) {
+        let hops = topo.hops_from(s);
         for d in topo.nodes().skip(1).step_by(3) {
-            if s == d || topo.hop_count(s, d).is_none() {
+            if s == d || hops[d.0].is_none() {
                 continue;
             }
             let t = srcr_throughput(&topo, s, d);
@@ -64,10 +65,8 @@ fn main() {
         }
     }
     let (s, d, srcr_tput) = worst.expect("some pair probed");
-    println!(
-        "dead spot: {s} -> {d} ({} hops) — Srcr manages {srcr_tput:.1} pkt/s\n",
-        topo.hop_count(s, d).expect("reachable")
-    );
+    let hops = topo.hops_from(s)[d.0].expect("reachable");
+    println!("dead spot: {s} -> {d} ({hops} hops) — Srcr manages {srcr_tput:.1} pkt/s\n");
 
     let (more_tput, n_fwd) = more_throughput(&topo, s, d);
     let gain = more_tput / srcr_tput.max(0.1);
@@ -81,7 +80,7 @@ fn main() {
         "{{\n  \"src\": {}, \"dst\": {}, \"hops\": {},\n  \"srcr_pkt_per_s\": {srcr_tput:.2},\n  \"more_pkt_per_s\": {more_tput:.2},\n  \"more_forwarders\": {n_fwd},\n  \"gain\": {gain:.2}\n}}\n",
         s.0,
         d.0,
-        topo.hop_count(s, d).expect("reachable"),
+        hops,
     );
     std::fs::create_dir_all("results").expect("create results/");
     std::fs::write(out_path, json).unwrap_or_else(|e| panic!("write {out_path}: {e}"));

@@ -19,7 +19,7 @@
 //! ```
 
 use more_repro::scenario::sink::{Collect, CsvAppend, JsonLines, Tee};
-use more_repro::scenario::{RunRecord, Scenario, Sweep, TrafficModelSpec};
+use more_repro::scenario::{PoissonModel, RunRecord, Scenario, Sweep, TrafficModelSpec};
 use std::fmt::Write as _;
 
 const JSONL_PATH: &str = "results/dynamic_arrivals.jsonl";
@@ -40,11 +40,11 @@ fn main() {
         let mut sink = Tee::new().with(&mut collect).with(jsonl).with(csv);
         Scenario::named("dynamic_arrivals")
             .testbed(1)
-            .traffic_model(TrafficModelSpec::Poisson {
+            .traffic_model(TrafficModelSpec::Poisson(PoissonModel {
                 rate_per_s: RATES[0],
                 mean_hold_s: 20.0,
                 max_active: 4,
-            })
+            }))
             .protocols(["MORE", "Srcr"])
             .sweep(Sweep::Load(RATES.to_vec()))
             .seeds(1..=2)

@@ -24,7 +24,7 @@
 //! ```
 
 use more_repro::scenario::sink::{Collect, CsvAppend, JsonLines, Tee};
-use more_repro::scenario::{QueueSpec, RunRecord, Scenario, Sweep, TrafficModelSpec};
+use more_repro::scenario::{PoissonModel, QueueSpec, RunRecord, Scenario, Sweep, TrafficModelSpec};
 use std::fmt::Write as _;
 
 const JSONL_PATH: &str = "results/overload.jsonl";
@@ -52,11 +52,11 @@ fn run_discipline(queue: QueueSpec, collect: &mut Collect, fresh: bool) {
     let mut sink = Tee::new().with(collect).with(jsonl).with(csv);
     Scenario::named("overload")
         .testbed(1)
-        .traffic_model(TrafficModelSpec::Poisson {
+        .traffic_model(TrafficModelSpec::Poisson(PoissonModel {
             rate_per_s: LOADS[0],
             mean_hold_s: 30.0,
             max_active: 4,
-        })
+        }))
         .protocols(["MORE", "Srcr"])
         .sweep(Sweep::Load(LOADS.to_vec()))
         .queue(queue)

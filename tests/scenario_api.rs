@@ -3,8 +3,8 @@
 //! crates, exactly as a downstream user would.
 
 use more_repro::scenario::{
-    record, BuildError, ExpConfig, FlowEvent, FlowSpec, ProtocolFactory, Scenario, ScenarioBuilder,
-    Sweep, TopologySpec, TrafficModel, TrafficModelSpec, TrafficSpec,
+    record, BuildError, ExpConfig, FlowEvent, FlowSpec, PoissonModel, ProtocolFactory, Scenario,
+    ScenarioBuilder, Sweep, TopologySpec, TrafficModel, TrafficModelSpec, TrafficSpec,
 };
 use more_repro::sim::{Ctx, Erased, ErasedFlowAgent, Frame, NodeAgent, OutFrame, TxOutcome};
 use more_repro::sim::{FlowAgent, FlowProgressView, Time, SEC};
@@ -373,11 +373,11 @@ fn every_configuration_serializes_with_the_same_keys() {
             .queue(QueueSpec::choke(8))
             .run(),
         base("poisson")
-            .traffic_model(TrafficModelSpec::Poisson {
+            .traffic_model(TrafficModelSpec::Poisson(PoissonModel {
                 rate_per_s: 0.2,
                 mean_hold_s: 15.0,
                 max_active: 3,
-            })
+            }))
             .run(),
     ];
     let keys = |v: &Value| match v {

@@ -1,24 +1,24 @@
-//! Sparse-topology equivalence: the CSR neighbor-set representation must
-//! be observationally identical to the historical dense delivery matrix,
-//! for every built-in generator and for arbitrary matrices.
+//! Topology JSON: one form written, two read. A topology is its link list
+//! (CSR rows); `to_json` writes that list, and `from_json` also reads the
+//! dense `delivery` matrix older files carry.
 //!
 //! Three layers of guarantee:
 //!
-//! * **Round trip exactness** — `Topology::from_matrix` → CSR →
-//!   [`Topology::matrix`] reproduces the input matrix bit-for-bit (f64
-//!   `to_bits` equality, not epsilon comparison), so no consumer can
-//!   observe the storage change through the dense API.
-//! * **Golden bytes** — the generators' JSON output is pinned in
+//! * **Golden bytes** — every generator's JSON is pinned in
 //!   `tests/golden/topology_*.json`; a changed link weight, reordered
-//!   row, or float-formatting drift in either serialized form fails here
-//!   before it can silently shift the run-level goldens.
-//! * **Property coverage** — proptest feeds arbitrary small delivery
-//!   matrices through the CSR constructor and both JSON forms.
+//!   row, or float-formatting drift fails here before it can silently
+//!   shift the run-level goldens.
+//! * **Round trips** — parse → re-serialize is the identity, bit for bit,
+//!   on every generator and on arbitrary link sets, and a dense document
+//!   parses to exactly the links of its sparse twin.
+//! * **Hostile input** — proptest mutates valid documents of both forms
+//!   (numeric extremes, fractional or huge `n`, floors, coordinates,
+//!   probabilities, truncation); each is read or rejected, never a panic.
 //!
 //! Regenerate goldens (after an *intentional* change) with
 //! `UPDATE_GOLDEN=1 cargo test --test sparse_equivalence`.
 
-use more_repro::topology::{generate, NodeId, Topology};
+use more_repro::topology::{generate, Link, NodeId, Topology};
 use proptest::prelude::*;
 
 /// Every built-in generator, at sizes small enough to sweep pairwise,
@@ -44,63 +44,54 @@ fn generator_zoo() -> Vec<(&'static str, Topology)> {
     ]
 }
 
-/// Bitwise equality for dense matrices — `0.1 + eps` drift must fail.
-fn assert_matrix_bits_eq(a: &[Vec<f64>], b: &[Vec<f64>], what: &str) {
-    assert_eq!(a.len(), b.len(), "{what}: row count");
-    for (i, (ra, rb)) in a.iter().zip(b).enumerate() {
-        assert_eq!(ra.len(), rb.len(), "{what}: row {i} length");
-        for (j, (x, y)) in ra.iter().zip(rb).enumerate() {
-            assert_eq!(
-                x.to_bits(),
-                y.to_bits(),
-                "{what}: entry [{i}][{j}] {x} vs {y}"
-            );
-        }
-    }
+/// `topo`'s JSON rewritten in the dense form: the `"n"` and `"links"`
+/// keys replaced by a `"delivery"` matrix, name and positions kept.
+fn dense_json(topo: &Topology) -> String {
+    let sparse = topo.to_json();
+    let head = sparse.find("  \"n\": ").expect("sparse \"n\"");
+    let tail = sparse.find("  \"positions\": ").expect("\"positions\"");
+    let rows: Vec<String> = topo
+        .nodes()
+        .map(|i| {
+            let cells: Vec<String> = topo
+                .nodes()
+                .map(|j| topo.delivery(i, j).to_string())
+                .collect();
+            format!("[{}]", cells.join(", "))
+        })
+        .collect();
+    format!(
+        "{}  \"delivery\": [{}],\n{}",
+        &sparse[..head],
+        rows.join(", "),
+        &sparse[tail..]
+    )
 }
 
 #[test]
-fn from_matrix_round_trip_is_bit_exact_for_every_generator() {
+fn delivery_accessors_agree_with_the_link_list() {
     for (_, topo) in generator_zoo() {
-        let dense = topo.matrix();
-        let rebuilt = Topology::from_matrix(topo.name.clone(), dense.clone());
-        assert_eq!(rebuilt.n(), topo.n(), "{}: node count", topo.name);
-        assert_eq!(
-            rebuilt.link_count(),
-            topo.link_count(),
-            "{}: link count",
-            topo.name
-        );
-        assert_matrix_bits_eq(&rebuilt.matrix(), &dense, &topo.name);
-        // The CSR link lists agree element-wise, in the same sorted order.
-        let a: Vec<_> = topo.links().collect();
-        let b: Vec<_> = rebuilt.links().collect();
-        assert_eq!(a, b, "{}: link list", topo.name);
-    }
-}
-
-#[test]
-fn dense_accessors_agree_with_the_matrix_view() {
-    for (_, topo) in generator_zoo() {
-        let dense = topo.matrix();
+        let links: Vec<Link> = topo.links().collect();
+        assert_eq!(links.len(), topo.link_count(), "{}", topo.name);
         for i in topo.nodes() {
+            // The sorted out-row is exactly the links leaving i.
+            let row: Vec<(NodeId, f64)> = topo.neighbors_out(i).collect();
+            let expect: Vec<(NodeId, f64)> = links
+                .iter()
+                .filter(|l| l.from == i)
+                .map(|l| (l.to, l.delivery))
+                .collect();
+            assert_eq!(row, expect, "{}: out-row {i}", topo.name);
+            // Every other pair reads zero.
             for j in topo.nodes() {
+                let p = expect.iter().find(|(to, _)| *to == j).map_or(0.0, |e| e.1);
                 assert_eq!(
                     topo.delivery(i, j).to_bits(),
-                    dense[i.0][j.0].to_bits(),
+                    p.to_bits(),
                     "{}: delivery({i}, {j})",
                     topo.name
                 );
             }
-            // The sorted out-row is exactly the non-zero cells of row i.
-            let row: Vec<(NodeId, f64)> = topo.neighbors_out(i).collect();
-            let expect: Vec<(NodeId, f64)> = dense[i.0]
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| **p > 0.0)
-                .map(|(j, p)| (NodeId(j), *p))
-                .collect();
-            assert_eq!(row, expect, "{}: out-row {i}", topo.name);
         }
     }
 }
@@ -108,28 +99,15 @@ fn dense_accessors_agree_with_the_matrix_view() {
 #[test]
 fn both_json_forms_round_trip_byte_identically() {
     for (_, topo) in generator_zoo() {
-        let dense = topo.to_json();
-        let sparse = topo.to_json_sparse();
-        let from_dense = Topology::from_json(&dense)
-            .unwrap_or_else(|e| panic!("{}: dense parse: {e:?}", topo.name));
+        let sparse = topo.to_json();
         let from_sparse = Topology::from_json(&sparse)
             .unwrap_or_else(|e| panic!("{}: sparse parse: {e:?}", topo.name));
-        // Either parse must re-serialize to the same bytes in either
-        // form: the two encodings carry identical information.
-        assert_eq!(from_dense.to_json(), dense, "{}: dense→dense", topo.name);
-        assert_eq!(
-            from_dense.to_json_sparse(),
-            sparse,
-            "{}: dense→sparse",
-            topo.name
-        );
-        assert_eq!(from_sparse.to_json(), dense, "{}: sparse→dense", topo.name);
-        assert_eq!(
-            from_sparse.to_json_sparse(),
-            sparse,
-            "{}: sparse→sparse",
-            topo.name
-        );
+        let from_dense = Topology::from_json(&dense_json(&topo))
+            .unwrap_or_else(|e| panic!("{}: dense parse: {e:?}", topo.name));
+        // Either form re-serializes to the same bytes: the two encodings
+        // carry identical information.
+        assert_eq!(from_sparse.to_json(), sparse, "{}: sparse", topo.name);
+        assert_eq!(from_dense.to_json(), sparse, "{}: dense", topo.name);
     }
 }
 
@@ -159,7 +137,7 @@ fn check_golden(stem: &str, actual: &str) {
 #[test]
 fn every_generator_matches_its_golden_sparse_json() {
     for (stem, topo) in generator_zoo() {
-        check_golden(stem, &topo.to_json_sparse());
+        check_golden(stem, &topo.to_json());
     }
 }
 
@@ -183,10 +161,9 @@ const DENSE_DIAMOND4: &str = r#"{
 /// document parses to exactly the links its sparse golden holds.
 #[test]
 fn diamond_dense_json_matches_golden_bytes() {
-    assert_eq!(generate::diamond(4, 0.5).to_json(), DENSE_DIAMOND4);
     let dense = Topology::from_json(DENSE_DIAMOND4).expect("dense parse");
     let golden = include_str!("golden/topology_diamond4.json");
-    assert_eq!(dense.to_json_sparse(), golden);
+    assert_eq!(dense.to_json(), golden);
     let sparse = Topology::from_json(golden).expect("sparse parse");
     assert_eq!(
         dense.links().collect::<Vec<_>>(),
@@ -196,65 +173,147 @@ fn diamond_dense_json_matches_golden_bytes() {
 
 #[test]
 fn testbed_sparse_json_matches_golden_bytes() {
-    check_golden("testbed1", &generate::testbed(1).to_json_sparse());
+    check_golden("testbed1", &generate::testbed(1).to_json());
 }
 
-/// Builds an arbitrary sparse delivery matrix from raw proptest words:
-/// zero diagonal, ~60% zero cells, the rest uniform in `(0, 1]` with a
-/// full 53-bit mantissa (so formatting shortcuts can't hide drift).
-fn matrix_from_words(n: usize, words: &[u64]) -> Vec<Vec<f64>> {
-    (0..n)
-        .map(|i| {
-            (0..n)
-                .map(|j| {
-                    let w = words[i * n + j];
-                    if i == j || w % 5 < 3 {
-                        0.0
-                    } else {
-                        ((w >> 11) as f64 + 1.0) / (1u64 << 53) as f64
-                    }
-                })
-                .collect()
+/// An arbitrary link set from raw proptest words, listed in reverse
+/// `(from, to)` order: no self-loops, ~60% of pairs unlinked, the rest
+/// uniform in `(0, 1]` with a full 53-bit mantissa (so formatting
+/// shortcuts can't hide drift).
+fn links_from_words(n: usize, words: &[u64]) -> Vec<Link> {
+    let pairs = (0..n).flat_map(|i| (0..n).map(move |j| (i, j))).rev();
+    pairs
+        .filter_map(|(i, j)| {
+            let w = words[i * n + j];
+            (i != j && w % 5 >= 3).then(|| Link {
+                from: NodeId(i),
+                to: NodeId(j),
+                delivery: ((w >> 11) as f64 + 1.0) / (1u64 << 53) as f64,
+            })
         })
         .collect()
+}
+
+/// Every numeric token of `doc`, as byte ranges.
+fn number_spans(doc: &str) -> Vec<std::ops::Range<usize>> {
+    let bytes = doc.as_bytes();
+    let mut spans = Vec::new();
+    let mut i = 0;
+    while i < bytes.len() {
+        if bytes[i] == b'-' || bytes[i].is_ascii_digit() {
+            let start = i;
+            i += 1;
+            while i < bytes.len()
+                && matches!(bytes[i], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
+            {
+                i += 1;
+            }
+            spans.push(start..i);
+        } else {
+            i += 1;
+        }
+    }
+    spans
+}
+
+/// Values a hostile document puts where a number belongs. Every huge one
+/// is past the `u32` index space, so a mutated `"n"` is rejected rather
+/// than allocated.
+const EXTREMES: &[&str] = &[
+    "0",
+    "-0",
+    "1",
+    "-1",
+    "0.5",
+    "2.5",
+    "-2.5",
+    "1.0000000000000002",
+    "1e-320",
+    "1e12",
+    "-1e12",
+    "1e400",
+    "-1e400",
+    "4294967295",
+    "4294967296",
+    "18446744073709551616",
+];
+
+/// Valid documents of both forms, with and without positions.
+fn seed_documents() -> Vec<String> {
+    let grid = generate::grid(3, 2, 0.8, 0.5, 30.0);
+    vec![
+        grid.to_json(),
+        dense_json(&grid),
+        generate::motivating().to_json(),
+        DENSE_DIAMOND4.to_string(),
+    ]
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// from_matrix → CSR → matrix() is the identity, bit for bit.
+    /// Link list → CSR → link list is the identity, bit for bit, and every
+    /// unlisted pair reads zero.
     #[test]
     fn csr_round_trip_is_exact_on_arbitrary_matrices(
         n in 1usize..8,
         words in collection::vec(any::<u64>(), 64),
     ) {
-        let m = matrix_from_words(n, &words);
-        let topo = Topology::from_matrix("prop", m.clone());
-        let back = topo.matrix();
-        for (i, (ra, rb)) in m.iter().zip(&back).enumerate() {
-            for (j, (x, y)) in ra.iter().zip(rb).enumerate() {
-                prop_assert_eq!(x.to_bits(), y.to_bits(), "entry [{}][{}]", i, j);
+        let mut links = links_from_words(n, &words);
+        let topo = Topology::from_links("prop", n, links.clone());
+        links.reverse();
+        prop_assert_eq!(topo.link_count(), links.len());
+        prop_assert_eq!(topo.links().collect::<Vec<_>>(), links.clone());
+        for i in topo.nodes() {
+            for j in topo.nodes() {
+                let p = links.iter().find(|l| (l.from, l.to) == (i, j)).map_or(0.0, |l| l.delivery);
+                prop_assert_eq!(topo.delivery(i, j).to_bits(), p.to_bits(), "delivery({}, {})", i, j);
             }
         }
-        // Link count is exactly the number of non-zero cells.
-        let nonzero = m.iter().flatten().filter(|p| **p > 0.0).count();
-        prop_assert_eq!(topo.link_count(), nonzero);
     }
 
     /// Both JSON encodings survive a parse → re-serialize cycle on
-    /// arbitrary matrices (float formatting included).
+    /// arbitrary link sets (float formatting included).
     #[test]
     fn json_forms_round_trip_on_arbitrary_matrices(
         n in 1usize..8,
         words in collection::vec(any::<u64>(), 64),
     ) {
-        let topo = Topology::from_matrix("prop", matrix_from_words(n, &words));
-        let dense = topo.to_json();
-        let sparse = topo.to_json_sparse();
-        let from_dense = Topology::from_json(&dense).expect("dense parse");
+        let topo = Topology::from_links("prop", n, links_from_words(n, &words));
+        let sparse = topo.to_json();
         let from_sparse = Topology::from_json(&sparse).expect("sparse parse");
-        prop_assert_eq!(from_dense.to_json_sparse(), sparse.clone());
-        prop_assert_eq!(from_sparse.to_json(), dense);
-        prop_assert_eq!(from_sparse.to_json_sparse(), sparse);
+        let from_dense = Topology::from_json(&dense_json(&topo)).expect("dense parse");
+        prop_assert_eq!(from_sparse.to_json(), sparse.clone());
+        prop_assert_eq!(from_dense.to_json(), sparse);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// A mutated document is read or rejected with a `JsonError`, never a
+    /// panic; one that is read re-serializes to a document that reads
+    /// back the same. One case in four is also truncated.
+    #[test]
+    fn mutated_documents_are_read_or_rejected_never_a_panic(
+        doc in 0usize..4,
+        edits in collection::vec((any::<usize>(), 0..EXTREMES.len()), 1..4),
+        cut in any::<usize>(),
+    ) {
+        let mut text = seed_documents().swap_remove(doc);
+        for (at, value) in edits {
+            let spans = number_spans(&text);
+            text.replace_range(spans[at % spans.len()].clone(), EXTREMES[value]);
+        }
+        if cut.is_multiple_of(4) {
+            text.truncate(cut / 4 % text.len());
+        }
+        let read = std::panic::catch_unwind(|| Topology::from_json(&text));
+        prop_assert!(read.is_ok(), "from_json panicked on {text}");
+        if let Ok(Ok(topo)) = read {
+            let again = topo.to_json();
+            let back = Topology::from_json(&again).expect("a document we wrote reads back");
+            prop_assert_eq!(back.to_json(), again);
+        }
     }
 }

@@ -10,7 +10,7 @@
 //! Regenerate (only when an *intentional* engine or schema change lands)
 //! with: `UPDATE_GOLDEN=1 cargo test --test traffic_equivalence`.
 
-use more_repro::scenario::{record, Scenario, TrafficModelSpec, TrafficSpec};
+use more_repro::scenario::{record, PoissonModel, Scenario, TrafficModelSpec, TrafficSpec};
 use more_repro::topology::NodeId;
 
 /// Every static variant, with the protocols the golden file runs it on.
@@ -108,11 +108,11 @@ fn dynamic_model_is_deterministic_per_seed_and_distinct_from_static() {
         record::to_json(
             &Scenario::named("traffic_equivalence/poisson")
                 .testbed(1)
-                .traffic_model(TrafficModelSpec::Poisson {
+                .traffic_model(TrafficModelSpec::Poisson(PoissonModel {
                     rate_per_s: 0.2,
                     mean_hold_s: 15.0,
                     max_active: 3,
-                })
+                }))
                 .protocol("MORE")
                 .seeds([seed])
                 .k(8)
