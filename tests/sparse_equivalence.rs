@@ -18,6 +18,8 @@
 //! Regenerate goldens (after an *intentional* change) with
 //! `UPDATE_GOLDEN=1 cargo test --test sparse_equivalence`.
 
+use more_repro::sim::channel::{probe_topology, ChannelSpec};
+use more_repro::topology::estimator::LinkEstimator;
 use more_repro::topology::{generate, Link, NodeId, Topology};
 use proptest::prelude::*;
 
@@ -171,9 +173,28 @@ fn diamond_dense_json_matches_golden_bytes() {
     );
 }
 
+/// The testbed as generated, and as `probe_routing` hands it to the
+/// protocols: 600 probes at 1 s over the static channel and over a bursty
+/// one. The probed files pin the probe path — which pairs are probed, in
+/// which order, at which instants.
 #[test]
 fn testbed_sparse_json_matches_golden_bytes() {
-    check_golden("testbed1", &generate::testbed(1).to_json());
+    let truth = generate::testbed(1);
+    check_golden("testbed1", &truth.to_json());
+    let est = LinkEstimator {
+        probes: 600,
+        min_delivery: 0.05,
+    };
+    for (stem, spec) in [
+        ("testbed1_probed_static", ChannelSpec::Static),
+        (
+            "testbed1_probed_bursty",
+            ChannelSpec::bursty_matched(0.2, 0.05, 0.25, 10),
+        ),
+    ] {
+        let probed = probe_topology(&est, &truth, &spec, 1, more_repro::sim::SEC);
+        check_golden(stem, &probed.to_json());
+    }
 }
 
 /// An arbitrary link set from raw proptest words, listed in reverse
