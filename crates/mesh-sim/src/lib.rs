@@ -9,8 +9,8 @@
 //!   independent Bernoulli draw at the link's *instantaneous* delivery
 //!   probability, supplied by a pluggable [`channel::ChannelModel`]
 //!   (the default [`channel::ChannelSpec::Static`] is the §5.3.1 network
-//!   model; Gilbert–Elliott burst loss, log-normal shadowing, and slow
-//!   time-varying drift ship alongside it);
+//!   model; Gilbert–Elliott burst loss ships alongside it). Either way a
+//!   frame is heard only over the topology's links;
 //! * **CSMA/CA medium access** — DIFS + slotted random backoff, binary
 //!   exponential contention window growth on unicast retries, MAC-level
 //!   ACKs, and half-duplex radios;

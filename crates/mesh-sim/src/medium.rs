@@ -1,22 +1,20 @@
 //! The shared wireless medium: who senses whom, who interferes at whom,
 //! and which receivers decode a finished transmission.
 //!
-//! Sensing and interference relations are precomputed from the topology
-//! and the run's channel model: any directed link (`p > 0` in the topology,
-//! or reachable under the channel per [`ChannelModel::may_reach`], either
-//! direction) is both sensable and interfering; when node positions are
-//! known, the carrier-sense and interference *ranges* extend those
-//! relations beyond decodable links (real radios defer to, and are jammed
-//! by, signals too weak to decode).
+//! Sensing and interference relations are precomputed from the topology:
+//! any directed link (either direction) is both sensable and interfering;
+//! when node positions are known, the carrier-sense and interference
+//! *ranges* extend those relations beyond decodable links (real radios
+//! defer to, and are jammed by, signals too weak to decode).
 //!
 //! All three relations are held as **per-node sorted neighbor lists**
-//! rather than `n × n` matrices, enumerated from the topology's link set,
-//! the channel's [`ReachHint`], and a spatial index over node positions —
-//! so a 10k-node city mesh costs O(nodes + pairs-in-range), not O(n²),
-//! to build and to query. Reception evaluation walks the transmitter's
-//! reachable-candidate list instead of every node; candidates are a
-//! superset of the channel's delivery support, and a node outside it
-//! has `p = 0` and consumes no randomness.
+//! rather than `n × n` matrices, enumerated from the topology's link set
+//! and a spatial index over node positions — so a 10k-node city mesh
+//! costs O(nodes + pairs-in-range), not O(n²), to build and to query.
+//! Reception evaluation walks the transmitter's linked-candidate list
+//! instead of every node: a channel delivers only on the topology's links
+//! (the [`ChannelModel`] contract), so a node outside the list has
+//! `p = 0` and consumes no randomness.
 //!
 //! Bookkeeping costs what is physically near a node, not what the run
 //! has sent: frames live in an **on-air set** until the clock passes
@@ -44,15 +42,14 @@
 
 // xtask: allow(panic_path, file) -- transmission ids are issued by this module and resolved before eviction; per-node vectors are sized to the topology.
 
-use crate::channel::{ChannelModel, ReachHint};
+use crate::channel::ChannelModel;
 use crate::{SimConfig, Time};
 use mesh_topology::spatial::CellGrid;
 use mesh_topology::{NodeId, Topology};
 use rand::Rng;
 use std::collections::VecDeque;
 
-/// Vertical meters per floor in 3D range computations (matches
-/// `channel`'s constant).
+/// Vertical meters per floor in 3D range computations.
 const FLOOR_HEIGHT_M: f64 = 10.0;
 
 /// A transmission on the air (or recently finished).
@@ -78,8 +75,9 @@ pub struct Medium {
     /// `interfere[a]`: sorted ids at which a transmission by `a` collides
     /// with arriving frames.
     interfere: Vec<Vec<u32>>,
-    /// `reach[t]`: sorted reception candidates for transmitter `t` — a
-    /// superset of every node the channel can deliver `t`'s frames to.
+    /// `reach[t]`: sorted reception candidates for transmitter `t` — every
+    /// node linked to `t` in either direction, a superset of the nodes the
+    /// channel can deliver `t`'s frames to.
     reach: Vec<Vec<u32>>,
     /// Frames begun whose `end` the clock has not passed, in `begin`
     /// order — the first started earliest. A frame ending exactly at the
@@ -104,41 +102,27 @@ pub struct Medium {
 }
 
 impl Medium {
-    /// Builds the medium for `topo` under `cfg`, with `chan` supplying
-    /// reachability beyond the static matrix (matrix-backed channels add
-    /// nothing; shadowing extends the relations to every pair that could
-    /// plausibly decode).
-    pub fn new(topo: &Topology, cfg: &SimConfig, chan: &dyn ChannelModel) -> Self {
+    /// Builds the medium for `topo` under `cfg`.
+    ///
+    /// `_chan` is unused: every channel delivers only on the topology's
+    /// links, so the links alone give the relations. The argument stays
+    /// because `ledger/benches/probes/mesh_sim.rs` calls this form, and
+    /// `ledger/` moves only in a `benchmark` PR (ROADMAP item 1 drops it).
+    pub fn new(topo: &Topology, cfg: &SimConfig, _chan: &dyn ChannelModel) -> Self {
         let n = topo.n();
-        // The symmetric "linked" relation: some direction of the pair
-        // carries matrix delivery or channel reachability. Enumerated
-        // from the topology's link set plus the channel's reach hint.
+        // The symmetric "linked" relation: some direction of the pair is
+        // a topology link.
         let mut linked: Vec<Vec<u32>> = vec![Vec::new(); n];
         for l in topo.links() {
             linked[l.from.0].push(l.to.0 as u32);
             linked[l.to.0].push(l.from.0 as u32);
         }
-        if let ReachHint::WithinDistance(d) = chan.reach_hint() {
-            let pos = topo
-                .positions()
-                .expect("WithinDistance reach hint requires node positions");
-            let grid = CellGrid::from_positions(pos, d);
-            for (a, row) in linked.iter_mut().enumerate() {
-                grid.for_each_candidate(pos[a].x, pos[a].y, d, |b| {
-                    let (na, nb) = (NodeId(a), NodeId(b as usize));
-                    if b as usize != a && (chan.may_reach(na, nb) || chan.may_reach(nb, na)) {
-                        row.push(b);
-                    }
-                });
-            }
-        }
         for row in &mut linked {
             row.sort_unstable();
             row.dedup();
         }
-        // Reception candidates per transmitter: the linked relation is a
-        // superset of the channel's delivery support in either direction,
-        // so it serves unchanged.
+        // Reception candidates per transmitter: the linked relation holds
+        // every link out of it, so it serves unchanged.
         let reach = linked.clone();
         // Range-based extension from node positions: pairs within
         // carrier-sense range defer, pairs within interference range jam,
@@ -629,126 +613,35 @@ mod test {
     }
 
     #[test]
-    fn shadowing_channel_extends_sense_and_interference() {
-        // Nodes 0 and 2 sit 60 m apart: no matrix link, outside the fixed
-        // carrier-sense (42 m) and interference (38 m) ranges. A shadowing
-        // channel can still deliver at that distance (+3σ shadow), so the
-        // pair must sense and interfere — otherwise a link carrying real
-        // frames could never collide or defer.
-        let t = line5();
-        let static_ch = chan(&t);
-        let m = Medium::new(&t, &cfg(), static_ch.as_ref());
-        assert!(!m.senses(NodeId(0), NodeId(2)), "static: out of range");
-
-        let shadow = ChannelSpec::Shadowing(crate::channel::Shadowing {
-            path_loss_exp: 3.0,
-            sigma_db: 8.0,
-            midpoint_m: 40.0,
-            epoch_ms: 100,
-        })
-        .build(&t, 0);
-        assert!(shadow.may_reach(NodeId(0), NodeId(2)));
-        let m = Medium::new(&t, &cfg(), shadow.as_ref());
-        assert!(m.senses(NodeId(0), NodeId(2)));
-        assert!(m.interferes(NodeId(0), NodeId(2)));
-    }
-
-    #[test]
     fn sparse_relations_match_dense_scan() {
         // The neighbor-list relations must equal the historical O(n²)
-        // formula for every pair, for matrix-backed and geometry-driven
-        // channels alike.
+        // formula for every pair.
         let t = generate::testbed(1);
-        let shadow = ChannelSpec::Shadowing(crate::channel::Shadowing {
-            path_loss_exp: 3.0,
-            sigma_db: 8.0,
-            midpoint_m: 40.0,
-            epoch_ms: 100,
-        })
-        .build(&t, 0);
         let cfg = cfg();
-        for ch in [chan(&t), shadow] {
-            let m = Medium::new(&t, &cfg, ch.as_ref());
-            let pos = t.positions().expect("testbed has positions");
-            for a in t.nodes() {
-                assert!(!m.senses(a, a));
-                assert!(!m.interferes(a, a));
-                for b in t.nodes() {
-                    if a == b {
-                        continue;
-                    }
-                    let linked = t.delivery(a, b) > 0.0
-                        || t.delivery(b, a) > 0.0
-                        || ch.may_reach(a, b)
-                        || ch.may_reach(b, a);
-                    let d = pos[a.0].distance(&pos[b.0], 10.0);
-                    assert_eq!(
-                        m.senses(a, b),
-                        linked || d <= cfg.carrier_sense_range,
-                        "sense {a} -> {b}"
-                    );
-                    assert_eq!(
-                        m.interferes(a, b),
-                        linked || d <= cfg.interference_range,
-                        "interfere {a} -> {b}"
-                    );
+        let ch = chan(&t);
+        let m = Medium::new(&t, &cfg, ch.as_ref());
+        let pos = t.positions().expect("testbed has positions");
+        for a in t.nodes() {
+            assert!(!m.senses(a, a));
+            assert!(!m.interferes(a, a));
+            for b in t.nodes() {
+                if a == b {
+                    continue;
                 }
+                let linked = t.delivery(a, b) > 0.0 || t.delivery(b, a) > 0.0;
+                let d = pos[a.0].distance(&pos[b.0], 10.0);
+                assert_eq!(
+                    m.senses(a, b),
+                    linked || d <= cfg.carrier_sense_range,
+                    "sense {a} -> {b}"
+                );
+                assert_eq!(
+                    m.interferes(a, b),
+                    linked || d <= cfg.interference_range,
+                    "interfere {a} -> {b}"
+                );
             }
         }
-    }
-
-    /// A channel outside the matrix, as the [`ChannelModel`] contract asks
-    /// of one: it carries the node positions and bounds its reach.
-    struct Ranged {
-        pos: Vec<mesh_topology::Position>,
-        reach_m: f64,
-    }
-    impl ChannelModel for Ranged {
-        fn delivery(&self, tx: NodeId, rx: NodeId, _now: Time) -> f64 {
-            if self.may_reach(tx, rx) {
-                0.3
-            } else {
-                0.0
-            }
-        }
-        fn may_reach(&self, tx: NodeId, rx: NodeId) -> bool {
-            tx != rx && self.pos[tx.0].distance(&self.pos[rx.0], FLOOR_HEIGHT_M) <= self.reach_m
-        }
-        fn reach_hint(&self) -> ReachHint {
-            ReachHint::WithinDistance(self.reach_m)
-        }
-    }
-
-    #[test]
-    fn distance_bounded_channel_reaches_pairs_the_matrix_lacks() {
-        let t = line5();
-        let ranged = Ranged {
-            pos: t.positions().expect("line has positions").to_vec(),
-            reach_m: 100.0,
-        };
-        let mut m = Medium::new(&t, &cfg(), &ranged);
-        // 90 m: no matrix link, outside both fixed ranges, inside the
-        // channel's reach. 120 m: outside that too.
-        assert!(m.senses(NodeId(0), NodeId(3)));
-        assert!(m.interferes(NodeId(3), NodeId(0)));
-        assert!(!m.senses(NodeId(0), NodeId(4)));
-        // Reception considers every node the channel can reach, and no
-        // other: over enough trials node 3 decodes, node 4 never does.
-        m.begin(Transmission {
-            id: 1,
-            tx: NodeId(0),
-            start: 0,
-            end: 100,
-        });
-        let mut rng = ChaCha8Rng::seed_from_u64(42);
-        let (mut col, mut cap) = (0, 0);
-        let mut heard = [false; 5];
-        for _ in 0..100 {
-            for r in m.evaluate_reception(1, &ranged, &cfg(), &mut rng, &mut col, &mut cap) {
-                heard[r.0] = true;
-            }
-        }
-        assert_eq!(heard, [false, true, true, true, false]);
     }
 
     #[test]

@@ -18,11 +18,13 @@
 //! deliveries on every link.
 //!
 //! **Row.** [`ChannelModel::delivery_row`] is what the medium asks once
-//! per finished frame; the matrix-backed models answer it by walking the
-//! transmitter's link row alongside the candidate list instead of
-//! searching per receiver. Whatever the list — the medium's own, one with
-//! strangers and the transmitter itself in it, all nodes, none — the row
-//! must be `delivery` per candidate, bit for bit, for every model.
+//! per finished frame; the models answer it by walking the transmitter's
+//! link row alongside the candidate list instead of searching per
+//! receiver. Whatever the list — the medium's own, one with strangers and
+//! the transmitter itself in it, all nodes, none — the row must be
+//! `delivery` per candidate, bit for bit, for every model. And every
+//! model reads exactly 0 wherever the topology has no link: the medium's
+//! candidate lists and `probe_topology` rest on that.
 //!
 //! Mutations tried against this file (each reverted):
 //!
@@ -43,9 +45,7 @@
 //!   link equal to the candidate (`<=` for `<`) — each fails
 //!   `row_is_delivery_per_candidate` on the first transmitter checked.
 
-use mesh_sim::channel::{
-    ChannelModel, ChannelSpec, GilbertElliott, ReachHint, Shadowing, TimeVarying,
-};
+use mesh_sim::channel::{ChannelModel, ChannelSpec, GilbertElliott};
 use mesh_sim::{Time, MS};
 use mesh_topology::streams::CHANNEL_STREAM;
 use mesh_topology::{generate, Link, NodeId, Topology};
@@ -130,15 +130,6 @@ impl ChannelModel for PerEpochGe {
         } else {
             self.good_p[idx]
         }
-    }
-
-    fn may_reach(&self, tx: NodeId, rx: NodeId) -> bool {
-        let idx = tx.0 * self.n + rx.0;
-        self.good_p[idx] > 0.0 || self.bad_p[idx] > 0.0
-    }
-
-    fn reach_hint(&self) -> ReachHint {
-        ReachHint::MatrixOnly
     }
 
     fn tick(&mut self, now: Time) {
@@ -438,27 +429,11 @@ fn check_path(topo: &Topology, spec: &ChannelSpec, epoch_ms: u64, seed: u64) {
 #[test]
 fn path_ignores_tick_schedule() {
     let bursty = ChannelSpec::bursty_matched(0.2, 0.05, 0.25, 10);
-    let drift = ChannelSpec::TimeVarying(TimeVarying {
-        amplitude: 0.2,
-        period_ms: 3_000,
-        walk_sigma: 0.02,
-        epoch_ms: 20,
-    });
-    let shadow = ChannelSpec::Shadowing(Shadowing {
-        path_loss_exp: 3.0,
-        sigma_db: 6.0,
-        midpoint_m: 35.0,
-        epoch_ms: 50,
-    });
     let testbed = generate::testbed(1);
     let city = generate::city_mesh(2_000, 1);
     for seed in [1, 2, 3] {
         check_path(&testbed, &bursty, 10, seed);
-        check_path(&testbed, &drift, 20, seed);
-        check_path(&testbed, &shadow, 50, seed);
-        // Matrix-backed models only: shadowing's pair table is n × n.
         check_path(&city, &bursty, 10, seed);
-        check_path(&city, &drift, 20, seed);
     }
 }
 
@@ -467,23 +442,19 @@ fn path_ignores_tick_schedule() {
 // ---------------------------------------------------------------------
 
 /// The medium's reception-candidate list for `tx`: every node linked to it
-/// in either direction, by the matrix or under the channel.
-fn medium_candidates(topo: &Topology, chan: &dyn ChannelModel, tx: NodeId) -> Vec<u32> {
+/// in either direction.
+fn medium_candidates(topo: &Topology, tx: NodeId) -> Vec<u32> {
     topo.nodes()
-        .filter(|&r| {
-            r != tx
-                && (topo.delivery(tx, r) > 0.0
-                    || topo.delivery(r, tx) > 0.0
-                    || chan.may_reach(tx, r)
-                    || chan.may_reach(r, tx))
-        })
+        .filter(|&r| r != tx && (topo.delivery(tx, r) > 0.0 || topo.delivery(r, tx) > 0.0))
         .map(|r| r.0 as u32)
         .collect()
 }
 
 /// Holds `chan.delivery_row` to `chan.delivery` at `now`, for `txs` and
-/// four kinds of candidate list each. Returns how many candidates read a
-/// positive delivery (so a caller can tell the check was not vacuous).
+/// four kinds of candidate list each, and holds `chan` to the link-list
+/// contract: over the all-nodes list, every pair without a link reads
+/// exactly 0. Returns how many candidates read a positive delivery (so a
+/// caller can tell the check was not vacuous).
 fn check_rows(
     what: &str,
     topo: &Topology,
@@ -497,7 +468,7 @@ fn check_rows(
     let mut row = vec![f64::NAN; 3];
     let mut positive = 0;
     for &tx in txs {
-        let own = medium_candidates(topo, chan, tx);
+        let own = medium_candidates(topo, tx);
         // Strangers, neighbours and `tx` itself, ascending.
         let mut mixed: Vec<u32> = (0..n).filter(|_| lists.gen_range(0..8u32) == 0).collect();
         mixed.extend(own.iter().filter(|_| lists.gen_bool(0.5)));
@@ -520,6 +491,15 @@ fn check_rows(
             );
             positive += want.iter().filter(|&&p| p > 0.0).count();
         }
+        // The row over `all` equals `delivery` (just checked), so the
+        // contract is read off `delivery`.
+        for r in topo.nodes().filter(|&r| topo.link_slot(tx, r).is_none()) {
+            let p = chan.delivery(tx, r, now);
+            assert_eq!(
+                p, 0.0,
+                "{what}: {tx} -> {r} has no link, yet delivers at {now} µs"
+            );
+        }
     }
     positive
 }
@@ -529,26 +509,11 @@ fn row_is_delivery_per_candidate() {
     let specs = [
         ChannelSpec::Static,
         ChannelSpec::bursty_matched(0.2, 0.05, 0.25, 10),
-        ChannelSpec::TimeVarying(TimeVarying {
-            amplitude: 0.2,
-            period_ms: 3_000,
-            walk_sigma: 0.02,
-            epoch_ms: 20,
-        }),
-        ChannelSpec::Shadowing(Shadowing {
-            path_loss_exp: 3.0,
-            sigma_db: 6.0,
-            midpoint_m: 35.0,
-            epoch_ms: 50,
-        }),
     ];
     let testbed = generate::testbed(1);
     let city = generate::city_mesh(2_000, 1);
     for (topo, tx_count) in [(&testbed, testbed.n()), (&city, 60)] {
         for spec in &specs {
-            if topo.n() > 100 && matches!(spec, ChannelSpec::Shadowing(_)) {
-                continue; // its pair table is n × n: testbed-sized meshes only
-            }
             let what = format!("{} on {}", spec.label(), topo.name);
             let mut script = ChaCha8Rng::seed_from_u64(7);
             let mut chan = spec.build(topo, 3);

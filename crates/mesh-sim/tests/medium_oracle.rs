@@ -7,10 +7,10 @@
 //! time never goes back — and must give identical answers, receiver
 //! lists, counters and RNG state.
 
-use mesh_sim::channel::{ChannelModel, ChannelSpec, ReachHint, Shadowing, TimeVarying};
+use mesh_sim::channel::{ChannelModel, ChannelSpec};
 use mesh_sim::medium::Transmission;
 use mesh_sim::{Medium, SimConfig, Time, MS};
-use mesh_topology::{generate, NodeId, Position, Topology};
+use mesh_topology::{generate, NodeId, Topology};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -352,15 +352,6 @@ fn neighbourhood(topo: &Topology, chan: &dyn ChannelModel, center: NodeId) -> Ve
         .collect()
 }
 
-fn shadowing() -> ChannelSpec {
-    ChannelSpec::Shadowing(Shadowing {
-        path_loss_exp: 3.0,
-        sigma_db: 8.0,
-        midpoint_m: 40.0,
-        epoch_ms: 100,
-    })
-}
-
 fn assert_exercised(c: &Coverage) {
     assert!(c.collisions > 0 && c.captures > 0, "{c:?}");
     assert!(
@@ -390,49 +381,6 @@ fn city_mesh_matches_the_scan() {
 }
 
 #[test]
-fn shadowing_channel_matches_the_scan() {
-    let topo = generate::testbed(2);
-    let hot: Vec<NodeId> = topo.nodes().collect();
-    let chan = shadowing().build(&topo, 5);
-    assert_exercised(&drive(&topo, chan, &hot, 3000, 5));
-}
-
-/// A channel outside the matrix: every pair within `reach_m` reaches, at
-/// a strength that depends on the pair so capture goes both ways.
-struct Ranged {
-    pos: Vec<Position>,
-    reach_m: f64,
-}
-impl ChannelModel for Ranged {
-    fn delivery(&self, tx: NodeId, rx: NodeId, _now: Time) -> f64 {
-        if self.may_reach(tx, rx) {
-            0.05 + 0.9 * ((tx.0 * 7 + rx.0 * 3) % 10) as f64 / 10.0
-        } else {
-            0.0
-        }
-    }
-    fn may_reach(&self, tx: NodeId, rx: NodeId) -> bool {
-        tx != rx && self.pos[tx.0].distance(&self.pos[rx.0], 10.0) <= self.reach_m
-    }
-    fn reach_hint(&self) -> ReachHint {
-        ReachHint::WithinDistance(self.reach_m)
-    }
-}
-
-#[test]
-fn distance_bounded_channel_matches_the_scan() {
-    // 330 m of line under a 200 m reach: most pairs reach without a
-    // matrix link, the far ones do not.
-    let topo = generate::line(11, 0.9, 0.0, 30.0);
-    let hot: Vec<NodeId> = topo.nodes().collect();
-    let chan = Ranged {
-        pos: topo.positions().expect("line has positions").to_vec(),
-        reach_m: 200.0,
-    };
-    assert_exercised(&drive(&topo, Box::new(chan), &hot, 3000, 9));
-}
-
-#[test]
 fn sense_and_interfere_are_symmetric_on_every_builtin_pair() {
     let topologies = [
         generate::motivating(),
@@ -448,20 +396,10 @@ fn sense_and_interfere_are_symmetric_on_every_builtin_pair() {
     let channels = [
         ChannelSpec::Static,
         ChannelSpec::bursty_matched(0.0, 0.05, 0.2, 10),
-        shadowing(),
-        ChannelSpec::TimeVarying(TimeVarying {
-            amplitude: 0.2,
-            period_ms: 500,
-            walk_sigma: 0.02,
-            epoch_ms: 50,
-        }),
     ];
     let cfg = SimConfig::default();
     for topo in &topologies {
         for spec in &channels {
-            if spec.validate(topo).is_err() {
-                continue; // shadowing needs positions
-            }
             let chan = spec.build(topo, 1);
             let m = Medium::new(topo, &cfg, chan.as_ref());
             for a in topo.nodes() {
@@ -526,7 +464,6 @@ fn lone_frames_and_crowds_alternate() {
     for (topo, spec, seed) in [
         (&testbed, ChannelSpec::Static, 21),
         (&testbed, bursty, 22),
-        (&testbed, shadowing(), 23),
         (&city, ChannelSpec::Static, 24),
     ] {
         let chan = spec.build(topo, seed);

@@ -15,8 +15,6 @@
 //! read off the topology — separating what the routing layer *believes*
 //! from what the air *does*.
 
-// xtask: allow(panic_path, file) -- probe-window tallies are sized to the topology's node count and indexed by validated NodeIds.
-
 use crate::{Link, NodeId, Topology};
 use rand::Rng;
 use rand::SeedableRng;
@@ -84,24 +82,21 @@ impl LinkEstimator {
 
     /// Windowed probing of a live channel: `probes` rounds, one every
     /// `interval_us` simulated microseconds, each sampling
-    /// `delivery_at(tx, rx, now)` for every ordered pair in `candidates`
-    /// (distinct pairs, probed in slice order) and drawing one Bernoulli
-    /// probe at that instantaneous probability.
+    /// `delivery_at(tx, rx, now)` for every link of `truth` (in
+    /// [`Topology::links`] order) and drawing one Bernoulli probe at that
+    /// instantaneous probability.
     ///
-    /// The caller passes every pair the channel could ever deliver on —
-    /// a real prober broadcasts and everyone in range listens, so a
-    /// channel like shadowing can carry links the truth topology lacks;
-    /// a pair left out is never heard, as a real prober never hears a
-    /// node outside radio range. That keeps a window at
-    /// O(candidates · probes) draws on sparse meshes.
+    /// Only `truth`'s links are probed, as in [`LinkEstimator::estimate`]:
+    /// a live channel delivers on no other pair (`mesh_sim::channel`'s
+    /// contract), and that keeps a window at O(links · probes) draws on
+    /// sparse meshes.
     ///
     /// The estimate of a link is its success rate over the whole window —
     /// a bursty channel that averages to the static topology yields the
-    /// same beliefs in expectation, while a drifting one leaves routing
-    /// behind the truth. Deterministic in `seed`; probe draws use their own
-    /// stream (`seed ^ PROBE_STREAM`), independent of both the run's main
-    /// RNG and whatever stream the callback's channel model owns. Links
-    /// estimated below `min_delivery` are dropped, as in
+    /// same beliefs in expectation. Deterministic in `seed`; probe draws
+    /// use their own stream (`seed ^ PROBE_STREAM`), independent of both
+    /// the run's main RNG and whatever stream the callback's channel model
+    /// owns. Links estimated below `min_delivery` are dropped, as in
     /// [`LinkEstimator::estimate`].
     ///
     /// ```
@@ -110,9 +105,8 @@ impl LinkEstimator {
     ///
     /// let truth = generate::line(2, 0.8, 0.0, 30.0);
     /// let est = LinkEstimator { probes: 2000, min_delivery: 0.05 };
-    /// let pairs: Vec<_> = truth.links().map(|l| (l.from, l.to)).collect();
     /// // A static closure reduces to the classic estimator's behaviour.
-    /// let believed = est.estimate_live(&truth, 7, 1_000, &pairs, |tx, rx, _now| {
+    /// let believed = est.estimate_live(&truth, 7, 1_000, |tx, rx, _now| {
     ///     truth.delivery(tx, rx)
     /// });
     /// assert!((believed.delivery(0.into(), 1.into()) - 0.8).abs() < 0.05);
@@ -120,38 +114,35 @@ impl LinkEstimator {
     ///
     /// # Panics
     ///
-    /// Panics when `probes` is zero or a candidate pair repeats.
+    /// Panics when `probes` is zero.
     pub fn estimate_live(
         &self,
         truth: &Topology,
         seed: u64,
         interval_us: u64,
-        candidates: &[(NodeId, NodeId)],
         mut delivery_at: impl FnMut(NodeId, NodeId, u64) -> f64,
     ) -> Topology {
         assert!(self.probes > 0, "need at least one probe");
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ PROBE_STREAM);
-        let mut successes = vec![0u32; candidates.len()];
+        let mut successes = vec![0u32; truth.link_count()];
         for round in 0..self.probes {
             let now = round as u64 * interval_us;
-            for (k, &(i, j)) in candidates.iter().enumerate() {
-                let p = delivery_at(i, j, now);
+            for (hits, l) in successes.iter_mut().zip(truth.links()) {
+                let p = delivery_at(l.from, l.to, now);
                 if rng.gen::<f64>() < p {
-                    successes[k] += 1;
+                    *hits += 1;
                 }
             }
         }
-        let mut links = Vec::new();
-        for (k, &(i, j)) in candidates.iter().enumerate() {
-            let est = successes[k] as f64 / self.probes as f64;
-            if est >= self.min_delivery {
-                links.push(Link {
-                    from: i,
-                    to: j,
-                    delivery: est,
-                });
-            }
-        }
+        let links = truth
+            .links()
+            .zip(successes)
+            .map(|(l, hits)| Link {
+                delivery: hits as f64 / self.probes as f64,
+                ..l
+            })
+            .filter(|l| l.delivery >= self.min_delivery)
+            .collect();
         let mut t = Topology::from_links(format!("{}-est", truth.name), truth.n(), links);
         if let Some(pos) = truth.positions() {
             t = t.with_positions(pos.to_vec());
@@ -236,8 +227,7 @@ mod test {
             probes: 4000,
             min_delivery: 0.05,
         };
-        let pairs = [(NodeId(0), NodeId(1))];
-        let believed = est.estimate_live(&truth, 3, 1_000_000, &pairs, |_, _, now| {
+        let believed = est.estimate_live(&truth, 3, 1_000_000, |_, _, now| {
             if (now / 1_000_000).is_multiple_of(2) {
                 1.0
             } else {
@@ -255,54 +245,14 @@ mod test {
             probes: 120,
             min_delivery: 0.05,
         };
-        let pairs: Vec<_> = truth.links().map(|l| (l.from, l.to)).collect();
-        let probe = |t: &Topology, seed| {
-            est.estimate_live(t, seed, 1_000, &pairs, |tx, rx, _| t.delivery(tx, rx))
-        };
+        let probe =
+            |t: &Topology, seed| est.estimate_live(t, seed, 1_000, |tx, rx, _| t.delivery(tx, rx));
         let a = probe(&truth, 9);
         let b = probe(&truth, 9);
         let c = probe(&truth, 10);
         let links = |t: &Topology| t.links().collect::<Vec<_>>();
         assert_eq!(links(&a), links(&b));
         assert_ne!(links(&a), links(&c));
-    }
-
-    #[test]
-    fn windowed_probing_hears_links_beyond_the_topology() {
-        // The live channel carries a link the truth topology lacks.
-        let truth = Topology::from_links(
-            "bare",
-            2,
-            vec![Link {
-                from: NodeId(0),
-                to: NodeId(1),
-                delivery: 0.9,
-            }],
-        );
-        let est = LinkEstimator {
-            probes: 400,
-            min_delivery: 0.05,
-        };
-        let pairs = [(NodeId(0), NodeId(1)), (NodeId(1), NodeId(0))];
-        let believed = est.estimate_live(&truth, 1, 1_000, &pairs, |_, _, _| 0.8);
-        assert!(believed.delivery(NodeId(1), NodeId(0)) > 0.7);
-    }
-
-    #[test]
-    fn candidate_probing_only_hears_candidates() {
-        let truth = generate::line(2, 0.8, 0.0, 30.0);
-        let est = LinkEstimator {
-            probes: 500,
-            min_delivery: 0.05,
-        };
-        let cands = vec![(NodeId(0), NodeId(1))];
-        let believed =
-            est.estimate_live(&truth, 3, 1_000, &cands, |tx, rx, _| truth.delivery(tx, rx));
-        assert!(believed.delivery(NodeId(0), NodeId(1)) > 0.7);
-        // Pairs outside the candidate set are never probed, even though
-        // the callback would report them as live.
-        assert_eq!(believed.delivery(NodeId(1), NodeId(0)), 0.0);
-        assert_eq!(believed.delivery(NodeId(1), NodeId(2)), 0.0);
     }
 
     #[test]

@@ -445,6 +445,20 @@ impl ScenarioBuilder {
         }
     }
 
+    /// Checks the channel model's parameters (at every sweep point), so a
+    /// bad point fails before any worker thread spawns — not after the
+    /// cells before it were sunk and checkpointed.
+    fn validate_channel(&self) -> Result<(), BuildError> {
+        let points = match &self.sweep {
+            Some(Sweep::Channel(points)) => &points[..],
+            _ => &[],
+        };
+        for spec in std::iter::once(&self.channel).chain(points) {
+            spec.validate_params().map_err(BuildError::Unsupported)?;
+        }
+        Ok(())
+    }
+
     /// Checks that the declared sweep can be applied to the declared
     /// traffic model and that the model's parameters (at every sweep
     /// point) are valid, so mismatches fail at build time — before any
@@ -537,6 +551,7 @@ impl ScenarioBuilder {
     /// assert_eq!(summary.records, 1, "the record streamed into the sink");
     /// ```
     pub fn try_run_with_sink(mut self, sink: &mut dyn RunSink) -> Result<RunSummary, BuildError> {
+        self.validate_channel()?;
         self.validate_sweep_traffic()?;
         self.validate_queue()?;
         let mut on_complete = self.on_complete.take();
@@ -788,10 +803,6 @@ impl ScenarioBuilder {
             _ => (None, None),
         };
         sim_cfg.bitrate = cfg.bitrate;
-        chan.validate(&topo).map_err(BuildError::Unsupported)?;
-        // Revalidated here — like the channel — for direct run_cell
-        // callers that bypass try_run's up-front check.
-        queue.validate().map_err(BuildError::InvalidQueue)?;
 
         // Routing beliefs: the truth matrix, or a probe-window estimate
         // of the live channel when `probe_routing` is set (deterministic
@@ -1448,26 +1459,33 @@ mod test {
     }
 
     #[test]
-    fn shadowing_without_positions_is_an_error_not_a_panic() {
-        let bare = topo(
-            "bare",
-            3,
-            &[(0, 1, 0.9), (1, 0, 0.9), (1, 2, 0.9), (2, 1, 0.9)],
-        );
-        let err = Scenario::named("no-positions")
-            .topology(TopologySpec::Fixed(std::sync::Arc::new(bare)))
-            .pair(NodeId(0), NodeId(2))
+    fn bad_channel_sweep_point_fails_before_any_record_is_sunk() {
+        // Point 0 is fine; point 1 has a zero epoch. On one worker, point
+        // 0's cell used to be sunk (and checkpointed) before point 1 failed.
+        let bad = ChannelSpec::GilbertElliott(mesh_sim::channel::GilbertElliott {
+            good_scale: 1.0,
+            bad_scale: 0.0,
+            to_bad: 0.05,
+            to_good: 0.2,
+            epoch_ms: 0,
+        });
+        let mut sink = Collect::new();
+        let err = Scenario::named("bad-channel-point")
+            .topology(TopologySpec::Line {
+                hops: 1,
+                p_adj: 0.9,
+                skip_decay: 0.0,
+                spacing: 20.0,
+            })
+            .pair(NodeId(0), NodeId(1))
             .protocol("Srcr")
-            .channel(ChannelSpec::Shadowing(mesh_sim::channel::Shadowing {
-                path_loss_exp: 3.0,
-                sigma_db: 6.0,
-                midpoint_m: 35.0,
-                epoch_ms: 100,
-            }))
+            .sweep(Sweep::Channel(vec![ChannelSpec::Static, bad]))
             .packets(4)
-            .try_run()
-            .expect_err("shadowing needs positions");
-        assert!(matches!(err, BuildError::Unsupported(_)));
+            .threads(1)
+            .try_run_with_sink(&mut sink)
+            .expect_err("a zero epoch is invalid");
+        assert!(matches!(err, BuildError::Unsupported(_)), "{err:?}");
+        assert!(sink.into_records().is_empty(), "nothing may be sunk");
     }
 
     #[test]

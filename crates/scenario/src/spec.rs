@@ -330,7 +330,7 @@ pub enum Sweep {
     LossScale(Vec<f64>),
     /// Concurrent random flow counts (Fig 4-5).
     Flows(Vec<usize>),
-    /// Channel models (static vs bursty vs shadowed air; the numeric
+    /// Channel models (static vs bursty air; the numeric
     /// sweep value is the point's index, the record's `channel` key
     /// carries the spec label).
     Channel(Vec<ChannelSpec>),

@@ -2,8 +2,8 @@
 //!
 //! The paper's evaluation only ever runs *static* workloads — a fixed set
 //! of flows that all start at t = 0 and send a fixed packet budget. Real
-//! mesh workloads are dynamic: streaming sources talk and pause, transfers
-//! arrive mid-run and leave when they finish. The [`TrafficModel`] trait
+//! mesh workloads are dynamic: transfers arrive mid-run and leave when
+//! they finish. The [`TrafficModel`] trait
 //! makes the workload a first-class, swappable component, mirroring
 //! [`mesh_sim::ChannelModel`] (loss processes) and
 //! [`crate::ProtocolFactory`] (protocols):
@@ -13,8 +13,6 @@
 //! * [`TrafficModelSpec::Poisson`] — flows arrive with exponential
 //!   inter-arrival times, hold for an exponential lifetime, and the
 //!   active-flow count is capped (blocked arrivals are dropped).
-//! * [`TrafficModelSpec::OnOff`] — a fixed set of endpoint pairs, each
-//!   alternating exponential talk/silence periods (streaming-style).
 //! * [`TrafficModelSpec::Staggered`] — a deterministic ramp: flow *i*
 //!   starts at *i*·gap, for scaling studies.
 //!
@@ -332,83 +330,6 @@ impl TrafficModel for PoissonModel {
     }
 }
 
-/// A fixed set of endpoint pairs, each alternating exponential ON
-/// (talking) and OFF (silent) periods — the streaming-source shape. Every
-/// ON period arrives as a fresh flow and departs when the period ends.
-#[derive(Clone, Copy, PartialEq)]
-pub struct OnOffModel {
-    /// Number of on-off sources (distinct pairs sampled per run seed).
-    pub n_flows: usize,
-    /// Mean talk-period length, simulated seconds.
-    pub mean_on_s: f64,
-    /// Mean silence-period length, simulated seconds.
-    pub mean_off_s: f64,
-}
-
-impl OnOffModel {
-    fn validate(&self) -> Result<(), String> {
-        if self.n_flows == 0 {
-            return Err("OnOff needs at least one source".into());
-        }
-        positive(self.mean_on_s, "OnOff mean talk period")?;
-        let off = self.mean_off_s;
-        if !off.is_finite() || off < 0.0 {
-            return Err(format!(
-                "OnOff mean silence period must be non-negative and finite, got {off}"
-            ));
-        }
-        Ok(())
-    }
-}
-
-impl fmt::Debug for OnOffModel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let OnOffModel {
-            n_flows,
-            mean_on_s,
-            mean_off_s,
-        } = self;
-        write!(f, "OnOff{{n:{n_flows},on:{mean_on_s}s,off:{mean_off_s}s}}")
-    }
-}
-
-impl TrafficModel for OnOffModel {
-    fn schedules(
-        &self,
-        topo: &Topology,
-        run_seed: u64,
-        packets: usize,
-        horizon: Time,
-    ) -> Vec<Vec<FlowEvent>> {
-        let mut rng = ChaCha8Rng::seed_from_u64(run_seed ^ TRAFFIC_STREAM);
-        let mut pool = reachable_pairs(topo);
-        assert!(
-            pool.len() >= self.n_flows,
-            "topology {} cannot host {} on-off pairs",
-            topo.name,
-            self.n_flows
-        );
-        rand::seq::SliceRandom::shuffle(&mut pool[..], &mut rng);
-        let mut intervals = Vec::new();
-        for &(src, dst) in pool.iter().take(self.n_flows) {
-            // Each source starts silent: a random offset decorrelates the
-            // sources without a shared phase.
-            let mut t = exp_us(&mut rng, self.mean_off_s);
-            while t < horizon {
-                let on = exp_us(&mut rng, self.mean_on_s).max(1);
-                let stop = t.saturating_add(on);
-                intervals.push((
-                    FlowSpec::unicast(src, dst, packets),
-                    t,
-                    (stop < horizon).then_some(stop),
-                ));
-                t = stop.saturating_add(exp_us(&mut rng, self.mean_off_s).max(1));
-            }
-        }
-        vec![events_from_intervals(intervals)]
-    }
-}
-
 /// A deterministic arrival ramp for scaling studies: flow *i* (endpoints
 /// sampled per run seed, distinct sources) starts at `i × gap_ms` and
 /// optionally departs `hold_ms` later.
@@ -519,8 +440,6 @@ pub enum TrafficModelSpec {
     Static(TrafficSpec),
     /// Poisson arrivals.
     Poisson(PoissonModel),
-    /// On-off streaming sources.
-    OnOff(OnOffModel),
     /// A deterministic arrival ramp.
     Staggered(StaggeredModel),
     /// A caller-supplied model — the escape hatch for workload shapes the
@@ -542,7 +461,6 @@ impl fmt::Debug for TrafficModelSpec {
         match self {
             TrafficModelSpec::Static(spec) => write!(f, "Static({spec:?})"),
             TrafficModelSpec::Poisson(m) => m.fmt(f),
-            TrafficModelSpec::OnOff(m) => m.fmt(f),
             TrafficModelSpec::Staggered(m) => m.fmt(f),
             TrafficModelSpec::Custom(_) => write!(f, "Custom(..)"),
         }
@@ -555,7 +473,6 @@ impl TrafficModelSpec {
         match self {
             TrafficModelSpec::Static(spec) => Arc::new(StaticModel(spec.clone())),
             TrafficModelSpec::Poisson(m) => Arc::new(*m),
-            TrafficModelSpec::OnOff(m) => Arc::new(*m),
             TrafficModelSpec::Staggered(m) => Arc::new(*m),
             TrafficModelSpec::Custom(model) => model.clone(),
         }
@@ -577,8 +494,7 @@ impl TrafficModelSpec {
                 }
                 Ok(())
             }
-            TrafficModelSpec::OnOff(OnOffModel { n_flows, .. })
-            | TrafficModelSpec::Static(TrafficSpec::RandomConcurrent {
+            TrafficModelSpec::Static(TrafficSpec::RandomConcurrent {
                 n_flows,
                 distinct_sources: false,
                 ..
@@ -625,7 +541,6 @@ impl TrafficModelSpec {
             }
             TrafficModelSpec::Static(_) | TrafficModelSpec::Custom(_) => Ok(()),
             TrafficModelSpec::Poisson(m) => m.validate(),
-            TrafficModelSpec::OnOff(m) => m.validate(),
             TrafficModelSpec::Staggered(m) => m.validate(deadline_s),
         }
     }
@@ -686,34 +601,6 @@ mod test {
         let schedule = model.schedules(&topo, 1, 32, HORIZON).remove(0);
         let windows = flow_windows(&schedule);
         assert_eq!(windows.len(), 3, "cap must block the fourth arrival");
-    }
-
-    #[test]
-    fn onoff_alternates_start_stop_per_pair() {
-        let topo = generate::testbed(1);
-        let model = OnOffModel {
-            n_flows: 2,
-            mean_on_s: 5.0,
-            mean_off_s: 5.0,
-        };
-        let schedule = model.schedules(&topo, 3, 32, HORIZON).remove(0);
-        let windows = flow_windows(&schedule);
-        assert!(windows.len() >= 2, "each source talks at least once");
-        for w in &windows {
-            if let Some(stop) = w.stop {
-                assert!(stop > w.start);
-            }
-        }
-        // Windows of the same pair never overlap.
-        for i in 0..windows.len() {
-            for j in i + 1..windows.len() {
-                let (a, b) = (&windows[i], &windows[j]);
-                if a.spec.src == b.spec.src && a.spec.dsts == b.spec.dsts {
-                    let a_end = a.stop.unwrap_or(Time::MAX);
-                    assert!(b.start >= a_end || a.start >= b.stop.unwrap_or(Time::MAX));
-                }
-            }
-        }
     }
 
     #[test]
@@ -780,11 +667,6 @@ mod test {
                 mean_hold_s: 10.0,
                 max_active: 4,
             }),
-            Box::new(OnOffModel {
-                n_flows: 3,
-                mean_on_s: 4.0,
-                mean_off_s: 4.0,
-            }),
             Box::new(StaggeredModel {
                 n_flows: 4,
                 gap_ms: 1_000,
@@ -803,13 +685,14 @@ mod test {
     #[test]
     fn events_are_time_sorted_with_valid_stop_references() {
         let topo = generate::testbed(2);
-        let model = OnOffModel {
-            n_flows: 3,
-            mean_on_s: 2.0,
-            mean_off_s: 2.0,
+        let model = PoissonModel {
+            rate_per_s: 0.5,
+            mean_hold_s: 2.0,
+            max_active: 3,
         };
         let schedule = model.schedules(&topo, 5, 16, HORIZON).remove(0);
         let mut starts_seen = 0usize;
+        let mut stops_seen = 0usize;
         let mut last = 0;
         for ev in &schedule {
             assert!(ev.at() >= last, "events must be time-sorted");
@@ -817,9 +700,11 @@ mod test {
             match ev {
                 FlowEvent::Start { .. } => starts_seen += 1,
                 FlowEvent::Stop { flow, .. } => {
+                    stops_seen += 1;
                     assert!(*flow < starts_seen, "Stop must follow its Start")
                 }
             }
         }
+        assert!(stops_seen > 0, "the schedule must exercise Stop references");
     }
 }
