@@ -5,7 +5,7 @@
 
 use crate::flow::{BatchState, Destination, FlowId, FlowProgress, MoreFlow, NodeFlowState};
 use crate::header::MorePayload;
-use crate::{native_byte, ForwarderMetric, MoreConfig};
+use crate::{native_byte, native_is_intact, ForwarderMetric, MoreConfig};
 use mesh_metrics::etx::LinkCost;
 use mesh_metrics::{EtxTable, ForwarderPlan};
 use mesh_sim::queue::DropCause;
@@ -223,13 +223,8 @@ impl MoreAgent {
     fn verify_decoded(d: &Decoder, flow: u32, batch: u32, k_b: usize) {
         for i in 0..k_b {
             let native = d.native(i).expect("rank K reached");
-            let seed = native_byte(flow, batch, i);
-            let ok = native
-                .iter()
-                .enumerate()
-                .all(|(b, &byte)| byte == seed.wrapping_add((b % 251) as u8));
             assert!(
-                ok,
+                native_is_intact(native, native_byte(flow, batch, i)),
                 "decoded batch corrupt (flow {flow} batch {batch} native {i})"
             );
         }

@@ -111,14 +111,101 @@ pub fn native_byte(flow: u32, batch: u32, idx: usize) -> u8 {
         .wrapping_add(13) as u8
 }
 
-/// Builds the native packets for one batch.
+/// The test file's period: byte `b` of a native is `seed + (b mod 251)`.
+const PERIOD: usize = 251;
+
+/// One period of the test file's ramp, `RAMP[b] = b`.
+const RAMP: [u8; PERIOD] = {
+    let mut ramp = [0; PERIOD];
+    let mut b = 0;
+    while b < PERIOD {
+        ramp[b] = b as u8;
+        b += 1;
+    }
+    ramp
+};
+
+/// Builds the native packets for one batch: native `i` is the ramp
+/// `b mod 251` shifted by `native_byte(flow, batch, i)`, byte-wise
+/// wrapping, so each is one wrapping add over a whole slice.
 pub fn batch_natives(flow: u32, batch: u32, k: usize, bytes: usize) -> Vec<Vec<u8>> {
+    let ramp: Vec<u8> = RAMP.iter().copied().cycle().take(bytes).collect();
     (0..k)
         .map(|i| {
             let seed = native_byte(flow, batch, i);
-            (0..bytes)
-                .map(|b| seed.wrapping_add((b % 251) as u8))
-                .collect()
+            ramp.iter().map(|&r| r.wrapping_add(seed)).collect()
         })
         .collect()
+}
+
+/// True iff `native` is the test file's native with seed `seed`: its first
+/// period matches the ramp (an OR-fold of differences) and every later byte
+/// equals the byte one period before it (a `memcmp`). Shares nothing with
+/// [`batch_natives`]' generation loop but the one-period table.
+pub(crate) fn native_is_intact(native: &[u8], seed: u8) -> bool {
+    let (head, tail) = native.split_at(native.len().min(PERIOD));
+    let diff = head
+        .iter()
+        .zip(&RAMP)
+        .fold(0, |acc, (&x, &r)| acc | (x ^ r.wrapping_add(seed)));
+    diff == 0 && tail == native.split_at(tail.len()).0
+}
+
+#[cfg(test)]
+mod test {
+    use super::*;
+    use rand::SeedableRng;
+    use rlnc::{Decoder, SourceEncoder};
+
+    /// Batch `batch` of flow 2 as a destination decodes it.
+    fn decoded(batch: u32, k: usize, bytes: usize) -> Vec<Vec<u8>> {
+        let enc = SourceEncoder::new(batch_natives(2, batch, k, bytes)).expect("valid batch");
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(u64::from(batch));
+        let mut dec = Decoder::new(k, bytes);
+        while !dec.is_complete() {
+            dec.receive(&enc.encode(&mut rng));
+        }
+        dec.take_natives().expect("rank K reached")
+    }
+
+    #[test]
+    fn natives_follow_the_byte_at_a_time_definition() {
+        for bytes in [1, 250, 251, 252, 1500] {
+            let natives = batch_natives(3, 5, 4, bytes);
+            for (i, native) in natives.iter().enumerate() {
+                let seed = native_byte(3, 5, i);
+                let want: Vec<u8> = (0..bytes)
+                    .map(|b| seed.wrapping_add((b % 251) as u8))
+                    .collect();
+                assert_eq!(native, &want, "native {i}, {bytes} B");
+            }
+        }
+    }
+
+    #[test]
+    fn verifier_rejects_any_one_flipped_byte() {
+        // A full batch of 1500 B natives, a short final batch (3 natives),
+        // and natives shorter than one period.
+        let cases: [(u32, usize, usize, &[usize]); 3] = [
+            (0, 4, 1500, &[0, 250, 251, 1499]),
+            (1, 3, 1500, &[1499]),
+            (2, 2, 100, &[0, 99]),
+        ];
+        for (batch, k, bytes, offsets) in cases {
+            for (i, native) in decoded(batch, k, bytes).iter().enumerate() {
+                let seed = native_byte(2, batch, i);
+                assert!(native_is_intact(native, seed), "batch {batch} native {i}");
+                for &at in offsets {
+                    for flip in [0x01, 0x80, 0xFF] {
+                        let mut bad = native.clone();
+                        bad[at] ^= flip;
+                        assert!(
+                            !native_is_intact(&bad, seed),
+                            "batch {batch} native {i}: byte {at} ^ {flip:#04x} passed"
+                        );
+                    }
+                }
+            }
+        }
+    }
 }
