@@ -169,8 +169,8 @@ impl MoreAgent {
 
     /// Feeds a received coded packet into the node's batch state — a
     /// zero-copy hand-off: coded stores bump the refcount on the frame's
-    /// flat buffer, tracker stores read the vector head in place. Returns
-    /// `(innovative, rank_after)`.
+    /// packet (computing its payload if it is kept), tracker stores read
+    /// the vector in place. Returns `(innovative, rank_after)`.
     fn absorb(ns: &mut NodeFlowState, p: &CodedPacket, rng: &mut impl Rng) -> (bool, usize) {
         match &mut ns.batch {
             BatchState::Empty => unreachable!("batch state initialized before absorb"),
@@ -200,17 +200,16 @@ impl MoreAgent {
                 }
                 // One coefficient per stored row, drawn in row order (the
                 // RNG stream is part of determinism), combined straight
-                // into a pooled vector-only flat buffer.
-                // xtask: allow(pool_pairing) -- ownership transfer: the buffer is frozen into the emitted CodedPacket and recycled downstream when the packet is consumed
-                let mut buf = pool::acquire(k);
-                rlnc::axpy_chunked(
-                    &mut buf,
-                    (0..k).filter_map(|i| t.row(i)).map(|row| {
-                        let c = gf256::Gf256(rng.gen_range(1..=255u8));
-                        (c, row)
-                    }),
-                );
-                Some(CodedPacket::from_flat(k, buf.freeze()))
+                // into a pooled vector-only packet.
+                Some(CodedPacket::vector_only(k, |v| {
+                    rlnc::axpy_chunked(
+                        v,
+                        (0..k).filter_map(|i| t.row(i)).map(|row| {
+                            let c = gf256::Gf256(rng.gen_range(1..=255u8));
+                            (c, row)
+                        }),
+                    )
+                }))
             }
             BatchState::Coded(b) => b.emit(rng),
             // A destination never forwards data.
@@ -416,11 +415,8 @@ impl NodeAgent for MoreAgent {
                     }
                     f.encoder.as_ref().expect("just built").encode(ctx.rng())
                 } else {
-                    // Vector-only packet: random coefficients drawn into a
-                    // pooled flat buffer with an empty payload region.
-                    let mut buf = pool::acquire(k_b);
-                    ctx.rng().fill(&mut buf[..]);
-                    CodedPacket::from_flat(k_b, buf.freeze())
+                    // Vector-only packet: random coefficients, no payload.
+                    CodedPacket::vector_only(k_b, |v| ctx.rng().fill(v))
                 };
                 (batch, k_b, packet)
             } else {
@@ -486,17 +482,18 @@ impl NodeAgent for MoreAgent {
                 }
             }
             // A dropped coded packet is just an unheard broadcast; return
-            // its flat buffer to the pool.
-            MorePayload::Data { packet, .. } => pool::release(packet.into_data()),
+            // it to the pool, its payload never computed.
+            MorePayload::Data { packet, .. } => pool::recycle(packet),
         }
     }
 
     fn recycle(&mut self, payload: MorePayload) {
         // The simulator hands back the last reference to a delivered
-        // frame's payload; returning the flat buffer to the pool closes
-        // the zero-copy loop (next encode reuses it).
+        // frame's payload; returning the packet to the pool closes the
+        // zero-copy loop (the next encode reuses it). Computes nothing: a
+        // packet no receiver kept never has its payload combined.
         if let MorePayload::Data { packet, .. } = payload {
-            pool::release(packet.into_data());
+            pool::recycle(packet);
         }
     }
 }
@@ -719,6 +716,46 @@ mod test {
         let (sim, fi) = run_flow(generate::testbed(1), cfg, 0, &[19, 12, 7], 24, 3);
         assert!(sim.agent.progress(fi).done);
         assert_eq!(sim.agent.progress(fi).delivered_packets, 3 * 24);
+    }
+
+    #[test]
+    fn coded_flows_through_a_choke_queue_decode_every_batch() {
+        // A bounded CHOKe queue hands coded packets back through
+        // on_queue_drop — tail drops, and CHOKe's matched victim, a frame
+        // polled long before the arrival that matched it — while the
+        // destinations run every batch they decode through verify_decoded.
+        // Seed 14 completes: at most seeds of this load a matched drop
+        // that empties a source's queue idles that source for good (a
+        // pump bug, ROADMAP item 6(a)), which this test does not pin.
+        use mesh_sim::{AimdConfig, ChannelSpec, QueueSpec};
+        let topo = generate::testbed(1);
+        let cfg = MoreConfig {
+            k: 8,
+            packet_bytes: 256,
+            track_payloads: true,
+            ..MoreConfig::default()
+        };
+        let mut agent = MoreAgent::new(topo.clone(), cfg);
+        let flows = [(0, 19), (5, 12)]
+            .map(|(s, d)| (NodeId(s), agent.add_flow(NodeId(s), &[NodeId(d)], 24)));
+        let queue = QueueSpec::choke(8);
+        let (static_air, sim_cfg) = (ChannelSpec::Static, SimConfig::default());
+        let mut sim = Simulator::with_queue(topo, sim_cfg, &static_air, &queue, agent, 14);
+        for (src, fi) in flows {
+            sim.pace_flow(fi as u32 + 1, src, AimdConfig::default());
+            sim.kick(src);
+        }
+        sim.run_until(600 * SEC, |a: &MoreAgent| a.all_done());
+        for (_, fi) in flows {
+            let p = sim.agent.progress(fi);
+            assert!(p.done, "flow {fi} stuck behind the queue");
+            assert_eq!(p.delivered_packets, 24);
+        }
+        let s = &sim.stats;
+        assert!(
+            s.queue_drops_match > 0 && s.queue_drops_overflow > 0,
+            "the queue must drop coded packets, matched and tail: {s:?}"
+        );
     }
 
     #[test]

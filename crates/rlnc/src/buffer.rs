@@ -8,24 +8,29 @@
 //! happens only on code vectors in the [`InnovationTracker`]; the raw packet
 //! "is just stored in a pool to be used later" (§3.2.3b).
 //!
-//! Pre-coding (§3.2.3c): the buffer keeps one already-combined packet ready.
-//! When an innovative packet arrives, it is folded into the prepared packet
-//! with a fresh random coefficient, so the prepared packet always reflects
-//! everything the node knows, and handing a packet to the driver never
-//! blocks on a K-way combine.
+//! Pre-coding (§3.2.3c): the buffer keeps one outgoing combination ready.
+//! Its random coefficients are drawn when the previous packet goes out;
+//! when an innovative packet arrives it is folded in with a fresh random
+//! coefficient, so the prepared packet always reflects everything the node
+//! knows. The paper pre-codes to keep the K-way payload combine off the
+//! MAC's critical path. Here the prepared packet holds only its code vector
+//! and its coefficients — folding in an arrival is one K-byte
+//! multiply-accumulate — and the payload is combined later, by whichever
+//! receiver first keeps the emitted packet (see [`CodedPacket`]); a packet
+//! nobody stores is never combined at all.
 //!
-//! Storage is zero-copy end to end: pooled packets share the flat
-//! `[coeffs | payload]` buffers that arrived off the air (a store is a
-//! refcount bump), the prepared packet lives in one pooled flat buffer that
-//! a single multiply-accumulate pass updates per arrival, and flushing a
-//! batch returns every buffer to [`crate::pool`].
+//! Storage is zero-copy end to end: pooled packets share the buffers that
+//! arrived off the air (a store is a refcount bump), an emitted packet's
+//! recipe reads the pool through a shared handle and a prefix length — the
+//! pool only grows between flushes — and flushing a batch returns every
+//! buffer to [`crate::pool`].
 
-use crate::packet::{axpy_chunked, CodedPacket};
+use crate::packet::{axpy_chunked, CodedPacket, PacketMut, Recipe, SharedPool};
 use crate::pool;
 use crate::tracker::InnovationTracker;
-use bytes::BytesMut;
 use gf256::{slice_ops, Gf256};
 use rand::Rng;
+use std::rc::Rc;
 
 /// A forwarder's per-batch coding state.
 ///
@@ -45,16 +50,17 @@ use rand::Rng;
 /// assert_eq!(p.k(), 4);
 /// assert!(!p.vector_is_zero());
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct ForwarderBuffer {
     k: usize,
     payload_len: usize,
     tracker: InnovationTracker,
-    /// Original innovative packets, flat buffers shared, payloads untouched.
-    pool: Vec<CodedPacket>,
-    /// The pre-coded packet kept ready for the next transmit opportunity,
-    /// as one flat `[coeffs | payload]` buffer.
-    precoded: Option<BytesMut>,
+    /// Original innovative packets, payloads computed, buffers shared;
+    /// also read by emitted packets whose payloads are still pending.
+    pool: SharedPool,
+    /// The pre-coded packet kept ready for the next transmit opportunity:
+    /// its vector, and one coefficient per pooled packet.
+    precoded: Option<PacketMut>,
 }
 
 impl ForwarderBuffer {
@@ -64,7 +70,7 @@ impl ForwarderBuffer {
             k,
             payload_len,
             tracker: InnovationTracker::new(k),
-            pool: Vec::new(),
+            pool: pool::acquire_store(),
             precoded: None,
         }
     }
@@ -90,7 +96,7 @@ impl ForwarderBuffer {
     /// True if no packets are stored.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.pool.is_empty()
+        self.pool.borrow().is_empty()
     }
 
     /// Non-destructive innovativeness check against the stored rank.
@@ -100,9 +106,10 @@ impl ForwarderBuffer {
 
     /// Offers a received packet to the buffer.
     ///
-    /// Innovative packets are stored — a refcount bump on the shared flat
-    /// buffer, no payload copy — and folded into the pre-coded packet with
-    /// a fresh random coefficient; non-innovative packets are discarded.
+    /// Innovative packets are stored — a refcount bump, no payload copy,
+    /// their payload computed now if no other holder has — and folded into
+    /// the pre-coded packet with a fresh random coefficient;
+    /// non-innovative packets are discarded without touching their payload.
     /// Returns `true` iff the packet was innovative.
     ///
     /// # Panics
@@ -118,46 +125,58 @@ impl ForwarderBuffer {
         if !self.tracker.absorb(p.vector()) {
             return false;
         }
-        self.pool.push(p.clone());
+        // Kept, so its bytes are needed: the recipes this pool feeds read
+        // computed payloads only.
+        p.payload();
+        self.pool.borrow_mut().push(p.clone());
         // Keep the prepared packet fresh: "the pre-coded packet is updated
         // by multiplying the newly arrived packet with a random coefficient
-        // and adding it to the pre-coded packet." Both sides are flat
-        // [coeffs | payload] buffers, so the fold is one fused pass.
+        // and adding it to the pre-coded packet." On the vector now, on the
+        // payload when the emitted packet is first kept.
         if let Some(pre) = &mut self.precoded {
             let r = random_nonzero(rng);
-            slice_ops::mul_add_assign(pre, p.data(), r);
+            let (vector, coeffs) = pre.vector_and_coeffs();
+            slice_ops::mul_add_assign(vector, p.vector(), r);
+            coeffs.push(r.0);
         } else {
             self.precode(rng);
         }
         true
     }
 
-    /// Recomputes the pre-coded packet as a fresh random combination of the
+    /// Replaces the pre-coded packet with a fresh random combination of the
     /// whole pool ("as soon as the transmission starts, a new packet is
     /// pre-coded for this flow and stored for future use").
     ///
-    /// The combine is one batched [`axpy_chunked`] pass over the pooled
-    /// flat buffers into a pooled flat destination; coefficients are drawn
-    /// lazily in pool order, preserving the RNG stream of a
-    /// packet-at-a-time fold.
+    /// Draws one coefficient per pooled packet, in pool order (the RNG
+    /// stream of a packet-at-a-time fold), and combines the pooled code
+    /// vectors with one batched [`axpy_chunked`] pass; the payload is left
+    /// to the emitted packet's recipe.
     pub fn precode<R: Rng + ?Sized>(&mut self, rng: &mut R) {
         if let Some(old) = self.precoded.take() {
-            pool::release_mut(old);
+            old.release();
         }
-        if self.pool.is_empty() {
+        let stored = self.pool.borrow();
+        if stored.is_empty() {
             return;
         }
-        let mut buf = pool::acquire(self.k + self.payload_len);
+        let mut next = PacketMut::new(self.k, self.payload_len);
+        let (vector, coeffs) = next.vector_and_coeffs();
+        coeffs.extend(stored.iter().map(|_| random_nonzero(rng).0));
         axpy_chunked(
-            &mut buf,
-            self.pool
+            vector,
+            coeffs
                 .iter()
-                .map(|p| (random_nonzero(rng), &p.data()[..])),
+                .zip(stored.iter())
+                .map(|(&c, p)| (Gf256(c), p.vector())),
         );
-        self.precoded = Some(buf);
+        drop(stored);
+        self.precoded = Some(next);
     }
 
     /// Hands out the prepared packet and immediately pre-codes the next one.
+    /// The packet's payload combines the pool as it stands now, whenever it
+    /// is first read — later arrivals and a flush do not change it.
     ///
     /// Returns `None` when the buffer holds no packets (a forwarder that has
     /// heard nothing has nothing to say).
@@ -165,25 +184,29 @@ impl ForwarderBuffer {
         if self.precoded.is_none() {
             self.precode(rng);
         }
-        let flat = self.precoded.take()?;
+        let next = self.precoded.take()?;
         self.precode(rng);
-        Some(CodedPacket::from_flat(self.k, flat.freeze()))
+        Some(next.freeze(Recipe::Pool(Rc::clone(&self.pool))))
     }
 
     /// Number of packets that would be combined to emit (pool size).
     pub fn pool_len(&self) -> usize {
-        self.pool.len()
+        self.pool.borrow().len()
     }
 
     /// Drops all state (batch flushed on ACK or a newer batch, §3.2.2),
-    /// returning every buffer this node is the last holder of to the pool.
+    /// returning every buffer this node is the last holder of to the pool
+    /// — without computing anything. While an emitted packet's payload is
+    /// still pending, the pool it reads is left to it and the buffer
+    /// starts a new one.
     pub fn flush(&mut self) {
         self.tracker.reset();
-        for p in self.pool.drain(..) {
-            pool::release(p.into_data());
-        }
         if let Some(pre) = self.precoded.take() {
-            pool::release_mut(pre);
+            pre.release();
+        }
+        match Rc::get_mut(&mut self.pool) {
+            Some(stored) => stored.get_mut().drain(..).for_each(pool::recycle),
+            None => self.pool = pool::acquire_store(),
         }
     }
 }
@@ -191,6 +214,9 @@ impl ForwarderBuffer {
 impl Drop for ForwarderBuffer {
     fn drop(&mut self) {
         self.flush();
+        // `flush` left an empty store that only this buffer holds: the next
+        // buffer may have it once this one's fields are gone.
+        pool::release_store(Rc::clone(&self.pool));
     }
 }
 
@@ -321,9 +347,9 @@ mod test {
         let mut buf = ForwarderBuffer::new(2, 8);
         let p = enc.encode(&mut rng);
         buf.receive(&p, &mut rng);
-        // The caller's copy and the pooled copy are the same allocation:
-        // releasing the caller's must NOT reclaim it for reuse.
-        crate::pool::release(p.into_data());
+        // The caller's copy and the pooled copy are the same packet:
+        // recycling the caller's must NOT reclaim it for reuse.
+        crate::pool::recycle(p);
         let q = buf.emit(&mut rng).unwrap();
         let reference = enc.encode_with(q.vector());
         assert_eq!(q.payload(), reference.payload());

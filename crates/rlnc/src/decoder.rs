@@ -21,7 +21,9 @@
 //! `row = inv · (packet + Σᵢ vᵢ · rowᵢ)` over the stored rows `i`. The
 //! K-byte vector part is one fused [`axpy_chunked`] pass and decides
 //! innovativeness — a dependent packet is rejected there, without reading
-//! its payload bytes at all — and the payload part is a second. Row storage
+//! its payload bytes at all, so a payload still pending (see
+//! [`CodedPacket`]) is never computed — and the payload part is a second,
+//! whose first read of the packet computes its payload. Row storage
 //! cycles through [`crate::pool`], so a steady-state destination decodes
 //! without touching the allocator.
 

@@ -12,15 +12,18 @@
 //! * [`InnovationTracker`] — Algorithm 2: the row-echelon independence check
 //!   that touches only code vectors, never payload bytes.
 //! * [`ForwarderBuffer`] — a forwarder's pool of innovative packets plus the
-//!   *pre-coding* optimisation (§3.2.3c): one outgoing combination is kept
-//!   ready and folded together with each innovative arrival, so transmission
-//!   never waits on a K-packet combine.
-//! * [`Decoder`] — the destination's incremental reduced-row-echelon decode;
-//!   rank K triggers back-substitution and yields the native batch.
+//!   *pre-coding* optimisation (§3.2.3c): one outgoing combination's
+//!   coefficients are kept ready and folded together with each innovative
+//!   arrival, so transmission never waits on a K-packet combine.
+//! * [`Decoder`] — the destination's incremental reduced-row-echelon decode:
+//!   every innovative arrival is back-eliminated from the stored rows at
+//!   once, so at rank K the rows *are* the native batch.
 //!
-//! Every coded packet is one flat, immutable `[coeffs | payload]` buffer
-//! ([`CodedPacket`]): cloning a packet — e.g. for each receiver of a
-//! simulated broadcast — is a refcount bump, and retired buffers recycle
+//! A [`CodedPacket`] carries its code vector and computes its payload when
+//! a holder first reads it — in this simulator, when some receiver keeps
+//! it — into one flat `[coeffs | payload]` buffer. Cloning a packet — e.g.
+//! for each receiver of a simulated broadcast — is a refcount bump, every
+//! clone sees the one computed payload, and packets and buffers recycle
 //! through a thread-local [`pool`] instead of the allocator.
 //!
 //! ```

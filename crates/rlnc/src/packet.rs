@@ -1,4 +1,5 @@
-//! Code vectors, flat coded packets, and the source-side encoder.
+//! Code vectors, coded packets with payloads computed on demand, and the
+//! source-side encoder.
 
 // xtask: allow(panic_path, file) -- header/payload splits index buffers acquired with exactly the k + payload length being split.
 
@@ -6,15 +7,17 @@ use crate::{pool, CodingError};
 use bytes::Bytes;
 use gf256::{slice_ops, Gf256};
 use rand::Rng;
+use std::cell::{OnceCell, RefCell};
+use std::rc::Rc;
 
 /// The vector of coefficients that derives a coded packet from the natives.
 ///
 /// For `p' = Σ cᵢ pᵢ` the code vector is `(c₁, …, c_K)` (thesis Table 3.1).
 /// Stored as raw bytes; each byte is a GF(2⁸) element.
 ///
-/// Packets on the wire no longer carry a `CodeVector` — their coefficients
-/// live in the flat `[coeffs | payload]` buffer of [`CodedPacket`] — but the
-/// type remains the convenient owned representation for building vectors
+/// Packets on the wire do not carry a `CodeVector` — [`CodedPacket`] keeps
+/// its coefficients in its own pooled storage — but the type remains the
+/// convenient owned representation for building vectors
 /// (unit/random/arithmetic) and for rank bookkeeping in tests.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct CodeVector(Vec<u8>);
@@ -144,75 +147,193 @@ where
     }
 }
 
-/// A coded packet: one flat, immutable, refcounted buffer laid out as
-/// `[c₁ … c_K | payload]`.
+/// A coded packet: its code vector, and its payload `Σ cᵢ·pᵢ` — computed
+/// the first time a holder reads it.
 ///
-/// The single-buffer layout means building a packet costs one (pooled)
-/// allocation, cloning it for every simulated receiver of a broadcast is a
-/// refcount bump, and forwarder pre-coding folds a whole packet in with one
-/// multiply-accumulate pass over the flat buffer. Buffers are drawn from
-/// and returned to [`crate::pool`].
+/// Most packets on the simulated air are kept by no receiver (a forwarder
+/// stores only innovative packets), and nothing but the bytes a node keeps
+/// is ever read. So a packet is built with its vector and a *recipe*: a
+/// source packet's is the batch's natives (shared, not copied) with its own
+/// vector as the coefficients; a forwarder packet's is the first `m`
+/// packets of that forwarder's pool with the `m` coefficients drawn for
+/// them. The first [`Self::payload`], [`Self::data`] or [`Self::into_data`]
+/// runs the recipe — one [`axpy_chunked`] pass, the same bytes an eager
+/// combine would produce — into one flat `[coeffs | payload]` buffer.
+///
+/// Cloning a packet — e.g. for each receiver of a simulated broadcast — is
+/// a refcount bump, and every clone sees the one computed payload. Packets
+/// are built in cells recycled through [`crate::pool`]; hand one back with
+/// [`pool::recycle`], which computes nothing.
 #[derive(Clone, Debug)]
-pub struct CodedPacket {
-    /// Batch size K — the split point between coefficients and payload.
-    k: usize,
-    /// The flat `[coeffs | payload]` buffer.
-    data: Bytes,
+pub struct CodedPacket(Rc<PacketCell>);
+
+/// What every clone of one packet shares.
+#[derive(Clone, Default)]
+pub(crate) struct PacketCell {
+    /// The code vector, fixed when the packet is built.
+    vector: Vec<u8>,
+    /// Payload size in bytes.
+    payload_len: usize,
+    /// A forwarder recipe's coefficients, one per pooled packet it combines.
+    coeffs: Vec<u8>,
+    /// How to compute the payload; taken when it is computed.
+    recipe: RefCell<Recipe>,
+    /// The flat `[coeffs | payload]` buffer, once computed.
+    data: OnceCell<Bytes>,
+}
+
+/// A forwarder's pool of stored packets, shared with the packets it emits:
+/// append-only between flushes, so a prefix length is a snapshot.
+pub(crate) type SharedPool = Rc<RefCell<Vec<CodedPacket>>>;
+
+/// The sources a pending payload combines.
+#[derive(Clone, Default)]
+pub(crate) enum Recipe {
+    /// Nothing to add: the payload is computed, or all zero.
+    #[default]
+    Done,
+    /// `Σ vectorᵢ·nativeᵢ` over a batch's natives.
+    Natives(Rc<[Bytes]>),
+    /// `Σ coeffsⱼ·poolⱼ` over the first `coeffs.len()` pooled packets.
+    Pool(SharedPool),
+}
+
+impl PacketCell {
+    /// Runs the recipe into a pooled flat buffer.
+    fn compute(&self) -> Bytes {
+        let k = self.vector.len();
+        let mut buf = pool::acquire(k + self.payload_len);
+        let (head, payload) = buf.split_at_mut(k);
+        head.copy_from_slice(&self.vector);
+        match self.recipe.take() {
+            Recipe::Done => {}
+            Recipe::Natives(natives) => axpy_chunked(
+                payload,
+                self.vector
+                    .iter()
+                    .zip(natives.iter())
+                    .map(|(&c, n)| (Gf256(c), &n[..])),
+            ),
+            Recipe::Pool(pool) => axpy_chunked(
+                payload,
+                self.coeffs
+                    .iter()
+                    .zip(pool.borrow().iter())
+                    .map(|(&c, p)| (Gf256(c), p.payload())),
+            ),
+        }
+        buf.freeze()
+    }
+
+    /// Back to an unbuilt cell, keeping the vectors' storage; the payload
+    /// buffer returns to the pool uncomputed-or-not.
+    pub(crate) fn clear(&mut self) {
+        if let Some(data) = self.data.take() {
+            pool::release(data);
+        }
+        *self.recipe.get_mut() = Recipe::Done;
+    }
+}
+
+impl core::fmt::Debug for PacketCell {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_struct("PacketCell")
+            .field("vector", &self.vector)
+            .field("payload_len", &self.payload_len)
+            .field("computed", &self.data.get().is_some())
+            .finish()
+    }
+}
+
+/// A packet under construction: its cell is uniquely owned until
+/// [`Self::freeze`].
+#[derive(Debug)]
+pub(crate) struct PacketMut(Rc<PacketCell>);
+
+impl PacketMut {
+    /// A zero vector of length `k` and no recipe, in a recycled cell.
+    pub(crate) fn new(k: usize, payload_len: usize) -> Self {
+        let mut cell = pool::acquire_cell();
+        let c = Rc::make_mut(&mut cell);
+        c.vector.clear();
+        c.vector.resize(k, 0);
+        c.coeffs.clear();
+        c.payload_len = payload_len;
+        PacketMut(cell)
+    }
+
+    /// The cell, mutably: `make_mut` never copies, as nothing else holds
+    /// a cell under construction.
+    fn cell(&mut self) -> &mut PacketCell {
+        Rc::make_mut(&mut self.0)
+    }
+
+    /// The code vector being built.
+    pub(crate) fn vector_mut(&mut self) -> &mut [u8] {
+        &mut self.cell().vector
+    }
+
+    /// The vector and the recipe coefficients, both writable.
+    pub(crate) fn vector_and_coeffs(&mut self) -> (&mut [u8], &mut Vec<u8>) {
+        let c = self.cell();
+        (&mut c.vector, &mut c.coeffs)
+    }
+
+    /// The finished packet, its payload to come from `recipe`.
+    pub(crate) fn freeze(mut self, recipe: Recipe) -> CodedPacket {
+        *self.cell().recipe.get_mut() = recipe;
+        CodedPacket(self.0)
+    }
+
+    /// Hands the cell back to the pool unused.
+    pub(crate) fn release(self) {
+        pool::recycle(self.freeze(Recipe::Done));
+    }
 }
 
 impl CodedPacket {
-    /// Assembles a packet by copying a code vector and payload into one
-    /// fresh flat buffer.
-    pub fn from_parts(vector: &[u8], payload: &[u8]) -> Self {
-        let k = vector.len();
-        // xtask: allow(pool_pairing) -- ownership transfer: the pooled buffer rides inside the returned CodedPacket and is recycled by its consumer via pool::release(packet.into_data())
-        let mut buf = pool::acquire(k + payload.len());
-        buf[..k].copy_from_slice(vector);
-        buf[k..].copy_from_slice(payload);
-        CodedPacket {
-            k,
-            data: buf.freeze(),
-        }
+    /// A payload-less packet whose K-byte vector `fill` writes (into
+    /// zeros) — what MORE sends when it tracks code vectors alone.
+    pub fn vector_only(k: usize, fill: impl FnOnce(&mut [u8])) -> Self {
+        let mut p = PacketMut::new(k, 0);
+        fill(p.vector_mut());
+        p.freeze(Recipe::Done)
     }
 
-    /// Wraps an already-flat `[coeffs | payload]` buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the buffer is shorter than `k` coefficients.
-    pub fn from_flat(k: usize, data: Bytes) -> Self {
-        assert!(data.len() >= k, "flat buffer shorter than its code vector");
-        CodedPacket { k, data }
+    /// The shared cell, for [`pool::recycle`].
+    pub(crate) fn into_cell(self) -> Rc<PacketCell> {
+        self.0
     }
 
     /// Batch size K.
     #[inline]
     pub fn k(&self) -> usize {
-        self.k
+        self.0.vector.len()
     }
 
     /// Payload size in bytes.
     #[inline]
     pub fn payload_len(&self) -> usize {
-        self.data.len() - self.k
+        self.0.payload_len
     }
 
-    /// The code vector coefficients (first K bytes of the flat buffer).
+    /// The code vector coefficients.
     #[inline]
     pub fn vector(&self) -> &[u8] {
-        &self.data[..self.k]
+        &self.0.vector
     }
 
-    /// The coded payload, `Σ cᵢ pᵢ` byte-wise over GF(2⁸).
+    /// The coded payload, `Σ cᵢ pᵢ` byte-wise over GF(2⁸); computed on the
+    /// first call by any clone.
     #[inline]
     pub fn payload(&self) -> &[u8] {
-        &self.data[self.k..]
+        &self.data()[self.k()..]
     }
 
     /// Coefficient `i` of the code vector.
     #[inline]
     pub fn coeff(&self, i: usize) -> Gf256 {
-        Gf256(self.data[i])
+        Gf256(self.0.vector[i])
     }
 
     /// True if every coefficient is zero (the packet carries nothing).
@@ -220,16 +341,20 @@ impl CodedPacket {
         self.vector().iter().all(|&b| b == 0)
     }
 
-    /// The whole flat `[coeffs | payload]` buffer.
+    /// The whole flat `[coeffs | payload]` buffer, computing the payload if
+    /// no clone has yet.
     #[inline]
     pub fn data(&self) -> &Bytes {
-        &self.data
+        self.0.data.get_or_init(|| self.0.compute())
     }
 
-    /// Consumes the packet, returning the flat buffer (e.g. to hand it back
-    /// to the [`crate::pool`]).
+    /// Consumes the packet, returning the flat buffer with the payload
+    /// computed (e.g. to hand it back to [`pool::release`]). The packet's
+    /// cell is recycled when this was its last holder.
     pub fn into_data(self) -> Bytes {
-        self.data
+        let data = self.data().clone();
+        pool::recycle(self);
+        data
     }
 }
 
@@ -240,7 +365,8 @@ impl CodedPacket {
 /// the coded packet."
 #[derive(Clone, Debug)]
 pub struct SourceEncoder {
-    natives: Vec<Bytes>,
+    /// Shared with every packet whose payload is still to be computed.
+    natives: Rc<[Bytes]>,
     payload_len: usize,
 }
 
@@ -248,7 +374,7 @@ impl SourceEncoder {
     /// Builds an encoder over `natives`; all packets must share one length
     /// and the batch must be non-empty.
     pub fn new<B: Into<Bytes>>(natives: Vec<B>) -> Result<Self, CodingError> {
-        let natives: Vec<Bytes> = natives.into_iter().map(Into::into).collect();
+        let natives: Rc<[Bytes]> = natives.into_iter().map(Into::into).collect();
         let Some(first) = natives.first() else {
             return Err(CodingError::BadBatch("empty batch".into()));
         };
@@ -284,56 +410,31 @@ impl SourceEncoder {
 
     /// Emits one coded packet with fresh random coefficients.
     ///
-    /// The random coefficients are drawn straight into the head of one
-    /// pooled flat buffer and the payload combine writes its tail — the
-    /// whole packet is a single allocation (amortized zero once the pool
-    /// is warm). Cost is one batched [`axpy_chunked`] pass folding all K
-    /// natives into the payload — the most expensive coding operation in
-    /// the system (Table 4.1: "the coding cost is highest at the source
-    /// because it has to code all K packets together").
+    /// The K random coefficients are drawn straight into the packet's
+    /// vector; its payload is left as a recipe over this batch's natives.
+    /// Computing it — when a receiver keeps the packet — is one batched
+    /// [`axpy_chunked`] pass folding all K natives, the most expensive
+    /// coding operation in the system (Table 4.1: "the coding cost is
+    /// highest at the source because it has to code all K packets
+    /// together"); a packet no receiver keeps never pays it.
     pub fn encode<R: Rng + ?Sized>(&self, rng: &mut R) -> CodedPacket {
-        let k = self.k();
-        // xtask: allow(pool_pairing) -- ownership transfer: the pooled buffer rides inside the returned CodedPacket and is recycled by its consumer via pool::release(packet.into_data())
-        let mut buf = pool::acquire(k + self.payload_len);
-        rng.fill(&mut buf[..k]);
-        self.combine_into(&mut buf);
-        CodedPacket {
-            k,
-            data: buf.freeze(),
-        }
+        let mut p = PacketMut::new(self.k(), self.payload_len);
+        rng.fill(p.vector_mut());
+        p.freeze(Recipe::Natives(Rc::clone(&self.natives)))
     }
 
-    /// Emits the coded packet for a caller-chosen code vector.
+    /// Emits the coded packet for a caller-chosen code vector, its payload
+    /// computed on demand as in [`Self::encode`].
     ///
     /// # Panics
     ///
     /// Panics if the vector length differs from the batch size K.
     pub fn encode_with(&self, vector: impl AsRef<[u8]>) -> CodedPacket {
         let vector = vector.as_ref();
-        let k = self.k();
-        assert_eq!(vector.len(), k, "vector length != K");
-        // xtask: allow(pool_pairing) -- ownership transfer: the pooled buffer rides inside the returned CodedPacket and is recycled by its consumer via pool::release(packet.into_data())
-        let mut buf = pool::acquire(k + self.payload_len);
-        buf[..k].copy_from_slice(vector);
-        self.combine_into(&mut buf);
-        CodedPacket {
-            k,
-            data: buf.freeze(),
-        }
-    }
-
-    /// Fills the payload tail of a flat buffer whose head already holds the
-    /// code vector.
-    fn combine_into(&self, buf: &mut [u8]) {
-        let (vector, payload) = buf.split_at_mut(self.k());
-        let vector = &*vector;
-        axpy_chunked(
-            payload,
-            self.natives
-                .iter()
-                .enumerate()
-                .map(|(i, native)| (Gf256(vector[i]), &native[..])),
-        );
+        assert_eq!(vector.len(), self.k(), "vector length != K");
+        let mut p = PacketMut::new(self.k(), self.payload_len);
+        p.vector_mut().copy_from_slice(vector);
+        p.freeze(Recipe::Natives(Rc::clone(&self.natives)))
     }
 }
 
@@ -402,7 +503,9 @@ mod test {
 
     #[test]
     fn flat_packet_slices_line_up() {
-        let p = CodedPacket::from_parts(&[1, 2, 3], &[9, 8, 7, 6]);
+        let enc = SourceEncoder::new(vec![vec![9u8, 8, 7, 6], vec![0; 4], vec![0; 4]]).unwrap();
+        let p = enc.encode_with([1, 2, 3]);
+        let q = p.clone();
         assert_eq!(p.k(), 3);
         assert_eq!(p.payload_len(), 4);
         assert_eq!(p.vector(), &[1, 2, 3]);
@@ -410,8 +513,9 @@ mod test {
         assert_eq!(p.coeff(1), Gf256(2));
         assert!(!p.vector_is_zero());
         assert_eq!(&p.data()[..], &[1, 2, 3, 9, 8, 7, 6]);
-        // Clone shares the flat buffer instead of copying it.
-        let q = p.clone();
+        // A clone taken before the payload was computed reads the same
+        // buffer: one combine per packet, not one per holder.
+        assert!(std::ptr::eq(q.payload(), p.payload()));
         assert_eq!(q.into_data(), p.into_data());
     }
 

@@ -1,23 +1,26 @@
 //! Thread-local buffer pool recycling coded-packet buffers across frames.
 //!
-//! Every coded packet on the simulated air is one flat `[coeffs | payload]`
-//! allocation (see [`crate::CodedPacket`]). In steady state a simulator
-//! produces and retires such a buffer for every transmission — thousands
-//! per simulated second — and the pool turns that churn into reuse: the
-//! engine hands buffers back when a frame leaves the air
-//! (`mesh_sim::NodeAgent::recycle`), forwarders and decoders hand theirs
-//! back on batch flush, and [`acquire`] serves the next packet from the
-//! freelist instead of the allocator.
+//! Every coded packet on the simulated air is a cell holding its code
+//! vector and, once a receiver keeps it, one flat `[coeffs | payload]`
+//! buffer (see [`crate::CodedPacket`]). In steady state a simulator
+//! produces and retires a packet for every transmission — thousands per
+//! simulated second — and the pool turns that churn into reuse: the engine
+//! hands packets back with [`recycle`] when a frame leaves the air
+//! (`mesh_sim::NodeAgent::recycle`) or a queue drops it, forwarders hand
+//! theirs back on batch flush, and the next packet is built in a recycled
+//! cell, its payload in a buffer from [`acquire`]. Recycling never
+//! computes a payload: a packet nobody kept goes back uncombined.
 //!
 //! ## Safety of reuse
 //!
 //! A buffer re-enters the pool only through [`release`], which calls
 //! [`Bytes::try_into_mut`] — it succeeds **iff the caller holds the sole
-//! reference**. A buffer some receiver still holds (a forwarder's pool, a
-//! decoder row, an in-flight frame) fails that check and is simply
-//! dropped from the releaser's side; the live holders keep an untouched,
-//! immutable buffer. Recycling therefore can never alias live packet
-//! data (property-tested in `tests/pool_props.rs`).
+//! reference** — and a packet cell only through [`recycle`], under the
+//! same rule. A buffer or packet some receiver still holds (a forwarder's
+//! pool, an in-flight frame, a pending packet reading a forwarder's pool)
+//! fails that check and is simply dropped from the releaser's side; the
+//! live holders keep it untouched. Recycling therefore can never alias
+//! live packet data (property-tested in `tests/pool_props.rs`).
 //!
 //! ## Determinism
 //!
@@ -31,8 +34,11 @@
 //! The pools are thread-local (`Rc`-style single-threaded reasoning, like
 //! the rest of a simulator run); parallel sweeps get one pool per worker.
 
+use crate::packet::{PacketCell, SharedPool};
+use crate::CodedPacket;
 use bytes::{Bytes, BytesMut};
 use std::cell::RefCell;
+use std::rc::Rc;
 
 /// Freelist cap, per list, per thread. Two concurrent coded flows keep
 /// well under a hundred buffers in flight; the cap only matters as a
@@ -44,6 +50,10 @@ thread_local! {
     static BUFFERS: RefCell<Vec<BytesMut>> = const { RefCell::new(Vec::new()) };
     /// Plain byte rows (tracker/decoder matrix rows).
     static VECS: RefCell<Vec<Vec<u8>>> = const { RefCell::new(Vec::new()) };
+    /// Cleared packet cells, each the sole reference to itself.
+    static PACKETS: RefCell<Vec<Rc<PacketCell>>> = const { RefCell::new(Vec::new()) };
+    /// Emptied forwarder stores, storage kept.
+    static STORES: RefCell<Vec<SharedPool>> = const { RefCell::new(Vec::new()) };
 }
 
 /// A zeroed, uniquely owned buffer of exactly `len` bytes — recycled when
@@ -103,6 +113,49 @@ pub fn release_vec(v: Vec<u8>) {
         let mut p = p.borrow_mut();
         if p.len() < MAX_POOLED {
             p.push(v);
+        }
+    });
+}
+
+/// A cleared packet cell to build in — recycled when the freelist has one.
+pub(crate) fn acquire_cell() -> Rc<PacketCell> {
+    PACKETS.with(|p| p.borrow_mut().pop()).unwrap_or_default()
+}
+
+/// Hands a packet back **without computing its payload**. When the caller
+/// held the last reference, the packet's flat buffer (if its payload was
+/// ever computed) returns to the buffer freelist and its cell is reused
+/// for the next packet built; otherwise the reference is dropped and the
+/// other holders keep the packet untouched.
+pub fn recycle(p: CodedPacket) {
+    let mut cell = p.into_cell();
+    let Some(c) = Rc::get_mut(&mut cell) else {
+        return;
+    };
+    c.clear();
+    let _ = PACKETS.try_with(|p| {
+        let mut p = p.borrow_mut();
+        if p.len() < MAX_POOLED {
+            p.push(cell);
+        }
+    });
+}
+
+/// An empty forwarder store — recycled when the freelist has one that no
+/// pending packet reads any more.
+pub(crate) fn acquire_store() -> SharedPool {
+    let recycled = STORES.with(|s| s.borrow_mut().pop());
+    recycled
+        .filter(|s| Rc::strong_count(s) == 1)
+        .unwrap_or_default()
+}
+
+/// Returns an emptied forwarder store to the freelist.
+pub(crate) fn release_store(store: SharedPool) {
+    let _ = STORES.try_with(|s| {
+        let mut s = s.borrow_mut();
+        if s.len() < MAX_POOLED {
+            s.push(store);
         }
     });
 }

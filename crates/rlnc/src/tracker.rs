@@ -7,8 +7,8 @@
 //!
 //! The tracker operates on code vectors only — payloads are never touched —
 //! which is why checking innovativeness "is fairly cheap" compared to coding
-//! or decoding (Table 4.1). Vectors come in as plain byte slices (packets
-//! store their coefficients in a flat buffer; see [`crate::CodedPacket`]),
+//! or decoding (Table 4.1). Vectors come in as plain byte slices (see
+//! [`crate::CodedPacket::vector`]),
 //! and the stored rows are recycled through [`crate::pool`] so steady-state
 //! rank tracking touches the allocator only while a batch is growing.
 

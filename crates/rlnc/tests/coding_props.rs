@@ -1,14 +1,41 @@
 //! Property tests for the network-coding invariants MORE depends on.
 
-use more_rlnc::{CodeVector, Decoder, ForwarderBuffer, InnovationTracker, SourceEncoder};
+use more_rlnc::{
+    pool, CodeVector, CodedPacket, Decoder, ForwarderBuffer, InnovationTracker, SourceEncoder,
+};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+
+/// Largest batch the recoding-chain property draws: interpreted, a K = 24
+/// chain takes minutes, and K ≤ 8 walks the same code.
+const CHAIN_MAX_K: usize = if cfg!(miri) { 8 } else { 24 };
 
 fn batch(k: usize, len: usize) -> Vec<Vec<u8>> {
     (0..k)
         .map(|i| (0..len).map(|j| (i * 37 + j * 11 + 3) as u8).collect())
         .collect()
+}
+
+/// Number of flat buffers this thread's pool gains while `f` runs with the
+/// pool emptied first. Computing a payload takes a buffer the pool does not
+/// have, and recycling the packet's last reference returns it, so a
+/// computation shows as one gained buffer.
+fn buffers_gained(f: impl FnOnce()) -> usize {
+    let mut held = Vec::new();
+    while pool::idle_buffers() > 0 {
+        held.push(pool::acquire(1));
+    }
+    f();
+    let gained = pool::idle_buffers();
+    held.into_iter().for_each(pool::release_mut);
+    gained
+}
+
+/// `p`'s payload, whenever it is first read, is what the source would have
+/// coded eagerly for `p`'s vector.
+fn assert_matches_eager(p: &CodedPacket, enc: &SourceEncoder) {
+    assert_eq!(p.payload(), enc.encode_with(p.vector()).payload());
 }
 
 proptest! {
@@ -120,6 +147,84 @@ proptest! {
             }
         }
         prop_assert!(down.rank() <= upstream_rank);
+    }
+
+    /// `src → fwd → fwd → dst`, recoding at every hop: a payload computed
+    /// when a node first keeps the packet equals the eager combine of its
+    /// vector — and so does one first read only after its forwarder has
+    /// absorbed more arrivals, flushed, and started its pool over. That is
+    /// the snapshot a forwarder packet's recipe promises: the first `m`
+    /// pooled packets as they stood at emission.
+    #[test]
+    fn on_demand_payloads_equal_eager_ones(
+        k in 1usize..=CHAIN_MAX_K,
+        len in 1usize..64,
+        seed in any::<u64>(),
+    ) {
+        let enc = SourceEncoder::new(batch(k, len)).unwrap();
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let (mut near, mut far) = (ForwarderBuffer::new(k, len), ForwarderBuffer::new(k, len));
+        let mut dec = Decoder::new(k, len);
+        // Emissions nobody hears: their payloads stay pending until read.
+        let mut unheard = Vec::new();
+        let mut rounds = 0;
+        while !dec.is_complete() {
+            near.receive(&enc.encode(&mut rng), &mut rng);
+            if let Some(p) = near.emit(&mut rng) {
+                far.receive(&p, &mut rng);
+                assert_matches_eager(&p, &enc);
+            }
+            if let Some(p) = far.emit(&mut rng) {
+                dec.receive(&p);
+                assert_matches_eager(&p, &enc);
+            }
+            unheard.extend(near.emit(&mut rng));
+            unheard.extend(far.emit(&mut rng));
+            rounds += 1;
+            prop_assert!(rounds < 64 * k + 64, "chain not converging");
+        }
+        prop_assert_eq!(dec.take_natives().unwrap(), batch(k, len));
+        // The emitters move on: flush, then hear and emit a fresh batch.
+        near.flush();
+        far.flush();
+        for _ in 0..k {
+            near.receive(&enc.encode(&mut rng), &mut rng);
+            if let Some(p) = near.emit(&mut rng) {
+                far.receive(&p, &mut rng);
+            }
+        }
+        unheard.extend(far.emit(&mut rng));
+        for p in &unheard {
+            assert_matches_eager(p, &enc);
+        }
+    }
+
+    /// A packet recycled by its last holder, unstored, never runs its
+    /// recipe — source or forwarder — while reading the payload first does.
+    #[test]
+    fn recycling_an_unstored_packet_computes_nothing(
+        k in 1usize..=CHAIN_MAX_K,
+        len in 1usize..64,
+        seed in any::<u64>(),
+    ) {
+        let enc = SourceEncoder::new(batch(k, len)).unwrap();
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut fwd = ForwarderBuffer::new(k, len);
+        while fwd.is_empty() {
+            fwd.receive(&enc.encode(&mut rng), &mut rng);
+        }
+        for read_first in [false, true] {
+            let gained = buffers_gained(|| {
+                let packets = [enc.encode(&mut rng), fwd.emit(&mut rng).unwrap()];
+                if read_first {
+                    for p in &packets {
+                        p.payload();
+                    }
+                }
+                packets.into_iter().for_each(pool::recycle);
+            });
+            prop_assert_eq!(gained, if read_first { 2 } else { 0 });
+        }
     }
 
     /// Emitted payloads always match their code vectors (consistency between
