@@ -724,9 +724,10 @@ mod test {
         // on_queue_drop — tail drops, and CHOKe's matched victim, a frame
         // polled long before the arrival that matched it — while the
         // destinations run every batch they decode through verify_decoded.
-        // Seed 14 completes: at most seeds of this load a matched drop
-        // that empties a source's queue idles that source for good (a
-        // pump bug, ROADMAP item 6(a)), which this test does not pin.
+        // Seed 14 completes. At most seeds of this load a matched drop
+        // that empties a source's queue idles that source for good:
+        // `Simulator::pump_queue` returns no frame and the MAC goes idle
+        // (ROADMAP item 6(a)). This test does not pin that.
         use mesh_sim::{AimdConfig, ChannelSpec, QueueSpec};
         let topo = generate::testbed(1);
         let cfg = MoreConfig {

@@ -225,8 +225,9 @@ impl PacketCell {
         buf.freeze()
     }
 
-    /// Back to an unbuilt cell, keeping the vectors' storage; the payload
-    /// buffer returns to the pool uncomputed-or-not.
+    /// Back to an unbuilt cell, keeping the vectors' storage; a computed
+    /// payload's buffer returns to the pool, a pending recipe is dropped
+    /// unrun.
     pub(crate) fn clear(&mut self) {
         if let Some(data) = self.data.take() {
             pool::release(data);

@@ -61,8 +61,9 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Allocation events per delivered packet the committed packet path is
 /// allowed to spend. The pre-rewrite engine measured ~144.5; the
-/// zero-copy path (refcounted flat packets, pooled buffers, reused
-/// engine scratch) measures ~3.8. The ceiling locks in a ≥ 14×
+/// zero-copy path (refcounted packets, pooled packet cells, buffers and
+/// forwarder stores, reused engine scratch) measures ~3.3. The ceiling
+/// locks in a ≥ 14×
 /// reduction while leaving headroom for platform jitter.
 const CEILING: f64 = 10.0;
 
