@@ -6,11 +6,17 @@
 //! re-queued frame, or RNG draw would shift every downstream number.
 //! Bounded disciplines must instead be deterministic per seed, diverge
 //! across seeds, and surface their label in the `queue` key.
+//!
+//! The bounded path has its own golden,
+//! `tests/golden/coded_2flow_queued_run.json`: the same run under a
+//! DropTail(4) and a CHOKe(8) queue, where every protocol loses frames to
+//! the queue. This file is its one writer:
+//! `UPDATE_GOLDEN=1 cargo test --test queue_equivalence`.
 
 mod common;
 
 use common::{coded_2flow, GOLDEN};
-use more_repro::scenario::{record, QueueSpec};
+use more_repro::scenario::{record, QueueSpec, Sweep};
 
 #[test]
 fn unbounded_queue_reproduces_the_pre_queue_run_byte_for_byte() {
@@ -22,6 +28,37 @@ fn unbounded_queue_reproduces_the_pre_queue_run_byte_for_byte() {
     // Saying `Unbounded` explicitly is the same as saying nothing.
     let explicit = coded_2flow().queue(QueueSpec::Unbounded).run();
     assert_eq!(record::to_json(&explicit), default_json);
+}
+
+#[test]
+fn bounded_queues_reproduce_the_queued_golden_run() {
+    let points = vec![QueueSpec::drop_tail(4), QueueSpec::choke(8)];
+    let records = coded_2flow().sweep(Sweep::Queue(points)).run();
+    // 3 protocols × 2 disciplines × 2 seeds.
+    assert_eq!(records.len(), 12);
+    for r in &records {
+        assert!(
+            r.queue_drops > 0,
+            "{} under {} at seed {} never lost a frame to its queue",
+            r.protocol,
+            r.queue,
+            r.seed
+        );
+    }
+    let json = record::to_json(&records);
+    if std::env::var("UPDATE_GOLDEN").is_ok() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/golden/coded_2flow_queued_run.json"
+        );
+        std::fs::write(path, &json).expect("write golden");
+        return;
+    }
+    let golden = include_str!("golden/coded_2flow_queued_run.json");
+    assert_eq!(
+        json, golden,
+        "the bounded-queue path diverged from the golden run"
+    );
 }
 
 #[test]
