@@ -210,26 +210,12 @@ impl ExorFlow {
     }
 }
 
-/// A reliable unicast a node has handed to its MAC, with everything
-/// needed to re-queue it on failure or queue drop.
-#[derive(Clone, Copy)]
-enum InFlight {
-    Direct { fi: usize, batch: u32, seq: u32 },
-    Done { fi: usize, batch: u32 },
-}
-
 /// ExOR for a whole mesh; one instance drives all nodes.
 pub struct ExorAgent {
     cfg: ExorConfig,
     topo: Topology,
     flows: Vec<ExorFlow>,
     rr: Vec<usize>,
-    /// Reliable unicasts each node has handed to the MAC, oldest first.
-    /// A FIFO rather than a slot because a bounded transmit queue may
-    /// poll several frames before the first outcome arrives; unicast
-    /// outcomes come back in poll order (broadcasts report
-    /// [`TxOutcome::Broadcast`] and never enter this FIFO).
-    outstanding: Vec<VecDeque<InFlight>>,
 }
 
 impl ExorAgent {
@@ -240,27 +226,15 @@ impl ExorAgent {
             topo,
             flows: Vec::new(),
             rr: vec![0; n],
-            outstanding: vec![VecDeque::new(); n],
         }
     }
 
-    /// Puts a reliable unicast the MAC could not deliver (or the queue
-    /// dropped) back at the head of the queue it was polled from.
-    fn requeue_unicast(&mut self, node: NodeId, inf: InFlight) {
-        match inf {
-            InFlight::Direct { fi, batch, seq } => {
-                let f = &mut self.flows[fi];
-                if !f.halted {
-                    f.nodes[node.0].direct_queue.push_front((batch, seq));
-                }
-            }
-            InFlight::Done { fi, batch } => {
-                let f = &mut self.flows[fi];
-                if !f.halted {
-                    f.nodes[node.0].done_queue.push_front(batch);
-                }
-            }
-        }
+    /// `node`'s state in the flow with wire id `flow`, unless that flow
+    /// was withdrawn.
+    fn live_node(&mut self, flow: u32, node: NodeId) -> Option<&mut NodeState> {
+        let fi = self.flow_index(flow)?;
+        let f = &mut self.flows[fi];
+        (!f.halted).then(|| &mut f.nodes[node.0])
     }
 
     /// Registers a transfer under the next flow id (index + 1) and arms
@@ -598,7 +572,13 @@ impl NodeAgent for ExorAgent {
         }
     }
 
-    fn on_tx_done(&mut self, node: NodeId, outcome: TxOutcome, ctx: &mut Ctx<'_>) {
+    fn on_tx_done(
+        &mut self,
+        node: NodeId,
+        outcome: TxOutcome,
+        payload: ExorPayload,
+        ctx: &mut Ctx<'_>,
+    ) {
         match outcome {
             TxOutcome::Broadcast => {
                 // If my turn just ended (queue drained), pass the token on
@@ -618,17 +598,25 @@ impl NodeAgent for ExorAgent {
                     }
                 }
             }
-            TxOutcome::Acked { .. } => {
-                // The oldest outstanding unicast made it; it was already
-                // removed from its pending queue at poll time.
-                if self.outstanding[node.0].pop_front().is_some() {
-                    ctx.mark_backlogged(node);
-                }
-            }
-            TxOutcome::Failed { .. } => {
-                // Re-queue at the front; try again.
-                if let Some(inf) = self.outstanding[node.0].pop_front() {
-                    self.requeue_unicast(node, inf);
+            // The unicast made it; it left its pending queue at poll time.
+            TxOutcome::Acked { .. } => ctx.mark_backlogged(node),
+            TxOutcome::Failed { .. } | TxOutcome::Dropped(_) => {
+                // A reliable unicast the MAC gave up on or the queue
+                // dropped goes back to the head of the queue it was polled
+                // from; try again.
+                match payload {
+                    ExorPayload::Direct { flow, batch, seq } => {
+                        if let Some(ns) = self.live_node(flow, node) {
+                            ns.direct_queue.push_front((batch, seq));
+                        }
+                    }
+                    ExorPayload::BatchDone { flow, batch } => {
+                        if let Some(ns) = self.live_node(flow, node) {
+                            ns.done_queue.push_front(batch);
+                        }
+                    }
+                    // A dropped broadcast is just an unheard transmission.
+                    ExorPayload::Data { .. } | ExorPayload::Gossip { .. } => return,
                 }
                 ctx.mark_backlogged(node);
             }
@@ -648,11 +636,10 @@ impl NodeAgent for ExorAgent {
             if let Some(&batch) = ns.done_queue.front() {
                 if let Some(nh) = f.to_src[node.0] {
                     let id = f.id;
-                    // Popped now (not on MAC ack): the frame's fate comes
-                    // back via on_tx_done/on_queue_drop, both of which
-                    // consult the outstanding FIFO.
+                    // Popped now (not on MAC ack): the frame comes back
+                    // through on_tx_done, which re-queues it if it was not
+                    // delivered.
                     self.flows[fi].nodes[node.0].done_queue.pop_front();
-                    self.outstanding[node.0].push_back(InFlight::Done { fi, batch });
                     return Some(OutFrame {
                         dst: Some(nh),
                         bytes: 30,
@@ -668,7 +655,6 @@ impl NodeAgent for ExorAgent {
                 if let Some(nh) = f.to_dst[node.0] {
                     let id = f.id;
                     self.flows[fi].nodes[node.0].direct_queue.pop_front();
-                    self.outstanding[node.0].push_back(InFlight::Direct { fi, batch, seq });
                     return Some(OutFrame {
                         dst: Some(nh),
                         bytes: cfg.packet_bytes + cfg.header_extra,
@@ -737,43 +723,6 @@ impl NodeAgent for ExorAgent {
             });
         }
         None
-    }
-
-    fn on_queue_drop(
-        &mut self,
-        node: NodeId,
-        payload: ExorPayload,
-        _cause: mesh_sim::queue::DropCause,
-        ctx: &mut Ctx<'_>,
-    ) {
-        // Reliable unicasts must survive a queue drop: retract the
-        // outstanding entry and re-queue. Dropped broadcasts are just
-        // unheard transmissions; their payloads hold nothing pooled.
-        let removed = match payload {
-            ExorPayload::Direct { flow, batch, seq } => self.flow_index(flow).and_then(|fi| {
-                let out = &mut self.outstanding[node.0];
-                out.iter()
-                    .rposition(|inf| {
-                        matches!(inf, InFlight::Direct { fi: i, batch: b, seq: s }
-                                if *i == fi && *b == batch && *s == seq)
-                    })
-                    .and_then(|pos| out.remove(pos))
-            }),
-            ExorPayload::BatchDone { flow, batch } => self.flow_index(flow).and_then(|fi| {
-                let out = &mut self.outstanding[node.0];
-                out.iter()
-                    .rposition(|inf| {
-                        matches!(inf, InFlight::Done { fi: i, batch: b }
-                            if *i == fi && *b == batch)
-                    })
-                    .and_then(|pos| out.remove(pos))
-            }),
-            ExorPayload::Data { .. } | ExorPayload::Gossip { .. } => None,
-        };
-        if let Some(inf) = removed {
-            self.requeue_unicast(node, inf);
-            ctx.mark_backlogged(node);
-        }
     }
 
     fn on_timer(&mut self, node: NodeId, token: u64, ctx: &mut Ctx<'_>) {

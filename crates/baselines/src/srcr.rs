@@ -17,7 +17,6 @@
 use mesh_metrics::etx::LinkCost;
 use mesh_metrics::EtxTable;
 use mesh_sim::autorate::OnoeConfig;
-use mesh_sim::queue::DropCause;
 use mesh_sim::{Bitrate, Ctx, Frame, NodeAgent, OnoeAutorate, OutFrame, Time, TxOutcome};
 use mesh_topology::{NodeId, Topology};
 use std::collections::{BTreeMap, VecDeque};
@@ -126,11 +125,6 @@ pub struct SrcrAgent {
     /// can never have a queued packet there, so the cyclic scan returns
     /// the identical frame.
     node_flows: Vec<Vec<usize>>,
-    /// Packets each node has handed to the MAC, oldest first:
-    /// `(flow idx, seq)`. A FIFO rather than a slot because a bounded
-    /// transmit queue may poll several frames before the first outcome
-    /// arrives; outcomes come back in poll order.
-    outstanding: Vec<VecDeque<(usize, u32)>>,
     /// Onoe state per (node, nexthop).
     autorate: BTreeMap<(NodeId, NodeId), OnoeAutorate>,
 }
@@ -147,7 +141,6 @@ impl SrcrAgent {
             flows: Vec::new(),
             rr: vec![0; n],
             node_flows: vec![Vec::new(); n],
-            outstanding: vec![VecDeque::new(); n],
             autorate: BTreeMap::new(),
         }
     }
@@ -237,6 +230,19 @@ impl SrcrAgent {
             }
         }
     }
+
+    /// Packet `seq` of `f` was given up on — by the MAC, a full forwarding
+    /// queue or the transmit queue. It counts dropped unless the
+    /// destination already logged it (only the MAC ACKs were lost):
+    /// `got[]` flips exactly once. A withdrawn flow counts nothing further.
+    fn lose(f: &mut SrcrFlow, seq: u32, ctx: &mut Ctx<'_>) {
+        if f.halted || std::mem::replace(&mut f.got[seq as usize], true) {
+            return;
+        }
+        Self::resolve(f, false, ctx.now());
+        // The window opened: wake the source.
+        ctx.mark_backlogged(f.src);
+    }
 }
 
 impl NodeAgent for SrcrAgent {
@@ -275,25 +281,28 @@ impl NodeAgent for SrcrAgent {
             return;
         };
         if f.queues[hop].len() >= self.cfg.queue_len {
-            let new_loss = !std::mem::replace(&mut f.got[seq as usize], true);
-            if new_loss {
-                Self::resolve(f, false, ctx.now());
-                let src = f.src;
-                ctx.mark_backlogged(src);
-            }
-            return;
+            return Self::lose(f, seq, ctx);
         }
         f.queues[hop].push_back(seq);
         ctx.mark_backlogged(node);
     }
 
-    fn on_tx_done(&mut self, node: NodeId, outcome: TxOutcome, ctx: &mut Ctx<'_>) {
-        let Some((fi, seq)) = self.outstanding[node.0].pop_front() else {
+    fn on_tx_done(
+        &mut self,
+        node: NodeId,
+        outcome: TxOutcome,
+        payload: SrcrPayload,
+        ctx: &mut Ctx<'_>,
+    ) {
+        let Some(fi) = self.flow_index(payload.flow) else {
             return;
         };
         let (retries, failed) = match outcome {
             TxOutcome::Acked { retries } => (retries, false),
             TxOutcome::Failed { retries } => (retries, true),
+            // The transmit queue discarded a packet the MAC never sent: a
+            // loss, but not one the link's rate controller saw.
+            TxOutcome::Dropped(_) => return Self::lose(&mut self.flows[fi], payload.seq, ctx),
             TxOutcome::Broadcast => unreachable!("Srcr never broadcasts"),
         };
         if self.cfg.autorate {
@@ -307,20 +316,7 @@ impl NodeAgent for SrcrAgent {
             }
         }
         if failed {
-            let f = &mut self.flows[fi];
-            if f.halted {
-                ctx.mark_backlogged(node);
-                return;
-            }
-            // The MAC gave up: the packet is lost unless it already made
-            // it and only the MAC ACKs were lost — we count it dropped if
-            // the destination never logged it. (got[] flips exactly once.)
-            let already = std::mem::replace(&mut f.got[seq as usize], true);
-            if !already {
-                Self::resolve(f, false, ctx.now());
-                let src = f.src;
-                ctx.mark_backlogged(src);
-            }
+            Self::lose(&mut self.flows[fi], payload.seq, ctx);
         }
         ctx.mark_backlogged(node);
     }
@@ -371,7 +367,6 @@ impl NodeAgent for SrcrAgent {
             let rate = self.rate_for(node, nh);
             let f = &mut self.flows[fi];
             let seq = f.queues[hop].pop_front().expect("non-empty queue");
-            self.outstanding[node.0].push_back((fi, seq));
             self.rr[node.0] = fi + 1;
             self.node_flows[node.0] = cands;
             return Some(OutFrame {
@@ -384,35 +379,6 @@ impl NodeAgent for SrcrAgent {
         }
         self.node_flows[node.0] = cands;
         None
-    }
-
-    fn on_queue_drop(
-        &mut self,
-        node: NodeId,
-        payload: SrcrPayload,
-        _cause: DropCause,
-        ctx: &mut Ctx<'_>,
-    ) {
-        // The transmit queue discarded a packet the MAC never sent:
-        // retract the outstanding entry and account the loss exactly like
-        // a retry-exhausted unicast.
-        let Some(fi) = self.flow_index(payload.flow) else {
-            return;
-        };
-        let out = &mut self.outstanding[node.0];
-        if let Some(pos) = out.iter().rposition(|&(i, s)| i == fi && s == payload.seq) {
-            out.remove(pos);
-        }
-        let f = &mut self.flows[fi];
-        if f.halted {
-            return;
-        }
-        let already = std::mem::replace(&mut f.got[payload.seq as usize], true);
-        if !already {
-            Self::resolve(f, false, ctx.now());
-            let src = f.src;
-            ctx.mark_backlogged(src);
-        }
     }
 }
 

@@ -19,11 +19,11 @@
 //! The erasure costs one `Rc` allocation per transmitted frame plus one
 //! payload clone per reception. For payloads built on refcounted packet
 //! buffers (the zero-copy path) that clone is a reference-count bump, not
-//! a copy; [`NodeAgent::recycle`] is forwarded through the erasure (the
-//! `Rc` is unwrapped when the engine really held the last reference) so
-//! pooled buffers flow back to their pool across the type boundary too.
+//! a copy. [`NodeAgent::on_tx_done`] hands the payload back through the
+//! erasure (the `Rc` is unwrapped, so the agent gets its own value, not a
+//! copy), so pooled buffers flow back to their pool across the type
+//! boundary too.
 
-use crate::queue::DropCause;
 use crate::{Ctx, Frame, NodeAgent, OutFrame, Time, TxOutcome};
 use mesh_topology::NodeId;
 use std::any::Any;
@@ -145,22 +145,18 @@ pub trait FlowAgent: NodeAgent {
 pub trait ErasedFlowAgent {
     /// [`NodeAgent::on_receive`] over the erased payload.
     fn on_receive(&mut self, node: NodeId, frame: &Frame<DynPayload>, ctx: &mut Ctx<'_>);
-    /// [`NodeAgent::on_tx_done`], unchanged.
-    fn on_tx_done(&mut self, node: NodeId, outcome: TxOutcome, ctx: &mut Ctx<'_>);
+    /// [`NodeAgent::on_tx_done`] over the erased payload.
+    fn on_tx_done(
+        &mut self,
+        node: NodeId,
+        outcome: TxOutcome,
+        payload: DynPayload,
+        ctx: &mut Ctx<'_>,
+    );
     /// [`NodeAgent::poll_tx`] over the erased payload.
     fn poll_tx(&mut self, node: NodeId, ctx: &mut Ctx<'_>) -> Option<OutFrame<DynPayload>>;
     /// [`NodeAgent::on_timer`], unchanged.
     fn on_timer(&mut self, node: NodeId, token: u64, ctx: &mut Ctx<'_>);
-    /// [`NodeAgent::on_queue_drop`] over the erased payload.
-    fn on_queue_drop(
-        &mut self,
-        node: NodeId,
-        payload: DynPayload,
-        cause: DropCause,
-        ctx: &mut Ctx<'_>,
-    );
-    /// [`NodeAgent::recycle`] over the erased payload.
-    fn recycle(&mut self, payload: DynPayload);
     /// [`FlowAgent::flows_done`], unchanged.
     fn flows_done(&self) -> bool;
     /// [`FlowAgent::flow_progress`], unchanged.
@@ -202,8 +198,22 @@ where
         self.0.on_receive(node, &typed, ctx);
     }
 
-    fn on_tx_done(&mut self, node: NodeId, outcome: TxOutcome, ctx: &mut Ctx<'_>) {
-        self.0.on_tx_done(node, outcome, ctx);
+    fn on_tx_done(
+        &mut self,
+        node: NodeId,
+        outcome: TxOutcome,
+        payload: DynPayload,
+        ctx: &mut Ctx<'_>,
+    ) {
+        // The engine's `Rc` is the last one — receivers cloned the value
+        // inside it — so this normally unwraps without a copy; clone if
+        // something still holds it.
+        let rc = payload
+            .downcast::<A::Payload>()
+            // xtask: allow(panic_path) -- the payload is the one this agent's poll_tx erased; a type mismatch here is a harness bug, never a runtime input
+            .expect("erased payload does not match the sending agent's payload type");
+        let payload = Rc::try_unwrap(rc).unwrap_or_else(|rc| (*rc).clone());
+        self.0.on_tx_done(node, outcome, payload, ctx);
     }
 
     fn poll_tx(&mut self, node: NodeId, ctx: &mut Ctx<'_>) -> Option<OutFrame<DynPayload>> {
@@ -218,32 +228,6 @@ where
 
     fn on_timer(&mut self, node: NodeId, token: u64, ctx: &mut Ctx<'_>) {
         self.0.on_timer(node, token, ctx);
-    }
-
-    fn on_queue_drop(
-        &mut self,
-        node: NodeId,
-        payload: DynPayload,
-        cause: DropCause,
-        ctx: &mut Ctx<'_>,
-    ) {
-        // A queue-dropped frame never reached the air, so the engine's
-        // `Rc` is normally the sole reference; clone defensively if the
-        // concrete agent kept one.
-        if let Ok(rc) = payload.downcast::<A::Payload>() {
-            let p = Rc::try_unwrap(rc).unwrap_or_else(|rc| (*rc).clone());
-            self.0.on_queue_drop(node, p, cause, ctx);
-        }
-    }
-
-    fn recycle(&mut self, payload: DynPayload) {
-        // Only unwrap when the engine really held the last reference —
-        // a receiver may have kept the payload alive.
-        if let Ok(rc) = payload.downcast::<A::Payload>() {
-            if let Ok(p) = Rc::try_unwrap(rc) {
-                self.0.recycle(p);
-            }
-        }
     }
 
     fn flows_done(&self) -> bool {
@@ -282,8 +266,14 @@ impl NodeAgent for Box<dyn ErasedFlowAgent> {
         (**self).on_receive(node, frame, ctx);
     }
 
-    fn on_tx_done(&mut self, node: NodeId, outcome: TxOutcome, ctx: &mut Ctx<'_>) {
-        (**self).on_tx_done(node, outcome, ctx);
+    fn on_tx_done(
+        &mut self,
+        node: NodeId,
+        outcome: TxOutcome,
+        payload: DynPayload,
+        ctx: &mut Ctx<'_>,
+    ) {
+        (**self).on_tx_done(node, outcome, payload, ctx);
     }
 
     fn poll_tx(&mut self, node: NodeId, ctx: &mut Ctx<'_>) -> Option<OutFrame<DynPayload>> {
@@ -292,20 +282,6 @@ impl NodeAgent for Box<dyn ErasedFlowAgent> {
 
     fn on_timer(&mut self, node: NodeId, token: u64, ctx: &mut Ctx<'_>) {
         (**self).on_timer(node, token, ctx);
-    }
-
-    fn on_queue_drop(
-        &mut self,
-        node: NodeId,
-        payload: DynPayload,
-        cause: DropCause,
-        ctx: &mut Ctx<'_>,
-    ) {
-        (**self).on_queue_drop(node, payload, cause, ctx);
-    }
-
-    fn recycle(&mut self, payload: DynPayload) {
-        (**self).recycle(payload);
     }
 }
 
@@ -355,7 +331,7 @@ mod test {
             }
         }
 
-        fn on_tx_done(&mut self, _node: NodeId, _outcome: TxOutcome, ctx: &mut Ctx<'_>) {
+        fn on_tx_done(&mut self, _node: NodeId, _o: TxOutcome, _p: u32, ctx: &mut Ctx<'_>) {
             if self.remaining > 0 {
                 ctx.mark_backlogged(NodeId(0));
             } else if self.done_at.is_none() {

@@ -28,8 +28,9 @@
 //!
 //! Protocols plug in through the [`NodeAgent`] trait: the simulator calls
 //! `poll_tx` when a node's MAC wins a transmit opportunity, delivers
-//! receptions through `on_receive`, and reports transmit outcomes through
-//! `on_tx_done`. Everything is deterministic in the seed.
+//! receptions through `on_receive`, and hands every polled frame's
+//! payload back exactly once through `on_tx_done`, with what became of
+//! it. Everything is deterministic in the seed.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -208,10 +209,11 @@ pub struct Frame<P> {
     pub payload: P,
 }
 
-/// Outcome of a transmission, reported to the sender's agent.
+/// What became of a frame the agent polled, reported to the sender's
+/// agent together with the frame's payload.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TxOutcome {
-    /// Broadcast completed (broadcasts are fire-and-forget).
+    /// Broadcast left the air (broadcasts are fire-and-forget).
     Broadcast,
     /// Unicast was MAC-acknowledged after `retries` retransmissions.
     Acked {
@@ -223,6 +225,10 @@ pub enum TxOutcome {
         /// Retransmissions attempted before giving up.
         retries: u32,
     },
+    /// The node's bounded transmit queue discarded the frame before it
+    /// reached the air (never reported under
+    /// [`queue::QueueSpec::Unbounded`]).
+    Dropped(DropCause),
 }
 
 /// A protocol running on every node of the simulated mesh.
@@ -237,8 +243,21 @@ pub trait NodeAgent {
     /// A frame was received by `node`.
     fn on_receive(&mut self, node: NodeId, frame: &Frame<Self::Payload>, ctx: &mut Ctx<'_>);
 
-    /// A transmission by `node` finished with `outcome`.
-    fn on_tx_done(&mut self, node: NodeId, outcome: TxOutcome, ctx: &mut Ctx<'_>);
+    /// A frame `node` handed out through [`NodeAgent::poll_tx`] is
+    /// finished, with `outcome`: a broadcast once every receiver has been
+    /// served, a unicast once it is ACKed or out of retries, a queued
+    /// frame when its queue discards it. Every polled frame comes back
+    /// here exactly once, with the engine's last copy of its payload, so
+    /// the payload says which frame the outcome belongs to and the agent
+    /// may reclaim pooled buffers from it (when no receiver kept a
+    /// reference, it holds the sole one).
+    fn on_tx_done(
+        &mut self,
+        node: NodeId,
+        outcome: TxOutcome,
+        payload: Self::Payload,
+        ctx: &mut Ctx<'_>,
+    );
 
     /// The MAC at `node` won a transmit opportunity; return a frame or
     /// `None` to go idle (the MAC will poll again after
@@ -246,40 +265,12 @@ pub trait NodeAgent {
     ///
     /// With a bounded [`queue::QueueSpec`] configured, the engine may
     /// poll several frames back-to-back to fill the node's transmit
-    /// queue, so more than one polled frame can be outstanding at once.
-    /// Outcomes are reported in poll order for frames that reach the
-    /// air ([`NodeAgent::on_tx_done`]), while queue drops are reported
-    /// out of band with the frame's payload
-    /// ([`NodeAgent::on_queue_drop`]). Agents tracking in-flight frames
-    /// must therefore keep a FIFO per node, not a single slot.
+    /// queue, and a queue may discard any of them, so outcomes need not
+    /// come back in poll order; each carries its own payload.
     fn poll_tx(&mut self, node: NodeId, ctx: &mut Ctx<'_>) -> Option<OutFrame<Self::Payload>>;
 
     /// A timer set via [`Ctx::set_timer`] fired.
     fn on_timer(&mut self, _node: NodeId, _token: u64, _ctx: &mut Ctx<'_>) {}
-
-    /// A frame previously handed out by [`NodeAgent::poll_tx`] was
-    /// dropped by `node`'s bounded transmit queue before reaching the
-    /// air (never called under [`queue::QueueSpec::Unbounded`]). The
-    /// payload is handed back so the agent can account the loss and
-    /// reclaim buffers; the default treats it like an unheard broadcast
-    /// and forwards the payload to [`NodeAgent::recycle`].
-    fn on_queue_drop(
-        &mut self,
-        _node: NodeId,
-        payload: Self::Payload,
-        _cause: queue::DropCause,
-        _ctx: &mut Ctx<'_>,
-    ) {
-        self.recycle(payload);
-    }
-
-    /// The simulator is done with a frame's payload: the broadcast left
-    /// the air and every receiver has been served. If the agent's payload
-    /// holds pooled buffers (refcounted packet data), this is the hook to
-    /// recycle them — the payload handed in is the frame's own copy, so
-    /// when no receiver kept a reference the agent gets the sole one back.
-    /// The default drops it.
-    fn recycle(&mut self, _payload: Self::Payload) {}
 }
 
 #[cfg(test)]

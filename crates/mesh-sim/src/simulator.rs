@@ -613,8 +613,9 @@ impl<A: NodeAgent> Simulator<A> {
                         if let Some(p) = frame.flow.and_then(|f| pacers.get_mut(&f)) {
                             p.on_loss(self.now);
                         }
+                        let outcome = TxOutcome::Dropped(cause);
                         self.agent
-                            .on_queue_drop(node, frame.payload, cause, &mut ctx);
+                            .on_tx_done(node, outcome, frame.payload, &mut ctx);
                         break;
                     }
                     QueueVerdict::DropMatched { index } => {
@@ -622,6 +623,7 @@ impl<A: NodeAgent> Simulator<A> {
                         // both go. One congestion event for the pacer (the
                         // matched pair shares a flow key), two drop counts.
                         let cause = DropCause::FlowMatch;
+                        let outcome = TxOutcome::Dropped(cause);
                         self.stats.count_queue_drop(node.0, frame.flow, cause);
                         if let Some(p) = frame.flow.and_then(|f| pacers.get_mut(&f)) {
                             p.on_loss(self.now);
@@ -629,10 +631,10 @@ impl<A: NodeAgent> Simulator<A> {
                         if let Some(victim) = q.frames.remove(index) {
                             self.stats.count_queue_drop(node.0, victim.flow, cause);
                             self.agent
-                                .on_queue_drop(node, victim.payload, cause, &mut ctx);
+                                .on_tx_done(node, outcome, victim.payload, &mut ctx);
                         }
                         self.agent
-                            .on_queue_drop(node, frame.payload, cause, &mut ctx);
+                            .on_tx_done(node, outcome, frame.payload, &mut ctx);
                         break;
                     }
                 }
@@ -712,13 +714,12 @@ impl<A: NodeAgent> Simulator<A> {
                 }
                 match frame.dst {
                     None => {
-                        // Broadcast: done immediately. The frame now holds
-                        // the last engine-side reference to the payload
-                        // (the sender's retained copy was cleared above),
-                        // so hand it back to the agent for buffer reuse.
+                        // Broadcast: done once every receiver has been
+                        // served. With the sender's retained copy cleared,
+                        // the frame holds the engine's last copy of the
+                        // payload, and it goes back with the outcome.
                         self.current[sender.0] = None;
-                        self.finish_tx(sender, TxOutcome::Broadcast);
-                        self.agent.recycle(frame.payload);
+                        self.finish_tx(sender, TxOutcome::Broadcast, frame.payload);
                     }
                     Some(dst) => {
                         if receivers.contains(&dst) {
@@ -748,9 +749,8 @@ impl<A: NodeAgent> Simulator<A> {
                 // correct — the receiver did get that frame's contents.
                 if receivers.contains(&to) {
                     if let MacState::AwaitAck { .. } = self.states[to.0] {
-                        let retries = self.current[to.0].as_ref().map(|c| c.retries).unwrap_or(0);
-                        self.current[to.0] = None;
-                        self.finish_tx(to, TxOutcome::Acked { retries });
+                        let CurrentTx { frame, retries, .. } = self.take_awaited(to);
+                        self.finish_tx(to, TxOutcome::Acked { retries }, frame.payload);
                     }
                 }
             }
@@ -779,20 +779,15 @@ impl<A: NodeAgent> Simulator<A> {
         if cur != seq {
             return; // stale
         }
-        let Some(current) = self.current[node.0].as_mut() else {
-            // ACK arrived and cleared the frame between events.
-            self.states[node.0] = MacState::Waiting;
-            let d = self.backoff_delay(self.cfg.cw_min);
-            self.push(self.now + d, EventKind::TryTx { node });
-            return;
-        };
+        let current = self.current[node.0]
+            .as_mut()
+            .expect("AwaitAck retains its frame");
         current.retries += 1;
         self.stats.retries += 1;
         if current.retries > self.cfg.retry_limit {
-            let retries = current.retries;
-            self.current[node.0] = None;
+            let CurrentTx { frame, retries, .. } = self.take_awaited(node);
             self.stats.unicast_failures += 1;
-            self.finish_tx(node, TxOutcome::Failed { retries });
+            self.finish_tx(node, TxOutcome::Failed { retries }, frame.payload);
         } else {
             current.cw = (current.cw * 2 + 1).min(self.cfg.cw_max);
             let cw = current.cw;
@@ -802,9 +797,18 @@ impl<A: NodeAgent> Simulator<A> {
         }
     }
 
-    /// Reports an outcome and re-arms the MAC for the next frame.
-    fn finish_tx(&mut self, node: NodeId, outcome: TxOutcome) {
-        self.callback(|agent, ctx| agent.on_tx_done(node, outcome, ctx));
+    /// The unicast `node` awaits an ACK for; `AwaitAck` always retains
+    /// it until it is ACKed or out of retries.
+    fn take_awaited(&mut self, node: NodeId) -> CurrentTx<A::Payload> {
+        self.current[node.0]
+            .take()
+            .expect("AwaitAck retains its frame")
+    }
+
+    /// Hands a finished frame's payload back with its outcome and re-arms
+    /// the MAC for the next frame.
+    fn finish_tx(&mut self, node: NodeId, outcome: TxOutcome, payload: A::Payload) {
+        self.callback(|agent, ctx| agent.on_tx_done(node, outcome, payload, ctx));
         self.states[node.0] = MacState::Waiting;
         let d = self.backoff_delay(self.cfg.cw_min);
         self.push(self.now + d, EventKind::TryTx { node });
@@ -918,7 +922,7 @@ mod test {
 
         fn on_receive(&mut self, _node: NodeId, _f: &Frame<()>, _ctx: &mut Ctx<'_>) {}
 
-        fn on_tx_done(&mut self, _node: NodeId, _outcome: TxOutcome, _ctx: &mut Ctx<'_>) {}
+        fn on_tx_done(&mut self, _node: NodeId, _o: TxOutcome, _p: (), _ctx: &mut Ctx<'_>) {}
 
         fn poll_tx(&mut self, node: NodeId, _ctx: &mut Ctx<'_>) -> Option<OutFrame<()>> {
             let next_hop = self.next_hop[node.0]?;

@@ -29,7 +29,7 @@ impl NodeAgent for Broadcaster {
         self.received[node.0] += 1;
     }
 
-    fn on_tx_done(&mut self, _node: NodeId, outcome: TxOutcome, _ctx: &mut Ctx<'_>) {
+    fn on_tx_done(&mut self, _node: NodeId, outcome: TxOutcome, _p: u32, _ctx: &mut Ctx<'_>) {
         assert_eq!(outcome, TxOutcome::Broadcast);
     }
 
@@ -102,11 +102,11 @@ impl NodeAgent for Unicaster {
         }
     }
 
-    fn on_tx_done(&mut self, _node: NodeId, outcome: TxOutcome, _ctx: &mut Ctx<'_>) {
+    fn on_tx_done(&mut self, _node: NodeId, outcome: TxOutcome, _p: (), _ctx: &mut Ctx<'_>) {
         match outcome {
             TxOutcome::Acked { .. } => self.acked += 1,
             TxOutcome::Failed { .. } => self.failed += 1,
-            TxOutcome::Broadcast => panic!("no broadcasts here"),
+            other => panic!("unicasts on an unbounded queue, yet {other:?}"),
         }
     }
 
@@ -182,7 +182,7 @@ impl NodeAgent for TwoSenders {
     type Payload = ();
 
     fn on_receive(&mut self, _n: NodeId, _f: &Frame<()>, _c: &mut Ctx<'_>) {}
-    fn on_tx_done(&mut self, _n: NodeId, _o: TxOutcome, _c: &mut Ctx<'_>) {}
+    fn on_tx_done(&mut self, _n: NodeId, _o: TxOutcome, _p: (), _c: &mut Ctx<'_>) {}
 
     fn poll_tx(&mut self, node: NodeId, _ctx: &mut Ctx<'_>) -> Option<OutFrame<()>> {
         if self.senders.contains(&node) {
@@ -248,7 +248,7 @@ struct TimerAgent {
 impl NodeAgent for TimerAgent {
     type Payload = ();
     fn on_receive(&mut self, _n: NodeId, _f: &Frame<()>, _c: &mut Ctx<'_>) {}
-    fn on_tx_done(&mut self, _n: NodeId, _o: TxOutcome, _c: &mut Ctx<'_>) {}
+    fn on_tx_done(&mut self, _n: NodeId, _o: TxOutcome, _p: (), _c: &mut Ctx<'_>) {}
     fn poll_tx(&mut self, _n: NodeId, _c: &mut Ctx<'_>) -> Option<OutFrame<()>> {
         None
     }

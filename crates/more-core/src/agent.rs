@@ -8,12 +8,10 @@ use crate::header::MorePayload;
 use crate::{native_byte, native_is_intact, ForwarderMetric, MoreConfig};
 use mesh_metrics::etx::LinkCost;
 use mesh_metrics::{EtxTable, ForwarderPlan};
-use mesh_sim::queue::DropCause;
 use mesh_sim::{Ctx, Frame, NodeAgent, OutFrame, TxOutcome};
 use mesh_topology::{NodeId, Topology};
 use rand::Rng;
 use rlnc::{pool, CodedPacket, Decoder, ForwarderBuffer, InnovationTracker, SourceEncoder};
-use std::collections::VecDeque;
 
 /// Size of a batch-ACK frame on the air (type + ids + MAC framing).
 const ACK_BYTES: usize = 30;
@@ -27,11 +25,6 @@ pub struct MoreAgent {
     /// Per-node round-robin cursor over flows (§3.3.3: "the node selects a
     /// backlogged flow by round-robin").
     rr: Vec<usize>,
-    /// Batch ACKs each node has handed to the MAC, oldest first, as
-    /// `(flow index, batch, origin)`. A FIFO rather than a slot because a
-    /// bounded transmit queue may poll several frames before the first
-    /// outcome arrives; outcomes come back in poll order.
-    ack_outstanding: Vec<VecDeque<(usize, u32, NodeId)>>,
 }
 
 impl MoreAgent {
@@ -43,7 +36,6 @@ impl MoreAgent {
             topo,
             flows: Vec::new(),
             rr: vec![0; n],
-            ack_outstanding: vec![VecDeque::new(); n],
         }
     }
 
@@ -341,36 +333,51 @@ impl NodeAgent for MoreAgent {
         }
     }
 
-    fn on_tx_done(&mut self, node: NodeId, outcome: TxOutcome, ctx: &mut Ctx<'_>) {
-        match outcome {
-            TxOutcome::Broadcast => {}
-            TxOutcome::Acked { .. } => {
-                // The oldest outstanding ACK made it; it was already
-                // removed from pending_acks at poll time.
-                self.ack_outstanding[node.0].pop_front();
-            }
-            TxOutcome::Failed { .. } => {
-                // Batch ACKs are delivered reliably: re-queue at the front
-                // and try again (§3.2.2 "reliably delivered using local
-                // retransmission at each hop").
-                if let Some((fi, batch, origin)) = self.ack_outstanding[node.0].pop_front() {
-                    let f = &mut self.flows[fi];
-                    if !f.halted {
-                        f.nodes[node.0].pending_acks.push_front((batch, origin));
-                    }
-                }
-                ctx.mark_backlogged(node);
-            }
+    fn on_tx_done(
+        &mut self,
+        node: NodeId,
+        outcome: TxOutcome,
+        payload: MorePayload,
+        ctx: &mut Ctx<'_>,
+    ) {
+        let (flow, batch, origin) = match payload {
+            // A coded packet, sent or dropped, goes back to the pool. This
+            // computes nothing: a packet no receiver kept never has its
+            // payload combined, and the next encode reuses its cell.
+            MorePayload::Data { packet, .. } => return pool::recycle(packet),
+            MorePayload::Ack {
+                flow,
+                batch,
+                origin,
+            } => (flow, batch, origin),
+        };
+        // Batch ACKs are delivered reliably (§3.2.2 "reliably delivered
+        // using local retransmission at each hop"): one the MAC gave up on
+        // or the queue dropped goes back to the head of the pending queue,
+        // unless its flow was withdrawn.
+        let failed = match outcome {
+            TxOutcome::Failed { .. } => true,
+            TxOutcome::Dropped(_) => false,
+            TxOutcome::Broadcast | TxOutcome::Acked { .. } => return,
+        };
+        let live = self.flow_index(flow).filter(|&fi| !self.flows[fi].halted);
+        if let Some(fi) = live {
+            self.flows[fi].nodes[node.0]
+                .pending_acks
+                .push_front((batch, origin));
+        }
+        if failed || live.is_some() {
+            ctx.mark_backlogged(node);
         }
     }
 
     fn poll_tx(&mut self, node: NodeId, ctx: &mut Ctx<'_>) -> Option<OutFrame<MorePayload>> {
         // 1. Batch ACKs first: "ACKs are given priority over data packets
         //    at every node" (§3.1.3).
-        for (fi, f) in self.flows.iter_mut().enumerate() {
+        for f in &mut self.flows {
             // Popped now (not on MAC ack): once handed to the MAC the
-            // frame's fate comes back via on_tx_done/on_queue_drop, both
-            // of which consult ack_outstanding.
+            // frame comes back through on_tx_done, which re-queues it if
+            // it was not delivered.
             let Some((batch, origin)) = f.nodes[node.0].pending_acks.pop_front() else {
                 continue;
             };
@@ -378,7 +385,6 @@ impl NodeAgent for MoreAgent {
             let Some(nh) = f.ack_next_hop[node.0] else {
                 continue;
             };
-            self.ack_outstanding[node.0].push_back((fi, batch, origin));
             return Some(OutFrame {
                 dst: Some(nh),
                 bytes: ACK_BYTES,
@@ -451,50 +457,6 @@ impl NodeAgent for MoreAgent {
             });
         }
         None
-    }
-
-    fn on_queue_drop(
-        &mut self,
-        node: NodeId,
-        payload: MorePayload,
-        _cause: DropCause,
-        ctx: &mut Ctx<'_>,
-    ) {
-        match payload {
-            // A dropped batch ACK must not be lost: retract the
-            // outstanding entry and put the batch back at the head of the
-            // pending queue (§3.2.2 reliable delivery).
-            MorePayload::Ack {
-                flow,
-                batch,
-                origin,
-            } => {
-                if let Some(fi) = self.flow_index(flow) {
-                    let out = &mut self.ack_outstanding[node.0];
-                    if let Some(pos) = out.iter().rposition(|&e| e == (fi, batch, origin)) {
-                        out.remove(pos);
-                    }
-                    let f = &mut self.flows[fi];
-                    if !f.halted {
-                        f.nodes[node.0].pending_acks.push_front((batch, origin));
-                        ctx.mark_backlogged(node);
-                    }
-                }
-            }
-            // A dropped coded packet is just an unheard broadcast; return
-            // it to the pool, its payload never computed.
-            MorePayload::Data { packet, .. } => pool::recycle(packet),
-        }
-    }
-
-    fn recycle(&mut self, payload: MorePayload) {
-        // The simulator hands back the last reference to a delivered
-        // frame's payload; returning the packet to the pool closes the
-        // zero-copy loop (the next encode reuses it). Computes nothing: a
-        // packet no receiver kept never has its payload combined.
-        if let MorePayload::Data { packet, .. } = payload {
-            pool::recycle(packet);
-        }
     }
 }
 
@@ -721,7 +683,7 @@ mod test {
     #[test]
     fn coded_flows_through_a_choke_queue_decode_every_batch() {
         // A bounded CHOKe queue hands coded packets back through
-        // on_queue_drop — tail drops, and CHOKe's matched victim, a frame
+        // on_tx_done — tail drops, and CHOKe's matched victim, a frame
         // polled long before the arrival that matched it — while the
         // destinations run every batch they decode through verify_decoded.
         // Seed 14 completes. At most seeds of this load a matched drop

@@ -4,9 +4,10 @@
 //! vector and, once a receiver keeps it, one flat `[coeffs | payload]`
 //! buffer (see [`crate::CodedPacket`]). In steady state a simulator
 //! produces and retires a packet for every transmission — thousands per
-//! simulated second — and the pool turns that churn into reuse: the engine
-//! hands packets back with [`recycle`] when a frame leaves the air
-//! (`mesh_sim::NodeAgent::recycle`) or a queue drops it, forwarders hand
+//! simulated second — and the pool turns that churn into reuse: the agent
+//! hands a packet back with [`recycle`] when the engine returns its frame
+//! (`mesh_sim::NodeAgent::on_tx_done`: it left the air or a queue dropped
+//! it), forwarders hand
 //! theirs back on batch flush, and the next packet is built in a recycled
 //! cell, its payload in a buffer from [`acquire`]. Recycling never
 //! computes a payload: a packet nobody kept goes back uncombined.

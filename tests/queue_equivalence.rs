@@ -2,8 +2,9 @@
 //! the pull-on-demand transmit path — is the golden run (see
 //! `tests/common/mod.rs`), said or unsaid. The run includes the Srcr and
 //! ExOR baselines because every agent's transmit path is shared with the
-//! queue pump (pop-at-poll outstanding FIFOs): a single extra poll,
-//! re-queued frame, or RNG draw would shift every downstream number.
+//! queue pump (frames popped from the agent's queues at poll time, and
+//! handed back with their outcome through `on_tx_done`): a single extra
+//! poll, re-queued frame, or RNG draw would shift every downstream number.
 //! Bounded disciplines must instead be deterministic per seed, diverge
 //! across seeds, and surface their label in the `queue` key.
 //!

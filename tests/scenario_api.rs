@@ -130,7 +130,7 @@ impl NodeAgent for FloodAgent {
         }
     }
 
-    fn on_tx_done(&mut self, node: NodeId, _outcome: TxOutcome, ctx: &mut Ctx<'_>) {
+    fn on_tx_done(&mut self, node: NodeId, _o: TxOutcome, _p: FloodPayload, ctx: &mut Ctx<'_>) {
         if self.flows.iter().any(|f| !f.pending[node.0].is_empty()) {
             ctx.mark_backlogged(node);
         }
