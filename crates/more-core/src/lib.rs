@@ -83,8 +83,15 @@ pub struct MoreConfig {
     /// Metric used to order forwarders and derive transmission counts.
     pub metric: ForwarderMetric,
     /// Carry and verify real coded payloads end-to-end. Costs CPU in large
-    /// sweeps; rank dynamics (and therefore throughput) are identical
-    /// either way because innovativeness is decided on code vectors alone.
+    /// sweeps. Either way it is the same protocol: innovativeness is
+    /// decided on code vectors alone, and the source and destinations draw
+    /// the same random numbers. Forwarders do not: a vector-only forwarder
+    /// draws one coefficient per stored row when it is polled, a coded one
+    /// one per pooled packet when it pre-codes plus one per arrival it
+    /// folds in (§3.2.3c). The run's shared RNG, and with it every later
+    /// backoff, therefore diverges as soon as a forwarder speaks, so
+    /// same-seed runs with forwarders differ in transmissions and
+    /// throughput; only a flow that needs no forwarder replays exactly.
     pub track_payloads: bool,
 }
 
