@@ -215,7 +215,7 @@ mod test {
         let eotx = EotxTable::compute(&t, d);
         let order = order_for(&t, eotx.distances(), s.0);
         let sol = FlowSolution::compute(&t, &order, s);
-        let rank: std::collections::HashMap<NodeId, usize> =
+        let rank: std::collections::BTreeMap<NodeId, usize> =
             order.iter().enumerate().map(|(r, &n)| (n, r)).collect();
         for i in t.nodes() {
             for j in t.nodes() {

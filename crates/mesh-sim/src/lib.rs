@@ -34,6 +34,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![deny(clippy::return_self_not_must_use)]
 
 pub mod autorate;
 pub mod channel;

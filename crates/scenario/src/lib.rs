@@ -53,6 +53,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![deny(clippy::return_self_not_must_use)]
 
 pub mod builder;
 pub mod exec;

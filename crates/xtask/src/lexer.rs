@@ -218,11 +218,8 @@ fn mark_test_regions(code: &[String]) -> Vec<bool> {
     test
 }
 
-/// `needle` appears in `haystack` delimited by non-identifier chars.
-pub(crate) fn contains_word(haystack: &str, needle: &str) -> bool {
-    find_word(haystack, needle).is_some()
-}
-
+/// Where `needle` first appears in `haystack` delimited by
+/// non-identifier chars.
 pub(crate) fn find_word(haystack: &str, needle: &str) -> Option<usize> {
     let is_ident = |c: char| c.is_alphanumeric() || c == '_';
     let mut from = 0;
@@ -280,8 +277,11 @@ mod test {
 
     #[test]
     fn word_boundaries_respected() {
-        assert!(contains_word("use std::collections::HashMap;", "HashMap"));
-        assert!(!contains_word("forbid(unsafe_code)", "unsafe"));
-        assert!(!contains_word("MyHashMapLike", "HashMap"));
+        assert_eq!(
+            find_word("use std::collections::HashMap;", "HashMap"),
+            Some(22)
+        );
+        assert_eq!(find_word("forbid(unsafe_code)", "unsafe"), None);
+        assert_eq!(find_word("MyHashMapLike", "HashMap"), None);
     }
 }

@@ -14,16 +14,18 @@
 //! 1. `lexer` blanks comments and string/char literals per line and
 //!    marks `#[cfg(test)]` regions;
 //! 2. `tokens` turns the blanked lines into a real token stream;
-//! 3. `parser` recovers a lightweight item model — fn signatures,
-//!    impl blocks, const items, `#[must_use]` types, attribute spans —
-//!    so the expression-aware lints reason about scopes, not lines.
+//! 3. `parser` recovers a lightweight item model — fn bodies, impl
+//!    blocks, const items, attribute spans — so the expression-aware
+//!    lints reason about scopes, not lines.
+//!
+//! Rules clippy can check from configuration live there instead: the
+//! root `clippy.toml` disallows `HashMap`/`HashSet` and
+//! `Instant::now`/`SystemTime::now` in every crate, and `scenario` and
+//! `mesh-sim` deny `clippy::return_self_not_must_use`.
 //!
 //! ## Lint families
 //!
 //! **Determinism** (line-based) —
-//! * [`Lint::HashIteration`]: `HashMap`/`HashSet` in an engine crate.
-//! * [`Lint::WallClock`]: `Instant::now`/`SystemTime` outside
-//!   `crates/bench`.
 //! * [`Lint::RngStream`]: RNG construction not derived from the run seed
 //!   (`seed_from_u64` must take the bare seed or `seed ^ *_STREAM`).
 //! * [`Lint::FloatOrd`]: float ordering via `partial_cmp` + unwrap-style
@@ -39,10 +41,6 @@
 //! * [`Lint::PoolPairing`]: every `pool::acquire`/`acquire_vec` site
 //!   needs a reachable `pool::release*` in an impl of the same type (or
 //!   the same free fn) in the same file.
-//! * [`Lint::MustUseApi`]: public builder-/`Self`-returning fns in
-//!   `scenario`/`mesh-sim` must be `#[must_use]` (directly or via the
-//!   returned type); `Result`/`Option` returns satisfy this
-//!   intrinsically.
 //!
 //! **Unsafe audit** —
 //! * [`Lint::UndocumentedUnsafe`]: every `unsafe` needs a `// SAFETY:`
@@ -72,7 +70,7 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::fs;
 use std::io;
@@ -94,10 +92,6 @@ use parser::ParsedFile;
 /// The lint families, in report order.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum Lint {
-    /// `HashMap`/`HashSet` in an engine crate (RandomState order).
-    HashIteration,
-    /// Wall-clock reads outside `crates/bench`.
-    WallClock,
     /// RNG construction not derived from the run seed.
     RngStream,
     /// Float ordering via `partial_cmp` + unwrap-style methods.
@@ -108,8 +102,6 @@ pub enum Lint {
     StreamRegistry,
     /// `pool::acquire*` without a reachable `pool::release*` path.
     PoolPairing,
-    /// Discardable builder/`Self` returns in scenario/mesh-sim.
-    MustUseApi,
     /// `unsafe` without a `// SAFETY:` comment.
     UndocumentedUnsafe,
     /// Crate root lacking `#![forbid(unsafe_code)]`.
@@ -120,15 +112,12 @@ pub enum Lint {
 
 impl Lint {
     /// Every lint, in report order.
-    pub const ALL: [Lint; 11] = [
-        Lint::HashIteration,
-        Lint::WallClock,
+    pub const ALL: [Lint; 8] = [
         Lint::RngStream,
         Lint::FloatOrd,
         Lint::PanicPath,
         Lint::StreamRegistry,
         Lint::PoolPairing,
-        Lint::MustUseApi,
         Lint::UndocumentedUnsafe,
         Lint::MissingForbid,
         Lint::BadAllow,
@@ -138,14 +127,11 @@ impl Lint {
     /// and the ratchet baseline.
     pub fn name(self) -> &'static str {
         match self {
-            Lint::HashIteration => "hash_iteration",
-            Lint::WallClock => "wall_clock",
             Lint::RngStream => "rng_stream",
             Lint::FloatOrd => "float_ord",
             Lint::PanicPath => "panic_path",
             Lint::StreamRegistry => "stream_registry",
             Lint::PoolPairing => "pool_pairing",
-            Lint::MustUseApi => "must_use_api",
             Lint::UndocumentedUnsafe => "undocumented_unsafe",
             Lint::MissingForbid => "missing_forbid",
             Lint::BadAllow => "bad_allow",
@@ -444,8 +430,6 @@ pub(crate) struct Ctx {
     pub registry_files: Vec<String>,
     /// Registered stream constants: name → (file, line, value tokens).
     pub streams: BTreeMap<String, (String, usize, String)>,
-    /// All `#[must_use]`-annotated type names, workspace-wide.
-    pub must_use_types: BTreeSet<String>,
 }
 
 struct FileEntry {
@@ -538,18 +522,10 @@ fn build_ctx(entries: &[FileEntry]) -> (Ctx, Vec<Finding>) {
         }
     }
 
-    let mut must_use_types = BTreeSet::new();
-    for e in entries {
-        for t in &e.parsed.must_use_types {
-            must_use_types.insert(t.clone());
-        }
-    }
-
     (
         Ctx {
             registry_files,
             streams,
-            must_use_types,
         },
         findings,
     )

@@ -1,9 +1,9 @@
 //! The lint implementations: the line-based determinism lints and unsafe
-//! audit carried over from the v1 analyzer, plus the expression-aware
-//! families (`panic_path`, `stream_registry`, `pool_pairing`,
-//! `must_use_api`) that run over the parsed item/expression model.
+//! audit, plus the expression-aware families (`panic_path`,
+//! `stream_registry`, `pool_pairing`) that run over the parsed
+//! item/expression model.
 
-use crate::lexer::{contains_word, find_word, FileView};
+use crate::lexer::{find_word, FileView};
 use crate::parser::ParsedFile;
 use crate::tokens::TokKind;
 use crate::{Ctx, Finding, Lint, Report, UnsafeSite};
@@ -12,26 +12,11 @@ use crate::{Ctx, Finding, Lint, Report, UnsafeSite};
 // Path classification.
 // ---------------------------------------------------------------------
 
-/// Crates whose containers can leak iteration order into tie-breaks,
-/// RNG draws, or serialized records.
-pub const ENGINE_CRATES: [&str; 6] = [
-    "mesh-sim",
-    "scenario",
-    "more-core",
-    "baselines",
-    "rlnc",
-    "mesh-metrics",
-];
-
 /// Which crate (the `crates/<name>` directory) a workspace-relative path
 /// belongs to, if any.
 pub(crate) fn crate_of(file: &str) -> Option<&str> {
     let rest = file.strip_prefix("crates/")?;
     rest.split('/').next()
-}
-
-pub(crate) fn is_engine_crate(file: &str) -> bool {
-    crate_of(file).is_some_and(|c| ENGINE_CRATES.contains(&c))
 }
 
 /// Library crates: everything that ships simulation or coding logic.
@@ -42,11 +27,6 @@ pub(crate) fn is_library_crate(file: &str) -> bool {
         Some(c) => !matches!(c, "bench" | "xtask"),
         None => file.starts_with("src/"),
     }
-}
-
-/// Crates whose public APIs the `must_use_api` lint covers.
-pub(crate) fn is_must_use_crate(file: &str) -> bool {
-    matches!(crate_of(file), Some("scenario") | Some("mesh-sim"))
 }
 
 /// Paths that hold test or bench harness code: exempt from the
@@ -78,12 +58,11 @@ pub(crate) fn requires_forbid(file: &str) -> bool {
 }
 
 // ---------------------------------------------------------------------
-// Line-based determinism lints (v1 families).
+// Line-based determinism lints: rng_stream and float_ord.
 // ---------------------------------------------------------------------
 
 pub(crate) fn run_line_lints(file: &str, view: &FileView, findings: &mut Vec<Finding>) {
     let in_bench_crate = crate_of(file) == Some("bench");
-    let engine = is_engine_crate(file);
     let test_path = is_test_path(file);
 
     for (i, code) in view.code.iter().enumerate() {
@@ -100,37 +79,7 @@ pub(crate) fn run_line_lints(file: &str, view: &FileView, findings: &mut Vec<Fin
             });
         };
 
-        if engine && (contains_word(code, "HashMap") || contains_word(code, "HashSet")) {
-            push(
-                Lint::HashIteration,
-                "hash containers iterate in RandomState order, which can leak into \
-                 tie-breaks, RNG draws, and serialized records; use BTreeMap/BTreeSet \
-                 (or allowlist a lookup-only use with a justification)"
-                    .to_string(),
-                findings,
-            );
-        }
-
-        if !in_bench_crate && (code.contains("Instant::now") || contains_word(code, "SystemTime")) {
-            push(
-                Lint::WallClock,
-                "wall-clock reads outside crates/bench break run reproducibility; \
-                 simulated time is the only clock the engine may consult"
-                    .to_string(),
-                findings,
-            );
-        }
-
         if !in_bench_crate {
-            if contains_word(code, "thread_rng") || contains_word(code, "from_entropy") {
-                push(
-                    Lint::RngStream,
-                    "entropy-seeded RNGs make runs irreproducible; derive every RNG \
-                     from the run seed via a named *_STREAM constant"
-                        .to_string(),
-                    findings,
-                );
-            }
             for arg in call_args(code, "seed_from_u64") {
                 if !seed_arg_ok(&arg) {
                     push(
@@ -301,7 +250,7 @@ pub(crate) fn run_forbid_lint(file: &str, view: &FileView, findings: &mut Vec<Fi
 }
 
 // ---------------------------------------------------------------------
-// Expression-aware lints (v2 families).
+// Expression-aware lints.
 // ---------------------------------------------------------------------
 
 /// Panicking method calls `panic_path` flags.
@@ -474,8 +423,6 @@ pub(crate) fn run_expr_lints(
             }
         }
     }
-
-    run_must_use_lint(file, pf, ctx, findings, &exempt);
 }
 
 #[derive(Clone, Copy, PartialEq)]
@@ -520,92 +467,8 @@ fn acquire_is_paired(pf: &ParsedFile, i: usize, flavor: PoolFlavor) -> bool {
                     || other.trait_name.as_deref() == Some("Drop"))
                 && released_within(other.span)
         }),
-        None => pf
-            .enclosing_fn(i)
-            .and_then(|f| f.body)
-            .is_some_and(released_within),
+        None => pf.enclosing_fn(i).is_some_and(released_within),
     }
-}
-
-/// `must_use_api`: public builder- or `Self`-returning fns in the
-/// scenario and mesh-sim crates must be un-ignorable. `Result`/`Option`
-/// returns satisfy the lint intrinsically (the std types are already
-/// `#[must_use]`, and doubling the attribute would trip
-/// `clippy::double_must_use`).
-fn run_must_use_lint(
-    file: &str,
-    pf: &ParsedFile,
-    ctx: &Ctx,
-    findings: &mut Vec<Finding>,
-    exempt: &dyn Fn(usize) -> bool,
-) {
-    if !is_must_use_crate(file) {
-        return;
-    }
-    for f in &pf.fns {
-        if !f.is_pub || exempt(f.line) || f.ret.is_empty() {
-            continue;
-        }
-        // By-reference and opaque returns don't need the attribute: the
-        // receiver still owns the data.
-        if matches!(f.ret[0].as_str(), "&" | "impl" | "(") {
-            continue;
-        }
-        let base = leading_path_segment(&f.ret);
-        if base.is_empty() || matches!(base.as_str(), "Result" | "Option") {
-            continue; // Result/Option are intrinsically #[must_use]
-        }
-        let needs = base == "Self" || base.ends_with("Builder");
-        if !needs {
-            continue;
-        }
-        let resolved = if base == "Self" {
-            match &f.impl_type {
-                Some(t) => t.clone(),
-                None => continue, // trait signature: impls resolve it
-            }
-        } else {
-            base.clone()
-        };
-        let satisfied = f.must_use || ctx.must_use_types.contains(&resolved);
-        if !satisfied {
-            findings.push(Finding {
-                lint: Lint::MustUseApi,
-                file: file.to_string(),
-                line: f.line,
-                message: format!(
-                    "public fn `{}` returns `{base}` by value; dropping it silently \
-                     discards the configured {resolved} — add #[must_use] to the fn \
-                     or to `{resolved}` itself",
-                    f.name
-                ),
-            });
-        }
-    }
-}
-
-/// Last identifier of the leading path of a return-type token list:
-/// `io :: Result < () >` → `Result`, `Self` → `Self`.
-fn leading_path_segment(ret: &[String]) -> String {
-    let mut last = String::new();
-    let mut i = 0;
-    while i < ret.len() {
-        let t = &ret[i];
-        let is_ident = t
-            .chars()
-            .next()
-            .is_some_and(|c| c.is_alphabetic() || c == '_');
-        if is_ident {
-            last = t.clone();
-            match ret.get(i + 1) {
-                Some(n) if n == "::" => i += 2,
-                _ => break,
-            }
-        } else {
-            break;
-        }
-    }
-    last
 }
 
 #[cfg(test)]
@@ -622,16 +485,6 @@ mod test {
         assert!(!seed_arg_ok("12345"));
         assert!(!seed_arg_ok("seed * 31 + k"));
         assert!(!seed_arg_ok("k as u64"));
-    }
-
-    #[test]
-    fn engine_crate_classification() {
-        assert!(is_engine_crate("crates/mesh-sim/src/simulator.rs"));
-        assert!(is_engine_crate("crates/scenario/src/sink.rs"));
-        assert!(!is_engine_crate("crates/bench/src/stats.rs"));
-        assert!(!is_engine_crate("crates/gf256/src/wide.rs"));
-        assert!(!is_engine_crate("src/lib.rs"));
-        assert!(!is_engine_crate("examples/quickstart.rs"));
     }
 
     #[test]
@@ -652,20 +505,5 @@ mod test {
         assert!(requires_forbid("crates/xtask/src/lib.rs"));
         assert!(!requires_forbid("crates/gf256/src/lib.rs"));
         assert!(!requires_forbid("crates/mesh-sim/src/simulator.rs"));
-    }
-
-    #[test]
-    fn leading_path_segment_resolves() {
-        let toks = |s: &str| s.split(' ').map(str::to_string).collect::<Vec<_>>();
-        assert_eq!(leading_path_segment(&toks("Self")), "Self");
-        assert_eq!(
-            leading_path_segment(&toks("io :: Result < ( ) >")),
-            "Result"
-        );
-        assert_eq!(
-            leading_path_segment(&toks("ScenarioBuilder")),
-            "ScenarioBuilder"
-        );
-        assert_eq!(leading_path_segment(&toks("Vec < u8 >")), "Vec");
     }
 }

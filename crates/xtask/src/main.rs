@@ -24,10 +24,14 @@ usage: cargo run -p xtask -- analyze [--root DIR] [--format text|json|github]
        cargo run -p xtask -- ratchet [--root DIR] [--baseline FILE] [--check]
 
 analyze runs the workspace static-analysis suite:
-  determinism lints   hash_iteration, wall_clock, rng_stream, float_ord
-  panic freedom       panic_path, stream_registry, pool_pairing, must_use_api
+  determinism lints   rng_stream, float_ord
+  panic freedom       panic_path, stream_registry, pool_pairing
   unsafe audit        undocumented_unsafe, missing_forbid
   escape hatch        // xtask: allow(<lint>[, file]) -- <justification>
+
+HashMap/HashSet, wall-clock reads and `Self` returns without #[must_use]
+are clippy's to catch (clippy.toml; a crate-level deny in scenario and
+mesh-sim), not analyze's.
 
 ratchet compares per-lint counts (allow-suppressed findings included)
 against the committed baseline: a rise fails, a fall tightens the file.

@@ -1,37 +1,18 @@
 //! Lightweight item/expression model over the token stream.
 //!
 //! One pass over a file's tokens recovers the structure the
-//! expression-aware lints need: function signatures (visibility,
-//! `#[must_use]`, return-type tokens, body spans), `impl` blocks (type
-//! name, optional trait, span), `const` items, `#[must_use]`-annotated
-//! type declarations, and attribute spans (so expression scans never
-//! mistake `#[derive(..)]` brackets for indexing).
+//! expression-aware lints need: fn body spans, `impl` blocks (type
+//! name, optional trait, span), `const` items, and attribute spans (so
+//! expression scans never mistake `#[derive(..)]` brackets for
+//! indexing).
 //!
 //! This is deliberately not a full Rust parser: it tracks brace/angle
 //! nesting and item-introducer keywords, which is exactly enough to
-//! answer "which impl/fn contains token *i*" and "what does this pub fn
-//! return" on the subset of Rust this workspace writes (no macro_rules
-//! definitions, no exotic item positions).
+//! answer "which impl/fn contains token *i*" on the subset of Rust this
+//! workspace writes (no macro_rules definitions, no exotic item
+//! positions).
 
 use crate::tokens::{TokKind, Token};
-
-/// One `fn` item (free, inherent, trait-required, or nested).
-pub(crate) struct FnSig {
-    pub name: String,
-    pub line: usize,
-    /// `pub` without a restriction — `pub(crate)`/`pub(super)` are not
-    /// public API and count as private here.
-    pub is_pub: bool,
-    /// Carried a `#[must_use]` attribute.
-    pub must_use: bool,
-    /// Return-type token texts (empty when the fn returns `()`).
-    pub ret: Vec<String>,
-    /// Token-index span of the body `{ .. }`, inclusive; `None` for
-    /// trait-required signatures ending in `;`.
-    pub body: Option<(usize, usize)>,
-    /// Self type of the enclosing `impl` block, when inside one.
-    pub impl_type: Option<String>,
-}
 
 /// One `impl` block.
 pub(crate) struct ImplBlock {
@@ -54,11 +35,10 @@ pub(crate) struct ConstItem {
 /// Everything the parser recovered from one file.
 pub(crate) struct ParsedFile {
     pub tokens: Vec<Token>,
-    pub fns: Vec<FnSig>,
+    /// Token-index spans (inclusive) of fn bodies `{ .. }`.
+    fn_bodies: Vec<(usize, usize)>,
     pub impls: Vec<ImplBlock>,
     pub consts: Vec<ConstItem>,
-    /// Names of `struct`/`enum` declarations carrying `#[must_use]`.
-    pub must_use_types: Vec<String>,
     /// Token-index spans (inclusive) of `#[..]` / `#![..]` attributes.
     attr_spans: Vec<(usize, usize)>,
 }
@@ -78,15 +58,13 @@ impl ParsedFile {
             .min_by_key(|im| im.span.1 - im.span.0)
     }
 
-    /// The innermost fn whose body contains token `i`.
-    pub fn enclosing_fn(&self, i: usize) -> Option<&FnSig> {
-        self.fns
+    /// The body span of the innermost fn containing token `i`.
+    pub fn enclosing_fn(&self, i: usize) -> Option<(usize, usize)> {
+        self.fn_bodies
             .iter()
-            .filter(|f| f.body.is_some_and(|(a, b)| a <= i && i <= b))
-            .min_by_key(|f| {
-                let (a, b) = f.body.unwrap_or((0, usize::MAX));
-                b - a
-            })
+            .copied()
+            .filter(|&(a, b)| a <= i && i <= b)
+            .min_by_key(|&(a, b)| b - a)
     }
 }
 
@@ -98,15 +76,10 @@ enum Open {
 }
 
 pub(crate) fn parse(tokens: Vec<Token>) -> ParsedFile {
-    let mut fns: Vec<FnSig> = Vec::new();
+    let mut fn_bodies: Vec<(usize, usize)> = Vec::new();
     let mut impls: Vec<ImplBlock> = Vec::new();
     let mut consts: Vec<ConstItem> = Vec::new();
-    let mut must_use_types: Vec<String> = Vec::new();
     let mut attr_spans: Vec<(usize, usize)> = Vec::new();
-
-    // Pending state between an attribute/visibility run and its item.
-    let mut pending_must_use = false;
-    let mut pending_pub = false;
 
     let mut stack: Vec<Open> = Vec::new();
 
@@ -115,7 +88,7 @@ pub(crate) fn parse(tokens: Vec<Token>) -> ParsedFile {
         let t = &tokens[i];
         match (t.kind, t.text.as_str()) {
             (TokKind::Punct, "#") => {
-                // `#[..]` or `#![..]`: record the span, harvest idents.
+                // `#[..]` or `#![..]`: record the span.
                 let start = i;
                 let mut j = i + 1;
                 if tokens.get(j).is_some_and(|t| t.is("!")) {
@@ -136,70 +109,28 @@ pub(crate) fn parse(tokens: Vec<Token>) -> ParsedFile {
                         }
                         j += 1;
                     }
-                    if tokens[start + 1..j.min(tokens.len())]
-                        .iter()
-                        .any(|t| t.kind == TokKind::Ident && t.is("must_use"))
-                    {
-                        pending_must_use = true;
-                    }
                     attr_spans.push((start, j.min(tokens.len().saturating_sub(1))));
                     i = j + 1;
                 } else {
                     i += 1;
                 }
             }
-            (TokKind::Ident, "pub") => {
-                // `pub(crate)`/`pub(super)`/`pub(in ..)` are not public.
-                if tokens.get(i + 1).is_some_and(|t| t.is("(")) {
-                    i = skip_group(&tokens, i + 1, "(", ")");
-                } else {
-                    pending_pub = true;
-                    i += 1;
-                }
-            }
             (TokKind::Ident, "fn") => {
-                let Some(name_tok) = tokens.get(i + 1).filter(|t| t.kind == TokKind::Ident) else {
+                // `fn(..)` without a name is a fn-pointer type, not an item.
+                if !tokens.get(i + 1).is_some_and(|t| t.kind == TokKind::Ident) {
                     i += 1;
                     continue;
-                };
-                let mut sig = FnSig {
-                    name: name_tok.text.clone(),
-                    line: name_tok.line,
-                    is_pub: pending_pub,
-                    must_use: pending_must_use,
-                    ret: Vec::new(),
-                    body: None,
-                    impl_type: stack.iter().rev().find_map(|o| match o {
-                        Open::Impl(k) => Some(impls[*k].type_name.clone()),
-                        _ => None,
-                    }),
-                };
-                pending_pub = false;
-                pending_must_use = false;
-                let mut j = i + 2;
-                j = skip_generics(&tokens, j);
-                j = skip_group(&tokens, j, "(", ")");
-                if tokens.get(j).is_some_and(|t| t.is("->")) {
-                    j += 1;
-                    while j < tokens.len() {
-                        let tt = &tokens[j];
-                        if tt.is("{") || tt.is(";") || tt.is("where") {
-                            break;
-                        }
-                        sig.ret.push(tt.text.clone());
-                        j += 1;
-                    }
                 }
-                // Scan to the body `{` (skipping a where clause) or `;`.
+                let mut j = skip_generics(&tokens, i + 2);
+                j = skip_group(&tokens, j, "(", ")");
+                // Scan past the return type and any where clause to the
+                // body `{`, or the `;` of a trait-required signature.
                 while j < tokens.len() && !tokens[j].is("{") && !tokens[j].is(";") {
                     j += 1;
                 }
                 if tokens.get(j).is_some_and(|t| t.is("{")) {
-                    sig.body = Some((j, j)); // end patched on close
-                    fns.push(sig);
-                    stack.push(Open::Fn(fns.len() - 1));
-                } else {
-                    fns.push(sig);
+                    fn_bodies.push((j, j)); // end patched on close
+                    stack.push(Open::Fn(fn_bodies.len() - 1));
                 }
                 i = j + 1;
             }
@@ -240,18 +171,6 @@ pub(crate) fn parse(tokens: Vec<Token>) -> ParsedFile {
                 } else {
                     i = j;
                 }
-                pending_pub = false;
-                pending_must_use = false;
-            }
-            (TokKind::Ident, "struct" | "enum" | "union" | "trait") => {
-                if pending_must_use && !t.is("trait") {
-                    if let Some(name) = tokens.get(i + 1).filter(|t| t.kind == TokKind::Ident) {
-                        must_use_types.push(name.text.clone());
-                    }
-                }
-                pending_pub = false;
-                pending_must_use = false;
-                i += 1;
             }
             (TokKind::Ident, "const") => {
                 // `const NAME: ty = value;` — but not `const fn`, not the
@@ -279,12 +198,8 @@ pub(crate) fn parse(tokens: Vec<Token>) -> ParsedFile {
                         line: name.line,
                         value: value.join(" "),
                     });
-                    pending_pub = false;
-                    pending_must_use = false;
                     i = j;
                 } else {
-                    // `const fn` keeps pending attrs for the fn; `const {`
-                    // is an expression block.
                     i += 1;
                 }
             }
@@ -294,24 +209,10 @@ pub(crate) fn parse(tokens: Vec<Token>) -> ParsedFile {
             }
             (TokKind::Punct, "}") => {
                 match stack.pop() {
-                    Some(Open::Fn(k)) => {
-                        if let Some(body) = &mut fns[k].body {
-                            body.1 = i;
-                        }
-                    }
+                    Some(Open::Fn(k)) => fn_bodies[k].1 = i,
                     Some(Open::Impl(k)) => impls[k].span.1 = i,
                     _ => {}
                 }
-                i += 1;
-            }
-            (TokKind::Ident, other) if !is_item_modifier(other) => {
-                pending_pub = false;
-                pending_must_use = false;
-                i += 1;
-            }
-            (TokKind::Punct, _) => {
-                pending_pub = false;
-                pending_must_use = false;
                 i += 1;
             }
             _ => {
@@ -322,18 +223,11 @@ pub(crate) fn parse(tokens: Vec<Token>) -> ParsedFile {
 
     ParsedFile {
         tokens,
-        fns,
+        fn_bodies,
         impls,
         consts,
-        must_use_types,
         attr_spans,
     }
-}
-
-/// Keywords that may sit between an attribute and the item it gates
-/// without dropping the pending attribute set.
-fn is_item_modifier(text: &str) -> bool {
-    matches!(text, "unsafe" | "async" | "extern" | "default")
 }
 
 /// The trait name of `impl .. for ..`, if a `for` appears before `end`.
@@ -428,29 +322,17 @@ mod test {
     }
 
     #[test]
-    fn fn_signature_with_return_type() {
+    fn fn_body_span_covers_the_braces() {
         let p = parsed("pub fn topology(mut self, spec: TopologySpec) -> Self {\n    self\n}\n");
-        assert_eq!(p.fns.len(), 1);
-        let f = &p.fns[0];
-        assert_eq!(f.name, "topology");
-        assert!(f.is_pub);
-        assert!(!f.must_use);
-        assert_eq!(f.ret, ["Self"]);
-        assert!(f.body.is_some());
+        let open = p.tokens.iter().position(|t| t.is("{")).expect("body open");
+        let close = p.tokens.iter().position(|t| t.is("}")).expect("body close");
+        assert_eq!(p.fn_bodies, [(open, close)]);
     }
 
     #[test]
-    fn must_use_attr_and_type_registry() {
-        let p = parsed("#[must_use]\npub fn f() -> Self { self }\n#[must_use = \"reason\"]\npub struct ScenarioBuilder {\n    x: u8,\n}\n");
-        assert!(p.fns[0].must_use);
-        assert_eq!(p.must_use_types, ["ScenarioBuilder"]);
-    }
-
-    #[test]
-    fn pub_crate_is_not_public() {
-        let p = parsed("pub(crate) fn f() -> Self {}\npub fn g() {}\n");
-        assert!(!p.fns[0].is_pub);
-        assert!(p.fns[1].is_pub);
+    fn trait_required_signature_has_no_body() {
+        let p = parsed("trait T {\n    fn f(&self) -> u8;\n}\n");
+        assert!(p.fn_bodies.is_empty());
     }
 
     #[test]
@@ -463,8 +345,6 @@ mod test {
         assert_eq!(p.impls[0].trait_name, None);
         assert_eq!(p.impls[1].type_name, "Decoder");
         assert_eq!(p.impls[1].trait_name.as_deref(), Some("Drop"));
-        assert_eq!(p.fns[0].impl_type.as_deref(), Some("Decoder"));
-        assert_eq!(p.fns[1].impl_type.as_deref(), Some("Decoder"));
     }
 
     #[test]
@@ -479,9 +359,7 @@ mod test {
     fn const_fn_is_a_fn_not_a_const() {
         let p = parsed("pub const fn k(&self) -> usize { self.k }\n");
         assert!(p.consts.is_empty());
-        assert_eq!(p.fns.len(), 1);
-        assert_eq!(p.fns[0].name, "k");
-        assert!(p.fns[0].is_pub);
+        assert_eq!(p.fn_bodies.len(), 1);
     }
 
     #[test]
@@ -501,21 +379,24 @@ mod test {
         let p = parsed(
             "impl Foo {\n    fn a(&self) {\n        let x = 1;\n    }\n}\nfn free() {\n    let y = 2;\n}\n",
         );
+        let body = |name: &str| {
+            let f = p.tokens.iter().position(|t| t.is(name)).expect("fn name");
+            p.fn_bodies.iter().copied().find(|&(a, _)| a > f)
+        };
         let x = p.tokens.iter().position(|t| t.is("x")).expect("x token");
-        assert_eq!(p.enclosing_fn(x).map(|f| f.name.as_str()), Some("a"));
+        assert_eq!(p.enclosing_fn(x), body("a"));
         assert_eq!(
             p.enclosing_impl(x).map(|im| im.type_name.as_str()),
             Some("Foo")
         );
         let y = p.tokens.iter().position(|t| t.is("y")).expect("y token");
-        assert_eq!(p.enclosing_fn(y).map(|f| f.name.as_str()), Some("free"));
+        assert_eq!(p.enclosing_fn(y), body("free"));
         assert!(p.enclosing_impl(y).is_none());
     }
 
     #[test]
-    fn where_clause_does_not_pollute_return_type() {
+    fn where_clause_does_not_hide_the_body() {
         let p = parsed("pub fn protocols<I, S>(mut self, names: I) -> Self\nwhere\n    I: IntoIterator<Item = S>,\n{\n    self\n}\n");
-        assert_eq!(p.fns[0].ret, ["Self"]);
-        assert!(p.fns[0].body.is_some());
+        assert_eq!(p.fn_bodies.len(), 1);
     }
 }

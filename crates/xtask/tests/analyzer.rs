@@ -21,42 +21,26 @@ fn bad_tree_is_dirty() {
 }
 
 #[test]
-fn hash_iteration_fires_outside_tests_only() {
-    let r = bad_report();
-    let lines: Vec<usize> = r.of(Lint::HashIteration).iter().map(|f| f.line).collect();
-    // `use HashMap` + two body mentions fire; the #[cfg(test)] HashSet
-    // (two mentions) must not.
-    assert_eq!(lines, vec![5, 7, 8], "{lines:?}");
-}
-
-#[test]
-fn wall_clock_fires() {
-    let r = bad_report();
-    assert_eq!(r.of(Lint::WallClock).len(), 1);
-    assert_eq!(r.of(Lint::WallClock)[0].line, 12);
-}
-
-#[test]
-fn rng_stream_fires_on_entropy_and_unnamed_streams_only() {
+fn rng_stream_fires_on_unnamed_streams_only() {
     let r = bad_report();
     let lines: Vec<usize> = r.of(Lint::RngStream).iter().map(|f| f.line).collect();
-    // thread_rng (17) and the magic-number stream (21) fire; the named
-    // *_STREAM constant (25) and the #[cfg(test)] literal seed do not.
-    assert_eq!(lines, vec![16, 20], "{lines:?}");
+    // The magic-number stream (6) fires; the named *_STREAM constant
+    // (10) and the #[cfg(test)] literal seed do not.
+    assert_eq!(lines, vec![6], "{lines:?}");
 }
 
 #[test]
 fn float_ord_fires_including_multiline_chains() {
     let r = bad_report();
     let lines: Vec<usize> = r.of(Lint::FloatOrd).iter().map(|f| f.line).collect();
-    assert_eq!(lines, vec![28, 33], "{lines:?}");
+    assert_eq!(lines, vec![14, 19], "{lines:?}");
 }
 
 #[test]
 fn undocumented_unsafe_fires_and_is_inventoried() {
     let r = bad_report();
     assert_eq!(r.of(Lint::UndocumentedUnsafe).len(), 1);
-    assert_eq!(r.of(Lint::UndocumentedUnsafe)[0].line, 39);
+    assert_eq!(r.of(Lint::UndocumentedUnsafe)[0].line, 25);
     assert_eq!(r.unsafe_sites.len(), 1);
     assert!(r.unsafe_sites[0].safety.is_none());
 }
@@ -75,17 +59,17 @@ fn missing_forbid_fires_on_the_crate_root() {
 fn bad_tree_panic_path_fires_on_the_comparator_unwrap() {
     let r = bad_report();
     let lines: Vec<usize> = r.of(Lint::PanicPath).iter().map(|f| f.line).collect();
-    // The float_sort unwrap (28) fires; unwrap_or (34) and the
-    // #[cfg(test)] unwrap (51) do not.
-    assert_eq!(lines, vec![28], "{lines:?}");
+    // The float_sort unwrap (14) fires; unwrap_or (20) and the
+    // #[cfg(test)] unwrap (34) do not.
+    assert_eq!(lines, vec![14], "{lines:?}");
 }
 
 #[test]
 fn bad_tree_stream_reference_needs_a_registry() {
     let r = bad_report();
     let lines: Vec<usize> = r.of(Lint::StreamRegistry).iter().map(|f| f.line).collect();
-    // CHANNEL_STREAM (24) resolves to no registry module in this tree.
-    assert_eq!(lines, vec![24], "{lines:?}");
+    // CHANNEL_STREAM (10) resolves to no registry module in this tree.
+    assert_eq!(lines, vec![10], "{lines:?}");
 }
 
 #[test]
@@ -141,18 +125,6 @@ fn pool_pairing_fixture_fires_on_the_leak_only() {
 }
 
 #[test]
-fn must_use_api_fixture_fires_on_unannotated_chainables_only() {
-    let r = analyze_root(&fixture("must_use_api")).expect("analyze must_use_api tree");
-    let findings = r.of(Lint::MustUseApi);
-    let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
-    // RunBuilder::k (11) and make_builder (47) fire; the #[must_use]
-    // method, the &Self getter, the Result builder, and the annotated
-    // AnnotatedBuilder type's method do not.
-    assert_eq!(lines, vec![11, 47], "{lines:?}");
-    assert_eq!(r.suppressed.get(&Lint::MustUseApi), Some(&1));
-}
-
-#[test]
 fn ratchet_fixture_has_exactly_one_deliberate_finding() {
     let r = analyze_root(&fixture("ratchet")).expect("analyze ratchet tree");
     assert_eq!(r.counts().get("panic_path"), Some(&1), "{}", r.render());
@@ -166,9 +138,9 @@ fn allowlist_suppresses_and_every_entry_is_reported() {
         "all violations are allowlisted:\n{}",
         r.render()
     );
-    // Seven used entries: missing_forbid, 3× hash_iteration, wall_clock,
-    // float_ord, panic_path — plus the deliberately-unused rng_stream one.
-    assert_eq!(r.allows.len(), 8);
+    // Four used entries: missing_forbid, float_ord, panic_path and
+    // rng_stream — plus the deliberately-unused rng_stream one.
+    assert_eq!(r.allows.len(), 5);
     let unused: Vec<&str> = r
         .allows
         .iter()
@@ -177,9 +149,9 @@ fn allowlist_suppresses_and_every_entry_is_reported() {
         .collect();
     assert_eq!(unused, vec!["rng_stream"]);
     let rendered = r.render();
-    assert!(rendered.contains("allowlist entries: 8"));
+    assert!(rendered.contains("allowlist entries: 5"));
     assert!(rendered.contains("UNUSED"));
-    assert!(rendered.contains("lookup-only cache, never iterated"));
+    assert!(rendered.contains("fixed replay stream, never part of a run"));
 }
 
 #[test]

@@ -1,15 +1,8 @@
-//! Allowlist fixture: the same violations as the bad tree, each
-//! suppressed by a justified `// xtask: allow` comment — plus one
-//! unused allow that must surface in the report as UNUSED.
+//! Allowlist fixture: violations like the bad tree's, each suppressed
+//! by a justified `// xtask: allow` comment — plus one unused allow
+//! that must surface in the report as UNUSED.
 
 // xtask: allow(missing_forbid) -- fixture exercising root-level allows
-
-use std::collections::HashMap; // xtask: allow(hash_iteration) -- lookup-only cache, never iterated
-
-pub fn wall_clock() -> std::time::Instant {
-    // xtask: allow(wall_clock) -- progress display only, never recorded
-    std::time::Instant::now()
-}
 
 pub fn float_sort(v: &mut [f64]) {
     // xtask: allow(float_ord) -- inputs validated finite by caller
@@ -18,8 +11,7 @@ pub fn float_sort(v: &mut [f64]) {
 
 // xtask: allow(rng_stream) -- this allow is deliberately unused
 
-// xtask: allow(hash_iteration) -- lookup-only cache, never iterated
-pub fn lookup_only() -> HashMap<u64, u64> {
-    // xtask: allow(hash_iteration) -- lookup-only cache, never iterated
-    HashMap::new()
+pub fn replay_stream() {
+    // xtask: allow(rng_stream) -- fixed replay stream, never part of a run
+    let _ = ChaCha8Rng::seed_from_u64(7);
 }

@@ -1,20 +1,6 @@
-//! Deliberately-bad fixture: every determinism lint plus an
+//! Deliberately-bad fixture: every line-based determinism lint plus an
 //! undocumented unsafe block, with a #[cfg(test)] negative control.
 //! (No #![forbid(unsafe_code)] here — that is the missing_forbid case.)
-
-use std::collections::HashMap;
-
-pub fn hash_state() -> HashMap<u64, u64> {
-    HashMap::new()
-}
-
-pub fn wall_clock() -> std::time::Instant {
-    std::time::Instant::now()
-}
-
-pub fn entropy_rng() {
-    let _ = thread_rng();
-}
 
 pub fn unnamed_stream(seed: u64, k: u64) {
     let _ = ChaCha8Rng::seed_from_u64(seed ^ k.wrapping_mul(0x9E3779B97F4A7C15));
@@ -41,11 +27,8 @@ pub fn undocumented(p: *const u8) -> u8 {
 
 #[cfg(test)]
 mod test {
-    use std::collections::HashSet;
-
     #[test]
-    fn tests_may_use_hash_containers_and_literal_seeds() {
-        let _: HashSet<u64> = HashSet::new();
+    fn tests_may_use_literal_seeds() {
         let _ = ChaCha8Rng::seed_from_u64(12345);
         let mut v = [2.0f64, 1.0];
         v.sort_by(|a, b| a.partial_cmp(b).unwrap());

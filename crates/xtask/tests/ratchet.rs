@@ -1,10 +1,13 @@
 //! The ratchet binary end to end: bootstrap, steady state, a deliberate
 //! regression failing `--check`, a fall tightening the baseline (and
-//! failing `--check`) — plus the analyze output formats CI consumes.
+//! failing `--check`) — plus the analyze output formats CI consumes and
+//! the committed baseline counting exactly the lints that exist.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
+
+use xtask::baseline::{Baseline, BASELINE_FILE};
 
 fn fixture(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -152,4 +155,26 @@ fn analyze_json_format_reports_counts() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("\"findings\""), "{stdout}");
     assert!(stdout.contains("\"panic_path\""), "{stdout}");
+}
+
+#[test]
+fn committed_baseline_counts_exactly_the_current_lints() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .parent()
+        .and_then(|p| p.parent())
+        .expect("workspace root")
+        .to_path_buf();
+    let text = fs::read_to_string(root.join(BASELINE_FILE)).expect("read committed baseline");
+    let baseline = Baseline::parse(&text).expect("parse committed baseline");
+    let counts = xtask::analyze_root(&root)
+        .expect("analyze workspace")
+        .counts();
+    // A retired lint must not linger in the file, and a new one must not
+    // go uncounted.
+    assert!(
+        baseline.counts.keys().eq(counts.keys()),
+        "baseline keys {:?} != analyzer keys {:?}",
+        baseline.counts.keys().collect::<Vec<_>>(),
+        counts.keys().collect::<Vec<_>>()
+    );
 }
