@@ -1,6 +1,9 @@
 //! End-to-end tests of the simulator engine with minimal protocol agents.
 
-use mesh_sim::{Ctx, Frame, NodeAgent, OutFrame, SimConfig, Simulator, TxOutcome, SEC};
+use mesh_sim::{
+    Ctx, FlowAgent, FlowDesc, FlowProgressView, Frame, NodeAgent, OutFrame, SimConfig, Simulator,
+    Time, TrafficAction, TxOutcome, MS, SEC,
+};
 use mesh_topology::{generate, NodeId};
 
 /// An `n`-node topology from `(from, to, p)` triples.
@@ -320,4 +323,133 @@ fn stop_predicate_halts_early() {
     assert!(sim.agent.received[1] >= 10);
     assert!(sim.agent.received[1] < 20, "should stop promptly");
     assert!(sim.now() < 10 * SEC);
+}
+
+/// One call the engine made into [`Arrivals`].
+#[derive(Debug, PartialEq)]
+enum Call {
+    Add(NodeId),
+    End(usize),
+    Poll(NodeId, Time),
+}
+
+/// Logs every flow arrival, departure and poll in the order the engine
+/// makes them. Every flow counts as resolved, so only a pending arrival
+/// can hold a run that `flows_done` would stop.
+#[derive(Default)]
+struct Arrivals {
+    calls: Vec<Call>,
+    flows: usize,
+}
+
+impl NodeAgent for Arrivals {
+    type Payload = ();
+
+    fn on_receive(&mut self, _n: NodeId, _f: &Frame<()>, _c: &mut Ctx<'_>) {}
+    fn on_tx_done(&mut self, _n: NodeId, _o: TxOutcome, _p: (), _c: &mut Ctx<'_>) {}
+
+    fn poll_tx(&mut self, node: NodeId, ctx: &mut Ctx<'_>) -> Option<OutFrame<()>> {
+        self.calls.push(Call::Poll(node, ctx.now()));
+        None
+    }
+}
+
+impl FlowAgent for Arrivals {
+    fn flows_done(&self) -> bool {
+        true
+    }
+
+    fn flow_progress(&self, _index: usize) -> FlowProgressView {
+        FlowProgressView::default()
+    }
+
+    fn supports_dynamic_flows(&self) -> bool {
+        true
+    }
+
+    fn add_flow(&mut self, desc: &FlowDesc) -> usize {
+        self.calls.push(Call::Add(desc.src));
+        self.flows += 1;
+        self.flows - 1
+    }
+
+    fn end_flow(&mut self, index: usize) {
+        self.calls.push(Call::End(index));
+    }
+}
+
+/// A two-node line with nothing scheduled yet.
+fn arrivals_sim() -> Simulator<Arrivals> {
+    let topo = generate::line(1, 1.0, 0.0, 20.0);
+    Simulator::new(topo, SimConfig::default(), Arrivals::default(), 3)
+}
+
+/// A one-packet flow from `src` to the other node of the line.
+fn arrival(src: usize) -> TrafficAction {
+    TrafficAction::Start(FlowDesc::unicast(NodeId(src), NodeId(1 - src), 1))
+}
+
+#[test]
+fn an_arrival_reaches_add_flow_before_a_poll_due_at_its_instant() {
+    // Where node 0's first transmit attempt falls (its kick's backoff).
+    let mut probe = arrivals_sim();
+    probe.kick(NodeId(0));
+    probe.run_with_traffic(SEC, |_| false);
+    let due = match &probe.agent.calls[..] {
+        [Call::Poll(NodeId(0), at)] => *at,
+        calls => panic!("expected one poll, got {calls:?}"),
+    };
+    // The same run with an arrival at that very µs: the flow is added
+    // first, and the poll still comes at `due` (the source is already
+    // contending, so the arrival's kick draws nothing).
+    let mut sim = arrivals_sim();
+    sim.kick(NodeId(0));
+    sim.schedule_traffic(due, arrival(0));
+    sim.run_with_traffic(SEC, |_| false);
+    assert_eq!(
+        sim.agent.calls,
+        [Call::Add(NodeId(0)), Call::Poll(NodeId(0), due)]
+    );
+}
+
+#[test]
+fn same_instant_traffic_applies_in_schedule_order() {
+    let mut sim = arrivals_sim();
+    sim.schedule_traffic(2 * MS, TrafficAction::Stop(0));
+    sim.schedule_traffic(MS, arrival(1));
+    sim.schedule_traffic(MS, arrival(0));
+    sim.schedule_traffic(MS, TrafficAction::Stop(1));
+    sim.run_with_traffic(SEC, |_| false);
+    let lifecycle: Vec<&Call> = sim
+        .agent
+        .calls
+        .iter()
+        .filter(|c| !matches!(c, Call::Poll(..)))
+        .collect();
+    assert_eq!(
+        lifecycle,
+        [
+            &Call::Add(NodeId(1)),
+            &Call::Add(NodeId(0)),
+            &Call::End(1),
+            &Call::End(0)
+        ]
+    );
+}
+
+#[test]
+fn only_arrivals_by_the_deadline_hold_a_finished_run() {
+    // Every flow is resolved from the start, so `stop` ends the run at
+    // the first event it is consulted on; the timer at 1 ms comes first.
+    let run = |arrival_at: Time| {
+        let mut sim = arrivals_sim();
+        sim.set_timer(NodeId(0), MS, 0);
+        sim.schedule_traffic(arrival_at, arrival(0));
+        let end = sim.run_with_traffic(10 * MS, |a| a.flows_done());
+        (end, sim.agent.calls)
+    };
+    // An arrival at the deadline holds the run until it applies.
+    assert_eq!(run(10 * MS), (10 * MS, vec![Call::Add(NodeId(0))]));
+    // One past the deadline does not.
+    assert_eq!(run(10 * MS + 1), (MS, Vec::new()));
 }
