@@ -31,6 +31,12 @@
 //! receptions through `on_receive`, and hands every polled frame's
 //! payload back exactly once through `on_tx_done`, with what became of
 //! it. Everything is deterministic in the seed.
+//!
+//! One event heap drives a run: MAC events, protocol timers, and the
+//! [`TrafficAction`]s that add and halt flows mid-run through
+//! [`FlowAgent`]. [`Simulator::run_until`] is the only loop, and every
+//! call into the agent, flow arrivals and departures included, passes
+//! one gateway that hands it a [`Ctx`].
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

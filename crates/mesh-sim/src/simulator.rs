@@ -1,9 +1,19 @@
-//! The discrete-event engine: event queue, per-node CSMA/CA MAC state
-//! machines, and the agent callback plumbing.
+//! The discrete-event engine: one event heap, per-node CSMA/CA MAC state
+//! machines, and the one gateway through which the engine calls the
+//! protocol.
 //!
 //! Everything advances through a binary-heap event queue keyed on
 //! `(time, sequence)`, so simultaneous events run in scheduling order and
-//! every run is a pure function of `(topology, agent, seed)`.
+//! every run is a pure function of `(topology, agent, seed)`. Dynamic
+//! workload actions ([`TrafficAction`]) ride the same heap under sequence
+//! number 0: each applies before every engine event due at its instant,
+//! and same-instant actions apply in the order they were scheduled.
+//! [`Simulator::run_until`] is the one loop.
+//!
+//! Every call into the agent — polls, receptions, outcomes, timers, flow
+//! arrivals and departures — goes through one gateway, which hands the
+//! agent a [`Ctx`] and applies the timers and kicks it queued before
+//! anything else happens.
 //!
 //! ## MAC model
 //!
@@ -21,7 +31,7 @@
 //! collide); broadcasts are fire-and-forget (802.11 semantics — the basis
 //! of both MORE's and ExOR's designs).
 
-// xtask: allow(panic_path, file) -- per-node state vectors are sized to the topology at construction and NodeId indices are validated on ingress; event-heap pops are guarded by the peek directly above.
+// xtask: allow(panic_path, file) -- per-node state vectors are sized to the topology at construction and NodeId indices are validated on ingress.
 
 use crate::channel::{ChannelModel, ChannelSpec};
 use crate::erased::{FlowAgent, FlowDesc};
@@ -52,9 +62,13 @@ enum EventKind {
     StartMacAck { node: NodeId, to: NodeId },
     /// Protocol timer.
     Timer { node: NodeId, token: u64 },
+    /// The traffic action in `slot`. Pushed under sequence number 0, so
+    /// it precedes every engine event at its instant; actions at one
+    /// instant order by slot, which is schedule order.
+    Traffic { slot: usize },
 }
 
-/// A dynamic-workload action applied between engine events (see
+/// A dynamic-workload action, applied as an event of the heap (see
 /// [`Simulator::schedule_traffic`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TrafficAction {
@@ -162,13 +176,82 @@ enum Pumped<P> {
     Deferred(Time),
 }
 
+impl<P> QueueLayer<P> {
+    /// Runs one transmit opportunity at `node` through its queue: pump
+    /// the agent's pending frames in, then serve the head-of-line frame
+    /// (unless its flow's pacer gate is closed).
+    ///
+    /// The fill loop stops when the agent has nothing to send *or* on the
+    /// first verdict that discards the arriving frame. Stopping at a drop
+    /// is what bounds the loop: a dropped arrival is the agent's loss
+    /// signal for this opportunity, and some sources (MORE's coder) can
+    /// otherwise produce frames indefinitely. The whole fill shares one
+    /// `ctx`: kicks applied between polls would draw their backoffs from
+    /// the main stream in between MORE's coefficient draws and reorder
+    /// both.
+    fn pump<A: NodeAgent<Payload = P>>(
+        &mut self,
+        node: NodeId,
+        agent: &mut A,
+        ctx: &mut Ctx<'_>,
+        stats: &mut SimStats,
+    ) -> Pumped<P> {
+        let now = ctx.now();
+        let Some(q) = self.nodes.get_mut(node.0) else {
+            return Pumped::Empty;
+        };
+        while let Some(frame) = agent.poll_tx(node, ctx) {
+            let key = q.disc.classify(node, frame.flow);
+            let (cause, matched) = match q.disc.offer(key, now, &mut self.rng) {
+                QueueVerdict::Accept => {
+                    q.frames.push_back(frame);
+                    if let Some(hw) = stats.queue_depth_hw.get_mut(node.0) {
+                        *hw = (*hw).max(q.frames.len());
+                    }
+                    continue;
+                }
+                QueueVerdict::DropIncoming(cause) => (cause, None),
+                // CHOKe: the arrival and the matched queued frame both go.
+                QueueVerdict::DropMatched { index } => (DropCause::FlowMatch, Some(index)),
+            };
+            // One congestion event for the pacer (a matched pair shares a
+            // flow key), one drop count per discarded frame.
+            stats.count_queue_drop(node.0, frame.flow, cause);
+            if let Some(p) = frame.flow.and_then(|f| self.pacers.get_mut(&f)) {
+                p.on_loss(now);
+            }
+            let outcome = TxOutcome::Dropped(cause);
+            if let Some(victim) = matched.and_then(|index| q.frames.remove(index)) {
+                stats.count_queue_drop(node.0, victim.flow, cause);
+                agent.on_tx_done(node, outcome, victim.payload, ctx);
+            }
+            agent.on_tx_done(node, outcome, frame.payload, ctx);
+            break;
+        }
+        // Serve: the head-of-line frame, gated by its flow's pacer when
+        // this node is the paced source.
+        let Some(head) = q.frames.front() else {
+            return Pumped::Empty;
+        };
+        if let Some(f) = head.flow.filter(|f| self.pacer_src.get(f) == Some(&node)) {
+            if let Some(p) = self.pacers.get_mut(&f) {
+                if let Some(release) = p.gate(now) {
+                    return Pumped::Deferred(release);
+                }
+                p.on_send(now);
+            }
+        }
+        q.disc.dequeue(now);
+        q.frames.pop_front().map_or(Pumped::Empty, Pumped::Frame)
+    }
+}
+
 /// The discrete-event simulator.
 ///
 /// Generic over the protocol agent `A`; see the crate docs for the
 /// callback contract.
 #[must_use]
 pub struct Simulator<A: NodeAgent> {
-    topo: Topology,
     cfg: SimConfig,
     /// The protocol under simulation.
     pub agent: A,
@@ -188,18 +271,17 @@ pub struct Simulator<A: NodeAgent> {
     /// frame ends, and empty slots leave from the front.
     in_flight: VecDeque<Option<InFlight<A::Payload>>>,
     next_tx_id: u64,
-    /// Pending dynamic-workload actions, kept sorted descending by
-    /// `(time, seq)` so the earliest is popped from the back.
-    traffic: Vec<(Time, u64, TrafficAction)>,
-    traffic_seq: u64,
-    /// How many of the pending actions are `Start`s (fast path for the
-    /// stop-condition gate: only future *arrivals* can un-resolve a run).
-    pending_starts: usize,
-    /// Arrival times of pending `Start`s, descending (earliest at the
-    /// back), rebuilt by [`Simulator::run_with_traffic`] — the stop gate
-    /// peeks the back instead of scanning the whole action list per
-    /// event, keeping 500-flow city runs O(1) per event here.
-    start_times_desc: Vec<Time>,
+    /// Scheduled traffic actions with their times, by the slot their
+    /// `Traffic` event names; a slot empties when its event fires.
+    traffic: Vec<Option<(Time, TrafficAction)>>,
+    /// Applies a fired traffic action. `schedule_traffic` sets it, as the
+    /// flow lifecycle needs `A: FlowAgent`; before that no traffic event
+    /// exists and it does nothing.
+    on_traffic: fn(&mut Simulator<A>, TrafficAction),
+    /// Pending `Start`s at or before the deadline of the running
+    /// [`Simulator::run_until`]; `stop` is not consulted while any is
+    /// left.
+    arrivals_due: usize,
     /// Scratch for [`Ctx::set_timer`] requests, reused across callbacks so
     /// the per-event hot path allocates nothing.
     scratch_timers: Vec<(NodeId, Time, u64)>,
@@ -215,31 +297,48 @@ pub struct Simulator<A: NodeAgent> {
 
 impl<A: NodeAgent> Simulator<A> {
     /// Builds a simulator over `topo` for `agent`, deterministic in `seed`,
-    /// with the paper's static channel (the topology's links).
+    /// with the paper's static channel (the topology's links) and no
+    /// transmit queue.
     pub fn new(topo: Topology, cfg: SimConfig, agent: A, seed: u64) -> Self {
-        Simulator::with_channel(topo, cfg, &ChannelSpec::Static, agent, seed)
+        let unbounded = &QueueSpec::Unbounded;
+        Simulator::with_queue(topo, cfg, &ChannelSpec::Static, unbounded, agent, seed)
     }
 
-    /// Builds a simulator whose air follows `spec` (see
-    /// [`crate::channel`]). A run is a pure function of
-    /// `(topology, agent, seed, channel)`.
+    /// Builds a simulator whose air follows `spec` (see [`crate::channel`])
+    /// and whose nodes queue frames under `queue` (see [`crate::queue`]).
+    /// A run is a pure function of `(topology, agent, seed, channel,
+    /// queue)`; under [`QueueSpec::Unbounded`] the MAC polls the agent
+    /// once per transmit opportunity.
     ///
     /// # Panics
     ///
-    /// Panics when `spec` is invalid for `topo` (see
-    /// [`ChannelSpec::validate`]).
-    pub fn with_channel(
+    /// Panics when either spec is invalid (see [`ChannelSpec::validate`]
+    /// and [`QueueSpec::validate`]).
+    pub fn with_queue(
         topo: Topology,
         cfg: SimConfig,
         spec: &ChannelSpec,
+        queue: &QueueSpec,
         agent: A,
         seed: u64,
     ) -> Self {
         let channel = spec.build(&topo, seed);
         let n = topo.n();
         let medium = Medium::new(&topo, &cfg, channel.as_ref());
+        let queues = (!queue.is_unbounded()).then(|| QueueLayer {
+            nodes: (0..n)
+                .filter_map(|_| queue.build_node())
+                .map(|disc| NodeQueue {
+                    frames: VecDeque::new(),
+                    disc,
+                })
+                .collect(),
+            rng: ChaCha8Rng::seed_from_u64(seed ^ QUEUE_STREAM),
+            pacers: BTreeMap::new(),
+            pacer_src: BTreeMap::new(),
+            auto_pace: None,
+        });
         Simulator {
-            topo,
             cfg,
             agent,
             now: 0,
@@ -254,59 +353,14 @@ impl<A: NodeAgent> Simulator<A> {
             in_flight: VecDeque::new(),
             next_tx_id: 0,
             traffic: Vec::new(),
-            traffic_seq: 0,
-            pending_starts: 0,
-            start_times_desc: Vec::new(),
+            on_traffic: |_, _| {},
+            arrivals_due: 0,
             scratch_timers: Vec::new(),
             scratch_kicks: Vec::new(),
             scratch_receivers: Vec::new(),
-            queues: None,
+            queues,
             stats: SimStats::new(n),
         }
-    }
-
-    /// Builds a simulator with both the channel and the transmit-queue
-    /// policy configured (see [`crate::queue`]). A run is a pure
-    /// function of `(topology, agent, seed, channel, queue)`;
-    /// [`QueueSpec::Unbounded`] makes this identical to
-    /// [`Simulator::with_channel`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when either spec is invalid (see [`ChannelSpec::validate`]
-    /// and [`QueueSpec::validate`]).
-    pub fn with_queue(
-        topo: Topology,
-        cfg: SimConfig,
-        spec: &ChannelSpec,
-        queue: &QueueSpec,
-        agent: A,
-        seed: u64,
-    ) -> Self {
-        let mut sim = Simulator::with_channel(topo, cfg, spec, agent, seed);
-        sim.install_queue(queue, seed);
-        sim
-    }
-
-    fn install_queue(&mut self, spec: &QueueSpec, seed: u64) {
-        if spec.is_unbounded() {
-            return;
-        }
-        let nodes = (0..self.topo.n())
-            .map(|_| NodeQueue {
-                frames: VecDeque::new(),
-                disc: spec
-                    .build_node()
-                    .expect("a bounded spec builds a discipline"),
-            })
-            .collect();
-        self.queues = Some(QueueLayer {
-            nodes,
-            rng: ChaCha8Rng::seed_from_u64(seed ^ QUEUE_STREAM),
-            pacers: BTreeMap::new(),
-            pacer_src: BTreeMap::new(),
-            auto_pace: None,
-        });
     }
 
     /// Opts flow `flow` (the protocol's flow id) into AIMD source
@@ -346,51 +400,18 @@ impl<A: NodeAgent> Simulator<A> {
         layer.auto_pace = Some(cfg);
     }
 
-    /// Schedules a dynamic-workload action for simulated time `at`.
-    /// Actions fire inside [`Simulator::run_with_traffic`], interleaved
-    /// with the event queue; at equal timestamps traffic actions apply
-    /// before engine events, and same-instant actions apply in the order
-    /// they were scheduled.
-    pub fn schedule_traffic(&mut self, at: Time, action: TrafficAction) {
-        if matches!(action, TrafficAction::Start(_)) {
-            self.pending_starts += 1;
-        }
-        self.traffic_seq += 1;
-        self.traffic.push((at, self.traffic_seq, action));
-        // Ordered once per run ([`Simulator::run_with_traffic`]), not per
-        // insertion — schedules are built in bulk before the run starts.
-    }
-
-    /// The channel model driving this run's losses.
-    pub fn channel(&self) -> &dyn ChannelModel {
-        self.channel.as_ref()
-    }
-
     /// Current simulated time.
     pub fn now(&self) -> Time {
         self.now
     }
 
-    /// The topology being simulated.
-    pub fn topology(&self) -> &Topology {
-        &self.topo
-    }
-
-    /// The MAC/PHY configuration.
-    pub fn config(&self) -> &SimConfig {
-        &self.cfg
-    }
-
-    /// Kick a node's MAC from outside the event loop (e.g. flow start).
+    /// Kick a node's MAC from outside the event loop (e.g. flow start):
+    /// an idle MAC schedules a transmit attempt.
     pub fn kick(&mut self, node: NodeId) {
-        self.kick_at(node, self.now);
-    }
-
-    fn kick_at(&mut self, node: NodeId, at: Time) {
         if matches!(self.states[node.0], MacState::Idle) {
             self.states[node.0] = MacState::Waiting;
             let delay = self.backoff_delay(self.cfg.cw_min);
-            self.push(at + delay, EventKind::TryTx { node });
+            self.push(self.now + delay, EventKind::TryTx { node });
         }
     }
 
@@ -410,21 +431,35 @@ impl<A: NodeAgent> Simulator<A> {
         self.cfg.difs_us + slots * self.cfg.slot_us
     }
 
-    /// Runs until `deadline` or until `stop(&agent)` or event exhaustion.
+    /// Runs until `deadline`, until `stop(&agent)`, or until no event is
+    /// left, and returns the simulated time at exit. An event past
+    /// `deadline` stays queued for a later call, and the clock stops at
+    /// `deadline`.
     ///
-    /// Returns the simulated time at exit.
+    /// `stop` is consulted after each event, but only once no scheduled
+    /// [`TrafficAction::Start`] at or before `deadline` is pending, so a
+    /// run cannot end in the quiet gap before the next arrival. A pending
+    /// [`TrafficAction::Stop`] does not hold the run: a departure cannot
+    /// un-resolve a flow.
     pub fn run_until(&mut self, deadline: Time, mut stop: impl FnMut(&A) -> bool) -> Time {
-        while let Some(Reverse((at, _, ev))) = self.queue.pop() {
+        self.arrivals_due = self
+            .traffic
+            .iter()
+            .flatten()
+            .filter(|(at, action)| *at <= deadline && matches!(action, TrafficAction::Start(_)))
+            .count();
+        while let Some(&Reverse((at, _, ev))) = self.queue.peek() {
             if at > deadline {
-                // Leave the event for a future run; time stops at deadline.
-                self.push(at, ev);
                 self.now = deadline;
                 break;
             }
+            self.queue.pop();
             self.now = at;
-            self.stats.events += 1;
+            if !matches!(ev, EventKind::Traffic { .. }) {
+                self.stats.events += 1;
+            }
             self.dispatch(ev);
-            if stop(&self.agent) {
+            if self.arrivals_due == 0 && stop(&self.agent) {
                 break;
             }
         }
@@ -440,6 +475,12 @@ impl<A: NodeAgent> Simulator<A> {
             EventKind::Timer { node, token } => {
                 self.callback(|agent, ctx| agent.on_timer(node, token, ctx));
             }
+            EventKind::Traffic { slot } => {
+                if let Some((_, action)) = self.traffic.get_mut(slot).and_then(Option::take) {
+                    let apply = self.on_traffic;
+                    apply(self, action);
+                }
+            }
         }
     }
 
@@ -454,22 +495,21 @@ impl<A: NodeAgent> Simulator<A> {
             kicks: std::mem::take(&mut self.scratch_kicks),
         };
         let result = call(&mut self.agent, &mut ctx);
-        let Ctx { timers, kicks, .. } = ctx;
-        self.apply_ctx(timers, kicks);
-        result
-    }
-
-    /// Applies queued callback mutations, then parks the (now empty)
-    /// vectors back in the scratch slots for the next callback.
-    fn apply_ctx(&mut self, mut timers: Vec<(NodeId, Time, u64)>, mut kicks: Vec<NodeId>) {
+        let Ctx {
+            mut timers,
+            mut kicks,
+            ..
+        } = ctx;
         for (node, delay, token) in timers.drain(..) {
             self.push(self.now + delay, EventKind::Timer { node, token });
         }
         for node in kicks.drain(..) {
-            self.kick_at(node, self.now);
+            self.kick(node);
         }
+        // Park the emptied vectors for the next call.
         self.scratch_timers = timers;
         self.scratch_kicks = kicks;
+        result
     }
 
     fn on_try_tx(&mut self, node: NodeId) {
@@ -493,8 +533,9 @@ impl<A: NodeAgent> Simulator<A> {
         // directly (unbounded, the historical path) or through the
         // node's bounded transmit queue.
         if self.current[node.0].is_none() {
-            let polled = if self.queues.is_some() {
-                match self.pump_queue(node) {
+            let polled = match self.queues.take() {
+                None => self.callback(|agent, ctx| agent.poll_tx(node, ctx)),
+                Some(layer) => match self.pump_queue(layer, node) {
                     Pumped::Frame(frame) => Some(frame),
                     Pumped::Empty => None,
                     Pumped::Deferred(at) => {
@@ -503,9 +544,7 @@ impl<A: NodeAgent> Simulator<A> {
                         self.push(at, EventKind::TryTx { node });
                         return;
                     }
-                }
-            } else {
-                self.callback(|agent, ctx| agent.poll_tx(node, ctx))
+                },
             };
             match polled {
                 Some(frame) => {
@@ -539,6 +578,21 @@ impl<A: NodeAgent> Simulator<A> {
         self.begin_tx(node, air, InFlight::Data { frame });
     }
 
+    /// Runs the queue `layer` at `node` inside the agent gateway, with
+    /// the counters it updates lent out of `self` for the call; the
+    /// layer goes back into `self` afterwards.
+    fn pump_queue(
+        &mut self,
+        mut layer: QueueLayer<A::Payload>,
+        node: NodeId,
+    ) -> Pumped<A::Payload> {
+        let mut stats = std::mem::take(&mut self.stats);
+        let pumped = self.callback(|agent, ctx| layer.pump(node, agent, ctx, &mut stats));
+        self.stats = stats;
+        self.queues = Some(layer);
+        pumped
+    }
+
     /// Puts a transmission by `node` on the air for `air` µs: issues its
     /// id, registers it with the medium, and schedules its end.
     fn begin_tx(&mut self, node: NodeId, air: Time, what: InFlight<A::Payload>) {
@@ -565,115 +619,6 @@ impl<A: NodeAgent> Simulator<A> {
             self.in_flight.pop_front();
         }
         what
-    }
-
-    /// Runs one transmit opportunity at `node` through its bounded
-    /// queue: pump the protocol's pending frames in, then serve the
-    /// head-of-line frame (unless its flow's pacer gate is closed).
-    ///
-    /// The fill loop stops when the protocol has nothing to send *or*
-    /// on the first verdict that discards the arriving frame. Stopping
-    /// at a drop is what bounds the loop: a dropped arrival is the
-    /// protocol's loss signal for this opportunity, and some sources
-    /// (MORE's coder) can otherwise produce frames indefinitely.
-    fn pump_queue(&mut self, node: NodeId) -> Pumped<A::Payload> {
-        let Some(mut layer) = self.queues.take() else {
-            return Pumped::Empty; // caller checked `queues.is_some()`
-        };
-        let QueueLayer {
-            nodes,
-            rng: qrng,
-            pacers,
-            pacer_src,
-            ..
-        } = &mut layer;
-        // One `Ctx` across the whole fill loop, not `callback` per poll:
-        // applying kicks between polls would draw their backoffs from the
-        // main stream in between MORE's coefficient draws and reorder both.
-        let mut ctx = Ctx {
-            now: self.now,
-            rng: &mut self.rng,
-            timers: std::mem::take(&mut self.scratch_timers),
-            kicks: std::mem::take(&mut self.scratch_kicks),
-        };
-        let result = if let Some(q) = nodes.get_mut(node.0) {
-            // Fill: move protocol frames into the queue until it has
-            // nothing more or the discipline discards an arrival.
-            while let Some(frame) = self.agent.poll_tx(node, &mut ctx) {
-                let key = q.disc.classify(node, frame.flow);
-                match q.disc.offer(key, self.now, qrng) {
-                    QueueVerdict::Accept => {
-                        q.frames.push_back(frame);
-                        if let Some(hw) = self.stats.queue_depth_hw.get_mut(node.0) {
-                            *hw = (*hw).max(q.frames.len());
-                        }
-                    }
-                    QueueVerdict::DropIncoming(cause) => {
-                        self.stats.count_queue_drop(node.0, frame.flow, cause);
-                        if let Some(p) = frame.flow.and_then(|f| pacers.get_mut(&f)) {
-                            p.on_loss(self.now);
-                        }
-                        let outcome = TxOutcome::Dropped(cause);
-                        self.agent
-                            .on_tx_done(node, outcome, frame.payload, &mut ctx);
-                        break;
-                    }
-                    QueueVerdict::DropMatched { index } => {
-                        // CHOKe: the arrival and the matched queued frame
-                        // both go. One congestion event for the pacer (the
-                        // matched pair shares a flow key), two drop counts.
-                        let cause = DropCause::FlowMatch;
-                        let outcome = TxOutcome::Dropped(cause);
-                        self.stats.count_queue_drop(node.0, frame.flow, cause);
-                        if let Some(p) = frame.flow.and_then(|f| pacers.get_mut(&f)) {
-                            p.on_loss(self.now);
-                        }
-                        if let Some(victim) = q.frames.remove(index) {
-                            self.stats.count_queue_drop(node.0, victim.flow, cause);
-                            self.agent
-                                .on_tx_done(node, outcome, victim.payload, &mut ctx);
-                        }
-                        self.agent
-                            .on_tx_done(node, outcome, frame.payload, &mut ctx);
-                        break;
-                    }
-                }
-            }
-            // Serve: head-of-line frame, gated by its flow's pacer when
-            // this node is the paced source.
-            match q.frames.front().map(|h| h.flow) {
-                None => Pumped::Empty,
-                Some(flow) => {
-                    let mut deferred = None;
-                    if let Some(f) = flow {
-                        if pacer_src.get(&f) == Some(&node) {
-                            if let Some(p) = pacers.get_mut(&f) {
-                                match p.gate(self.now) {
-                                    Some(release) => deferred = Some(release),
-                                    None => p.on_send(self.now),
-                                }
-                            }
-                        }
-                    }
-                    match deferred {
-                        Some(at) => Pumped::Deferred(at),
-                        None => {
-                            q.disc.dequeue(self.now);
-                            match q.frames.pop_front() {
-                                Some(frame) => Pumped::Frame(frame),
-                                None => Pumped::Empty, // unreachable: front() was Some
-                            }
-                        }
-                    }
-                }
-            }
-        } else {
-            Pumped::Empty
-        };
-        let Ctx { timers, kicks, .. } = ctx;
-        self.queues = Some(layer);
-        self.apply_ctx(timers, kicks);
-        result
     }
 
     fn account_concurrency(&mut self, node: NodeId, air: Time) {
@@ -816,91 +761,43 @@ impl<A: NodeAgent> Simulator<A> {
 }
 
 impl<A: FlowAgent> Simulator<A> {
-    /// [`Simulator::run_until`] with the traffic queue interleaved: each
-    /// action scheduled via [`Simulator::schedule_traffic`] fires at its
-    /// timestamp, before engine events due at the same instant. `stop` is
-    /// only honoured while no traffic action ≤ `deadline` is pending, so a
-    /// run cannot end in the quiet gap before the next arrival.
-    ///
-    /// With an empty traffic queue this **is** `run_until` — same events,
-    /// same RNG stream, same exit time — which is what keeps static
-    /// workloads byte-identical to the pre-traffic-model engine.
-    pub fn run_with_traffic(&mut self, deadline: Time, mut stop: impl FnMut(&A) -> bool) -> Time {
-        if self.traffic.is_empty() {
-            return self.run_until(deadline, stop);
-        }
-        // Descending (time, seq): the earliest action sits at the back.
-        self.traffic.sort_by_key(|&(t, s, _)| Reverse((t, s)));
-        // Starts are applied earliest-first, so their times form a stack.
-        self.start_times_desc = self
-            .traffic
-            .iter()
-            .filter(|(_, _, a)| matches!(a, TrafficAction::Start(_)))
-            .map(|&(t, _, _)| t)
-            .collect();
-        loop {
-            // Apply every traffic action due before the next engine event.
-            let next_engine = self.queue.peek().map(|Reverse((t, _, _))| *t);
-            let traffic_due = match (self.traffic.last(), next_engine) {
-                (Some(&(t, _, _)), Some(e)) => t <= e && t <= deadline,
-                (Some(&(t, _, _)), None) => t <= deadline,
-                (None, _) => false,
-            };
-            if traffic_due {
-                let (at, _, action) = self.traffic.pop().expect("traffic_due checked");
-                self.now = at;
-                self.apply_traffic(action);
-                if self.traffic_drained(deadline) && stop(&self.agent) {
-                    break;
-                }
-                continue;
-            }
-            let Some(Reverse((at, _, ev))) = self.queue.pop() else {
-                // No engine events and no traffic due: time stops at the
-                // deadline if anything remains scheduled beyond it.
-                if !self.traffic.is_empty() {
-                    self.now = deadline;
-                }
-                break;
-            };
-            if at > deadline {
-                self.push(at, ev);
-                self.now = deadline;
-                break;
-            }
-            self.now = at;
-            self.stats.events += 1;
-            self.dispatch(ev);
-            if self.traffic_drained(deadline) && stop(&self.agent) {
-                break;
-            }
-        }
-        self.now
+    /// Schedules a dynamic-workload action for simulated time `at`. It is
+    /// an event of the heap under sequence number 0: it applies before
+    /// every engine event due at the same instant, and same-instant
+    /// actions apply in the order they were scheduled.
+    pub fn schedule_traffic(&mut self, at: Time, action: TrafficAction) {
+        let slot = self.traffic.len();
+        self.traffic.push(Some((at, action)));
+        self.on_traffic = Self::apply_traffic;
+        self.queue
+            .push(Reverse((at, 0, EventKind::Traffic { slot })));
     }
 
-    /// No flow *arrival* is still due before `deadline`. Pending `Stop`s
-    /// do not gate the stop condition: a departure cannot un-resolve a
-    /// flow, so waiting for one would only inflate the reported run time
-    /// past the instant everything finished.
-    fn traffic_drained(&self, deadline: Time) -> bool {
-        self.pending_starts == 0 || self.start_times_desc.last().is_none_or(|&t| t > deadline)
+    /// The same as [`Simulator::run_until`], which applies scheduled
+    /// traffic; kept for existing callers.
+    pub fn run_with_traffic(&mut self, deadline: Time, stop: impl FnMut(&A) -> bool) -> Time {
+        self.run_until(deadline, stop)
     }
 
+    /// Applies a fired traffic action through the agent gateway: an
+    /// arrival installs its flow, kicks the source and, when every flow
+    /// is paced, paces it; a departure halts its flow.
     fn apply_traffic(&mut self, action: TrafficAction) {
         match action {
             TrafficAction::Start(desc) => {
-                self.pending_starts -= 1;
-                self.start_times_desc.pop();
-                let src = desc.src;
-                let index = self.agent.add_flow(&desc);
+                self.arrivals_due -= 1;
+                let index = self.callback(|agent, ctx| {
+                    let index = agent.add_flow(&desc);
+                    ctx.mark_backlogged(desc.src);
+                    index
+                });
                 // Registry-built protocols assign flow id = index + 1,
                 // so dynamic arrivals can be auto-paced by id.
                 if let Some(cfg) = self.queues.as_ref().and_then(|l| l.auto_pace) {
-                    self.pace_flow(index as u32 + 1, src, cfg);
+                    self.pace_flow(index as u32 + 1, desc.src, cfg);
                 }
-                self.kick_at(src, self.now);
             }
-            TrafficAction::Stop(index) => self.agent.end_flow(index),
+            TrafficAction::Stop(index) => self.callback(|agent, _| agent.end_flow(index)),
         }
     }
 }
@@ -945,14 +842,15 @@ mod test {
         // those on the air with it when it began, plus the shorter ones
         // (MAC ACKs) that came and went since.
         let topo = generate::city_mesh(2000, 5);
+        let n = topo.n();
         let next_hop: Vec<_> = topo.nodes().map(|a| topo.neighbors(a).next()).collect();
         let agent = Chatter {
-            sent: vec![0; topo.n()],
+            sent: vec![0; n],
             next_hop,
         };
         let mut sim = Simulator::new(topo, SimConfig::default(), agent, 5);
-        for node in sim.topo.nodes() {
-            sim.kick(node);
+        for node in 0..n {
+            sim.kick(NodeId(node));
         }
         let (mut air_hw, mut history_hw, mut ring_hw) = (0, 0, 0);
         while sim.next_tx_id < 50_000 {

@@ -394,7 +394,7 @@ fn an_arrival_reaches_add_flow_before_a_poll_due_at_its_instant() {
     // Where node 0's first transmit attempt falls (its kick's backoff).
     let mut probe = arrivals_sim();
     probe.kick(NodeId(0));
-    probe.run_with_traffic(SEC, |_| false);
+    probe.run_until(SEC, |_| false);
     let due = match &probe.agent.calls[..] {
         [Call::Poll(NodeId(0), at)] => *at,
         calls => panic!("expected one poll, got {calls:?}"),
@@ -405,7 +405,7 @@ fn an_arrival_reaches_add_flow_before_a_poll_due_at_its_instant() {
     let mut sim = arrivals_sim();
     sim.kick(NodeId(0));
     sim.schedule_traffic(due, arrival(0));
-    sim.run_with_traffic(SEC, |_| false);
+    sim.run_until(SEC, |_| false);
     assert_eq!(
         sim.agent.calls,
         [Call::Add(NodeId(0)), Call::Poll(NodeId(0), due)]
@@ -419,7 +419,7 @@ fn same_instant_traffic_applies_in_schedule_order() {
     sim.schedule_traffic(MS, arrival(1));
     sim.schedule_traffic(MS, arrival(0));
     sim.schedule_traffic(MS, TrafficAction::Stop(1));
-    sim.run_with_traffic(SEC, |_| false);
+    sim.run_until(SEC, |_| false);
     let lifecycle: Vec<&Call> = sim
         .agent
         .calls
@@ -445,7 +445,7 @@ fn only_arrivals_by_the_deadline_hold_a_finished_run() {
         let mut sim = arrivals_sim();
         sim.set_timer(NodeId(0), MS, 0);
         sim.schedule_traffic(arrival_at, arrival(0));
-        let end = sim.run_with_traffic(10 * MS, |a| a.flows_done());
+        let end = sim.run_until(10 * MS, |a| a.flows_done());
         (end, sim.agent.calls)
     };
     // An arrival at the deadline holds the run until it applies.

@@ -7,13 +7,13 @@
 //! success rate of `probes` Bernoulli trials at the true probability —
 //! binomially distributed noise, exactly what a real prober sees.
 //!
-//! [`LinkEstimator::estimate`] probes a *static* truth topology.
-//! [`LinkEstimator::estimate_live`] is the windowed-probe mode: probe
-//! rounds are spaced in time and each round samples an
-//! instantaneous-delivery callback, so ETX/EOTX inputs can be measured
-//! from a live, time-varying channel (`mesh_sim::channel`) rather than
-//! read off the topology — separating what the routing layer *believes*
-//! from what the air *does*.
+//! [`LinkEstimator::estimate_live`] runs the probe window: probe rounds
+//! are spaced in time and each round samples an instantaneous-delivery
+//! callback, so ETX/EOTX inputs can be measured from a live, time-varying
+//! channel (`mesh_sim::channel`) rather than read off the topology —
+//! separating what the routing layer *believes* from what the air
+//! *does*. A callback that reads the topology
+//! (`|tx, rx, _| truth.delivery(tx, rx)`) probes a static truth.
 
 use crate::{Link, NodeId, Topology};
 use rand::Rng;
@@ -44,60 +44,23 @@ impl Default for LinkEstimator {
 }
 
 impl LinkEstimator {
-    /// Produces the estimated topology a deployment would measure.
-    ///
-    /// Deterministic in `seed`. The returned topology preserves node count
-    /// and positions; only delivery probabilities are perturbed.
-    ///
-    /// Probes only the truth topology's links — sparse meshes cost
-    /// O(E · probes) RNG draws, not O(n² · probes). The draw sequence is
-    /// identical to the historical row-major matrix scan, which skipped
-    /// zero-probability pairs before drawing anything.
-    pub fn estimate(&self, truth: &Topology, seed: u64) -> Topology {
-        assert!(self.probes > 0, "need at least one probe");
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut links = Vec::new();
-        for l in truth.links() {
-            let mut successes = 0u32;
-            for _ in 0..self.probes {
-                if rng.gen::<f64>() < l.delivery {
-                    successes += 1;
-                }
-            }
-            let est = successes as f64 / self.probes as f64;
-            if est >= self.min_delivery {
-                links.push(Link {
-                    from: l.from,
-                    to: l.to,
-                    delivery: est,
-                });
-            }
-        }
-        let mut t = Topology::from_links(format!("{}-est", truth.name), truth.n(), links);
-        if let Some(pos) = truth.positions() {
-            t = t.with_positions(pos.to_vec());
-        }
-        t
-    }
-
     /// Windowed probing of a live channel: `probes` rounds, one every
     /// `interval_us` simulated microseconds, each sampling
     /// `delivery_at(tx, rx, now)` for every link of `truth` (in
     /// [`Topology::links`] order) and drawing one Bernoulli probe at that
     /// instantaneous probability.
     ///
-    /// Only `truth`'s links are probed, as in [`LinkEstimator::estimate`]:
-    /// a live channel delivers on no other pair (`mesh_sim::channel`'s
-    /// contract), and that keeps a window at O(links · probes) draws on
-    /// sparse meshes.
+    /// Only `truth`'s links are probed: a live channel delivers on no
+    /// other pair (`mesh_sim::channel`'s contract), and that keeps a
+    /// window at O(links · probes) draws on sparse meshes.
     ///
     /// The estimate of a link is its success rate over the whole window —
     /// a bursty channel that averages to the static topology yields the
     /// same beliefs in expectation. Deterministic in `seed`; probe draws
     /// use their own stream (`seed ^ PROBE_STREAM`), independent of both
     /// the run's main RNG and whatever stream the callback's channel model
-    /// owns. Links estimated below `min_delivery` are dropped, as in
-    /// [`LinkEstimator::estimate`].
+    /// owns. Links estimated below `min_delivery` are dropped; the result
+    /// keeps `truth`'s node count and positions.
     ///
     /// ```
     /// use mesh_topology::estimator::LinkEstimator;
@@ -105,7 +68,7 @@ impl LinkEstimator {
     ///
     /// let truth = generate::line(2, 0.8, 0.0, 30.0);
     /// let est = LinkEstimator { probes: 2000, min_delivery: 0.05 };
-    /// // A static closure reduces to the classic estimator's behaviour.
+    /// // A closure that reads the topology probes a static truth.
     /// let believed = est.estimate_live(&truth, 7, 1_000, |tx, rx, _now| {
     ///     truth.delivery(tx, rx)
     /// });
@@ -156,18 +119,27 @@ mod test {
     use super::*;
     use crate::generate;
 
+    /// A probe window over a static truth: every round samples the
+    /// topology itself.
+    fn probe(est: &LinkEstimator, truth: &Topology, seed: u64) -> Topology {
+        est.estimate_live(truth, seed, 1_000, |tx, rx, _| truth.delivery(tx, rx))
+    }
+
     #[test]
     fn estimates_converge_with_many_probes() {
+        // Each estimate is a binomial success rate: within five standard
+        // deviations of the truth on every link.
         let truth = generate::testbed(1);
         let est = LinkEstimator {
             probes: 20_000,
-            min_delivery: 0.05,
-        }
-        .estimate(&truth, 99);
+            min_delivery: 0.0,
+        };
+        let believed = probe(&est, &truth, 99);
         for l in truth.links() {
-            let e = est.delivery(l.from, l.to);
+            let e = believed.delivery(l.from, l.to);
+            let sd = (l.delivery * (1.0 - l.delivery) / est.probes as f64).sqrt();
             assert!(
-                (e - l.delivery).abs() < 0.02,
+                (e - l.delivery).abs() <= 5.0 * sd,
                 "estimate {e} far from truth {} on {:?}",
                 l.delivery,
                 (l.from, l.to)
@@ -181,32 +153,56 @@ mod test {
         let est = LinkEstimator {
             probes: 30,
             min_delivery: 0.0,
-        }
-        .estimate(&truth, 7);
+        };
+        let believed = probe(&est, &truth, 7);
         // At 30 probes the estimates quantize to 1/30 steps; at least one
         // link must differ from truth.
         let any_diff = truth
             .links()
-            .any(|l| (est.delivery(l.from, l.to) - l.delivery).abs() > 1e-9);
+            .any(|l| (believed.delivery(l.from, l.to) - l.delivery).abs() > 1e-9);
         assert!(any_diff);
     }
 
     #[test]
     fn deterministic_in_seed() {
         let truth = generate::testbed(2);
-        let e = LinkEstimator::default();
-        let a = e.estimate(&truth, 5);
-        let b = e.estimate(&truth, 5);
-        let links = |t: &Topology| t.links().collect::<Vec<_>>();
-        assert_eq!(links(&a), links(&b));
-        let c = e.estimate(&truth, 6);
-        assert_ne!(links(&a), links(&c));
+        let est = LinkEstimator::default();
+        let links = |seed| probe(&est, &truth, seed).links().collect::<Vec<_>>();
+        assert_eq!(links(5), links(5));
+        assert_ne!(links(5), links(6));
+    }
+
+    #[test]
+    fn links_heard_below_min_delivery_are_dropped() {
+        // The floor filters the estimates and changes no draw.
+        let truth = generate::testbed(1);
+        let window = |min_delivery| {
+            let est = LinkEstimator {
+                probes: 600,
+                min_delivery,
+            };
+            probe(&est, &truth, 4)
+        };
+        let (all, floor) = (window(0.0), 0.5);
+        let kept = window(floor);
+        let mut dropped = 0;
+        for l in all.links() {
+            let e = kept.delivery(l.from, l.to);
+            if l.delivery >= floor {
+                assert_eq!(e, l.delivery, "{l:?}");
+            } else {
+                assert_eq!(e, 0.0, "{l:?} kept below the floor");
+                dropped += 1;
+            }
+        }
+        assert!(dropped > 0, "no testbed link is heard under half the time");
+        assert_eq!(kept.link_count(), all.link_count() - dropped);
     }
 
     #[test]
     fn preserves_positions_and_structure() {
         let truth = generate::testbed(3);
-        let est = LinkEstimator::default().estimate(&truth, 1);
+        let est = probe(&LinkEstimator::default(), &truth, 1);
         assert_eq!(est.n(), truth.n());
         assert!(est.positions().is_some());
         // No estimated link where none exists.
@@ -239,30 +235,13 @@ mod test {
     }
 
     #[test]
-    fn windowed_probing_is_deterministic_in_seed() {
-        let truth = generate::testbed(1);
-        let est = LinkEstimator {
-            probes: 120,
-            min_delivery: 0.05,
-        };
-        let probe =
-            |t: &Topology, seed| est.estimate_live(t, seed, 1_000, |tx, rx, _| t.delivery(tx, rx));
-        let a = probe(&truth, 9);
-        let b = probe(&truth, 9);
-        let c = probe(&truth, 10);
-        let links = |t: &Topology| t.links().collect::<Vec<_>>();
-        assert_eq!(links(&a), links(&b));
-        assert_ne!(links(&a), links(&c));
-    }
-
-    #[test]
     #[should_panic(expected = "at least one probe")]
     fn zero_probes_panics() {
         let truth = generate::motivating();
-        LinkEstimator {
+        let est = LinkEstimator {
             probes: 0,
             min_delivery: 0.0,
-        }
-        .estimate(&truth, 0);
+        };
+        probe(&est, &truth, 0);
     }
 }

@@ -39,11 +39,6 @@ impl MoreAgent {
         }
     }
 
-    /// Protocol parameters.
-    pub fn config(&self) -> &MoreConfig {
-        &self.cfg
-    }
-
     /// Registers a transfer of `total_packets` native packets from `src`
     /// to every node in `dsts` (one = unicast, several = multicast).
     ///
@@ -688,7 +683,7 @@ mod test {
         // destinations run every batch they decode through verify_decoded.
         // Seed 14 completes. At most seeds of this load a matched drop
         // that empties a source's queue idles that source for good:
-        // `Simulator::pump_queue` returns no frame and the MAC goes idle
+        // the queue pump returns no frame and the MAC goes idle
         // (ROADMAP item 6(a)). This test does not pin that.
         use mesh_sim::{AimdConfig, ChannelSpec, QueueSpec};
         let topo = generate::testbed(1);

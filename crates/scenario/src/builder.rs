@@ -459,6 +459,31 @@ impl ScenarioBuilder {
         Ok(())
     }
 
+    /// Checks the experiment parameters every run reads, at every point of
+    /// a `Packets` or `K` sweep: a transfer needs a packet, a batch needs
+    /// a packet, and the deadline must fit the µs clock. Otherwise a worker
+    /// panics on an agent's empty-transfer assert, on `div_ceil(0)` for
+    /// the batch count, or on the µs product.
+    fn validate_exp(&self) -> Result<(), BuildError> {
+        let ExpConfig { packets, k, .. } = self.base;
+        // A swept parameter's base value never runs; only its points do.
+        let (packets, k) = match &self.sweep {
+            Some(Sweep::Packets(points)) => (points.clone(), vec![k]),
+            Some(Sweep::K(points)) => (vec![packets], points.clone()),
+            _ => (vec![packets], vec![k]),
+        };
+        let problem = if packets.contains(&0) {
+            "a transfer needs at least one packet"
+        } else if k.contains(&0) {
+            "batch size K must be at least 1"
+        } else if self.base.deadline_s.checked_mul(SEC).is_none() {
+            "the deadline overflows the simulator's µs clock"
+        } else {
+            return Ok(());
+        };
+        Err(BuildError::Unsupported(problem.into()))
+    }
+
     /// Checks that the declared sweep can be applied to the declared
     /// traffic model and that the model's parameters (at every sweep
     /// point) are valid, so mismatches fail at build time — before any
@@ -552,6 +577,7 @@ impl ScenarioBuilder {
     /// ```
     pub fn try_run_with_sink(mut self, sink: &mut dyn RunSink) -> Result<RunSummary, BuildError> {
         self.validate_channel()?;
+        self.validate_exp()?;
         self.validate_sweep_traffic()?;
         self.validate_queue()?;
         let mut on_complete = self.on_complete.take();
@@ -851,7 +877,7 @@ impl ScenarioBuilder {
                 reject_multicast(proto_name, windows.iter().map(|w| &w.spec))?;
             }
             // Flows arriving at t = 0 are installed by the factory before
-            // the run, the rest by the simulator's traffic queue mid-run —
+            // the run, the rest by scheduled traffic actions mid-run —
             // both through `FlowAgent::add_flow`.
             let initial: Vec<FlowSpec> = windows
                 .iter()
@@ -992,7 +1018,7 @@ fn reachable_destinations(topo: &Topology, windows: &[FlowWindow]) -> Vec<Vec<bo
 /// Runs one flow schedule to completion (or deadline) and measures it.
 ///
 /// Flows starting at t = 0 are pre-installed in `agent` and kicked, the
-/// rest are injected through the simulator's traffic queue; per-flow
+/// rest arrive as scheduled traffic actions; per-flow
 /// arrival/departure/latency is recorded for dynamic schedules (`None`
 /// for static ones). A bounded `queue` installs the queueing
 /// layer; `congestion` then paces every flow's source (flow ids are
@@ -1038,7 +1064,7 @@ fn run_one(
             sim.schedule_traffic(stop, TrafficAction::Stop(i));
         }
     }
-    sim.run_with_traffic(deadline, |a: &Box<dyn ErasedFlowAgent>| a.flows_done());
+    sim.run_until(deadline, |a: &Box<dyn ErasedFlowAgent>| a.flows_done());
 
     let concurrency = {
         let total = sim.stats.total_airtime();
@@ -1278,6 +1304,56 @@ mod test {
             .try_run()
             .expect_err("ramp exceeds the deadline");
         assert!(matches!(ramp, BuildError::Unsupported(_)));
+    }
+
+    #[test]
+    fn degenerate_parameters_are_build_errors_not_worker_panics() {
+        let line = || {
+            Scenario::named("degenerate")
+                .topology(TopologySpec::Line {
+                    hops: 2,
+                    p_adj: 0.9,
+                    skip_decay: 0.3,
+                    spacing: 25.0,
+                })
+                .pair(NodeId(0), NodeId(2))
+                .protocols(["MORE", "ExOR"])
+                .packets(8)
+                .deadline(60)
+        };
+        let ramp = |n_flows, gap_ms, hold_ms| {
+            TrafficModelSpec::Staggered(StaggeredModel {
+                n_flows,
+                gap_ms,
+                hold_ms,
+            })
+        };
+        // An empty transfer (the agents assert), K = 0 (`div_ceil(0)` on
+        // the batch count), and µs products past `u64::MAX`.
+        let past_the_clock = u64::MAX / SEC + 1;
+        for builder in [
+            line().packets(0),
+            line().sweep(Sweep::Packets(vec![8, 0])),
+            line().k(0),
+            line().sweep(Sweep::K(vec![8, 0])),
+            line().deadline(past_the_clock),
+            line()
+                .traffic_model(ramp(2, 1_000, None))
+                .deadline(past_the_clock),
+            line().traffic_model(ramp(2, u64::MAX, None)),
+        ] {
+            let err = builder.try_run().expect_err("degenerate parameter");
+            assert!(matches!(err, BuildError::Unsupported(_)), "{err}");
+        }
+        // A one-flow ramp's gap and a departure past `u64::MAX` µs lie
+        // beyond any horizon: the flows run and never depart.
+        for model in [ramp(1, u64::MAX, None), ramp(2, 1_000, Some(u64::MAX))] {
+            let records = line().traffic_model(model).try_run().expect("valid");
+            for r in &records {
+                assert!(!r.flows.is_empty(), "{r:?}");
+                assert!(r.flows.iter().all(|f| f.stopped_at_s.is_none()), "{r:?}");
+            }
+        }
     }
 
     #[test]

@@ -353,13 +353,15 @@ impl StaggeredModel {
         }
         // The whole ramp must fit the deadline, otherwise the tail of the
         // ramp would be silently dropped and a Flows sweep would report
-        // flow counts that never ran.
-        let last_start = (n_flows as Time - 1) * gap_ms * mesh_sim::MS;
-        let horizon = deadline_s * SEC;
-        if last_start >= horizon {
+        // flow counts that never ran. A last start past `u64::MAX` µs fits
+        // no deadline.
+        let last_start = (n_flows as Time - 1)
+            .checked_mul(gap_ms)
+            .and_then(|ms| ms.checked_mul(mesh_sim::MS));
+        if last_start.is_none_or(|t| t >= deadline_s.saturating_mul(SEC)) {
             return Err(format!(
-                "Staggered ramp of {n_flows} flows every {gap_ms} ms ends at \
-                 {last_start} µs, at or beyond the {deadline_s} s deadline"
+                "Staggered ramp of {n_flows} flows every {gap_ms} ms starts its \
+                 last flow at or beyond the {deadline_s} s deadline"
             ));
         }
         Ok(())
@@ -410,15 +412,16 @@ impl TrafficModel for StaggeredModel {
             topo.name,
             self.n_flows
         );
-        let gap = self.gap_ms * mesh_sim::MS;
+        // Saturating: an instant past `u64::MAX` µs lies beyond any horizon.
+        let gap = self.gap_ms.saturating_mul(mesh_sim::MS);
         let intervals = flows
             .into_iter()
             .enumerate()
             .map(|(i, (src, dst))| {
-                let start = i as Time * gap;
+                let start = (i as Time).saturating_mul(gap);
                 let stop = self
                     .hold_ms
-                    .map(|h| start + h * mesh_sim::MS)
+                    .map(|h| start.saturating_add(h.saturating_mul(mesh_sim::MS)))
                     .filter(|&s| s < horizon);
                 (FlowSpec::unicast(src, dst, packets), start, stop)
             })
