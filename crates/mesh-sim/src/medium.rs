@@ -7,13 +7,18 @@
 //! *ranges* extend those relations beyond decodable links (real radios
 //! defer to, and are jammed by, signals too weak to decode).
 //!
-//! All three relations are held as **per-node sorted neighbor lists**
-//! rather than `n × n` matrices, enumerated from the topology's link set
-//! and a spatial index over node positions — so a 10k-node city mesh
-//! costs O(nodes + pairs-in-range), not O(n²), to build and to query.
-//! Reception evaluation walks the transmitter's linked-candidate list
+//! All three relations are held as **CSR rows** rather than `n × n`
+//! matrices: one offsets array and one id array per relation, each row
+//! sorted by node id — so a 10k-node city mesh costs O(nodes +
+//! pairs-in-range), not O(n²), and a handful of allocations, to build
+//! and to query. The linked relation is the merge of the topology's
+//! sorted out-row and in-row of each node. The range relations come from
+//! one pass over a spatial index over node positions, which yields each
+//! node's pairs unsorted; they are then counted and filled by column, and
+//! filling column by column in ascending node order sorts every row.
+//! Reception evaluation walks the transmitter's linked-candidate row
 //! instead of every node: a channel delivers only on the topology's links
-//! (the [`ChannelModel`] contract), so a node outside the list has
+//! (the [`ChannelModel`] contract), so a node outside the row has
 //! `p = 0` and consumes no randomness.
 //!
 //! Bookkeeping costs what is physically near a node, not what the run
@@ -45,12 +50,12 @@
 use crate::channel::ChannelModel;
 use crate::{SimConfig, Time};
 use mesh_topology::spatial::CellGrid;
-use mesh_topology::{NodeId, Topology};
+use mesh_topology::{NodeId, Position, Topology};
 use rand::Rng;
 use std::collections::VecDeque;
 
 /// Vertical meters per floor in 3D range computations.
-const FLOOR_HEIGHT_M: f64 = 10.0;
+pub const FLOOR_HEIGHT_M: f64 = 10.0;
 
 /// A transmission on the air (or recently finished).
 #[derive(Clone, Debug)]
@@ -65,20 +70,82 @@ pub struct Transmission {
     pub end: Time,
 }
 
+/// Rows of node ids, flat: row `a` is `ids[offsets[a]..offsets[a + 1]]`.
+#[derive(Clone, Debug)]
+struct Rows {
+    offsets: Vec<usize>,
+    ids: Vec<u32>,
+}
+
+impl Rows {
+    /// No rows yet, room for `ids` ids.
+    fn with_capacity(ids: usize) -> Self {
+        Rows {
+            offsets: vec![0],
+            ids: Vec::with_capacity(ids),
+        }
+    }
+
+    /// Ends the row being pushed.
+    fn end_row(&mut self) {
+        self.offsets.push(self.ids.len());
+    }
+
+    /// Row `a`; empty past the last row.
+    #[inline]
+    fn row(&self, a: usize) -> &[u32] {
+        match self.offsets.get(a..a + 2) {
+            Some(&[start, end]) => self.ids.get(start..end).unwrap_or_default(),
+            _ => &[],
+        }
+    }
+
+    /// Is `b` in row `a`? Rows must be sorted.
+    #[inline]
+    fn contains(&self, a: usize, b: usize) -> bool {
+        self.row(a).binary_search(&(b as u32)).is_ok()
+    }
+
+    /// The transpose over `n` nodes: row `a` lists every `b` whose row
+    /// holds `a`, ascending. Counted, then filled column by column.
+    fn transpose(&self, n: usize) -> Rows {
+        let mut counts = vec![0usize; n];
+        for &a in &self.ids {
+            counts[a as usize] += 1;
+        }
+        let offsets: Vec<usize> = std::iter::once(0)
+            .chain(counts.iter().scan(0, |total, &c| {
+                *total += c;
+                Some(*total)
+            }))
+            .collect();
+        let mut fill = offsets.clone();
+        let mut ids = vec![0; self.ids.len()];
+        for b in 0..n {
+            for &a in self.row(b) {
+                let slot = &mut fill[a as usize];
+                ids[*slot] = b as u32;
+                *slot += 1;
+            }
+        }
+        Rows { offsets, ids }
+    }
+}
+
 /// Precomputed radio relations plus the set of in-flight transmissions.
 #[derive(Clone, Debug)]
 #[must_use]
 pub struct Medium {
     n: usize,
-    /// `sense[a]`: sorted ids whose MACs defer to a transmission by `a`.
-    sense: Vec<Vec<u32>>,
-    /// `interfere[a]`: sorted ids at which a transmission by `a` collides
-    /// with arriving frames.
-    interfere: Vec<Vec<u32>>,
-    /// `reach[t]`: sorted reception candidates for transmitter `t` — every
+    /// Row `a`: sorted ids whose MACs defer to a transmission by `a`.
+    sense: Rows,
+    /// Row `a`: sorted ids at which a transmission by `a` collides with
+    /// arriving frames.
+    interfere: Rows,
+    /// Row `t`: sorted reception candidates for transmitter `t` — every
     /// node linked to `t` in either direction, a superset of the nodes the
     /// channel can deliver `t`'s frames to.
-    reach: Vec<Vec<u32>>,
+    reach: Rows,
     /// Frames begun whose `end` the clock has not passed, in `begin`
     /// order — the first started earliest. A frame ending exactly at the
     /// clock is still here, waiting to be judged.
@@ -111,49 +178,26 @@ impl Medium {
     pub fn new(topo: &Topology, cfg: &SimConfig, _chan: &dyn ChannelModel) -> Self {
         let n = topo.n();
         // The symmetric "linked" relation: some direction of the pair is
-        // a topology link.
-        let mut linked: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for l in topo.links() {
-            linked[l.from.0].push(l.to.0 as u32);
-            linked[l.to.0].push(l.from.0 as u32);
+        // a topology link. It holds every link out of a transmitter, so it
+        // serves as the reception candidates unchanged.
+        let mut reach = Rows::with_capacity(2 * topo.link_count());
+        for a in topo.nodes() {
+            let ids = |(b, _): (NodeId, f64)| b.0 as u32;
+            let out = topo.neighbors_out(a).map(ids);
+            push_union(&mut reach.ids, out, topo.neighbors_in(a).map(ids));
+            reach.end_row();
         }
-        for row in &mut linked {
-            row.sort_unstable();
-            row.dedup();
-        }
-        // Reception candidates per transmitter: the linked relation holds
-        // every link out of it, so it serves unchanged.
-        let reach = linked.clone();
         // Range-based extension from node positions: pairs within
         // carrier-sense range defer, pairs within interference range jam,
         // decodable or not.
-        let mut sense = linked.clone();
-        let mut interfere = linked;
-        if let Some(pos) = topo.positions() {
-            let r_max = cfg.carrier_sense_range.max(cfg.interference_range);
-            if r_max > 0.0 {
-                let grid = CellGrid::from_positions(pos, r_max);
-                for a in 0..n {
-                    grid.for_each_candidate(pos[a].x, pos[a].y, r_max, |b| {
-                        let b = b as usize;
-                        if b == a {
-                            return;
-                        }
-                        let d = pos[a].distance(&pos[b], FLOOR_HEIGHT_M);
-                        if d <= cfg.carrier_sense_range {
-                            sense[a].push(b as u32);
-                        }
-                        if d <= cfg.interference_range {
-                            interfere[a].push(b as u32);
-                        }
-                    });
-                }
+        let r_max = cfg.carrier_sense_range.max(cfg.interference_range);
+        let (sense, interfere) = match topo.positions() {
+            Some(pos) if r_max > 0.0 => {
+                let (sense, interfere) = in_range_or_linked(pos, &reach, cfg);
+                (sense.transpose(n), interfere.transpose(n))
             }
-        }
-        for row in sense.iter_mut().chain(interfere.iter_mut()) {
-            row.sort_unstable();
-            row.dedup();
-        }
+            _ => (reach.clone(), reach.clone()),
+        };
         // Reception looks interferers up from the receiver's side, which
         // is the same relation only because every rule above adds a pair
         // in both directions.
@@ -182,13 +226,19 @@ impl Medium {
     /// Does a transmission by `a` keep `b` deferring?
     #[inline]
     pub fn senses(&self, a: NodeId, b: NodeId) -> bool {
-        self.sense[a.0].binary_search(&(b.0 as u32)).is_ok()
+        self.sense.contains(a.0, b.0)
     }
 
     /// Does a transmission by `a` interfere at receiver `r`?
     #[inline]
     pub fn interferes(&self, a: NodeId, r: NodeId) -> bool {
-        self.interfere[a.0].binary_search(&(r.0 as u32)).is_ok()
+        self.interfere.contains(a.0, r.0)
+    }
+
+    /// The nodes a frame from `tx` is judged at, ascending: every node
+    /// linked to `tx` in either direction.
+    pub fn reception_candidates(&self, tx: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        self.reach.row(tx.0).iter().map(|&r| NodeId(r as usize))
     }
 
     /// Registers a transmission starting now: `t.start` is the caller's
@@ -198,7 +248,7 @@ impl Medium {
         debug_assert!(t.start >= self.clock, "frames begin at the clock");
         self.prune(t.start);
         raise(&mut self.own_end, t.tx.0, t.end);
-        for &b in self.sense.get(t.tx.0).into_iter().flatten() {
+        for &b in self.sense.row(t.tx.0) {
             raise(&mut self.busy_end, b as usize, t.end);
         }
         self.air.push(t);
@@ -311,7 +361,7 @@ impl Medium {
         // node order — the order the per-receiver draws are made in.
         // Nodes not on the list have `p = 0` at every instant and touch
         // no randomness.
-        let candidates = &self.reach[f.tx.0];
+        let candidates = self.reach.row(f.tx.0);
         chan.delivery_row(f.tx, candidates, now, &mut self.deliveries);
         debug_assert_eq!(self.deliveries.len(), candidates.len());
         for (r, &p) in candidates.iter().map(|&r| r as usize).zip(&self.deliveries) {
@@ -324,7 +374,8 @@ impl Medium {
                     continue;
                 }
                 // Strongest overlapping interferer at r.
-                self.interfere[r]
+                self.interfere
+                    .row(r)
                     .iter()
                     .filter(|&&a| transmitted(a as usize))
                     .map(|&a| chan.delivery(NodeId(a as usize), NodeId(r), now).max(0.05))
@@ -378,14 +429,64 @@ fn overlaps(a: &Transmission, b: &Transmission) -> bool {
     a.start < b.end && b.start < a.end
 }
 
-/// Is `b` in `rows[a]` exactly when `a` is in `rows[b]`?
-fn is_symmetric(rows: &[Vec<u32>]) -> bool {
-    rows.iter().enumerate().all(|(a, row)| {
-        row.iter().all(|&b| {
-            rows.get(b as usize)
-                .is_some_and(|back| back.binary_search(&(a as u32)).is_ok())
-        })
-    })
+/// Pushes the union of two ascending id sequences onto `out`, ascending.
+fn push_union(out: &mut Vec<u32>, a: impl Iterator<Item = u32>, b: impl Iterator<Item = u32>) {
+    let (mut a, mut b) = (a.peekable(), b.peekable());
+    while let Some(id) = match (a.peek(), b.peek()) {
+        (Some(x), Some(y)) if y < x => b.next(),
+        (Some(x), Some(y)) if x == y => b.next().and(a.next()),
+        (Some(_), _) => a.next(),
+        (None, _) => b.next(),
+    } {
+        out.push(id);
+    }
+}
+
+/// The sense and interference rows of `positions` under `cfg`, unsorted:
+/// every pair within range of each other, as one [`CellGrid`] pass finds
+/// them, then the pairs in `linked` it did not keep.
+fn in_range_or_linked(positions: &[Position], linked: &Rows, cfg: &SimConfig) -> (Rows, Rows) {
+    let (sense_range, interference_range) = (cfg.carrier_sense_range, cfg.interference_range);
+    let r_max = sense_range.max(interference_range);
+    let grid = CellGrid::from_positions(positions, r_max);
+    let mut sense = Rows::with_capacity(linked.ids.len());
+    let mut interfere = Rows::with_capacity(linked.ids.len());
+    for (a, pa) in positions.iter().enumerate() {
+        let distance = |b: u32| {
+            let pb = positions.get(b as usize);
+            pb.map_or(f64::NAN, |pb| pa.distance(pb, FLOOR_HEIGHT_M))
+        };
+        grid.for_each_candidate(pa.x, pa.y, r_max, |b| {
+            if b as usize != a {
+                let d = distance(b);
+                if d <= sense_range {
+                    sense.ids.push(b);
+                }
+                if d <= interference_range {
+                    interfere.ids.push(b);
+                }
+            }
+        });
+        for &b in linked.row(a) {
+            let d = distance(b);
+            let (sensed, interfered) = (d <= sense_range, d <= interference_range);
+            if !sensed {
+                sense.ids.push(b);
+            }
+            if !interfered {
+                interfere.ids.push(b);
+            }
+        }
+        sense.end_row();
+        interfere.end_row();
+    }
+    (sense, interfere)
+}
+
+/// Is `b` in row `a` exactly when `a` is in row `b`?
+fn is_symmetric(rows: &Rows) -> bool {
+    let n = rows.offsets.len().saturating_sub(1);
+    (0..n).all(|a| rows.row(a).iter().all(|&b| rows.contains(b as usize, a)))
 }
 
 #[cfg(test)]
@@ -613,35 +714,21 @@ mod test {
     }
 
     #[test]
-    fn sparse_relations_match_dense_scan() {
-        // The neighbor-list relations must equal the historical O(n²)
-        // formula for every pair.
-        let t = generate::testbed(1);
-        let cfg = cfg();
-        let ch = chan(&t);
-        let m = Medium::new(&t, &cfg, ch.as_ref());
-        let pos = t.positions().expect("testbed has positions");
-        for a in t.nodes() {
-            assert!(!m.senses(a, a));
-            assert!(!m.interferes(a, a));
-            for b in t.nodes() {
-                if a == b {
-                    continue;
-                }
-                let linked = t.delivery(a, b) > 0.0 || t.delivery(b, a) > 0.0;
-                let d = pos[a.0].distance(&pos[b.0], 10.0);
-                assert_eq!(
-                    m.senses(a, b),
-                    linked || d <= cfg.carrier_sense_range,
-                    "sense {a} -> {b}"
-                );
-                assert_eq!(
-                    m.interferes(a, b),
-                    linked || d <= cfg.interference_range,
-                    "interfere {a} -> {b}"
-                );
-            }
-        }
+    fn far_apart_linked_nodes_build_a_small_medium() {
+        // Two linked nodes 1.4 million km apart, as `Topology::from_json`
+        // accepts them. Cells of carrier-sense size over that extent were
+        // once ~5.7e14 buckets, and the allocation aborted the process.
+        let json = r#"{"name": "far", "n": 3,
+            "links": [{"from": 0, "to": 1, "p": 0.5}, {"from": 1, "to": 0, "p": 0.5}],
+            "positions": [{"x": 0, "y": 0, "floor": 0}, {"x": 1e9, "y": 1e9, "floor": 0},
+                          {"x": 30, "y": 0, "floor": 0}]}"#;
+        let t = Topology::from_json(json).expect("finite coordinates are accepted");
+        let m = Medium::new(&t, &cfg(), chan(&t).as_ref());
+        let (a, b, c) = (NodeId(0), NodeId(1), NodeId(2));
+        assert!(m.senses(a, b) && m.interferes(b, a), "linked, however far");
+        assert!(m.senses(a, c) && m.interferes(c, a), "30 m apart");
+        assert!(!m.senses(b, c) && !m.interferes(c, b));
+        assert_eq!(m.reception_candidates(a).collect::<Vec<_>>(), [b]);
     }
 
     #[test]

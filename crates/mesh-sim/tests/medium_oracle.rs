@@ -8,9 +8,9 @@
 //! lists, counters and RNG state.
 
 use mesh_sim::channel::{ChannelModel, ChannelSpec};
-use mesh_sim::medium::Transmission;
+use mesh_sim::medium::{Transmission, FLOOR_HEIGHT_M};
 use mesh_sim::{Medium, SimConfig, Time, MS};
-use mesh_topology::{generate, NodeId, Topology};
+use mesh_topology::{generate, Link, NodeId, Position, Topology};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -378,6 +378,64 @@ fn city_mesh_matches_the_scan() {
     let hot = neighbourhood(&topo, chan.as_ref(), NodeId(700));
     assert!(hot.len() > 3, "a neighbourhood to collide in: {hot:?}");
     assert_exercised(&drive(&topo, chan, &hot, 4000, 11));
+}
+
+/// Two linked nodes 1.4 million km apart and one node 30 m from the
+/// first: the layout whose spatial index once aborted the process.
+fn far_flung() -> Topology {
+    let links = [(0, 1), (1, 0)].map(|(from, to)| Link {
+        from: NodeId(from),
+        to: NodeId(to),
+        delivery: 0.5,
+    });
+    let at = |x: f64, y: f64| Position { x, y, floor: 0 };
+    Topology::from_links("far-flung", 3, links.to_vec()).with_positions(vec![
+        at(0.0, 0.0),
+        at(1e9, 1e9),
+        at(30.0, 0.0),
+    ])
+}
+
+#[test]
+fn relations_match_the_all_pairs_reference() {
+    // The reference, pair by pair: linked when either direction is a
+    // topology link; sensing and interference add the pairs whose 3D
+    // distance is within range. Reception candidates are the linked
+    // nodes, ascending.
+    let cfg = SimConfig::default();
+    for topo in [
+        generate::testbed(1),
+        generate::city_mesh(2000, 5),
+        far_flung(),
+    ] {
+        let chan = ChannelSpec::Static.build(&topo, 1);
+        let m = Medium::new(&topo, &cfg, chan.as_ref());
+        let pos = topo.positions().expect("every layout here has positions");
+        let linked = |a: NodeId, b: NodeId| topo.delivery(a, b) > 0.0 || topo.delivery(b, a) > 0.0;
+        let (mut sensed, mut interfered) = (0, 0);
+        for a in topo.nodes() {
+            let candidates: Vec<NodeId> = topo.nodes().filter(|&b| linked(a, b)).collect();
+            let got: Vec<NodeId> = m.reception_candidates(a).collect();
+            assert_eq!(
+                got, candidates,
+                "{}: reception candidates of {a}",
+                topo.name
+            );
+            for b in topo.nodes().filter(|&b| b != a) {
+                let d = pos[a.0].distance(&pos[b.0], FLOOR_HEIGHT_M);
+                let sense = linked(a, b) || d <= cfg.carrier_sense_range;
+                let interfere = linked(a, b) || d <= cfg.interference_range;
+                assert_eq!(m.senses(a, b), sense, "{}: sense {a} -> {b}", topo.name);
+                let what = format!("{}: interfere {a} -> {b}", topo.name);
+                assert_eq!(m.interferes(a, b), interfere, "{what}");
+                sensed += usize::from(sense && !linked(a, b));
+                interfered += usize::from(interfere && !linked(a, b));
+            }
+            assert!(!m.senses(a, a) && !m.interferes(a, a), "{a} and itself");
+        }
+        // Range adds pairs beyond the links on every layout.
+        assert!(sensed > 0 && interfered > 0, "{}", topo.name);
+    }
 }
 
 #[test]

@@ -241,6 +241,11 @@ fn links_from_positions(
 /// the returned layout — is identical to the historical linear scan: the
 /// check consumes no randomness, and the grid merely narrows which
 /// already-placed points the exact distance predicate visits.
+///
+/// # Panics
+///
+/// Panics if `floors` is not positive: node `i` goes on floor
+/// `i mod floors`.
 pub fn scatter_positions(
     n: usize,
     floors: i32,
@@ -249,9 +254,14 @@ pub fn scatter_positions(
     min_separation: f64,
     rng: &mut impl Rng,
 ) -> Vec<Position> {
+    assert!(
+        floors >= 1,
+        "scatter_positions needs at least one floor, got {floors}"
+    );
+    let per_floor = n.div_ceil(floors as usize);
     let mut positions: Vec<Position> = Vec::with_capacity(n);
-    let mut grids: Vec<CellGrid> = (0..floors.max(1))
-        .map(|_| CellGrid::new(0.0, 0.0, width, depth, min_separation))
+    let mut grids: Vec<CellGrid> = (0..floors)
+        .map(|_| CellGrid::new(0.0, 0.0, width, depth, min_separation, per_floor))
         .collect();
     let mut attempts = 0;
     while positions.len() < n {
@@ -399,7 +409,9 @@ fn max_link_distance(model: &RadioModel) -> f64 {
 /// link distance; each unordered pair draws its shadowing and asymmetry
 /// from its own ChaCha8 stream (the run seed xor `CITY_LINK_STREAM`
 /// mixed with the pair index), so the result is a pure function of
-/// `(n, seed)` regardless of grid enumeration order.
+/// `(n, seed)` regardless of grid enumeration order. The streams are
+/// seeded eight at a time ([`ChaCha8Rng::seed_eight_from_u64`]); each is
+/// the one `seed_from_u64` would give its pair.
 pub fn city_mesh(n: usize, seed: u64) -> Topology {
     assert!(n >= 1, "need at least one node");
     let model = RadioModel::default();
@@ -408,30 +420,49 @@ pub fn city_mesh(n: usize, seed: u64) -> Topology {
     let positions = scatter_positions(n, 1, side, side, 4.0, &mut rng);
     let r_max = max_link_distance(&model);
     let grid = CellGrid::from_positions(&positions, r_max);
+    // `build` sorts the links, so the order pairs are drawn in is free.
     let mut links = Vec::new();
-    for i in 0..n {
-        let pi = positions[i];
-        grid.for_each_candidate(pi.x, pi.y, r_max, |jj| {
-            let j = jj as usize;
-            if j <= i {
-                return;
-            }
-            let base = pi.distance(&positions[j], model.floor_penalty);
-            if base > r_max {
-                return;
-            }
-            // xtask: allow(rng_stream) -- city_pair_seed is the run seed ^ CITY_LINK_STREAM mixed with the unordered pair index (a per-pair stream; see streams.rs).
-            let mut pair_rng = ChaCha8Rng::seed_from_u64(city_pair_seed(seed, i, j));
-            let shadow = approx_normal(&mut pair_rng) * model.shadowing_sigma;
+    let mut draw = |batch: &[(usize, usize, f64)]| {
+        let pair_seed = |k: usize| {
+            batch
+                .get(k)
+                .map_or(0, |&(i, j, _)| city_pair_seed(seed, i, j))
+        };
+        // xtask: allow(rng_stream) -- city_pair_seed is the run seed ^ CITY_LINK_STREAM mixed with the unordered pair index (a per-pair stream; see streams.rs); spare lanes of a short batch are dropped unread.
+        let mut rngs = ChaCha8Rng::seed_eight_from_u64(std::array::from_fn(pair_seed));
+        for (&(i, j, base), pair_rng) in batch.iter().zip(&mut rngs) {
+            let shadow = approx_normal(pair_rng) * model.shadowing_sigma;
             let d_eff = (base + shadow).max(0.0);
             let p = model.delivery_at(d_eff);
-            let asym = 1.0 + 0.05 * approx_normal(&mut pair_rng).clamp(-2.0, 2.0);
+            let asym = 1.0 + 0.05 * approx_normal(pair_rng).clamp(-2.0, 2.0);
             let pij = (p * asym).clamp(0.0, model.max_delivery);
             let pji = (p / asym).clamp(0.0, model.max_delivery);
             if pij >= model.min_delivery && pji >= model.min_delivery {
                 links.extend([link(i, j, pij), link(j, i, pji)]);
             }
+        }
+    };
+    // Candidate pairs `i < j` within `r_max`, with their distance, drawn
+    // as soon as eight are collected.
+    let mut batch = Vec::with_capacity(8);
+    for (i, pi) in positions.iter().enumerate() {
+        grid.for_each_candidate(pi.x, pi.y, r_max, |j| {
+            let j = j as usize;
+            let Some(pj) = positions.get(j).filter(|_| j > i) else {
+                return;
+            };
+            let base = pi.distance(pj, model.floor_penalty);
+            if base <= r_max {
+                batch.push((i, j, base));
+                if batch.len() == 8 {
+                    draw(&batch);
+                    batch.clear();
+                }
+            }
         });
+    }
+    if !batch.is_empty() {
+        draw(&batch);
     }
     build(format!("city{n}-s{seed}"), n, links).with_positions(positions)
 }
@@ -627,18 +658,22 @@ mod test {
     #[test]
     fn city_mesh_matches_all_pairs_reference() {
         // The grid only narrows which pairs are *examined*; per-pair RNG
-        // seeding makes the outcome identical to brute-force enumeration.
-        let n = 60;
+        // seeding makes the outcome identical to brute-force enumeration,
+        // one `seed_from_u64` per pair. The candidate count leaves the
+        // last batch of eight streams short.
+        let n = 59;
         let seed = 4;
         let t = city_mesh(n, seed);
         let model = RadioModel::default();
         let positions = t.positions().unwrap();
         let r_max = max_link_distance(&model);
+        let mut candidates = 0;
         for i in 0..n {
             for j in (i + 1)..n {
                 let base = positions[i].distance(&positions[j], model.floor_penalty);
                 let (mut pij, mut pji) = (0.0, 0.0);
                 if base <= r_max {
+                    candidates += 1;
                     let mut rng = ChaCha8Rng::seed_from_u64(city_pair_seed(seed, i, j));
                     let shadow = approx_normal(&mut rng) * model.shadowing_sigma;
                     let p = model.delivery_at((base + shadow).max(0.0));
@@ -653,6 +688,30 @@ mod test {
                 assert_eq!(t.delivery(NodeId(j), NodeId(i)), pji, "({j},{i})");
             }
         }
+        assert_ne!(candidates % 8, 0, "{candidates} candidate pairs");
+    }
+
+    #[test]
+    fn scatter_positions_rejects_floors_below_one() {
+        for floors in [0, -1, i32::MIN] {
+            let caught = std::panic::catch_unwind(|| {
+                let mut rng = ChaCha8Rng::seed_from_u64(1);
+                scatter_positions(4, floors, 10.0, 10.0, 1.0, &mut rng)
+            });
+            let message = caught.expect_err("no floor to place a node on");
+            let message = message
+                .downcast_ref::<String>()
+                .expect("a formatted message");
+            assert!(
+                message.contains("at least one floor"),
+                "{floors}: {message}"
+            );
+        }
+        // Three floors take the nodes in turn.
+        let mut rng = ChaCha8Rng::seed_from_u64(1);
+        let placed = scatter_positions(7, 3, 10.0, 10.0, 1.0, &mut rng);
+        let floors: Vec<i32> = placed.iter().map(|p| p.floor).collect();
+        assert_eq!(floors, [0, 1, 2, 0, 1, 2, 0]);
     }
 
     #[test]

@@ -27,7 +27,8 @@
 //!
 //! **Determinism** (line-based) —
 //! * [`Lint::RngStream`]: RNG construction not derived from the run seed
-//!   (`seed_from_u64` must take the bare seed or `seed ^ *_STREAM`).
+//!   (`seed_from_u64` and `seed_eight_from_u64` must take the bare seed or
+//!   `seed ^ *_STREAM`).
 //! * [`Lint::FloatOrd`]: float ordering via `partial_cmp` + unwrap-style
 //!   methods instead of `total_cmp`.
 //!

@@ -80,17 +80,19 @@ pub(crate) fn run_line_lints(file: &str, view: &FileView, findings: &mut Vec<Fin
         };
 
         if !in_bench_crate {
-            for arg in call_args(code, "seed_from_u64") {
-                if !seed_arg_ok(&arg) {
-                    push(
-                        Lint::RngStream,
-                        format!(
-                            "`seed_from_u64({arg})` is not derived from the run seed; \
-                             pass the bare seed or `seed ^ <NAME>_STREAM` with a named \
-                             stream constant"
-                        ),
-                        findings,
-                    );
+            for name in SEEDING_CALLS {
+                for arg in call_args(code, name) {
+                    if !seed_arg_ok(&arg) {
+                        push(
+                            Lint::RngStream,
+                            format!(
+                                "`{name}({arg})` is not derived from the run seed; \
+                                 pass the bare seed or `seed ^ <NAME>_STREAM` with a \
+                                 named stream constant"
+                            ),
+                            findings,
+                        );
+                    }
                 }
             }
         }
@@ -113,6 +115,10 @@ pub(crate) fn run_line_lints(file: &str, view: &FileView, findings: &mut Vec<Fin
         }
     }
 }
+
+/// The generator constructors whose seed arguments `rng_stream` checks:
+/// one seed, or an array of eight.
+const SEEDING_CALLS: [&str; 2] = ["seed_from_u64", "seed_eight_from_u64"];
 
 /// Extracts the argument text of each `name(...)` call on a code line.
 fn call_args(code: &str, name: &str) -> Vec<String> {
@@ -145,9 +151,10 @@ fn call_args(code: &str, name: &str) -> Vec<String> {
     out
 }
 
-/// A `seed_from_u64` argument is acceptable when it references a named
-/// `*_STREAM` constant, or is a plain path expression mentioning the
-/// seed (`seed`, `run_seed`, `self.seed`, …) with no arithmetic.
+/// The argument of a [`SEEDING_CALLS`] call is acceptable when it
+/// references a named `*_STREAM` constant, or is a plain path expression
+/// mentioning the seed (`seed`, `run_seed`, `self.seed`, …) with no
+/// arithmetic.
 fn seed_arg_ok(arg: &str) -> bool {
     if arg.contains("_STREAM") {
         return true;

@@ -34,3 +34,7 @@ mod test {
         v.sort_by(|a, b| a.partial_cmp(b).unwrap());
     }
 }
+
+pub fn unnamed_batch_streams(seed: u64, k: u64) {
+    let _ = ChaCha8Rng::seed_eight_from_u64([seed ^ k; 8]);
+}
