@@ -1,7 +1,7 @@
 //! The MORE node agent: source / forwarder / destination control flow
 //! (thesis §3.3.3, Fig 3-2) over the simulator's MAC callbacks.
 
-// xtask: allow(panic_path, file) -- per-node and per-batch vectors are sized at add_flow / when a batch opens, and row indices are bounded by the tracker's rank checks; decoded-batch verification asserts a deterministic-testfile invariant.
+// xtask: allow(panic_path, file) -- per-node and per-batch vectors are sized at add_flow / when a batch opens; decoded-batch verification asserts a deterministic-testfile invariant.
 
 use crate::flow::{BatchState, Destination, FlowId, FlowProgress, MoreFlow, NodeFlowState};
 use crate::header::MorePayload;
@@ -11,7 +11,7 @@ use mesh_metrics::{EtxTable, ForwarderPlan};
 use mesh_sim::{Ctx, Frame, NodeAgent, OutFrame, TxOutcome};
 use mesh_topology::{NodeId, Topology};
 use rand::Rng;
-use rlnc::{pool, CodedPacket, Decoder, ForwarderBuffer, InnovationTracker, SourceEncoder};
+use rlnc::{pool, CodedPacket, Decoder, ForwarderBuffer, SourceEncoder};
 
 /// Size of a batch-ACK frame on the air (type + ids + MAC framing).
 const ACK_BYTES: usize = 30;
@@ -142,71 +142,36 @@ impl MoreAgent {
 
     /// Makes sure the node's batch state matches its role and batch K.
     fn ensure_batch_state(cfg: &MoreConfig, ns: &mut NodeFlowState, is_dst: bool, k: usize) {
-        let needs_init = matches!(ns.batch, BatchState::Empty);
-        if !needs_init {
+        if !matches!(ns.batch, BatchState::Empty) {
             return;
         }
-        ns.batch = match (is_dst, cfg.track_payloads) {
-            (true, true) => BatchState::DstDecoder(Decoder::new(k, cfg.packet_bytes)),
-            (true, false) => BatchState::DstTracker(InnovationTracker::new(k)),
-            (false, true) => BatchState::Coded(ForwarderBuffer::new(k, cfg.packet_bytes)),
-            (false, false) => BatchState::Tracker(InnovationTracker::new(k)),
+        let len = payload_len(cfg);
+        ns.batch = if is_dst {
+            BatchState::Destination(Decoder::new(k, len))
+        } else {
+            BatchState::Forwarder(ForwarderBuffer::new(k, len))
         };
     }
 
     /// Feeds a received coded packet into the node's batch state — a
-    /// zero-copy hand-off: coded stores bump the refcount on the frame's
-    /// packet (computing its payload if it is kept), tracker stores read
-    /// the vector in place. Returns `(innovative, rank_after)`.
+    /// zero-copy hand-off: the store bumps the refcount on the frame's
+    /// packet, computing its payload if it is kept. Returns `(innovative,
+    /// rank_after)`.
     fn absorb(ns: &mut NodeFlowState, p: &CodedPacket, rng: &mut impl Rng) -> (bool, usize) {
         match &mut ns.batch {
             BatchState::Empty => unreachable!("batch state initialized before absorb"),
-            BatchState::Tracker(t) | BatchState::DstTracker(t) => {
-                let innov = t.absorb(p.vector());
-                (innov, t.rank())
-            }
-            BatchState::Coded(b) => {
-                let innov = b.receive(p, rng);
-                (innov, b.rank())
-            }
-            BatchState::DstDecoder(d) => {
-                let innov = d.receive(p);
-                (innov, d.rank())
-            }
-        }
-    }
-
-    /// A forwarder's outgoing coded packet: random combination of what it
-    /// holds (pre-coded when payloads are tracked).
-    fn emit_from(ns: &mut NodeFlowState, k: usize, rng: &mut impl Rng) -> Option<CodedPacket> {
-        match &mut ns.batch {
-            BatchState::Empty => None,
-            BatchState::Tracker(t) => {
-                if t.rank() == 0 {
-                    return None;
-                }
-                // One coefficient per stored row, drawn in row order (the
-                // RNG stream is part of determinism), combined straight
-                // into a pooled vector-only packet.
-                Some(CodedPacket::vector_only(k, |v| {
-                    rlnc::axpy_chunked(
-                        v,
-                        (0..k).filter_map(|i| t.row(i)).map(|row| {
-                            let c = gf256::Gf256(rng.gen_range(1..=255u8));
-                            (c, row)
-                        }),
-                    )
-                }))
-            }
-            BatchState::Coded(b) => b.emit(rng),
-            // A destination never forwards data.
-            BatchState::DstTracker(_) | BatchState::DstDecoder(_) => None,
+            BatchState::Forwarder(b) => (b.receive(p, rng), b.rank()),
+            BatchState::Destination(d) => (d.receive(p), d.rank()),
         }
     }
 
     /// Verifies a fully decoded batch against the deterministic test file
-    /// in place — no reference batch is materialized.
-    fn verify_decoded(d: &Decoder, flow: u32, batch: u32, k_b: usize) {
+    /// in place — no reference batch is materialized. Zero-length natives
+    /// verify trivially.
+    fn verify_decoded(batch_state: &BatchState, flow: u32, batch: u32, k_b: usize) {
+        let BatchState::Destination(d) = batch_state else {
+            unreachable!("a destination decodes");
+        };
         for i in 0..k_b {
             let native = d.native(i).expect("rank K reached");
             assert!(
@@ -214,6 +179,16 @@ impl MoreAgent {
                 "decoded batch corrupt (flow {flow} batch {batch} native {i})"
             );
         }
+    }
+}
+
+/// Payload bytes each coded packet carries: the native size when payloads
+/// are tracked, none otherwise.
+fn payload_len(cfg: &MoreConfig) -> usize {
+    if cfg.track_payloads {
+        cfg.packet_bytes
+    } else {
+        0
     }
 }
 
@@ -257,9 +232,7 @@ impl NodeAgent for MoreAgent {
                 if let Some(di) = dst {
                     if innovative && rank_after == k_b {
                         // Full batch: ACK before decoding (§3.2.2).
-                        if let BatchState::DstDecoder(d) = &ns.batch {
-                            Self::verify_decoded(d, *flow, *batch, k_b);
-                        }
+                        Self::verify_decoded(&ns.batch, *flow, *batch, k_b);
                         ns.pending_acks.push_back((*batch, node));
                         ns.flush_to(*batch + 1);
                         let d = &mut f.dsts[di];
@@ -409,17 +382,11 @@ impl NodeAgent for MoreAgent {
             let (batch, k_b, packet) = if node == f.src {
                 let batch = f.src_batch;
                 let k_b = f.k_of(&cfg, batch);
-                let packet = if cfg.track_payloads {
-                    if f.encoder.is_none() {
-                        let natives = crate::batch_natives(f.id, batch, k_b, cfg.packet_bytes);
-                        f.encoder = Some(SourceEncoder::new(natives).expect("valid batch"));
-                    }
-                    f.encoder.as_ref().expect("just built").encode(ctx.rng())
-                } else {
-                    // Vector-only packet: random coefficients, no payload.
-                    CodedPacket::vector_only(k_b, |v| ctx.rng().fill(v))
-                };
-                (batch, k_b, packet)
+                let encoder = f.encoder.get_or_insert_with(|| {
+                    let natives = crate::batch_natives(f.id, batch, k_b, payload_len(&cfg));
+                    SourceEncoder::new(natives).expect("valid batch")
+                });
+                (batch, k_b, encoder.encode(ctx.rng()))
             } else {
                 // Forwarder: positive credit and something to say
                 // (§3.2.1). Destinations and nodes outside the forwarder
@@ -428,12 +395,16 @@ impl NodeAgent for MoreAgent {
                 if f.nodes[node.0].credit <= 0.0 || batch >= f.n_batches(&cfg) {
                     continue;
                 }
-                let k_b = f.k_of(&cfg, batch);
-                let Some(packet) = Self::emit_from(&mut f.nodes[node.0], k_b, ctx.rng()) else {
+                let ns = &mut f.nodes[node.0];
+                // A destination never forwards data.
+                let BatchState::Forwarder(b) = &mut ns.batch else {
                     continue;
                 };
-                f.nodes[node.0].credit -= 1.0;
-                (batch, k_b, packet)
+                let Some(packet) = b.emit(ctx.rng()) else {
+                    continue;
+                };
+                ns.credit -= 1.0;
+                (batch, f.k_of(&cfg, batch), packet)
             };
             if f.dsts.iter().all(|d| d.decoded_batches > batch) {
                 f.progress.spurious_tx += 1;

@@ -4,7 +4,7 @@ use crate::MoreConfig;
 use mesh_metrics::ForwarderPlan;
 use mesh_sim::Time;
 use mesh_topology::NodeId;
-use rlnc::{Decoder, ForwarderBuffer, InnovationTracker};
+use rlnc::{Decoder, ForwarderBuffer};
 use std::collections::VecDeque;
 
 /// Flow identifier (the header's flow id).
@@ -31,20 +31,16 @@ pub struct FlowProgress {
 
 /// The coding state a node keeps for the *current* batch of a flow.
 ///
-/// Which variant a node holds depends on its role and on whether the run
-/// carries real payload bytes (§"track_payloads" in [`MoreConfig`]).
+/// One coded path whatever [`MoreConfig::track_payloads`] says: without
+/// payloads the same stores run with a payload length of zero.
 #[derive(Debug)]
 pub enum BatchState {
     /// Nothing buffered yet.
     Empty,
-    /// Forwarder, vectors only: rank bookkeeping via Algorithm 2.
-    Tracker(InnovationTracker),
-    /// Forwarder with payload bytes: pool + pre-coding.
-    Coded(ForwarderBuffer),
-    /// Destination, vectors only.
-    DstTracker(InnovationTracker),
-    /// Destination with payload bytes: incremental decoder.
-    DstDecoder(Decoder),
+    /// Forwarder: pool + pre-coding.
+    Forwarder(ForwarderBuffer),
+    /// Destination: incremental decoder.
+    Destination(Decoder),
 }
 
 impl BatchState {
@@ -52,9 +48,8 @@ impl BatchState {
     pub fn rank(&self) -> usize {
         match self {
             BatchState::Empty => 0,
-            BatchState::Tracker(t) | BatchState::DstTracker(t) => t.rank(),
-            BatchState::Coded(b) => b.rank(),
-            BatchState::DstDecoder(d) => d.rank(),
+            BatchState::Forwarder(b) => b.rank(),
+            BatchState::Destination(d) => d.rank(),
         }
     }
 }
@@ -150,7 +145,7 @@ pub struct MoreFlow {
     /// The batch the source currently pumps: the earliest one some
     /// destination has not ACKed.
     pub src_batch: u32,
-    /// Source-side encoder for the current batch (payload-tracking runs).
+    /// Source-side encoder for the current batch.
     pub encoder: Option<rlnc::SourceEncoder>,
     /// Measurements.
     pub progress: FlowProgress,
@@ -211,7 +206,7 @@ mod test {
     fn node_state_flush_semantics() {
         let mut s = NodeFlowState::new();
         s.credit = 2.5;
-        s.batch = BatchState::Tracker(InnovationTracker::new(4));
+        s.batch = BatchState::Forwarder(ForwarderBuffer::new(4, 0));
         s.flush_to(0); // not newer: no-op
         assert_eq!(s.credit, 2.5);
         s.flush_to(3);
@@ -223,8 +218,9 @@ mod test {
     #[test]
     fn batch_state_rank() {
         assert_eq!(BatchState::Empty.rank(), 0);
-        let mut t = InnovationTracker::new(3);
-        t.absorb(rlnc::CodeVector::unit(3, 1));
-        assert_eq!(BatchState::Tracker(t).rank(), 1);
+        let enc = rlnc::SourceEncoder::new(vec![Vec::<u8>::new(); 3]).expect("valid batch");
+        let mut d = Decoder::new(3, 0);
+        d.receive(&enc.encode_with(rlnc::CodeVector::unit(3, 1)));
+        assert_eq!(BatchState::Destination(d).rank(), 1);
     }
 }

@@ -82,16 +82,12 @@ pub struct MoreConfig {
     pub plan: PlanConfig,
     /// Metric used to order forwarders and derive transmission counts.
     pub metric: ForwarderMetric,
-    /// Carry and verify real coded payloads end-to-end. Costs CPU in large
-    /// sweeps. Either way it is the same protocol: innovativeness is
-    /// decided on code vectors alone, and the source and destinations draw
-    /// the same random numbers. Forwarders do not: a vector-only forwarder
-    /// draws one coefficient per stored row when it is polled, a coded one
-    /// one per pooled packet when it pre-codes plus one per arrival it
-    /// folds in (§3.2.3c). The run's shared RNG, and with it every later
-    /// backoff, therefore diverges as soon as a forwarder speaks, so
-    /// same-seed runs with forwarders differ in transmissions and
-    /// throughput; only a flow that needs no forwarder replays exactly.
+    /// Carry and verify real coded payloads end-to-end: switches the
+    /// payload bytes on, and nothing else. Without them every coded packet
+    /// has a zero-length payload; the code vectors, the random draws and
+    /// with them the whole run are the same, so a same-seed run replays
+    /// exactly either way (`tests/payload_oracle.rs`). Costs CPU in large
+    /// sweeps.
     pub track_payloads: bool,
 }
 

@@ -342,6 +342,25 @@ mod test {
     }
 
     #[test]
+    fn zero_length_packets_keep_no_pool_alive() {
+        // Two forwarders that store each other's packets: a pending
+        // recipe in each pool would read the other pool, a cycle that
+        // outlives both flushes.
+        let (enc, mut rng) = setup(4, 0, 9);
+        let (mut a, mut b) = (ForwarderBuffer::new(4, 0), ForwarderBuffer::new(4, 0));
+        a.receive(&enc.encode(&mut rng), &mut rng);
+        b.receive(&enc.encode(&mut rng), &mut rng);
+        let from_a = a.emit(&mut rng).unwrap();
+        let from_b = b.emit(&mut rng).unwrap();
+        assert!(b.receive(&from_a, &mut rng) && a.receive(&from_b, &mut rng));
+        assert!(from_a.payload().is_empty());
+        crate::pool::recycle(from_a);
+        crate::pool::recycle(from_b);
+        assert_eq!(Rc::strong_count(&a.pool), 1);
+        assert_eq!(Rc::strong_count(&b.pool), 1);
+    }
+
+    #[test]
     fn stored_packets_share_the_arriving_buffer() {
         let (enc, mut rng) = setup(2, 8, 8);
         let mut buf = ForwarderBuffer::new(2, 8);

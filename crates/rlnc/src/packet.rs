@@ -280,9 +280,13 @@ impl PacketMut {
         (&mut c.vector, &mut c.coeffs)
     }
 
-    /// The finished packet, its payload to come from `recipe`.
+    /// The finished packet, its payload to come from `recipe`. A
+    /// zero-length payload combines nothing, so it keeps no recipe: held
+    /// unrun, one would keep its sources alive.
     pub(crate) fn freeze(mut self, recipe: Recipe) -> CodedPacket {
-        *self.cell().recipe.get_mut() = recipe;
+        if self.0.payload_len > 0 {
+            *self.cell().recipe.get_mut() = recipe;
+        }
         CodedPacket(self.0)
     }
 
@@ -293,14 +297,6 @@ impl PacketMut {
 }
 
 impl CodedPacket {
-    /// A payload-less packet whose K-byte vector `fill` writes (into
-    /// zeros) — what MORE sends when it tracks code vectors alone.
-    pub fn vector_only(k: usize, fill: impl FnOnce(&mut [u8])) -> Self {
-        let mut p = PacketMut::new(k, 0);
-        fill(p.vector_mut());
-        p.freeze(Recipe::Done)
-    }
-
     /// The shared cell, for [`pool::recycle`].
     pub(crate) fn into_cell(self) -> Rc<PacketCell> {
         self.0
@@ -325,9 +321,13 @@ impl CodedPacket {
     }
 
     /// The coded payload, `Σ cᵢ pᵢ` byte-wise over GF(2⁸); computed on the
-    /// first call by any clone.
+    /// first call by any clone. A zero-length payload is empty without
+    /// building the flat buffer.
     #[inline]
     pub fn payload(&self) -> &[u8] {
+        if self.payload_len() == 0 {
+            return &[];
+        }
         &self.data()[self.k()..]
     }
 
@@ -373,16 +373,14 @@ pub struct SourceEncoder {
 
 impl SourceEncoder {
     /// Builds an encoder over `natives`; all packets must share one length
-    /// and the batch must be non-empty.
+    /// and the batch must be non-empty. Zero-length natives are a batch
+    /// too: its packets carry code vectors and an empty payload.
     pub fn new<B: Into<Bytes>>(natives: Vec<B>) -> Result<Self, CodingError> {
         let natives: Rc<[Bytes]> = natives.into_iter().map(Into::into).collect();
         let Some(first) = natives.first() else {
             return Err(CodingError::BadBatch("empty batch".into()));
         };
         let payload_len = first.len();
-        if payload_len == 0 {
-            return Err(CodingError::BadBatch("zero-length packets".into()));
-        }
         if natives.iter().any(|p| p.len() != payload_len) {
             return Err(CodingError::BadBatch("unequal packet lengths".into()));
         }
@@ -530,10 +528,25 @@ mod test {
             SourceEncoder::new(vec![vec![1u8, 2], vec![3u8]]),
             Err(CodingError::BadBatch(_))
         ));
-        assert!(matches!(
-            SourceEncoder::new(vec![Vec::<u8>::new()]),
-            Err(CodingError::BadBatch(_))
-        ));
+    }
+
+    #[test]
+    fn zero_length_natives_code_vectors_alone() {
+        let k = 8;
+        let enc = SourceEncoder::new(vec![Vec::<u8>::new(); k]).unwrap();
+        assert_eq!(enc.payload_len(), 0);
+        let p = enc.encode(&mut ChaCha8Rng::seed_from_u64(9));
+        // The vector is K bytes from the same stream a coded packet draws.
+        let mut want = vec![0u8; k];
+        ChaCha8Rng::seed_from_u64(9).fill(&mut want[..]);
+        assert_eq!(p.vector(), &want[..]);
+        assert!(p.payload().is_empty());
+        // Decoders and forwarders with no payload absorb it.
+        let mut dec = crate::Decoder::new(k, 0);
+        assert!(dec.receive(&p));
+        let mut fwd = crate::ForwarderBuffer::new(k, 0);
+        assert!(fwd.receive(&p, &mut ChaCha8Rng::seed_from_u64(10)));
+        assert_eq!((dec.rank(), fwd.rank()), (1, 1));
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! Traffic-API equivalence: every static [`TrafficSpec`] variant — single
 //! pair, pair list, random pairs, concurrent, seed-dependent random
 //! concurrent, multicast — expands through the `TrafficModel`/`StaticModel`
-//! trait path and the simulator's traffic queue plumbing to the run stored
+//! trait path into flows installed and kicked at t = 0, to the run stored
 //! in `tests/golden/traffic_static_run.json`; a single shifted RNG draw or
-//! reordered kick would move every downstream byte. Dynamic models must
+//! reordered kick would move every downstream byte. Its MORE runs carry
+//! no payloads, and are byte for byte the runs with payloads
+//! (`tests/payload_oracle.rs`). Dynamic models must
 //! instead be deterministic per seed and visibly different from the
 //! static runs.
 //!
