@@ -53,8 +53,7 @@
 
 use crate::Time;
 use mesh_topology::{NodeId, Topology};
-use rand::Rng;
-use rand::SeedableRng;
+use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use mesh_topology::streams::CHANNEL_STREAM;
@@ -336,6 +335,13 @@ impl ChannelModel for StaticChannel {
 /// epoch by epoch and, within an epoch, in link order, all from the one
 /// channel stream. Cost is one draw per state change, not one per link
 /// per epoch, and the sample path is the same however `tick` is called.
+///
+/// `tick` finds the due links on an epoch wheel ([`Wheel`]) instead of
+/// scanning every link, and draws sojourns from an exact lookup table
+/// ([`SojournTable`]) instead of through `ln`: the same draws in the same
+/// order as [`sojourn`], so the same sample path. Both are built on the
+/// first `tick` that advances an epoch, not with the channel: a run
+/// whose air never moves pays nothing for them.
 pub struct GilbertElliottChannel {
     /// Resolves `(tx, rx)` to a link slot.
     topo: Topology,
@@ -347,13 +353,21 @@ pub struct GilbertElliottChannel {
     /// `ln(1 − to_good)`, likewise for the bad state.
     ln_stay_bad: f64,
     /// Per link slot, the epoch at which the link next changes state;
-    /// `u64::MAX` where it never does. Apart from `links` so the per-epoch
-    /// scan for due flips walks nothing else.
+    /// `u64::MAX` where it never does.
     next_flip: Vec<u64>,
     /// Per link slot, the state and what it delivers.
     links: Vec<GeLink>,
     epochs_done: u64,
     rng: ChaCha8Rng,
+    /// The wheel and both sojourn tables, once an epoch has passed.
+    air: Option<Box<Air>>,
+}
+
+/// What [`GilbertElliottChannel::tick`] needs beyond the per-link state.
+struct Air {
+    wheel: Wheel,
+    stay_good: SojournTable,
+    stay_bad: SojournTable,
 }
 
 /// One directed link of a [`GilbertElliottChannel`].
@@ -375,6 +389,11 @@ impl GeLink {
     }
 }
 
+/// `gen::<f64>()` is `m · 2⁻⁵³` for the 53-bit integer `m = next_u64() >> 11`.
+const UNIT: f64 = 1.0 / (1u64 << 53) as f64;
+/// One past the largest `m`.
+const M_END: u64 = 1 << 53;
+
 /// Epochs a link spends in a state it leaves with per-epoch probability
 /// `q`, given `ln_stay = ln(1 − q)`: geometric on `1, 2, …` by inversion,
 /// `1 + ⌊ln(1 − U) / ln(1 − q)⌋`. `q = 0` never leaves (`u64::MAX`, no
@@ -383,10 +402,164 @@ fn sojourn(rng: &mut ChaCha8Rng, ln_stay: f64) -> u64 {
     if ln_stay == 0.0 {
         return u64::MAX;
     }
-    let u: f64 = rng.gen();
-    // `1 − u` lies in (0, 1], so the quotient is ≥ 0 (and 0 under
-    // `ln_stay = −∞`); the cast floors it and saturates.
+    sojourn_at(rng.next_u64() >> 11, ln_stay)
+}
+
+/// [`sojourn`] for the draw whose 53-bit integer is `m`: the definition
+/// every [`SojournTable`] is built from, and its answer past its last
+/// entry. Non-decreasing in `m`.
+fn sojourn_at(m: u64, ln_stay: f64) -> u64 {
+    // `1 − u` is exact and lies in (0, 1], so the quotient is ≥ 0 (and 0
+    // under `ln_stay = −∞`); the cast floors it and saturates.
+    let u = m as f64 * UNIT;
     (((1.0 - u).ln() / ln_stay) as u64).saturating_add(1)
+}
+
+/// Sojourn lengths a [`SojournTable`] resolves; a longer one is computed.
+const TABLE_CAP: usize = 256;
+/// `m >> GUIDE_SHIFT` is `m`'s top ten bits, its [`SojournTable::guide`] entry.
+const GUIDE_SHIFT: u32 = 43;
+
+/// [`sojourn`] by lookup: thresholds on `m` instead of `ln` per draw.
+/// Since `sojourn_at` is non-decreasing in `m`, the sojourn of `m` is one
+/// plus the number of thresholds `t_k` (the least `m` whose sojourn is at
+/// least `k`, for `k ≥ 2`) at or below `m`. Each threshold is found by
+/// evaluating `sojourn_at` itself, so table and formula agree on every
+/// `m`, and a draw consumes exactly the one word [`sojourn`] does.
+struct SojournTable {
+    ln_stay: f64,
+    /// `t_2, t_3, …`, ascending (ties where one step of `m` skips a
+    /// length); at most [`TABLE_CAP`] of them.
+    thresholds: Vec<u64>,
+    /// Where `sojourn_at` takes over: the last threshold when the table
+    /// was capped, [`M_END`] when it lists every length `m` can reach.
+    beyond: u64,
+    /// Per top-ten-bit prefix `g`: how many thresholds are at or below
+    /// `g · 2⁴³`, where the scan for an `m` with that prefix starts.
+    guide: [u16; 1 << (53 - GUIDE_SHIFT)],
+}
+
+impl SojournTable {
+    fn new(ln_stay: f64) -> Self {
+        // `ln_stay = 0` never draws (its quotients are infinite or NaN).
+        let longest = if ln_stay == 0.0 {
+            1
+        } else {
+            sojourn_at(M_END - 1, ln_stay)
+        };
+        let last_k = longest.min(TABLE_CAP as u64 + 1);
+        let mut thresholds: Vec<u64> = Vec::new();
+        for k in 2..=last_k {
+            let from = thresholds.last().copied().unwrap_or(0);
+            // Where `1 − U = (1 − q)^(k−1)`, give or take rounding.
+            let guess = -((k - 1) as f64 * ln_stay).exp_m1() / UNIT;
+            thresholds.push(threshold(k, ln_stay, from, guess as u64));
+        }
+        let beyond = match thresholds.last() {
+            Some(&last) if longest > last_k => last,
+            _ => M_END,
+        };
+        let guide = std::array::from_fn(|g| {
+            let start = (g as u64) << GUIDE_SHIFT;
+            thresholds.partition_point(|&t| t <= start) as u16
+        });
+        SojournTable {
+            ln_stay,
+            thresholds,
+            beyond,
+            guide,
+        }
+    }
+
+    /// [`sojourn`]`(rng, ln_stay)`, draw for draw.
+    fn draw(&self, rng: &mut ChaCha8Rng) -> u64 {
+        if self.ln_stay == 0.0 {
+            return u64::MAX;
+        }
+        self.at(rng.next_u64() >> 11)
+    }
+
+    /// [`sojourn_at`]`(m, ln_stay)` for `m < 2⁵³`.
+    fn at(&self, m: u64) -> u64 {
+        if m >= self.beyond {
+            return sojourn_at(m, self.ln_stay);
+        }
+        let mut i = self
+            .guide
+            .get((m >> GUIDE_SHIFT) as usize)
+            .map_or(0, |&g| usize::from(g));
+        while self.thresholds.get(i).is_some_and(|&t| t <= m) {
+            i += 1;
+        }
+        i as u64 + 1
+    }
+}
+
+/// `t_k`: the least `m` whose sojourn reaches `k`, for `2 ≤ k ≤` the
+/// longest sojourn any `m` draws. Steps from `guess` with the formula
+/// itself; `from` is `t_{k−1}`, below which no `m` reaches `k`.
+fn threshold(k: u64, ln_stay: f64, from: u64, guess: u64) -> u64 {
+    let reaches = |m| sojourn_at(m, ln_stay) >= k;
+    let mut t = guess.clamp(from, M_END - 1);
+    while t > from && reaches(t - 1) {
+        t -= 1;
+    }
+    while !reaches(t) {
+        t += 1;
+    }
+    t
+}
+
+/// Revolution of the epoch wheel, in epochs.
+const WHEEL: u64 = 64;
+
+/// Which links may be due at which epoch: [`WHEEL`] buckets of one bit
+/// per link slot, bucket `e mod WHEEL` holding every link whose
+/// `next_flip ≡ e`. Walking a bucket's bits in ascending order visits its
+/// links in link order; a link due in a later revolution is passed over
+/// and keeps its bit. A link that never flips has none.
+struct Wheel {
+    /// `⌈links / 64⌉`: words per bucket.
+    words: usize,
+    /// Bucket `b` is `bits[b·words .. (b+1)·words]`.
+    bits: Vec<u64>,
+}
+
+impl Wheel {
+    fn new(next_flip: &[u64]) -> Self {
+        let words = next_flip.len().div_ceil(64);
+        let mut wheel = Wheel {
+            words,
+            bits: vec![0; WHEEL as usize * words],
+        };
+        for (slot, &due) in next_flip.iter().enumerate() {
+            wheel.set(slot, due);
+        }
+        wheel
+    }
+
+    /// Marks `slot` due at epoch `due` (unless that is never).
+    fn set(&mut self, slot: usize, due: u64) {
+        if due == u64::MAX {
+            return;
+        }
+        let at = (due % WHEEL) as usize * self.words + slot / 64;
+        if let Some(word) = self.bits.get_mut(at) {
+            *word |= 1 << (slot % 64);
+        }
+    }
+
+    /// Unmarks `slot` in `bucket`.
+    fn clear(&mut self, slot: usize, bucket: usize) {
+        if let Some(word) = self.bits.get_mut(bucket * self.words + slot / 64) {
+            *word &= !(1 << (slot % 64));
+        }
+    }
+
+    /// Word `w` of `bucket`.
+    fn word(&self, bucket: usize, w: usize) -> u64 {
+        self.bits.get(bucket * self.words + w).copied().unwrap_or(0)
+    }
 }
 
 impl GilbertElliottChannel {
@@ -452,6 +625,7 @@ impl GilbertElliottChannel {
             links,
             epochs_done: 0,
             rng,
+            air: None,
         }
     }
 
@@ -474,19 +648,45 @@ impl ChannelModel for GilbertElliottChannel {
 
     fn tick(&mut self, now: Time) {
         let target = now / self.epoch;
+        if self.epochs_done >= target {
+            return;
+        }
+        let air = self.air.get_or_insert_with(|| {
+            Box::new(Air {
+                wheel: Wheel::new(&self.next_flip),
+                stay_good: SojournTable::new(self.ln_stay_good),
+                stay_bad: SojournTable::new(self.ln_stay_bad),
+            })
+        });
         while self.epochs_done < target {
             self.epochs_done += 1;
             let e = self.epochs_done;
-            // A sojourn is ≥ 1 epoch, so a link flips at most once here.
-            for (due, link) in self.next_flip.iter_mut().zip(&mut self.links) {
-                if *due == e {
-                    link.bad = !link.bad;
-                    let ln_stay = if link.bad {
-                        self.ln_stay_bad
-                    } else {
-                        self.ln_stay_good
+            let bucket = (e % WHEEL) as usize;
+            for w in 0..air.wheel.words {
+                // A copy: a link that flips here is not visited again
+                // this epoch, even when its next flip lands in this bucket
+                // (a sojourn is ≥ 1 epoch, so it flips at most once).
+                let mut pending = air.wheel.word(bucket, w);
+                while pending != 0 {
+                    let slot = w * 64 + pending.trailing_zeros() as usize;
+                    pending &= pending - 1;
+                    let (Some(due), Some(link)) =
+                        (self.next_flip.get_mut(slot), self.links.get_mut(slot))
+                    else {
+                        continue;
                     };
-                    *due = e.saturating_add(sojourn(&mut self.rng, ln_stay));
+                    if *due != e {
+                        continue; // due in a later revolution
+                    }
+                    link.bad = !link.bad;
+                    let table = if link.bad {
+                        &air.stay_bad
+                    } else {
+                        &air.stay_good
+                    };
+                    *due = e.saturating_add(table.draw(&mut self.rng));
+                    air.wheel.clear(slot, bucket);
+                    air.wheel.set(slot, *due);
                 }
             }
         }
@@ -641,6 +841,79 @@ mod test {
         assert!(labels.iter().all(|l| !l.contains(',')), "{labels:?}");
         assert_ne!(labels[0], labels[1]);
         assert_eq!(labels[0], "static");
+    }
+
+    /// The rates the table is held to: the ledger workload's, long and
+    /// short sojourns, near-certain flips, rates far below `f64`'s
+    /// epsilon (capped tables, mostly formula), and `q = 1` (no
+    /// thresholds at all).
+    const TABLE_RATES: [f64; 9] = [0.05, 0.25, 0.01, 0.5, 0.9, 0.999, 1e-6, 1e-12, 1.0];
+
+    #[test]
+    fn sojourn_table_is_the_formula() {
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        let mut checked = 0u64;
+        for q in TABLE_RATES {
+            let ln_stay = (-q).ln_1p();
+            let table = SojournTable::new(ln_stay);
+            let formula = |m| sojourn_at(m, ln_stay);
+            assert!(table.thresholds.len() <= TABLE_CAP, "q = {q}");
+            assert!(table.thresholds.is_sorted(), "q = {q}");
+            let mut near = vec![0, 1, M_END - 2, M_END - 1];
+            for (k, &t) in (2u64..).zip(&table.thresholds) {
+                // `t_k` is the least `m` whose sojourn reaches `k`.
+                assert!(
+                    t > 0 && formula(t - 1) < k && k <= formula(t),
+                    "q = {q}: t_{k} = {t}"
+                );
+                near.extend(
+                    (t.saturating_sub(4096)..=t.saturating_add(4096)).filter(|&m| m < M_END),
+                );
+            }
+            near.extend((0..1_000_000).map(|_| rng.next_u64() >> 11));
+            for m in near {
+                assert_eq!(table.at(m), formula(m), "q = {q}, m = {m}");
+                checked += 1;
+            }
+        }
+        assert!(checked > 18_000_000, "only {checked} values checked");
+    }
+
+    #[test]
+    fn sojourn_table_caps_only_where_sojourns_run_long() {
+        for q in TABLE_RATES {
+            let table = SojournTable::new((-q).ln_1p());
+            let longest = sojourn_at(M_END - 1, (-q).ln_1p());
+            // A full table lists `t_2 ..= t_{CAP+1}`: it is capped only
+            // when a longer sojourn exists.
+            let capped = table.beyond < M_END;
+            assert_eq!(capped, longest > TABLE_CAP as u64 + 1, "q = {q}");
+            if !capped {
+                assert_eq!(table.thresholds.len() as u64, longest - 1, "q = {q}");
+            }
+        }
+        // q = 1e-12: past the cap almost every draw is the formula's.
+        let rare = SojournTable::new((-1e-12f64).ln_1p());
+        assert!(rare.beyond < M_END >> 20, "{}", rare.beyond);
+    }
+
+    #[test]
+    fn sojourn_table_draws_what_the_formula_draws() {
+        for q in TABLE_RATES.into_iter().chain([0.0]) {
+            let ln_stay = (-q).ln_1p();
+            let table = SojournTable::new(ln_stay);
+            let mut by_table = ChaCha8Rng::seed_from_u64(9);
+            let mut by_formula = ChaCha8Rng::seed_from_u64(9);
+            for _ in 0..10_000 {
+                assert_eq!(
+                    table.draw(&mut by_table),
+                    sojourn(&mut by_formula, ln_stay),
+                    "q = {q}"
+                );
+            }
+            // One word per draw, and none at `q = 0`.
+            assert_eq!(by_table.next_u64(), by_formula.next_u64(), "q = {q}");
+        }
     }
 
     #[test]

@@ -15,7 +15,11 @@
 //! seed)` and the instant reached — not of the `tick` calls that led
 //! there. Every ticking model is driven to the same instants in one call,
 //! epoch by epoch and on a random schedule, and must report bit-equal
-//! deliveries on every link.
+//! deliveries on every link. The channel finds due flips on an epoch
+//! wheel and draws sojourns from a lookup table; [`ScanningGe`] is the
+//! code that compared every link to every epoch and drew every sojourn
+//! through `ln`, kept as the path oracle: it draws the same numbers, so
+//! it must leave the same air at every instant checked.
 //!
 //! **Row.** [`ChannelModel::delivery_row`] is what the medium asks once
 //! per finished frame; the models answer it by walking the transmitter's
@@ -44,6 +48,21 @@
 //!   in the Gilbert–Elliott channel, and the merge-walk stepping past a
 //!   link equal to the candidate (`<=` for `<`) — each fails
 //!   `row_is_delivery_per_candidate` on the first transmitter checked.
+//! * the wheel's bucket walked in descending bit order (highest link
+//!   first) — `path_ignores_tick_schedule` fails at the first instant
+//!   checked ("the scanning channel left different air", seed 1,
+//!   26 195 µs);
+//! * a wheel bit due in a later revolution processed as due (the `*due
+//!   != e` guard dropped) — `path_ignores_tick_schedule` fails against
+//!   the scanning channel (seed 1, 67 436 µs), and `sojourn_law` on
+//!   occupancy;
+//! * every sojourn-table threshold one below the least `m` that reaches
+//!   its length — the unit test `sojourn_table_is_the_formula` in
+//!   `channel.rs` fails on the first threshold (`q = 0.05`, `t_2`), and
+//!   with that check removed on the table/formula comparison at
+//!   `m = t_2`. This file does not see it: a draw lands on one exact
+//!   `m` once in 2⁵³. One above instead pushes a later threshold's
+//!   search past `2⁵³ − 1`, and every test that ticks a channel panics.
 
 use mesh_sim::channel::{ChannelModel, ChannelSpec, GilbertElliott};
 use mesh_sim::{Time, MS};
@@ -147,6 +166,112 @@ impl ChannelModel for PerEpochGe {
                 }
             }
             self.epochs_done += 1;
+        }
+    }
+}
+
+/// The Gilbert–Elliott channel as it was before the epoch wheel and the
+/// sojourn table: every epoch compares every link's next flip to the
+/// epoch, and every sojourn goes through `ln`. The same draws in the same
+/// order as the channel's, so the two must agree path by path.
+struct ScanningGe {
+    topo: Topology,
+    epoch: Time,
+    ln_stay_good: f64,
+    ln_stay_bad: f64,
+    /// Per link slot: good- and bad-state delivery, state.
+    links: Vec<(f64, f64, bool)>,
+    next_flip: Vec<u64>,
+    epochs_done: u64,
+    rng: ChaCha8Rng,
+}
+
+/// `1 + ⌊ln(1 − U) / ln(1 − q)⌋`; never (and no draw) at `q = 0`.
+fn scanning_sojourn(rng: &mut ChaCha8Rng, ln_stay: f64) -> u64 {
+    if ln_stay == 0.0 {
+        return u64::MAX;
+    }
+    let u: f64 = rng.gen();
+    (((1.0 - u).ln() / ln_stay) as u64).saturating_add(1)
+}
+
+impl ScanningGe {
+    fn new(topo: &Topology, spec: &ChannelSpec, seed: u64) -> Self {
+        let ChannelSpec::GilbertElliott(GilbertElliott {
+            good_scale,
+            bad_scale,
+            to_bad,
+            to_good,
+            epoch_ms,
+        }) = *spec
+        else {
+            panic!("not a Gilbert–Elliott spec: {spec:?}");
+        };
+        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ CHANNEL_STREAM);
+        let pi_bad = if to_bad + to_good > 0.0 {
+            to_bad / (to_bad + to_good)
+        } else {
+            0.0
+        };
+        let pi_good = 1.0 - pi_bad;
+        let (ln_stay_good, ln_stay_bad) = ((-to_bad).ln_1p(), (-to_good).ln_1p());
+        let mut next_flip = Vec::new();
+        let links = topo
+            .links()
+            .map(|l| {
+                let raw_good = l.delivery * good_scale;
+                let good_p = raw_good.min(1.0);
+                let excess = raw_good - good_p;
+                let moved = if excess > 0.0 && pi_bad > 0.0 {
+                    excess * pi_good / pi_bad
+                } else {
+                    0.0
+                };
+                let bad = rng.gen::<f64>() < pi_bad;
+                let ln_stay = if bad { ln_stay_bad } else { ln_stay_good };
+                next_flip.push(scanning_sojourn(&mut rng, ln_stay));
+                let bad_p = (l.delivery * bad_scale + moved).clamp(0.0, 1.0);
+                (good_p, bad_p, bad)
+            })
+            .collect();
+        ScanningGe {
+            topo: topo.clone(),
+            epoch: epoch_ms * MS,
+            ln_stay_good,
+            ln_stay_bad,
+            links,
+            next_flip,
+            epochs_done: 0,
+            rng,
+        }
+    }
+}
+
+impl ChannelModel for ScanningGe {
+    fn delivery(&self, tx: NodeId, rx: NodeId, _now: Time) -> f64 {
+        match self.topo.link_slot(tx, rx).map(|slot| self.links[slot]) {
+            Some((_, bad_p, true)) => bad_p,
+            Some((good_p, _, false)) => good_p,
+            None => 0.0,
+        }
+    }
+
+    fn tick(&mut self, now: Time) {
+        let target = now / self.epoch;
+        while self.epochs_done < target {
+            self.epochs_done += 1;
+            let e = self.epochs_done;
+            for (due, (_, _, bad)) in self.next_flip.iter_mut().zip(&mut self.links) {
+                if *due == e {
+                    *bad = !*bad;
+                    let ln_stay = if *bad {
+                        self.ln_stay_bad
+                    } else {
+                        self.ln_stay_good
+                    };
+                    *due = e.saturating_add(scanning_sojourn(&mut self.rng, ln_stay));
+                }
+            }
         }
     }
 }
@@ -375,16 +500,18 @@ fn snapshot(model: &dyn ChannelModel, links: &[Link], now: Time) -> Vec<u64> {
         .collect()
 }
 
-/// Drives three instances of `spec` to the same instants — one on a
+/// Drives four instances of `spec` to the same instants — one on a
 /// random schedule (sub-epoch steps, jumps of several epochs, repeated
-/// calls at one instant), one epoch boundary by epoch boundary, and, at
-/// every 40th instant, a fresh one in a single call.
-fn check_path(topo: &Topology, spec: &ChannelSpec, epoch_ms: u64, seed: u64) {
+/// calls at one instant), one epoch boundary by epoch boundary, a
+/// [`ScanningGe`] once per instant, and, at every 40th instant, a fresh
+/// one in a single call. Where `moves`, another seed must give other air.
+fn check_path(topo: &Topology, spec: &ChannelSpec, epoch_ms: u64, seed: u64, moves: bool) {
     let links: Vec<Link> = topo.links().collect();
     let epoch = epoch_ms * MS;
     let mut schedule = ChaCha8Rng::seed_from_u64(seed);
     let mut random = spec.build(topo, seed);
     let mut stepped = spec.build(topo, seed);
+    let mut scanning = ScanningGe::new(topo, spec, seed);
     let mut stepped_epochs = 0;
     let mut now: Time = 0;
     for step in 0..240 {
@@ -400,11 +527,16 @@ fn check_path(topo: &Topology, spec: &ChannelSpec, epoch_ms: u64, seed: u64) {
             stepped_epochs += 1;
             stepped.tick(stepped_epochs * epoch);
         }
+        scanning.tick(now);
         let want = snapshot(random.as_ref(), &links, now);
         let what = format!("{} seed {seed} at {now} µs", spec.label());
         assert!(
             want == snapshot(stepped.as_ref(), &links, now),
             "{what}: epoch-by-epoch ticking left different air"
+        );
+        assert!(
+            want == snapshot(&scanning, &links, now),
+            "{what}: the scanning channel left different air"
         );
         if step % 40 == 39 {
             let mut once = spec.build(topo, seed);
@@ -417,7 +549,7 @@ fn check_path(topo: &Topology, spec: &ChannelSpec, epoch_ms: u64, seed: u64) {
             let mut other = spec.build(topo, seed + 1);
             other.tick(now);
             assert!(
-                want != snapshot(other.as_ref(), &links, now),
+                !moves || want != snapshot(other.as_ref(), &links, now),
                 "{what}: seed {} gives the same air",
                 seed + 1
             );
@@ -426,14 +558,41 @@ fn check_path(topo: &Topology, spec: &ChannelSpec, epoch_ms: u64, seed: u64) {
     assert!(now > 100 * epoch, "the schedule covers too few epochs");
 }
 
+/// A Gilbert–Elliott spec with a bad state at 0.2 of the good one's.
+fn ge(to_bad: f64, to_good: f64) -> ChannelSpec {
+    ChannelSpec::GilbertElliott(GilbertElliott {
+        good_scale: 1.0,
+        bad_scale: 0.2,
+        to_bad,
+        to_good,
+        epoch_ms: 10,
+    })
+}
+
 #[test]
 fn path_ignores_tick_schedule() {
-    let bursty = ChannelSpec::bursty_matched(0.2, 0.05, 0.25, 10);
     let testbed = generate::testbed(1);
     let city = generate::city_mesh(2_000, 1);
+    let bursty = ChannelSpec::bursty_matched(0.2, 0.05, 0.25, 10);
     for seed in [1, 2, 3] {
-        check_path(&testbed, &bursty, 10, seed);
-        check_path(&city, &bursty, 10, seed);
+        check_path(&testbed, &bursty, 10, seed, true);
+        check_path(&city, &bursty, 10, seed, true);
+    }
+    // `(spec, moves)`: sojourns that outlast the wheel's 64 epochs (and
+    // outrun the table's 256 one draw in thirteen); `to_good = 1`, where
+    // `ln(1 − q) = −∞` and every bad sojourn is one epoch; a chain that
+    // never leaves the good state and draws nothing; and a rate so small
+    // its table caps within a few million `m` and the formula answers.
+    for (spec, moves) in [
+        (ge(0.01, 0.01), true),
+        (ge(0.05, 1.0), true),
+        (ge(0.0, 0.25), false),
+        (ge(1e-12, 0.25), false),
+        (ge(0.5, 1e-12), false),
+    ] {
+        for seed in [1, 2] {
+            check_path(&testbed, &spec, 10, seed, moves);
+        }
     }
 }
 

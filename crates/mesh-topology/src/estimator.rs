@@ -59,8 +59,9 @@ impl LinkEstimator {
     /// same beliefs in expectation. Deterministic in `seed`; probe draws
     /// use their own stream (`seed ^ PROBE_STREAM`), independent of both
     /// the run's main RNG and whatever stream the callback's channel model
-    /// owns. Links estimated below `min_delivery` are dropped; the result
-    /// keeps `truth`'s node count and positions.
+    /// owns. Links estimated below `min_delivery`, and links no probe
+    /// crossed, are dropped; the result keeps `truth`'s node count and
+    /// positions.
     ///
     /// ```
     /// use mesh_topology::estimator::LinkEstimator;
@@ -104,7 +105,8 @@ impl LinkEstimator {
                 delivery: hits as f64 / self.probes as f64,
                 ..l
             })
-            .filter(|l| l.delivery >= self.min_delivery)
+            // A link never heard is no link, whatever the threshold.
+            .filter(|l| l.delivery > 0.0 && l.delivery >= self.min_delivery)
             .collect();
         let mut t = Topology::from_links(format!("{}-est", truth.name), truth.n(), links);
         if let Some(pos) = truth.positions() {
@@ -170,6 +172,26 @@ mod test {
         let links = |seed| probe(&est, &truth, seed).links().collect::<Vec<_>>();
         assert_eq!(links(5), links(5));
         assert_ne!(links(5), links(6));
+    }
+
+    #[test]
+    fn a_link_never_heard_is_dropped_even_at_floor_zero() {
+        // A window over air where the first hop is out: its estimate is
+        // 0, which no topology link may carry.
+        let truth = generate::line(2, 0.9, 0.0, 30.0);
+        let est = LinkEstimator {
+            probes: 50,
+            min_delivery: 0.0,
+        };
+        let believed = est.estimate_live(&truth, 3, 1_000, |tx, rx, _| {
+            if tx.0 == 0 && rx.0 == 1 {
+                0.0
+            } else {
+                truth.delivery(tx, rx)
+            }
+        });
+        assert_eq!(believed.delivery(0.into(), 1.into()), 0.0);
+        assert_eq!(believed.link_count(), truth.link_count() - 1);
     }
 
     #[test]

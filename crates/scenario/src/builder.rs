@@ -484,6 +484,31 @@ impl ScenarioBuilder {
         Err(BuildError::Unsupported(problem.into()))
     }
 
+    /// Checks the [`ScenarioBuilder::probe_routing`] window: a window
+    /// needs a probe, `min_delivery` must be a probability, and the last
+    /// probe, at `interval_us · (probes − 1)`, must fit the µs clock.
+    /// Otherwise a worker panics in the estimator, the probe instants
+    /// wrap, or a NaN threshold drops every link and reads as an
+    /// unreachable destination.
+    fn validate_probe(&self) -> Result<(), BuildError> {
+        let Some((est, interval_us)) = &self.probe else {
+            return Ok(());
+        };
+        let problem = if est.probes == 0 {
+            "probe routing needs at least one probe".to_string()
+        } else if !(0.0..=1.0).contains(&est.min_delivery) {
+            format!(
+                "probe routing's min_delivery = {} must be in [0, 1]",
+                est.min_delivery
+            )
+        } else if interval_us.checked_mul(u64::from(est.probes - 1)).is_none() {
+            "the probe window overflows the simulator's µs clock".to_string()
+        } else {
+            return Ok(());
+        };
+        Err(BuildError::Unsupported(problem))
+    }
+
     /// Checks that the declared sweep can be applied to the declared
     /// traffic model and that the model's parameters (at every sweep
     /// point) are valid, so mismatches fail at build time — before any
@@ -580,6 +605,7 @@ impl ScenarioBuilder {
         self.validate_exp()?;
         self.validate_sweep_traffic()?;
         self.validate_queue()?;
+        self.validate_probe()?;
         let mut on_complete = self.on_complete.take();
         let protocols = if self.protocols.is_empty() {
             // No explicit selection: run everything registered.
@@ -1344,6 +1370,46 @@ mod test {
         ] {
             let err = builder.try_run().expect_err("degenerate parameter");
             assert!(matches!(err, BuildError::Unsupported(_)), "{err}");
+        }
+        // Probe windows without a probe (the estimator asserts), with a
+        // threshold that is not a probability (NaN drops every link and
+        // reads as "unreachable"), and whose last probe is past the clock
+        // (the instants wrap; under bursty air the first probe alone
+        // would tick ~4.6·10¹⁴ epochs).
+        let estimator = |probes, min_delivery| LinkEstimator {
+            probes,
+            min_delivery,
+        };
+        let bursty = ChannelSpec::bursty_matched(0.0, 0.05, 0.25, 10);
+        for (probe, interval_us) in [
+            (estimator(0, 0.05), 1_000),
+            (estimator(10, f64::NAN), 1_000),
+            (estimator(10, f64::INFINITY), 1_000),
+            (estimator(10, 1.5), 1_000),
+            (estimator(10, -0.1), 1_000),
+            (LinkEstimator::default(), u64::MAX / 4),
+            (estimator(3, 0.05), u64::MAX / 2 + 1),
+        ] {
+            for channel in [ChannelSpec::Static, bursty.clone()] {
+                let err = line()
+                    .channel(channel)
+                    .probe_routing(probe, interval_us)
+                    .try_run()
+                    .expect_err("degenerate probe window");
+                match err {
+                    BuildError::Unsupported(msg) => assert!(msg.contains("probe"), "{msg}"),
+                    other => panic!("expected Unsupported, got {other:?}"),
+                }
+            }
+        }
+        // One probe at instant 0 is a window, however long its interval,
+        // and so is a last probe at the end of the clock.
+        for (probe, interval_us) in [(estimator(1, 0.0), u64::MAX), (estimator(2, 0.0), u64::MAX)] {
+            let records = line()
+                .probe_routing(probe, interval_us)
+                .try_run()
+                .expect("valid");
+            assert_eq!(records.len(), 2);
         }
         // A one-flow ramp's gap and a departure past `u64::MAX` µs lie
         // beyond any horizon: the flows run and never depart.
