@@ -38,8 +38,21 @@
 //! ```
 
 #![deny(missing_docs)]
-
-// xtask: allow(panic_path, file) -- log/exp table lookups are indexed by u8 values bounded 0..=255 by the field construction.
+// Panic freedom and seeding discipline for the shipped (non-test) build;
+// each sanctioned site carries `#[expect(clippy::…, reason = "…")]`.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::indexing_slicing,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_methods
+    )
+)]
 
 pub mod scalar;
 pub mod slice_ops;
@@ -58,6 +71,10 @@ use core::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAss
 #[repr(transparent)]
 pub struct Gf256(pub u8);
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "log/exp table lookups are indexed by u8 values bounded 0..=255 by the field construction"
+)]
 impl Gf256 {
     /// The additive identity.
     pub const ZERO: Gf256 = Gf256(0);
@@ -173,7 +190,7 @@ impl From<Gf256> for u8 {
 impl Add for Gf256 {
     type Output = Gf256;
     #[inline]
-    #[allow(clippy::suspicious_arithmetic_impl, clippy::suspicious_op_assign_impl)] // XOR is GF(2^8) addition
+    #[expect(clippy::suspicious_arithmetic_impl, reason = "XOR is GF(2^8) addition")]
     fn add(self, rhs: Gf256) -> Gf256 {
         Gf256(self.0 ^ rhs.0)
     }
@@ -181,7 +198,7 @@ impl Add for Gf256 {
 
 impl AddAssign for Gf256 {
     #[inline]
-    #[allow(clippy::suspicious_arithmetic_impl, clippy::suspicious_op_assign_impl)] // XOR is GF(2^8) addition
+    #[expect(clippy::suspicious_op_assign_impl, reason = "XOR is GF(2^8) addition")]
     fn add_assign(&mut self, rhs: Gf256) {
         self.0 ^= rhs.0;
     }
@@ -190,7 +207,7 @@ impl AddAssign for Gf256 {
 impl Sub for Gf256 {
     type Output = Gf256;
     #[inline]
-    #[allow(clippy::suspicious_arithmetic_impl, clippy::suspicious_op_assign_impl)] // XOR is GF(2^8) addition
+    #[expect(clippy::suspicious_arithmetic_impl, reason = "XOR is GF(2^8) addition")]
     fn sub(self, rhs: Gf256) -> Gf256 {
         // Characteristic 2: subtraction is addition.
         Gf256(self.0 ^ rhs.0)
@@ -199,7 +216,7 @@ impl Sub for Gf256 {
 
 impl SubAssign for Gf256 {
     #[inline]
-    #[allow(clippy::suspicious_arithmetic_impl, clippy::suspicious_op_assign_impl)] // XOR is GF(2^8) addition
+    #[expect(clippy::suspicious_op_assign_impl, reason = "XOR is GF(2^8) addition")]
     fn sub_assign(&mut self, rhs: Gf256) {
         self.0 ^= rhs.0;
     }

@@ -6,7 +6,10 @@
 //! [`wide`](crate::wide) must produce byte-identical output (property-tested
 //! in `tests/kernel_equivalence.rs`). No production call reaches them.
 
-// xtask: allow(panic_path, file) -- the 256-entry log/exp tables are indexed by u8 values (and EXP by log sums < 510, within its padded length), which cannot overrun.
+#![expect(
+    clippy::indexing_slicing,
+    reason = "the 256-entry log/exp tables are indexed by u8 values (and EXP by log sums < 510, within its padded length), which cannot overrun"
+)]
 
 use crate::tables::MUL;
 use crate::Gf256;

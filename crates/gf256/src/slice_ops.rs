@@ -26,7 +26,10 @@
 //! assert_eq!(coded, vec![byte.0; 8]);
 //! ```
 
-// xtask: allow(panic_path, file) -- the MUL table is 256x256 indexed by a pair of u8.
+#![expect(
+    clippy::indexing_slicing,
+    reason = "the MUL table is 256x256 indexed by a pair of u8"
+)]
 
 use crate::tables::MUL;
 use crate::Gf256;

@@ -11,6 +11,11 @@
 //! * [`INV`] — multiplicative inverses (`INV[0]` is 0 as a sentinel; the
 //!   public API guards against inverting zero).
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "the tables are built by const fns evaluated at compile time, where an out-of-bounds index is a build error"
+)]
+
 /// The AES reduction polynomial x⁸+x⁴+x³+x+1, low 8 bits (the x⁸ term is
 /// implicit in the reduction step).
 pub const POLY: u8 = 0x1B;
@@ -149,7 +154,10 @@ mod test {
     }
 
     #[test]
-    #[allow(clippy::needless_range_loop)] // (a, b) index the full 256x256 table
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "(a, b) index the full 256x256 table"
+    )]
     fn mul_table_symmetric_with_identity_row() {
         for a in 0..256usize {
             assert_eq!(MUL[1][a], a as u8);

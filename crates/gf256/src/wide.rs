@@ -36,7 +36,10 @@
 //! [`crate::scalar`] reference kernels; the tests below drive every tier
 //! this CPU supports, not only the dispatched one, against that reference.
 
-// xtask: allow(panic_path, file) -- table rows are indexed by u8 into 256-entry tables, and group arrays by an index below the const group size.
+#![expect(
+    clippy::indexing_slicing,
+    reason = "table rows are indexed by u8 into 256-entry tables, and group arrays by an index below the const group size"
+)]
 
 use crate::tables::{MUL, MUL_HI, MUL_LO};
 use crate::Gf256;
@@ -236,21 +239,25 @@ mod x86 {
         }};
     }
 
-    // SAFETY: the caller must have detected gfni, avx512f and avx512bw on
-    // this CPU, dst must hold at least one 64-byte lane and every source
-    // must have dst's length — pass_gfni's contract, with each source
-    // pointer taken from a slice of that length.
+    /// # Safety
+    ///
+    /// The caller must have detected gfni, avx512f and avx512bw on
+    /// this CPU, `dst` must hold at least one 64-byte lane and every
+    /// source must have `dst`'s length — `pass_gfni`'s contract, with each
+    /// source pointer taken from a slice of that length.
     #[target_feature(enable = "gfni,avx512f,avx512bw")]
     pub(super) unsafe fn fused_gfni(dst: &mut [u8], s: u8, terms: &[(Gf256, &[u8])]) {
         in_groups!(pass_gfni::<0 1 2 3 4 5 6 7 | 8>(dst, s, terms));
     }
 
-    // SAFETY: the caller must have detected gfni, avx512f and avx512bw on
-    // this CPU, dst must hold at least one 64-byte lane, and every src[j]
-    // must be readable for dst.len() bytes. Whole lanes touch bytes
-    // i..i + 64 with i + 64 <= len; the partial last lane is the one at
-    // len - 64..len (in bounds because len >= 64), written back under a
-    // mask that leaves the bytes before `whole` as they were.
+    /// # Safety
+    ///
+    /// The caller must have detected gfni, avx512f and avx512bw on
+    /// this CPU, `dst` must hold at least one 64-byte lane, and every
+    /// `src[j]` must be readable for `dst.len()` bytes. Whole lanes touch
+    /// bytes `i..i + 64` with `i + 64 <= len`; the partial last lane is
+    /// the one at `len - 64..len` (in bounds because `len >= 64`), written
+    /// back under a mask that leaves the bytes before `whole` as they were.
     #[target_feature(enable = "gfni,avx512f,avx512bw")]
     pub(super) unsafe fn pass_gfni<const N: usize>(
         dst: &mut [u8],
@@ -290,10 +297,12 @@ mod x86 {
         }
     }
 
-    // SAFETY: the caller must have detected avx2 on this CPU, dst must hold
-    // at least one 32-byte lane and every source must have dst's length —
-    // pass_avx2's contract, with each source pointer taken from a slice of
-    // that length.
+    /// # Safety
+    ///
+    /// The caller must have detected avx2 on this CPU, `dst` must hold
+    /// at least one 32-byte lane and every source must have `dst`'s
+    /// length — `pass_avx2`'s contract, with each source pointer taken
+    /// from a slice of that length.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn fused_avx2(dst: &mut [u8], s: u8, terms: &[(Gf256, &[u8])]) {
         in_groups!(pass_avx2::<0 1 2 3 | 4>(dst, s, terms));
@@ -303,13 +312,15 @@ mod x86 {
     /// is a blend mask selecting the last `t` bytes of a lane.
     static LAST: [[u8; 32]; 2] = [[0x00; 32], [0xFF; 32]];
 
-    // SAFETY: the caller must have detected avx2 on this CPU, dst must hold
-    // at least one 32-byte lane, and every src[j] must be readable for
-    // dst.len() bytes. Whole lanes touch bytes i..i + 32 with
-    // i + 32 <= len; the partial last lane is the one at len - 32..len (in
-    // bounds because len >= 32), written back blended so the bytes before
-    // `whole` stay as they were. The LAST window starts at len % 32 < 32,
-    // so it ends inside the 64-byte table.
+    /// # Safety
+    ///
+    /// The caller must have detected avx2 on this CPU, `dst` must hold
+    /// at least one 32-byte lane, and every `src[j]` must be readable for
+    /// `dst.len()` bytes. Whole lanes touch bytes `i..i + 32` with
+    /// `i + 32 <= len`; the partial last lane is the one at `len - 32..len`
+    /// (in bounds because `len >= 32`), written back blended so the bytes
+    /// before `whole` stay as they were. The `LAST` window starts at
+    /// `len % 32 < 32`, so it ends inside the 64-byte table.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn pass_avx2<const N: usize>(
         dst: &mut [u8],

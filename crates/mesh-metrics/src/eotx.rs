@@ -28,7 +28,10 @@
 //! exactly while `d(k) < T/q_{admitted so far}` — i.e. while it is cheaper
 //! than the cost we would settle for without it.
 
-// xtask: allow(panic_path, file) -- EOTX distance/forwarder matrices are square in the node count fixed at build; every loop index ranges over 0..n of those same matrices.
+#![expect(
+    clippy::indexing_slicing,
+    reason = "EOTX distance/forwarder matrices are square in the node count fixed at build; every loop index ranges over 0..n of those same matrices"
+)]
 
 use crate::{EPS, INF};
 use mesh_topology::{NodeId, Topology};
@@ -127,7 +130,7 @@ impl EotxTable {
             let mut order: Vec<usize> = (0..n).collect();
             order.sort_by(|&a, &b| dist[a].total_cmp(&dist[b]).then(a.cmp(&b)));
             let mut new_dist = dist.clone();
-            #[allow(clippy::needless_range_loop)] // i is also compared against dst
+            #[expect(clippy::needless_range_loop, reason = "i is also compared against dst")]
             for i in 0..n {
                 if i == dst.0 {
                     continue;

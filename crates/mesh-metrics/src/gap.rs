@@ -75,12 +75,9 @@ fn stats_from_gaps(gaps: &[f64], tolerance: f64) -> GapStats {
         .filter(|&g| g > 1.0 + tolerance)
         .collect();
     affected.sort_by(f64::total_cmp);
-    let median_affected_excess = if affected.is_empty() {
-        0.0
-    } else {
-        // xtask: allow(panic_path) -- guarded by the is_empty() branch above; len()/2 < len()
-        affected[affected.len() / 2] - 1.0
-    };
+    let median_affected_excess = affected
+        .get(affected.len() / 2)
+        .map_or(0.0, |median| median - 1.0);
     let max_gap = gaps.iter().copied().fold(1.0, f64::max);
     GapStats {
         pairs,

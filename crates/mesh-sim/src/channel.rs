@@ -243,10 +243,17 @@ impl ChannelSpec {
     /// Panics when [`ChannelSpec::validate_params`] would fail (callers
     /// that want an error value validate first).
     pub fn build(&self, topo: &Topology, seed: u64) -> Box<dyn ChannelModel> {
+        #[expect(
+            clippy::panic,
+            reason = "the documented contract above; validate_params() is the fallible form"
+        )]
         if let Err(e) = self.validate_params() {
-            // xtask: allow(panic_path) -- the documented contract above; validate_params() is the fallible form.
             panic!("invalid channel spec: {e}");
         }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "channel evolution draws from its own stream: run seed ^ CHANNEL_STREAM"
+        )]
         let rng = ChaCha8Rng::seed_from_u64(seed ^ CHANNEL_STREAM);
         match *self {
             ChannelSpec::Static => Box::new(StaticChannel { topo: topo.clone() }),
@@ -336,10 +343,10 @@ impl ChannelModel for StaticChannel {
 /// channel stream. Cost is one draw per state change, not one per link
 /// per epoch, and the sample path is the same however `tick` is called.
 ///
-/// `tick` finds the due links on an epoch wheel ([`Wheel`]) instead of
+/// `tick` finds the due links on an epoch wheel (`Wheel`) instead of
 /// scanning every link, and draws sojourns from an exact lookup table
-/// ([`SojournTable`]) instead of through `ln`: the same draws in the same
-/// order as [`sojourn`], so the same sample path. Both are built on the
+/// (`SojournTable`) instead of through `ln`: the same draws in the same
+/// order as `sojourn`, so the same sample path. Both are built on the
 /// first `tick` that advances an epoch, not with the channel: a run
 /// whose air never moves pays nothing for them.
 pub struct GilbertElliottChannel {

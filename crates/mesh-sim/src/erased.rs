@@ -69,8 +69,11 @@ impl FlowDesc {
     /// # Panics
     ///
     /// Panics on an empty destination list.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "documented \"# Panics\" contract; the scenario layer rejects empty destination lists before any protocol sees the flow"
+    )]
     pub fn dst(&self) -> NodeId {
-        // xtask: allow(panic_path) -- documented "# Panics" contract; the scenario layer rejects empty destination lists before any protocol sees the flow
         self.dsts[0]
     }
 }
@@ -119,9 +122,12 @@ pub trait FlowAgent: NodeAgent {
     ///
     /// The default implementation panics: protocols opt in by overriding
     /// this together with [`FlowAgent::supports_dynamic_flows`].
+    #[expect(
+        clippy::panic,
+        reason = "documented \"# Panics\" contract: protocols opt in to dynamic flows via supports_dynamic_flows"
+    )]
     fn add_flow(&mut self, desc: &FlowDesc) -> usize {
         let _ = desc;
-        // xtask: allow(panic_path) -- documented "# Panics" contract: protocols opt in to dynamic flows via supports_dynamic_flows
         panic!("this protocol does not support dynamic flow arrivals");
     }
 
@@ -133,9 +139,12 @@ pub trait FlowAgent: NodeAgent {
     ///
     /// The default implementation panics: protocols opt in by overriding
     /// this together with [`FlowAgent::supports_dynamic_flows`].
+    #[expect(
+        clippy::panic,
+        reason = "documented \"# Panics\" contract: protocols opt in to dynamic flows via supports_dynamic_flows"
+    )]
     fn end_flow(&mut self, index: usize) {
         let _ = index;
-        // xtask: allow(panic_path) -- documented "# Panics" contract: protocols opt in to dynamic flows via supports_dynamic_flows
         panic!("this protocol does not support dynamic flow departures");
     }
 }
@@ -182,10 +191,13 @@ where
     A::Payload: 'static,
 {
     fn on_receive(&mut self, node: NodeId, frame: &Frame<DynPayload>, ctx: &mut Ctx<'_>) {
+        #[expect(
+            clippy::expect_used,
+            reason = "the simulator registers one payload type per agent; a type mismatch here is a harness bug, never a runtime input"
+        )]
         let payload = frame
             .payload
             .downcast_ref::<A::Payload>()
-            // xtask: allow(panic_path) -- the simulator registers one payload type per agent; a type mismatch here is a harness bug, never a runtime input
             .expect("erased frame payload does not match the receiving agent's payload type")
             .clone();
         let typed = Frame {
@@ -208,9 +220,12 @@ where
         // The engine's `Rc` is the last one — receivers cloned the value
         // inside it — so this normally unwraps without a copy; clone if
         // something still holds it.
+        #[expect(
+            clippy::expect_used,
+            reason = "the payload is the one this agent's poll_tx erased; a type mismatch here is a harness bug, never a runtime input"
+        )]
         let rc = payload
             .downcast::<A::Payload>()
-            // xtask: allow(panic_path) -- the payload is the one this agent's poll_tx erased; a type mismatch here is a harness bug, never a runtime input
             .expect("erased payload does not match the sending agent's payload type");
         let payload = Rc::try_unwrap(rc).unwrap_or_else(|rc| (*rc).clone());
         self.0.on_tx_done(node, outcome, payload, ctx);
@@ -369,7 +384,10 @@ mod test {
     }
 
     #[test]
-    #[allow(clippy::borrowed_box)] // run_until's stop callback receives &A = &Box<dyn _>
+    #[expect(
+        clippy::borrowed_box,
+        reason = "run_until's stop callback receives &A = &Box<dyn _>"
+    )]
     fn erased_agent_runs_in_the_simulator() {
         let topo = generate::line(2, 0.95, 0.4, 25.0);
         let agent: Box<dyn ErasedFlowAgent> = Box::new(Erased(Flood {

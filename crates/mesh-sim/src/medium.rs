@@ -45,7 +45,11 @@
 //!    probability as reported by the run's [`ChannelModel`], independently
 //!    per receiver (the §5.3.1 model when the channel is static).
 
-// xtask: allow(panic_path, file) -- transmission ids are issued by this module and resolved before eviction; per-node vectors are sized to the topology.
+#![expect(
+    clippy::indexing_slicing,
+    clippy::expect_used,
+    reason = "transmission ids are issued by this module and resolved before eviction; per-node vectors are sized to the topology"
+)]
 
 use crate::channel::ChannelModel;
 use crate::{SimConfig, Time};
@@ -324,7 +328,10 @@ impl Medium {
     ///
     /// Panics when `id` is not on the air: never begun, or the clock has
     /// passed its end (see [`Medium::prune`]).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the engine's per-frame call: counters and the receiver list are its own scratch, passed in to keep the hot path allocation-free"
+    )]
     pub fn evaluate_reception_into(
         &mut self,
         id: u64,

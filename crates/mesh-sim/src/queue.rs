@@ -312,8 +312,11 @@ impl QueueSpec {
     /// Panics when the spec is invalid — call [`QueueSpec::validate`]
     /// first for an error value.
     pub fn build_node(&self) -> Option<Box<dyn QueueDiscipline>> {
+        #[expect(
+            clippy::panic,
+            reason = "documented \"# Panics\" contract, mirroring ChannelSpec::build: validate() is the error-value path"
+        )]
         if let Err(e) = self.validate() {
-            // xtask: allow(panic_path) -- documented "# Panics" contract, mirroring ChannelSpec::build: validate() is the error-value path
             panic!("invalid QueueSpec: {e}");
         }
         let aqm = |params, choke| {

@@ -31,7 +31,12 @@
 //! collide); broadcasts are fire-and-forget (802.11 semantics — the basis
 //! of both MORE's and ExOR's designs).
 
-// xtask: allow(panic_path, file) -- per-node state vectors are sized to the topology at construction and NodeId indices are validated on ingress.
+#![expect(
+    clippy::indexing_slicing,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "per-node state vectors are sized to the topology at construction and NodeId indices are validated on ingress"
+)]
 
 use crate::channel::{ChannelModel, ChannelSpec};
 use crate::erased::{FlowAgent, FlowDesc};
@@ -314,6 +319,10 @@ impl<A: NodeAgent> Simulator<A> {
     ///
     /// Panics when either spec is invalid (see [`ChannelSpec::validate`]
     /// and [`QueueSpec::validate`]).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the engine's main stream takes the bare run seed; the queue layer's takes seed ^ QUEUE_STREAM"
+    )]
     pub fn with_queue(
         topo: Topology,
         cfg: SimConfig,

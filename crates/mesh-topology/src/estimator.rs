@@ -87,6 +87,10 @@ impl LinkEstimator {
         mut delivery_at: impl FnMut(NodeId, NodeId, u64) -> f64,
     ) -> Topology {
         assert!(self.probes > 0, "need at least one probe");
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "probe draws come from their own stream: run seed ^ PROBE_STREAM"
+        )]
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ PROBE_STREAM);
         let mut successes = vec![0u32; truth.link_count()];
         for round in 0..self.probes {

@@ -12,7 +12,11 @@
 //!
 //! All generators are deterministic in their seed.
 
-// xtask: allow(panic_path, file) -- grid and position vectors are sized from the node count computed in the same function; panicking after 512 rejected attempts is the documented contract for statistically impossible seeds.
+#![expect(
+    clippy::indexing_slicing,
+    clippy::panic,
+    reason = "grid and position vectors are sized from the node count computed in the same function; panicking after 512 rejected attempts is the documented contract for statistically impossible seeds"
+)]
 
 use crate::spatial::CellGrid;
 use crate::{Link, NodeId, Position, Topology};
@@ -329,6 +333,10 @@ pub fn testbed_sized(n: usize, seed: u64) -> Topology {
     let targets = TestbedTargets::default();
     let model = RadioModel::default();
     for attempt in 0..512u64 {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "each retry draws from its own stream: seed ^ attempt * TESTBED_ATTEMPT_STREAM"
+        )]
         let mut rng =
             ChaCha8Rng::seed_from_u64(seed ^ attempt.wrapping_mul(TESTBED_ATTEMPT_STREAM));
         let positions = scatter_positions(n, 3, 56.0, 36.0, 6.0, &mut rng);
@@ -358,6 +366,10 @@ pub fn testbed_sized(n: usize, seed: u64) -> Topology {
 pub fn random_mesh(n: usize, width: f64, depth: f64, seed: u64) -> Topology {
     let model = RadioModel::default();
     for attempt in 0..512u64 {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "each retry draws from its own stream: seed ^ attempt * MESH_ATTEMPT_STREAM"
+        )]
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ attempt.wrapping_mul(MESH_ATTEMPT_STREAM));
         let positions = scatter_positions(n, 1, width, depth, 4.0, &mut rng);
         let links = links_from_positions(&positions, &model, &mut rng);
@@ -416,6 +428,10 @@ pub fn city_mesh(n: usize, seed: u64) -> Topology {
     assert!(n >= 1, "need at least one node");
     let model = RadioModel::default();
     let side = ((n as f64) * 1250.0).sqrt();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "node placement draws from its own stream: seed ^ CITY_SCATTER_STREAM"
+    )]
     let mut rng = ChaCha8Rng::seed_from_u64(seed ^ CITY_SCATTER_STREAM);
     let positions = scatter_positions(n, 1, side, side, 4.0, &mut rng);
     let r_max = max_link_distance(&model);
@@ -428,7 +444,10 @@ pub fn city_mesh(n: usize, seed: u64) -> Topology {
                 .get(k)
                 .map_or(0, |&(i, j, _)| city_pair_seed(seed, i, j))
         };
-        // xtask: allow(rng_stream) -- city_pair_seed is the run seed ^ CITY_LINK_STREAM mixed with the unordered pair index (a per-pair stream; see streams.rs); spare lanes of a short batch are dropped unread.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "city_pair_seed is the run seed ^ CITY_LINK_STREAM mixed with the unordered pair index (a per-pair stream; see streams.rs); spare lanes of a short batch are dropped unread"
+        )]
         let mut rngs = ChaCha8Rng::seed_eight_from_u64(std::array::from_fn(pair_seed));
         for (&(i, j, base), pair_rng) in batch.iter().zip(&mut rngs) {
             let shadow = approx_normal(pair_rng) * model.shadowing_sigma;

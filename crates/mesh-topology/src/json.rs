@@ -5,8 +5,6 @@
 //! recursive-descent parser covers everything [`crate::Topology::from_json`]
 //! needs. Writing happens directly in `to_json` (no intermediate value).
 
-// xtask: allow(panic_path, file) -- scan indices are bounded by the pos < len loop conditions; parses run on spans the scanner already validated as ASCII digits.
-
 use std::fmt;
 
 /// A parsed JSON value.
@@ -79,21 +77,20 @@ impl std::error::Error for JsonError {}
 
 /// Parses one JSON document (the whole input must be consumed).
 pub fn parse(input: &str) -> Result<Value, JsonError> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
+    let mut p = Parser { src: input, pos: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != p.src.len() {
         return Err(p.err("trailing characters after top-level value"));
     }
     Ok(v)
 }
 
+/// A cursor over the input. `pos` is a byte offset that only ever
+/// advances past whole characters, so it always sits on a char boundary.
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
     pos: usize,
 }
 
@@ -105,8 +102,13 @@ impl Parser<'_> {
         }
     }
 
+    /// The unparsed remainder of the input.
+    fn rest(&self) -> &str {
+        self.src.get(self.pos..).unwrap_or_default()
+    }
+
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -127,7 +129,8 @@ impl Parser<'_> {
     /// Four hex digits starting at `start`.
     fn hex4(&self, start: usize) -> Result<u32, JsonError> {
         let hex = self
-            .bytes
+            .src
+            .as_bytes()
             .get(start..start + 4)
             .ok_or_else(|| self.err("truncated \\u escape"))?;
         let s = std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?;
@@ -135,7 +138,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, lit: &str, v: Value) -> Result<Value, JsonError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.rest().starts_with(lit) {
             self.pos += lit.len();
             Ok(v)
         } else {
@@ -183,7 +186,7 @@ impl Parser<'_> {
                             if (0xD800..=0xDBFF).contains(&cp) {
                                 // UTF-16 surrogate pair: a low surrogate
                                 // must follow as another \uXXXX escape.
-                                if self.bytes.get(self.pos + 1..self.pos + 3)
+                                if self.src.as_bytes().get(self.pos + 1..self.pos + 3)
                                     != Some(b"\\u".as_slice())
                                 {
                                     return Err(self.err("unpaired high surrogate"));
@@ -202,12 +205,12 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Copy a full UTF-8 scalar.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let ch = s.chars().next().expect("non-empty");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    // Copy one whole character; peek() saw a byte, so
+                    // there is one.
+                    if let Some(ch) = self.rest().chars().next() {
+                        out.push(ch);
+                        self.pos += ch.len_utf8();
+                    }
                 }
             }
         }
@@ -222,10 +225,11 @@ impl Parser<'_> {
         {
             self.pos += 1;
         }
-        let s = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        s.parse::<f64>()
+        self.src
+            .get(start..self.pos)
+            .and_then(|s| s.parse::<f64>().ok())
             .map(Value::Num)
-            .map_err(|_| self.err("invalid number"))
+            .ok_or_else(|| self.err("invalid number"))
     }
 
     fn array(&mut self) -> Result<Value, JsonError> {
@@ -327,6 +331,22 @@ mod test {
         assert_eq!(v.as_str(), Some("mesh \u{1F4E1}"));
         assert!(parse(r#""\ud83d""#).is_err(), "unpaired high surrogate");
         assert!(parse(r#""\ud83d\u0041""#).is_err(), "invalid low surrogate");
+    }
+
+    #[test]
+    fn multibyte_characters_round_trip_beside_escapes() {
+        // 1-, 2-, 3- and 4-byte UTF-8 scalars, each next to an escape.
+        let s = "a\"é\\€\n📡\t\u{1}z";
+        let parsed = parse(&format!("\"{}\"", escape(s))).expect("valid");
+        assert_eq!(parsed.as_str(), Some(s));
+        let raw = parse(r#"["é\"€", "📡\u00e9", "\u20acx"]"#).expect("valid");
+        let items: Vec<_> = raw
+            .as_arr()
+            .expect("array")
+            .iter()
+            .map(|v| v.as_str().expect("string"))
+            .collect();
+        assert_eq!(items, ["é\"€", "📡é", "€x"]);
     }
 
     #[test]

@@ -36,7 +36,10 @@
 //! the exact distance check on the candidates. Generators that need
 //! same-floor queries keep one grid per floor.
 
-// xtask: allow(panic_path, file) -- start and head are sized from rows*cols at construction and every cell index comes from cell_xy, which clamps into 0..cols-1 x 0..rows-1.
+#![expect(
+    clippy::indexing_slicing,
+    reason = "start and head are sized from rows*cols at construction and every cell index comes from cell_xy, which clamps into 0..cols-1 x 0..rows-1"
+)]
 
 use crate::Position;
 

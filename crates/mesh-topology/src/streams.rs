@@ -2,67 +2,82 @@
 //!
 //! Every independent randomness consumer in the workspace derives its
 //! ChaCha8 stream as `seed ^ <NAME>_STREAM`, where the constant lives
-//! here and nowhere else. Centralizing the constants makes three
-//! properties auditable at a glance — and `xtask`'s `stream_registry`
-//! lint enforces them mechanically:
+//! here and nowhere else. Centralizing the constants keeps two
+//! properties that the compiler enforces:
 //!
-//! 1. **uniqueness of names**: no two subsystems can claim the same
-//!    stream constant;
+//! 1. **uniqueness of names**: the constants share one module, where a
+//!    second definition of a name is error E0428;
 //! 2. **uniqueness of values**: two streams with the same XOR constant
 //!    would collapse into one RNG sequence, silently correlating draws
-//!    that the determinism contract promises are independent;
-//! 3. **registration**: a `*_STREAM` constant defined anywhere else in
-//!    the workspace is a lint finding, so new streams must pass through
-//!    this file (and its review) to exist.
+//!    that the determinism contract promises are independent. Every
+//!    constant is the discriminant of one variant of the `#[repr(u64)]`
+//!    enum `Stream`, where two equal discriminants are error E0081.
+//!
+//! A new stream is a new `Stream` variant plus its constant here.
+//! Library code seeds a generator only at sites that say why with
+//! `#[expect(clippy::disallowed_methods, reason = "…")]` (see the root
+//! `clippy.toml`), so a stream constant cannot be consumed unreviewed.
 //!
 //! Consumers re-export their constant at its historical public path
 //! (e.g. `scenario::TRAFFIC_STREAM`), so moving the definitions here
 //! changed no values and therefore no RNG byte-stream.
 
-// xtask: stream-registry
+/// One variant per stream. The discriminants are the constants' values,
+/// so the compiler rejects a duplicate value (E0081).
+#[repr(u64)]
+enum Stream {
+    Channel = 0xC4A2_2E1C_51A7_0DE1,
+    Probe = 0x9B0B_E57A_11E5_7331,
+    Traffic = 0x7AFF_1C00_5EED_F10B,
+    Queue = 0x51EE_7AB1_E0DD_90C3,
+    TestbedAttempt = 0x9E37_79B9_7F4A_7C15,
+    MeshAttempt = 0xD1B5_4A32_D192_ED03,
+    CityScatter = 0xA5C3_91E4_6B2D_8F17,
+    CityLink = 0x3D8E_5A01_C97B_42D9,
+}
 
 /// XOR'd into the run seed to give channel evolution its own ChaCha8
 /// stream, so model-internal draws never perturb the engine's main
 /// stream (which is what keeps static runs byte-identical to the
 /// pre-channel engine). Consumed by `mesh_sim::channel`.
-pub const CHANNEL_STREAM: u64 = 0xC4A2_2E1C_51A7_0DE1;
+pub const CHANNEL_STREAM: u64 = Stream::Channel as u64;
 
 /// XOR'd into the seed of `LinkEstimator::estimate_live` so probe draws
 /// get their own ChaCha8 stream: callers pass the *run* seed (the probe
 /// window previews that run's channel), and without the separation the
 /// probe's Bernoulli draws would be bit-identical to the run's early
 /// MAC/loss draws, correlating measured beliefs with actual outcomes.
-pub const PROBE_STREAM: u64 = 0x9B0B_E57A_11E5_7331;
+pub const PROBE_STREAM: u64 = Stream::Probe as u64;
 
 /// XOR'd into the run seed to give workload randomness its own ChaCha8
 /// stream (the same device `mesh_sim::channel` uses for loss-process
 /// evolution), so traffic draws never perturb the engine's main stream.
 /// Consumed by `scenario::traffic`.
-pub const TRAFFIC_STREAM: u64 = 0x7AFF_1C00_5EED_F10B;
+pub const TRAFFIC_STREAM: u64 = Stream::Traffic as u64;
 
 /// XOR'd into the run seed to give queue-discipline randomness (RED's
 /// marking draws, CHOKe's random peek) its own ChaCha8 stream, so AQM
 /// decisions never perturb the engine's main stream — which is what
 /// keeps `QueueSpec::Unbounded` runs byte-identical to the pre-queue
 /// engine. Consumed by `mesh_sim::queue`.
-pub const QUEUE_STREAM: u64 = 0x51EE_7AB1_E0DD_90C3;
+pub const QUEUE_STREAM: u64 = Stream::Queue as u64;
 
 /// Stream constant decorrelating testbed-generation retries from the
 /// run seed (`crate::generate::testbed`).
-pub const TESTBED_ATTEMPT_STREAM: u64 = 0x9E37_79B9_7F4A_7C15;
+pub const TESTBED_ATTEMPT_STREAM: u64 = Stream::TestbedAttempt as u64;
 
 /// Stream constant decorrelating random-mesh retries from the run seed
 /// (`crate::generate::random_mesh`).
-pub const MESH_ATTEMPT_STREAM: u64 = 0xD1B5_4A32_D192_ED03;
+pub const MESH_ATTEMPT_STREAM: u64 = Stream::MeshAttempt as u64;
 
 /// XOR'd into the seed of the city-scale generator's node-placement RNG
 /// (`crate::generate::city_mesh`), so scatter draws stay decorrelated
 /// from the per-pair link draws below and from every run-seed consumer.
-pub const CITY_SCATTER_STREAM: u64 = 0xA5C3_91E4_6B2D_8F17;
+pub const CITY_SCATTER_STREAM: u64 = Stream::CityScatter as u64;
 
 /// XOR'd (together with a splitmix-mixed pair index) into the per-pair
 /// link RNG of `crate::generate::city_mesh`. Seeding each unordered node
 /// pair independently makes the drawn shadowing/asymmetry — and hence
 /// the generated mesh — independent of the order in which the spatial
 /// grid enumerates candidate neighbors.
-pub const CITY_LINK_STREAM: u64 = 0x3D8E_5A01_C97B_42D9;
+pub const CITY_LINK_STREAM: u64 = Stream::CityLink as u64;

@@ -42,6 +42,21 @@
 //! machinery — the property the paper trades ExOR's structure for.
 
 #![forbid(unsafe_code)]
+// Panic freedom and seeding discipline for the shipped (non-test) build;
+// each sanctioned site carries `#[expect(clippy::…, reason = "…")]`.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::indexing_slicing,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_methods
+    )
+)]
 
 pub mod agent;
 pub mod flow;
@@ -118,6 +133,10 @@ pub fn native_byte(flow: u32, batch: u32, idx: usize) -> u8 {
 const PERIOD: usize = 251;
 
 /// One period of the test file's ramp, `RAMP[b] = b`.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "evaluated at compile time, where an out-of-bounds index is a build error"
+)]
 const RAMP: [u8; PERIOD] = {
     let mut ramp = [0; PERIOD];
     let mut b = 0;

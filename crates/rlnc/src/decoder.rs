@@ -27,10 +27,10 @@
 //! cycles through [`crate::pool`], so a steady-state destination decodes
 //! without touching the allocator.
 
-// xtask: allow(panic_path, file) -- Gaussian elimination is index arithmetic by
-// nature: every row index here is bounded by k == rows.len() == the vector
-// length, pinned by Decoder::new and the receive() length asserts, and every
-// stored row is k + payload_len long.
+#![expect(
+    clippy::indexing_slicing,
+    reason = "Gaussian elimination is index arithmetic by nature: every row index here is bounded by k == rows.len() == the vector length, pinned by Decoder::new and the receive() length asserts, and every stored row is k + payload_len long"
+)]
 
 use crate::packet::{axpy_chunked, CodedPacket};
 use crate::{pool, CodingError};

@@ -43,6 +43,21 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+// Panic freedom and seeding discipline for the shipped (non-test) build;
+// each sanctioned site carries `#[expect(clippy::…, reason = "…")]`.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::indexing_slicing,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_methods
+    )
+)]
 
 pub mod buffer;
 pub mod decoder;

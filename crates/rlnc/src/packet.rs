@@ -1,7 +1,10 @@
 //! Code vectors, coded packets with payloads computed on demand, and the
 //! source-side encoder.
 
-// xtask: allow(panic_path, file) -- header/payload splits index buffers acquired with exactly the k + payload length being split.
+#![expect(
+    clippy::indexing_slicing,
+    reason = "header/payload splits index buffers acquired with exactly the k + payload length being split"
+)]
 
 use crate::{pool, CodingError};
 use bytes::Bytes;
@@ -550,7 +553,10 @@ mod test {
     }
 
     #[test]
-    #[allow(clippy::needless_range_loop)] // i is both unit index and native index
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "i is both unit index and native index"
+    )]
     fn encode_with_unit_vector_reproduces_native() {
         let natives = vec![vec![1u8, 2, 3], vec![4u8, 5, 6]];
         let enc = SourceEncoder::new(natives.clone()).unwrap();

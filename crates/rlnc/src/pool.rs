@@ -34,11 +34,20 @@
 //!
 //! The pools are thread-local (`Rc`-style single-threaded reasoning, like
 //! the rest of a simulator run); parallel sweeps get one pool per worker.
+//!
+//! ## Pairing
+//!
+//! Builds with debug assertions count, per thread, the buffers and rows
+//! handed out by [`acquire`] and [`acquire_vec`] that have not come back
+//! as sole owner through [`release`]/[`release_mut`] or [`release_vec`].
+//! [`outstanding`] reads the count; a run that drops a pooled buffer
+//! instead of returning it leaves it above where it started
+//! (`tests/alloc_budget.rs` and `tests/pool_props.rs` assert this).
 
 use crate::packet::{PacketCell, SharedPool};
 use crate::CodedPacket;
 use bytes::{Bytes, BytesMut};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 /// Freelist cap, per list, per thread. Two concurrent coded flows keep
@@ -55,11 +64,27 @@ thread_local! {
     static PACKETS: RefCell<Vec<Rc<PacketCell>>> = const { RefCell::new(Vec::new()) };
     /// Emptied forwarder stores, storage kept.
     static STORES: RefCell<Vec<SharedPool>> = const { RefCell::new(Vec::new()) };
+    /// Buffers and rows acquired minus those released as sole owner.
+    static OUTSTANDING: Cell<isize> = const { Cell::new(0) };
+}
+
+/// Moves the [`outstanding`] count; compiled out without debug assertions.
+fn count(delta: isize) {
+    if cfg!(debug_assertions) {
+        let _ = OUTSTANDING.try_with(|n| n.set(n.get() + delta));
+    }
+}
+
+/// Buffers and rows this thread has acquired and not yet released as
+/// sole owner — always 0 in builds without debug assertions.
+pub fn outstanding() -> isize {
+    OUTSTANDING.with(Cell::get)
 }
 
 /// A zeroed, uniquely owned buffer of exactly `len` bytes — recycled when
 /// the freelist has one, freshly allocated otherwise.
 pub fn acquire(len: usize) -> BytesMut {
+    count(1);
     let recycled = BUFFERS.with(|p| p.borrow_mut().pop());
     match recycled {
         Some(mut m) => {
@@ -86,6 +111,7 @@ pub fn release(b: Bytes) {
 
 /// Returns a uniquely owned buffer to the pool.
 pub fn release_mut(m: BytesMut) {
+    count(-1);
     // `try_with`: a thread tearing down its TLS just drops the buffer.
     let _ = BUFFERS.try_with(|p| {
         let mut p = p.borrow_mut();
@@ -97,6 +123,7 @@ pub fn release_mut(m: BytesMut) {
 
 /// A zeroed `Vec<u8>` of exactly `len` bytes from the row freelist.
 pub fn acquire_vec(len: usize) -> Vec<u8> {
+    count(1);
     let recycled = VECS.with(|p| p.borrow_mut().pop());
     match recycled {
         Some(mut v) => {
@@ -110,6 +137,7 @@ pub fn acquire_vec(len: usize) -> Vec<u8> {
 
 /// Returns a row buffer to the freelist.
 pub fn release_vec(v: Vec<u8>) {
+    count(-1);
     let _ = VECS.try_with(|p| {
         let mut p = p.borrow_mut();
         if p.len() < MAX_POOLED {

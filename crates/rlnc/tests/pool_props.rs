@@ -90,6 +90,7 @@ proptest! {
         let data = batch(k, len, 0xC3);
         let enc = SourceEncoder::new(data).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let held = pool::outstanding();
 
         let live = enc.encode(&mut rng);
         let expected = live.data().to_vec();
@@ -115,5 +116,7 @@ proptest! {
         pool::release(live.into_data());
         let clean = pool::acquire(expected.len());
         prop_assert!(clean.iter().all(|&b| b == 0), "recycled buffer not zeroed");
+        pool::release_mut(clean);
+        prop_assert_eq!(pool::outstanding(), held, "acquires and releases unpaired");
     }
 }

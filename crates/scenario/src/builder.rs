@@ -11,7 +11,12 @@
 //! executed on a worker pool ([`crate::exec::par_map`]) because runs are
 //! independent by construction.
 
-// xtask: allow(panic_path, file) -- run()/run_with_sink() panic on configuration errors as their documented contract (the try_* forms are the fallible API); sweep-grid indices are bounded by the arity computed in the same function.
+#![expect(
+    clippy::indexing_slicing,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "run()/run_with_sink() panic on configuration errors as their documented contract (the try_* forms are the fallible API); sweep-grid indices are bounded by the arity computed in the same function"
+)]
 
 use crate::exec;
 use crate::manifest::{cell_key, Manifest};
@@ -1050,8 +1055,14 @@ fn reachable_destinations(topo: &Topology, windows: &[FlowWindow]) -> Vec<Vec<bo
 /// layer; `congestion` then paces every flow's source (flow ids are
 /// `1..=windows.len()` in window order — the factory contract — and
 /// dynamically arriving flows are auto-paced via the traffic hook).
-#[allow(clippy::too_many_arguments)]
-#[allow(clippy::borrowed_box)] // run's stop callback receives &A = &Box<dyn _>
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one call site, which passes every run setting it resolved"
+)]
+#[expect(
+    clippy::borrowed_box,
+    reason = "run's stop callback receives &A = &Box<dyn _>"
+)]
 fn run_one(
     scenario: &str,
     protocol: &str,

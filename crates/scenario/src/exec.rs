@@ -16,7 +16,11 @@
 //! set first — [`par_map`] keeps its collect-into-input-order contract on
 //! top of the same machinery.
 
-// xtask: allow(panic_path, file) -- worker indices come from a fetch_add bounded by the n-check directly above; the slot vector is sized n and par_map_streaming visits every index exactly once.
+#![expect(
+    clippy::indexing_slicing,
+    clippy::expect_used,
+    reason = "worker indices come from a fetch_add bounded by the n-check directly above; the slot vector is sized n and par_map_streaming visits every index exactly once"
+)]
 
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -54,6 +54,21 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(clippy::return_self_not_must_use)]
+// Panic freedom and seeding discipline for the shipped (non-test) build;
+// each sanctioned site carries `#[expect(clippy::…, reason = "…")]`.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::indexing_slicing,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_methods
+    )
+)]
 
 pub mod builder;
 pub mod exec;

@@ -22,7 +22,11 @@
 //! consumers that previously indexed the materialized list draw
 //! byte-identical pairs through the pool.
 
-// xtask: allow(panic_path, file) -- prefix/comp vectors are sized n+1/n at construction; get() asserts k < len() up front, partition_point over a prefix ending in len() keeps the source index in range, and a source always appears in its own memoized member list (it reaches itself in 0 hops).
+#![expect(
+    clippy::indexing_slicing,
+    clippy::expect_used,
+    reason = "prefix/comp vectors are sized n+1/n at construction; get() asserts k < len() up front, partition_point over a prefix ending in len() keeps the source index in range, and a source always appears in its own memoized member list (it reaches itself in 0 hops)"
+)]
 
 use mesh_topology::{NodeId, Topology};
 use std::collections::{BTreeMap, VecDeque};

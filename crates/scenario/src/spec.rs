@@ -1,7 +1,10 @@
 //! Declarative scenario ingredients: topology, traffic, parameters, and
 //! sweeps.
 
-// xtask: allow(panic_path, file) -- Sweep::value(i) is only called with i < len() by the sweep driver iterating 0..len().
+#![expect(
+    clippy::indexing_slicing,
+    reason = "Sweep::value(i) is only called with i < len() by the sweep driver iterating 0..len()"
+)]
 
 use crate::registry::BuildError;
 use crate::traffic::{PoissonModel, StaggeredModel, TrafficModelSpec};
@@ -310,6 +313,10 @@ pub(crate) fn reachable_pairs(topo: &Topology) -> Vec<(NodeId, NodeId)> {
 /// Deterministically samples `count` distinct reachable ordered pairs.
 pub fn random_pairs(topo: &Topology, count: usize, seed: u64) -> Vec<(NodeId, NodeId)> {
     let mut all = reachable_pairs(topo);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "pair sampling is a pure function of the seed the caller passes"
+    )]
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     all.shuffle(&mut rng);
     all.truncate(count);

@@ -171,9 +171,12 @@ pub(crate) fn flow_windows(schedule: &[FlowEvent]) -> Vec<FlowWindow> {
                 stop: None,
             }),
             FlowEvent::Stop { flow, at } => {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "Stop events are only emitted for flows a Start already inserted"
+                )]
                 let w = windows
                     .get_mut(*flow)
-                    // xtask: allow(panic_path) -- Stop events are only emitted for flows a Start already inserted
                     .expect("Stop references a flow that never started");
                 w.stop = Some(*at);
             }
@@ -303,6 +306,10 @@ impl TrafficModel for PoissonModel {
             "topology {} has no reachable pairs",
             topo.name
         );
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "workload draws come from their own stream: run seed ^ TRAFFIC_STREAM"
+        )]
         let mut rng = ChaCha8Rng::seed_from_u64(run_seed ^ TRAFFIC_STREAM);
         let mut intervals: Vec<(FlowSpec, Time, Option<Time>)> = Vec::new();
         let mut active: Vec<Time> = Vec::new(); // departure instants
@@ -390,6 +397,10 @@ impl TrafficModel for StaggeredModel {
         packets: usize,
         horizon: Time,
     ) -> Vec<Vec<FlowEvent>> {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "workload draws come from their own stream: run seed ^ TRAFFIC_STREAM"
+        )]
         let mut rng = ChaCha8Rng::seed_from_u64(run_seed ^ TRAFFIC_STREAM);
         let mut pool = reachable_pairs(topo);
         rand::seq::SliceRandom::shuffle(&mut pool[..], &mut rng);

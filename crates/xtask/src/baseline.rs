@@ -1,24 +1,29 @@
-//! The lint ratchet: a committed baseline of per-lint counts that CI
-//! compares against every run.
+//! The committed baseline of per-lint counts that every ratchet run is
+//! compared with.
 //!
-//! The counts include findings *suppressed by allows*, so the workspace
-//! can be `analyze`-clean while the ratchet still tracks escape-hatch
-//! creep: adding an allow raises a count and fails the ratchet until the
-//! baseline is deliberately re-committed. When counts fall, `ratchet`
-//! rewrites the baseline in place so the improvement locks in.
+//! The counts include findings an `#[expect(..)]` suppresses, so clippy
+//! can be clean while the ratchet still tracks escape-hatch creep: a new
+//! `expect` raises a count and fails the ratchet until the baseline is
+//! deliberately re-committed. When counts fall, `ratchet` rewrites the
+//! baseline in place so the improvement locks in.
 //!
-//! The file format is a tiny, stable JSON object (hand-rolled here —
-//! xtask takes no dependencies):
+//! The file is a small JSON object with one count per line, so a review
+//! diff shows exactly which lint moved:
 //!
 //! ```json
 //! {
 //!   "schema": 1,
-//!   "counts": { "panic_path": 12, "unsafe_sites": 19 }
+//!   "counts": { "clippy::indexing_slicing": 408, "unsafe_code": 16 }
 //! }
 //! ```
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::fs;
+use std::io::ErrorKind;
+use std::path::Path;
+
+use mesh_topology::json::{self, Value};
 
 /// Name of the committed baseline file at the workspace root.
 pub const BASELINE_FILE: &str = "xtask-baseline.json";
@@ -26,7 +31,7 @@ pub const BASELINE_FILE: &str = "xtask-baseline.json";
 /// The committed per-lint counts the ratchet compares against.
 #[derive(Debug, PartialEq, Eq)]
 pub struct Baseline {
-    /// Ratchet key (lint name, `unsafe_sites`, `unused_allows`) → count.
+    /// Lint name → count.
     pub counts: BTreeMap<String, usize>,
 }
 
@@ -102,46 +107,97 @@ impl Baseline {
         out
     }
 
-    /// Parses the baseline file. The grammar is exactly what `render`
-    /// emits plus whitespace freedom: string keys mapped to non-negative
+    /// Parses the baseline file: string keys mapped to non-negative
     /// integers inside the `"counts"` object.
     pub fn parse(text: &str) -> Result<Baseline, String> {
-        let counts_at = text
-            .find("\"counts\"")
-            .ok_or_else(|| "baseline has no \"counts\" key".to_string())?;
-        let rest = &text[counts_at + "\"counts\"".len()..];
-        let open = rest
-            .find('{')
-            .ok_or_else(|| "\"counts\" is not an object".to_string())?;
-        let body = &rest[open + 1..];
-        let close = body
-            .find('}')
-            .ok_or_else(|| "unterminated \"counts\" object".to_string())?;
-        let body = &body[..close];
-
+        let doc = json::parse(text).map_err(|e| e.to_string())?;
+        let Some(Value::Obj(entries)) = doc.get("counts") else {
+            return Err("baseline has no \"counts\" object".to_string());
+        };
         let mut counts = BTreeMap::new();
-        for entry in body.split(',') {
-            let entry = entry.trim();
-            if entry.is_empty() {
-                continue;
-            }
-            let (key_part, val_part) = entry
-                .split_once(':')
-                .ok_or_else(|| format!("malformed counts entry `{entry}`"))?;
-            let key = key_part.trim().trim_matches('"');
-            if key.is_empty() {
-                return Err(format!("empty key in counts entry `{entry}`"));
-            }
-            let value: usize = val_part
-                .trim()
-                .parse()
-                .map_err(|_| format!("non-integer count in `{entry}`"))?;
-            if counts.insert(key.to_string(), value).is_some() {
+        for (key, value) in entries {
+            let count = value
+                .as_f64()
+                .filter(|n| *n >= 0.0 && n.fract() == 0.0)
+                .ok_or_else(|| format!("`{key}` is not a non-negative integer count"))?;
+            if counts.insert(key.clone(), count as usize).is_some() {
                 return Err(format!("duplicate counts key `{key}`"));
             }
         }
         Ok(Baseline { counts })
     }
+}
+
+/// What one ratchet run concluded.
+#[derive(Debug)]
+pub struct Verdict {
+    /// Whether the run passes.
+    pub passed: bool,
+    /// One line per count that moved, then the conclusion.
+    pub lines: Vec<String>,
+}
+
+/// Compares `current` with the baseline at `path`. The file is written
+/// when it is missing or looser than `current`; under `check` it is only
+/// read, and a missing file or any fall fails too. An `Err` is a file
+/// that cannot be read, parsed or written.
+pub fn ratchet(
+    path: &Path,
+    current: BTreeMap<String, usize>,
+    check: bool,
+) -> Result<Verdict, String> {
+    let shown = path.display();
+    let current = Baseline::new(current);
+    let write = |what: &str| {
+        fs::write(path, current.render())
+            .map(|()| format!("xtask ratchet: baseline {what} at {shown}"))
+            .map_err(|e| format!("cannot write {shown}: {e}"))
+    };
+    let verdict = |passed, lines| Ok(Verdict { passed, lines });
+    let text = match fs::read_to_string(path) {
+        Ok(text) => text,
+        Err(e) if e.kind() == ErrorKind::NotFound && check => {
+            let line =
+                format!("xtask ratchet: no baseline at {shown} (run without --check to create it)");
+            return verdict(false, vec![line]);
+        }
+        Err(e) if e.kind() == ErrorKind::NotFound => {
+            return verdict(true, vec![write("initialized")?]);
+        }
+        Err(e) => return Err(format!("cannot read {shown}: {e}")),
+    };
+    let baseline = Baseline::parse(&text).map_err(|e| format!("malformed {shown}: {e}"))?;
+    let result = baseline.compare(&current.counts);
+    let moved = |d: &Delta, verb| {
+        let (key, from, to) = (&d.key, d.baseline, d.current);
+        format!("xtask ratchet: `{key}` {verb} {from} -> {to}")
+    };
+    let mut lines: Vec<String> = result
+        .rises
+        .iter()
+        .map(|d| moved(d, "rose") + " (fix the regression or re-justify the baseline in review)")
+        .chain(result.falls.iter().map(|d| moved(d, "fell")))
+        .collect();
+    let passed = if !result.passed() {
+        false
+    } else if result.falls.is_empty() {
+        lines.push(format!(
+            "xtask ratchet: ok ({} counts at baseline)",
+            baseline.counts.len()
+        ));
+        true
+    } else if check {
+        lines.push(
+            "xtask ratchet: baseline looser than the tree: run \
+             `cargo run -p xtask -- ratchet` and commit"
+                .to_string(),
+        );
+        false
+    } else {
+        lines.push(write("tightened")?);
+        true
+    };
+    verdict(passed, lines)
 }
 
 #[cfg(test)]
@@ -154,7 +210,7 @@ mod test {
 
     #[test]
     fn render_parse_round_trip() {
-        let b = Baseline::new(counts(&[("panic_path", 12), ("unsafe_sites", 19)]));
+        let b = Baseline::new(counts(&[("clippy::panic", 12), ("unsafe_code", 19)]));
         let parsed = Baseline::parse(&b.render()).expect("round trip");
         assert_eq!(parsed, b);
     }
@@ -174,19 +230,19 @@ mod test {
 
     #[test]
     fn rises_fail_falls_tighten() {
-        let b = Baseline::new(counts(&[("panic_path", 5), ("pool_pairing", 2)]));
-        let r = b.compare(&counts(&[("panic_path", 6), ("pool_pairing", 1)]));
+        let b = Baseline::new(counts(&[("clippy::panic", 5), ("unsafe_code", 2)]));
+        let r = b.compare(&counts(&[("clippy::panic", 6), ("unsafe_code", 1)]));
         assert!(!r.passed());
         assert_eq!(r.rises.len(), 1);
-        assert_eq!(r.rises[0].key, "panic_path");
+        assert_eq!(r.rises[0].key, "clippy::panic");
         assert_eq!(r.falls.len(), 1);
-        assert_eq!(r.falls[0].key, "pool_pairing");
+        assert_eq!(r.falls[0].key, "unsafe_code");
     }
 
     #[test]
     fn new_keys_count_from_zero() {
         let b = Baseline::new(counts(&[]));
-        let r = b.compare(&counts(&[("stream_registry", 1)]));
+        let r = b.compare(&counts(&[("clippy::todo", 1)]));
         assert_eq!(r.rises.len(), 1);
         let r2 = Baseline::new(counts(&[("gone", 3)])).compare(&counts(&[]));
         assert!(r2.passed());

@@ -1,45 +1,30 @@
-//! `cargo run -p xtask -- <analyze|ratchet> [..]`
+//! `cargo run -p xtask -- ratchet [--baseline FILE] [--check]`
 //!
-//! `analyze` runs the determinism, panic-freedom, and unsafe-audit lints
-//! over the workspace and prints the report (text, JSON, or GitHub
-//! annotations). Exits non-zero when any finding survives the allowlist.
-//!
-//! `ratchet` compares the run's per-lint counts (suppressed findings
-//! included) against the committed `xtask-baseline.json`: any rise fails,
-//! any fall rewrites the baseline so the improvement locks in — or, under
-//! `--check`, fails too, so a baseline looser than the tree cannot sit in
-//! CI unnoticed.
+//! Runs clippy once per [`xtask::PASSES`] entry with its lints forced to
+//! warn, counts the findings per lint — the ones an `#[expect(..)]`
+//! suppresses included — and compares the counts with the committed
+//! `xtask-baseline.json`: any rise fails, any fall rewrites the baseline
+//! so the improvement locks in — or, under `--check`, fails too, so a
+//! baseline looser than the tree cannot sit in CI unnoticed.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-use std::fs;
-use std::path::PathBuf;
-use std::process::ExitCode;
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
+use std::process::{Command, ExitCode};
 
-use xtask::baseline::{Baseline, BASELINE_FILE};
+use xtask::baseline::{ratchet, BASELINE_FILE};
 
 const USAGE: &str = "\
-usage: cargo run -p xtask -- analyze [--root DIR] [--format text|json|github]
-       cargo run -p xtask -- ratchet [--root DIR] [--baseline FILE] [--check]
+usage: cargo run -p xtask -- ratchet [--baseline FILE] [--check]
 
-analyze runs the workspace static-analysis suite:
-  determinism lints   rng_stream, float_ord
-  panic freedom       panic_path, stream_registry, pool_pairing
-  unsafe audit        undocumented_unsafe, missing_forbid
-  escape hatch        // xtask: allow(<lint>[, file]) -- <justification>
+Counts clippy findings per lint, the ones #[expect(..)] suppresses
+included, and compares them with the committed baseline: a rise fails,
+a fall tightens the file.
 
-HashMap/HashSet, wall-clock reads and `Self` returns without #[must_use]
-are clippy's to catch (clippy.toml; a crate-level deny in scenario and
-mesh-sim), not analyze's.
-
-ratchet compares per-lint counts (allow-suppressed findings included)
-against the committed baseline: a rise fails, a fall tightens the file.
-
---root DIR       analyze DIR instead of the enclosing workspace root
---format FMT     analyze output: text (default), json, github annotations
 --baseline FILE  ratchet against FILE instead of <root>/xtask-baseline.json
---check          read-only ratchet: fail on any rise or fall, never rewrite the file
+--check          read-only: fail on any rise or fall, never rewrite the file
 ";
 
 fn fail_usage(message: &str) -> ExitCode {
@@ -47,32 +32,38 @@ fn fail_usage(message: &str) -> ExitCode {
     ExitCode::from(2)
 }
 
+/// Per-lint counts over every pass, or what went wrong running cargo.
+fn clippy_counts(root: &Path) -> Result<BTreeMap<String, usize>, String> {
+    let cargo = std::env::var_os("CARGO").unwrap_or_else(|| "cargo".into());
+    let mut counts = BTreeMap::new();
+    for pass in &xtask::PASSES {
+        let args = xtask::clippy_args(pass);
+        let out = Command::new(&cargo)
+            .args(&args)
+            .current_dir(root)
+            .output()
+            .map_err(|e| format!("cannot run cargo: {e}"))?;
+        if !out.status.success() {
+            return Err(format!(
+                "`cargo {}` failed:\n{}",
+                args.join(" "),
+                String::from_utf8_lossy(&out.stderr)
+            ));
+        }
+        counts.extend(xtask::count(pass, &String::from_utf8_lossy(&out.stdout)));
+    }
+    Ok(counts)
+}
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut root: Option<PathBuf> = None;
-    let mut cmd: Option<&str> = None;
-    let mut format = "text".to_string();
+    let mut ratchet_cmd = false;
     let mut baseline_path: Option<PathBuf> = None;
     let mut check = false;
-
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
+    let mut args = std::env::args().skip(1);
+    while let Some(a) = args.next() {
         match a.as_str() {
-            "analyze" | "ratchet" if cmd.is_none() => {
-                cmd = Some(if a == "analyze" { "analyze" } else { "ratchet" })
-            }
-            "--root" => match it.next() {
-                Some(dir) => root = Some(PathBuf::from(dir)),
-                None => return fail_usage("--root needs a directory"),
-            },
-            "--format" => match it.next() {
-                Some(f) if matches!(f.as_str(), "text" | "json" | "github") => {
-                    format = f.clone();
-                }
-                Some(f) => return fail_usage(&format!("unknown format `{f}`")),
-                None => return fail_usage("--format needs text|json|github"),
-            },
-            "--baseline" => match it.next() {
+            "ratchet" if !ratchet_cmd => ratchet_cmd = true,
+            "--baseline" => match args.next() {
                 Some(p) => baseline_path = Some(PathBuf::from(p)),
                 None => return fail_usage("--baseline needs a file"),
             },
@@ -84,117 +75,29 @@ fn main() -> ExitCode {
             other => return fail_usage(&format!("unknown argument `{other}`")),
         }
     }
-    let Some(cmd) = cmd else {
-        eprint!("{USAGE}");
-        return ExitCode::from(2);
-    };
+    if !ratchet_cmd {
+        return fail_usage("no command given");
+    }
 
-    // Default root: the workspace that contains this crate.
-    let root = root.unwrap_or_else(|| {
-        PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .parent()
-            .and_then(|p| p.parent())
-            .expect("crates/xtask sits two levels below the workspace root")
-            .to_path_buf()
-    });
-
-    let report = match xtask::analyze_root(&root) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("xtask {cmd}: failed to read {}: {e}", root.display());
-            return ExitCode::from(2);
-        }
-    };
-
-    match cmd {
-        "analyze" => {
-            match format.as_str() {
-                "json" => print!("{}", report.to_json()),
-                "github" => {
-                    print!("{}", report.render_github());
-                    // Annotations alone hide the summary; keep it on the
-                    // job log too.
-                    eprint!("{}", report.render());
-                }
-                _ => print!("{}", report.render()),
+    // The workspace that contains this crate.
+    let manifest_dir = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let root = manifest_dir.ancestors().nth(2).unwrap_or(manifest_dir);
+    let path = baseline_path.unwrap_or_else(|| root.join(BASELINE_FILE));
+    let outcome = clippy_counts(root).and_then(|counts| ratchet(&path, counts, check));
+    match outcome {
+        Ok(verdict) => {
+            for line in &verdict.lines {
+                println!("{line}");
             }
-            if report.is_clean() {
+            if verdict.passed {
                 ExitCode::SUCCESS
             } else {
                 ExitCode::FAILURE
             }
         }
-        _ => {
-            let path = baseline_path.unwrap_or_else(|| root.join(BASELINE_FILE));
-            let counts = report.counts();
-            let current = Baseline::new(counts);
-            let text = match fs::read_to_string(&path) {
-                Ok(t) => t,
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                    // Bootstrap: no baseline yet — write today's counts.
-                    if check {
-                        eprintln!(
-                            "xtask ratchet: no baseline at {} (run without --check to create it)",
-                            path.display()
-                        );
-                        return ExitCode::FAILURE;
-                    }
-                    if let Err(e) = fs::write(&path, current.render()) {
-                        eprintln!("xtask ratchet: cannot write {}: {e}", path.display());
-                        return ExitCode::from(2);
-                    }
-                    println!("xtask ratchet: initialized baseline at {}", path.display());
-                    return ExitCode::SUCCESS;
-                }
-                Err(e) => {
-                    eprintln!("xtask ratchet: cannot read {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-            };
-            let baseline = match Baseline::parse(&text) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("xtask ratchet: malformed {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-            };
-            let result = baseline.compare(&current.counts);
-            for d in &result.rises {
-                println!(
-                    "xtask ratchet: `{}` rose {} -> {} (fix the regression or re-justify \
-                     the baseline in review)",
-                    d.key, d.baseline, d.current
-                );
-            }
-            for d in &result.falls {
-                println!(
-                    "xtask ratchet: `{}` fell {} -> {}",
-                    d.key, d.baseline, d.current
-                );
-            }
-            if !result.passed() {
-                return ExitCode::FAILURE;
-            }
-            if !result.falls.is_empty() {
-                if check {
-                    println!(
-                        "xtask ratchet: baseline looser than the tree: run \
-                         `cargo run -p xtask -- ratchet` and commit"
-                    );
-                    return ExitCode::FAILURE;
-                }
-                if let Err(e) = fs::write(&path, current.render()) {
-                    eprintln!("xtask ratchet: cannot tighten {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-                println!("xtask ratchet: baseline tightened at {}", path.display());
-            } else {
-                println!(
-                    "xtask ratchet: ok ({} counts at baseline)",
-                    baseline.counts.len()
-                );
-            }
-            ExitCode::SUCCESS
+        Err(e) => {
+            eprintln!("xtask ratchet: {e}");
+            ExitCode::from(2)
         }
     }
 }

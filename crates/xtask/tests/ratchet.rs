@@ -1,25 +1,21 @@
-//! The ratchet binary end to end: bootstrap, steady state, a deliberate
-//! regression failing `--check`, a fall tightening the baseline (and
-//! failing `--check`) — plus the analyze output formats CI consumes and
-//! the committed baseline counting exactly the lints that exist.
+//! The ratchet's counting and verdicts: repeated findings count once,
+//! a rise fails, a fall tightens the baseline (and fails `--check`), a
+//! missing baseline bootstraps — and the committed baseline counts
+//! exactly the lints the ratchet forces.
 
+use std::collections::BTreeMap;
 use std::fs;
-use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::path::PathBuf;
 
-use xtask::baseline::{Baseline, BASELINE_FILE};
+use xtask::baseline::{ratchet, Baseline, BASELINE_FILE};
+use xtask::{count, PASSES};
 
-fn fixture(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/fixtures")
-        .join(name)
-}
-
-fn xtask(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_xtask"))
-        .args(args)
-        .output()
-        .expect("spawn xtask binary")
+/// One line of cargo's `--message-format=json` output: a finding of
+/// `lint` at `file:line:column`.
+fn finding(lint: &str, file: &str, line: u32, column: u32) -> String {
+    format!(
+        r#"{{"reason":"compiler-message","package_id":"p","message":{{"message":"m","code":{{"code":"{lint}","explanation":null}},"level":"warning","spans":[{{"file_name":"{file}","line_start":{line},"column_start":{column},"is_primary":true}}],"children":[{{"message":"help","code":null,"spans":[]}}],"rendered":"warning: m \"quoted\" é"}}}}"#
+    )
 }
 
 fn tmp_baseline(name: &str) -> PathBuf {
@@ -28,153 +24,152 @@ fn tmp_baseline(name: &str) -> PathBuf {
     dir.join(name)
 }
 
-fn run_ratchet(root: &Path, baseline: &Path, check: bool) -> Output {
-    let root = root.to_str().expect("utf8 root");
-    let baseline = baseline.to_str().expect("utf8 baseline");
-    let mut args = vec!["ratchet", "--root", root, "--baseline", baseline];
-    if check {
-        args.push("--check");
-    }
-    xtask(&args)
+fn counts(pairs: &[(&str, usize)]) -> BTreeMap<String, usize> {
+    pairs.iter().map(|(k, v)| (k.to_string(), *v)).collect()
+}
+
+fn write_baseline(name: &str, pairs: &[(&str, usize)]) -> PathBuf {
+    let path = tmp_baseline(name);
+    fs::write(&path, Baseline::new(counts(pairs)).render()).expect("write baseline");
+    path
+}
+
+#[test]
+fn repeated_findings_count_once() {
+    let lines = [
+        // The same site reported by the lib build and by the test harness.
+        finding(
+            "clippy::indexing_slicing",
+            "crates/rlnc/src/decoder.rs",
+            7,
+            9,
+        ),
+        finding(
+            "clippy::indexing_slicing",
+            "crates/rlnc/src/decoder.rs",
+            7,
+            9,
+        ),
+        // Another site on the same line.
+        finding(
+            "clippy::indexing_slicing",
+            "crates/rlnc/src/decoder.rs",
+            7,
+            30,
+        ),
+        finding("clippy::expect_used", "src/lib.rs", 3, 1),
+        // Outside the library crates, and a lint the pass does not count.
+        finding("clippy::panic", "crates/bench/src/paper.rs", 1, 1),
+        finding("clippy::panic", "vendor/rand/src/lib.rs", 1, 1),
+        finding("clippy::needless_range_loop", "src/lib.rs", 5, 1),
+        r#"{"reason":"compiler-artifact","package_id":"p"}"#.to_string(),
+        "not json".to_string(),
+    ];
+    let got = count(&PASSES[0], &lines.join("\n"));
+    assert_eq!(got["clippy::indexing_slicing"], 2);
+    assert_eq!(got["clippy::expect_used"], 1);
+    assert_eq!(got["clippy::panic"], 0);
+    assert!(!got.contains_key("clippy::needless_range_loop"));
+    assert_eq!(
+        got.len(),
+        PASSES[0].lints.len(),
+        "every counted lint has a key"
+    );
+
+    // The unsafe pass counts everywhere, vendored crates and tests too.
+    let unsafe_lines = [
+        finding("unsafe_code", "vendor/rand_chacha/src/lib.rs", 9, 5),
+        finding("unsafe_code", "tests/alloc_budget.rs", 30, 1),
+        finding("unsafe_code", "tests/alloc_budget.rs", 30, 1),
+    ];
+    assert_eq!(
+        count(&PASSES[1], &unsafe_lines.join("\n")),
+        counts(&[("unsafe_code", 2)])
+    );
 }
 
 #[test]
 fn ratchet_bootstraps_then_holds_steady() {
-    let baseline = tmp_baseline("ratchet-bootstrap.json");
-    let _ = fs::remove_file(&baseline);
-    let root = fixture("ratchet");
+    let path = tmp_baseline("ratchet-bootstrap.json");
+    let _ = fs::remove_file(&path);
+    let now = counts(&[("clippy::panic", 1)]);
 
     // --check refuses to invent a baseline.
-    let out = run_ratchet(&root, &baseline, true);
-    assert!(!out.status.success());
-    assert!(!baseline.exists());
+    let v = ratchet(&path, now.clone(), true).expect("ratchet runs");
+    assert!(!v.passed);
+    assert!(!path.exists());
 
-    // First plain run bootstraps the file with today's counts.
-    let out = run_ratchet(&root, &baseline, false);
-    assert!(out.status.success(), "{out:?}");
-    let text = fs::read_to_string(&baseline).expect("baseline written");
-    assert!(text.contains("\"panic_path\": 1"), "{text}");
+    // A plain run bootstraps the file with today's counts.
+    let v = ratchet(&path, now.clone(), false).expect("ratchet runs");
+    assert!(v.passed, "{v:?}");
+    let text = fs::read_to_string(&path).expect("baseline written");
+    assert!(text.contains("\"clippy::panic\": 1"), "{text}");
 
-    // Steady state: same tree, same counts, check passes.
-    let out = run_ratchet(&root, &baseline, true);
-    assert!(out.status.success(), "{out:?}");
+    // Same counts: --check passes.
+    assert!(ratchet(&path, now, true).expect("ratchet runs").passed);
 }
 
 #[test]
-fn ratchet_fails_on_a_deliberate_regression() {
-    let baseline = tmp_baseline("ratchet-regression.json");
-    // A committed baseline of zero findings makes the fixture's one
-    // deliberate unwrap a regression.
-    fs::write(
-        &baseline,
-        "{\n  \"schema\": 1,\n  \"counts\": {\n    \"panic_path\": 0\n  }\n}\n",
-    )
-    .expect("write regression baseline");
-
-    let out = run_ratchet(&fixture("ratchet"), &baseline, true);
-    assert!(!out.status.success(), "a count rise must fail the ratchet");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("`panic_path` rose 0 -> 1"), "{stdout}");
-
-    // --check never rewrites the file, even on failure.
-    let text = fs::read_to_string(&baseline).expect("baseline intact");
-    assert!(text.contains("\"panic_path\": 0"), "{text}");
+fn a_rise_fails_and_check_never_rewrites() {
+    let path = write_baseline("ratchet-rise.json", &[("clippy::panic", 0)]);
+    let before = fs::read_to_string(&path).expect("baseline");
+    for check in [true, false] {
+        let v = ratchet(&path, counts(&[("clippy::panic", 1)]), check).expect("ratchet runs");
+        assert!(!v.passed, "a count rise must fail the ratchet");
+        assert!(v.lines[0].contains("`clippy::panic` rose 0 -> 1"), "{v:?}");
+        assert_eq!(fs::read_to_string(&path).expect("baseline"), before);
+    }
 }
 
 #[test]
-fn ratchet_tightens_the_baseline_when_counts_fall() {
-    let baseline = tmp_baseline("ratchet-tighten.json");
-    fs::write(
-        &baseline,
-        "{\n  \"schema\": 1,\n  \"counts\": {\n    \"panic_path\": 2\n  }\n}\n",
-    )
-    .expect("write loose baseline");
-
-    let out = run_ratchet(&fixture("ratchet"), &baseline, false);
-    assert!(out.status.success(), "{out:?}");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("`panic_path` fell 2 -> 1"), "{stdout}");
-    assert!(stdout.contains("baseline tightened"), "{stdout}");
-    let text = fs::read_to_string(&baseline).expect("baseline rewritten");
-    assert!(text.contains("\"panic_path\": 1"), "{text}");
+fn a_fall_tightens_the_baseline() {
+    let path = write_baseline("ratchet-fall.json", &[("unsafe_code", 2)]);
+    let v = ratchet(&path, counts(&[("unsafe_code", 1)]), false).expect("ratchet runs");
+    assert!(v.passed, "{v:?}");
+    assert!(v.lines[0].contains("`unsafe_code` fell 2 -> 1"), "{v:?}");
+    assert!(v.lines[1].contains("baseline tightened"), "{v:?}");
+    let text = fs::read_to_string(&path).expect("baseline rewritten");
+    assert!(text.contains("\"unsafe_code\": 1"), "{text}");
 }
 
 #[test]
-fn ratchet_check_fails_when_the_baseline_is_looser_than_the_tree() {
-    let baseline = tmp_baseline("ratchet-loose.json");
-    let loose = "{\n  \"schema\": 1,\n  \"counts\": {\n    \"panic_path\": 2\n  }\n}\n";
-    fs::write(&baseline, loose).expect("write loose baseline");
-
+fn check_fails_when_the_baseline_is_looser_than_the_tree() {
     // A fall is slack a later finding could take back for free: --check
     // fails on it and says how to lock it in, without rewriting the file.
-    let out = run_ratchet(&fixture("ratchet"), &baseline, true);
-    assert!(!out.status.success(), "a count fall must fail --check");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("`panic_path` fell 2 -> 1"), "{stdout}");
+    let path = write_baseline("ratchet-loose.json", &[("unsafe_code", 2)]);
+    let loose = fs::read_to_string(&path).expect("baseline");
+    let v = ratchet(&path, counts(&[("unsafe_code", 1)]), true).expect("ratchet runs");
+    assert!(!v.passed, "a count fall must fail --check");
     assert!(
-        stdout.contains(
+        v.lines[1].contains(
             "baseline looser than the tree: run `cargo run -p xtask -- ratchet` and commit"
         ),
-        "{stdout}"
+        "{v:?}"
     );
-    assert_eq!(
-        fs::read_to_string(&baseline).expect("baseline intact"),
-        loose
-    );
+    assert_eq!(fs::read_to_string(&path).expect("baseline"), loose);
 }
 
 #[test]
-fn analyze_github_format_emits_error_annotations() {
-    let root = fixture("ratchet");
-    let out = xtask(&[
-        "analyze",
-        "--root",
-        root.to_str().expect("utf8 root"),
-        "--format",
-        "github",
-    ]);
-    assert!(!out.status.success(), "dirty tree must exit non-zero");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        stdout.contains("::error file=crates/rlnc/src/lib.rs,line=6,"),
-        "{stdout}"
-    );
-    assert!(stdout.contains("title=xtask panic_path"), "{stdout}");
-}
-
-#[test]
-fn analyze_json_format_reports_counts() {
-    let root = fixture("ratchet");
-    let out = xtask(&[
-        "analyze",
-        "--root",
-        root.to_str().expect("utf8 root"),
-        "--format",
-        "json",
-    ]);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("\"findings\""), "{stdout}");
-    assert!(stdout.contains("\"panic_path\""), "{stdout}");
-}
-
-#[test]
-fn committed_baseline_counts_exactly_the_current_lints() {
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(|p| p.parent())
-        .expect("workspace root")
-        .to_path_buf();
-    let text = fs::read_to_string(root.join(BASELINE_FILE)).expect("read committed baseline");
+fn committed_baseline_counts_exactly_the_ratcheted_lints() {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join(BASELINE_FILE);
+    let text = fs::read_to_string(path).expect("read committed baseline");
     let baseline = Baseline::parse(&text).expect("parse committed baseline");
-    let counts = xtask::analyze_root(&root)
-        .expect("analyze workspace")
-        .counts();
-    // A retired lint must not linger in the file, and a new one must not
-    // go uncounted.
+    let mut lints: Vec<&str> = PASSES
+        .iter()
+        .flat_map(|p| p.lints.iter().copied())
+        .collect();
+    lints.sort_unstable();
+    // A lint the ratchet stopped counting must not linger in the file,
+    // and a new one must not go uncounted.
     assert!(
-        baseline.counts.keys().eq(counts.keys()),
-        "baseline keys {:?} != analyzer keys {:?}",
+        baseline
+            .counts
+            .keys()
+            .map(String::as_str)
+            .eq(lints.iter().copied()),
+        "baseline keys {:?} != ratcheted lints {lints:?}",
         baseline.counts.keys().collect::<Vec<_>>(),
-        counts.keys().collect::<Vec<_>>()
     );
 }

@@ -17,6 +17,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use more_repro::more::{MoreAgent, MoreConfig};
+use more_repro::rlnc::pool;
 use more_repro::sim::{SimConfig, Simulator, SEC};
 use more_repro::topology::{generate, NodeId};
 
@@ -100,10 +101,18 @@ fn measured_run() -> (u64, usize) {
 fn packet_path_stays_under_allocation_budget() {
     // First run warms thread-local buffer pools and lazy statics; the
     // second run is the steady state the budget is committed against.
+    let held = pool::outstanding();
     let (_, warm_delivered) = measured_run();
     assert!(warm_delivered > 0, "warmup run delivered nothing");
     let (allocs, delivered) = measured_run();
     assert_eq!(delivered, 64, "scenario must complete both flows");
+    // Every pooled buffer and row the two runs acquired came back as sole
+    // owner (counted only with debug assertions; see `rlnc::pool`).
+    assert_eq!(
+        pool::outstanding(),
+        held,
+        "a pooled buffer was dropped instead of released"
+    );
 
     let per_packet = allocs as f64 / delivered as f64;
     eprintln!("alloc_budget: {allocs} allocation events / {delivered} delivered packets = {per_packet:.1} per packet (ceiling {CEILING})");

@@ -2,8 +2,9 @@
 //! pure function of `(topology, agent, seed, channel)`, so the same
 //! scenario grid must serialize to byte-identical RunRecord JSON no
 //! matter how many executor threads shard it — and no matter how many
-//! times it is repeated in one process (the `xtask analyze`
-//! hash-container lints guard the source-level side of this contract).
+//! times it is repeated in one process (clippy's `disallowed-types` on
+//! hash containers and the wall clock guards the source-level side of
+//! this contract).
 
 use more_repro::scenario::sink::Collect;
 use more_repro::scenario::{Scenario, ScenarioBuilder, TrafficSpec};
