@@ -5,6 +5,10 @@
 //! Exit code 2 for a command line that is not understood (one line names
 //! what the experiment reads), 1 for an experiment that could not run.
 
+// A float ordering cannot `unwrap`/`expect` a `partial_cmp` here: the
+// non-test build bans both outright (use `f64::total_cmp`).
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+
 use more_bench::paper::{claims_table, run, Args, CATALOG};
 use std::process::ExitCode;
 

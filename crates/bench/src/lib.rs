@@ -10,6 +10,9 @@
 //! * [`stats`] — quantiles/CDF helpers for printing the paper's series.
 
 #![forbid(unsafe_code)]
+// A float ordering cannot `unwrap`/`expect` a `partial_cmp` here: the
+// non-test build bans both outright (use `f64::total_cmp`).
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod paper;
 pub mod stats;

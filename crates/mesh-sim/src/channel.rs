@@ -53,10 +53,10 @@
 
 use crate::Time;
 use mesh_topology::{NodeId, Topology};
-use rand::{Rng, RngCore, SeedableRng};
+use rand::{Rng, RngCore};
 use rand_chacha::ChaCha8Rng;
 
-use mesh_topology::streams::CHANNEL_STREAM;
+use mesh_topology::streams::{self, Stream};
 
 /// A loss process over the mesh's directed links.
 ///
@@ -250,11 +250,7 @@ impl ChannelSpec {
         if let Err(e) = self.validate_params() {
             panic!("invalid channel spec: {e}");
         }
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "channel evolution draws from its own stream: run seed ^ CHANNEL_STREAM"
-        )]
-        let rng = ChaCha8Rng::seed_from_u64(seed ^ CHANNEL_STREAM);
+        let rng = streams::rng(seed, Stream::Channel);
         match *self {
             ChannelSpec::Static => Box::new(StaticChannel { topo: topo.clone() }),
             ChannelSpec::GilbertElliott(ge) => Box::new(GilbertElliottChannel::new(topo, ge, rng)),
@@ -739,6 +735,7 @@ pub fn probe_topology(
 mod test {
     use super::*;
     use mesh_topology::generate;
+    use rand::SeedableRng;
 
     fn mean_delivery(model: &mut dyn ChannelModel, tx: NodeId, rx: NodeId, epoch: Time) -> f64 {
         let rounds = 20_000u64;

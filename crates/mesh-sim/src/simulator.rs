@@ -41,14 +41,12 @@
 use crate::channel::{ChannelModel, ChannelSpec};
 use crate::erased::{FlowAgent, FlowDesc};
 use crate::medium::{Medium, Transmission};
-use crate::queue::{
-    AimdConfig, AimdPacer, DropCause, QueueDiscipline, QueueSpec, QueueVerdict, QUEUE_STREAM,
-};
+use crate::queue::{AimdConfig, AimdPacer, DropCause, QueueDiscipline, QueueSpec, QueueVerdict};
 use crate::stats::SimStats;
 use crate::{Frame, NodeAgent, OutFrame, SimConfig, Time, TxOutcome};
+use mesh_topology::streams::{self, Stream};
 use mesh_topology::{NodeId, Topology};
 use rand::Rng;
-use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
@@ -319,10 +317,6 @@ impl<A: NodeAgent> Simulator<A> {
     ///
     /// Panics when either spec is invalid (see [`ChannelSpec::validate`]
     /// and [`QueueSpec::validate`]).
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "the engine's main stream takes the bare run seed; the queue layer's takes seed ^ QUEUE_STREAM"
-    )]
     pub fn with_queue(
         topo: Topology,
         cfg: SimConfig,
@@ -342,7 +336,7 @@ impl<A: NodeAgent> Simulator<A> {
                     disc,
                 })
                 .collect(),
-            rng: ChaCha8Rng::seed_from_u64(seed ^ QUEUE_STREAM),
+            rng: streams::rng(seed, Stream::Queue),
             pacers: BTreeMap::new(),
             pacer_src: BTreeMap::new(),
             auto_pace: None,
@@ -353,7 +347,7 @@ impl<A: NodeAgent> Simulator<A> {
             now: 0,
             seq: 0,
             queue: BinaryHeap::new(),
-            rng: ChaCha8Rng::seed_from_u64(seed),
+            rng: streams::rng(seed, Stream::Run),
             medium,
             channel,
             states: (0..n).map(|_| MacState::Idle).collect(),

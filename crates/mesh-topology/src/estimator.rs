@@ -17,10 +17,8 @@
 
 use crate::{Link, NodeId, Topology};
 use rand::Rng;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 
-use crate::streams::PROBE_STREAM;
+use crate::streams::{self, Stream};
 
 /// Configuration for the probing process.
 #[derive(Clone, Copy, Debug)]
@@ -87,11 +85,7 @@ impl LinkEstimator {
         mut delivery_at: impl FnMut(NodeId, NodeId, u64) -> f64,
     ) -> Topology {
         assert!(self.probes > 0, "need at least one probe");
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "probe draws come from their own stream: run seed ^ PROBE_STREAM"
-        )]
-        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ PROBE_STREAM);
+        let mut rng = streams::rng(seed, Stream::Probe);
         let mut successes = vec![0u32; truth.link_count()];
         for round in 0..self.probes {
             let now = round as u64 * interval_us;

@@ -19,10 +19,9 @@
 )]
 
 use crate::spatial::CellGrid;
+use crate::streams::{self, Stream};
 use crate::{Link, NodeId, Position, Topology};
 use rand::Rng;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 
 /// The directed link `from → to`.
 fn link(from: usize, to: usize, delivery: f64) -> Link {
@@ -333,12 +332,7 @@ pub fn testbed_sized(n: usize, seed: u64) -> Topology {
     let targets = TestbedTargets::default();
     let model = RadioModel::default();
     for attempt in 0..512u64 {
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "each retry draws from its own stream: seed ^ attempt * TESTBED_ATTEMPT_STREAM"
-        )]
-        let mut rng =
-            ChaCha8Rng::seed_from_u64(seed ^ attempt.wrapping_mul(TESTBED_ATTEMPT_STREAM));
+        let mut rng = streams::retry_rng(seed, Stream::TestbedAttempt, attempt);
         let positions = scatter_positions(n, 3, 56.0, 36.0, 6.0, &mut rng);
         let links = links_from_positions(&positions, &model, &mut rng);
         let topo = build(format!("testbed{n}-s{seed}"), n, links).with_positions(positions);
@@ -366,11 +360,7 @@ pub fn testbed_sized(n: usize, seed: u64) -> Topology {
 pub fn random_mesh(n: usize, width: f64, depth: f64, seed: u64) -> Topology {
     let model = RadioModel::default();
     for attempt in 0..512u64 {
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "each retry draws from its own stream: seed ^ attempt * MESH_ATTEMPT_STREAM"
-        )]
-        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ attempt.wrapping_mul(MESH_ATTEMPT_STREAM));
+        let mut rng = streams::retry_rng(seed, Stream::MeshAttempt, attempt);
         let positions = scatter_positions(n, 1, width, depth, 4.0, &mut rng);
         let links = links_from_positions(&positions, &model, &mut rng);
         let topo = build(format!("mesh{n}-s{seed}"), n, links).with_positions(positions);
@@ -379,21 +369,6 @@ pub fn random_mesh(n: usize, width: f64, depth: f64, seed: u64) -> Topology {
         }
     }
     panic!("random mesh generation failed to connect after 512 attempts (seed {seed})");
-}
-
-/// splitmix64 finalizer: decorrelates consecutive pair indices into
-/// well-spread RNG seeds.
-fn mix64(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Seed for the unordered pair `(i, j)`, `i < j`: a pure function of the
-/// city seed and the pair, so link draws do not depend on the order in
-/// which the spatial grid enumerates candidates.
-fn city_pair_seed(seed: u64, i: usize, j: usize) -> u64 {
-    seed ^ CITY_LINK_STREAM ^ mix64(((i as u64) << 32) | j as u64)
 }
 
 /// Largest ground distance at which any shadowing/asymmetry draw can
@@ -422,33 +397,21 @@ fn max_link_distance(model: &RadioModel) -> f64 {
 /// from its own ChaCha8 stream (the run seed xor `CITY_LINK_STREAM`
 /// mixed with the pair index), so the result is a pure function of
 /// `(n, seed)` regardless of grid enumeration order. The streams are
-/// seeded eight at a time ([`ChaCha8Rng::seed_eight_from_u64`]); each is
-/// the one `seed_from_u64` would give its pair.
+/// seeded eight at a time ([`streams::pair_rngs`]); each is the one its
+/// pair's seed alone would give.
 pub fn city_mesh(n: usize, seed: u64) -> Topology {
     assert!(n >= 1, "need at least one node");
     let model = RadioModel::default();
     let side = ((n as f64) * 1250.0).sqrt();
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "node placement draws from its own stream: seed ^ CITY_SCATTER_STREAM"
-    )]
-    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ CITY_SCATTER_STREAM);
+    let mut rng = streams::rng(seed, Stream::CityScatter);
     let positions = scatter_positions(n, 1, side, side, 4.0, &mut rng);
     let r_max = max_link_distance(&model);
     let grid = CellGrid::from_positions(&positions, r_max);
     // `build` sorts the links, so the order pairs are drawn in is free.
     let mut links = Vec::new();
     let mut draw = |batch: &[(usize, usize, f64)]| {
-        let pair_seed = |k: usize| {
-            batch
-                .get(k)
-                .map_or(0, |&(i, j, _)| city_pair_seed(seed, i, j))
-        };
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "city_pair_seed is the run seed ^ CITY_LINK_STREAM mixed with the unordered pair index (a per-pair stream; see streams.rs); spare lanes of a short batch are dropped unread"
-        )]
-        let mut rngs = ChaCha8Rng::seed_eight_from_u64(std::array::from_fn(pair_seed));
+        let pairs = batch.iter().map(|&(i, j, _)| (i, j));
+        let mut rngs = streams::pair_rngs(seed, Stream::CityLink, pairs);
         for (&(i, j, base), pair_rng) in batch.iter().zip(&mut rngs) {
             let shadow = approx_normal(pair_rng) * model.shadowing_sigma;
             let d_eff = (base + shadow).max(0.0);
@@ -524,6 +487,8 @@ pub fn grid(w: usize, h: usize, p_adj: f64, p_diag: f64, spacing: f64) -> Topolo
 #[cfg(test)]
 mod test {
     use super::*;
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
 
     /// Diagnostic: print what the generator produces, to tune the radio
     /// model. `cargo test -p mesh-topology testbed_diagnostics -- --ignored --nocapture`
@@ -693,7 +658,8 @@ mod test {
                 let (mut pij, mut pji) = (0.0, 0.0);
                 if base <= r_max {
                     candidates += 1;
-                    let mut rng = ChaCha8Rng::seed_from_u64(city_pair_seed(seed, i, j));
+                    let pair_seed = streams::pair_seed(seed, Stream::CityLink, i, j);
+                    let mut rng = ChaCha8Rng::seed_from_u64(pair_seed);
                     let shadow = approx_normal(&mut rng) * model.shadowing_sigma;
                     let p = model.delivery_at((base + shadow).max(0.0));
                     let asym = 1.0 + 0.05 * approx_normal(&mut rng).clamp(-2.0, 2.0);

@@ -1,39 +1,112 @@
-//! The canonical RNG stream registry.
+//! The canonical RNG stream registry, and the only place library code
+//! seeds a generator.
 //!
-//! Every independent randomness consumer in the workspace derives its
-//! ChaCha8 stream as `seed ^ <NAME>_STREAM`, where the constant lives
-//! here and nowhere else. Centralizing the constants keeps two
-//! properties that the compiler enforces:
+//! Every independent randomness consumer in the workspace draws from the
+//! ChaCha8 stream `seed ^ <NAME>_STREAM`, where the constant lives here
+//! and nowhere else. Three properties hold by construction:
 //!
-//! 1. **uniqueness of names**: the constants share one module, where a
-//!    second definition of a name is error E0428;
+//! 1. **uniqueness of names**: every stream is a variant of [`Stream`],
+//!    where a second variant of one name is error E0428;
 //! 2. **uniqueness of values**: two streams with the same XOR constant
 //!    would collapse into one RNG sequence, silently correlating draws
 //!    that the determinism contract promises are independent. Every
-//!    constant is the discriminant of one variant of the `#[repr(u64)]`
-//!    enum `Stream`, where two equal discriminants are error E0081.
+//!    constant is the discriminant of its `#[repr(u64)]` variant, where
+//!    two equal discriminants are error E0081;
+//! 3. **the derivation's shape**: [`rng`], [`retry_rng`] and
+//!    [`pair_rngs`] are the library's only seeding calls (the root
+//!    `clippy.toml` disallows the others outside tests), so every
+//!    library generator mixes its seed with a named [`Stream`] in one of
+//!    three fixed shapes.
 //!
 //! A new stream is a new `Stream` variant plus its constant here.
-//! Library code seeds a generator only at sites that say why with
-//! `#[expect(clippy::disallowed_methods, reason = "…")]` (see the root
-//! `clippy.toml`), so a stream constant cannot be consumed unreviewed.
 //!
 //! Consumers re-export their constant at its historical public path
 //! (e.g. `scenario::TRAFFIC_STREAM`), so moving the definitions here
 //! changed no values and therefore no RNG byte-stream.
 
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
+
 /// One variant per stream. The discriminants are the constants' values,
 /// so the compiler rejects a duplicate value (E0081).
 #[repr(u64)]
-enum Stream {
+#[derive(Clone, Copy, Debug)]
+pub enum Stream {
+    /// The bare seed: the engine's main stream, and draws keyed by a
+    /// seed the caller chose for them alone.
+    Run = 0,
+    /// [`CHANNEL_STREAM`].
     Channel = 0xC4A2_2E1C_51A7_0DE1,
+    /// [`PROBE_STREAM`].
     Probe = 0x9B0B_E57A_11E5_7331,
+    /// [`TRAFFIC_STREAM`].
     Traffic = 0x7AFF_1C00_5EED_F10B,
+    /// [`QUEUE_STREAM`].
     Queue = 0x51EE_7AB1_E0DD_90C3,
+    /// [`TESTBED_ATTEMPT_STREAM`].
     TestbedAttempt = 0x9E37_79B9_7F4A_7C15,
+    /// [`MESH_ATTEMPT_STREAM`].
     MeshAttempt = 0xD1B5_4A32_D192_ED03,
+    /// [`CITY_SCATTER_STREAM`].
     CityScatter = 0xA5C3_91E4_6B2D_8F17,
+    /// [`CITY_LINK_STREAM`].
     CityLink = 0x3D8E_5A01_C97B_42D9,
+}
+
+/// The generator of `stream` under `seed`: ChaCha8 seeded with
+/// `seed ^ stream`.
+pub fn rng(seed: u64, stream: Stream) -> ChaCha8Rng {
+    seeded(seed ^ stream as u64)
+}
+
+/// The generator of retry `attempt` of `stream` under `seed`: ChaCha8
+/// seeded with `seed ^ attempt * stream` (wrapping), so attempt 0 draws
+/// from the bare seed and each later one from its own stream.
+pub fn retry_rng(seed: u64, stream: Stream, attempt: u64) -> ChaCha8Rng {
+    seeded(seed ^ attempt.wrapping_mul(stream as u64))
+}
+
+/// The generators of up to eight unordered node pairs `(i, j)`, `i < j`,
+/// of `stream` under `seed`, seeded together. Each lane is the generator
+/// its pair's seed alone would give; the lanes past the last pair are
+/// seeded with 0, for the caller to drop unread.
+pub fn pair_rngs(
+    seed: u64,
+    stream: Stream,
+    pairs: impl IntoIterator<Item = (usize, usize)>,
+) -> [ChaCha8Rng; 8] {
+    let mut seeds = [0; 8];
+    for (lane, (i, j)) in seeds.iter_mut().zip(pairs) {
+        *lane = pair_seed(seed, stream, i, j);
+    }
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the batched form of `seeded`; every lane is a pair_seed"
+    )]
+    ChaCha8Rng::seed_eight_from_u64(seeds)
+}
+
+/// Seed for the unordered pair `(i, j)`, `i < j`: a pure function of
+/// `seed`, `stream` and the pair, so a pair's draws do not depend on the
+/// order in which pairs are enumerated.
+pub(crate) fn pair_seed(seed: u64, stream: Stream, i: usize, j: usize) -> u64 {
+    seed ^ stream as u64 ^ mix64(((i as u64) << 32) | j as u64)
+}
+
+/// splitmix64 finalizer: decorrelates consecutive pair indices into
+/// well-spread RNG seeds.
+fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the registry's single seeding site: rng and retry_rng mix seed and stream"
+)]
+fn seeded(seed: u64) -> ChaCha8Rng {
+    ChaCha8Rng::seed_from_u64(seed)
 }
 
 /// XOR'd into the run seed to give channel evolution its own ChaCha8

@@ -9,10 +9,9 @@
 use crate::registry::BuildError;
 use crate::traffic::{PoissonModel, StaggeredModel, TrafficModelSpec};
 use mesh_sim::{Bitrate, ChannelSpec, QueueSpec};
+use mesh_topology::streams::{self, Stream};
 use mesh_topology::{generate, Link, NodeId, Topology};
 use rand::seq::SliceRandom;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -313,11 +312,7 @@ pub(crate) fn reachable_pairs(topo: &Topology) -> Vec<(NodeId, NodeId)> {
 /// Deterministically samples `count` distinct reachable ordered pairs.
 pub fn random_pairs(topo: &Topology, count: usize, seed: u64) -> Vec<(NodeId, NodeId)> {
     let mut all = reachable_pairs(topo);
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "pair sampling is a pure function of the seed the caller passes"
-    )]
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut rng = streams::rng(seed, Stream::Run);
     all.shuffle(&mut rng);
     all.truncate(count);
     all

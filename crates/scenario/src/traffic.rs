@@ -28,9 +28,9 @@
 use crate::pairs::PairPool;
 use crate::spec::{reachable_pairs, FlowSpec, TrafficSpec};
 use mesh_sim::{Time, SEC};
+use mesh_topology::streams::{self, Stream};
 use mesh_topology::{NodeId, Topology};
 use rand::Rng;
-use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::fmt;
 use std::sync::Arc;
@@ -306,11 +306,7 @@ impl TrafficModel for PoissonModel {
             "topology {} has no reachable pairs",
             topo.name
         );
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "workload draws come from their own stream: run seed ^ TRAFFIC_STREAM"
-        )]
-        let mut rng = ChaCha8Rng::seed_from_u64(run_seed ^ TRAFFIC_STREAM);
+        let mut rng = streams::rng(run_seed, Stream::Traffic);
         let mut intervals: Vec<(FlowSpec, Time, Option<Time>)> = Vec::new();
         let mut active: Vec<Time> = Vec::new(); // departure instants
         let mut t: Time = 0;
@@ -397,11 +393,7 @@ impl TrafficModel for StaggeredModel {
         packets: usize,
         horizon: Time,
     ) -> Vec<Vec<FlowEvent>> {
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "workload draws come from their own stream: run seed ^ TRAFFIC_STREAM"
-        )]
-        let mut rng = ChaCha8Rng::seed_from_u64(run_seed ^ TRAFFIC_STREAM);
+        let mut rng = streams::rng(run_seed, Stream::Traffic);
         let mut pool = reachable_pairs(topo);
         rand::seq::SliceRandom::shuffle(&mut pool[..], &mut rng);
         // Distinct sources, like TrafficSpec::RandomConcurrent.

@@ -13,6 +13,9 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+// A float ordering cannot `unwrap`/`expect` a `partial_cmp` here: the
+// non-test build bans both outright (use `f64::total_cmp`).
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod baseline;
 

@@ -1,4 +1,4 @@
-//! `cargo run -p xtask -- ratchet [--baseline FILE] [--check]`
+//! `cargo run -p xtask -- ratchet [--check]`
 //!
 //! Runs clippy once per [`xtask::PASSES`] entry with its lints forced to
 //! warn, counts the findings per lint — the ones an `#[expect(..)]`
@@ -9,22 +9,24 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+// A float ordering cannot `unwrap`/`expect` a `partial_cmp` here: the
+// non-test build bans both outright (use `f64::total_cmp`).
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Command, ExitCode};
 
 use xtask::baseline::{ratchet, BASELINE_FILE};
 
 const USAGE: &str = "\
-usage: cargo run -p xtask -- ratchet [--baseline FILE] [--check]
+usage: cargo run -p xtask -- ratchet [--check]
 
 Counts clippy findings per lint, the ones #[expect(..)] suppresses
 included, and compares them with the committed baseline: a rise fails,
 a fall tightens the file.
 
---baseline FILE  ratchet against FILE instead of <root>/xtask-baseline.json
---check          read-only: fail on any rise or fall, never rewrite the file
+--check  read-only: fail on any rise or fall, never rewrite the file
 ";
 
 fn fail_usage(message: &str) -> ExitCode {
@@ -57,16 +59,10 @@ fn clippy_counts(root: &Path) -> Result<BTreeMap<String, usize>, String> {
 
 fn main() -> ExitCode {
     let mut ratchet_cmd = false;
-    let mut baseline_path: Option<PathBuf> = None;
     let mut check = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
+    for a in std::env::args().skip(1) {
         match a.as_str() {
             "ratchet" if !ratchet_cmd => ratchet_cmd = true,
-            "--baseline" => match args.next() {
-                Some(p) => baseline_path = Some(PathBuf::from(p)),
-                None => return fail_usage("--baseline needs a file"),
-            },
             "--check" => check = true,
             "--help" | "-h" => {
                 print!("{USAGE}");
@@ -82,7 +78,7 @@ fn main() -> ExitCode {
     // The workspace that contains this crate.
     let manifest_dir = Path::new(env!("CARGO_MANIFEST_DIR"));
     let root = manifest_dir.ancestors().nth(2).unwrap_or(manifest_dir);
-    let path = baseline_path.unwrap_or_else(|| root.join(BASELINE_FILE));
+    let path = root.join(BASELINE_FILE);
     let outcome = clippy_counts(root).and_then(|counts| ratchet(&path, counts, check));
     match outcome {
         Ok(verdict) => {
