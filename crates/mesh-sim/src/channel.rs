@@ -20,21 +20,15 @@
 //!
 //! ## Determinism
 //!
-//! A model instance draws its state evolution (Gilbert–Elliott states
-//! and sojourns) from its **own** ChaCha8 stream derived from the run
-//! seed, while per-frame delivery verdicts are drawn by the engine from
-//! the run's main stream — exactly where the static engine drew them.
+//! A model draws its state evolution from its **own** stream derived from
+//! the run seed, while per-frame delivery verdicts are drawn by the engine
+//! from the run's main stream — exactly where the static engine drew them.
 //! Runs therefore stay a pure function of `(topology, agent, seed,
 //! channel)`, and a static channel consumes the main stream identically
-//! to the pre-channel engine.
-//!
-//! A model's sample path does not depend on when [`ChannelModel::tick`]
-//! is called: every model consumes its stream in an order fixed by
-//! `(topology, spec, seed)` alone — epoch-major, then link order — so
-//! ticking to `T` in one call, epoch by epoch, or at the instants some
-//! protocol's frames happen to end leaves the same air. Two protocols run
-//! at one seed therefore face identical channels
-//! (`tests/channel_oracle.rs` holds this for every ticking model).
+//! to the pre-channel engine. A Gilbert–Elliott link's state at an instant
+//! depends on `(topology, spec, seed)`, the link and the instant alone —
+//! not on `tick` calls or query order — so two protocols run at one seed
+//! face identical air (`tests/channel_oracle.rs` holds this).
 //!
 //! ```
 //! use mesh_sim::channel::ChannelSpec;
@@ -45,16 +39,16 @@
 //! let stat = ChannelSpec::Static.build(&topo, 1);
 //! assert_eq!(stat.delivery(NodeId(0), NodeId(1), 0), 0.8);
 //! // …while a bursty channel modulates it over time.
-//! let mut ge = ChannelSpec::bursty_matched(0.0, 0.02, 0.2, 10).build(&topo, 1);
-//! ge.tick(5_000_000);
+//! let ge = ChannelSpec::bursty_matched(0.0, 0.02, 0.2, 10).build(&topo, 1);
 //! let p = ge.delivery(NodeId(0), NodeId(1), 5_000_000);
 //! assert!((0.0..=1.0).contains(&p));
 //! ```
 
+use std::cell::Cell;
+
 use crate::Time;
 use mesh_topology::{NodeId, Topology};
-use rand::{Rng, RngCore};
-use rand_chacha::ChaCha8Rng;
+use rand::RngCore;
 
 use mesh_topology::streams::{self, Stream};
 
@@ -64,12 +58,13 @@ use mesh_topology::streams::{self, Stream};
 /// delivery probability of `(tx, rx)` when a frame ends; the engine draws
 /// the per-receiver Bernoulli verdict from the run's main RNG stream.
 /// Between two [`ChannelModel::tick`] calls the model must behave as a
-/// pure function of `(tx, rx, now)` — all randomness happens inside
-/// `tick`, which the simulator invokes (monotonically, possibly repeatedly
-/// at the same instant) before evaluating each reception. What `tick`
-/// leaves behind must depend on the instant reached, never on the calls
-/// that led there: the state at `now` is the same after one call as after
-/// any monotone sequence of calls ending at `now`.
+/// pure function of `(tx, rx, now)`. A model may draw inside `tick`,
+/// which the simulator invokes (monotonically, possibly repeatedly at the
+/// same instant) before evaluating each reception, or work its state out
+/// when asked, as the Gilbert–Elliott channel does. Either way the answer
+/// must depend on the instant, never on the calls that led there: the
+/// state at `now` is the same after one `tick` as after any monotone
+/// sequence of them ending at `now`.
 ///
 /// **A channel delivers only on the topology's links**: `delivery` is `0`
 /// at every instant for every pair the topology has no link for. The
@@ -105,7 +100,8 @@ pub trait ChannelModel: Send {
 
     /// Advances the model's internal state to `now` (µs). Must be
     /// idempotent for repeated calls with the same `now` and is never
-    /// called with a smaller `now` than before. Static models do nothing.
+    /// called with a smaller `now` than before. Both models in this crate
+    /// do nothing: their state is a function of the instant.
     fn tick(&mut self, _now: Time) {}
 }
 
@@ -192,11 +188,12 @@ impl ChannelSpec {
     ///     unreachable!();
     /// }
     /// ```
+    ///
+    /// Rates with no stationary mix to match — `(0, 0)`, `(a, 0)`, NaN —
+    /// give a spec that [`ChannelSpec::validate_params`] rejects (its
+    /// `good_scale` is not finite); `(0, b)` is a chain that is never bad
+    /// and builds.
     pub fn bursty_matched(bad_scale: f64, to_bad: f64, to_good: f64, epoch_ms: u64) -> Self {
-        assert!(
-            to_bad > 0.0 && to_good > 0.0,
-            "transition rates must be positive"
-        );
         let pi_bad = to_bad / (to_bad + to_good);
         let pi_good = 1.0 - pi_bad;
         ChannelSpec::GilbertElliott(GilbertElliott {
@@ -250,10 +247,12 @@ impl ChannelSpec {
         if let Err(e) = self.validate_params() {
             panic!("invalid channel spec: {e}");
         }
-        let rng = streams::rng(seed, Stream::Channel);
         match *self {
             ChannelSpec::Static => Box::new(StaticChannel { topo: topo.clone() }),
-            ChannelSpec::GilbertElliott(ge) => Box::new(GilbertElliottChannel::new(topo, ge, rng)),
+            ChannelSpec::GilbertElliott(ge) => {
+                let key = streams::rng(seed, Stream::Channel).next_u64();
+                Box::new(GilbertElliottChannel::new(topo, ge, key))
+            }
         }
     }
 }
@@ -331,46 +330,40 @@ impl ChannelModel for StaticChannel {
 
 /// Two-state burst-loss channel (see [`GilbertElliott`]).
 ///
-/// A two-state Markov chain spends geometric sojourns in each state, so a
-/// link is evolved by *when it next flips* instead of being asked every
-/// epoch whether it does: entering a state draws how many epochs the link
-/// stays there, and `tick` applies only the flips that have come due —
-/// epoch by epoch and, within an epoch, in link order, all from the one
-/// channel stream. Cost is one draw per state change, not one per link
-/// per epoch, and the sample path is the same however `tick` is called.
+/// A link's state at epoch `e` is a pure function of `(key, slot, e)`,
+/// worked out when asked; `tick` does nothing. With `a = to_bad`,
+/// `b = to_good`, the kernel `[[1−a, a], [b, 1−b]]` is one coin per
+/// epoch. If `a + b ≤ 1` the epoch is *fresh* with probability `a + b`
+/// and then bad with probability `a / (a + b)`, else the link keeps its
+/// state; if `a + b > 1` it is fresh with probability `2 − a − b` and then
+/// bad with probability `(1 − b) / (2 − a − b)`, else the link swaps.
+/// Epoch 0 draws from π. One word per `(slot, epoch)` ([`streams::draw`])
+/// settles both questions against exact IEEE thresholds: no `ln`, no `exp`.
 ///
-/// `tick` finds the due links on an epoch wheel (`Wheel`) instead of
-/// scanning every link, and draws sojourns from an exact lookup table
-/// (`SojournTable`) instead of through `ln`: the same draws in the same
-/// order as `sojourn`, so the same sample path. Both are built on the
-/// first `tick` that advances an epoch, not with the channel: a run
-/// whose air never moves pays nothing for them.
+/// The state at `e` is the latest fresh epoch's, swapped `e − k` times
+/// where the chain swaps. A query walks back from `e`, stopping early at
+/// the link's last query (if not later than `e`) or at epoch 0: at a new
+/// epoch it costs `min(epochs since that query, 1 / P(fresh))` words in
+/// expectation, and an epoch nobody asks about costs nothing.
 pub struct GilbertElliottChannel {
     /// Resolves `(tx, rx)` to a link slot.
     topo: Topology,
     /// See [`row_starts`].
     row_start: Vec<u32>,
     epoch: Time,
-    /// `ln(1 − to_bad)`: what a sojourn in the good state is drawn from.
-    ln_stay_good: f64,
-    /// `ln(1 − to_good)`, likewise for the bad state.
-    ln_stay_bad: f64,
-    /// Per link slot, the epoch at which the link next changes state;
-    /// `u64::MAX` where it never does.
-    next_flip: Vec<u64>,
-    /// Per link slot, the state and what it delivers.
+    /// Keys [`streams::draw`]: the channel stream's first word.
+    key: u64,
+    /// `⌊P(fresh)·2⁶⁴⌋`. 0 where no epoch is fresh: `(0, 0)` freezes
+    /// every link and `(1, 1)` swaps it every epoch.
+    fresh: u128,
+    /// `⌊P(fresh and bad)·2⁶⁴⌋`, at most `fresh`.
+    fresh_bad: u128,
+    /// `⌊π_bad·2⁶⁴⌋`: how epoch 0 draws.
+    start_bad: u128,
+    /// Whether an epoch that is not fresh swaps the state (`a + b > 1`).
+    swaps: bool,
+    /// Per link slot, what it delivers and where it was last asked.
     links: Vec<GeLink>,
-    epochs_done: u64,
-    rng: ChaCha8Rng,
-    /// The wheel and both sojourn tables, once an epoch has passed.
-    air: Option<Box<Air>>,
-}
-
-/// What [`GilbertElliottChannel::tick`] needs beyond the per-link state.
-struct Air {
-    wheel: Wheel,
-    stay_good: SojournTable,
-    stay_bad: SojournTable,
 }
 
 /// One directed link of a [`GilbertElliottChannel`].
@@ -379,194 +372,18 @@ struct GeLink {
     good_p: f64,
     /// Delivery in the bad state.
     bad_p: f64,
-    bad: bool,
+    /// `epoch << 1 | bad` at the link's last query.
+    seen: Cell<u64>,
 }
 
-impl GeLink {
-    fn delivery(&self) -> f64 {
-        if self.bad {
-            self.bad_p
-        } else {
-            self.good_p
-        }
-    }
-}
-
-/// `gen::<f64>()` is `m · 2⁻⁵³` for the 53-bit integer `m = next_u64() >> 11`.
-const UNIT: f64 = 1.0 / (1u64 << 53) as f64;
-/// One past the largest `m`.
-const M_END: u64 = 1 << 53;
-
-/// Epochs a link spends in a state it leaves with per-epoch probability
-/// `q`, given `ln_stay = ln(1 − q)`: geometric on `1, 2, …` by inversion,
-/// `1 + ⌊ln(1 − U) / ln(1 − q)⌋`. `q = 0` never leaves (`u64::MAX`, no
-/// draw); `q = 1` leaves at the next epoch.
-fn sojourn(rng: &mut ChaCha8Rng, ln_stay: f64) -> u64 {
-    if ln_stay == 0.0 {
-        return u64::MAX;
-    }
-    sojourn_at(rng.next_u64() >> 11, ln_stay)
-}
-
-/// [`sojourn`] for the draw whose 53-bit integer is `m`: the definition
-/// every [`SojournTable`] is built from, and its answer past its last
-/// entry. Non-decreasing in `m`.
-fn sojourn_at(m: u64, ln_stay: f64) -> u64 {
-    // `1 − u` is exact and lies in (0, 1], so the quotient is ≥ 0 (and 0
-    // under `ln_stay = −∞`); the cast floors it and saturates.
-    let u = m as f64 * UNIT;
-    (((1.0 - u).ln() / ln_stay) as u64).saturating_add(1)
-}
-
-/// Sojourn lengths a [`SojournTable`] resolves; a longer one is computed.
-const TABLE_CAP: usize = 256;
-/// `m >> GUIDE_SHIFT` is `m`'s top ten bits, its [`SojournTable::guide`] entry.
-const GUIDE_SHIFT: u32 = 43;
-
-/// [`sojourn`] by lookup: thresholds on `m` instead of `ln` per draw.
-/// Since `sojourn_at` is non-decreasing in `m`, the sojourn of `m` is one
-/// plus the number of thresholds `t_k` (the least `m` whose sojourn is at
-/// least `k`, for `k ≥ 2`) at or below `m`. Each threshold is found by
-/// evaluating `sojourn_at` itself, so table and formula agree on every
-/// `m`, and a draw consumes exactly the one word [`sojourn`] does.
-struct SojournTable {
-    ln_stay: f64,
-    /// `t_2, t_3, …`, ascending (ties where one step of `m` skips a
-    /// length); at most [`TABLE_CAP`] of them.
-    thresholds: Vec<u64>,
-    /// Where `sojourn_at` takes over: the last threshold when the table
-    /// was capped, [`M_END`] when it lists every length `m` can reach.
-    beyond: u64,
-    /// Per top-ten-bit prefix `g`: how many thresholds are at or below
-    /// `g · 2⁴³`, where the scan for an `m` with that prefix starts.
-    guide: [u16; 1 << (53 - GUIDE_SHIFT)],
-}
-
-impl SojournTable {
-    fn new(ln_stay: f64) -> Self {
-        // `ln_stay = 0` never draws (its quotients are infinite or NaN).
-        let longest = if ln_stay == 0.0 {
-            1
-        } else {
-            sojourn_at(M_END - 1, ln_stay)
-        };
-        let last_k = longest.min(TABLE_CAP as u64 + 1);
-        let mut thresholds: Vec<u64> = Vec::new();
-        for k in 2..=last_k {
-            let from = thresholds.last().copied().unwrap_or(0);
-            // Where `1 − U = (1 − q)^(k−1)`, give or take rounding.
-            let guess = -((k - 1) as f64 * ln_stay).exp_m1() / UNIT;
-            thresholds.push(threshold(k, ln_stay, from, guess as u64));
-        }
-        let beyond = match thresholds.last() {
-            Some(&last) if longest > last_k => last,
-            _ => M_END,
-        };
-        let guide = std::array::from_fn(|g| {
-            let start = (g as u64) << GUIDE_SHIFT;
-            thresholds.partition_point(|&t| t <= start) as u16
-        });
-        SojournTable {
-            ln_stay,
-            thresholds,
-            beyond,
-            guide,
-        }
-    }
-
-    /// [`sojourn`]`(rng, ln_stay)`, draw for draw.
-    fn draw(&self, rng: &mut ChaCha8Rng) -> u64 {
-        if self.ln_stay == 0.0 {
-            return u64::MAX;
-        }
-        self.at(rng.next_u64() >> 11)
-    }
-
-    /// [`sojourn_at`]`(m, ln_stay)` for `m < 2⁵³`.
-    fn at(&self, m: u64) -> u64 {
-        if m >= self.beyond {
-            return sojourn_at(m, self.ln_stay);
-        }
-        let mut i = self
-            .guide
-            .get((m >> GUIDE_SHIFT) as usize)
-            .map_or(0, |&g| usize::from(g));
-        while self.thresholds.get(i).is_some_and(|&t| t <= m) {
-            i += 1;
-        }
-        i as u64 + 1
-    }
-}
-
-/// `t_k`: the least `m` whose sojourn reaches `k`, for `2 ≤ k ≤` the
-/// longest sojourn any `m` draws. Steps from `guess` with the formula
-/// itself; `from` is `t_{k−1}`, below which no `m` reaches `k`.
-fn threshold(k: u64, ln_stay: f64, from: u64, guess: u64) -> u64 {
-    let reaches = |m| sojourn_at(m, ln_stay) >= k;
-    let mut t = guess.clamp(from, M_END - 1);
-    while t > from && reaches(t - 1) {
-        t -= 1;
-    }
-    while !reaches(t) {
-        t += 1;
-    }
-    t
-}
-
-/// Revolution of the epoch wheel, in epochs.
-const WHEEL: u64 = 64;
-
-/// Which links may be due at which epoch: [`WHEEL`] buckets of one bit
-/// per link slot, bucket `e mod WHEEL` holding every link whose
-/// `next_flip ≡ e`. Walking a bucket's bits in ascending order visits its
-/// links in link order; a link due in a later revolution is passed over
-/// and keeps its bit. A link that never flips has none.
-struct Wheel {
-    /// `⌈links / 64⌉`: words per bucket.
-    words: usize,
-    /// Bucket `b` is `bits[b·words .. (b+1)·words]`.
-    bits: Vec<u64>,
-}
-
-impl Wheel {
-    fn new(next_flip: &[u64]) -> Self {
-        let words = next_flip.len().div_ceil(64);
-        let mut wheel = Wheel {
-            words,
-            bits: vec![0; WHEEL as usize * words],
-        };
-        for (slot, &due) in next_flip.iter().enumerate() {
-            wheel.set(slot, due);
-        }
-        wheel
-    }
-
-    /// Marks `slot` due at epoch `due` (unless that is never).
-    fn set(&mut self, slot: usize, due: u64) {
-        if due == u64::MAX {
-            return;
-        }
-        let at = (due % WHEEL) as usize * self.words + slot / 64;
-        if let Some(word) = self.bits.get_mut(at) {
-            *word |= 1 << (slot % 64);
-        }
-    }
-
-    /// Unmarks `slot` in `bucket`.
-    fn clear(&mut self, slot: usize, bucket: usize) {
-        if let Some(word) = self.bits.get_mut(bucket * self.words + slot / 64) {
-            *word &= !(1 << (slot % 64));
-        }
-    }
-
-    /// Word `w` of `bucket`.
-    fn word(&self, bucket: usize, w: usize) -> u64 {
-        self.bits.get(bucket * self.words + w).copied().unwrap_or(0)
-    }
+/// `⌊p·2⁶⁴⌋` for `p ∈ [0, 1]`, exactly (the cast floors): a uniform `u64`
+/// lies below it with probability `p` to within `2⁻⁶⁴`, and surely at 1.
+fn threshold(p: f64) -> u128 {
+    (p * (1u128 << 64) as f64) as u128
 }
 
 impl GilbertElliottChannel {
-    fn new(topo: &Topology, params: GilbertElliott, mut rng: ChaCha8Rng) -> Self {
+    fn new(topo: &Topology, params: GilbertElliott, key: u64) -> Self {
         let GilbertElliott {
             good_scale,
             bad_scale,
@@ -580,23 +397,20 @@ impl GilbertElliottChannel {
             0.0
         };
         let pi_good = 1.0 - pi_bad;
-        // `ln_1p` keeps rates below f64's epsilon from rounding to "never".
-        let (ln_stay_good, ln_stay_bad) = ((-to_bad).ln_1p(), (-to_good).ln_1p());
-        // Per-link state deliveries. Strong links saturate: `p ×
-        // good_scale` can exceed 1, and simply clamping it would silently
-        // lower the link's stationary mean (breaking `bursty_matched`'s
-        // matched-mean construction exactly on the best links). The
-        // clamped excess is therefore redistributed into the bad state,
-        // weighted by the state occupancies, so each link's mean stays
-        // `π_g·good_scale·p + π_b·bad_scale·p` whenever that is
-        // achievable — strong links degrade in bursts rather than die.
-        //
-        // Each link then draws, in link order, its initial state from the
-        // stationary distribution and how long it stays there.
-        let mut next_flip = Vec::with_capacity(topo.link_count());
+        let (fresh, fresh_bad, swaps) = if to_bad + to_good <= 1.0 {
+            (to_bad + to_good, to_bad, false)
+        } else {
+            ((1.0 - to_bad) + (1.0 - to_good), 1.0 - to_good, true)
+        };
+        let start_bad = threshold(pi_bad);
+        // Per-link state deliveries. Where `p × good_scale` saturates, the
+        // clamped excess moves into the bad state, weighted by occupancy,
+        // so the link keeps its mean (see [`GilbertElliott`]); simply
+        // clamping would break `bursty_matched` exactly on the best links.
         let links = topo
             .links()
-            .map(|l| {
+            .enumerate()
+            .map(|(slot, l)| {
                 let p = l.delivery;
                 let raw_good = p * good_scale;
                 let good_p = raw_good.min(1.0);
@@ -608,13 +422,11 @@ impl GilbertElliottChannel {
                 } else {
                     0.0
                 };
-                let bad = rng.gen::<f64>() < pi_bad;
-                let ln_stay = if bad { ln_stay_bad } else { ln_stay_good };
-                next_flip.push(sojourn(&mut rng, ln_stay));
+                let bad = u128::from(streams::draw(key, slot as u64, 0)) < start_bad;
                 GeLink {
                     good_p,
                     bad_p: (p * bad_scale + moved).clamp(0.0, 1.0),
-                    bad,
+                    seen: Cell::new(u64::from(bad)),
                 }
             })
             .collect();
@@ -622,86 +434,72 @@ impl GilbertElliottChannel {
             topo: topo.clone(),
             row_start: row_starts(topo),
             epoch: epoch_ms * crate::MS,
-            ln_stay_good,
-            ln_stay_bad,
-            next_flip,
+            key,
+            fresh: threshold(fresh),
+            fresh_bad: threshold(fresh_bad),
+            start_bad,
+            swaps,
             links,
-            epochs_done: 0,
-            rng,
-            air: None,
         }
     }
 
-    fn link(&self, tx: NodeId, rx: NodeId) -> Option<&GeLink> {
-        self.links.get(self.topo.link_slot(tx, rx)?)
+    /// What link `slot` delivers at epoch `e`.
+    fn delivery_at(&self, slot: usize, e: u64) -> f64 {
+        let Some(link) = self.links.get(slot) else {
+            return 0.0;
+        };
+        let seen = link.seen.get();
+        let word = |k| u128::from(streams::draw(self.key, slot as u64, k));
+        // Without fresh epochs the state is epoch 0's, swapped or not.
+        let mut k = if self.fresh == 0 { 0 } else { e };
+        let settled = loop {
+            // Only reached when the last query is not later than `e`.
+            if seen >> 1 == k {
+                break seen & 1 == 1;
+            }
+            if k == 0 {
+                break word(0) < self.start_bad;
+            }
+            let u = word(k);
+            if u < self.fresh {
+                break u < self.fresh_bad;
+            }
+            k -= 1;
+        };
+        let bad = settled ^ (self.swaps && (e - k) % 2 == 1);
+        link.seen.set(e << 1 | u64::from(bad));
+        if bad {
+            link.bad_p
+        } else {
+            link.good_p
+        }
     }
 }
 
 impl ChannelModel for GilbertElliottChannel {
-    fn delivery(&self, tx: NodeId, rx: NodeId, _now: Time) -> f64 {
-        self.link(tx, rx).map_or(0.0, GeLink::delivery)
+    fn delivery(&self, tx: NodeId, rx: NodeId, now: Time) -> f64 {
+        self.topo
+            .link_slot(tx, rx)
+            .map_or(0.0, |slot| self.delivery_at(slot, now / self.epoch))
     }
 
-    fn delivery_row(&self, tx: NodeId, candidates: &[u32], _now: Time, out: &mut Vec<f64>) {
+    fn delivery_row(&self, tx: NodeId, candidates: &[u32], now: Time, out: &mut Vec<f64>) {
         let row = self.row_start.get(tx.0).map_or(0, |&s| s as usize);
+        let e = now / self.epoch;
         merge_row(&self.topo, tx, candidates, out, |k, _| {
-            self.links.get(row + k).map_or(0.0, GeLink::delivery)
+            self.delivery_at(row + k, e)
         });
-    }
-
-    fn tick(&mut self, now: Time) {
-        let target = now / self.epoch;
-        if self.epochs_done >= target {
-            return;
-        }
-        let air = self.air.get_or_insert_with(|| {
-            Box::new(Air {
-                wheel: Wheel::new(&self.next_flip),
-                stay_good: SojournTable::new(self.ln_stay_good),
-                stay_bad: SojournTable::new(self.ln_stay_bad),
-            })
-        });
-        while self.epochs_done < target {
-            self.epochs_done += 1;
-            let e = self.epochs_done;
-            let bucket = (e % WHEEL) as usize;
-            for w in 0..air.wheel.words {
-                // A copy: a link that flips here is not visited again
-                // this epoch, even when its next flip lands in this bucket
-                // (a sojourn is ≥ 1 epoch, so it flips at most once).
-                let mut pending = air.wheel.word(bucket, w);
-                while pending != 0 {
-                    let slot = w * 64 + pending.trailing_zeros() as usize;
-                    pending &= pending - 1;
-                    let (Some(due), Some(link)) =
-                        (self.next_flip.get_mut(slot), self.links.get_mut(slot))
-                    else {
-                        continue;
-                    };
-                    if *due != e {
-                        continue; // due in a later revolution
-                    }
-                    link.bad = !link.bad;
-                    let table = if link.bad {
-                        &air.stay_bad
-                    } else {
-                        &air.stay_good
-                    };
-                    *due = e.saturating_add(table.draw(&mut self.rng));
-                    air.wheel.clear(slot, bucket);
-                    air.wheel.set(slot, *due);
-                }
-            }
-        }
     }
 }
 
 /// Measures the topology a probing deployment would see over a live
 /// channel: a fresh model instance (same `seed` as the run, so the probe
-/// window previews exactly the run's channel) is advanced probe by probe
-/// while the estimator counts successes over `topo.links()` — the only
-/// pairs a channel delivers on (see [`ChannelModel`]), which is also what
-/// keeps city-scale probe windows at O(links · probes) draws.
+/// window previews exactly the run's channel) is asked at each probe's
+/// instant while the estimator counts successes over `topo.links()` —
+/// the only pairs a channel delivers on (see [`ChannelModel`]), which is
+/// also what keeps city-scale probe windows at O(links · probes) draws.
+/// A Gilbert–Elliott link costs `min(gap, 1 / P(fresh))` words per probe
+/// (`gap`: epochs since the previous one), not the window's whole span.
 ///
 /// This is the experiment the paper could not run — routing on probe-era
 /// beliefs while the air keeps moving underneath.
@@ -735,7 +533,6 @@ pub fn probe_topology(
 mod test {
     use super::*;
     use mesh_topology::generate;
-    use rand::SeedableRng;
 
     fn mean_delivery(model: &mut dyn ChannelModel, tx: NodeId, rx: NodeId, epoch: Time) -> f64 {
         let rounds = 20_000u64;
@@ -845,79 +642,6 @@ mod test {
         assert!(labels.iter().all(|l| !l.contains(',')), "{labels:?}");
         assert_ne!(labels[0], labels[1]);
         assert_eq!(labels[0], "static");
-    }
-
-    /// The rates the table is held to: the ledger workload's, long and
-    /// short sojourns, near-certain flips, rates far below `f64`'s
-    /// epsilon (capped tables, mostly formula), and `q = 1` (no
-    /// thresholds at all).
-    const TABLE_RATES: [f64; 9] = [0.05, 0.25, 0.01, 0.5, 0.9, 0.999, 1e-6, 1e-12, 1.0];
-
-    #[test]
-    fn sojourn_table_is_the_formula() {
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let mut checked = 0u64;
-        for q in TABLE_RATES {
-            let ln_stay = (-q).ln_1p();
-            let table = SojournTable::new(ln_stay);
-            let formula = |m| sojourn_at(m, ln_stay);
-            assert!(table.thresholds.len() <= TABLE_CAP, "q = {q}");
-            assert!(table.thresholds.is_sorted(), "q = {q}");
-            let mut near = vec![0, 1, M_END - 2, M_END - 1];
-            for (k, &t) in (2u64..).zip(&table.thresholds) {
-                // `t_k` is the least `m` whose sojourn reaches `k`.
-                assert!(
-                    t > 0 && formula(t - 1) < k && k <= formula(t),
-                    "q = {q}: t_{k} = {t}"
-                );
-                near.extend(
-                    (t.saturating_sub(4096)..=t.saturating_add(4096)).filter(|&m| m < M_END),
-                );
-            }
-            near.extend((0..1_000_000).map(|_| rng.next_u64() >> 11));
-            for m in near {
-                assert_eq!(table.at(m), formula(m), "q = {q}, m = {m}");
-                checked += 1;
-            }
-        }
-        assert!(checked > 18_000_000, "only {checked} values checked");
-    }
-
-    #[test]
-    fn sojourn_table_caps_only_where_sojourns_run_long() {
-        for q in TABLE_RATES {
-            let table = SojournTable::new((-q).ln_1p());
-            let longest = sojourn_at(M_END - 1, (-q).ln_1p());
-            // A full table lists `t_2 ..= t_{CAP+1}`: it is capped only
-            // when a longer sojourn exists.
-            let capped = table.beyond < M_END;
-            assert_eq!(capped, longest > TABLE_CAP as u64 + 1, "q = {q}");
-            if !capped {
-                assert_eq!(table.thresholds.len() as u64, longest - 1, "q = {q}");
-            }
-        }
-        // q = 1e-12: past the cap almost every draw is the formula's.
-        let rare = SojournTable::new((-1e-12f64).ln_1p());
-        assert!(rare.beyond < M_END >> 20, "{}", rare.beyond);
-    }
-
-    #[test]
-    fn sojourn_table_draws_what_the_formula_draws() {
-        for q in TABLE_RATES.into_iter().chain([0.0]) {
-            let ln_stay = (-q).ln_1p();
-            let table = SojournTable::new(ln_stay);
-            let mut by_table = ChaCha8Rng::seed_from_u64(9);
-            let mut by_formula = ChaCha8Rng::seed_from_u64(9);
-            for _ in 0..10_000 {
-                assert_eq!(
-                    table.draw(&mut by_table),
-                    sojourn(&mut by_formula, ln_stay),
-                    "q = {q}"
-                );
-            }
-            // One word per draw, and none at `q = 0`.
-            assert_eq!(by_table.next_u64(), by_formula.next_u64(), "q = {q}");
-        }
     }
 
     #[test]

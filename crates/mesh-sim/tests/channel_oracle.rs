@@ -1,25 +1,26 @@
-//! The law and the path of the ticking channel models.
+//! The law and the path of the Gilbert–Elliott channel.
 //!
 //! **Law.** [`GilbertElliottChannel`](mesh_sim::channel::GilbertElliottChannel)
-//! evolves each link by drawing how long it stays in a state; the code it
-//! replaced asked every link every epoch whether it flips. [`PerEpochGe`]
-//! is that code, kept here as the oracle. The two draw different numbers,
-//! so they are compared in law, not path by path: each one's bad-state
-//! occupancy, sojourn lengths (mean and histogram, per state) and state
+//! works a link's state out at the epoch it is asked about, from one
+//! counter-based word per `(link, epoch)`; the code it replaced asked
+//! every link every epoch whether it flips. [`PerEpochGe`] is that code,
+//! kept here as the oracle. The two draw different numbers, so they are
+//! compared in law, not path by path: each one's bad-state occupancy,
+//! sojourn lengths (mean and histogram, per state) and state
 //! autocorrelation must sit within 4σ of the two-state chain's analytic
 //! values. The analytic check gates; the oracle run shows that the
 //! per-epoch loop passes the same gate, i.e. that the process is the one
-//! the engine always simulated.
+//! the engine always simulated. Adjacent links, which read neighbouring
+//! counters, must be uncorrelated within 4σ.
 //!
-//! **Path.** A model's sample path is a function of `(topology, spec,
-//! seed)` and the instant reached — not of the `tick` calls that led
-//! there. Every ticking model is driven to the same instants in one call,
-//! epoch by epoch and on a random schedule, and must report bit-equal
-//! deliveries on every link. The channel finds due flips on an epoch
-//! wheel and draws sojourns from a lookup table; [`ScanningGe`] is the
-//! code that compared every link to every epoch and drew every sojourn
-//! through `ln`, kept as the path oracle: it draws the same numbers, so
-//! it must leave the same air at every instant checked.
+//! **Path.** A link's state is a function of `(topology, spec, seed)`, the
+//! link and the epoch — not of when or in what order anyone asks. The
+//! channel walks back from the asked epoch to the latest *fresh* one,
+//! stopping at the link's last query; [`ForwardGe`] runs the same coins
+//! forward, epoch by epoch from epoch 0, with the public
+//! [`streams::draw`], and must agree bit for bit under random query
+//! schedules: repeated instants, sub-epoch steps, multi-epoch jumps,
+//! links left cold for long stretches, and queries back in time.
 //!
 //! **Row.** [`ChannelModel::delivery_row`] is what the medium asks once
 //! per finished frame; the models answer it by walking the transmitter's
@@ -32,43 +33,34 @@
 //!
 //! Mutations tried against this file (each reverted):
 //!
-//! * sojourn `⌊ln(1−U)/ln(1−q)⌋` without the `1 +` — a zero-length
-//!   sojourn is due in an epoch already past, so the link sticks:
-//!   `sojourn_law` fails on "outlived the window"; with `2 +` instead it
-//!   fails on occupancy (0.192 against 0.167 at σ = 1.6·10⁻⁴);
-//! * sojourn drawn with the rate of the state being *left* —
-//!   `sojourn_law` fails on occupancy (0.833 against 0.167); the same
-//!   slip at build only, for the sojourn a link starts in, fails on
-//!   "mean first good sojourn" (4.08 against 20 at σ = 1.7);
-//! * flips applied link-major (each link run forward to the target
-//!   before the next) instead of epoch-major — the law holds, and
-//!   `path_ignores_tick_schedule` fails at the first instant checked
-//!   ("epoch-by-epoch ticking left different air", seed 1, 26 195 µs);
-//! * `delivery_row` reading link state at `row + k + 1` (the next link's)
-//!   in the Gilbert–Elliott channel, and the merge-walk stepping past a
-//!   link equal to the candidate (`<=` for `<`) — each fails
-//!   `row_is_delivery_per_candidate` on the first transmitter checked.
-//! * the wheel's bucket walked in descending bit order (highest link
-//!   first) — `path_ignores_tick_schedule` fails at the first instant
-//!   checked ("the scanning channel left different air", seed 1,
-//!   26 195 µs);
-//! * a wheel bit due in a later revolution processed as due (the `*due
-//!   != e` guard dropped) — `path_ignores_tick_schedule` fails against
-//!   the scanning channel (seed 1, 67 436 µs), and `sojourn_law` on
-//!   occupancy;
-//! * every sojourn-table threshold one below the least `m` that reaches
-//!   its length — the unit test `sojourn_table_is_the_formula` in
-//!   `channel.rs` fails on the first threshold (`q = 0.05`, `t_2`), and
-//!   with that check removed on the table/formula comparison at
-//!   `m = t_2`. This file does not see it: a draw lands on one exact
-//!   `m` once in 2⁵³. One above instead pushes a later threshold's
-//!   search past `2⁵³ − 1`, and every test that ticks a channel panics.
-
+//! * the link's last query consulted for a query back in time (`>=` for
+//!   `==` where the walk meets it) — `path_is_the_forward_chain_under_any_query_schedule`
+//!   fails at the first backward query ("asked out of order", seed 1,
+//!   4 180 µs), and `sojourn_law` on `(1, 1)`'s lag-1 autocorrelation
+//!   (0 against −1);
+//! * the swap parity off by one (`e − k + 1`) — the path test fails at
+//!   the first instant on `(1, 1)`, `sojourn_law` on `(1, 1)`'s lag-1
+//!   autocorrelation, and `adjacent_links_are_uncorrelated` on
+//!   `(0.05, 1)`;
+//! * the fresh threshold taken from `to_good` alone — the path test fails
+//!   on the ledger workload's rates ("asked every epoch", seed 1,
+//!   10 000 µs), `sojourn_law` on occupancy (0.200 against 0.167 at
+//!   σ = 1.9·10⁻⁴);
+//! * `streams::draw` with an unmixed slot origin (`key + slot·γ`, so slot
+//!   `s + 1` reads slot `s`'s next word) — the path test cannot see it
+//!   (the reference reads the same draw), and
+//!   `adjacent_links_are_uncorrelated` fails (0.68 against 0 at
+//!   σ = 5·10⁻⁵);
+//! * `delivery_row` reading link state at `row + k + 1` (the next link's),
+//!   and the merge-walk stepping past a link equal to the candidate (`<=`
+//!   for `<`) — each fails `row_is_delivery_per_candidate` on the first
+//!   transmitter checked, and the path test, which asks half its links
+//!   through one-candidate rows, at 0 µs.
 use mesh_sim::channel::{ChannelModel, ChannelSpec, GilbertElliott};
 use mesh_sim::{Time, MS};
-use mesh_topology::streams::CHANNEL_STREAM;
+use mesh_topology::streams::{self, CHANNEL_STREAM};
 use mesh_topology::{generate, Link, NodeId, Topology};
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 /// The Gilbert–Elliott channel as it was before sojourn sampling: dense
@@ -88,49 +80,26 @@ struct PerEpochGe {
 
 impl PerEpochGe {
     fn new(topo: &Topology, spec: &ChannelSpec, seed: u64) -> Self {
-        let ChannelSpec::GilbertElliott(GilbertElliott {
-            good_scale,
-            bad_scale,
-            to_bad,
-            to_good,
-            epoch_ms,
-        }) = *spec
-        else {
-            panic!("not a Gilbert–Elliott spec: {spec:?}");
-        };
+        let ge = params(spec);
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ CHANNEL_STREAM);
         let n = topo.n();
         let links: Vec<usize> = topo.links().map(|l| l.from.0 * n + l.to.0).collect();
-        let pi_bad = if to_bad + to_good > 0.0 {
-            to_bad / (to_bad + to_good)
-        } else {
-            0.0
-        };
-        let pi_good = 1.0 - pi_bad;
         let mut good_p = vec![0.0; n * n];
         let mut bad_p = vec![0.0; n * n];
-        for &idx in &links {
-            let p = topo.delivery(NodeId(idx / n), NodeId(idx % n));
-            let raw_good = p * good_scale;
-            let g = raw_good.min(1.0);
-            let excess = raw_good - g;
-            let b = if pi_bad > 0.0 {
-                (p * bad_scale + excess * pi_good / pi_bad).clamp(0.0, 1.0)
-            } else {
-                (p * bad_scale).clamp(0.0, 1.0)
-            };
-            good_p[idx] = g;
-            bad_p[idx] = b;
+        for l in topo.links() {
+            let idx = l.from.0 * n + l.to.0;
+            (good_p[idx], bad_p[idx]) = state_deliveries(l.delivery, &ge);
         }
+        let pi_bad = pi_bad(ge.to_bad, ge.to_good);
         let mut bad = vec![false; n * n];
         for &idx in &links {
             bad[idx] = rng.gen::<f64>() < pi_bad;
         }
         PerEpochGe {
             n,
-            to_bad,
-            to_good,
-            epoch: epoch_ms * MS,
+            to_bad: ge.to_bad,
+            to_good: ge.to_good,
+            epoch: ge.epoch_ms * MS,
             good_p,
             bad_p,
             bad,
@@ -170,108 +139,117 @@ impl ChannelModel for PerEpochGe {
     }
 }
 
-/// The Gilbert–Elliott channel as it was before the epoch wheel and the
-/// sojourn table: every epoch compares every link's next flip to the
-/// epoch, and every sojourn goes through `ln`. The same draws in the same
-/// order as the channel's, so the two must agree path by path.
-struct ScanningGe {
-    topo: Topology,
+/// The parameters of a Gilbert–Elliott spec.
+fn params(spec: &ChannelSpec) -> GilbertElliott {
+    let ChannelSpec::GilbertElliott(ge) = *spec else {
+        panic!("not a Gilbert–Elliott spec: {spec:?}");
+    };
+    ge
+}
+
+/// `π_bad`, 0 where the chain never moves.
+fn pi_bad(to_bad: f64, to_good: f64) -> f64 {
+    if to_bad + to_good > 0.0 {
+        to_bad / (to_bad + to_good)
+    } else {
+        0.0
+    }
+}
+
+/// Good- and bad-state delivery of a link of static delivery `p`: the
+/// matched-mean saturation rule.
+fn state_deliveries(p: f64, ge: &GilbertElliott) -> (f64, f64) {
+    let pi_bad = pi_bad(ge.to_bad, ge.to_good);
+    let raw_good = p * ge.good_scale;
+    let good = raw_good.min(1.0);
+    let excess = raw_good - good;
+    let bad = if pi_bad > 0.0 {
+        (p * ge.bad_scale + excess * (1.0 - pi_bad) / pi_bad).clamp(0.0, 1.0)
+    } else {
+        (p * ge.bad_scale).clamp(0.0, 1.0)
+    };
+    (good, bad)
+}
+
+/// `⌊p·2⁶⁴⌋`.
+fn threshold(p: f64) -> u128 {
+    (p * 2f64.powi(64)) as u128
+}
+
+/// The chain run forward, epoch by epoch, from the public draw. Epoch 0
+/// is bad when its word is below `⌊π_bad·2⁶⁴⌋`. Each later epoch is
+/// *fresh* when its word `u` is below `⌊f·2⁶⁴⌋` and then bad when `u` is
+/// below `⌊g·2⁶⁴⌋`; otherwise the link keeps its state (`a + b ≤ 1`:
+/// `f = a + b`, `g = a`) or swaps it (`a + b > 1`: `f = 2 − a − b`,
+/// `g = 1 − b`).
+struct ForwardGe {
+    key: u64,
     epoch: Time,
-    ln_stay_good: f64,
-    ln_stay_bad: f64,
-    /// Per link slot: good- and bad-state delivery, state.
-    links: Vec<(f64, f64, bool)>,
-    next_flip: Vec<u64>,
-    epochs_done: u64,
-    rng: ChaCha8Rng,
+    start_bad: u128,
+    fresh: u128,
+    fresh_bad: u128,
+    swaps: bool,
+    /// Per link slot: good- and bad-state delivery.
+    deliveries: Vec<(f64, f64)>,
+    /// Per link slot: the epoch the chain has been run to, and its state.
+    reached: Vec<(u64, bool)>,
 }
 
-/// `1 + ⌊ln(1 − U) / ln(1 − q)⌋`; never (and no draw) at `q = 0`.
-fn scanning_sojourn(rng: &mut ChaCha8Rng, ln_stay: f64) -> u64 {
-    if ln_stay == 0.0 {
-        return u64::MAX;
-    }
-    let u: f64 = rng.gen();
-    (((1.0 - u).ln() / ln_stay) as u64).saturating_add(1)
-}
-
-impl ScanningGe {
+impl ForwardGe {
     fn new(topo: &Topology, spec: &ChannelSpec, seed: u64) -> Self {
-        let ChannelSpec::GilbertElliott(GilbertElliott {
-            good_scale,
-            bad_scale,
-            to_bad,
-            to_good,
-            epoch_ms,
-        }) = *spec
-        else {
-            panic!("not a Gilbert–Elliott spec: {spec:?}");
-        };
-        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ CHANNEL_STREAM);
-        let pi_bad = if to_bad + to_good > 0.0 {
-            to_bad / (to_bad + to_good)
+        let ge = params(spec);
+        let (a, b) = (ge.to_bad, ge.to_good);
+        let (fresh, fresh_bad, swaps) = if a + b <= 1.0 {
+            (a + b, a, false)
         } else {
-            0.0
+            ((1.0 - a) + (1.0 - b), 1.0 - b, true)
         };
-        let pi_good = 1.0 - pi_bad;
-        let (ln_stay_good, ln_stay_bad) = ((-to_bad).ln_1p(), (-to_good).ln_1p());
-        let mut next_flip = Vec::new();
-        let links = topo
-            .links()
-            .map(|l| {
-                let raw_good = l.delivery * good_scale;
-                let good_p = raw_good.min(1.0);
-                let excess = raw_good - good_p;
-                let moved = if excess > 0.0 && pi_bad > 0.0 {
-                    excess * pi_good / pi_bad
-                } else {
-                    0.0
-                };
-                let bad = rng.gen::<f64>() < pi_bad;
-                let ln_stay = if bad { ln_stay_bad } else { ln_stay_good };
-                next_flip.push(scanning_sojourn(&mut rng, ln_stay));
-                let bad_p = (l.delivery * bad_scale + moved).clamp(0.0, 1.0);
-                (good_p, bad_p, bad)
-            })
+        let mut chain = ForwardGe {
+            key: ChaCha8Rng::seed_from_u64(seed ^ CHANNEL_STREAM).next_u64(),
+            epoch: ge.epoch_ms * MS,
+            start_bad: threshold(pi_bad(a, b)),
+            fresh: threshold(fresh),
+            fresh_bad: threshold(fresh_bad),
+            swaps,
+            deliveries: topo
+                .links()
+                .map(|l| state_deliveries(l.delivery, &ge))
+                .collect(),
+            reached: Vec::new(),
+        };
+        chain.reached = (0..topo.link_count())
+            .map(|slot| (0, chain.word(slot, 0) < chain.start_bad))
             .collect();
-        ScanningGe {
-            topo: topo.clone(),
-            epoch: epoch_ms * MS,
-            ln_stay_good,
-            ln_stay_bad,
-            links,
-            next_flip,
-            epochs_done: 0,
-            rng,
-        }
-    }
-}
-
-impl ChannelModel for ScanningGe {
-    fn delivery(&self, tx: NodeId, rx: NodeId, _now: Time) -> f64 {
-        match self.topo.link_slot(tx, rx).map(|slot| self.links[slot]) {
-            Some((_, bad_p, true)) => bad_p,
-            Some((good_p, _, false)) => good_p,
-            None => 0.0,
-        }
+        chain
     }
 
-    fn tick(&mut self, now: Time) {
+    fn word(&self, slot: usize, epoch: u64) -> u128 {
+        u128::from(streams::draw(self.key, slot as u64, epoch))
+    }
+
+    /// Link `slot`'s delivery at `now`; an instant before the one the
+    /// link was run to starts it over from epoch 0.
+    fn delivery(&mut self, slot: usize, now: Time) -> f64 {
         let target = now / self.epoch;
-        while self.epochs_done < target {
-            self.epochs_done += 1;
-            let e = self.epochs_done;
-            for (due, (_, _, bad)) in self.next_flip.iter_mut().zip(&mut self.links) {
-                if *due == e {
-                    *bad = !*bad;
-                    let ln_stay = if *bad {
-                        self.ln_stay_bad
-                    } else {
-                        self.ln_stay_good
-                    };
-                    *due = e.saturating_add(scanning_sojourn(&mut self.rng, ln_stay));
-                }
+        let (mut e, mut bad) = self.reached[slot];
+        if e > target {
+            (e, bad) = (0, self.word(slot, 0) < self.start_bad);
+        }
+        while e < target {
+            e += 1;
+            let u = self.word(slot, e);
+            if u < self.fresh {
+                bad = u < self.fresh_bad;
+            } else if self.swaps {
+                bad = !bad;
             }
+        }
+        self.reached[slot] = (e, bad);
+        let (good_p, bad_p) = self.deliveries[slot];
+        if bad {
+            bad_p
+        } else {
+            good_p
         }
     }
 }
@@ -423,11 +401,7 @@ fn check_law(name: &str, build: impl Fn(&Topology, &ChannelSpec, u64) -> Box<dyn
             epoch_ms: EPOCH_MS,
         });
         let tag = format!("{name} ({to_bad}, {to_good})");
-        let pi_bad = if to_bad + to_good > 0.0 {
-            to_bad / (to_bad + to_good)
-        } else {
-            0.0
-        };
+        let pi_bad = pi_bad(to_bad, to_good);
         let law = observe(build(&topo, &spec, 100 + i as u64).as_mut(), &links, pi_bad);
         let samples = (EPOCHS + 1) as f64;
 
@@ -488,74 +462,145 @@ fn per_epoch_oracle_obeys_the_same_law() {
     });
 }
 
+/// Adjacent link slots read neighbouring counters of the one keyed
+/// draw; their states must be as independent as the chains of separate
+/// links. Per adjacent pair, the lag-0 correlation of the two state
+/// sequences; their mean over pairs must sit within 4σ of 0.
+#[test]
+fn adjacent_links_are_uncorrelated() {
+    let topo = generate::testbed(1);
+    let links: Vec<Link> = topo.links().collect();
+    let epochs = 20_000u64;
+    for (to_bad, to_good) in [(0.05, 0.25), (0.01, 0.01), (0.5, 0.5), (0.05, 1.0)] {
+        let spec = ChannelSpec::GilbertElliott(GilbertElliott {
+            good_scale: 1.0,
+            bad_scale: 0.0,
+            to_bad,
+            to_good,
+            epoch_ms: EPOCH_MS,
+        });
+        for seed in [1, 2] {
+            let chan = spec.build(&topo, seed);
+            let mut bad = vec![0.0; links.len()];
+            let mut both = vec![0.0; links.len() - 1];
+            for e in 0..epochs {
+                let now = e * EPOCH_MS * MS;
+                let x: Vec<f64> = links
+                    .iter()
+                    .map(|l| (chan.delivery(l.from, l.to, now) == 0.0) as u8 as f64)
+                    .collect();
+                for (acc, &x) in bad.iter_mut().zip(&x) {
+                    *acc += x;
+                }
+                for (acc, w) in both.iter_mut().zip(x.windows(2)) {
+                    *acc += w[0] * w[1];
+                }
+            }
+            let t = epochs as f64;
+            let r = both.iter().zip(bad.windows(2)).filter_map(|(&xy, m)| {
+                let (mx, my) = (m[0] / t, m[1] / t);
+                let var = mx * (1.0 - mx) * my * (1.0 - my);
+                (var > 0.0).then(|| (xy / t - mx * my) / var.sqrt())
+            });
+            let (r, se) = mean_se(r);
+            let what = format!("({to_bad}, {to_good}) seed {seed}: adjacent-link correlation");
+            within(&what, r, 0.0, se, 0.0);
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // (b) The path.
 // ---------------------------------------------------------------------
 
-/// Every link's delivery at `now`, as bits.
-fn snapshot(model: &dyn ChannelModel, links: &[Link], now: Time) -> Vec<u64> {
-    links
-        .iter()
-        .map(|l| model.delivery(l.from, l.to, now).to_bits())
-        .collect()
-}
-
-/// Drives four instances of `spec` to the same instants — one on a
-/// random schedule (sub-epoch steps, jumps of several epochs, repeated
-/// calls at one instant), one epoch boundary by epoch boundary, a
-/// [`ScanningGe`] once per instant, and, at every 40th instant, a fresh
-/// one in a single call. Where `moves`, another seed must give other air.
-fn check_path(topo: &Topology, spec: &ChannelSpec, epoch_ms: u64, seed: u64, moves: bool) {
+/// Asks instances of `spec` about the links of `topo` on a random
+/// schedule and holds every answer to [`ForwardGe`], bit for bit:
+///
+/// * `random` is asked at instants that repeat, step within an epoch,
+///   jump several or tens of epochs, or go back in time, about a random
+///   quarter of the links each time (so some links stay cold for long
+///   stretches), half of them through `delivery_row`;
+/// * `warm` is asked about every link at every epoch, in time order;
+/// * at every 40th instant a fresh instance is asked once, cold; where
+///   `moves`, another seed must give other air.
+fn check_path(topo: &Topology, spec: &ChannelSpec, seed: u64, moves: bool) {
     let links: Vec<Link> = topo.links().collect();
-    let epoch = epoch_ms * MS;
+    let epoch = params(spec).epoch_ms * MS;
     let mut schedule = ChaCha8Rng::seed_from_u64(seed);
-    let mut random = spec.build(topo, seed);
-    let mut stepped = spec.build(topo, seed);
-    let mut scanning = ScanningGe::new(topo, spec, seed);
-    let mut stepped_epochs = 0;
+    let mut truth = ForwardGe::new(topo, spec, seed);
+    let mut warm_truth = ForwardGe::new(topo, spec, seed);
+    let random = spec.build(topo, seed);
+    let warm = spec.build(topo, seed);
+    let mut warm_epochs = 0;
+    let mut latest: Time = 0;
     let mut now: Time = 0;
+    let mut backward = 0;
+    let mut row = Vec::new();
     for step in 0..240 {
-        now += match schedule.gen_range(0..4u32) {
-            0 => 0,
-            1 => schedule.gen_range(1..epoch),
-            _ => schedule.gen_range(epoch..4 * epoch),
+        now = match schedule.gen_range(0..6u32) {
+            0 => now,
+            1 => now + schedule.gen_range(1..epoch),
+            2 => now + schedule.gen_range(epoch..4 * epoch),
+            3 => latest + schedule.gen_range(10 * epoch..40 * epoch),
+            _ if latest > 0 => {
+                backward += 1;
+                schedule.gen_range(0..latest)
+            }
+            _ => now,
         };
-        for _ in 0..schedule.gen_range(1..3u32) {
-            random.tick(now);
-        }
-        while (stepped_epochs + 1) * epoch <= now {
-            stepped_epochs += 1;
-            stepped.tick(stepped_epochs * epoch);
-        }
-        scanning.tick(now);
-        let want = snapshot(random.as_ref(), &links, now);
+        latest = latest.max(now);
         let what = format!("{} seed {seed} at {now} µs", spec.label());
-        assert!(
-            want == snapshot(stepped.as_ref(), &links, now),
-            "{what}: epoch-by-epoch ticking left different air"
-        );
-        assert!(
-            want == snapshot(&scanning, &links, now),
-            "{what}: the scanning channel left different air"
-        );
-        if step % 40 == 39 {
-            let mut once = spec.build(topo, seed);
-            once.tick(now);
-            assert!(
-                want == snapshot(once.as_ref(), &links, now),
-                "{what}: one call left different air"
+        for (slot, l) in links.iter().enumerate() {
+            if schedule.gen_range(0..4u32) != 0 {
+                continue;
+            }
+            let got = if schedule.gen_bool(0.5) {
+                random.delivery(l.from, l.to, now)
+            } else {
+                random.delivery_row(l.from, &[l.to.0 as u32], now, &mut row);
+                row[0]
+            };
+            assert_eq!(
+                got.to_bits(),
+                truth.delivery(slot, now).to_bits(),
+                "{what}: link {slot} ({} -> {}) asked out of order",
+                l.from,
+                l.to
             );
-            // Same seed, same air; another seed, other air.
-            let mut other = spec.build(topo, seed + 1);
-            other.tick(now);
+        }
+        while warm_epochs * epoch <= latest {
+            let at = warm_epochs * epoch;
+            for (slot, l) in links.iter().enumerate() {
+                assert_eq!(
+                    warm.delivery(l.from, l.to, at).to_bits(),
+                    warm_truth.delivery(slot, at).to_bits(),
+                    "{what}: link {slot} asked every epoch, at {at} µs"
+                );
+            }
+            warm_epochs += 1;
+        }
+        if step % 40 == 39 {
+            let once = spec.build(topo, seed);
+            let snapshot = |chan: &dyn ChannelModel| -> Vec<u64> {
+                links
+                    .iter()
+                    .map(|l| chan.delivery(l.from, l.to, now).to_bits())
+                    .collect()
+            };
+            let want: Vec<u64> = (0..links.len())
+                .map(|slot| truth.delivery(slot, now).to_bits())
+                .collect();
+            assert!(want == snapshot(once.as_ref()), "{what}: asked once, cold");
+            let other = spec.build(topo, seed + 1);
             assert!(
-                !moves || want != snapshot(other.as_ref(), &links, now),
+                !moves || want != snapshot(other.as_ref()),
                 "{what}: seed {} gives the same air",
                 seed + 1
             );
         }
     }
-    assert!(now > 100 * epoch, "the schedule covers too few epochs");
+    assert!(latest > 500 * epoch, "the schedule covers too few epochs");
+    assert!(backward > 20, "only {backward} queries back in time");
 }
 
 /// A Gilbert–Elliott spec with a bad state at 0.2 of the good one's.
@@ -570,28 +615,22 @@ fn ge(to_bad: f64, to_good: f64) -> ChannelSpec {
 }
 
 #[test]
-fn path_ignores_tick_schedule() {
+fn path_is_the_forward_chain_under_any_query_schedule() {
     let testbed = generate::testbed(1);
     let city = generate::city_mesh(2_000, 1);
     let bursty = ChannelSpec::bursty_matched(0.2, 0.05, 0.25, 10);
     for seed in [1, 2, 3] {
-        check_path(&testbed, &bursty, 10, seed, true);
-        check_path(&city, &bursty, 10, seed, true);
+        check_path(&testbed, &bursty, seed, true);
+        check_path(&city, &bursty, seed, true);
     }
-    // `(spec, moves)`: sojourns that outlast the wheel's 64 epochs (and
-    // outrun the table's 256 one draw in thirteen); `to_good = 1`, where
-    // `ln(1 − q) = −∞` and every bad sojourn is one epoch; a chain that
-    // never leaves the good state and draws nothing; and a rate so small
-    // its table caps within a few million `m` and the formula answers.
-    for (spec, moves) in [
-        (ge(0.01, 0.01), true),
-        (ge(0.05, 1.0), true),
-        (ge(0.0, 0.25), false),
-        (ge(1e-12, 0.25), false),
-        (ge(0.5, 1e-12), false),
-    ] {
+    // `moves`: whether the air at one instant tells seeds apart — not
+    // where a state is absorbing, nor where nearly every link sits in
+    // one state (`π_bad` ≈ 0.003 or ≈ 1). `(0, 0)` freezes every link.
+    let moving = |(a, b): (f64, f64)| (0.01..=0.99).contains(&pi_bad(a, b));
+    let extra = [(0.01, 0.01), (0.05, 1.0), (0.5, 1e-12), (0.0, 0.0)];
+    for rates in RATES.into_iter().chain(extra) {
         for seed in [1, 2] {
-            check_path(&testbed, &spec, 10, seed, moves);
+            check_path(&testbed, &ge(rates.0, rates.1), seed, moving(rates));
         }
     }
 }

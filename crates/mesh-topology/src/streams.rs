@@ -20,6 +20,11 @@
 //!
 //! A new stream is a new `Stream` variant plus its constant here.
 //!
+//! [`draw`] is the one randomness primitive that is not a generator: a
+//! counter-based word per `(key, slot, index)`, for a consumer that reads
+//! its randomness out of order. Its key is a word of a named stream, so
+//! it derives from the seed through [`rng`] like everything else.
+//!
 //! Consumers re-export their constant at its historical public path
 //! (e.g. `scenario::TRAFFIC_STREAM`), so moving the definitions here
 //! changed no values and therefore no RNG byte-stream.
@@ -93,8 +98,21 @@ pub(crate) fn pair_seed(seed: u64, stream: Stream, i: usize, j: usize) -> u64 {
     seed ^ stream as u64 ^ mix64(((i as u64) << 32) | j as u64)
 }
 
+/// Word `index` of `slot`'s sequence under `key`: a pure function of the
+/// three, so any word can be read in any order. Each slot is a SplitMix64
+/// sequence — its finalizer over golden-ratio steps from the slot's own
+/// origin, itself the finalizer of `key` and the slot. The finalizer is
+/// a bijection, so distinct slots start from distinct origins.
+pub fn draw(key: u64, slot: u64, index: u64) -> u64 {
+    let origin = mix64(key ^ slot.wrapping_mul(GOLDEN_GAMMA));
+    mix64(origin.wrapping_add(index.wrapping_mul(GOLDEN_GAMMA)))
+}
+
+/// SplitMix64's increment, `⌊2⁶⁴/φ⌋` made odd.
+const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
 /// splitmix64 finalizer: decorrelates consecutive pair indices into
-/// well-spread RNG seeds.
+/// well-spread RNG seeds, and [`draw`]'s counters into words.
 fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -1368,6 +1368,9 @@ mod test {
         // An empty transfer (the agents assert), K = 0 (`div_ceil(0)` on
         // the batch count), and µs products past `u64::MAX`.
         let past_the_clock = u64::MAX / SEC + 1;
+        // Matched bursty air with no stationary mix to match: `(0, 0)`,
+        // an absorbing bad state, NaN rates (`good_scale` is not finite).
+        let matched = |to_bad, to_good| ChannelSpec::bursty_matched(0.0, to_bad, to_good, 10);
         for builder in [
             line().packets(0),
             line().sweep(Sweep::Packets(vec![8, 0])),
@@ -1378,15 +1381,21 @@ mod test {
                 .traffic_model(ramp(2, 1_000, None))
                 .deadline(past_the_clock),
             line().traffic_model(ramp(2, u64::MAX, None)),
+            line().channel(matched(0.0, 0.0)),
+            line().channel(matched(0.05, 0.0)),
+            line().channel(matched(f64::NAN, 0.25)),
+            line().channel(matched(0.05, f64::NAN)),
         ] {
             let err = builder.try_run().expect_err("degenerate parameter");
             assert!(matches!(err, BuildError::Unsupported(_)), "{err}");
         }
+        // `(0, b)` is a chain that is never bad: it runs.
+        let records = line().channel(matched(0.0, 0.25)).try_run().expect("valid");
+        assert_eq!(records.len(), 2);
         // Probe windows without a probe (the estimator asserts), with a
         // threshold that is not a probability (NaN drops every link and
         // reads as "unreachable"), and whose last probe is past the clock
-        // (the instants wrap; under bursty air the first probe alone
-        // would tick ~4.6·10¹⁴ epochs).
+        // (the instants wrap).
         let estimator = |probes, min_delivery| LinkEstimator {
             probes,
             min_delivery,
@@ -1414,13 +1423,18 @@ mod test {
             }
         }
         // One probe at instant 0 is a window, however long its interval,
-        // and so is a last probe at the end of the clock.
+        // and so is a last probe at the end of the clock — under bursty
+        // air too, where a probe costs its links, not the epochs since
+        // the last one (≈ 1.8·10¹⁵ here).
         for (probe, interval_us) in [(estimator(1, 0.0), u64::MAX), (estimator(2, 0.0), u64::MAX)] {
-            let records = line()
-                .probe_routing(probe, interval_us)
-                .try_run()
-                .expect("valid");
-            assert_eq!(records.len(), 2);
+            for channel in [ChannelSpec::Static, bursty.clone()] {
+                let records = line()
+                    .channel(channel)
+                    .probe_routing(probe, interval_us)
+                    .try_run()
+                    .expect("valid");
+                assert_eq!(records.len(), 2);
+            }
         }
         // A one-flow ramp's gap and a departure past `u64::MAX` µs lie
         // beyond any horizon: the flows run and never depart.
