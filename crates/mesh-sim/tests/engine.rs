@@ -453,3 +453,230 @@ fn only_arrivals_by_the_deadline_hold_a_finished_run() {
     // One past the deadline does not.
     assert_eq!(run(10 * MS + 1), (MS, Vec::new()));
 }
+
+/// What [`AckProbe`] saw.
+#[derive(Debug, PartialEq)]
+enum Seen {
+    Heard(NodeId),
+    Done(NodeId, TxOutcome),
+    Timer(u64),
+}
+
+/// The timer token that makes node 1 contend for the air.
+const KICK: u64 = 100;
+
+/// Node 0 unicasts 1500 B frames to node 1; node 1 sends one broadcast
+/// once a [`KICK`] timer fires. Every reception, outcome and timer is
+/// logged with its instant.
+struct AckProbe {
+    unicasts: u32,
+    /// Size of node 1's broadcast.
+    broadcast: Option<usize>,
+    /// `(token, delay, next)`: when timer `token` fires, timer `next` is
+    /// set `delay` µs later.
+    relay: Option<(u64, Time, u64)>,
+    log: Vec<(Time, Seen)>,
+}
+
+impl AckProbe {
+    fn new(unicasts: u32) -> Self {
+        AckProbe {
+            unicasts,
+            broadcast: None,
+            relay: None,
+            log: Vec::new(),
+        }
+    }
+}
+
+impl NodeAgent for AckProbe {
+    type Payload = ();
+
+    fn on_receive(&mut self, node: NodeId, _f: &Frame<()>, ctx: &mut Ctx<'_>) {
+        self.log.push((ctx.now(), Seen::Heard(node)));
+    }
+
+    fn on_tx_done(&mut self, node: NodeId, outcome: TxOutcome, _p: (), ctx: &mut Ctx<'_>) {
+        self.log.push((ctx.now(), Seen::Done(node, outcome)));
+    }
+
+    fn poll_tx(&mut self, node: NodeId, _ctx: &mut Ctx<'_>) -> Option<OutFrame<()>> {
+        let (dst, bytes) = match node.0 {
+            0 if self.unicasts > 0 => {
+                self.unicasts -= 1;
+                (Some(NodeId(1)), 1500)
+            }
+            1 => (None, self.broadcast.take()?),
+            _ => return None,
+        };
+        Some(OutFrame {
+            dst,
+            bytes,
+            bitrate: None,
+            flow: None,
+            payload: (),
+        })
+    }
+
+    fn on_timer(&mut self, node: NodeId, token: u64, ctx: &mut Ctx<'_>) {
+        self.log.push((ctx.now(), Seen::Timer(token)));
+        if token == KICK {
+            ctx.mark_backlogged(NodeId(1));
+        }
+        if let Some((_, delay, next)) = self.relay.filter(|r| r.0 == token) {
+            ctx.set_timer(node, delay, next);
+        }
+    }
+}
+
+/// Every backoff is exactly DIFS, 10 µs: shorter than the two slots an
+/// ACK wait runs past the MAC ACK, and equal to SIFS.
+fn fixed_backoff(retry_limit: u32) -> SimConfig {
+    SimConfig {
+        difs_us: 10,
+        cw_min: 0,
+        cw_max: 0,
+        retry_limit,
+        ..SimConfig::default()
+    }
+}
+
+/// Instants of one unicast attempt whose data frame starts at `start`:
+/// `(data end, MAC ACK end, ACK timeout)`.
+fn attempt(cfg: &SimConfig, start: Time) -> (Time, Time, Time) {
+    let data_end = start + cfg.bitrate.airtime(1500);
+    let ack_end = data_end + cfg.sifs_us + cfg.ack_bitrate.airtime(cfg.mac_ack_bytes);
+    (data_end, ack_end, ack_end + 2 * cfg.slot_us)
+}
+
+#[test]
+fn an_answered_ack_wait_still_ends_an_exhausted_run_at_its_timeout() {
+    // One unicast over a perfect link: the data frame and its MAC ACK
+    // get through, and the last transmit attempt (DIFS after the ACK)
+    // finds nothing to send. The ACK wait, answered, expires two slots
+    // after the ACK — later than any event of the run — and a run that
+    // runs out of events stops its clock there.
+    let cfg = fixed_backoff(7);
+    let (data_end, ack_end, timeout) = attempt(&cfg, cfg.difs_us);
+    let link = topo("pair", 2, &[(0, 1, 1.0), (1, 0, 1.0)]);
+    let acked = TxOutcome::Acked { retries: 0 };
+    for deadline in [SEC, timeout, timeout - 1] {
+        let mut sim = Simulator::new(link.clone(), cfg, AckProbe::new(1), 1);
+        sim.kick(NodeId(0));
+        let end = sim.run_until(deadline, |_| false);
+        assert_eq!(
+            sim.agent.log,
+            [
+                (data_end, Seen::Heard(NodeId(1))),
+                (ack_end, Seen::Done(NodeId(0), acked))
+            ]
+        );
+        let stopped = deadline.min(timeout);
+        assert_eq!((end, sim.now()), (stopped, stopped));
+        // A later call runs the clock on to the timeout, and no further.
+        assert_eq!(sim.run_until(2 * SEC, |_| false), timeout);
+    }
+}
+
+/// Runs `probe` on `link` until nothing is left: node 0 kicked at 0 and,
+/// at `at`, an early timer (token 1, set now) and a late one (token 2,
+/// set by token 3 at `late_from`), both due at `at`.
+fn run_probe(
+    link: &mesh_topology::Topology,
+    cfg: SimConfig,
+    mut probe: AckProbe,
+    kick_at: Option<Time>,
+    at: Time,
+    late_from: Time,
+) -> Vec<(Time, Seen)> {
+    probe.relay = Some((3, at - late_from, 2));
+    let mut sim = Simulator::new(link.clone(), cfg, probe, 1);
+    sim.kick(NodeId(0));
+    if let Some(kick_at) = kick_at {
+        sim.set_timer(NodeId(1), kick_at, KICK);
+    }
+    sim.set_timer(NodeId(0), at, 1);
+    sim.set_timer(NodeId(0), late_from, 3);
+    sim.run_until(SEC, |_| false);
+    sim.agent.log
+}
+
+#[test]
+fn a_lost_mac_ack_retries_on_time_and_in_order() {
+    // Node 1 cannot be heard by node 0, so every MAC ACK is lost. The
+    // first wait expires and the frame goes again DIFS later; the second
+    // wait exhausts the one retry allowed. That last timeout falls
+    // between a timer scheduled before the data frame ended and one
+    // scheduled after: events at one instant run in the order they were
+    // scheduled, and the wait was scheduled when the data frame ended.
+    let cfg = fixed_backoff(1);
+    let (first_end, _, first_timeout) = attempt(&cfg, cfg.difs_us);
+    let (data_end, _, timeout) = attempt(&cfg, first_timeout + cfg.difs_us);
+    let one_way = topo("one-way", 2, &[(0, 1, 1.0)]);
+    let probe = AckProbe::new(1);
+    let log = run_probe(&one_way, cfg, probe, None, timeout, data_end + 1);
+    let failed = TxOutcome::Failed { retries: 2 };
+    assert_eq!(
+        log,
+        [
+            (first_end, Seen::Heard(NodeId(1))),
+            (data_end, Seen::Heard(NodeId(1))),
+            (data_end + 1, Seen::Timer(3)),
+            (timeout, Seen::Timer(1)),
+            (timeout, Seen::Done(NodeId(0), failed)),
+            (timeout, Seen::Timer(2)),
+        ]
+    );
+}
+
+#[test]
+fn a_mac_ack_skipped_by_half_duplex_retries_on_time_and_in_order() {
+    // Node 1 hears the data frame, but a transmit attempt it scheduled
+    // before the frame ended fires at the instant its MAC ACK is due:
+    // its own broadcast goes on the air first and the ACK is skipped.
+    let link = topo("pair", 2, &[(0, 1, 1.0), (1, 0, 1.0)]);
+    let short = 20;
+    // Out of retries: the timeout fails the frame, after the timer set
+    // before the data frame ended and before the one set after.
+    let cfg = fixed_backoff(0);
+    let (data_end, _, timeout) = attempt(&cfg, cfg.difs_us);
+    let broadcast_end = data_end + cfg.sifs_us + cfg.bitrate.airtime(short);
+    let probe = AckProbe {
+        broadcast: Some(short),
+        ..AckProbe::new(1)
+    };
+    let log = run_probe(&link, cfg, probe, Some(data_end), timeout, data_end + 1);
+    let failed = TxOutcome::Failed { retries: 1 };
+    assert_eq!(
+        log,
+        [
+            (data_end, Seen::Timer(KICK)),
+            (data_end, Seen::Heard(NodeId(1))),
+            (data_end + 1, Seen::Timer(3)),
+            (broadcast_end, Seen::Heard(NodeId(0))),
+            (broadcast_end, Seen::Done(NodeId(1), TxOutcome::Broadcast)),
+            (timeout, Seen::Timer(1)),
+            (timeout, Seen::Done(NodeId(0), failed)),
+            (timeout, Seen::Timer(2)),
+        ]
+    );
+    // With a retry left, the frame goes again DIFS after the timeout and
+    // is acknowledged.
+    let cfg = fixed_backoff(1);
+    let (retry_end, ack_end, _) = attempt(&cfg, timeout + cfg.difs_us);
+    let probe = AckProbe {
+        broadcast: Some(short),
+        ..AckProbe::new(1)
+    };
+    let log = run_probe(&link, cfg, probe, Some(data_end), timeout, data_end + 1);
+    let acked = TxOutcome::Acked { retries: 1 };
+    assert_eq!(
+        log[5..],
+        [
+            (timeout, Seen::Timer(1)),
+            (timeout, Seen::Timer(2)),
+            (retry_end, Seen::Heard(NodeId(1))),
+            (ack_end, Seen::Done(NodeId(0), acked)),
+        ]
+    );
+}
