@@ -21,16 +21,15 @@
 //! (the [`ChannelModel`] contract), so a node outside the row has
 //! `p = 0` and consumes no randomness.
 //!
-//! Bookkeeping costs what is physically near a node, not what the run
-//! has sent: frames live in an **on-air set** until the clock passes
-//! their end, then in a **history** ordered by `end` that keeps a record
-//! exactly as long as some frame still on the air started before it
-//! ended (the only frames it can still have overlapped). Carrier sense
-//! and the half-duplex guard are one comparison against per-node
-//! latest-end marks that [`Medium::begin`] raises over the transmitter's
-//! sense list. This rests on the engine's clock: every frame begins at
-//! the current instant, so `begin`, `prune` and the `now` of every query
-//! never go back in time.
+//! Bookkeeping costs a frame's neighbourhood, not what is on the air
+//! city-wide. Frames stay in an **on-air set** until they are judged and
+//! the clock has passed their end; no verdict walks it. Whether a node
+//! transmitted during a frame is read from that node's own **marks**,
+//! and carrier sense from the two latest ends among the frames a node
+//! senses, both kept in O(1) by [`Medium::begin`]. This rests on the
+//! engine's clock: every frame begins at the current instant and is
+//! judged at its end, so `begin`, `prune`, the verdicts and the `now` of
+//! every query never go back in time.
 //!
 //! Reception is evaluated when a transmission ends:
 //!
@@ -56,7 +55,6 @@ use crate::{SimConfig, Time};
 use mesh_topology::spatial::CellGrid;
 use mesh_topology::{NodeId, Position, Topology};
 use rand::Rng;
-use std::collections::VecDeque;
 
 /// Vertical meters per floor in 3D range computations.
 pub const FLOOR_HEIGHT_M: f64 = 10.0;
@@ -136,6 +134,80 @@ impl Rows {
     }
 }
 
+/// One node's frames, added in begin order at non-decreasing starts: the
+/// latest end and begin order (from 1) among them, and among those begun
+/// before the latest start.
+#[derive(Clone, Copy, Debug, Default)]
+struct Marks {
+    end: Time,
+    last: u64,
+    last_start: Time,
+    earlier_end: Time,
+    earlier: u64,
+}
+
+impl Marks {
+    fn add(&mut self, order: u64, start: Time, end: Time) {
+        if start > self.last_start {
+            (self.earlier, self.earlier_end, self.last_start) = (self.last, self.end, start);
+        }
+        (self.last, self.end) = (order, self.end.max(end));
+    }
+
+    /// Did one of the frames begun before `t`, a time no earlier than the
+    /// latest start, end after `start`?
+    fn ended_after(&self, start: Time, t: Time) -> bool {
+        self.end > start && (self.last_start < t || self.earlier_end > start)
+    }
+
+    /// The latest begin order among the frames begun before `t`.
+    fn last_before(&self, t: Time) -> u64 {
+        if self.last_start < t {
+            self.last
+        } else {
+            self.earlier
+        }
+    }
+}
+
+/// The latest end among a set of frames, the begin order of one that has
+/// it, and the latest end among the others.
+#[derive(Clone, Copy, Debug, Default)]
+struct Heard {
+    order: u64,
+    end: Time,
+    runner_up: Time,
+}
+
+impl Heard {
+    fn add(&mut self, order: u64, end: Time) {
+        if end >= self.end {
+            (self.order, self.end, self.runner_up) = (order, end, self.end);
+        } else {
+            self.runner_up = self.runner_up.max(end);
+        }
+    }
+
+    /// Could a frame of the set other than `f` have overlapped it?
+    fn besides(&self, f: &OnAir) -> bool {
+        let end = if self.order == f.order {
+            self.runner_up
+        } else {
+            self.end
+        };
+        end > f.t.start
+    }
+}
+
+/// A frame in the on-air set: its begin order (from 1), and whether a
+/// frame of its transmitter's was on the air when it began.
+#[derive(Clone, Debug)]
+struct OnAir {
+    t: Transmission,
+    order: u64,
+    tx_busy: bool,
+}
+
 /// Precomputed radio relations plus the set of in-flight transmissions.
 #[derive(Clone, Debug)]
 #[must_use]
@@ -150,23 +222,23 @@ pub struct Medium {
     /// node linked to `t` in either direction, a superset of the nodes the
     /// channel can deliver `t`'s frames to.
     reach: Rows,
-    /// Frames begun whose `end` the clock has not passed, in `begin`
-    /// order — the first started earliest. A frame ending exactly at the
-    /// clock is still here, waiting to be judged.
-    air: Vec<Transmission>,
-    /// Frames that ended before the clock, ascending by `end`; a record
-    /// stays while some frame in `air` started before it ended.
-    history: VecDeque<Transmission>,
-    /// Latest instant seen by [`Medium::begin`] / [`Medium::prune`].
+    /// Frames begun and not yet judged, in begin order.
+    air: Vec<OnAir>,
+    /// Frames judged, all ending at the clock; they leave when it moves on.
+    judged: Vec<OnAir>,
+    /// Latest instant seen by `begin`, `prune` or a verdict.
     clock: Time,
-    /// `busy_end[b]`: latest `end` of any frame begun by a node `b` senses.
-    busy_end: Vec<Time>,
-    /// `own_end[a]`: latest `end` of any frame begun by `a` itself.
-    own_end: Vec<Time>,
-    /// `stamp[a] == generation`: `a` transmitted during the frame being
-    /// judged. Bumping `generation` clears every stamp at once.
-    stamp: Vec<u64>,
-    generation: u64,
+    /// Frames begun: the latest one's begin order.
+    frames: u64,
+    /// `heard[b]`: over the frames begun by nodes `b` senses.
+    heard: Vec<Heard>,
+    /// Every node senses the nodes that interfere at it (interference
+    /// range within carrier-sense range), so `heard` covers those too.
+    interferers_heard: bool,
+    /// `marks[a]`: over the frames `a` began.
+    marks: Vec<Marks>,
+    /// Over every frame begun.
+    all: Heard,
     /// Scratch for the judged frame's delivery probabilities, parallel to
     /// its transmitter's `reach` row.
     deliveries: Vec<f64>,
@@ -195,12 +267,13 @@ impl Medium {
         // carrier-sense range defer, pairs within interference range jam,
         // decodable or not.
         let r_max = cfg.carrier_sense_range.max(cfg.interference_range);
-        let (sense, interfere) = match topo.positions() {
+        let (sense, interfere, interferers_heard) = match topo.positions() {
             Some(pos) if r_max > 0.0 => {
                 let (sense, interfere) = in_range_or_linked(pos, &reach, cfg);
-                (sense.transpose(n), interfere.transpose(n))
+                let covered = cfg.interference_range <= cfg.carrier_sense_range;
+                (sense.transpose(n), interfere.transpose(n), covered)
             }
-            _ => (reach.clone(), reach.clone()),
+            _ => (reach.clone(), reach.clone(), true),
         };
         // Reception looks interferers up from the receiver's side, which
         // is the same relation only because every rule above adds a pair
@@ -212,12 +285,13 @@ impl Medium {
             interfere,
             reach,
             air: Vec::new(),
-            history: VecDeque::new(),
+            judged: Vec::new(),
             clock: 0,
-            busy_end: vec![0; n],
-            own_end: vec![0; n],
-            stamp: vec![0; n],
-            generation: 0,
+            frames: 0,
+            heard: vec![Heard::default(); n],
+            interferers_heard,
+            marks: vec![Marks::default(); n],
+            all: Heard::default(),
             deliveries: Vec::new(),
         }
     }
@@ -246,45 +320,32 @@ impl Medium {
     }
 
     /// Registers a transmission starting now: `t.start` is the caller's
-    /// current instant, no earlier than any previous `begin` or `prune`.
+    /// current instant, no earlier than any previous `begin`, `prune` or
+    /// verdict, and `t.end` is later.
     pub fn begin(&mut self, t: Transmission) {
-        debug_assert!(t.start <= t.end);
+        debug_assert!(t.start < t.end, "a frame takes airtime");
         debug_assert!(t.start >= self.clock, "frames begin at the clock");
         self.prune(t.start);
-        raise(&mut self.own_end, t.tx.0, t.end);
+        self.frames += 1;
+        let (order, own) = (self.frames, &mut self.marks[t.tx.0]);
+        let tx_busy = own.end > t.start;
+        own.add(order, t.start, t.end);
+        self.all.add(order, t.end);
         for &b in self.sense.row(t.tx.0) {
-            raise(&mut self.busy_end, b as usize, t.end);
-        }
-        self.air.push(t);
-    }
-
-    /// Advances the clock to `now`: frames that ended before it leave the
-    /// on-air set for the history, and the history drops every record
-    /// that ended before the oldest frame still on the air started (with
-    /// nothing on the air, all of it). [`Medium::begin`] does this itself;
-    /// a frame can be judged until the clock passes its end.
-    pub fn prune(&mut self, now: Time) {
-        self.clock = self.clock.max(now);
-        let history = &mut self.history;
-        self.air.retain(|t| {
-            let on_air = t.end >= now;
-            if !on_air {
-                // Keep `history` ascending by end; almost always an append.
-                let at = history.iter().rposition(|h| h.end <= t.end);
-                history.insert(at.map_or(0, |i| i + 1), t.clone());
+            if let Some(h) = self.heard.get_mut(b as usize) {
+                h.add(order, t.end);
             }
-            on_air
-        });
-        let oldest_start = self.air.first().map_or(now, |t| t.start);
-        while history.front().is_some_and(|h| h.end <= oldest_start) {
-            history.pop_front();
         }
+        self.air.push(OnAir { t, order, tx_busy });
     }
 
-    /// `(on-air set, history)` sizes, for the engine's retention test.
-    #[cfg(test)]
-    pub(crate) fn retained(&self) -> (usize, usize) {
-        (self.air.len(), self.history.len())
+    /// Advances the clock to `now`: frames judged before it leave the
+    /// on-air set. [`Medium::begin`] and the verdicts do this themselves.
+    pub fn prune(&mut self, now: Time) {
+        if now > self.clock {
+            self.clock = now;
+            self.judged.clear();
+        }
     }
 
     /// Latest end time among transmissions currently on the air that
@@ -292,7 +353,8 @@ impl Medium {
     /// caller's current instant (see [`Medium::begin`]).
     pub fn busy_until(&self, node: NodeId, now: Time) -> Option<Time> {
         debug_assert!(now >= self.clock, "queries do not look back in time");
-        self.busy_end.get(node.0).copied().filter(|&end| end > now)
+        let end = self.heard.get(node.0).map(|h| h.end);
+        end.filter(|&end| end > now)
     }
 
     /// True when `node` senses an ongoing transmission.
@@ -300,7 +362,8 @@ impl Medium {
         self.busy_until(node, now).is_some()
     }
 
-    /// Evaluates which nodes decode transmission `id` (call at its end).
+    /// Evaluates which nodes decode transmission `id`, at its end: the
+    /// clock moves there.
     ///
     /// Delivery probabilities — the frame's own and each interferer's in
     /// the capture rule — are the channel model's instantaneous values at
@@ -312,22 +375,19 @@ impl Medium {
     /// first), so the engine's hot path reuses one allocation per run
     /// instead of one per transmission. The frame's delivery
     /// probabilities come from one [`ChannelModel::delivery_row`] call
-    /// over the transmitter's candidate list. The nodes that transmitted
-    /// during the frame are stamped once, from the on-air set and the
-    /// tail of the history; if there were none — most frames have the air
-    /// to themselves — no receiver is half-duplex-blocked or interfered
-    /// with, and that is all there is to know. Otherwise half-duplex is
-    /// one load per receiver and the strongest interferer a walk over the
-    /// receiver's own interference list (not over the overlapping
-    /// transmitters: a large mesh has dozens of those on the air, most of
-    /// them nowhere near this receiver). Same receivers, same counter
-    /// increments, and — critically — the same RNG draws in the same
-    /// order as a scan of every retained transmission per receiver.
+    /// over the transmitter's candidate list. A frame with the air to
+    /// itself has no half-duplex-blocked or interfered receiver. Otherwise
+    /// half-duplex is the receiver's marks, and the strongest interferer a
+    /// walk over the receiver's interference list asking each node's marks
+    /// — skipped when nothing the receiver senses can have overlapped. Same
+    /// receivers, counters and RNG draws, in the same order, as a scan of
+    /// every transmission per receiver. A frame can be judged again until
+    /// the clock moves past its end.
     ///
     /// # Panics
     ///
     /// Panics when `id` is not on the air: never begun, or the clock has
-    /// passed its end (see [`Medium::prune`]).
+    /// passed its end.
     #[expect(
         clippy::too_many_arguments,
         reason = "the engine's per-frame call: counters and the receiver list are its own scratch, passed in to keep the hot path allocation-free"
@@ -343,36 +403,50 @@ impl Medium {
         out: &mut Vec<NodeId>,
     ) {
         out.clear();
-        let f = self
-            .air
-            .iter()
-            .find(|t| t.id == id)
-            .expect("evaluating a transmission that is not on the air")
-            .clone();
-        let now = f.end;
-        self.generation += 1;
-        let generation = self.generation;
-        let ended_during = self.history.iter().rev().take_while(|h| h.end > f.start);
-        // Did anything else occupy the air during the frame?
-        let mut contended = false;
-        for t in self.air.iter().chain(ended_during) {
-            if t.id != f.id && overlaps(t, &f) {
-                contended = true;
-                if let Some(stamp) = self.stamp.get_mut(t.tx.0) {
-                    *stamp = generation;
-                }
+        // The engine's ids rise in begin order, as `air` does.
+        let found = self.air.binary_search_by_key(&id, |f| f.t.id).ok();
+        let found = found.or_else(|| self.air.iter().position(|f| f.t.id == id));
+        let clock = self.clock;
+        let f = match found.filter(|&i| self.air.get(i).is_some_and(|f| f.t.end >= clock)) {
+            Some(i) => {
+                let f = self.air.remove(i);
+                self.prune(f.t.end);
+                self.judged.push(f.clone());
+                f
             }
-        }
-        let transmitted = |node: usize| self.stamp.get(node) == Some(&generation);
+            // Judged before, at the clock.
+            None => self
+                .judged
+                .iter()
+                .find(|f| f.t.id == id)
+                .cloned()
+                .expect("evaluating a transmission that is not on the air"),
+        };
+        let (now, start) = (f.t.end, f.t.start);
+        let contended = self.all.besides(&f);
+        let tx = f.t.tx.0;
+        // Did `node` transmit during `f`? If one of its frames begun before
+        // `f.end` ended after `f.start`; `tx` if one was on the air when `f`
+        // began, or began after it.
+        let began_during = |m: &Marks| m.last_before(now) > f.order;
+        let tx_overlapped = f.tx_busy || self.marks.get(tx).is_some_and(began_during);
+        let transmitted = |node: usize| {
+            if node == tx {
+                tx_overlapped
+            } else {
+                let overlapped = |m: &Marks| m.ended_after(start, now);
+                self.marks.get(node).is_some_and(overlapped)
+            }
+        };
         // Walk the transmitter's reception-candidate list in ascending
         // node order — the order the per-receiver draws are made in.
         // Nodes not on the list have `p = 0` at every instant and touch
         // no randomness.
-        let candidates = self.reach.row(f.tx.0);
-        chan.delivery_row(f.tx, candidates, now, &mut self.deliveries);
+        let candidates = self.reach.row(tx);
+        chan.delivery_row(NodeId(tx), candidates, now, &mut self.deliveries);
         debug_assert_eq!(self.deliveries.len(), candidates.len());
         for (r, &p) in candidates.iter().map(|&r| r as usize).zip(&self.deliveries) {
-            if r == f.tx.0 || p <= 0.0 {
+            if r == tx || p <= 0.0 {
                 continue;
             }
             let strongest: f64 = if contended {
@@ -380,13 +454,19 @@ impl Medium {
                 if transmitted(r) {
                     continue;
                 }
-                // Strongest overlapping interferer at r.
-                self.interfere
-                    .row(r)
-                    .iter()
-                    .filter(|&&a| transmitted(a as usize))
-                    .map(|&a| chan.delivery(NodeId(a as usize), NodeId(r), now).max(0.05))
-                    .fold(0.0, f64::max)
+                // Strongest overlapping interferer at r: none when nothing
+                // r senses, so none of its interferers, can have overlapped.
+                let quiet = |h: &Heard| !h.besides(&f);
+                if self.interferers_heard && self.heard.get(r).is_some_and(quiet) {
+                    0.0
+                } else {
+                    self.interfere
+                        .row(r)
+                        .iter()
+                        .filter(|&&a| transmitted(a as usize))
+                        .map(|&a| chan.delivery(NodeId(a as usize), NodeId(r), now).max(0.05))
+                        .fold(0.0, f64::max)
+                }
             } else {
                 0.0
             };
@@ -405,13 +485,14 @@ impl Medium {
 
     /// Total µs of overlap between `[start, end)` and other nodes'
     /// transmissions currently on the air — the spatial-reuse indicator.
-    /// `start` is the caller's current instant (see [`Medium::begin`]).
+    /// `start` is the caller's current instant (see [`Medium::begin`]), so
+    /// every frame began by then, and a judged one has ended.
     pub fn overlap_with(&self, node: NodeId, start: Time, end: Time) -> Time {
         debug_assert!(start >= self.clock, "queries do not look back in time");
         self.air
             .iter()
-            .filter(|t| t.tx != node && t.start < end && start < t.end)
-            .map(|t| t.end.min(end) - t.start.max(start))
+            .filter(|f| f.t.tx != node && start < f.t.end)
+            .map(|f| f.t.end.min(end).saturating_sub(start))
             .sum()
     }
 
@@ -420,20 +501,9 @@ impl Medium {
     /// [`Medium::begin`]).
     pub fn own_tx_until(&self, node: NodeId, now: Time) -> Option<Time> {
         debug_assert!(now >= self.clock, "queries do not look back in time");
-        self.own_end.get(node.0).copied().filter(|&end| end > now)
+        let end = self.marks.get(node.0).map(|m| m.end);
+        end.filter(|&end| end > now)
     }
-}
-
-/// `ends[node] = max(ends[node], end)`.
-fn raise(ends: &mut [Time], node: usize, end: Time) {
-    if let Some(e) = ends.get_mut(node) {
-        *e = (*e).max(end);
-    }
-}
-
-#[inline]
-fn overlaps(a: &Transmission, b: &Transmission) -> bool {
-    a.start < b.end && b.start < a.end
 }
 
 /// Pushes the union of two ascending id sequences onto `out`, ascending.
@@ -526,6 +596,13 @@ mod test {
     }
 
     impl Medium {
+        /// The ends of the frames held — not yet judged, then judged — and
+        /// the clock, for the retention tests.
+        pub(crate) fn held(&self) -> (Vec<Time>, Vec<Time>, Time) {
+            let ends = |frames: &[OnAir]| frames.iter().map(|f| f.t.end).collect();
+            (ends(&self.air), ends(&self.judged), self.clock)
+        }
+
         /// [`Medium::evaluate_reception_into`] returning a fresh vector.
         fn evaluate_reception(
             &mut self,
@@ -833,41 +910,78 @@ mod test {
     }
 
     #[test]
-    fn history_keeps_only_what_a_frame_on_the_air_can_have_overlapped() {
+    fn an_interferer_beyond_carrier_sense_still_collides() {
+        // Node 3 is 60 m from node 1: inside a 65 m interference range,
+        // outside a 25 m carrier-sense range, and not linked to it.
+        let t = line5();
+        let ch = chan(&t);
+        let cfg = SimConfig {
+            carrier_sense_range: 25.0,
+            interference_range: 65.0,
+            ..cfg()
+        };
+        let mut m = Medium::new(&t, &cfg, ch.as_ref());
+        assert!(m.interferes(NodeId(3), NodeId(1)) && !m.senses(NodeId(3), NodeId(1)));
+        for (id, tx) in [(1, 0), (2, 3)] {
+            m.begin(Transmission {
+                id,
+                tx: NodeId(tx),
+                start: 0,
+                end: 100,
+            });
+        }
+        let mut rng = ChaCha8Rng::seed_from_u64(10);
+        let (mut col, mut cap) = (0, 0);
+        m.evaluate_reception(1, ch.as_ref(), &cfg, &mut rng, &mut col, &mut cap);
+        // Node 1 hears node 0 at 0.9, well above 1.8 × the 0.05 floor.
+        assert_eq!((col, cap), (1, 1));
+    }
+
+    #[test]
+    fn the_on_air_set_holds_unjudged_frames_and_those_judged_at_the_clock() {
         let t = line5();
         let ch = chan(&t);
         let mut m = Medium::new(&t, &cfg(), ch.as_ref());
-        let mut id = 0;
-        let mut begin = |m: &mut Medium, tx: usize, start: Time, end: Time| {
-            id += 1;
+        let mut rng = ChaCha8Rng::seed_from_u64(9);
+        let (mut col, mut cap) = (0, 0);
+        let mut judge = |m: &mut Medium, id: u64| {
+            m.evaluate_reception(id, ch.as_ref(), &cfg(), &mut rng, &mut col, &mut cap);
+        };
+        for (id, tx, start, end) in [(1, 0, 0, 100), (2, 2, 50, 300)] {
             m.begin(Transmission {
                 id,
                 tx: NodeId(tx),
                 start,
                 end,
             });
-        };
-        let ends = |m: &Medium| m.history.iter().map(|h| h.end).collect::<Vec<_>>();
-        begin(&mut m, 0, 0, 100);
-        begin(&mut m, 2, 50, 300);
-        begin(&mut m, 4, 150, 250);
-        // [0, 100) ended, but [50, 300) is on the air and overlapped it.
-        assert_eq!((m.air.len(), ends(&m)), (2, vec![100]));
+        }
+        assert_eq!(m.held(), (vec![100, 300], vec![], 50));
+        // A verdict moves the clock to the frame's end.
+        judge(&mut m, 1);
+        assert_eq!(m.held(), (vec![300], vec![100], 100));
+        m.begin(Transmission {
+            id: 3,
+            tx: NodeId(4),
+            start: 150,
+            end: 250,
+        });
+        assert_eq!(
+            m.held(),
+            (vec![300, 250], vec![], 150),
+            "the clock moved on"
+        );
+        judge(&mut m, 3);
         m.prune(300);
         // A frame ending exactly at the clock still awaits its verdict.
-        assert_eq!((m.air.len(), ends(&m)), (1, vec![100, 250]));
-        m.prune(301);
+        assert_eq!(m.held(), (vec![300], vec![], 300));
+        judge(&mut m, 2);
+        judge(&mut m, 2);
         assert_eq!(
-            (m.air.len(), ends(&m)),
-            (0, vec![]),
-            "idle air: nothing kept"
+            m.held(),
+            (vec![], vec![300], 300),
+            "judged twice, held once"
         );
-        begin(&mut m, 0, 400, 500);
-        begin(&mut m, 2, 450, 600);
-        begin(&mut m, 4, 550, 700);
-        assert_eq!((m.air.len(), ends(&m)), (2, vec![500]));
-        m.prune(601);
-        // [400, 500) ended before [550, 700) began; [450, 600) did not.
-        assert_eq!((m.air.len(), ends(&m)), (1, vec![600]));
+        m.prune(301);
+        assert_eq!(m.held(), (vec![], vec![], 301), "idle air: nothing kept");
     }
 }

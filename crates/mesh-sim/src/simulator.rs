@@ -58,8 +58,8 @@ enum EventKind {
     TryTx { node: NodeId },
     /// Transmission `id` leaves the air.
     TxEnd { id: u64 },
-    /// Unicast ACK wait expired (stale unless `seq` matches).
-    AckTimeout { node: NodeId, seq: u64 },
+    /// Unicast ACK wait expired; scheduled only when no ACK can answer it.
+    AckTimeout { node: NodeId },
     /// A receiver emits its MAC ACK to the data frame's sender `to`
     /// (SIFS after the data frame).
     StartMacAck { node: NodeId, to: NodeId },
@@ -125,9 +125,11 @@ enum MacState {
     Waiting,
     /// A data frame (or our MAC ACK) is on the air.
     Transmitting,
-    /// Unicast sent; waiting for the MAC ACK.
+    /// Unicast sent; waiting for the MAC ACK. `timeout` is the `(time,
+    /// sequence)` the wait's expiry is reserved under when the data frame
+    /// ends; it reaches the heap only once no ACK can answer it.
     AwaitAck {
-        seq: u64,
+        timeout: (Time, u64),
     },
 }
 
@@ -266,8 +268,9 @@ pub struct Simulator<A: NodeAgent> {
     channel: Box<dyn ChannelModel>,
     states: Vec<MacState>,
     current: Vec<Option<CurrentTx<A::Payload>>>,
-    /// Generation counters for ACK timeouts.
-    ack_seq: Vec<u64>,
+    /// Latest expiry of an ACK wait that was answered, so never scheduled:
+    /// a run that runs out of events still stops its clock there.
+    answered_until: Time,
     /// What is on the air, by transmission id. Ids are issued in sequence
     /// and a frame leaves when it ends, so this is a ring: its slots are
     /// ids `next_tx_id − len .. next_tx_id`, a slot is emptied when its
@@ -352,7 +355,7 @@ impl<A: NodeAgent> Simulator<A> {
             channel,
             states: (0..n).map(|_| MacState::Idle).collect(),
             current: (0..n).map(|_| None).collect(),
-            ack_seq: vec![0; n],
+            answered_until: 0,
             in_flight: VecDeque::new(),
             next_tx_id: 0,
             traffic: Vec::new(),
@@ -437,7 +440,8 @@ impl<A: NodeAgent> Simulator<A> {
     /// Runs until `deadline`, until `stop(&agent)`, or until no event is
     /// left, and returns the simulated time at exit. An event past
     /// `deadline` stays queued for a later call, and the clock stops at
-    /// `deadline`.
+    /// `deadline`. Out of events, the clock stops no earlier than the
+    /// expiry of the latest answered ACK wait (capped at `deadline`).
     ///
     /// `stop` is consulted after each event, but only once no scheduled
     /// [`TrafficAction::Start`] at or before `deadline` is pending, so a
@@ -451,7 +455,11 @@ impl<A: NodeAgent> Simulator<A> {
             .flatten()
             .filter(|(at, action)| *at <= deadline && matches!(action, TrafficAction::Start(_)))
             .count();
-        while let Some(&Reverse((at, _, ev))) = self.queue.peek() {
+        loop {
+            let Some(&Reverse((at, _, ev))) = self.queue.peek() else {
+                self.now = self.now.max(self.answered_until.min(deadline));
+                break;
+            };
             if at > deadline {
                 self.now = deadline;
                 break;
@@ -473,7 +481,7 @@ impl<A: NodeAgent> Simulator<A> {
         match ev {
             EventKind::TryTx { node } => self.on_try_tx(node),
             EventKind::TxEnd { id } => self.on_tx_end(id),
-            EventKind::AckTimeout { node, seq } => self.on_ack_timeout(node, seq),
+            EventKind::AckTimeout { node } => self.on_ack_timeout(node),
             EventKind::StartMacAck { node, to } => self.on_start_mac_ack(node, to),
             EventKind::Timer { node, token } => {
                 self.callback(|agent, ctx| agent.on_timer(node, token, ctx));
@@ -670,7 +678,8 @@ impl<A: NodeAgent> Simulator<A> {
                         self.finish_tx(sender, TxOutcome::Broadcast, frame.payload);
                     }
                     Some(dst) => {
-                        if receivers.contains(&dst) {
+                        let heard = receivers.contains(&dst);
+                        if heard {
                             // Receiver answers with a MAC ACK after SIFS.
                             self.push(
                                 self.now + self.cfg.sifs_us,
@@ -680,25 +689,29 @@ impl<A: NodeAgent> Simulator<A> {
                                 },
                             );
                         }
-                        // Await the ACK either way; timeout covers loss.
-                        self.ack_seq[sender.0] += 1;
-                        let seq = self.ack_seq[sender.0];
-                        self.states[sender.0] = MacState::AwaitAck { seq };
+                        // Await the ACK either way; the timeout covers loss.
                         let wait = self.cfg.sifs_us
                             + self.cfg.ack_bitrate.airtime(self.cfg.mac_ack_bytes)
                             + 2 * self.cfg.slot_us;
-                        self.push(self.now + wait, EventKind::AckTimeout { node: sender, seq });
+                        self.seq += 1;
+                        let timeout = (self.now + wait, self.seq);
+                        self.states[sender.0] = MacState::AwaitAck { timeout };
+                        if !heard {
+                            self.schedule_ack_timeout(sender);
+                        }
                     }
                 }
             }
             InFlight::MacAck { to } => {
-                // Did the data sender hear the ACK? Accepting a "stale" ACK
-                // for a retransmission of the same frame is semantically
-                // correct — the receiver did get that frame's contents.
-                if receivers.contains(&to) {
-                    if let MacState::AwaitAck { .. } = self.states[to.0] {
+                // Did the data sender hear the ACK? If not, its wait will
+                // expire.
+                if let MacState::AwaitAck { timeout: (at, _) } = self.states[to.0] {
+                    if receivers.contains(&to) {
+                        self.answered_until = self.answered_until.max(at);
                         let CurrentTx { frame, retries, .. } = self.take_awaited(to);
                         self.finish_tx(to, TxOutcome::Acked { retries }, frame.payload);
+                    } else {
+                        self.schedule_ack_timeout(to);
                     }
                 }
             }
@@ -710,6 +723,7 @@ impl<A: NodeAgent> Simulator<A> {
         // Half-duplex: if this node started transmitting in the meantime,
         // the ACK is silently skipped (the sender will retry).
         if matches!(self.states[node.0], MacState::Transmitting) {
+            self.schedule_ack_timeout(to);
             return;
         }
         let air = self.cfg.ack_bitrate.airtime(self.cfg.mac_ack_bytes);
@@ -720,13 +734,17 @@ impl<A: NodeAgent> Simulator<A> {
         self.begin_tx(node, air, InFlight::MacAck { to });
     }
 
-    fn on_ack_timeout(&mut self, node: NodeId, seq: u64) {
-        let MacState::AwaitAck { seq: cur } = self.states[node.0] else {
-            return;
-        };
-        if cur != seq {
-            return; // stale
+    /// Pushes the expiry of `node`'s ACK wait under the `(time, sequence)`
+    /// reserved for it, so it runs in the place it always had.
+    fn schedule_ack_timeout(&mut self, node: NodeId) {
+        if let MacState::AwaitAck { timeout: (at, seq) } = self.states[node.0] {
+            self.queue
+                .push(Reverse((at, seq, EventKind::AckTimeout { node })));
         }
+    }
+
+    fn on_ack_timeout(&mut self, node: NodeId) {
+        debug_assert!(matches!(self.states[node.0], MacState::AwaitAck { .. }));
         let current = self.current[node.0]
             .as_mut()
             .expect("AwaitAck retains its frame");
@@ -768,7 +786,13 @@ impl<A: FlowAgent> Simulator<A> {
     /// an event of the heap under sequence number 0: it applies before
     /// every engine event due at the same instant, and same-instant
     /// actions apply in the order they were scheduled.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `at` is before the current time: the clock cannot go
+    /// back.
     pub fn schedule_traffic(&mut self, at: Time, action: TrafficAction) {
+        assert!(at >= self.now, "traffic at {at} µs is before the clock");
         let slot = self.traffic.len();
         self.traffic.push(Some((at, action)));
         self.on_traffic = Self::apply_traffic;
@@ -838,12 +862,11 @@ mod test {
     }
 
     #[test]
-    fn medium_retains_what_is_on_the_air_not_what_was_sent() {
+    fn the_medium_holds_only_frames_not_yet_judged_or_judged_now() {
         // Retention tracks the air, not a time window (100 ms of this
-        // run is ~20 000 frames): the history holds only frames that
-        // ended while the oldest frame still on the air was being sent —
-        // those on the air with it when it began, plus the shorter ones
-        // (MAC ACKs) that came and went since.
+        // run is ~20 000 frames): the on-air set holds the frames whose
+        // end the engine has not reached, and those judged at the
+        // medium's clock, which leave when it moves on.
         let topo = generate::city_mesh(2000, 5);
         let n = topo.n();
         let next_hop: Vec<_> = topo.nodes().map(|a| topo.neighbors(a).next()).collect();
@@ -855,28 +878,32 @@ mod test {
         for node in 0..n {
             sim.kick(NodeId(node));
         }
-        let (mut air_hw, mut history_hw, mut ring_hw) = (0, 0, 0);
+        let (mut air_hw, mut ring_hw) = (0, 0);
         while sim.next_tx_id < 50_000 {
             let until = sim.now + 50;
             sim.run_until(until, |_| false);
-            let (air, history) = sim.medium.retained();
-            air_hw = air_hw.max(air);
-            history_hw = history_hw.max(history);
+            let (unjudged, judged, clock) = sim.medium.held();
+            assert!(
+                judged.iter().all(|&end| end == clock),
+                "{judged:?} at {clock}"
+            );
+            // Unjudged frames are the ones whose end the run has not
+            // reached: every frame still in the engine's ring.
+            assert!(unjudged.iter().all(|&end| end > sim.now));
+            assert_eq!(unjudged.len(), sim.in_flight.iter().flatten().count());
+            air_hw = air_hw.max(unjudged.len() + judged.len());
             ring_hw = ring_hw.max(sim.in_flight.len());
         }
         assert!(
             air_hw > 20,
             "a busy mesh: {air_hw} frames on the air at once"
         );
-        assert!(
-            history_hw <= 2 * air_hw + 16,
-            "history {history_hw} records against {air_hw} on the air"
-        );
         // The engine's in-flight ring spans the ids issued since the
-        // oldest frame still on the air: the same frames, no more.
+        // oldest frame in flight began: the frames on the air with it, and
+        // the shorter ones (MAC ACKs) that came and went since.
         assert!(
-            ring_hw <= air_hw + history_hw + 16,
-            "ring of {ring_hw} slots against {air_hw} on the air, {history_hw} kept"
+            ring_hw <= 2 * air_hw,
+            "ring of {ring_hw} slots against {air_hw} on the air"
         );
     }
 }

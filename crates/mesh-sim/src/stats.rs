@@ -27,7 +27,9 @@ pub struct SimStats {
     /// Moments when ≥2 *data* transmissions were on the air concurrently,
     /// weighted by overlap µs — the spatial-reuse indicator.
     pub concurrent_airtime: Time,
-    /// Total events processed.
+    /// Engine events dispatched (traffic actions excluded). A unicast's
+    /// ACK timeout counts only when it fires: one the MAC ACK answered is
+    /// never scheduled.
     pub events: u64,
     /// Highest transmit-queue depth each node ever reached (all zero
     /// under [`crate::queue::QueueSpec::Unbounded`]).

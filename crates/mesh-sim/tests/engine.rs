@@ -680,3 +680,12 @@ fn a_mac_ack_skipped_by_half_duplex_retries_on_time_and_in_order() {
         ]
     );
 }
+
+#[test]
+#[should_panic(expected = "before the clock")]
+fn traffic_cannot_be_scheduled_before_the_clock() {
+    let mut sim = arrivals_sim();
+    sim.set_timer(NodeId(0), MS, 0);
+    assert_eq!(sim.run_until(SEC, |_| false), MS);
+    sim.schedule_traffic(MS - 1, arrival(0));
+}
