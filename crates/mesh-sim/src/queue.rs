@@ -9,9 +9,9 @@
 //! fate of every frame a protocol hands its MAC, behind a serializable
 //! [`QueueSpec`] that names the classic disciplines —
 //!
-//! * [`QueueSpec::Unbounded`] — no queue (the pre-queue engine,
-//!   byte-identical by construction: the engine skips this module
-//!   entirely);
+//! * [`QueueSpec::Unbounded`] — a one-frame slot: one poll per transmit
+//!   opportunity, served at once, never dropped (the pre-queue engine,
+//!   byte for byte);
 //! * [`QueueSpec::DropTail`] — a fixed-capacity FIFO that drops
 //!   arrivals when full;
 //! * [`QueueSpec::Red`] — Random Early Detection: an EWMA of the queue
@@ -98,8 +98,9 @@ pub enum QueueVerdict {
 ///   removed the victim's mirror entry.
 /// * [`QueueDiscipline::dequeue`] is called when the engine serves the
 ///   head-of-line frame; the discipline pops its mirror's head.
-/// * [`QueueDiscipline::depth`] returns the mirror length, which must
-///   always equal the engine-side FIFO length.
+/// * [`QueueDiscipline::depth`] returns the mirror length: the
+///   engine-side FIFO's, less a frame served as it is accepted, which a
+///   discipline may leave out of its mirror (the unbounded slot does).
 /// * All randomness must come from the `rng` argument (the dedicated
 ///   [`QUEUE_STREAM`] ChaCha8 stream), never from ambient sources.
 ///
@@ -154,6 +155,13 @@ pub trait QueueDiscipline: Send {
 
     /// Frames currently queued (excluding the one in service at the MAC).
     fn depth(&self) -> usize;
+
+    /// Whether the engine should poll the protocol for another frame
+    /// while `queued` frames sit in the node's FIFO. The default polls
+    /// until [`QueueDiscipline::offer`] discards an arrival.
+    fn wants_poll(&self, _queued: usize) -> bool {
+        true
+    }
 }
 
 /// Serializable description of a node's transmit queue policy.
@@ -163,9 +171,8 @@ pub trait QueueDiscipline: Send {
 /// [`QueueSpec::build_node`] producing the live discipline per node.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub enum QueueSpec {
-    /// No transmit queue — the pre-queue engine, byte-for-byte. The MAC
-    /// polls the protocol for exactly one frame per transmit
-    /// opportunity and nothing is ever dropped before the air.
+    /// A one-frame slot — the pre-queue engine, byte-for-byte: one poll
+    /// per transmit opportunity, no drop before the air, no queue draw.
     #[default]
     Unbounded,
     /// Fixed-capacity FIFO; arrivals beyond `capacity` are tail-dropped.
@@ -277,7 +284,7 @@ impl QueueSpec {
         QueueSpec::Choke(Aqm::classic(capacity))
     }
 
-    /// No queue configured — the byte-compat default.
+    /// The one-frame slot, the default: no queue to drop from or pace.
     pub fn is_unbounded(&self) -> bool {
         matches!(self, QueueSpec::Unbounded)
     }
@@ -303,9 +310,8 @@ impl QueueSpec {
         }
     }
 
-    /// Builds one node's live discipline, or `None` for
-    /// [`QueueSpec::Unbounded`] (the engine then bypasses the queue
-    /// layer entirely).
+    /// Builds one node's live discipline; always `Some`, a zero-sized
+    /// one-frame slot for [`QueueSpec::Unbounded`].
     ///
     /// # Panics
     ///
@@ -319,23 +325,41 @@ impl QueueSpec {
         if let Err(e) = self.validate() {
             panic!("invalid QueueSpec: {e}");
         }
-        let aqm = |params, choke| {
-            Some(Box::new(AqmQueue {
-                params,
-                choke,
-                avg: 0.0,
-                keys: VecDeque::new(),
-            }) as Box<dyn QueueDiscipline>)
+        let aqm = |params, choke| AqmQueue {
+            params,
+            choke,
+            avg: 0.0,
+            keys: VecDeque::new(),
         };
-        match *self {
-            QueueSpec::Unbounded => None,
-            QueueSpec::DropTail { capacity } => Some(Box::new(DropTail {
+        Some(match *self {
+            QueueSpec::Unbounded => Box::new(Slot),
+            QueueSpec::DropTail { capacity } => Box::new(DropTail {
                 capacity,
                 keys: VecDeque::new(),
-            })),
-            QueueSpec::Red(params) => aqm(params, false),
-            QueueSpec::Choke(params) => aqm(params, true),
-        }
+            }),
+            QueueSpec::Red(params) => Box::new(aqm(params, false)),
+            QueueSpec::Choke(params) => Box::new(aqm(params, true)),
+        })
+    }
+}
+
+/// [`QueueSpec::Unbounded`]'s discipline: one frame, polled only into
+/// an empty FIFO and served as it is accepted, so nothing ever waits.
+struct Slot;
+
+impl QueueDiscipline for Slot {
+    fn offer(&mut self, _key: u64, _now: Time, _rng: &mut ChaCha8Rng) -> QueueVerdict {
+        QueueVerdict::Accept
+    }
+
+    fn dequeue(&mut self, _now: Time) {}
+
+    fn depth(&self) -> usize {
+        0
+    }
+
+    fn wants_poll(&self, queued: usize) -> bool {
+        queued == 0
     }
 }
 
@@ -549,7 +573,7 @@ impl AimdPacer {
     pub fn on_send(&mut self, now: Time) {
         self.refresh(now);
         let gap_us = (crate::SEC as f64 / self.rate_pps).ceil().max(1.0) as Time;
-        self.next_release = now + gap_us;
+        self.next_release = now.saturating_add(gap_us);
     }
 
     /// A frame of the flow was lost at a queue: multiplicative decrease.
@@ -768,6 +792,36 @@ mod test {
             p.on_loss(crate::SEC);
         }
         assert!(p.rate_pps() >= 1.0);
+    }
+
+    #[test]
+    fn aimd_release_saturates_instead_of_wrapping() {
+        // A valid config whose gap does not fit in a `Time`: the release
+        // is "never", not a wrapped instant in the past.
+        let cfg = AimdConfig {
+            initial_pps: 1e-15,
+            min_pps: 1e-15,
+            increase_pps_per_s: 0.0,
+            ..AimdConfig::default()
+        };
+        assert!(cfg.validate().is_ok());
+        let mut p = AimdPacer::new(cfg);
+        p.on_send(1);
+        assert_eq!(p.gate(2), Some(Time::MAX));
+    }
+
+    #[test]
+    fn unbounded_slot_admits_everything_and_holds_nothing() {
+        let mut q = QueueSpec::Unbounded.build_node().expect("a slot");
+        let mut r = rng(5);
+        for key in 0..4 {
+            assert!(q.wants_poll(0));
+            assert_eq!(q.offer(key, 0, &mut r), QueueVerdict::Accept);
+            assert!(!q.wants_poll(1));
+            assert_eq!(q.depth(), 0);
+            q.dequeue(0);
+        }
+        assert_eq!(r.gen::<u64>(), rng(5).gen::<u64>(), "the slot drew");
     }
 
     #[test]

@@ -146,26 +146,27 @@ enum InFlight<P> {
     MacAck { to: NodeId },
 }
 
-/// One node's bounded transmit queue: the engine-side frame FIFO plus
-/// the discipline mirroring it (see [`crate::queue`]).
+/// One node's transmit queue: the engine-side frame FIFO plus the
+/// discipline mirroring it (see [`crate::queue`]).
 struct NodeQueue<P> {
     frames: VecDeque<OutFrame<P>>,
     disc: Box<dyn QueueDiscipline>,
 }
 
-/// The queue subsystem, present only for bounded [`QueueSpec`]s — under
-/// [`QueueSpec::Unbounded`] the engine keeps the historical
-/// one-poll-per-opportunity path and this struct is never built, which
-/// is what makes the default byte-identical to the pre-queue engine.
+/// The one transmit path, which every polled frame takes. Under
+/// [`QueueSpec::Unbounded`] each queue is a one-frame slot: one poll per
+/// opportunity, served at once, no draw and no drop — the pre-queue
+/// engine, byte for byte.
 struct QueueLayer<P> {
     nodes: Vec<NodeQueue<P>>,
     /// AQM randomness, decorrelated from the main stream
     /// (`seed ^ QUEUE_STREAM`).
     rng: ChaCha8Rng,
-    /// AIMD pacers for opted-in flows, keyed by protocol flow id.
-    pacers: BTreeMap<u32, AimdPacer>,
-    /// Each paced flow's source node (pacing gates only the source).
-    pacer_src: BTreeMap<u32, NodeId>,
+    /// Whether the queues can drop, which is what a pacer reacts to.
+    bounded: bool,
+    /// AIMD pacers for opted-in flows, keyed by protocol flow id, each
+    /// with its flow's source node (pacing gates only the source).
+    pacers: BTreeMap<u32, (NodeId, AimdPacer)>,
     /// When set, every flow the traffic layer starts mid-run is paced.
     auto_pace: Option<AimdConfig>,
 }
@@ -182,18 +183,25 @@ enum Pumped<P> {
 }
 
 impl<P> QueueLayer<P> {
+    /// The panics [`Simulator::pace_flow`] documents.
+    fn check_paceable(&self, cfg: &AimdConfig) {
+        cfg.validate()
+            .unwrap_or_else(|e| panic!("invalid AimdConfig: {e}"));
+        assert!(self.bounded, "source pacing requires a bounded QueueSpec");
+    }
+
     /// Runs one transmit opportunity at `node` through its queue: pump
     /// the agent's pending frames in, then serve the head-of-line frame
     /// (unless its flow's pacer gate is closed).
     ///
-    /// The fill loop stops when the agent has nothing to send *or* on the
-    /// first verdict that discards the arriving frame. Stopping at a drop
-    /// is what bounds the loop: a dropped arrival is the agent's loss
-    /// signal for this opportunity, and some sources (MORE's coder) can
-    /// otherwise produce frames indefinitely. The whole fill shares one
-    /// `ctx`: kicks applied between polls would draw their backoffs from
-    /// the main stream in between MORE's coefficient draws and reorder
-    /// both.
+    /// The fill loop polls while the discipline wants a frame, and stops
+    /// when the agent has nothing to send *or* on the first verdict that
+    /// discards the arriving frame. Stopping at a drop is what bounds the
+    /// loop: a dropped arrival is the agent's loss signal for this
+    /// opportunity, and some sources (MORE's coder) can otherwise produce
+    /// frames indefinitely. The whole fill shares one `ctx`: kicks applied
+    /// between polls would draw their backoffs from the main stream in
+    /// between MORE's coefficient draws and reorder both.
     fn pump<A: NodeAgent<Payload = P>>(
         &mut self,
         node: NodeId,
@@ -202,17 +210,17 @@ impl<P> QueueLayer<P> {
         stats: &mut SimStats,
     ) -> Pumped<P> {
         let now = ctx.now();
-        let Some(q) = self.nodes.get_mut(node.0) else {
-            return Pumped::Empty;
-        };
-        while let Some(frame) = agent.poll_tx(node, ctx) {
+        let q = &mut self.nodes[node.0];
+        while q.disc.wants_poll(q.frames.len()) {
+            let Some(frame) = agent.poll_tx(node, ctx) else {
+                break;
+            };
             let key = q.disc.classify(node, frame.flow);
             let (cause, matched) = match q.disc.offer(key, now, &mut self.rng) {
                 QueueVerdict::Accept => {
                     q.frames.push_back(frame);
-                    if let Some(hw) = stats.queue_depth_hw.get_mut(node.0) {
-                        *hw = (*hw).max(q.frames.len());
-                    }
+                    let hw = &mut stats.queue_depth_hw[node.0];
+                    *hw = (*hw).max(q.disc.depth());
                     continue;
                 }
                 QueueVerdict::DropIncoming(cause) => (cause, None),
@@ -222,7 +230,7 @@ impl<P> QueueLayer<P> {
             // One congestion event for the pacer (a matched pair shares a
             // flow key), one drop count per discarded frame.
             stats.count_queue_drop(node.0, frame.flow, cause);
-            if let Some(p) = frame.flow.and_then(|f| self.pacers.get_mut(&f)) {
+            if let Some((_, p)) = frame.flow.and_then(|f| self.pacers.get_mut(&f)) {
                 p.on_loss(now);
             }
             let outcome = TxOutcome::Dropped(cause);
@@ -238,13 +246,12 @@ impl<P> QueueLayer<P> {
         let Some(head) = q.frames.front() else {
             return Pumped::Empty;
         };
-        if let Some(f) = head.flow.filter(|f| self.pacer_src.get(f) == Some(&node)) {
-            if let Some(p) = self.pacers.get_mut(&f) {
-                if let Some(release) = p.gate(now) {
-                    return Pumped::Deferred(release);
-                }
-                p.on_send(now);
+        let paced = head.flow.and_then(|f| self.pacers.get_mut(&f));
+        if let Some((_, p)) = paced.filter(|(src, _)| *src == node) {
+            if let Some(release) = p.gate(now) {
+                return Pumped::Deferred(release);
             }
+            p.on_send(now);
         }
         q.disc.dequeue(now);
         q.frames.pop_front().map_or(Pumped::Empty, Pumped::Frame)
@@ -295,8 +302,8 @@ pub struct Simulator<A: NodeAgent> {
     scratch_kicks: Vec<NodeId>,
     /// Scratch for the per-transmission receiver set.
     scratch_receivers: Vec<NodeId>,
-    /// Bounded per-node transmit queues; `None` = unbounded (legacy path).
-    queues: Option<QueueLayer<A::Payload>>,
+    /// Per-node transmit queues, the pacers, and their stream.
+    queues: QueueLayer<A::Payload>,
     /// Counters accumulated over the run.
     pub stats: SimStats,
 }
@@ -314,7 +321,7 @@ impl<A: NodeAgent> Simulator<A> {
     /// and whose nodes queue frames under `queue` (see [`crate::queue`]).
     /// A run is a pure function of `(topology, agent, seed, channel,
     /// queue)`; under [`QueueSpec::Unbounded`] the MAC polls the agent
-    /// once per transmit opportunity.
+    /// once per transmit opportunity and sends what it gets.
     ///
     /// # Panics
     ///
@@ -331,7 +338,7 @@ impl<A: NodeAgent> Simulator<A> {
         let channel = spec.build(&topo, seed);
         let n = topo.n();
         let medium = Medium::new(&topo, &cfg, channel.as_ref());
-        let queues = (!queue.is_unbounded()).then(|| QueueLayer {
+        let queues = QueueLayer {
             nodes: (0..n)
                 .filter_map(|_| queue.build_node())
                 .map(|disc| NodeQueue {
@@ -340,10 +347,10 @@ impl<A: NodeAgent> Simulator<A> {
                 })
                 .collect(),
             rng: streams::rng(seed, Stream::Queue),
+            bounded: !queue.is_unbounded(),
             pacers: BTreeMap::new(),
-            pacer_src: BTreeMap::new(),
             auto_pace: None,
-        });
+        };
         Simulator {
             cfg,
             agent,
@@ -380,13 +387,8 @@ impl<A: NodeAgent> Simulator<A> {
     /// transmit queue, so it requires [`Simulator::with_queue`]) or
     /// when `cfg` is invalid.
     pub fn pace_flow(&mut self, flow: u32, src: NodeId, cfg: AimdConfig) {
-        cfg.validate()
-            .unwrap_or_else(|e| panic!("invalid AimdConfig: {e}"));
-        let Some(layer) = self.queues.as_mut() else {
-            panic!("source pacing requires a bounded QueueSpec (use Simulator::with_queue)");
-        };
-        layer.pacers.insert(flow, AimdPacer::new(cfg));
-        layer.pacer_src.insert(flow, src);
+        self.queues.check_paceable(&cfg);
+        self.queues.pacers.insert(flow, (src, AimdPacer::new(cfg)));
     }
 
     /// Like [`Simulator::pace_flow`], but also paces every flow the
@@ -398,12 +400,8 @@ impl<A: NodeAgent> Simulator<A> {
     ///
     /// Same contract as [`Simulator::pace_flow`].
     pub fn pace_all_flows(&mut self, cfg: AimdConfig) {
-        cfg.validate()
-            .unwrap_or_else(|e| panic!("invalid AimdConfig: {e}"));
-        let Some(layer) = self.queues.as_mut() else {
-            panic!("source pacing requires a bounded QueueSpec (use Simulator::with_queue)");
-        };
-        layer.auto_pace = Some(cfg);
+        self.queues.check_paceable(&cfg);
+        self.queues.auto_pace = Some(cfg);
     }
 
     /// Current simulated time.
@@ -484,7 +482,7 @@ impl<A: NodeAgent> Simulator<A> {
             EventKind::AckTimeout { node } => self.on_ack_timeout(node),
             EventKind::StartMacAck { node, to } => self.on_start_mac_ack(node, to),
             EventKind::Timer { node, token } => {
-                self.callback(|agent, ctx| agent.on_timer(node, token, ctx));
+                self.callback(|agent, ctx, _, _| agent.on_timer(node, token, ctx));
             }
             EventKind::Traffic { slot } => {
                 if let Some((_, action)) = self.traffic.get_mut(slot).and_then(Option::take) {
@@ -495,17 +493,21 @@ impl<A: NodeAgent> Simulator<A> {
         }
     }
 
-    /// The one gateway into the protocol: runs `call` on the agent with a
-    /// fresh [`Ctx`] over the reused scratch vectors, then applies the
-    /// timers and kicks it queued before anything else happens.
-    fn callback<R>(&mut self, call: impl FnOnce(&mut A, &mut Ctx<'_>) -> R) -> R {
+    /// The one gateway into the protocol: runs `call` on the agent and a
+    /// fresh [`Ctx`] over the reused scratch vectors (with the queues and
+    /// counters the pump updates), then applies the timers and kicks it
+    /// queued before anything else happens.
+    fn callback<R>(
+        &mut self,
+        call: impl FnOnce(&mut A, &mut Ctx<'_>, &mut QueueLayer<A::Payload>, &mut SimStats) -> R,
+    ) -> R {
         let mut ctx = Ctx {
             now: self.now,
             rng: &mut self.rng,
             timers: std::mem::take(&mut self.scratch_timers),
             kicks: std::mem::take(&mut self.scratch_kicks),
         };
-        let result = call(&mut self.agent, &mut ctx);
+        let result = call(&mut self.agent, &mut ctx, &mut self.queues, &mut self.stats);
         let Ctx {
             mut timers,
             mut kicks,
@@ -540,38 +542,31 @@ impl<A: NodeAgent> Simulator<A> {
             self.push(busy_end + delay, EventKind::TryTx { node });
             return;
         }
-        // Need a frame: a retained unicast retry, or ask the protocol —
-        // directly (unbounded, the historical path) or through the
-        // node's bounded transmit queue.
-        if self.current[node.0].is_none() {
-            let polled = match self.queues.take() {
-                None => self.callback(|agent, ctx| agent.poll_tx(node, ctx)),
-                Some(layer) => match self.pump_queue(layer, node) {
-                    Pumped::Frame(frame) => Some(frame),
-                    Pumped::Empty => None,
-                    Pumped::Deferred(at) => {
-                        // Pacer gate closed: stay Waiting and retry when
-                        // the flow's inter-packet gap elapses.
-                        self.push(at, EventKind::TryTx { node });
-                        return;
-                    }
+        // Need a frame: a retained unicast retry, or the head of the
+        // node's transmit queue, which polls the protocol.
+        let current = if let Some(retry) = self.current.get_mut(node.0).and_then(Option::take) {
+            retry
+        } else {
+            let pumped =
+                self.callback(|agent, ctx, queues, stats| queues.pump(node, agent, ctx, stats));
+            match pumped {
+                Pumped::Frame(frame) => CurrentTx {
+                    frame,
+                    retries: 0,
+                    cw: self.cfg.cw_min,
                 },
-            };
-            match polled {
-                Some(frame) => {
-                    self.current[node.0] = Some(CurrentTx {
-                        frame,
-                        retries: 0,
-                        cw: self.cfg.cw_min,
-                    });
-                }
-                None => {
+                Pumped::Empty => {
                     self.states[node.0] = MacState::Idle;
                     return;
                 }
+                Pumped::Deferred(at) => {
+                    // Pacer gate closed: stay Waiting and retry when the
+                    // flow's inter-packet gap elapses.
+                    self.push(at, EventKind::TryTx { node });
+                    return;
+                }
             }
-        }
-        let current = self.current[node.0].as_ref().expect("frame just ensured");
+        };
         let rate = current.frame.bitrate.unwrap_or(self.cfg.bitrate);
         let bytes = current.frame.bytes;
         let air = rate.airtime(bytes);
@@ -582,26 +577,12 @@ impl<A: NodeAgent> Simulator<A> {
             bitrate: rate,
             payload: current.frame.payload.clone(),
         };
+        self.current[node.0] = Some(current);
         // Spatial-reuse accounting: overlap with other in-air data frames.
         self.account_concurrency(node, air);
         self.states[node.0] = MacState::Transmitting;
         self.stats.tx_frames[node.0] += 1;
         self.begin_tx(node, air, InFlight::Data { frame });
-    }
-
-    /// Runs the queue `layer` at `node` inside the agent gateway, with
-    /// the counters it updates lent out of `self` for the call; the
-    /// layer goes back into `self` afterwards.
-    fn pump_queue(
-        &mut self,
-        mut layer: QueueLayer<A::Payload>,
-        node: NodeId,
-    ) -> Pumped<A::Payload> {
-        let mut stats = std::mem::take(&mut self.stats);
-        let pumped = self.callback(|agent, ctx| layer.pump(node, agent, ctx, &mut stats));
-        self.stats = stats;
-        self.queues = Some(layer);
-        pumped
     }
 
     /// Puts a transmission by `node` on the air for `air` µs: issues its
@@ -666,7 +647,7 @@ impl<A: NodeAgent> Simulator<A> {
                 // receiver's callback, exactly as they always have.
                 for &r in &receivers {
                     self.stats.rx_frames[r.0] += 1;
-                    self.callback(|agent, ctx| agent.on_receive(r, &frame, ctx));
+                    self.callback(|agent, ctx, _, _| agent.on_receive(r, &frame, ctx));
                 }
                 match frame.dst {
                     None => {
@@ -774,7 +755,7 @@ impl<A: NodeAgent> Simulator<A> {
     /// Hands a finished frame's payload back with its outcome and re-arms
     /// the MAC for the next frame.
     fn finish_tx(&mut self, node: NodeId, outcome: TxOutcome, payload: A::Payload) {
-        self.callback(|agent, ctx| agent.on_tx_done(node, outcome, payload, ctx));
+        self.callback(|agent, ctx, _, _| agent.on_tx_done(node, outcome, payload, ctx));
         self.states[node.0] = MacState::Waiting;
         let d = self.backoff_delay(self.cfg.cw_min);
         self.push(self.now + d, EventKind::TryTx { node });
@@ -813,18 +794,18 @@ impl<A: FlowAgent> Simulator<A> {
         match action {
             TrafficAction::Start(desc) => {
                 self.arrivals_due -= 1;
-                let index = self.callback(|agent, ctx| {
+                let index = self.callback(|agent, ctx, _, _| {
                     let index = agent.add_flow(&desc);
                     ctx.mark_backlogged(desc.src);
                     index
                 });
                 // Registry-built protocols assign flow id = index + 1,
                 // so dynamic arrivals can be auto-paced by id.
-                if let Some(cfg) = self.queues.as_ref().and_then(|l| l.auto_pace) {
+                if let Some(cfg) = self.queues.auto_pace {
                     self.pace_flow(index as u32 + 1, desc.src, cfg);
                 }
             }
-            TrafficAction::Stop(index) => self.callback(|agent, _| agent.end_flow(index)),
+            TrafficAction::Stop(index) => self.callback(|agent, _, _, _| agent.end_flow(index)),
         }
     }
 }
@@ -835,20 +816,35 @@ mod test {
     use mesh_topology::generate;
 
     /// Every node with a neighbour is saturated, alternating broadcasts
-    /// with unicasts (so MAC ACKs are on the air too).
+    /// with unicasts (so MAC ACKs are on the air too). A frame's payload
+    /// is the instant it was polled; `done` lists each outcome with that
+    /// instant and the one it came back at.
     struct Chatter {
         next_hop: Vec<Option<NodeId>>,
         sent: Vec<u32>,
+        done: Vec<(TxOutcome, Time, Time)>,
+    }
+
+    impl Chatter {
+        fn new(topo: &Topology) -> Self {
+            Chatter {
+                next_hop: topo.nodes().map(|a| topo.neighbors(a).next()).collect(),
+                sent: vec![0; topo.n()],
+                done: Vec::new(),
+            }
+        }
     }
 
     impl NodeAgent for Chatter {
-        type Payload = ();
+        type Payload = Time;
 
-        fn on_receive(&mut self, _node: NodeId, _f: &Frame<()>, _ctx: &mut Ctx<'_>) {}
+        fn on_receive(&mut self, _node: NodeId, _f: &Frame<Time>, _ctx: &mut Ctx<'_>) {}
 
-        fn on_tx_done(&mut self, _node: NodeId, _o: TxOutcome, _p: (), _ctx: &mut Ctx<'_>) {}
+        fn on_tx_done(&mut self, _node: NodeId, o: TxOutcome, polled: Time, ctx: &mut Ctx<'_>) {
+            self.done.push((o, polled, ctx.now()));
+        }
 
-        fn poll_tx(&mut self, node: NodeId, _ctx: &mut Ctx<'_>) -> Option<OutFrame<()>> {
+        fn poll_tx(&mut self, node: NodeId, ctx: &mut Ctx<'_>) -> Option<OutFrame<Time>> {
             let next_hop = self.next_hop[node.0]?;
             self.sent[node.0] += 1;
             Some(OutFrame {
@@ -856,9 +852,51 @@ mod test {
                 bytes: 1500,
                 bitrate: None,
                 flow: None,
-                payload: (),
+                payload: ctx.now(),
             })
         }
+    }
+
+    #[test]
+    fn the_unbounded_slot_is_the_pull_path() {
+        // Saturated nodes through the one-frame slot: every polled frame
+        // goes on the air at the opportunity that polled it, and the
+        // queue layer draws, drops and holds nothing.
+        let topo = generate::testbed(1);
+        let (cfg, seed) = (SimConfig::default(), 3);
+        let agent = Chatter::new(&topo);
+        let mut sim = Simulator::new(topo, cfg, agent, seed);
+        for node in 0..sim.states.len() {
+            sim.kick(NodeId(node));
+        }
+        sim.run_until(5 * crate::SEC, |_| false);
+        // A broadcast comes back as it leaves the air, a unicast ACKed on
+        // its first try as its MAC ACK does, SIFS later.
+        let air = cfg.bitrate.airtime(1500);
+        let acked = air + cfg.sifs_us + cfg.ack_bitrate.airtime(cfg.mac_ack_bytes);
+        let mut first_tries = 0;
+        for &(outcome, polled, back) in &sim.agent.done {
+            let on_air = match outcome {
+                TxOutcome::Broadcast => air,
+                TxOutcome::Acked { retries: 0 } => acked,
+                _ => continue,
+            };
+            assert_eq!(back - on_air, polled, "{outcome:?} came back at {back}");
+            first_tries += 1;
+        }
+        assert!(first_tries > 1000, "{first_tries} frames checked");
+        let mut fresh = streams::rng(seed, Stream::Queue);
+        assert_eq!(sim.queues.rng.gen::<u64>(), fresh.gen::<u64>());
+        assert_eq!(sim.stats.total_queue_drops(), 0);
+        assert!(sim.stats.queue_depth_hw.iter().all(|&hw| hw == 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "requires a bounded QueueSpec")]
+    fn pacing_needs_a_queue_that_can_drop() {
+        let topo = generate::testbed(1);
+        let mut sim = Simulator::new(topo.clone(), SimConfig::default(), Chatter::new(&topo), 1);
+        sim.pace_all_flows(AimdConfig::default());
     }
 
     #[test]
@@ -869,11 +907,7 @@ mod test {
         // medium's clock, which leave when it moves on.
         let topo = generate::city_mesh(2000, 5);
         let n = topo.n();
-        let next_hop: Vec<_> = topo.nodes().map(|a| topo.neighbors(a).next()).collect();
-        let agent = Chatter {
-            sent: vec![0; n],
-            next_hop,
-        };
+        let agent = Chatter::new(&topo);
         let mut sim = Simulator::new(topo, SimConfig::default(), agent, 5);
         for node in 0..n {
             sim.kick(NodeId(node));

@@ -341,7 +341,8 @@ impl ScenarioBuilder {
     }
 
     /// Sets the per-node transmit queue discipline every run uses
-    /// (default: [`QueueSpec::Unbounded`], the pull-on-demand engine).
+    /// (default: [`QueueSpec::Unbounded`], a one-frame slot: one poll per
+    /// transmit opportunity, never a drop).
     /// Bounded disciplines surface per-flow drops and whole-run drop
     /// totals in each record.
     ///
@@ -376,7 +377,7 @@ impl ScenarioBuilder {
     /// rate that halves (by [`AimdConfig::decrease`]) whenever the local
     /// queue drops one of the flow's frames. Requires a bounded
     /// [`ScenarioBuilder::queue`] — the pacer reacts to queue losses, and
-    /// the unbounded legacy path has none. At `Sweep::Queue` points that
+    /// the unbounded slot has none. At `Sweep::Queue` points that
     /// are unbounded, pacing is skipped for that point.
     pub fn congestion(mut self, cfg: AimdConfig) -> Self {
         self.congestion = Some(cfg);
@@ -560,7 +561,7 @@ impl ScenarioBuilder {
                 return Err(BuildError::InvalidQueue(
                     "congestion control requires a bounded queue discipline \
                      (set ScenarioBuilder::queue or sweep Sweep::Queue with a \
-                     bounded point); the unbounded legacy path has no queue \
+                     bounded point); the unbounded slot has no queue \
                      losses to react to"
                         .to_string(),
                 ));

@@ -18,8 +18,8 @@ pub struct FlowRecord {
     /// the deadline as the denominator — the Figs 4-2…4-7 convention).
     pub throughput_pps: f64,
     /// Frames of this flow dropped by transmit queues anywhere in the
-    /// mesh. Always 0 for the unbounded default, which has no queues to
-    /// drop from.
+    /// mesh. Always 0 for the unbounded default, whose one-frame slots
+    /// never drop.
     pub queue_drops: u64,
     /// The transfer finished before the deadline.
     pub completed: bool,
@@ -50,7 +50,7 @@ pub struct RunRecord {
     /// for the default §5.3.1 air.
     pub channel: String,
     /// Queue-discipline label ([`mesh_sim::QueueSpec::label`]);
-    /// `"unbounded"` for the default pull-on-demand engine.
+    /// `"unbounded"` for the default one-frame slot.
     pub queue: String,
     /// Sweep parameter name, when the scenario sweeps one.
     pub param: Option<&'static str>,

@@ -1,8 +1,9 @@
 //! Queue-subsystem equivalence: the default [`QueueSpec::Unbounded`] —
-//! the pull-on-demand transmit path — is the golden run (see
-//! `tests/common/mod.rs`), said or unsaid. The run includes the Srcr and
-//! ExOR baselines because every agent's transmit path is shared with the
-//! queue pump (frames popped from the agent's queues at poll time, and
+//! a one-frame slot in the queue pump, which every frame goes through —
+//! is the golden run (see `tests/common/mod.rs`), said or unsaid: the
+//! run the engine made before it had queues. The run includes the Srcr
+//! and ExOR baselines because every agent's transmit path goes through
+//! the pump (frames popped from the agent's queues at poll time, and
 //! handed back with their outcome through `on_tx_done`): a single extra
 //! poll, re-queued frame, or RNG draw would shift every downstream number.
 //! Bounded disciplines must instead be deterministic per seed, diverge
