@@ -1,14 +1,14 @@
-//! The discrete-event engine: one event heap, per-node CSMA/CA MAC state
+//! The discrete-event engine: one event queue, per-node CSMA/CA MAC state
 //! machines, and the one gateway through which the engine calls the
 //! protocol.
 //!
-//! Everything advances through a binary-heap event queue keyed on
-//! `(time, sequence)`, so simultaneous events run in scheduling order and
-//! every run is a pure function of `(topology, agent, seed)`. Dynamic
-//! workload actions ([`TrafficAction`]) ride the same heap under sequence
-//! number 0: each applies before every engine event due at its instant,
-//! and same-instant actions apply in the order they were scheduled.
-//! [`Simulator::run_until`] is the one loop.
+//! Everything advances through an event queue keyed on `(time,
+//! sequence)`, so simultaneous events run in scheduling order and every
+//! run is a pure function of `(topology, agent, seed)`. Dynamic workload
+//! actions ([`TrafficAction`]) wait in a lane of their own, keyed on
+//! `(time, slot)`: each applies before every engine event due at its
+//! instant, and same-instant actions apply in the order they were
+//! scheduled. [`Simulator::run_until`] is the one loop.
 //!
 //! Every call into the agent — polls, receptions, outcomes, timers, flow
 //! arrivals and departures — goes through one gateway, which hands the
@@ -65,14 +65,60 @@ enum EventKind {
     StartMacAck { node: NodeId, to: NodeId },
     /// Protocol timer.
     Timer { node: NodeId, token: u64 },
-    /// The traffic action in `slot`. Pushed under sequence number 0, so
-    /// it precedes every engine event at its instant; actions at one
-    /// instant order by slot, which is schedule order.
-    Traffic { slot: usize },
 }
 
-/// A dynamic-workload action, applied as an event of the heap (see
-/// [`Simulator::schedule_traffic`]).
+/// What [`Agenda::next`] hands the loop.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Due {
+    Event(EventKind),
+    Traffic(usize),
+}
+
+/// The event queue: engine events by `(time, sequence)`, and traffic
+/// actions by `(time, slot)`, ahead of every engine event at their instant.
+/// An event stays at the root, spent, while it is dispatched, and the
+/// first event it schedules overwrites it: one sift, not a pop and a push.
+#[derive(Default)]
+struct Agenda {
+    events: BinaryHeap<Reverse<(Time, u64, EventKind)>>,
+    traffic: BinaryHeap<Reverse<(Time, usize)>>,
+    spent: bool,
+}
+
+impl Agenda {
+    fn push(&mut self, at: Time, seq: u64, ev: EventKind) {
+        let entry = Reverse((at, seq, ev));
+        if !std::mem::take(&mut self.spent) {
+            self.events.push(entry);
+        } else if let Some(mut root) = self.events.peek_mut() {
+            *root = entry; // a spent root is always there
+        }
+    }
+
+    /// Pops a spent root that no push took.
+    fn settle(&mut self) {
+        if std::mem::take(&mut self.spent) {
+            self.events.pop();
+        }
+    }
+
+    /// The earliest entry due by `deadline`, traffic first on a tie.
+    fn next(&mut self, deadline: Time) -> Option<(Time, Due)> {
+        self.settle();
+        let event = self.events.peek().map(|&Reverse((at, _, ev))| (at, ev));
+        let first = event.map_or(deadline, |(at, _)| at.min(deadline));
+        if let Some(&Reverse((at, slot))) = self.traffic.peek().filter(|t| t.0 .0 <= first) {
+            self.traffic.pop();
+            return Some((at, Due::Traffic(slot)));
+        }
+        let (at, ev) = event.filter(|&(at, _)| at <= deadline)?;
+        self.spent = true;
+        Some((at, Due::Event(ev)))
+    }
+}
+
+/// A dynamic-workload action, applied when the run reaches its instant
+/// (see [`Simulator::schedule_traffic`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TrafficAction {
     /// A new flow arrives: [`FlowAgent::add_flow`] is called and the
@@ -269,7 +315,7 @@ pub struct Simulator<A: NodeAgent> {
     pub agent: A,
     now: Time,
     seq: u64,
-    queue: BinaryHeap<Reverse<(Time, u64, EventKind)>>,
+    agenda: Agenda,
     rng: ChaCha8Rng,
     medium: Medium,
     channel: Box<dyn ChannelModel>,
@@ -284,13 +330,13 @@ pub struct Simulator<A: NodeAgent> {
     /// frame ends, and empty slots leave from the front.
     in_flight: VecDeque<Option<InFlight<A::Payload>>>,
     next_tx_id: u64,
-    /// Scheduled traffic actions with their times, by the slot their
-    /// `Traffic` event names; a slot empties when its event fires.
+    /// Scheduled traffic actions with their times, by the slot the
+    /// agenda's traffic lane names; a slot empties when its action fires.
     traffic: Vec<Option<(Time, TrafficAction)>>,
-    /// Applies a fired traffic action. `schedule_traffic` sets it, as the
-    /// flow lifecycle needs `A: FlowAgent`; before that no traffic event
-    /// exists and it does nothing.
-    on_traffic: fn(&mut Simulator<A>, TrafficAction),
+    /// Applies the traffic action in a slot that fires. `schedule_traffic`
+    /// sets it, as the flow lifecycle needs `A: FlowAgent`; before that no
+    /// traffic action exists and it does nothing.
+    on_traffic: fn(&mut Simulator<A>, usize),
     /// Pending `Start`s at or before the deadline of the running
     /// [`Simulator::run_until`]; `stop` is not consulted while any is
     /// left.
@@ -356,7 +402,7 @@ impl<A: NodeAgent> Simulator<A> {
             agent,
             now: 0,
             seq: 0,
-            queue: BinaryHeap::new(),
+            agenda: Agenda::default(),
             rng: streams::rng(seed, Stream::Run),
             medium,
             channel,
@@ -427,7 +473,7 @@ impl<A: NodeAgent> Simulator<A> {
     fn push(&mut self, at: Time, ev: EventKind) {
         debug_assert!(at >= self.now, "scheduling into the past");
         self.seq += 1;
-        self.queue.push(Reverse((at, self.seq, ev)));
+        self.agenda.push(at, self.seq, ev);
     }
 
     fn backoff_delay(&mut self, cw: u32) -> Time {
@@ -439,7 +485,9 @@ impl<A: NodeAgent> Simulator<A> {
     /// left, and returns the simulated time at exit. An event past
     /// `deadline` stays queued for a later call, and the clock stops at
     /// `deadline`. Out of events, the clock stops no earlier than the
-    /// expiry of the latest answered ACK wait (capped at `deadline`).
+    /// expiry of the latest answered ACK wait (capped at `deadline`). A
+    /// `deadline` before the clock runs nothing and returns the clock
+    /// unchanged: the clock cannot go back.
     ///
     /// `stop` is consulted after each event, but only once no scheduled
     /// [`TrafficAction::Start`] at or before `deadline` is pending, so a
@@ -447,6 +495,9 @@ impl<A: NodeAgent> Simulator<A> {
     /// [`TrafficAction::Stop`] does not hold the run: a departure cannot
     /// un-resolve a flow.
     pub fn run_until(&mut self, deadline: Time, mut stop: impl FnMut(&A) -> bool) -> Time {
+        if deadline < self.now {
+            return self.now;
+        }
         self.arrivals_due = self
             .traffic
             .iter()
@@ -454,28 +505,27 @@ impl<A: NodeAgent> Simulator<A> {
             .filter(|(at, action)| *at <= deadline && matches!(action, TrafficAction::Start(_)))
             .count();
         loop {
-            let Some(&Reverse((at, _, ev))) = self.queue.peek() else {
-                self.now = self.now.max(self.answered_until.min(deadline));
+            let Some((at, due)) = self.agenda.next(deadline) else {
+                let idle = self.agenda.events.is_empty() && self.agenda.traffic.is_empty();
+                let until = if idle { self.answered_until } else { deadline };
+                self.now = self.now.max(until.min(deadline));
                 break;
             };
-            if at > deadline {
-                self.now = deadline;
-                break;
-            }
-            self.queue.pop();
             self.now = at;
-            if !matches!(ev, EventKind::Traffic { .. }) {
-                self.stats.events += 1;
+            match due {
+                Due::Event(ev) => self.dispatch(ev),
+                Due::Traffic(slot) => (self.on_traffic)(self, slot),
             }
-            self.dispatch(ev);
             if self.arrivals_due == 0 && stop(&self.agent) {
                 break;
             }
         }
+        self.agenda.settle();
         self.now
     }
 
     fn dispatch(&mut self, ev: EventKind) {
+        self.stats.events += 1;
         match ev {
             EventKind::TryTx { node } => self.on_try_tx(node),
             EventKind::TxEnd { id } => self.on_tx_end(id),
@@ -483,12 +533,6 @@ impl<A: NodeAgent> Simulator<A> {
             EventKind::StartMacAck { node, to } => self.on_start_mac_ack(node, to),
             EventKind::Timer { node, token } => {
                 self.callback(|agent, ctx, _, _| agent.on_timer(node, token, ctx));
-            }
-            EventKind::Traffic { slot } => {
-                if let Some((_, action)) = self.traffic.get_mut(slot).and_then(Option::take) {
-                    let apply = self.on_traffic;
-                    apply(self, action);
-                }
             }
         }
     }
@@ -719,8 +763,7 @@ impl<A: NodeAgent> Simulator<A> {
     /// reserved for it, so it runs in the place it always had.
     fn schedule_ack_timeout(&mut self, node: NodeId) {
         if let MacState::AwaitAck { timeout: (at, seq) } = self.states[node.0] {
-            self.queue
-                .push(Reverse((at, seq, EventKind::AckTimeout { node })));
+            self.agenda.push(at, seq, EventKind::AckTimeout { node });
         }
     }
 
@@ -763,10 +806,10 @@ impl<A: NodeAgent> Simulator<A> {
 }
 
 impl<A: FlowAgent> Simulator<A> {
-    /// Schedules a dynamic-workload action for simulated time `at`. It is
-    /// an event of the heap under sequence number 0: it applies before
-    /// every engine event due at the same instant, and same-instant
-    /// actions apply in the order they were scheduled.
+    /// Schedules a dynamic-workload action for simulated time `at`. It
+    /// waits in the agenda's traffic lane, apart from the engine's events:
+    /// it applies before every engine event due at the same instant, and
+    /// same-instant actions apply in the order they were scheduled.
     ///
     /// # Panics
     ///
@@ -777,8 +820,7 @@ impl<A: FlowAgent> Simulator<A> {
         let slot = self.traffic.len();
         self.traffic.push(Some((at, action)));
         self.on_traffic = Self::apply_traffic;
-        self.queue
-            .push(Reverse((at, 0, EventKind::Traffic { slot })));
+        self.agenda.traffic.push(Reverse((at, slot)));
     }
 
     /// The same as [`Simulator::run_until`], which applies scheduled
@@ -787,10 +829,13 @@ impl<A: FlowAgent> Simulator<A> {
         self.run_until(deadline, stop)
     }
 
-    /// Applies a fired traffic action through the agent gateway: an
+    /// Applies the traffic action in `slot` through the agent gateway: an
     /// arrival installs its flow, kicks the source and, when every flow
     /// is paced, paces it; a departure halts its flow.
-    fn apply_traffic(&mut self, action: TrafficAction) {
+    fn apply_traffic(&mut self, slot: usize) {
+        let Some((_, action)) = self.traffic.get_mut(slot).and_then(Option::take) else {
+            return;
+        };
         match action {
             TrafficAction::Start(desc) => {
                 self.arrivals_due -= 1;
@@ -889,6 +934,129 @@ mod test {
         assert_eq!(sim.queues.rng.gen::<u64>(), fresh.gen::<u64>());
         assert_eq!(sim.stats.total_queue_drops(), 0);
         assert!(sim.stats.queue_depth_hw.iter().all(|&hw| hw == 0));
+    }
+
+    /// An [`Agenda`] and the one heap it replaces, where a traffic action
+    /// was an entry under sequence number 0 (here a timer whose token is
+    /// its slot, so same-instant actions order by slot), driven through
+    /// the same schedule the way [`Simulator::run_until`] drives the
+    /// agenda. Every test event is a timer whose token is its sequence
+    /// number, so entries compare one to one.
+    struct Twins {
+        agenda: Agenda,
+        reference: BinaryHeap<Reverse<(Time, u64, EventKind)>>,
+        now: Time,
+        seq: u64,
+        slots: usize,
+        /// `(time, sequence)` reserved for a later push, as an ACK wait's
+        /// expiry is.
+        reserved: Vec<(Time, u64)>,
+        rng: ChaCha8Rng,
+    }
+
+    impl Twins {
+        fn push(&mut self, at: Time, seq: u64) {
+            let ev = EventKind::Timer {
+                node: NodeId(0),
+                token: seq,
+            };
+            self.agenda.push(at, seq, ev);
+            self.reference.push(Reverse((at, seq, ev)));
+        }
+
+        fn event(&mut self, at: Time) {
+            self.seq += 1;
+            self.push(at, self.seq);
+        }
+
+        fn traffic(&mut self, at: Time) {
+            let stand_in = EventKind::Timer {
+                node: NodeId(1),
+                token: self.slots as u64,
+            };
+            self.agenda.traffic.push(Reverse((at, self.slots)));
+            self.reference.push(Reverse((at, 0, stand_in)));
+            self.slots += 1;
+        }
+
+        /// What one dispatch schedules: none, one or several events, and
+        /// now and then a reservation or the push of an earlier one. Under
+        /// one event per dispatch on average, so the schedule dies out.
+        fn dispatch(&mut self) {
+            for _ in 0..[0, 0, 0, 0, 1, 1, 4][self.rng.gen_range(0..7usize)] {
+                let at = self.now + self.rng.gen_range(0..30u64);
+                self.event(at);
+            }
+            if self.rng.gen_bool(0.2) {
+                self.seq += 1;
+                let at = self.now + self.rng.gen_range(1..30u64);
+                self.reserved.push((at, self.seq));
+            }
+            let now = self.now;
+            self.reserved.retain(|&(at, _)| at >= now);
+            if self.rng.gen_bool(0.3) {
+                if let Some((at, seq)) = self.reserved.pop() {
+                    self.push(at, seq);
+                }
+            }
+        }
+
+        fn run_until(&mut self, deadline: Time) {
+            loop {
+                let expected = self.reference.peek().and_then(|&Reverse((at, seq, ev))| {
+                    let EventKind::Timer { token, .. } = ev else {
+                        unreachable!("every test entry is a timer")
+                    };
+                    let due = if seq == 0 {
+                        Due::Traffic(token as usize)
+                    } else {
+                        Due::Event(ev)
+                    };
+                    (at <= deadline).then_some((at, due))
+                });
+                let due = self.agenda.next(deadline);
+                assert_eq!(due, expected);
+                let Some((at, _)) = due else {
+                    break;
+                };
+                self.reference.pop();
+                self.now = at;
+                self.dispatch();
+            }
+            self.agenda.settle();
+            self.now = deadline;
+            let held = self.agenda.events.len() + self.agenda.traffic.len();
+            assert_eq!(held, self.reference.len());
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn the_agenda_pops_in_the_one_heaps_order(seed in proptest::prelude::any::<u64>()) {
+            let mut twins = Twins {
+                agenda: Agenda::default(),
+                reference: BinaryHeap::new(),
+                now: 0,
+                seq: 0,
+                slots: 0,
+                reserved: Vec::new(),
+                rng: <ChaCha8Rng as rand::SeedableRng>::seed_from_u64(seed),
+            };
+            for _ in 0..40 {
+                // Between runs: traffic at the current instant and later,
+                // kicks and timers from outside.
+                for _ in 0..twins.rng.gen_range(0..3usize) {
+                    let at = twins.now + [0, twins.rng.gen_range(0..60u64)][twins.rng.gen_range(0..2usize)];
+                    twins.traffic(at);
+                }
+                for _ in 0..twins.rng.gen_range(0..3usize) {
+                    let at = twins.now + twins.rng.gen_range(0..60u64);
+                    twins.event(at);
+                }
+                let deadline = twins.now + twins.rng.gen_range(0..60u64);
+                twins.run_until(deadline);
+            }
+        }
     }
 
     #[test]

@@ -311,6 +311,25 @@ fn deadline_stops_the_clock() {
 }
 
 #[test]
+fn an_earlier_deadline_leaves_the_clock_where_it_is() {
+    let topo = generate::line(1, 1.0, 0.0, 20.0);
+    let agent = Broadcaster {
+        remaining: u32::MAX,
+        received: vec![0; 2],
+    };
+    let mut sim = Simulator::new(topo, SimConfig::default(), agent, 2);
+    sim.kick(NodeId(0));
+    assert_eq!(sim.run_until(SEC, |_| false), SEC);
+    let events = sim.stats.events;
+    // Events past `SEC` are queued; none runs, and the clock stays put.
+    assert_eq!(sim.run_until(SEC / 2, |_| false), SEC);
+    assert_eq!((sim.now(), sim.stats.events), (SEC, events));
+    // The run goes on from there.
+    assert_eq!(sim.run_until(2 * SEC, |_| false), 2 * SEC);
+    assert!(sim.stats.events > events);
+}
+
+#[test]
 fn stop_predicate_halts_early() {
     let topo = generate::line(1, 1.0, 0.0, 20.0);
     let agent = Broadcaster {
@@ -331,6 +350,7 @@ enum Call {
     Add(NodeId),
     End(usize),
     Poll(NodeId, Time),
+    Timer(u64),
 }
 
 /// Logs every flow arrival, departure and poll in the order the engine
@@ -351,6 +371,15 @@ impl NodeAgent for Arrivals {
     fn poll_tx(&mut self, node: NodeId, ctx: &mut Ctx<'_>) -> Option<OutFrame<()>> {
         self.calls.push(Call::Poll(node, ctx.now()));
         None
+    }
+
+    /// Token 0 is silent; any other is logged and sets `token − 1` one
+    /// millisecond later.
+    fn on_timer(&mut self, node: NodeId, token: u64, ctx: &mut Ctx<'_>) {
+        if token > 0 {
+            self.calls.push(Call::Timer(token));
+            ctx.set_timer(node, MS, token - 1);
+        }
     }
 }
 
@@ -433,6 +462,41 @@ fn same_instant_traffic_applies_in_schedule_order() {
             &Call::Add(NodeId(0)),
             &Call::End(1),
             &Call::End(0)
+        ]
+    );
+}
+
+#[test]
+fn an_arrival_precedes_what_the_dispatch_before_it_scheduled_at_its_instant() {
+    // Timer 2 fires at 1 ms and sets timer 1 for 2 ms while it is being
+    // dispatched. An arrival due at 2 ms applies first.
+    let lifecycle = |sim: Simulator<Arrivals>| -> Vec<Call> {
+        let calls = sim.agent.calls.into_iter();
+        calls.filter(|c| !matches!(c, Call::Poll(..))).collect()
+    };
+    let mut sim = arrivals_sim();
+    sim.set_timer(NodeId(0), MS, 2);
+    sim.schedule_traffic(2 * MS, arrival(0));
+    sim.run_until(SEC, |_| false);
+    assert_eq!(
+        lifecycle(sim),
+        [Call::Timer(2), Call::Add(NodeId(0)), Call::Timer(1)]
+    );
+
+    // An arrival scheduled between two runs, at the instant the first
+    // one stopped, applies before the event that instant's dispatch set.
+    let mut sim = arrivals_sim();
+    sim.set_timer(NodeId(0), MS, 3);
+    assert_eq!(sim.run_until(2 * MS, |_| false), 2 * MS);
+    sim.schedule_traffic(2 * MS, arrival(1));
+    sim.run_until(SEC, |_| false);
+    assert_eq!(
+        lifecycle(sim),
+        [
+            Call::Timer(3),
+            Call::Timer(2),
+            Call::Add(NodeId(1)),
+            Call::Timer(1)
         ]
     );
 }
@@ -688,4 +752,14 @@ fn traffic_cannot_be_scheduled_before_the_clock() {
     sim.set_timer(NodeId(0), MS, 0);
     assert_eq!(sim.run_until(SEC, |_| false), MS);
     sim.schedule_traffic(MS - 1, arrival(0));
+}
+
+#[test]
+#[should_panic(expected = "before the clock")]
+fn an_earlier_deadline_does_not_open_the_past_to_traffic() {
+    let mut sim = arrivals_sim();
+    sim.set_timer(NodeId(0), 2 * SEC, 0);
+    assert_eq!(sim.run_until(SEC, |_| false), SEC);
+    assert_eq!(sim.run_until(SEC / 2, |_| false), SEC);
+    sim.schedule_traffic(SEC - 1, arrival(0));
 }

@@ -101,8 +101,17 @@ impl Decoder {
         axpy_chunked(out, self.reducers(v).map(|(c, row)| (c, &row[..self.k])));
     }
 
-    /// Non-destructively checks whether `p` would be innovative.
+    /// Non-destructively checks whether `p` would be innovative; never,
+    /// once the batch is complete.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the packet's K disagrees with the decoder.
     pub fn is_innovative(&self, p: &CodedPacket) -> bool {
+        assert_eq!(p.k(), self.k, "packet K != decoder K");
+        if self.is_complete() {
+            return false;
+        }
         let mut u = pool::acquire_vec(self.k);
         self.reduce_vector(p.vector(), &mut u);
         let innovative = u.iter().any(|&b| b != 0);
@@ -110,7 +119,8 @@ impl Decoder {
         innovative
     }
 
-    /// Absorbs a received packet; returns `true` iff it was innovative.
+    /// Absorbs a received packet; returns `true` iff it was innovative,
+    /// which it never is once the batch is complete.
     ///
     /// # Panics
     ///
@@ -122,6 +132,9 @@ impl Decoder {
             self.payload_len,
             "packet payload length mismatch"
         );
+        if self.is_complete() {
+            return false;
+        }
 
         // The code vector alone first: a dependent packet is detected — and
         // discarded — without touching a single payload byte.
@@ -135,16 +148,18 @@ impl Decoder {
         debug_assert!(self.rows[pivot].is_none(), "stored rows not fully reduced");
 
         // Normalize the pivot to 1; the payload gets the same combination,
-        // scaled, in its own fused pass.
+        // scaled, in its own fused pass (none when payloads are empty).
         let inv = Gf256(vector[pivot]).inv();
         slice_ops::mul_assign(vector, inv);
-        axpy_chunked(
-            payload,
-            std::iter::once((inv, p.payload())).chain(
-                self.reducers(p.vector())
-                    .map(|(c, row)| (inv * c, &row[self.k..])),
-            ),
-        );
+        if self.payload_len > 0 {
+            axpy_chunked(
+                payload,
+                std::iter::once((inv, p.payload())).chain(
+                    self.reducers(p.vector())
+                        .map(|(c, row)| (inv * c, &row[self.k..])),
+                ),
+            );
+        }
 
         // Back-eliminate the new pivot column from every stored row.
         for stored in self.rows.iter_mut().flatten() {
@@ -380,6 +395,34 @@ mod test {
         }
         assert_eq!(dec.rank(), 2);
         assert!(!dec.is_complete());
+    }
+
+    #[test]
+    fn a_complete_decoder_rejects_without_acquiring_a_row() {
+        let (k, len) = (8, 24);
+        let data = natives(k, len);
+        let enc = SourceEncoder::new(data.clone()).unwrap();
+        let mut dec = Decoder::new(k, len);
+        for i in 0..k {
+            assert!(dec.receive(&enc.encode_with(CodeVector::unit(k, i))));
+        }
+        let mut rng = ChaCha8Rng::seed_from_u64(4);
+        let packets: Vec<CodedPacket> = (0..10).map(|_| enc.encode(&mut rng)).collect();
+        let held = pool::hold_idle_rows();
+        let outstanding = pool::outstanding();
+        for p in &packets {
+            // The full reduction answers the same: every vector reduces
+            // to zero against the identity.
+            let mut u = vec![0; k];
+            dec.reduce_vector(p.vector(), &mut u);
+            assert!(u.iter().all(|&b| b == 0));
+            assert!(!dec.is_innovative(p));
+            assert!(!dec.receive(p));
+        }
+        assert_eq!((pool::idle_rows(), pool::outstanding()), (0, outstanding));
+        assert_eq!(dec.rank(), k);
+        held.into_iter().for_each(pool::release_vec);
+        assert_eq!(dec.take_natives().unwrap(), data);
     }
 
     #[test]

@@ -195,6 +195,20 @@ pub fn idle_buffers() -> usize {
     BUFFERS.with(|p| p.borrow().len())
 }
 
+/// Number of rows currently idle in this thread's row freelist.
+#[cfg(test)]
+pub(crate) fn idle_rows() -> usize {
+    VECS.with(|p| p.borrow().len())
+}
+
+/// Takes every idle row off this thread's freelist, so that a row
+/// acquired and released afterwards shows in [`idle_rows`]. Hand the rows
+/// back with [`release_vec`].
+#[cfg(test)]
+pub(crate) fn hold_idle_rows() -> Vec<Vec<u8>> {
+    (0..idle_rows()).map(|_| acquire_vec(0)).collect()
+}
+
 #[cfg(test)]
 mod test {
     use super::*;

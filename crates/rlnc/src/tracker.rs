@@ -60,6 +60,9 @@ impl InnovationTracker {
     pub fn is_innovative(&self, v: impl AsRef<[u8]>) -> bool {
         let v = v.as_ref();
         assert_eq!(v.len(), self.k(), "vector length != K");
+        if self.is_full() {
+            return false;
+        }
         let mut u = pool::acquire_vec(v.len());
         u.copy_from_slice(v);
         let innovative = self.reduce(&mut u).is_some();
@@ -71,10 +74,13 @@ impl InnovationTracker {
     /// store the reduced, normalized vector and report `true` (innovative).
     ///
     /// Returns `false` — "discard packet" — when `v` is a linear combination
-    /// of what the node already holds.
+    /// of what the node already holds, and at once when that is everything.
     pub fn absorb(&mut self, v: impl AsRef<[u8]>) -> bool {
         let v = v.as_ref();
         assert_eq!(v.len(), self.k(), "vector length != K");
+        if self.is_full() {
+            return false;
+        }
         let mut u = pool::acquire_vec(v.len());
         u.copy_from_slice(v);
         match self.reduce(&mut u) {
@@ -257,6 +263,33 @@ mod test {
         }
         assert_eq!(innovative, 4);
         assert_eq!(t.rank(), 4);
+    }
+
+    #[test]
+    fn a_full_tracker_rejects_without_acquiring_a_row() {
+        let k = 16;
+        let mut t = InnovationTracker::new(k);
+        for i in 0..k {
+            assert!(t.absorb(CodeVector::unit(k, i)));
+        }
+        let mut rng = ChaCha8Rng::seed_from_u64(8);
+        let mut vectors: Vec<CodeVector> =
+            (0..10).map(|_| CodeVector::random(k, &mut rng)).collect();
+        vectors.push(CodeVector::zero(k));
+        let held = pool::hold_idle_rows();
+        let outstanding = pool::outstanding();
+        for u in &vectors {
+            // The full walk answers the same: everything reduces to zero.
+            assert_eq!(t.reduce(&mut u.as_ref().to_vec()), None);
+            assert!(!t.is_innovative(u));
+            assert!(!t.absorb(u));
+        }
+        assert_eq!((pool::idle_rows(), pool::outstanding()), (0, outstanding));
+        assert_eq!(t.rank(), k);
+        for i in 0..k {
+            assert_eq!(t.row(i), Some(CodeVector::unit(k, i).as_ref()));
+        }
+        held.into_iter().for_each(pool::release_vec);
     }
 
     #[test]
