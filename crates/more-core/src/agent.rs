@@ -101,6 +101,7 @@ impl MoreAgent {
             src,
             dsts,
             total_packets,
+            batches: total_packets.div_ceil(self.cfg.k) as u32,
             tx_credit,
             ack_next_hop,
             nodes: (0..n).map(|_| NodeFlowState::new()).collect(),
@@ -130,7 +131,7 @@ impl MoreAgent {
 
     /// All flows done (every batch ACKed at its source)?
     pub fn all_done(&self) -> bool {
-        self.flows.iter().all(|f| f.is_done(&self.cfg))
+        self.flows.iter().all(|f| f.is_done())
     }
 
     /// The flow list (read-only, for harness inspection).
@@ -215,7 +216,7 @@ impl NodeAgent for MoreAgent {
                 // "When a node hears a packet, it checks whether it is in
                 // the packet's forwarder list" (§3.1.2) — any
                 // destination's. The source only pumps; it stores nothing.
-                if !f.participates(node) || f.is_done(&cfg) || node == f.src {
+                if !f.participates(node) || f.is_done() || node == f.src {
                     return;
                 }
                 if *batch < f.nodes[node.0].current_batch {
@@ -224,7 +225,7 @@ impl NodeAgent for MoreAgent {
                 let dst = f.dsts.iter().position(|d| d.node == node);
                 let upstream = f.from_upstream(node, frame.from);
                 let k_b = f.k_of(&cfg, *batch);
-                let total_batches = f.n_batches(&cfg);
+                let total_batches = f.n_batches();
                 let ns = &mut f.nodes[node.0];
                 ns.flush_to(*batch);
                 // Credit: "for each packet arrival from a node with higher
@@ -291,7 +292,7 @@ impl NodeAgent for MoreAgent {
                         f.src_batch = next;
                         f.encoder = None;
                         f.progress.acked_batches = next;
-                        if f.is_done(&cfg) {
+                        if f.is_done() {
                             f.progress.done = true;
                         } else {
                             ctx.mark_backlogged(node);
@@ -381,7 +382,7 @@ impl NodeAgent for MoreAgent {
         for step in 0..nf {
             let fi = (start + step) % nf;
             let f = &mut self.flows[fi];
-            if f.is_done(&cfg) {
+            if f.is_done() {
                 continue;
             }
             let (batch, k_b, packet) = if node == f.src {
@@ -397,7 +398,7 @@ impl NodeAgent for MoreAgent {
                 // (§3.2.1). Destinations and nodes outside the forwarder
                 // lists never earn credit.
                 let batch = f.nodes[node.0].current_batch;
-                if f.nodes[node.0].credit <= 0.0 || batch >= f.n_batches(&cfg) {
+                if f.nodes[node.0].credit <= 0.0 || batch >= f.n_batches() {
                     continue;
                 }
                 let ns = &mut f.nodes[node.0];

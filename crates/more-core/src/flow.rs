@@ -135,6 +135,9 @@ pub struct MoreFlow {
     pub dsts: Vec<Destination>,
     /// Total native packets in the file.
     pub total_packets: usize,
+    /// Batches the file splits into at the agent's K: fixed when the
+    /// flow is added, and read after every event by the stop condition.
+    pub(crate) batches: u32,
     /// `tx_credit[node]` — the largest of the per-destination TX credits:
     /// one coded broadcast serves every downstream destination at once.
     pub tx_credit: Vec<f64>,
@@ -156,14 +159,15 @@ pub struct MoreFlow {
 }
 
 impl MoreFlow {
-    /// Number of batches for this flow under config `cfg`.
-    pub fn n_batches(&self, cfg: &MoreConfig) -> u32 {
-        self.total_packets.div_ceil(cfg.k) as u32
+    /// Number of batches for this flow.
+    #[inline]
+    pub fn n_batches(&self) -> u32 {
+        self.batches
     }
 
     /// Batch size of batch `b` (the last batch may be short).
     pub fn k_of(&self, cfg: &MoreConfig, b: u32) -> usize {
-        let nb = self.n_batches(cfg);
+        let nb = self.n_batches();
         debug_assert!(b < nb);
         if b + 1 < nb || self.total_packets.is_multiple_of(cfg.k) {
             cfg.k
@@ -174,8 +178,9 @@ impl MoreFlow {
 
     /// True once every batch has been ACKed to the source by every
     /// destination (or the flow was withdrawn by a dynamic workload).
-    pub fn is_done(&self, cfg: &MoreConfig) -> bool {
-        self.halted || self.src_batch >= self.n_batches(cfg)
+    #[inline]
+    pub fn is_done(&self) -> bool {
+        self.halted || self.src_batch >= self.batches
     }
 
     /// Is `node` in some destination's forwarder list (source and

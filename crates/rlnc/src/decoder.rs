@@ -1,59 +1,76 @@
-//! The destination's incremental decoder (§3.1.3, §3.2.3b).
+//! The destination's decoder (§3.1.3, §3.2.3b).
 //!
-//! The destination keeps received packets in *reduced* row-echelon form:
-//! each arriving packet is forward-reduced against the stored rows (and the
-//! same row operations are applied to its payload), then — if innovative —
-//! its pivot column is back-eliminated from every earlier row. When rank
-//! reaches K the coefficient matrix is the identity and the stored payloads
-//! *are* the native packets; "once the destination receives the Kth
-//! innovative packet, it decodes the whole batch".
+//! The destination keeps what it receives in row-echelon form: stored row
+//! `i` is zero before column `i` and 1 at it. "Once the destination
+//! receives the Kth innovative packet, it decodes the whole batch."
 //!
-//! Keeping the matrix reduced as packets arrive is what bounds the work to
-//! "2NS multiplications per packet" instead of a cubic batch-end
-//! elimination.
+//! While the batch fills, an arrival's code vector is reduced against the
+//! stored rows in pivot order, one K-byte step per stored row it meets,
+//! until it reaches a column no stored row leads: that is its pivot. A
+//! vector that reduces to zero is dependent, and the packet is rejected
+//! there without a single payload byte read — so a payload still pending
+//! (see [`CodedPacket`]) is never computed. An innovative packet's payload
+//! takes the same combination, normalized, in one fused [`axpy_chunked`]
+//! pass: `row = inv · (packet + Σⱼ cⱼ · rowⱼ)` over the rows `j` it met.
 //!
-//! Rows are stored flat, `[vector | payload]` in one buffer like the packets
-//! themselves, and the arithmetic is batched. Because the stored rows are
-//! kept *fully* reduced (a stored pivot column is zero in every other row),
-//! reducing an arrival against them never changes a coefficient a later
-//! step reads, so the whole reduce → normalize → reduce sequence is one
-//! linear combination with coefficients read off the arriving vector:
-//! `row = inv · (packet + Σᵢ vᵢ · rowᵢ)` over the stored rows `i`. The
-//! K-byte vector part is one fused [`axpy_chunked`] pass and decides
-//! innovativeness — a dependent packet is rejected there, without reading
-//! its payload bytes at all, so a payload still pending (see
-//! [`CodedPacket`]) is never computed — and the payload part is a second,
-//! whose first read of the packet computes its payload. Row storage
-//! cycles through [`crate::pool`], so a steady-state destination decodes
-//! without touching the allocator.
+//! At rank K the rows are upper triangular with a unit diagonal, and one
+//! back-substitution, a fused pass per row from the last to the first,
+//! clears every entry right of the diagonal: the vectors become the
+//! identity and the payloads *are* the native packets. Keeping the matrix
+//! reduced at every arrival instead would cost the same number of
+//! row-times-coefficient terms, but as one unfused whole-row pass per
+//! stored row per arrival, each reading and writing its destination row.
+//!
+//! Rows are stored flat, in one matrix of K rows of `[payload | pad |
+//! vector]`, every payload on a 64-byte boundary (see [`crate::rows`]).
+//! The matrix and the vectors being reduced cycle through [`crate::pool`],
+//! so a steady-state destination decodes without touching the allocator.
 
 #![expect(
     clippy::indexing_slicing,
-    reason = "Gaussian elimination is index arithmetic by nature: every row index here is bounded by k == rows.len() == the vector length, pinned by Decoder::new and the receive() length asserts, and every stored row is k + payload_len long"
+    reason = "Gaussian elimination is index arithmetic by nature: every column index here is below k == the vector length, pinned by Decoder::new and the receive() length asserts, and every row is vector_at + k bytes with vector_at >= payload_len"
 )]
 
 use crate::packet::{axpy_chunked, CodedPacket};
+use crate::rows::{AlignedRows, ALIGN};
 use crate::{pool, CodingError};
 use gf256::{slice_ops, Gf256};
 
-/// Incremental reduced-row-echelon decoder for one batch.
-#[derive(Clone, Debug)]
+/// Row-echelon decoder for one batch, back-substituted at rank K.
+#[derive(Debug)]
 pub struct Decoder {
     k: usize,
     payload_len: usize,
-    /// `rows[i]` is the flat `[vector | payload]` row with pivot at column
-    /// `i` (coefficient 1) and zeros at every other stored pivot column.
-    rows: Vec<Option<Vec<u8>>>,
+    /// Where a row's vector starts: the payload length rounded up to a
+    /// 64-byte boundary.
+    vector_at: usize,
+    /// Row `i` is `[payload | pad | vector]`. A stored row's vector is
+    /// zero before column `i` and 1 at it; a row not stored is all zero.
+    rows: AlignedRows,
     rank: usize,
+}
+
+/// The first `len` bytes of a row: its payload.
+fn payload(row: &[u8], len: usize) -> &[u8] {
+    &row[..len]
+}
+
+/// A row's payload, and its vector (which starts at byte `at`) from
+/// column `from` on.
+fn split_row(row: &mut [u8], at: usize, len: usize, from: usize) -> (&mut [u8], &mut [u8]) {
+    let (payload, vector) = row.split_at_mut(at);
+    (&mut payload[..len], &mut vector[from..])
 }
 
 impl Decoder {
     /// An empty decoder for batch size `k`, payload size `payload_len`.
     pub fn new(k: usize, payload_len: usize) -> Self {
+        let vector_at = payload_len.next_multiple_of(ALIGN);
         Decoder {
             k,
             payload_len,
-            rows: (0..k).map(|_| None).collect(),
+            vector_at,
+            rows: pool::acquire_rows(k, vector_at + k),
             rank: 0,
         }
     }
@@ -82,23 +99,32 @@ impl Decoder {
         self.rank == self.k
     }
 
-    /// The stored rows a vector `v` reduces against, each with its
-    /// coefficient `v[i]` (zero coefficients skipped).
-    fn reducers<'a>(&'a self, v: &'a [u8]) -> impl Iterator<Item = (Gf256, &'a [u8])> {
-        self.rows
-            .iter()
-            .zip(v)
-            .filter(|(_, &c)| c != 0)
-            .filter_map(|(row, &c)| Some((Gf256(c), &row.as_ref()?[..])))
-    }
-
-    /// `out = v + Σ vᵢ·rowᵢ[..k]`: `v` reduced against every stored row in
-    /// one pass. The result is zero at every stored pivot column, so it is
-    /// zero everywhere iff `v` is dependent, and its first non-zero column
-    /// is the pivot `v` would fill.
-    fn reduce_vector(&self, v: &[u8], out: &mut [u8]) {
-        out.copy_from_slice(v);
-        axpy_chunked(out, self.reducers(v).map(|(c, row)| (c, &row[..self.k])));
+    /// Reduces `u`, an arriving code vector, against the stored rows in
+    /// pivot order until it is non-zero at a column no stored row leads:
+    /// the pivot it would fill, with the value there, or `None` once it
+    /// has reduced to zero
+    /// (dependent). Each stored row `j` it passes leaves in `u[j]` the
+    /// multiple of that row taken (zero when none was).
+    fn reduce(&self, u: &mut [u8]) -> Option<(usize, Gf256)> {
+        for (j, row) in self.rows.rows().enumerate() {
+            let (Some(&c), Some(v)) = (u.get(j), row.get(self.vector_at..)) else {
+                break;
+            };
+            if c == 0 {
+                continue;
+            }
+            if v.get(j) == Some(&0) {
+                return Some((j, Gf256(c)));
+            }
+            // The whole vector, an aligned whole-lane pass: the row is
+            // zero before column `j`, so only `u[j]` changes there — to
+            // zero, and back to the multiple taken.
+            slice_ops::mul_add_assign(u, v, Gf256(c));
+            if let Some(at_j) = u.get_mut(j) {
+                *at_j = c;
+            }
+        }
+        None
     }
 
     /// Non-destructively checks whether `p` would be innovative; never,
@@ -113,14 +139,15 @@ impl Decoder {
             return false;
         }
         let mut u = pool::acquire_vec(self.k);
-        self.reduce_vector(p.vector(), &mut u);
-        let innovative = u.iter().any(|&b| b != 0);
+        u.copy_from_slice(p.vector());
+        let innovative = self.reduce(&mut u).is_some();
         pool::release_vec(u);
         innovative
     }
 
     /// Absorbs a received packet; returns `true` iff it was innovative,
-    /// which it never is once the batch is complete.
+    /// which it never is once the batch is complete. The K-th innovative
+    /// packet decodes the batch.
     ///
     /// # Panics
     ///
@@ -138,112 +165,96 @@ impl Decoder {
 
         // The code vector alone first: a dependent packet is detected — and
         // discarded — without touching a single payload byte.
-        let mut row = pool::acquire_vec(self.k + self.payload_len);
-        let (vector, payload) = row.split_at_mut(self.k);
-        self.reduce_vector(p.vector(), vector);
-        let Some(pivot) = vector.iter().position(|&b| b != 0) else {
-            pool::release_vec(row);
+        let mut u = pool::acquire_vec(self.k);
+        u.copy_from_slice(p.vector());
+        let Some((pivot, lead)) = self.reduce(&mut u) else {
+            pool::release_vec(u);
             return false; // dependent: discard
         };
-        debug_assert!(self.rows[pivot].is_none(), "stored rows not fully reduced");
 
-        // Normalize the pivot to 1; the payload gets the same combination,
-        // scaled, in its own fused pass (none when payloads are empty).
-        let inv = Gf256(vector[pivot]).inv();
-        slice_ops::mul_assign(vector, inv);
-        if self.payload_len > 0 {
-            axpy_chunked(
-                payload,
-                std::iter::once((inv, p.payload())).chain(
-                    self.reducers(p.vector())
-                        .map(|(c, row)| (inv * c, &row[self.k..])),
-                ),
-            );
-        }
-
-        // Back-eliminate the new pivot column from every stored row.
-        for stored in self.rows.iter_mut().flatten() {
-            let c = Gf256(stored[pivot]);
-            if !c.is_zero() {
-                slice_ops::mul_add_assign(stored, &row, c);
+        // Store it normalized in the empty row `pivot`: the vector from the
+        // pivot on (the zeros before it are there already), and the
+        // payload as the same combination, scaled, in one fused pass (none
+        // when payloads are empty).
+        let (len, at) = (self.payload_len, self.vector_at);
+        {
+            let (met, row, _) = self.rows.split_mut(pivot);
+            let (row_payload, row_vector) = split_row(row, at, len, pivot);
+            let (coeffs, reduced) = u.split_at(pivot);
+            let inv = lead.inv();
+            slice_ops::mul_into(row_vector, reduced, inv);
+            if len > 0 {
+                let terms = coeffs.iter().zip(met).filter(|(&c, _)| c != 0);
+                axpy_chunked(
+                    row_payload,
+                    std::iter::once((inv, p.payload()))
+                        .chain(terms.map(|(&c, r)| (inv * Gf256(c), payload(r, len)))),
+                );
             }
         }
+        pool::release_vec(u);
 
-        self.rows[pivot] = Some(row);
         self.rank += 1;
+        if self.is_complete() {
+            self.back_substitute();
+        }
         true
+    }
+
+    /// At rank K: clears every entry right of the diagonal, last row
+    /// first, taking each row's multiples of the rows below it — already
+    /// natives by then — in one fused payload pass per row.
+    fn back_substitute(&mut self) {
+        let (len, at) = (self.payload_len, self.vector_at);
+        for i in (0..self.k).rev() {
+            let (_, row, below) = self.rows.split_mut(i);
+            let (row_payload, right) = split_row(row, at, len, i + 1);
+            if len > 0 {
+                let terms = right.iter().zip(below).filter(|(&c, _)| c != 0);
+                axpy_chunked(
+                    row_payload,
+                    terms.map(|(&c, r)| (Gf256(c), payload(r, len))),
+                );
+            }
+            right.fill(0);
+        }
     }
 
     /// Decoded native packet `i`, readable in place once the batch is
     /// complete (no per-packet copy, unlike [`Self::natives`]).
     pub fn native(&self, i: usize) -> Option<&[u8]> {
-        if !self.is_complete() {
-            return None;
-        }
-        self.rows[i].as_ref().map(|row| &row[self.k..])
-    }
-
-    /// Rank recomputed from storage rather than the counter — a complete
-    /// decoder has every row populated, and reporting the stored count
-    /// keeps [`Self::natives`]/[`Self::take_natives`] panic-free even if
-    /// that invariant were ever broken.
-    fn stored_rank(&self) -> usize {
-        self.rows.iter().filter(|r| r.is_some()).count()
+        (self.is_complete() && i < self.k).then(|| payload(self.rows.row(i), self.payload_len))
     }
 
     /// Returns the decoded native packets, consuming nothing; errors if the
     /// batch is not yet complete.
     pub fn natives(&self) -> Result<Vec<Vec<u8>>, CodingError> {
-        let stored = self.stored_rank();
-        if !self.is_complete() || stored < self.k {
+        if !self.is_complete() {
             return Err(CodingError::Incomplete {
-                rank: self.rank.min(stored),
+                rank: self.rank,
                 k: self.k,
             });
         }
-        Ok(self
-            .rows
-            .iter()
-            .flatten()
-            .map(|row| row[self.k..].to_vec())
-            .collect())
+        let len = self.payload_len;
+        Ok(self.rows.rows().map(|r| payload(r, len).to_vec()).collect())
     }
 
     /// Consumes the decoder, returning the native packets.
-    pub fn take_natives(mut self) -> Result<Vec<Vec<u8>>, CodingError> {
-        let stored = self.stored_rank();
-        if !self.is_complete() || stored < self.k {
-            return Err(CodingError::Incomplete {
-                rank: self.rank.min(stored),
-                k: self.k,
-            });
-        }
-        let rows = std::mem::take(&mut self.rows);
-        self.rank = 0;
-        Ok(rows
-            .into_iter()
-            .flatten()
-            .map(|mut row| {
-                row.drain(..self.k);
-                row
-            })
-            .collect())
+    pub fn take_natives(self) -> Result<Vec<Vec<u8>>, CodingError> {
+        self.natives()
     }
 
-    /// Drops all state, returning row storage to the buffer pool.
+    /// Drops all state, keeping the row storage.
     pub fn reset(&mut self) {
-        for r in &mut self.rows {
-            if let Some(row) = r.take() {
-                pool::release_vec(row);
-            }
-        }
+        self.rows.zero();
         self.rank = 0;
     }
 }
 
 impl Drop for Decoder {
+    /// Returns the row matrix to the pool, for the next batch's decoder.
     fn drop(&mut self) {
-        self.reset();
+        pool::release_rows(std::mem::take(&mut self.rows));
     }
 }
 
@@ -324,16 +335,32 @@ mod test {
         ));
     }
 
-    /// Each stored row leads with a 1 at its pivot and is zero at every
-    /// other stored pivot column.
-    fn assert_fully_reduced(dec: &Decoder) {
-        let stored = |i: usize| dec.rows[i].as_deref();
-        for (i, row) in (0..dec.k).filter_map(|i| Some((i, stored(i)?))) {
-            assert!(row[..i].iter().all(|&b| b == 0), "row {i} leads early");
-            for j in (0..dec.k).filter(|&j| stored(j).is_some()) {
-                assert_eq!(row[j], u8::from(i == j), "row {i} at pivot column {j}");
+    /// Row `i` is stored (leads with a 1 at column `i`, zeros before it)
+    /// or all zero; the stored rows count the rank; and a complete
+    /// decoder's vectors are the identity.
+    fn assert_row_echelon(dec: &Decoder) {
+        let mut stored = 0;
+        for (i, row) in dec.rows.rows().enumerate() {
+            let vector = &row[dec.vector_at..];
+            if vector[i] == 0 {
+                assert!(row.iter().all(|&b| b == 0), "row {i} half stored");
+                continue;
             }
+            stored += 1;
+            assert_eq!(vector[i], 1, "row {i} not normalized");
+            assert!(vector[..i].iter().all(|&b| b == 0), "row {i} leads early");
+            if dec.is_complete() {
+                assert!(
+                    vector[i + 1..].iter().all(|&b| b == 0),
+                    "row {i} not back-substituted"
+                );
+            }
+            assert!(
+                row[dec.payload_len..dec.vector_at].iter().all(|&b| b == 0),
+                "padding written"
+            );
         }
+        assert_eq!(stored, dec.rank());
     }
 
     #[test]
@@ -369,7 +396,7 @@ mod test {
                     assert_eq!(predicted, innovative, "is_innovative vs receive");
                     assert_eq!(tracker.absorb(p.vector()), innovative, "tracker vs receive");
                     assert_eq!(dec.rank(), tracker.rank());
-                    assert_fully_reduced(&dec);
+                    assert_row_echelon(&dec);
                     dependent += usize::from(!innovative);
                 }
             }
@@ -413,9 +440,8 @@ mod test {
         for p in &packets {
             // The full reduction answers the same: every vector reduces
             // to zero against the identity.
-            let mut u = vec![0; k];
-            dec.reduce_vector(p.vector(), &mut u);
-            assert!(u.iter().all(|&b| b == 0));
+            let mut u = p.vector().to_vec();
+            assert_eq!(dec.reduce(&mut u), None);
             assert!(!dec.is_innovative(p));
             assert!(!dec.receive(p));
         }

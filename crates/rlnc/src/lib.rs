@@ -15,16 +15,19 @@
 //!   *pre-coding* optimisation (§3.2.3c): one outgoing combination's
 //!   coefficients are kept ready and folded together with each innovative
 //!   arrival, so transmission never waits on a K-packet combine.
-//! * [`Decoder`] — the destination's incremental reduced-row-echelon decode:
-//!   every innovative arrival is back-eliminated from the stored rows at
-//!   once, so at rank K the rows *are* the native batch.
+//! * [`Decoder`] — the destination's decode: arrivals are kept in
+//!   row-echelon form while the batch fills, and the K-th innovative one
+//!   triggers a single back-substitution, after which the rows *are* the
+//!   native batch.
 //!
 //! A [`CodedPacket`] carries its code vector and computes its payload when
 //! a holder first reads it — in this simulator, when some receiver keeps
 //! it — into one flat `[coeffs | payload]` buffer. Cloning a packet — e.g.
 //! for each receiver of a simulated broadcast — is a refcount bump, every
 //! clone sees the one computed payload, and packets and buffers recycle
-//! through a thread-local [`pool`] instead of the allocator.
+//! through a thread-local [`pool`] instead of the allocator. Every payload
+//! row the GF(2⁸) kernels read or write — a computed payload, a source
+//! native, a decoder row — starts on a 64-byte boundary ([`rows`]).
 //!
 //! ```
 //! use more_rlnc::{SourceEncoder, Decoder};
@@ -63,6 +66,7 @@ pub mod buffer;
 pub mod decoder;
 pub mod packet;
 pub mod pool;
+pub mod rows;
 pub mod tracker;
 
 pub use buffer::ForwarderBuffer;

@@ -6,6 +6,7 @@
     reason = "header/payload splits index buffers acquired with exactly the k + payload length being split"
 )]
 
+use crate::rows::AlignedRows;
 use crate::{pool, CodingError};
 use bytes::Bytes;
 use gf256::{slice_ops, Gf256};
@@ -161,7 +162,8 @@ where
 /// packets of that forwarder's pool with the `m` coefficients drawn for
 /// them. The first [`Self::payload`], [`Self::data`] or [`Self::into_data`]
 /// runs the recipe — one [`axpy_chunked`] pass, the same bytes an eager
-/// combine would produce — into one flat `[coeffs | payload]` buffer.
+/// combine would produce — into one flat `[coeffs | payload]` buffer whose
+/// payload starts on a 64-byte boundary.
 ///
 /// Cloning a packet — e.g. for each receiver of a simulated broadcast — is
 /// a refcount bump, and every clone sees the one computed payload. Packets
@@ -196,16 +198,16 @@ pub(crate) enum Recipe {
     #[default]
     Done,
     /// `Σ vectorᵢ·nativeᵢ` over a batch's natives.
-    Natives(Rc<[Bytes]>),
+    Natives(Rc<AlignedRows>),
     /// `Σ coeffsⱼ·poolⱼ` over the first `coeffs.len()` pooled packets.
     Pool(SharedPool),
 }
 
 impl PacketCell {
-    /// Runs the recipe into a pooled flat buffer.
+    /// Runs the recipe into a pooled flat buffer, its payload aligned.
     fn compute(&self) -> Bytes {
         let k = self.vector.len();
-        let mut buf = pool::acquire(k + self.payload_len);
+        let mut buf = pool::acquire_split(k, self.payload_len);
         let (head, payload) = buf.split_at_mut(k);
         head.copy_from_slice(&self.vector);
         match self.recipe.take() {
@@ -214,8 +216,8 @@ impl PacketCell {
                 payload,
                 self.vector
                     .iter()
-                    .zip(natives.iter())
-                    .map(|(&c, n)| (Gf256(c), &n[..])),
+                    .zip(natives.rows())
+                    .map(|(&c, n)| (Gf256(c), n)),
             ),
             Recipe::Pool(pool) => axpy_chunked(
                 payload,
@@ -367,19 +369,22 @@ impl CodedPacket {
 /// "When the 802.11 MAC is ready to send, the source creates a random linear
 /// combination of the K native packets in the current batch and broadcasts
 /// the coded packet."
+///
+/// The natives are held once, in one arena with each native on a 64-byte
+/// boundary, shared with every packet whose payload is still to be
+/// computed.
 #[derive(Clone, Debug)]
 pub struct SourceEncoder {
-    /// Shared with every packet whose payload is still to be computed.
-    natives: Rc<[Bytes]>,
-    payload_len: usize,
+    natives: Rc<AlignedRows>,
 }
 
 impl SourceEncoder {
-    /// Builds an encoder over `natives`; all packets must share one length
-    /// and the batch must be non-empty. Zero-length natives are a batch
-    /// too: its packets carry code vectors and an empty payload.
+    /// Builds an encoder over `natives`, copied into the encoder's arena;
+    /// all packets must share one length and the batch must be non-empty.
+    /// Zero-length natives are a batch too: its packets carry code vectors
+    /// and an empty payload.
     pub fn new<B: Into<Bytes>>(natives: Vec<B>) -> Result<Self, CodingError> {
-        let natives: Rc<[Bytes]> = natives.into_iter().map(Into::into).collect();
+        let natives: Vec<Bytes> = natives.into_iter().map(Into::into).collect();
         let Some(first) = natives.first() else {
             return Err(CodingError::BadBatch("empty batch".into()));
         };
@@ -387,9 +392,12 @@ impl SourceEncoder {
         if natives.iter().any(|p| p.len() != payload_len) {
             return Err(CodingError::BadBatch("unequal packet lengths".into()));
         }
+        let mut arena = AlignedRows::in_storage(Vec::new(), natives.len(), payload_len);
+        for (i, native) in natives.iter().enumerate() {
+            arena.row_mut(i).copy_from_slice(native);
+        }
         Ok(SourceEncoder {
-            natives,
-            payload_len,
+            natives: Rc::new(arena),
         })
     }
 
@@ -402,12 +410,12 @@ impl SourceEncoder {
     /// Payload size in bytes.
     #[inline]
     pub fn payload_len(&self) -> usize {
-        self.payload_len
+        self.natives.width()
     }
 
-    /// The native packets this encoder codes over.
-    pub fn natives(&self) -> &[Bytes] {
-        &self.natives
+    /// The native packets this encoder codes over, in order.
+    pub fn natives(&self) -> impl ExactSizeIterator<Item = &[u8]> {
+        self.natives.rows()
     }
 
     /// Emits one coded packet with fresh random coefficients.
@@ -420,7 +428,7 @@ impl SourceEncoder {
     /// highest at the source because it has to code all K packets
     /// together"); a packet no receiver keeps never pays it.
     pub fn encode<R: Rng + ?Sized>(&self, rng: &mut R) -> CodedPacket {
-        let mut p = PacketMut::new(self.k(), self.payload_len);
+        let mut p = PacketMut::new(self.k(), self.payload_len());
         rng.fill(p.vector_mut());
         p.freeze(Recipe::Natives(Rc::clone(&self.natives)))
     }
@@ -434,7 +442,7 @@ impl SourceEncoder {
     pub fn encode_with(&self, vector: impl AsRef<[u8]>) -> CodedPacket {
         let vector = vector.as_ref();
         assert_eq!(vector.len(), self.k(), "vector length != K");
-        let mut p = PacketMut::new(self.k(), self.payload_len);
+        let mut p = PacketMut::new(self.k(), self.payload_len());
         p.vector_mut().copy_from_slice(vector);
         p.freeze(Recipe::Natives(Rc::clone(&self.natives)))
     }

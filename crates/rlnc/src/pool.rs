@@ -2,7 +2,8 @@
 //!
 //! Every coded packet on the simulated air is a cell holding its code
 //! vector and, once a receiver keeps it, one flat `[coeffs | payload]`
-//! buffer (see [`crate::CodedPacket`]). In steady state a simulator
+//! buffer (see [`crate::CodedPacket`]) whose payload starts on a 64-byte
+//! boundary ([`crate::rows`]). In steady state a simulator
 //! produces and retires a packet for every transmission — thousands per
 //! simulated second — and the pool turns that churn into reuse: the agent
 //! hands a packet back with [`recycle`] when the engine returns its frame
@@ -40,11 +41,13 @@
 //! Builds with debug assertions count, per thread, the buffers and rows
 //! handed out by [`acquire`] and [`acquire_vec`] that have not come back
 //! as sole owner through [`release`]/[`release_mut`] or [`release_vec`].
-//! [`outstanding`] reads the count; a run that drops a pooled buffer
+//! [`outstanding`] reads the count (a decoder's row matrix counts as
+//! one); a run that drops a pooled buffer
 //! instead of returning it leaves it above where it started
 //! (`tests/alloc_budget.rs` and `tests/pool_props.rs` assert this).
 
 use crate::packet::{PacketCell, SharedPool};
+use crate::rows::{padding, AlignedRows, ALIGN};
 use crate::CodedPacket;
 use bytes::{Bytes, BytesMut};
 use std::cell::{Cell, RefCell};
@@ -58,8 +61,10 @@ const MAX_POOLED: usize = 256;
 thread_local! {
     /// Flat packet buffers (`[coeffs | payload]`).
     static BUFFERS: RefCell<Vec<BytesMut>> = const { RefCell::new(Vec::new()) };
-    /// Plain byte rows (tracker/decoder matrix rows).
+    /// Plain byte rows (tracker rows, vectors being reduced).
     static VECS: RefCell<Vec<Vec<u8>>> = const { RefCell::new(Vec::new()) };
+    /// The storage of decoders' row matrices.
+    static MATRICES: RefCell<Vec<Vec<u8>>> = const { RefCell::new(Vec::new()) };
     /// Cleared packet cells, each the sole reference to itself.
     static PACKETS: RefCell<Vec<Rc<PacketCell>>> = const { RefCell::new(Vec::new()) };
     /// Emptied forwarder stores, storage kept.
@@ -81,23 +86,34 @@ pub fn outstanding() -> isize {
     OUTSTANDING.with(Cell::get)
 }
 
-/// A zeroed, uniquely owned buffer of exactly `len` bytes — recycled when
-/// the freelist has one, freshly allocated otherwise.
+/// A zeroed, uniquely owned buffer of exactly `len` bytes, starting on a
+/// 64-byte boundary — recycled when the freelist has one, freshly
+/// allocated otherwise.
 pub fn acquire(len: usize) -> BytesMut {
+    acquire_split(0, len)
+}
+
+/// A zeroed, uniquely owned buffer of `head + len` bytes whose byte
+/// `head` starts on a 64-byte boundary: a flat `[coeffs | payload]`
+/// buffer with its payload aligned. The padding in front of the head is
+/// outside the buffer's view.
+pub(crate) fn acquire_split(head: usize, len: usize) -> BytesMut {
     count(1);
+    let size = head + len;
     let recycled = BUFFERS.with(|p| p.borrow_mut().pop());
-    match recycled {
+    let mut m = match recycled {
         Some(mut m) => {
             m.clear();
-            m.resize(len, 0);
+            m.reserve(size + ALIGN - 1);
             m
         }
-        None => {
-            let mut m = BytesMut::with_capacity(len);
-            m.resize(len, 0);
-            m
-        }
-    }
+        None => BytesMut::with_capacity(size + ALIGN - 1),
+    };
+    // Within the capacity, so the storage does not move.
+    let pad = padding(m.as_ptr().wrapping_add(head));
+    m.resize(pad + size, 0);
+    m.advance(pad);
+    m
 }
 
 /// Offers a frozen buffer back to the pool. Reclaimed only when `b` is
@@ -142,6 +158,25 @@ pub fn release_vec(v: Vec<u8>) {
         let mut p = p.borrow_mut();
         if p.len() < MAX_POOLED {
             p.push(v);
+        }
+    });
+}
+
+/// `n` zeroed rows of `width` bytes, each starting on a 64-byte boundary,
+/// in storage from the matrix freelist when it has some.
+pub(crate) fn acquire_rows(n: usize, width: usize) -> AlignedRows {
+    count(1);
+    let storage = MATRICES.with(|p| p.borrow_mut().pop()).unwrap_or_default();
+    AlignedRows::in_storage(storage, n, width)
+}
+
+/// Returns a row matrix's storage to the freelist.
+pub(crate) fn release_rows(rows: AlignedRows) {
+    count(-1);
+    let _ = MATRICES.try_with(|p| {
+        let mut p = p.borrow_mut();
+        if p.len() < MAX_POOLED {
+            p.push(rows.into_storage());
         }
     });
 }
@@ -220,6 +255,25 @@ mod test {
         release(m.freeze());
         let again = acquire(16);
         assert_eq!(&again[..], &[0u8; 16]);
+        release_mut(again);
+    }
+
+    #[test]
+    fn split_buffers_align_the_byte_after_the_head() {
+        let mut held = Vec::new();
+        for (head, len) in [(0usize, 0usize), (1, 1500), (32, 64), (128, 1500), (7, 3)] {
+            let m = acquire_split(head, len);
+            assert_eq!(m.len(), head + len);
+            assert_eq!(m.as_ptr().wrapping_add(head).addr() % ALIGN, 0);
+            held.push(m);
+        }
+        // Recycled buffers are placed again for their new head.
+        held.into_iter().for_each(release_mut);
+        for head in [3usize, 64, 0] {
+            let m = acquire_split(head, 100);
+            assert_eq!(m.as_ptr().wrapping_add(head).addr() % ALIGN, 0);
+            release_mut(m);
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Property tests for the network-coding invariants MORE depends on.
 
+use gf256::Gf256;
 use more_rlnc::{
     pool, CodeVector, CodedPacket, Decoder, ForwarderBuffer, InnovationTracker, SourceEncoder,
 };
@@ -30,6 +31,154 @@ fn buffers_gained(f: impl FnOnce()) -> usize {
     let gained = pool::idle_buffers();
     held.into_iter().for_each(pool::release_mut);
     gained
+}
+
+/// Fails unless a non-empty row starts on a 64-byte boundary.
+fn assert_aligned(row: &[u8], what: &str) {
+    if !row.is_empty() {
+        assert_eq!(
+            row.as_ptr().addr() % 64,
+            0,
+            "{what} starts off a 64-byte boundary"
+        );
+    }
+}
+
+/// Naive Gauss–Jordan elimination over `[vector | payload]` rows, one
+/// scalar GF(2⁸) operation at a time: the reference the decoder is held
+/// to. It shares no code with the crate but the field arithmetic.
+struct GaussJordan {
+    k: usize,
+    /// Fully reduced rows, each with its pivot column.
+    rows: Vec<(usize, Vec<Gf256>)>,
+}
+
+impl GaussJordan {
+    fn new(k: usize) -> Self {
+        GaussJordan {
+            k,
+            rows: Vec::new(),
+        }
+    }
+
+    fn rank(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Adds a row; true iff it raised the rank.
+    fn absorb(&mut self, vector: &[u8], payload: &[u8]) -> bool {
+        let mut r: Vec<Gf256> = vector.iter().chain(payload).map(|&b| Gf256(b)).collect();
+        for (pivot, row) in &self.rows {
+            let f = r[*pivot];
+            for (x, &y) in r.iter_mut().zip(row) {
+                *x += f * y;
+            }
+        }
+        let Some(pivot) = r[..self.k].iter().position(|x| !x.is_zero()) else {
+            return false;
+        };
+        let inv = r[pivot].inv();
+        for x in &mut r {
+            *x *= inv;
+        }
+        for (_, row) in &mut self.rows {
+            let f = row[pivot];
+            for (x, &y) in row.iter_mut().zip(&r) {
+                *x += f * y;
+            }
+        }
+        self.rows.push((pivot, r));
+        true
+    }
+
+    /// At rank K, native `i` is the payload of the row whose pivot is `i`.
+    fn natives(&self) -> Vec<Vec<u8>> {
+        let mut rows: Vec<_> = self.rows.iter().collect();
+        rows.sort_by_key(|(pivot, _)| *pivot);
+        rows.iter()
+            .map(|(_, row)| row[self.k..].iter().map(|x| x.0).collect())
+            .collect()
+    }
+}
+
+/// One batch `source → recoding forwarder → destination`, arrival by
+/// arrival against the oracle: the forwarder hears the source every other
+/// step, so some of what it emits the destination already spans, and every
+/// other step re-delivers the previous packet as a duplicate.
+fn decode_against_the_oracle(natives: &[Vec<u8>], rng: &mut ChaCha8Rng) {
+    let (k, len) = (natives.len(), natives[0].len());
+    let enc = SourceEncoder::new(natives.to_vec()).unwrap();
+    for native in enc.natives() {
+        assert_aligned(native, "a source native");
+    }
+    let mut fwd = ForwarderBuffer::new(k, len);
+    let mut dec = Decoder::new(k, len);
+    let mut oracle = GaussJordan::new(k);
+    let (mut dependent, mut duplicates) = (0, 0);
+    let mut previous: Option<CodedPacket> = None;
+    let mut step = 0;
+    while !dec.is_complete() {
+        if step % 2 == 0 {
+            let heard = enc.encode(rng);
+            if fwd.receive(&heard, rng) {
+                assert_aligned(heard.payload(), "a stored source packet's payload");
+            }
+        }
+        let fresh = fwd.emit(rng).expect("the forwarder has heard the source");
+        let duplicate = previous.take().filter(|_| step % 2 == 1);
+        duplicates += usize::from(duplicate.is_some());
+        for p in std::iter::once(&fresh).chain(&duplicate) {
+            let predicted = dec.is_innovative(p);
+            let innovative = dec.receive(p);
+            let expected = oracle.absorb(p.vector(), p.payload());
+            assert_eq!(predicted, expected, "is_innovative at step {step}");
+            assert_eq!(innovative, expected, "receive at step {step}");
+            assert_eq!(dec.rank(), oracle.rank(), "rank at step {step}");
+            assert_aligned(p.payload(), "a recoded payload");
+            dependent += usize::from(!innovative);
+        }
+        previous = Some(fresh);
+        step += 1;
+        assert!(step < 8 * k + 16, "K = {k}, {len} B: not converging");
+    }
+    if k > 1 {
+        assert!(
+            duplicates > 0 && dependent > duplicates,
+            "K = {k}: nothing dependent arrived"
+        );
+    }
+    // Complete: nothing more is innovative.
+    let late = enc.encode(rng);
+    assert!(!dec.is_innovative(&late) && !dec.receive(&late));
+    for (i, native) in natives.iter().enumerate() {
+        let decoded = dec.native(i).unwrap();
+        assert_aligned(decoded, "a decoded row");
+        assert_eq!(decoded, &native[..], "K = {k}, {len} B: native {i}");
+    }
+    assert_eq!(oracle.natives(), natives);
+    assert_eq!(dec.take_natives().unwrap(), natives);
+}
+
+#[test]
+fn recoded_batches_decode_like_gauss_jordan() {
+    // Interpreted, the large batches and payloads take minutes; the small
+    // ones walk the same code, padding and short last rows included.
+    let (ks, lens): (&[usize], &[usize]) = if cfg!(miri) {
+        (&[1, 2, 8], &[0, 1, 63, 64, 65])
+    } else {
+        (&[1, 2, 8, 32, 128], &[0, 1, 63, 64, 65, 1500, 1628])
+    };
+    for &k in ks {
+        for &len in lens {
+            // A full batch, then a short final one: the decoder's matrix
+            // comes back from the pool for a smaller K.
+            let file = batch(k + k.div_ceil(2), len);
+            let mut rng = ChaCha8Rng::seed_from_u64((k * 10_000 + len) as u64);
+            for natives in file.chunks(k) {
+                decode_against_the_oracle(natives, &mut rng);
+            }
+        }
+    }
 }
 
 /// `p`'s payload, whenever it is first read, is what the source would have
