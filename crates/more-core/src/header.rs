@@ -1,28 +1,11 @@
-//! The MORE packet format (Fig 3-1) and its wire codec.
+//! What a MORE frame carries (Fig 3-1).
 //!
 //! In the simulator frames carry [`MorePayload`] values directly; the
-//! byte-level codec exists so the header layout of Fig 3-1 is real, its
-//! size can be measured against the paper's ≤ 70 B bound (§4.6c), and a
-//! future packet-radio port has a wire format to start from.
-//!
-//! Layout (grey = required, white = optional, per Fig 3-1):
-//!
-//! ```text
-//! type(1) src_ip(4) dst_ip(4) flow(4) batch(4)            — required
-//! [data] k(2) code_vector(K) nf(1) {fwd_id(1) credit(2)}* — optional
-//! ```
-//!
-//! Forwarder node ids are compressed to one byte (a hash of the IP in the
-//! real system, §4.6c) and TX credits to 1/256-granularity fixed point.
+//! header's bytes reach the air only as [`crate::MoreConfig::header_bytes`],
+//! whose doc lists the Fig 3-1 fields behind its 70 B.
 
 use mesh_topology::NodeId;
 use rlnc::CodedPacket;
-
-/// Packet type discriminator (Fig 3-1: "the packet type identifies batch
-/// ACKs from data packets").
-pub const TYPE_DATA: u8 = 1;
-/// See [`TYPE_DATA`].
-pub const TYPE_ACK: u8 = 2;
 
 /// What a MORE frame carries.
 #[derive(Clone, Debug)]
@@ -62,192 +45,9 @@ impl MorePayload {
     }
 }
 
-/// The Fig 3-1 header in encodable form.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Header {
-    pub packet_type: u8,
-    pub src: NodeId,
-    pub dst: NodeId,
-    pub flow: u32,
-    pub batch: u32,
-    /// Code vector — data packets only.
-    pub code_vector: Option<Vec<u8>>,
-    /// `(forwarder, tx_credit)` pairs, credit in 1/256 fixed point,
-    /// ordered by proximity to the destination.
-    pub forwarders: Vec<(u8, u16)>,
-}
-
-impl Header {
-    /// Serializes to the Fig 3-1 layout.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.encoded_len());
-        out.push(self.packet_type);
-        out.extend_from_slice(&(self.src.0 as u32).to_be_bytes());
-        out.extend_from_slice(&(self.dst.0 as u32).to_be_bytes());
-        out.extend_from_slice(&self.flow.to_be_bytes());
-        out.extend_from_slice(&self.batch.to_be_bytes());
-        match &self.code_vector {
-            Some(v) => {
-                out.extend_from_slice(&(v.len() as u16).to_be_bytes());
-                out.extend_from_slice(v);
-            }
-            None => out.extend_from_slice(&0u16.to_be_bytes()),
-        }
-        out.push(self.forwarders.len() as u8);
-        for &(id, credit) in &self.forwarders {
-            out.push(id);
-            out.extend_from_slice(&credit.to_be_bytes());
-        }
-        out
-    }
-
-    /// Size of [`Self::encode`]'s output.
-    pub fn encoded_len(&self) -> usize {
-        1 + 4
-            + 4
-            + 4
-            + 4
-            + 2
-            + self.code_vector.as_ref().map_or(0, |v| v.len())
-            + 1
-            + 3 * self.forwarders.len()
-    }
-
-    /// Parses a header encoded by [`Self::encode`].
-    pub fn decode(buf: &[u8]) -> Option<Header> {
-        let mut at = 0usize;
-        let take = |at: &mut usize, n: usize| -> Option<&[u8]> {
-            let s = buf.get(*at..*at + n)?;
-            *at += n;
-            Some(s)
-        };
-        let packet_type = *take(&mut at, 1)?.first()?;
-        let src = u32::from_be_bytes(take(&mut at, 4)?.try_into().ok()?) as usize;
-        let dst = u32::from_be_bytes(take(&mut at, 4)?.try_into().ok()?) as usize;
-        let flow = u32::from_be_bytes(take(&mut at, 4)?.try_into().ok()?);
-        let batch = u32::from_be_bytes(take(&mut at, 4)?.try_into().ok()?);
-        let veclen = u16::from_be_bytes(take(&mut at, 2)?.try_into().ok()?) as usize;
-        let code_vector = if veclen > 0 {
-            Some(take(&mut at, veclen)?.to_vec())
-        } else {
-            None
-        };
-        let nf = *take(&mut at, 1)?.first()? as usize;
-        let mut forwarders = Vec::with_capacity(nf);
-        for _ in 0..nf {
-            let id = *take(&mut at, 1)?.first()?;
-            let credit = u16::from_be_bytes(take(&mut at, 2)?.try_into().ok()?);
-            forwarders.push((id, credit));
-        }
-        if at != buf.len() {
-            return None;
-        }
-        Some(Header {
-            packet_type,
-            src: NodeId(src),
-            dst: NodeId(dst),
-            flow,
-            batch,
-            code_vector,
-            forwarders,
-        })
-    }
-}
-
-/// Encodes a TX credit as 1/256 fixed point, saturating.
-pub fn credit_to_wire(c: f64) -> u16 {
-    (c * 256.0).round().clamp(0.0, u16::MAX as f64) as u16
-}
-
-/// Decodes a wire credit.
-pub fn credit_from_wire(w: u16) -> f64 {
-    w as f64 / 256.0
-}
-
 #[cfg(test)]
 mod test {
     use super::*;
-
-    fn sample(k: usize, nf: usize) -> Header {
-        Header {
-            packet_type: TYPE_DATA,
-            src: NodeId(3),
-            dst: NodeId(17),
-            flow: 9,
-            batch: 2,
-            code_vector: Some((0..k).map(|i| i as u8).collect()),
-            forwarders: (0..nf).map(|i| (i as u8, (i * 300) as u16)).collect(),
-        }
-    }
-
-    #[test]
-    fn roundtrip() {
-        for (k, nf) in [(32usize, 10usize), (8, 0), (128, 4)] {
-            let h = sample(k, nf);
-            let bytes = h.encode();
-            assert_eq!(bytes.len(), h.encoded_len());
-            assert_eq!(Header::decode(&bytes).unwrap(), h);
-        }
-    }
-
-    #[test]
-    fn ack_header_is_small() {
-        let h = Header {
-            packet_type: TYPE_ACK,
-            src: NodeId(0),
-            dst: NodeId(1),
-            flow: 1,
-            batch: 7,
-            code_vector: None,
-            forwarders: Vec::new(),
-        };
-        assert!(h.encoded_len() <= 20, "ACK header {} B", h.encoded_len());
-        assert_eq!(Header::decode(&h.encode()).unwrap(), h);
-    }
-
-    #[test]
-    fn header_overhead_matches_paper_bound() {
-        // §4.6c: with ≤10 forwarders (code vector counted as payload,
-        // since the paper's 70 B bound covers the header fields) the
-        // non-vector header is well under 70 B...
-        let h = Header {
-            packet_type: TYPE_DATA,
-            src: NodeId(1),
-            dst: NodeId(2),
-            flow: 0,
-            batch: 0,
-            code_vector: None,
-            forwarders: (0..10).map(|i| (i as u8, 256)).collect(),
-        };
-        assert!(h.encoded_len() <= 70, "header {} B", h.encoded_len());
-        // ...and for 1500 B packets total overhead (header + K=32 vector)
-        // stays below 7%, consistent with "less than 5%" for the paper's
-        // tighter bit-packing.
-        let with_vec = sample(32, 10);
-        let overhead = with_vec.encoded_len() as f64 / 1500.0;
-        assert!(overhead < 0.07, "overhead {overhead}");
-    }
-
-    #[test]
-    fn truncated_buffers_rejected() {
-        let h = sample(16, 3);
-        let bytes = h.encode();
-        for cut in [0, 1, 5, bytes.len() - 1] {
-            assert!(Header::decode(&bytes[..cut]).is_none(), "cut at {cut}");
-        }
-        // Trailing garbage rejected too.
-        let mut extended = bytes.clone();
-        extended.push(0xFF);
-        assert!(Header::decode(&extended).is_none());
-    }
-
-    #[test]
-    fn credit_fixed_point() {
-        for c in [0.0, 0.5, 1.0, 3.25, 100.0] {
-            let w = credit_to_wire(c);
-            assert!((credit_from_wire(w) - c).abs() < 1.0 / 256.0 + 1e-9);
-        }
-    }
 
     #[test]
     fn payload_accessors() {

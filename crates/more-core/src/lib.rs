@@ -40,6 +40,9 @@
 //! ([`MoreAgent::add_flow`]), at any bit-rate, with
 //! spatial reuse falling out of the 802.11 model rather than protocol
 //! machinery — the property the paper trades ExOR's structure for.
+//!
+//! Frames carry [`MorePayload`] values, not bytes: the Fig 3-1 header
+//! reaches the air only as its size, [`MoreConfig::header_bytes`].
 
 #![forbid(unsafe_code)]
 // Panic freedom and seeding discipline for the shipped (non-test) build;
@@ -90,8 +93,13 @@ pub struct MoreConfig {
     pub k: usize,
     /// Native packet size in bytes (1500 in the evaluation).
     pub packet_bytes: usize,
-    /// MORE header overhead added to every data frame (bounded by ~70 B,
-    /// §4.6c).
+    /// MORE header bytes added to every data frame besides its K-byte code
+    /// vector, which is charged on its own. Fig 3-1's fields: packet type
+    /// (1), source and destination IP (4 + 4), flow id (4), batch id (4),
+    /// and for data packets the batch size K (2) and the forwarder list —
+    /// a count (1), then per forwarder a one-byte id (a hash of its IP)
+    /// and a TX credit in 1/256 fixed point (2). That is 50 B at the
+    /// 10-forwarder cap; §4.6c bounds the header by 70 B, the default.
     pub header_bytes: usize,
     /// Forwarder-set pruning and cap (§3.2.1, §4.6c).
     pub plan: PlanConfig,

@@ -383,18 +383,17 @@ impl SourceEncoder {
     /// all packets must share one length and the batch must be non-empty.
     /// Zero-length natives are a batch too: its packets carry code vectors
     /// and an empty payload.
-    pub fn new<B: Into<Bytes>>(natives: Vec<B>) -> Result<Self, CodingError> {
-        let natives: Vec<Bytes> = natives.into_iter().map(Into::into).collect();
+    pub fn new<B: AsRef<[u8]>>(natives: Vec<B>) -> Result<Self, CodingError> {
         let Some(first) = natives.first() else {
             return Err(CodingError::BadBatch("empty batch".into()));
         };
-        let payload_len = first.len();
-        if natives.iter().any(|p| p.len() != payload_len) {
+        let payload_len = first.as_ref().len();
+        if natives.iter().any(|p| p.as_ref().len() != payload_len) {
             return Err(CodingError::BadBatch("unequal packet lengths".into()));
         }
         let mut arena = AlignedRows::in_storage(Vec::new(), natives.len(), payload_len);
         for (i, native) in natives.iter().enumerate() {
-            arena.row_mut(i).copy_from_slice(native);
+            arena.row_mut(i).copy_from_slice(native.as_ref());
         }
         Ok(SourceEncoder {
             natives: Rc::new(arena),

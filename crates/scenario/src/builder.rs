@@ -25,9 +25,7 @@ use crate::protocols::reject_multicast;
 use crate::record::{time_to_s, FlowRecord, RunRecord};
 use crate::registry::{BuildError, ProtocolRegistry};
 use crate::sink::{Collect, RunSink};
-use crate::spec::{
-    scale_loss, swept_traffic, ExpConfig, FlowSpec, Sweep, TopologySpec, TrafficSpec,
-};
+use crate::spec::{swept_traffic, ExpConfig, FlowSpec, Sweep, TopologySpec, TrafficSpec};
 use crate::traffic::{flow_windows, validate_schedule, FlowWindow, TrafficModelSpec};
 use mesh_sim::{
     AimdConfig, Bitrate, ChannelSpec, ErasedFlowAgent, FlowAgent, QueueSpec, SimConfig, Simulator,
@@ -37,22 +35,6 @@ use mesh_topology::estimator::LinkEstimator;
 use mesh_topology::{NodeId, Topology};
 use std::collections::BTreeMap;
 use std::ops::ControlFlow;
-
-/// A progress callback as stored by [`ScenarioBuilder::on_run_complete`].
-pub type ProgressFn = Box<dyn FnMut(&RunRecord, Progress) + Send + Sync>;
-
-/// Progress snapshot handed to [`ScenarioBuilder::on_run_complete`] as
-/// each record is emitted (in deterministic grid order).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Progress {
-    /// Records emitted to the sink so far (this process; resumed cells
-    /// skipped from a manifest are not re-emitted).
-    pub records: usize,
-    /// Grid cells fully completed, including cells skipped on resume.
-    pub cells_done: usize,
-    /// Total grid cells of the sweep.
-    pub cells_total: usize,
-}
 
 /// What a streamed run did — returned by
 /// [`ScenarioBuilder::try_run_with_sink`].
@@ -118,14 +100,12 @@ pub struct ScenarioBuilder {
     sweep: Option<Sweep>,
     seeds: Vec<u64>,
     base: ExpConfig,
-    sim: SimConfig,
     channel: ChannelSpec,
     queue: QueueSpec,
     congestion: Option<AimdConfig>,
     probe: Option<(LinkEstimator, u64)>,
     threads: Option<usize>,
     registry: ProtocolRegistry,
-    on_complete: Option<ProgressFn>,
     checkpoint_dir: Option<String>,
 }
 
@@ -158,14 +138,12 @@ impl ScenarioBuilder {
             sweep: None,
             seeds: vec![ExpConfig::default().seed],
             base: ExpConfig::default(),
-            sim: SimConfig::default(),
             channel: ChannelSpec::Static,
             queue: QueueSpec::Unbounded,
             congestion: None,
             probe: None,
             threads: None,
             registry: ProtocolRegistry::with_defaults(),
-            on_complete: None,
             checkpoint_dir: None,
         }
     }
@@ -197,27 +175,30 @@ impl ScenarioBuilder {
     /// and completion latency land in each record's flow rows.
     ///
     /// ```
-    /// use more_scenario::{Scenario, StaggeredModel, TopologySpec, TrafficModelSpec};
+    /// use more_scenario::{PoissonModel, Scenario, TopologySpec, TrafficModelSpec};
     ///
-    /// let records = Scenario::named("ramp-doc")
+    /// let records = Scenario::named("arrivals-doc")
     ///     .topology(TopologySpec::Line {
     ///         hops: 2,
     ///         p_adj: 0.9,
     ///         skip_decay: 0.3,
     ///         spacing: 25.0,
     ///     })
-    ///     .traffic_model(TrafficModelSpec::Staggered(StaggeredModel {
-    ///         n_flows: 2,
-    ///         gap_ms: 1_000,
-    ///         hold_ms: None,
+    ///     .traffic_model(TrafficModelSpec::Poisson(PoissonModel {
+    ///         rate_per_s: 0.5,
+    ///         mean_hold_s: 30.0,
+    ///         max_active: 2,
     ///     }))
     ///     .protocol("MORE")
     ///     .packets(8)
     ///     .deadline(60)
     ///     .run();
-    /// assert_eq!(records[0].flows.len(), 2);
-    /// // The second flow of the ramp arrived one second in.
-    /// assert_eq!(records[0].flows[1].started_at_s, Some(1.0));
+    /// let flows = &records[0].flows;
+    /// assert!(!flows.is_empty());
+    /// // Every flow carries its arrival instant, and the arrivals ramp up.
+    /// let arrivals: Vec<f64> = flows.iter().filter_map(|f| f.started_at_s).collect();
+    /// assert_eq!(arrivals.len(), flows.len());
+    /// assert!(arrivals.windows(2).all(|w| w[0] <= w[1]));
     /// ```
     pub fn traffic_model(mut self, spec: TrafficModelSpec) -> Self {
         self.traffic = spec;
@@ -302,12 +283,6 @@ impl ScenarioBuilder {
     /// Overrides the full experiment parameter block.
     pub fn exp_config(mut self, cfg: ExpConfig) -> Self {
         self.base = cfg;
-        self
-    }
-
-    /// Overrides MAC/PHY parameters.
-    pub fn sim_config(mut self, cfg: SimConfig) -> Self {
-        self.sim = cfg;
         self
     }
 
@@ -402,17 +377,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Registers a progress callback invoked once per emitted record, in
-    /// deterministic grid order, with a [`Progress`] snapshot — the hook
-    /// long sweeps use for live status lines.
-    pub fn on_run_complete(
-        mut self,
-        cb: impl FnMut(&RunRecord, Progress) + Send + Sync + 'static,
-    ) -> Self {
-        self.on_complete = Some(Box::new(cb));
-        self
-    }
-
     /// Makes the sweep resumable: after every completed grid cell the
     /// engine persists `<dir>/<scenario>.manifest.json` — the completed
     /// cell keys plus a durable byte offset for every file the sink owns
@@ -466,19 +430,18 @@ impl ScenarioBuilder {
     }
 
     /// Checks the experiment parameters every run reads, at every point of
-    /// a `Packets` or `K` sweep: a transfer needs a packet, a batch needs
-    /// a packet, and the deadline must fit the µs clock. Otherwise a worker
+    /// a `K` sweep: a transfer needs a packet, a batch needs a packet, and
+    /// the deadline must fit the µs clock. Otherwise a worker
     /// panics on an agent's empty-transfer assert, on `div_ceil(0)` for
     /// the batch count, or on the µs product.
     fn validate_exp(&self) -> Result<(), BuildError> {
-        let ExpConfig { packets, k, .. } = self.base;
+        let ExpConfig { packets, k, .. } = &self.base;
         // A swept parameter's base value never runs; only its points do.
-        let (packets, k) = match &self.sweep {
-            Some(Sweep::Packets(points)) => (points.clone(), vec![k]),
-            Some(Sweep::K(points)) => (vec![packets], points.clone()),
-            _ => (vec![packets], vec![k]),
+        let k = match &self.sweep {
+            Some(Sweep::K(points)) => points.as_slice(),
+            _ => std::slice::from_ref(k),
         };
-        let problem = if packets.contains(&0) {
+        let problem = if *packets == 0 {
             "a transfer needs at least one packet"
         } else if k.contains(&0) {
             "batch size K must be at least 1"
@@ -520,23 +483,19 @@ impl ScenarioBuilder {
     /// point) are valid, so mismatches fail at build time — before any
     /// worker thread spawns — like channel-spec validation does.
     fn validate_sweep_traffic(&self) -> Result<(), BuildError> {
-        let deadline_s = self.base.deadline_s;
         match &self.sweep {
             // Only the substituted configurations run, so only they are
             // validated: the swept parameter's base value is a placeholder
-            // (e.g. an n_flows too large for the deadline).
+            // (e.g. a zero flow count).
             Some(sweep @ (Sweep::Flows(_) | Sweep::Load(_))) => {
                 for i in 0..sweep.len() {
                     swept_traffic(sweep, i, &self.traffic)?
-                        .validate(deadline_s)
+                        .validate()
                         .map_err(BuildError::Unsupported)?;
                 }
                 Ok(())
             }
-            _ => self
-                .traffic
-                .validate(deadline_s)
-                .map_err(BuildError::Unsupported),
+            _ => self.traffic.validate().map_err(BuildError::Unsupported),
         }
     }
 
@@ -606,13 +565,12 @@ impl ScenarioBuilder {
     ///     .expect("valid scenario");
     /// assert_eq!(summary.records, 1, "the record streamed into the sink");
     /// ```
-    pub fn try_run_with_sink(mut self, sink: &mut dyn RunSink) -> Result<RunSummary, BuildError> {
+    pub fn try_run_with_sink(self, sink: &mut dyn RunSink) -> Result<RunSummary, BuildError> {
         self.validate_channel()?;
         self.validate_exp()?;
         self.validate_sweep_traffic()?;
         self.validate_queue()?;
         self.validate_probe()?;
-        let mut on_complete = self.on_complete.take();
         let protocols = if self.protocols.is_empty() {
             // No explicit selection: run everything registered.
             self.registry
@@ -654,27 +612,19 @@ impl ScenarioBuilder {
         // prefix of the grid. The fingerprint covers everything the cell
         // keys don't: resuming after changing packets, the swept values,
         // the channel, etc. must be rejected, not silently mixed into
-        // one output file. (`Custom(..)` topologies/traffic fingerprint
-        // opaquely — two different custom closures are indistinguishable
-        // here.)
-        let mut fingerprint = format!(
-            "topo={:?} traffic={:?} sweep={:?} base={:?} sim={:?} channel={} probe={:?}",
+        // one output file. (`Custom(..)` traffic fingerprints opaquely —
+        // two different custom models are indistinguishable here.)
+        let fingerprint = format!(
+            "topo={:?} traffic={:?} sweep={:?} base={:?} channel={} probe={:?} queue={} cc={:?}",
             self.topology,
             self.traffic,
             self.sweep,
             self.base,
-            self.sim,
             self.channel.label(),
             self.probe,
+            self.queue.label(),
+            self.congestion.map(|cc| cc.label()),
         );
-        // Appended only when configured, so manifests written before the
-        // queueing subsystem existed still resume.
-        if !self.queue.is_unbounded() {
-            fingerprint.push_str(&format!(" queue={}", self.queue.label()));
-        }
-        if let Some(cc) = &self.congestion {
-            fingerprint.push_str(&format!(" cc={}", cc.label()));
-        }
         let sink_err = |e: std::io::Error| BuildError::Sink(e.to_string());
         let (mut manifest, manifest_path, skipped) = match &self.checkpoint_dir {
             None => (None, String::new(), 0),
@@ -726,7 +676,6 @@ impl ScenarioBuilder {
             }
         };
         let todo: Vec<(usize, Option<usize>, u64)> = grid[skipped..].to_vec();
-        let cells_total = grid.len();
 
         let threads = self.threads.unwrap_or_else(exec::default_threads);
         let this = &self;
@@ -781,16 +730,6 @@ impl ScenarioBuilder {
                         }
                         emitted += 1;
                         high_water = high_water.max(pending_records + sink.held());
-                        if let Some(cb) = on_complete.as_mut() {
-                            cb(
-                                r,
-                                Progress {
-                                    records: emitted,
-                                    cells_done: skipped + next_emit,
-                                    cells_total,
-                                },
-                            );
-                        }
                     }
                     // Durability boundary: flush — and checkpoint — per
                     // completed grid cell.
@@ -832,8 +771,7 @@ impl ScenarioBuilder {
     ) -> Result<Vec<RunRecord>, BuildError> {
         // Apply the sweep point to the parameter block and topology.
         let mut cfg = ExpConfig { seed, ..self.base };
-        let mut sim_cfg = self.sim;
-        let mut topo = self.topology.instantiate(seed);
+        let topo = self.topology.instantiate(seed);
         if topo.n() == 0 {
             return Err(BuildError::Unsupported(format!(
                 "topology {} has no nodes; nothing can be scheduled or routed",
@@ -846,10 +784,7 @@ impl ScenarioBuilder {
         let (param, value) = match (&self.sweep, sweep_point) {
             (Some(sweep), Some(i)) => {
                 match sweep {
-                    Sweep::Packets(v) => cfg.packets = v[i],
                     Sweep::K(v) => cfg.k = v[i],
-                    Sweep::Bitrate(v) => cfg.bitrate = v[i],
-                    Sweep::LossScale(v) => topo = scale_loss(&topo, v[i]),
                     Sweep::Channel(v) => chan = v[i].clone(),
                     Sweep::Queue(v) => queue = v[i].clone(),
                     Sweep::Flows(_) | Sweep::Load(_) => {
@@ -860,7 +795,10 @@ impl ScenarioBuilder {
             }
             _ => (None, None),
         };
-        sim_cfg.bitrate = cfg.bitrate;
+        let sim_cfg = SimConfig {
+            bitrate: cfg.bitrate,
+            ..SimConfig::default()
+        };
 
         // Routing beliefs: the truth matrix, or a probe-window estimate
         // of the live channel when `probe_routing` is set (deterministic
@@ -1193,7 +1131,9 @@ fn run_one(
 #[cfg(test)]
 mod test {
     use super::*;
-    use crate::traffic::{PoissonModel, StaggeredModel};
+    use crate::traffic::{FlowEvent, PoissonModel, TrafficModel};
+    use mesh_sim::Time;
+    use std::sync::Arc;
 
     /// An `n`-node topology from `(from, to, p)` triples.
     fn topo(name: &str, n: usize, links: &[(usize, usize, f64)]) -> mesh_topology::Topology {
@@ -1314,34 +1254,43 @@ mod test {
             .try_run()
             .expect_err("zero swept arrival rate");
         assert!(matches!(swept, BuildError::Unsupported(_)));
-        // A ramp wanting more distinct sources than the topology has must
-        // error from the grid, not panic inside a worker thread.
-        let infeasible = Scenario::named("bad-sources")
-            .testbed(1)
-            .traffic_model(TrafficModelSpec::Staggered(StaggeredModel {
-                n_flows: 25, // testbed has 20 nodes
-                gap_ms: 10,
-                hold_ms: None,
-            }))
-            .protocol("MORE")
-            .packets(8)
-            .try_run()
-            .expect_err("25 distinct sources on a 20-node mesh");
-        assert!(matches!(infeasible, BuildError::Unsupported(_)));
-        // A staggered ramp reaching past the deadline would silently drop
-        // its tail; reject it instead.
-        let ramp = Scenario::named("bad-ramp")
-            .traffic_model(TrafficModelSpec::Staggered(StaggeredModel {
-                n_flows: 10,
-                gap_ms: 20_000,
-                hold_ms: None,
-            }))
+        // A schedule reaching past the deadline would silently drop its
+        // tail; reject it instead.
+        let late = Scenario::named("bad-schedule")
+            .traffic_model(schedule(&[(0, 19, 0, None), (0, 19, 60 * SEC, None)]))
             .protocol("MORE")
             .packets(8)
             .deadline(60)
             .try_run()
-            .expect_err("ramp exceeds the deadline");
-        assert!(matches!(ramp, BuildError::Unsupported(_)));
+            .expect_err("an arrival at the deadline");
+        assert!(matches!(late, BuildError::InvalidSchedule(_)), "{late}");
+    }
+
+    /// A fixed schedule, as a [`TrafficModelSpec::Custom`] model: flow *i*
+    /// goes `src → dst` (the builder's packet budget) from `start` until
+    /// `stop`, µs, listed in start order.
+    fn schedule(flows: &[(usize, usize, Time, Option<Time>)]) -> TrafficModelSpec {
+        struct Fixed(Vec<(usize, usize, Time, Option<Time>)>);
+        impl TrafficModel for Fixed {
+            fn schedules(
+                &self,
+                _: &Topology,
+                _: u64,
+                packets: usize,
+                _: Time,
+            ) -> Vec<Vec<FlowEvent>> {
+                let starts = self.0.iter().map(|&(src, dst, at, _)| FlowEvent::Start {
+                    flow: FlowSpec::unicast(NodeId(src), NodeId(dst), packets),
+                    at,
+                });
+                let stops = (self.0.iter().enumerate())
+                    .filter_map(|(flow, &(.., stop))| Some(FlowEvent::Stop { flow, at: stop? }));
+                let mut events: Vec<FlowEvent> = starts.chain(stops).collect();
+                events.sort_by_key(FlowEvent::at); // stable: a Start precedes its Stop
+                vec![events]
+            }
+        }
+        TrafficModelSpec::Custom(Arc::new(Fixed(flows.to_vec())))
     }
 
     #[test]
@@ -1359,13 +1308,6 @@ mod test {
                 .packets(8)
                 .deadline(60)
         };
-        let ramp = |n_flows, gap_ms, hold_ms| {
-            TrafficModelSpec::Staggered(StaggeredModel {
-                n_flows,
-                gap_ms,
-                hold_ms,
-            })
-        };
         // An empty transfer (the agents assert), K = 0 (`div_ceil(0)` on
         // the batch count), and µs products past `u64::MAX`.
         let past_the_clock = u64::MAX / SEC + 1;
@@ -1374,14 +1316,12 @@ mod test {
         let matched = |to_bad, to_good| ChannelSpec::bursty_matched(0.0, to_bad, to_good, 10);
         for builder in [
             line().packets(0),
-            line().sweep(Sweep::Packets(vec![8, 0])),
             line().k(0),
             line().sweep(Sweep::K(vec![8, 0])),
             line().deadline(past_the_clock),
             line()
-                .traffic_model(ramp(2, 1_000, None))
+                .traffic_model(schedule(&[(0, 2, 0, None), (0, 2, SEC, None)]))
                 .deadline(past_the_clock),
-            line().traffic_model(ramp(2, u64::MAX, None)),
             line().channel(matched(0.0, 0.0)),
             line().channel(matched(0.05, 0.0)),
             line().channel(matched(f64::NAN, 0.25)),
@@ -1390,6 +1330,12 @@ mod test {
             let err = builder.try_run().expect_err("degenerate parameter");
             assert!(matches!(err, BuildError::Unsupported(_)), "{err}");
         }
+        // An arrival at the end of the µs clock lies past any deadline.
+        let err = line()
+            .traffic_model(schedule(&[(0, 2, 0, None), (0, 2, Time::MAX, None)]))
+            .try_run()
+            .expect_err("an arrival past the deadline");
+        assert!(matches!(err, BuildError::InvalidSchedule(_)), "{err}");
         // `(0, b)` is a chain that is never bad: it runs.
         let records = line().channel(matched(0.0, 0.25)).try_run().expect("valid");
         assert_eq!(records.len(), 2);
@@ -1437,51 +1383,36 @@ mod test {
                 assert_eq!(records.len(), 2);
             }
         }
-        // A one-flow ramp's gap and a departure past `u64::MAX` µs lie
-        // beyond any horizon: the flows run and never depart.
-        for model in [ramp(1, u64::MAX, None), ramp(2, 1_000, Some(u64::MAX))] {
-            let records = line().traffic_model(model).try_run().expect("valid");
-            for r in &records {
-                assert!(!r.flows.is_empty(), "{r:?}");
-                assert!(r.flows.iter().all(|f| f.stopped_at_s.is_none()), "{r:?}");
-            }
+        // A departure past `u64::MAX` µs (a lifetime that saturates the
+        // clock) lies beyond any horizon: the flows run and never depart.
+        let immortal = TrafficModelSpec::Poisson(PoissonModel {
+            rate_per_s: 1.0,
+            mean_hold_s: 1e300,
+            max_active: 2,
+        });
+        let records = line().traffic_model(immortal).try_run().expect("valid");
+        for r in &records {
+            assert!(!r.flows.is_empty(), "{r:?}");
+            assert!(r.flows.iter().all(|f| f.stopped_at_s.is_none()), "{r:?}");
         }
     }
 
     #[test]
     fn swept_parameter_is_validated_instead_of_the_base_placeholder() {
-        // The base n_flows (64, whose ramp would blow past the deadline)
-        // never runs — Sweep::Flows replaces it per point — so only the
-        // swept values may be validated.
-        let records = Scenario::named("swept-ramp")
-            .testbed(1)
-            .traffic_model(TrafficModelSpec::Staggered(StaggeredModel {
-                n_flows: 64,
-                gap_ms: 10_000,
-                hold_ms: None,
-            }))
-            .protocol("Srcr")
+        // The base n_flows (0, which no run could host) never runs —
+        // Sweep::Flows replaces it per point — so only the swept values
+        // may be validated.
+        let records = random_concurrent(0, true)
             .sweep(Sweep::Flows(vec![1, 2]))
-            .packets(8)
-            .deadline(120)
             .run();
         assert_eq!(records.len(), 2);
         assert_eq!(records[1].flows.len(), 2);
         // And an invalid *swept* value is still rejected up front.
-        let err = Scenario::named("swept-ramp-bad")
-            .testbed(1)
-            .traffic_model(TrafficModelSpec::Staggered(StaggeredModel {
-                n_flows: 2,
-                gap_ms: 10_000,
-                hold_ms: None,
-            }))
-            .protocol("Srcr")
-            .sweep(Sweep::Flows(vec![1, 64]))
-            .packets(8)
-            .deadline(120)
+        let err = random_concurrent(1, true)
+            .sweep(Sweep::Flows(vec![1, 0]))
             .try_run()
-            .expect_err("swept ramp exceeds the deadline");
-        assert!(matches!(err, BuildError::Unsupported(_)));
+            .expect_err("a swept point of zero flows");
+        assert!(matches!(err, BuildError::Unsupported(_)), "{err}");
     }
 
     /// `n_flows` concurrent random flows on the 20-node testbed.
@@ -1531,11 +1462,7 @@ mod test {
                 skip_decay: 0.3,
                 spacing: 25.0,
             })
-            .traffic_model(TrafficModelSpec::Staggered(StaggeredModel {
-                n_flows: 1,
-                gap_ms: 0,
-                hold_ms: Some(60_000),
-            }))
+            .traffic_model(schedule(&[(0, 2, 0, Some(60 * SEC))]))
             .protocol("MORE")
             .packets(16)
             .deadline(120)
@@ -1551,14 +1478,14 @@ mod test {
     }
 
     #[test]
-    fn staggered_departures_cut_flows_short() {
-        let records = Scenario::named("ramp")
+    fn scheduled_departures_cut_flows_short() {
+        let ms = mesh_sim::MS;
+        let records = Scenario::named("departures")
             .testbed(1)
-            .traffic_model(TrafficModelSpec::Staggered(StaggeredModel {
-                n_flows: 2,
-                gap_ms: 500,
-                hold_ms: Some(1_000),
-            }))
+            .traffic_model(schedule(&[
+                (0, 19, 0, Some(1_000 * ms)),
+                (5, 12, 500 * ms, Some(1_500 * ms)),
+            ]))
             .protocol("Srcr")
             .packets(100_000) // far more than 1 s can carry
             .deadline(30)

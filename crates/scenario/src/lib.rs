@@ -35,7 +35,8 @@
 //!   scenarios on the same seeds.
 //! * [`TrafficModel`] / [`TrafficModelSpec`] — workloads are pluggable
 //!   objects too: the legacy static [`TrafficSpec`] expansion is one
-//!   model among several (Poisson arrivals, staggered ramps), and dynamic models start and stop flows *mid-run* through
+//!   model among several (Poisson arrivals, caller-supplied schedules),
+//!   and dynamic models start and stop flows *mid-run* through
 //!   the protocol's [`mesh_sim::FlowAgent`] lifecycle hooks.
 //! * [`sink::RunSink`] — results *stream*: each record is handed to a
 //!   sink the moment its grid cell completes (in deterministic grid
@@ -81,14 +82,14 @@ pub mod sink;
 pub mod spec;
 pub mod traffic;
 
-pub use builder::{Progress, RunSummary, Scenario, ScenarioBuilder};
+pub use builder::{RunSummary, Scenario, ScenarioBuilder};
 pub use mesh_sim::{AimdConfig, ChannelModel, ChannelSpec, QueueSpec};
 pub use protocols::{ExorFactory, MoreFactory, SrcrFactory};
 pub use record::{FlowRecord, RunRecord};
 pub use registry::{BuildError, ProtocolFactory, ProtocolRegistry};
 pub use sink::{Aggregate, Collect, CsvAppend, JsonLines, RunSink, Tee};
-pub use spec::{random_pairs, scale_loss, ExpConfig, FlowSpec, Sweep, TopologySpec, TrafficSpec};
+pub use spec::{random_pairs, ExpConfig, FlowSpec, Sweep, TopologySpec, TrafficSpec};
 pub use traffic::{
-    validate_schedule, FlowEvent, PoissonModel, StaggeredModel, StaticModel, TrafficModel,
-    TrafficModelSpec, TRAFFIC_STREAM,
+    validate_schedule, FlowEvent, PoissonModel, StaticModel, TrafficModel, TrafficModelSpec,
+    TRAFFIC_STREAM,
 };

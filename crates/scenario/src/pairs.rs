@@ -131,7 +131,7 @@ impl<'a> PairPool<'a> {
     }
 
     /// Pair `k` of the source-major, destination-ascending sequence —
-    /// exactly `reachable_pairs(topo)[k]`, computed lazily.
+    /// exactly `materialize()[k]`, computed lazily.
     pub(crate) fn get(&mut self, k: usize) -> (NodeId, NodeId) {
         assert!(k < self.len(), "pair index {k} out of {}", self.len());
         let s = self.prefix.partition_point(|&p| p <= k) - 1;

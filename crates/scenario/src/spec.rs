@@ -7,10 +7,10 @@
 )]
 
 use crate::registry::BuildError;
-use crate::traffic::{PoissonModel, StaggeredModel, TrafficModelSpec};
+use crate::traffic::{PoissonModel, TrafficModelSpec};
 use mesh_sim::{Bitrate, ChannelSpec, QueueSpec};
 use mesh_topology::streams::{self, Stream};
-use mesh_topology::{generate, Link, NodeId, Topology};
+use mesh_topology::{generate, NodeId, Topology};
 use rand::seq::SliceRandom;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -48,18 +48,12 @@ impl Default for ExpConfig {
 /// layer's name for it.
 pub use mesh_sim::FlowDesc as FlowSpec;
 
-/// How the topology of a run is produced.
+/// How the topology of a run is produced. Other generators in
+/// [`mesh_topology::generate`] run through [`TopologySpec::Fixed`].
 #[derive(Clone)]
 pub enum TopologySpec {
     /// The 20-node, 3-floor testbed generator (Fig 4-1), by seed.
     Testbed {
-        /// Placement seed.
-        seed: u64,
-    },
-    /// Smaller/larger testbed-style mesh.
-    TestbedSized {
-        /// Node count.
-        n: usize,
         /// Placement seed.
         seed: u64,
     },
@@ -74,41 +68,9 @@ pub enum TopologySpec {
         /// Node spacing, meters.
         spacing: f64,
     },
-    /// A `w × h` grid.
-    Grid {
-        /// Grid width in nodes.
-        w: usize,
-        /// Grid height in nodes.
-        h: usize,
-        /// Adjacent-link delivery probability.
-        p_adj: f64,
-        /// Diagonal-link delivery probability.
-        p_diag: f64,
-        /// Node spacing, meters.
-        spacing: f64,
-    },
-    /// A random scattered mesh, by seed.
-    RandomMesh {
-        /// Node count.
-        n: usize,
-        /// Area width, meters.
-        width: f64,
-        /// Area depth, meters.
-        depth: f64,
-        /// Placement seed.
-        seed: u64,
-    },
-    /// The Fig 5-1 diamond with `k` middle forwarders.
-    Diamond {
-        /// Number of middle forwarders.
-        k: usize,
-        /// Source→forwarder and forwarder→destination delivery.
-        p: f64,
-    },
     /// A city-scale sparse mesh (single floor, ~1250 m² per node) with
-    /// per-pair link streams — the 10k-node scaling workload. Unlike
-    /// [`TopologySpec::RandomMesh`] it never materializes a dense
-    /// matrix and never retries for connectivity.
+    /// per-pair link streams — the 10k-node scaling workload. It never
+    /// materializes a dense matrix and never retries for connectivity.
     City {
         /// Node count.
         n: usize,
@@ -117,84 +79,35 @@ pub enum TopologySpec {
     },
     /// A fixed, caller-supplied topology.
     Fixed(Arc<Topology>),
-    /// Arbitrary generator; receives the *run seed* so per-run topologies
-    /// are possible.
-    Custom(Arc<dyn Fn(u64) -> Topology + Send + Sync>),
 }
 
 impl std::fmt::Debug for TopologySpec {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             TopologySpec::Testbed { seed } => write!(f, "Testbed{{seed:{seed}}}"),
-            TopologySpec::TestbedSized { n, seed } => {
-                write!(f, "TestbedSized{{n:{n},seed:{seed}}}")
-            }
             TopologySpec::Line { hops, .. } => write!(f, "Line{{hops:{hops}}}"),
-            TopologySpec::Grid { w, h, .. } => write!(f, "Grid{{{w}x{h}}}"),
-            TopologySpec::RandomMesh { n, seed, .. } => {
-                write!(f, "RandomMesh{{n:{n},seed:{seed}}}")
-            }
-            TopologySpec::Diamond { k, p } => write!(f, "Diamond{{k:{k},p:{p}}}"),
             TopologySpec::City { n, seed } => write!(f, "City{{n:{n},seed:{seed}}}"),
             TopologySpec::Fixed(t) => write!(f, "Fixed({})", t.name),
-            TopologySpec::Custom(_) => write!(f, "Custom(..)"),
         }
     }
 }
 
 impl TopologySpec {
-    /// Builds the topology for a run. `run_seed` only matters for
-    /// [`TopologySpec::Custom`] generators that opt into it.
-    pub fn instantiate(&self, run_seed: u64) -> Topology {
+    /// Builds the topology for a run. No variant depends on the run seed;
+    /// `_run_seed` stays in the signature because the benchmark's staged
+    /// replica of the cell runner (`ledger/benches/staged.rs`) calls it.
+    pub fn instantiate(&self, _run_seed: u64) -> Topology {
         match self {
             TopologySpec::Testbed { seed } => generate::testbed(*seed),
-            TopologySpec::TestbedSized { n, seed } => generate::testbed_sized(*n, *seed),
             TopologySpec::Line {
                 hops,
                 p_adj,
                 skip_decay,
                 spacing,
             } => generate::line(*hops, *p_adj, *skip_decay, *spacing),
-            TopologySpec::Grid {
-                w,
-                h,
-                p_adj,
-                p_diag,
-                spacing,
-            } => generate::grid(*w, *h, *p_adj, *p_diag, *spacing),
-            TopologySpec::RandomMesh {
-                n,
-                width,
-                depth,
-                seed,
-            } => generate::random_mesh(*n, *width, *depth, *seed),
-            TopologySpec::Diamond { k, p } => generate::diamond(*k, *p),
             TopologySpec::City { n, seed } => generate::city_mesh(*n, *seed),
             TopologySpec::Fixed(t) => (**t).clone(),
-            TopologySpec::Custom(f) => f(run_seed),
         }
-    }
-}
-
-/// Scales every link's *loss* by `factor` (a loss-scale sweep): delivery
-/// `p` becomes `1 − min(1, (1 − p) · factor)`. `factor` 1.0 is identity;
-/// 0.0 makes every existing link perfect; larger values degrade.
-pub fn scale_loss(topo: &Topology, factor: f64) -> Topology {
-    // Link by link, never through an n × n matrix: a 10k-node city mesh
-    // has ~10⁵ links and 10⁸ pairs. A link scaled to 0 is no link.
-    let links = topo
-        .links()
-        .map(|l| Link {
-            delivery: (1.0 - (1.0 - l.delivery) * factor).clamp(0.0, 1.0),
-            ..l
-        })
-        .filter(|l| l.delivery > 0.0)
-        .collect();
-    let name = format!("{}*loss{factor}", topo.name);
-    let scaled = Topology::from_links(name, topo.n(), links);
-    match topo.positions() {
-        Some(pos) => scaled.with_positions(pos.to_vec()),
-        None => scaled,
     }
 }
 
@@ -300,18 +213,12 @@ impl TrafficSpec {
     }
 }
 
-/// All reachable ordered pairs of a topology, in node order — the one
-/// definition of "reachable pair" shared by pair sampling and the
-/// traffic models. Materializes the full list (O(n²) on connected
-/// topologies); consumers that only *sample* pairs should use
-/// [`crate::pairs::PairPool`] and stay O(n).
-pub(crate) fn reachable_pairs(topo: &Topology) -> Vec<(NodeId, NodeId)> {
-    crate::pairs::PairPool::new(topo).materialize()
-}
-
 /// Deterministically samples `count` distinct reachable ordered pairs.
+/// Materializes every reachable pair (O(n²) on connected topologies);
+/// the traffic models that only sample pairs index a
+/// [`crate::pairs::PairPool`] and stay O(n).
 pub fn random_pairs(topo: &Topology, count: usize, seed: u64) -> Vec<(NodeId, NodeId)> {
-    let mut all = reachable_pairs(topo);
+    let mut all = crate::pairs::PairPool::new(topo).materialize();
     let mut rng = streams::rng(seed, Stream::Run);
     all.shuffle(&mut rng);
     all.truncate(count);
@@ -322,14 +229,8 @@ pub fn random_pairs(topo: &Topology, count: usize, seed: u64) -> Vec<(NodeId, No
 /// (protocol × seed × flow-set) sub-grid.
 #[derive(Clone, Debug)]
 pub enum Sweep {
-    /// Transfer sizes.
-    Packets(Vec<usize>),
     /// Batch sizes (Fig 4-7).
     K(Vec<usize>),
-    /// Data bit-rates (Fig 4-6 uses a fixed one; sweeps compare).
-    Bitrate(Vec<Bitrate>),
-    /// Loss scaling applied to the topology (see [`scale_loss`]).
-    LossScale(Vec<f64>),
     /// Concurrent random flow counts (Fig 4-5).
     Flows(Vec<usize>),
     /// Channel models (static vs bursty air; the numeric
@@ -350,10 +251,7 @@ impl Sweep {
     /// The record's `param` key for this sweep axis.
     pub fn label(&self) -> &'static str {
         match self {
-            Sweep::Packets(_) => "packets",
             Sweep::K(_) => "k",
-            Sweep::Bitrate(_) => "bitrate",
-            Sweep::LossScale(_) => "loss_scale",
             Sweep::Flows(_) => "flows",
             Sweep::Channel(_) => "channel",
             Sweep::Load(_) => "load",
@@ -364,10 +262,7 @@ impl Sweep {
     /// Number of sweep points.
     pub fn len(&self) -> usize {
         match self {
-            Sweep::Packets(v) => v.len(),
             Sweep::K(v) => v.len(),
-            Sweep::Bitrate(v) => v.len(),
-            Sweep::LossScale(v) => v.len(),
             Sweep::Flows(v) => v.len(),
             Sweep::Channel(v) => v.len(),
             Sweep::Load(v) => v.len(),
@@ -380,13 +275,10 @@ impl Sweep {
         self.len() == 0
     }
 
-    /// Numeric value of point `i` (bitrates report Mb/s).
+    /// Numeric value of point `i`.
     pub fn value(&self, i: usize) -> f64 {
         match self {
-            Sweep::Packets(v) => v[i] as f64,
             Sweep::K(v) => v[i] as f64,
-            Sweep::Bitrate(v) => v[i].bits_per_us(),
-            Sweep::LossScale(v) => v[i],
             Sweep::Flows(v) => v[i] as f64,
             Sweep::Channel(_) => i as f64,
             Sweep::Load(v) => v[i],
@@ -417,15 +309,8 @@ pub(crate) fn swept_traffic(
             seed_offset: *seed_offset,
             distinct_sources: *distinct_sources,
         })),
-        (Sweep::Flows(v), TrafficModelSpec::Staggered(m)) => {
-            Ok(TrafficModelSpec::Staggered(StaggeredModel {
-                n_flows: v[i],
-                ..*m
-            }))
-        }
         (Sweep::Flows(_), other) => Err(BuildError::Unsupported(format!(
-            "Sweep::Flows requires TrafficSpec::RandomConcurrent or \
-             TrafficModelSpec::Staggered traffic, got {other:?}"
+            "Sweep::Flows requires TrafficSpec::RandomConcurrent traffic, got {other:?}"
         ))),
         (Sweep::Load(v), TrafficModelSpec::Poisson(m)) => {
             Ok(TrafficModelSpec::Poisson(PoissonModel {
@@ -468,43 +353,6 @@ mod test {
             assert_ne!(s, d);
             assert!(topo.hops_from(s)[d.0].is_some());
         }
-    }
-
-    #[test]
-    fn loss_scaling_bounds() {
-        let topo = generate::testbed(1);
-        let perfect = scale_loss(&topo, 0.0);
-        let worse = scale_loss(&topo, 2.0);
-        for l in topo.links() {
-            assert_eq!(perfect.delivery(l.from, l.to), 1.0);
-            let w = worse.delivery(l.from, l.to);
-            assert!(w <= l.delivery + 1e-12, "loss must not shrink");
-            assert!((0.0..=1.0).contains(&w));
-        }
-        // Identity preserves the matrix.
-        let same = scale_loss(&topo, 1.0);
-        for l in topo.links() {
-            assert!((same.delivery(l.from, l.to) - l.delivery).abs() < 1e-12);
-        }
-        // A factor that clamps a link's delivery to 0 removes the link.
-        let gone = scale_loss(&topo, 1e9);
-        assert_eq!(gone.link_count(), 0);
-        assert_eq!(gone.positions(), topo.positions());
-    }
-
-    #[test]
-    fn loss_scaling_maps_links_without_densifying() {
-        // 2 000 nodes would be a 32 MB matrix; the sparse map touches
-        // only the ~20 000 links and keeps name suffix and positions.
-        let topo = generate::city_mesh(2000, 4);
-        let same = scale_loss(&topo, 1.0);
-        assert_eq!(same.link_count(), topo.link_count());
-        for (a, b) in topo.links().zip(same.links()) {
-            assert_eq!((a.from, a.to), (b.from, b.to));
-            assert!((a.delivery - b.delivery).abs() < 1e-12, "{a:?} vs {b:?}");
-        }
-        assert_eq!(same.positions(), topo.positions());
-        assert_eq!(same.name, format!("{}*loss1", topo.name));
     }
 
     /// Two disconnected cliques: pairs across the gap are unreachable.

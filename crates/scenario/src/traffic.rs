@@ -13,8 +13,8 @@
 //! * [`TrafficModelSpec::Poisson`] — flows arrive with exponential
 //!   inter-arrival times, hold for an exponential lifetime, and the
 //!   active-flow count is capped (blocked arrivals are dropped).
-//! * [`TrafficModelSpec::Staggered`] — a deterministic ramp: flow *i*
-//!   starts at *i*·gap, for scaling studies.
+//! * [`TrafficModelSpec::Custom`] — any caller-supplied
+//!   [`TrafficModel`], e.g. a fixed schedule of arrivals and departures.
 //!
 //! ## Determinism
 //!
@@ -26,7 +26,7 @@
 //! pre-traffic-model engine.
 
 use crate::pairs::PairPool;
-use crate::spec::{reachable_pairs, FlowSpec, TrafficSpec};
+use crate::spec::{FlowSpec, TrafficSpec};
 use mesh_sim::{Time, SEC};
 use mesh_topology::streams::{self, Stream};
 use mesh_topology::{NodeId, Topology};
@@ -333,107 +333,6 @@ impl TrafficModel for PoissonModel {
     }
 }
 
-/// A deterministic arrival ramp for scaling studies: flow *i* (endpoints
-/// sampled per run seed, distinct sources) starts at `i × gap_ms` and
-/// optionally departs `hold_ms` later.
-#[derive(Clone, Copy, PartialEq)]
-pub struct StaggeredModel {
-    /// Number of flows in the ramp.
-    pub n_flows: usize,
-    /// Gap between consecutive arrivals, milliseconds.
-    pub gap_ms: u64,
-    /// Lifetime of each flow, milliseconds; `None` runs to completion.
-    pub hold_ms: Option<u64>,
-}
-
-impl StaggeredModel {
-    fn validate(&self, deadline_s: u64) -> Result<(), String> {
-        let StaggeredModel {
-            n_flows, gap_ms, ..
-        } = *self;
-        if n_flows == 0 {
-            return Err("Staggered needs at least one flow".into());
-        }
-        // The whole ramp must fit the deadline, otherwise the tail of the
-        // ramp would be silently dropped and a Flows sweep would report
-        // flow counts that never ran. A last start past `u64::MAX` µs fits
-        // no deadline.
-        let last_start = (n_flows as Time - 1)
-            .checked_mul(gap_ms)
-            .and_then(|ms| ms.checked_mul(mesh_sim::MS));
-        if last_start.is_none_or(|t| t >= deadline_s.saturating_mul(SEC)) {
-            return Err(format!(
-                "Staggered ramp of {n_flows} flows every {gap_ms} ms starts its \
-                 last flow at or beyond the {deadline_s} s deadline"
-            ));
-        }
-        Ok(())
-    }
-}
-
-impl fmt::Debug for StaggeredModel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let StaggeredModel {
-            n_flows,
-            gap_ms,
-            hold_ms,
-        } = self;
-        write!(
-            f,
-            "Staggered{{n:{n_flows},gap:{gap_ms}ms,hold:{hold_ms:?}}}"
-        )
-    }
-}
-
-impl TrafficModel for StaggeredModel {
-    fn schedules(
-        &self,
-        topo: &Topology,
-        run_seed: u64,
-        packets: usize,
-        horizon: Time,
-    ) -> Vec<Vec<FlowEvent>> {
-        let mut rng = streams::rng(run_seed, Stream::Traffic);
-        let mut pool = reachable_pairs(topo);
-        rand::seq::SliceRandom::shuffle(&mut pool[..], &mut rng);
-        // Distinct sources, like TrafficSpec::RandomConcurrent.
-        let mut used = std::collections::BTreeSet::new();
-        let mut flows = Vec::new();
-        for (s, d) in pool {
-            if !used.insert(s) {
-                continue;
-            }
-            flows.push((s, d));
-            if flows.len() == self.n_flows {
-                break;
-            }
-        }
-        assert_eq!(
-            flows.len(),
-            self.n_flows,
-            "topology {} cannot host {} distinct-source flows",
-            topo.name,
-            self.n_flows
-        );
-        // Saturating: an instant past `u64::MAX` µs lies beyond any horizon.
-        let gap = self.gap_ms.saturating_mul(mesh_sim::MS);
-        let intervals = flows
-            .into_iter()
-            .enumerate()
-            .map(|(i, (src, dst))| {
-                let start = (i as Time).saturating_mul(gap);
-                let stop = self
-                    .hold_ms
-                    .map(|h| start.saturating_add(h.saturating_mul(mesh_sim::MS)))
-                    .filter(|&s| s < horizon);
-                (FlowSpec::unicast(src, dst, packets), start, stop)
-            })
-            .filter(|&(_, start, _)| start < horizon)
-            .collect();
-        vec![events_from_intervals(intervals)]
-    }
-}
-
 /// Serializable description of a traffic model; builds a fresh
 /// [`TrafficModel`] via [`TrafficModelSpec::build`].
 ///
@@ -446,8 +345,6 @@ pub enum TrafficModelSpec {
     Static(TrafficSpec),
     /// Poisson arrivals.
     Poisson(PoissonModel),
-    /// A deterministic arrival ramp.
-    Staggered(StaggeredModel),
     /// A caller-supplied model — the escape hatch for workload shapes the
     /// built-ins cannot express.
     Custom(Arc<dyn TrafficModel>),
@@ -467,7 +364,6 @@ impl fmt::Debug for TrafficModelSpec {
         match self {
             TrafficModelSpec::Static(spec) => write!(f, "Static({spec:?})"),
             TrafficModelSpec::Poisson(m) => m.fmt(f),
-            TrafficModelSpec::Staggered(m) => m.fmt(f),
             TrafficModelSpec::Custom(_) => write!(f, "Custom(..)"),
         }
     }
@@ -479,7 +375,6 @@ impl TrafficModelSpec {
         match self {
             TrafficModelSpec::Static(spec) => Arc::new(StaticModel(spec.clone())),
             TrafficModelSpec::Poisson(m) => Arc::new(*m),
-            TrafficModelSpec::Staggered(m) => Arc::new(*m),
             TrafficModelSpec::Custom(model) => model.clone(),
         }
     }
@@ -515,14 +410,13 @@ impl TrafficModelSpec {
                 }
                 Ok(())
             }
-            TrafficModelSpec::Staggered(StaggeredModel { n_flows, .. })
-            | TrafficModelSpec::Static(TrafficSpec::RandomConcurrent {
+            TrafficModelSpec::Static(TrafficSpec::RandomConcurrent {
                 n_flows,
                 distinct_sources: true,
                 ..
             }) => {
-                // Both need n_flows distinct sources, each with at least
-                // one reachable destination.
+                // n_flows distinct sources, each with at least one
+                // reachable destination.
                 let sources = PairPool::new(topo).sources_with_destinations();
                 if sources < *n_flows {
                     return Err(format!(
@@ -537,17 +431,16 @@ impl TrafficModelSpec {
         }
     }
 
-    /// Validates the model's parameters against a run deadline (seconds),
-    /// so bad configurations fail at build time instead of panicking
-    /// inside a sweep worker. `Custom` models validate themselves.
-    pub fn validate(&self, deadline_s: u64) -> Result<(), String> {
+    /// Validates the model's parameters, so bad configurations fail at
+    /// build time instead of panicking inside a sweep worker. `Custom`
+    /// models validate themselves.
+    pub fn validate(&self) -> Result<(), String> {
         match self {
             TrafficModelSpec::Static(TrafficSpec::RandomConcurrent { n_flows: 0, .. }) => {
                 Err("RandomConcurrent needs at least one flow".into())
             }
             TrafficModelSpec::Static(_) | TrafficModelSpec::Custom(_) => Ok(()),
             TrafficModelSpec::Poisson(m) => m.validate(),
-            TrafficModelSpec::Staggered(m) => m.validate(deadline_s),
         }
     }
 }
@@ -610,26 +503,6 @@ mod test {
     }
 
     #[test]
-    fn staggered_ramp_is_deterministic_spacing() {
-        let topo = generate::testbed(1);
-        let model = StaggeredModel {
-            n_flows: 4,
-            gap_ms: 2_000,
-            hold_ms: None,
-        };
-        let schedule = model.schedules(&topo, 1, 32, HORIZON).remove(0);
-        let windows = flow_windows(&schedule);
-        assert_eq!(windows.len(), 4);
-        for (i, w) in windows.iter().enumerate() {
-            assert_eq!(w.start, i as Time * 2_000 * mesh_sim::MS);
-            assert_eq!(w.stop, None);
-        }
-        let sources: std::collections::BTreeSet<NodeId> =
-            windows.iter().map(|w| w.spec.src).collect();
-        assert_eq!(sources.len(), 4, "distinct sources");
-    }
-
-    #[test]
     fn validate_schedule_rejects_contract_violations() {
         let flow = FlowSpec::unicast(NodeId(0), NodeId(1), 8);
         let start = |at| FlowEvent::Start {
@@ -672,11 +545,6 @@ mod test {
                 rate_per_s: 0.5,
                 mean_hold_s: 10.0,
                 max_active: 4,
-            }),
-            Box::new(StaggeredModel {
-                n_flows: 4,
-                gap_ms: 1_000,
-                hold_ms: Some(2_000),
             }),
         ];
         for model in &models {

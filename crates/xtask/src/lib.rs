@@ -10,6 +10,9 @@
 //! `expect` suppresses, and compares the per-lint totals with the
 //! committed [`baseline::BASELINE_FILE`]. A rise fails; a fall tightens
 //! the file, or fails too under `--check`.
+//!
+//! The same file holds each crate's non-test line count ([`loc_counts`]),
+//! so a change that grows a crate shows the growth in its diff.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -20,8 +23,13 @@
 pub mod baseline;
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::fs;
+use std::path::Path;
 
 use mesh_topology::json::{self, Value};
+
+/// Prefix of the per-crate line-count keys: `loc::<package>`.
+pub const LOC_PREFIX: &str = "loc::";
 
 /// One clippy run: which targets it checks and which lints it counts.
 pub struct Pass {
@@ -120,4 +128,62 @@ fn site(pass: &Pass, line: &str) -> Option<(String, String, u64, u64)> {
         at("line_start")?,
         at("column_start")?,
     ))
+}
+
+/// Non-blank lines of one source file before its first `#[cfg(test)]`.
+pub fn non_test_lines(source: &str) -> usize {
+    source
+        .lines()
+        .map(str::trim)
+        .take_while(|l| !l.starts_with("#[cfg(test)]"))
+        .filter(|l| !l.is_empty())
+        .count()
+}
+
+/// `loc::<package>` → [`non_test_lines`] summed over `src/**/*.rs`, for
+/// every crate directory under `<root>/crates`.
+pub fn loc_counts(root: &Path) -> Result<BTreeMap<String, usize>, String> {
+    let mut counts = BTreeMap::new();
+    for dir in entries(&root.join("crates"))? {
+        let manifest = dir.join("Cargo.toml");
+        let Ok(text) = fs::read_to_string(&manifest) else {
+            continue; // not a crate
+        };
+        let name = text
+            .split("[package]")
+            .nth(1)
+            .and_then(|package| {
+                package
+                    .lines()
+                    .find_map(|l| l.trim().strip_prefix("name = "))
+            })
+            .ok_or_else(|| format!("{}: no package name", manifest.display()))?;
+        let key = format!("{LOC_PREFIX}{}", name.trim_matches('"'));
+        counts.insert(key, source_lines(&dir.join("src"))?);
+    }
+    Ok(counts)
+}
+
+/// [`non_test_lines`] summed over the `.rs` files under `dir`.
+fn source_lines(dir: &Path) -> Result<usize, String> {
+    let mut lines = 0;
+    for path in entries(dir)? {
+        if path.is_dir() {
+            lines += source_lines(&path)?;
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            let text = fs::read_to_string(&path)
+                .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+            lines += non_test_lines(&text);
+        }
+    }
+    Ok(lines)
+}
+
+/// The paths in `dir`.
+fn entries(dir: &Path) -> Result<Vec<std::path::PathBuf>, String> {
+    let read = |e: std::io::Error| format!("cannot read {}: {e}", dir.display());
+    fs::read_dir(dir)
+        .map_err(read)?
+        .map(|entry| entry.map(|e| e.path()).map_err(read))
+        .collect()
 }

@@ -5,7 +5,8 @@
 //! suppresses included — and compares the counts with the committed
 //! `xtask-baseline.json`: any rise fails, any fall rewrites the baseline
 //! so the improvement locks in — or, under `--check`, fails too, so a
-//! baseline looser than the tree cannot sit in CI unnoticed.
+//! baseline looser than the tree cannot sit in CI unnoticed. Each crate's
+//! non-test line count ([`xtask::loc_counts`]) is ratcheted the same way.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -23,8 +24,8 @@ const USAGE: &str = "\
 usage: cargo run -p xtask -- ratchet [--check]
 
 Counts clippy findings per lint, the ones #[expect(..)] suppresses
-included, and compares them with the committed baseline: a rise fails,
-a fall tightens the file.
+included, and each crate's non-test lines, and compares them with the
+committed baseline: a rise fails, a fall tightens the file.
 
 --check  read-only: fail on any rise or fall, never rewrite the file
 ";
@@ -79,7 +80,12 @@ fn main() -> ExitCode {
     let manifest_dir = Path::new(env!("CARGO_MANIFEST_DIR"));
     let root = manifest_dir.ancestors().nth(2).unwrap_or(manifest_dir);
     let path = root.join(BASELINE_FILE);
-    let outcome = clippy_counts(root).and_then(|counts| ratchet(&path, counts, check));
+    let outcome = clippy_counts(root)
+        .and_then(|mut counts| {
+            counts.extend(xtask::loc_counts(root)?);
+            Ok(counts)
+        })
+        .and_then(|counts| ratchet(&path, counts, check));
     match outcome {
         Ok(verdict) => {
             for line in &verdict.lines {

@@ -1,14 +1,15 @@
 //! The ratchet's counting and verdicts: repeated findings count once,
 //! a rise fails, a fall tightens the baseline (and fails `--check`), a
-//! missing baseline bootstraps — and the committed baseline counts
-//! exactly the lints the ratchet forces.
+//! missing baseline bootstraps, a grown crate fails `--check` — and the
+//! committed baseline counts exactly the lints the ratchet forces and the
+//! crates it measures.
 
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::PathBuf;
 
 use xtask::baseline::{ratchet, Baseline, BASELINE_FILE};
-use xtask::{count, PASSES};
+use xtask::{count, loc_counts, LOC_PREFIX, PASSES};
 
 /// One line of cargo's `--message-format=json` output: a finding of
 /// `lint` at `file:line:column`.
@@ -150,26 +151,59 @@ fn check_fails_when_the_baseline_is_looser_than_the_tree() {
 }
 
 #[test]
+fn a_grown_crate_fails_check() {
+    let root = tmp_baseline("loc-tree");
+    let _ = fs::remove_dir_all(&root);
+    let src = root.join("crates/demo/src");
+    fs::create_dir_all(src.join("inner")).expect("create demo crate");
+    let write = |path: PathBuf, text: &str| fs::write(path, text).expect("write demo file");
+    write(
+        root.join("crates/demo/Cargo.toml"),
+        "[package]\nname = \"demo-crate\"\n\n[lib]\nname = \"demo\"\n",
+    );
+    // Blank lines and everything from `#[cfg(test)]` on do not count.
+    write(
+        src.join("lib.rs"),
+        "//! Demo.\n\npub mod inner;\n#[cfg(test)]\nmod test {}\n",
+    );
+    write(src.join("inner/mod.rs"), "pub fn f() {}\n");
+    write(root.join("crates/demo/README.md"), "not a crate source\n");
+    let before = loc_counts(&root).expect("count lines");
+    assert_eq!(before, counts(&[("loc::demo-crate", 3)]));
+    let path = root.join(BASELINE_FILE);
+    assert!(ratchet(&path, before, false).expect("ratchet runs").passed);
+
+    write(src.join("inner/mod.rs"), "pub fn f() {}\npub fn g() {}\n");
+    let v = ratchet(&path, loc_counts(&root).expect("count lines"), true).expect("ratchet runs");
+    assert!(!v.passed, "a grown crate must fail --check");
+    assert!(
+        v.lines[0].contains("`loc::demo-crate` rose 3 -> 4"),
+        "{v:?}"
+    );
+}
+
+#[test]
 fn committed_baseline_counts_exactly_the_ratcheted_lints() {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join(BASELINE_FILE);
-    let text = fs::read_to_string(path).expect("read committed baseline");
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let text = fs::read_to_string(root.join(BASELINE_FILE)).expect("read committed baseline");
     let baseline = Baseline::parse(&text).expect("parse committed baseline");
     let mut lints: Vec<&str> = PASSES
         .iter()
         .flat_map(|p| p.lints.iter().copied())
         .collect();
     lints.sort_unstable();
+    let (locs, counted): (Vec<&str>, Vec<&str>) = baseline
+        .counts
+        .keys()
+        .map(String::as_str)
+        .partition(|k| k.starts_with(LOC_PREFIX));
     // A lint the ratchet stopped counting must not linger in the file,
-    // and a new one must not go uncounted.
+    // and a new one must not go uncounted; likewise a crate.
+    assert_eq!(counted, lints, "baseline lint keys != ratcheted lints");
+    let crates = loc_counts(&root).expect("count lines");
     assert!(
-        baseline
-            .counts
-            .keys()
-            .map(String::as_str)
-            .eq(lints.iter().copied()),
-        "baseline keys {:?} != ratcheted lints {lints:?}",
-        baseline.counts.keys().collect::<Vec<_>>(),
+        locs.iter().copied().eq(crates.keys().map(String::as_str)),
+        "baseline line keys {locs:?} != crates {:?}",
+        crates.keys().collect::<Vec<_>>(),
     );
 }

@@ -280,28 +280,6 @@ fn killed_sweep_resumes_byte_identical_to_an_uninterrupted_run() {
 }
 
 #[test]
-fn progress_callback_sees_records_in_grid_order() {
-    use std::sync::Mutex;
-    let seen: Arc<Mutex<Vec<(String, u64, usize)>>> = Arc::new(Mutex::new(Vec::new()));
-    let seen2 = seen.clone();
-    let records = golden("progress")
-        .threads(2)
-        .on_run_complete(move |r, p| {
-            let mut s = seen2.lock().unwrap();
-            assert_eq!(p.records, s.len() + 1, "records counter must increment");
-            assert_eq!(p.cells_total, 4);
-            s.push((r.protocol.clone(), r.seed, r.traffic_index));
-        })
-        .run();
-    let seen = seen.lock().unwrap();
-    let expected: Vec<(String, u64, usize)> = records
-        .iter()
-        .map(|r| (r.protocol.clone(), r.seed, r.traffic_index))
-        .collect();
-    assert_eq!(*seen, expected, "callback order must match grid order");
-}
-
-#[test]
 fn par_map_at_10k_items_preserves_order_across_thread_counts() {
     for threads in [1, 3, 8, 32] {
         let out = exec::par_map((0..10_000).collect(), threads, |&x: &u64| x * x);
