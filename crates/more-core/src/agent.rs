@@ -389,8 +389,8 @@ impl NodeAgent for MoreAgent {
                 let batch = f.src_batch;
                 let k_b = f.k_of(&cfg, batch);
                 let encoder = f.encoder.get_or_insert_with(|| {
-                    let natives = crate::batch_natives(f.id, batch, k_b, payload_len(&cfg));
-                    SourceEncoder::new(natives).expect("valid batch")
+                    let write = |i, row: &mut [u8]| crate::write_native(f.id, batch, i, row);
+                    SourceEncoder::from_fn(k_b, payload_len(&cfg), write).expect("valid batch")
                 });
                 (batch, k_b, encoder.encode(ctx.rng()))
             } else {

@@ -225,7 +225,7 @@ mod test {
         assert_eq!(BatchState::Empty.rank(), 0);
         let enc = rlnc::SourceEncoder::new(vec![Vec::<u8>::new(); 3]).expect("valid batch");
         let mut d = Decoder::new(3, 0);
-        d.receive(&enc.encode_with(rlnc::CodeVector::unit(3, 1)));
+        d.receive(&enc.encode_with([0, 1, 0]));
         assert_eq!(BatchState::Destination(d).rank(), 1);
     }
 }

@@ -155,23 +155,31 @@ const RAMP: [u8; PERIOD] = {
     ramp
 };
 
-/// Builds the native packets for one batch: native `i` is the ramp
-/// `b mod 251` shifted by `native_byte(flow, batch, i)`, byte-wise
-/// wrapping, so each is one wrapping add over a whole slice.
+/// Writes native `i` of `batch` in `flow` into `row`: the ramp `b mod 251`
+/// shifted by `native_byte(flow, batch, i)`, byte-wise wrapping, one
+/// period at a time so that each is one wrapping add over a slice.
+pub fn write_native(flow: u32, batch: u32, i: usize, row: &mut [u8]) {
+    let seed = native_byte(flow, batch, i);
+    for period in row.chunks_mut(PERIOD) {
+        for (b, &r) in period.iter_mut().zip(&RAMP) {
+            *b = r.wrapping_add(seed);
+        }
+    }
+}
+
+/// Builds the native packets for one batch (see [`write_native`]).
 pub fn batch_natives(flow: u32, batch: u32, k: usize, bytes: usize) -> Vec<Vec<u8>> {
-    let ramp: Vec<u8> = RAMP.iter().copied().cycle().take(bytes).collect();
-    (0..k)
-        .map(|i| {
-            let seed = native_byte(flow, batch, i);
-            ramp.iter().map(|&r| r.wrapping_add(seed)).collect()
-        })
-        .collect()
+    let mut natives = vec![vec![0; bytes]; k];
+    for (i, native) in natives.iter_mut().enumerate() {
+        write_native(flow, batch, i, native);
+    }
+    natives
 }
 
 /// True iff `native` is the test file's native with seed `seed`: its first
 /// period matches the ramp (an OR-fold of differences) and every later byte
 /// equals the byte one period before it (a `memcmp`). Shares nothing with
-/// [`batch_natives`]' generation loop but the one-period table.
+/// [`write_native`]'s loop but the one-period table.
 pub(crate) fn native_is_intact(native: &[u8], seed: u8) -> bool {
     let (head, tail) = native.split_at(native.len().min(PERIOD));
     let diff = head
@@ -195,7 +203,7 @@ mod test {
         while !dec.is_complete() {
             dec.receive(&enc.encode(&mut rng));
         }
-        dec.take_natives().expect("rank K reached")
+        dec.natives().expect("rank K reached")
     }
 
     #[test]

@@ -48,7 +48,7 @@ use std::rc::Rc;
 /// // The emitted packet spans everything the forwarder has heard.
 /// let p = fwd.emit(&mut rng).unwrap();
 /// assert_eq!(p.k(), 4);
-/// assert!(!p.vector_is_zero());
+/// assert!(p.vector().iter().any(|&c| c != 0));
 /// ```
 #[derive(Debug)]
 pub struct ForwarderBuffer {
@@ -75,18 +75,6 @@ impl ForwarderBuffer {
         }
     }
 
-    /// Batch size K.
-    #[inline]
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Payload size in bytes.
-    #[inline]
-    pub fn payload_len(&self) -> usize {
-        self.payload_len
-    }
-
     /// Rank of the stored information (== number of pooled packets).
     #[inline]
     pub fn rank(&self) -> usize {
@@ -97,11 +85,6 @@ impl ForwarderBuffer {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.pool.borrow().is_empty()
-    }
-
-    /// Non-destructive innovativeness check against the stored rank.
-    pub fn is_innovative(&self, p: &CodedPacket) -> bool {
-        self.tracker.is_innovative(p.vector())
     }
 
     /// Offers a received packet to the buffer.
@@ -152,7 +135,7 @@ impl ForwarderBuffer {
     /// stream of a packet-at-a-time fold), and combines the pooled code
     /// vectors with one batched [`axpy_chunked`] pass; the payload is left
     /// to the emitted packet's recipe.
-    pub fn precode<R: Rng + ?Sized>(&mut self, rng: &mut R) {
+    fn precode<R: Rng + ?Sized>(&mut self, rng: &mut R) {
         if let Some(old) = self.precoded.take() {
             old.release();
         }
@@ -187,11 +170,6 @@ impl ForwarderBuffer {
         let next = self.precoded.take()?;
         self.precode(rng);
         Some(next.freeze(Recipe::Pool(Rc::clone(&self.pool))))
-    }
-
-    /// Number of packets that would be combined to emit (pool size).
-    pub fn pool_len(&self) -> usize {
-        self.pool.borrow().len()
     }
 
     /// Drops all state (batch flushed on ACK or a newer batch, §3.2.2),
@@ -261,7 +239,6 @@ mod test {
         }
         assert_eq!(stored, 4);
         assert_eq!(buf.rank(), 4);
-        assert_eq!(buf.pool_len(), 4);
     }
 
     #[test]
@@ -338,7 +315,7 @@ mod test {
         let p = enc.encode(&mut rng);
         assert!(buf.receive(&p, &mut rng));
         assert!(!buf.receive(&p, &mut rng));
-        assert_eq!(buf.pool_len(), 1);
+        assert_eq!(buf.rank(), 1);
     }
 
     #[test]

@@ -10,16 +10,19 @@
 //!
 //! * [`SourceEncoder`] — the source's "code all K natives together" path.
 //! * [`InnovationTracker`] — Algorithm 2: the row-echelon independence check
-//!   that touches only code vectors, never payload bytes.
-//! * [`ForwarderBuffer`] — a forwarder's pool of innovative packets plus the
-//!   *pre-coding* optimisation (§3.2.3c): one outgoing combination's
-//!   coefficients are kept ready and folded together with each innovative
-//!   arrival, so transmission never waits on a K-packet combine.
-//! * [`Decoder`] — the destination's decode: arrivals are kept in
-//!   row-echelon form while the batch fills, and the K-th innovative one
-//!   triggers a single back-substitution, after which the rows *are* the
-//!   native batch.
+//!   that touches only code vectors, never payload bytes. It is the crate's
+//!   one elimination; the other two roles below are built on it.
+//! * [`ForwarderBuffer`] — a tracker, a forwarder's pool of innovative
+//!   packets, and the *pre-coding* optimisation (§3.2.3c): one outgoing
+//!   combination's coefficients are kept ready and folded together with
+//!   each innovative arrival, so transmission never waits on a K-packet
+//!   combine.
+//! * [`Decoder`] — the destination's decode: a tracker plus one payload
+//!   row per stored vector, combined as the tracker reduced it; the K-th
+//!   innovative arrival triggers a single back-substitution, after which
+//!   the payload rows *are* the native batch.
 //!
+//! Code vectors are plain byte slices, one GF(2⁸) coefficient per byte.
 //! A [`CodedPacket`] carries its code vector and computes its payload when
 //! a holder first reads it — in this simulator, when some receiver keeps
 //! it — into one flat `[coeffs | payload]` buffer. Cloning a packet — e.g.
@@ -27,7 +30,8 @@
 //! clone sees the one computed payload, and packets and buffers recycle
 //! through a thread-local [`pool`] instead of the allocator. Every payload
 //! row the GF(2⁸) kernels read or write — a computed payload, a source
-//! native, a decoder row — starts on a 64-byte boundary ([`rows`]).
+//! native, a decoder row, a tracked vector — starts on a 64-byte boundary
+//! ([`rows`]).
 //!
 //! ```
 //! use more_rlnc::{SourceEncoder, Decoder};
@@ -41,7 +45,7 @@
 //!     let p = enc.encode(&mut rng);
 //!     dec.receive(&p);
 //! }
-//! assert_eq!(dec.take_natives().unwrap(), natives);
+//! assert_eq!(dec.natives().unwrap(), natives);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -71,7 +75,7 @@ pub mod tracker;
 
 pub use buffer::ForwarderBuffer;
 pub use decoder::Decoder;
-pub use packet::{axpy_chunked, CodeVector, CodedPacket, SourceEncoder};
+pub use packet::{axpy_chunked, CodedPacket, SourceEncoder};
 pub use tracker::InnovationTracker;
 
 /// Errors reported by coding components.

@@ -1,5 +1,8 @@
-//! Code vectors, coded packets with payloads computed on demand, and the
-//! source-side encoder.
+//! Coded packets with payloads computed on demand, and the source-side
+//! encoder.
+//!
+//! A code vector is a plain byte slice: for `p' = Σ cᵢ pᵢ` it is
+//! `(c₁, …, c_K)` (thesis Table 3.1), each byte a GF(2⁸) element.
 
 #![expect(
     clippy::indexing_slicing,
@@ -13,115 +16,6 @@ use gf256::{slice_ops, Gf256};
 use rand::Rng;
 use std::cell::{OnceCell, RefCell};
 use std::rc::Rc;
-
-/// The vector of coefficients that derives a coded packet from the natives.
-///
-/// For `p' = Σ cᵢ pᵢ` the code vector is `(c₁, …, c_K)` (thesis Table 3.1).
-/// Stored as raw bytes; each byte is a GF(2⁸) element.
-///
-/// Packets on the wire do not carry a `CodeVector` — [`CodedPacket`] keeps
-/// its coefficients in its own pooled storage — but the type remains the
-/// convenient owned representation for building vectors
-/// (unit/random/arithmetic) and for rank bookkeeping in tests.
-#[derive(Clone, PartialEq, Eq, Hash)]
-pub struct CodeVector(Vec<u8>);
-
-impl CodeVector {
-    /// A zero vector of length `k`.
-    pub fn zero(k: usize) -> Self {
-        CodeVector(vec![0; k])
-    }
-
-    /// The `i`-th unit vector of length `k` (the code vector of native `i`).
-    pub fn unit(k: usize, i: usize) -> Self {
-        assert!(i < k, "unit index out of range");
-        let mut v = vec![0; k];
-        v[i] = 1;
-        CodeVector(v)
-    }
-
-    /// A uniformly random vector of length `k`.
-    pub fn random<R: Rng + ?Sized>(k: usize, rng: &mut R) -> Self {
-        let mut v = vec![0u8; k];
-        rng.fill(&mut v[..]);
-        CodeVector(v)
-    }
-
-    /// Builds a vector from raw coefficient bytes.
-    pub fn from_bytes(bytes: Vec<u8>) -> Self {
-        CodeVector(bytes)
-    }
-
-    /// Batch size K this vector addresses.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// True if the vector has length zero (a degenerate batch).
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    /// True if every coefficient is zero (carries no information).
-    #[inline]
-    pub fn is_zero(&self) -> bool {
-        self.0.iter().all(|&b| b == 0)
-    }
-
-    /// Coefficient `i`.
-    #[inline]
-    pub fn coeff(&self, i: usize) -> Gf256 {
-        Gf256(self.0[i])
-    }
-
-    /// Index of the first non-zero coefficient, if any.
-    pub fn leading_index(&self) -> Option<usize> {
-        self.0.iter().position(|&b| b != 0)
-    }
-
-    /// Raw coefficient bytes.
-    #[inline]
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.0
-    }
-
-    /// Mutable raw coefficient bytes.
-    #[inline]
-    pub fn as_bytes_mut(&mut self) -> &mut [u8] {
-        &mut self.0
-    }
-
-    /// `self += c * other`.
-    pub fn mul_add_assign(&mut self, other: &CodeVector, c: Gf256) {
-        slice_ops::mul_add_assign(&mut self.0, &other.0, c);
-    }
-
-    /// `self *= c`.
-    pub fn mul_assign(&mut self, c: Gf256) {
-        slice_ops::mul_assign(&mut self.0, c);
-    }
-}
-
-impl AsRef<[u8]> for CodeVector {
-    fn as_ref(&self) -> &[u8] {
-        &self.0
-    }
-}
-
-impl core::fmt::Debug for CodeVector {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "CodeVector[")?;
-        for (i, b) in self.0.iter().enumerate() {
-            if i > 0 {
-                write!(f, " ")?;
-            }
-            write!(f, "{b:02X}")?;
-        }
-        write!(f, "]")
-    }
-}
 
 /// `dst += Σ cᵢ·srcᵢ` over an arbitrary term iterator, batched through
 /// [`slice_ops::axpy_many`] in stack-resident chunks.
@@ -336,17 +230,6 @@ impl CodedPacket {
         &self.data()[self.k()..]
     }
 
-    /// Coefficient `i` of the code vector.
-    #[inline]
-    pub fn coeff(&self, i: usize) -> Gf256 {
-        Gf256(self.0.vector[i])
-    }
-
-    /// True if every coefficient is zero (the packet carries nothing).
-    pub fn vector_is_zero(&self) -> bool {
-        self.vector().iter().all(|&b| b == 0)
-    }
-
     /// The whole flat `[coeffs | payload]` buffer, computing the payload if
     /// no clone has yet.
     #[inline]
@@ -384,16 +267,31 @@ impl SourceEncoder {
     /// Zero-length natives are a batch too: its packets carry code vectors
     /// and an empty payload.
     pub fn new<B: AsRef<[u8]>>(natives: Vec<B>) -> Result<Self, CodingError> {
-        let Some(first) = natives.first() else {
-            return Err(CodingError::BadBatch("empty batch".into()));
-        };
-        let payload_len = first.as_ref().len();
+        let payload_len = natives.first().map_or(0, |n| n.as_ref().len());
         if natives.iter().any(|p| p.as_ref().len() != payload_len) {
             return Err(CodingError::BadBatch("unequal packet lengths".into()));
         }
-        let mut arena = AlignedRows::in_storage(Vec::new(), natives.len(), payload_len);
-        for (i, native) in natives.iter().enumerate() {
-            arena.row_mut(i).copy_from_slice(native.as_ref());
+        Self::from_fn(natives.len(), payload_len, |i, row| {
+            if let Some(native) = natives.get(i) {
+                row.copy_from_slice(native.as_ref());
+            }
+        })
+    }
+
+    /// Builds an encoder over `k` natives of `payload_len` bytes, each
+    /// written in place by `fill(i, row)` into a zeroed row of the arena;
+    /// the batch must be non-empty.
+    pub fn from_fn(
+        k: usize,
+        payload_len: usize,
+        mut fill: impl FnMut(usize, &mut [u8]),
+    ) -> Result<Self, CodingError> {
+        if k == 0 {
+            return Err(CodingError::BadBatch("empty batch".into()));
+        }
+        let mut arena = AlignedRows::in_storage(Vec::new(), k, payload_len);
+        for i in 0..k {
+            fill(i, arena.row_mut(i));
         }
         Ok(SourceEncoder {
             natives: Rc::new(arena),
@@ -454,38 +352,6 @@ mod test {
     use rand_chacha::ChaCha8Rng;
 
     #[test]
-    fn unit_vectors() {
-        let v = CodeVector::unit(4, 2);
-        assert_eq!(v.as_bytes(), &[0, 0, 1, 0]);
-        assert_eq!(v.leading_index(), Some(2));
-        assert!(!v.is_zero());
-    }
-
-    #[test]
-    fn zero_vector() {
-        let v = CodeVector::zero(3);
-        assert!(v.is_zero());
-        assert_eq!(v.leading_index(), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn unit_out_of_range_panics() {
-        let _ = CodeVector::unit(3, 3);
-    }
-
-    #[test]
-    fn vector_axpy() {
-        let mut a = CodeVector::from_bytes(vec![1, 2, 3]);
-        let b = CodeVector::from_bytes(vec![4, 5, 6]);
-        a.mul_add_assign(&b, Gf256(2));
-        for i in 0..3 {
-            let expect = Gf256([1, 2, 3][i]) + Gf256([4, 5, 6][i]) * Gf256(2);
-            assert_eq!(a.coeff(i), expect);
-        }
-    }
-
-    #[test]
     fn axpy_chunked_matches_axpy_many_across_chunk_boundaries() {
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         for n in [0usize, 1, 15, 16, 17, 33] {
@@ -519,8 +385,6 @@ mod test {
         assert_eq!(p.payload_len(), 4);
         assert_eq!(p.vector(), &[1, 2, 3]);
         assert_eq!(p.payload(), &[9, 8, 7, 6]);
-        assert_eq!(p.coeff(1), Gf256(2));
-        assert!(!p.vector_is_zero());
         assert_eq!(&p.data()[..], &[1, 2, 3, 9, 8, 7, 6]);
         // A clone taken before the payload was computed reads the same
         // buffer: one combine per packet, not one per holder.
@@ -536,6 +400,10 @@ mod test {
         ));
         assert!(matches!(
             SourceEncoder::new(vec![vec![1u8, 2], vec![3u8]]),
+            Err(CodingError::BadBatch(_))
+        ));
+        assert!(matches!(
+            SourceEncoder::from_fn(0, 4, |_, _| {}),
             Err(CodingError::BadBatch(_))
         ));
     }
@@ -560,16 +428,13 @@ mod test {
     }
 
     #[test]
-    #[expect(
-        clippy::needless_range_loop,
-        reason = "i is both unit index and native index"
-    )]
     fn encode_with_unit_vector_reproduces_native() {
         let natives = vec![vec![1u8, 2, 3], vec![4u8, 5, 6]];
         let enc = SourceEncoder::new(natives.clone()).unwrap();
-        for i in 0..2 {
-            let p = enc.encode_with(CodeVector::unit(2, i));
-            assert_eq!(p.payload(), &natives[i][..]);
+        for (i, native) in natives.iter().enumerate() {
+            let mut unit = [0u8; 2];
+            unit[i] = 1;
+            assert_eq!(enc.encode_with(unit).payload(), &native[..]);
         }
     }
 
@@ -578,14 +443,15 @@ mod test {
         let natives = vec![vec![10u8; 32], vec![20u8; 32], vec![30u8; 32]];
         let enc = SourceEncoder::new(natives).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let va = CodeVector::random(3, &mut rng);
-        let vb = CodeVector::random(3, &mut rng);
-        let mut vsum = va.clone();
-        vsum.mul_add_assign(&vb, Gf256::ONE);
+        let (mut va, mut vb) = ([0u8; 3], [0u8; 3]);
+        rng.fill(&mut va);
+        rng.fill(&mut vb);
+        let mut vsum = va;
+        slice_ops::add_assign(&mut vsum, &vb);
 
-        let pa = enc.encode_with(&va);
-        let pb = enc.encode_with(&vb);
-        let psum = enc.encode_with(&vsum);
+        let pa = enc.encode_with(va);
+        let pb = enc.encode_with(vb);
+        let psum = enc.encode_with(vsum);
         let xor: Vec<u8> = pa
             .payload()
             .iter()
@@ -605,19 +471,14 @@ mod test {
     }
 
     #[test]
-    fn encode_draws_the_same_coefficients_as_code_vector_random() {
-        // The flat path fills its coefficient head with the exact bytes
-        // `CodeVector::random` would draw — the determinism contract that
-        // keeps pre-rewrite golden runs byte-identical.
+    fn encode_draws_its_vector_straight_from_the_rng() {
+        // The packet's vector is the K bytes `rng.fill` would draw — the
+        // determinism contract that keeps pre-rewrite golden runs
+        // byte-identical.
         let enc = SourceEncoder::new(vec![vec![5u8; 16]; 4]).unwrap();
         let p = enc.encode(&mut ChaCha8Rng::seed_from_u64(77));
-        let v = CodeVector::random(4, &mut ChaCha8Rng::seed_from_u64(77));
-        assert_eq!(p.vector(), v.as_bytes());
-    }
-
-    #[test]
-    fn debug_format() {
-        let v = CodeVector::from_bytes(vec![0xAB, 0x00]);
-        assert_eq!(format!("{v:?}"), "CodeVector[AB 00]");
+        let mut want = [0u8; 4];
+        ChaCha8Rng::seed_from_u64(77).fill(&mut want);
+        assert_eq!(p.vector(), &want);
     }
 }

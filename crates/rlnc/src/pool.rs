@@ -38,12 +38,13 @@
 //!
 //! ## Pairing
 //!
-//! Builds with debug assertions count, per thread, the buffers and rows
-//! handed out by [`acquire`] and [`acquire_vec`] that have not come back
-//! as sole owner through [`release`]/[`release_mut`] or [`release_vec`].
-//! [`outstanding`] reads the count (a decoder's row matrix counts as
-//! one); a run that drops a pooled buffer
-//! instead of returning it leaves it above where it started
+//! Builds with debug assertions count, per thread, the buffers handed out
+//! by [`acquire`] and the row matrices trackers and decoders take, less
+//! those that came back: as sole owner through [`release`]/[`release_mut`],
+//! or when their holder dropped. [`outstanding`] reads the count: a
+//! forwarder's tracker is one matrix, and a decoder two — its tracker's
+//! and its payload matrix, even an empty one. A run that drops a pooled
+//! buffer instead of returning it leaves the count above where it started
 //! (`tests/alloc_budget.rs` and `tests/pool_props.rs` assert this).
 
 use crate::packet::{PacketCell, SharedPool};
@@ -61,15 +62,15 @@ const MAX_POOLED: usize = 256;
 thread_local! {
     /// Flat packet buffers (`[coeffs | payload]`).
     static BUFFERS: RefCell<Vec<BytesMut>> = const { RefCell::new(Vec::new()) };
-    /// Plain byte rows (tracker rows, vectors being reduced).
-    static VECS: RefCell<Vec<Vec<u8>>> = const { RefCell::new(Vec::new()) };
-    /// The storage of decoders' row matrices.
-    static MATRICES: RefCell<Vec<Vec<u8>>> = const { RefCell::new(Vec::new()) };
+    /// The storage of trackers' vector matrices: K + 1 rows of K bytes.
+    static VECTORS: RefCell<Vec<Vec<u8>>> = const { RefCell::new(Vec::new()) };
+    /// The storage of decoders' payload matrices.
+    static PAYLOADS: RefCell<Vec<Vec<u8>>> = const { RefCell::new(Vec::new()) };
     /// Cleared packet cells, each the sole reference to itself.
     static PACKETS: RefCell<Vec<Rc<PacketCell>>> = const { RefCell::new(Vec::new()) };
     /// Emptied forwarder stores, storage kept.
     static STORES: RefCell<Vec<SharedPool>> = const { RefCell::new(Vec::new()) };
-    /// Buffers and rows acquired minus those released as sole owner.
+    /// Buffers and matrices acquired minus those released as sole owner.
     static OUTSTANDING: Cell<isize> = const { Cell::new(0) };
 }
 
@@ -80,7 +81,7 @@ fn count(delta: isize) {
     }
 }
 
-/// Buffers and rows this thread has acquired and not yet released as
+/// Buffers and matrices this thread has acquired and not yet released as
 /// sole owner — always 0 in builds without debug assertions.
 pub fn outstanding() -> isize {
     OUTSTANDING.with(Cell::get)
@@ -137,46 +138,53 @@ pub fn release_mut(m: BytesMut) {
     });
 }
 
-/// A zeroed `Vec<u8>` of exactly `len` bytes from the row freelist.
-pub fn acquire_vec(len: usize) -> Vec<u8> {
-    count(1);
-    let recycled = VECS.with(|p| p.borrow_mut().pop());
-    match recycled {
-        Some(mut v) => {
-            v.clear();
-            v.resize(len, 0);
-            v
+/// Which freelist a row matrix's storage cycles through. Vector and
+/// payload matrices keep apart: a tracker taking a payload matrix's
+/// storage would hold it idle while the next decoder allocated afresh,
+/// so memory would grow with the number of forwarders.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Matrix {
+    /// A tracker's code vectors.
+    Vectors,
+    /// A decoder's payload rows.
+    Payloads,
+}
+
+impl Matrix {
+    fn freelist(self) -> &'static std::thread::LocalKey<RefCell<Vec<Vec<u8>>>> {
+        match self {
+            Matrix::Vectors => &VECTORS,
+            Matrix::Payloads => &PAYLOADS,
         }
-        None => vec![0; len],
     }
 }
 
-/// Returns a row buffer to the freelist.
-pub fn release_vec(v: Vec<u8>) {
-    count(-1);
-    let _ = VECS.try_with(|p| {
-        let mut p = p.borrow_mut();
-        if p.len() < MAX_POOLED {
-            p.push(v);
-        }
-    });
-}
-
 /// `n` zeroed rows of `width` bytes, each starting on a 64-byte boundary,
-/// in storage from the matrix freelist when it has some.
-pub(crate) fn acquire_rows(n: usize, width: usize) -> AlignedRows {
+/// in storage from `kind`'s freelist when it has some. Empty rows take
+/// nothing from it.
+pub(crate) fn acquire_rows(kind: Matrix, n: usize, width: usize) -> AlignedRows {
     count(1);
-    let storage = MATRICES.with(|p| p.borrow_mut().pop()).unwrap_or_default();
+    let storage = match n * width {
+        0 => Vec::new(),
+        _ => kind
+            .freelist()
+            .with(|p| p.borrow_mut().pop())
+            .unwrap_or_default(),
+    };
     AlignedRows::in_storage(storage, n, width)
 }
 
-/// Returns a row matrix's storage to the freelist.
-pub(crate) fn release_rows(rows: AlignedRows) {
+/// Returns a row matrix's storage to `kind`'s freelist.
+pub(crate) fn release_rows(kind: Matrix, rows: AlignedRows) {
     count(-1);
-    let _ = MATRICES.try_with(|p| {
+    let storage = rows.into_storage();
+    if storage.capacity() == 0 {
+        return;
+    }
+    let _ = kind.freelist().try_with(|p| {
         let mut p = p.borrow_mut();
         if p.len() < MAX_POOLED {
-            p.push(rows.into_storage());
+            p.push(storage);
         }
     });
 }
@@ -230,20 +238,6 @@ pub fn idle_buffers() -> usize {
     BUFFERS.with(|p| p.borrow().len())
 }
 
-/// Number of rows currently idle in this thread's row freelist.
-#[cfg(test)]
-pub(crate) fn idle_rows() -> usize {
-    VECS.with(|p| p.borrow().len())
-}
-
-/// Takes every idle row off this thread's freelist, so that a row
-/// acquired and released afterwards shows in [`idle_rows`]. Hand the rows
-/// back with [`release_vec`].
-#[cfg(test)]
-pub(crate) fn hold_idle_rows() -> Vec<Vec<u8>> {
-    (0..idle_rows()).map(|_| acquire_vec(0)).collect()
-}
-
 #[cfg(test)]
 mod test {
     use super::*;
@@ -289,5 +283,39 @@ mod test {
         assert_eq!(live.len(), 4);
         release(live);
         assert_eq!(idle_buffers(), 1, "sole reference must be reclaimed");
+    }
+
+    #[test]
+    fn trackers_never_take_a_payload_matrix() {
+        let (k, len) = (32usize, 1500);
+        let small = (k + 1) * k.next_multiple_of(ALIGN) + ALIGN - 1;
+        // Empty both freelists, so that only what is dropped below is on
+        // them.
+        let held = [Matrix::Vectors, Matrix::Payloads].map(|kind| {
+            kind.freelist()
+                .with(|p| std::mem::take(&mut *p.borrow_mut()))
+        });
+        drop(crate::Decoder::new(k, len));
+        // Were the lists one, the second forwarder would take the
+        // decoder's payload storage, and a later decoder would allocate.
+        drop([
+            crate::ForwarderBuffer::new(k, len),
+            crate::ForwarderBuffer::new(k, len),
+        ]);
+        VECTORS.with(|p| {
+            let p = p.borrow();
+            assert_eq!(p.len(), 2);
+            assert!(
+                p.iter().all(|s| s.capacity() <= small),
+                "a tracker holds payload storage"
+            );
+        });
+        PAYLOADS.with(|p| assert_eq!(p.borrow().len(), 1));
+        // No payloads, no payload storage.
+        drop(crate::Decoder::new(k, 0));
+        PAYLOADS.with(|p| assert_eq!(p.borrow().len(), 1));
+        for (kind, list) in [Matrix::Vectors, Matrix::Payloads].into_iter().zip(held) {
+            kind.freelist().with(|p| *p.borrow_mut() = list);
+        }
     }
 }

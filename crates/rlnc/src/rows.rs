@@ -3,12 +3,13 @@
 //! The GF(2⁸) kernels stream a row 64 bytes at a time on their widest
 //! tier. A row that starts off a 64-byte boundary makes every one of those
 //! loads and stores straddle two cache lines, which halves the kernels'
-//! throughput, and the allocator only promises 16. So every payload row
-//! the coding hot path reads or writes starts on an [`ALIGN`] boundary:
-//! a computed packet's payload ([`crate::pool`] places its buffer), and
-//! the source's natives and the decoder's rows, which live in
-//! [`AlignedRows`]. The padding that buys this sits outside every row's
-//! view; nothing computed depends on where a row lives.
+//! throughput, and the allocator only promises 16. So every row the
+//! coding hot path reads or writes starts on an [`ALIGN`] boundary: a
+//! computed packet's payload ([`crate::pool`] places its buffer), and the
+//! source's natives, the decoder's payload rows and the tracker's code
+//! vectors, which live in a crate-private row matrix, `AlignedRows`. The
+//! padding that buys this sits outside every row's view; nothing computed
+//! depends on where a row lives.
 
 /// The boundary every coded payload row starts on: one cache line, one
 /// 512-bit register.
@@ -101,7 +102,7 @@ impl AlignedRows {
     ) -> (
         impl Iterator<Item = &[u8]>,
         &mut [u8],
-        impl Iterator<Item = &[u8]>,
+        impl DoubleEndedIterator<Item = &[u8]>,
     ) {
         let (stride, width) = (self.stride.max(1), self.width);
         let body = self.storage.get_mut(self.start..).unwrap_or_default();

@@ -7,25 +7,25 @@
 //!
 //! The tracker operates on code vectors only — payloads are never touched —
 //! which is why checking innovativeness "is fairly cheap" compared to coding
-//! or decoding (Table 4.1). Vectors come in as plain byte slices (see
-//! [`crate::CodedPacket::vector`]),
-//! and the stored rows are recycled through [`crate::pool`] so steady-state
-//! rank tracking touches the allocator only while a batch is growing.
+//! or decoding (Table 4.1). Forwarders and destinations both run it: a
+//! [`crate::Decoder`] is a tracker plus one payload row per stored vector,
+//! combined the way [`InnovationTracker`]'s insert reports.
+//!
+//! The K rows live in one matrix from [`crate::pool`], one more row past
+//! them holding the vector being reduced, so steady-state rank tracking
+//! never touches the allocator.
 
-#![expect(
-    clippy::indexing_slicing,
-    reason = "row and pivot indices are bounded by k == rows.len(), pinned at construction exactly as in decoder.rs"
-)]
-
-use crate::pool;
+use crate::pool::{self, Matrix};
+use crate::rows::AlignedRows;
 use gf256::{slice_ops, Gf256};
 
 /// Incremental rank tracker over code vectors (Algorithm 2).
 #[derive(Debug)]
 pub struct InnovationTracker {
-    /// `rows[i]` holds a vector whose leading non-zero index is `i`,
-    /// normalized so that coefficient `i` equals 1.
-    rows: Vec<Option<Vec<u8>>>,
+    /// K + 1 rows of K bytes. Stored row `i` is zero before column `i` and
+    /// 1 at it; a row not stored is all zero. Row K is the vector being
+    /// reduced.
+    rows: AlignedRows,
     rank: usize,
 }
 
@@ -33,7 +33,7 @@ impl InnovationTracker {
     /// An empty tracker for batch size `k`.
     pub fn new(k: usize) -> Self {
         InnovationTracker {
-            rows: (0..k).map(|_| None).collect(),
+            rows: pool::acquire_rows(Matrix::Vectors, k + 1, k),
             rank: 0,
         }
     }
@@ -41,7 +41,7 @@ impl InnovationTracker {
     /// Batch size K.
     #[inline]
     pub fn k(&self) -> usize {
-        self.rows.len()
+        self.rows.width()
     }
 
     /// Number of linearly independent vectors absorbed so far.
@@ -53,21 +53,14 @@ impl InnovationTracker {
     /// True when rank has reached K (a full batch of information).
     #[inline]
     pub fn is_full(&self) -> bool {
-        self.rank == self.rows.len()
+        self.rank == self.k()
     }
 
-    /// Would `v` be innovative? Non-destructive version of [`Self::absorb`].
-    pub fn is_innovative(&self, v: impl AsRef<[u8]>) -> bool {
+    /// Would `v` be innovative? [`Self::absorb`] without storing anything.
+    pub fn is_innovative(&mut self, v: impl AsRef<[u8]>) -> bool {
         let v = v.as_ref();
         assert_eq!(v.len(), self.k(), "vector length != K");
-        if self.is_full() {
-            return false;
-        }
-        let mut u = pool::acquire_vec(v.len());
-        u.copy_from_slice(v);
-        let innovative = self.reduce(&mut u).is_some();
-        pool::release_vec(u);
-        innovative
+        !self.is_full() && self.reduce(v).is_some()
     }
 
     /// Algorithm 2: reduce `v` against the stored rows; if a pivot remains,
@@ -76,96 +69,108 @@ impl InnovationTracker {
     /// Returns `false` — "discard packet" — when `v` is a linear combination
     /// of what the node already holds, and at once when that is everything.
     pub fn absorb(&mut self, v: impl AsRef<[u8]>) -> bool {
-        let v = v.as_ref();
-        assert_eq!(v.len(), self.k(), "vector length != K");
-        if self.is_full() {
-            return false;
-        }
-        let mut u = pool::acquire_vec(v.len());
-        u.copy_from_slice(v);
-        match self.reduce(&mut u) {
-            Some(i) => {
-                // Admit the modified vector into the empty slot,
-                // normalized: M[i] ← u / u[i].
-                let ui = Gf256(u[i]);
-                slice_ops::mul_assign(&mut u, ui.inv());
-                debug_assert_eq!(u[i], Gf256::ONE.0);
-                self.rows[i] = Some(u);
-                self.rank += 1;
-                true
-            }
-            None => {
-                pool::release_vec(u);
-                false
-            }
-        }
+        self.insert(v.as_ref()).is_some()
     }
 
-    /// Forward-reduces `u` in place against the stored rows; returns the
-    /// pivot slot `u` would fill, or `None` when `u` is dependent.
-    fn reduce(&self, u: &mut [u8]) -> Option<usize> {
-        for i in 0..self.k() {
-            let ui = Gf256(u[i]);
-            if ui.is_zero() {
+    /// [`Self::absorb`], reporting how: the pivot `p` the vector fills,
+    /// the normaliser `inv`, and the multiple of each stored row before
+    /// `p` that the reduction took (zero for a row it did not meet). The
+    /// row stored is `inv · (v + Σⱼ multipleⱼ · rowⱼ)`; `None` when `v` is
+    /// dependent.
+    pub(crate) fn insert(&mut self, v: &[u8]) -> Option<(usize, Gf256, &[u8])> {
+        assert_eq!(v.len(), self.k(), "vector length != K");
+        if self.is_full() {
+            return None;
+        }
+        let (pivot, lead) = self.reduce(v)?;
+        self.rank += 1;
+        let (_, row, mut after) = self.rows.split_mut(pivot);
+        let (multiples, reduced) = after.next_back().unwrap_or_default().split_at(pivot);
+        let inv = lead.inv();
+        // The zeros before the pivot are there already.
+        slice_ops::mul_into(row.get_mut(pivot..).unwrap_or_default(), reduced, inv);
+        Some((pivot, inv, multiples))
+    }
+
+    /// Copies `v` into row K and reduces it against the stored rows in
+    /// pivot order until it is non-zero at a column no stored row leads:
+    /// the pivot it would fill, with the value there, or `None` once it
+    /// has reduced to zero (dependent). Each stored row `j` it passes
+    /// leaves in column `j` the multiple of that row taken.
+    fn reduce(&mut self, v: &[u8]) -> Option<(usize, Gf256)> {
+        let k = self.k();
+        let (stored, u, _) = self.rows.split_mut(k);
+        u.copy_from_slice(v);
+        for (j, row) in stored.enumerate() {
+            let (Some(&c), Some(&lead)) = (u.get(j), row.get(j)) else {
+                break;
+            };
+            if c == 0 {
                 continue;
             }
-            match &self.rows[i] {
-                // u ← u − M[i]·u[i]  (subtraction == addition in GF(2⁸))
-                Some(row) => slice_ops::mul_add_assign(u, row, ui),
-                None => return Some(i),
+            if lead == 0 {
+                return Some((j, Gf256(c)));
+            }
+            // u ← u + c·M[j] (subtraction is addition in GF(2⁸)), a
+            // whole-row pass: the row is zero before column `j`, so only
+            // `u[j]` changes there — to zero, and back to the multiple.
+            slice_ops::mul_add_assign(u, row, Gf256(c));
+            if let Some(at_j) = u.get_mut(j) {
+                *at_j = c;
             }
         }
         None
     }
 
-    /// The stored echelon row with pivot `i`, if present.
-    pub fn row(&self, i: usize) -> Option<&[u8]> {
-        self.rows[i].as_deref()
+    /// Stored row `i`, writable (empty past the last row): the decoder's
+    /// back-substitution clears it right of the diagonal.
+    pub(crate) fn row_mut(&mut self, i: usize) -> &mut [u8] {
+        self.rows.row_mut(i)
     }
 
-    /// Clears all state (e.g. when a batch is flushed), returning the row
-    /// storage to the buffer pool.
+    /// Row `i` (row K is the last vector reduced).
+    #[cfg(test)]
+    pub(crate) fn row(&self, i: usize) -> &[u8] {
+        self.rows.row(i)
+    }
+
+    /// Clears all state (e.g. when a batch is flushed), keeping the storage.
     pub fn reset(&mut self) {
-        for r in &mut self.rows {
-            if let Some(row) = r.take() {
-                pool::release_vec(row);
-            }
-        }
+        self.rows.zero();
         self.rank = 0;
     }
 }
 
-impl Clone for InnovationTracker {
-    fn clone(&self) -> Self {
-        InnovationTracker {
-            rows: self.rows.clone(),
-            rank: self.rank,
-        }
-    }
-}
-
 impl Drop for InnovationTracker {
+    /// Returns the matrix to the pool, for the next batch's tracker.
     fn drop(&mut self) {
-        self.reset();
+        pool::release_rows(Matrix::Vectors, std::mem::take(&mut self.rows));
     }
 }
 
 #[cfg(test)]
 mod test {
     use super::*;
-    use crate::packet::CodeVector;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
-    fn v(bytes: &[u8]) -> CodeVector {
-        CodeVector::from_bytes(bytes.to_vec())
+    fn unit(k: usize, i: usize) -> Vec<u8> {
+        let mut v = vec![0; k];
+        v[i] = 1;
+        v
+    }
+
+    fn random(k: usize, rng: &mut ChaCha8Rng) -> Vec<u8> {
+        let mut v = vec![0; k];
+        rng.fill(&mut v[..]);
+        v
     }
 
     #[test]
     fn zero_vector_is_never_innovative() {
         let mut t = InnovationTracker::new(4);
-        assert!(!t.is_innovative(v(&[0, 0, 0, 0])));
-        assert!(!t.absorb(v(&[0, 0, 0, 0])));
+        assert!(!t.is_innovative([0u8; 4]));
+        assert!(!t.absorb([0u8; 4]));
         assert_eq!(t.rank(), 0);
     }
 
@@ -173,47 +178,46 @@ mod test {
     fn unit_vectors_fill_the_tracker() {
         let mut t = InnovationTracker::new(3);
         for i in 0..3 {
-            assert!(t.absorb(CodeVector::unit(3, i)));
+            assert!(t.absorb(unit(3, i)));
         }
         assert!(t.is_full());
         assert_eq!(t.rank(), 3);
         // Anything further is dependent.
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         for _ in 0..10 {
-            assert!(!t.absorb(CodeVector::random(3, &mut rng)));
+            assert!(!t.absorb(random(3, &mut rng)));
         }
     }
 
     #[test]
     fn duplicate_is_not_innovative() {
         let mut t = InnovationTracker::new(4);
-        let a = v(&[1, 2, 3, 4]);
-        assert!(t.absorb(&a));
-        assert!(!t.is_innovative(&a));
-        assert!(!t.absorb(&a));
+        let a = [1u8, 2, 3, 4];
+        assert!(t.absorb(a));
+        assert!(!t.is_innovative(a));
+        assert!(!t.absorb(a));
         assert_eq!(t.rank(), 1);
     }
 
     #[test]
     fn scaled_copy_is_not_innovative() {
         let mut t = InnovationTracker::new(4);
-        assert!(t.absorb(v(&[1, 2, 3, 4])));
-        let mut scaled = v(&[1, 2, 3, 4]);
-        scaled.mul_assign(gf256::Gf256(7));
-        assert!(!t.absorb(&scaled));
+        assert!(t.absorb([1u8, 2, 3, 4]));
+        let mut scaled = [1u8, 2, 3, 4];
+        slice_ops::mul_assign(&mut scaled, Gf256(7));
+        assert!(!t.absorb(scaled));
     }
 
     #[test]
     fn combination_of_absorbed_is_not_innovative() {
         let mut t = InnovationTracker::new(4);
-        let a = v(&[1, 2, 3, 4]);
-        let b = v(&[5, 6, 7, 8]);
-        assert!(t.absorb(&a));
-        assert!(t.absorb(&b));
-        let mut combo = a.clone();
-        combo.mul_add_assign(&b, gf256::Gf256(0x41));
-        assert!(!t.is_innovative(&combo));
-        assert!(!t.absorb(&combo));
+        let (a, b) = ([1u8, 2, 3, 4], [5u8, 6, 7, 8]);
+        assert!(t.absorb(a));
+        assert!(t.absorb(b));
+        let mut combo = a;
+        slice_ops::mul_add_assign(&mut combo, &b, Gf256(0x41));
+        assert!(!t.is_innovative(combo));
+        assert!(!t.absorb(combo));
         assert_eq!(t.rank(), 2);
     }
 
@@ -222,9 +226,11 @@ mod test {
         let mut rng = ChaCha8Rng::seed_from_u64(11);
         let mut t = InnovationTracker::new(8);
         for _ in 0..40 {
-            let u = CodeVector::random(8, &mut rng);
+            let u = random(8, &mut rng);
             let pre_rank = t.rank();
+            let stored: Vec<Vec<u8>> = (0..8).map(|i| t.row(i).to_vec()).collect();
             let predicted = t.is_innovative(&u);
+            assert!((0..8).all(|i| t.row(i) == stored[i]), "a check stored");
             let actual = t.absorb(&u);
             assert_eq!(predicted, actual);
             assert_eq!(t.rank(), pre_rank + usize::from(actual));
@@ -233,22 +239,37 @@ mod test {
     }
 
     #[test]
-    fn pivots_are_normalized() {
-        let mut t = InnovationTracker::new(3);
-        t.absorb(v(&[9, 1, 2]));
-        let row = t.row(0).unwrap();
-        assert_eq!(row[0], Gf256::ONE.0);
+    fn insert_reports_the_combination_it_stored() {
+        let mut rng = ChaCha8Rng::seed_from_u64(12);
+        let k = 6;
+        let mut t = InnovationTracker::new(k);
+        while !t.is_full() {
+            let v = random(k, &mut rng);
+            let before: Vec<Vec<u8>> = (0..k).map(|i| t.row(i).to_vec()).collect();
+            let Some((pivot, inv, multiples)) = t.insert(&v) else {
+                continue;
+            };
+            // inv · (v + Σⱼ multipleⱼ · rowⱼ), from the rows as they were.
+            let mut want = v.clone();
+            for (j, &c) in multiples.iter().enumerate() {
+                slice_ops::mul_add_assign(&mut want, &before[j], Gf256(c));
+            }
+            slice_ops::mul_assign(&mut want, inv);
+            assert_eq!(t.row(pivot), &want[..]);
+            assert_eq!(t.row(pivot)[pivot], 1, "pivot not normalized");
+            assert!(before[pivot].iter().all(|&b| b == 0), "pivot was stored");
+        }
     }
 
     #[test]
     fn reset_empties() {
         let mut t = InnovationTracker::new(2);
-        t.absorb(v(&[1, 0]));
-        t.absorb(v(&[0, 1]));
+        t.absorb([1u8, 0]);
+        t.absorb([0u8, 1]);
         assert!(t.is_full());
         t.reset();
         assert_eq!(t.rank(), 0);
-        assert!(t.absorb(v(&[1, 0])));
+        assert!(t.absorb([1u8, 0]));
     }
 
     #[test]
@@ -257,7 +278,7 @@ mod test {
         let mut t = InnovationTracker::new(4);
         let mut innovative = 0;
         for _ in 0..100 {
-            if t.absorb(CodeVector::random(4, &mut rng)) {
+            if t.absorb(random(4, &mut rng)) {
                 innovative += 1;
             }
         }
@@ -266,37 +287,26 @@ mod test {
     }
 
     #[test]
-    fn a_full_tracker_rejects_without_acquiring_a_row() {
+    fn a_full_tracker_rejects_without_touching_its_rows() {
         let k = 16;
         let mut t = InnovationTracker::new(k);
         for i in 0..k {
-            assert!(t.absorb(CodeVector::unit(k, i)));
+            assert!(t.absorb(unit(k, i)));
         }
         let mut rng = ChaCha8Rng::seed_from_u64(8);
-        let mut vectors: Vec<CodeVector> =
-            (0..10).map(|_| CodeVector::random(k, &mut rng)).collect();
-        vectors.push(CodeVector::zero(k));
-        let held = pool::hold_idle_rows();
+        let mut vectors: Vec<Vec<u8>> = (0..10).map(|_| random(k, &mut rng)).collect();
+        vectors.push(vec![0; k]);
         let outstanding = pool::outstanding();
         for u in &vectors {
             // The full walk answers the same: everything reduces to zero.
-            assert_eq!(t.reduce(&mut u.as_ref().to_vec()), None);
+            assert_eq!(t.reduce(u), None);
             assert!(!t.is_innovative(u));
             assert!(!t.absorb(u));
         }
-        assert_eq!((pool::idle_rows(), pool::outstanding()), (0, outstanding));
+        assert_eq!(pool::outstanding(), outstanding);
         assert_eq!(t.rank(), k);
         for i in 0..k {
-            assert_eq!(t.row(i), Some(CodeVector::unit(k, i).as_ref()));
+            assert_eq!(t.row(i), unit(k, i));
         }
-        held.into_iter().for_each(pool::release_vec);
-    }
-
-    #[test]
-    fn absorb_accepts_raw_slices() {
-        let mut t = InnovationTracker::new(3);
-        assert!(t.absorb([1u8, 2, 3]));
-        assert!(!t.is_innovative([1u8, 2, 3]));
-        assert_eq!(t.row(0).unwrap().len(), 3);
     }
 }

@@ -215,8 +215,8 @@ impl TrafficSpec {
 
 /// Deterministically samples `count` distinct reachable ordered pairs.
 /// Materializes every reachable pair (O(n²) on connected topologies);
-/// the traffic models that only sample pairs index a
-/// [`crate::pairs::PairPool`] and stay O(n).
+/// the traffic models that only sample pairs index a crate-private
+/// `PairPool` and stay O(n).
 pub fn random_pairs(topo: &Topology, count: usize, seed: u64) -> Vec<(NodeId, NodeId)> {
     let mut all = crate::pairs::PairPool::new(topo).materialize();
     let mut rng = streams::rng(seed, Stream::Run);

@@ -9,7 +9,7 @@
 //! cargo run --release --example motivating
 //! ```
 
-use more_repro::rlnc::{CodeVector, CodedPacket, Decoder, SourceEncoder};
+use more_repro::rlnc::{CodedPacket, Decoder, SourceEncoder};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -28,7 +28,7 @@ fn main() {
     let enc = SourceEncoder::new(natives.clone()).unwrap();
 
     // The broadcast: destination happened to catch only p2.
-    let dst_heard = enc.encode_with(CodeVector::unit(2, 1));
+    let dst_heard = enc.encode_with([0, 1]);
     let mut dst = Decoder::new(2, len);
     dst.receive(&dst_heard);
     println!("destination rank after overhearing p2: {}/2", dst.rank());
@@ -45,7 +45,7 @@ fn main() {
     // native the destination already has.
     dst.receive(&relay_packet);
     assert!(dst.is_complete());
-    let decoded = dst.take_natives().unwrap();
+    let decoded = dst.natives().unwrap();
     assert_eq!(decoded, natives);
     println!("destination decoded both packets:");
     for (i, p) in decoded.iter().enumerate() {

@@ -61,11 +61,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Allocation events per delivered packet the committed packet path is
-/// allowed to spend. The pre-rewrite engine measured ~144.5; the
-/// zero-copy path (refcounted packets, pooled packet cells, buffers and
-/// forwarder stores, reused engine scratch) measures ~3.3. The ceiling
-/// locks in a ≥ 14×
-/// reduction while leaving headroom for platform jitter.
+/// allowed to spend. An owned-buffer packet path measured ~144.5; the
+/// zero-copy path (refcounted packets, pooled packet cells, buffers,
+/// tracker and decoder matrices and forwarder stores, sources writing
+/// their natives in place, reused engine scratch) measures 0.7. The
+/// ceiling locks in a ≥ 14× reduction while leaving headroom for
+/// platform jitter.
 const CEILING: f64 = 10.0;
 
 /// The fixed scenario: two concurrent coded flows with verified payloads
