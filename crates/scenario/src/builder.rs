@@ -25,7 +25,7 @@ use crate::protocols::reject_multicast;
 use crate::record::{time_to_s, FlowRecord, RunRecord};
 use crate::registry::{BuildError, ProtocolRegistry};
 use crate::sink::{Collect, RunSink};
-use crate::spec::{swept_traffic, ExpConfig, FlowSpec, Sweep, TopologySpec, TrafficSpec};
+use crate::spec::{ExpConfig, FlowSpec, Point, Sweep, TopologySpec, TrafficSpec};
 use crate::traffic::{flow_windows, validate_schedule, FlowWindow, TrafficModelSpec};
 use mesh_sim::{
     AimdConfig, Bitrate, ChannelSpec, ErasedFlowAgent, FlowAgent, QueueSpec, SimConfig, Simulator,
@@ -350,10 +350,11 @@ impl ScenarioBuilder {
     /// Enables AIMD source congestion control for every flow of every
     /// run: each source paces its injections at an additive-increase
     /// rate that halves (by [`AimdConfig::decrease`]) whenever the local
-    /// queue drops one of the flow's frames. Requires a bounded
-    /// [`ScenarioBuilder::queue`] — the pacer reacts to queue losses, and
-    /// the unbounded slot has none. At `Sweep::Queue` points that
-    /// are unbounded, pacing is skipped for that point.
+    /// queue drops one of the flow's frames. The pacer reacts to queue
+    /// losses, and the unbounded slot has none, so some point of the grid
+    /// must run a bounded queue: the [`ScenarioBuilder::queue`], or under
+    /// a [`Sweep::Queue`], which replaces it, one of the swept points.
+    /// Runs at unbounded points are not paced.
     pub fn congestion(mut self, cfg: AimdConfig) -> Self {
         self.congestion = Some(cfg);
         self
@@ -415,42 +416,69 @@ impl ScenarioBuilder {
         }
     }
 
-    /// Checks the channel model's parameters (at every sweep point), so a
-    /// bad point fails before any worker thread spawns — not after the
-    /// cells before it were sunk and checkpointed.
-    fn validate_channel(&self) -> Result<(), BuildError> {
-        let points = match &self.sweep {
-            Some(Sweep::Channel(points)) => &points[..],
-            _ => &[],
+    /// The grid's points: the builder's settings, or one per swept value
+    /// with that value substituted.
+    fn points(&self) -> Result<Vec<Point>, BuildError> {
+        let base = Point {
+            k: self.base.k,
+            channel: self.channel.clone(),
+            queue: self.queue.clone(),
+            traffic: self.traffic.clone(),
+            param: None,
+            value: None,
         };
-        for spec in std::iter::once(&self.channel).chain(points) {
-            spec.validate_params().map_err(BuildError::Unsupported)?;
+        match &self.sweep {
+            None => Ok(vec![base]),
+            Some(sweep) => sweep.points(&base),
         }
-        Ok(())
     }
 
-    /// Checks the experiment parameters every run reads, at every point of
-    /// a `K` sweep: a transfer needs a packet, a batch needs a packet, and
-    /// the deadline must fit the µs clock. Otherwise a worker
+    /// Checks every setting the grid's `points` run with, so a bad point
+    /// fails before any worker thread spawns — not after the cells before
+    /// it were sunk and checkpointed. In order: the channel model; the
+    /// packet count, batch size and deadline, without which a worker
     /// panics on an agent's empty-transfer assert, on `div_ceil(0)` for
-    /// the batch count, or on the µs product.
-    fn validate_exp(&self) -> Result<(), BuildError> {
-        let ExpConfig { packets, k, .. } = &self.base;
-        // A swept parameter's base value never runs; only its points do.
-        let k = match &self.sweep {
-            Some(Sweep::K(points)) => points.as_slice(),
-            _ => std::slice::from_ref(k),
-        };
-        let problem = if *packets == 0 {
-            "a transfer needs at least one packet"
-        } else if k.contains(&0) {
-            "batch size K must be at least 1"
+    /// the batch count, or on the µs product; the traffic model; the queue
+    /// discipline and congestion control; the probe window.
+    fn validate(&self, points: &[Point]) -> Result<(), BuildError> {
+        for p in points {
+            p.channel
+                .validate_params()
+                .map_err(BuildError::Unsupported)?;
+        }
+        let problem = if self.base.packets == 0 {
+            Some("a transfer needs at least one packet")
+        } else if points.iter().any(|p| p.k == 0) {
+            Some("batch size K must be at least 1")
         } else if self.base.deadline_s.checked_mul(SEC).is_none() {
-            "the deadline overflows the simulator's µs clock"
+            Some("the deadline overflows the simulator's µs clock")
         } else {
-            return Ok(());
+            None
         };
-        Err(BuildError::Unsupported(problem.into()))
+        if let Some(problem) = problem {
+            return Err(BuildError::Unsupported(problem.into()));
+        }
+        for p in points {
+            p.traffic.validate().map_err(BuildError::Unsupported)?;
+        }
+        for p in points {
+            p.queue.validate().map_err(BuildError::InvalidQueue)?;
+        }
+        if let Some(cc) = &self.congestion {
+            cc.validate().map_err(BuildError::InvalidQueue)?;
+            // The pacer is keyed to queue losses; a grid with no bounded
+            // queue at any point would silently never pace.
+            if points.iter().all(|p| p.queue.is_unbounded()) {
+                return Err(BuildError::InvalidQueue(
+                    "congestion control requires a bounded queue discipline \
+                     (set ScenarioBuilder::queue or sweep Sweep::Queue with a \
+                     bounded point); the unbounded slot has no queue \
+                     losses to react to"
+                        .to_string(),
+                ));
+            }
+        }
+        self.validate_probe()
     }
 
     /// Checks the [`ScenarioBuilder::probe_routing`] window: a window
@@ -476,57 +504,6 @@ impl ScenarioBuilder {
             return Ok(());
         };
         Err(BuildError::Unsupported(problem))
-    }
-
-    /// Checks that the declared sweep can be applied to the declared
-    /// traffic model and that the model's parameters (at every sweep
-    /// point) are valid, so mismatches fail at build time — before any
-    /// worker thread spawns — like channel-spec validation does.
-    fn validate_sweep_traffic(&self) -> Result<(), BuildError> {
-        match &self.sweep {
-            // Only the substituted configurations run, so only they are
-            // validated: the swept parameter's base value is a placeholder
-            // (e.g. a zero flow count).
-            Some(sweep @ (Sweep::Flows(_) | Sweep::Load(_))) => {
-                for i in 0..sweep.len() {
-                    swept_traffic(sweep, i, &self.traffic)?
-                        .validate()
-                        .map_err(BuildError::Unsupported)?;
-                }
-                Ok(())
-            }
-            _ => self.traffic.validate().map_err(BuildError::Unsupported),
-        }
-    }
-
-    /// Checks the queue discipline and congestion-control parameters (at
-    /// every sweep point) so bad configurations fail at build time, like
-    /// channel-spec and traffic validation do.
-    fn validate_queue(&self) -> Result<(), BuildError> {
-        self.queue.validate().map_err(BuildError::InvalidQueue)?;
-        if let Some(Sweep::Queue(points)) = &self.sweep {
-            for spec in points {
-                spec.validate().map_err(BuildError::InvalidQueue)?;
-            }
-        }
-        if let Some(cc) = &self.congestion {
-            cc.validate().map_err(BuildError::InvalidQueue)?;
-            // The pacer is keyed to queue losses; a grid with no bounded
-            // queue anywhere would silently never pace.
-            let any_bounded = !self.queue.is_unbounded()
-                || matches!(&self.sweep, Some(Sweep::Queue(points))
-                    if points.iter().any(|q| !q.is_unbounded()));
-            if !any_bounded {
-                return Err(BuildError::InvalidQueue(
-                    "congestion control requires a bounded queue discipline \
-                     (set ScenarioBuilder::queue or sweep Sweep::Queue with a \
-                     bounded point); the unbounded slot has no queue \
-                     losses to react to"
-                        .to_string(),
-                ));
-            }
-        }
-        Ok(())
     }
 
     /// Executes the grid, surfacing configuration errors: a [`Collect`]
@@ -566,11 +543,8 @@ impl ScenarioBuilder {
     /// assert_eq!(summary.records, 1, "the record streamed into the sink");
     /// ```
     pub fn try_run_with_sink(self, sink: &mut dyn RunSink) -> Result<RunSummary, BuildError> {
-        self.validate_channel()?;
-        self.validate_exp()?;
-        self.validate_sweep_traffic()?;
-        self.validate_queue()?;
-        self.validate_probe()?;
+        let points = self.points()?;
+        self.validate(&points)?;
         let protocols = if self.protocols.is_empty() {
             // No explicit selection: run everything registered.
             self.registry
@@ -587,24 +561,21 @@ impl ScenarioBuilder {
             .map(|name| self.registry.resolve(name))
             .collect::<Result<Vec<_>, _>>()?;
 
-        let sweep_points: Vec<Option<usize>> = match &self.sweep {
-            None => vec![None],
-            Some(s) => (0..s.len()).map(Some).collect(),
-        };
-
-        // Work grid: protocol × sweep × seed (flow sets expand inside the
-        // worker because RandomConcurrent traffic depends on the seed).
+        // Work grid: protocol × sweep point × seed (flow sets expand inside
+        // the worker because RandomConcurrent traffic depends on the seed).
         let mut grid = Vec::new();
-        for (pi, _) in factories.iter().enumerate() {
-            for &sp in &sweep_points {
+        for pi in 0..factories.len() {
+            for point in 0..points.len() {
                 for &seed in &self.seeds {
-                    grid.push((pi, sp, seed));
+                    grid.push((pi, point, seed));
                 }
             }
         }
         let keys: Vec<String> = grid
             .iter()
-            .map(|&(pi, sp, seed)| cell_key(&protocols[pi], sp, seed))
+            .map(|&(pi, point, seed)| {
+                cell_key(&protocols[pi], self.sweep.as_ref().map(|_| point), seed)
+            })
             .collect();
 
         // Checkpoint/resume: load (or start) the manifest, trim the sink
@@ -675,16 +646,16 @@ impl ScenarioBuilder {
                 }
             }
         };
-        let todo: Vec<(usize, Option<usize>, u64)> = grid[skipped..].to_vec();
+        let todo: Vec<(usize, usize, u64)> = grid[skipped..].to_vec();
 
         let threads = self.threads.unwrap_or_else(exec::default_threads);
         let this = &self;
         let factories = &factories;
         let protocols_ref = &protocols;
+        let points = &points;
         // Probed routing beliefs depend only on (sweep point, seed), never
         // on the protocol — share one probe window across the whole grid.
-        let probe_cache: std::sync::Mutex<BTreeMap<(Option<usize>, u64), Topology>> =
-            std::sync::Mutex::new(BTreeMap::new());
+        let probe_cache = std::sync::Mutex::new(BTreeMap::new());
         let probe_cache = &probe_cache;
 
         // Drain state: workers report cells in completion order; the
@@ -701,11 +672,12 @@ impl ScenarioBuilder {
         exec::par_map_streaming(
             todo,
             threads,
-            |&(pi, sp, seed)| {
+            |&(pi, point, seed)| {
                 this.run_cell(
                     &protocols_ref[pi],
                     factories[pi].as_ref(),
-                    sp,
+                    point,
+                    &points[point],
                     seed,
                     probe_cache,
                 )
@@ -760,17 +732,22 @@ impl ScenarioBuilder {
         })
     }
 
-    /// Runs every flow set of one (protocol, sweep point, seed) cell.
+    /// Runs every flow set of one (protocol, sweep point, seed) cell;
+    /// `point` is the grid's point number `point_index`.
     fn run_cell(
         &self,
         proto_name: &str,
         factory: &dyn crate::registry::ProtocolFactory,
-        sweep_point: Option<usize>,
+        point_index: usize,
+        point: &Point,
         seed: u64,
-        probe_cache: &std::sync::Mutex<std::collections::BTreeMap<(Option<usize>, u64), Topology>>,
+        probe_cache: &std::sync::Mutex<BTreeMap<(usize, u64), Topology>>,
     ) -> Result<Vec<RunRecord>, BuildError> {
-        // Apply the sweep point to the parameter block and topology.
-        let mut cfg = ExpConfig { seed, ..self.base };
+        let cfg = ExpConfig {
+            seed,
+            k: point.k,
+            ..self.base
+        };
         let topo = self.topology.instantiate(seed);
         if topo.n() == 0 {
             return Err(BuildError::Unsupported(format!(
@@ -778,38 +755,17 @@ impl ScenarioBuilder {
                 topo.name
             )));
         }
-        let mut traffic = self.traffic.clone();
-        let mut chan = self.channel.clone();
-        let mut queue = self.queue.clone();
-        let (param, value) = match (&self.sweep, sweep_point) {
-            (Some(sweep), Some(i)) => {
-                match sweep {
-                    Sweep::K(v) => cfg.k = v[i],
-                    Sweep::Channel(v) => chan = v[i].clone(),
-                    Sweep::Queue(v) => queue = v[i].clone(),
-                    Sweep::Flows(_) | Sweep::Load(_) => {
-                        traffic = swept_traffic(sweep, i, &self.traffic)?;
-                    }
-                }
-                (Some(sweep.label()), Some(sweep.value(i)))
-            }
-            _ => (None, None),
-        };
-        let sim_cfg = SimConfig {
-            bitrate: cfg.bitrate,
-            ..SimConfig::default()
-        };
 
         // Routing beliefs: the truth matrix, or a probe-window estimate
         // of the live channel when `probe_routing` is set (deterministic
         // per (sweep point, seed), so protocols share one cached window;
         // a losing racer recomputes the identical topology).
         let believed = self.probe.as_ref().map(|(est, interval)| {
-            let key = (sweep_point, seed);
+            let key = (point_index, seed);
             if let Some(t) = probe_cache.lock().expect("probe cache").get(&key) {
                 return t.clone();
             }
-            let t = mesh_sim::channel::probe_topology(est, &topo, &chan, seed, *interval);
+            let t = mesh_sim::channel::probe_topology(est, &topo, &point.channel, seed, *interval);
             probe_cache
                 .lock()
                 .expect("probe cache")
@@ -823,10 +779,11 @@ impl ScenarioBuilder {
         // Endpoint feasibility depends on the instantiated topology, so it
         // is checked here — like the channel spec — and surfaces as an
         // error from the grid instead of a worker panic.
-        traffic
+        point
+            .traffic
             .validate_for(&topo)
             .map_err(BuildError::Unsupported)?;
-        let model = traffic.build();
+        let model = point.traffic.build();
         let schedules = model.schedules(&topo, seed, cfg.packets, horizon);
         let mut records = Vec::with_capacity(schedules.len());
         for (ti, schedule) in schedules.into_iter().enumerate() {
@@ -864,25 +821,154 @@ impl ScenarioBuilder {
                     self.traffic
                 )));
             }
-            let record = run_one(
-                &self.name,
-                proto_name,
-                &topo,
-                &windows,
-                dynamic,
-                &cfg,
-                &sim_cfg,
-                &chan,
-                &queue,
-                self.congestion,
-                agent,
-                param,
-                value,
-                ti,
-            );
+            let record = self.run_one(proto_name, &topo, &windows, dynamic, &cfg, point, agent, ti);
             records.push(record);
         }
         Ok(records)
+    }
+
+    /// Runs one flow schedule to completion (or deadline) and measures it.
+    ///
+    /// Flows starting at t = 0 are pre-installed in `agent` and kicked, the
+    /// rest arrive as scheduled traffic actions; per-flow
+    /// arrival/departure/latency is recorded for dynamic schedules (`None`
+    /// for static ones). The point's channel and queue apply; a bounded
+    /// queue installs the queueing layer, and the builder's `congestion`
+    /// then paces every flow's source (flow ids are
+    /// `1..=windows.len()` in window order — the factory contract — and
+    /// dynamically arriving flows are auto-paced via the traffic hook).
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one call site, which passes every run setting it resolved"
+    )]
+    #[expect(
+        clippy::borrowed_box,
+        reason = "run's stop callback receives &A = &Box<dyn _>"
+    )]
+    fn run_one(
+        &self,
+        protocol: &str,
+        topo: &Topology,
+        windows: &[FlowWindow],
+        dynamic: bool,
+        cfg: &ExpConfig,
+        point: &Point,
+        agent: Box<dyn ErasedFlowAgent>,
+        traffic_index: usize,
+    ) -> RunRecord {
+        let deadline = cfg.deadline_s * SEC;
+        let sim_cfg = SimConfig {
+            bitrate: cfg.bitrate,
+            ..SimConfig::default()
+        };
+        let (chan, queue) = (&point.channel, &point.queue);
+        let mut sim = Simulator::with_queue(topo.clone(), sim_cfg, chan, queue, agent, cfg.seed);
+        if let Some(cc) = self.congestion.filter(|_| !queue.is_unbounded()) {
+            for (i, w) in windows.iter().enumerate() {
+                if w.start == 0 {
+                    sim.pace_flow(i as u32 + 1, w.spec.src, cc);
+                }
+            }
+            // Flows the traffic model injects mid-run are paced as they
+            // arrive.
+            sim.pace_all_flows(cc);
+        }
+        for (i, w) in windows.iter().enumerate() {
+            if w.start == 0 {
+                sim.kick(w.spec.src);
+            } else {
+                sim.schedule_traffic(w.start, TrafficAction::Start(w.spec.clone()));
+            }
+            if let Some(stop) = w.stop {
+                sim.schedule_traffic(stop, TrafficAction::Stop(i));
+            }
+        }
+        sim.run_until(deadline, |a: &Box<dyn ErasedFlowAgent>| a.flows_done());
+
+        let concurrency = {
+            let total = sim.stats.total_airtime();
+            if total == 0 {
+                0.0
+            } else {
+                sim.stats.concurrent_airtime as f64 / total as f64
+            }
+        };
+        let flow_records = windows
+            .iter()
+            .enumerate()
+            .map(|(i, w)| {
+                let p = sim.agent.flow_progress(i);
+                let start = w.start;
+                let (throughput_pps, completed) = match p.completed_at {
+                    Some(t) if t > start => (p.delivered as f64 / time_to_s(t - start), true),
+                    _ => {
+                        // Ran until departure or deadline without finishing.
+                        // A zero-width active window — a Poisson arrival at
+                        // the horizon edge, or a departure at the arrival
+                        // instant — must report 0.0 (the flow was never
+                        // active): a 0-width division would emit a
+                        // non-finite value that poisons NaN-intolerant
+                        // downstream stats. The TICK clamp is redundant
+                        // while `Time` is integer µs (end > start implies
+                        // ≥ 1 tick) — it pins the invariant against a
+                        // finer-grained Time ever landing.
+                        let end = w.stop.unwrap_or(deadline).min(deadline);
+                        let tput = if end <= start {
+                            0.0
+                        } else {
+                            p.delivered as f64 / time_to_s((end - start).max(TICK))
+                        };
+                        (tput, false)
+                    }
+                };
+                FlowRecord {
+                    src: w.spec.src,
+                    dsts: w.spec.dsts.clone(),
+                    delivered: p.delivered,
+                    throughput_pps,
+                    queue_drops: sim
+                        .stats
+                        .queue_drops_by_flow
+                        .get(&(i as u32 + 1))
+                        .copied()
+                        .unwrap_or(0),
+                    completed,
+                    completed_at_s: p.completed_at.map(time_to_s),
+                    started_at_s: dynamic.then(|| time_to_s(start)),
+                    // A departure only counts if the flow had not already
+                    // completed its budget when it fired.
+                    stopped_at_s: w
+                        .stop
+                        .filter(|&s| p.completed_at.is_none_or(|t| t > s))
+                        .map(time_to_s),
+                    latency_s: if dynamic {
+                        p.completed_at
+                            .filter(|&t| t > start)
+                            .map(|t| time_to_s(t - start))
+                    } else {
+                        None
+                    },
+                }
+            })
+            .collect::<Vec<FlowRecord>>();
+        let throughputs: Vec<f64> = flow_records.iter().map(|f| f.throughput_pps).collect();
+        RunRecord {
+            scenario: self.name.clone(),
+            protocol: protocol.to_string(),
+            topology: topo.name.clone(),
+            channel: chan.label(),
+            queue: queue.label(),
+            param: point.param,
+            value: point.value,
+            seed: cfg.seed,
+            traffic_index,
+            flows: flow_records,
+            total_tx: sim.stats.total_tx(),
+            queue_drops: sim.stats.total_queue_drops(),
+            fairness: mesh_metrics::fairness::jain(&throughputs),
+            concurrency,
+            sim_time_s: time_to_s(sim.now()),
+        }
     }
 }
 
@@ -983,149 +1069,6 @@ fn reachable_destinations(topo: &Topology, windows: &[FlowWindow]) -> Vec<Vec<bo
         }
     }
     reachable
-}
-
-/// Runs one flow schedule to completion (or deadline) and measures it.
-///
-/// Flows starting at t = 0 are pre-installed in `agent` and kicked, the
-/// rest arrive as scheduled traffic actions; per-flow
-/// arrival/departure/latency is recorded for dynamic schedules (`None`
-/// for static ones). A bounded `queue` installs the queueing
-/// layer; `congestion` then paces every flow's source (flow ids are
-/// `1..=windows.len()` in window order — the factory contract — and
-/// dynamically arriving flows are auto-paced via the traffic hook).
-#[expect(
-    clippy::too_many_arguments,
-    reason = "one call site, which passes every run setting it resolved"
-)]
-#[expect(
-    clippy::borrowed_box,
-    reason = "run's stop callback receives &A = &Box<dyn _>"
-)]
-fn run_one(
-    scenario: &str,
-    protocol: &str,
-    topo: &Topology,
-    windows: &[FlowWindow],
-    dynamic: bool,
-    cfg: &ExpConfig,
-    sim_cfg: &SimConfig,
-    chan: &ChannelSpec,
-    queue: &QueueSpec,
-    congestion: Option<AimdConfig>,
-    agent: Box<dyn ErasedFlowAgent>,
-    param: Option<&'static str>,
-    value: Option<f64>,
-    traffic_index: usize,
-) -> RunRecord {
-    let deadline = cfg.deadline_s * SEC;
-    let mut sim = Simulator::with_queue(topo.clone(), *sim_cfg, chan, queue, agent, cfg.seed);
-    if let Some(cc) = congestion.filter(|_| !queue.is_unbounded()) {
-        for (i, w) in windows.iter().enumerate() {
-            if w.start == 0 {
-                sim.pace_flow(i as u32 + 1, w.spec.src, cc);
-            }
-        }
-        // Flows the traffic model injects mid-run are paced as they
-        // arrive.
-        sim.pace_all_flows(cc);
-    }
-    for (i, w) in windows.iter().enumerate() {
-        if w.start == 0 {
-            sim.kick(w.spec.src);
-        } else {
-            sim.schedule_traffic(w.start, TrafficAction::Start(w.spec.clone()));
-        }
-        if let Some(stop) = w.stop {
-            sim.schedule_traffic(stop, TrafficAction::Stop(i));
-        }
-    }
-    sim.run_until(deadline, |a: &Box<dyn ErasedFlowAgent>| a.flows_done());
-
-    let concurrency = {
-        let total = sim.stats.total_airtime();
-        if total == 0 {
-            0.0
-        } else {
-            sim.stats.concurrent_airtime as f64 / total as f64
-        }
-    };
-    let flow_records = windows
-        .iter()
-        .enumerate()
-        .map(|(i, w)| {
-            let p = sim.agent.flow_progress(i);
-            let start = w.start;
-            let (throughput_pps, completed) = match p.completed_at {
-                Some(t) if t > start => (p.delivered as f64 / time_to_s(t - start), true),
-                _ => {
-                    // Ran until departure or deadline without finishing.
-                    // A zero-width active window — a Poisson arrival at
-                    // the horizon edge, or a departure at the arrival
-                    // instant — must report 0.0 (the flow was never
-                    // active): a 0-width division would emit a
-                    // non-finite value that poisons NaN-intolerant
-                    // downstream stats. The TICK clamp is redundant
-                    // while `Time` is integer µs (end > start implies
-                    // ≥ 1 tick) — it pins the invariant against a
-                    // finer-grained Time ever landing.
-                    let end = w.stop.unwrap_or(deadline).min(deadline);
-                    let tput = if end <= start {
-                        0.0
-                    } else {
-                        p.delivered as f64 / time_to_s((end - start).max(TICK))
-                    };
-                    (tput, false)
-                }
-            };
-            FlowRecord {
-                src: w.spec.src,
-                dsts: w.spec.dsts.clone(),
-                delivered: p.delivered,
-                throughput_pps,
-                queue_drops: sim
-                    .stats
-                    .queue_drops_by_flow
-                    .get(&(i as u32 + 1))
-                    .copied()
-                    .unwrap_or(0),
-                completed,
-                completed_at_s: p.completed_at.map(time_to_s),
-                started_at_s: dynamic.then(|| time_to_s(start)),
-                // A departure only counts if the flow had not already
-                // completed its budget when it fired.
-                stopped_at_s: w
-                    .stop
-                    .filter(|&s| p.completed_at.is_none_or(|t| t > s))
-                    .map(time_to_s),
-                latency_s: if dynamic {
-                    p.completed_at
-                        .filter(|&t| t > start)
-                        .map(|t| time_to_s(t - start))
-                } else {
-                    None
-                },
-            }
-        })
-        .collect::<Vec<FlowRecord>>();
-    let throughputs: Vec<f64> = flow_records.iter().map(|f| f.throughput_pps).collect();
-    RunRecord {
-        scenario: scenario.to_string(),
-        protocol: protocol.to_string(),
-        topology: topo.name.clone(),
-        channel: chan.label(),
-        queue: queue.label(),
-        param,
-        value,
-        seed: cfg.seed,
-        traffic_index,
-        flows: flow_records,
-        total_tx: sim.stats.total_tx(),
-        queue_drops: sim.stats.total_queue_drops(),
-        fairness: mesh_metrics::fairness::jain(&throughputs),
-        concurrency,
-        sim_time_s: time_to_s(sim.now()),
-    }
 }
 
 #[cfg(test)]
@@ -1581,6 +1524,74 @@ mod test {
             .expect_err("a zero epoch is invalid");
         assert!(matches!(err, BuildError::Unsupported(_)), "{err:?}");
         assert!(sink.into_records().is_empty(), "nothing may be sunk");
+    }
+
+    /// Srcr over one hop of line, 4 packets.
+    fn one_hop() -> ScenarioBuilder {
+        Scenario::named("one-hop")
+            .topology(TopologySpec::Line {
+                hops: 1,
+                p_adj: 0.9,
+                skip_decay: 0.0,
+                spacing: 20.0,
+            })
+            .pair(NodeId(0), NodeId(1))
+            .protocol("Srcr")
+            .packets(4)
+            .deadline(60)
+    }
+
+    #[test]
+    fn congestion_needs_a_bounded_queue_at_a_point_that_runs() {
+        // The bounded base queue never runs: the sweep replaces it with
+        // unbounded points only, so no run would ever be paced.
+        let err = one_hop()
+            .queue(QueueSpec::drop_tail(8))
+            .sweep(Sweep::Queue(vec![QueueSpec::Unbounded]))
+            .congestion(AimdConfig::default())
+            .try_run()
+            .expect_err("no point that runs is bounded");
+        assert!(matches!(err, BuildError::InvalidQueue(_)), "{err}");
+        // One bounded point is enough; the unbounded one runs unpaced.
+        let records = one_hop()
+            .sweep(Sweep::Queue(vec![
+                QueueSpec::Unbounded,
+                QueueSpec::drop_tail(8),
+            ]))
+            .congestion(AimdConfig::default())
+            .try_run()
+            .expect("a bounded point paces");
+        assert_eq!(records.len(), 2);
+    }
+
+    #[test]
+    fn a_swept_base_channel_or_queue_is_a_placeholder_never_validated() {
+        let zero_epoch = ChannelSpec::GilbertElliott(mesh_sim::channel::GilbertElliott {
+            good_scale: 1.0,
+            bad_scale: 0.0,
+            to_bad: 0.05,
+            to_good: 0.2,
+            epoch_ms: 0,
+        });
+        let no_room = QueueSpec::DropTail { capacity: 0 };
+        // Unswept, each is an error ...
+        let err = one_hop().channel(zero_epoch.clone()).try_run();
+        assert!(matches!(err, Err(BuildError::Unsupported(_))), "{err:?}");
+        let err = one_hop().queue(no_room.clone()).try_run();
+        assert!(matches!(err, Err(BuildError::InvalidQueue(_))), "{err:?}");
+        // ... but a sweep over the same axis replaces it at every point.
+        let records = one_hop()
+            .channel(zero_epoch)
+            .sweep(Sweep::Channel(vec![ChannelSpec::Static]))
+            .try_run()
+            .expect("the base channel never runs");
+        assert_eq!(records[0].channel, "static");
+        let records = one_hop()
+            .queue(no_room)
+            .sweep(Sweep::Queue(vec![QueueSpec::drop_tail(8)]))
+            .try_run()
+            .expect("the base queue never runs");
+        assert_eq!(records[0].queue, "droptail(cap=8)");
     }
 
     #[test]

@@ -1,11 +1,6 @@
 //! Declarative scenario ingredients: topology, traffic, parameters, and
 //! sweeps.
 
-#![expect(
-    clippy::indexing_slicing,
-    reason = "Sweep::value(i) is only called with i < len() by the sweep driver iterating 0..len()"
-)]
-
 use crate::registry::BuildError;
 use crate::traffic::{PoissonModel, TrafficModelSpec};
 use mesh_sim::{Bitrate, ChannelSpec, QueueSpec};
@@ -247,82 +242,92 @@ pub enum Sweep {
     Queue(Vec<QueueSpec>),
 }
 
-impl Sweep {
-    /// The record's `param` key for this sweep axis.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Sweep::K(_) => "k",
-            Sweep::Flows(_) => "flows",
-            Sweep::Channel(_) => "channel",
-            Sweep::Load(_) => "load",
-            Sweep::Queue(_) => "queue",
-        }
-    }
-
-    /// Number of sweep points.
-    pub fn len(&self) -> usize {
-        match self {
-            Sweep::K(v) => v.len(),
-            Sweep::Flows(v) => v.len(),
-            Sweep::Channel(v) => v.len(),
-            Sweep::Load(v) => v.len(),
-            Sweep::Queue(v) => v.len(),
-        }
-    }
-
-    /// No sweep points at all?
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Numeric value of point `i`.
-    pub fn value(&self, i: usize) -> f64 {
-        match self {
-            Sweep::K(v) => v[i] as f64,
-            Sweep::Flows(v) => v[i] as f64,
-            Sweep::Channel(_) => i as f64,
-            Sweep::Load(v) => v[i],
-            Sweep::Queue(_) => i as f64,
-        }
-    }
+/// One point of a scenario's grid: the settings its cells run — the
+/// builder's, with the swept one substituted — and the record's
+/// `param` / `value` coordinate (`None` without a sweep).
+#[derive(Clone)]
+pub(crate) struct Point {
+    pub(crate) k: usize,
+    pub(crate) channel: ChannelSpec,
+    pub(crate) queue: QueueSpec,
+    pub(crate) traffic: TrafficModelSpec,
+    pub(crate) param: Option<&'static str>,
+    pub(crate) value: Option<f64>,
 }
 
-/// The traffic model sweep point `i` runs: `base` with the swept
-/// parameter substituted ([`Sweep::Flows`] sets the flow count,
-/// [`Sweep::Load`] the Poisson arrival rate), `base` itself under every
-/// other axis.
-pub(crate) fn swept_traffic(
-    sweep: &Sweep,
-    i: usize,
-    base: &TrafficModelSpec,
-) -> Result<TrafficModelSpec, BuildError> {
-    match (sweep, base) {
-        (
-            Sweep::Flows(v),
-            TrafficModelSpec::Static(TrafficSpec::RandomConcurrent {
-                seed_offset,
-                distinct_sources,
-                ..
-            }),
-        ) => Ok(TrafficModelSpec::Static(TrafficSpec::RandomConcurrent {
-            n_flows: v[i],
-            seed_offset: *seed_offset,
-            distinct_sources: *distinct_sources,
-        })),
-        (Sweep::Flows(_), other) => Err(BuildError::Unsupported(format!(
-            "Sweep::Flows requires TrafficSpec::RandomConcurrent traffic, got {other:?}"
-        ))),
-        (Sweep::Load(v), TrafficModelSpec::Poisson(m)) => {
-            Ok(TrafficModelSpec::Poisson(PoissonModel {
-                rate_per_s: v[i],
-                ..*m
-            }))
-        }
-        (Sweep::Load(_), other) => Err(BuildError::Unsupported(format!(
-            "Sweep::Load sweeps the arrival rate of TrafficModelSpec::Poisson \
-             traffic, got {other:?}"
-        ))),
-        _ => Ok(base.clone()),
+impl Sweep {
+    /// Expands the sweep over `base`, one point per swept value: [`Sweep::K`]
+    /// sets the batch size, [`Sweep::Flows`] the flow count of
+    /// [`TrafficSpec::RandomConcurrent`] traffic, [`Sweep::Load`] the
+    /// arrival rate of [`TrafficModelSpec::Poisson`] traffic, and
+    /// [`Sweep::Channel`] / [`Sweep::Queue`] the whole spec, whose value is
+    /// the point's index. `base`'s own value of the swept setting never
+    /// runs. Flows or Load over any other traffic is an error.
+    pub(crate) fn points(&self, base: &Point) -> Result<Vec<Point>, BuildError> {
+        let at = |param, value| Point {
+            param: Some(param),
+            value: Some(value),
+            ..base.clone()
+        };
+        Ok(match self {
+            Sweep::K(v) => v
+                .iter()
+                .map(|&k| Point {
+                    k,
+                    ..at("k", k as f64)
+                })
+                .collect(),
+            Sweep::Flows(v) => {
+                let TrafficModelSpec::Static(TrafficSpec::RandomConcurrent {
+                    seed_offset,
+                    distinct_sources,
+                    ..
+                }) = base.traffic
+                else {
+                    return Err(BuildError::Unsupported(format!(
+                        "Sweep::Flows requires TrafficSpec::RandomConcurrent traffic, got {:?}",
+                        base.traffic
+                    )));
+                };
+                v.iter()
+                    .map(|&n_flows| Point {
+                        traffic: TrafficModelSpec::Static(TrafficSpec::RandomConcurrent {
+                            n_flows,
+                            seed_offset,
+                            distinct_sources,
+                        }),
+                        ..at("flows", n_flows as f64)
+                    })
+                    .collect()
+            }
+            Sweep::Channel(v) => (v.iter().enumerate())
+                .map(|(i, channel)| Point {
+                    channel: channel.clone(),
+                    ..at("channel", i as f64)
+                })
+                .collect(),
+            Sweep::Load(v) => {
+                let TrafficModelSpec::Poisson(m) = base.traffic else {
+                    return Err(BuildError::Unsupported(format!(
+                        "Sweep::Load sweeps the arrival rate of TrafficModelSpec::Poisson \
+                         traffic, got {:?}",
+                        base.traffic
+                    )));
+                };
+                v.iter()
+                    .map(|&rate_per_s| Point {
+                        traffic: TrafficModelSpec::Poisson(PoissonModel { rate_per_s, ..m }),
+                        ..at("load", rate_per_s)
+                    })
+                    .collect()
+            }
+            Sweep::Queue(v) => (v.iter().enumerate())
+                .map(|(i, queue)| Point {
+                    queue: queue.clone(),
+                    ..at("queue", i as f64)
+                })
+                .collect(),
+        })
     }
 }
 
