@@ -235,12 +235,13 @@ impl ExorAgent {
     /// `node`'s state in the flow with wire id `flow`, unless that flow
     /// was withdrawn.
     fn live_node(&mut self, flow: u32, node: NodeId) -> Option<&mut NodeState> {
-        let fi = self.flow_index(flow)?;
+        let fi = mesh_sim::flow_index(flow, self.flows.len())?;
         let f = &mut self.flows[fi];
         (!f.halted).then(|| &mut f.nodes[node.0])
     }
 
-    /// Registers a transfer under the next flow id (index + 1) and arms
+    /// Registers a transfer under the next flow id ([`mesh_sim::flow_id`]
+    /// of its index) and arms
     /// the source with its first batch; returns the flow's index. Kick
     /// `src` to start.
     pub fn add_flow(&mut self, src: NodeId, dst: NodeId, total: usize) -> usize {
@@ -275,7 +276,7 @@ impl ExorAgent {
         src_state.turn_queue = (0..k0 as u32).collect();
         src_state.in_turn = true;
         self.flows.push(ExorFlow {
-            id: self.flows.len() as u32 + 1,
+            id: mesh_sim::flow_id(self.flows.len()),
             src,
             dst,
             total,
@@ -292,32 +293,12 @@ impl ExorAgent {
         self.flows.len() - 1
     }
 
-    /// Withdraws flow `index` mid-run: turns end, queued endgame and
-    /// `BatchDone` unicasts are dropped, and the flow counts as resolved.
-    pub fn halt_flow(&mut self, index: usize) {
-        let f = &mut self.flows[index];
-        f.halted = true;
-        for ns in &mut f.nodes {
-            ns.turn_queue.clear();
-            ns.in_turn = false;
-            ns.direct_queue.clear();
-            ns.done_queue.clear();
-        }
-    }
-
     pub fn progress(&self, index: usize) -> &ExorProgress {
         &self.flows[index].progress
     }
 
     pub fn all_done(&self) -> bool {
         self.flows.iter().all(|f| f.progress.done || f.halted)
-    }
-
-    /// Flow index by wire id: ids are handed out as index + 1.
-    fn flow_index(&self, id: u32) -> Option<usize> {
-        (id as usize)
-            .checked_sub(1)
-            .filter(|&fi| fi < self.flows.len())
     }
 
     /// Timer token packing: flow index in the high bits, generation low.
@@ -420,7 +401,7 @@ impl NodeAgent for ExorAgent {
                 remaining,
                 map,
             } => {
-                let Some(fi) = self.flow_index(*flow) else {
+                let Some(fi) = mesh_sim::flow_index(*flow, self.flows.len()) else {
                     return;
                 };
                 let f = &mut self.flows[fi];
@@ -479,7 +460,7 @@ impl NodeAgent for ExorAgent {
                 sender_rank,
                 map,
             } => {
-                let Some(fi) = self.flow_index(*flow) else {
+                let Some(fi) = mesh_sim::flow_index(*flow, self.flows.len()) else {
                     return;
                 };
                 let f = &mut self.flows[fi];
@@ -517,7 +498,7 @@ impl NodeAgent for ExorAgent {
                 if frame.dst != Some(node) {
                     return;
                 }
-                let Some(fi) = self.flow_index(*flow) else {
+                let Some(fi) = mesh_sim::flow_index(*flow, self.flows.len()) else {
                     return;
                 };
                 let f = &mut self.flows[fi];
@@ -551,7 +532,7 @@ impl NodeAgent for ExorAgent {
                 }
             }
             ExorPayload::BatchDone { flow, batch } => {
-                let Some(fi) = self.flow_index(*flow) else {
+                let Some(fi) = mesh_sim::flow_index(*flow, self.flows.len()) else {
                     return;
                 };
                 let f = &mut self.flows[fi];
@@ -826,8 +807,17 @@ impl mesh_sim::FlowAgent for ExorAgent {
         ExorAgent::add_flow(self, desc.src, desc.dst(), desc.packets)
     }
 
+    /// Turns end, queued endgame and `BatchDone` unicasts are dropped,
+    /// and the flow counts as resolved.
     fn end_flow(&mut self, index: usize) {
-        self.halt_flow(index);
+        let f = &mut self.flows[index];
+        f.halted = true;
+        for ns in &mut f.nodes {
+            ns.turn_queue.clear();
+            ns.in_turn = false;
+            ns.direct_queue.clear();
+            ns.done_queue.clear();
+        }
     }
 }
 

@@ -150,8 +150,8 @@ impl SrcrAgent {
         }
     }
 
-    /// Registers a transfer under the next flow id (index + 1); returns
-    /// its index. Kick `src` to start.
+    /// Registers a transfer under the next flow id
+    /// ([`mesh_sim::flow_id`] of its index); returns its index. Kick `src` to start.
     pub fn add_flow(&mut self, src: NodeId, dst: NodeId, total: usize) -> usize {
         assert!(total > 0, "empty transfer");
         let etx = EtxTable::compute(&self.topo, dst, self.cfg.link_cost);
@@ -163,7 +163,7 @@ impl SrcrAgent {
             self.node_flows[node.0].push(fi);
         }
         self.flows.push(SrcrFlow {
-            id: fi as u32 + 1,
+            id: mesh_sim::flow_id(fi),
             src,
             dst,
             total,
@@ -176,17 +176,6 @@ impl SrcrAgent {
             halted: false,
         });
         fi
-    }
-
-    /// Withdraws flow `index` mid-run: the source stops injecting, queued
-    /// packets are discarded, and the flow counts as resolved. Delivered
-    /// and dropped counts stay readable.
-    pub fn halt_flow(&mut self, index: usize) {
-        let f = &mut self.flows[index];
-        f.halted = true;
-        for q in &mut f.queues {
-            q.clear();
-        }
     }
 
     /// Progress of flow `index`.
@@ -210,13 +199,6 @@ impl SrcrAgent {
                 .or_insert_with(|| OnoeAutorate::new(initial, OnoeConfig::default()))
                 .rate(),
         )
-    }
-
-    /// Flow index by wire id: ids are handed out as index + 1.
-    fn flow_index(&self, id: u32) -> Option<usize> {
-        (id as usize)
-            .checked_sub(1)
-            .filter(|&fi| fi < self.flows.len())
     }
 
     /// A packet left the network (delivered or dropped): update pacing and
@@ -258,7 +240,7 @@ impl NodeAgent for SrcrAgent {
         if frame.dst != Some(node) {
             return;
         }
-        let Some(fi) = self.flow_index(frame.payload.flow) else {
+        let Some(fi) = mesh_sim::flow_index(frame.payload.flow, self.flows.len()) else {
             return;
         };
         let f = &mut self.flows[fi];
@@ -299,7 +281,7 @@ impl NodeAgent for SrcrAgent {
         payload: SrcrPayload,
         ctx: &mut Ctx<'_>,
     ) {
-        let Some(fi) = self.flow_index(payload.flow) else {
+        let Some(fi) = mesh_sim::flow_index(payload.flow, self.flows.len()) else {
             return;
         };
         let (retries, failed) = match outcome {
@@ -414,8 +396,14 @@ impl mesh_sim::FlowAgent for SrcrAgent {
         SrcrAgent::add_flow(self, desc.src, desc.dst(), desc.packets)
     }
 
+    /// The source stops injecting, queued packets are discarded, and the
+    /// flow counts as resolved. Delivered and dropped counts stay readable.
     fn end_flow(&mut self, index: usize) {
-        self.halt_flow(index);
+        let f = &mut self.flows[index];
+        f.halted = true;
+        for q in &mut f.queues {
+            q.clear();
+        }
     }
 }
 

@@ -438,9 +438,9 @@ impl<A: NodeAgent> Simulator<A> {
     }
 
     /// Like [`Simulator::pace_flow`], but also paces every flow the
-    /// traffic layer starts mid-run (dynamic arrivals are assigned
-    /// sequential flow ids, index + 1, matching the registry-built
-    /// protocols).
+    /// traffic layer starts mid-run (an arrival is paced under the
+    /// [`crate::flow_id`] of its index, as the registry-built protocols
+    /// number their flows).
     ///
     /// # Panics
     ///
@@ -844,10 +844,10 @@ impl<A: FlowAgent> Simulator<A> {
                     ctx.mark_backlogged(desc.src);
                     index
                 });
-                // Registry-built protocols assign flow id = index + 1,
-                // so dynamic arrivals can be auto-paced by id.
+                // Registry-built protocols assign ids by `flow_id`, so
+                // dynamic arrivals can be auto-paced by id.
                 if let Some(cfg) = self.queues.auto_pace {
-                    self.pace_flow(index as u32 + 1, desc.src, cfg);
+                    self.pace_flow(crate::flow_id(index), desc.src, cfg);
                 }
             }
             TrafficAction::Stop(index) => self.callback(|agent, _, _, _| agent.end_flow(index)),

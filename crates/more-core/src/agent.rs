@@ -8,7 +8,7 @@
     reason = "per-node and per-batch vectors are sized at add_flow / when a batch opens; decoded-batch verification asserts a deterministic-testfile invariant"
 )]
 
-use crate::flow::{BatchState, Destination, FlowId, FlowProgress, MoreFlow, NodeFlowState};
+use crate::flow::{BatchState, Destination, FlowProgress, MoreFlow, NodeFlowState};
 use crate::header::MorePayload;
 use crate::{native_byte, native_is_intact, ForwarderMetric, MoreConfig};
 use mesh_metrics::etx::LinkCost;
@@ -49,7 +49,8 @@ impl MoreAgent {
     ///
     /// Computes, per destination, the metric table and the Algorithm-1
     /// forwarder plan with pruning, and the reverse path for batch ACKs.
-    /// The flow takes the next id (index + 1). Returns the flow's index
+    /// The flow takes the next id ([`mesh_sim::flow_id`] of its index).
+    /// Returns the flow's index
     /// for [`Self::progress`]. Callers must `kick(src)` on the simulator
     /// to start the source's MAC.
     pub fn add_flow(&mut self, src: NodeId, dsts: &[NodeId], total_packets: usize) -> usize {
@@ -97,7 +98,7 @@ impl MoreAgent {
         let to_src = EtxTable::compute(&self.topo, src, LinkCost::ForwardReverse);
         let ack_next_hop = (0..n).map(|i| to_src.next_hop(NodeId(i))).collect();
         self.flows.push(MoreFlow {
-            id: self.flows.len() as FlowId + 1,
+            id: mesh_sim::flow_id(self.flows.len()),
             src,
             dsts,
             total_packets,
@@ -113,17 +114,6 @@ impl MoreAgent {
         self.flows.len() - 1
     }
 
-    /// Withdraws flow `index` mid-run: the source and every forwarder go
-    /// silent on it, queued batch ACKs are dropped, and the flow counts as
-    /// resolved. Measured progress stays readable.
-    pub fn halt_flow(&mut self, index: usize) {
-        let f = &mut self.flows[index];
-        f.halted = true;
-        for ns in &mut f.nodes {
-            ns.pending_acks.clear();
-        }
-    }
-
     /// Progress of flow `index` (as returned by [`Self::add_flow`]).
     pub fn progress(&self, index: usize) -> &FlowProgress {
         &self.flows[index].progress
@@ -137,13 +127,6 @@ impl MoreAgent {
     /// The flow list (read-only, for harness inspection).
     pub fn flows(&self) -> &[MoreFlow] {
         &self.flows
-    }
-
-    /// Flow index by wire id: ids are handed out as index + 1.
-    fn flow_index(&self, id: FlowId) -> Option<usize> {
-        (id as usize)
-            .checked_sub(1)
-            .filter(|&fi| fi < self.flows.len())
     }
 
     /// Makes sure the node's batch state matches its role and batch K.
@@ -202,7 +185,7 @@ impl NodeAgent for MoreAgent {
     type Payload = MorePayload;
 
     fn on_receive(&mut self, node: NodeId, frame: &Frame<MorePayload>, ctx: &mut Ctx<'_>) {
-        let Some(fi) = self.flow_index(frame.payload.flow()) else {
+        let Some(fi) = mesh_sim::flow_index(frame.payload.flow(), self.flows.len()) else {
             return;
         };
         let cfg = self.cfg;
@@ -334,7 +317,8 @@ impl NodeAgent for MoreAgent {
             TxOutcome::Dropped(_) => false,
             TxOutcome::Broadcast | TxOutcome::Acked { .. } => return,
         };
-        let live = self.flow_index(flow).filter(|&fi| !self.flows[fi].halted);
+        let live =
+            mesh_sim::flow_index(flow, self.flows.len()).filter(|&fi| !self.flows[fi].halted);
         if let Some(fi) = live {
             self.flows[fi].nodes[node.0]
                 .pending_acks
@@ -454,8 +438,15 @@ impl mesh_sim::FlowAgent for MoreAgent {
         MoreAgent::add_flow(self, desc.src, &desc.dsts, desc.packets)
     }
 
+    /// The source and every forwarder go silent on the flow, queued
+    /// batch ACKs are dropped, and the flow counts as resolved. Measured
+    /// progress stays readable.
     fn end_flow(&mut self, index: usize) {
-        self.halt_flow(index);
+        let f = &mut self.flows[index];
+        f.halted = true;
+        for ns in &mut f.nodes {
+            ns.pending_acks.clear();
+        }
     }
 }
 
@@ -677,7 +668,7 @@ mod test {
         let (static_air, sim_cfg) = (ChannelSpec::Static, SimConfig::default());
         let mut sim = Simulator::with_queue(topo, sim_cfg, &static_air, &queue, agent, 14);
         for (src, fi) in flows {
-            sim.pace_flow(fi as u32 + 1, src, AimdConfig::default());
+            sim.pace_flow(mesh_sim::flow_id(fi), src, AimdConfig::default());
             sim.kick(src);
         }
         sim.run_until(600 * SEC, |a: &MoreAgent| a.all_done());

@@ -834,8 +834,8 @@ impl ScenarioBuilder {
     /// arrival/departure/latency is recorded for dynamic schedules (`None`
     /// for static ones). The point's channel and queue apply; a bounded
     /// queue installs the queueing layer, and the builder's `congestion`
-    /// then paces every flow's source (flow ids are
-    /// `1..=windows.len()` in window order — the factory contract — and
+    /// then paces every flow's source (the flow at window `i` has
+    /// [`mesh_sim::flow_id`]`(i)` — the factory contract — and
     /// dynamically arriving flows are auto-paced via the traffic hook).
     #[expect(
         clippy::too_many_arguments,
@@ -866,7 +866,7 @@ impl ScenarioBuilder {
         if let Some(cc) = self.congestion.filter(|_| !queue.is_unbounded()) {
             for (i, w) in windows.iter().enumerate() {
                 if w.start == 0 {
-                    sim.pace_flow(i as u32 + 1, w.spec.src, cc);
+                    sim.pace_flow(mesh_sim::flow_id(i), w.spec.src, cc);
                 }
             }
             // Flows the traffic model injects mid-run are paced as they
@@ -929,7 +929,7 @@ impl ScenarioBuilder {
                     queue_drops: sim
                         .stats
                         .queue_drops_by_flow
-                        .get(&(i as u32 + 1))
+                        .get(&mesh_sim::flow_id(i))
                         .copied()
                         .unwrap_or(0),
                     completed,

@@ -151,7 +151,7 @@ impl NodeAgent for FloodAgent {
                     dst: None,
                     bytes: 1500,
                     bitrate: None,
-                    flow: Some(fi as u32 + 1),
+                    flow: Some(more_repro::sim::flow_id(fi)),
                     payload,
                 });
             }
