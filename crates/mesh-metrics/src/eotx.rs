@@ -33,6 +33,7 @@
     reason = "EOTX distance/forwarder matrices are square in the node count fixed at build; every loop index ranges over 0..n of those same matrices"
 )]
 
+use crate::etx::Entry;
 use crate::{EPS, INF};
 use mesh_topology::{NodeId, Topology};
 
@@ -71,24 +72,6 @@ impl EotxTable {
         let mut p_none = vec![1.0; n];
         let mut closed = vec![false; n];
         dist[dst.0] = 0.0;
-
-        // Min-heap on (estimate, id); reversed for BinaryHeap.
-        #[derive(PartialEq)]
-        struct Entry(f64, usize);
-        impl Eq for Entry {}
-        impl PartialOrd for Entry {
-            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-        impl Ord for Entry {
-            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-                other
-                    .0
-                    .total_cmp(&self.0)
-                    .then_with(|| other.1.cmp(&self.1))
-            }
-        }
 
         let mut heap = std::collections::BinaryHeap::new();
         heap.push(Entry(0.0, dst.0));

@@ -20,6 +20,29 @@ use mesh_topology::{NodeId, Topology};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
+/// A Dijkstra heap entry `(distance, node)`. Its order is reversed, so a
+/// [`BinaryHeap`] pops the smallest distance first, ties in ascending node
+/// id for determinism.
+#[derive(PartialEq)]
+pub(crate) struct Entry(pub(crate) f64, pub(crate) usize);
+
+impl Eq for Entry {}
+
+impl PartialOrd for Entry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Entry {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other
+            .0
+            .total_cmp(&self.0)
+            .then_with(|| other.1.cmp(&self.1))
+    }
+}
+
 /// How link ETX is derived from delivery probabilities.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum LinkCost {
@@ -49,26 +72,6 @@ impl EtxTable {
         let mut dist = vec![INF; n];
         let mut next: Vec<Option<NodeId>> = vec![None; n];
         dist[dst.0] = 0.0;
-
-        // Max-heap on reversed ordering -> min-heap on distance.
-        #[derive(PartialEq)]
-        struct Entry(f64, usize);
-        impl Eq for Entry {}
-        impl PartialOrd for Entry {
-            fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-        impl Ord for Entry {
-            fn cmp(&self, other: &Self) -> Ordering {
-                // Reverse: smallest distance first; tie-break on node id for
-                // determinism.
-                other
-                    .0
-                    .total_cmp(&self.0)
-                    .then_with(|| other.1.cmp(&self.1))
-            }
-        }
 
         let mut heap = BinaryHeap::new();
         heap.push(Entry(0.0, dst.0));
