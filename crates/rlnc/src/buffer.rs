@@ -179,6 +179,12 @@ impl ForwarderBuffer {
     /// starts a new one.
     pub fn flush(&mut self) {
         self.tracker.reset();
+        self.release_packets();
+    }
+
+    /// The buffer half of [`Self::flush`]: the stored packets and the
+    /// precoded one go back to the pool, and the store is left empty.
+    fn release_packets(&mut self) {
         if let Some(pre) = self.precoded.take() {
             pre.release();
         }
@@ -190,9 +196,11 @@ impl ForwarderBuffer {
 }
 
 impl Drop for ForwarderBuffer {
+    /// Releases the packets but skips the tracker's reset: its matrix goes
+    /// back to the pool, which zero-fills it for the next tracker anyway.
     fn drop(&mut self) {
-        self.flush();
-        // `flush` left an empty store that only this buffer holds: the next
+        self.release_packets();
+        // That left an empty store that only this buffer holds: the next
         // buffer may have it once this one's fields are gone.
         pool::release_store(Rc::clone(&self.pool));
     }
