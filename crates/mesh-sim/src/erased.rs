@@ -78,14 +78,13 @@ impl FlowDesc {
     }
 }
 
-/// The wire id of the flow an agent holds at `index`: ids are handed out
-/// as index + 1, so 0 is never a flow's.
+/// The wire id of the flow an agent holds at `index`: index + 1, so 0 is
+/// never a flow's.
 pub fn flow_id(index: usize) -> u32 {
     index as u32 + 1
 }
 
-/// The index of the flow with wire id `id` among an agent's `flows` flows
-/// ([`flow_id`]'s inverse), if there is one.
+/// The index of wire id `id` among an agent's `flows` flows, if any.
 pub fn flow_index(id: u32, flows: usize) -> Option<usize> {
     (id as usize).checked_sub(1).filter(|&index| index < flows)
 }

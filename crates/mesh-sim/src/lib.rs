@@ -67,9 +67,8 @@ pub mod stats;
 
 pub use autorate::OnoeAutorate;
 pub use channel::{ChannelModel, ChannelSpec};
-pub use erased::{
-    flow_id, flow_index, DynPayload, Erased, ErasedFlowAgent, FlowAgent, FlowDesc, FlowProgressView,
-};
+pub use erased::{flow_id, flow_index};
+pub use erased::{DynPayload, Erased, ErasedFlowAgent, FlowAgent, FlowDesc, FlowProgressView};
 pub use medium::Medium;
 pub use queue::{AimdConfig, AimdPacer, DropCause, QueueDiscipline, QueueSpec, QueueVerdict};
 pub use simulator::{Ctx, Simulator, TrafficAction};

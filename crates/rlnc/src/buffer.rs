@@ -182,8 +182,7 @@ impl ForwarderBuffer {
         self.release_packets();
     }
 
-    /// The buffer half of [`Self::flush`]: the stored packets and the
-    /// precoded one go back to the pool, and the store is left empty.
+    /// [`Self::flush`] without the tracker's reset.
     fn release_packets(&mut self) {
         if let Some(pre) = self.precoded.take() {
             pre.release();
@@ -196,12 +195,11 @@ impl ForwarderBuffer {
 }
 
 impl Drop for ForwarderBuffer {
-    /// Releases the packets but skips the tracker's reset: its matrix goes
-    /// back to the pool, which zero-fills it for the next tracker anyway.
     fn drop(&mut self) {
-        self.release_packets();
-        // That left an empty store that only this buffer holds: the next
+        // No tracker reset: the pool zero-fills its matrix for the next
+        // tracker. The empty store left is this buffer's alone: the next
         // buffer may have it once this one's fields are gone.
+        self.release_packets();
         pool::release_store(Rc::clone(&self.pool));
     }
 }
