@@ -241,9 +241,8 @@ impl ExorAgent {
     }
 
     /// Registers a transfer under the next flow id ([`mesh_sim::flow_id`]
-    /// of its index) and arms
-    /// the source with its first batch; returns the flow's index. Kick
-    /// `src` to start.
+    /// of its index) and arms the source with its first batch; returns the
+    /// flow's index. Kick `src` to start.
     pub fn add_flow(&mut self, src: NodeId, dst: NodeId, total: usize) -> usize {
         assert!(total > 0, "empty transfer");
         let n = self.topo.n();

@@ -150,8 +150,8 @@ impl SrcrAgent {
         }
     }
 
-    /// Registers a transfer under the next flow id
-    /// ([`mesh_sim::flow_id`] of its index); returns its index. Kick `src` to start.
+    /// Registers a transfer under the next flow id ([`mesh_sim::flow_id`]
+    /// of its index); returns its index. Kick `src` to start.
     pub fn add_flow(&mut self, src: NodeId, dst: NodeId, total: usize) -> usize {
         assert!(total > 0, "empty transfer");
         let etx = EtxTable::compute(&self.topo, dst, self.cfg.link_cost);

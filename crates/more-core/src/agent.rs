@@ -50,9 +50,8 @@ impl MoreAgent {
     /// Computes, per destination, the metric table and the Algorithm-1
     /// forwarder plan with pruning, and the reverse path for batch ACKs.
     /// The flow takes the next id ([`mesh_sim::flow_id`] of its index).
-    /// Returns the flow's index
-    /// for [`Self::progress`]. Callers must `kick(src)` on the simulator
-    /// to start the source's MAC.
+    /// Returns the flow's index for [`Self::progress`]. Callers must
+    /// `kick(src)` on the simulator to start the source's MAC.
     pub fn add_flow(&mut self, src: NodeId, dsts: &[NodeId], total_packets: usize) -> usize {
         assert!(total_packets > 0, "empty transfer");
         assert!(!dsts.is_empty(), "a flow needs a destination");

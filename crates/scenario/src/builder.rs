@@ -792,7 +792,7 @@ impl ScenarioBuilder {
             // a BuildError from the grid, not a panic inside a worker
             // thread; the built-ins satisfy this by construction.
             validate_schedule(&schedule, horizon).map_err(|e| {
-                BuildError::InvalidSchedule(format!("traffic model {:?}: {e}", self.traffic))
+                BuildError::InvalidSchedule(format!("traffic model {:?}: {e}", point.traffic))
             })?;
             let windows = flow_windows(&schedule);
             // Degenerate endpoints — out-of-range nodes, self-flows,
@@ -818,7 +818,7 @@ impl ScenarioBuilder {
                     "protocol {proto_name} does not implement the dynamic flow \
                      lifecycle (FlowAgent::add_flow/end_flow) required by \
                      traffic model {:?}",
-                    self.traffic
+                    point.traffic
                 )));
             }
             let record = self.run_one(proto_name, &topo, &windows, dynamic, &cfg, point, agent, ti);
