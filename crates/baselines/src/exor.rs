@@ -1,16 +1,17 @@
 //! ExOR: opportunistic routing with a strict transmission schedule
 //! (Biswas & Morris, SIGCOMM 2005; thesis §2.2.1).
 //!
-//! The file moves in batches. Every data frame carries a *batch map* — for
+//! The file moves in batches. Every batch frame carries a *batch map* — for
 //! each packet, the priority (ETX rank, 0 = destination) of the closest
 //! node known to hold it. Forwarders transmit strictly one at a time in a
 //! round-robin schedule ordered by ETX ("dst > C > B > A > src"): a node
 //! takes its turn when it hears its predecessor finish (a frame with
 //! `remaining == 0`) or when a silence timeout expires — the "fragile
 //! timing estimates" the thesis calls out. During its turn a node sends
-//! only packets that, per its local map, no closer node holds; the
-//! destination uses its (highest-priority) turn to gossip its map, which
-//! is how batch ACK information propagates back.
+//! only packets that, per its local map, no closer node holds; a turn with
+//! nothing to send is one map-only frame, a batch frame with no packet.
+//! The destination (highest priority) only ever has such turns, which is
+//! how batch ACK information propagates back.
 //!
 //! When a node's map shows the destination holding ≥ 90 % of the batch,
 //! the remaining packets travel by traditional unicast routing along the
@@ -36,59 +37,50 @@ use std::collections::VecDeque;
 /// "No known holder" sentinel in batch maps.
 const NO_HOLDER: u8 = u8::MAX;
 
+/// A frame carrying a packet: the native packet plus 24 header bytes,
+/// besides a batch frame's K-byte map.
+const PACKET_FRAME_BYTES: usize = 1500 + 24;
+
+/// A frame without a packet (a `BatchDone`, a map-only batch frame),
+/// besides a batch frame's K-byte map.
+const CONTROL_FRAME_BYTES: usize = 30;
+
+/// Silence gap after which the schedule advances locally.
+const GAP_TIMEOUT: Time = 15_000;
+
+/// Fraction of the batch at the destination that ends the opportunistic
+/// phase (ExOR uses 90 %).
+const COMPLETION_FRACTION: f64 = 0.9;
+
 /// ExOR parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct ExorConfig {
     /// Batch size K (32 in the evaluation; Fig 4-7 sweeps 8–128).
     pub k: usize,
-    /// Native packet size on the air.
-    pub packet_bytes: usize,
-    /// Extra header bytes beyond the K-byte batch map.
-    pub header_extra: usize,
-    /// Silence gap after which the schedule advances locally.
-    pub gap_timeout: Time,
-    /// Fraction of the batch at the destination that ends the
-    /// opportunistic phase (ExOR uses 90 %).
-    pub completion_fraction: f64,
-    /// Forwarder selection (shared with MORE for a fair comparison).
-    pub plan: PlanConfig,
 }
 
 impl Default for ExorConfig {
     fn default() -> Self {
-        ExorConfig {
-            k: 32,
-            packet_bytes: 1500,
-            header_extra: 24,
-            gap_timeout: 15_000,
-            completion_fraction: 0.9,
-            plan: PlanConfig::default(),
-        }
+        ExorConfig { k: 32 }
     }
 }
 
 /// What an ExOR frame carries.
 #[derive(Clone, Debug)]
 pub enum ExorPayload {
-    /// A batch data packet, broadcast during the sender's turn.
+    /// A batch frame, broadcast during the sender's turn.
     Data {
         flow: u32,
         batch: u32,
-        seq: u32,
+        /// The packet carried, or `None` for a map-only frame: the
+        /// destination's turn, or an empty turn's explicit handoff.
+        seq: Option<u32>,
         sender_rank: u8,
         /// Packets the sender will still transmit this turn (0 ⇒ the turn
         /// passes to the next rank).
         remaining: u16,
         /// Batch map: best-known holder rank per packet. Refcounted so the
         /// engine's per-receiver frame clone is O(1), not a map copy.
-        map: Bytes,
-    },
-    /// A map-only frame: the destination's slot, or an empty turn's
-    /// explicit handoff.
-    Gossip {
-        flow: u32,
-        batch: u32,
-        sender_rank: u8,
         map: Bytes,
     },
     /// Endgame unicast of a straggler packet along the ETX path.
@@ -113,7 +105,8 @@ pub struct ExorProgress {
 /// Per-node, per-flow schedule and batch state.
 struct NodeState {
     batch: u32,
-    /// Packets of the current batch this node holds.
+    /// Packets of the current batch this node holds; its length is the
+    /// batch's size.
     holds: Vec<bool>,
     /// Best-known holder rank per packet.
     map: Vec<u8>,
@@ -162,8 +155,11 @@ impl NodeState {
         // done_queue intentionally survives: it refers to older batches.
     }
 
-    fn dst_has(&self) -> usize {
-        self.map.iter().filter(|&&m| m == 0).count()
+    /// The map shows the destination holding enough of the batch to end
+    /// its opportunistic phase.
+    fn endgame(&self) -> bool {
+        let threshold = (COMPLETION_FRACTION * self.holds.len() as f64).ceil() as usize;
+        self.map.iter().filter(|&&m| m == 0).count() >= threshold
     }
 }
 
@@ -172,6 +168,8 @@ struct ExorFlow {
     src: NodeId,
     dst: NodeId,
     total: usize,
+    /// Batch size K.
+    k: usize,
     plan: ForwarderPlan,
     /// Rank (schedule priority) per node; `None` = non-participant.
     rank_of: Vec<Option<u8>>,
@@ -191,16 +189,15 @@ struct ExorFlow {
 }
 
 impl ExorFlow {
-    fn n_batches(&self, cfg: &ExorConfig) -> u32 {
-        self.total.div_ceil(cfg.k) as u32
+    fn n_batches(&self) -> u32 {
+        self.total.div_ceil(self.k) as u32
     }
 
-    fn k_of(&self, cfg: &ExorConfig, b: u32) -> usize {
-        let nb = self.n_batches(cfg);
-        if b + 1 < nb || self.total.is_multiple_of(cfg.k) {
-            cfg.k
+    fn k_of(&self, b: u32) -> usize {
+        if b + 1 < self.n_batches() || self.total.is_multiple_of(self.k) {
+            self.k
         } else {
-            self.total % cfg.k
+            self.total % self.k
         }
     }
 
@@ -208,8 +205,19 @@ impl ExorFlow {
         self.plan.order.len() as u8
     }
 
-    fn is_done(&self, cfg: &ExorConfig) -> bool {
-        self.halted || self.src_batch >= self.n_batches(cfg)
+    fn is_done(&self) -> bool {
+        self.halted || self.src_batch >= self.n_batches()
+    }
+
+    /// Brings `node` to `batch`: a frame of an earlier batch is stale
+    /// (false), and a later batch resets the node's state for it.
+    fn catch_up(&mut self, node: NodeId, batch: u32) -> bool {
+        let current = self.nodes[node.0].batch;
+        if batch > current {
+            let (k, src_rank) = (self.k_of(batch), self.n_ranks() - 1);
+            self.nodes[node.0].reset_for(batch, k, src_rank);
+        }
+        batch >= current
     }
 }
 
@@ -247,7 +255,14 @@ impl ExorAgent {
         assert!(total > 0, "empty transfer");
         let n = self.topo.n();
         let etx = EtxTable::compute(&self.topo, dst, LinkCost::Forward);
-        let plan = ForwarderPlan::compute(&self.topo, src, dst, etx.distances(), &self.cfg.plan);
+        // The same forwarder selection as MORE's, for a fair comparison.
+        let plan = ForwarderPlan::compute(
+            &self.topo,
+            src,
+            dst,
+            etx.distances(),
+            &PlanConfig::default(),
+        );
         assert!(
             plan.order.len() <= NO_HOLDER as usize,
             "too many participants for u8 ranks"
@@ -279,6 +294,7 @@ impl ExorAgent {
             src,
             dst,
             total,
+            k: self.cfg.k,
             plan,
             rank_of,
             to_dst,
@@ -310,9 +326,9 @@ impl ExorAgent {
     }
 
     /// Re-arms the silence timer for `node` on flow `fi`.
-    fn arm_timer(cfg: &ExorConfig, fi: usize, ns: &mut NodeState, node: NodeId, ctx: &mut Ctx<'_>) {
+    fn arm_timer(fi: usize, ns: &mut NodeState, node: NodeId, ctx: &mut Ctx<'_>) {
         ns.timer_gen += 1;
-        ctx.set_timer(node, cfg.gap_timeout, Self::token(fi, ns.timer_gen));
+        ctx.set_timer(node, GAP_TIMEOUT, Self::token(fi, ns.timer_gen));
     }
 
     /// Advances the local schedule pointer past `from`.
@@ -321,22 +337,13 @@ impl ExorAgent {
     }
 
     /// Node `node` believes it now holds the token: build its turn.
-    fn begin_turn(
-        f: &mut ExorFlow,
-        cfg: &ExorConfig,
-        node: NodeId,
-        my_rank: u8,
-        ctx: &mut Ctx<'_>,
-    ) {
-        let k = f.k_of(cfg, f.nodes[node.0].batch);
-        let threshold = (cfg.completion_fraction * k as f64).ceil() as usize;
-        let ns = &mut f.nodes[node.0];
+    fn begin_turn(ns: &mut NodeState, node: NodeId, my_rank: u8, ctx: &mut Ctx<'_>) {
         ns.turn_queue.clear();
-        // The destination (rank 0) only gossips. Once the destination is
-        // known to hold >= 90% of the batch, the opportunistic rounds stop
-        // queueing data — the endgame unicasts carry the stragglers.
-        if my_rank > 0 && ns.dst_has() < threshold {
-            for p in 0..k {
+        // The destination (rank 0) only sends its map. Once the destination
+        // is known to hold >= 90% of the batch, the opportunistic rounds
+        // stop queueing data — the endgame unicasts carry the stragglers.
+        if my_rank > 0 && !ns.endgame() {
+            for p in 0..ns.holds.len() {
                 // Send packets I hold that no STRICTLY closer node is
                 // known to hold (my own rank counts as "mine to send").
                 if ns.holds[p] && ns.map[p] >= my_rank {
@@ -348,31 +355,25 @@ impl ExorAgent {
         ctx.mark_backlogged(node);
     }
 
-    /// Merge a heard map into local state; returns true if anything
-    /// changed (used to trigger the endgame check).
+    /// Merge a heard map into local state.
     fn merge_map(ns: &mut NodeState, heard: &[u8]) {
         for (m, &h) in ns.map.iter_mut().zip(heard) {
             *m = (*m).min(h);
         }
     }
 
-    /// The endgame: once the destination has ≥ completion_fraction of the
-    /// batch, the best-known holder of each straggler unicasts it.
-    fn maybe_enter_endgame(f: &mut ExorFlow, cfg: &ExorConfig, node: NodeId, ctx: &mut Ctx<'_>) {
+    /// The endgame: once the destination has ≥ the completion fraction of
+    /// the batch, the best-known holder of each straggler unicasts it.
+    fn maybe_enter_endgame(f: &mut ExorFlow, node: NodeId, ctx: &mut Ctx<'_>) {
         let Some(rank) = f.rank_of[node.0] else {
             return;
         };
-        if node == f.dst {
-            return;
-        }
-        let k = f.k_of(cfg, f.nodes[node.0].batch);
         let ns = &mut f.nodes[node.0];
-        let threshold = (cfg.completion_fraction * k as f64).ceil() as usize;
-        if ns.dst_has() < threshold {
+        if node == f.dst || !ns.endgame() {
             return;
         }
         let mut queued = false;
-        for p in 0..k {
+        for p in 0..ns.holds.len() {
             if ns.holds[p] && ns.map[p] != 0 && ns.map[p] >= rank && !ns.direct_sent[p] {
                 ns.direct_sent[p] = true;
                 let b = ns.batch;
@@ -390,7 +391,6 @@ impl NodeAgent for ExorAgent {
     type Payload = ExorPayload;
 
     fn on_receive(&mut self, node: NodeId, frame: &Frame<ExorPayload>, ctx: &mut Ctx<'_>) {
-        let cfg = self.cfg;
         match &frame.payload {
             ExorPayload::Data {
                 flow,
@@ -407,24 +407,14 @@ impl NodeAgent for ExorAgent {
                 let Some(my_rank) = f.rank_of[node.0] else {
                     return;
                 };
-                if f.is_done(&cfg) {
+                if f.is_done() || !f.catch_up(node, *batch) {
                     return;
                 }
-                let ns = &mut f.nodes[node.0];
-                if *batch < ns.batch {
-                    return;
-                }
-                if *batch > ns.batch {
-                    let k_new = f.k_of(&cfg, *batch);
-                    let n_ranks = f.n_ranks();
-                    f.nodes[node.0].reset_for(*batch, k_new, n_ranks - 1);
-                }
-                let k = f.k_of(&cfg, *batch);
                 let n_ranks = f.n_ranks();
                 let ns = &mut f.nodes[node.0];
-                // Store the packet and merge the map.
-                let p = *seq as usize;
-                if p < k {
+                // Store the packet, if the frame carries one, and merge
+                // the map.
+                if let Some(p) = seq.map(|s| s as usize).filter(|&p| p < ns.holds.len()) {
                     ns.holds[p] = true;
                     ns.map[p] = ns.map[p].min(my_rank).min(*sender_rank);
                 }
@@ -432,65 +422,16 @@ impl NodeAgent for ExorAgent {
                 // Schedule bookkeeping: the sender holds the token.
                 ns.speaker = *sender_rank;
                 if *remaining == 0 {
-                    let nxt = Self::next_rank(n_ranks, *sender_rank);
-                    ns.speaker = nxt;
-                    if nxt == my_rank && !ns.in_turn {
-                        Self::begin_turn(f, &cfg, node, my_rank, ctx);
-                        let ns = &mut f.nodes[node.0];
-                        Self::arm_timer(&cfg, fi, ns, node, ctx);
-                        if node == f.dst {
-                            Self::dst_check_complete(f, &cfg, ctx);
-                        } else {
-                            Self::maybe_enter_endgame(f, &cfg, node, ctx);
-                        }
-                        return;
+                    ns.speaker = Self::next_rank(n_ranks, *sender_rank);
+                    if ns.speaker == my_rank && !ns.in_turn {
+                        Self::begin_turn(ns, node, my_rank, ctx);
                     }
                 }
-                Self::arm_timer(&cfg, fi, &mut f.nodes[node.0], node, ctx);
+                Self::arm_timer(fi, ns, node, ctx);
                 if node == f.dst {
-                    Self::dst_check_complete(f, &cfg, ctx);
+                    Self::dst_check_complete(f, ctx);
                 } else {
-                    Self::maybe_enter_endgame(f, &cfg, node, ctx);
-                }
-            }
-            ExorPayload::Gossip {
-                flow,
-                batch,
-                sender_rank,
-                map,
-            } => {
-                let Some(fi) = mesh_sim::flow_index(*flow, self.flows.len()) else {
-                    return;
-                };
-                let f = &mut self.flows[fi];
-                let Some(my_rank) = f.rank_of[node.0] else {
-                    return;
-                };
-                if f.is_done(&cfg) {
-                    return;
-                }
-                let ns = &mut f.nodes[node.0];
-                if *batch < ns.batch {
-                    return;
-                }
-                if *batch > ns.batch {
-                    let k_new = f.k_of(&cfg, *batch);
-                    let n_ranks = f.n_ranks();
-                    f.nodes[node.0].reset_for(*batch, k_new, n_ranks - 1);
-                }
-                let n_ranks = f.n_ranks();
-                let ns = &mut f.nodes[node.0];
-                Self::merge_map(ns, map);
-                let nxt = Self::next_rank(n_ranks, *sender_rank);
-                ns.speaker = nxt;
-                if nxt == my_rank && !ns.in_turn {
-                    Self::begin_turn(f, &cfg, node, my_rank, ctx);
-                }
-                Self::arm_timer(&cfg, fi, &mut f.nodes[node.0], node, ctx);
-                if node == f.dst {
-                    Self::dst_check_complete(f, &cfg, ctx);
-                } else {
-                    Self::maybe_enter_endgame(f, &cfg, node, ctx);
+                    Self::maybe_enter_endgame(f, node, ctx);
                 }
             }
             ExorPayload::Direct { flow, batch, seq } => {
@@ -501,19 +442,14 @@ impl NodeAgent for ExorAgent {
                     return;
                 };
                 let f = &mut self.flows[fi];
-                if f.is_done(&cfg) {
+                if f.is_done() {
                     return;
                 }
                 if node == f.dst {
-                    let ns = &mut f.nodes[node.0];
-                    if *batch < ns.batch {
-                        return; // stale endgame packet
-                    }
-                    if *batch > ns.batch {
-                        // The endgame outran the broadcasts of this batch.
-                        let k_new = f.k_of(&cfg, *batch);
-                        let n_ranks = f.n_ranks();
-                        f.nodes[node.0].reset_for(*batch, k_new, n_ranks - 1);
+                    // A stale endgame packet is dropped; a later batch
+                    // means the endgame outran the broadcasts of this one.
+                    if !f.catch_up(node, *batch) {
+                        return;
                     }
                     let ns = &mut f.nodes[node.0];
                     let p = *seq as usize;
@@ -521,7 +457,7 @@ impl NodeAgent for ExorAgent {
                         ns.holds[p] = true;
                         ns.map[p] = 0;
                     }
-                    Self::dst_check_complete(f, &cfg, ctx);
+                    Self::dst_check_complete(f, ctx);
                 } else {
                     // Relay toward the destination — even for batches this
                     // node has no broadcast state for (it may not be a
@@ -544,8 +480,8 @@ impl NodeAgent for ExorAgent {
                     return; // a withdrawn flow relays nothing
                 }
                 if node == f.src {
-                    if *batch >= f.src_batch && !f.is_done(&cfg) {
-                        Self::advance_src_batch(f, &cfg, *batch + 1, ctx);
+                    if *batch >= f.src_batch && !f.is_done() {
+                        Self::advance_src_batch(f, *batch + 1, ctx);
                     }
                 } else {
                     f.nodes[node.0].done_queue.push_back(*batch);
@@ -566,9 +502,7 @@ impl NodeAgent for ExorAgent {
             TxOutcome::Broadcast => {
                 // If my turn just ended (queue drained), pass the token on
                 // my own schedule view.
-                for fi in 0..self.flows.len() {
-                    let cfg = self.cfg;
-                    let f = &mut self.flows[fi];
+                for (fi, f) in self.flows.iter_mut().enumerate() {
                     let Some(my_rank) = f.rank_of[node.0] else {
                         continue;
                     };
@@ -577,7 +511,7 @@ impl NodeAgent for ExorAgent {
                     if ns.in_turn && ns.turn_queue.is_empty() {
                         ns.in_turn = false;
                         ns.speaker = Self::next_rank(n_ranks, my_rank);
-                        Self::arm_timer(&cfg, fi, ns, node, ctx);
+                        Self::arm_timer(fi, ns, node, ctx);
                     }
                 }
             }
@@ -599,7 +533,7 @@ impl NodeAgent for ExorAgent {
                         }
                     }
                     // A dropped broadcast is just an unheard transmission.
-                    ExorPayload::Data { .. } | ExorPayload::Gossip { .. } => return,
+                    ExorPayload::Data { .. } => return,
                 }
                 ctx.mark_backlogged(node);
             }
@@ -607,57 +541,48 @@ impl NodeAgent for ExorAgent {
     }
 
     fn poll_tx(&mut self, node: NodeId, _ctx: &mut Ctx<'_>) -> Option<OutFrame<ExorPayload>> {
-        let cfg = self.cfg;
         let nf = self.flows.len();
         if nf == 0 {
             return None;
         }
-        // 1. Reliable control/endgame unicasts first.
-        for fi in 0..nf {
-            let f = &self.flows[fi];
-            let ns = &f.nodes[node.0];
-            if let Some(&batch) = ns.done_queue.front() {
-                if let Some(nh) = f.to_src[node.0] {
-                    let id = f.id;
-                    // Popped now (not on MAC ack): the frame comes back
-                    // through on_tx_done, which re-queues it if it was not
-                    // delivered.
-                    self.flows[fi].nodes[node.0].done_queue.pop_front();
-                    return Some(OutFrame {
-                        dst: Some(nh),
-                        bytes: 30,
-                        bitrate: None,
-                        flow: Some(id),
-                        payload: ExorPayload::BatchDone { flow: id, batch },
-                    });
-                }
-            }
-            let f = &self.flows[fi];
-            let ns = &f.nodes[node.0];
-            if let Some(&(batch, seq)) = ns.direct_queue.front() {
-                if let Some(nh) = f.to_dst[node.0] {
-                    let id = f.id;
-                    self.flows[fi].nodes[node.0].direct_queue.pop_front();
-                    return Some(OutFrame {
-                        dst: Some(nh),
-                        bytes: cfg.packet_bytes + cfg.header_extra,
-                        bitrate: None,
-                        flow: Some(id),
-                        payload: ExorPayload::Direct {
-                            flow: id,
-                            batch,
-                            seq,
-                        },
-                    });
-                }
-            }
+        // 1. Reliable control/endgame unicasts first: a flow's `BatchDone`
+        // toward the source before its endgame packets. Popped now (not on
+        // MAC ack): the frame comes back through on_tx_done, which
+        // re-queues it if it was not delivered.
+        for f in &mut self.flows {
+            let ns = &mut f.nodes[node.0];
+            let (nh, bytes, payload) =
+                if let (Some(&batch), Some(nh)) = (ns.done_queue.front(), f.to_src[node.0]) {
+                    ns.done_queue.pop_front();
+                    let payload = ExorPayload::BatchDone { flow: f.id, batch };
+                    (nh, CONTROL_FRAME_BYTES, payload)
+                } else if let (Some(&(batch, seq)), Some(nh)) =
+                    (ns.direct_queue.front(), f.to_dst[node.0])
+                {
+                    ns.direct_queue.pop_front();
+                    let payload = ExorPayload::Direct {
+                        flow: f.id,
+                        batch,
+                        seq,
+                    };
+                    (nh, PACKET_FRAME_BYTES, payload)
+                } else {
+                    continue;
+                };
+            return Some(OutFrame {
+                dst: Some(nh),
+                bytes,
+                bitrate: None,
+                flow: Some(f.id),
+                payload,
+            });
         }
         // 2. Turn-based broadcasts.
         let start = self.rr[node.0] % nf;
         for step in 0..nf {
             let fi = (start + step) % nf;
             let f = &mut self.flows[fi];
-            if f.is_done(&cfg) {
+            if f.is_done() {
                 continue;
             }
             let Some(my_rank) = f.rank_of[node.0] else {
@@ -667,41 +592,26 @@ impl NodeAgent for ExorAgent {
             if !ns.in_turn {
                 continue;
             }
-            let k = ns.holds.len();
-            if let Some(seq) = ns.turn_queue.pop_front() {
+            // An empty turn is one map-only frame that passes the token
+            // explicitly.
+            let seq = ns.turn_queue.pop_front();
+            if let Some(seq) = seq {
                 ns.map[seq as usize] = ns.map[seq as usize].min(my_rank);
-                let remaining = ns.turn_queue.len() as u16;
-                let map = Bytes::copy_from_slice(&ns.map);
-                self.rr[node.0] = fi + 1;
-                return Some(OutFrame {
-                    dst: None,
-                    bytes: cfg.packet_bytes + cfg.header_extra + k,
-                    bitrate: None,
-                    flow: Some(f.id),
-                    payload: ExorPayload::Data {
-                        flow: f.id,
-                        batch: ns.batch,
-                        seq,
-                        sender_rank: my_rank,
-                        remaining,
-                        map,
-                    },
-                });
             }
-            // Empty turn: one gossip frame passes the token explicitly.
-            let map = Bytes::copy_from_slice(&ns.map);
-            let batch = ns.batch;
+            let bytes = seq.map_or(CONTROL_FRAME_BYTES, |_| PACKET_FRAME_BYTES);
             self.rr[node.0] = fi + 1;
             return Some(OutFrame {
                 dst: None,
-                bytes: 30 + k,
+                bytes: bytes + ns.map.len(),
                 bitrate: None,
                 flow: Some(f.id),
-                payload: ExorPayload::Gossip {
+                payload: ExorPayload::Data {
                     flow: f.id,
-                    batch,
+                    batch: ns.batch,
+                    seq,
                     sender_rank: my_rank,
-                    map,
+                    remaining: ns.turn_queue.len() as u16,
+                    map: Bytes::copy_from_slice(&ns.map),
                 },
             });
         }
@@ -710,14 +620,13 @@ impl NodeAgent for ExorAgent {
 
     fn on_timer(&mut self, node: NodeId, token: u64, ctx: &mut Ctx<'_>) {
         let (fi, gen) = Self::untoken(token);
-        let cfg = self.cfg;
         let Some(f) = self.flows.get_mut(fi) else {
             return;
         };
         let Some(my_rank) = f.rank_of[node.0] else {
             return;
         };
-        if f.is_done(&cfg) {
+        if f.is_done() {
             return;
         }
         let n_ranks = f.n_ranks();
@@ -728,20 +637,19 @@ impl NodeAgent for ExorAgent {
         // Silence: advance the schedule locally.
         ns.speaker = Self::next_rank(n_ranks, ns.speaker);
         if ns.speaker == my_rank {
-            Self::begin_turn(f, &cfg, node, my_rank, ctx);
+            Self::begin_turn(ns, node, my_rank, ctx);
         }
-        Self::arm_timer(&cfg, fi, &mut f.nodes[node.0], node, ctx);
+        Self::arm_timer(fi, ns, node, ctx);
     }
 }
 
 impl ExorAgent {
     /// Destination-side completion check: on a full batch, queue the
     /// reliable `BatchDone` and credit progress.
-    fn dst_check_complete(f: &mut ExorFlow, cfg: &ExorConfig, ctx: &mut Ctx<'_>) {
+    fn dst_check_complete(f: &mut ExorFlow, ctx: &mut Ctx<'_>) {
         let dstid = f.dst;
-        let k = f.k_of(cfg, f.nodes[dstid.0].batch);
         let ns = &mut f.nodes[dstid.0];
-        if ns.holds[..k].iter().filter(|&&h| h).count() < k {
+        if !ns.holds.iter().all(|&h| h) {
             return;
         }
         let batch = ns.batch;
@@ -749,33 +657,30 @@ impl ExorAgent {
             return; // already credited and BatchDone queued
         }
         f.dst_complete_through = Some(batch);
-        let ns = &mut f.nodes[dstid.0];
         ns.done_queue.push_back(batch);
-        f.progress.delivered += k;
+        f.progress.delivered += ns.holds.len();
         f.progress.completed_batches += 1;
-        let total_batches = f.n_batches(cfg);
-        if batch + 1 == total_batches {
+        if batch + 1 == f.n_batches() {
             f.progress.completed_at = Some(ctx.now());
         }
         ctx.mark_backlogged(dstid);
     }
 
     /// Source advances to `next` batch and opens it with a fresh burst.
-    fn advance_src_batch(f: &mut ExorFlow, cfg: &ExorConfig, next: u32, ctx: &mut Ctx<'_>) {
+    fn advance_src_batch(f: &mut ExorFlow, next: u32, ctx: &mut Ctx<'_>) {
         f.src_batch = next;
-        if f.is_done(cfg) {
+        if f.is_done() {
             f.progress.done = true;
             return;
         }
-        let k = f.k_of(cfg, next);
-        let src_rank = (f.plan.order.len() - 1) as u8;
+        let k = f.k_of(next);
+        let src_rank = f.n_ranks() - 1;
         let srcid = f.src;
         let ns = &mut f.nodes[srcid.0];
         ns.reset_for(next, k, src_rank);
         ns.holds = vec![true; k];
         ns.map = vec![src_rank; k];
-        ns.speaker = src_rank;
-        Self::begin_turn(f, cfg, srcid, src_rank, ctx);
+        Self::begin_turn(ns, srcid, src_rank, ctx);
     }
 }
 
@@ -900,28 +805,8 @@ mod test {
         // Fig 4-7's mechanism: with K=8 the per-batch control traffic
         // (gossip turns, BatchDone trips) amortizes over fewer packets.
         let topo = generate::line(2, 0.8, 0.2, 25.0);
-        let (sim8, fi8) = run(
-            topo.clone(),
-            ExorConfig {
-                k: 8,
-                ..ExorConfig::default()
-            },
-            0,
-            2,
-            64,
-            6,
-        );
-        let (sim64, fi64) = run(
-            topo,
-            ExorConfig {
-                k: 64,
-                ..ExorConfig::default()
-            },
-            0,
-            2,
-            64,
-            6,
-        );
+        let (sim8, fi8) = run(topo.clone(), ExorConfig { k: 8 }, 0, 2, 64, 6);
+        let (sim64, fi64) = run(topo, ExorConfig { k: 64 }, 0, 2, 64, 6);
         let t8 = sim8.agent.progress(fi8).completed_at.unwrap();
         let t64 = sim64.agent.progress(fi64).completed_at.unwrap();
         assert!(

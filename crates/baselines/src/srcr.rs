@@ -21,39 +21,30 @@
 
 use mesh_metrics::etx::LinkCost;
 use mesh_metrics::EtxTable;
-use mesh_sim::autorate::OnoeConfig;
 use mesh_sim::{Bitrate, Ctx, Frame, NodeAgent, OnoeAutorate, OutFrame, Time, TxOutcome};
 use mesh_topology::{NodeId, Topology};
 use std::collections::{BTreeMap, VecDeque};
 
+/// Data packet size on the air (1500 B in the evaluation).
+const PACKET_BYTES: usize = 1500;
+
+/// Router queue capacity in packets (50, §4.1.2).
+const QUEUE_LEN: usize = 50;
+
+/// How the sender paces injection: the source keeps its own queue topped
+/// up to this many in-network packets (a simple window that stands in for
+/// the transport the paper's file transfer used).
+const WINDOW: usize = 10;
+
+/// Link metric for path selection. The paper's ETX accounts for the
+/// 802.11 ACK's reverse trip (§2.1.1).
+const LINK_COST: LinkCost = LinkCost::ForwardReverse;
+
 /// Srcr parameters.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct SrcrConfig {
-    /// Data packet size on the air (1500 B in the evaluation).
-    pub packet_bytes: usize,
-    /// Router queue capacity in packets (50, §4.1.2).
-    pub queue_len: usize,
     /// Per-link Onoe autorate instead of the fixed configured rate.
     pub autorate: bool,
-    /// How the sender paces injection: the source keeps its own queue
-    /// topped up to this many in-network packets (a simple window that
-    /// stands in for the transport the paper's file transfer used).
-    pub window: usize,
-    /// Link metric for path selection. The paper's ETX accounts for the
-    /// 802.11 ACK's reverse trip (§2.1.1).
-    pub link_cost: LinkCost,
-}
-
-impl Default for SrcrConfig {
-    fn default() -> Self {
-        SrcrConfig {
-            packet_bytes: 1500,
-            queue_len: 50,
-            autorate: false,
-            window: 10,
-            link_cost: LinkCost::ForwardReverse,
-        }
-    }
 }
 
 /// What a Srcr frame carries.
@@ -154,7 +145,7 @@ impl SrcrAgent {
     /// of its index); returns its index. Kick `src` to start.
     pub fn add_flow(&mut self, src: NodeId, dst: NodeId, total: usize) -> usize {
         assert!(total > 0, "empty transfer");
-        let etx = EtxTable::compute(&self.topo, dst, self.cfg.link_cost);
+        let etx = EtxTable::compute(&self.topo, dst, LINK_COST);
         assert!(etx.dist(src).is_finite(), "source cannot reach destination");
         let path = etx.path_from(src).expect("finite distance implies a path");
         let fi = self.flows.len();
@@ -188,17 +179,13 @@ impl SrcrAgent {
         self.flows.iter().all(|f| f.progress.done || f.halted)
     }
 
-    fn rate_for(&mut self, node: NodeId, nh: NodeId) -> Option<Bitrate> {
-        if !self.cfg.autorate {
-            return Some(self.default_rate);
-        }
+    /// The Onoe controller of the link `node → nh`, started at the
+    /// configured rate on first use.
+    fn onoe(&mut self, node: NodeId, nh: NodeId) -> &mut OnoeAutorate {
         let initial = self.default_rate;
-        Some(
-            self.autorate
-                .entry((node, nh))
-                .or_insert_with(|| OnoeAutorate::new(initial, OnoeConfig::default()))
-                .rate(),
-        )
+        self.autorate
+            .entry((node, nh))
+            .or_insert_with(|| OnoeAutorate::new(initial))
     }
 
     /// A packet left the network (delivered or dropped): update pacing and
@@ -267,7 +254,7 @@ impl NodeAgent for SrcrAgent {
         let Some(hop) = f.hop(node) else {
             return;
         };
-        if f.queues[hop].len() >= self.cfg.queue_len {
+        if f.queues[hop].len() >= QUEUE_LEN {
             return Self::lose(f, seq, ctx);
         }
         f.queues[hop].push_back(seq);
@@ -293,13 +280,8 @@ impl NodeAgent for SrcrAgent {
             TxOutcome::Broadcast => unreachable!("Srcr never broadcasts"),
         };
         if self.cfg.autorate {
-            let nh = self.flows[fi].next_hop(node);
-            if let Some(nh) = nh {
-                let initial = self.default_rate;
-                self.autorate
-                    .entry((node, nh))
-                    .or_insert_with(|| OnoeAutorate::new(initial, OnoeConfig::default()))
-                    .record(ctx.now(), retries, failed);
+            if let Some(nh) = self.flows[fi].next_hop(node) {
+                self.onoe(node, nh).record(ctx.now(), retries, failed);
             }
         }
         if failed {
@@ -327,21 +309,17 @@ impl NodeAgent for SrcrAgent {
                 continue;
             }
             // Source pacing: top the window up before dequeueing.
-            {
-                let cfg_window = self.cfg.window;
-                let f = &mut self.flows[fi];
-                if node == f.src {
-                    while (f.next_seq as usize) < f.total
-                        && f.in_flight < cfg_window
-                        && f.queues[0].len() < self.cfg.queue_len
-                    {
-                        f.queues[0].push_back(f.next_seq);
-                        f.next_seq += 1;
-                        f.in_flight += 1;
-                    }
+            let f = &mut self.flows[fi];
+            if node == f.src {
+                while (f.next_seq as usize) < f.total
+                    && f.in_flight < WINDOW
+                    && f.queues[0].len() < QUEUE_LEN
+                {
+                    f.queues[0].push_back(f.next_seq);
+                    f.next_seq += 1;
+                    f.in_flight += 1;
                 }
             }
-            let f = &self.flows[fi];
             let Some(hop) = f.hop(node) else {
                 continue;
             };
@@ -351,15 +329,19 @@ impl NodeAgent for SrcrAgent {
             let Some(&nh) = f.path.get(hop + 1) else {
                 continue;
             };
-            let rate = self.rate_for(node, nh);
+            let rate = if self.cfg.autorate {
+                self.onoe(node, nh).rate()
+            } else {
+                self.default_rate
+            };
             let f = &mut self.flows[fi];
             let seq = f.queues[hop].pop_front().expect("non-empty queue");
             self.rr[node.0] = fi + 1;
             self.node_flows[node.0] = cands;
             return Some(OutFrame {
                 dst: Some(nh),
-                bytes: self.cfg.packet_bytes,
-                bitrate: rate,
+                bytes: PACKET_BYTES,
+                bitrate: Some(rate),
                 flow: Some(f.id),
                 payload: SrcrPayload { flow: f.id, seq },
             });
@@ -495,10 +477,7 @@ mod test {
     #[test]
     fn autorate_engages_per_link_state() {
         let topo = generate::line(1, 0.95, 0.0, 20.0);
-        let cfg = SrcrConfig {
-            autorate: true,
-            ..SrcrConfig::default()
-        };
+        let cfg = SrcrConfig { autorate: true };
         let mut agent = SrcrAgent::new(topo.clone(), cfg, Bitrate::B11);
         let fi = agent.add_flow(NodeId(0), NodeId(1), 400);
         let mut sim = Simulator::new(topo, SimConfig::default(), agent, 6);

@@ -16,35 +16,23 @@
 
 use crate::{Bitrate, Time};
 
-/// Credit thresholds mirroring MadWifi's defaults in spirit.
-#[derive(Clone, Copy, Debug)]
-pub struct OnoeConfig {
-    /// Observation window length, µs (MadWifi: 1 s).
-    pub window: Time,
-    /// Credits needed to try the next rate up (MadWifi: 10).
-    pub raise_credits: u32,
-    /// A window whose retry fraction exceeds this drops the rate.
-    pub drop_retry_fraction: f64,
-    /// A window is "clean" (earns a credit) below this retry fraction.
-    pub clean_retry_fraction: f64,
-}
+/// Observation window length, µs (MadWifi: 1 s). This and the thresholds
+/// below mirror MadWifi's defaults in spirit.
+const WINDOW: Time = crate::SEC;
 
-impl Default for OnoeConfig {
-    fn default() -> Self {
-        OnoeConfig {
-            window: crate::SEC,
-            raise_credits: 10,
-            drop_retry_fraction: 0.5,
-            clean_retry_fraction: 0.1,
-        }
-    }
-}
+/// Credits needed to try the next rate up (MadWifi: 10).
+const RAISE_CREDITS: u32 = 10;
+
+/// A window whose retry fraction exceeds this drops the rate.
+const DROP_RETRY_FRACTION: f64 = 0.5;
+
+/// A window is "clean" (earns a credit) below this retry fraction.
+const CLEAN_RETRY_FRACTION: f64 = 0.1;
 
 /// Per-link Onoe state machine.
 #[derive(Clone, Debug)]
 #[must_use]
 pub struct OnoeAutorate {
-    cfg: OnoeConfig,
     rate: Bitrate,
     credits: u32,
     window_start: Time,
@@ -55,9 +43,8 @@ pub struct OnoeAutorate {
 
 impl OnoeAutorate {
     /// Starts at the given rate (MadWifi starts high and backs off).
-    pub fn new(initial: Bitrate, cfg: OnoeConfig) -> Self {
+    pub fn new(initial: Bitrate) -> Self {
         OnoeAutorate {
-            cfg,
             rate: initial,
             credits: 0,
             window_start: 0,
@@ -87,19 +74,19 @@ impl OnoeAutorate {
     }
 
     fn maybe_roll(&mut self, now: Time) {
-        if now < self.window_start + self.cfg.window {
+        if now < self.window_start + WINDOW {
             return;
         }
         if self.frames > 0 {
             let retry_frac = self.retried_frames as f64 / self.frames as f64;
-            if retry_frac > self.cfg.drop_retry_fraction || self.failures > 0 {
+            if retry_frac > DROP_RETRY_FRACTION || self.failures > 0 {
                 if let Some(down) = self.rate.down() {
                     self.rate = down;
                 }
                 self.credits = 0;
-            } else if retry_frac < self.cfg.clean_retry_fraction {
+            } else if retry_frac < CLEAN_RETRY_FRACTION {
                 self.credits += 1;
-                if self.credits >= self.cfg.raise_credits {
+                if self.credits >= RAISE_CREDITS {
                     if let Some(up) = self.rate.up() {
                         self.rate = up;
                     }
@@ -122,12 +109,12 @@ mod test {
     use crate::SEC;
 
     fn onoe() -> OnoeAutorate {
-        OnoeAutorate::new(Bitrate::B11, OnoeConfig::default())
+        OnoeAutorate::new(Bitrate::B11)
     }
 
     #[test]
     fn stays_put_on_clean_traffic_until_credits_accumulate() {
-        let mut a = OnoeAutorate::new(Bitrate::B5_5, OnoeConfig::default());
+        let mut a = OnoeAutorate::new(Bitrate::B5_5);
         // 9 clean windows: still 5.5 (needs 10 credits).
         for w in 0..9u64 {
             for _ in 0..50 {

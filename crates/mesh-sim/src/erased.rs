@@ -9,12 +9,12 @@
 //!   implements on top of [`NodeAgent`]: "are all transfers finished?"
 //!   and "how far along is flow *i*?". This is the least common
 //!   denominator of MORE, ExOR, Srcr, and any future protocol.
-//! * [`ErasedFlowAgent`] — the object-safe combination of both, with
-//!   payloads type-erased behind [`DynPayload`] (`Rc<dyn Any>`).
+//! * [`ErasedFlowAgent`] — a [`FlowAgent`] whose payloads are erased
+//!   to [`DynPayload`] (`Rc<dyn Any>`), so every protocol fits behind one
+//!   object-safe trait.
 //! * [`Erased`] — wraps any concrete [`FlowAgent`] into an
-//!   [`ErasedFlowAgent`]; `Box<dyn ErasedFlowAgent>` itself implements
-//!   [`NodeAgent`] (and [`FlowAgent`]), so it drops straight into
-//!   [`crate::Simulator`].
+//!   [`ErasedFlowAgent`]. `Box<T>` forwards both traits, so
+//!   `Box<dyn ErasedFlowAgent>` drops straight into [`crate::Simulator`].
 //!
 //! The erasure costs one `Rc` allocation per transmitted frame plus one
 //! payload clone per reception. For payloads built on refcounted packet
@@ -160,47 +160,22 @@ pub trait FlowAgent: NodeAgent {
     }
 }
 
-/// Object-safe [`FlowAgent`] with erased payloads. This is the type the
-/// protocol registry traffics in: `Box<dyn ErasedFlowAgent>`.
-pub trait ErasedFlowAgent {
-    /// [`NodeAgent::on_receive`] over the erased payload.
-    fn on_receive(&mut self, node: NodeId, frame: &Frame<DynPayload>, ctx: &mut Ctx<'_>);
-    /// [`NodeAgent::on_tx_done`] over the erased payload.
-    fn on_tx_done(
-        &mut self,
-        node: NodeId,
-        outcome: TxOutcome,
-        payload: DynPayload,
-        ctx: &mut Ctx<'_>,
-    );
-    /// [`NodeAgent::poll_tx`] over the erased payload.
-    fn poll_tx(&mut self, node: NodeId, ctx: &mut Ctx<'_>) -> Option<OutFrame<DynPayload>>;
-    /// [`NodeAgent::on_timer`], unchanged.
-    fn on_timer(&mut self, node: NodeId, token: u64, ctx: &mut Ctx<'_>);
-    /// [`FlowAgent::flows_done`], unchanged.
-    fn flows_done(&self) -> bool;
-    /// [`FlowAgent::flow_progress`], unchanged.
-    fn flow_progress(&self, index: usize) -> FlowProgressView;
-    /// [`FlowAgent::supports_dynamic_flows`], unchanged.
-    fn supports_dynamic_flows(&self) -> bool;
-    /// [`FlowAgent::add_flow`], unchanged.
-    fn add_flow(&mut self, desc: &FlowDesc) -> usize;
-    /// [`FlowAgent::end_flow`], unchanged.
-    fn end_flow(&mut self, index: usize);
-    /// Downcast access to the concrete agent (protocol-specific stats).
-    fn as_any(&self) -> &dyn Any;
-    /// Mutable downcast access to the concrete agent.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
-}
+/// A [`FlowAgent`] with erased payloads. This is the type the protocol
+/// registry traffics in: `Box<dyn ErasedFlowAgent>`.
+pub trait ErasedFlowAgent: FlowAgent<Payload = DynPayload> {}
+
+impl<A: FlowAgent<Payload = DynPayload>> ErasedFlowAgent for A {}
 
 /// Adapter erasing a concrete [`FlowAgent`]'s payload type.
 pub struct Erased<A>(pub A);
 
-impl<A> ErasedFlowAgent for Erased<A>
+impl<A> NodeAgent for Erased<A>
 where
-    A: FlowAgent + 'static,
+    A: NodeAgent,
     A::Payload: 'static,
 {
+    type Payload = DynPayload;
+
     fn on_receive(&mut self, node: NodeId, frame: &Frame<DynPayload>, ctx: &mut Ctx<'_>) {
         #[expect(
             clippy::expect_used,
@@ -255,7 +230,13 @@ where
     fn on_timer(&mut self, node: NodeId, token: u64, ctx: &mut Ctx<'_>) {
         self.0.on_timer(node, token, ctx);
     }
+}
 
+impl<A> FlowAgent for Erased<A>
+where
+    A: FlowAgent,
+    A::Payload: 'static,
+{
     fn flows_done(&self) -> bool {
         self.0.flows_done()
     }
@@ -275,20 +256,12 @@ where
     fn end_flow(&mut self, index: usize) {
         self.0.end_flow(index)
     }
-
-    fn as_any(&self) -> &dyn Any {
-        &self.0
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        &mut self.0
-    }
 }
 
-impl NodeAgent for Box<dyn ErasedFlowAgent> {
-    type Payload = DynPayload;
+impl<T: NodeAgent + ?Sized> NodeAgent for Box<T> {
+    type Payload = T::Payload;
 
-    fn on_receive(&mut self, node: NodeId, frame: &Frame<DynPayload>, ctx: &mut Ctx<'_>) {
+    fn on_receive(&mut self, node: NodeId, frame: &Frame<T::Payload>, ctx: &mut Ctx<'_>) {
         (**self).on_receive(node, frame, ctx);
     }
 
@@ -296,13 +269,13 @@ impl NodeAgent for Box<dyn ErasedFlowAgent> {
         &mut self,
         node: NodeId,
         outcome: TxOutcome,
-        payload: DynPayload,
+        payload: T::Payload,
         ctx: &mut Ctx<'_>,
     ) {
         (**self).on_tx_done(node, outcome, payload, ctx);
     }
 
-    fn poll_tx(&mut self, node: NodeId, ctx: &mut Ctx<'_>) -> Option<OutFrame<DynPayload>> {
+    fn poll_tx(&mut self, node: NodeId, ctx: &mut Ctx<'_>) -> Option<OutFrame<T::Payload>> {
         (**self).poll_tx(node, ctx)
     }
 
@@ -311,7 +284,7 @@ impl NodeAgent for Box<dyn ErasedFlowAgent> {
     }
 }
 
-impl FlowAgent for Box<dyn ErasedFlowAgent> {
+impl<T: FlowAgent + ?Sized> FlowAgent for Box<T> {
     fn flows_done(&self) -> bool {
         (**self).flows_done()
     }
@@ -412,12 +385,5 @@ mod test {
         let p = sim.agent.flow_progress(0);
         assert!(p.done);
         assert!(p.delivered > 0, "the far node should hear something");
-        // Downcast recovers the concrete type.
-        let concrete = sim
-            .agent
-            .as_any()
-            .downcast_ref::<Flood>()
-            .expect("is Flood");
-        assert_eq!(concrete.remaining, 0);
     }
 }

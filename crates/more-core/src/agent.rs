@@ -10,9 +10,9 @@
 
 use crate::flow::{BatchState, Destination, FlowProgress, MoreFlow, NodeFlowState};
 use crate::header::MorePayload;
-use crate::{native_byte, native_is_intact, ForwarderMetric, MoreConfig};
+use crate::{native_byte, native_is_intact, ForwarderMetric, MoreConfig, HEADER_BYTES};
 use mesh_metrics::etx::LinkCost;
-use mesh_metrics::{EtxTable, ForwarderPlan};
+use mesh_metrics::{EtxTable, ForwarderPlan, PlanConfig};
 use mesh_sim::{Ctx, Frame, NodeAgent, OutFrame, TxOutcome};
 use mesh_topology::{NodeId, Topology};
 use rand::Rng;
@@ -74,7 +74,8 @@ impl MoreAgent {
                         .distances()
                         .to_vec(),
                 };
-                let plan = ForwarderPlan::compute(&self.topo, src, dst, &metric, &self.cfg.plan);
+                let plan =
+                    ForwarderPlan::compute(&self.topo, src, dst, &metric, &PlanConfig::default());
                 let mut rank_of = vec![None; n];
                 for (r, &node) in plan.order.iter().enumerate() {
                     rank_of[node.0] = Some(r as u32);
@@ -401,7 +402,7 @@ impl NodeAgent for MoreAgent {
             self.rr[node.0] = fi + 1;
             return Some(OutFrame {
                 dst: None,
-                bytes: cfg.header_bytes + k_b + cfg.packet_bytes,
+                bytes: HEADER_BYTES + k_b + cfg.packet_bytes,
                 bitrate: None,
                 flow: Some(f.id),
                 payload: MorePayload::Data {
@@ -699,7 +700,7 @@ mod test {
         let eotx = plans(ForwarderMetric::Eotx);
         for (order, dst) in eotx.iter().zip([19, 12, 7]) {
             let table = mesh_metrics::EotxTable::compute(&topo, NodeId(dst));
-            let plan_cfg = MoreConfig::default().plan;
+            let plan_cfg = PlanConfig::default();
             let (src, dst_node) = (NodeId(0), NodeId(dst));
             let want = ForwarderPlan::compute(&topo, src, dst_node, table.distances(), &plan_cfg);
             assert_eq!(*order, want.order, "destination {dst}");

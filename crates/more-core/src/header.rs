@@ -1,8 +1,8 @@
 //! What a MORE frame carries (Fig 3-1).
 //!
 //! In the simulator frames carry [`MorePayload`] values directly; the
-//! header's bytes reach the air only as [`crate::MoreConfig::header_bytes`],
-//! whose doc lists the Fig 3-1 fields behind its 70 B.
+//! header's bytes reach the air only as [`crate::HEADER_BYTES`], whose doc
+//! lists the Fig 3-1 fields behind its 70 B.
 
 use mesh_topology::NodeId;
 use rlnc::CodedPacket;

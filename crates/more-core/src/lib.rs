@@ -42,7 +42,7 @@
 //! machinery — the property the paper trades ExOR's structure for.
 //!
 //! Frames carry [`MorePayload`] values, not bytes: the Fig 3-1 header
-//! reaches the air only as its size, [`MoreConfig::header_bytes`].
+//! reaches the air only as its size, [`HEADER_BYTES`].
 
 #![forbid(unsafe_code)]
 // Panic freedom and seeding discipline for the shipped (non-test) build;
@@ -69,8 +69,6 @@ pub use agent::MoreAgent;
 pub use flow::{Destination, FlowId, FlowProgress, MoreFlow};
 pub use header::MorePayload;
 
-use mesh_metrics::PlanConfig;
-
 /// Which metric orders the forwarder list.
 ///
 /// The shipped MORE uses ETX because it pre-dates EOTX; §5.7 argues
@@ -86,6 +84,15 @@ pub enum ForwarderMetric {
     Eotx,
 }
 
+/// MORE header bytes added to every data frame besides its K-byte code
+/// vector, which is charged on its own. Fig 3-1's fields: packet type (1),
+/// source and destination IP (4 + 4), flow id (4), batch id (4), and for
+/// data packets the batch size K (2) and the forwarder list — a count (1),
+/// then per forwarder a one-byte id (a hash of its IP) and a TX credit in
+/// 1/256 fixed point (2). That is 50 B at the 10-forwarder cap; §4.6c
+/// bounds the header by 70 B.
+pub const HEADER_BYTES: usize = 70;
+
 /// Protocol parameters (§4.1.2 defaults).
 #[derive(Clone, Copy, Debug)]
 pub struct MoreConfig {
@@ -93,16 +100,6 @@ pub struct MoreConfig {
     pub k: usize,
     /// Native packet size in bytes (1500 in the evaluation).
     pub packet_bytes: usize,
-    /// MORE header bytes added to every data frame besides its K-byte code
-    /// vector, which is charged on its own. Fig 3-1's fields: packet type
-    /// (1), source and destination IP (4 + 4), flow id (4), batch id (4),
-    /// and for data packets the batch size K (2) and the forwarder list —
-    /// a count (1), then per forwarder a one-byte id (a hash of its IP)
-    /// and a TX credit in 1/256 fixed point (2). That is 50 B at the
-    /// 10-forwarder cap; §4.6c bounds the header by 70 B, the default.
-    pub header_bytes: usize,
-    /// Forwarder-set pruning and cap (§3.2.1, §4.6c).
-    pub plan: PlanConfig,
     /// Metric used to order forwarders and derive transmission counts.
     pub metric: ForwarderMetric,
     /// Carry and verify real coded payloads end-to-end: switches the
@@ -119,8 +116,6 @@ impl Default for MoreConfig {
         MoreConfig {
             k: 32,
             packet_bytes: 1500,
-            header_bytes: 70,
-            plan: PlanConfig::default(),
             metric: ForwarderMetric::default(),
             track_payloads: false,
         }

@@ -1565,6 +1565,23 @@ mod test {
     }
 
     #[test]
+    fn an_empty_sweep_is_an_error() {
+        let err = one_hop()
+            .sweep(Sweep::K(vec![]))
+            .try_run()
+            .expect_err("no point to run");
+        assert!(matches!(err, BuildError::Unsupported(_)), "{err}");
+        // Not blamed on the bounded base queue, which no point runs.
+        let err = one_hop()
+            .queue(QueueSpec::drop_tail(8))
+            .sweep(Sweep::Queue(vec![]))
+            .congestion(AimdConfig::default())
+            .try_run()
+            .expect_err("no point to run");
+        assert!(matches!(err, BuildError::Unsupported(_)), "{err}");
+    }
+
+    #[test]
     fn a_swept_base_channel_or_queue_is_a_placeholder_never_validated() {
         let zero_epoch = ChannelSpec::GilbertElliott(mesh_sim::channel::GilbertElliott {
             good_scale: 1.0,

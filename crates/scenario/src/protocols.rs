@@ -80,36 +80,14 @@ pub(crate) fn reject_multicast<'a>(
     }
 }
 
-/// ExOR with its strict batch scheduler.
+/// ExOR with its strict batch scheduler, at [`ExpConfig::k`].
+#[derive(Default)]
 #[must_use]
-pub struct ExorFactory {
-    /// Base protocol config; `k` is overridden by [`ExpConfig::k`].
-    pub cfg: ExorConfig,
-    name: String,
-}
-
-impl Default for ExorFactory {
-    fn default() -> Self {
-        ExorFactory {
-            cfg: ExorConfig::default(),
-            name: "ExOR".to_string(),
-        }
-    }
-}
-
-impl ExorFactory {
-    /// An ExOR variant under a distinct registry name.
-    pub fn named(name: impl Into<String>, cfg: ExorConfig) -> Self {
-        ExorFactory {
-            cfg,
-            name: name.into(),
-        }
-    }
-}
+pub struct ExorFactory;
 
 impl ProtocolFactory for ExorFactory {
     fn name(&self) -> &str {
-        &self.name
+        "ExOR"
     }
 
     fn supports_multicast(&self) -> bool {
@@ -122,12 +100,8 @@ impl ProtocolFactory for ExorFactory {
         flows: &[FlowSpec],
         cfg: &ExpConfig,
     ) -> Result<Box<dyn ErasedFlowAgent>, BuildError> {
-        reject_multicast(&self.name, flows.iter())?;
-        let ecfg = ExorConfig {
-            k: cfg.k,
-            ..self.cfg
-        };
-        let mut agent = ExorAgent::new(topo.clone(), ecfg);
+        reject_multicast(self.name(), flows.iter())?;
+        let mut agent = ExorAgent::new(topo.clone(), ExorConfig { k: cfg.k });
         for f in flows {
             FlowAgent::add_flow(&mut agent, f);
         }
@@ -140,7 +114,6 @@ impl ProtocolFactory for ExorFactory {
 pub struct SrcrFactory {
     /// Base protocol config; the bit-rate comes from [`ExpConfig`].
     pub cfg: SrcrConfig,
-    name: String,
 }
 
 impl SrcrFactory {
@@ -148,33 +121,24 @@ impl SrcrFactory {
     pub fn fixed_rate() -> Self {
         SrcrFactory {
             cfg: SrcrConfig::default(),
-            name: "Srcr".to_string(),
         }
     }
 
     /// Srcr with MadWifi-style Onoe autorate (Fig 4-6).
     pub fn autorate() -> Self {
         SrcrFactory {
-            cfg: SrcrConfig {
-                autorate: true,
-                ..SrcrConfig::default()
-            },
-            name: "Srcr-autorate".to_string(),
-        }
-    }
-
-    /// A Srcr variant under a distinct registry name.
-    pub fn named(name: impl Into<String>, cfg: SrcrConfig) -> Self {
-        SrcrFactory {
-            cfg,
-            name: name.into(),
+            cfg: SrcrConfig { autorate: true },
         }
     }
 }
 
 impl ProtocolFactory for SrcrFactory {
     fn name(&self) -> &str {
-        &self.name
+        if self.cfg.autorate {
+            "Srcr-autorate"
+        } else {
+            "Srcr"
+        }
     }
 
     fn supports_multicast(&self) -> bool {
@@ -187,7 +151,7 @@ impl ProtocolFactory for SrcrFactory {
         flows: &[FlowSpec],
         cfg: &ExpConfig,
     ) -> Result<Box<dyn ErasedFlowAgent>, BuildError> {
-        reject_multicast(&self.name, flows.iter())?;
+        reject_multicast(self.name(), flows.iter())?;
         let mut agent = SrcrAgent::new(topo.clone(), self.cfg, cfg.bitrate);
         for f in flows {
             FlowAgent::add_flow(&mut agent, f);
@@ -215,7 +179,7 @@ mod test {
         let cfg = ExpConfig::default();
         assert!(MoreFactory::default().build(&topo, &flows, &cfg).is_ok());
         assert!(matches!(
-            ExorFactory::default().build(&topo, &flows, &cfg),
+            ExorFactory.build(&topo, &flows, &cfg),
             Err(BuildError::Unsupported(_))
         ));
         assert!(matches!(

@@ -100,7 +100,7 @@ impl ProtocolRegistry {
     pub fn with_defaults() -> Self {
         let mut reg = ProtocolRegistry::new();
         reg.register(crate::protocols::MoreFactory::default());
-        reg.register(crate::protocols::ExorFactory::default());
+        reg.register(crate::protocols::ExorFactory);
         reg.register(crate::protocols::SrcrFactory::fixed_rate());
         reg.register(crate::protocols::SrcrFactory::autorate());
         reg

@@ -262,14 +262,15 @@ impl Sweep {
     /// arrival rate of [`TrafficModelSpec::Poisson`] traffic, and
     /// [`Sweep::Channel`] / [`Sweep::Queue`] the whole spec, whose value is
     /// the point's index. `base`'s own value of the swept setting never
-    /// runs. Flows or Load over any other traffic is an error.
+    /// runs. Flows or Load over any other traffic is an error, and so is
+    /// a sweep without points.
     pub(crate) fn points(&self, base: &Point) -> Result<Vec<Point>, BuildError> {
         let at = |param, value| Point {
             param: Some(param),
             value: Some(value),
             ..base.clone()
         };
-        Ok(match self {
+        let points: Vec<Point> = match self {
             Sweep::K(v) => v
                 .iter()
                 .map(|&k| Point {
@@ -327,7 +328,13 @@ impl Sweep {
                     ..at("queue", i as f64)
                 })
                 .collect(),
-        })
+        };
+        if points.is_empty() {
+            return Err(BuildError::Unsupported(
+                "a sweep needs at least one point".into(),
+            ));
+        }
+        Ok(points)
     }
 }
 

@@ -15,7 +15,7 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 use std::collections::BTreeMap;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
 
 use xtask::baseline::{ratchet, BASELINE_FILE};
@@ -76,16 +76,16 @@ fn main() -> ExitCode {
         return fail_usage("no command given");
     }
 
-    // The workspace that contains this crate.
-    let manifest_dir = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let root = manifest_dir.ancestors().nth(2).unwrap_or(manifest_dir);
-    let path = root.join(BASELINE_FILE);
+    // This workspace as `cargo run` names it, not the checkout the binary was built in.
+    let manifest_dir = std::env::var_os("CARGO_MANIFEST_DIR")
+        .map_or_else(|| PathBuf::from(env!("CARGO_MANIFEST_DIR")), PathBuf::from);
+    let root = manifest_dir.ancestors().nth(2).unwrap_or(&manifest_dir);
     let outcome = clippy_counts(root)
         .and_then(|mut counts| {
             counts.extend(xtask::loc_counts(root)?);
             Ok(counts)
         })
-        .and_then(|counts| ratchet(&path, counts, check));
+        .and_then(|counts| ratchet(&root.join(BASELINE_FILE), counts, check));
     match outcome {
         Ok(verdict) => {
             for line in &verdict.lines {
