@@ -70,7 +70,7 @@ pub use channel::{ChannelModel, ChannelSpec};
 pub use erased::{flow_id, flow_index};
 pub use erased::{DynPayload, Erased, ErasedFlowAgent, FlowAgent, FlowDesc, FlowProgressView};
 pub use medium::Medium;
-pub use queue::{AimdConfig, AimdPacer, DropCause, QueueDiscipline, QueueSpec, QueueVerdict};
+pub use queue::{AimdConfig, AimdPacer, DropCause, QueueSpec, QueueVerdict};
 pub use simulator::{Ctx, Simulator, TrafficAction};
 pub use stats::SimStats;
 
@@ -208,7 +208,7 @@ pub struct OutFrame<P> {
     /// Bit-rate override; `None` uses [`SimConfig::bitrate`].
     pub bitrate: Option<Bitrate>,
     /// The protocol-level flow this frame serves, when it serves one.
-    /// A bounded [`queue::QueueDiscipline`] classifies frames by this id
+    /// A bounded [`queue::Discipline`] classifies frames by this id
     /// (CHOKe's fairness matching, per-flow drop counters, source
     /// pacing); `None` marks flow-less control traffic, which is bucketed
     /// per sending node and never matches a data flow.

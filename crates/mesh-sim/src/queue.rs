@@ -1,27 +1,13 @@
 //! Per-node transmit queues and active queue management (AQM).
 //!
 //! The paper evaluates MORE against real 802.11 interfaces, whose driver
-//! queues drop packets under overload; the simulator's nodes historically
-//! had no queue at all, so saturation outcomes were artifacts of
-//! event-scheduling order rather than policy. This module is the fourth
-//! trait-based extension surface (after `ChannelModel`, the traffic
-//! models, and the protocol registry): a [`QueueDiscipline`] decides the
-//! fate of every frame a protocol hands its MAC, behind a serializable
-//! [`QueueSpec`] that names the classic disciplines —
-//!
-//! * [`QueueSpec::Unbounded`] — a one-frame slot: one poll per transmit
-//!   opportunity, served at once, never dropped (the pre-queue engine,
-//!   byte for byte);
-//! * [`QueueSpec::DropTail`] — a fixed-capacity FIFO that drops
-//!   arrivals when full;
-//! * [`QueueSpec::Red`] — Random Early Detection: an EWMA of the queue
-//!   depth marks (drops) arrivals probabilistically between two
-//!   thresholds, absorbing bursts while signalling persistent overload
-//!   early;
-//! * [`QueueSpec::Choke`] — CHOKe: RED plus a random peek — each
-//!   arrival is compared against a randomly chosen queued frame, and a
-//!   flow match drops *both*, penalizing unresponsive heavy flows
-//!   without per-flow state.
+//! queues drop packets under overload. Every frame a protocol hands its
+//! MAC passes its node's [`Discipline`], built from a serializable
+//! [`QueueSpec`] that names the only disciplines there are: the default
+//! one-frame slot (the pre-queue engine, byte for byte), DropTail, RED,
+//! and CHOKe — RED plus a random peek that drops an arrival together
+//! with a queued frame of its flow, penalizing unresponsive heavy flows
+//! without per-flow state.
 //!
 //! All AQM randomness (RED's marking draws, CHOKe's peek) runs on a
 //! dedicated ChaCha8 stream derived as `seed ^` [`QUEUE_STREAM`], so
@@ -53,17 +39,6 @@ pub enum DropCause {
     FlowMatch,
 }
 
-impl DropCause {
-    /// Stable lower-case name, used in logs and drop taxonomies.
-    pub fn name(self) -> &'static str {
-        match self {
-            DropCause::Overflow => "overflow",
-            DropCause::Early => "early",
-            DropCause::FlowMatch => "flow_match",
-        }
-    }
-}
-
 /// What a discipline decided about an arriving frame.
 ///
 /// The engine owns the actual frame storage (a FIFO per node); the
@@ -84,91 +59,11 @@ pub enum QueueVerdict {
     },
 }
 
-/// A per-node transmit queue policy.
-///
-/// One instance manages one node's FIFO. The engine stores the frames;
-/// the discipline sees only a *flow key* per frame (via
-/// [`QueueDiscipline::classify`]) and mirrors the FIFO's keys
-/// internally, so implementations stay payload-agnostic and object-safe.
-///
-/// Contract:
-/// * [`QueueDiscipline::offer`] is called once per arriving frame; on
-///   [`QueueVerdict::Accept`] the discipline must have appended the key
-///   to its mirror, on [`QueueVerdict::DropMatched`] it must have
-///   removed the victim's mirror entry.
-/// * [`QueueDiscipline::dequeue`] is called when the engine serves the
-///   head-of-line frame; the discipline pops its mirror's head.
-/// * [`QueueDiscipline::depth`] returns the mirror length: the
-///   engine-side FIFO's, less a frame served as it is accepted, which a
-///   discipline may leave out of its mirror (the unbounded slot does).
-/// * All randomness must come from the `rng` argument (the dedicated
-///   [`QUEUE_STREAM`] ChaCha8 stream), never from ambient sources.
-///
-/// # Examples
-///
-/// A custom discipline that admits everything (an explicit unbounded
-/// FIFO — useful as a probe that observes arrivals without policy):
-///
-/// ```
-/// use mesh_sim::queue::{QueueDiscipline, QueueVerdict};
-/// use mesh_sim::Time;
-/// use rand_chacha::ChaCha8Rng;
-///
-/// #[derive(Default)]
-/// struct Admit { keys: std::collections::VecDeque<u64> }
-///
-/// impl QueueDiscipline for Admit {
-///     fn offer(&mut self, key: u64, _now: Time, _rng: &mut ChaCha8Rng) -> QueueVerdict {
-///         self.keys.push_back(key);
-///         QueueVerdict::Accept
-///     }
-///     fn dequeue(&mut self, _now: Time) { self.keys.pop_front(); }
-///     fn depth(&self) -> usize { self.keys.len() }
-/// }
-///
-/// let mut q = Admit::default();
-/// let mut rng = <ChaCha8Rng as rand::SeedableRng>::seed_from_u64(1);
-/// assert_eq!(q.offer(7, 0, &mut rng), QueueVerdict::Accept);
-/// assert_eq!(q.depth(), 1);
-/// q.dequeue(0);
-/// assert_eq!(q.depth(), 0);
-/// ```
-pub trait QueueDiscipline: Send {
-    /// Maps a frame to the flow key the discipline reasons about.
-    ///
-    /// The default uses the protocol-declared flow id when present and
-    /// otherwise buckets per sending node (control frames of one node
-    /// share a key but never match a data flow).
-    fn classify(&self, node: NodeId, flow: Option<u32>) -> u64 {
-        match flow {
-            Some(f) => f as u64,
-            None => (1u64 << 32) | node.0 as u64,
-        }
-    }
-
-    /// Decides the fate of a frame with flow key `key` arriving at time
-    /// `now`.
-    fn offer(&mut self, key: u64, now: Time, rng: &mut ChaCha8Rng) -> QueueVerdict;
-
-    /// The engine served the head-of-line frame.
-    fn dequeue(&mut self, now: Time);
-
-    /// Frames currently queued (excluding the one in service at the MAC).
-    fn depth(&self) -> usize;
-
-    /// Whether the engine should poll the protocol for another frame
-    /// while `queued` frames sit in the node's FIFO. The default polls
-    /// until [`QueueDiscipline::offer`] discards an arrival.
-    fn wants_poll(&self, _queued: usize) -> bool {
-        true
-    }
-}
-
 /// Serializable description of a node's transmit queue policy.
 ///
 /// The engine-facing mirror of [`crate::channel::ChannelSpec`]: a small
 /// value type the scenario layer can store, sweep over, and label, with
-/// [`QueueSpec::build_node`] producing the live discipline per node.
+/// [`QueueSpec::build_node`] producing each node's [`Discipline`].
 #[derive(Clone, Debug, Default, PartialEq)]
 pub enum QueueSpec {
     /// A one-frame slot — the pre-queue engine, byte-for-byte: one poll
@@ -229,6 +124,16 @@ impl Aqm {
             weight,
         } = self;
         format!("{kind}(cap={capacity};min={min_th};max={max_th};p={max_p};w={weight})")
+    }
+
+    /// Whether RED marks an arrival at EWMA depth `avg`: always from
+    /// `max_th` up, never below `min_th`, and in between with a
+    /// probability rising linearly to `max_p` — the one case that draws.
+    fn marks(&self, avg: f64, rng: &mut ChaCha8Rng) -> bool {
+        avg >= self.max_th
+            || (avg >= self.min_th
+                && rng.gen::<f64>()
+                    < self.max_p * (avg - self.min_th) / (self.max_th - self.min_th))
     }
 
     fn validate(&self) -> Result<(), String> {
@@ -310,14 +215,14 @@ impl QueueSpec {
         }
     }
 
-    /// Builds one node's live discipline; always `Some`, a zero-sized
-    /// one-frame slot for [`QueueSpec::Unbounded`].
+    /// Builds one node's live discipline; always `Some` (the slot of
+    /// [`QueueSpec::Unbounded`] included).
     ///
     /// # Panics
     ///
     /// Panics when the spec is invalid — call [`QueueSpec::validate`]
     /// first for an error value.
-    pub fn build_node(&self) -> Option<Box<dyn QueueDiscipline>> {
+    pub fn build_node(&self) -> Option<Discipline> {
         #[expect(
             clippy::panic,
             reason = "documented \"# Panics\" contract, mirroring ChannelSpec::build: validate() is the error-value path"
@@ -325,134 +230,101 @@ impl QueueSpec {
         if let Err(e) = self.validate() {
             panic!("invalid QueueSpec: {e}");
         }
-        let aqm = |params, choke| AqmQueue {
-            params,
-            choke,
+        Some(Discipline {
+            spec: self.clone(),
             avg: 0.0,
             keys: VecDeque::new(),
-        };
-        Some(match *self {
-            QueueSpec::Unbounded => Box::new(Slot),
-            QueueSpec::DropTail { capacity } => Box::new(DropTail {
-                capacity,
-                keys: VecDeque::new(),
-            }),
-            QueueSpec::Red(params) => Box::new(aqm(params, false)),
-            QueueSpec::Choke(params) => Box::new(aqm(params, true)),
         })
     }
 }
 
-/// [`QueueSpec::Unbounded`]'s discipline: one frame, polled only into
-/// an empty FIFO and served as it is accepted, so nothing ever waits.
-struct Slot;
-
-impl QueueDiscipline for Slot {
-    fn offer(&mut self, _key: u64, _now: Time, _rng: &mut ChaCha8Rng) -> QueueVerdict {
-        QueueVerdict::Accept
-    }
-
-    fn dequeue(&mut self, _now: Time) {}
-
-    fn depth(&self) -> usize {
-        0
-    }
-
-    fn wants_poll(&self, queued: usize) -> bool {
-        queued == 0
-    }
-}
-
-/// Fixed-capacity FIFO with tail drop.
-struct DropTail {
-    capacity: usize,
-    keys: VecDeque<u64>,
-}
-
-impl QueueDiscipline for DropTail {
-    fn offer(&mut self, key: u64, _now: Time, _rng: &mut ChaCha8Rng) -> QueueVerdict {
-        if self.keys.len() >= self.capacity {
-            return QueueVerdict::DropIncoming(DropCause::Overflow);
-        }
-        self.keys.push_back(key);
-        QueueVerdict::Accept
-    }
-
-    fn dequeue(&mut self, _now: Time) {
-        self.keys.pop_front();
-    }
-
-    fn depth(&self) -> usize {
-        self.keys.len()
-    }
-}
-
-/// RED, or with `choke` CHOKe: the key mirror plus the EWMA depth
-/// estimate.
-struct AqmQueue {
-    params: Aqm,
-    /// Peek at a random queued frame for a flow match (CHOKe).
-    choke: bool,
+/// One node's transmit queue policy: the [`QueueSpec`] it was built
+/// from, RED's EWMA depth estimate, and the flow keys (from
+/// [`Discipline::classify`]) of the frames the engine holds in the
+/// node's FIFO, kept in step by [`Discipline::offer`] and
+/// [`Discipline::dequeue`]. The slot of [`QueueSpec::Unbounded`] keeps
+/// no keys: its one frame is served as it is accepted.
+#[derive(Clone, Debug)]
+pub struct Discipline {
+    spec: QueueSpec,
+    /// RED's EWMA of the depth, updated per arrival.
     avg: f64,
     keys: VecDeque<u64>,
 }
 
-impl AqmQueue {
-    /// The RED verdict for an arrival (overflow / early-drop / admit)
-    /// at the current EWMA, without touching the mirror.
-    fn red_decision(&mut self, rng: &mut ChaCha8Rng) -> Option<DropCause> {
-        let Aqm {
-            capacity,
-            min_th,
-            max_th,
-            max_p,
-            ..
-        } = self.params;
-        if self.keys.len() >= capacity {
-            return Some(DropCause::Overflow);
+impl Discipline {
+    /// Maps a frame to the flow key the discipline reasons about: the
+    /// protocol-declared flow id when present, and otherwise a bucket
+    /// per sending node (control frames of one node share a key but
+    /// never match a data flow).
+    pub fn classify(&self, node: NodeId, flow: Option<u32>) -> u64 {
+        match flow {
+            Some(f) => f as u64,
+            None => (1u64 << 32) | node.0 as u64,
         }
-        if self.avg >= max_th {
-            return Some(DropCause::Early);
-        }
-        if self.avg >= min_th {
-            let p = max_p * (self.avg - min_th) / (max_th - min_th);
-            if rng.gen::<f64>() < p {
-                return Some(DropCause::Early);
-            }
-        }
-        None
-    }
-}
-
-impl QueueDiscipline for AqmQueue {
-    fn offer(&mut self, key: u64, _now: Time, rng: &mut ChaCha8Rng) -> QueueVerdict {
-        // Draw order per arrival is fixed: EWMA update, [CHOKe peek],
-        // [marking draw]. The peek happens past min_th, *before* the RED
-        // coin flip — the CHOKe paper's ordering.
-        let weight = self.params.weight;
-        self.avg = (1.0 - weight) * self.avg + weight * self.keys.len() as f64;
-        let len = self.keys.len();
-        if self.choke && len > 0 && self.avg >= self.params.min_th {
-            let idx = rng.gen_range(0..len);
-            if self.keys.get(idx).copied() == Some(key) {
-                // Flow match: drop the queued victim and the arrival.
-                self.keys.remove(idx);
-                return QueueVerdict::DropMatched { index: idx };
-            }
-        }
-        if let Some(cause) = self.red_decision(rng) {
-            return QueueVerdict::DropIncoming(cause);
-        }
-        self.keys.push_back(key);
-        QueueVerdict::Accept
     }
 
-    fn dequeue(&mut self, _now: Time) {
+    /// Decides the fate of a frame with flow key `key` arriving at time
+    /// `now`, drawing from `rng` (the dedicated [`QUEUE_STREAM`]) only
+    /// under RED and CHOKe.
+    pub fn offer(&mut self, key: u64, _now: Time, rng: &mut ChaCha8Rng) -> QueueVerdict {
+        let depth = self.keys.len();
+        let drop = match self.spec {
+            // The slot's frame is served as it is accepted: no mirror.
+            QueueSpec::Unbounded => return QueueVerdict::Accept,
+            QueueSpec::DropTail { capacity } => (depth >= capacity).then_some(DropCause::Overflow),
+            QueueSpec::Red(aqm) | QueueSpec::Choke(aqm) => {
+                // Draw order per arrival is fixed: EWMA update, [CHOKe
+                // peek], overflow check, [marking draw]. The peek happens
+                // past min_th, *before* the RED coin flip — the CHOKe
+                // paper's ordering.
+                self.avg = (1.0 - aqm.weight) * self.avg + aqm.weight * depth as f64;
+                let peek = matches!(self.spec, QueueSpec::Choke(_));
+                if peek && depth > 0 && self.avg >= aqm.min_th {
+                    let index = rng.gen_range(0..depth);
+                    if self.keys.get(index) == Some(&key) {
+                        // Flow match: drop the queued victim and the arrival.
+                        self.keys.remove(index);
+                        return QueueVerdict::DropMatched { index };
+                    }
+                }
+                if depth >= aqm.capacity {
+                    Some(DropCause::Overflow)
+                } else {
+                    aqm.marks(self.avg, rng).then_some(DropCause::Early)
+                }
+            }
+        };
+        match drop {
+            Some(cause) => QueueVerdict::DropIncoming(cause),
+            None => {
+                self.keys.push_back(key);
+                QueueVerdict::Accept
+            }
+        }
+    }
+
+    /// The engine served the head-of-line frame.
+    pub fn dequeue(&mut self, _now: Time) {
         self.keys.pop_front();
     }
 
-    fn depth(&self) -> usize {
+    /// Frames currently queued (excluding the one in service at the MAC).
+    pub fn depth(&self) -> usize {
         self.keys.len()
+    }
+
+    /// Whether the engine should poll the protocol for another frame
+    /// while `queued` frames sit in the node's FIFO: the slot only into
+    /// an empty FIFO, every bounded queue until [`Discipline::offer`]
+    /// discards an arrival.
+    pub(crate) fn wants_poll(&self, queued: usize) -> bool {
+        queued == 0 || self.is_bounded()
+    }
+
+    /// Whether the queue can drop, which is what a pacer reacts to.
+    pub(crate) fn is_bounded(&self) -> bool {
+        !self.spec.is_unbounded()
     }
 }
 

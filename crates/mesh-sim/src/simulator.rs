@@ -41,7 +41,7 @@
 use crate::channel::{ChannelModel, ChannelSpec};
 use crate::erased::{FlowAgent, FlowDesc};
 use crate::medium::{Medium, Transmission};
-use crate::queue::{AimdConfig, AimdPacer, DropCause, QueueDiscipline, QueueSpec, QueueVerdict};
+use crate::queue::{AimdConfig, AimdPacer, Discipline, DropCause, QueueSpec, QueueVerdict};
 use crate::stats::SimStats;
 use crate::{Frame, NodeAgent, OutFrame, SimConfig, Time, TxOutcome};
 use mesh_topology::streams::{self, Stream};
@@ -196,7 +196,7 @@ enum InFlight<P> {
 /// discipline mirroring it (see [`crate::queue`]).
 struct NodeQueue<P> {
     frames: VecDeque<OutFrame<P>>,
-    disc: Box<dyn QueueDiscipline>,
+    disc: Discipline,
 }
 
 /// The one transmit path, which every polled frame takes. Under
@@ -208,8 +208,6 @@ struct QueueLayer<P> {
     /// AQM randomness, decorrelated from the main stream
     /// (`seed ^ QUEUE_STREAM`).
     rng: ChaCha8Rng,
-    /// Whether the queues can drop, which is what a pacer reacts to.
-    bounded: bool,
     /// AIMD pacers for opted-in flows, keyed by protocol flow id, each
     /// with its flow's source node (pacing gates only the source).
     pacers: BTreeMap<u32, (NodeId, AimdPacer)>,
@@ -233,7 +231,9 @@ impl<P> QueueLayer<P> {
     fn check_paceable(&self, cfg: &AimdConfig) {
         cfg.validate()
             .unwrap_or_else(|e| panic!("invalid AimdConfig: {e}"));
-        assert!(self.bounded, "source pacing requires a bounded QueueSpec");
+        // Every node's discipline is built from the one spec.
+        let bounded = self.nodes.first().is_some_and(|q| q.disc.is_bounded());
+        assert!(bounded, "source pacing requires a bounded QueueSpec");
     }
 
     /// Runs one transmit opportunity at `node` through its queue: pump
@@ -393,7 +393,6 @@ impl<A: NodeAgent> Simulator<A> {
                 })
                 .collect(),
             rng: streams::rng(seed, Stream::Queue),
-            bounded: !queue.is_unbounded(),
             pacers: BTreeMap::new(),
             auto_pace: None,
         };

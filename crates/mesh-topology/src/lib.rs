@@ -439,10 +439,7 @@ impl Topology {
         out
     }
 
-    /// Deserializes the JSON [`Topology::to_json`] writes, or the dense
-    /// form older files carry — a `"delivery"` matrix in place of `"n"`
-    /// and `"links"`, row `i` column `j` holding `p_ij`, zero for no
-    /// link. The form is detected by which key is present.
+    /// Deserializes the JSON [`Topology::to_json`] writes.
     ///
     /// Checks what [`Topology::from_links`] asserts, plus that numbers
     /// meant as indices and floors are integers in range and coordinates
@@ -458,64 +455,33 @@ impl Topology {
             .and_then(|n| n.as_str())
             .ok_or_else(|| bad("missing \"name\""))?
             .to_string();
-        let (n, links) = if let Some(links_v) = v.get("links") {
-            let n = v
-                .get("n")
-                .and_then(|x| x.as_f64())
-                .ok_or_else(|| bad("sparse form missing \"n\""))?;
-            let n = as_index(n).ok_or_else(|| bad("\"n\" is not an integer in [0, 2^32 - 1)"))?;
-            let links = links_v
-                .as_arr()
-                .ok_or_else(|| bad("\"links\" is not an array"))?
-                .iter()
-                .map(|l| {
-                    let num = |key: &str| {
-                        l.get(key)
-                            .and_then(|x| x.as_f64())
-                            .ok_or_else(|| bad("link missing \"from\"/\"to\"/\"p\""))
-                    };
-                    let idx = |key: &str| {
-                        as_index(num(key)?)
-                            .ok_or_else(|| bad("link endpoint is not a non-negative integer"))
-                    };
-                    Ok(Link {
-                        from: NodeId(idx("from")?),
-                        to: NodeId(idx("to")?),
-                        delivery: num("p")?,
-                    })
+        let n = v
+            .get("n")
+            .and_then(|x| x.as_f64())
+            .ok_or_else(|| bad("missing \"n\""))?;
+        let n = as_index(n).ok_or_else(|| bad("\"n\" is not an integer in [0, 2^32 - 1)"))?;
+        let links = v
+            .get("links")
+            .and_then(|l| l.as_arr())
+            .ok_or_else(|| bad("missing \"links\" array"))?
+            .iter()
+            .map(|l| {
+                let num = |key: &str| {
+                    l.get(key)
+                        .and_then(|x| x.as_f64())
+                        .ok_or_else(|| bad("link missing \"from\"/\"to\"/\"p\""))
+                };
+                let idx = |key: &str| {
+                    as_index(num(key)?)
+                        .ok_or_else(|| bad("link endpoint is not a non-negative integer"))
+                };
+                Ok(Link {
+                    from: NodeId(idx("from")?),
+                    to: NodeId(idx("to")?),
+                    delivery: num("p")?,
                 })
-                .collect::<Result<_, json::JsonError>>()?;
-            (n, links)
-        } else {
-            let rows = v
-                .get("delivery")
-                .and_then(|d| d.as_arr())
-                .ok_or_else(|| bad("missing \"delivery\""))?;
-            let mut links = Vec::new();
-            for (i, row) in rows.iter().enumerate() {
-                let row = row
-                    .as_arr()
-                    .ok_or_else(|| bad("delivery row is not an array"))?;
-                if row.len() != rows.len() {
-                    return Err(bad("delivery matrix is not square"));
-                }
-                for (j, cell) in row.iter().enumerate() {
-                    let p = cell
-                        .as_f64()
-                        .ok_or_else(|| bad("delivery cell is not a number"))?;
-                    // Any non-zero cell is a link; `checked_links` rejects
-                    // one outside (0, 1] or on the diagonal.
-                    if p != 0.0 {
-                        links.push(Link {
-                            from: NodeId(i),
-                            to: NodeId(j),
-                            delivery: p,
-                        });
-                    }
-                }
-            }
-            (rows.len(), links)
-        };
+            })
+            .collect::<Result<_, json::JsonError>>()?;
         let links = checked_links(n, links).map_err(|e| bad(&e))?;
         let mut topo = Topology::from_sorted_links(name, n, links);
         match v.get("positions") {
@@ -769,16 +735,6 @@ mod test {
     }
 
     #[test]
-    fn dense_json_reads_nonzero_cells_as_links() {
-        let dense = r#"{"name": "tri", "delivery": [[0, 1, 0.49], [0, 0, 1], [0, 0, 0]],
-            "positions": null}"#;
-        assert_eq!(
-            Topology::from_json(dense).unwrap().to_json(),
-            tri().to_json()
-        );
-    }
-
-    #[test]
     fn json_isolated_node() {
         // "n" carries nodes the link list never mentions.
         let t = topo("island", 3, &[(0, 1, 0.7)]);
@@ -810,11 +766,9 @@ mod test {
             r#"{"name": "x", "n": 2, "links": [{"from": 0.5, "to": 1, "p": 0.5}]}"#,
             // Missing link field.
             r#"{"name": "x", "n": 2, "links": [{"from": 0, "to": 1}]}"#,
-            // Dense form: out of range, negative, diagonal, ragged.
-            r#"{"name": "x", "delivery": [[0, 2.0], [0, 0]]}"#,
-            r#"{"name": "x", "delivery": [[0, -0.5], [0, 0]]}"#,
-            r#"{"name": "x", "delivery": [[0.5, 0], [0, 0]]}"#,
-            r#"{"name": "x", "delivery": [[0, 1.0], [0]]}"#,
+            // "links" missing or not an array.
+            r#"{"name": "x", "n": 2}"#,
+            r#"{"name": "x", "n": 2, "links": {}}"#,
             // Positions: length mismatch, fractional or huge floor,
             // infinite coordinate.
             r#"{"name": "x", "n": 2, "links": [], "positions": [{"x": 0, "y": 0, "floor": 0}]}"#,

@@ -8,8 +8,8 @@
 //!
 //! over one declared topology and traffic shape. Each coordinate is one
 //! deterministic simulator run producing one [`RunRecord`]; the grid is
-//! executed on a worker pool ([`crate::exec::par_map`]) because runs are
-//! independent by construction.
+//! executed on a worker pool ([`crate::exec::par_map_streaming`]) because
+//! runs are independent by construction.
 
 #![expect(
     clippy::indexing_slicing,

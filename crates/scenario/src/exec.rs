@@ -13,13 +13,11 @@
 //! thread** drains the channel in completion order. That is what lets the
 //! scenario engine stream records into a [`crate::sink::RunSink`] while
 //! the grid is still running instead of materializing the whole result
-//! set first — [`par_map`] keeps its collect-into-input-order contract on
-//! top of the same machinery.
+//! set first.
 
 #![expect(
     clippy::indexing_slicing,
-    clippy::expect_used,
-    reason = "worker indices come from a fetch_add bounded by the n-check directly above; the slot vector is sized n and par_map_streaming visits every index exactly once"
+    reason = "worker indices come from a fetch_add bounded by the n-check directly above"
 )]
 
 use std::ops::ControlFlow;
@@ -91,29 +89,6 @@ where
     });
 }
 
-/// Maps `f` over `items` on `threads` workers, preserving input order.
-///
-/// Panics in `f` propagate (the scope re-raises worker panics). Built on
-/// [`par_map_streaming`]; the slot vector is written only by the caller's
-/// draining thread, so no lock is involved.
-pub fn par_map<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<R>
-where
-    T: Send + Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let n = items.len();
-    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    par_map_streaming(items, threads, f, |i, r| {
-        slots[i] = Some(r);
-        ControlFlow::Continue(())
-    });
-    slots
-        .into_iter()
-        .map(|r| r.expect("every index visited"))
-        .collect()
-}
-
 /// Default worker count: the machine's parallelism.
 pub fn default_threads() -> usize {
     std::thread::available_parallelism()
@@ -125,18 +100,22 @@ pub fn default_threads() -> usize {
 mod test {
     use super::*;
 
-    #[test]
-    fn preserves_order_and_visits_all() {
-        let out = par_map((0..500).collect(), 8, |&x: &i32| x * 3);
-        assert_eq!(out, (0..500).map(|x| x * 3).collect::<Vec<_>>());
+    /// The drained results, put back in input order.
+    fn collected(items: Vec<i32>, threads: usize, f: impl Fn(&i32) -> i32 + Sync) -> Vec<i32> {
+        let mut out = vec![None; items.len()];
+        par_map_streaming(items, threads, f, |i, r| {
+            out[i] = Some(r);
+            ControlFlow::Continue(())
+        });
+        out.into_iter()
+            .map(|r| r.expect("every index drained"))
+            .collect()
     }
 
     #[test]
     fn single_thread_and_empty() {
-        let out = par_map(vec![1, 2, 3], 1, |&x: &i32| x + 1);
-        assert_eq!(out, vec![2, 3, 4]);
-        let empty: Vec<i32> = par_map(Vec::<i32>::new(), 4, |&x| x);
-        assert!(empty.is_empty());
+        assert_eq!(collected(vec![1, 2, 3], 1, |&x| x + 1), vec![2, 3, 4]);
+        assert!(collected(Vec::new(), 4, |&x| x).is_empty());
     }
 
     #[test]
@@ -178,7 +157,7 @@ mod test {
     #[test]
     #[should_panic(expected = "scoped thread panicked")]
     fn worker_panics_propagate() {
-        let _ = par_map((0..500).collect(), 8, |&x: &i32| {
+        collected((0..500).collect(), 8, |&x| {
             if x == 137 {
                 panic!("worker 137 exploded");
             }

@@ -47,10 +47,9 @@
 //!   [`ScenarioBuilder::checkpoint`] a sweep becomes resumable: a
 //!   manifest of completed grid cells lets an interrupted run skip
 //!   finished work and append — byte-identical to an uninterrupted run.
-//! * [`exec::par_map`] / [`exec::par_map_streaming`] — the sharded
-//!   scoped-thread executor underneath every sweep: workers forward
-//!   completions through a channel drained by the caller, no global
-//!   lock on a slot vector.
+//! * [`exec::par_map_streaming`] — the sharded scoped-thread executor
+//!   underneath every sweep: workers forward completions through a
+//!   channel drained by the caller, no global lock on a slot vector.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

@@ -1,6 +1,5 @@
-//! Topology JSON: one form written, two read. A topology is its link list
-//! (CSR rows); `to_json` writes that list, and `from_json` also reads the
-//! dense `delivery` matrix older files carry.
+//! Topology JSON: one form, written and read. A topology is its link list
+//! (CSR rows); `to_json` writes that list and `from_json` reads it back.
 //!
 //! Three layers of guarantee:
 //!
@@ -9,11 +8,12 @@
 //!   row, or float-formatting drift fails here before it can silently
 //!   shift the run-level goldens.
 //! * **Round trips** — parse → re-serialize is the identity, bit for bit,
-//!   on every generator and on arbitrary link sets, and a dense document
-//!   parses to exactly the links of its sparse twin.
-//! * **Hostile input** — proptest mutates valid documents of both forms
-//!   (numeric extremes, fractional or huge `n`, floors, coordinates,
-//!   probabilities, truncation); each is read or rejected, never a panic.
+//!   on every generator and on arbitrary link sets.
+//! * **Hostile input** — proptest mutates valid documents (numeric
+//!   extremes, fractional or huge `n`, floors, coordinates,
+//!   probabilities, truncation); each is read or rejected, never a
+//!   panic. A document in the dense `delivery`-matrix form older files
+//!   carried is rejected the same way.
 //!
 //! Regenerate goldens (after an *intentional* change) with
 //! `UPDATE_GOLDEN=1 cargo test --test sparse_equivalence`.
@@ -46,30 +46,6 @@ fn generator_zoo() -> Vec<(&'static str, Topology)> {
     ]
 }
 
-/// `topo`'s JSON rewritten in the dense form: the `"n"` and `"links"`
-/// keys replaced by a `"delivery"` matrix, name and positions kept.
-fn dense_json(topo: &Topology) -> String {
-    let sparse = topo.to_json();
-    let head = sparse.find("  \"n\": ").expect("sparse \"n\"");
-    let tail = sparse.find("  \"positions\": ").expect("\"positions\"");
-    let rows: Vec<String> = topo
-        .nodes()
-        .map(|i| {
-            let cells: Vec<String> = topo
-                .nodes()
-                .map(|j| topo.delivery(i, j).to_string())
-                .collect();
-            format!("[{}]", cells.join(", "))
-        })
-        .collect();
-    format!(
-        "{}  \"delivery\": [{}],\n{}",
-        &sparse[..head],
-        rows.join(", "),
-        &sparse[tail..]
-    )
-}
-
 #[test]
 fn delivery_accessors_agree_with_the_link_list() {
     for (_, topo) in generator_zoo() {
@@ -99,17 +75,12 @@ fn delivery_accessors_agree_with_the_link_list() {
 }
 
 #[test]
-fn both_json_forms_round_trip_byte_identically() {
+fn sparse_json_round_trips_byte_identically() {
     for (_, topo) in generator_zoo() {
         let sparse = topo.to_json();
-        let from_sparse = Topology::from_json(&sparse)
-            .unwrap_or_else(|e| panic!("{}: sparse parse: {e:?}", topo.name));
-        let from_dense = Topology::from_json(&dense_json(&topo))
-            .unwrap_or_else(|e| panic!("{}: dense parse: {e:?}", topo.name));
-        // Either form re-serializes to the same bytes: the two encodings
-        // carry identical information.
-        assert_eq!(from_sparse.to_json(), sparse, "{}: sparse", topo.name);
-        assert_eq!(from_dense.to_json(), sparse, "{}: dense", topo.name);
+        let back =
+            Topology::from_json(&sparse).unwrap_or_else(|e| panic!("{}: parse: {e:?}", topo.name));
+        assert_eq!(back.to_json(), sparse, "{}", topo.name);
     }
 }
 
@@ -159,18 +130,13 @@ const DENSE_DIAMOND4: &str = r#"{
   "positions": null
 }"#;
 
-/// The reader still takes the dense form: the diamond's old golden
-/// document parses to exactly the links its sparse golden holds.
+/// The dense form is no longer read: the diamond's old golden document
+/// is a typed error naming the key it lacks, not a panic.
 #[test]
-fn diamond_dense_json_matches_golden_bytes() {
-    let dense = Topology::from_json(DENSE_DIAMOND4).expect("dense parse");
-    let golden = include_str!("golden/topology_diamond4.json");
-    assert_eq!(dense.to_json(), golden);
-    let sparse = Topology::from_json(golden).expect("sparse parse");
-    assert_eq!(
-        dense.links().collect::<Vec<_>>(),
-        sparse.links().collect::<Vec<_>>()
-    );
+fn dense_json_is_a_typed_error() {
+    let read = std::panic::catch_unwind(|| Topology::from_json(DENSE_DIAMOND4));
+    let err = read.expect("no panic").expect_err("dense form rejected");
+    assert!(err.message.contains("\"n\""), "{err}");
 }
 
 /// The testbed as generated, and as `probe_routing` hands it to the
@@ -259,14 +225,11 @@ const EXTREMES: &[&str] = &[
     "18446744073709551616",
 ];
 
-/// Valid documents of both forms, with and without positions.
+/// Valid documents, with and without positions.
 fn seed_documents() -> Vec<String> {
-    let grid = generate::grid(3, 2, 0.8, 0.5, 30.0);
     vec![
-        grid.to_json(),
-        dense_json(&grid),
+        generate::grid(3, 2, 0.8, 0.5, 30.0).to_json(),
         generate::motivating().to_json(),
-        DENSE_DIAMOND4.to_string(),
     ]
 }
 
@@ -293,8 +256,8 @@ proptest! {
         }
     }
 
-    /// Both JSON encodings survive a parse → re-serialize cycle on
-    /// arbitrary link sets (float formatting included).
+    /// The JSON form survives a parse → re-serialize cycle on arbitrary
+    /// link sets (float formatting included).
     #[test]
     fn json_forms_round_trip_on_arbitrary_matrices(
         n in 1usize..8,
@@ -302,10 +265,8 @@ proptest! {
     ) {
         let topo = Topology::from_links("prop", n, links_from_words(n, &words));
         let sparse = topo.to_json();
-        let from_sparse = Topology::from_json(&sparse).expect("sparse parse");
-        let from_dense = Topology::from_json(&dense_json(&topo)).expect("dense parse");
-        prop_assert_eq!(from_sparse.to_json(), sparse.clone());
-        prop_assert_eq!(from_dense.to_json(), sparse);
+        let back = Topology::from_json(&sparse).expect("parse");
+        prop_assert_eq!(back.to_json(), sparse);
     }
 }
 
@@ -317,7 +278,7 @@ proptest! {
     /// back the same. One case in four is also truncated.
     #[test]
     fn mutated_documents_are_read_or_rejected_never_a_panic(
-        doc in 0usize..4,
+        doc in 0usize..2,
         edits in collection::vec((any::<usize>(), 0..EXTREMES.len()), 1..4),
         cut in any::<usize>(),
     ) {

@@ -7,14 +7,16 @@
 
 use more_repro::scenario::sink::{Aggregate, Collect, CsvAppend, JsonLines, RunSink, Tee};
 use more_repro::scenario::{
-    exec, record, BuildError, FlowEvent, FlowSpec, Scenario, ScenarioBuilder, TrafficModel,
-    TrafficModelSpec, TrafficSpec,
+    exec, record, BuildError, ExpConfig, FlowEvent, FlowSpec, ProtocolFactory, ProtocolRegistry,
+    RunRecord, Scenario, ScenarioBuilder, TrafficModel, TrafficModelSpec, TrafficSpec,
 };
-use more_repro::sim::{Time, SEC};
+use more_repro::sim::{ErasedFlowAgent, Time, SEC};
 use more_repro::topology::{NodeId, Topology};
 use std::io;
+use std::ops::ControlFlow;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
 /// A fresh scratch directory under the target-adjacent temp dir.
 fn scratch(name: &str) -> PathBuf {
@@ -93,18 +95,106 @@ fn file_sinks_are_byte_identical_to_the_legacy_serializers() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// How many grid cells a [`CellCounting`] sink has taken, and a condvar
+/// to wait on it.
+#[derive(Default)]
+struct Taken {
+    cells: Mutex<usize>,
+    grown: Condvar,
+}
+
+/// A sink that forwards to `inner` and counts the grid cells it has
+/// taken: the engine flushes once after each cell's records.
+struct CellCounting<'a, S> {
+    inner: &'a mut S,
+    taken: Arc<Taken>,
+}
+
+impl<S: RunSink> RunSink for CellCounting<'_, S> {
+    fn record(&mut self, r: &RunRecord) -> io::Result<()> {
+        self.inner.record(r)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.inner.flush()?;
+        *self.taken.cells.lock().unwrap() += 1;
+        self.taken.grown.notify_all();
+        Ok(())
+    }
+
+    fn held(&self) -> usize {
+        self.inner.held()
+    }
+}
+
+/// A built-in protocol under its own name whose `build` for grid cell
+/// `first_cell + seed − 1` waits until the sink has taken every earlier
+/// cell. Cells then reach the drain in grid order whatever the workers'
+/// scheduling, so the reorder buffer holds one cell at most. The wait
+/// gives up after a minute, so a pipeline that never hands a cell on
+/// fails the test's bound instead of hanging it.
+struct InGridOrder {
+    inner: Arc<dyn ProtocolFactory>,
+    first_cell: usize,
+    taken: Arc<Taken>,
+}
+
+impl ProtocolFactory for InGridOrder {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn supports_multicast(&self) -> bool {
+        self.inner.supports_multicast()
+    }
+
+    fn build(
+        &self,
+        topo: &Topology,
+        flows: &[FlowSpec],
+        cfg: &ExpConfig,
+    ) -> Result<Box<dyn ErasedFlowAgent>, BuildError> {
+        let cell = self.first_cell + cfg.seed as usize - 1;
+        let cells = self.taken.cells.lock().unwrap();
+        let minute = Duration::from_secs(60);
+        let wait = self
+            .taken
+            .grown
+            .wait_timeout_while(cells, minute, |taken| *taken < cell);
+        drop(wait.unwrap());
+        self.inner.build(topo, flows, cfg)
+    }
+}
+
 #[test]
 fn aggregate_summarizes_without_holding_records() {
     let records = golden("aggregate").run();
     let mut agg = Aggregate::new();
+    // The grid is protocol-major over seeds 1 and 2: MORE's cells are 0
+    // and 1, Srcr's 2 and 3.
+    let taken = Arc::new(Taken::default());
+    let defaults = ProtocolRegistry::with_defaults();
+    let in_order = |name: &str, first_cell: usize| InGridOrder {
+        inner: defaults.resolve(name).unwrap(),
+        first_cell,
+        taken: Arc::clone(&taken),
+    };
+    let mut sink = CellCounting {
+        inner: &mut agg,
+        taken: Arc::clone(&taken),
+    };
     let summary = golden("aggregate")
+        .register(in_order("MORE", 0))
+        .register(in_order("Srcr", 2))
         .threads(2)
-        .try_run_with_sink(&mut agg)
+        .try_run_with_sink(&mut sink)
         .expect("aggregate run");
     assert_eq!(agg.held(), 0, "Aggregate must never hold raw records");
+    let one_cell = summary.records / summary.cells_run;
     assert!(
-        summary.records_high_water < summary.records,
-        "streaming high-water {} must undercut the {}-record grid",
+        summary.records_high_water <= one_cell,
+        "streaming high-water {} must stay within one cell ({one_cell} records) \
+         of the {}-record grid",
         summary.records_high_water,
         summary.records
     );
@@ -279,13 +369,21 @@ fn killed_sweep_resumes_byte_identical_to_an_uninterrupted_run() {
     let _ = std::fs::remove_dir_all(&dir_b);
 }
 
+/// Every result of a streamed map, filed under its input index.
+fn par_map_indexed(threads: usize, f: impl Fn(&u64) -> u64 + Sync) -> Vec<Option<u64>> {
+    let mut out = vec![None; 10_000];
+    exec::par_map_streaming((0..10_000).collect(), threads, f, |i, r| {
+        assert!(out[i].replace(r).is_none(), "index {i} drained twice");
+        ControlFlow::Continue(())
+    });
+    out
+}
+
 #[test]
 fn par_map_at_10k_items_preserves_order_across_thread_counts() {
     for threads in [1, 3, 8, 32] {
-        let out = exec::par_map((0..10_000).collect(), threads, |&x: &u64| x * x);
-        assert_eq!(out.len(), 10_000);
-        for (i, v) in out.iter().enumerate() {
-            assert_eq!(*v, (i * i) as u64, "threads={threads} index={i}");
+        for (i, v) in par_map_indexed(threads, |&x| x * x).iter().enumerate() {
+            assert_eq!(*v, Some((i * i) as u64), "threads={threads} index={i}");
         }
     }
 }
@@ -293,7 +391,7 @@ fn par_map_at_10k_items_preserves_order_across_thread_counts() {
 #[test]
 #[should_panic(expected = "scoped thread panicked")]
 fn par_map_at_10k_items_propagates_worker_panics() {
-    let _ = exec::par_map((0..10_000).collect(), 8, |&x: &u64| {
+    par_map_indexed(8, |&x| {
         assert!(x != 9_137, "poisoned item");
         x
     });
