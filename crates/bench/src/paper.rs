@@ -174,7 +174,7 @@ const FIG4_1: Experiment = Experiment {
             quantile(&best_path_losses(&d.topos[0]), 1.0)
         }),
         claim("longest best path, hops", "5", 0, |d| {
-            max_hops(&d.topos[0]) as f64
+            d.topos[0].max_hops() as f64
         }),
     ],
 };
@@ -695,13 +695,6 @@ fn best_path_losses(topo: &Topology) -> Vec<f64> {
     losses
 }
 
-fn max_hops(topo: &Topology) -> usize {
-    let hops = topo
-        .nodes()
-        .flat_map(|a| topo.hops_from(a).into_iter().flatten());
-    hops.max().unwrap_or(0)
-}
-
 fn fig4_1_series(d: &Data) {
     let topo = &d.topos[0];
     print!("{}", topo.ascii_map(56, 14));
@@ -713,7 +706,7 @@ fn fig4_1_series(d: &Data) {
     println!("\nnodes: {}   directed links: {}", topo.n(), all.len());
     println!("all links  loss: {}", min_mean_max(&all));
     println!("best-path  loss: {}", min_mean_max(&best_path_losses(topo)));
-    println!("paths: 1–{} hops", max_hops(topo));
+    println!("paths: 1–{} hops", topo.max_hops());
 
     let path = "results/fig4_1_testbed.json";
     let written =

@@ -343,11 +343,7 @@ pub fn testbed_sized(n: usize, seed: u64) -> Topology {
         if loss < targets.mean_loss_lo || loss > targets.mean_loss_hi {
             continue;
         }
-        let max_hops = topo
-            .nodes()
-            .flat_map(|a| topo.hops_from(a).into_iter().flatten())
-            .max()
-            .unwrap_or(0);
+        let max_hops = topo.max_hops();
         if max_hops < targets.max_hops_lo || max_hops > targets.max_hops_hi {
             continue;
         }
@@ -503,18 +499,12 @@ mod test {
             let topo = build("diag".into(), 20, links).with_positions(positions);
             let connected = topo.is_connected();
             let loss = topo.mean_link_loss();
-            let max_hops = max_hops(&topo);
+            let max_hops = topo.max_hops();
             println!(
                 "seed {seed}: connected={connected} links={} mean_loss={loss:.3} max_hops={max_hops}",
                 topo.links().count()
             );
         }
-    }
-
-    /// The longest shortest path, in hops, between any reachable pair.
-    fn max_hops(t: &Topology) -> usize {
-        let hops = t.nodes().flat_map(|a| t.hops_from(a).into_iter().flatten());
-        hops.max().unwrap_or(0)
     }
 
     fn links(t: &Topology) -> Vec<Link> {
@@ -588,7 +578,7 @@ mod test {
         assert!(lo < 0.15, "even the best link is lossy: {lo}");
         assert!(hi > 0.5, "no challenged links at all: {hi}");
         // Paths reach 4+ hops somewhere.
-        let max_hops = max_hops(&t);
+        let max_hops = t.max_hops();
         assert!((4..=7).contains(&max_hops), "max hops {max_hops}");
     }
 

@@ -363,6 +363,38 @@ impl Topology {
         dist
     }
 
+    /// The longest shortest path, in hops, over every ordered pair with a
+    /// `p > 0` path between them (0 without links): one BFS per source,
+    /// all of them over one visited buffer and one queue.
+    pub fn max_hops(&self) -> usize {
+        let mut seen = vec![false; self.n];
+        let mut queue: Vec<(NodeId, usize)> = Vec::with_capacity(self.n);
+        let mut longest = 0;
+        for src in self.nodes() {
+            seen.fill(false);
+            queue.clear();
+            // True the first time `v` is visited from `src`.
+            let mut visit = |v: NodeId| {
+                seen.get_mut(v.0)
+                    .is_some_and(|s| !std::mem::replace(s, true))
+            };
+            visit(src);
+            queue.push((src, 0));
+            let mut head = 0;
+            while let Some(&(u, hops)) = queue.get(head) {
+                head += 1;
+                for v in self.neighbors(u) {
+                    if visit(v) {
+                        queue.push((v, hops + 1));
+                    }
+                }
+            }
+            // BFS visits in nondecreasing distance: the last is the farthest.
+            longest = queue.last().map_or(longest, |&(_, hops)| longest.max(hops));
+        }
+        longest
+    }
+
     /// True when every node can reach every other node over `p > 0` links.
     ///
     /// Strong connectivity via two BFS passes — everyone reachable *from*
@@ -701,6 +733,31 @@ mod test {
         assert_eq!(t.hops_from(NodeId(0)), vec![Some(0), Some(1), Some(1)]);
         assert_eq!(t.hops_from(NodeId(2)), vec![None, None, Some(0)]);
         assert!(!t.is_connected());
+    }
+
+    #[test]
+    fn max_hops_is_the_longest_hops_from() {
+        // Against one `hops_from` vector per source, on directed,
+        // partitioned, empty and generated meshes.
+        let reference = |t: &Topology| {
+            let hops = t.nodes().flat_map(|a| t.hops_from(a).into_iter().flatten());
+            hops.max().unwrap_or(0)
+        };
+        let chain = topo("chain", 4, &[(0, 1, 0.9), (1, 2, 0.9), (2, 3, 0.9)]);
+        let split = topo("split", 4, &[(0, 1, 0.9), (1, 0, 0.9), (2, 3, 0.9)]);
+        assert_eq!((tri().max_hops(), chain.max_hops()), (1, 3));
+        for t in [
+            tri(),
+            chain,
+            split,
+            topo("lonely", 1, &[]),
+            topo("none", 0, &[]),
+            generate::line(6, 0.9, 0.3, 25.0),
+            generate::testbed(1),
+            generate::random_mesh(30, 60.0, 40.0, 2),
+        ] {
+            assert_eq!(t.max_hops(), reference(&t), "{}", t.name);
+        }
     }
 
     #[test]

@@ -13,28 +13,24 @@
 
 #![expect(
     clippy::indexing_slicing,
-    clippy::expect_used,
     clippy::panic,
     reason = "run()/run_with_sink() panic on configuration errors as their documented contract (the try_* forms are the fallible API); sweep-grid indices are bounded by the arity computed in the same function"
 )]
 
+use crate::cell::Cells;
 use crate::exec;
 use crate::manifest::{cell_key, Manifest};
-use crate::pairs::symmetric_components;
-use crate::protocols::reject_multicast;
-use crate::record::{time_to_s, FlowRecord, RunRecord};
+use crate::record::RunRecord;
 use crate::registry::{BuildError, ProtocolRegistry};
 use crate::sink::{Collect, RunSink};
-use crate::spec::{ExpConfig, FlowSpec, Point, Sweep, TopologySpec, TrafficSpec};
-use crate::traffic::{flow_windows, validate_schedule, FlowWindow, TrafficModelSpec};
-use mesh_sim::{
-    AimdConfig, Bitrate, ChannelSpec, ErasedFlowAgent, FlowAgent, QueueSpec, SimConfig, Simulator,
-    TrafficAction, SEC, TICK,
-};
+use crate::spec::{ExpConfig, Point, Sweep, TopologySpec, TrafficSpec};
+use crate::traffic::TrafficModelSpec;
+use mesh_sim::{AimdConfig, Bitrate, ChannelSpec, QueueSpec, SEC};
 use mesh_topology::estimator::LinkEstimator;
-use mesh_topology::{NodeId, Topology};
+use mesh_topology::NodeId;
 use std::collections::BTreeMap;
 use std::ops::ControlFlow;
+use std::sync::Mutex;
 
 /// What a streamed run did — returned by
 /// [`ScenarioBuilder::try_run_with_sink`].
@@ -560,6 +556,15 @@ impl ScenarioBuilder {
             .iter()
             .map(|name| self.registry.resolve(name))
             .collect::<Result<Vec<_>, _>>()?;
+        // No topology variant depends on the run seed, so the whole grid
+        // borrows one instance.
+        let topo = self.topology.instantiate(0);
+        if topo.n() == 0 {
+            return Err(BuildError::Unsupported(format!(
+                "topology {} has no nodes; nothing can be scheduled or routed",
+                topo.name
+            )));
+        }
 
         // Work grid: protocol × sweep point × seed (flow sets expand inside
         // the worker because RandomConcurrent traffic depends on the seed).
@@ -649,14 +654,15 @@ impl ScenarioBuilder {
         let todo: Vec<(usize, usize, u64)> = grid[skipped..].to_vec();
 
         let threads = self.threads.unwrap_or_else(exec::default_threads);
-        let this = &self;
-        let factories = &factories;
-        let protocols_ref = &protocols;
-        let points = &points;
-        // Probed routing beliefs depend only on (sweep point, seed), never
-        // on the protocol — share one probe window across the whole grid.
-        let probe_cache = std::sync::Mutex::new(BTreeMap::new());
-        let probe_cache = &probe_cache;
+        let cells = Cells {
+            scenario: &self.name,
+            topo: &topo,
+            base: self.base,
+            congestion: self.congestion,
+            probe: self.probe.as_ref(),
+            probe_cache: Mutex::new(BTreeMap::new()),
+        };
+        let (cells, factories, protocols, points) = (&cells, &factories, &protocols, &points);
 
         // Drain state: workers report cells in completion order; the
         // reorder buffer holds out-of-order cells until their turn, so
@@ -673,14 +679,8 @@ impl ScenarioBuilder {
             todo,
             threads,
             |&(pi, point, seed)| {
-                this.run_cell(
-                    &protocols_ref[pi],
-                    factories[pi].as_ref(),
-                    point,
-                    &points[point],
-                    seed,
-                    probe_cache,
-                )
+                let factory = factories[pi].as_ref();
+                cells.run_cell(&protocols[pi], factory, point, &points[point], seed)
             },
             |j, result| {
                 let records = match result {
@@ -731,351 +731,17 @@ impl ScenarioBuilder {
             records_high_water: high_water,
         })
     }
-
-    /// Runs every flow set of one (protocol, sweep point, seed) cell;
-    /// `point` is the grid's point number `point_index`.
-    fn run_cell(
-        &self,
-        proto_name: &str,
-        factory: &dyn crate::registry::ProtocolFactory,
-        point_index: usize,
-        point: &Point,
-        seed: u64,
-        probe_cache: &std::sync::Mutex<BTreeMap<(usize, u64), Topology>>,
-    ) -> Result<Vec<RunRecord>, BuildError> {
-        let cfg = ExpConfig {
-            seed,
-            k: point.k,
-            ..self.base
-        };
-        let topo = self.topology.instantiate(seed);
-        if topo.n() == 0 {
-            return Err(BuildError::Unsupported(format!(
-                "topology {} has no nodes; nothing can be scheduled or routed",
-                topo.name
-            )));
-        }
-
-        // Routing beliefs: the truth matrix, or a probe-window estimate
-        // of the live channel when `probe_routing` is set (deterministic
-        // per (sweep point, seed), so protocols share one cached window;
-        // a losing racer recomputes the identical topology).
-        let believed = self.probe.as_ref().map(|(est, interval)| {
-            let key = (point_index, seed);
-            if let Some(t) = probe_cache.lock().expect("probe cache").get(&key) {
-                return t.clone();
-            }
-            let t = mesh_sim::channel::probe_topology(est, &topo, &point.channel, seed, *interval);
-            probe_cache
-                .lock()
-                .expect("probe cache")
-                .entry(key)
-                .or_insert(t)
-                .clone()
-        });
-        let routing_topo = believed.as_ref().unwrap_or(&topo);
-
-        let horizon = cfg.deadline_s * SEC;
-        // Endpoint feasibility depends on the instantiated topology, so it
-        // is checked here — like the channel spec — and surfaces as an
-        // error from the grid instead of a worker panic.
-        point
-            .traffic
-            .validate_for(&topo)
-            .map_err(BuildError::Unsupported)?;
-        let model = point.traffic.build();
-        let schedules = model.schedules(&topo, seed, cfg.packets, horizon);
-        let mut records = Vec::with_capacity(schedules.len());
-        for (ti, schedule) in schedules.into_iter().enumerate() {
-            // A misbehaving Custom model (Stop for an unknown flow, Stop
-            // before its Start, events past the horizon) must surface as
-            // a BuildError from the grid, not a panic inside a worker
-            // thread; the built-ins satisfy this by construction.
-            validate_schedule(&schedule, horizon).map_err(|e| {
-                BuildError::InvalidSchedule(format!("traffic model {:?}: {e}", point.traffic))
-            })?;
-            let windows = flow_windows(&schedule);
-            // Degenerate endpoints — out-of-range nodes, self-flows,
-            // unreachable (src, dst) pairs on single-node or partitioned
-            // meshes — must surface as grid errors, not ETX/EOTX panics
-            // inside the factory.
-            validate_endpoints(routing_topo, &windows)?;
-            if !factory.supports_multicast() {
-                reject_multicast(proto_name, windows.iter().map(|w| &w.spec))?;
-            }
-            // Flows arriving at t = 0 are installed by the factory before
-            // the run, the rest by scheduled traffic actions mid-run —
-            // both through `FlowAgent::add_flow`.
-            let initial: Vec<FlowSpec> = windows
-                .iter()
-                .filter(|w| w.start == 0)
-                .map(|w| w.spec.clone())
-                .collect();
-            let agent = factory.build(routing_topo, &initial, &cfg)?;
-            let dynamic = windows.iter().any(|w| w.start > 0 || w.stop.is_some());
-            if dynamic && !agent.supports_dynamic_flows() {
-                return Err(BuildError::Unsupported(format!(
-                    "protocol {proto_name} does not implement the dynamic flow \
-                     lifecycle (FlowAgent::add_flow/end_flow) required by \
-                     traffic model {:?}",
-                    point.traffic
-                )));
-            }
-            let record = self.run_one(proto_name, &topo, &windows, dynamic, &cfg, point, agent, ti);
-            records.push(record);
-        }
-        Ok(records)
-    }
-
-    /// Runs one flow schedule to completion (or deadline) and measures it.
-    ///
-    /// Flows starting at t = 0 are pre-installed in `agent` and kicked, the
-    /// rest arrive as scheduled traffic actions; per-flow
-    /// arrival/departure/latency is recorded for dynamic schedules (`None`
-    /// for static ones). The point's channel and queue apply; a bounded
-    /// queue installs the queueing layer, and the builder's `congestion`
-    /// then paces every flow's source (the flow at window `i` has
-    /// [`mesh_sim::flow_id`]`(i)` — the factory contract — and
-    /// dynamically arriving flows are auto-paced via the traffic hook).
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "one call site, which passes every run setting it resolved"
-    )]
-    #[expect(
-        clippy::borrowed_box,
-        reason = "run's stop callback receives &A = &Box<dyn _>"
-    )]
-    fn run_one(
-        &self,
-        protocol: &str,
-        topo: &Topology,
-        windows: &[FlowWindow],
-        dynamic: bool,
-        cfg: &ExpConfig,
-        point: &Point,
-        agent: Box<dyn ErasedFlowAgent>,
-        traffic_index: usize,
-    ) -> RunRecord {
-        let deadline = cfg.deadline_s * SEC;
-        let sim_cfg = SimConfig {
-            bitrate: cfg.bitrate,
-            ..SimConfig::default()
-        };
-        let (chan, queue) = (&point.channel, &point.queue);
-        let mut sim = Simulator::with_queue(topo.clone(), sim_cfg, chan, queue, agent, cfg.seed);
-        if let Some(cc) = self.congestion.filter(|_| !queue.is_unbounded()) {
-            for (i, w) in windows.iter().enumerate() {
-                if w.start == 0 {
-                    sim.pace_flow(mesh_sim::flow_id(i), w.spec.src, cc);
-                }
-            }
-            // Flows the traffic model injects mid-run are paced as they
-            // arrive.
-            sim.pace_all_flows(cc);
-        }
-        for (i, w) in windows.iter().enumerate() {
-            if w.start == 0 {
-                sim.kick(w.spec.src);
-            } else {
-                sim.schedule_traffic(w.start, TrafficAction::Start(w.spec.clone()));
-            }
-            if let Some(stop) = w.stop {
-                sim.schedule_traffic(stop, TrafficAction::Stop(i));
-            }
-        }
-        sim.run_until(deadline, |a: &Box<dyn ErasedFlowAgent>| a.flows_done());
-
-        let concurrency = {
-            let total = sim.stats.total_airtime();
-            if total == 0 {
-                0.0
-            } else {
-                sim.stats.concurrent_airtime as f64 / total as f64
-            }
-        };
-        let flow_records = windows
-            .iter()
-            .enumerate()
-            .map(|(i, w)| {
-                let p = sim.agent.flow_progress(i);
-                let start = w.start;
-                let (throughput_pps, completed) = match p.completed_at {
-                    Some(t) if t > start => (p.delivered as f64 / time_to_s(t - start), true),
-                    _ => {
-                        // Ran until departure or deadline without finishing.
-                        // A zero-width active window — a Poisson arrival at
-                        // the horizon edge, or a departure at the arrival
-                        // instant — must report 0.0 (the flow was never
-                        // active): a 0-width division would emit a
-                        // non-finite value that poisons NaN-intolerant
-                        // downstream stats. The TICK clamp is redundant
-                        // while `Time` is integer µs (end > start implies
-                        // ≥ 1 tick) — it pins the invariant against a
-                        // finer-grained Time ever landing.
-                        let end = w.stop.unwrap_or(deadline).min(deadline);
-                        let tput = if end <= start {
-                            0.0
-                        } else {
-                            p.delivered as f64 / time_to_s((end - start).max(TICK))
-                        };
-                        (tput, false)
-                    }
-                };
-                FlowRecord {
-                    src: w.spec.src,
-                    dsts: w.spec.dsts.clone(),
-                    delivered: p.delivered,
-                    throughput_pps,
-                    queue_drops: sim
-                        .stats
-                        .queue_drops_by_flow
-                        .get(&mesh_sim::flow_id(i))
-                        .copied()
-                        .unwrap_or(0),
-                    completed,
-                    completed_at_s: p.completed_at.map(time_to_s),
-                    started_at_s: dynamic.then(|| time_to_s(start)),
-                    // A departure only counts if the flow had not already
-                    // completed its budget when it fired.
-                    stopped_at_s: w
-                        .stop
-                        .filter(|&s| p.completed_at.is_none_or(|t| t > s))
-                        .map(time_to_s),
-                    latency_s: if dynamic {
-                        p.completed_at
-                            .filter(|&t| t > start)
-                            .map(|t| time_to_s(t - start))
-                    } else {
-                        None
-                    },
-                }
-            })
-            .collect::<Vec<FlowRecord>>();
-        let throughputs: Vec<f64> = flow_records.iter().map(|f| f.throughput_pps).collect();
-        RunRecord {
-            scenario: self.name.clone(),
-            protocol: protocol.to_string(),
-            topology: topo.name.clone(),
-            channel: chan.label(),
-            queue: queue.label(),
-            param: point.param,
-            value: point.value,
-            seed: cfg.seed,
-            traffic_index,
-            flows: flow_records,
-            total_tx: sim.stats.total_tx(),
-            queue_drops: sim.stats.total_queue_drops(),
-            fairness: mesh_metrics::fairness::jain(&throughputs),
-            concurrency,
-            sim_time_s: time_to_s(sim.now()),
-        }
-    }
-}
-
-/// Rejects flows no protocol can route: empty or repeating destination
-/// lists, endpoints outside the topology, self-flows, and (src, dst)
-/// pairs with no `p > 0` path in the routing topology. ETX/EOTX table
-/// and forwarder-plan extraction assume a finite-cost path; without this
-/// check a degenerate single-node mesh, a partitioned city layout, or a
-/// probe window that lost the last link to a destination panics deep
-/// inside a worker thread instead of surfacing a [`BuildError`] from the
-/// grid.
-fn validate_endpoints(topo: &Topology, windows: &[FlowWindow]) -> Result<(), BuildError> {
-    let n = topo.n();
-    let reachable = reachable_destinations(topo, windows);
-    for (w, reached) in windows.iter().zip(&reachable) {
-        let f = &w.spec;
-        if f.src.0 >= n {
-            return Err(BuildError::Unsupported(format!(
-                "flow source {} is outside topology {} ({n} nodes)",
-                f.src, topo.name
-            )));
-        }
-        if f.dsts.is_empty() {
-            return Err(BuildError::Unsupported(format!(
-                "flow from {} has no destination",
-                f.src
-            )));
-        }
-        for (i, (&d, &reached)) in f.dsts.iter().zip(reached).enumerate() {
-            if f.dsts[..i].contains(&d) {
-                return Err(BuildError::Unsupported(format!(
-                    "flow {} -> {:?} lists destination {d} twice",
-                    f.src, f.dsts
-                )));
-            }
-            if d.0 >= n {
-                return Err(BuildError::Unsupported(format!(
-                    "flow destination {d} is outside topology {} ({n} nodes)",
-                    topo.name
-                )));
-            }
-            if d == f.src {
-                return Err(BuildError::Unsupported(format!(
-                    "flow {} -> {d} sends to its own source; routing metrics \
-                     are undefined for self-flows",
-                    f.src
-                )));
-            }
-            if !reached {
-                return Err(BuildError::Unsupported(format!(
-                    "destination {d} is unreachable from source {} in topology \
-                     {}; no p > 0 path exists for route extraction",
-                    f.src, topo.name
-                )));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Per window, per destination: does a `p > 0` path lead there from the
-/// window's source? (Endpoints outside the topology reach nothing.)
-///
-/// Answered up front so that [`validate_endpoints`] can report in window
-/// order while this holds O(n) state however many flows there are — a
-/// 10k-node Poisson run has ~375 distinct sources and a hop vector is
-/// 160 KB. Symmetric link support (every built-in generator)
-/// needs one component labelling; otherwise the windows are visited
-/// grouped by source, one BFS buffer alive at a time.
-fn reachable_destinations(topo: &Topology, windows: &[FlowWindow]) -> Vec<Vec<bool>> {
-    let mut reachable: Vec<Vec<bool>> = vec![Vec::new(); windows.len()];
-    let mut pending: Vec<(&FlowSpec, &mut Vec<bool>)> = windows
-        .iter()
-        .map(|w| &w.spec)
-        .zip(&mut reachable)
-        .collect();
-    if let Some((comp, _)) = symmetric_components(topo) {
-        for (f, out) in pending {
-            let src = comp.get(f.src.0);
-            out.extend(f.dsts.iter().map(|d| src.is_some() && comp.get(d.0) == src));
-        }
-    } else {
-        pending.sort_by_key(|(f, _)| f.src);
-        let (mut bfs_src, mut hops) = (None, Vec::new());
-        for (f, out) in pending {
-            if f.src.0 >= topo.n() {
-                continue;
-            }
-            if bfs_src != Some(f.src) {
-                hops = topo.hops_from(f.src);
-                bfs_src = Some(f.src);
-            }
-            out.extend(
-                f.dsts
-                    .iter()
-                    .map(|d| hops.get(d.0).is_some_and(Option::is_some)),
-            );
-        }
-    }
-    reachable
 }
 
 #[cfg(test)]
 mod test {
     use super::*;
+    use crate::registry::ProtocolFactory;
+    use crate::spec::FlowSpec;
     use crate::traffic::{FlowEvent, PoissonModel, TrafficModel};
     use mesh_sim::Time;
+    use mesh_topology::Topology;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
     /// An `n`-node topology from `(from, to, p)` triples.
@@ -1673,76 +1339,6 @@ mod test {
     }
 
     #[test]
-    fn endpoint_errors_come_in_window_order_whatever_the_link_symmetry() {
-        // The reachability pass visits windows grouped by source (or not
-        // at all, under symmetric support); the error reported must still
-        // be the earliest window's, and within it the earliest check's.
-        // 0 -> 1 -> 2 -> 3, no way back.
-        let one_way = topo("one-way", 4, &[(0, 1, 0.9), (1, 2, 0.9), (2, 3, 0.9)]);
-        let window = |src: usize, dsts: &[usize]| FlowWindow {
-            spec: FlowSpec {
-                src: NodeId(src),
-                dsts: dsts.iter().map(|&d| NodeId(d)).collect(),
-                packets: 4,
-            },
-            start: 0,
-            stop: None,
-        };
-        let first_error =
-            |topo: &Topology, windows: &[FlowWindow]| match validate_endpoints(topo, windows) {
-                Err(BuildError::Unsupported(msg)) => msg,
-                other => panic!("expected Unsupported, got {other:?}"),
-            };
-        // Against one BFS per window, the plain reading of the contract.
-        let reference = |topo: &Topology, windows: &[FlowWindow]| {
-            windows.iter().all(|w| {
-                w.spec.src.0 < topo.n()
-                    && w.spec.dsts.iter().all(|d| {
-                        let hops = topo.hops_from(w.spec.src);
-                        *d != w.spec.src && hops.get(d.0).is_some_and(Option::is_some)
-                    })
-            })
-        };
-        for topo in [&one_way, &split_topology()] {
-            for src in 0..4 {
-                for dst in 0..4 {
-                    let w = [window(2, &[3]), window(src, &[dst]), window(2, &[3])];
-                    assert_eq!(
-                        validate_endpoints(topo, &w).is_ok(),
-                        reference(topo, &w),
-                        "{}: {src} -> {dst}",
-                        topo.name
-                    );
-                }
-            }
-        }
-        // Sources interleaved: 3 sorts last, but its window comes first.
-        let w = [
-            window(0, &[3]),
-            window(3, &[0]),
-            window(1, &[0]),
-            window(3, &[2]),
-        ];
-        let msg = first_error(&one_way, &w);
-        assert!(
-            msg.contains("destination n0 is unreachable from source n3"),
-            "{msg}"
-        );
-        // An unreachable destination listed before an out-of-range one,
-        // behind a later window whose source does not exist.
-        let w = [window(0, &[1]), window(2, &[0, 9]), window(7, &[0])];
-        let msg = first_error(&one_way, &w);
-        assert!(
-            msg.contains("destination n0 is unreachable from source n2"),
-            "{msg}"
-        );
-        let msg = first_error(&one_way, &w[2..]);
-        assert!(msg.contains("flow source n7 is outside"), "{msg}");
-        let msg = first_error(&split_topology(), &[window(0, &[1, 9]), window(0, &[2])]);
-        assert!(msg.contains("flow destination n9 is outside"), "{msg}");
-    }
-
-    #[test]
     fn unreachable_pair_is_a_build_error_not_a_panic() {
         let err = Scenario::named("partitioned")
             .topology(TopologySpec::Fixed(std::sync::Arc::new(split_topology())))
@@ -1775,18 +1371,40 @@ mod test {
 
     #[test]
     fn empty_topology_is_a_build_error_not_a_panic() {
-        let none = topo("none", 0, &[]);
-        let err = Scenario::named("empty")
-            .topology(TopologySpec::Fixed(std::sync::Arc::new(none)))
-            .pair(NodeId(0), NodeId(1))
-            .protocol("Srcr")
-            .packets(4)
-            .try_run()
-            .expect_err("an empty mesh must be rejected up front");
-        match err {
-            BuildError::Unsupported(msg) => assert!(msg.contains("no nodes"), "{msg}"),
-            other => panic!("expected Unsupported, got {other:?}"),
+        /// Srcr, counting the agents it builds.
+        struct Counting(Arc<AtomicUsize>);
+        impl ProtocolFactory for Counting {
+            fn name(&self) -> &str {
+                "Counting"
+            }
+            fn build(
+                &self,
+                topo: &Topology,
+                flows: &[FlowSpec],
+                cfg: &ExpConfig,
+            ) -> Result<Box<dyn mesh_sim::ErasedFlowAgent>, BuildError> {
+                self.0.fetch_add(1, Ordering::Relaxed);
+                crate::SrcrFactory::fixed_rate().build(topo, flows, cfg)
+            }
         }
+        let built = Arc::new(AtomicUsize::new(0));
+        let none = topo("none", 0, &[]);
+        let mut sink = Collect::new();
+        let err = Scenario::named("empty")
+            .topology(TopologySpec::Fixed(Arc::new(none)))
+            .pair(NodeId(0), NodeId(1))
+            .register(Counting(Arc::clone(&built)))
+            .seeds(1..=3)
+            .packets(4)
+            .try_run_with_sink(&mut sink)
+            .expect_err("an empty mesh must be rejected up front");
+        assert_eq!(
+            err.to_string(),
+            "unsupported scenario: topology none has no nodes; nothing can be \
+             scheduled or routed"
+        );
+        assert_eq!(built.load(Ordering::Relaxed), 0, "no cell ran");
+        assert!(sink.into_records().is_empty(), "nothing was sunk");
     }
 
     fn multicast_error(dsts: Vec<NodeId>) -> String {

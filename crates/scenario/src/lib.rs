@@ -71,6 +71,7 @@
 )]
 
 pub mod builder;
+mod cell;
 pub mod exec;
 pub mod manifest;
 mod pairs;
@@ -82,6 +83,7 @@ pub mod spec;
 pub mod traffic;
 
 pub use builder::{RunSummary, Scenario, ScenarioBuilder};
+pub use cell::Cell;
 pub use mesh_sim::{AimdConfig, ChannelModel, ChannelSpec, QueueSpec};
 pub use protocols::{ExorFactory, MoreFactory, SrcrFactory};
 pub use record::{FlowRecord, RunRecord};

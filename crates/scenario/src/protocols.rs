@@ -1,8 +1,12 @@
 //! Built-in [`ProtocolFactory`] implementations for the paper's four
 //! protocols. Each factory is a thin, configurable constructor; variants
 //! (e.g. the EOTX-ordered MORE ablation) are new factories under new
-//! names, not new enum arms.
+//! names, not new enum arms. Each has one constructor for its concrete
+//! agent: `build` boxes it behind the erasure, and `run` hands it to
+//! [`Cell::run`] as it is.
 
+use crate::cell::Cell;
+use crate::record::RunRecord;
 use crate::registry::{BuildError, ProtocolFactory};
 use crate::spec::{ExpConfig, FlowSpec};
 use baselines::{ExorAgent, ExorConfig, SrcrAgent, SrcrConfig};
@@ -38,6 +42,15 @@ impl MoreFactory {
             name: name.into(),
         }
     }
+
+    /// The agent with `flows` installed, at the experiment's batch size.
+    fn agent(&self, topo: &Topology, flows: &[FlowSpec], cfg: &ExpConfig) -> MoreAgent {
+        let mcfg = MoreConfig {
+            k: cfg.k,
+            ..self.cfg
+        };
+        with_flows(MoreAgent::new(topo.clone(), mcfg), flows)
+    }
 }
 
 impl ProtocolFactory for MoreFactory {
@@ -51,16 +64,21 @@ impl ProtocolFactory for MoreFactory {
         flows: &[FlowSpec],
         cfg: &ExpConfig,
     ) -> Result<Box<dyn ErasedFlowAgent>, BuildError> {
-        let mcfg = MoreConfig {
-            k: cfg.k,
-            ..self.cfg
-        };
-        let mut agent = MoreAgent::new(topo.clone(), mcfg);
-        for f in flows {
-            FlowAgent::add_flow(&mut agent, f);
-        }
-        Ok(Box::new(Erased(agent)))
+        Ok(Box::new(Erased(self.agent(topo, flows, cfg))))
     }
+
+    fn run(&self, cell: Cell<'_>) -> Result<RunRecord, BuildError> {
+        let agent = self.agent(cell.topology(), cell.flows(), cell.config());
+        cell.run(agent)
+    }
+}
+
+/// `agent` with every flow of `flows` added, in order.
+fn with_flows<A: FlowAgent>(mut agent: A, flows: &[FlowSpec]) -> A {
+    for f in flows {
+        agent.add_flow(f);
+    }
+    agent
 }
 
 /// The refusal of a strictly unicast protocol, if `flows` holds a
@@ -85,6 +103,20 @@ pub(crate) fn reject_multicast<'a>(
 #[must_use]
 pub struct ExorFactory;
 
+impl ExorFactory {
+    /// The agent with `flows` installed, unless one is multicast.
+    fn agent(
+        &self,
+        topo: &Topology,
+        flows: &[FlowSpec],
+        cfg: &ExpConfig,
+    ) -> Result<ExorAgent, BuildError> {
+        reject_multicast(self.name(), flows.iter())?;
+        let agent = ExorAgent::new(topo.clone(), ExorConfig { k: cfg.k });
+        Ok(with_flows(agent, flows))
+    }
+}
+
 impl ProtocolFactory for ExorFactory {
     fn name(&self) -> &str {
         "ExOR"
@@ -100,12 +132,12 @@ impl ProtocolFactory for ExorFactory {
         flows: &[FlowSpec],
         cfg: &ExpConfig,
     ) -> Result<Box<dyn ErasedFlowAgent>, BuildError> {
-        reject_multicast(self.name(), flows.iter())?;
-        let mut agent = ExorAgent::new(topo.clone(), ExorConfig { k: cfg.k });
-        for f in flows {
-            FlowAgent::add_flow(&mut agent, f);
-        }
-        Ok(Box::new(Erased(agent)))
+        Ok(Box::new(Erased(self.agent(topo, flows, cfg)?)))
+    }
+
+    fn run(&self, cell: Cell<'_>) -> Result<RunRecord, BuildError> {
+        let agent = self.agent(cell.topology(), cell.flows(), cell.config())?;
+        cell.run(agent)
     }
 }
 
@@ -130,6 +162,18 @@ impl SrcrFactory {
             cfg: SrcrConfig { autorate: true },
         }
     }
+
+    /// The agent with `flows` installed, unless one is multicast.
+    fn agent(
+        &self,
+        topo: &Topology,
+        flows: &[FlowSpec],
+        cfg: &ExpConfig,
+    ) -> Result<SrcrAgent, BuildError> {
+        reject_multicast(self.name(), flows.iter())?;
+        let agent = SrcrAgent::new(topo.clone(), self.cfg, cfg.bitrate);
+        Ok(with_flows(agent, flows))
+    }
 }
 
 impl ProtocolFactory for SrcrFactory {
@@ -151,12 +195,12 @@ impl ProtocolFactory for SrcrFactory {
         flows: &[FlowSpec],
         cfg: &ExpConfig,
     ) -> Result<Box<dyn ErasedFlowAgent>, BuildError> {
-        reject_multicast(self.name(), flows.iter())?;
-        let mut agent = SrcrAgent::new(topo.clone(), self.cfg, cfg.bitrate);
-        for f in flows {
-            FlowAgent::add_flow(&mut agent, f);
-        }
-        Ok(Box::new(Erased(agent)))
+        Ok(Box::new(Erased(self.agent(topo, flows, cfg)?)))
+    }
+
+    fn run(&self, cell: Cell<'_>) -> Result<RunRecord, BuildError> {
+        let agent = self.agent(cell.topology(), cell.flows(), cell.config())?;
+        cell.run(agent)
     }
 }
 

@@ -6,6 +6,8 @@
 //! touching this crate — see the `custom_protocol` integration test in
 //! the umbrella crate for an end-to-end external registration.
 
+use crate::cell::Cell;
+use crate::record::RunRecord;
 use crate::spec::{ExpConfig, FlowSpec};
 use mesh_sim::ErasedFlowAgent;
 use mesh_topology::Topology;
@@ -58,6 +60,12 @@ impl std::error::Error for BuildError {}
 /// flow to the agent (ids `1..=flows.len()`, in order) and perform any
 /// protocol-specific arming (e.g. ExOR's `start`). The scenario engine
 /// kicks each flow's source after construction.
+///
+/// The scenario engine runs each flow set through [`Self::run`]. Its
+/// default runs the boxed agent `build` returns, with every frame's
+/// payload erased; a factory that overrides it hands its concrete agent
+/// to the generic [`Cell::run`] instead, and the run is a monomorphic
+/// `Simulator<Agent>`, as the built-in factories do.
 pub trait ProtocolFactory: Send + Sync {
     /// Registry key and display name ("MORE", "Srcr-autorate", …).
     fn name(&self) -> &str;
@@ -77,6 +85,14 @@ pub trait ProtocolFactory: Send + Sync {
         flows: &[FlowSpec],
         cfg: &ExpConfig,
     ) -> Result<Box<dyn ErasedFlowAgent>, BuildError>;
+
+    /// Runs one flow set of a scenario grid: builds the agent from
+    /// [`Cell::topology`], [`Cell::flows`] and [`Cell::config`] and hands
+    /// it to [`Cell::run`]. The default builds through [`Self::build`].
+    fn run(&self, cell: Cell<'_>) -> Result<RunRecord, BuildError> {
+        let agent = self.build(cell.topology(), cell.flows(), cell.config())?;
+        cell.run(agent)
+    }
 }
 
 /// An ordered, name-keyed set of protocol factories.

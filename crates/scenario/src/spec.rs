@@ -88,9 +88,11 @@ impl std::fmt::Debug for TopologySpec {
 }
 
 impl TopologySpec {
-    /// Builds the topology for a run. No variant depends on the run seed;
-    /// `_run_seed` stays in the signature because the benchmark's staged
-    /// replica of the cell runner (`ledger/benches/staged.rs`) calls it.
+    /// Builds the topology. No variant depends on the run seed, so the
+    /// scenario builder calls this once per sweep and every cell borrows
+    /// the result; `_run_seed` stays in the signature because the
+    /// benchmark's staged replica of the cell runner
+    /// (`ledger/benches/staged.rs`) calls it once per cell.
     pub fn instantiate(&self, _run_seed: u64) -> Topology {
         match self {
             TopologySpec::Testbed { seed } => generate::testbed(*seed),
@@ -408,6 +410,27 @@ mod test {
             distinct_sources: true,
         };
         let _ = spec.flow_sets(&topo, 1, 16);
+    }
+
+    #[test]
+    fn no_topology_depends_on_the_run_seed() {
+        // The builder instantiates once per sweep and every cell borrows
+        // that one instance, whatever its seed.
+        for spec in [
+            TopologySpec::Testbed { seed: 3 },
+            TopologySpec::Line {
+                hops: 4,
+                p_adj: 0.9,
+                skip_decay: 0.3,
+                spacing: 25.0,
+            },
+            TopologySpec::City { n: 200, seed: 5 },
+            TopologySpec::Fixed(Arc::new(split_topology())),
+        ] {
+            let (a, b) = (spec.instantiate(1), spec.instantiate(u64::MAX));
+            assert!(a.n() > 0, "{spec:?}");
+            assert_eq!(format!("{a:?}"), format!("{b:?}"), "{spec:?}");
+        }
     }
 
     #[test]
