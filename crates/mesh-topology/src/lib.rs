@@ -345,20 +345,44 @@ impl Topology {
         }
     }
 
+    /// Breadth-first search from `src` over out-links (`forward`) or
+    /// in-links, skipping and marking nodes in `seen`: the nodes visited,
+    /// `src` first, each with its hop count, in BFS order. `queue` is the
+    /// caller's buffer, so repeated searches allocate nothing.
+    fn bfs<'q>(
+        &self,
+        src: NodeId,
+        forward: bool,
+        seen: &mut [bool],
+        queue: &'q mut Vec<(NodeId, usize)>,
+    ) -> &'q [(NodeId, usize)] {
+        let (start, nbr) = if forward {
+            (&self.out_start, &self.out_nbr)
+        } else {
+            (&self.in_start, &self.in_nbr)
+        };
+        queue.clear();
+        queue.push((src, 0));
+        seen[src.0] = true;
+        let mut head = 0;
+        while let Some(&(u, hops)) = queue.get(head) {
+            head += 1;
+            for &v in &nbr[start[u.0] as usize..start[u.0 + 1] as usize] {
+                if !std::mem::replace(&mut seen[v as usize], true) {
+                    queue.push((NodeId(v as usize), hops + 1));
+                }
+            }
+        }
+        queue
+    }
+
     /// BFS hop distances from `src` to every node over `p > 0` links
     /// (`None` = unreachable).
     pub fn hops_from(&self, src: NodeId) -> Vec<Option<usize>> {
         let mut dist = vec![None; self.n];
-        let mut queue = std::collections::VecDeque::new();
-        dist[src.0] = Some(0);
-        queue.push_back((src, 0));
-        while let Some((u, hops)) = queue.pop_front() {
-            for v in self.neighbors(u) {
-                if dist[v.0].is_none() {
-                    dist[v.0] = Some(hops + 1);
-                    queue.push_back((v, hops + 1));
-                }
-            }
+        let mut seen = vec![false; self.n];
+        for &(v, hops) in self.bfs(src, true, &mut seen, &mut Vec::new()) {
+            dist[v.0] = Some(hops);
         }
         dist
     }
@@ -367,30 +391,13 @@ impl Topology {
     /// `p > 0` path between them (0 without links): one BFS per source,
     /// all of them over one visited buffer and one queue.
     pub fn max_hops(&self) -> usize {
-        let mut seen = vec![false; self.n];
-        let mut queue: Vec<(NodeId, usize)> = Vec::with_capacity(self.n);
+        let (mut seen, mut queue) = (vec![false; self.n], Vec::with_capacity(self.n));
         let mut longest = 0;
         for src in self.nodes() {
             seen.fill(false);
-            queue.clear();
-            // True the first time `v` is visited from `src`.
-            let mut visit = |v: NodeId| {
-                seen.get_mut(v.0)
-                    .is_some_and(|s| !std::mem::replace(s, true))
-            };
-            visit(src);
-            queue.push((src, 0));
-            let mut head = 0;
-            while let Some(&(u, hops)) = queue.get(head) {
-                head += 1;
-                for v in self.neighbors(u) {
-                    if visit(v) {
-                        queue.push((v, hops + 1));
-                    }
-                }
-            }
             // BFS visits in nondecreasing distance: the last is the farthest.
-            longest = queue.last().map_or(longest, |&(_, hops)| longest.max(hops));
+            let farthest = self.bfs(src, true, &mut seen, &mut queue).last();
+            longest = farthest.map_or(longest, |&(_, hops)| longest.max(hops));
         }
         longest
     }
@@ -404,32 +411,36 @@ impl Topology {
         if self.n <= 1 {
             return true;
         }
-        self.bfs_covers_all(true) && self.bfs_covers_all(false)
+        let (mut seen, mut queue) = (vec![false; self.n], Vec::with_capacity(self.n));
+        [true, false].into_iter().all(|forward| {
+            seen.fill(false);
+            self.bfs(NodeId(0), forward, &mut seen, &mut queue).len() == self.n
+        })
     }
 
-    /// BFS from node 0 along out-links (`forward`) or in-links; true when
-    /// it visits every node.
-    fn bfs_covers_all(&self, forward: bool) -> bool {
-        let mut seen = vec![false; self.n];
-        let mut queue = std::collections::VecDeque::new();
-        seen[0] = true;
-        queue.push_back(NodeId(0));
-        let mut visited = 1usize;
-        while let Some(u) = queue.pop_front() {
-            let (start, nbr) = if forward {
-                (&self.out_start, &self.out_nbr)
-            } else {
-                (&self.in_start, &self.in_nbr)
-            };
-            for &v in &nbr[start[u.0] as usize..start[u.0 + 1] as usize] {
-                if !seen[v as usize] {
-                    seen[v as usize] = true;
-                    visited += 1;
-                    queue.push_back(NodeId(v as usize));
-                }
-            }
+    /// Component labels (per node) and sizes (per label) when every `p > 0`
+    /// link has a `p > 0` reverse, as every built-in generator's does: `s`
+    /// then reaches `d` exactly when both carry one label. `None` when
+    /// reachability is directed. One O(n + links) pass.
+    pub fn symmetric_components(&self) -> Option<(Vec<u32>, Vec<usize>)> {
+        // Symmetric support: each node's in-row lists its out-row.
+        if self.out_start != self.in_start || self.out_nbr != self.in_nbr {
+            return None;
         }
-        visited == self.n
+        let mut comp = vec![0u32; self.n];
+        let (mut seen, mut queue) = (vec![false; self.n], Vec::with_capacity(self.n));
+        let mut sizes = Vec::new();
+        for src in self.nodes() {
+            if seen[src.0] {
+                continue;
+            }
+            let members = self.bfs(src, true, &mut seen, &mut queue);
+            for &(v, _) in members {
+                comp[v.0] = sizes.len() as u32;
+            }
+            sizes.push(members.len());
+        }
+        Some((comp, sizes))
     }
 
     /// Serializes to pretty JSON: `{"name", "n", "links": [{"from", "to",
@@ -735,29 +746,84 @@ mod test {
         assert!(!t.is_connected());
     }
 
+    /// Hop counts of every ordered pair, without a BFS: each node is 0
+    /// hops from itself, then every link relaxes every source's distances
+    /// until nothing changes.
+    fn naive_hops(t: &Topology) -> Vec<Vec<Option<usize>>> {
+        let mut hops: Vec<Vec<Option<usize>>> = (0..t.n())
+            .map(|a| (0..t.n()).map(|b| (a == b).then_some(0)).collect())
+            .collect();
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for row in &mut hops {
+                for l in t.links() {
+                    let Some(via) = row[l.from.0] else { continue };
+                    if row[l.to.0].is_none_or(|h| h > via + 1) {
+                        row[l.to.0] = Some(via + 1);
+                        changed = true;
+                    }
+                }
+            }
+        }
+        hops
+    }
+
     #[test]
-    fn max_hops_is_the_longest_hops_from() {
-        // Against one `hops_from` vector per source, on directed,
-        // partitioned, empty and generated meshes.
-        let reference = |t: &Topology| {
-            let hops = t.nodes().flat_map(|a| t.hops_from(a).into_iter().flatten());
-            hops.max().unwrap_or(0)
-        };
+    fn reachability_agrees_with_a_naive_hop_matrix() {
+        // Directed, one-way, partitioned, isolated, empty and generated
+        // meshes: `cut` reaches everything from node 0 over out-links but
+        // not over in-links, `tuc` the other way round; `islands` is
+        // symmetric with three components, the diamond is a DAG.
         let chain = topo("chain", 4, &[(0, 1, 0.9), (1, 2, 0.9), (2, 3, 0.9)]);
-        let split = topo("split", 4, &[(0, 1, 0.9), (1, 0, 0.9), (2, 3, 0.9)]);
         assert_eq!((tri().max_hops(), chain.max_hops()), (1, 3));
-        for t in [
+        let meshes = [
             tri(),
             chain,
-            split,
+            topo("split", 4, &[(0, 1, 0.9), (1, 0, 0.9), (2, 3, 0.9)]),
+            topo("ring", 3, &[(0, 1, 0.9), (1, 2, 0.9), (2, 0, 0.9)]),
+            topo("cut", 3, &[(0, 1, 0.9), (1, 2, 0.9)]),
+            topo("tuc", 3, &[(1, 0, 0.9), (2, 1, 0.9)]),
+            topo(
+                "islands",
+                5,
+                &[(0, 1, 0.9), (1, 0, 0.8), (2, 3, 0.7), (3, 2, 0.6)],
+            ),
             topo("lonely", 1, &[]),
             topo("none", 0, &[]),
             generate::line(6, 0.9, 0.3, 25.0),
+            generate::diamond(4, 0.5),
             generate::testbed(1),
             generate::random_mesh(30, 60.0, 40.0, 2),
-        ] {
-            assert_eq!(t.max_hops(), reference(&t), "{}", t.name);
+        ];
+        let mut components_seen = [false; 2];
+        for t in meshes {
+            let hops = naive_hops(&t);
+            for a in t.nodes() {
+                assert_eq!(t.hops_from(a), hops[a.0], "{}: from {a}", t.name);
+            }
+            let longest = hops.iter().flatten().flatten().max();
+            assert_eq!(t.max_hops(), longest.copied().unwrap_or(0), "{}", t.name);
+            let everyone = hops.iter().flatten().all(Option::is_some);
+            assert_eq!(t.is_connected(), everyone, "{}", t.name);
+            let symmetric = t.links().all(|l| t.delivery(l.to, l.from) > 0.0);
+            let components = t.symmetric_components();
+            assert_eq!(components.is_some(), symmetric, "{}", t.name);
+            components_seen[usize::from(symmetric)] = true;
+            let Some((comp, sizes)) = components else {
+                continue;
+            };
+            for a in t.nodes() {
+                for b in t.nodes() {
+                    let same = comp[a.0] == comp[b.0];
+                    assert_eq!(same, hops[a.0][b.0].is_some(), "{}: {a} {b}", t.name);
+                }
+                let reached = hops[a.0].iter().flatten().count();
+                assert_eq!(sizes[comp[a.0] as usize], reached, "{}: {a}", t.name);
+            }
+            assert_eq!(sizes.iter().sum::<usize>(), t.n(), "{}", t.name);
         }
+        assert_eq!(components_seen, [true, true], "both answers exercised");
     }
 
     #[test]

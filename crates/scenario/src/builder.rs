@@ -27,7 +27,7 @@ use crate::spec::{ExpConfig, Point, Sweep, TopologySpec, TrafficSpec};
 use crate::traffic::TrafficModelSpec;
 use mesh_sim::{AimdConfig, Bitrate, ChannelSpec, QueueSpec, SEC};
 use mesh_topology::estimator::LinkEstimator;
-use mesh_topology::NodeId;
+use mesh_topology::{NodeId, Topology};
 use std::collections::BTreeMap;
 use std::ops::ControlFlow;
 use std::sync::Mutex;
@@ -429,14 +429,16 @@ impl ScenarioBuilder {
         }
     }
 
-    /// Checks every setting the grid's `points` run with, so a bad point
-    /// fails before any worker thread spawns — not after the cells before
-    /// it were sunk and checkpointed. In order: the channel model; the
-    /// packet count, batch size and deadline, without which a worker
-    /// panics on an agent's empty-transfer assert, on `div_ceil(0)` for
-    /// the batch count, or on the µs product; the traffic model; the queue
-    /// discipline and congestion control; the probe window.
-    fn validate(&self, points: &[Point]) -> Result<(), BuildError> {
+    /// Checks every setting the grid's `points` run with over the sweep's
+    /// topology `topo`, so a bad or infeasible point fails before any
+    /// worker thread spawns — not after the cells before it were sunk and
+    /// checkpointed. In order: the channel model; the packet count, batch
+    /// size and deadline, without which a worker panics on an agent's
+    /// empty-transfer assert, on `div_ceil(0)` for the batch count, or on
+    /// the µs product; the traffic model's parameters and whether `topo`
+    /// can host its flows; the queue discipline and congestion control;
+    /// the probe window.
+    fn validate(&self, points: &[Point], topo: &Topology) -> Result<(), BuildError> {
         for p in points {
             p.channel
                 .validate_params()
@@ -455,7 +457,9 @@ impl ScenarioBuilder {
             return Err(BuildError::Unsupported(problem.into()));
         }
         for p in points {
-            p.traffic.validate().map_err(BuildError::Unsupported)?;
+            p.traffic
+                .validate_for(topo)
+                .map_err(BuildError::Unsupported)?;
         }
         for p in points {
             p.queue.validate().map_err(BuildError::InvalidQueue)?;
@@ -540,7 +544,16 @@ impl ScenarioBuilder {
     /// ```
     pub fn try_run_with_sink(self, sink: &mut dyn RunSink) -> Result<RunSummary, BuildError> {
         let points = self.points()?;
-        self.validate(&points)?;
+        // No topology variant depends on the run seed, so the whole grid
+        // borrows one instance, and every point is checked against it.
+        let topo = self.topology.instantiate(0);
+        if topo.n() == 0 {
+            return Err(BuildError::Unsupported(format!(
+                "topology {} has no nodes; nothing can be scheduled or routed",
+                topo.name
+            )));
+        }
+        self.validate(&points, &topo)?;
         let protocols = if self.protocols.is_empty() {
             // No explicit selection: run everything registered.
             self.registry
@@ -556,15 +569,6 @@ impl ScenarioBuilder {
             .iter()
             .map(|name| self.registry.resolve(name))
             .collect::<Result<Vec<_>, _>>()?;
-        // No topology variant depends on the run seed, so the whole grid
-        // borrows one instance.
-        let topo = self.topology.instantiate(0);
-        if topo.n() == 0 {
-            return Err(BuildError::Unsupported(format!(
-                "topology {} has no nodes; nothing can be scheduled or routed",
-                topo.name
-            )));
-        }
 
         // Work grid: protocol × sweep point × seed (flow sets expand inside
         // the worker because RandomConcurrent traffic depends on the seed).
@@ -740,7 +744,6 @@ mod test {
     use crate::spec::FlowSpec;
     use crate::traffic::{FlowEvent, PoissonModel, TrafficModel};
     use mesh_sim::Time;
-    use mesh_topology::Topology;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
@@ -1052,11 +1055,28 @@ mod test {
 
     #[test]
     fn oversized_flows_sweep_point_is_an_error_not_a_worker_panic() {
+        // Point 0 can be hosted, point 1 cannot. On one worker, point 0's
+        // cell used to be sunk and checkpointed before point 1 failed.
+        let dir = std::env::temp_dir().join(format!("more_oversized_{}", std::process::id()));
+        let dir = dir.to_str().expect("a UTF-8 temp dir").to_string();
+        let mut sink = Collect::new();
         let err = random_concurrent(1, true)
             .sweep(Sweep::Flows(vec![2, 30]))
-            .try_run()
+            .threads(1)
+            .checkpoint(dir.as_str())
+            .try_run_with_sink(&mut sink)
             .expect_err("the second sweep point cannot be hosted");
         assert!(matches!(err, BuildError::Unsupported(_)), "{err}");
+        assert!(sink.into_records().is_empty(), "nothing may be sunk");
+        let manifest = Manifest::load(&Manifest::path_for(&dir, "too-many-flows"));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cells = manifest
+            .expect("a readable manifest, if any")
+            .map(|m| m.cells);
+        assert!(
+            cells.unwrap_or_default().is_empty(),
+            "no cell was checkpointed"
+        );
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! only [`ProtocolFactory::build`] runs the same path with its boxed,
 //! erased agent.
 
-use crate::pairs::symmetric_components;
+use crate::pairs::PairPool;
 use crate::protocols::reject_multicast;
 use crate::record::{time_to_s, FlowRecord, RunRecord};
 use crate::registry::{BuildError, ProtocolFactory};
@@ -64,13 +64,9 @@ impl Cells<'_> {
         let routing = believed.as_ref().unwrap_or(topo);
 
         let horizon = cfg.deadline_s * SEC;
-        // Endpoint feasibility depends on the instantiated topology, so it
-        // is checked here — like the channel spec — and surfaces as an
-        // error from the grid instead of a worker panic.
-        point
-            .traffic
-            .validate_for(topo)
-            .map_err(BuildError::Unsupported)?;
+        // Who reaches whom in the topology routing sees, labelled once for
+        // every flow set of the cell.
+        let mut pool = PairPool::new(routing);
         let model = point.traffic.build();
         let schedules = model.schedules(topo, seed, cfg.packets, horizon);
         let mut records = Vec::with_capacity(schedules.len());
@@ -87,7 +83,7 @@ impl Cells<'_> {
             // unreachable (src, dst) pairs on single-node or partitioned
             // meshes — must surface as grid errors, not ETX/EOTX panics
             // inside the factory.
-            validate_endpoints(routing, &windows)?;
+            validate_endpoints(&mut pool, &windows)?;
             if !factory.supports_multicast() {
                 reject_multicast(protocol, windows.iter().map(|w| &w.spec))?;
             }
@@ -328,21 +324,20 @@ impl Cell<'_> {
 
 /// Rejects flows no protocol can route: empty or repeating destination
 /// lists, endpoints outside the topology, self-flows, and (src, dst)
-/// pairs with no `p > 0` path in the routing topology. ETX/EOTX table
-/// and forwarder-plan extraction assume a finite-cost path; without this
-/// check a degenerate single-node mesh, a partitioned city layout, or a
-/// probe window that lost the last link to a destination panics deep
-/// inside a worker thread instead of surfacing a [`BuildError`] from the
-/// grid.
+/// pairs with no `p > 0` path in the routing topology `pool` indexes.
+/// ETX/EOTX table and forwarder-plan extraction assume a finite-cost
+/// path; without this check a degenerate single-node mesh, a partitioned
+/// city layout, or a probe window that lost the last link to a
+/// destination panics deep inside a worker thread instead of surfacing a
+/// [`BuildError`] from the grid.
 #[expect(
     clippy::indexing_slicing,
     reason = "i enumerates f.dsts, so f.dsts[..i] is in bounds"
 )]
-fn validate_endpoints(topo: &Topology, windows: &[FlowWindow]) -> Result<(), BuildError> {
+fn validate_endpoints(pool: &mut PairPool<'_>, windows: &[FlowWindow]) -> Result<(), BuildError> {
+    let topo = pool.topo;
     let n = topo.n();
-    let reachable = reachable_destinations(topo, windows);
-    for (w, reached) in windows.iter().zip(&reachable) {
-        let f = &w.spec;
+    for f in windows.iter().map(|w| &w.spec) {
         if f.src.0 >= n {
             return Err(BuildError::Unsupported(format!(
                 "flow source {} is outside topology {} ({n} nodes)",
@@ -355,7 +350,7 @@ fn validate_endpoints(topo: &Topology, windows: &[FlowWindow]) -> Result<(), Bui
                 f.src
             )));
         }
-        for (i, (&d, &reached)) in f.dsts.iter().zip(reached).enumerate() {
+        for (i, &d) in f.dsts.iter().enumerate() {
             if f.dsts[..i].contains(&d) {
                 return Err(BuildError::Unsupported(format!(
                     "flow {} -> {:?} lists destination {d} twice",
@@ -375,7 +370,7 @@ fn validate_endpoints(topo: &Topology, windows: &[FlowWindow]) -> Result<(), Bui
                     f.src
                 )));
             }
-            if !reached {
+            if !pool.reaches(f.src, d) {
                 return Err(BuildError::Unsupported(format!(
                     "destination {d} is unreachable from source {} in topology \
                      {}; no p > 0 path exists for route extraction",
@@ -385,48 +380,6 @@ fn validate_endpoints(topo: &Topology, windows: &[FlowWindow]) -> Result<(), Bui
         }
     }
     Ok(())
-}
-
-/// Per window, per destination: does a `p > 0` path lead there from the
-/// window's source? (Endpoints outside the topology reach nothing.)
-///
-/// Answered up front so that [`validate_endpoints`] can report in window
-/// order while this holds O(n) state however many flows there are — a
-/// 10k-node Poisson run has ~375 distinct sources and a hop vector is
-/// 160 KB. Symmetric link support (every built-in generator)
-/// needs one component labelling; otherwise the windows are visited
-/// grouped by source, one BFS buffer alive at a time.
-fn reachable_destinations(topo: &Topology, windows: &[FlowWindow]) -> Vec<Vec<bool>> {
-    let mut reachable: Vec<Vec<bool>> = vec![Vec::new(); windows.len()];
-    let mut pending: Vec<(&FlowSpec, &mut Vec<bool>)> = windows
-        .iter()
-        .map(|w| &w.spec)
-        .zip(&mut reachable)
-        .collect();
-    if let Some((comp, _)) = symmetric_components(topo) {
-        for (f, out) in pending {
-            let src = comp.get(f.src.0);
-            out.extend(f.dsts.iter().map(|d| src.is_some() && comp.get(d.0) == src));
-        }
-    } else {
-        pending.sort_by_key(|(f, _)| f.src);
-        let (mut bfs_src, mut hops) = (None, Vec::new());
-        for (f, out) in pending {
-            if f.src.0 >= topo.n() {
-                continue;
-            }
-            if bfs_src != Some(f.src) {
-                hops = topo.hops_from(f.src);
-                bfs_src = Some(f.src);
-            }
-            out.extend(
-                f.dsts
-                    .iter()
-                    .map(|d| hops.get(d.0).is_some_and(Option::is_some)),
-            );
-        }
-    }
-    reachable
 }
 
 #[cfg(test)]
@@ -446,8 +399,8 @@ mod test {
 
     #[test]
     fn endpoint_errors_come_in_window_order_whatever_the_link_symmetry() {
-        // The reachability pass visits windows grouped by source (or not
-        // at all, under symmetric support); the error reported must still
+        // The pool answers from component labels under symmetric support
+        // and from per-source searches otherwise; the error reported must
         // be the earliest window's, and within it the earliest check's.
         // 0 -> 1 -> 2 -> 3, no way back.
         let one_way = topo("one-way", 4, &[(0, 1, 0.9), (1, 2, 0.9), (2, 3, 0.9)]);
@@ -466,11 +419,13 @@ mod test {
             start: 0,
             stop: None,
         };
-        let first_error =
-            |topo: &Topology, windows: &[FlowWindow]| match validate_endpoints(topo, windows) {
-                Err(BuildError::Unsupported(msg)) => msg,
-                other => panic!("expected Unsupported, got {other:?}"),
-            };
+        fn validate(topo: &Topology, windows: &[FlowWindow]) -> Result<(), BuildError> {
+            validate_endpoints(&mut PairPool::new(topo), windows)
+        }
+        let first_error = |topo: &Topology, windows: &[FlowWindow]| match validate(topo, windows) {
+            Err(BuildError::Unsupported(msg)) => msg,
+            other => panic!("expected Unsupported, got {other:?}"),
+        };
         // Against one BFS per window, the plain reading of the contract.
         let reference = |topo: &Topology, windows: &[FlowWindow]| {
             windows.iter().all(|w| {
@@ -486,7 +441,7 @@ mod test {
                 for dst in 0..4 {
                     let w = [window(2, &[3]), window(src, &[dst]), window(2, &[3])];
                     assert_eq!(
-                        validate_endpoints(topo, &w).is_ok(),
+                        validate(topo, &w).is_ok(),
                         reference(topo, &w),
                         "{}: {src} -> {dst}",
                         topo.name

@@ -1,4 +1,5 @@
-//! Lazily indexable reachable-pair pools.
+//! Lazily indexable reachable-pair pools, and the endpoint reachability
+//! index.
 //!
 //! Pair-sampling traffic (Poisson arrivals, `RandomPairs`) draws from
 //! "all reachable ordered pairs, in node order". Materializing that list
@@ -7,16 +8,20 @@
 //! exposes the *same sequence* (source-major, destination ascending)
 //! through `len()` + `get(k)` while holding O(n) state: per-source
 //! prefix counts plus memoized destination lists for the sources
-//! actually drawn.
+//! actually drawn. The same pool answers whether a flow's source reaches
+//! its destination ([`PairPool::reaches`]), which is how a cell checks
+//! its endpoints against the topology routing sees.
 //!
-//! Reachability counts come from one of two strategies:
+//! Reachability comes from one of two strategies:
 //!
 //! * **Symmetric support** (every `p > 0` link has a `p > 0` reverse —
 //!   true of every built-in generator): reachable-from-`s` is exactly
-//!   the connected component of `s`, so one O(links) BFS sweep labels
-//!   every node and counts are component sizes.
-//! * **Directed fallback**: one BFS per source, O(n · links) time but
-//!   still O(n) memory.
+//!   the connected component of `s`, so one O(links) BFS sweep
+//!   ([`Topology::symmetric_components`]) labels every node; counts are
+//!   component sizes and `reaches` compares labels.
+//! * **Directed fallback**: one BFS per source asked about, O(links)
+//!   each; the pair counts, which need every source's, are taken only
+//!   when the pool is first counted or indexed.
 //!
 //! Determinism: `get(k)` is a pure function of `(topology, k)`; RNG
 //! consumers that previously indexed the materialized list draw
@@ -25,99 +30,68 @@
 #![expect(
     clippy::indexing_slicing,
     clippy::expect_used,
-    reason = "prefix/comp vectors are sized n+1/n at construction; get() asserts k < len() up front, partition_point over a prefix ending in len() keeps the source index in range, and a source always appears in its own memoized member list (it reaches itself in 0 hops)"
+    reason = "prefix/comp vectors are sized n+1/n at construction; get() asserts k < len() up front, partition_point over a prefix ending in len() keeps the source index in range, reaches() checks both endpoints against n, and a source always appears in its own memoized member list (it reaches itself in 0 hops)"
 )]
 
 use mesh_topology::{NodeId, Topology};
-use std::collections::{BTreeMap, VecDeque};
+use std::cell::OnceCell;
+use std::collections::BTreeMap;
 
 /// The reachable ordered pairs of one topology, indexable without being
 /// materialized.
 #[must_use = "a pair pool does nothing until indexed"]
 pub(crate) struct PairPool<'a> {
-    topo: &'a Topology,
-    /// `prefix[s]` = reachable pairs with source `< s`; `prefix[n]` = total.
-    prefix: Vec<usize>,
-    /// Component id per node when link support is symmetric; `None`
+    /// The topology indexed.
+    pub(crate) topo: &'a Topology,
+    /// `prefix[s]` = reachable pairs with source `< s`; `prefix[n]` =
+    /// total. Taken on first use.
+    prefix: OnceCell<Vec<usize>>,
+    /// Component labels and sizes when link support is symmetric; `None`
     /// selects the per-source BFS fallback.
-    comp: Option<Vec<u32>>,
+    comp: Option<(Vec<u32>, Vec<usize>)>,
     /// Memoized ascending member lists, keyed by component id (symmetric)
     /// or source id (directed fallback). Each list contains the source
     /// itself; `get` skips over it.
     members: BTreeMap<u32, Vec<NodeId>>,
 }
 
-/// Component labels and sizes of the undirected support graph, or `None`
-/// when some link lacks a `p > 0` reverse (reachability is then truly
-/// directed and components would over-count).
-pub(crate) fn symmetric_components(topo: &Topology) -> Option<(Vec<u32>, Vec<usize>)> {
-    for l in topo.links() {
-        if topo.delivery(l.to, l.from) <= 0.0 {
-            return None;
-        }
-    }
-    let n = topo.n();
-    let mut comp = vec![u32::MAX; n];
-    let mut sizes = Vec::new();
-    for s in 0..n {
-        if comp[s] != u32::MAX {
-            continue;
-        }
-        let id = sizes.len() as u32;
-        comp[s] = id;
-        let mut size = 0usize;
-        let mut queue = VecDeque::from([s]);
-        while let Some(u) = queue.pop_front() {
-            size += 1;
-            for v in topo.neighbors(NodeId(u)) {
-                if comp[v.0] == u32::MAX {
-                    comp[v.0] = id;
-                    queue.push_back(v.0);
-                }
-            }
-        }
-        sizes.push(size);
-    }
-    Some((comp, sizes))
-}
-
 impl<'a> PairPool<'a> {
     /// Builds the index for `topo`: O(links) when support is symmetric,
-    /// O(n · links) otherwise — never O(n²) memory.
+    /// nothing up front otherwise — never O(n²) memory.
     pub(crate) fn new(topo: &'a Topology) -> Self {
-        let n = topo.n();
-        let sym = symmetric_components(topo);
-        let counts: Vec<usize> = match &sym {
-            Some((comp, sizes)) => (0..n).map(|i| sizes[comp[i] as usize] - 1).collect(),
-            None => (0..n)
-                .map(|i| {
-                    let reach = topo
-                        .hops_from(NodeId(i))
-                        .iter()
-                        .filter(|h| h.is_some())
-                        .count();
-                    reach - 1 // hops_from counts the source itself
-                })
-                .collect(),
-        };
-        let mut prefix = Vec::with_capacity(n + 1);
-        let mut acc = 0usize;
-        prefix.push(0);
-        for c in counts {
-            acc += c;
-            prefix.push(acc);
-        }
         PairPool {
             topo,
-            prefix,
-            comp: sym.map(|(c, _)| c),
+            prefix: OnceCell::new(),
+            comp: topo.symmetric_components(),
             members: BTreeMap::new(),
         }
     }
 
+    /// The per-source prefix counts: component sizes when support is
+    /// symmetric, one BFS per source otherwise.
+    fn prefix(&self) -> &[usize] {
+        self.prefix.get_or_init(|| {
+            let topo = self.topo;
+            let reach = |i: usize| match &self.comp {
+                Some((comp, sizes)) => sizes[comp[i] as usize],
+                None => topo.hops_from(NodeId(i)).iter().flatten().count(),
+            };
+            // Each count includes the source itself.
+            let mut acc = 0usize;
+            let rest = (0..topo.n()).map(|i| {
+                acc += reach(i) - 1;
+                acc
+            });
+            std::iter::once(0).chain(rest).collect()
+        })
+    }
+
     /// Total number of reachable ordered pairs.
     pub(crate) fn len(&self) -> usize {
-        *self.prefix.last().expect("prefix always has n + 1 entries")
+        *self
+            .prefix()
+            .last()
+            .expect("prefix always has n + 1 entries")
     }
 
     /// True when no ordered pair is reachable at all.
@@ -127,22 +101,16 @@ impl<'a> PairPool<'a> {
 
     /// Number of sources with at least one reachable destination.
     pub(crate) fn sources_with_destinations(&self) -> usize {
-        self.prefix.windows(2).filter(|w| w[1] > w[0]).count()
+        self.prefix().windows(2).filter(|w| w[1] > w[0]).count()
     }
 
-    /// Pair `k` of the source-major, destination-ascending sequence —
-    /// exactly `materialize()[k]`, computed lazily.
-    pub(crate) fn get(&mut self, k: usize) -> (NodeId, NodeId) {
-        assert!(k < self.len(), "pair index {k} out of {}", self.len());
-        let s = self.prefix.partition_point(|&p| p <= k) - 1;
-        let r = k - self.prefix[s];
-        let key = match &self.comp {
-            Some(comp) => comp[s],
-            None => s as u32,
-        };
+    /// The ascending list of nodes `s` reaches, itself included,
+    /// memoized.
+    fn members(&mut self, s: usize) -> &[NodeId] {
         let (topo, comp) = (self.topo, &self.comp);
-        let members = self.members.entry(key).or_insert_with(|| match comp {
-            Some(comp) => (0..topo.n())
+        let key = comp.as_ref().map_or(s as u32, |(comp, _)| comp[s]);
+        self.members.entry(key).or_insert_with(|| match comp {
+            Some((comp, _)) => (0..topo.n())
                 .filter(|&i| comp[i] == key)
                 .map(NodeId)
                 .collect(),
@@ -153,7 +121,30 @@ impl<'a> PairPool<'a> {
                 .filter(|(_, h)| h.is_some())
                 .map(|(i, _)| NodeId(i))
                 .collect(),
-        });
+        })
+    }
+
+    /// True when a `p > 0` path leads from `s` to `d` (a node reaches
+    /// itself); endpoints outside the topology reach nothing.
+    pub(crate) fn reaches(&mut self, s: NodeId, d: NodeId) -> bool {
+        let n = self.topo.n();
+        if s.0 >= n || d.0 >= n {
+            return false;
+        }
+        match &self.comp {
+            Some((comp, _)) => comp[s.0] == comp[d.0],
+            None => self.members(s.0).binary_search(&d).is_ok(),
+        }
+    }
+
+    /// Pair `k` of the source-major, destination-ascending sequence —
+    /// exactly `materialize()[k]`, computed lazily.
+    pub(crate) fn get(&mut self, k: usize) -> (NodeId, NodeId) {
+        assert!(k < self.len(), "pair index {k} out of {}", self.len());
+        let prefix = self.prefix();
+        let s = prefix.partition_point(|&p| p <= k) - 1;
+        let r = k - prefix[s];
+        let members = self.members(s);
         let pos = members
             .binary_search(&NodeId(s))
             .expect("a source always appears in its own reachable set");
@@ -270,6 +261,40 @@ mod test {
         assert_eq!(pool.len(), 4);
         assert_eq!(pool.sources_with_destinations(), 4);
         assert_eq!(pool.materialize(), naive_pairs(&topo));
+    }
+
+    #[test]
+    fn reaches_agrees_with_hops_from() {
+        // Both strategies, plus endpoints one past the last node.
+        let oneway = topo("oneway", 4, &[(0, 1, 0.9), (1, 2, 0.8)]);
+        let split = topo(
+            "split",
+            5,
+            &[(0, 1, 0.9), (1, 0, 0.9), (2, 3, 0.9), (3, 2, 0.9)],
+        );
+        for topo in [
+            generate::testbed(1),
+            generate::diamond(4, 0.5),
+            oneway,
+            split,
+        ] {
+            let mut pool = PairPool::new(&topo);
+            let n = topo.n();
+            for s in 0..=n {
+                let hops = (s < n).then(|| topo.hops_from(NodeId(s)));
+                for d in 0..=n {
+                    let reached = hops
+                        .as_ref()
+                        .is_some_and(|h| h.get(d).is_some_and(Option::is_some));
+                    assert_eq!(
+                        pool.reaches(NodeId(s), NodeId(d)),
+                        reached,
+                        "{}: {s} -> {d}",
+                        topo.name
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -57,9 +57,9 @@ impl std::error::Error for BuildError {}
 /// Object-safe on purpose: registries hold `Arc<dyn ProtocolFactory>`.
 /// `build` receives the topology, the run's flows (already expanded from
 /// the traffic spec), and the experiment parameters; it must add every
-/// flow to the agent (ids `1..=flows.len()`, in order) and perform any
-/// protocol-specific arming (e.g. ExOR's `start`). The scenario engine
-/// kicks each flow's source after construction.
+/// flow to the agent in order, so that the flow at index `i` carries id
+/// [`mesh_sim::flow_id`]`(i)`, and perform any protocol-specific arming.
+/// The scenario engine kicks each flow's source after construction.
 ///
 /// The scenario engine runs each flow set through [`Self::run`]. Its
 /// default runs the boxed agent `build` returns, with every frame's

@@ -261,17 +261,6 @@ pub struct PoissonModel {
     pub max_active: usize,
 }
 
-impl PoissonModel {
-    fn validate(&self) -> Result<(), String> {
-        positive(self.rate_per_s, "Poisson arrival rate")?;
-        positive(self.mean_hold_s, "Poisson mean hold time")?;
-        if self.max_active == 0 {
-            return Err("Poisson max_active must be at least 1".into());
-        }
-        Ok(())
-    }
-}
-
 impl fmt::Debug for PoissonModel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let PoissonModel {
@@ -379,14 +368,20 @@ impl TrafficModelSpec {
         }
     }
 
-    /// Validates the model against an instantiated topology, so
-    /// infeasible endpoint demands surface as errors from the run grid
-    /// instead of panicking inside a worker (the same pattern channel
+    /// Validates the model's parameters, then its endpoint demands
+    /// against the instantiated topology, so a bad configuration or an
+    /// infeasible one fails before the run grid starts instead of
+    /// panicking inside a sweep worker (the same pattern channel
     /// validation uses). The models keep equivalent asserts as backstops
-    /// for direct trait use.
+    /// for direct trait use; `Custom` models validate themselves.
     pub fn validate_for(&self, topo: &Topology) -> Result<(), String> {
         match self {
-            TrafficModelSpec::Poisson(_) => {
+            TrafficModelSpec::Poisson(m) => {
+                positive(m.rate_per_s, "Poisson arrival rate")?;
+                positive(m.mean_hold_s, "Poisson mean hold time")?;
+                if m.max_active == 0 {
+                    return Err("Poisson max_active must be at least 1".into());
+                }
                 // A reachable ordered pair exists iff any `p > 0` link
                 // does — O(1), where counting the pool would be O(n²)
                 // at city scale.
@@ -395,52 +390,31 @@ impl TrafficModelSpec {
                 }
                 Ok(())
             }
-            TrafficModelSpec::Static(TrafficSpec::RandomConcurrent {
-                n_flows,
-                distinct_sources: false,
-                ..
-            }) => {
-                let pairs = PairPool::new(topo).len();
-                if pairs < *n_flows {
-                    return Err(format!(
-                        "topology {} has {pairs} reachable pairs, fewer than the \
-                         {n_flows} flows requested",
-                        topo.name
-                    ));
-                }
-                Ok(())
-            }
-            TrafficModelSpec::Static(TrafficSpec::RandomConcurrent {
-                n_flows,
-                distinct_sources: true,
-                ..
-            }) => {
-                // n_flows distinct sources, each with at least one
-                // reachable destination.
-                let sources = PairPool::new(topo).sources_with_destinations();
-                if sources < *n_flows {
-                    return Err(format!(
-                        "topology {} cannot host {n_flows} distinct-source flows \
-                         ({sources} sources reach anything)",
-                        topo.name
-                    ));
-                }
-                Ok(())
-            }
-            TrafficModelSpec::Static(_) | TrafficModelSpec::Custom(_) => Ok(()),
-        }
-    }
-
-    /// Validates the model's parameters, so bad configurations fail at
-    /// build time instead of panicking inside a sweep worker. `Custom`
-    /// models validate themselves.
-    pub fn validate(&self) -> Result<(), String> {
-        match self {
             TrafficModelSpec::Static(TrafficSpec::RandomConcurrent { n_flows: 0, .. }) => {
                 Err("RandomConcurrent needs at least one flow".into())
             }
+            TrafficModelSpec::Static(TrafficSpec::RandomConcurrent {
+                n_flows,
+                distinct_sources,
+                ..
+            }) => {
+                let pool = PairPool::new(topo);
+                let (sources, pairs) = (pool.sources_with_destinations(), pool.len());
+                let name = &topo.name;
+                match distinct_sources {
+                    // Distinct sources, each with a reachable destination.
+                    true if sources < *n_flows => Err(format!(
+                        "topology {name} cannot host {n_flows} distinct-source flows \
+                         ({sources} sources reach anything)"
+                    )),
+                    false if pairs < *n_flows => Err(format!(
+                        "topology {name} has {pairs} reachable pairs, fewer than the \
+                         {n_flows} flows requested"
+                    )),
+                    _ => Ok(()),
+                }
+            }
             TrafficModelSpec::Static(_) | TrafficModelSpec::Custom(_) => Ok(()),
-            TrafficModelSpec::Poisson(m) => m.validate(),
         }
     }
 }
