@@ -698,10 +698,6 @@ impl mesh_sim::FlowAgent for ExorAgent {
         }
     }
 
-    fn supports_dynamic_flows(&self) -> bool {
-        true
-    }
-
     fn add_flow(&mut self, desc: &mesh_sim::FlowDesc) -> usize {
         assert_eq!(
             desc.dsts.len(),

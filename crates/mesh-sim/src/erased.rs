@@ -5,10 +5,11 @@
 //! impossible, and a pluggable protocol registry needs trait objects.
 //! This module provides the bridge:
 //!
-//! * [`FlowAgent`] — the measurement contract every end-to-end protocol
-//!   implements on top of [`NodeAgent`]: "are all transfers finished?"
-//!   and "how far along is flow *i*?". This is the least common
-//!   denominator of MORE, ExOR, Srcr, and any future protocol.
+//! * [`FlowAgent`] — the flow contract every end-to-end protocol
+//!   implements on top of [`NodeAgent`]: "take this flow", "drop flow
+//!   *i*", "are all transfers finished?" and "how far along is flow
+//!   *i*?". This is the least common denominator of MORE, ExOR, Srcr,
+//!   and any future protocol.
 //! * [`ErasedFlowAgent`] — a [`FlowAgent`] whose payloads are erased
 //!   to [`DynPayload`] (`Rc<dyn Any>`), so every protocol fits behind one
 //!   object-safe trait.
@@ -102,14 +103,15 @@ pub struct FlowProgressView {
     pub done: bool,
 }
 
-/// Measurement interface layered on [`NodeAgent`]: a protocol that moves
-/// a known set of flows and can report progress on each.
+/// A protocol that moves flows and reports progress on each, layered on
+/// [`NodeAgent`].
 ///
-/// The lifecycle hooks ([`FlowAgent::add_flow`] / [`FlowAgent::end_flow`])
-/// let dynamic traffic models inject and withdraw flows **mid-run**; they
-/// default to "unsupported" so existing protocols keep compiling, and
-/// [`FlowAgent::supports_dynamic_flows`] lets harnesses reject a dynamic
-/// workload *before* the run instead of panicking inside it.
+/// Flows arrive one at a time through [`FlowAgent::add_flow`], before
+/// the run or in the middle of it, and may depart early through
+/// [`FlowAgent::end_flow`]. The scenario engine installs every flow,
+/// including the ones starting at t = 0, as a scheduled
+/// [`crate::TrafficAction::Start`], and halts a departing one with
+/// [`crate::TrafficAction::Stop`].
 pub trait FlowAgent: NodeAgent {
     /// Every flow resolved (the simulator's stop condition). Flows halted
     /// by [`FlowAgent::end_flow`] count as resolved.
@@ -118,46 +120,24 @@ pub trait FlowAgent: NodeAgent {
     /// Progress of the flow at `index` (the order flows were added).
     fn flow_progress(&self, index: usize) -> FlowProgressView;
 
-    /// Whether this protocol implements the mid-run lifecycle hooks.
-    /// Harnesses must check this before scheduling dynamic traffic.
+    /// Always `true`: every agent implements [`FlowAgent::add_flow`] and
+    /// [`FlowAgent::end_flow`]. The method stays because
+    /// `ledger/benches/staged.rs` calls it, and `ledger/` changes only
+    /// together with the benchmark's baseline (ROADMAP item 1 drops it).
     fn supports_dynamic_flows(&self) -> bool {
-        false
+        true
     }
 
     /// Installs `desc` as a new flow — before the run or in the middle of
     /// it — and returns its index (flows are indexed in the order they
     /// were added). The caller is responsible for kicking the source's
     /// MAC afterwards.
-    ///
-    /// # Panics
-    ///
-    /// The default implementation panics: protocols opt in by overriding
-    /// this together with [`FlowAgent::supports_dynamic_flows`].
-    #[expect(
-        clippy::panic,
-        reason = "documented \"# Panics\" contract: protocols opt in to dynamic flows via supports_dynamic_flows"
-    )]
-    fn add_flow(&mut self, desc: &FlowDesc) -> usize {
-        let _ = desc;
-        panic!("this protocol does not support dynamic flow arrivals");
-    }
+    fn add_flow(&mut self, desc: &FlowDesc) -> usize;
 
     /// Halts the flow at `index`: the protocol must stop sourcing and
     /// forwarding it and must no longer count it against
     /// [`FlowAgent::flows_done`]. Progress measured so far stays readable.
-    ///
-    /// # Panics
-    ///
-    /// The default implementation panics: protocols opt in by overriding
-    /// this together with [`FlowAgent::supports_dynamic_flows`].
-    #[expect(
-        clippy::panic,
-        reason = "documented \"# Panics\" contract: protocols opt in to dynamic flows via supports_dynamic_flows"
-    )]
-    fn end_flow(&mut self, index: usize) {
-        let _ = index;
-        panic!("this protocol does not support dynamic flow departures");
-    }
+    fn end_flow(&mut self, index: usize);
 }
 
 /// A [`FlowAgent`] with erased payloads. This is the type the protocol
@@ -245,10 +225,6 @@ where
         self.0.flow_progress(index)
     }
 
-    fn supports_dynamic_flows(&self) -> bool {
-        self.0.supports_dynamic_flows()
-    }
-
     fn add_flow(&mut self, desc: &FlowDesc) -> usize {
         self.0.add_flow(desc)
     }
@@ -293,10 +269,6 @@ impl<T: FlowAgent + ?Sized> FlowAgent for Box<T> {
         (**self).flow_progress(index)
     }
 
-    fn supports_dynamic_flows(&self) -> bool {
-        (**self).supports_dynamic_flows()
-    }
-
     fn add_flow(&mut self, desc: &FlowDesc) -> usize {
         (**self).add_flow(desc)
     }
@@ -309,11 +281,11 @@ impl<T: FlowAgent + ?Sized> FlowAgent for Box<T> {
 #[cfg(test)]
 mod test {
     use super::*;
-    use crate::{SimConfig, Simulator, SEC};
+    use crate::{SimConfig, Simulator, TrafficAction, SEC};
     use mesh_topology::generate;
 
     /// A tiny broadcast-flood protocol used to exercise the erasure
-    /// plumbing end-to-end.
+    /// plumbing end-to-end: node 0 broadcasts its one flow's packets.
     struct Flood {
         remaining: u32,
         delivered: usize,
@@ -365,6 +337,15 @@ mod test {
                 done: self.flows_done(),
             }
         }
+
+        fn add_flow(&mut self, desc: &FlowDesc) -> usize {
+            self.remaining = desc.packets as u32;
+            0
+        }
+
+        fn end_flow(&mut self, _index: usize) {
+            self.remaining = 0;
+        }
     }
 
     #[test]
@@ -375,12 +356,13 @@ mod test {
     fn erased_agent_runs_in_the_simulator() {
         let topo = generate::line(2, 0.95, 0.4, 25.0);
         let agent: Box<dyn ErasedFlowAgent> = Box::new(Erased(Flood {
-            remaining: 20,
+            remaining: 0,
             delivered: 0,
             done_at: None,
         }));
         let mut sim = Simulator::new(topo, SimConfig::default(), agent, 1);
-        sim.kick(NodeId(0));
+        let flow = FlowDesc::unicast(NodeId(0), NodeId(2), 20);
+        sim.schedule_traffic(0, TrafficAction::Start(flow));
         sim.run_until(30 * SEC, |a: &Box<dyn ErasedFlowAgent>| a.flows_done());
         let p = sim.agent.flow_progress(0);
         assert!(p.done);

@@ -10,8 +10,9 @@
 //! without per-flow state.
 //!
 //! All AQM randomness (RED's marking draws, CHOKe's peek) runs on a
-//! dedicated ChaCha8 stream derived as `seed ^` [`QUEUE_STREAM`], so
-//! queue decisions never perturb the engine's main RNG stream.
+//! dedicated ChaCha8 stream of the run seed,
+//! [`Stream::Queue`](mesh_topology::streams::Stream::Queue), so queue
+//! decisions never perturb the engine's main RNG stream.
 //!
 //! On top of the queue sits a minimal end-to-end congestion controller:
 //! an [`AimdPacer`] per opted-in flow throttles the *source's* dequeue
@@ -24,8 +25,6 @@ use mesh_topology::NodeId;
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::VecDeque;
-
-pub use mesh_topology::streams::QUEUE_STREAM;
 
 /// Why a frame was dropped at a transmit queue.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -265,7 +264,7 @@ impl Discipline {
     }
 
     /// Decides the fate of a frame with flow key `key` arriving at time
-    /// `now`, drawing from `rng` (the dedicated [`QUEUE_STREAM`]) only
+    /// `now`, drawing from `rng` (the dedicated `Stream::Queue`) only
     /// under RED and CHOKe.
     pub fn offer(&mut self, key: u64, _now: Time, rng: &mut ChaCha8Rng) -> QueueVerdict {
         let depth = self.keys.len();
@@ -463,10 +462,10 @@ impl AimdPacer {
 #[cfg(test)]
 mod test {
     use super::*;
-    use rand::SeedableRng;
+    use mesh_topology::streams::{self, Stream};
 
     fn rng(seed: u64) -> ChaCha8Rng {
-        ChaCha8Rng::seed_from_u64(seed ^ QUEUE_STREAM)
+        streams::rng(seed, Stream::Queue)
     }
 
     #[test]

@@ -124,8 +124,8 @@ pub enum TrafficAction {
     /// A new flow arrives: [`FlowAgent::add_flow`] is called and the
     /// source's MAC is kicked.
     Start(FlowDesc),
-    /// The flow at this index (the order flows were added, counting the
-    /// ones installed at construction) departs: [`FlowAgent::end_flow`].
+    /// The flow at this index (the order flows were added, counting any
+    /// installed before the run) departs: [`FlowAgent::end_flow`].
     Stop(usize),
 }
 
@@ -206,12 +206,12 @@ struct NodeQueue<P> {
 struct QueueLayer<P> {
     nodes: Vec<NodeQueue<P>>,
     /// AQM randomness, decorrelated from the main stream
-    /// (`seed ^ QUEUE_STREAM`).
+    /// (`Stream::Queue`).
     rng: ChaCha8Rng,
     /// AIMD pacers for opted-in flows, keyed by protocol flow id, each
     /// with its flow's source node (pacing gates only the source).
     pacers: BTreeMap<u32, (NodeId, AimdPacer)>,
-    /// When set, every flow the traffic layer starts mid-run is paced.
+    /// When set, every flow the traffic layer starts is paced.
     auto_pace: Option<AimdConfig>,
 }
 
@@ -436,8 +436,8 @@ impl<A: NodeAgent> Simulator<A> {
         self.queues.pacers.insert(flow, (src, AimdPacer::new(cfg)));
     }
 
-    /// Like [`Simulator::pace_flow`], but also paces every flow the
-    /// traffic layer starts mid-run (an arrival is paced under the
+    /// Like [`Simulator::pace_flow`], but for every flow a
+    /// [`TrafficAction::Start`] installs (an arrival is paced under the
     /// [`crate::flow_id`] of its index, as the registry-built protocols
     /// number their flows).
     ///
@@ -823,7 +823,7 @@ impl<A: FlowAgent> Simulator<A> {
     }
 
     /// The same as [`Simulator::run_until`], which applies scheduled
-    /// traffic; kept for existing callers.
+    /// traffic; kept because `ledger/benches/staged.rs` calls it.
     pub fn run_with_traffic(&mut self, deadline: Time, stop: impl FnMut(&A) -> bool) -> Time {
         self.run_until(deadline, stop)
     }

@@ -58,7 +58,7 @@
 //!   through one-candidate rows, at 0 µs.
 use mesh_sim::channel::{ChannelModel, ChannelSpec, GilbertElliott};
 use mesh_sim::{Time, MS};
-use mesh_topology::streams::{self, CHANNEL_STREAM};
+use mesh_topology::streams::{self, Stream};
 use mesh_topology::{generate, Link, NodeId, Topology};
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -81,7 +81,7 @@ struct PerEpochGe {
 impl PerEpochGe {
     fn new(topo: &Topology, spec: &ChannelSpec, seed: u64) -> Self {
         let ge = params(spec);
-        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ CHANNEL_STREAM);
+        let mut rng = streams::rng(seed, Stream::Channel);
         let n = topo.n();
         let links: Vec<usize> = topo.links().map(|l| l.from.0 * n + l.to.0).collect();
         let mut good_p = vec![0.0; n * n];
@@ -205,7 +205,7 @@ impl ForwardGe {
             ((1.0 - a) + (1.0 - b), 1.0 - b, true)
         };
         let mut chain = ForwardGe {
-            key: ChaCha8Rng::seed_from_u64(seed ^ CHANNEL_STREAM).next_u64(),
+            key: streams::rng(seed, Stream::Channel).next_u64(),
             epoch: ge.epoch_ms * MS,
             start_bad: threshold(pi_bad(a, b)),
             fresh: threshold(fresh),

@@ -392,10 +392,6 @@ impl FlowAgent for Arrivals {
         FlowProgressView::default()
     }
 
-    fn supports_dynamic_flows(&self) -> bool {
-        true
-    }
-
     fn add_flow(&mut self, desc: &FlowDesc) -> usize {
         self.calls.push(Call::Add(desc.src));
         self.flows += 1;

@@ -55,8 +55,8 @@ impl LinkEstimator {
     /// The estimate of a link is its success rate over the whole window —
     /// a bursty channel that averages to the static topology yields the
     /// same beliefs in expectation. Deterministic in `seed`; probe draws
-    /// use their own stream (`seed ^ PROBE_STREAM`), independent of both
-    /// the run's main RNG and whatever stream the callback's channel model
+    /// use their own stream ([`Stream::Probe`]), independent of both the
+    /// run's main RNG and whatever stream the callback's channel model
     /// owns. Links estimated below `min_delivery`, and links no probe
     /// crossed, are dropped; the result keeps `truth`'s node count and
     /// positions.

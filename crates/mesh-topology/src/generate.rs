@@ -194,6 +194,27 @@ impl RadioModel {
         let p = 1.0 / (1.0 + ((d - self.half_distance) / self.spread).exp());
         p.min(self.max_delivery)
     }
+
+    /// The links `i → j` and `j → i` between two nodes `base` meters
+    /// apart, or `None` when they are not neighbours. Draws the pair's
+    /// shadowing, then its asymmetry, from `rng`.
+    ///
+    /// Shadowing is symmetric per node pair, plus a small per-direction
+    /// asymmetry: measured 802.11 links are usually roughly, but not
+    /// exactly, symmetric. Link existence is symmetric: if either
+    /// direction falls below the floor, the pair is not neighbours
+    /// (Roofnet's ETX prober drops links whose reverse probe rate is too
+    /// low — a one-way link is unusable under 802.11's ACK'd unicast
+    /// anyway).
+    fn pair_links(&self, i: usize, j: usize, base: f64, rng: &mut impl Rng) -> Option<[Link; 2]> {
+        let shadow = approx_normal(rng) * self.shadowing_sigma;
+        let p = self.delivery_at((base + shadow).max(0.0));
+        let asym = 1.0 + 0.05 * approx_normal(rng).clamp(-2.0, 2.0);
+        let pij = (p * asym).clamp(0.0, self.max_delivery);
+        let pji = (p / asym).clamp(0.0, self.max_delivery);
+        (pij >= self.min_delivery && pji >= self.min_delivery)
+            .then(|| [link(i, j, pij), link(j, i, pji)])
+    }
 }
 
 /// Approximate standard normal via the sum of 12 uniforms (Irwin–Hall);
@@ -213,22 +234,9 @@ fn links_from_positions(
     let mut links = Vec::new();
     for i in 0..n {
         for j in (i + 1)..n {
-            // Symmetric shadowing per node pair plus small per-direction
-            // asymmetry: measured 802.11 links are usually roughly, but not
-            // exactly, symmetric.
             let base = positions[i].distance(&positions[j], model.floor_penalty);
-            let shadow = approx_normal(rng) * model.shadowing_sigma;
-            let d_eff = (base + shadow).max(0.0);
-            let p = model.delivery_at(d_eff);
-            let asym = 1.0 + 0.05 * approx_normal(rng).clamp(-2.0, 2.0);
-            let pij = (p * asym).clamp(0.0, model.max_delivery);
-            let pji = (p / asym).clamp(0.0, model.max_delivery);
-            // Link existence is symmetric: if either direction falls below
-            // the floor, the pair is not neighbours (Roofnet's ETX prober
-            // drops links whose reverse probe rate is too low — a one-way
-            // link is unusable under 802.11's ACK'd unicast anyway).
-            if pij >= model.min_delivery && pji >= model.min_delivery {
-                links.extend([link(i, j, pij), link(j, i, pji)]);
+            if let Some(pair) = model.pair_links(i, j, base, rng) {
+                links.extend(pair);
             }
         }
     }
@@ -314,10 +322,6 @@ impl Default for TestbedTargets {
     }
 }
 
-pub use crate::streams::{
-    CITY_LINK_STREAM, CITY_SCATTER_STREAM, MESH_ATTEMPT_STREAM, TESTBED_ATTEMPT_STREAM,
-};
-
 /// A 20-node, 3-floor indoor testbed statistically matched to §4.1.
 ///
 /// Deterministic in `seed`; internally retries derived seeds until the
@@ -390,8 +394,8 @@ fn max_link_distance(model: &RadioModel) -> f64 {
 /// requirement would reject almost every layout. Candidate pairs come
 /// from a [`CellGrid`] query bounded by the model's maximum plausible
 /// link distance; each unordered pair draws its shadowing and asymmetry
-/// from its own ChaCha8 stream (the run seed xor `CITY_LINK_STREAM`
-/// mixed with the pair index), so the result is a pure function of
+/// from its own ChaCha8 stream ([`Stream::CityLink`] of the run
+/// seed, mixed with the pair index), so the result is a pure function of
 /// `(n, seed)` regardless of grid enumeration order. The streams are
 /// seeded eight at a time ([`streams::pair_rngs`]); each is the one its
 /// pair's seed alone would give.
@@ -409,14 +413,8 @@ pub fn city_mesh(n: usize, seed: u64) -> Topology {
         let pairs = batch.iter().map(|&(i, j, _)| (i, j));
         let mut rngs = streams::pair_rngs(seed, Stream::CityLink, pairs);
         for (&(i, j, base), pair_rng) in batch.iter().zip(&mut rngs) {
-            let shadow = approx_normal(pair_rng) * model.shadowing_sigma;
-            let d_eff = (base + shadow).max(0.0);
-            let p = model.delivery_at(d_eff);
-            let asym = 1.0 + 0.05 * approx_normal(pair_rng).clamp(-2.0, 2.0);
-            let pij = (p * asym).clamp(0.0, model.max_delivery);
-            let pji = (p / asym).clamp(0.0, model.max_delivery);
-            if pij >= model.min_delivery && pji >= model.min_delivery {
-                links.extend([link(i, j, pij), link(j, i, pji)]);
+            if let Some(pair) = model.pair_links(i, j, base, pair_rng) {
+                links.extend(pair);
             }
         }
     };

@@ -1,9 +1,9 @@
 //! The canonical RNG stream registry, and the only place library code
 //! seeds a generator.
 //!
-//! Every independent randomness consumer in the workspace draws from the
-//! ChaCha8 stream `seed ^ <NAME>_STREAM`, where the constant lives here
-//! and nowhere else. Three properties hold by construction:
+//! Every independent randomness consumer in the workspace draws from a
+//! ChaCha8 stream derived from its seed and a variant of [`Stream`],
+//! defined here and nowhere else. Three properties hold by construction:
 //!
 //! 1. **uniqueness of names**: every stream is a variant of [`Stream`],
 //!    where a second variant of one name is error E0428;
@@ -18,43 +18,63 @@
 //!    library generator mixes its seed with a named [`Stream`] in one of
 //!    three fixed shapes.
 //!
-//! A new stream is a new `Stream` variant plus its constant here.
+//! A new stream is a new `Stream` variant, with the reason it needs a
+//! stream of its own.
 //!
 //! [`draw`] is the one randomness primitive that is not a generator: a
 //! counter-based word per `(key, slot, index)`, for a consumer that reads
 //! its randomness out of order. Its key is a word of a named stream, so
 //! it derives from the seed through [`rng`] like everything else.
-//!
-//! Consumers re-export their constant at its historical public path
-//! (e.g. `scenario::TRAFFIC_STREAM`), so moving the definitions here
-//! changed no values and therefore no RNG byte-stream.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-/// One variant per stream. The discriminants are the constants' values,
-/// so the compiler rejects a duplicate value (E0081).
+/// One variant per stream. A stream's generator is seeded from the seed
+/// xor its discriminant, so the compiler rejects a duplicate value
+/// (E0081).
 #[repr(u64)]
 #[derive(Clone, Copy, Debug)]
 pub enum Stream {
     /// The bare seed: the engine's main stream, and draws keyed by a
     /// seed the caller chose for them alone.
     Run = 0,
-    /// [`CHANNEL_STREAM`].
+    /// Channel evolution (`mesh_sim::channel`), under the run seed: a
+    /// stream of its own so model-internal draws never perturb the
+    /// engine's main stream (which is what keeps static runs
+    /// byte-identical to the pre-channel engine).
     Channel = 0xC4A2_2E1C_51A7_0DE1,
-    /// [`PROBE_STREAM`].
+    /// Probe draws (`LinkEstimator::estimate_live`): callers pass the
+    /// *run* seed (the probe window previews that run's channel), and
+    /// without the separation the probe's Bernoulli draws would be
+    /// bit-identical to the run's early MAC/loss draws, correlating
+    /// measured beliefs with actual outcomes.
     Probe = 0x9B0B_E57A_11E5_7331,
-    /// [`TRAFFIC_STREAM`].
+    /// Workload randomness (`scenario::traffic`), under the run seed, so
+    /// traffic draws never perturb the engine's main stream.
     Traffic = 0x7AFF_1C00_5EED_F10B,
-    /// [`QUEUE_STREAM`].
+    /// Queue-discipline randomness (RED's marking draws, CHOKe's random
+    /// peek; `mesh_sim::queue`), under the run seed, so AQM decisions
+    /// never perturb the engine's main stream — which is what keeps
+    /// `QueueSpec::Unbounded` runs byte-identical to the pre-queue
+    /// engine.
     Queue = 0x51EE_7AB1_E0DD_90C3,
-    /// [`TESTBED_ATTEMPT_STREAM`].
+    /// Decorrelates testbed-generation retries from the run seed
+    /// (`crate::generate::testbed`).
     TestbedAttempt = 0x9E37_79B9_7F4A_7C15,
-    /// [`MESH_ATTEMPT_STREAM`].
+    /// Decorrelates random-mesh retries from the run seed
+    /// (`crate::generate::random_mesh`).
     MeshAttempt = 0xD1B5_4A32_D192_ED03,
-    /// [`CITY_SCATTER_STREAM`].
+    /// The city-scale generator's node placement
+    /// (`crate::generate::city_mesh`), so scatter draws stay
+    /// decorrelated from the per-pair link draws and from every run-seed
+    /// consumer.
     CityScatter = 0xA5C3_91E4_6B2D_8F17,
-    /// [`CITY_LINK_STREAM`].
+    /// The per-pair link draws of `crate::generate::city_mesh`, mixed
+    /// with a splitmix-mixed pair index ([`pair_rngs`]). Seeding each
+    /// unordered node pair independently makes the drawn
+    /// shadowing/asymmetry — and hence the generated mesh — independent
+    /// of the order in which the spatial grid enumerates candidate
+    /// neighbors.
     CityLink = 0x3D8E_5A01_C97B_42D9,
 }
 
@@ -126,49 +146,3 @@ fn mix64(mut z: u64) -> u64 {
 fn seeded(seed: u64) -> ChaCha8Rng {
     ChaCha8Rng::seed_from_u64(seed)
 }
-
-/// XOR'd into the run seed to give channel evolution its own ChaCha8
-/// stream, so model-internal draws never perturb the engine's main
-/// stream (which is what keeps static runs byte-identical to the
-/// pre-channel engine). Consumed by `mesh_sim::channel`.
-pub const CHANNEL_STREAM: u64 = Stream::Channel as u64;
-
-/// XOR'd into the seed of `LinkEstimator::estimate_live` so probe draws
-/// get their own ChaCha8 stream: callers pass the *run* seed (the probe
-/// window previews that run's channel), and without the separation the
-/// probe's Bernoulli draws would be bit-identical to the run's early
-/// MAC/loss draws, correlating measured beliefs with actual outcomes.
-pub const PROBE_STREAM: u64 = Stream::Probe as u64;
-
-/// XOR'd into the run seed to give workload randomness its own ChaCha8
-/// stream (the same device `mesh_sim::channel` uses for loss-process
-/// evolution), so traffic draws never perturb the engine's main stream.
-/// Consumed by `scenario::traffic`.
-pub const TRAFFIC_STREAM: u64 = Stream::Traffic as u64;
-
-/// XOR'd into the run seed to give queue-discipline randomness (RED's
-/// marking draws, CHOKe's random peek) its own ChaCha8 stream, so AQM
-/// decisions never perturb the engine's main stream — which is what
-/// keeps `QueueSpec::Unbounded` runs byte-identical to the pre-queue
-/// engine. Consumed by `mesh_sim::queue`.
-pub const QUEUE_STREAM: u64 = Stream::Queue as u64;
-
-/// Stream constant decorrelating testbed-generation retries from the
-/// run seed (`crate::generate::testbed`).
-pub const TESTBED_ATTEMPT_STREAM: u64 = Stream::TestbedAttempt as u64;
-
-/// Stream constant decorrelating random-mesh retries from the run seed
-/// (`crate::generate::random_mesh`).
-pub const MESH_ATTEMPT_STREAM: u64 = Stream::MeshAttempt as u64;
-
-/// XOR'd into the seed of the city-scale generator's node-placement RNG
-/// (`crate::generate::city_mesh`), so scatter draws stay decorrelated
-/// from the per-pair link draws below and from every run-seed consumer.
-pub const CITY_SCATTER_STREAM: u64 = Stream::CityScatter as u64;
-
-/// XOR'd (together with a splitmix-mixed pair index) into the per-pair
-/// link RNG of `crate::generate::city_mesh`. Seeding each unordered node
-/// pair independently makes the drawn shadowing/asymmetry — and hence
-/// the generated mesh — independent of the order in which the spatial
-/// grid enumerates candidate neighbors.
-pub const CITY_LINK_STREAM: u64 = Stream::CityLink as u64;

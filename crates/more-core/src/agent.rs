@@ -430,10 +430,6 @@ impl mesh_sim::FlowAgent for MoreAgent {
         }
     }
 
-    fn supports_dynamic_flows(&self) -> bool {
-        true
-    }
-
     fn add_flow(&mut self, desc: &mesh_sim::FlowDesc) -> usize {
         MoreAgent::add_flow(self, desc.src, &desc.dsts, desc.packets)
     }

@@ -14,7 +14,7 @@ use crate::pairs::PairPool;
 use crate::protocols::reject_multicast;
 use crate::record::{time_to_s, FlowRecord, RunRecord};
 use crate::registry::{BuildError, ProtocolFactory};
-use crate::spec::{ExpConfig, FlowSpec, Point};
+use crate::spec::{ExpConfig, Point};
 use crate::traffic::{flow_windows, validate_schedule, FlowWindow};
 use mesh_sim::{
     AimdConfig, FlowAgent, FlowProgressView, SimConfig, SimStats, Simulator, Time, TrafficAction,
@@ -87,20 +87,11 @@ impl Cells<'_> {
             if !factory.supports_multicast() {
                 reject_multicast(protocol, windows.iter().map(|w| &w.spec))?;
             }
-            // Flows arriving at t = 0 are installed by the factory before
-            // the run, the rest by scheduled traffic actions mid-run —
-            // both through `FlowAgent::add_flow`.
-            let initial = windows
-                .iter()
-                .filter(|w| w.start == 0)
-                .map(|w| w.spec.clone())
-                .collect();
             records.push(factory.run(Cell {
                 cells: self,
                 protocol,
                 routing,
                 windows: &windows,
-                initial,
                 cfg,
                 point,
                 traffic_index,
@@ -131,8 +122,9 @@ impl Cells<'_> {
 
 /// One flow set of one grid cell, ready to run: the topologies, the flow
 /// windows, the experiment parameters and the point. A
-/// [`ProtocolFactory`] builds its agent from [`Cell::topology`],
-/// [`Cell::flows`] and [`Cell::config`] and hands it to [`Cell::run`].
+/// [`ProtocolFactory`] builds its agent, with no flows, from
+/// [`Cell::topology`] and [`Cell::config`] and hands it to [`Cell::run`],
+/// which installs every flow.
 #[must_use]
 pub struct Cell<'a> {
     cells: &'a Cells<'a>,
@@ -140,8 +132,6 @@ pub struct Cell<'a> {
     /// What routing believes: the grid's topology, or a probe estimate.
     routing: &'a Topology,
     windows: &'a [FlowWindow],
-    /// The flows arriving at t = 0, in window order.
-    initial: Vec<FlowSpec>,
     cfg: ExpConfig,
     point: &'a Point,
     traffic_index: usize,
@@ -154,44 +144,26 @@ impl Cell<'_> {
         self.routing
     }
 
-    /// The flows the agent installs before the run (those arriving at
-    /// t = 0); the rest arrive through [`FlowAgent::add_flow`] mid-run.
-    pub fn flows(&self) -> &[FlowSpec] {
-        &self.initial
-    }
-
     /// The run's experiment parameters: its seed and its point's batch
     /// size substituted into the builder's.
     pub fn config(&self) -> &ExpConfig {
         &self.cfg
     }
 
-    /// Runs the flow set on `agent` — built with [`Cell::flows`]
-    /// installed — to completion or the deadline, and measures it.
+    /// Runs the flow set on `agent` — built with no flows — to completion
+    /// or the deadline, and measures it.
     ///
-    /// Flows starting at t = 0 are kicked, the rest arrive as scheduled
-    /// traffic actions; per-flow arrival/departure/latency is recorded for
-    /// dynamic schedules (`None` for static ones). The point's channel and
-    /// queue apply; a bounded queue installs the queueing layer, and the
-    /// builder's `congestion` then paces every flow's source (the flow at
-    /// window `i` has [`mesh_sim::flow_id`]`(i)` — the factory contract —
-    /// and dynamically arriving flows are auto-paced via the traffic hook).
-    ///
-    /// # Errors
-    ///
-    /// [`BuildError::Unsupported`] when the schedule starts or stops flows
-    /// mid-run and `agent` does not implement the dynamic flow lifecycle.
-    pub fn run<A: FlowAgent>(self, agent: A) -> Result<RunRecord, BuildError> {
+    /// Every flow arrives as a scheduled [`TrafficAction::Start`] at its
+    /// window's start, t = 0 included, and departs as a
+    /// [`TrafficAction::Stop`] if its window has one; the flow at window
+    /// `i` is the agent's `i`-th [`FlowAgent::add_flow`], so it carries
+    /// [`mesh_sim::flow_id`]`(i)`. Per-flow arrival/departure/latency is
+    /// recorded for dynamic schedules (`None` for static ones). The
+    /// point's channel and queue apply; a bounded queue installs the
+    /// queueing layer, and the builder's `congestion` then paces every
+    /// flow's source as it arrives.
+    pub fn run<A: FlowAgent>(self, agent: A) -> RunRecord {
         let windows = self.windows;
-        let dynamic = windows.iter().any(|w| w.start > 0 || w.stop.is_some());
-        if dynamic && !agent.supports_dynamic_flows() {
-            return Err(BuildError::Unsupported(format!(
-                "protocol {} does not implement the dynamic flow \
-                 lifecycle (FlowAgent::add_flow/end_flow) required by \
-                 traffic model {:?}",
-                self.protocol, self.point.traffic
-            )));
-        }
         let deadline = self.cfg.deadline_s * SEC;
         let sim_cfg = SimConfig {
             bitrate: self.cfg.bitrate,
@@ -201,28 +173,18 @@ impl Cell<'_> {
         let topo = self.cells.topo.clone();
         let mut sim = Simulator::with_queue(topo, sim_cfg, chan, queue, agent, self.cfg.seed);
         if let Some(cc) = self.cells.congestion.filter(|_| !queue.is_unbounded()) {
-            for (i, w) in windows.iter().enumerate() {
-                if w.start == 0 {
-                    sim.pace_flow(mesh_sim::flow_id(i), w.spec.src, cc);
-                }
-            }
-            // Flows the traffic model injects mid-run are paced as they
-            // arrive.
             sim.pace_all_flows(cc);
         }
         for (i, w) in windows.iter().enumerate() {
-            if w.start == 0 {
-                sim.kick(w.spec.src);
-            } else {
-                sim.schedule_traffic(w.start, TrafficAction::Start(w.spec.clone()));
-            }
+            sim.schedule_traffic(w.start, TrafficAction::Start(w.spec.clone()));
             if let Some(stop) = w.stop {
                 sim.schedule_traffic(stop, TrafficAction::Stop(i));
             }
         }
         sim.run_until(deadline, |a: &A| a.flows_done());
         let progress = |i| sim.agent.flow_progress(i);
-        Ok(self.record(&sim.stats, sim.now(), &progress, dynamic))
+        let dynamic = windows.iter().any(|w| w.start > 0 || w.stop.is_some());
+        self.record(&sim.stats, sim.now(), &progress, dynamic)
     }
 
     /// The run's record, from its statistics, its end instant and each
@@ -385,6 +347,7 @@ fn validate_endpoints(pool: &mut PairPool<'_>, windows: &[FlowWindow]) -> Result
 #[cfg(test)]
 mod test {
     use super::*;
+    use crate::spec::FlowSpec;
     use mesh_topology::{Link, NodeId};
 
     /// An `n`-node topology from `(from, to, p)` triples.

@@ -92,5 +92,4 @@ pub use sink::{Aggregate, Collect, CsvAppend, JsonLines, RunSink, Tee};
 pub use spec::{random_pairs, ExpConfig, FlowSpec, Sweep, TopologySpec, TrafficSpec};
 pub use traffic::{
     validate_schedule, FlowEvent, PoissonModel, StaticModel, TrafficModel, TrafficModelSpec,
-    TRAFFIC_STREAM,
 };

@@ -2,8 +2,8 @@
 //! protocols. Each factory is a thin, configurable constructor; variants
 //! (e.g. the EOTX-ordered MORE ablation) are new factories under new
 //! names, not new enum arms. Each has one constructor for its concrete
-//! agent: `build` boxes it behind the erasure, and `run` hands it to
-//! [`Cell::run`] as it is.
+//! agent, with no flows: `run` hands it to [`Cell::run`] as it is, and
+//! `build` installs the given flows and boxes it behind the erasure.
 
 use crate::cell::Cell;
 use crate::record::RunRecord;
@@ -43,13 +43,13 @@ impl MoreFactory {
         }
     }
 
-    /// The agent with `flows` installed, at the experiment's batch size.
-    fn agent(&self, topo: &Topology, flows: &[FlowSpec], cfg: &ExpConfig) -> MoreAgent {
+    /// The agent, at the experiment's batch size.
+    fn agent(&self, topo: &Topology, cfg: &ExpConfig) -> MoreAgent {
         let mcfg = MoreConfig {
             k: cfg.k,
             ..self.cfg
         };
-        with_flows(MoreAgent::new(topo.clone(), mcfg), flows)
+        MoreAgent::new(topo.clone(), mcfg)
     }
 }
 
@@ -64,12 +64,12 @@ impl ProtocolFactory for MoreFactory {
         flows: &[FlowSpec],
         cfg: &ExpConfig,
     ) -> Result<Box<dyn ErasedFlowAgent>, BuildError> {
-        Ok(Box::new(Erased(self.agent(topo, flows, cfg))))
+        Ok(Box::new(Erased(with_flows(self.agent(topo, cfg), flows))))
     }
 
     fn run(&self, cell: Cell<'_>) -> Result<RunRecord, BuildError> {
-        let agent = self.agent(cell.topology(), cell.flows(), cell.config());
-        cell.run(agent)
+        let agent = self.agent(cell.topology(), cell.config());
+        Ok(cell.run(agent))
     }
 }
 
@@ -104,16 +104,9 @@ pub(crate) fn reject_multicast<'a>(
 pub struct ExorFactory;
 
 impl ExorFactory {
-    /// The agent with `flows` installed, unless one is multicast.
-    fn agent(
-        &self,
-        topo: &Topology,
-        flows: &[FlowSpec],
-        cfg: &ExpConfig,
-    ) -> Result<ExorAgent, BuildError> {
-        reject_multicast(self.name(), flows.iter())?;
-        let agent = ExorAgent::new(topo.clone(), ExorConfig { k: cfg.k });
-        Ok(with_flows(agent, flows))
+    /// The agent, at the experiment's batch size.
+    fn agent(&self, topo: &Topology, cfg: &ExpConfig) -> ExorAgent {
+        ExorAgent::new(topo.clone(), ExorConfig { k: cfg.k })
     }
 }
 
@@ -132,12 +125,13 @@ impl ProtocolFactory for ExorFactory {
         flows: &[FlowSpec],
         cfg: &ExpConfig,
     ) -> Result<Box<dyn ErasedFlowAgent>, BuildError> {
-        Ok(Box::new(Erased(self.agent(topo, flows, cfg)?)))
+        reject_multicast(self.name(), flows.iter())?;
+        Ok(Box::new(Erased(with_flows(self.agent(topo, cfg), flows))))
     }
 
     fn run(&self, cell: Cell<'_>) -> Result<RunRecord, BuildError> {
-        let agent = self.agent(cell.topology(), cell.flows(), cell.config())?;
-        cell.run(agent)
+        let agent = self.agent(cell.topology(), cell.config());
+        Ok(cell.run(agent))
     }
 }
 
@@ -163,16 +157,9 @@ impl SrcrFactory {
         }
     }
 
-    /// The agent with `flows` installed, unless one is multicast.
-    fn agent(
-        &self,
-        topo: &Topology,
-        flows: &[FlowSpec],
-        cfg: &ExpConfig,
-    ) -> Result<SrcrAgent, BuildError> {
-        reject_multicast(self.name(), flows.iter())?;
-        let agent = SrcrAgent::new(topo.clone(), self.cfg, cfg.bitrate);
-        Ok(with_flows(agent, flows))
+    /// The agent, at the experiment's bit-rate.
+    fn agent(&self, topo: &Topology, cfg: &ExpConfig) -> SrcrAgent {
+        SrcrAgent::new(topo.clone(), self.cfg, cfg.bitrate)
     }
 }
 
@@ -195,12 +182,13 @@ impl ProtocolFactory for SrcrFactory {
         flows: &[FlowSpec],
         cfg: &ExpConfig,
     ) -> Result<Box<dyn ErasedFlowAgent>, BuildError> {
-        Ok(Box::new(Erased(self.agent(topo, flows, cfg)?)))
+        reject_multicast(self.name(), flows.iter())?;
+        Ok(Box::new(Erased(with_flows(self.agent(topo, cfg), flows))))
     }
 
     fn run(&self, cell: Cell<'_>) -> Result<RunRecord, BuildError> {
-        let agent = self.agent(cell.topology(), cell.flows(), cell.config())?;
-        cell.run(agent)
+        let agent = self.agent(cell.topology(), cell.config());
+        Ok(cell.run(agent))
     }
 }
 

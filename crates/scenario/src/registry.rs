@@ -55,11 +55,14 @@ impl std::error::Error for BuildError {}
 /// Builds a ready-to-run agent for one simulator run.
 ///
 /// Object-safe on purpose: registries hold `Arc<dyn ProtocolFactory>`.
-/// `build` receives the topology, the run's flows (already expanded from
-/// the traffic spec), and the experiment parameters; it must add every
-/// flow to the agent in order, so that the flow at index `i` carries id
-/// [`mesh_sim::flow_id`]`(i)`, and perform any protocol-specific arming.
-/// The scenario engine kicks each flow's source after construction.
+/// `build` receives the topology, a list of flows and the experiment
+/// parameters, and performs any protocol-specific arming. It must add the
+/// flows to the agent in order, so that the flow at index `i` carries id
+/// [`mesh_sim::flow_id`]`(i)`. The scenario engine passes no flows: it
+/// installs every flow of a run through [`mesh_sim::FlowAgent::add_flow`],
+/// one scheduled traffic action per flow, so the flows it adds continue
+/// the numbering. A direct caller may pass some, to install them before
+/// the run.
 ///
 /// The scenario engine runs each flow set through [`Self::run`]. Its
 /// default runs the boxed agent `build` returns, with every frame's
@@ -71,14 +74,14 @@ pub trait ProtocolFactory: Send + Sync {
     fn name(&self) -> &str;
 
     /// Can the protocol carry a flow with several destinations? The
-    /// engine asks before building, for every flow of the schedule — the
-    /// ones arriving mid-run never pass through [`Self::build`] — and
-    /// turns a `false` into [`BuildError::Unsupported`].
+    /// engine asks before building, for every flow of the schedule — none
+    /// of them passes through [`Self::build`] — and turns a `false` into
+    /// [`BuildError::Unsupported`].
     fn supports_multicast(&self) -> bool {
         true
     }
 
-    /// Constructs the agent with all flows installed.
+    /// Constructs the agent with `flows` installed.
     fn build(
         &self,
         topo: &Topology,
@@ -86,12 +89,12 @@ pub trait ProtocolFactory: Send + Sync {
         cfg: &ExpConfig,
     ) -> Result<Box<dyn ErasedFlowAgent>, BuildError>;
 
-    /// Runs one flow set of a scenario grid: builds the agent from
-    /// [`Cell::topology`], [`Cell::flows`] and [`Cell::config`] and hands
-    /// it to [`Cell::run`]. The default builds through [`Self::build`].
+    /// Runs one flow set of a scenario grid: builds the agent, with no
+    /// flows, from [`Cell::topology`] and [`Cell::config`] and hands it to
+    /// [`Cell::run`]. The default builds through [`Self::build`].
     fn run(&self, cell: Cell<'_>) -> Result<RunRecord, BuildError> {
-        let agent = self.build(cell.topology(), cell.flows(), cell.config())?;
-        cell.run(agent)
+        let agent = self.build(cell.topology(), &[], cell.config())?;
+        Ok(cell.run(agent))
     }
 }
 

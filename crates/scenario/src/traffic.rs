@@ -20,7 +20,7 @@
 //!
 //! A model draws all of its randomness (arrival instants, lifetimes,
 //! endpoint choices) from its **own** ChaCha8 stream derived from the run
-//! seed (`seed ^ TRAFFIC_STREAM`), never from the engine's main stream —
+//! seed (`Stream::Traffic`), never from the engine's main stream —
 //! so adding dynamics cannot perturb MAC backoffs or per-frame loss
 //! draws, and a static workload stays byte-identical to the
 //! pre-traffic-model engine.
@@ -34,8 +34,6 @@ use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use std::fmt;
 use std::sync::Arc;
-
-pub use mesh_topology::streams::TRAFFIC_STREAM;
 
 /// A timestamped workload event within one simulator run.
 #[derive(Clone, Debug, PartialEq)]
@@ -71,7 +69,7 @@ impl FlowEvent {
 ///
 /// Schedules must be sorted by timestamp, and every [`FlowEvent::Stop`]
 /// must reference an earlier `Start` (by start order). Models draw their
-/// randomness from `seed ^ TRAFFIC_STREAM` so runs stay a pure function
+/// randomness from the seed's `Stream::Traffic` so runs stay a pure function
 /// of `(topology, agent, seed, channel, traffic)`.
 ///
 /// ```

@@ -9,7 +9,7 @@ use more_repro::scenario::{
 use more_repro::sim::{Ctx, Erased, ErasedFlowAgent, Frame, NodeAgent, OutFrame, TxOutcome};
 use more_repro::sim::{FlowAgent, FlowProgressView, Time, SEC};
 use more_repro::topology::{generate, NodeId, Topology};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 // ---------------------------------------------------------------------
 // Round-trip determinism: same builder + same seed ⇒ identical records.
@@ -75,6 +75,8 @@ struct FloodFlow {
     seen: Vec<Vec<bool>>,
     delivered: usize,
     completed_at: Option<Time>,
+    /// Departed before completing: silent, and resolved.
+    halted: bool,
 }
 
 impl FloodAgent {
@@ -84,21 +86,6 @@ impl FloodAgent {
             flows: Vec::new(),
             n_nodes: topo.n(),
         }
-    }
-
-    fn add_flow(&mut self, src: NodeId, dst: NodeId, total: usize) {
-        let mut pending = vec![Vec::new(); self.n_nodes];
-        let mut seen = vec![vec![false; total]; self.n_nodes];
-        pending[src.0] = (0..total as u32).map(|s| (s, self.repeats)).collect();
-        seen[src.0].fill(true);
-        self.flows.push(FloodFlow {
-            dst,
-            total,
-            pending,
-            seen,
-            delivered: 0,
-            completed_at: None,
-        });
     }
 }
 
@@ -114,7 +101,7 @@ impl NodeAgent for FloodAgent {
     fn on_receive(&mut self, node: NodeId, frame: &Frame<FloodPayload>, ctx: &mut Ctx<'_>) {
         let FloodPayload { flow, seq } = frame.payload;
         let f = &mut self.flows[flow];
-        if f.seen[node.0][seq as usize] {
+        if f.halted || f.seen[node.0][seq as usize] {
             return;
         }
         f.seen[node.0][seq as usize] = true;
@@ -162,7 +149,9 @@ impl NodeAgent for FloodAgent {
 
 impl FlowAgent for FloodAgent {
     fn flows_done(&self) -> bool {
-        self.flows.iter().all(|f| f.delivered == f.total)
+        self.flows
+            .iter()
+            .all(|f| f.halted || f.delivered == f.total)
     }
 
     fn flow_progress(&self, index: usize) -> FlowProgressView {
@@ -170,8 +159,34 @@ impl FlowAgent for FloodAgent {
         FlowProgressView {
             delivered: f.delivered,
             completed_at: f.completed_at,
-            done: f.delivered == f.total,
+            done: f.halted || f.delivered == f.total,
         }
+    }
+
+    /// Unicast only: the factory declares it, so the engine never hands
+    /// this agent a multicast flow.
+    fn add_flow(&mut self, desc: &FlowSpec) -> usize {
+        let (src, total) = (desc.src, desc.packets);
+        let mut pending = vec![Vec::new(); self.n_nodes];
+        let mut seen = vec![vec![false; total]; self.n_nodes];
+        pending[src.0] = (0..total as u32).map(|s| (s, self.repeats)).collect();
+        seen[src.0].fill(true);
+        self.flows.push(FloodFlow {
+            dst: desc.dst(),
+            total,
+            pending,
+            seen,
+            delivered: 0,
+            completed_at: None,
+            halted: false,
+        });
+        self.flows.len() - 1
+    }
+
+    fn end_flow(&mut self, index: usize) {
+        let f = &mut self.flows[index];
+        f.halted = true;
+        f.pending.iter_mut().for_each(Vec::clear);
     }
 }
 
@@ -185,6 +200,10 @@ impl ProtocolFactory for FloodFactory {
         "Flood"
     }
 
+    fn supports_multicast(&self) -> bool {
+        false
+    }
+
     fn build(
         &self,
         topo: &Topology,
@@ -193,10 +212,7 @@ impl ProtocolFactory for FloodFactory {
     ) -> Result<Box<dyn ErasedFlowAgent>, BuildError> {
         let mut agent = FloodAgent::new(topo, self.repeats);
         for f in flows {
-            if f.is_multicast() {
-                return Err(BuildError::Unsupported("Flood is unicast-only".into()));
-            }
-            agent.add_flow(f.src, f.dst(), f.packets);
+            agent.add_flow(f);
         }
         Ok(Box::new(Erased(agent)))
     }
@@ -245,6 +261,154 @@ fn custom_protocol_runs_alongside_builtins_on_a_chain() {
         "flooding ({}) should out-transmit MORE ({})",
         tx("Flood"),
         tx("MORE")
+    );
+}
+
+// ---------------------------------------------------------------------
+// The flow lifecycle: every flow reaches the agent through `add_flow`.
+// ---------------------------------------------------------------------
+
+/// What a [`Recorder`] agent was asked to do, in order.
+#[derive(Clone, Debug, PartialEq, Eq)]
+enum Call {
+    /// `build` was handed these flows.
+    Built(Vec<FlowSpec>),
+    /// `add_flow` installed this flow and returned this index.
+    Add(usize, FlowSpec),
+    /// `end_flow` halted the flow at this index.
+    End(usize),
+}
+
+/// An agent that never transmits and logs its flow lifecycle.
+struct Silent {
+    flows: usize,
+    log: Arc<Mutex<Vec<Call>>>,
+}
+
+impl NodeAgent for Silent {
+    type Payload = ();
+
+    fn on_receive(&mut self, _: NodeId, _: &Frame<()>, _: &mut Ctx<'_>) {}
+
+    fn on_tx_done(&mut self, _: NodeId, _: TxOutcome, _: (), _: &mut Ctx<'_>) {}
+
+    fn poll_tx(&mut self, _: NodeId, _: &mut Ctx<'_>) -> Option<OutFrame<()>> {
+        None
+    }
+}
+
+impl FlowAgent for Silent {
+    fn flows_done(&self) -> bool {
+        false
+    }
+
+    fn flow_progress(&self, _: usize) -> FlowProgressView {
+        FlowProgressView::default()
+    }
+
+    fn add_flow(&mut self, desc: &FlowSpec) -> usize {
+        let index = self.flows;
+        self.flows += 1;
+        self.log
+            .lock()
+            .unwrap()
+            .push(Call::Add(index, desc.clone()));
+        index
+    }
+
+    fn end_flow(&mut self, index: usize) {
+        self.log.lock().unwrap().push(Call::End(index));
+    }
+}
+
+/// A factory with `build` only, so its cells take the default `run`.
+struct Recorder(Arc<Mutex<Vec<Call>>>);
+
+impl ProtocolFactory for Recorder {
+    fn name(&self) -> &str {
+        "Recorder"
+    }
+
+    fn build(
+        &self,
+        _: &Topology,
+        flows: &[FlowSpec],
+        _: &ExpConfig,
+    ) -> Result<Box<dyn ErasedFlowAgent>, BuildError> {
+        self.0.lock().unwrap().push(Call::Built(flows.to_vec()));
+        let mut agent = Silent {
+            flows: 0,
+            log: Arc::clone(&self.0),
+        };
+        for f in flows {
+            agent.add_flow(f);
+        }
+        Ok(Box::new(Erased(agent)))
+    }
+}
+
+/// Two flows from t = 0, a third arriving after one second, and the
+/// first departing after two.
+struct Staggered;
+
+impl TrafficModel for Staggered {
+    fn schedules(&self, _: &Topology, _: u64, packets: usize, _: Time) -> Vec<Vec<FlowEvent>> {
+        let start = |src, dst, at| FlowEvent::Start {
+            flow: FlowSpec::unicast(NodeId(src), NodeId(dst), packets),
+            at,
+        };
+        vec![vec![
+            start(0, 19, 0),
+            start(3, 7, 0),
+            start(5, 9, SEC),
+            FlowEvent::Stop {
+                flow: 0,
+                at: 2 * SEC,
+            },
+        ]]
+    }
+}
+
+/// The calls a [`Recorder`] logs over one scenario on the testbed.
+fn recorded(traffic: TrafficModelSpec) -> Vec<Call> {
+    let log = Arc::new(Mutex::new(Vec::new()));
+    Scenario::named("recorded")
+        .testbed(1)
+        .traffic_model(traffic)
+        .register(Recorder(Arc::clone(&log)))
+        .packets(8)
+        .deadline(5)
+        .threads(1)
+        .run();
+    let calls = log.lock().unwrap().clone();
+    calls
+}
+
+/// The engine builds every agent with no flows and installs each flow
+/// of the run — those starting at t = 0 too — through `add_flow`, in
+/// window order, so the flow at window `i` is the agent's flow `i`.
+#[test]
+fn every_flow_arrives_through_add_flow_in_window_order() {
+    let add = |i, src, dst| Call::Add(i, FlowSpec::unicast(NodeId(src), NodeId(dst), 8));
+    let pairs = vec![(NodeId(0), NodeId(19)), (NodeId(3), NodeId(7))];
+    assert_eq!(
+        recorded(TrafficModelSpec::Static(TrafficSpec::EachPair(pairs))),
+        [
+            Call::Built(vec![]),
+            add(0, 0, 19),
+            Call::Built(vec![]),
+            add(0, 3, 7),
+        ]
+    );
+    assert_eq!(
+        recorded(TrafficModelSpec::Custom(Arc::new(Staggered))),
+        [
+            Call::Built(vec![]),
+            add(0, 0, 19),
+            add(1, 3, 7),
+            add(2, 5, 9),
+            Call::End(0),
+        ]
     );
 }
 
