@@ -1,13 +1,12 @@
-//! Pluggable channel models: how the air decides, frame by frame, whether
-//! a receiver hears a transmitter.
+//! The channel: how the air decides, frame by frame, whether a receiver
+//! hears a transmitter.
 //!
 //! The paper's §5.3.1 network model is a *static* channel: every directed
 //! link has one delivery probability, sampled independently per receiver
 //! when a transmission ends. That is [`ChannelSpec::Static`], and it stays
 //! the default everywhere. Real meshes also see bursty, correlated losses
-//! (interference, microwave ovens). The [`ChannelModel`] trait makes the
-//! loss process a swappable component so scenarios can put the same
-//! protocols on different air:
+//! (interference, microwave ovens), so a [`Channel`] runs one of two loss
+//! processes, and scenarios can put the same protocols on different air:
 //!
 //! * [`ChannelSpec::Static`] — the paper's model; byte-identical runs to
 //!   the pre-channel engine.
@@ -16,19 +15,19 @@
 //!   probabilities).
 //!
 //! Either way the air is the topology's link list: a pair without a link
-//! never delivers (see [`ChannelModel`]).
+//! never delivers (see [`Channel`]).
 //!
 //! ## Determinism
 //!
-//! A model draws its state evolution from its **own** stream derived from
+//! The burst process draws its state from its **own** stream derived from
 //! the run seed, while per-frame delivery verdicts are drawn by the engine
 //! from the run's main stream — exactly where the static engine drew them.
 //! Runs therefore stay a pure function of `(topology, agent, seed,
 //! channel)`, and a static channel consumes the main stream identically
 //! to the pre-channel engine. A Gilbert–Elliott link's state at an instant
 //! depends on `(topology, spec, seed)`, the link and the instant alone —
-//! not on `tick` calls or query order — so two protocols run at one seed
-//! face identical air (`tests/channel_oracle.rs` holds this).
+//! not on query order — so two protocols run at one seed face identical
+//! air (`tests/channel_oracle.rs` holds this).
 //!
 //! ```
 //! use mesh_sim::channel::ChannelSpec;
@@ -52,61 +51,8 @@ use rand::RngCore;
 
 use mesh_topology::streams::{self, Stream};
 
-/// A loss process over the mesh's directed links.
-///
-/// The medium asks [`ChannelModel::delivery`] for the instantaneous
-/// delivery probability of `(tx, rx)` when a frame ends; the engine draws
-/// the per-receiver Bernoulli verdict from the run's main RNG stream.
-/// Between two [`ChannelModel::tick`] calls the model must behave as a
-/// pure function of `(tx, rx, now)`. A model may draw inside `tick`,
-/// which the simulator invokes (monotonically, possibly repeatedly at the
-/// same instant) before evaluating each reception, or work its state out
-/// when asked, as the Gilbert–Elliott channel does. Either way the answer
-/// must depend on the instant, never on the calls that led there: the
-/// state at `now` is the same after one `tick` as after any monotone
-/// sequence of them ending at `now`.
-///
-/// **A channel delivers only on the topology's links**: `delivery` is `0`
-/// at every instant for every pair the topology has no link for. The
-/// medium relies on this — its reception candidates per transmitter are
-/// the link list (plus carrier-sense and interference range), and a pair
-/// outside them is never asked — and so does [`probe_topology`], which
-/// probes `topo.links()` only (`tests/channel_oracle.rs` holds every
-/// model in this crate to it).
-pub trait ChannelModel: Send {
-    /// Instantaneous delivery probability of the directed link `(tx, rx)`
-    /// at time `now`, in `[0, 1]`; `0` where the topology has no link.
-    fn delivery(&self, tx: NodeId, rx: NodeId, now: Time) -> f64;
-
-    /// [`ChannelModel::delivery`] from `tx` to each of `candidates` at
-    /// `now`, written to `out` (cleared first) in candidate order — what
-    /// the medium asks once per finished frame, over its whole
-    /// reception-candidate list. `candidates` holds node ids in
-    /// **strictly ascending** order; it may include `tx` itself and nodes
-    /// `tx` cannot reach, which read `0`.
-    ///
-    /// An override **must equal `delivery` per candidate**, bit for bit;
-    /// it exists so that a matrix-backed model can walk `tx`'s link row
-    /// alongside the list once instead of searching it per receiver
-    /// (`tests/channel_oracle.rs` holds every model in this crate to it).
-    fn delivery_row(&self, tx: NodeId, candidates: &[u32], now: Time, out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(
-            candidates
-                .iter()
-                .map(|&rx| self.delivery(tx, NodeId(rx as usize), now)),
-        );
-    }
-
-    /// Advances the model's internal state to `now` (µs). Must be
-    /// idempotent for repeated calls with the same `now` and is never
-    /// called with a smaller `now` than before. Both models in this crate
-    /// do nothing: their state is a function of the instant.
-    fn tick(&mut self, _now: Time) {}
-}
-
-/// Serializable description of a channel model; builds a fresh
-/// [`ChannelModel`] instance per run via [`ChannelSpec::build`].
+/// Serializable description of a channel; builds a fresh [`Channel`] per
+/// run via [`ChannelSpec::build`].
 /// `GilbertElliott` holds its model's parameter struct.
 ///
 /// `Static` is the default and reproduces the engine's historical
@@ -232,32 +178,19 @@ impl ChannelSpec {
         self.validate_params()
     }
 
-    /// Instantiates the model over `topo` for one run, deterministic in
+    /// Instantiates the channel over `topo` for one run, deterministic in
     /// `seed`.
     ///
     /// # Panics
     ///
     /// Panics when [`ChannelSpec::validate_params`] would fail (callers
     /// that want an error value validate first).
-    pub fn build(&self, topo: &Topology, seed: u64) -> Box<dyn ChannelModel> {
-        #[expect(
-            clippy::panic,
-            reason = "the documented contract above; validate_params() is the fallible form"
-        )]
-        if let Err(e) = self.validate_params() {
-            panic!("invalid channel spec: {e}");
-        }
-        match *self {
-            ChannelSpec::Static => Box::new(StaticChannel { topo: topo.clone() }),
-            ChannelSpec::GilbertElliott(ge) => {
-                let key = streams::rng(seed, Stream::Channel).next_u64();
-                Box::new(GilbertElliottChannel::new(topo, ge, key))
-            }
-        }
+    pub fn build(&self, topo: &Topology, seed: u64) -> Channel {
+        Channel::new(self, topo.clone(), seed)
     }
 }
 
-/// Rejects an interval of `ms` milliseconds that is zero (`tick` divides
+/// Rejects an interval of `ms` milliseconds that is zero (a query divides
 /// by it) or does not fit [`Time`] in microseconds (it would wrap).
 fn check_interval(what: &str, ms: u64) -> Result<(), String> {
     match ms.checked_mul(crate::MS) {
@@ -276,67 +209,136 @@ fn check_at_least_zero(what: &str, v: f64) -> Result<(), String> {
     }
 }
 
-/// The shared body of the matrix-backed models' [`ChannelModel::delivery_row`]:
-/// one merge-walk of `tx`'s out-links (ascending by receiver, as
-/// [`Topology::neighbors_out`] yields them) against the ascending
-/// `candidates`. A candidate with a link gets `on_link(k, p)` — `k` the
-/// link's position in `tx`'s row, `p` its matrix entry — and any other `0`.
-fn merge_row(
-    topo: &Topology,
-    tx: NodeId,
-    candidates: &[u32],
-    out: &mut Vec<f64>,
-    mut on_link: impl FnMut(usize, f64) -> f64,
-) {
-    debug_assert!(candidates.is_sorted_by(|a, b| a < b), "ascending");
-    out.clear();
-    let mut row = topo.neighbors_out(tx).enumerate().peekable();
-    out.extend(candidates.iter().map(|&rx| {
-        let rx = rx as usize;
-        while row.next_if(|&(_, (to, _))| to.0 < rx).is_some() {}
-        row.next_if(|&(_, (to, _))| to.0 == rx)
-            .map_or(0.0, |(k, (_, p))| on_link(k, p))
-    }));
-}
-
-/// Where each transmitter's row starts in [`Topology::links`] order
-/// (`n + 1` offsets): link `k` of `tx`'s row has slot `starts[tx] + k`,
-/// the slot [`Topology::link_slot`] finds by search.
-fn row_starts(topo: &Topology) -> Vec<u32> {
-    let mut starts = Vec::with_capacity(topo.n() + 1);
-    let mut at = 0u32;
-    starts.push(at);
-    for i in topo.nodes() {
-        at += topo.neighbors(i).count() as u32;
-        starts.push(at);
-    }
-    starts
-}
-
-/// The paper's static channel: delivery is the topology's links.
-pub struct StaticChannel {
+/// The loss process of one run over its topology's directed links, built
+/// by [`ChannelSpec::build`]: the topology's links as they are, or
+/// Gilbert–Elliott bursts over them.
+///
+/// The medium asks [`Channel::delivery_row`] for the instantaneous
+/// delivery probabilities out of a transmitter when its frame ends; the
+/// engine draws the per-receiver Bernoulli verdicts from the run's main
+/// RNG stream. The answer is a pure function of `(tx, rx, now)`: it
+/// depends on the instant, never on the queries that led there.
+///
+/// **A channel delivers only on the topology's links**: `delivery` is `0`
+/// at every instant for every pair the topology has no link for. The
+/// medium relies on this — its reception candidates per transmitter are
+/// the link list (plus carrier-sense and interference range), and a pair
+/// outside them is never asked — and so does [`probe_topology`], which
+/// probes `topo.links()` only (`tests/channel_oracle.rs` holds both
+/// processes to it).
+pub struct Channel {
     topo: Topology,
+    /// The burst state; `None` on the static channel.
+    bursts: Option<Bursts>,
 }
 
-impl ChannelModel for StaticChannel {
-    fn delivery(&self, tx: NodeId, rx: NodeId, _now: Time) -> f64 {
-        self.topo.delivery(tx, rx)
+impl Channel {
+    /// The channel `spec` describes over `topo`, deterministic in `seed`
+    /// (see [`ChannelSpec::build`]).
+    pub(crate) fn new(spec: &ChannelSpec, topo: Topology, seed: u64) -> Self {
+        #[expect(
+            clippy::panic,
+            reason = "the documented contract of ChannelSpec::build; validate_params() is the fallible form"
+        )]
+        if let Err(e) = spec.validate_params() {
+            panic!("invalid channel spec: {e}");
+        }
+        let bursts = match *spec {
+            ChannelSpec::Static => None,
+            ChannelSpec::GilbertElliott(ge) => {
+                let key = streams::rng(seed, Stream::Channel).next_u64();
+                Some(Bursts::new(&topo, ge, key))
+            }
+        };
+        Channel { topo, bursts }
     }
 
-    fn delivery_row(&self, tx: NodeId, candidates: &[u32], _now: Time, out: &mut Vec<f64>) {
-        merge_row(&self.topo, tx, candidates, out, |_, p| p);
+    /// The topology the channel runs over.
+    pub(crate) fn topology(&self) -> &Topology {
+        &self.topo
+    }
+
+    /// Instantaneous delivery probability of the directed link `(tx, rx)`
+    /// at time `now`, in `[0, 1]`; `0` where the topology has no link.
+    pub fn delivery(&self, tx: NodeId, rx: NodeId, now: Time) -> f64 {
+        match &self.bursts {
+            None => self.topo.delivery(tx, rx),
+            Some(b) => self
+                .topo
+                .link_slot(tx, rx)
+                .map_or(0.0, |slot| b.delivery_at(slot, now / b.epoch)),
+        }
+    }
+
+    /// [`Channel::delivery`] from `tx` to each of `candidates` at `now`,
+    /// written to `out` (cleared first) in candidate order — what the
+    /// medium asks once per finished frame, over its whole
+    /// reception-candidate list. `candidates` holds node ids in **strictly
+    /// ascending** order; it may include `tx` itself and nodes `tx` cannot
+    /// reach, which read `0`.
+    ///
+    /// It equals `delivery` per candidate, bit for bit, but walks `tx`'s
+    /// link row (ascending by receiver, as [`Topology::neighbors_out`]
+    /// yields it) alongside the list once instead of searching it per
+    /// receiver (`tests/channel_oracle.rs` holds both processes to it).
+    pub fn delivery_row(&self, tx: NodeId, candidates: &[u32], now: Time, out: &mut Vec<f64>) {
+        match &self.bursts {
+            None => self.merge_row(tx, candidates, out, |_, p| p),
+            Some(b) => {
+                let row = self.topo.link_slots(tx).start;
+                let e = now / b.epoch;
+                self.merge_row(tx, candidates, out, |k, _| b.delivery_at(row + k, e))
+            }
+        }
+    }
+
+    /// The body of [`Channel::delivery_row`]: one merge-walk of `tx`'s
+    /// out-links against the ascending `candidates`. A candidate with a
+    /// link gets `on_link(k, p)` — `k` the link's position in `tx`'s row,
+    /// `p` its static delivery — and any other `0`.
+    fn merge_row(
+        &self,
+        tx: NodeId,
+        candidates: &[u32],
+        out: &mut Vec<f64>,
+        mut on_link: impl FnMut(usize, f64) -> f64,
+    ) {
+        debug_assert!(candidates.is_sorted_by(|a, b| a < b), "ascending");
+        out.clear();
+        let mut row = self.topo.neighbors_out(tx).enumerate().peekable();
+        out.extend(candidates.iter().map(|&rx| {
+            let rx = rx as usize;
+            while row.next_if(|&(_, (to, _))| to.0 < rx).is_some() {}
+            row.next_if(|&(_, (to, _))| to.0 == rx)
+                .map_or(0.0, |(k, (_, p))| on_link(k, p))
+        }));
+    }
+
+    /// Does nothing: the channel's state is a function of the instant.
+    /// Kept only because `ledger/benches/probes/mesh_sim.rs` times it for
+    /// `mesh_sim.ge_tick_ns_per_link`; ROADMAP items 1(i) and 18 delete it.
+    pub fn tick(&mut self, _now: Time) {}
+}
+
+/// Kept only because `ledger/benches/probes/mesh_sim.rs` passes
+/// `ChannelSpec::build(..).as_ref()` to the medium; ROADMAP items 1(i)
+/// and 18 delete it.
+impl AsRef<Channel> for Channel {
+    fn as_ref(&self) -> &Channel {
+        self
     }
 }
 
-/// Two-state burst-loss channel (see [`GilbertElliott`]).
+/// Two-state burst loss (see [`GilbertElliott`]): the state a [`Channel`]
+/// keeps beside its topology, per link slot.
 ///
 /// A link's state at epoch `e` is a pure function of `(key, slot, e)`,
-/// worked out when asked; `tick` does nothing. With `a = to_bad`,
-/// `b = to_good`, the kernel `[[1−a, a], [b, 1−b]]` is one coin per
-/// epoch. If `a + b ≤ 1` the epoch is *fresh* with probability `a + b`
-/// and then bad with probability `a / (a + b)`, else the link keeps its
-/// state; if `a + b > 1` it is fresh with probability `2 − a − b` and then
-/// bad with probability `(1 − b) / (2 − a − b)`, else the link swaps.
+/// worked out when asked. With `a = to_bad`, `b = to_good`, the kernel
+/// `[[1−a, a], [b, 1−b]]` is one coin per epoch. If `a + b ≤ 1` the
+/// epoch is *fresh* with probability `a + b` and then bad with
+/// probability `a / (a + b)`, else the link keeps its state; if
+/// `a + b > 1` it is fresh with probability `2 − a − b` and then bad with
+/// probability `(1 − b) / (2 − a − b)`, else the link swaps.
 /// Epoch 0 draws from π. One word per `(slot, epoch)` ([`streams::draw`])
 /// settles both questions against exact IEEE thresholds: no `ln`, no `exp`.
 ///
@@ -345,11 +347,7 @@ impl ChannelModel for StaticChannel {
 /// the link's last query (if not later than `e`) or at epoch 0: at a new
 /// epoch it costs `min(epochs since that query, 1 / P(fresh))` words in
 /// expectation, and an epoch nobody asks about costs nothing.
-pub struct GilbertElliottChannel {
-    /// Resolves `(tx, rx)` to a link slot.
-    topo: Topology,
-    /// See [`row_starts`].
-    row_start: Vec<u32>,
+struct Bursts {
     epoch: Time,
     /// Keys [`streams::draw`]: the channel stream's first word.
     key: u64,
@@ -366,7 +364,7 @@ pub struct GilbertElliottChannel {
     links: Vec<GeLink>,
 }
 
-/// One directed link of a [`GilbertElliottChannel`].
+/// One directed link of a [`Bursts`].
 struct GeLink {
     /// Delivery in the good state.
     good_p: f64,
@@ -382,7 +380,7 @@ fn threshold(p: f64) -> u128 {
     (p * (1u128 << 64) as f64) as u128
 }
 
-impl GilbertElliottChannel {
+impl Bursts {
     fn new(topo: &Topology, params: GilbertElliott, key: u64) -> Self {
         let GilbertElliott {
             good_scale,
@@ -430,9 +428,7 @@ impl GilbertElliottChannel {
                 }
             })
             .collect();
-        GilbertElliottChannel {
-            topo: topo.clone(),
-            row_start: row_starts(topo),
+        Bursts {
             epoch: epoch_ms * crate::MS,
             key,
             fresh: threshold(fresh),
@@ -476,27 +472,11 @@ impl GilbertElliottChannel {
     }
 }
 
-impl ChannelModel for GilbertElliottChannel {
-    fn delivery(&self, tx: NodeId, rx: NodeId, now: Time) -> f64 {
-        self.topo
-            .link_slot(tx, rx)
-            .map_or(0.0, |slot| self.delivery_at(slot, now / self.epoch))
-    }
-
-    fn delivery_row(&self, tx: NodeId, candidates: &[u32], now: Time, out: &mut Vec<f64>) {
-        let row = self.row_start.get(tx.0).map_or(0, |&s| s as usize);
-        let e = now / self.epoch;
-        merge_row(&self.topo, tx, candidates, out, |k, _| {
-            self.delivery_at(row + k, e)
-        });
-    }
-}
-
 /// Measures the topology a probing deployment would see over a live
-/// channel: a fresh model instance (same `seed` as the run, so the probe
+/// channel: a fresh channel (same `seed` as the run, so the probe
 /// window previews exactly the run's channel) is asked at each probe's
 /// instant while the estimator counts successes over `topo.links()` —
-/// the only pairs a channel delivers on (see [`ChannelModel`]), which is
+/// the only pairs a channel delivers on (see [`Channel`]), which is
 /// also what keeps city-scale probe windows at O(links · probes) draws.
 /// A Gilbert–Elliott link costs `min(gap, 1 / P(fresh))` words per probe
 /// (`gap`: epochs since the previous one), not the window's whole span.
@@ -522,10 +502,9 @@ pub fn probe_topology(
     seed: u64,
     interval_us: Time,
 ) -> Topology {
-    let mut model = spec.build(topo, seed);
+    let chan = spec.build(topo, seed);
     est.estimate_live(topo, seed, interval_us, |tx, rx, now| {
-        model.tick(now);
-        model.delivery(tx, rx, now)
+        chan.delivery(tx, rx, now)
     })
 }
 
@@ -534,13 +513,11 @@ mod test {
     use super::*;
     use mesh_topology::generate;
 
-    fn mean_delivery(model: &mut dyn ChannelModel, tx: NodeId, rx: NodeId, epoch: Time) -> f64 {
+    fn mean_delivery(chan: &Channel, tx: NodeId, rx: NodeId, epoch: Time) -> f64 {
         let rounds = 20_000u64;
         let mut sum = 0.0;
         for k in 0..rounds {
-            let now = k * epoch;
-            model.tick(now);
-            sum += model.delivery(tx, rx, now);
+            sum += chan.delivery(tx, rx, k * epoch);
         }
         sum / rounds as f64
     }
@@ -559,8 +536,8 @@ mod test {
     fn gilbert_elliott_matched_mean_approaches_static() {
         let topo = generate::line(1, 0.8, 0.0, 30.0);
         let spec = ChannelSpec::bursty_matched(0.0, 0.05, 0.2, 10);
-        let mut model = spec.build(&topo, 7);
-        let mean = mean_delivery(model.as_mut(), NodeId(0), NodeId(1), 10 * crate::MS);
+        let chan = spec.build(&topo, 7);
+        let mean = mean_delivery(&chan, NodeId(0), NodeId(1), 10 * crate::MS);
         assert!(
             (mean - 0.8).abs() < 0.03,
             "matched GE mean {mean} far from static 0.8"
@@ -575,8 +552,8 @@ mod test {
         // construction silently raises their loss rate).
         let topo = generate::line(1, 0.95, 0.0, 30.0);
         let spec = ChannelSpec::bursty_matched(0.0, 0.05, 0.2, 10);
-        let mut model = spec.build(&topo, 13);
-        let mean = mean_delivery(model.as_mut(), NodeId(0), NodeId(1), 10 * crate::MS);
+        let chan = spec.build(&topo, 13);
+        let mean = mean_delivery(&chan, NodeId(0), NodeId(1), 10 * crate::MS);
         assert!(
             (mean - 0.95).abs() < 0.03,
             "saturated GE mean {mean} far from static 0.95"
@@ -589,13 +566,12 @@ mod test {
         // correlated: count state flips between consecutive epochs.
         let topo = generate::line(1, 0.8, 0.0, 30.0);
         let spec = ChannelSpec::bursty_matched(0.0, 0.02, 0.1, 10);
-        let mut model = spec.build(&topo, 11);
+        let chan = spec.build(&topo, 11);
         let epoch = 10 * crate::MS;
         let mut flips = 0;
-        let mut prev = model.delivery(NodeId(0), NodeId(1), 0);
+        let mut prev = chan.delivery(NodeId(0), NodeId(1), 0);
         for k in 1..5_000u64 {
-            model.tick(k * epoch);
-            let cur = model.delivery(NodeId(0), NodeId(1), k * epoch);
+            let cur = chan.delivery(NodeId(0), NodeId(1), k * epoch);
             if (cur - prev).abs() > 1e-9 {
                 flips += 1;
             }
@@ -613,15 +589,12 @@ mod test {
     fn deterministic_per_seed() {
         let topo = generate::testbed(1);
         let spec = ChannelSpec::bursty_matched(0.1, 0.05, 0.2, 10);
-        let mut a = spec.build(&topo, 42);
-        let mut b = spec.build(&topo, 42);
-        let mut c = spec.build(&topo, 43);
+        let a = spec.build(&topo, 42);
+        let b = spec.build(&topo, 42);
+        let c = spec.build(&topo, 43);
         let mut saw_diff = false;
         for k in 0..200u64 {
             let now = k * 100 * crate::MS;
-            a.tick(now);
-            b.tick(now);
-            c.tick(now);
             for l in topo.links() {
                 let pa = a.delivery(l.from, l.to, now);
                 assert_eq!(pa, b.delivery(l.from, l.to, now));
@@ -666,11 +639,10 @@ mod test {
             (ge(f64::MAX, f64::MAX, 1.0, 1.0, max_ms), u64::MAX),
         ] {
             assert_eq!(good.validate_params(), Ok(()), "{good:?}");
-            // A spec `validate_params` passes builds and ticks without
-            // panicking and never reports a delivery outside [0, 1].
-            let mut c = good.build(&topo, 1);
+            // A spec `validate_params` passes builds without panicking
+            // and never reports a delivery outside [0, 1].
+            let c = good.build(&topo, 1);
             for now in [0, 1, 999, 10 * crate::MS, horizon] {
-                c.tick(now);
                 let p = c.delivery(NodeId(0), NodeId(1), now);
                 assert!((0.0..=1.0).contains(&p), "{good:?}: delivery {p} at {now}");
             }

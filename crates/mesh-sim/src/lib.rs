@@ -7,10 +7,10 @@
 //! * **broadcast medium with independent per-receiver losses** — each
 //!   transmission is delivered to each potential receiver by an
 //!   independent Bernoulli draw at the link's *instantaneous* delivery
-//!   probability, supplied by a pluggable [`channel::ChannelModel`]
-//!   (the default [`channel::ChannelSpec::Static`] is the §5.3.1 network
-//!   model; Gilbert–Elliott burst loss ships alongside it). Either way a
-//!   frame is heard only over the topology's links;
+//!   probability, supplied by the run's [`channel::Channel`] (the
+//!   default [`channel::ChannelSpec::Static`] is the §5.3.1 network
+//!   model; Gilbert–Elliott burst loss is the one alternative). Either way
+//!   a frame is heard only over the topology's links;
 //! * **CSMA/CA medium access** — DIFS + slotted random backoff, binary
 //!   exponential contention window growth on unicast retries, MAC-level
 //!   ACKs, and half-duplex radios;
@@ -66,7 +66,7 @@ pub mod simulator;
 pub mod stats;
 
 pub use autorate::OnoeAutorate;
-pub use channel::{ChannelModel, ChannelSpec};
+pub use channel::{Channel, ChannelSpec};
 pub use erased::{flow_id, flow_index};
 pub use erased::{DynPayload, Erased, ErasedFlowAgent, FlowAgent, FlowDesc, FlowProgressView};
 pub use medium::Medium;

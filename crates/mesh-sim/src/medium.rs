@@ -18,7 +18,7 @@
 //! filling column by column in ascending node order sorts every row.
 //! Reception evaluation walks the transmitter's linked-candidate row
 //! instead of every node: a channel delivers only on the topology's links
-//! (the [`ChannelModel`] contract), so a node outside the row has
+//! (the [`Channel`] contract), so a node outside the row has
 //! `p = 0` and consumes no randomness.
 //!
 //! Bookkeeping costs a frame's neighbourhood, not what is on the air
@@ -41,7 +41,7 @@
 //!    strongest overlapping interferer's (a delivery-probability proxy for
 //!    SINR);
 //! 3. loss — surviving frames are delivered with the link's *instantaneous*
-//!    probability as reported by the run's [`ChannelModel`], independently
+//!    probability as reported by the run's [`Channel`], independently
 //!    per receiver (the §5.3.1 model when the channel is static).
 
 #![expect(
@@ -50,7 +50,7 @@
     reason = "transmission ids are issued by this module and resolved before eviction; per-node vectors are sized to the topology"
 )]
 
-use crate::channel::ChannelModel;
+use crate::channel::Channel;
 use crate::{SimConfig, Time};
 use mesh_topology::spatial::CellGrid;
 use mesh_topology::{NodeId, Position, Topology};
@@ -251,7 +251,7 @@ impl Medium {
     /// links, so the links alone give the relations. The argument stays
     /// because `ledger/benches/probes/mesh_sim.rs` calls this form, and
     /// `ledger/` moves only in a `benchmark` PR (ROADMAP item 1 drops it).
-    pub fn new(topo: &Topology, cfg: &SimConfig, _chan: &dyn ChannelModel) -> Self {
+    pub fn new(topo: &Topology, cfg: &SimConfig, _chan: &Channel) -> Self {
         let n = topo.n();
         // The symmetric "linked" relation: some direction of the pair is
         // a topology link. It holds every link out of a transmitter, so it
@@ -366,7 +366,7 @@ impl Medium {
     /// clock moves there.
     ///
     /// Delivery probabilities — the frame's own and each interferer's in
-    /// the capture rule — are the channel model's instantaneous values at
+    /// the capture rule — are the channel's instantaneous values at
     /// the frame's end time. Draws per-receiver Bernoulli losses from
     /// `rng`; `collisions`/`captures` counters are incremented for the
     /// stats module.
@@ -374,7 +374,7 @@ impl Medium {
     /// The receiver set is written into a caller-supplied vector (cleared
     /// first), so the engine's hot path reuses one allocation per run
     /// instead of one per transmission. The frame's delivery
-    /// probabilities come from one [`ChannelModel::delivery_row`] call
+    /// probabilities come from one [`Channel::delivery_row`] call
     /// over the transmitter's candidate list. A frame with the air to
     /// itself has no half-duplex-blocked or interfered receiver. Otherwise
     /// half-duplex is the receiver's marks, and the strongest interferer a
@@ -395,7 +395,7 @@ impl Medium {
     pub fn evaluate_reception_into(
         &mut self,
         id: u64,
-        chan: &dyn ChannelModel,
+        chan: &Channel,
         cfg: &SimConfig,
         rng: &mut impl Rng,
         collisions: &mut u64,
@@ -591,7 +591,7 @@ mod test {
     }
 
     /// The static channel over `t`, as the engine would build it.
-    fn chan(t: &Topology) -> Box<dyn ChannelModel> {
+    fn chan(t: &Topology) -> Channel {
         ChannelSpec::Static.build(t, 0)
     }
 
@@ -607,7 +607,7 @@ mod test {
         fn evaluate_reception(
             &mut self,
             id: u64,
-            chan: &dyn ChannelModel,
+            chan: &Channel,
             cfg: &SimConfig,
             rng: &mut impl Rng,
             collisions: &mut u64,
@@ -629,7 +629,7 @@ mod test {
     fn sense_relations_follow_links_and_range() {
         let t = line5();
         let ch = chan(&t);
-        let m = Medium::new(&t, &cfg(), ch.as_ref());
+        let m = Medium::new(&t, &cfg(), &ch);
         assert!(m.senses(NodeId(0), NodeId(1))); // linked
         assert!(!m.senses(NodeId(0), NodeId(2))); // 60 m: no link, out of CS range
         assert!(!m.senses(NodeId(0), NodeId(4))); // 120 m
@@ -640,7 +640,7 @@ mod test {
     fn busy_only_within_sense_range() {
         let t = line5();
         let ch = chan(&t);
-        let mut m = Medium::new(&t, &cfg(), ch.as_ref());
+        let mut m = Medium::new(&t, &cfg(), &ch);
         m.begin(Transmission {
             id: 1,
             tx: NodeId(0),
@@ -664,14 +664,14 @@ mod test {
         let trials = 4000;
         let (mut col, mut cap) = (0, 0);
         for i in 0..trials {
-            let mut m = Medium::new(&t, &cfg(), ch.as_ref());
+            let mut m = Medium::new(&t, &cfg(), &ch);
             m.begin(Transmission {
                 id: i,
                 tx: NodeId(0),
                 start: 0,
                 end: 100,
             });
-            let rx = m.evaluate_reception(i, ch.as_ref(), &cfg(), &mut rng, &mut col, &mut cap);
+            let rx = m.evaluate_reception(i, &ch, &cfg(), &mut rng, &mut col, &mut cap);
             got += rx.len();
         }
         let rate = got as f64 / trials as f64;
@@ -689,7 +689,7 @@ mod test {
         );
         let ch = chan(&t);
         let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let mut m = Medium::new(&t, &cfg(), ch.as_ref());
+        let mut m = Medium::new(&t, &cfg(), &ch);
         m.begin(Transmission {
             id: 1,
             tx: NodeId(0),
@@ -703,8 +703,8 @@ mod test {
             end: 150,
         });
         let (mut col, mut cap) = (0, 0);
-        let rx1 = m.evaluate_reception(1, ch.as_ref(), &cfg(), &mut rng, &mut col, &mut cap);
-        let rx2 = m.evaluate_reception(2, ch.as_ref(), &cfg(), &mut rng, &mut col, &mut cap);
+        let rx1 = m.evaluate_reception(1, &ch, &cfg(), &mut rng, &mut col, &mut cap);
+        let rx2 = m.evaluate_reception(2, &ch, &cfg(), &mut rng, &mut col, &mut cap);
         assert!(rx1.is_empty(), "frame 1 should be destroyed at node 1");
         assert!(rx2.is_empty(), "frame 2 should be destroyed at node 1");
         assert_eq!(col, 2);
@@ -725,7 +725,7 @@ mod test {
         let mut wins = 0;
         let trials = 2000;
         for i in 0..trials {
-            let mut m = Medium::new(&t, &cfg(), ch.as_ref());
+            let mut m = Medium::new(&t, &cfg(), &ch);
             m.begin(Transmission {
                 id: 2 * i,
                 tx: NodeId(0),
@@ -739,7 +739,7 @@ mod test {
                 end: 110,
             });
             let (mut col, mut cap) = (0, 0);
-            let rx = m.evaluate_reception(2 * i, ch.as_ref(), &cfg(), &mut rng, &mut col, &mut cap);
+            let rx = m.evaluate_reception(2 * i, &ch, &cfg(), &mut rng, &mut col, &mut cap);
             if !rx.is_empty() {
                 wins += 1;
                 assert_eq!(cap, 1);
@@ -754,7 +754,7 @@ mod test {
         let t = generate::line(1, 1.0, 0.0, 20.0);
         let ch = chan(&t);
         let mut rng = ChaCha8Rng::seed_from_u64(4);
-        let mut m = Medium::new(&t, &cfg(), ch.as_ref());
+        let mut m = Medium::new(&t, &cfg(), &ch);
         // Node 1 transmits while node 0's frame is on the air.
         m.begin(Transmission {
             id: 1,
@@ -769,7 +769,7 @@ mod test {
             end: 120,
         });
         let (mut col, mut cap) = (0, 0);
-        let rx = m.evaluate_reception(1, ch.as_ref(), &cfg(), &mut rng, &mut col, &mut cap);
+        let rx = m.evaluate_reception(1, &ch, &cfg(), &mut rng, &mut col, &mut cap);
         assert!(rx.is_empty(), "half-duplex node 1 must not receive");
     }
 
@@ -778,7 +778,7 @@ mod test {
         let t = generate::line(1, 1.0, 0.0, 20.0);
         let ch = chan(&t);
         let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let mut m = Medium::new(&t, &cfg(), ch.as_ref());
+        let mut m = Medium::new(&t, &cfg(), &ch);
         m.begin(Transmission {
             id: 1,
             tx: NodeId(0),
@@ -792,7 +792,7 @@ mod test {
             end: 200,
         });
         let (mut col, mut cap) = (0, 0);
-        let rx = m.evaluate_reception(1, ch.as_ref(), &cfg(), &mut rng, &mut col, &mut cap);
+        let rx = m.evaluate_reception(1, &ch, &cfg(), &mut rng, &mut col, &mut cap);
         assert_eq!(rx, vec![NodeId(1)]);
         assert_eq!(col, 0);
     }
@@ -807,7 +807,7 @@ mod test {
             "positions": [{"x": 0, "y": 0, "floor": 0}, {"x": 1e9, "y": 1e9, "floor": 0},
                           {"x": 30, "y": 0, "floor": 0}]}"#;
         let t = Topology::from_json(json).expect("finite coordinates are accepted");
-        let m = Medium::new(&t, &cfg(), chan(&t).as_ref());
+        let m = Medium::new(&t, &cfg(), &chan(&t));
         let (a, b, c) = (NodeId(0), NodeId(1), NodeId(2));
         assert!(m.senses(a, b) && m.interferes(b, a), "linked, however far");
         assert!(m.senses(a, c) && m.interferes(c, a), "30 m apart");
@@ -828,7 +828,7 @@ mod test {
         let mut cfg = cfg();
         cfg.capture_ratio = 2.0; // threshold = 2.0 × 0.5 = 1.0 == p
         let mut rng = ChaCha8Rng::seed_from_u64(6);
-        let mut m = Medium::new(&t, &cfg, ch.as_ref());
+        let mut m = Medium::new(&t, &cfg, &ch);
         m.begin(Transmission {
             id: 1,
             tx: NodeId(0),
@@ -842,14 +842,14 @@ mod test {
             end: 110,
         });
         let (mut col, mut cap) = (0, 0);
-        let rx = m.evaluate_reception(1, ch.as_ref(), &cfg, &mut rng, &mut col, &mut cap);
+        let rx = m.evaluate_reception(1, &ch, &cfg, &mut rng, &mut col, &mut cap);
         assert_eq!(rx, vec![NodeId(1)], "p == ratio × strongest survives");
         assert_eq!((col, cap), (1, 1));
 
         // One hair past the boundary destroys the frame.
         cfg.capture_ratio = 2.0 + 1e-9;
         let (mut col, mut cap) = (0, 0);
-        let rx = m.evaluate_reception(1, ch.as_ref(), &cfg, &mut rng, &mut col, &mut cap);
+        let rx = m.evaluate_reception(1, &ch, &cfg, &mut rng, &mut col, &mut cap);
         assert!(rx.is_empty(), "p < ratio × strongest is destroyed");
         assert_eq!((col, cap), (1, 0));
     }
@@ -864,7 +864,7 @@ mod test {
         );
         let ch = chan(&t);
         let mut rng = ChaCha8Rng::seed_from_u64(7);
-        let mut m = Medium::new(&t, &cfg(), ch.as_ref());
+        let mut m = Medium::new(&t, &cfg(), &ch);
         m.begin(Transmission {
             id: 1,
             tx: NodeId(0),
@@ -878,7 +878,7 @@ mod test {
             end: 199,
         });
         let (mut col, mut cap) = (0, 0);
-        let rx = m.evaluate_reception(1, ch.as_ref(), &cfg(), &mut rng, &mut col, &mut cap);
+        let rx = m.evaluate_reception(1, &ch, &cfg(), &mut rng, &mut col, &mut cap);
         assert!(rx.is_empty(), "equal-strength 1 µs overlap destroys both");
         assert_eq!(col, 1);
     }
@@ -890,7 +890,7 @@ mod test {
         let t = generate::line(1, 1.0, 0.0, 20.0);
         let ch = chan(&t);
         let mut rng = ChaCha8Rng::seed_from_u64(8);
-        let mut m = Medium::new(&t, &cfg(), ch.as_ref());
+        let mut m = Medium::new(&t, &cfg(), &ch);
         m.begin(Transmission {
             id: 1,
             tx: NodeId(1),
@@ -904,7 +904,7 @@ mod test {
             end: 200,
         });
         let (mut col, mut cap) = (0, 0);
-        let rx = m.evaluate_reception(2, ch.as_ref(), &cfg(), &mut rng, &mut col, &mut cap);
+        let rx = m.evaluate_reception(2, &ch, &cfg(), &mut rng, &mut col, &mut cap);
         assert_eq!(rx, vec![NodeId(1)]);
         assert_eq!(col, 0);
     }
@@ -920,7 +920,7 @@ mod test {
             interference_range: 65.0,
             ..cfg()
         };
-        let mut m = Medium::new(&t, &cfg, ch.as_ref());
+        let mut m = Medium::new(&t, &cfg, &ch);
         assert!(m.interferes(NodeId(3), NodeId(1)) && !m.senses(NodeId(3), NodeId(1)));
         for (id, tx) in [(1, 0), (2, 3)] {
             m.begin(Transmission {
@@ -932,7 +932,7 @@ mod test {
         }
         let mut rng = ChaCha8Rng::seed_from_u64(10);
         let (mut col, mut cap) = (0, 0);
-        m.evaluate_reception(1, ch.as_ref(), &cfg, &mut rng, &mut col, &mut cap);
+        m.evaluate_reception(1, &ch, &cfg, &mut rng, &mut col, &mut cap);
         // Node 1 hears node 0 at 0.9, well above 1.8 × the 0.05 floor.
         assert_eq!((col, cap), (1, 1));
     }
@@ -941,11 +941,11 @@ mod test {
     fn the_on_air_set_holds_unjudged_frames_and_those_judged_at_the_clock() {
         let t = line5();
         let ch = chan(&t);
-        let mut m = Medium::new(&t, &cfg(), ch.as_ref());
+        let mut m = Medium::new(&t, &cfg(), &ch);
         let mut rng = ChaCha8Rng::seed_from_u64(9);
         let (mut col, mut cap) = (0, 0);
         let mut judge = |m: &mut Medium, id: u64| {
-            m.evaluate_reception(id, ch.as_ref(), &cfg(), &mut rng, &mut col, &mut cap);
+            m.evaluate_reception(id, &ch, &cfg(), &mut rng, &mut col, &mut cap);
         };
         for (id, tx, start, end) in [(1, 0, 0, 100), (2, 2, 50, 300)] {
             m.begin(Transmission {

@@ -38,7 +38,7 @@
     reason = "per-node state vectors are sized to the topology at construction and NodeId indices are validated on ingress"
 )]
 
-use crate::channel::{ChannelModel, ChannelSpec};
+use crate::channel::{Channel, ChannelSpec};
 use crate::erased::{FlowAgent, FlowDesc};
 use crate::medium::{Medium, Transmission};
 use crate::queue::{AimdConfig, AimdPacer, Discipline, DropCause, QueueSpec, QueueVerdict};
@@ -318,7 +318,7 @@ pub struct Simulator<A: NodeAgent> {
     agenda: Agenda,
     rng: ChaCha8Rng,
     medium: Medium,
-    channel: Box<dyn ChannelModel>,
+    channel: Channel,
     states: Vec<MacState>,
     current: Vec<Option<CurrentTx<A::Payload>>>,
     /// Latest expiry of an ACK wait that was answered, so never scheduled:
@@ -381,9 +381,9 @@ impl<A: NodeAgent> Simulator<A> {
         agent: A,
         seed: u64,
     ) -> Self {
-        let channel = spec.build(&topo, seed);
-        let n = topo.n();
-        let medium = Medium::new(&topo, &cfg, channel.as_ref());
+        let channel = Channel::new(spec, topo, seed);
+        let n = channel.topology().n();
+        let medium = Medium::new(channel.topology(), &cfg, &channel);
         let queues = QueueLayer {
             nodes: (0..n)
                 .filter_map(|_| queue.build_node())
@@ -665,13 +665,11 @@ impl<A: NodeAgent> Simulator<A> {
         let Some(in_flight) = self.end_tx(id) else {
             return;
         };
-        // Let the channel evolve to the frame's end before judging it.
-        self.channel.tick(self.now);
         let (mut collisions, mut captures) = (0, 0);
         let mut receivers = std::mem::take(&mut self.scratch_receivers);
         self.medium.evaluate_reception_into(
             id,
-            self.channel.as_ref(),
+            &self.channel,
             &self.cfg,
             &mut self.rng,
             &mut collisions,
@@ -754,7 +752,6 @@ impl<A: NodeAgent> Simulator<A> {
         // The ACK briefly occupies this node's radio. If the node was
         // Waiting, its pending TryTx will see the medium busy (or its own
         // half-duplex conflict resolves against it) and re-defer naturally.
-        self.stats.tx_mac_acks[node.0] += 1;
         self.begin_tx(node, air, InFlight::MacAck { to });
     }
 

@@ -12,8 +12,6 @@ pub struct SimStats {
     pub tx_frames: Vec<u64>,
     /// Frames received (decoded), per node.
     pub rx_frames: Vec<u64>,
-    /// MAC ACK frames transmitted, per node.
-    pub tx_mac_acks: Vec<u64>,
     /// Airtime occupied by each node's transmissions, µs.
     pub airtime: Vec<Time>,
     /// Collision events observed at receivers.
@@ -38,8 +36,6 @@ pub struct SimStats {
     pub queue_drops: Vec<u64>,
     /// Queue drops from arriving at a full queue (tail drop).
     pub queue_drops_overflow: u64,
-    /// Queue drops from RED/CHOKe early marking.
-    pub queue_drops_early: u64,
     /// Queue drops from CHOKe flow matching (both victims counted).
     pub queue_drops_match: u64,
     /// Queue drops per protocol flow id (frames with
@@ -54,7 +50,6 @@ impl SimStats {
         SimStats {
             tx_frames: vec![0; n],
             rx_frames: vec![0; n],
-            tx_mac_acks: vec![0; n],
             airtime: vec![0; n],
             queue_depth_hw: vec![0; n],
             queue_drops: vec![0; n],
@@ -69,7 +64,7 @@ impl SimStats {
         }
         match cause {
             DropCause::Overflow => self.queue_drops_overflow += 1,
-            DropCause::Early => self.queue_drops_early += 1,
+            DropCause::Early => {}
             DropCause::FlowMatch => self.queue_drops_match += 1,
         }
         if let Some(f) = flow {

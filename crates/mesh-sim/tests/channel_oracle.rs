@@ -1,7 +1,7 @@
 //! The law and the path of the Gilbert–Elliott channel.
 //!
-//! **Law.** [`GilbertElliottChannel`](mesh_sim::channel::GilbertElliottChannel)
-//! works a link's state out at the epoch it is asked about, from one
+//! **Law.** The Gilbert–Elliott [`Channel`] works a link's state out at
+//! the epoch it is asked about, from one
 //! counter-based word per `(link, epoch)`; the code it replaced asked
 //! every link every epoch whether it flips. [`PerEpochGe`] is that code,
 //! kept here as the oracle. The two draw different numbers, so they are
@@ -22,14 +22,15 @@
 //! schedules: repeated instants, sub-epoch steps, multi-epoch jumps,
 //! links left cold for long stretches, and queries back in time.
 //!
-//! **Row.** [`ChannelModel::delivery_row`] is what the medium asks once
-//! per finished frame; the models answer it by walking the transmitter's
+//! **Row.** [`Channel::delivery_row`] is what the medium asks once per
+//! finished frame; the channel answers it by walking the transmitter's
 //! link row alongside the candidate list instead of searching per
 //! receiver. Whatever the list — the medium's own, one with strangers and
 //! the transmitter itself in it, all nodes, none — the row must be
-//! `delivery` per candidate, bit for bit, for every model. And every
-//! model reads exactly 0 wherever the topology has no link: the medium's
-//! candidate lists and `probe_topology` rest on that.
+//! `delivery` per candidate, bit for bit, static or bursty. And the
+//! channel (and [`PerEpochGe`]) reads exactly 0 wherever the topology has
+//! no link: the medium's candidate lists and `probe_topology` rest on
+//! that.
 //!
 //! Mutations tried against this file (each reverted):
 //!
@@ -56,12 +57,45 @@
 //!   for `<`) — each fails `row_is_delivery_per_candidate` on the first
 //!   transmitter checked, and the path test, which asks half its links
 //!   through one-candidate rows, at 0 µs.
-use mesh_sim::channel::{ChannelModel, ChannelSpec, GilbertElliott};
+use mesh_sim::channel::{Channel, ChannelSpec, GilbertElliott};
 use mesh_sim::{Time, MS};
 use mesh_topology::streams::{self, Stream};
 use mesh_topology::{generate, Link, NodeId, Topology};
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+
+/// What the law and row checks ask of a loss process, so that they run
+/// alike over the crate's [`Channel`] and over [`PerEpochGe`].
+trait Air {
+    /// Delivery of `(tx, rx)` at `now`.
+    fn delivery(&self, tx: NodeId, rx: NodeId, now: Time) -> f64;
+
+    /// `delivery` from `tx` to each of the ascending `candidates`, into
+    /// `out` (cleared first). The reference has no row walk of its own
+    /// and answers per pair.
+    fn delivery_row(&self, tx: NodeId, candidates: &[u32], now: Time, out: &mut Vec<f64>) {
+        out.clear();
+        out.extend(
+            candidates
+                .iter()
+                .map(|&rx| self.delivery(tx, NodeId(rx as usize), now)),
+        );
+    }
+
+    /// Runs the process up to `now`. The channel's state is a function of
+    /// the instant, so only the reference draws here.
+    fn tick(&mut self, _now: Time) {}
+}
+
+impl Air for Channel {
+    fn delivery(&self, tx: NodeId, rx: NodeId, now: Time) -> f64 {
+        Channel::delivery(self, tx, rx, now)
+    }
+
+    fn delivery_row(&self, tx: NodeId, candidates: &[u32], now: Time, out: &mut Vec<f64>) {
+        Channel::delivery_row(self, tx, candidates, now, out);
+    }
+}
 
 /// The Gilbert–Elliott channel as it was before sojourn sampling: dense
 /// `n × n` state, one uniform draw per link per epoch.
@@ -110,7 +144,7 @@ impl PerEpochGe {
     }
 }
 
-impl ChannelModel for PerEpochGe {
+impl Air for PerEpochGe {
     fn delivery(&self, tx: NodeId, rx: NodeId, _now: Time) -> f64 {
         let idx = tx.0 * self.n + rx.0;
         if self.bad[idx] {
@@ -310,7 +344,7 @@ struct Law {
 /// Sojourns are counted when they *begin* in the first half of the window
 /// and followed to their end: counting the ones that fit would favour
 /// short ones.
-fn observe(model: &mut dyn ChannelModel, links: &[Link], pi_bad: f64) -> Law {
+fn observe(model: &mut impl Air, links: &[Link], pi_bad: f64) -> Law {
     let mut law = Law {
         links: vec![LinkLaw::default(); links.len()],
         hist: [[0; HIST_BINS + 1]; 2],
@@ -388,7 +422,7 @@ fn within(what: &str, got: f64, want: f64, se: f64, slack: f64) {
     );
 }
 
-fn check_law(name: &str, build: impl Fn(&Topology, &ChannelSpec, u64) -> Box<dyn ChannelModel>) {
+fn check_law<M: Air>(name: &str, build: impl Fn(&Topology, &ChannelSpec, u64) -> M) {
     let topo = generate::testbed(1);
     let links: Vec<Link> = topo.links().collect();
     assert!(links.len() >= 150);
@@ -402,7 +436,7 @@ fn check_law(name: &str, build: impl Fn(&Topology, &ChannelSpec, u64) -> Box<dyn
         });
         let tag = format!("{name} ({to_bad}, {to_good})");
         let pi_bad = pi_bad(to_bad, to_good);
-        let law = observe(build(&topo, &spec, 100 + i as u64).as_mut(), &links, pi_bad);
+        let law = observe(&mut build(&topo, &spec, 100 + i as u64), &links, pi_bad);
         let samples = (EPOCHS + 1) as f64;
 
         let (occ, se) = mean_se(law.links.iter().map(|s| s.bad_epochs as f64 / samples));
@@ -457,9 +491,7 @@ fn sojourn_law() {
 
 #[test]
 fn per_epoch_oracle_obeys_the_same_law() {
-    check_law("per-epoch", |topo, spec, seed| {
-        Box::new(PerEpochGe::new(topo, spec, seed))
-    });
+    check_law("per-epoch", PerEpochGe::new);
 }
 
 /// Adjacent link slots read neighbouring counters of the one keyed
@@ -581,7 +613,7 @@ fn check_path(topo: &Topology, spec: &ChannelSpec, seed: u64, moves: bool) {
         }
         if step % 40 == 39 {
             let once = spec.build(topo, seed);
-            let snapshot = |chan: &dyn ChannelModel| -> Vec<u64> {
+            let snapshot = |chan: &Channel| -> Vec<u64> {
                 links
                     .iter()
                     .map(|l| chan.delivery(l.from, l.to, now).to_bits())
@@ -590,10 +622,10 @@ fn check_path(topo: &Topology, spec: &ChannelSpec, seed: u64, moves: bool) {
             let want: Vec<u64> = (0..links.len())
                 .map(|slot| truth.delivery(slot, now).to_bits())
                 .collect();
-            assert!(want == snapshot(once.as_ref()), "{what}: asked once, cold");
+            assert!(want == snapshot(&once), "{what}: asked once, cold");
             let other = spec.build(topo, seed + 1);
             assert!(
-                !moves || want != snapshot(other.as_ref()),
+                !moves || want != snapshot(&other),
                 "{what}: seed {} gives the same air",
                 seed + 1
             );
@@ -656,7 +688,7 @@ fn medium_candidates(topo: &Topology, tx: NodeId) -> Vec<u32> {
 fn check_rows(
     what: &str,
     topo: &Topology,
-    chan: &dyn ChannelModel,
+    chan: &impl Air,
     txs: &[NodeId],
     now: Time,
     lists: &mut ChaCha8Rng,
@@ -714,17 +746,16 @@ fn row_is_delivery_per_candidate() {
         for spec in &specs {
             let what = format!("{} on {}", spec.label(), topo.name);
             let mut script = ChaCha8Rng::seed_from_u64(7);
-            let mut chan = spec.build(topo, 3);
+            let chan = spec.build(topo, 3);
             let mut now: Time = 0;
             let mut positive = 0;
-            // At build, then after random ticks: sub-epoch steps and jumps.
+            // At 0, then after random steps: sub-epoch steps and jumps.
             for _ in 0..6 {
                 let txs: Vec<NodeId> = (0..tx_count)
                     .map(|_| NodeId(script.gen_range(0..topo.n())))
                     .collect();
-                positive += check_rows(&what, topo, chan.as_ref(), &txs, now, &mut script);
+                positive += check_rows(&what, topo, &chan, &txs, now, &mut script);
                 now += script.gen_range(1..400 * MS);
-                chan.tick(now);
             }
             assert!(positive > 1_000, "{what}: only {positive} live candidates");
         }
@@ -733,7 +764,7 @@ fn row_is_delivery_per_candidate() {
 
 #[test]
 fn a_model_without_its_own_row_gets_the_per_pair_loop() {
-    // The provided method, through a model that does not override it.
+    // The per-pair row, through the reference, which has no row walk.
     let topo = generate::testbed(1);
     let spec = ChannelSpec::bursty_matched(0.0, 0.05, 0.2, 10);
     let mut chan = PerEpochGe::new(&topo, &spec, 1);

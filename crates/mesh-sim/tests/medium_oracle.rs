@@ -7,7 +7,7 @@
 //! time never goes back — and must give identical answers, receiver
 //! lists, counters and RNG state.
 
-use mesh_sim::channel::{ChannelModel, ChannelSpec};
+use mesh_sim::channel::{Channel, ChannelSpec};
 use mesh_sim::medium::{Transmission, FLOOR_HEIGHT_M};
 use mesh_sim::{Medium, SimConfig, Time, MS};
 use mesh_topology::{generate, Link, NodeId, Position, Topology};
@@ -55,7 +55,7 @@ impl Scan {
     fn evaluate(
         &self,
         id: u64,
-        chan: &dyn ChannelModel,
+        chan: &Channel,
         cfg: &SimConfig,
         rng: &mut impl Rng,
         collisions: &mut u64,
@@ -140,7 +140,7 @@ impl Verdicts {
 /// The indexed medium and the scan, fed the same calls.
 struct Both {
     cfg: SimConfig,
-    chan: Box<dyn ChannelModel>,
+    chan: Channel,
     medium: Medium,
     scan: Scan,
     indexed: Verdicts,
@@ -151,9 +151,9 @@ struct Both {
 }
 
 impl Both {
-    fn new(topo: &Topology, chan: Box<dyn ChannelModel>, seed: u64) -> Self {
+    fn new(topo: &Topology, chan: Channel, seed: u64) -> Self {
         let cfg = SimConfig::default();
-        let medium = Medium::new(topo, &cfg, chan.as_ref());
+        let medium = Medium::new(topo, &cfg, &chan);
         Both {
             scan: Scan {
                 relations: medium.clone(),
@@ -224,13 +224,12 @@ impl Both {
 
     /// Judges every frame ending at `now` with both models.
     fn judge(&mut self, now: Time) {
-        self.chan.tick(now);
         let (due, rest) = std::mem::take(&mut self.pending)
             .into_iter()
             .partition(|t| t.end == now);
         self.pending = rest;
         let due: Vec<Transmission> = due;
-        let (chan, cfg) = (self.chan.as_ref(), &self.cfg);
+        let (chan, cfg) = (&self.chan, &self.cfg);
         for Transmission { id, .. } in due {
             let (a, b) = (&mut self.indexed, &mut self.scanned);
             self.medium.evaluate_reception_into(
@@ -263,13 +262,7 @@ impl Both {
 /// Drives both models through `frames` transmissions. Transmitters are
 /// drawn half from `hot` (a neighbourhood, so frames collide) and half
 /// from the whole mesh (so distant air is in the records too).
-fn drive(
-    topo: &Topology,
-    chan: Box<dyn ChannelModel>,
-    hot: &[NodeId],
-    frames: u64,
-    seed: u64,
-) -> Coverage {
+fn drive(topo: &Topology, chan: Channel, hot: &[NodeId], frames: u64, seed: u64) -> Coverage {
     let mut both = Both::new(topo, chan, seed ^ 0xA1);
     let n = topo.n();
     let mut script = ChaCha8Rng::seed_from_u64(seed);
@@ -345,7 +338,7 @@ fn drive(
 }
 
 /// The nodes a transmission by `center` interferes at, plus `center`.
-fn neighbourhood(topo: &Topology, chan: &dyn ChannelModel, center: NodeId) -> Vec<NodeId> {
+fn neighbourhood(topo: &Topology, chan: &Channel, center: NodeId) -> Vec<NodeId> {
     let m = Medium::new(topo, &SimConfig::default(), chan);
     topo.nodes()
         .filter(|&b| b == center || m.interferes(center, b))
@@ -375,7 +368,7 @@ fn testbed_static_channel_matches_the_scan() {
 fn city_mesh_matches_the_scan() {
     let topo = generate::city_mesh(2000, 3);
     let chan = ChannelSpec::Static.build(&topo, 3);
-    let hot = neighbourhood(&topo, chan.as_ref(), NodeId(700));
+    let hot = neighbourhood(&topo, &chan, NodeId(700));
     assert!(hot.len() > 3, "a neighbourhood to collide in: {hot:?}");
     assert_exercised(&drive(&topo, chan, &hot, 4000, 11));
 }
@@ -409,7 +402,7 @@ fn relations_match_the_all_pairs_reference() {
         far_flung(),
     ] {
         let chan = ChannelSpec::Static.build(&topo, 1);
-        let m = Medium::new(&topo, &cfg, chan.as_ref());
+        let m = Medium::new(&topo, &cfg, &chan);
         let pos = topo.positions().expect("every layout here has positions");
         let linked = |a: NodeId, b: NodeId| topo.delivery(a, b) > 0.0 || topo.delivery(b, a) > 0.0;
         let (mut sensed, mut interfered) = (0, 0);
@@ -459,7 +452,7 @@ fn sense_and_interfere_are_symmetric_on_every_builtin_pair() {
     for topo in &topologies {
         for spec in &channels {
             let chan = spec.build(topo, 1);
-            let m = Medium::new(topo, &cfg, chan.as_ref());
+            let m = Medium::new(topo, &cfg, &chan);
             for a in topo.nodes() {
                 for b in topo.nodes() {
                     let pair = format!("{} / {}: {a}, {b}", topo.name, spec.label());
@@ -479,7 +472,7 @@ fn a_finished_frame_judged_again_gives_the_same_receivers() {
     let topo = generate::testbed(1);
     let cfg = SimConfig::default();
     let chan = ChannelSpec::Static.build(&topo, 1);
-    let mut m = Medium::new(&topo, &cfg, chan.as_ref());
+    let mut m = Medium::new(&topo, &cfg, &chan);
     let frames = [(0, 3, 0, 2374), (1, 11, 900, 3274), (2, 3, 2374, 2622)];
     for (id, tx, start, end) in frames {
         m.begin(Transmission {
@@ -494,15 +487,7 @@ fn a_finished_frame_judged_again_gives_the_same_receivers() {
     let mut verdicts = Vec::new();
     for _ in 0..2 {
         let (mut rng, mut col, mut cap, mut rx) = (rng.clone(), 0, 0, Vec::new());
-        m.evaluate_reception_into(
-            0,
-            chan.as_ref(),
-            &cfg,
-            &mut rng,
-            &mut col,
-            &mut cap,
-            &mut rx,
-        );
+        m.evaluate_reception_into(0, &chan, &cfg, &mut rng, &mut col, &mut cap, &mut rx);
         verdicts.push((rx, col, cap, rng.gen::<u64>()));
     }
     assert_eq!(verdicts[0], verdicts[1]);
@@ -526,7 +511,7 @@ fn lone_frames_and_crowds_alternate() {
     ] {
         let chan = spec.build(topo, seed);
         // Crowds gather where they can hear each other.
-        let hot = neighbourhood(topo, chan.as_ref(), NodeId(topo.n() / 3));
+        let hot = neighbourhood(topo, &chan, NodeId(topo.n() / 3));
         assert!(hot.len() > 3, "{hot:?}");
         let mut both = Both::new(topo, chan, seed);
         let mut script = ChaCha8Rng::seed_from_u64(seed);

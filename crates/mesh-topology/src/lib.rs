@@ -265,10 +265,15 @@ impl Topology {
     #[inline]
     pub fn link_slot(&self, i: NodeId, j: NodeId) -> Option<usize> {
         debug_assert!(j.0 < self.n, "receiver {j} out of range");
-        let s = self.out_start[i.0] as usize;
-        let e = self.out_start[i.0 + 1] as usize;
-        let k = self.out_nbr[s..e].binary_search(&(j.0 as u32)).ok()?;
-        Some(s + k)
+        let s = self.link_slots(i);
+        let k = self.out_nbr[s.clone()].binary_search(&(j.0 as u32)).ok()?;
+        Some(s.start + k)
+    }
+
+    /// The slots of `i`'s out-links, ascending by receiver, in [`Topology::links`] order.
+    #[inline]
+    pub fn link_slots(&self, i: NodeId) -> std::ops::Range<usize> {
+        self.out_start[i.0] as usize..self.out_start[i.0 + 1] as usize
     }
 
     /// Delivery probability `p_ij`; zero when no link exists.
@@ -290,18 +295,16 @@ impl Topology {
 
     /// Out-neighbors of `i`: nodes with `p_ij > 0`, ascending by id.
     pub fn neighbors(&self, i: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        let s = self.out_start[i.0] as usize;
-        let e = self.out_start[i.0 + 1] as usize;
-        self.out_nbr[s..e].iter().map(|&j| NodeId(j as usize))
+        let s = self.link_slots(i);
+        self.out_nbr[s].iter().map(|&j| NodeId(j as usize))
     }
 
     /// Out-neighbors of `i` with delivery probabilities, ascending by id.
     pub fn neighbors_out(&self, i: NodeId) -> impl Iterator<Item = (NodeId, f64)> + '_ {
-        let s = self.out_start[i.0] as usize;
-        let e = self.out_start[i.0 + 1] as usize;
-        self.out_nbr[s..e]
+        let slots = self.link_slots(i);
+        self.out_nbr[slots.clone()]
             .iter()
-            .zip(&self.out_p[s..e])
+            .zip(&self.out_p[slots])
             .map(|(&j, &p)| (NodeId(j as usize), p))
     }
 
@@ -320,9 +323,7 @@ impl Topology {
     /// transmitter-major, receiver-ascending order.
     pub fn links(&self) -> impl Iterator<Item = Link> + '_ {
         (0..self.n).flat_map(move |i| {
-            let s = self.out_start[i] as usize;
-            let e = self.out_start[i + 1] as usize;
-            (s..e).map(move |k| Link {
+            self.link_slots(NodeId(i)).map(move |k| Link {
                 from: NodeId(i),
                 to: NodeId(self.out_nbr[k] as usize),
                 delivery: self.out_p[k],

@@ -84,7 +84,7 @@ pub mod traffic;
 
 pub use builder::{RunSummary, Scenario, ScenarioBuilder};
 pub use cell::Cell;
-pub use mesh_sim::{AimdConfig, ChannelModel, ChannelSpec, QueueSpec};
+pub use mesh_sim::{AimdConfig, ChannelSpec, QueueSpec};
 pub use protocols::{ExorFactory, MoreFactory, SrcrFactory};
 pub use record::{FlowRecord, RunRecord};
 pub use registry::{BuildError, ProtocolFactory, ProtocolRegistry};

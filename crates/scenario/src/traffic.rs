@@ -5,7 +5,6 @@
 //! mesh workloads are dynamic: transfers arrive mid-run and leave when
 //! they finish. The [`TrafficModel`] trait
 //! makes the workload a first-class, swappable component, mirroring
-//! [`mesh_sim::ChannelModel`] (loss processes) and
 //! [`crate::ProtocolFactory`] (protocols):
 //!
 //! * [`TrafficModelSpec::Static`] — the legacy [`TrafficSpec`] expansion;
