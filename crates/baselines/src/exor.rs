@@ -112,8 +112,6 @@ struct NodeState {
     map: Vec<u8>,
     /// Whose turn the node believes it is (rank index).
     speaker: u8,
-    /// Timer generation (stale-timer rejection).
-    timer_gen: u64,
     /// Packets queued for my current turn.
     turn_queue: VecDeque<u32>,
     /// True while I am mid-turn (turn_queue draining).
@@ -134,7 +132,6 @@ impl NodeState {
             holds: vec![false; k],
             map: vec![NO_HOLDER; k],
             speaker: 0,
-            timer_gen: 0,
             turn_queue: VecDeque::new(),
             in_turn: false,
             direct_queue: VecDeque::new(),
@@ -316,19 +313,10 @@ impl ExorAgent {
         self.flows.iter().all(|f| f.progress.done || f.halted)
     }
 
-    /// Timer token packing: flow index in the high bits, generation low.
-    fn token(fi: usize, gen: u64) -> u64 {
-        ((fi as u64) << 40) | (gen & 0xFF_FFFF_FFFF)
-    }
-
-    fn untoken(token: u64) -> (usize, u64) {
-        ((token >> 40) as usize, token & 0xFF_FFFF_FFFF)
-    }
-
-    /// Re-arms the silence timer for `node` on flow `fi`.
-    fn arm_timer(fi: usize, ns: &mut NodeState, node: NodeId, ctx: &mut Ctx<'_>) {
-        ns.timer_gen += 1;
-        ctx.set_timer(node, GAP_TIMEOUT, Self::token(fi, ns.timer_gen));
+    /// Re-arms the silence timer for `node` on flow `fi`, under the flow
+    /// index: a timer still pending moves, so only the latest arm fires.
+    fn arm_timer(fi: usize, node: NodeId, ctx: &mut Ctx<'_>) {
+        ctx.set_timer(node, GAP_TIMEOUT, fi as u64);
     }
 
     /// Advances the local schedule pointer past `from`.
@@ -427,7 +415,7 @@ impl NodeAgent for ExorAgent {
                         Self::begin_turn(ns, node, my_rank, ctx);
                     }
                 }
-                Self::arm_timer(fi, ns, node, ctx);
+                Self::arm_timer(fi, node, ctx);
                 if node == f.dst {
                     Self::dst_check_complete(f, ctx);
                 } else {
@@ -511,7 +499,7 @@ impl NodeAgent for ExorAgent {
                     if ns.in_turn && ns.turn_queue.is_empty() {
                         ns.in_turn = false;
                         ns.speaker = Self::next_rank(n_ranks, my_rank);
-                        Self::arm_timer(fi, ns, node, ctx);
+                        Self::arm_timer(fi, node, ctx);
                     }
                 }
             }
@@ -619,7 +607,7 @@ impl NodeAgent for ExorAgent {
     }
 
     fn on_timer(&mut self, node: NodeId, token: u64, ctx: &mut Ctx<'_>) {
-        let (fi, gen) = Self::untoken(token);
+        let fi = usize::try_from(token).unwrap_or(usize::MAX);
         let Some(f) = self.flows.get_mut(fi) else {
             return;
         };
@@ -631,15 +619,15 @@ impl NodeAgent for ExorAgent {
         }
         let n_ranks = f.n_ranks();
         let ns = &mut f.nodes[node.0];
-        if ns.timer_gen != gen || ns.in_turn {
-            return; // stale, or we are the ones transmitting
+        if ns.in_turn {
+            return; // we are the ones transmitting
         }
         // Silence: advance the schedule locally.
         ns.speaker = Self::next_rank(n_ranks, ns.speaker);
         if ns.speaker == my_rank {
             Self::begin_turn(ns, node, my_rank, ctx);
         }
-        Self::arm_timer(fi, ns, node, ctx);
+        Self::arm_timer(fi, node, ctx);
     }
 }
 

@@ -123,6 +123,9 @@ pub struct SrcrAgent {
     node_flows: Vec<Vec<usize>>,
     /// Onoe state per (node, nexthop).
     autorate: BTreeMap<(NodeId, NodeId), OnoeAutorate>,
+    /// The last flow's route table, recomputed in place toward the next
+    /// arrival's destination: a route costs what its search reaches.
+    etx: Option<EtxTable>,
 }
 
 impl SrcrAgent {
@@ -138,6 +141,7 @@ impl SrcrAgent {
             rr: vec![0; n],
             node_flows: vec![Vec::new(); n],
             autorate: BTreeMap::new(),
+            etx: None,
         }
     }
 
@@ -145,7 +149,13 @@ impl SrcrAgent {
     /// of its index); returns its index. Kick `src` to start.
     pub fn add_flow(&mut self, src: NodeId, dst: NodeId, total: usize) -> usize {
         assert!(total > 0, "empty transfer");
-        let etx = EtxTable::compute(&self.topo, dst, LINK_COST);
+        let topo = &self.topo;
+        let etx = self
+            .etx
+            .get_or_insert_with(|| EtxTable::compute(topo, dst, LINK_COST));
+        if etx.destination() != dst {
+            etx.recompute(topo, dst, LINK_COST);
+        }
         assert!(etx.dist(src).is_finite(), "source cannot reach destination");
         let path = etx.path_from(src).expect("finite distance implies a path");
         let fi = self.flows.len();

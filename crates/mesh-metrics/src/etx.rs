@@ -23,7 +23,7 @@ use std::collections::BinaryHeap;
 /// A Dijkstra heap entry `(distance, node)`. Its order is reversed, so a
 /// [`BinaryHeap`] pops the smallest distance first, ties in ascending node
 /// id for determinism.
-#[derive(PartialEq)]
+#[derive(Clone, Debug, PartialEq)]
 pub(crate) struct Entry(pub(crate) f64, pub(crate) usize);
 
 impl Eq for Entry {}
@@ -54,6 +54,11 @@ pub enum LinkCost {
 }
 
 /// Per-node ETX distances to one destination, plus best-path successors.
+///
+/// [`EtxTable::recompute`] reroutes the table toward another destination
+/// in place, resetting only the entries the last search set: a search
+/// that stays inside one component of a sparse mesh costs what it visits,
+/// not the node count.
 #[derive(Clone, Debug)]
 pub struct EtxTable {
     dst: NodeId,
@@ -62,32 +67,60 @@ pub struct EtxTable {
     /// `next[i]` = the nexthop on the best path, `None` at `dst` or when
     /// unreachable.
     next: Vec<Option<NodeId>>,
+    /// Nodes the search settled.
+    closed: Vec<bool>,
+    /// The nodes whose distance the last search set, the only entries of
+    /// `dist`, `next` and `closed` that differ from a fresh table's.
+    touched: Vec<usize>,
+    /// The search's frontier, kept for its allocation.
+    heap: BinaryHeap<Entry>,
 }
 
 impl EtxTable {
     /// Computes ETX distances from every node to `dst` by Dijkstra.
     pub fn compute(topo: &Topology, dst: NodeId, cost: LinkCost) -> Self {
         let n = topo.n();
-        assert!(dst.0 < n, "destination out of range");
-        let mut dist = vec![INF; n];
-        let mut next: Vec<Option<NodeId>> = vec![None; n];
-        dist[dst.0] = 0.0;
+        let mut table = EtxTable {
+            dst,
+            dist: vec![INF; n],
+            next: vec![None; n],
+            closed: vec![false; n],
+            touched: Vec::new(),
+            heap: BinaryHeap::new(),
+        };
+        table.recompute(topo, dst, cost);
+        table
+    }
 
-        let mut heap = BinaryHeap::new();
-        heap.push(Entry(0.0, dst.0));
-        let mut closed = vec![false; n];
-        while let Some(Entry(d, u)) = heap.pop() {
-            if closed[u] {
+    /// Recomputes the table toward `dst` on `topo`, which must have the
+    /// node count the table was built for: the same distances and
+    /// nexthops as [`EtxTable::compute`], at the cost of the nodes the
+    /// last search and this one reach.
+    pub fn recompute(&mut self, topo: &Topology, dst: NodeId, cost: LinkCost) {
+        let n = topo.n();
+        assert!(dst.0 < n, "destination out of range");
+        assert_eq!(self.dist.len(), n, "a table keeps its node count");
+        for i in self.touched.drain(..) {
+            self.dist[i] = INF;
+            self.next[i] = None;
+            self.closed[i] = false;
+        }
+        self.dst = dst;
+        self.dist[dst.0] = 0.0;
+        self.touched.push(dst.0);
+        self.heap.push(Entry(0.0, dst.0));
+        while let Some(Entry(d, u)) = self.heap.pop() {
+            if self.closed[u] {
                 continue;
             }
-            closed[u] = true;
+            self.closed[u] = true;
             // Relax incoming links v -> u: transmitting from v reaches u.
             // The CSR in-row visits exactly the nodes with `p_vu > 0` in
             // ascending id order — the same candidates, in the same order,
             // as the historical 0..n scan.
             for (v, p_fwd) in topo.neighbors_in(NodeId(u)) {
                 let v = v.0;
-                if closed[v] {
+                if self.closed[v] {
                     continue;
                 }
                 let link = match cost {
@@ -101,14 +134,17 @@ impl EtxTable {
                     }
                 };
                 let cand = d + link;
-                if cand + EPS < dist[v] {
-                    dist[v] = cand;
-                    next[v] = Some(NodeId(u));
-                    heap.push(Entry(cand, v));
+                let dist = &mut self.dist[v];
+                if cand + EPS < *dist {
+                    if dist.is_infinite() {
+                        self.touched.push(v);
+                    }
+                    *dist = cand;
+                    self.next[v] = Some(NodeId(u));
+                    self.heap.push(Entry(cand, v));
                 }
             }
         }
-        EtxTable { dst, dist, next }
     }
 
     /// The destination this table routes toward.
@@ -258,6 +294,86 @@ mod test {
                     assert!(table.dist(w[0]) > table.dist(w[1]));
                 }
             }
+        }
+    }
+
+    /// Routes one reused table toward each of `dsts` in turn, under both
+    /// link costs, and checks every answer against a fresh table.
+    fn recompute_agrees_with_compute(topo: &Topology, dsts: &[usize]) {
+        for cost in [LinkCost::Forward, LinkCost::ForwardReverse] {
+            let mut reused: Option<EtxTable> = None;
+            for &dst in dsts {
+                let dst = NodeId(dst);
+                let table = match reused.as_mut() {
+                    Some(table) => {
+                        table.recompute(topo, dst, cost);
+                        table
+                    }
+                    None => reused.insert(EtxTable::compute(topo, dst, cost)),
+                };
+                let fresh = EtxTable::compute(topo, dst, cost);
+                let at = format!("{} toward {dst} under {cost:?}", topo.name);
+                assert_eq!(table.destination(), dst, "{at}");
+                assert_eq!(table.distances(), fresh.distances(), "{at}");
+                for i in topo.nodes() {
+                    assert_eq!(table.next_hop(i), fresh.next_hop(i), "{at}: from {i}");
+                    assert_eq!(table.path_from(i), fresh.path_from(i), "{at}: from {i}");
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn recompute_on_random_meshes(
+            n in 2..40usize,
+            seed in proptest::prelude::any::<u64>(),
+            picks in proptest::collection::vec(proptest::prelude::any::<usize>(), 1..10),
+        ) {
+            let side = (n as f64 * 300.0).sqrt();
+            let topo = generate::random_mesh(n, side, side, seed);
+            let dsts: Vec<usize> = picks.iter().map(|p| p % n).collect();
+            recompute_agrees_with_compute(&topo, &dsts);
+        }
+
+        #[test]
+        fn recompute_on_directed_meshes(
+            n in 2..24usize,
+            arcs in proptest::collection::vec((0..24usize, 0..24usize, 1..=100u8), 0..80),
+            picks in proptest::collection::vec(proptest::prelude::any::<usize>(), 1..10),
+        ) {
+            // One-way arcs, most without a reverse: reachability and
+            // both link costs are asymmetric.
+            let arcs: std::collections::BTreeMap<(usize, usize), f64> = arcs
+                .into_iter()
+                .filter(|&(a, b, _)| a < n && b < n && a != b)
+                .map(|(a, b, p)| ((a, b), f64::from(p) / 100.0))
+                .collect();
+            let links: Vec<_> = arcs.into_iter().map(|((a, b), p)| (a, b, p)).collect();
+            let topo = topo("directed", n, &links);
+            let dsts: Vec<usize> = picks.iter().map(|p| p % n).collect();
+            recompute_agrees_with_compute(&topo, &dsts);
+        }
+    }
+
+    #[test]
+    fn recompute_across_city_components() {
+        // A sparse city mesh of many components: successive searches stay
+        // inside different ones, and must leave nothing of the last behind.
+        for seed in 1..=2 {
+            let topo = generate::city_mesh(1000, seed);
+            let (label, sizes) = topo
+                .symmetric_components()
+                .expect("city links are symmetric");
+            assert!(sizes.len() > 50, "{} components", sizes.len());
+            let biggest = sizes.iter().max();
+            let largest = (0..topo.n())
+                .find(|&i| sizes.get(label[i] as usize) == biggest)
+                .expect("a city has nodes");
+            let dsts = [largest, 0, 499, largest, 998, 999, 1, largest];
+            recompute_agrees_with_compute(&topo, &dsts);
         }
     }
 

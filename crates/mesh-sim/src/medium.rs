@@ -23,7 +23,8 @@
 //!
 //! Bookkeeping costs a frame's neighbourhood, not what is on the air
 //! city-wide. Frames stay in an **on-air set** until they are judged and
-//! the clock has passed their end; no verdict walks it. Whether a node
+//! the clock has passed their end; a verdict reaches its frame there by
+//! transmission id in O(1), and no verdict walks it. Whether a node
 //! transmitted during a frame is read from that node's own **marks**,
 //! and carrier sense from the two latest ends among the frames a node
 //! senses, both kept in O(1) by [`Medium::begin`]. This rests on the
@@ -55,6 +56,7 @@ use crate::{SimConfig, Time};
 use mesh_topology::spatial::CellGrid;
 use mesh_topology::{NodeId, Position, Topology};
 use rand::Rng;
+use std::collections::VecDeque;
 
 /// Vertical meters per floor in 3D range computations.
 pub const FLOOR_HEIGHT_M: f64 = 10.0;
@@ -222,8 +224,15 @@ pub struct Medium {
     /// node linked to `t` in either direction, a superset of the nodes the
     /// channel can deliver `t`'s frames to.
     reach: Rows,
-    /// Frames begun and not yet judged, in begin order.
-    air: Vec<OnAir>,
+    /// Frames begun and not yet judged, by transmission id, in slot
+    /// `id − first`; judged slots empty and leave from the front, as in
+    /// the engine's `in_flight` ring.
+    air: VecDeque<Option<OnAir>>,
+    /// Each `air` slot's frame end and transmitter, for
+    /// [`Medium::overlap_with`]; an emptied slot's frame ended by the clock.
+    ends: VecDeque<(Time, u32)>,
+    /// The id in `air`'s first slot.
+    first: u64,
     /// Frames judged, all ending at the clock; they leave when it moves on.
     judged: Vec<OnAir>,
     /// Latest instant seen by `begin`, `prune` or a verdict.
@@ -284,7 +293,9 @@ impl Medium {
             sense,
             interfere,
             reach,
-            air: Vec::new(),
+            air: VecDeque::new(),
+            ends: VecDeque::new(),
+            first: 0,
             judged: Vec::new(),
             clock: 0,
             frames: 0,
@@ -322,6 +333,11 @@ impl Medium {
     /// Registers a transmission starting now: `t.start` is the caller's
     /// current instant, no earlier than any previous `begin`, `prune` or
     /// verdict, and `t.end` is later.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `t.id` is not one more than the last id begun, as the
+    /// engine issues them, while frames of that run are on the air.
     pub fn begin(&mut self, t: Transmission) {
         debug_assert!(t.start < t.end, "a frame takes airtime");
         debug_assert!(t.start >= self.clock, "frames begin at the clock");
@@ -336,7 +352,28 @@ impl Medium {
                 h.add(order, t.end);
             }
         }
-        self.air.push(OnAir { t, order, tx_busy });
+        if self.air.is_empty() {
+            self.first = t.id;
+        }
+        let next = self.first + self.air.len() as u64;
+        assert_eq!(t.id, next, "transmission ids rise by one");
+        self.ends.push_back((t.end, t.tx.0 as u32));
+        self.air.push_back(Some(OnAir { t, order, tx_busy }));
+    }
+
+    /// Takes frame `id` out of the on-air ring, if it is there; emptied
+    /// slots leave from the front.
+    fn take(&mut self, id: u64) -> Option<OnAir> {
+        let slot = usize::try_from(id.checked_sub(self.first)?).ok()?;
+        let clock = self.clock;
+        let on_air = self.air.get_mut(slot)?;
+        let f = on_air.take_if(|f| f.t.end >= clock)?;
+        while let Some(None) = self.air.front() {
+            self.air.pop_front();
+            self.ends.pop_front();
+            self.first += 1;
+        }
+        Some(f)
     }
 
     /// Advances the clock to `now`: frames judged before it leave the
@@ -403,13 +440,8 @@ impl Medium {
         out: &mut Vec<NodeId>,
     ) {
         out.clear();
-        // The engine's ids rise in begin order, as `air` does.
-        let found = self.air.binary_search_by_key(&id, |f| f.t.id).ok();
-        let found = found.or_else(|| self.air.iter().position(|f| f.t.id == id));
-        let clock = self.clock;
-        let f = match found.filter(|&i| self.air.get(i).is_some_and(|f| f.t.end >= clock)) {
-            Some(i) => {
-                let f = self.air.remove(i);
+        let f = match self.take(id) {
+            Some(f) => {
                 self.prune(f.t.end);
                 self.judged.push(f.clone());
                 f
@@ -489,10 +521,10 @@ impl Medium {
     /// every frame began by then, and a judged one has ended.
     pub fn overlap_with(&self, node: NodeId, start: Time, end: Time) -> Time {
         debug_assert!(start >= self.clock, "queries do not look back in time");
-        self.air
-            .iter()
-            .filter(|f| f.t.tx != node && start < f.t.end)
-            .map(|f| f.t.end.min(end).saturating_sub(start))
+        let node = node.0 as u32;
+        let others = self.ends.iter().filter(|&&(_, tx)| tx != node);
+        others
+            .map(|&(f_end, _)| f_end.min(end).saturating_sub(start))
             .sum()
     }
 
@@ -599,8 +631,9 @@ mod test {
         /// The ends of the frames held — not yet judged, then judged — and
         /// the clock, for the retention tests.
         pub(crate) fn held(&self) -> (Vec<Time>, Vec<Time>, Time) {
-            let ends = |frames: &[OnAir]| frames.iter().map(|f| f.t.end).collect();
-            (ends(&self.air), ends(&self.judged), self.clock)
+            let air = self.air.iter().flatten().map(|f| f.t.end).collect();
+            let judged = self.judged.iter().map(|f| f.t.end).collect();
+            (air, judged, self.clock)
         }
 
         /// [`Medium::evaluate_reception_into`] returning a fresh vector.

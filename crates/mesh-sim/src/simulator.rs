@@ -67,10 +67,11 @@ enum EventKind {
     Timer { node: NodeId, token: u64 },
 }
 
-/// What [`Agenda::next`] hands the loop.
+/// What [`Agenda::next`] hands the loop: an engine event with its
+/// sequence number, or a traffic slot.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Due {
-    Event(EventKind),
+    Event(u64, EventKind),
     Traffic(usize),
 }
 
@@ -105,15 +106,15 @@ impl Agenda {
     /// The earliest entry due by `deadline`, traffic first on a tie.
     fn next(&mut self, deadline: Time) -> Option<(Time, Due)> {
         self.settle();
-        let event = self.events.peek().map(|&Reverse((at, _, ev))| (at, ev));
-        let first = event.map_or(deadline, |(at, _)| at.min(deadline));
+        let event = self.events.peek().map(|&Reverse(entry)| entry);
+        let first = event.map_or(deadline, |(at, ..)| at.min(deadline));
         if let Some(&Reverse((at, slot))) = self.traffic.peek().filter(|t| t.0 .0 <= first) {
             self.traffic.pop();
             return Some((at, Due::Traffic(slot)));
         }
-        let (at, ev) = event.filter(|&(at, _)| at <= deadline)?;
+        let (at, seq, ev) = event.filter(|&(at, ..)| at <= deadline)?;
         self.spent = true;
-        Some((at, Due::Event(ev)))
+        Some((at, Due::Event(seq, ev)))
     }
 }
 
@@ -151,7 +152,10 @@ impl<'a> Ctx<'a> {
         self.rng
     }
 
-    /// Schedules [`NodeAgent::on_timer`] for `node` after `delay` µs.
+    /// Schedules [`NodeAgent::on_timer`] for `node` after `delay` µs. A
+    /// timer of `node` under `token` that has not fired yet is moved: it
+    /// fires once, here, in the place among same-instant events a timer
+    /// set now would take.
     pub fn set_timer(&mut self, node: NodeId, delay: Time, token: u64) {
         self.timers.push((node, delay, token));
     }
@@ -177,6 +181,16 @@ enum MacState {
     AwaitAck {
         timeout: (Time, u64),
     },
+}
+
+/// A pending protocol timer: its token, the `(time, sequence)` of its
+/// entry on the agenda, and the one its latest arm reserved, where it
+/// fires.
+#[derive(Clone, Copy, Debug)]
+struct Armed {
+    token: u64,
+    queued: (Time, u64),
+    due: (Time, u64),
 }
 
 /// An unacknowledged unicast retained for retransmission.
@@ -321,9 +335,13 @@ pub struct Simulator<A: NodeAgent> {
     channel: Channel,
     states: Vec<MacState>,
     current: Vec<Option<CurrentTx<A::Payload>>>,
-    /// Latest expiry of an ACK wait that was answered, so never scheduled:
-    /// a run that runs out of events still stops its clock there.
-    answered_until: Time,
+    /// Pending protocol timers, per node.
+    armed: Vec<Vec<Armed>>,
+    /// Latest instant of an event never scheduled — the expiry of an ACK
+    /// wait that was answered, the arm a moved timer left — where it
+    /// would have popped with nothing to do: a run that runs out of events
+    /// still stops its clock there.
+    skipped_until: Time,
     /// What is on the air, by transmission id. Ids are issued in sequence
     /// and a frame leaves when it ends, so this is a ring: its slots are
     /// ids `next_tx_id − len .. next_tx_id`, a slot is emptied when its
@@ -407,7 +425,8 @@ impl<A: NodeAgent> Simulator<A> {
             channel,
             states: (0..n).map(|_| MacState::Idle).collect(),
             current: (0..n).map(|_| None).collect(),
-            answered_until: 0,
+            armed: vec![Vec::new(); n],
+            skipped_until: 0,
             in_flight: VecDeque::new(),
             next_tx_id: 0,
             traffic: Vec::new(),
@@ -464,9 +483,55 @@ impl<A: NodeAgent> Simulator<A> {
         }
     }
 
-    /// Set a protocol timer from outside the event loop.
+    /// Sets a protocol timer, from outside the event loop or for
+    /// [`Ctx::set_timer`]: `node`'s timer `token` `delay` µs from now,
+    /// under the next sequence number. A pending timer of the same node
+    /// and token moves there: its agenda entry stays, to be pushed again
+    /// at the new key when it pops, or is left behind when the move is
+    /// earlier.
     pub fn set_timer(&mut self, node: NodeId, delay: Time, token: u64) {
-        self.push(self.now + delay, EventKind::Timer { node, token });
+        self.seq += 1;
+        let key = (self.now + delay, self.seq);
+        let armed = &mut self.armed[node.0];
+        match armed.iter_mut().find(|a| a.token == token) {
+            Some(a) => {
+                self.skipped_until = self.skipped_until.max(a.due.0);
+                a.due = key;
+                if a.queued < key {
+                    return;
+                }
+                a.queued = key;
+            }
+            None => armed.push(Armed {
+                token,
+                queued: key,
+                due: key,
+            }),
+        }
+        self.agenda
+            .push(key.0, key.1, EventKind::Timer { node, token });
+    }
+
+    /// Settles the timer entry popped under `seq`: true when the timer
+    /// fires. An entry a move overtook goes back on the agenda at the
+    /// timer's key, and one a move left behind is dropped.
+    fn timer_fires(&mut self, node: NodeId, token: u64, seq: u64) -> bool {
+        let armed = &mut self.armed[node.0];
+        let Some(i) = armed
+            .iter()
+            .position(|a| a.token == token && a.queued.1 == seq)
+        else {
+            return false;
+        };
+        let a = &mut armed[i];
+        if a.due == a.queued {
+            armed.swap_remove(i);
+            return true;
+        }
+        a.queued = a.due;
+        let (at, seq) = a.due;
+        self.agenda.push(at, seq, EventKind::Timer { node, token });
+        false
     }
 
     fn push(&mut self, at: Time, ev: EventKind) {
@@ -484,7 +549,8 @@ impl<A: NodeAgent> Simulator<A> {
     /// left, and returns the simulated time at exit. An event past
     /// `deadline` stays queued for a later call, and the clock stops at
     /// `deadline`. Out of events, the clock stops no earlier than the
-    /// expiry of the latest answered ACK wait (capped at `deadline`). A
+    /// expiry of the latest answered ACK wait or the latest arm a moved
+    /// timer replaced (capped at `deadline`). A
     /// `deadline` before the clock runs nothing and returns the clock
     /// unchanged: the clock cannot go back.
     ///
@@ -506,13 +572,13 @@ impl<A: NodeAgent> Simulator<A> {
         loop {
             let Some((at, due)) = self.agenda.next(deadline) else {
                 let idle = self.agenda.events.is_empty() && self.agenda.traffic.is_empty();
-                let until = if idle { self.answered_until } else { deadline };
+                let until = if idle { self.skipped_until } else { deadline };
                 self.now = self.now.max(until.min(deadline));
                 break;
             };
             self.now = at;
             match due {
-                Due::Event(ev) => self.dispatch(ev),
+                Due::Event(seq, ev) => self.dispatch(seq, ev),
                 Due::Traffic(slot) => (self.on_traffic)(self, slot),
             }
             if self.arrivals_due == 0 && stop(&self.agent) {
@@ -523,7 +589,12 @@ impl<A: NodeAgent> Simulator<A> {
         self.now
     }
 
-    fn dispatch(&mut self, ev: EventKind) {
+    fn dispatch(&mut self, seq: u64, ev: EventKind) {
+        if let EventKind::Timer { node, token } = ev {
+            if !self.timer_fires(node, token, seq) {
+                return;
+            }
+        }
         self.stats.events += 1;
         match ev {
             EventKind::TryTx { node } => self.on_try_tx(node),
@@ -557,7 +628,7 @@ impl<A: NodeAgent> Simulator<A> {
             ..
         } = ctx;
         for (node, delay, token) in timers.drain(..) {
-            self.push(self.now + delay, EventKind::Timer { node, token });
+            self.set_timer(node, delay, token);
         }
         for node in kicks.drain(..) {
             self.kick(node);
@@ -729,7 +800,7 @@ impl<A: NodeAgent> Simulator<A> {
                 // expire.
                 if let MacState::AwaitAck { timeout: (at, _) } = self.states[to.0] {
                     if receivers.contains(&to) {
-                        self.answered_until = self.answered_until.max(at);
+                        self.skipped_until = self.skipped_until.max(at);
                         let CurrentTx { frame, retries, .. } = self.take_awaited(to);
                         self.finish_tx(to, TxOutcome::Acked { retries }, frame.payload);
                     } else {
@@ -1006,7 +1077,7 @@ mod test {
                     let due = if seq == 0 {
                         Due::Traffic(token as usize)
                     } else {
-                        Due::Event(ev)
+                        Due::Event(seq, ev)
                     };
                     (at <= deadline).then_some((at, due))
                 });

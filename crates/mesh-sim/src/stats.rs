@@ -22,8 +22,12 @@ pub struct SimStats {
     pub unicast_failures: u64,
     /// Unicast retransmissions performed.
     pub retries: u64,
-    /// Moments when ≥2 *data* transmissions were on the air concurrently,
-    /// weighted by overlap µs — the spatial-reuse indicator.
+    /// Overlap µs, the spatial-reuse indicator: as each data frame
+    /// begins, the µs it shares with every frame of another node already
+    /// on the air anywhere in the mesh, MAC ACKs included, summed. Each
+    /// overlapping pair counts once, by the later frame when that is a
+    /// data frame, so `k` frames on the air together add `k(k − 1)/2`
+    /// times their airtime.
     pub concurrent_airtime: Time,
     /// Engine events dispatched (traffic actions excluded). A unicast's
     /// ACK timeout counts only when it fires: one the MAC ACK answered is

@@ -759,3 +759,228 @@ fn an_earlier_deadline_does_not_open_the_past_to_traffic() {
     assert_eq!(sim.run_until(SEC / 2, |_| false), SEC);
     sim.schedule_traffic(SEC - 1, arrival(0));
 }
+
+/// One frame per planned node, each sent as soon as the node is kicked:
+/// `plan[node]` is `Some(dst)` for a unicast, `None` for a broadcast.
+/// A timer kicks the node it is set for.
+struct OneShot {
+    plan: Vec<Option<Option<NodeId>>>,
+}
+
+impl NodeAgent for OneShot {
+    type Payload = ();
+
+    fn on_receive(&mut self, _n: NodeId, _f: &Frame<()>, _c: &mut Ctx<'_>) {}
+
+    fn on_tx_done(&mut self, _n: NodeId, _o: TxOutcome, _p: (), _c: &mut Ctx<'_>) {}
+
+    fn poll_tx(&mut self, node: NodeId, _c: &mut Ctx<'_>) -> Option<OutFrame<()>> {
+        Some(OutFrame {
+            dst: self.plan.get_mut(node.0)?.take()?,
+            bytes: 1500,
+            bitrate: None,
+            flow: None,
+            payload: (),
+        })
+    }
+
+    fn on_timer(&mut self, node: NodeId, _token: u64, ctx: &mut Ctx<'_>) {
+        ctx.mark_backlogged(node);
+    }
+}
+
+/// `pairs` linked pairs `(2i, 2i + 1)` with no link, and no position,
+/// between pairs: nodes of different pairs neither sense nor jam each
+/// other.
+fn apart(pairs: usize) -> mesh_topology::Topology {
+    let links: Vec<_> = (0..pairs)
+        .flat_map(|i| [(2 * i, 2 * i + 1, 1.0), (2 * i + 1, 2 * i, 1.0)])
+        .collect();
+    topo("apart", 2 * pairs, &links)
+}
+
+#[test]
+fn concurrent_airtime_sums_each_data_frames_overlap_with_everything_on_the_air() {
+    // What `concurrent_airtime` counts: as each data frame begins, the µs
+    // it overlaps every frame of another node already on the air, MAC
+    // ACKs included. Divided by all airtime (ACKs included) it is the
+    // record's `concurrency`, which is no fraction of time: k frames on
+    // the air together read (k − 1) / 2.
+    let cfg = fixed_backoff(0);
+    let air = cfg.bitrate.airtime(1500);
+    for k in 1..=4usize {
+        let plan = (0..2 * k)
+            .map(|node| (node % 2 == 0).then_some(None))
+            .collect();
+        let mut sim = Simulator::new(apart(k), cfg, OneShot { plan }, 1);
+        for i in 0..k {
+            sim.kick(NodeId(2 * i));
+        }
+        sim.run_until(SEC, |_| false);
+        // All k begin DIFS after the kick: the i-th overlaps i others.
+        let pairs = (k * (k - 1) / 2) as Time;
+        assert_eq!(sim.stats.concurrent_airtime, pairs * air, "{k} frames");
+        assert_eq!(sim.stats.total_airtime(), k as Time * air);
+        let concurrency = sim.stats.concurrent_airtime as f64 / sim.stats.total_airtime() as f64;
+        assert_eq!(concurrency, (k - 1) as f64 / 2.0, "{k} frames");
+    }
+    // A data frame that begins during another pair's MAC ACK counts the
+    // µs it shares with the ACK.
+    let (data_end, ack_end, _) = attempt(&cfg, cfg.difs_us);
+    let ack_start = data_end + cfg.sifs_us;
+    let plan = vec![Some(Some(NodeId(1))), None, Some(None), None];
+    let mut sim = Simulator::new(apart(2), cfg, OneShot { plan }, 1);
+    sim.kick(NodeId(0));
+    // Node 2's attempt fires DIFS after its kick, 1 µs into the ACK.
+    sim.set_timer(NodeId(2), ack_start + 1 - cfg.difs_us, 0);
+    sim.run_until(SEC, |_| false);
+    assert_eq!(sim.stats.tx_frames, [1, 0, 1, 0], "one data frame each");
+    assert_eq!(sim.stats.concurrent_airtime, ack_end - ack_start - 1);
+}
+
+/// Arms timers by script, as a protocol that re-arms a silence timer
+/// does. Every firing re-arms some of `tokens` timers at some of `nodes`
+/// after some delay, drawn from the agent's own stream; `fired` logs
+/// each firing. With `gens` set it is the form without moves: each arm
+/// goes under a token carrying its generation, and a firing of any
+/// generation but the timer's latest is stale and ignored.
+struct Rearm {
+    rng: rand_chacha::ChaCha8Rng,
+    gens: Option<std::collections::BTreeMap<(NodeId, u64), u64>>,
+    fired: Vec<(Time, NodeId, u64)>,
+    calls: u64,
+    budget: u32,
+}
+
+impl Rearm {
+    const NODES: usize = 2;
+    const TOKENS: u64 = 3;
+
+    fn new(seed: u64, gens: bool) -> Self {
+        Rearm {
+            rng: rand::SeedableRng::seed_from_u64(seed),
+            gens: gens.then(Default::default),
+            fired: Vec::new(),
+            calls: 0,
+            budget: 400,
+        }
+    }
+
+    /// Arms timer `token` of `node`.
+    fn arm(&mut self, node: NodeId, delay: Time, token: u64, ctx: &mut Ctx<'_>) {
+        match &mut self.gens {
+            Some(gens) => {
+                let gen = gens.entry((node, token)).or_default();
+                *gen += 1;
+                ctx.set_timer(node, delay, (token << 32) | *gen);
+            }
+            None => ctx.set_timer(node, delay, token),
+        }
+    }
+
+    /// A burst of arms: delays of 0 (this instant), short and long, so
+    /// timers move later, earlier and onto other timers' instants.
+    fn burst(&mut self, ctx: &mut Ctx<'_>) {
+        use rand::Rng;
+        for _ in 0..self.rng.gen_range(0..4usize) {
+            let node = NodeId(self.rng.gen_range(0..Self::NODES));
+            let token = self.rng.gen_range(0..Self::TOKENS);
+            let delay: Time = [0, self.rng.gen_range(1..20), self.rng.gen_range(20..60)]
+                [self.rng.gen_range(0..3usize)];
+            self.arm(node, delay, token, ctx);
+        }
+    }
+}
+
+impl NodeAgent for Rearm {
+    type Payload = ();
+
+    fn on_receive(&mut self, _n: NodeId, _f: &Frame<()>, _c: &mut Ctx<'_>) {}
+
+    fn on_tx_done(&mut self, _n: NodeId, _o: TxOutcome, _p: (), _c: &mut Ctx<'_>) {}
+
+    fn poll_tx(&mut self, _n: NodeId, _c: &mut Ctx<'_>) -> Option<OutFrame<()>> {
+        None
+    }
+
+    fn on_timer(&mut self, node: NodeId, token: u64, ctx: &mut Ctx<'_>) {
+        self.calls += 1;
+        let token = match &self.gens {
+            Some(gens) => {
+                let (token, gen) = (token >> 32, token & 0xFFFF_FFFF);
+                if gens.get(&(node, token)).copied().unwrap_or(0) != gen {
+                    return; // stale
+                }
+                token
+            }
+            None => token,
+        };
+        self.fired.push((ctx.now(), node, token));
+        if self.budget > 0 {
+            self.budget -= 1;
+            // Keep the script alive: one timer always re-armed.
+            self.arm(node, 7, token, ctx);
+            self.burst(ctx);
+        }
+    }
+}
+
+#[test]
+fn a_re_armed_timer_moves_and_fires_once_where_its_last_arm_put_it() {
+    // By hand: timer 0 of node 0 armed for 100, then at 50 re-armed for
+    // 120 between timer 1 (armed before it) and timer 2 (after it), all
+    // due at 120; and timer 3 armed for 200, then moved up to 150.
+    struct Script(Vec<(Time, u64)>);
+    impl NodeAgent for Script {
+        type Payload = ();
+        fn on_receive(&mut self, _n: NodeId, _f: &Frame<()>, _c: &mut Ctx<'_>) {}
+        fn on_tx_done(&mut self, _n: NodeId, _o: TxOutcome, _p: (), _c: &mut Ctx<'_>) {}
+        fn poll_tx(&mut self, _n: NodeId, _c: &mut Ctx<'_>) -> Option<OutFrame<()>> {
+            None
+        }
+        fn on_timer(&mut self, node: NodeId, token: u64, ctx: &mut Ctx<'_>) {
+            self.0.push((ctx.now(), token));
+            if token == 9 {
+                ctx.set_timer(node, 70, 1);
+                ctx.set_timer(node, 70, 0);
+                ctx.set_timer(node, 70, 2);
+                ctx.set_timer(node, 100, 3);
+            }
+        }
+    }
+    let mut sim = Simulator::new(apart(1), SimConfig::default(), Script(Vec::new()), 1);
+    sim.set_timer(NodeId(0), 100, 0);
+    sim.set_timer(NodeId(0), 200, 3);
+    sim.set_timer(NodeId(0), 50, 9);
+    sim.run_until(SEC, |_| false);
+    assert_eq!(
+        sim.agent.0,
+        [(50, 9), (120, 1), (120, 0), (120, 2), (150, 3)]
+    );
+    // Five firings; the entries the moves left behind dispatch nothing.
+    // The one timer 3 left at 200 still pops there, as its stale firing
+    // would without moves, and the clock stops at it.
+    assert_eq!(sim.stats.events, 5);
+    assert_eq!(sim.now(), 200);
+
+    // Against the form without moves, over random scripts: the same
+    // firings at the same instants in the same order, each timer once at
+    // its last arm, and the stale dispatches are the only events saved.
+    for seed in 0..20 {
+        let run = |gens| {
+            let mut sim = Simulator::new(apart(1), SimConfig::default(), Rearm::new(seed, gens), 1);
+            sim.set_timer(NodeId(0), 5, 0);
+            sim.set_timer(NodeId(1), 5, 0);
+            let end = sim.run_until(SEC, |_| false);
+            (end, sim.stats.events, sim.agent)
+        };
+        let (moved_end, moved_events, moved) = run(false);
+        let (gen_end, gen_events, gen) = run(true);
+        assert_eq!(moved.fired, gen.fired, "seed {seed}");
+        assert_eq!(moved_end, gen_end, "seed {seed}");
+        assert_eq!(moved.calls, moved.fired.len() as u64, "no stale call");
+        let stale = gen.calls - gen.fired.len() as u64;
+        assert!(stale > 100, "seed {seed}: {stale} stale firings");
+        assert_eq!(gen_events - moved_events, stale, "seed {seed}");
+    }
+}

@@ -66,7 +66,7 @@ impl Cells<'_> {
         let horizon = cfg.deadline_s * SEC;
         // Who reaches whom in the topology routing sees, labelled once for
         // every flow set of the cell.
-        let mut pool = PairPool::new(routing);
+        let pool = PairPool::new(routing);
         let model = point.traffic.build();
         let schedules = model.schedules(topo, seed, cfg.packets, horizon);
         let mut records = Vec::with_capacity(schedules.len());
@@ -83,7 +83,7 @@ impl Cells<'_> {
             // unreachable (src, dst) pairs on single-node or partitioned
             // meshes — must surface as grid errors, not ETX/EOTX panics
             // inside the factory.
-            validate_endpoints(&mut pool, &windows)?;
+            validate_endpoints(&pool, &windows)?;
             if !factory.supports_multicast() {
                 reject_multicast(protocol, windows.iter().map(|w| &w.spec))?;
             }
@@ -296,7 +296,7 @@ impl Cell<'_> {
     clippy::indexing_slicing,
     reason = "i enumerates f.dsts, so f.dsts[..i] is in bounds"
 )]
-fn validate_endpoints(pool: &mut PairPool<'_>, windows: &[FlowWindow]) -> Result<(), BuildError> {
+fn validate_endpoints(pool: &PairPool<'_>, windows: &[FlowWindow]) -> Result<(), BuildError> {
     let topo = pool.topo;
     let n = topo.n();
     for f in windows.iter().map(|w| &w.spec) {
@@ -383,7 +383,7 @@ mod test {
             stop: None,
         };
         fn validate(topo: &Topology, windows: &[FlowWindow]) -> Result<(), BuildError> {
-            validate_endpoints(&mut PairPool::new(topo), windows)
+            validate_endpoints(&PairPool::new(topo), windows)
         }
         let first_error = |topo: &Topology, windows: &[FlowWindow]| match validate(topo, windows) {
             Err(BuildError::Unsupported(msg)) => msg,

@@ -7,17 +7,19 @@
 //! Poisson run touches only a few thousand of them. A [`PairPool`]
 //! exposes the *same sequence* (source-major, destination ascending)
 //! through `len()` + `get(k)` while holding O(n) state: per-source
-//! prefix counts plus memoized destination lists for the sources
-//! actually drawn. The same pool answers whether a flow's source reaches
-//! its destination ([`PairPool::reaches`]), which is how a cell checks
-//! its endpoints against the topology routing sees.
+//! prefix counts plus every node's reachable set in one shared form. The
+//! same pool answers whether a flow's source reaches its destination
+//! ([`PairPool::reaches`]), which is how a cell checks its endpoints
+//! against the topology routing sees.
 //!
 //! Reachability comes from one of two strategies:
 //!
 //! * **Symmetric support** (every `p > 0` link has a `p > 0` reverse —
 //!   true of every built-in generator): reachable-from-`s` is exactly
 //!   the connected component of `s`, so one O(links) BFS sweep
-//!   ([`Topology::symmetric_components`]) labels every node; counts are
+//!   ([`Topology::symmetric_components`]) labels every node, and one
+//!   O(n) counting pass lays the nodes out component by component, so
+//!   a component's members are one ascending slice; counts are
 //!   component sizes and `reaches` compares labels.
 //! * **Directed fallback**: one BFS per source asked about, O(links)
 //!   each; the pair counts, which need every source's, are taken only
@@ -30,12 +32,53 @@
 #![expect(
     clippy::indexing_slicing,
     clippy::expect_used,
-    reason = "prefix/comp vectors are sized n+1/n at construction; get() asserts k < len() up front, partition_point over a prefix ending in len() keeps the source index in range, reaches() checks both endpoints against n, and a source always appears in its own memoized member list (it reaches itself in 0 hops)"
+    reason = "label/start/order vectors are sized at construction from the one labelling; get() asserts k < len() up front, partition_point over a prefix ending in len() keeps the source index in range, reaches() checks both endpoints against n, and a source always appears in its own member list (it reaches itself in 0 hops)"
 )]
 
 use mesh_topology::{NodeId, Topology};
+use std::borrow::Cow;
 use std::cell::OnceCell;
-use std::collections::BTreeMap;
+
+/// The connected components of a topology with symmetric support, laid
+/// out component-major: component `c`'s members are
+/// `order[start[c]..start[c + 1]]`, ascending.
+struct Components {
+    /// `label[i]` = the component of node `i`.
+    label: Vec<u32>,
+    start: Vec<usize>,
+    order: Vec<NodeId>,
+}
+
+impl Components {
+    /// Groups the nodes by label in one counting pass: filling in
+    /// ascending node order keeps every component's slice sorted.
+    fn new(label: Vec<u32>, sizes: &[usize]) -> Self {
+        let start: Vec<usize> = std::iter::once(0)
+            .chain(sizes.iter().scan(0, |total, &size| {
+                *total += size;
+                Some(*total)
+            }))
+            .collect();
+        let mut fill = start.clone();
+        let mut order = vec![NodeId(0); label.len()];
+        for (i, &c) in label.iter().enumerate() {
+            let slot = &mut fill[c as usize];
+            order[*slot] = NodeId(i);
+            *slot += 1;
+        }
+        Components {
+            label,
+            start,
+            order,
+        }
+    }
+
+    /// The ascending members of node `s`'s component.
+    fn members(&self, s: usize) -> &[NodeId] {
+        let c = self.label[s] as usize;
+        &self.order[self.start[c]..self.start[c + 1]]
+    }
+}
 
 /// The reachable ordered pairs of one topology, indexable without being
 /// materialized.
@@ -46,13 +89,9 @@ pub(crate) struct PairPool<'a> {
     /// `prefix[s]` = reachable pairs with source `< s`; `prefix[n]` =
     /// total. Taken on first use.
     prefix: OnceCell<Vec<usize>>,
-    /// Component labels and sizes when link support is symmetric; `None`
-    /// selects the per-source BFS fallback.
-    comp: Option<(Vec<u32>, Vec<usize>)>,
-    /// Memoized ascending member lists, keyed by component id (symmetric)
-    /// or source id (directed fallback). Each list contains the source
-    /// itself; `get` skips over it.
-    members: BTreeMap<u32, Vec<NodeId>>,
+    /// The components when link support is symmetric; `None` selects the
+    /// per-source BFS fallback.
+    comp: Option<Components>,
 }
 
 impl<'a> PairPool<'a> {
@@ -62,8 +101,9 @@ impl<'a> PairPool<'a> {
         PairPool {
             topo,
             prefix: OnceCell::new(),
-            comp: topo.symmetric_components(),
-            members: BTreeMap::new(),
+            comp: topo
+                .symmetric_components()
+                .map(|(label, sizes)| Components::new(label, &sizes)),
         }
     }
 
@@ -73,7 +113,7 @@ impl<'a> PairPool<'a> {
         self.prefix.get_or_init(|| {
             let topo = self.topo;
             let reach = |i: usize| match &self.comp {
-                Some((comp, sizes)) => sizes[comp[i] as usize],
+                Some(comp) => comp.members(i).len(),
                 None => topo.hops_from(NodeId(i)).iter().flatten().count(),
             };
             // Each count includes the source itself.
@@ -104,42 +144,35 @@ impl<'a> PairPool<'a> {
         self.prefix().windows(2).filter(|w| w[1] > w[0]).count()
     }
 
-    /// The ascending list of nodes `s` reaches, itself included,
-    /// memoized.
-    fn members(&mut self, s: usize) -> &[NodeId] {
-        let (topo, comp) = (self.topo, &self.comp);
-        let key = comp.as_ref().map_or(s as u32, |(comp, _)| comp[s]);
-        self.members.entry(key).or_insert_with(|| match comp {
-            Some((comp, _)) => (0..topo.n())
-                .filter(|&i| comp[i] == key)
-                .map(NodeId)
-                .collect(),
-            None => topo
-                .hops_from(NodeId(s))
-                .iter()
-                .enumerate()
-                .filter(|(_, h)| h.is_some())
-                .map(|(i, _)| NodeId(i))
-                .collect(),
-        })
+    /// The ascending list of nodes `s` reaches, itself included: a slice
+    /// of the component layout, or one BFS on directed support.
+    fn members(&self, s: usize) -> Cow<'_, [NodeId]> {
+        match &self.comp {
+            Some(comp) => Cow::Borrowed(comp.members(s)),
+            None => {
+                let hops = self.topo.hops_from(NodeId(s));
+                let reached = hops.iter().enumerate().filter(|(_, h)| h.is_some());
+                Cow::Owned(reached.map(|(i, _)| NodeId(i)).collect())
+            }
+        }
     }
 
     /// True when a `p > 0` path leads from `s` to `d` (a node reaches
     /// itself); endpoints outside the topology reach nothing.
-    pub(crate) fn reaches(&mut self, s: NodeId, d: NodeId) -> bool {
+    pub(crate) fn reaches(&self, s: NodeId, d: NodeId) -> bool {
         let n = self.topo.n();
         if s.0 >= n || d.0 >= n {
             return false;
         }
         match &self.comp {
-            Some((comp, _)) => comp[s.0] == comp[d.0],
+            Some(comp) => comp.label[s.0] == comp.label[d.0],
             None => self.members(s.0).binary_search(&d).is_ok(),
         }
     }
 
     /// Pair `k` of the source-major, destination-ascending sequence —
     /// exactly `materialize()[k]`, computed lazily.
-    pub(crate) fn get(&mut self, k: usize) -> (NodeId, NodeId) {
+    pub(crate) fn get(&self, k: usize) -> (NodeId, NodeId) {
         assert!(k < self.len(), "pair index {k} out of {}", self.len());
         let prefix = self.prefix();
         let s = prefix.partition_point(|&p| p <= k) - 1;
@@ -155,10 +188,11 @@ impl<'a> PairPool<'a> {
     /// The full materialized sequence — only for consumers that must
     /// shuffle the whole pool (O(n²) on dense topologies; avoid at city
     /// scale).
-    pub(crate) fn materialize(&mut self) -> Vec<(NodeId, NodeId)> {
+    pub(crate) fn materialize(&self) -> Vec<(NodeId, NodeId)> {
         let mut all = Vec::with_capacity(self.len());
-        for k in 0..self.len() {
-            all.push(self.get(k));
+        for s in self.topo.nodes() {
+            let members = self.members(s.0);
+            all.extend(members.iter().filter(|&&d| d != s).map(|&d| (s, d)));
         }
         all
     }
@@ -196,22 +230,43 @@ mod test {
         all
     }
 
+    /// `pool` indexes and materializes `naive_pairs(pool.topo)`, every
+    /// index of it.
+    fn assert_naive(pool: &PairPool<'_>) {
+        let (naive, name) = (naive_pairs(pool.topo), &pool.topo.name);
+        assert_eq!(pool.len(), naive.len(), "{name}");
+        for (k, &pair) in naive.iter().enumerate() {
+            assert_eq!(pool.get(k), pair, "{name}: pair {k}");
+        }
+        assert_eq!(pool.materialize(), naive, "{name}");
+    }
+
     #[test]
     fn pool_matches_naive_enumeration_symmetric() {
-        for topo in [generate::testbed(1), generate::grid(3, 3, 0.8, 0.4, 30.0)] {
-            let naive = naive_pairs(&topo);
-            let mut pool = PairPool::new(&topo);
+        // A sparse city mesh splits into many components, isolated nodes
+        // among them, interleaved in node order.
+        let city = generate::city_mesh(400, 1);
+        let (label, sizes) = city
+            .symmetric_components()
+            .expect("city links are symmetric");
+        assert!(sizes.len() > 20 && sizes.contains(&1) && sizes.iter().any(|&s| s > 3));
+        assert!(label.windows(2).any(|w| w[1] < w[0]));
+        for topo in [
+            generate::testbed(1),
+            generate::grid(3, 3, 0.8, 0.4, 30.0),
+            city,
+        ] {
+            let pool = PairPool::new(&topo);
             assert!(pool.comp.is_some(), "{}: support is symmetric", topo.name);
-            assert_eq!(pool.len(), naive.len(), "{}", topo.name);
-            assert_eq!(pool.materialize(), naive, "{}", topo.name);
+            assert_naive(&pool);
         }
         // The diamond is a DAG (src → forwarders → dst): asymmetric
         // support, so the pool must take the per-source BFS fallback and
         // still reproduce the sequence.
         let topo = generate::diamond(4, 0.5);
-        let mut pool = PairPool::new(&topo);
+        let pool = PairPool::new(&topo);
         assert!(pool.comp.is_none(), "diamond support is directed");
-        assert_eq!(pool.materialize(), naive_pairs(&topo));
+        assert_naive(&pool);
     }
 
     #[test]
@@ -219,7 +274,7 @@ mod test {
         // A one-way chain plus an isolated node: support is asymmetric,
         // forcing the per-source BFS fallback.
         let topo = topo("oneway", 4, &[(0, 1, 0.9), (1, 2, 0.8)]);
-        let mut pool = PairPool::new(&topo);
+        let pool = PairPool::new(&topo);
         assert!(
             pool.comp.is_none(),
             "asymmetric support must not use components"
@@ -233,15 +288,14 @@ mod test {
                 (NodeId(1), NodeId(2)),
             ]
         );
-        assert_eq!(pool.len(), naive.len());
-        assert_eq!(pool.materialize(), naive);
+        assert_naive(&pool);
         assert_eq!(pool.sources_with_destinations(), 2);
     }
 
     #[test]
     fn random_access_agrees_with_sequence() {
         let topo = generate::testbed(3);
-        let mut pool = PairPool::new(&topo);
+        let pool = PairPool::new(&topo);
         let all = naive_pairs(&topo);
         // Out-of-order access must not disturb the indexing.
         for &k in &[all.len() - 1, 0, all.len() / 2, 1] {
@@ -257,10 +311,10 @@ mod test {
             5,
             &[(0, 1, 0.9), (1, 0, 0.9), (2, 3, 0.9), (3, 2, 0.9)],
         );
-        let mut pool = PairPool::new(&topo);
+        let pool = PairPool::new(&topo);
         assert_eq!(pool.len(), 4);
         assert_eq!(pool.sources_with_destinations(), 4);
-        assert_eq!(pool.materialize(), naive_pairs(&topo));
+        assert_naive(&pool);
     }
 
     #[test]
@@ -278,7 +332,7 @@ mod test {
             oneway,
             split,
         ] {
-            let mut pool = PairPool::new(&topo);
+            let pool = PairPool::new(&topo);
             let n = topo.n();
             for s in 0..=n {
                 let hops = (s < n).then(|| topo.hops_from(NodeId(s)));

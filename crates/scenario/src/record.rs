@@ -72,7 +72,10 @@ pub struct RunRecord {
     /// ([`mesh_metrics::fairness::jain`]): 1.0 when every flow gets an
     /// equal share, `1/n` when one flow monopolizes the medium.
     pub fairness: f64,
-    /// Fraction of airtime with ≥ 2 concurrent transmissions.
+    /// [`mesh_sim::SimStats::concurrent_airtime`] over all airtime, MAC
+    /// ACKs included: overlap µs per µs on the air. It is not a fraction
+    /// of time and can exceed 1 — `k` frames on the air together read
+    /// `(k − 1)/2` — and it is 0 when no transmissions overlap.
     pub concurrency: f64,
     /// Simulated time at exit, seconds.
     pub sim_time_s: f64,

@@ -286,7 +286,7 @@ impl TrafficModel for PoissonModel {
         // pairs, so the list is indexed — never materialized — keeping a
         // 10k-node city run at O(n) traffic memory. Draw order and pair
         // sequence match the materialized list exactly.
-        let mut pool = PairPool::new(topo);
+        let pool = PairPool::new(topo);
         assert!(
             !pool.is_empty(),
             "topology {} has no reachable pairs",

@@ -28,8 +28,7 @@
 
 use more_repro::baselines::exor::{ExorAgent, ExorConfig, ExorPayload};
 use more_repro::more::{MoreAgent, MoreConfig, MorePayload};
-use more_repro::sim::{Ctx, Frame, NodeAgent, OutFrame, SimConfig, Simulator, Time, TxOutcome};
-use more_repro::sim::{MS, SEC};
+use more_repro::sim::{Ctx, Frame, NodeAgent, OutFrame, SimConfig, Simulator, TxOutcome, SEC};
 use more_repro::topology::{generate, NodeId, Topology};
 use std::collections::BTreeMap;
 
@@ -40,8 +39,8 @@ enum Event<S> {
     /// `node` handed its MAC a frame carrying `what`. Under the unbounded
     /// queue the MAC polls only when it may transmit, so this is a send.
     Sent { node: NodeId, what: S },
-    /// A timer of `node` fired with `token`.
-    Timer { node: NodeId, token: u64, at: Time },
+    /// A timer of `node` fired.
+    Timer { node: NodeId },
 }
 
 /// Forwards every call to `inner` and logs it, summarized by `summary`.
@@ -81,8 +80,7 @@ impl<A: NodeAgent, S> NodeAgent for Capture<A, S> {
     }
 
     fn on_timer(&mut self, node: NodeId, token: u64, ctx: &mut Ctx<'_>) {
-        let at = ctx.now();
-        self.log.push(Event::Timer { node, token, at });
+        self.log.push(Event::Timer { node });
         self.inner.on_timer(node, token, ctx);
     }
 }
@@ -260,9 +258,6 @@ fn exor_summary(p: &ExorPayload) -> Option<Turn> {
     }
 }
 
-/// ExOR's silence timeout: every timer it arms fires this long after.
-const EXOR_GAP: Time = 15 * MS;
-
 /// Per batch, the lowest rank `node` has heard holds each packet.
 type Heard = BTreeMap<u32, Vec<u8>>;
 
@@ -300,26 +295,13 @@ fn exor_sends_nothing_a_closer_node_holds() {
             }
         }
         let ranks = rank[&SRC] + 1;
-        // A timer is stale for sure when a later one of its node fires
-        // less than a timeout after it: that one was armed first.
-        let fired: Vec<(NodeId, u64, Time)> = log
-            .iter()
-            .filter_map(|e| match *e {
-                Event::Timer { node, token, at } => Some((node, token, at)),
-                _ => None,
-            })
-            .collect();
-        let stale = |node: NodeId, token: u64, at: Time| {
-            fired
-                .iter()
-                .any(|&(n, t, when)| n == node && t > token && when < at + EXOR_GAP)
-        };
         for (&node, &my_rank) in rank.iter().filter(|&(_, &r)| r > 0) {
             let mut heard = Heard::new();
             // What `node` had heard when its next turn may have begun: at
             // the first event after its last send that can begin a turn —
-            // its predecessor's last frame of a turn, or a timer not
-            // surely stale. A turn begins at one of those, never before.
+            // its predecessor's last frame of a turn, or a timer (a
+            // re-armed timer moves, so every one that fires is live). A
+            // turn begins at one of those, never before.
             let mut at_turn: Option<Heard> = None;
             // The turn under way: its batch and its view.
             let mut turn: Option<(u32, Heard)> = None;
@@ -337,9 +319,7 @@ fn exor_sends_nothing_a_closer_node_holds() {
                             at_turn = Some(heard.clone());
                         }
                     }
-                    Event::Timer { node: n, token, at }
-                        if *n == node && at_turn.is_none() && !stale(node, *token, *at) =>
-                    {
+                    Event::Timer { node: n } if *n == node && at_turn.is_none() => {
                         at_turn = Some(heard.clone());
                     }
                     Event::Sent {
