@@ -1,16 +1,18 @@
 //! Bulk operations on byte slices interpreted as vectors over GF(2⁸).
 //!
 //! These are the kernels behind packet coding and decoding: a coded packet
-//! is `Σ cᵢ·pᵢ`, so producing one is a single [`axpy_many`] pass over the
-//! sources, and decoding is row reduction built from [`mul_assign`],
-//! [`mul_into`], and [`mul_add_assign`].
+//! is `Σ cᵢ·pᵢ`, so producing one is a single [`axpy_rows`] call over the
+//! sources where they lie (a strided matrix, or a list of buffers —
+//! [`Rows`]); the innovation check is one [`eliminate`] call; and decoding
+//! is row reduction built from those, [`mul_assign`] and [`mul_into`].
 //!
 //! All of them are the [`crate::wide`] kernels re-exported — one fused
-//! `dst ← s·dst ⊕ Σ cⱼ·srcⱼ` per SIMD tier (GFNI + AVX-512 / AVX2 / `u64`
-//! SWAR, the CPU picks), of which the single-source kernels are the
-//! one-term cases. [`crate::scalar`] — the original byte-at-a-time 64 KiB
-//! table walk — is the reference they are tested against byte for byte;
-//! nothing routes production calls to it.
+//! `dst ← s·dst ⊕ Σ cⱼ·rowⱼ` per SIMD tier (GFNI + AVX-512 / AVX2 / a
+//! table walk, the CPU picks), of which the single-source kernels are the
+//! one-term cases, and [`axpy_many`] the same pass over `(cⱼ, rowⱼ)`
+//! pairs. [`crate::scalar`] — the original byte-at-a-time 64 KiB table
+//! walk — is the reference they are tested against byte for byte; nothing
+//! routes production calls to it.
 //!
 //! ```
 //! use more_gf256::{slice_ops, Gf256};
@@ -34,7 +36,9 @@
 use crate::tables::MUL;
 use crate::Gf256;
 
-pub use crate::wide::{add_assign, axpy as axpy_many, mul_add_assign, mul_assign, mul_into};
+pub use crate::wide::{
+    add_assign, axpy as axpy_many, axpy_rows, eliminate, mul_add_assign, mul_assign, mul_into, Rows,
+};
 
 /// Dot product of two equal-length byte slices over GF(2⁸).
 ///

@@ -115,11 +115,24 @@ impl Bitrate {
         }
     }
 
+    /// Twice the rate in bits per microsecond: a whole number at every
+    /// rate (2, 4, 11, 22).
+    fn doubled_bits_per_us(self) -> u64 {
+        match self {
+            Bitrate::B1 => 2,
+            Bitrate::B2 => 4,
+            Bitrate::B5_5 => 11,
+            Bitrate::B11 => 22,
+        }
+    }
+
     /// Time on air for `bytes` of MPDU at this rate, including the 802.11b
-    /// long-preamble PLCP (192 µs).
+    /// long-preamble PLCP (192 µs): `192 + ⌈8·bytes / rate⌉`, in integers
+    /// as `⌈16·bytes / 2·rate⌉`. That is the `f64` quotient's ceiling
+    /// exactly: a quotient that is not whole is at least 1/22 away from
+    /// one, far beyond `f64`'s error for any `bytes` below 2³⁷.
     pub fn airtime(self, bytes: usize) -> Time {
-        let data_us = (bytes as f64 * 8.0 / self.bits_per_us()).ceil() as Time;
-        192 + data_us
+        192 + (16 * bytes as u64).div_ceil(self.doubled_bits_per_us())
     }
 
     /// The next rate up, if any.
@@ -310,6 +323,16 @@ mod test {
         assert_eq!(Bitrate::B1.airtime(1500), 12192);
         let ratio = Bitrate::B1.airtime(1500) as f64 / Bitrate::B11.airtime(1500) as f64;
         assert!(ratio > 9.0 && ratio < 10.0);
+    }
+
+    #[test]
+    fn integer_airtime_is_the_f64_formula_for_every_frame_length() {
+        for rate in Bitrate::ALL {
+            for bytes in 0..=65_535usize {
+                let f64_us = (bytes as f64 * 8.0 / rate.bits_per_us()).ceil() as Time;
+                assert_eq!(rate.airtime(bytes), 192 + f64_us, "{rate:?}, {bytes} B");
+            }
+        }
     }
 
     #[test]

@@ -368,6 +368,11 @@ pub struct Simulator<A: NodeAgent> {
     scratch_receivers: Vec<NodeId>,
     /// Per-node transmit queues, the pacers, and their stream.
     queues: QueueLayer<A::Payload>,
+    /// A MAC ACK's time on air, fixed by the configuration.
+    ack_air: Time,
+    /// How long a unicast sender waits for its MAC ACK: SIFS, the ACK's
+    /// airtime and two slots.
+    ack_wait: Time,
     /// Counters accumulated over the run.
     pub stats: SimStats,
 }
@@ -414,6 +419,7 @@ impl<A: NodeAgent> Simulator<A> {
             pacers: BTreeMap::new(),
             auto_pace: None,
         };
+        let ack_air = cfg.ack_bitrate.airtime(cfg.mac_ack_bytes);
         Simulator {
             cfg,
             agent,
@@ -436,6 +442,8 @@ impl<A: NodeAgent> Simulator<A> {
             scratch_kicks: Vec::new(),
             scratch_receivers: Vec::new(),
             queues,
+            ack_air,
+            ack_wait: cfg.sifs_us + ack_air + 2 * cfg.slot_us,
             stats: SimStats::new(n),
         }
     }
@@ -783,11 +791,8 @@ impl<A: NodeAgent> Simulator<A> {
                             );
                         }
                         // Await the ACK either way; the timeout covers loss.
-                        let wait = self.cfg.sifs_us
-                            + self.cfg.ack_bitrate.airtime(self.cfg.mac_ack_bytes)
-                            + 2 * self.cfg.slot_us;
                         self.seq += 1;
-                        let timeout = (self.now + wait, self.seq);
+                        let timeout = (self.now + self.ack_wait, self.seq);
                         self.states[sender.0] = MacState::AwaitAck { timeout };
                         if !heard {
                             self.schedule_ack_timeout(sender);
@@ -819,11 +824,10 @@ impl<A: NodeAgent> Simulator<A> {
             self.schedule_ack_timeout(to);
             return;
         }
-        let air = self.cfg.ack_bitrate.airtime(self.cfg.mac_ack_bytes);
         // The ACK briefly occupies this node's radio. If the node was
         // Waiting, its pending TryTx will see the medium busy (or its own
         // half-duplex conflict resolves against it) and re-defer naturally.
-        self.begin_tx(node, air, InFlight::MacAck { to });
+        self.begin_tx(node, self.ack_air, InFlight::MacAck { to });
     }
 
     /// Pushes the expiry of `node`'s ACK wait under the `(time, sequence)`

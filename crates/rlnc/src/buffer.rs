@@ -19,14 +19,24 @@
 //! receiver first keeps the emitted packet (see [`CodedPacket`]); a packet
 //! nobody stores is never combined at all.
 //!
-//! Storage is zero-copy end to end: pooled packets share the buffers that
-//! arrived off the air (a store is a refcount bump), an emitted packet's
-//! recipe reads the pool through a shared handle and a prefix length — the
-//! pool only grows between flushes — and flushing a batch returns every
-//! buffer to [`crate::pool`].
+//! What the buffer stores is laid out for those combines to read in
+//! place, one kernel call each:
+//!
+//! * the stored packets' code vectors, copied as they arrived into one
+//!   row matrix (K bytes a packet) — a fresh pre-coded vector is one
+//!   [`slice_ops::axpy_rows`] call over its rows;
+//! * the stored packets' payloads, zero-copy: each is a view into the flat
+//!   buffer its packet arrived in (a refcount bump), kept in a list shared
+//!   with the emitted packets — an emitted packet's recipe is that list
+//!   and a prefix length, the list only growing between flushes, and its
+//!   payload one [`slice_ops::axpy_rows`] call over the list.
+//!
+//! Flushing a batch returns every stored buffer no pending packet still
+//! reads to [`crate::pool`].
 
-use crate::packet::{axpy_chunked, CodedPacket, PacketMut, Recipe, SharedPool};
-use crate::pool;
+use crate::packet::{CodedPacket, PacketMut, Recipe, SharedPool};
+use crate::pool::{self, Matrix};
+use crate::rows::AlignedRows;
 use crate::tracker::InnovationTracker;
 use gf256::{slice_ops, Gf256};
 use rand::Rng;
@@ -55,8 +65,12 @@ pub struct ForwarderBuffer {
     k: usize,
     payload_len: usize,
     tracker: InnovationTracker,
-    /// Original innovative packets, payloads computed, buffers shared;
-    /// also read by emitted packets whose payloads are still pending.
+    /// Row `i`: the code vector of the `i`-th packet stored, as it arrived;
+    /// `rank()` rows are in use.
+    vectors: AlignedRows,
+    /// The stored packets' payloads, in the order stored — views into the
+    /// buffers they arrived in — also read by emitted packets whose
+    /// payloads are still pending. Empty when payloads are.
     pool: SharedPool,
     /// The pre-coded packet kept ready for the next transmit opportunity:
     /// its vector, and one coefficient per pooled packet.
@@ -70,6 +84,9 @@ impl ForwarderBuffer {
             k,
             payload_len,
             tracker: InnovationTracker::new(k),
+            // K + 1 rows, one unused: the shape of a tracker's matrix, so
+            // the two trade storage through one freelist.
+            vectors: pool::acquire_rows(Matrix::Vectors, k + 1, k),
             pool: pool::acquire_store(),
             precoded: None,
         }
@@ -84,7 +101,7 @@ impl ForwarderBuffer {
     /// True if no packets are stored.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.pool.borrow().is_empty()
+        self.rank() == 0
     }
 
     /// Offers a received packet to the buffer.
@@ -108,10 +125,14 @@ impl ForwarderBuffer {
         if !self.tracker.absorb(p.vector()) {
             return false;
         }
+        self.vectors
+            .row_mut(self.rank() - 1)
+            .copy_from_slice(p.vector());
         // Kept, so its bytes are needed: the recipes this pool feeds read
         // computed payloads only.
-        p.payload();
-        self.pool.borrow_mut().push(p.clone());
+        if self.payload_len > 0 {
+            self.pool.borrow_mut().push(p.payload_bytes());
+        }
         // Keep the prepared packet fresh: "the pre-coded packet is updated
         // by multiplying the newly arrived packet with a random coefficient
         // and adding it to the pre-coded packet." On the vector now, on the
@@ -131,29 +152,21 @@ impl ForwarderBuffer {
     /// whole pool ("as soon as the transmission starts, a new packet is
     /// pre-coded for this flow and stored for future use").
     ///
-    /// Draws one coefficient per pooled packet, in pool order (the RNG
-    /// stream of a packet-at-a-time fold), and combines the pooled code
-    /// vectors with one batched [`axpy_chunked`] pass; the payload is left
-    /// to the emitted packet's recipe.
+    /// Draws one coefficient per stored packet, in the order stored (the
+    /// RNG stream of a packet-at-a-time fold), and combines the stored code
+    /// vectors with one [`slice_ops::axpy_rows`] call over their matrix;
+    /// the payload is left to the emitted packet's recipe.
     fn precode<R: Rng + ?Sized>(&mut self, rng: &mut R) {
         if let Some(old) = self.precoded.take() {
             old.release();
         }
-        let stored = self.pool.borrow();
-        if stored.is_empty() {
+        if self.is_empty() {
             return;
         }
         let mut next = PacketMut::new(self.k, self.payload_len);
         let (vector, coeffs) = next.vector_and_coeffs();
-        coeffs.extend(stored.iter().map(|_| random_nonzero(rng).0));
-        axpy_chunked(
-            vector,
-            coeffs
-                .iter()
-                .zip(stored.iter())
-                .map(|(&c, p)| (Gf256(c), p.vector())),
-        );
-        drop(stored);
+        coeffs.extend((0..self.rank()).map(|_| random_nonzero(rng).0));
+        slice_ops::axpy_rows(vector, coeffs, self.vectors.all());
         self.precoded = Some(next);
     }
 
@@ -175,8 +188,8 @@ impl ForwarderBuffer {
     /// Drops all state (batch flushed on ACK or a newer batch, §3.2.2),
     /// returning every buffer this node is the last holder of to the pool
     /// — without computing anything. While an emitted packet's payload is
-    /// still pending, the pool it reads is left to it and the buffer
-    /// starts a new one.
+    /// still pending, the payload list it reads is left to it and the
+    /// buffer starts a new one.
     pub fn flush(&mut self) {
         self.tracker.reset();
         self.release_packets();
@@ -188,7 +201,7 @@ impl ForwarderBuffer {
             pre.release();
         }
         match Rc::get_mut(&mut self.pool) {
-            Some(stored) => stored.get_mut().drain(..).for_each(pool::recycle),
+            Some(stored) => stored.get_mut().drain(..).for_each(pool::release),
             None => self.pool = pool::acquire_store(),
         }
     }
@@ -196,11 +209,12 @@ impl ForwarderBuffer {
 
 impl Drop for ForwarderBuffer {
     fn drop(&mut self) {
-        // No tracker reset: the pool zero-fills its matrix for the next
-        // tracker. The empty store left is this buffer's alone: the next
+        // No tracker reset: the pool zero-fills its matrices for the next
+        // buffer. The empty store left is this buffer's alone: the next
         // buffer may have it once this one's fields are gone.
         self.release_packets();
         pool::release_store(Rc::clone(&self.pool));
+        pool::release_rows(Matrix::Vectors, std::mem::take(&mut self.vectors));
     }
 }
 

@@ -8,13 +8,16 @@
 //! A dependent arrival is rejected by the tracker without a single payload
 //! byte read — so a payload still pending (see [`CodedPacket`]) is never
 //! computed. An innovative one's payload takes the combination the tracker
-//! reports, normalized, in one fused [`axpy_chunked`] pass:
-//! `row = inv · (packet + Σⱼ cⱼ · rowⱼ)` over the rows `j` its vector met.
+//! reports, normalized: `row = inv · (packet + Σⱼ cⱼ · rowⱼ)` over the rows
+//! `j` its vector met — the packet scaled into the row, then one
+//! [`slice_ops::axpy_rows`] call over the rows before it in place, with the
+//! multiples scaled by `inv` first (K bytes, not a payload).
 //!
 //! At rank K the vectors are upper triangular with a unit diagonal, and
-//! one back-substitution, a fused pass per row from the last to the first,
-//! clears every entry right of the diagonal: the vectors become the
-//! identity and the payload rows *are* the native packets. Keeping the
+//! one back-substitution, one [`slice_ops::axpy_rows`] call per row from
+//! the last to the first, clears every entry right of the diagonal: the
+//! vectors become the identity and the payload rows *are* the native
+//! packets. Keeping the
 //! matrix reduced at every arrival instead would cost the same number of
 //! row-times-coefficient terms, but as one unfused whole-row pass per
 //! stored row per arrival, each reading and writing its destination row.
@@ -24,12 +27,12 @@
 //! tracker's, so a steady-state destination decodes without touching the
 //! allocator.
 
-use crate::packet::{axpy_chunked, CodedPacket};
+use crate::packet::CodedPacket;
 use crate::pool::{self, Matrix};
 use crate::rows::AlignedRows;
 use crate::tracker::InnovationTracker;
 use crate::CodingError;
-use gf256::Gf256;
+use gf256::slice_ops::{self, Rows};
 
 /// Row-echelon decoder for one batch, back-substituted at rank K.
 #[derive(Debug)]
@@ -89,12 +92,11 @@ impl Decoder {
             return false;
         };
         if self.payload_len > 0 {
+            let stride = self.payloads.stride();
             let (met, row, _) = self.payloads.split_mut(pivot);
-            let terms = multiples.iter().zip(met).filter(|(&c, _)| c != 0);
-            axpy_chunked(
-                row,
-                std::iter::once((inv, p.payload())).chain(terms.map(|(&c, r)| (inv * Gf256(c), r))),
-            );
+            slice_ops::mul_into(row, p.payload(), inv);
+            slice_ops::mul_assign(multiples, inv);
+            slice_ops::axpy_rows(row, multiples, Rows::strided(met, stride));
         }
         if self.is_complete() {
             self.back_substitute();
@@ -104,14 +106,14 @@ impl Decoder {
 
     /// At rank K: clears every entry right of the diagonal, last row
     /// first, taking each row's multiples of the rows below it — already
-    /// natives by then — in one fused payload pass per row.
+    /// natives by then — in one payload combine per row.
     fn back_substitute(&mut self) {
         for i in (0..self.k()).rev() {
             let right = self.tracker.row_mut(i).get_mut(i + 1..).unwrap_or_default();
             if self.payload_len > 0 {
+                let stride = self.payloads.stride();
                 let (_, row, below) = self.payloads.split_mut(i);
-                let terms = right.iter().zip(below).filter(|(&c, _)| c != 0);
-                axpy_chunked(row, terms.map(|(&c, r)| (Gf256(c), r)));
+                slice_ops::axpy_rows(row, right, Rows::strided(below, stride));
             }
             right.fill(0);
         }

@@ -33,6 +33,14 @@
 //! native, a decoder row, a tracked vector — starts on a 64-byte boundary
 //! ([`rows`]).
 //!
+//! Every multi-term combine is one kernel call over rows where they lie
+//! ([`gf256::slice_ops::axpy_rows`]): a source packet's payload over the
+//! natives' matrix, a forwarder packet's over the pool's list of payload
+//! views, a pre-coded vector over the forwarder's stored vectors, and the
+//! decoder's row updates and back-substitution over its payload matrix.
+//! The innovation check is one call too ([`gf256::slice_ops::eliminate`]
+//! over the tracker's matrix).
+//!
 //! ```
 //! use more_rlnc::{SourceEncoder, Decoder};
 //! use rand::SeedableRng;
@@ -75,7 +83,7 @@ pub mod tracker;
 
 pub use buffer::ForwarderBuffer;
 pub use decoder::Decoder;
-pub use packet::{axpy_chunked, CodedPacket, SourceEncoder};
+pub use packet::{CodedPacket, SourceEncoder};
 pub use tracker::InnovationTracker;
 
 /// Errors reported by coding components.

@@ -12,38 +12,10 @@
 use crate::rows::AlignedRows;
 use crate::{pool, CodingError};
 use bytes::Bytes;
-use gf256::{slice_ops, Gf256};
+use gf256::slice_ops::{self, Rows};
 use rand::Rng;
 use std::cell::{OnceCell, RefCell};
 use std::rc::Rc;
-
-/// `dst += Σ cᵢ·srcᵢ` over an arbitrary term iterator, batched through
-/// [`slice_ops::axpy_many`] in stack-resident chunks.
-///
-/// Unlike collecting terms into a `Vec` first, this takes the terms lazily
-/// — callers whose coefficients come from an RNG stream draw them in
-/// iterator order, exactly as a term-at-a-time loop would — and allocates
-/// nothing. GF(2⁸) addition is XOR (exact, associative), so chunked
-/// accumulation is byte-identical to a single fused pass.
-pub fn axpy_chunked<'a, I>(dst: &mut [u8], terms: I)
-where
-    I: IntoIterator<Item = (Gf256, &'a [u8])>,
-{
-    const CHUNK: usize = 16;
-    let mut buf: [(Gf256, &[u8]); CHUNK] = [(Gf256(0), &[]); CHUNK];
-    let mut n = 0;
-    for term in terms {
-        buf[n] = term;
-        n += 1;
-        if n == CHUNK {
-            slice_ops::axpy_many(dst, &buf);
-            n = 0;
-        }
-    }
-    if n > 0 {
-        slice_ops::axpy_many(dst, &buf[..n]);
-    }
-}
 
 /// A coded packet: its code vector, and its payload `Σ cᵢ·pᵢ` — computed
 /// the first time a holder reads it.
@@ -53,11 +25,11 @@ where
 /// is ever read. So a packet is built with its vector and a *recipe*: a
 /// source packet's is the batch's natives (shared, not copied) with its own
 /// vector as the coefficients; a forwarder packet's is the first `m`
-/// packets of that forwarder's pool with the `m` coefficients drawn for
+/// payloads of that forwarder's pool with the `m` coefficients drawn for
 /// them. The first [`Self::payload`], [`Self::data`] or [`Self::into_data`]
-/// runs the recipe — one [`axpy_chunked`] pass, the same bytes an eager
-/// combine would produce — into one flat `[coeffs | payload]` buffer whose
-/// payload starts on a 64-byte boundary.
+/// runs the recipe — one [`slice_ops::axpy_rows`] call over the rows where
+/// they lie, the same bytes an eager combine would produce — into one flat
+/// `[coeffs | payload]` buffer whose payload starts on a 64-byte boundary.
 ///
 /// Cloning a packet — e.g. for each receiver of a simulated broadcast — is
 /// a refcount bump, and every clone sees the one computed payload. Packets
@@ -81,9 +53,10 @@ pub(crate) struct PacketCell {
     data: OnceCell<Bytes>,
 }
 
-/// A forwarder's pool of stored packets, shared with the packets it emits:
-/// append-only between flushes, so a prefix length is a snapshot.
-pub(crate) type SharedPool = Rc<RefCell<Vec<CodedPacket>>>;
+/// A forwarder's pool: the payloads of the packets it stored, each a view
+/// into the flat buffer it arrived in, shared with the packets it emits.
+/// Append-only between flushes, so a prefix length is a snapshot.
+pub(crate) type SharedPool = Rc<RefCell<Vec<Bytes>>>;
 
 /// The sources a pending payload combines.
 #[derive(Clone, Default)]
@@ -93,7 +66,7 @@ pub(crate) enum Recipe {
     Done,
     /// `Σ vectorᵢ·nativeᵢ` over a batch's natives.
     Natives(Rc<AlignedRows>),
-    /// `Σ coeffsⱼ·poolⱼ` over the first `coeffs.len()` pooled packets.
+    /// `Σ coeffsⱼ·poolⱼ` over the first `coeffs.len()` pooled payloads.
     Pool(SharedPool),
 }
 
@@ -106,20 +79,10 @@ impl PacketCell {
         head.copy_from_slice(&self.vector);
         match self.recipe.take() {
             Recipe::Done => {}
-            Recipe::Natives(natives) => axpy_chunked(
-                payload,
-                self.vector
-                    .iter()
-                    .zip(natives.rows())
-                    .map(|(&c, n)| (Gf256(c), n)),
-            ),
-            Recipe::Pool(pool) => axpy_chunked(
-                payload,
-                self.coeffs
-                    .iter()
-                    .zip(pool.borrow().iter())
-                    .map(|(&c, p)| (Gf256(c), p.payload())),
-            ),
+            Recipe::Natives(natives) => slice_ops::axpy_rows(payload, &self.vector, natives.all()),
+            Recipe::Pool(pool) => {
+                slice_ops::axpy_rows(payload, &self.coeffs, Rows::Listed(&pool.borrow()));
+            }
         }
         buf.freeze()
     }
@@ -237,6 +200,14 @@ impl CodedPacket {
         self.0.data.get_or_init(|| self.0.compute())
     }
 
+    /// The payload as a view into the flat buffer, computing it if no
+    /// clone has yet: a refcount bump, no copy.
+    pub(crate) fn payload_bytes(&self) -> Bytes {
+        let mut payload = self.data().clone();
+        payload.advance(self.k());
+        payload
+    }
+
     /// Consumes the packet, returning the flat buffer with the payload
     /// computed (e.g. to hand it back to [`pool::release`]). The packet's
     /// cell is recycled when this was its last holder.
@@ -319,11 +290,11 @@ impl SourceEncoder {
     ///
     /// The K random coefficients are drawn straight into the packet's
     /// vector; its payload is left as a recipe over this batch's natives.
-    /// Computing it — when a receiver keeps the packet — is one batched
-    /// [`axpy_chunked`] pass folding all K natives, the most expensive
-    /// coding operation in the system (Table 4.1: "the coding cost is
-    /// highest at the source because it has to code all K packets
-    /// together"); a packet no receiver keeps never pays it.
+    /// Computing it — when a receiver keeps the packet — is one
+    /// [`slice_ops::axpy_rows`] call folding all K natives in place, the
+    /// most expensive coding operation in the system (Table 4.1: "the
+    /// coding cost is highest at the source because it has to code all K
+    /// packets together"); a packet no receiver keeps never pays it.
     pub fn encode<R: Rng + ?Sized>(&self, rng: &mut R) -> CodedPacket {
         let mut p = PacketMut::new(self.k(), self.payload_len());
         rng.fill(p.vector_mut());
@@ -350,31 +321,6 @@ mod test {
     use super::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
-
-    #[test]
-    fn axpy_chunked_matches_axpy_many_across_chunk_boundaries() {
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        for n in [0usize, 1, 15, 16, 17, 33] {
-            let srcs: Vec<Vec<u8>> = (0..n)
-                .map(|_| {
-                    let mut s = vec![0u8; 24];
-                    rng.fill(&mut s[..]);
-                    s
-                })
-                .collect();
-            let coeffs: Vec<Gf256> = (0..n).map(|_| Gf256(rng.gen_range(1..=255u8))).collect();
-            let terms: Vec<(Gf256, &[u8])> = coeffs
-                .iter()
-                .zip(&srcs)
-                .map(|(&c, s)| (c, &s[..]))
-                .collect();
-            let mut want = vec![0u8; 24];
-            slice_ops::axpy_many(&mut want, &terms);
-            let mut got = vec![0u8; 24];
-            axpy_chunked(&mut got, terms.iter().copied());
-            assert_eq!(got, want, "n = {n}");
-        }
-    }
 
     #[test]
     fn flat_packet_slices_line_up() {

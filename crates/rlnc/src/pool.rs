@@ -8,10 +8,10 @@
 //! simulated second — and the pool turns that churn into reuse: the agent
 //! hands a packet back with [`recycle`] when the engine returns its frame
 //! (`mesh_sim::NodeAgent::on_tx_done`: it left the air or a queue dropped
-//! it), forwarders hand
-//! theirs back on batch flush, and the next packet is built in a recycled
-//! cell, its payload in a buffer from [`acquire`]. Recycling never
-//! computes a payload: a packet nobody kept goes back uncombined.
+//! it), forwarders hand back the buffers they stored on batch flush, and
+//! the next packet is built in a recycled cell, its payload in a buffer
+//! from [`acquire`]. Recycling never computes a payload: a packet nobody
+//! kept goes back uncombined.
 //!
 //! ## Safety of reuse
 //!
@@ -19,10 +19,11 @@
 //! [`Bytes::try_into_mut`] — it succeeds **iff the caller holds the sole
 //! reference** — and a packet cell only through [`recycle`], under the
 //! same rule. A buffer or packet some receiver still holds (a forwarder's
-//! pool, an in-flight frame, a pending packet reading a forwarder's pool)
-//! fails that check and is simply dropped from the releaser's side; the
-//! live holders keep it untouched. Recycling therefore can never alias
-//! live packet data (property-tested in `tests/pool_props.rs`).
+//! pool of payload views, an in-flight frame, a pending packet reading a
+//! forwarder's pool) fails that check and is simply dropped from the
+//! releaser's side; the live holders keep it untouched. Recycling
+//! therefore can never alias live packet data (property-tested in
+//! `tests/pool_props.rs`).
 //!
 //! ## Determinism
 //!
@@ -39,12 +40,14 @@
 //! ## Pairing
 //!
 //! Builds with debug assertions count, per thread, the buffers handed out
-//! by [`acquire`] and the row matrices trackers and decoders take, less
+//! by [`acquire`] and the row matrices trackers, forwarders and decoders
+//! take, less
 //! those that came back: as sole owner through [`release`]/[`release_mut`],
 //! or when their holder dropped. [`outstanding`] reads the count: a
-//! forwarder's tracker is one matrix, and a decoder two — its tracker's
-//! and its payload matrix, even an empty one. A run that drops a pooled
-//! buffer instead of returning it leaves the count above where it started
+//! forwarder holds two matrices — its tracker's and its stored code
+//! vectors — and a decoder two — its tracker's and its payload matrix,
+//! even an empty one. A run that drops a pooled buffer instead of
+//! returning it leaves the count above where it started
 //! (`tests/alloc_budget.rs` and `tests/pool_props.rs` assert this).
 
 use crate::packet::{PacketCell, SharedPool};
@@ -62,7 +65,8 @@ const MAX_POOLED: usize = 256;
 thread_local! {
     /// Flat packet buffers (`[coeffs | payload]`).
     static BUFFERS: RefCell<Vec<BytesMut>> = const { RefCell::new(Vec::new()) };
-    /// The storage of trackers' vector matrices: K + 1 rows of K bytes.
+    /// The storage of trackers' and forwarders' vector matrices: K + 1
+    /// rows of K bytes.
     static VECTORS: RefCell<Vec<Vec<u8>>> = const { RefCell::new(Vec::new()) };
     /// The storage of decoders' payload matrices.
     static PAYLOADS: RefCell<Vec<Vec<u8>>> = const { RefCell::new(Vec::new()) };
@@ -144,7 +148,7 @@ pub fn release_mut(m: BytesMut) {
 /// so memory would grow with the number of forwarders.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Matrix {
-    /// A tracker's code vectors.
+    /// A tracker's code vectors, or a forwarder's stored ones.
     Vectors,
     /// A decoder's payload rows.
     Payloads,
@@ -302,12 +306,14 @@ mod test {
             crate::ForwarderBuffer::new(k, len),
             crate::ForwarderBuffer::new(k, len),
         ]);
+        // Each forwarder leaves two vector matrices: its tracker's and its
+        // stored vectors.
         VECTORS.with(|p| {
             let p = p.borrow();
-            assert_eq!(p.len(), 2);
+            assert_eq!(p.len(), 4);
             assert!(
                 p.iter().all(|s| s.capacity() <= small),
-                "a tracker holds payload storage"
+                "a vector matrix holds payload storage"
             );
         });
         PAYLOADS.with(|p| assert_eq!(p.borrow().len(), 1));

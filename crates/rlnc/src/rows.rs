@@ -9,7 +9,10 @@
 //! source's natives, the decoder's payload rows and the tracker's code
 //! vectors, which live in a crate-private row matrix, `AlignedRows`. The
 //! padding that buys this sits outside every row's view; nothing computed
-//! depends on where a row lives.
+//! depends on where a row lives. A matrix hands its rows to the kernels in
+//! place, as one strided block ([`Rows::Strided`]).
+
+use gf256::slice_ops::Rows;
 
 /// The boundary every coded payload row starts on: one cache line, one
 /// 512-bit register.
@@ -75,6 +78,11 @@ impl AlignedRows {
         self.width
     }
 
+    /// Bytes from one row's start to the next's.
+    pub(crate) fn stride(&self) -> usize {
+        self.stride
+    }
+
     /// Row `i`; empty past the last row.
     pub(crate) fn row(&self, i: usize) -> &[u8] {
         let at = self.start + i * self.stride;
@@ -94,28 +102,33 @@ impl AlignedRows {
         (0..self.n).map(|i| self.row(i))
     }
 
-    /// Row `i`, writable, with the rows before it and the rows after it,
-    /// in order, to read.
-    pub(crate) fn split_mut(
-        &mut self,
-        i: usize,
-    ) -> (
-        impl Iterator<Item = &[u8]>,
-        &mut [u8],
-        impl DoubleEndedIterator<Item = &[u8]>,
-    ) {
-        let (stride, width) = (self.stride.max(1), self.width);
+    /// Every row in place, for a GF(2⁸) combine.
+    pub(crate) fn all(&self) -> Rows<'_> {
+        Rows::strided(
+            self.storage.get(self.start..).unwrap_or_default(),
+            self.stride,
+        )
+    }
+
+    /// Row `i`, writable, with the rows before it and the rows after it
+    /// in place: each a block whose rows are [`Self::stride`] bytes apart.
+    pub(crate) fn split_mut(&mut self, i: usize) -> (&[u8], &mut [u8], &[u8]) {
+        let (stride, width) = (self.stride, self.width);
         let body = self.storage.get_mut(self.start..).unwrap_or_default();
         let (before, rest) = body.split_at_mut((i * stride).min(body.len()));
         let (row, after) = rest.split_at_mut(stride.min(rest.len()));
+        (before, row.get_mut(..width).unwrap_or_default(), after)
+    }
+
+    /// Rows `i` and `j`, both writable (`i < j`; empty past the last row).
+    pub(crate) fn pair_mut(&mut self, i: usize, j: usize) -> (&mut [u8], &mut [u8]) {
+        let (stride, width) = (self.stride, self.width);
+        let body = self.storage.get_mut(self.start..).unwrap_or_default();
+        let (first, second) = body.split_at_mut((j * stride).min(body.len()));
+        let first = first.get_mut(i * stride..).unwrap_or_default();
         (
-            before
-                .chunks(stride)
-                .map(move |r| r.get(..width).unwrap_or_default()),
-            row.get_mut(..width).unwrap_or_default(),
-            after
-                .chunks(stride)
-                .map(move |r| r.get(..width).unwrap_or_default()),
+            first.get_mut(..width).unwrap_or_default(),
+            second.get_mut(..width).unwrap_or_default(),
         )
     }
 
@@ -153,10 +166,15 @@ mod test {
                     }
                     rows.row_mut(i).fill(i as u8 + 1);
                 }
+                let stride = rows.stride();
+                assert_eq!(stride, width.next_multiple_of(ALIGN));
                 let (before, row, after) = rows.split_mut(1);
-                assert!(before.flatten().all(|&b| b == 1));
+                assert!(before.iter().take(width).all(|&b| b == 1));
                 assert!(row.iter().all(|&b| b == 2));
-                assert!(after.flatten().all(|&b| b == 3));
+                assert!(after.iter().take(width).all(|&b| b == 3));
+                assert_eq!(after.len(), (n - 2) * stride, "rows after row 1");
+                let (first, last) = rows.pair_mut(0, n - 1);
+                assert_eq!((first[..].to_vec(), last.len()), (vec![1; width], width));
                 assert!(rows.row(n).is_empty(), "past the last row");
                 storage = rows.into_storage();
                 storage.push(0xFF);

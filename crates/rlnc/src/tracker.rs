@@ -76,16 +76,17 @@ impl InnovationTracker {
     /// the normaliser `inv`, and the multiple of each stored row before
     /// `p` that the reduction took (zero for a row it did not meet). The
     /// row stored is `inv · (v + Σⱼ multipleⱼ · rowⱼ)`; `None` when `v` is
-    /// dependent.
-    pub(crate) fn insert(&mut self, v: &[u8]) -> Option<(usize, Gf256, &[u8])> {
+    /// dependent. The multiples are the tracker's scratch, the caller's to
+    /// overwrite until the next vector is reduced.
+    pub(crate) fn insert(&mut self, v: &[u8]) -> Option<(usize, Gf256, &mut [u8])> {
         assert_eq!(v.len(), self.k(), "vector length != K");
         if self.is_full() {
             return None;
         }
         let (pivot, lead) = self.reduce(v)?;
         self.rank += 1;
-        let (_, row, mut after) = self.rows.split_mut(pivot);
-        let (multiples, reduced) = after.next_back().unwrap_or_default().split_at(pivot);
+        let (row, u) = self.rows.pair_mut(pivot, self.k());
+        let (multiples, reduced) = u.split_at_mut(pivot);
         let inv = lead.inv();
         // The zeros before the pivot are there already.
         slice_ops::mul_into(row.get_mut(pivot..).unwrap_or_default(), reduced, inv);
@@ -96,30 +97,14 @@ impl InnovationTracker {
     /// pivot order until it is non-zero at a column no stored row leads:
     /// the pivot it would fill, with the value there, or `None` once it
     /// has reduced to zero (dependent). Each stored row `j` it passes
-    /// leaves in column `j` the multiple of that row taken.
+    /// leaves in column `j` the multiple of that row taken. One
+    /// [`slice_ops::eliminate`] over the matrix in place.
     fn reduce(&mut self, v: &[u8]) -> Option<(usize, Gf256)> {
-        let k = self.k();
-        let (stored, u, _) = self.rows.split_mut(k);
+        let stride = self.rows.stride();
+        let (stored, u, _) = self.rows.split_mut(self.k());
         u.copy_from_slice(v);
-        for (j, row) in stored.enumerate() {
-            let (Some(&c), Some(&lead)) = (u.get(j), row.get(j)) else {
-                break;
-            };
-            if c == 0 {
-                continue;
-            }
-            if lead == 0 {
-                return Some((j, Gf256(c)));
-            }
-            // u ← u + c·M[j] (subtraction is addition in GF(2⁸)), a
-            // whole-row pass: the row is zero before column `j`, so only
-            // `u[j]` changes there — to zero, and back to the multiple.
-            slice_ops::mul_add_assign(u, row, Gf256(c));
-            if let Some(at_j) = u.get_mut(j) {
-                *at_j = c;
-            }
-        }
-        None
+        let pivot = slice_ops::eliminate(u, stored, stride)?;
+        u.get(pivot).map(|&lead| (pivot, Gf256(lead)))
     }
 
     /// Stored row `i`, writable (empty past the last row): the decoder's
@@ -258,6 +243,89 @@ mod test {
             assert_eq!(t.row(pivot), &want[..]);
             assert_eq!(t.row(pivot)[pivot], 1, "pivot not normalized");
             assert!(before[pivot].iter().all(|&b| b == 0), "pivot was stored");
+        }
+    }
+
+    /// Algorithm 2 in plain scalar field arithmetic, a byte at a time: the
+    /// reference the tracker's one-dispatch elimination is held to.
+    struct Gauss {
+        /// Row `i`: stored (zero before `i`, 1 at it) or all zero.
+        rows: Vec<Vec<Gf256>>,
+    }
+
+    impl Gauss {
+        fn new(k: usize) -> Self {
+            Gauss {
+                rows: vec![vec![Gf256::ZERO; k]; k],
+            }
+        }
+
+        /// `(pivot, inv, multiples)` as [`InnovationTracker::insert`]
+        /// reports them, storing the row; `None` when dependent.
+        fn insert(&mut self, v: &[u8]) -> Option<(usize, Gf256, Vec<u8>)> {
+            let mut u: Vec<Gf256> = v.iter().map(|&b| Gf256(b)).collect();
+            let mut multiples = Vec::new();
+            for j in 0..u.len() {
+                let c = u[j];
+                if !c.is_zero() && self.rows[j][j].is_zero() {
+                    let inv = c.inv();
+                    let stored: Vec<Gf256> = u.iter().map(|&x| x * inv).collect();
+                    self.rows[j][j..].copy_from_slice(&stored[j..]);
+                    return Some((j, inv, multiples));
+                }
+                for (x, &y) in u.iter_mut().zip(&self.rows[j]) {
+                    *x += c * y;
+                }
+                multiples.push(c.0);
+            }
+            None
+        }
+    }
+
+    #[test]
+    fn elimination_matches_a_scalar_gauss_reference() {
+        let ks: &[usize] = if cfg!(miri) {
+            &[1, 7, 8, 9]
+        } else {
+            &[1, 7, 8, 9, 31, 32, 33, 63, 64, 65, 127, 128]
+        };
+        for &k in ks {
+            let mut rng = ChaCha8Rng::seed_from_u64(k as u64);
+            let mut t = InnovationTracker::new(k);
+            let mut gauss = Gauss::new(k);
+            let mut heard: Vec<Vec<u8>> = Vec::new();
+            let (mut dependent, mut step) = (0, 0);
+            while !t.is_full() {
+                // The zero vector first; then random, a duplicate of the
+                // last vector heard, and a combination of everything
+                // heard, in turn.
+                let v = match (step % 3, heard.last()) {
+                    (_, None) => vec![0; k],
+                    (1, Some(last)) => last.clone(),
+                    (2, Some(_)) => {
+                        let mut combo = vec![0u8; k];
+                        for h in &heard {
+                            slice_ops::mul_add_assign(&mut combo, h, Gf256(rng.gen()));
+                        }
+                        combo
+                    }
+                    _ => random(k, &mut rng),
+                };
+                step += 1;
+                let want = gauss.insert(&v);
+                let got = t.insert(&v).map(|(p, inv, m)| (p, inv, m.to_vec()));
+                assert_eq!(got, want, "K = {k}, step {step}");
+                dependent += usize::from(got.is_none());
+                heard.push(v);
+                for (i, row) in gauss.rows.iter().enumerate() {
+                    let bytes: Vec<u8> = row.iter().map(|x| x.0).collect();
+                    assert_eq!(t.row(i), &bytes[..], "K = {k}, row {i}, step {step}");
+                }
+            }
+            assert!(
+                dependent > usize::from(k > 1),
+                "K = {k}: too little dependent"
+            );
         }
     }
 
