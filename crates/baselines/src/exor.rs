@@ -89,19 +89,6 @@ pub enum ExorPayload {
     BatchDone { flow: u32, batch: u32 },
 }
 
-/// Per-flow measurement results.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ExorProgress {
-    /// Packets that reached the destination.
-    pub delivered: usize,
-    /// Batches fully received.
-    pub completed_batches: u32,
-    /// Time the final packet arrived.
-    pub completed_at: Option<Time>,
-    /// The source has advanced past the last batch.
-    pub done: bool,
-}
-
 /// Per-node, per-flow schedule and batch state.
 struct NodeState {
     batch: u32,
@@ -179,7 +166,8 @@ struct ExorFlow {
     src_batch: u32,
     /// Latest batch the destination has fully received (credit latch).
     dst_complete_through: Option<u32>,
-    progress: ExorProgress,
+    /// Time the destination received the final batch.
+    completed_at: Option<Time>,
     /// Withdrawn mid-run by a dynamic workload: the schedule goes silent
     /// and the flow counts as resolved.
     halted: bool,
@@ -202,8 +190,14 @@ impl ExorFlow {
         self.plan.order.len() as u8
     }
 
+    /// The source has advanced past the last batch: `src_batch ≥ ⌈total
+    /// / k⌉`, without the division.
+    fn sent_all(&self) -> bool {
+        self.src_batch as usize * self.k >= self.total
+    }
+
     fn is_done(&self) -> bool {
-        self.halted || self.src_batch >= self.n_batches()
+        self.halted || self.sent_all()
     }
 
     /// Brings `node` to `batch`: a frame of an earlier batch is stale
@@ -243,74 +237,6 @@ impl ExorAgent {
         let fi = mesh_sim::flow_index(flow, self.flows.len())?;
         let f = &mut self.flows[fi];
         (!f.halted).then(|| &mut f.nodes[node.0])
-    }
-
-    /// Registers a transfer under the next flow id ([`mesh_sim::flow_id`]
-    /// of its index) and arms the source with its first batch; returns the
-    /// flow's index. Kick `src` to start.
-    pub fn add_flow(&mut self, src: NodeId, dst: NodeId, total: usize) -> usize {
-        assert!(total > 0, "empty transfer");
-        let n = self.topo.n();
-        let etx = EtxTable::compute(&self.topo, dst, LinkCost::Forward);
-        // The same forwarder selection as MORE's, for a fair comparison.
-        let plan = ForwarderPlan::compute(
-            &self.topo,
-            src,
-            dst,
-            etx.distances(),
-            &PlanConfig::default(),
-        );
-        assert!(
-            plan.order.len() <= NO_HOLDER as usize,
-            "too many participants for u8 ranks"
-        );
-        let mut rank_of = vec![None; n];
-        for (r, &node) in plan.order.iter().enumerate() {
-            rank_of[node.0] = Some(r as u8);
-        }
-        // Reliable unicasts (endgame packets, BatchDone) need MAC ACKs,
-        // so their next-hop tables use the forward-reverse ETX.
-        let etx_fr = EtxTable::compute(&self.topo, dst, LinkCost::ForwardReverse);
-        let to_dst = (0..n).map(|i| etx_fr.next_hop(NodeId(i))).collect();
-        let etx_src = EtxTable::compute(&self.topo, src, LinkCost::ForwardReverse);
-        let to_src = (0..n).map(|i| etx_src.next_hop(NodeId(i))).collect();
-        let k0 = self.cfg.k.min(total);
-        let src_rank = (plan.order.len() - 1) as u8;
-        let mut nodes: Vec<NodeState> = (0..n).map(|_| NodeState::new(k0)).collect();
-        for ns in &mut nodes {
-            ns.speaker = src_rank; // the source opens the batch
-        }
-        // The source holds everything, and opens with a turn over it.
-        let src_state = &mut nodes[src.0];
-        src_state.holds = vec![true; k0];
-        src_state.map = vec![src_rank; k0];
-        src_state.turn_queue = (0..k0 as u32).collect();
-        src_state.in_turn = true;
-        self.flows.push(ExorFlow {
-            id: mesh_sim::flow_id(self.flows.len()),
-            src,
-            dst,
-            total,
-            k: self.cfg.k,
-            plan,
-            rank_of,
-            to_dst,
-            to_src,
-            nodes,
-            src_batch: 0,
-            dst_complete_through: None,
-            progress: ExorProgress::default(),
-            halted: false,
-        });
-        self.flows.len() - 1
-    }
-
-    pub fn progress(&self, index: usize) -> &ExorProgress {
-        &self.flows[index].progress
-    }
-
-    pub fn all_done(&self) -> bool {
-        self.flows.iter().all(|f| f.progress.done || f.halted)
     }
 
     /// Re-arms the silence timer for `node` on flow `fi`, under the flow
@@ -646,10 +572,8 @@ impl ExorAgent {
         }
         f.dst_complete_through = Some(batch);
         ns.done_queue.push_back(batch);
-        f.progress.delivered += ns.holds.len();
-        f.progress.completed_batches += 1;
         if batch + 1 == f.n_batches() {
-            f.progress.completed_at = Some(ctx.now());
+            f.completed_at = Some(ctx.now());
         }
         ctx.mark_backlogged(dstid);
     }
@@ -658,7 +582,6 @@ impl ExorAgent {
     fn advance_src_batch(f: &mut ExorFlow, next: u32, ctx: &mut Ctx<'_>) {
         f.src_batch = next;
         if f.is_done() {
-            f.progress.done = true;
             return;
         }
         let k = f.k_of(next);
@@ -674,25 +597,86 @@ impl ExorAgent {
 
 impl mesh_sim::FlowAgent for ExorAgent {
     fn flows_done(&self) -> bool {
-        self.all_done()
+        self.flows.iter().all(ExorFlow::is_done)
     }
 
+    /// Delivered: every batch the destination has fully received, each
+    /// full size but a short last one. Done once the source has advanced
+    /// past the last batch.
     fn flow_progress(&self, index: usize) -> mesh_sim::FlowProgressView {
-        let p = self.progress(index);
+        let f = &self.flows[index];
+        let batches = f.dst_complete_through.map_or(0, |b| b as usize + 1);
         mesh_sim::FlowProgressView {
-            delivered: p.delivered,
-            completed_at: p.completed_at,
-            done: p.done,
+            delivered: (batches * f.k).min(f.total),
+            completed_at: f.completed_at,
+            done: f.sent_all(),
         }
     }
 
+    /// Registers a transfer under the next flow id ([`mesh_sim::flow_id`]
+    /// of its index) and arms the source with its first batch; returns the
+    /// flow's index. Kick the source to start.
     fn add_flow(&mut self, desc: &mesh_sim::FlowDesc) -> usize {
         assert_eq!(
             desc.dsts.len(),
             1,
             "ExOR's scheduler is strictly unicast; multicast arrivals are unsupported"
         );
-        ExorAgent::add_flow(self, desc.src, desc.dst(), desc.packets)
+        let (src, dst, total) = (desc.src, desc.dst(), desc.packets);
+        assert!(total > 0, "empty transfer");
+        let n = self.topo.n();
+        let etx = EtxTable::compute(&self.topo, dst, LinkCost::Forward);
+        // The same forwarder selection as MORE's, for a fair comparison.
+        let plan = ForwarderPlan::compute(
+            &self.topo,
+            src,
+            dst,
+            etx.distances(),
+            &PlanConfig::default(),
+        );
+        assert!(
+            plan.order.len() <= NO_HOLDER as usize,
+            "too many participants for u8 ranks"
+        );
+        let mut rank_of = vec![None; n];
+        for (r, &node) in plan.order.iter().enumerate() {
+            rank_of[node.0] = Some(r as u8);
+        }
+        // Reliable unicasts (endgame packets, BatchDone) need MAC ACKs,
+        // so their next-hop tables use the forward-reverse ETX.
+        let etx_fr = EtxTable::compute(&self.topo, dst, LinkCost::ForwardReverse);
+        let to_dst = (0..n).map(|i| etx_fr.next_hop(NodeId(i))).collect();
+        let etx_src = EtxTable::compute(&self.topo, src, LinkCost::ForwardReverse);
+        let to_src = (0..n).map(|i| etx_src.next_hop(NodeId(i))).collect();
+        let k0 = self.cfg.k.min(total);
+        let src_rank = (plan.order.len() - 1) as u8;
+        let mut nodes: Vec<NodeState> = (0..n).map(|_| NodeState::new(k0)).collect();
+        for ns in &mut nodes {
+            ns.speaker = src_rank; // the source opens the batch
+        }
+        // The source holds everything, and opens with a turn over it.
+        let src_state = &mut nodes[src.0];
+        src_state.holds = vec![true; k0];
+        src_state.map = vec![src_rank; k0];
+        src_state.turn_queue = (0..k0 as u32).collect();
+        src_state.in_turn = true;
+        self.flows.push(ExorFlow {
+            id: mesh_sim::flow_id(self.flows.len()),
+            src,
+            dst,
+            total,
+            k: self.cfg.k,
+            plan,
+            rank_of,
+            to_dst,
+            to_src,
+            nodes,
+            src_batch: 0,
+            dst_complete_through: None,
+            completed_at: None,
+            halted: false,
+        });
+        self.flows.len() - 1
     }
 
     /// Turns end, queued endgame and `BatchDone` unicasts are dropped,
@@ -712,7 +696,7 @@ impl mesh_sim::FlowAgent for ExorAgent {
 #[cfg(test)]
 mod test {
     use super::*;
-    use mesh_sim::{SimConfig, Simulator, SEC};
+    use mesh_sim::{FlowAgent, FlowDesc, SimConfig, Simulator, SEC};
     use mesh_topology::generate;
 
     fn run(
@@ -724,10 +708,10 @@ mod test {
         seed: u64,
     ) -> (Simulator<ExorAgent>, usize) {
         let mut agent = ExorAgent::new(topo.clone(), cfg);
-        let fi = agent.add_flow(NodeId(src), NodeId(dst), total);
+        let fi = agent.add_flow(&FlowDesc::unicast(NodeId(src), NodeId(dst), total));
         let mut sim = Simulator::new(topo, SimConfig::default(), agent, seed);
         sim.kick(NodeId(src));
-        sim.run_until(900 * SEC, |a: &ExorAgent| a.all_done());
+        sim.run_until(900 * SEC, |a: &ExorAgent| a.flows_done());
         (sim, fi)
     }
 
@@ -735,7 +719,7 @@ mod test {
     fn one_hop_batch_completes() {
         let topo = generate::line(1, 0.8, 0.0, 20.0);
         let (sim, fi) = run(topo, ExorConfig::default(), 0, 1, 32, 1);
-        let p = sim.agent.progress(fi);
+        let p = sim.agent.flow_progress(fi);
         assert!(p.done, "flow did not finish");
         assert_eq!(p.delivered, 32);
     }
@@ -744,7 +728,7 @@ mod test {
     fn relay_line_completes() {
         let topo = generate::line(3, 0.7, 0.3, 25.0);
         let (sim, fi) = run(topo, ExorConfig::default(), 0, 3, 32, 2);
-        let p = sim.agent.progress(fi);
+        let p = sim.agent.flow_progress(fi);
         assert!(p.done, "relay flow stuck");
         assert_eq!(p.delivered, 32);
     }
@@ -753,17 +737,17 @@ mod test {
     fn multiple_batches_complete() {
         let topo = generate::line(2, 0.8, 0.2, 25.0);
         let (sim, fi) = run(topo, ExorConfig::default(), 0, 2, 96, 3);
-        let p = sim.agent.progress(fi);
+        let p = sim.agent.flow_progress(fi);
         assert!(p.done);
         assert_eq!(p.delivered, 96);
-        assert_eq!(p.completed_batches, 3);
+        assert_eq!(sim.agent.flows[fi].dst_complete_through, Some(2));
     }
 
     #[test]
     fn testbed_transfer_completes() {
         let topo = generate::testbed(1);
         let (sim, fi) = run(topo, ExorConfig::default(), 0, 19, 64, 4);
-        let p = sim.agent.progress(fi);
+        let p = sim.agent.flow_progress(fi);
         assert!(p.done, "testbed ExOR flow stuck");
         assert_eq!(p.delivered, 64);
     }
@@ -774,7 +758,7 @@ mod test {
         // concurrent airtime — the scheduler serializes transmissions.
         let topo = generate::line(4, 0.85, 0.2, 30.0);
         let (sim, fi) = run(topo, ExorConfig::default(), 0, 4, 64, 5);
-        assert!(sim.agent.progress(fi).done);
+        assert!(sim.agent.flow_progress(fi).done);
         let concurrent = sim.stats.concurrent_airtime as f64;
         let total = sim.stats.total_airtime() as f64;
         assert!(
@@ -791,8 +775,8 @@ mod test {
         let topo = generate::line(2, 0.8, 0.2, 25.0);
         let (sim8, fi8) = run(topo.clone(), ExorConfig { k: 8 }, 0, 2, 64, 6);
         let (sim64, fi64) = run(topo, ExorConfig { k: 64 }, 0, 2, 64, 6);
-        let t8 = sim8.agent.progress(fi8).completed_at.unwrap();
-        let t64 = sim64.agent.progress(fi64).completed_at.unwrap();
+        let t8 = sim8.agent.flow_progress(fi8).completed_at.unwrap();
+        let t64 = sim64.agent.flow_progress(fi64).completed_at.unwrap();
         assert!(
             t8 > t64,
             "K=8 ({t8} µs) should be slower than K=64 ({t64} µs)"

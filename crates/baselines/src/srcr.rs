@@ -54,19 +54,6 @@ pub struct SrcrPayload {
     pub seq: u32,
 }
 
-/// Per-flow measurement results.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SrcrProgress {
-    /// Unique packets that reached the destination.
-    pub delivered: usize,
-    /// Packets dropped on the way (retry exhaustion or queue overflow).
-    pub dropped: usize,
-    /// Time the last packet arrived.
-    pub completed_at: Option<Time>,
-    /// Every packet accounted for (delivered + dropped == total injected)?
-    pub done: bool,
-}
-
 struct SrcrFlow {
     id: u32,
     src: NodeId,
@@ -86,17 +73,19 @@ struct SrcrFlow {
     in_flight: usize,
     /// Delivered-seq dedup bitmap.
     got: Vec<bool>,
-    progress: SrcrProgress,
+    /// Unique packets that reached the destination.
+    delivered: usize,
+    /// Packets dropped on the way (retry exhaustion or queue overflow).
+    dropped: usize,
+    /// Time the last packet was resolved, delivered or dropped: set once
+    /// every packet is accounted for, which is when the flow is done.
+    completed_at: Option<Time>,
     /// Withdrawn mid-run by a dynamic workload: injection and forwarding
     /// stop, and the flow counts as resolved.
     halted: bool,
 }
 
 impl SrcrFlow {
-    fn resolved(&self) -> usize {
-        self.progress.delivered + self.progress.dropped
-    }
-
     /// Position of `node` on the path (paths are hop-free of repeats).
     fn hop(&self, node: NodeId) -> Option<usize> {
         self.path.iter().position(|&p| p == node)
@@ -145,50 +134,6 @@ impl SrcrAgent {
         }
     }
 
-    /// Registers a transfer under the next flow id ([`mesh_sim::flow_id`]
-    /// of its index); returns its index. Kick `src` to start.
-    pub fn add_flow(&mut self, src: NodeId, dst: NodeId, total: usize) -> usize {
-        assert!(total > 0, "empty transfer");
-        let topo = &self.topo;
-        let etx = self
-            .etx
-            .get_or_insert_with(|| EtxTable::compute(topo, dst, LINK_COST));
-        if etx.destination() != dst {
-            etx.recompute(topo, dst, LINK_COST);
-        }
-        assert!(etx.dist(src).is_finite(), "source cannot reach destination");
-        let path = etx.path_from(src).expect("finite distance implies a path");
-        let fi = self.flows.len();
-        // Every hop but the destination may poll frames for this flow.
-        for &node in &path[..path.len() - 1] {
-            self.node_flows[node.0].push(fi);
-        }
-        self.flows.push(SrcrFlow {
-            id: mesh_sim::flow_id(fi),
-            src,
-            dst,
-            total,
-            queues: vec![VecDeque::new(); path.len()],
-            path,
-            next_seq: 0,
-            in_flight: 0,
-            got: vec![false; total],
-            progress: SrcrProgress::default(),
-            halted: false,
-        });
-        fi
-    }
-
-    /// Progress of flow `index`.
-    pub fn progress(&self, index: usize) -> &SrcrProgress {
-        &self.flows[index].progress
-    }
-
-    /// All flows resolved every packet (withdrawn flows count as done)?
-    pub fn all_done(&self) -> bool {
-        self.flows.iter().all(|f| f.progress.done || f.halted)
-    }
-
     /// The Onoe controller of the link `node → nh`, started at the
     /// configured rate on first use.
     fn onoe(&mut self, node: NodeId, nh: NodeId) -> &mut OnoeAutorate {
@@ -203,15 +148,12 @@ impl SrcrAgent {
     fn resolve(f: &mut SrcrFlow, delivered: bool, now: Time) {
         f.in_flight = f.in_flight.saturating_sub(1);
         if delivered {
-            f.progress.delivered += 1;
+            f.delivered += 1;
         } else {
-            f.progress.dropped += 1;
+            f.dropped += 1;
         }
-        if f.resolved() >= f.total {
-            f.progress.done = true;
-            if f.progress.completed_at.is_none() {
-                f.progress.completed_at = Some(now);
-            }
+        if f.delivered + f.dropped == f.total {
+            f.completed_at = Some(now);
         }
     }
 
@@ -362,26 +304,62 @@ impl NodeAgent for SrcrAgent {
 }
 
 impl mesh_sim::FlowAgent for SrcrAgent {
+    /// Every flow resolved every packet, or was withdrawn?
     fn flows_done(&self) -> bool {
-        self.all_done()
+        self.flows
+            .iter()
+            .all(|f| f.completed_at.is_some() || f.halted)
     }
 
     fn flow_progress(&self, index: usize) -> mesh_sim::FlowProgressView {
-        let p = self.progress(index);
+        let f = &self.flows[index];
         mesh_sim::FlowProgressView {
-            delivered: p.delivered,
-            completed_at: p.completed_at,
-            done: p.done,
+            delivered: f.delivered,
+            completed_at: f.completed_at,
+            done: f.completed_at.is_some(),
         }
     }
 
+    /// Registers a transfer under the next flow id ([`mesh_sim::flow_id`]
+    /// of its index); returns its index. Kick the source to start.
     fn add_flow(&mut self, desc: &mesh_sim::FlowDesc) -> usize {
         assert_eq!(
             desc.dsts.len(),
             1,
             "Srcr routes along a single best path; multicast arrivals are unsupported"
         );
-        SrcrAgent::add_flow(self, desc.src, desc.dst(), desc.packets)
+        let (src, dst, total) = (desc.src, desc.dst(), desc.packets);
+        assert!(total > 0, "empty transfer");
+        let topo = &self.topo;
+        let etx = self
+            .etx
+            .get_or_insert_with(|| EtxTable::compute(topo, dst, LINK_COST));
+        if etx.destination() != dst {
+            etx.recompute(topo, dst, LINK_COST);
+        }
+        assert!(etx.dist(src).is_finite(), "source cannot reach destination");
+        let path = etx.path_from(src).expect("finite distance implies a path");
+        let fi = self.flows.len();
+        // Every hop but the destination may poll frames for this flow.
+        for &node in &path[..path.len() - 1] {
+            self.node_flows[node.0].push(fi);
+        }
+        self.flows.push(SrcrFlow {
+            id: mesh_sim::flow_id(fi),
+            src,
+            dst,
+            total,
+            queues: vec![VecDeque::new(); path.len()],
+            path,
+            next_seq: 0,
+            in_flight: 0,
+            got: vec![false; total],
+            delivered: 0,
+            dropped: 0,
+            completed_at: None,
+            halted: false,
+        });
+        fi
     }
 
     /// The source stops injecting, queued packets are discarded, and the
@@ -398,7 +376,7 @@ impl mesh_sim::FlowAgent for SrcrAgent {
 #[cfg(test)]
 mod test {
     use super::*;
-    use mesh_sim::{SimConfig, Simulator, SEC};
+    use mesh_sim::{FlowAgent, FlowDesc, SimConfig, Simulator, SEC};
     use mesh_topology::generate;
 
     fn run(
@@ -410,10 +388,10 @@ mod test {
         seed: u64,
     ) -> (Simulator<SrcrAgent>, usize) {
         let mut agent = SrcrAgent::new(topo.clone(), cfg, Bitrate::B5_5);
-        let fi = agent.add_flow(NodeId(src), NodeId(dst), total);
+        let fi = agent.add_flow(&FlowDesc::unicast(NodeId(src), NodeId(dst), total));
         let mut sim = Simulator::new(topo, SimConfig::default(), agent, seed);
         sim.kick(NodeId(src));
-        sim.run_until(600 * SEC, |a: &SrcrAgent| a.all_done());
+        sim.run_until(600 * SEC, |a: &SrcrAgent| a.flows_done());
         (sim, fi)
     }
 
@@ -421,17 +399,17 @@ mod test {
     fn perfect_line_delivers_everything() {
         let topo = generate::line(2, 1.0, 0.0, 25.0);
         let (sim, fi) = run(topo, SrcrConfig::default(), 0, 2, 100, 1);
-        let p = sim.agent.progress(fi);
-        assert!(p.done);
-        assert_eq!(p.delivered, 100);
-        assert_eq!(p.dropped, 0);
+        assert!(sim.agent.flow_progress(fi).done);
+        let f = &sim.agent.flows[fi];
+        assert_eq!(f.delivered, 100);
+        assert_eq!(f.dropped, 0);
     }
 
     #[test]
     fn lossy_line_mostly_delivers_via_retries() {
         let topo = generate::line(2, 0.7, 0.0, 25.0);
         let (sim, fi) = run(topo, SrcrConfig::default(), 0, 2, 200, 2);
-        let p = sim.agent.progress(fi);
+        let p = sim.agent.flow_progress(fi);
         assert!(p.done);
         // Per-hop attempt success = 0.49 (data × MAC-ACK); 8 attempts
         // ⇒ ~0.5% loss per hop.
@@ -445,7 +423,7 @@ mod test {
         // forward-reverse ETX needs bidirectional links.)
         let topo = generate::motivating_symmetric();
         let (sim, fi) = run(topo, SrcrConfig::default(), 0, 2, 50, 3);
-        let p = *sim.agent.progress(fi);
+        let p = sim.agent.flow_progress(fi);
         assert!(p.done);
         assert_eq!(p.delivered, 50);
         // Node 1 (the relay) must have carried traffic.
@@ -456,28 +434,37 @@ mod test {
     fn testbed_transfer_completes() {
         let topo = generate::testbed(1);
         let (sim, fi) = run(topo, SrcrConfig::default(), 0, 19, 64, 4);
-        let p = sim.agent.progress(fi);
-        assert!(p.done, "srcr testbed flow stuck");
+        assert!(sim.agent.flow_progress(fi).done, "srcr testbed flow stuck");
+        let f = &sim.agent.flows[fi];
         assert!(
-            p.delivered + p.dropped == 64 && p.delivered >= 48,
+            f.delivered + f.dropped == 64 && f.delivered >= 48,
             "delivered {} dropped {}",
-            p.delivered,
-            p.dropped
+            f.delivered,
+            f.dropped
         );
+    }
+
+    #[test]
+    fn every_packet_is_delivered_or_dropped() {
+        let topo = generate::testbed(2);
+        let (ssim, sfi) = run(topo, SrcrConfig::default(), 5, 14, 64, 2);
+        assert!(ssim.agent.flow_progress(sfi).done, "Srcr stuck");
+        let p = &ssim.agent.flows[sfi];
+        assert_eq!(p.delivered + p.dropped, 64);
     }
 
     #[test]
     fn multiflow_shares_the_medium() {
         let topo = generate::testbed(2);
         let mut agent = SrcrAgent::new(topo.clone(), SrcrConfig::default(), Bitrate::B5_5);
-        let f1 = agent.add_flow(NodeId(0), NodeId(19), 60);
-        let f2 = agent.add_flow(NodeId(7), NodeId(11), 60);
+        let f1 = agent.add_flow(&FlowDesc::unicast(NodeId(0), NodeId(19), 60));
+        let f2 = agent.add_flow(&FlowDesc::unicast(NodeId(7), NodeId(11), 60));
         let mut sim = Simulator::new(topo, SimConfig::default(), agent, 5);
         sim.kick(NodeId(0));
         sim.kick(NodeId(7));
-        sim.run_until(600 * SEC, |a: &SrcrAgent| a.all_done());
-        assert!(sim.agent.progress(f1).done);
-        assert!(sim.agent.progress(f2).done);
+        sim.run_until(600 * SEC, |a: &SrcrAgent| a.flows_done());
+        assert!(sim.agent.flow_progress(f1).done);
+        assert!(sim.agent.flow_progress(f2).done);
     }
 
     #[test]
@@ -485,11 +472,11 @@ mod test {
         let topo = generate::line(1, 0.95, 0.0, 20.0);
         let cfg = SrcrConfig { autorate: true };
         let mut agent = SrcrAgent::new(topo.clone(), cfg, Bitrate::B11);
-        let fi = agent.add_flow(NodeId(0), NodeId(1), 400);
+        let fi = agent.add_flow(&FlowDesc::unicast(NodeId(0), NodeId(1), 400));
         let mut sim = Simulator::new(topo, SimConfig::default(), agent, 6);
         sim.kick(NodeId(0));
-        sim.run_until(600 * SEC, |a: &SrcrAgent| a.all_done());
-        assert!(sim.agent.progress(fi).done);
+        sim.run_until(600 * SEC, |a: &SrcrAgent| a.flows_done());
+        assert!(sim.agent.flow_progress(fi).done);
         assert!(
             !sim.agent.autorate.is_empty(),
             "autorate state never created"

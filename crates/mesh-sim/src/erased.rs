@@ -8,8 +8,8 @@
 //! * [`FlowAgent`] — the flow contract every end-to-end protocol
 //!   implements on top of [`NodeAgent`]: "take this flow", "drop flow
 //!   *i*", "are all transfers finished?" and "how far along is flow
-//!   *i*?". This is the least common denominator of MORE, ExOR, Srcr,
-//!   and any future protocol.
+//!   *i*?" ([`FlowProgressView`]). It is the only flow API of MORE,
+//!   ExOR, Srcr, and any future protocol.
 //! * [`ErasedFlowAgent`] — a [`FlowAgent`] whose payloads are erased
 //!   to [`DynPayload`] (`Rc<dyn Any>`), so every protocol fits behind one
 //!   object-safe trait.
@@ -90,8 +90,10 @@ pub fn flow_index(id: u32, flows: usize) -> Option<usize> {
     (id as usize).checked_sub(1).filter(|&index| index < flows)
 }
 
-/// Per-flow progress as read by measurement harnesses, reduced to what
-/// every protocol can report.
+/// The progress of one flow: what the paper's evaluation reads of a
+/// transfer, and the only progress type a protocol reports. Each agent
+/// computes it from its own protocol state; a per-flow outcome every
+/// protocol reports is a field here.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FlowProgressView {
     /// Packets delivered end-to-end (for multicast: summed over
@@ -117,7 +119,9 @@ pub trait FlowAgent: NodeAgent {
     /// by [`FlowAgent::end_flow`] count as resolved.
     fn flows_done(&self) -> bool;
 
-    /// Progress of the flow at `index` (the order flows were added).
+    /// Progress of the flow at `index` (the order flows were added). A
+    /// flow halted by [`FlowAgent::end_flow`] keeps the progress it had
+    /// at the halt, and is not done unless it was before.
     fn flow_progress(&self, index: usize) -> FlowProgressView;
 
     /// Always `true`: every agent implements [`FlowAgent::add_flow`] and

@@ -22,9 +22,9 @@
 //! `p = 0` and consumes no randomness.
 //!
 //! Bookkeeping costs a frame's neighbourhood, not what is on the air
-//! city-wide. Frames stay in an **on-air set** until they are judged and
-//! the clock has passed their end; a verdict reaches its frame there by
-//! transmission id in O(1), and no verdict walks it. Whether a node
+//! city-wide. Frames stay in an **on-air set** until they are judged, once
+//! each; a verdict takes its frame out of it by transmission id in O(1),
+//! and no verdict walks it. Whether a node
 //! transmitted during a frame is read from that node's own **marks**,
 //! and carrier sense from the two latest ends among the frames a node
 //! senses, both kept in O(1) by [`Medium::begin`]. This rests on the
@@ -233,8 +233,6 @@ pub struct Medium {
     ends: VecDeque<(Time, u32)>,
     /// The id in `air`'s first slot.
     first: u64,
-    /// Frames judged, all ending at the clock; they leave when it moves on.
-    judged: Vec<OnAir>,
     /// Latest instant seen by `begin`, `prune` or a verdict.
     clock: Time,
     /// Frames begun: the latest one's begin order.
@@ -296,7 +294,6 @@ impl Medium {
             air: VecDeque::new(),
             ends: VecDeque::new(),
             first: 0,
-            judged: Vec::new(),
             clock: 0,
             frames: 0,
             heard: vec![Heard::default(); n],
@@ -376,13 +373,10 @@ impl Medium {
         Some(f)
     }
 
-    /// Advances the clock to `now`: frames judged before it leave the
-    /// on-air set. [`Medium::begin`] and the verdicts do this themselves.
+    /// Advances the clock to `now`. [`Medium::begin`] and the verdicts do
+    /// this themselves.
     pub fn prune(&mut self, now: Time) {
-        if now > self.clock {
-            self.clock = now;
-            self.judged.clear();
-        }
+        self.clock = self.clock.max(now);
     }
 
     /// Latest end time among transmissions currently on the air that
@@ -418,13 +412,12 @@ impl Medium {
     /// walk over the receiver's interference list asking each node's marks
     /// — skipped when nothing the receiver senses can have overlapped. Same
     /// receivers, counters and RNG draws, in the same order, as a scan of
-    /// every transmission per receiver. A frame can be judged again until
-    /// the clock moves past its end.
+    /// every transmission per receiver. Each frame is judged once.
     ///
     /// # Panics
     ///
-    /// Panics when `id` is not on the air: never begun, or the clock has
-    /// passed its end.
+    /// Panics when `id` is not on the air: never begun, already judged, or
+    /// the clock has passed its end.
     #[expect(
         clippy::too_many_arguments,
         reason = "the engine's per-frame call: counters and the receiver list are its own scratch, passed in to keep the hot path allocation-free"
@@ -440,20 +433,10 @@ impl Medium {
         out: &mut Vec<NodeId>,
     ) {
         out.clear();
-        let f = match self.take(id) {
-            Some(f) => {
-                self.prune(f.t.end);
-                self.judged.push(f.clone());
-                f
-            }
-            // Judged before, at the clock.
-            None => self
-                .judged
-                .iter()
-                .find(|f| f.t.id == id)
-                .cloned()
-                .expect("evaluating a transmission that is not on the air"),
-        };
+        let f = self
+            .take(id)
+            .expect("evaluating a transmission that is not on the air");
+        self.prune(f.t.end);
         let (now, start) = (f.t.end, f.t.start);
         let contended = self.all.besides(&f);
         let tx = f.t.tx.0;
@@ -628,12 +611,11 @@ mod test {
     }
 
     impl Medium {
-        /// The ends of the frames held — not yet judged, then judged — and
-        /// the clock, for the retention tests.
-        pub(crate) fn held(&self) -> (Vec<Time>, Vec<Time>, Time) {
+        /// The ends of the frames held, none of them judged yet, and the
+        /// clock, for the retention tests.
+        pub(crate) fn held(&self) -> (Vec<Time>, Time) {
             let air = self.air.iter().flatten().map(|f| f.t.end).collect();
-            let judged = self.judged.iter().map(|f| f.t.end).collect();
-            (air, judged, self.clock)
+            (air, self.clock)
         }
 
         /// [`Medium::evaluate_reception_into`] returning a fresh vector.
@@ -858,31 +840,38 @@ mod test {
             &[(0, 1, 1.0), (1, 0, 1.0), (1, 2, 0.5), (2, 1, 0.5)],
         );
         let ch = chan(&t);
-        let mut cfg = cfg();
-        cfg.capture_ratio = 2.0; // threshold = 2.0 × 0.5 = 1.0 == p
         let mut rng = ChaCha8Rng::seed_from_u64(6);
-        let mut m = Medium::new(&t, &cfg, &ch);
-        m.begin(Transmission {
-            id: 1,
-            tx: NodeId(0),
-            start: 0,
-            end: 100,
-        });
-        m.begin(Transmission {
-            id: 2,
-            tx: NodeId(2),
-            start: 10,
-            end: 110,
-        });
-        let (mut col, mut cap) = (0, 0);
-        let rx = m.evaluate_reception(1, &ch, &cfg, &mut rng, &mut col, &mut cap);
+        // Frame 1 from node 0 under node 2's overlapping frame, judged
+        // under a capture ratio of `ratio`.
+        let mut judge = |ratio: f64| {
+            let cfg = SimConfig {
+                capture_ratio: ratio,
+                ..cfg()
+            };
+            let mut m = Medium::new(&t, &cfg, &ch);
+            m.begin(Transmission {
+                id: 1,
+                tx: NodeId(0),
+                start: 0,
+                end: 100,
+            });
+            m.begin(Transmission {
+                id: 2,
+                tx: NodeId(2),
+                start: 10,
+                end: 110,
+            });
+            let (mut col, mut cap) = (0, 0);
+            let rx = m.evaluate_reception(1, &ch, &cfg, &mut rng, &mut col, &mut cap);
+            (rx, col, cap)
+        };
+        // threshold = 2.0 × 0.5 = 1.0 == p
+        let (rx, col, cap) = judge(2.0);
         assert_eq!(rx, vec![NodeId(1)], "p == ratio × strongest survives");
         assert_eq!((col, cap), (1, 1));
 
         // One hair past the boundary destroys the frame.
-        cfg.capture_ratio = 2.0 + 1e-9;
-        let (mut col, mut cap) = (0, 0);
-        let rx = m.evaluate_reception(1, &ch, &cfg, &mut rng, &mut col, &mut cap);
+        let (rx, col, cap) = judge(2.0 + 1e-9);
         assert!(rx.is_empty(), "p < ratio × strongest is destroyed");
         assert_eq!((col, cap), (1, 0));
     }
@@ -971,7 +960,7 @@ mod test {
     }
 
     #[test]
-    fn the_on_air_set_holds_unjudged_frames_and_those_judged_at_the_clock() {
+    fn the_on_air_set_holds_only_unjudged_frames() {
         let t = line5();
         let ch = chan(&t);
         let mut m = Medium::new(&t, &cfg(), &ch);
@@ -988,33 +977,24 @@ mod test {
                 end,
             });
         }
-        assert_eq!(m.held(), (vec![100, 300], vec![], 50));
-        // A verdict moves the clock to the frame's end.
+        assert_eq!(m.held(), (vec![100, 300], 50));
+        // A verdict takes its frame and moves the clock to the frame's end.
         judge(&mut m, 1);
-        assert_eq!(m.held(), (vec![300], vec![100], 100));
+        assert_eq!(m.held(), (vec![300], 100));
         m.begin(Transmission {
             id: 3,
             tx: NodeId(4),
             start: 150,
             end: 250,
         });
-        assert_eq!(
-            m.held(),
-            (vec![300, 250], vec![], 150),
-            "the clock moved on"
-        );
+        assert_eq!(m.held(), (vec![300, 250], 150), "the clock moved on");
         judge(&mut m, 3);
         m.prune(300);
         // A frame ending exactly at the clock still awaits its verdict.
-        assert_eq!(m.held(), (vec![300], vec![], 300));
+        assert_eq!(m.held(), (vec![300], 300));
         judge(&mut m, 2);
-        judge(&mut m, 2);
-        assert_eq!(
-            m.held(),
-            (vec![], vec![300], 300),
-            "judged twice, held once"
-        );
+        assert_eq!(m.held(), (vec![], 300), "idle air: nothing kept");
         m.prune(301);
-        assert_eq!(m.held(), (vec![], vec![], 301), "idle air: nothing kept");
+        assert_eq!(m.held(), (vec![], 301));
     }
 }

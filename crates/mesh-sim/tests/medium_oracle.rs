@@ -465,36 +465,6 @@ fn sense_and_interfere_are_symmetric_on_every_builtin_pair() {
 }
 
 #[test]
-fn a_finished_frame_judged_again_gives_the_same_receivers() {
-    // The engine judges a frame once, at its end; direct callers may ask
-    // again until the clock moves past it, and get the same answer from
-    // the same RNG state.
-    let topo = generate::testbed(1);
-    let cfg = SimConfig::default();
-    let chan = ChannelSpec::Static.build(&topo, 1);
-    let mut m = Medium::new(&topo, &cfg, &chan);
-    let frames = [(0, 3, 0, 2374), (1, 11, 900, 3274), (2, 3, 2374, 2622)];
-    for (id, tx, start, end) in frames {
-        m.begin(Transmission {
-            id,
-            tx: NodeId(tx),
-            start,
-            end,
-        });
-    }
-    // Frame 0 finished at 2374, which is where the clock stands.
-    let rng = ChaCha8Rng::seed_from_u64(17);
-    let mut verdicts = Vec::new();
-    for _ in 0..2 {
-        let (mut rng, mut col, mut cap, mut rx) = (rng.clone(), 0, 0, Vec::new());
-        m.evaluate_reception_into(0, &chan, &cfg, &mut rng, &mut col, &mut cap, &mut rx);
-        verdicts.push((rx, col, cap, rng.gen::<u64>()));
-    }
-    assert_eq!(verdicts[0], verdicts[1]);
-    assert!(verdicts[0].1 > 0, "frame 1 overlapped it: {verdicts:?}");
-}
-
-#[test]
 fn lone_frames_and_crowds_alternate() {
     // The medium judges a frame nothing overlapped without looking at an
     // interference list. Both arms against the scan, back to back: a frame

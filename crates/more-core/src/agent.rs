@@ -8,12 +8,12 @@
     reason = "per-node and per-batch vectors are sized at add_flow / when a batch opens; decoded-batch verification asserts a deterministic-testfile invariant"
 )]
 
-use crate::flow::{BatchState, Destination, FlowProgress, MoreFlow, NodeFlowState};
+use crate::flow::{BatchState, Destination, MoreFlow, NodeFlowState};
 use crate::header::MorePayload;
 use crate::{native_byte, native_is_intact, ForwarderMetric, MoreConfig, HEADER_BYTES};
 use mesh_metrics::etx::LinkCost;
 use mesh_metrics::{EtxTable, ForwarderPlan, PlanConfig};
-use mesh_sim::{Ctx, Frame, NodeAgent, OutFrame, TxOutcome};
+use mesh_sim::{Ctx, FlowDesc, FlowProgressView, Frame, NodeAgent, OutFrame, TxOutcome};
 use mesh_topology::{NodeId, Topology};
 use rand::Rng;
 use rlnc::{pool, CodedPacket, Decoder, ForwarderBuffer, SourceEncoder};
@@ -42,86 +42,6 @@ impl MoreAgent {
             flows: Vec::new(),
             rr: vec![0; n],
         }
-    }
-
-    /// Registers a transfer of `total_packets` native packets from `src`
-    /// to every node in `dsts` (one = unicast, several = multicast).
-    ///
-    /// Computes, per destination, the metric table and the Algorithm-1
-    /// forwarder plan with pruning, and the reverse path for batch ACKs.
-    /// The flow takes the next id ([`mesh_sim::flow_id`] of its index).
-    /// Returns the flow's index for [`Self::progress`]. Callers must
-    /// `kick(src)` on the simulator to start the source's MAC.
-    pub fn add_flow(&mut self, src: NodeId, dsts: &[NodeId], total_packets: usize) -> usize {
-        assert!(total_packets > 0, "empty transfer");
-        assert!(!dsts.is_empty(), "a flow needs a destination");
-        assert!(
-            (1..dsts.len()).all(|i| !dsts[..i].contains(&dsts[i])),
-            "destination listed twice: {dsts:?}"
-        );
-        let n = self.topo.n();
-        let mut tx_credit = vec![0.0f64; n];
-        let dsts = dsts
-            .iter()
-            .map(|&dst| {
-                // Forwarder ordering metric: ETX in the shipped protocol,
-                // EOTX for the §5.7 variant.
-                let metric: Vec<f64> = match self.cfg.metric {
-                    ForwarderMetric::Etx => EtxTable::compute(&self.topo, dst, LinkCost::Forward)
-                        .distances()
-                        .to_vec(),
-                    ForwarderMetric::Eotx => mesh_metrics::EotxTable::compute(&self.topo, dst)
-                        .distances()
-                        .to_vec(),
-                };
-                let plan =
-                    ForwarderPlan::compute(&self.topo, src, dst, &metric, &PlanConfig::default());
-                let mut rank_of = vec![None; n];
-                for (r, &node) in plan.order.iter().enumerate() {
-                    rank_of[node.0] = Some(r as u32);
-                    tx_credit[node.0] = tx_credit[node.0].max(plan.tx_credit[node.0]);
-                }
-                Destination {
-                    node: dst,
-                    plan,
-                    rank_of,
-                    acked: vec![0; n],
-                    decoded_batches: 0,
-                    delivered_packets: 0,
-                    completed_at: None,
-                }
-            })
-            .collect();
-        // ACKs go to the source over its ETX shortest path (§3.2.2);
-        // they are reliable unicasts, so the path metric accounts for the
-        // MAC ACK's reverse trip.
-        let to_src = EtxTable::compute(&self.topo, src, LinkCost::ForwardReverse);
-        let ack_next_hop = (0..n).map(|i| to_src.next_hop(NodeId(i))).collect();
-        self.flows.push(MoreFlow {
-            id: mesh_sim::flow_id(self.flows.len()),
-            src,
-            dsts,
-            total_packets,
-            batches: total_packets.div_ceil(self.cfg.k) as u32,
-            tx_credit,
-            ack_next_hop,
-            nodes: (0..n).map(|_| NodeFlowState::new()).collect(),
-            src_batch: 0,
-            encoder: None,
-            progress: FlowProgress::default(),
-            halted: false,
-        });
-        self.flows.len() - 1
-    }
-
-    /// Progress of flow `index` (as returned by [`Self::add_flow`]).
-    pub fn progress(&self, index: usize) -> &FlowProgress {
-        &self.flows[index].progress
-    }
-
-    /// All flows done (every batch ACKed at its source)?
-    pub fn all_done(&self) -> bool {
-        self.flows.iter().all(|f| f.is_done())
     }
 
     /// The flow list (read-only, for harness inspection).
@@ -227,13 +147,8 @@ impl NodeAgent for MoreAgent {
                         let d = &mut f.dsts[di];
                         d.decoded_batches += 1;
                         d.delivered_packets += k_b;
-                        f.progress.decoded_batches += 1;
-                        f.progress.delivered_packets += k_b;
                         if *batch + 1 == total_batches {
                             d.completed_at = Some(ctx.now());
-                            if f.dsts.iter().all(|d| d.completed_at.is_some()) {
-                                f.progress.completed_at = Some(ctx.now());
-                            }
                         }
                         ctx.mark_backlogged(node);
                     }
@@ -274,10 +189,7 @@ impl NodeAgent for MoreAgent {
                     if next > f.src_batch {
                         f.src_batch = next;
                         f.encoder = None;
-                        f.progress.acked_batches = next;
-                        if f.is_done() {
-                            f.progress.done = true;
-                        } else {
+                        if !f.is_done() {
                             ctx.mark_backlogged(node);
                         }
                     }
@@ -397,7 +309,7 @@ impl NodeAgent for MoreAgent {
                 (batch, f.k_of(&cfg, batch), packet)
             };
             if f.dsts.iter().all(|d| d.decoded_batches > batch) {
-                f.progress.spurious_tx += 1;
+                f.spurious_tx += 1;
             }
             self.rr[node.0] = fi + 1;
             return Some(OutFrame {
@@ -417,21 +329,96 @@ impl NodeAgent for MoreAgent {
 }
 
 impl mesh_sim::FlowAgent for MoreAgent {
+    /// Every flow done: each batch ACKed at its source, or withdrawn.
     fn flows_done(&self) -> bool {
-        self.all_done()
+        self.flows.iter().all(MoreFlow::is_done)
     }
 
-    fn flow_progress(&self, index: usize) -> mesh_sim::FlowProgressView {
-        let p = self.progress(index);
-        mesh_sim::FlowProgressView {
-            delivered: p.delivered_packets,
-            completed_at: p.completed_at,
-            done: p.done,
+    /// Deliveries summed over the destinations; finished when the last
+    /// destination decoded its last batch; done once the source has every
+    /// batch ACKed by every destination.
+    fn flow_progress(&self, index: usize) -> FlowProgressView {
+        let f = &self.flows[index];
+        FlowProgressView {
+            delivered: f.dsts.iter().map(|d| d.delivered_packets).sum(),
+            completed_at: f
+                .dsts
+                .iter()
+                .try_fold(0, |last, d| d.completed_at.map(|t| last.max(t))),
+            done: f.src_batch >= f.n_batches(),
         }
     }
 
-    fn add_flow(&mut self, desc: &mesh_sim::FlowDesc) -> usize {
-        MoreAgent::add_flow(self, desc.src, &desc.dsts, desc.packets)
+    /// Registers `desc`: a transfer of `desc.packets` native packets from
+    /// its source to every one of its destinations (one = unicast,
+    /// several = multicast).
+    ///
+    /// Computes, per destination, the metric table and the Algorithm-1
+    /// forwarder plan with pruning, and the reverse path for batch ACKs.
+    /// The flow takes the next id ([`mesh_sim::flow_id`] of its index).
+    /// Returns the flow's index. Callers must `kick(src)` on the simulator
+    /// to start the source's MAC.
+    fn add_flow(&mut self, desc: &FlowDesc) -> usize {
+        let (src, dsts, total_packets) = (desc.src, &desc.dsts, desc.packets);
+        assert!(total_packets > 0, "empty transfer");
+        assert!(!dsts.is_empty(), "a flow needs a destination");
+        assert!(
+            (1..dsts.len()).all(|i| !dsts[..i].contains(&dsts[i])),
+            "destination listed twice: {dsts:?}"
+        );
+        let n = self.topo.n();
+        let mut tx_credit = vec![0.0f64; n];
+        let dsts = dsts
+            .iter()
+            .map(|&dst| {
+                // Forwarder ordering metric: ETX in the shipped protocol,
+                // EOTX for the §5.7 variant.
+                let metric: Vec<f64> = match self.cfg.metric {
+                    ForwarderMetric::Etx => EtxTable::compute(&self.topo, dst, LinkCost::Forward)
+                        .distances()
+                        .to_vec(),
+                    ForwarderMetric::Eotx => mesh_metrics::EotxTable::compute(&self.topo, dst)
+                        .distances()
+                        .to_vec(),
+                };
+                let plan =
+                    ForwarderPlan::compute(&self.topo, src, dst, &metric, &PlanConfig::default());
+                let mut rank_of = vec![None; n];
+                for (r, &node) in plan.order.iter().enumerate() {
+                    rank_of[node.0] = Some(r as u32);
+                    tx_credit[node.0] = tx_credit[node.0].max(plan.tx_credit[node.0]);
+                }
+                Destination {
+                    node: dst,
+                    plan,
+                    rank_of,
+                    acked: vec![0; n],
+                    decoded_batches: 0,
+                    delivered_packets: 0,
+                    completed_at: None,
+                }
+            })
+            .collect();
+        // ACKs go to the source over its ETX shortest path (§3.2.2);
+        // they are reliable unicasts, so the path metric accounts for the
+        // MAC ACK's reverse trip.
+        let to_src = EtxTable::compute(&self.topo, src, LinkCost::ForwardReverse);
+        let ack_next_hop = (0..n).map(|i| to_src.next_hop(NodeId(i))).collect();
+        self.flows.push(MoreFlow {
+            id: mesh_sim::flow_id(self.flows.len()),
+            src,
+            dsts,
+            total_packets,
+            batches: total_packets.div_ceil(self.cfg.k) as u32,
+            tx_credit,
+            ack_next_hop,
+            nodes: (0..n).map(|_| NodeFlowState::new()).collect(),
+            src_batch: 0,
+            encoder: None,
+            spurious_tx: 0,
+            halted: false,
+        });
+        self.flows.len() - 1
     }
 
     /// The source and every forwarder go silent on the flow, queued
@@ -449,8 +436,17 @@ impl mesh_sim::FlowAgent for MoreAgent {
 #[cfg(test)]
 mod test {
     use super::*;
-    use mesh_sim::{SimConfig, Simulator, SEC};
+    use mesh_sim::{FlowAgent, SimConfig, Simulator, SEC};
     use mesh_topology::generate;
+
+    /// A flow from `src` to every node of `dsts`.
+    fn desc(src: usize, dsts: &[usize], packets: usize) -> FlowDesc {
+        FlowDesc {
+            src: NodeId(src),
+            dsts: dsts.iter().map(|&d| NodeId(d)).collect(),
+            packets,
+        }
+    }
 
     fn run_flow(
         topo: Topology,
@@ -461,11 +457,10 @@ mod test {
         seed: u64,
     ) -> (Simulator<MoreAgent>, usize) {
         let mut agent = MoreAgent::new(topo.clone(), cfg);
-        let dsts: Vec<NodeId> = dsts.iter().map(|&d| NodeId(d)).collect();
-        let fi = agent.add_flow(NodeId(src), &dsts, packets);
+        let fi = agent.add_flow(&desc(src, dsts, packets));
         let mut sim = Simulator::new(topo, SimConfig::default(), agent, seed);
         sim.kick(NodeId(src));
-        sim.run_until(600 * SEC, |a: &MoreAgent| a.all_done());
+        sim.run_until(600 * SEC, |a: &MoreAgent| a.flows_done());
         (sim, fi)
     }
 
@@ -473,19 +468,19 @@ mod test {
     fn one_hop_transfer_completes() {
         let topo = generate::line(1, 0.8, 0.0, 20.0);
         let (sim, fi) = run_flow(topo, MoreConfig::default(), 0, &[1], 64, 1);
-        let p = sim.agent.progress(fi);
+        let p = sim.agent.flow_progress(fi);
         assert!(p.done, "flow did not finish");
-        assert_eq!(p.delivered_packets, 64);
-        assert_eq!(p.decoded_batches, 2);
+        assert_eq!(p.delivered, 64);
+        assert_eq!(sim.agent.flows()[fi].dsts[0].decoded_batches, 2);
     }
 
     #[test]
     fn relay_chain_transfer_completes() {
         let topo = generate::line(3, 0.7, 0.3, 25.0);
         let (sim, fi) = run_flow(topo, MoreConfig::default(), 0, &[3], 32, 2);
-        let p = sim.agent.progress(fi);
+        let p = sim.agent.flow_progress(fi);
         assert!(p.done);
-        assert_eq!(p.delivered_packets, 32);
+        assert_eq!(p.delivered, 32);
     }
 
     #[test]
@@ -500,8 +495,8 @@ mod test {
             ..MoreConfig::default()
         };
         let (sim, fi) = run_flow(topo, cfg, 0, &[2], 24, 3);
-        assert!(sim.agent.progress(fi).done);
-        assert_eq!(sim.agent.progress(fi).delivered_packets, 24);
+        assert!(sim.agent.flow_progress(fi).done);
+        assert_eq!(sim.agent.flow_progress(fi).delivered, 24);
     }
 
     #[test]
@@ -512,19 +507,19 @@ mod test {
             ..MoreConfig::default()
         };
         let (sim, fi) = run_flow(topo, cfg, 0, &[1], 40, 4); // 32 + 8
-        let p = sim.agent.progress(fi);
+        let p = sim.agent.flow_progress(fi);
         assert!(p.done);
-        assert_eq!(p.delivered_packets, 40);
-        assert_eq!(p.decoded_batches, 2);
+        assert_eq!(p.delivered, 40);
+        assert_eq!(sim.agent.flows()[fi].dsts[0].decoded_batches, 2);
     }
 
     #[test]
     fn testbed_transfer_and_stopping_rule() {
         let topo = generate::testbed(1);
         let (mut sim, fi) = run_flow(topo, MoreConfig::default(), 0, &[19], 64, 5);
-        let p = *sim.agent.progress(fi);
+        let p = sim.agent.flow_progress(fi);
         assert!(p.done, "testbed flow stuck");
-        assert_eq!(p.delivered_packets, 64);
+        assert_eq!(p.delivered, 64);
         // Unicast is the one-destination case of the same flow state.
         let dsts = &sim.agent.flows()[fi].dsts;
         assert_eq!(dsts.len(), 1);
@@ -545,15 +540,14 @@ mod test {
     fn spurious_transmissions_are_bounded() {
         let topo = generate::testbed(2);
         let (sim, fi) = run_flow(topo, MoreConfig::default(), 3, &[16], 96, 6);
-        let p = sim.agent.progress(fi);
-        assert!(p.done);
+        assert!(sim.agent.flow_progress(fi).done);
         // A few spurious sends happen between batch completion and the ACK
         // reaching everyone; they must stay a small fraction of the total.
+        let spurious = sim.agent.flows()[fi].spurious_tx;
         let total = sim.stats.total_tx();
         assert!(
-            (p.spurious_tx as f64) < 0.25 * total as f64,
-            "spurious {} of {total}",
-            p.spurious_tx
+            (spurious as f64) < 0.25 * total as f64,
+            "spurious {spurious} of {total}"
         );
     }
 
@@ -561,16 +555,16 @@ mod test {
     fn multiflow_roundrobin_completes_both() {
         let topo = generate::testbed(3);
         let mut agent = MoreAgent::new(topo.clone(), MoreConfig::default());
-        let f1 = agent.add_flow(NodeId(0), &[NodeId(19)], 32);
-        let f2 = agent.add_flow(NodeId(5), &[NodeId(12)], 32);
+        let f1 = agent.add_flow(&desc(0, &[19], 32));
+        let f2 = agent.add_flow(&desc(5, &[12], 32));
         let mut sim = Simulator::new(topo, SimConfig::default(), agent, 7);
         sim.kick(NodeId(0));
         sim.kick(NodeId(5));
-        sim.run_until(600 * SEC, |a: &MoreAgent| a.all_done());
-        assert!(sim.agent.progress(f1).done, "flow 1 stuck");
-        assert!(sim.agent.progress(f2).done, "flow 2 stuck");
-        assert_eq!(sim.agent.progress(f1).delivered_packets, 32);
-        assert_eq!(sim.agent.progress(f2).delivered_packets, 32);
+        sim.run_until(600 * SEC, |a: &MoreAgent| a.flows_done());
+        assert!(sim.agent.flow_progress(f1).done, "flow 1 stuck");
+        assert!(sim.agent.flow_progress(f2).done, "flow 2 stuck");
+        assert_eq!(sim.agent.flow_progress(f1).delivered, 32);
+        assert_eq!(sim.agent.flow_progress(f2).delivered, 32);
     }
 
     #[test]
@@ -578,7 +572,7 @@ mod test {
         let topo = generate::testbed(4);
         let agent = {
             let mut a = MoreAgent::new(topo.clone(), MoreConfig::default());
-            a.add_flow(NodeId(0), &[NodeId(19)], 32);
+            a.add_flow(&desc(0, &[19], 32));
             a
         };
         let plan = &agent.flows()[0].dsts[0].plan;
@@ -593,9 +587,9 @@ mod test {
     fn two_destinations_both_complete() {
         let topo = generate::testbed(1);
         let (sim, fi) = run_flow(topo, MoreConfig::default(), 0, &[19, 12], 64, 2);
-        let p = sim.agent.progress(fi);
+        let p = sim.agent.flow_progress(fi);
         assert!(p.done, "2-dst multicast stuck");
-        assert_eq!(p.delivered_packets, 2 * 64);
+        assert_eq!(p.delivered, 2 * 64);
         let dsts = &sim.agent.flows()[fi].dsts;
         assert!(dsts.iter().all(|d| d.delivered_packets == 64));
         let last = dsts
@@ -611,12 +605,12 @@ mod test {
         let topo = generate::testbed(1);
         let cfg = MoreConfig::default();
         let (mc_sim, fi) = run_flow(topo.clone(), cfg, 0, &[19, 12, 7], 64, 3);
-        assert!(mc_sim.agent.progress(fi).done);
+        assert!(mc_sim.agent.flow_progress(fi).done);
         let mc_tx = mc_sim.stats.total_tx();
         let mut uni_tx = 0;
         for (i, d) in [19, 12, 7].into_iter().enumerate() {
             let (sim, fi) = run_flow(topo.clone(), cfg, 0, &[d], 64, 4 + i as u64);
-            assert!(sim.agent.progress(fi).done);
+            assert!(sim.agent.flow_progress(fi).done);
             uni_tx += sim.stats.total_tx();
         }
         assert!(
@@ -635,8 +629,8 @@ mod test {
             ..MoreConfig::default()
         };
         let (sim, fi) = run_flow(generate::testbed(1), cfg, 0, &[19, 12, 7], 24, 3);
-        assert!(sim.agent.progress(fi).done);
-        assert_eq!(sim.agent.progress(fi).delivered_packets, 3 * 24);
+        assert!(sim.agent.flow_progress(fi).done);
+        assert_eq!(sim.agent.flow_progress(fi).delivered, 3 * 24);
     }
 
     #[test]
@@ -658,8 +652,8 @@ mod test {
             ..MoreConfig::default()
         };
         let mut agent = MoreAgent::new(topo.clone(), cfg);
-        let flows = [(0, 19), (5, 12)]
-            .map(|(s, d)| (NodeId(s), agent.add_flow(NodeId(s), &[NodeId(d)], 24)));
+        let flows =
+            [(0, 19), (5, 12)].map(|(s, d)| (NodeId(s), agent.add_flow(&desc(s, &[d], 24))));
         let queue = QueueSpec::choke(8);
         let (static_air, sim_cfg) = (ChannelSpec::Static, SimConfig::default());
         let mut sim = Simulator::with_queue(topo, sim_cfg, &static_air, &queue, agent, 14);
@@ -667,11 +661,11 @@ mod test {
             sim.pace_flow(mesh_sim::flow_id(fi), src, AimdConfig::default());
             sim.kick(src);
         }
-        sim.run_until(600 * SEC, |a: &MoreAgent| a.all_done());
+        sim.run_until(600 * SEC, |a: &MoreAgent| a.flows_done());
         for (_, fi) in flows {
-            let p = sim.agent.progress(fi);
+            let p = sim.agent.flow_progress(fi);
             assert!(p.done, "flow {fi} stuck behind the queue");
-            assert_eq!(p.delivered_packets, 24);
+            assert_eq!(p.delivered, 24);
         }
         let s = &sim.stats;
         assert!(
@@ -689,7 +683,7 @@ mod test {
                 ..MoreConfig::default()
             };
             let mut agent = MoreAgent::new(topo.clone(), cfg);
-            agent.add_flow(NodeId(0), &[NodeId(19), NodeId(12), NodeId(7)], 32);
+            agent.add_flow(&desc(0, &[19, 12, 7], 32));
             let orders = agent.flows()[0].dsts.iter().map(|d| d.plan.order.clone());
             orders.collect::<Vec<_>>()
         };
@@ -708,14 +702,14 @@ mod test {
     fn multicast_and_unicast_from_one_source_interleave() {
         let topo = generate::testbed(1);
         let mut agent = MoreAgent::new(topo.clone(), MoreConfig::default());
-        let mc = agent.add_flow(NodeId(0), &[NodeId(5), NodeId(9)], 256);
-        let uni = agent.add_flow(NodeId(0), &[NodeId(19)], 256);
+        let mc = agent.add_flow(&desc(0, &[5, 9], 256));
+        let uni = agent.add_flow(&desc(0, &[19], 256));
         let mut sim = Simulator::new(topo, SimConfig::default(), agent, 8);
         sim.kick(NodeId(0));
-        sim.run_until(600 * SEC, |a: &MoreAgent| a.progress(mc).done);
-        assert!(sim.agent.progress(mc).done, "multicast flow stuck");
+        sim.run_until(600 * SEC, |a: &MoreAgent| a.flow_progress(mc).done);
+        assert!(sim.agent.flow_progress(mc).done, "multicast flow stuck");
         assert!(
-            sim.agent.progress(uni).delivered_packets > 0,
+            sim.agent.flow_progress(uni).delivered > 0,
             "the source served the multicast flow alone until it finished"
         );
     }
@@ -724,6 +718,6 @@ mod test {
     #[should_panic(expected = "needs a destination")]
     fn empty_destination_list_rejected() {
         let mut agent = MoreAgent::new(generate::testbed(1), MoreConfig::default());
-        agent.add_flow(NodeId(0), &[], 32);
+        agent.add_flow(&desc(0, &[], 32));
     }
 }

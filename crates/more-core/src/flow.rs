@@ -10,25 +10,6 @@ use std::collections::VecDeque;
 /// Flow identifier (the header's flow id).
 pub type FlowId = u32;
 
-/// What a harness reads to measure a flow. Counts are summed over the
-/// flow's destinations; [`MoreFlow::dsts`] has the per-destination detail.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FlowProgress {
-    /// Native packets delivered (decoded) at the destinations.
-    pub delivered_packets: usize,
-    /// Batches fully decoded at the destinations.
-    pub decoded_batches: u32,
-    /// Batches whose ACK reached the source from every destination.
-    pub acked_batches: u32,
-    /// Simulated time when the last destination decoded the last packet.
-    pub completed_at: Option<Time>,
-    /// The source has received the final batch ACK of every destination.
-    pub done: bool,
-    /// Data transmissions made for batches every destination had already
-    /// fully received (the Fig 4-7 "spurious transmissions").
-    pub spurious_tx: u64,
-}
-
 /// The coding state a node keeps for the *current* batch of a flow.
 ///
 /// One coded path whatever [`MoreConfig::track_payloads`] says: without
@@ -150,8 +131,9 @@ pub struct MoreFlow {
     pub src_batch: u32,
     /// Source-side encoder for the current batch.
     pub encoder: Option<rlnc::SourceEncoder>,
-    /// Measurements.
-    pub progress: FlowProgress,
+    /// Data transmissions made for batches every destination had already
+    /// fully received (the Fig 4-7 "spurious transmissions").
+    pub spurious_tx: u64,
     /// The flow was withdrawn mid-run by the workload (dynamic traffic
     /// departure): sources and forwarders go silent, and the flow counts
     /// as resolved for the stop condition.

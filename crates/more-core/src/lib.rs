@@ -37,7 +37,7 @@
 //!
 //! Because MORE never touches the MAC, the same agent works unmodified for
 //! one flow or many, unicast and multicast mixed
-//! ([`MoreAgent::add_flow`]), at any bit-rate, with
+//! ([`mesh_sim::FlowAgent::add_flow`]), at any bit-rate, with
 //! spatial reuse falling out of the 802.11 model rather than protocol
 //! machinery — the property the paper trades ExOR's structure for.
 //!
@@ -66,7 +66,7 @@ pub mod flow;
 pub mod header;
 
 pub use agent::MoreAgent;
-pub use flow::{Destination, FlowId, FlowProgress, MoreFlow};
+pub use flow::{Destination, FlowId, MoreFlow};
 pub use header::MorePayload;
 
 /// Which metric orders the forwarder list.

@@ -13,37 +13,34 @@
 
 use more_repro::baselines::{SrcrAgent, SrcrConfig};
 use more_repro::more::{MoreAgent, MoreConfig};
-use more_repro::sim::{Bitrate, SimConfig, Simulator, SEC};
-use more_repro::topology::{generate, NodeId};
+use more_repro::sim::{Bitrate, FlowAgent, FlowDesc, SimConfig, Simulator, SEC};
+use more_repro::topology::{generate, NodeId, Topology};
 
 const PACKETS: usize = 96;
 
-fn srcr_throughput(topo: &more_repro::topology::Topology, s: NodeId, d: NodeId) -> f64 {
-    let mut agent = SrcrAgent::new(topo.clone(), SrcrConfig::default(), Bitrate::B5_5);
-    let flow = agent.add_flow(s, d, PACKETS);
+/// Runs `agent` on one flow from `s` to `d`; returns its throughput in
+/// packets per second (up to completion, or the deadline) and the agent.
+fn throughput<A: FlowAgent>(topo: &Topology, mut agent: A, s: NodeId, d: NodeId) -> (f64, A) {
+    let flow = agent.add_flow(&FlowDesc::unicast(s, d, PACKETS));
     let mut sim = Simulator::new(topo.clone(), SimConfig::default(), agent, 9);
     sim.kick(s);
     let deadline = 240 * SEC;
-    sim.run_until(deadline, |a: &SrcrAgent| a.all_done());
-    let p = sim.agent.progress(flow);
+    sim.run_until(deadline, |a: &A| a.flows_done());
+    let p = sim.agent.flow_progress(flow);
     let t = p.completed_at.unwrap_or(deadline).max(1);
-    p.delivered as f64 / (t as f64 / SEC as f64)
+    (p.delivered as f64 / (t as f64 / SEC as f64), sim.agent)
 }
 
-fn more_throughput(topo: &more_repro::topology::Topology, s: NodeId, d: NodeId) -> (f64, usize) {
-    let mut agent = MoreAgent::new(topo.clone(), MoreConfig::default());
-    let flow = agent.add_flow(s, &[d], PACKETS);
-    let n_forwarders = agent.flows()[flow].dsts[0].plan.forwarders().len();
-    let mut sim = Simulator::new(topo.clone(), SimConfig::default(), agent, 9);
-    sim.kick(s);
-    let deadline = 240 * SEC;
-    sim.run_until(deadline, |a: &MoreAgent| a.all_done());
-    let p = sim.agent.progress(flow);
-    let t = p.completed_at.unwrap_or(deadline).max(1);
-    (
-        p.delivered_packets as f64 / (t as f64 / SEC as f64),
-        n_forwarders,
-    )
+fn srcr_throughput(topo: &Topology, s: NodeId, d: NodeId) -> f64 {
+    let agent = SrcrAgent::new(topo.clone(), SrcrConfig::default(), Bitrate::B5_5);
+    throughput(topo, agent, s, d).0
+}
+
+/// MORE's throughput, and the forwarders its plan used.
+fn more_throughput(topo: &Topology, s: NodeId, d: NodeId) -> (f64, usize) {
+    let agent = MoreAgent::new(topo.clone(), MoreConfig::default());
+    let (tput, agent) = throughput(topo, agent, s, d);
+    (tput, agent.flows()[0].dsts[0].plan.forwarders().len())
 }
 
 fn main() {

@@ -11,7 +11,7 @@
 //! ```
 
 use more_repro::more::{MoreAgent, MoreConfig};
-use more_repro::sim::{SimConfig, Simulator, SEC};
+use more_repro::sim::{FlowAgent, FlowDesc, SimConfig, Simulator, SEC};
 use more_repro::topology::{generate, NodeId};
 
 const PACKETS: usize = 128;
@@ -23,11 +23,15 @@ fn main() {
 
     // Multicast: one flow, three destinations.
     let mut agent = MoreAgent::new(topo.clone(), MoreConfig::default());
-    let fi = agent.add_flow(src, &dsts, PACKETS);
+    let fi = agent.add_flow(&FlowDesc {
+        src,
+        dsts: dsts.clone(),
+        packets: PACKETS,
+    });
     let mut sim = Simulator::new(topo.clone(), SimConfig::default(), agent, 5);
     sim.kick(src);
-    sim.run_until(900 * SEC, |a: &MoreAgent| a.all_done());
-    assert!(sim.agent.progress(fi).done);
+    sim.run_until(900 * SEC, |a: &MoreAgent| a.flows_done());
+    assert!(sim.agent.flow_progress(fi).done);
     let mc_tx = sim.stats.total_tx();
     println!("multicast {src} -> {dsts:?}: {PACKETS} packets each");
     for d in &sim.agent.flows()[fi].dsts {
@@ -44,11 +48,11 @@ fn main() {
     let mut uni_tx = 0;
     for (i, &d) in dsts.iter().enumerate() {
         let mut agent = MoreAgent::new(topo.clone(), MoreConfig::default());
-        let fi = agent.add_flow(src, &[d], PACKETS);
+        let fi = agent.add_flow(&FlowDesc::unicast(src, d, PACKETS));
         let mut sim = Simulator::new(topo.clone(), SimConfig::default(), agent, 6 + i as u64);
         sim.kick(src);
-        sim.run_until(900 * SEC, |a: &MoreAgent| a.all_done());
-        assert!(sim.agent.progress(fi).done);
+        sim.run_until(900 * SEC, |a: &MoreAgent| a.flows_done());
+        assert!(sim.agent.flow_progress(fi).done);
         uni_tx += sim.stats.total_tx();
     }
     println!("three sequential unicasts: {uni_tx} transmissions");

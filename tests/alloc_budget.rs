@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use more_repro::more::{MoreAgent, MoreConfig};
 use more_repro::rlnc::pool;
-use more_repro::sim::{SimConfig, Simulator, SEC};
+use more_repro::sim::{FlowAgent, FlowDesc, SimConfig, Simulator, SEC};
 use more_repro::topology::{generate, NodeId};
 
 /// Counts allocation *events* (alloc + realloc), not bytes: the packet
@@ -81,8 +81,8 @@ fn measured_run() -> (u64, usize) {
         ..MoreConfig::default()
     };
     let mut agent = MoreAgent::new(topo.clone(), cfg);
-    let f1 = agent.add_flow(NodeId(0), &[NodeId(19)], 32);
-    let f2 = agent.add_flow(NodeId(5), &[NodeId(12)], 32);
+    let f1 = agent.add_flow(&FlowDesc::unicast(NodeId(0), NodeId(19), 32));
+    let f2 = agent.add_flow(&FlowDesc::unicast(NodeId(5), NodeId(12), 32));
     let mut sim = Simulator::new(topo, SimConfig::default(), agent, 1);
     sim.kick(NodeId(0));
     sim.kick(NodeId(5));
@@ -90,11 +90,10 @@ fn measured_run() -> (u64, usize) {
     // Everything above — topology, ETX plans, agent state, event queue —
     // is setup; the budget covers only the simulation loop.
     let before = ALLOCS.load(Ordering::Relaxed);
-    sim.run_until(180 * SEC, |a: &MoreAgent| a.all_done());
+    sim.run_until(180 * SEC, |a: &MoreAgent| a.flows_done());
     let spent = ALLOCS.load(Ordering::Relaxed) - before;
 
-    let delivered =
-        sim.agent.progress(f1).delivered_packets + sim.agent.progress(f2).delivered_packets;
+    let delivered = sim.agent.flow_progress(f1).delivered + sim.agent.flow_progress(f2).delivered;
     (spent, delivered)
 }
 

@@ -3,17 +3,17 @@
 
 use more_repro::baselines::{ExorAgent, ExorConfig, SrcrAgent, SrcrConfig};
 use more_repro::more::{MoreAgent, MoreConfig};
-use more_repro::sim::{Bitrate, SimConfig, Simulator, SEC};
+use more_repro::sim::{Bitrate, FlowAgent, FlowDesc, SimConfig, Simulator, SEC};
 use more_repro::topology::{generate, NodeId, Topology};
 
 fn more_run(topo: &Topology, s: usize, d: usize, packets: usize, seed: u64) -> (bool, usize, u64) {
     let mut agent = MoreAgent::new(topo.clone(), MoreConfig::default());
-    let fi = agent.add_flow(NodeId(s), &[NodeId(d)], packets);
+    let fi = agent.add_flow(&FlowDesc::unicast(NodeId(s), NodeId(d), packets));
     let mut sim = Simulator::new(topo.clone(), SimConfig::default(), agent, seed);
     sim.kick(NodeId(s));
-    sim.run_until(600 * SEC, |a: &MoreAgent| a.all_done());
-    let p = sim.agent.progress(fi);
-    (p.done, p.delivered_packets, sim.stats.total_tx())
+    sim.run_until(600 * SEC, |a: &MoreAgent| a.flows_done());
+    let p = sim.agent.flow_progress(fi);
+    (p.done, p.delivered, sim.stats.total_tx())
 }
 
 #[test]
@@ -43,12 +43,12 @@ fn more_payload_integrity_over_lossy_multihop() {
         ..MoreConfig::default()
     };
     let mut agent = MoreAgent::new(topo.clone(), cfg);
-    let fi = agent.add_flow(NodeId(0), &[NodeId(19)], 48);
+    let fi = agent.add_flow(&FlowDesc::unicast(NodeId(0), NodeId(19), 48));
     let mut sim = Simulator::new(topo, SimConfig::default(), agent, 11);
     sim.kick(NodeId(0));
-    sim.run_until(600 * SEC, |a: &MoreAgent| a.all_done());
-    assert!(sim.agent.progress(fi).done);
-    assert_eq!(sim.agent.progress(fi).delivered_packets, 48);
+    sim.run_until(600 * SEC, |a: &MoreAgent| a.flows_done());
+    assert!(sim.agent.flow_progress(fi).done);
+    assert_eq!(sim.agent.flow_progress(fi).delivered, 48);
 }
 
 #[test]
@@ -56,21 +56,19 @@ fn exor_and_srcr_complete_on_the_testbed() {
     let topo = generate::testbed(2);
     // ExOR
     let mut ea = ExorAgent::new(topo.clone(), ExorConfig::default());
-    let efi = ea.add_flow(NodeId(5), NodeId(14), 64);
+    let efi = ea.add_flow(&FlowDesc::unicast(NodeId(5), NodeId(14), 64));
     let mut esim = Simulator::new(topo.clone(), SimConfig::default(), ea, 2);
     esim.kick(NodeId(5));
-    esim.run_until(600 * SEC, |a: &ExorAgent| a.all_done());
-    assert!(esim.agent.progress(efi).done, "ExOR stuck");
-    assert_eq!(esim.agent.progress(efi).delivered, 64);
+    esim.run_until(600 * SEC, |a: &ExorAgent| a.flows_done());
+    assert!(esim.agent.flow_progress(efi).done, "ExOR stuck");
+    assert_eq!(esim.agent.flow_progress(efi).delivered, 64);
     // Srcr
     let mut sa = SrcrAgent::new(topo.clone(), SrcrConfig::default(), Bitrate::B5_5);
-    let sfi = sa.add_flow(NodeId(5), NodeId(14), 64);
+    let sfi = sa.add_flow(&FlowDesc::unicast(NodeId(5), NodeId(14), 64));
     let mut ssim = Simulator::new(topo, SimConfig::default(), sa, 2);
     ssim.kick(NodeId(5));
-    ssim.run_until(600 * SEC, |a: &SrcrAgent| a.all_done());
-    let p = ssim.agent.progress(sfi);
-    assert!(p.done, "Srcr stuck");
-    assert_eq!(p.delivered + p.dropped, 64);
+    ssim.run_until(600 * SEC, |a: &SrcrAgent| a.flows_done());
+    assert!(ssim.agent.flow_progress(sfi).done, "Srcr stuck");
 }
 
 #[test]
@@ -87,11 +85,11 @@ fn identical_seeds_give_identical_runs() {
 fn stopping_rule_silences_the_network() {
     let topo = generate::testbed(1);
     let mut agent = MoreAgent::new(topo.clone(), MoreConfig::default());
-    let fi = agent.add_flow(NodeId(2), &[NodeId(17)], 64);
+    let fi = agent.add_flow(&FlowDesc::unicast(NodeId(2), NodeId(17), 64));
     let mut sim = Simulator::new(topo, SimConfig::default(), agent, 5);
     sim.kick(NodeId(2));
-    sim.run_until(600 * SEC, |a: &MoreAgent| a.all_done());
-    assert!(sim.agent.progress(fi).done);
+    sim.run_until(600 * SEC, |a: &MoreAgent| a.flows_done());
+    assert!(sim.agent.flow_progress(fi).done);
     let tx_at_done = sim.stats.total_tx();
     let t = sim.now();
     sim.run_until(t + 5 * SEC, |_| false);
@@ -108,28 +106,28 @@ fn concurrent_flows_all_protocols() {
 
     let mut ma = MoreAgent::new(topo.clone(), MoreConfig::default());
     for &(s, d) in &flows {
-        ma.add_flow(s, &[d], 32);
+        ma.add_flow(&FlowDesc::unicast(s, d, 32));
     }
     let mut msim = Simulator::new(topo.clone(), SimConfig::default(), ma, 3);
     for &(s, _) in &flows {
         msim.kick(s);
     }
-    msim.run_until(600 * SEC, |a: &MoreAgent| a.all_done());
+    msim.run_until(600 * SEC, |a: &MoreAgent| a.flows_done());
     for i in 0..flows.len() {
-        assert!(msim.agent.progress(i).done, "MORE flow {i} stuck");
+        assert!(msim.agent.flow_progress(i).done, "MORE flow {i} stuck");
     }
 
     let mut ea = ExorAgent::new(topo.clone(), ExorConfig::default());
     for &(s, d) in &flows {
-        ea.add_flow(s, d, 32);
+        ea.add_flow(&FlowDesc::unicast(s, d, 32));
     }
     let mut esim = Simulator::new(topo, SimConfig::default(), ea, 3);
     for &(s, _) in &flows {
         esim.kick(s);
     }
-    esim.run_until(900 * SEC, |a: &ExorAgent| a.all_done());
+    esim.run_until(900 * SEC, |a: &ExorAgent| a.flows_done());
     for i in 0..flows.len() {
-        assert!(esim.agent.progress(i).done, "ExOR flow {i} stuck");
+        assert!(esim.agent.flow_progress(i).done, "ExOR flow {i} stuck");
     }
 }
 
@@ -142,11 +140,11 @@ fn batch_sizes_all_work() {
             ..MoreConfig::default()
         };
         let mut agent = MoreAgent::new(topo.clone(), cfg);
-        let fi = agent.add_flow(NodeId(0), &[NodeId(2)], 2 * k + k / 2 + 1);
+        let fi = agent.add_flow(&FlowDesc::unicast(NodeId(0), NodeId(2), 2 * k + k / 2 + 1));
         let mut sim = Simulator::new(topo.clone(), SimConfig::default(), agent, 4);
         sim.kick(NodeId(0));
-        sim.run_until(600 * SEC, |a: &MoreAgent| a.all_done());
-        assert!(sim.agent.progress(fi).done, "K={k} stuck");
-        assert_eq!(sim.agent.progress(fi).delivered_packets, 2 * k + k / 2 + 1);
+        sim.run_until(600 * SEC, |a: &MoreAgent| a.flows_done());
+        assert!(sim.agent.flow_progress(fi).done, "K={k} stuck");
+        assert_eq!(sim.agent.flow_progress(fi).delivered, 2 * k + k / 2 + 1);
     }
 }

@@ -6,13 +6,28 @@
 //! batch size, with a short final batch, unicast and multicast alike.
 //! Payloads on also works at a native size of zero bytes.
 
-use more_repro::more::{FlowProgress, MoreAgent, MoreConfig};
+use more_repro::more::{MoreAgent, MoreConfig};
 use more_repro::scenario::{MoreFactory, RunRecord, Scenario};
-use more_repro::sim::{SimConfig, SimStats, Simulator, Time, SEC};
+use more_repro::sim::{
+    FlowAgent, FlowDesc, FlowProgressView, SimConfig, SimStats, Simulator, Time, SEC,
+};
 use more_repro::topology::{generate, NodeId, Topology};
 use proptest::prelude::*;
 
-/// Everything a run measures: the simulator's counters, each flow's
+/// What a run measured of its flow: the progress view, and the protocol
+/// counters behind it.
+#[derive(Debug)]
+#[expect(dead_code, reason = "compared through its Debug form")]
+struct Progress {
+    view: FlowProgressView,
+    /// Per destination: batches decoded, packets delivered, finish time.
+    dsts: Vec<(u32, usize, Option<Time>)>,
+    /// The batch the source pumps; every earlier one is ACKed.
+    src_batch: u32,
+    spurious_tx: u64,
+}
+
+/// Everything a run measures: the simulator's counters, the flow's
 /// progress, and the time the run stopped.
 fn run(
     topo: &Topology,
@@ -21,13 +36,25 @@ fn run(
     dsts: &[NodeId],
     packets: usize,
     seed: u64,
-) -> (SimStats, FlowProgress, Time) {
+) -> (SimStats, Progress, Time) {
     let mut agent = MoreAgent::new(topo.clone(), cfg);
-    let fi = agent.add_flow(src, dsts, packets);
+    let dsts = dsts.to_vec();
+    let fi = agent.add_flow(&FlowDesc { src, dsts, packets });
     let mut sim = Simulator::new(topo.clone(), SimConfig::default(), agent, seed);
     sim.kick(src);
-    sim.run_until(120 * SEC, |a: &MoreAgent| a.all_done());
-    (sim.stats.clone(), *sim.agent.progress(fi), sim.now())
+    sim.run_until(120 * SEC, |a: &MoreAgent| a.flows_done());
+    let flow = &sim.agent.flows()[fi];
+    let progress = Progress {
+        view: sim.agent.flow_progress(fi),
+        dsts: flow
+            .dsts
+            .iter()
+            .map(|d| (d.decoded_batches, d.delivered_packets, d.completed_at))
+            .collect(),
+        src_batch: flow.src_batch,
+        spurious_tx: flow.spurious_tx,
+    };
+    (sim.stats.clone(), progress, sim.now())
 }
 
 proptest! {

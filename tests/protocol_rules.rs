@@ -28,7 +28,9 @@
 
 use more_repro::baselines::exor::{ExorAgent, ExorConfig, ExorPayload};
 use more_repro::more::{MoreAgent, MoreConfig, MorePayload};
-use more_repro::sim::{Ctx, Frame, NodeAgent, OutFrame, SimConfig, Simulator, TxOutcome, SEC};
+use more_repro::sim::{
+    Ctx, FlowAgent, FlowDesc, Frame, NodeAgent, OutFrame, SimConfig, Simulator, TxOutcome, SEC,
+};
 use more_repro::topology::{generate, NodeId, Topology};
 use std::collections::BTreeMap;
 
@@ -140,8 +142,8 @@ fn run_more(seed: u64) -> Capture<MoreAgent, More> {
             ..MoreConfig::default()
         },
     );
-    agent.add_flow(SRC, &[DST], 48);
-    run(agent, more_summary, seed, MoreAgent::all_done)
+    agent.add_flow(&FlowDesc::unicast(SRC, DST, 48));
+    run(agent, more_summary, seed, MoreAgent::flows_done)
 }
 
 /// The forwarders: every node but the source and the destination.
@@ -280,8 +282,8 @@ fn exor_sends_nothing_a_closer_node_holds() {
     let mut checked = 0;
     for seed in SEEDS {
         let mut agent = ExorAgent::new(line(), ExorConfig { k: 8 });
-        agent.add_flow(SRC, DST, 48);
-        let capture = run(agent, exor_summary, seed, ExorAgent::all_done);
+        agent.add_flow(&FlowDesc::unicast(SRC, DST, 48));
+        let capture = run(agent, exor_summary, seed, ExorAgent::flows_done);
         let log = &capture.log;
         // Each node's rank, as its own frames carry it.
         let mut rank: BTreeMap<NodeId, u8> = BTreeMap::new();

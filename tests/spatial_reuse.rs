@@ -3,7 +3,7 @@
 
 use more_repro::baselines::{ExorAgent, ExorConfig};
 use more_repro::more::{MoreAgent, MoreConfig};
-use more_repro::sim::{SimConfig, Simulator, SEC};
+use more_repro::sim::{FlowAgent, FlowDesc, SimConfig, Simulator, SEC};
 use more_repro::topology::{generate, NodeId};
 
 /// 4-hop line, 30 m spacing: hops 1 and 4 are out of carrier-sense range
@@ -15,26 +15,26 @@ fn line4() -> more_repro::topology::Topology {
 fn more_overlap(seed: u64) -> (f64, f64) {
     let topo = line4();
     let mut agent = MoreAgent::new(topo.clone(), MoreConfig::default());
-    let fi = agent.add_flow(NodeId(0), &[NodeId(4)], 192);
+    let fi = agent.add_flow(&FlowDesc::unicast(NodeId(0), NodeId(4), 192));
     let mut sim = Simulator::new(topo, SimConfig::default(), agent, seed);
     sim.kick(NodeId(0));
-    sim.run_until(600 * SEC, |a: &MoreAgent| a.all_done());
-    assert!(sim.agent.progress(fi).done, "MORE line flow stuck");
+    sim.run_until(600 * SEC, |a: &MoreAgent| a.flows_done());
+    assert!(sim.agent.flow_progress(fi).done, "MORE line flow stuck");
     let overlap = sim.stats.concurrent_airtime as f64 / sim.stats.total_airtime() as f64;
-    let secs = sim.agent.progress(fi).completed_at.expect("done") as f64 / SEC as f64;
+    let secs = sim.agent.flow_progress(fi).completed_at.expect("done") as f64 / SEC as f64;
     (overlap, 192.0 / secs)
 }
 
 fn exor_overlap(seed: u64) -> (f64, f64) {
     let topo = line4();
     let mut agent = ExorAgent::new(topo.clone(), ExorConfig::default());
-    let fi = agent.add_flow(NodeId(0), NodeId(4), 192);
+    let fi = agent.add_flow(&FlowDesc::unicast(NodeId(0), NodeId(4), 192));
     let mut sim = Simulator::new(topo, SimConfig::default(), agent, seed);
     sim.kick(NodeId(0));
-    sim.run_until(900 * SEC, |a: &ExorAgent| a.all_done());
-    assert!(sim.agent.progress(fi).done, "ExOR line flow stuck");
+    sim.run_until(900 * SEC, |a: &ExorAgent| a.flows_done());
+    assert!(sim.agent.flow_progress(fi).done, "ExOR line flow stuck");
     let overlap = sim.stats.concurrent_airtime as f64 / sim.stats.total_airtime() as f64;
-    let secs = sim.agent.progress(fi).completed_at.expect("done") as f64 / SEC as f64;
+    let secs = sim.agent.flow_progress(fi).completed_at.expect("done") as f64 / SEC as f64;
     (overlap, 192.0 / secs)
 }
 
