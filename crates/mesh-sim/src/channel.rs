@@ -278,8 +278,8 @@ impl Channel {
     /// reach, which read `0`.
     ///
     /// It equals `delivery` per candidate, bit for bit, but walks `tx`'s
-    /// link row (ascending by receiver, as [`Topology::neighbors_out`]
-    /// yields it) alongside the list once instead of searching it per
+    /// link row (ascending by receiver, as [`Topology::out_row`] holds
+    /// it) alongside the list once instead of searching it per
     /// receiver (`tests/channel_oracle.rs` holds both processes to it).
     pub fn delivery_row(&self, tx: NodeId, candidates: &[u32], now: Time, out: &mut Vec<f64>) {
         match &self.bursts {
@@ -296,6 +296,12 @@ impl Channel {
     /// out-links against the ascending `candidates`. A candidate with a
     /// link gets `on_link(k, p)` — `k` the link's position in `tx`'s row,
     /// `p` its static delivery — and any other `0`.
+    ///
+    /// The medium's lists hold every out-link target (they are the
+    /// symmetric linked relation), so the cursor steps by whether the
+    /// candidate is the next link's target, with no search per candidate;
+    /// a list that leaves link targets out is caught up by the skip loop,
+    /// which the medium's lists never enter.
     fn merge_row(
         &self,
         tx: NodeId,
@@ -305,12 +311,20 @@ impl Channel {
     ) {
         debug_assert!(candidates.is_sorted_by(|a, b| a < b), "ascending");
         out.clear();
-        let mut row = self.topo.neighbors_out(tx).enumerate().peekable();
+        let (to, ps) = self.topo.out_row(tx);
+        // Past the row's end: `u32::MAX`, which no node id reaches.
+        let target = |k: usize| to.get(k).copied().unwrap_or(u32::MAX);
+        let mut k = 0;
         out.extend(candidates.iter().map(|&rx| {
-            let rx = rx as usize;
-            while row.next_if(|&(_, (to, _))| to.0 < rx).is_some() {}
-            row.next_if(|&(_, (to, _))| to.0 == rx)
-                .map_or(0.0, |(k, (_, p))| on_link(k, p))
+            while target(k) < rx {
+                k += 1;
+            }
+            let (slot, has) = (k, target(k) == rx);
+            k += usize::from(has);
+            match ps.get(slot) {
+                Some(&p) if has => on_link(slot, p),
+                _ => 0.0,
+            }
         }));
     }
 
@@ -343,9 +357,10 @@ impl AsRef<Channel> for Channel {
 /// settles both questions against exact IEEE thresholds: no `ln`, no `exp`.
 ///
 /// The state at `e` is the latest fresh epoch's, swapped `e − k` times
-/// where the chain swaps. A query walks back from `e`, stopping early at
-/// the link's last query (if not later than `e`) or at epoch 0: at a new
-/// epoch it costs `min(epochs since that query, 1 / P(fresh))` words in
+/// where the chain swaps. A query one epoch after the link's last takes
+/// one word; any other walks back from `e`, stopping early at the link's
+/// last query (if not later than `e`) or at epoch 0: at a new epoch it
+/// costs `min(epochs since that query, 1 / P(fresh))` words in
 /// expectation, and an epoch nobody asks about costs nothing.
 struct Bursts {
     epoch: Time,
@@ -366,10 +381,8 @@ struct Bursts {
 
 /// One directed link of a [`Bursts`].
 struct GeLink {
-    /// Delivery in the good state.
-    good_p: f64,
-    /// Delivery in the bad state.
-    bad_p: f64,
+    /// Delivery in the good state, then in the bad one: `p[bad]`.
+    p: [f64; 2],
     /// `epoch << 1 | bad` at the link's last query.
     seen: Cell<u64>,
 }
@@ -422,8 +435,7 @@ impl Bursts {
                 };
                 let bad = u128::from(streams::draw(key, slot as u64, 0)) < start_bad;
                 GeLink {
-                    good_p,
-                    bad_p: (p * bad_scale + moved).clamp(0.0, 1.0),
+                    p: [good_p, (p * bad_scale + moved).clamp(0.0, 1.0)],
                     seen: Cell::new(u64::from(bad)),
                 }
             })
@@ -440,12 +452,37 @@ impl Bursts {
     }
 
     /// What link `slot` delivers at epoch `e`.
+    ///
+    /// A link asked at `e` or `e − 1` last — most queries, as frames end
+    /// several times per epoch — takes one step, by selects rather than
+    /// branches on the coin: the same epoch keeps the state, a fresh one
+    /// draws it, and any other carries it, swapped where the chain swaps.
+    /// Longer gaps, and queries back in time, walk back.
     fn delivery_at(&self, slot: usize, e: u64) -> f64 {
         let Some(link) = self.links.get(slot) else {
             return 0.0;
         };
         let seen = link.seen.get();
         let word = |k| u128::from(streams::draw(self.key, slot as u64, k));
+        let bad = if e.wrapping_sub(seen >> 1) <= 1 {
+            let (last, u) = (seen & 1 == 1, word(e));
+            // Bad when fresh and drawn bad (`fresh_bad ≤ fresh`), or not
+            // fresh and carried bad. `|` and `&`, not `||` and `&&`: no
+            // branch on the word.
+            let next = (u < self.fresh_bad) | ((u >= self.fresh) & (last ^ self.swaps));
+            // Unpredictable, or the word goes behind a branch on the epoch.
+            std::hint::select_unpredictable(seen >> 1 == e, last, next)
+        } else {
+            self.walk_back(seen, e, word)
+        };
+        link.seen.set(e << 1 | u64::from(bad));
+        link.p.get(usize::from(bad)).copied().unwrap_or(0.0)
+    }
+
+    /// The state at `e` of a link last asked at `seen`, walking back from
+    /// `e` to the latest fresh epoch, the last query (if not later than
+    /// `e`) or epoch 0, with `word(k)` the link's word at epoch `k`.
+    fn walk_back(&self, seen: u64, e: u64, word: impl Fn(u64) -> u128) -> bool {
         // Without fresh epochs the state is epoch 0's, swapped or not.
         let mut k = if self.fresh == 0 { 0 } else { e };
         let settled = loop {
@@ -462,13 +499,7 @@ impl Bursts {
             }
             k -= 1;
         };
-        let bad = settled ^ (self.swaps && (e - k) % 2 == 1);
-        link.seen.set(e << 1 | u64::from(bad));
-        if bad {
-            link.bad_p
-        } else {
-            link.good_p
-        }
+        settled ^ (self.swaps && (e - k) % 2 == 1)
     }
 }
 

@@ -54,7 +54,7 @@
 use crate::channel::Channel;
 use crate::{SimConfig, Time};
 use mesh_topology::spatial::CellGrid;
-use mesh_topology::{NodeId, Position, Topology};
+use mesh_topology::{streams, NodeId, Position, Topology};
 use rand::Rng;
 use std::collections::VecDeque;
 
@@ -398,9 +398,13 @@ impl Medium {
     ///
     /// Delivery probabilities — the frame's own and each interferer's in
     /// the capture rule — are the channel's instantaneous values at
-    /// the frame's end time. Draws per-receiver Bernoulli losses from
-    /// `rng`; `collisions`/`captures` counters are incremented for the
-    /// stats module.
+    /// the frame's end time. Each surviving receiver with `p > 0` gets one
+    /// verdict from `rng`, in candidate order: [`streams::bernoulli`],
+    /// which reads the word `rng.gen::<f64>() < p` would and gives its
+    /// answer, so the stream and the receivers are what that draw gave;
+    /// the verdict sets the receiver list's length instead of branching.
+    /// `collisions`/`captures` counters are incremented for the stats
+    /// module.
     ///
     /// The receiver set is written into a caller-supplied vector (cleared
     /// first), so the engine's hot path reuses one allocation per run
@@ -492,9 +496,11 @@ impl Medium {
                 }
                 *captures += 1;
             }
-            if rng.gen::<f64>() < p {
-                out.push(NodeId(r));
-            }
+            // The verdict is a value, not a branch: the receiver is written
+            // either way, and the list's length keeps it or not.
+            let kept = out.len() + usize::from(streams::bernoulli(rng, p));
+            out.push(NodeId(r));
+            out.truncate(kept);
         }
     }
 

@@ -21,7 +21,7 @@
 //! signal — the simulator's stand-in for a transport's feedback loop).
 
 use crate::Time;
-use mesh_topology::NodeId;
+use mesh_topology::{streams, NodeId};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::VecDeque;
@@ -129,10 +129,8 @@ impl Aqm {
     /// `max_th` up, never below `min_th`, and in between with a
     /// probability rising linearly to `max_p` — the one case that draws.
     fn marks(&self, avg: f64, rng: &mut ChaCha8Rng) -> bool {
-        avg >= self.max_th
-            || (avg >= self.min_th
-                && rng.gen::<f64>()
-                    < self.max_p * (avg - self.min_th) / (self.max_th - self.min_th))
+        let p = self.max_p * (avg - self.min_th) / (self.max_th - self.min_th);
+        avg >= self.max_th || (avg >= self.min_th && streams::bernoulli(rng, p))
     }
 
     fn validate(&self) -> Result<(), String> {

@@ -32,6 +32,15 @@
 //! no link: the medium's candidate lists and `probe_topology` rest on
 //! that.
 //!
+//! **Step.** Most queries come at the epoch of the link's last one or
+//! the next, and those take one step instead of the walk back. A channel
+//! asked through rows — the medium's lists, lists that leave every other
+//! link target out, lists with the transmitter and strangers in them — on
+//! a schedule of same-epoch, next-epoch, longer and backward steps must
+//! answer like a fresh channel of the same seed asked once, cold: for a
+//! chain with fresh epochs, one that swaps (`to_bad + to_good > 1`), and
+//! the two with no fresh epoch at all.
+//!
 //! Mutations tried against this file (each reverted):
 //!
 //! * the link's last query consulted for a query back in time (`>=` for
@@ -56,7 +65,15 @@
 //!   and the merge-walk stepping past a link equal to the candidate (`<=`
 //!   for `<`) — each fails `row_is_delivery_per_candidate` on the first
 //!   transmitter checked, and the path test, which asks half its links
-//!   through one-candidate rows, at 0 µs.
+//!   through one-candidate rows, at 0 µs;
+//! * in the one-epoch step: the swap dropped from a carried state, the
+//!   same-epoch and next-epoch picks exchanged, a two-epoch gap taken as
+//!   one step, and the fresh draw ignored — each fails
+//!   `one_epoch_steps_answer_like_a_fresh_channel` (and the path test);
+//! * in the row walk: the skip loop for left-out link targets removed,
+//!   and the cursor stepped on every candidate instead of by whether it
+//!   matched — each fails `one_epoch_steps_answer_like_a_fresh_channel`
+//!   and `row_is_delivery_per_candidate`.
 use mesh_sim::channel::{Channel, ChannelSpec, GilbertElliott};
 use mesh_sim::{Time, MS};
 use mesh_topology::streams::{self, Stream};
@@ -781,4 +798,110 @@ fn a_model_without_its_own_row_gets_the_per_pair_loop() {
             &mut script
         ) > 0
     );
+}
+
+// ---------------------------------------------------------------------
+// (d) The one-epoch step.
+// ---------------------------------------------------------------------
+
+/// Lists a row is asked over for `tx`: the medium's own; one that leaves
+/// out every other link target; the transmitter and some strangers with a
+/// few neighbours; and strangers alone. All ascending.
+fn odd_lists(topo: &Topology, tx: NodeId, pick: &mut ChaCha8Rng) -> [Vec<u32>; 4] {
+    let own = medium_candidates(topo, tx);
+    let skipping = own.iter().copied().step_by(2).collect();
+    let strangers: Vec<u32> = (0..topo.n() as u32)
+        .filter(|r| own.binary_search(r).is_err())
+        .collect();
+    let mut mixed: Vec<u32> = own
+        .iter()
+        .copied()
+        .filter(|_| pick.gen_range(0..4u32) == 0)
+        .collect();
+    mixed.extend(strangers.iter().filter(|_| pick.gen_bool(0.5)));
+    mixed.sort_unstable();
+    mixed.dedup();
+    [own, skipping, mixed, strangers]
+}
+
+/// Asks one channel about the links of a few transmitters through their
+/// rows, on a schedule that stays within an epoch, steps to the next one,
+/// jumps several, or goes back in time, and holds every answer to a fresh
+/// channel of the same seed, asked once per link, cold. The rows are the
+/// lists of [`odd_lists`]. Returns how many link answers came in the
+/// epoch of the link's last query, in the next one, and otherwise.
+fn check_steps(topo: &Topology, spec: &ChannelSpec, seed: u64) -> [u32; 3] {
+    let epoch = params(spec).epoch_ms * MS;
+    let chan = spec.build(topo, seed);
+    let mut script = ChaCha8Rng::seed_from_u64(seed);
+    let txs: Vec<NodeId> = (0..3)
+        .map(|_| NodeId(script.gen_range(0..topo.n())))
+        .collect();
+    let mut last: Vec<Option<u64>> = vec![None; topo.link_count()];
+    let mut kinds = [0; 3];
+    let (mut now, mut row): (Time, Vec<f64>) = (0, Vec::new());
+    for _ in 0..300 {
+        now = match script.gen_range(0..8u32) {
+            0..=2 => now + script.gen_range(0..epoch - now % epoch),
+            3..=5 => (now / epoch + 1) * epoch + script.gen_range(0..epoch),
+            6 => now + script.gen_range(2 * epoch..12 * epoch),
+            _ => script.gen_range(0..=now),
+        };
+        let e = now / epoch;
+        let cold = spec.build(topo, seed);
+        let mut once: Vec<Option<f64>> = vec![None; topo.link_count()];
+        for &tx in &txs {
+            for cands in odd_lists(topo, tx, &mut script) {
+                chan.delivery_row(tx, &cands, now, &mut row);
+                assert_eq!(row.len(), cands.len());
+                for (&rx, &got) in cands.iter().zip(&row) {
+                    let rx = NodeId(rx as usize);
+                    let Some(slot) = topo.link_slot(tx, rx) else {
+                        assert_eq!(got, 0.0, "{tx} -> {rx} has no link");
+                        continue;
+                    };
+                    let want = *once[slot].get_or_insert_with(|| cold.delivery(tx, rx, now));
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "{} seed {seed}: link {slot} ({tx} -> {rx}) at {now} µs, epoch {e}, \
+                         last asked at epoch {:?}",
+                        spec.label(),
+                        last[slot]
+                    );
+                    kinds[match last[slot] {
+                        Some(l) if l == e => 0,
+                        Some(l) if l + 1 == e => 1,
+                        _ => 2,
+                    }] += 1;
+                    last[slot] = Some(e);
+                }
+            }
+        }
+    }
+    kinds
+}
+
+#[test]
+fn one_epoch_steps_answer_like_a_fresh_channel() {
+    let testbed = generate::testbed(1);
+    let specs = [
+        // The ledger workload's chain: fresh epochs, no swap.
+        ChannelSpec::bursty_matched(0.2, 0.05, 0.25, 10),
+        // `to_bad + to_good > 1`: an epoch that is not fresh swaps.
+        ge(0.8, 0.7),
+        // No fresh epoch at all: swapped every epoch, or frozen.
+        ge(1.0, 1.0),
+        ge(0.0, 0.0),
+    ];
+    for spec in &specs {
+        for seed in [1, 2] {
+            let kinds = check_steps(&testbed, spec, seed);
+            assert!(
+                kinds.iter().all(|&k| k > 300),
+                "{} seed {seed}: same-epoch, next-epoch and other answers {kinds:?}",
+                spec.label()
+            );
+        }
+    }
 }

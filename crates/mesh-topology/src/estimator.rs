@@ -16,7 +16,6 @@
 //! (`|tx, rx, _| truth.delivery(tx, rx)`) probes a static truth.
 
 use crate::{Link, NodeId, Topology};
-use rand::Rng;
 
 use crate::streams::{self, Stream};
 
@@ -91,9 +90,7 @@ impl LinkEstimator {
             let now = round as u64 * interval_us;
             for (hits, l) in successes.iter_mut().zip(truth.links()) {
                 let p = delivery_at(l.from, l.to, now);
-                if rng.gen::<f64>() < p {
-                    *hits += 1;
-                }
+                *hits += u32::from(streams::bernoulli(&mut rng, p));
             }
         }
         let links = truth

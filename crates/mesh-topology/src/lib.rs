@@ -299,6 +299,16 @@ impl Topology {
         self.out_nbr[s].iter().map(|&j| NodeId(j as usize))
     }
 
+    /// `i`'s out-links as two parallel slices, ascending by receiver: the
+    /// receivers' ids and their delivery probabilities. Entry `k` is the
+    /// link in slot `link_slots(i).start + k`.
+    #[inline]
+    pub fn out_row(&self, i: NodeId) -> (&[u32], &[f64]) {
+        let slots = self.link_slots(i);
+        let to = self.out_nbr.get(slots.clone()).unwrap_or_default();
+        (to, self.out_p.get(slots).unwrap_or_default())
+    }
+
     /// Out-neighbors of `i` with delivery probabilities, ascending by id.
     pub fn neighbors_out(&self, i: NodeId) -> impl Iterator<Item = (NodeId, f64)> + '_ {
         let slots = self.link_slots(i);

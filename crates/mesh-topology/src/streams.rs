@@ -25,8 +25,12 @@
 //! counter-based word per `(key, slot, index)`, for a consumer that reads
 //! its randomness out of order. Its key is a word of a named stream, so
 //! it derives from the seed through [`rng`] like everything else.
+//!
+//! [`bernoulli`] is the one coin: a verdict at probability `p` from one
+//! generator word, the draw `rng.gen::<f64>() < p` makes, decided without
+//! a branch on the outcome.
 
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 /// One variant per stream. A stream's generator is seeded from the seed
@@ -127,6 +131,22 @@ pub fn draw(key: u64, slot: u64, index: u64) -> u64 {
     let origin = mix64(key ^ slot.wrapping_mul(GOLDEN_GAMMA));
     mix64(origin.wrapping_add(index.wrapping_mul(GOLDEN_GAMMA)))
 }
+
+/// `rng.gen::<f64>() < p`, draw for draw: the same word is consumed and
+/// the same verdict given, NaN included.
+///
+/// `gen::<f64>()` is `m·2⁻⁵³` for `m` the word's top 53 bits. Scaling by a
+/// power of two is exact (`p·2⁵³` that overflows is `∞`, and `p > 1`
+/// there), and `m` converts exactly, so `m·2⁻⁵³ < p` is `m < p·2⁵³`. The
+/// verdict is a value, so a caller can count or keep it without
+/// branching on it (`hits += u32::from(bernoulli(..))`).
+#[inline]
+pub fn bernoulli(rng: &mut impl RngCore, p: f64) -> bool {
+    ((rng.next_u64() >> 11) as f64) < p * TWO_POW_53
+}
+
+/// `2⁵³`: the scale of [`bernoulli`]'s threshold.
+const TWO_POW_53: f64 = (1u64 << 53) as f64;
 
 /// SplitMix64's increment, `⌊2⁶⁴/φ⌋` made odd.
 const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;

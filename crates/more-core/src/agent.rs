@@ -146,7 +146,6 @@ impl NodeAgent for MoreAgent {
                         ns.flush_to(*batch + 1);
                         let d = &mut f.dsts[di];
                         d.decoded_batches += 1;
-                        d.delivered_packets += k_b;
                         if *batch + 1 == total_batches {
                             d.completed_at = Some(ctx.now());
                         }
@@ -340,7 +339,7 @@ impl mesh_sim::FlowAgent for MoreAgent {
     fn flow_progress(&self, index: usize) -> FlowProgressView {
         let f = &self.flows[index];
         FlowProgressView {
-            delivered: f.dsts.iter().map(|d| d.delivered_packets).sum(),
+            delivered: f.dsts.iter().map(|d| f.delivered(&self.cfg, d)).sum(),
             completed_at: f
                 .dsts
                 .iter()
@@ -394,7 +393,6 @@ impl mesh_sim::FlowAgent for MoreAgent {
                     rank_of,
                     acked: vec![0; n],
                     decoded_batches: 0,
-                    delivered_packets: 0,
                     completed_at: None,
                 }
             })
@@ -521,9 +519,10 @@ mod test {
         assert!(p.done, "testbed flow stuck");
         assert_eq!(p.delivered, 64);
         // Unicast is the one-destination case of the same flow state.
-        let dsts = &sim.agent.flows()[fi].dsts;
+        let f = &sim.agent.flows()[fi];
+        let dsts = &f.dsts;
         assert_eq!(dsts.len(), 1);
-        assert_eq!(dsts[0].delivered_packets, 64);
+        assert_eq!(f.delivered(&sim.agent.cfg, &dsts[0]), 64);
         assert_eq!(dsts[0].completed_at, p.completed_at);
         // Stopping rule: after completion, (almost) no more data frames.
         let tx_before = sim.stats.total_tx();
@@ -590,8 +589,9 @@ mod test {
         let p = sim.agent.flow_progress(fi);
         assert!(p.done, "2-dst multicast stuck");
         assert_eq!(p.delivered, 2 * 64);
-        let dsts = &sim.agent.flows()[fi].dsts;
-        assert!(dsts.iter().all(|d| d.delivered_packets == 64));
+        let f = &sim.agent.flows()[fi];
+        let dsts = &f.dsts;
+        assert!(dsts.iter().all(|d| f.delivered(&sim.agent.cfg, d) == 64));
         let last = dsts
             .iter()
             .map(|d| d.completed_at.expect("completed"))

@@ -92,10 +92,8 @@ pub struct Destination {
     /// destination ACKed every batch below it. The source advances on
     /// `acked[src]`, everyone else purges on theirs (§3.3.4).
     pub acked: Vec<u32>,
-    /// Batches fully decoded here.
+    /// Batches fully decoded here: the first ones, as batches decode in order.
     pub decoded_batches: u32,
-    /// Native packets delivered (decoded) here.
-    pub delivered_packets: usize,
     /// Simulated time when the last packet was decoded here.
     pub completed_at: Option<Time>,
 }
@@ -156,6 +154,12 @@ impl MoreFlow {
         } else {
             self.total_packets % cfg.k
         }
+    }
+
+    /// Native packets decoded at `d`, one of this flow's destinations: its
+    /// decoded batches' worth, `cfg.k` packets each but a short last one.
+    pub fn delivered(&self, cfg: &MoreConfig, d: &Destination) -> usize {
+        (d.decoded_batches as usize * cfg.k).min(self.total_packets)
     }
 
     /// True once every batch has been ACKed to the source by every

@@ -34,11 +34,12 @@ fn main() {
     assert!(sim.agent.flow_progress(fi).done);
     let mc_tx = sim.stats.total_tx();
     println!("multicast {src} -> {dsts:?}: {PACKETS} packets each");
-    for d in &sim.agent.flows()[fi].dsts {
+    let flow = &sim.agent.flows()[fi];
+    for d in &flow.dsts {
         println!(
             "  {}: {} packets in {:.2} s",
             d.node,
-            d.delivered_packets,
+            flow.delivered(&MoreConfig::default(), d),
             d.completed_at.expect("completed") as f64 / SEC as f64
         );
     }

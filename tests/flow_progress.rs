@@ -17,7 +17,7 @@
 //! both in `crates/scenario/src/builder.rs`.
 
 use more_repro::baselines::{ExorAgent, ExorConfig, SrcrAgent, SrcrConfig};
-use more_repro::more::{MoreAgent, MoreConfig};
+use more_repro::more::{Destination, MoreAgent, MoreConfig};
 use more_repro::sim::{
     Bitrate, FlowAgent, FlowDesc, FlowProgressView, SimConfig, Simulator, Time, TrafficAction, MS,
     SEC,
@@ -65,7 +65,11 @@ fn more_multicast_progress_is_its_destinations_summed() {
         sim.run_until(step * 100 * MS, |_| false);
         let p = sim.agent.flow_progress(0);
         let flow = &sim.agent.flows()[0];
-        let delivered: usize = flow.dsts.iter().map(|d| d.delivered_packets).sum();
+        // Batches decode in order: a destination holds the packets of its
+        // first `decoded_batches` batches.
+        let cfg = MoreConfig::default();
+        let decoded = |d: &Destination| (0..d.decoded_batches).map(|b| flow.k_of(&cfg, b));
+        let delivered: usize = flow.dsts.iter().flat_map(decoded).sum();
         assert_eq!(p.delivered, delivered, "at step {step}");
         let ends: Option<Vec<Time>> = flow.dsts.iter().map(|d| d.completed_at).collect();
         let last = ends.and_then(|ends| ends.into_iter().max());

@@ -20,8 +20,9 @@ use proptest::prelude::*;
 #[expect(dead_code, reason = "compared through its Debug form")]
 struct Progress {
     view: FlowProgressView,
-    /// Per destination: batches decoded, packets delivered, finish time.
-    dsts: Vec<(u32, usize, Option<Time>)>,
+    /// Per destination: batches decoded (its deliveries follow) and
+    /// finish time.
+    dsts: Vec<(u32, Option<Time>)>,
     /// The batch the source pumps; every earlier one is ACKed.
     src_batch: u32,
     spurious_tx: u64,
@@ -49,7 +50,7 @@ fn run(
         dsts: flow
             .dsts
             .iter()
-            .map(|d| (d.decoded_batches, d.delivered_packets, d.completed_at))
+            .map(|d| (d.decoded_batches, d.completed_at))
             .collect(),
         src_batch: flow.src_batch,
         spurious_tx: flow.spurious_tx,
